@@ -21,32 +21,45 @@ func quickCfg(w radar.Workload) radar.Config {
 	return cfg
 }
 
+// badField reports whether err is a *radar.ConfigError on field that also
+// matches the ErrBadConfig class.
+func badField(err error, field string) bool {
+	var ce *radar.ConfigError
+	return errors.Is(err, radar.ErrBadConfig) && errors.As(err, &ce) && ce.Field == field
+}
+
 func TestSentinelErrorsMatchable(t *testing.T) {
+	is := func(want error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, want) }
+	}
+	field := func(name string) func(error) bool {
+		return func(err error) bool { return badField(err, name) }
+	}
 	cases := []struct {
 		name   string
 		mutate func(*radar.Config)
-		want   error
+		match  func(error) bool
 	}{
-		{"unknown workload", func(c *radar.Config) { c.Workload = "no-such-workload" }, radar.ErrUnknownWorkload},
-		{"unknown switch target", func(c *radar.Config) { c.SwitchTo = "no-such-workload" }, radar.ErrUnknownWorkload},
-		{"unknown policy", func(c *radar.Config) { c.Policy = "no-such-policy" }, radar.ErrUnknownPolicy},
-		{"unknown consistency", func(c *radar.Config) { c.Consistency = "no-such-regime" }, radar.ErrUnknownConsistency},
-		{"bad fault schedule", func(c *radar.Config) { c.FaultSchedule = "drop:1.5" }, radar.ErrBadFaultSchedule},
-		{"negative replica floor", func(c *radar.Config) { c.ReplicaFloor = -1 }, radar.ErrBadReplicaFloor},
-		{"availability weight above 1", func(c *radar.Config) { c.AvailabilityWeight = 1.5 }, radar.ErrBadAvailabilityWeight},
-		{"negative availability weight", func(c *radar.Config) { c.AvailabilityWeight = -0.1 }, radar.ErrBadAvailabilityWeight},
-		{"negative ctrl retries", func(c *radar.Config) { c.CtrlRetries = -2 }, radar.ErrBadCtrlRetries},
-		{"negative ctrl timeout", func(c *radar.Config) { c.CtrlTimeout = -time.Second }, radar.ErrBadCtrlTimeout},
+		{"unknown workload", func(c *radar.Config) { c.Workload = "no-such-workload" }, is(radar.ErrUnknownWorkload)},
+		{"unknown switch target", func(c *radar.Config) { c.SwitchTo = "no-such-workload" }, is(radar.ErrUnknownWorkload)},
+		{"unknown policy", func(c *radar.Config) { c.Policy = "no-such-policy" }, is(radar.ErrUnknownPolicy)},
+		{"unknown consistency", func(c *radar.Config) { c.Consistency = "no-such-regime" }, is(radar.ErrUnknownConsistency)},
+		{"bad fault schedule", func(c *radar.Config) { c.FaultSchedule = "drop:1.5" }, is(radar.ErrBadFaultSchedule)},
+		{"negative replica floor", func(c *radar.Config) { c.ReplicaFloor = -1 }, field("Faults.ReplicaFloor")},
+		{"availability weight above 1", func(c *radar.Config) { c.AvailabilityWeight = 1.5 }, field("Placement.AvailabilityWeight")},
+		{"negative availability weight", func(c *radar.Config) { c.AvailabilityWeight = -0.1 }, field("Placement.AvailabilityWeight")},
+		{"negative ctrl retries", func(c *radar.Config) { c.CtrlRetries = -2 }, field("Ctrl.CtrlRetries")},
+		{"negative ctrl timeout", func(c *radar.Config) { c.CtrlTimeout = -time.Second }, field("Ctrl.CtrlTimeout")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickCfg(radar.Zipf)
 			tc.mutate(&cfg)
-			if err := cfg.Validate(); !errors.Is(err, tc.want) {
-				t.Errorf("Validate() = %v, want errors.Is(err, %v)", err, tc.want)
+			if err := cfg.Validate(); !tc.match(err) {
+				t.Errorf("Validate() = %v, not the expected error", err)
 			}
-			if _, err := radar.Run(cfg); !errors.Is(err, tc.want) {
-				t.Errorf("Run() = %v, want errors.Is(err, %v)", err, tc.want)
+			if _, err := radar.Run(cfg); !tc.match(err) {
+				t.Errorf("Run() = %v, not the expected error", err)
 			}
 		})
 	}

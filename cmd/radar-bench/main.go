@@ -42,6 +42,7 @@ import (
 	"radar"
 	"radar/internal/experiments"
 	"radar/internal/object"
+	"radar/internal/profiling"
 	"radar/internal/sim"
 	"radar/internal/topology"
 	"radar/internal/workload"
@@ -141,7 +142,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file before exit")
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuprofile, *memprofile)
+	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "radar-bench:", err)
 		os.Exit(1)

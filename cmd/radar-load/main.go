@@ -85,7 +85,7 @@ func run() error {
 		return fmt.Errorf("-chaos and -check need -free-running (driver-paced replay is verified against the simulator instead)")
 	}
 
-	cfg, err := buildConfig(*name, *duration, *rps, *seed, *inflight, *freeRunning)
+	cfg, err := live.ScenarioConfig(*name, *duration, *rps, *seed, *inflight, *freeRunning)
 	if err != nil {
 		return err
 	}
@@ -299,32 +299,4 @@ func awaitFloor(ctx context.Context, urls []string, redirectors []topology.NodeI
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-}
-
-// buildConfig resolves a scenario into a live fleet configuration with the
-// command-line overrides applied. radar-node uses the identical resolution,
-// so a driver and an externally launched fleet agree on every parameter.
-func buildConfig(name string, duration time.Duration, rps float64, seed int64, inflight int, freeRunning bool) (live.Config, error) {
-	sc, ok := scenario.ByName(name)
-	if !ok {
-		return live.Config{}, fmt.Errorf("unknown scenario %q (see -list)", name)
-	}
-	simCfg, err := sc.Config()
-	if err != nil {
-		return live.Config{}, err
-	}
-	if duration > 0 {
-		simCfg.Duration = duration
-	}
-	if rps > 0 {
-		simCfg.NodeRequestRPS = rps
-	}
-	if seed != 0 {
-		simCfg.Seed = seed
-	}
-	cfg := live.Config{Sim: simCfg, MaxInflightCreates: inflight, FreeRunning: freeRunning}
-	if err := cfg.Validate(); err != nil {
-		return live.Config{}, err
-	}
-	return cfg, nil
 }

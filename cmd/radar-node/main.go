@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"radar/internal/live"
-	"radar/internal/scenario"
 	"radar/internal/topology"
 )
 
@@ -78,25 +77,8 @@ func run() error {
 		return fmt.Errorf("missing -peers")
 	}
 
-	sc, ok := scenario.ByName(*name)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q", *name)
-	}
-	simCfg, err := sc.Config()
+	cfg, err := live.ScenarioConfig(*name, *duration, *rps, *seed, *inflight, *freeRun)
 	if err != nil {
-		return err
-	}
-	if *duration > 0 {
-		simCfg.Duration = *duration
-	}
-	if *rps > 0 {
-		simCfg.NodeRequestRPS = *rps
-	}
-	if *seed != 0 {
-		simCfg.Seed = *seed
-	}
-	cfg := live.Config{Sim: simCfg, MaxInflightCreates: *inflight, FreeRunning: *freeRun}
-	if err := cfg.Validate(); err != nil {
 		return err
 	}
 

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"radar"
+	"radar/internal/profiling"
 )
 
 func main() {
@@ -61,7 +62,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuprofile, *memprofile)
+	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}

@@ -46,23 +46,23 @@ func TestGroupValidateIsolation(t *testing.T) {
 	if err := (radar.Placement{Policy: radar.PolicyPaper, AvailabilityWeight: 0.5}).Validate(); err != nil {
 		t.Errorf("valid placement group rejected: %v", err)
 	}
-	if err := (radar.Placement{AvailabilityWeight: 1.5}).Validate(); !errors.Is(err, radar.ErrBadAvailabilityWeight) {
-		t.Errorf("placement group error = %v, want ErrBadAvailabilityWeight", err)
+	if err := (radar.Placement{AvailabilityWeight: 1.5}).Validate(); !badField(err, "Placement.AvailabilityWeight") {
+		t.Errorf("placement group error = %v, want ConfigError on Placement.AvailabilityWeight", err)
 	}
-	if err := (radar.Faults{ReplicaFloor: -1}).Validate(); !errors.Is(err, radar.ErrBadReplicaFloor) {
-		t.Errorf("faults group error = %v, want ErrBadReplicaFloor", err)
+	if err := (radar.Faults{ReplicaFloor: -1}).Validate(); !badField(err, "Faults.ReplicaFloor") {
+		t.Errorf("faults group error = %v, want ConfigError on Faults.ReplicaFloor", err)
 	}
 	if err := (radar.Faults{FaultSchedule: "nope"}).Validate(); !errors.Is(err, radar.ErrBadFaultSchedule) {
 		t.Errorf("faults group error = %v, want ErrBadFaultSchedule", err)
 	}
-	if err := (radar.Ctrl{CtrlRetries: -1}).Validate(); !errors.Is(err, radar.ErrBadCtrlRetries) {
-		t.Errorf("ctrl group error = %v, want ErrBadCtrlRetries", err)
+	if err := (radar.Ctrl{CtrlRetries: -1}).Validate(); !badField(err, "Ctrl.CtrlRetries") {
+		t.Errorf("ctrl group error = %v, want ConfigError on Ctrl.CtrlRetries", err)
 	}
-	if err := (radar.Ctrl{CtrlTimeout: -time.Second}).Validate(); !errors.Is(err, radar.ErrBadCtrlTimeout) {
-		t.Errorf("ctrl group error = %v, want ErrBadCtrlTimeout", err)
+	if err := (radar.Ctrl{CtrlTimeout: -time.Second}).Validate(); !badField(err, "Ctrl.CtrlTimeout") {
+		t.Errorf("ctrl group error = %v, want ConfigError on Ctrl.CtrlTimeout", err)
 	}
-	if err := (radar.Storage{Store: "cache(disk,mem)"}).Validate(); !errors.Is(err, radar.ErrBadStoreSpec) {
-		t.Errorf("storage group error = %v, want ErrBadStoreSpec", err)
+	if err := (radar.Storage{Store: "cache(disk,mem)"}).Validate(); !badField(err, "Storage.Store") {
+		t.Errorf("storage group error = %v, want ConfigError on Storage.Store", err)
 	}
 	if err := (radar.Storage{}).Validate(); err != nil {
 		t.Errorf("zero storage group rejected: %v", err)
@@ -70,20 +70,19 @@ func TestGroupValidateIsolation(t *testing.T) {
 }
 
 // TestConfigErrorClassAndDetail: every out-of-range value is a
-// *ConfigError wrapping ErrBadConfig AND its legacy sentinel, with the
-// structured field detail intact.
+// *ConfigError wrapping ErrBadConfig, with the structured field detail
+// intact.
 func TestConfigErrorClassAndDetail(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*radar.Config)
-		legacy error
 		field  string
 	}{
-		{"replica floor", func(c *radar.Config) { c.Faults.ReplicaFloor = -1 }, radar.ErrBadReplicaFloor, "Faults.ReplicaFloor"},
-		{"availability weight", func(c *radar.Config) { c.Placement.AvailabilityWeight = -0.1 }, radar.ErrBadAvailabilityWeight, "Placement.AvailabilityWeight"},
-		{"ctrl retries", func(c *radar.Config) { c.Ctrl.CtrlRetries = -2 }, radar.ErrBadCtrlRetries, "Ctrl.CtrlRetries"},
-		{"ctrl timeout", func(c *radar.Config) { c.Ctrl.CtrlTimeout = -time.Second }, radar.ErrBadCtrlTimeout, "Ctrl.CtrlTimeout"},
-		{"store spec", func(c *radar.Config) { c.Storage.Store = "mem(" }, radar.ErrBadStoreSpec, "Storage.Store"},
+		{"replica floor", func(c *radar.Config) { c.Faults.ReplicaFloor = -1 }, "Faults.ReplicaFloor"},
+		{"availability weight", func(c *radar.Config) { c.Placement.AvailabilityWeight = -0.1 }, "Placement.AvailabilityWeight"},
+		{"ctrl retries", func(c *radar.Config) { c.Ctrl.CtrlRetries = -2 }, "Ctrl.CtrlRetries"},
+		{"ctrl timeout", func(c *radar.Config) { c.Ctrl.CtrlTimeout = -time.Second }, "Ctrl.CtrlTimeout"},
+		{"store spec", func(c *radar.Config) { c.Storage.Store = "mem(" }, "Storage.Store"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,9 +95,6 @@ func TestConfigErrorClassAndDetail(t *testing.T) {
 			if !errors.Is(err, radar.ErrBadConfig) {
 				t.Errorf("error %v does not match ErrBadConfig", err)
 			}
-			if !errors.Is(err, tc.legacy) {
-				t.Errorf("error %v does not match legacy sentinel %v", err, tc.legacy)
-			}
 			var ce *radar.ConfigError
 			if !errors.As(err, &ce) {
 				t.Fatalf("error %v is not a *ConfigError", err)
@@ -110,31 +106,15 @@ func TestConfigErrorClassAndDetail(t *testing.T) {
 	}
 }
 
-// TestLegacySentinelsWrapErrBadConfig: the per-field sentinels themselves
-// are members of the ErrBadConfig class.
-func TestLegacySentinelsWrapErrBadConfig(t *testing.T) {
-	for _, sentinel := range []error{
-		radar.ErrBadReplicaFloor,
-		radar.ErrBadAvailabilityWeight,
-		radar.ErrBadCtrlRetries,
-		radar.ErrBadCtrlTimeout,
-		radar.ErrBadStoreSpec,
-	} {
-		if !errors.Is(sentinel, radar.ErrBadConfig) {
-			t.Errorf("sentinel %v does not wrap ErrBadConfig", sentinel)
-		}
-	}
-}
-
-// TestRunBadStoreSpec: a malformed store term is caught at Run time with
-// the full sentinel chain.
+// TestRunBadStoreSpec: a malformed store term is caught at Run time as a
+// ConfigError on its field.
 func TestRunBadStoreSpec(t *testing.T) {
 	cfg := radar.DefaultConfig(radar.Uniform)
 	cfg.Objects = 100
 	cfg.Duration = time.Minute
 	cfg.Storage.Store = "mirror(mem)"
-	if _, err := radar.Run(cfg); !errors.Is(err, radar.ErrBadConfig) || !errors.Is(err, radar.ErrBadStoreSpec) {
-		t.Errorf("Run error = %v, want ErrBadConfig and ErrBadStoreSpec", err)
+	if _, err := radar.Run(cfg); !badField(err, "Storage.Store") {
+		t.Errorf("Run error = %v, want ConfigError on Storage.Store", err)
 	}
 }
 

@@ -71,22 +71,20 @@ func ExampleRunSeeds() {
 }
 
 // ExampleConfigError shows the two ways to handle configuration errors:
-// errors.Is catches the whole class (or a single legacy sentinel), and
-// errors.As recovers the offending field, value and reason.
+// errors.Is catches the whole class, and errors.As recovers the offending
+// field, value and reason.
 func ExampleConfigError() {
 	cfg := radar.DefaultConfig(radar.Uniform)
 	cfg.Faults.ReplicaFloor = -1
 
 	err := cfg.Validate()
 	fmt.Println("bad config:", errors.Is(err, radar.ErrBadConfig))
-	fmt.Println("legacy sentinel still matches:", errors.Is(err, radar.ErrBadReplicaFloor))
 	var ce *radar.ConfigError
 	if errors.As(err, &ce) {
 		fmt.Printf("field %s = %v: %s\n", ce.Field, ce.Value, ce.Reason)
 	}
 	// Output:
 	// bad config: true
-	// legacy sentinel still matches: true
 	// field Faults.ReplicaFloor = -1: negative
 }
 

@@ -261,16 +261,7 @@ func (c *rpcClient) roundTrip(base, path string, build func(context.Context) (*h
 		if res.StatusCode != http.StatusOK {
 			return fmt.Errorf("live: %s %s: status %d: %s", req.Method, req.URL.Path, res.StatusCode, data)
 		}
-		if resp == nil {
-			return nil
-		}
-		if v, ok := resp.(validator); ok {
-			return Decode(data, v)
-		}
-		if err := jsonUnmarshal(data, resp); err != nil {
-			return err
-		}
-		return nil
+		return decodeReply(data, resp)
 	}
 	atomic.AddInt64(&c.lost, 1)
 	return &RPCError{Op: path, Target: base, Attempts: attempts, Err: ErrRPCLost}

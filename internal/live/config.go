@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"radar/internal/ctrlplane"
-	"radar/internal/protocol"
 	"radar/internal/routing"
+	"radar/internal/scenario"
 	"radar/internal/sim"
 	"radar/internal/substrate"
 	"radar/internal/topology"
@@ -83,14 +83,10 @@ const (
 const DefaultMaxInflightCreates = 4
 
 // Normalized returns the configuration with every default resolved — the
-// exact configuration a fleet, driver, or checker built from c will run
-// with. Callers that need the resolved topology (to compute redirector
-// locations, say) before constructing any of those should go through it.
-func (c Config) Normalized() Config { return c.normalize() }
-
-// normalize resolves defaults: the UUNET topology for a nil Topo, the
-// ctrlplane RPC defaults, and the CreateObj concurrency default.
-func (c Config) normalize() Config {
+// UUNET topology for a nil Topo, the ctrlplane RPC defaults, the CreateObj
+// concurrency default, the free-running timers — which is the exact
+// configuration a fleet, driver, or checker built from c will run with.
+func (c Config) Normalized() Config {
 	if c.Sim.Topo == nil {
 		c.Sim.Topo = substrate.UUNET().Topo
 	}
@@ -121,11 +117,9 @@ func (c Config) normalize() Config {
 // Validate rejects configurations the live fleet cannot run. Live mode
 // deliberately supports the simulator's core surface — the paper's
 // protocol over a real transport — and refuses the simulation-only
-// subsystems (fault injection, storage stacks, consistency/updates,
-// heterogeneous weights, alternate seeding modes): those model phenomena
-// the simulator induces artificially, while a live fleet exhibits its own.
+// subsystems (the ExternalFleet rows of sim.Refusals).
 func (c Config) Validate() error {
-	c = c.normalize()
+	c = c.Normalized()
 	if err := c.Sim.Validate(); err != nil {
 		return err
 	}
@@ -144,59 +138,40 @@ func (c Config) Validate() error {
 	if c.FreeRun.Jitter < 0 || c.FreeRun.Jitter >= 1 {
 		return fmt.Errorf("live: free-running jitter %v outside [0,1)", c.FreeRun.Jitter)
 	}
-	switch {
-	case c.Sim.Faults.Enabled() || c.Sim.Faults.HasMessageFaults() || len(c.Sim.Failures) > 0:
-		return fmt.Errorf("live: fault injection is simulation-only (kill live nodes instead)")
-	case !c.Sim.Store.IsDefault():
-		return fmt.Errorf("live: replica-storage stacks are simulation-only")
-	case c.Sim.Consistency != nil || c.Sim.Updates.RatePerSec > 0:
-		return fmt.Errorf("live: consistency/update subsystem is simulation-only")
-	case c.Sim.HostWeights != nil:
-		return fmt.Errorf("live: host weights are simulation-only")
-	case c.Sim.RedirectorAtHome || c.Sim.ReplicateEverywhere || c.Sim.InitialPlacement != nil:
-		return fmt.Errorf("live: alternate seeding modes are simulation-only")
-	case c.Sim.Net.Contention:
-		return fmt.Errorf("live: link contention is simulation-only")
+	if r := sim.MatchRefusal(c.Sim.Features() | sim.ExternalFleet); r != nil {
+		return fmt.Errorf("live: %s", r.Reason)
 	}
 	return nil
 }
 
-// RedirectorLocations reproduces the simulator's redirector placement
-// (sim.buildRedirectors): the k nodes with the smallest average hop
-// distance, selected by (avg, id). Every fleet member and the driver
-// compute the same list from the shared routing table, so the object ->
-// redirector partition needs no coordination.
-func RedirectorLocations(routes *routing.Table, k int) []topology.NodeID {
-	n := routes.NumNodes()
-	if k > n {
-		k = n
+// ScenarioConfig resolves a named scenario into a fleet configuration with
+// the command-line overrides applied (zero keeps the scenario's value).
+// radar-load and radar-node both resolve through it, so a driver and an
+// externally launched fleet agree on every parameter.
+func ScenarioConfig(name string, duration time.Duration, rps float64, seed int64, inflight int, freeRunning bool) (Config, error) {
+	sc, ok := scenario.ByName(name)
+	if !ok {
+		return Config{}, fmt.Errorf("unknown scenario %q", name)
 	}
-	type cand struct {
-		id  topology.NodeID
-		avg float64
+	simCfg, err := sc.Config()
+	if err != nil {
+		return Config{}, err
 	}
-	cands := make([]cand, n)
-	for i := 0; i < n; i++ {
-		cands[i] = cand{topology.NodeID(i), routes.AvgDistance(topology.NodeID(i))}
+	if duration > 0 {
+		simCfg.Duration = duration
 	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if cands[j].avg < cands[best].avg ||
-				(cands[j].avg == cands[best].avg && cands[j].id < cands[best].id) {
-				best = j
-			}
-		}
-		cands[i], cands[best] = cands[best], cands[i]
+	if rps > 0 {
+		simCfg.NodeRequestRPS = rps
 	}
-	out := make([]topology.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
+	if seed != 0 {
+		simCfg.Seed = seed
 	}
-	return out
+	cfg := Config{Sim: simCfg, MaxInflightCreates: inflight, FreeRunning: freeRunning}
+	return cfg, cfg.Validate()
 }
 
-// eventKind maps an observer callback to its wire event kind.
-func moveEvent(kind string, at int64, id int64, from, to int, mv protocol.MoveKind) Event {
-	return Event{At: at, Kind: kind, Object: id, From: from, To: to, Move: mv.String()}
+// RedirectorLocations is the simulator's redirector placement
+// (sim.RedirectorLocations), under the name the live tools call it by.
+func RedirectorLocations(routes *routing.Table, k int) []topology.NodeID {
+	return sim.RedirectorLocations(routes, k)
 }

@@ -5,72 +5,32 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
 
-	"radar/internal/metrics"
 	"radar/internal/object"
 	"radar/internal/protocol"
-	"radar/internal/routing"
 	"radar/internal/sim"
-	"radar/internal/simevent"
-	"radar/internal/simnet"
+	"radar/internal/substrate"
 	"radar/internal/topology"
-	"radar/internal/workload"
 )
 
-// Driver replays the simulator's exact event schedule against a live
-// fleet: one generator stream per gateway, the periodic measurement,
-// placement, and census ticks, all paced by the same discrete-event engine
-// the simulator runs on. Virtual time is the driver's; the clock-less
-// nodes only learn it from request parameters. Because the schedule
-// structure — which events exist, their times, and their tie-breaking
-// sequence numbers — matches sim.Simulation.RunContext call for call, a
-// fleet driven over loopback reproduces the simulation's decision sequence
-// and metrics, which is what the equivalence test pins.
+// Driver replays the simulator's event schedule against a live fleet. It
+// holds no schedule of its own: the run loop — generators, request path,
+// ticks, network pricing, metrics, Results assembly — is sim.Simulation's,
+// built over an httpFleet that turns each fleet call into one request to a
+// real node. Virtual time is the loop's; the clock-less nodes only learn
+// it from request parameters. Both worlds execute the same loop, so a
+// healthy fleet reproduces the simulation's decision sequence and metrics;
+// the equivalence test pins the transport.
 //
-// The driver is single-threaded: every control operation in the fleet is
-// one engine event, executed serially. That is also what makes the nodes'
+// The loop is single-threaded: every control operation in the fleet is one
+// engine event, executed serially. That is also what makes the nodes'
 // cross-node RPCs deadlock-free (no two placement passes overlap).
-//
-// Network accounting (byte-hops, latencies, control overhead) runs on the
-// driver's own simnet.Network and metrics.Collector — the live transport
-// carries the real bytes, the model prices them, exactly as the simulator
-// prices its virtual transfers.
 type Driver struct {
-	cfg     Config
-	urls    []string
-	routes  *routing.Table
-	n       int
-	redLocs []topology.NodeID
-
-	engine *simevent.Engine
-	net    *simnet.Network
-	col    *metrics.Collector
-	gen    workload.Generator
-	rngs   []*rand.Rand
-	client *http.Client
-
-	down      []bool
-	decisions []Event
-
-	droppedChoices int64
-	timedOut       int64
-	repairByteHops int64
-	failures       int64
-	faultsSeen     bool
-
-	hooks []hook
-	ran   bool
-}
-
-// hook is a test-scheduled engine event (see At).
-type hook struct {
-	at time.Duration
-	fn func()
+	loop  *sim.Simulation
+	fleet *httpFleet
 }
 
 // driverHTTPTimeout bounds every driver request as a backstop; loopback
@@ -84,621 +44,279 @@ func NewDriver(cfg Config, urls []string) (*Driver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalize()
-	routes := routing.New(cfg.Sim.Topo)
-	n := routes.NumNodes()
+	cfg = cfg.Normalized()
+	n := cfg.Sim.Topo.NumNodes()
 	if len(urls) != n {
 		return nil, fmt.Errorf("live: %d node URLs for %d nodes", len(urls), n)
 	}
-	col, err := metrics.New(cfg.Sim.MetricsBucket)
-	if err != nil {
-		return nil, err
-	}
-	col.Reserve(cfg.Sim.Duration)
-	network, err := simnet.New(cfg.Sim.Net, n, col)
-	if err != nil {
-		return nil, err
-	}
-	d := &Driver{
-		cfg:     cfg,
+	f := &httpFleet{
 		urls:    append([]string(nil), urls...),
-		routes:  routes,
-		n:       n,
-		redLocs: RedirectorLocations(routes, cfg.Sim.NumRedirectors),
-		engine:  simevent.New(),
-		net:     network,
-		col:     col,
-		gen:     cfg.Sim.Workload,
-		rngs:    make([]*rand.Rand, n),
+		redLocs: RedirectorLocations(substrate.Shared(cfg.Sim.Topo).Routes, cfg.Sim.NumRedirectors),
 		down:    make([]bool, n),
 		client: &http.Client{
 			Timeout: driverHTTPTimeout,
-			// 302s are scheduled, not followed: the redirect's arrival at the
-			// chosen host is a separate engine event at its virtual time.
+			// 302s are not followed: the redirect's arrival at the chosen
+			// host is a separate loop event at its virtual time.
 			CheckRedirect: func(*http.Request, []*http.Request) error {
 				return http.ErrUseLastResponse
 			},
 		},
 	}
-	for i := 0; i < n; i++ {
-		d.rngs[i] = workload.Stream(cfg.Sim.Seed, uint64(i))
+	loop, err := sim.NewOver(cfg.Sim, func(acct sim.Accounting) (sim.Fleet, error) {
+		f.acct = acct
+		return f, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return d, nil
+	return &Driver{loop: loop, fleet: f}, nil
 }
 
-// At schedules fn to run as an engine event at virtual time at, before Run
-// is called. Tests use it to inject mid-replay actions — killing a node,
+// At schedules fn to run as a loop event at virtual time at, before Run is
+// called. Tests use it to inject mid-replay actions — killing a node,
 // marking it down — at a deterministic point of the schedule without
 // racing the single-threaded driver.
-func (d *Driver) At(at time.Duration, fn func()) {
-	d.hooks = append(d.hooks, hook{at: at, fn: fn})
-}
+func (d *Driver) At(at time.Duration, fn func()) { d.loop.At(at, fn) }
 
 // MarkDown records a node as crashed and broadcasts the mark to the
 // remaining fleet, so redirectors fail subsequent choices over. Tests call
-// it right after Fleet.Kill; the driver also calls it itself when a
-// request to the node fails at the transport.
-func (d *Driver) MarkDown(i topology.NodeID) { d.markDown(i) }
+// it right after Fleet.Kill; the loop also does it itself when a request
+// to the node fails at the transport.
+func (d *Driver) MarkDown(i topology.NodeID) { d.loop.MarkDown(i) }
 
 // Close releases the driver's idle HTTP connections; their keep-alive
 // goroutines would otherwise outlive the run and trip the goroutine-leak
 // check the integration harness runs at teardown.
-func (d *Driver) Close() { d.client.CloseIdleConnections() }
+func (d *Driver) Close() { d.fleet.client.CloseIdleConnections() }
 
 // Decisions returns the replayed placement decision sequence (migrate,
 // replicate, drop, refuse, defer — copies excluded), in the order the
 // fleet's placement passes produced them. The equivalence test compares
 // this against the simulator's observer sequence.
 func (d *Driver) Decisions() []Event {
-	return append([]Event(nil), d.decisions...)
+	return append([]Event(nil), d.fleet.decisions...)
 }
 
 // Run replays the full schedule for cfg.Sim.Duration of virtual time and
-// assembles the same results schema the simulator produces. Run must be
-// called at most once.
+// returns the results in the simulator's schema, less what needs
+// in-process state (the invariant sweep, the storage-layer aggregation).
+// A driver runs once; a second call returns sim.ErrAlreadyRan.
 func (d *Driver) Run(ctx context.Context) (*sim.Results, error) {
-	if d.ran {
-		return nil, fmt.Errorf("live: driver already ran")
-	}
-	d.ran = true
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Schedule in the simulator's order: generators, measurement,
-	// placement, census, workload switch. Sequence numbers are assigned at
-	// Schedule time, so matching this order is what aligns same-instant
-	// tie-breaking with the simulation.
-	d.scheduleGenerators()
-	d.scheduleMeasurement()
-	if d.cfg.Sim.DynamicPlacement {
-		d.schedulePlacement()
-	}
-	d.scheduleCensus()
-	if sw := d.cfg.Sim.WorkloadSwitch; sw.To != nil {
-		if err := d.engine.Schedule(sw.At, func(time.Duration) { d.gen = sw.To }); err != nil {
-			return nil, fmt.Errorf("live: scheduling workload switch: %w", err)
-		}
-	}
-	for _, h := range d.hooks {
-		h := h
-		if err := d.engine.Schedule(h.at, func(time.Duration) { h.fn() }); err != nil {
-			return nil, fmt.Errorf("live: scheduling hook at %v: %w", h.at, err)
-		}
-	}
-	if done := ctx.Done(); done != nil {
-		d.engine.SetInterrupt(0, func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		})
-		defer d.engine.SetInterrupt(0, nil)
-	}
-	d.engine.Run(d.cfg.Sim.Duration)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return d.results(), nil
+	return d.loop.RunContext(ctx)
 }
 
-// scheduleGenerators starts one phase-offset request stream per gateway,
-// drawing objects and inter-arrival gaps from the same seeded PRNG streams
-// the simulator uses.
-func (d *Driver) scheduleGenerators() {
-	for i := 0; i < d.n; i++ {
-		g := topology.NodeID(i)
-		rate := d.cfg.Sim.NodeRequestRPS
-		if d.cfg.Sim.NodeRates != nil {
-			rate = d.cfg.Sim.NodeRates[i]
-		}
-		if rate == 0 {
-			continue
-		}
-		spacing := time.Duration(float64(time.Second) / rate)
-		phase := spacing * time.Duration(i) / time.Duration(d.n)
-		var emit simevent.Event
-		emit = func(now time.Duration) {
-			d.dispatch(now, g, d.gen.Next(g, d.rngs[g]))
-			next := spacing
-			if d.cfg.Sim.PoissonArrivals {
-				next = time.Duration(d.rngs[g].ExpFloat64() * float64(spacing))
-				if next <= 0 {
-					next = time.Nanosecond
-				}
-			}
-			if now+next <= d.cfg.Sim.Duration {
-				_ = d.engine.Schedule(now+next, emit)
-			}
-		}
-		_ = d.engine.Schedule(phase, emit)
-	}
+// httpFleet is the sim.Fleet of real nodes: request/response plumbing and
+// nothing else. Control operations are single un-retried requests — they
+// are not idempotent, so a failure reports the node Lost (the loop marks
+// it down) instead of retrying; the retried, idempotent RPC discipline
+// lives in the nodes' own client.
+type httpFleet struct {
+	urls    []string
+	redLocs []topology.NodeID
+	client  *http.Client
+	acct    sim.Accounting
+	// down lists the nodes the loop has marked down. They are never
+	// dialed again: a live node's redirector dies with it, so calls to
+	// one answer Lost without a connection attempt.
+	down      []bool
+	decisions []Event
 }
 
-// dispatch runs one request's redirector hop: GET the object from its
-// redirector at virtual time t1 (gateway -> redirector control latency)
-// and schedule the 302's arrival at the chosen host. The redirector
-// mutates its distribution state (request counts, choice rotation) during
-// this call — at dispatch time, exactly when the simulator calls
-// ChooseReplica.
-func (d *Driver) dispatch(t0 time.Duration, g topology.NodeID, id object.ID) {
-	loc := d.redLocs[int(id)%len(d.redLocs)]
-	t1 := d.net.ControlLatency(t0, d.routes.Distance(g, loc))
-	if d.down[loc] {
-		d.col.RecordFailedRequest(t1) // redirector crashed: request lost
-		return
-	}
-	u := fmt.Sprintf("%s%s%d?g=%d&now=%d", d.urls[loc], PathObj, int64(id), int(g), int64(t1))
-	res, err := d.client.Get(u)
+// objectURL is the request line shared by the redirecting front-end and
+// the serve endpoint.
+func (f *httpFleet) objectURL(node topology.NodeID, path string, id object.ID, g topology.NodeID, now time.Duration) string {
+	return fmt.Sprintf("%s%s%d?g=%d&now=%d", f.urls[node], path, int64(id), int(g), int64(now))
+}
+
+// fetch issues one GET and discards the body; the answer is in the status
+// and headers.
+func (f *httpFleet) fetch(url string) (*http.Response, error) {
+	res, err := f.client.Get(url)
 	if err != nil {
-		d.markDown(loc)
-		d.col.RecordFailedRequest(t1)
-		return
+		return nil, err
 	}
 	_, _ = io.Copy(io.Discard, res.Body)
 	res.Body.Close()
+	return res, nil
+}
+
+// Choose implements sim.Fleet: GET the object from its redirector, which
+// answers 302 naming the chosen host, or 404 when no replica is choosable
+// (every copy on crashed hosts). A malformed answer from a half-dead node
+// counts as a transport failure.
+func (f *httpFleet) Choose(now time.Duration, red int, g topology.NodeID, id object.ID) (topology.NodeID, sim.Outcome) {
+	loc := f.redLocs[red]
+	if f.down[loc] {
+		return 0, sim.Lost
+	}
+	res, err := f.fetch(f.objectURL(loc, PathObj, id, g, now))
+	if err != nil {
+		return 0, sim.Lost
+	}
 	if res.StatusCode == http.StatusNotFound {
-		// No choosable replica (every copy on crashed hosts): the request
-		// fails at the redirector, as in the simulator.
-		d.droppedChoices++
-		d.col.RecordFailedRequest(t1)
-		return
+		return 0, sim.Refused
 	}
-	host, err1 := strconv.Atoi(res.Header.Get(HeaderHost))
-	arrive, err2 := strconv.ParseInt(res.Header.Get(HeaderArrive), 10, 64)
-	serveURL := res.Header.Get("Location")
-	if res.StatusCode != http.StatusFound || err1 != nil || err2 != nil ||
-		host < 0 || host >= d.n || serveURL == "" {
-		// A malformed answer from a half-dead node: treat like a transport
-		// failure.
-		d.markDown(loc)
-		d.col.RecordFailedRequest(t1)
-		return
+	host, err := strconv.Atoi(res.Header.Get(HeaderHost))
+	if res.StatusCode != http.StatusFound || err != nil || host < 0 || host >= len(f.urls) {
+		return 0, sim.Lost
 	}
-	h := topology.NodeID(host)
-	_ = d.engine.Schedule(time.Duration(arrive), func(now time.Duration) {
-		d.arrive(now, g, h, id, t0, serveURL)
-	})
+	return topology.NodeID(host), sim.OK
 }
 
-// arrive runs a request's arrival at the chosen host: admission into the
-// FCFS queue (or client-timeout refusal) over the serve endpoint, then the
-// completion scheduled at the returned service time. The completion's
-// engine sequence number is reserved here, at admission — the simulator
-// reserves it at the same point, which is what keeps same-instant
-// completions ordered identically.
-func (d *Driver) arrive(now time.Duration, g, h topology.NodeID, id object.ID, t0 time.Duration, serveURL string) {
-	if d.down[h] {
-		d.droppedChoices++ // chosen replica crashed in flight
-		d.col.RecordFailedRequest(now)
-		return
-	}
-	res, err := d.client.Get(serveURL)
+// Admit implements sim.Fleet: GET the serve URL the redirector's 302
+// pointed at — the loop prices the redirector→host hop with the node's own
+// rule, so now equals the 302's arrival time — and read the FCFS
+// completion time, or the client-timeout refusal, from the headers.
+func (f *httpFleet) Admit(now time.Duration, h, g topology.NodeID, id object.ID) (time.Duration, sim.Outcome) {
+	res, err := f.fetch(f.objectURL(h, PathServe, id, g, now))
 	if err != nil {
-		d.markDown(h)
-		d.droppedChoices++
-		d.col.RecordFailedRequest(now)
-		return
+		return 0, sim.Lost
 	}
-	_, _ = io.Copy(io.Discard, res.Body)
-	res.Body.Close()
 	if res.StatusCode == http.StatusServiceUnavailable && res.Header.Get(HeaderTimeout) != "" {
-		d.timedOut++ // abandoned by the client-timeout model; not a failure
-		return
+		return 0, sim.Refused
 	}
-	doneNS, perr := strconv.ParseInt(res.Header.Get(HeaderDone), 10, 64)
-	if res.StatusCode != http.StatusOK || perr != nil {
-		d.markDown(h)
-		d.droppedChoices++
-		d.col.RecordFailedRequest(now)
-		return
+	done, err := strconv.ParseInt(res.Header.Get(HeaderDone), 10, 64)
+	if res.StatusCode != http.StatusOK || err != nil {
+		return 0, sim.Lost
 	}
-	seq := d.engine.ReserveSeq()
-	_ = d.engine.ScheduleHandlerReserved(time.Duration(doneNS), seq, &completion{
-		d: d, g: g, h: h, id: id, t0: t0,
-	})
+	return time.Duration(done), sim.OK
 }
 
-// completion is the scheduled FCFS service completion of one admitted
-// request: report it to the host (access counts, load measurement), then
-// price the response bytes home and record the end-to-end latency.
-type completion struct {
-	d    *Driver
-	g, h topology.NodeID
-	id   object.ID
-	t0   time.Duration
+// Complete implements sim.Fleet.
+func (f *httpFleet) Complete(now time.Duration, h, g topology.NodeID, id object.ID) bool {
+	msg := CompleteMsg{Object: int64(id), Gateway: int(g), Now: int64(now)}
+	return f.post(h, PathComplete, &msg, nil) == nil
 }
 
-// Fire implements simevent.Handler.
-func (c *completion) Fire(now time.Duration) {
-	d := c.d
-	if d.down[c.h] {
-		// Host crashed while the request sat in its queue.
-		d.col.RecordFailedRequest(now)
-		return
+// Measure implements sim.Fleet.
+func (f *httpFleet) Measure(now time.Duration, h topology.NodeID) (actual, lower, upper float64, ok bool) {
+	var rep MeasureReply
+	if f.down[h] || f.post(h, PathMeasure, &TickMsg{Now: int64(now)}, &rep) != nil {
+		return 0, 0, 0, false
 	}
-	msg := CompleteMsg{Object: int64(c.id), Gateway: int(c.g), Now: int64(now)}
-	if err := d.post(d.urls[c.h], PathComplete, &msg, nil); err != nil {
-		d.markDown(c.h)
-		d.col.RecordFailedRequest(now)
-		return
-	}
-	deliver := d.net.Transfer(now, d.routes.PreferencePath(c.h, c.g),
-		int64(d.cfg.Sim.Universe.SizeBytes), simnet.Payload)
-	d.col.RecordLatency(deliver, deliver-c.t0)
+	return rep.Load, rep.Lower, rep.Upper, true
 }
 
-// scheduleMeasurement drives the periodic load-measurement tick: close
-// every live node's interval over the wire and sample the same max-load
-// and tracked-host series the simulator samples.
-func (d *Driver) scheduleMeasurement() {
-	interval := d.cfg.Sim.Server.MeasurementInterval
-	tracked := d.cfg.Sim.TrackedHost
-	var tick simevent.Event
-	tick = func(now time.Duration) {
-		msg := TickMsg{Now: int64(now)}
-		maxLoad := 0.0
-		var trackedRep MeasureReply
-		trackedOK := false
-		for i := 0; i < d.n; i++ {
-			if d.down[i] {
-				continue
-			}
-			var rep MeasureReply
-			if err := d.post(d.urls[i], PathMeasure, &msg, &rep); err != nil {
-				d.markDown(topology.NodeID(i))
-				continue
-			}
-			if rep.Load > maxLoad {
-				maxLoad = rep.Load
-			}
-			if topology.NodeID(i) == tracked {
-				trackedRep, trackedOK = rep, true
-			}
-		}
-		d.col.RecordMaxLoad(now, maxLoad)
-		if trackedOK {
-			d.col.RecordHostLoad(now, trackedRep.Load, trackedRep.Lower, trackedRep.Upper)
-		} else {
-			d.col.RecordHostLoad(now, 0, 0, 0)
-		}
-		if now+interval <= d.cfg.Sim.Duration {
-			_ = d.engine.Schedule(now+interval, tick)
-		}
+// Place implements sim.Fleet: the pass's reply carries the node's drained
+// event log.
+func (f *httpFleet) Place(now time.Duration, h topology.NodeID) bool {
+	var rep PlaceReply
+	if f.post(h, PathPlace, &TickMsg{Now: int64(now)}, &rep) != nil {
+		return false
 	}
-	_ = d.engine.Schedule(interval, tick)
+	f.report(rep.Events)
+	return true
 }
 
-// schedulePlacement drives each host's periodic placement pass, staggered
-// like the simulator's, applying every drained event to the driver's
-// metrics and network accounting.
-func (d *Driver) schedulePlacement() {
-	interval := d.cfg.Sim.PlacementInterval
-	for i := 0; i < d.n; i++ {
-		i := i
-		offset := time.Duration(0)
-		if !d.cfg.Sim.PlacementSynchronized {
-			offset = interval * time.Duration(i) / time.Duration(d.n)
-		}
-		var tick simevent.Event
-		tick = func(now time.Duration) {
-			if !d.down[i] {
-				var rep PlaceReply
-				msg := TickMsg{Now: int64(now)}
-				if err := d.post(d.urls[i], PathPlace, &msg, &rep); err != nil {
-					d.markDown(topology.NodeID(i))
-				} else {
-					d.applyEvents(rep.Events)
-				}
-			}
-			if now+interval <= d.cfg.Sim.Duration {
-				_ = d.engine.Schedule(now+interval, tick)
-			}
-		}
-		_ = d.engine.Schedule(interval+offset, tick)
+// Census implements sim.Fleet.
+func (f *httpFleet) Census(red int) (total, below int, ok bool) {
+	var rep CensusReply
+	if loc := f.redLocs[red]; f.down[loc] || f.get(loc, PathCensus, &rep) != nil {
+		return 0, 0, false
 	}
+	return rep.TotalReplicas, rep.BelowFloor, true
 }
 
-// scheduleCensus samples the fleet-wide replica census once per placement
-// interval by summing each redirector node's count of its own objects.
-func (d *Driver) scheduleCensus() {
-	interval := d.cfg.Sim.PlacementInterval
-	floor := d.cfg.Sim.Protocol.ReplicaFloor
-	var tick simevent.Event
-	tick = func(now time.Duration) {
-		total, below := 0, 0
-		for _, loc := range d.redLocs {
-			if d.down[loc] {
-				continue
-			}
-			var rep CensusReply
-			if err := d.get(d.urls[loc], PathCensus, &rep); err != nil {
-				d.markDown(loc)
-				continue
-			}
-			total += rep.TotalReplicas
-			below += rep.BelowFloor
-		}
-		d.col.RecordReplicaCensus(now, float64(total)/float64(d.cfg.Sim.Universe.Count))
-		if floor > 1 {
-			d.col.RecordBelowFloor(now, below, float64(below)*interval.Seconds())
-		}
-		if now+interval <= d.cfg.Sim.Duration {
-			_ = d.engine.Schedule(now+interval, tick)
-		}
-	}
-	_ = d.engine.Schedule(interval, tick)
-}
-
-// applyEvents replays a drained node event log into the driver's
-// accounting, mirroring the simulator's chargingObserver: placement
-// decisions feed the metrics counters and charge their control messages,
-// copies charge the object transfer as protocol overhead. Charges are
-// bucketed sums, so replaying them when the log drains — rather than at
-// the instant they happened — changes nothing.
-func (d *Driver) applyEvents(evs []Event) {
-	size := int64(d.cfg.Sim.Universe.SizeBytes)
-	for _, e := range evs {
-		at := time.Duration(e.At)
-		id := object.ID(e.Object)
-		from := topology.NodeID(e.From)
-		to := topology.NodeID(e.To)
-		switch e.Kind {
-		case EventMigrate:
-			kind, err := ParseMoveKind(e.Move)
-			if err != nil {
-				continue
-			}
-			d.chargeHandshake(at, from, to)
-			d.chargeNotify(at, to, id)
-			d.col.OnMigrate(at, id, from, to, kind)
-			d.decisions = append(d.decisions, e)
-		case EventReplicate:
-			kind, err := ParseMoveKind(e.Move)
-			if err != nil {
-				continue
-			}
-			d.chargeHandshake(at, from, to)
-			d.chargeNotify(at, to, id)
-			if kind == protocol.RepairMove {
-				d.repairByteHops += size * int64(d.routes.Distance(from, to))
-			}
-			d.col.OnReplicate(at, id, from, to, kind)
-			d.decisions = append(d.decisions, e)
-		case EventDrop:
-			d.chargeNotify(at, from, id)
-			d.col.OnDrop(at, id, from)
-			d.decisions = append(d.decisions, e)
-		case EventRefuse:
-			method, err := ParseMethod(e.Method)
-			if err != nil {
-				continue
-			}
-			d.chargeHandshake(at, from, to)
-			d.col.OnRefuse(at, id, from, to, method)
-			d.decisions = append(d.decisions, e)
-		case EventDefer:
-			method, err := ParseMethod(e.Method)
-			if err != nil {
-				continue
-			}
-			d.col.OnDefer(at, id, from, to, method)
-			d.decisions = append(d.decisions, e)
-		case EventCopy:
-			d.net.Transfer(at, d.routes.Path(from, to), size, simnet.Overhead)
+// MarkDown implements sim.Fleet: broadcast the mark to the live fleet,
+// best-effort, so redirectors stop choosing the dead node's replicas.
+func (f *httpFleet) MarkDown(_ time.Duration, h topology.NodeID) {
+	f.down[h] = true
+	msg := MarkMsg{Host: int(h), Down: true}
+	for j := range f.urls {
+		if !f.down[j] {
+			_ = f.post(topology.NodeID(j), PathMark, &msg, nil)
 		}
 	}
 }
 
-// chargeHandshake prices a request/response control message pair.
-func (d *Driver) chargeHandshake(now time.Duration, from, to topology.NodeID) {
-	if d.cfg.Sim.ControlMsgBytes == 0 {
-		return
-	}
-	d.net.ControlMessage(now, d.routes.Path(from, to), d.cfg.Sim.ControlMsgBytes)
-	d.net.ControlMessage(now, d.routes.Path(to, from), d.cfg.Sim.ControlMsgBytes)
-}
-
-// chargeNotify prices a one-way notification to the object's redirector.
-func (d *Driver) chargeNotify(now time.Duration, from topology.NodeID, id object.ID) {
-	if d.cfg.Sim.ControlMsgBytes == 0 {
-		return
-	}
-	loc := d.redLocs[int(id)%len(d.redLocs)]
-	d.net.ControlMessage(now, d.routes.Path(from, loc), d.cfg.Sim.ControlMsgBytes)
-}
-
-// markDown records a crashed node and broadcasts the mark to the live
-// fleet, best-effort, so redirectors stop choosing its replicas.
-func (d *Driver) markDown(i topology.NodeID) {
-	if d.down[i] {
-		return
-	}
-	d.down[i] = true
-	d.faultsSeen = true
-	d.failures++
-	msg := MarkMsg{Host: int(i), Down: true}
-	for j := 0; j < d.n; j++ {
-		if d.down[j] {
+// Stats implements sim.Fleet: a final drain of every node's event log
+// (events recorded since its last placement pass — typically CreateObj
+// copies on accepting nodes), then the per-node counters.
+func (f *httpFleet) Stats(r *sim.Results) {
+	r.HostStats = make([]protocol.HostStats, len(f.urls))
+	for i := range f.urls {
+		h := topology.NodeID(i)
+		var ev EventsReply
+		if f.down[i] || f.get(h, PathEvents, &ev) != nil {
 			continue
 		}
-		_ = d.post(d.urls[j], PathMark, &msg, nil)
+		f.report(ev.Events)
+		var st StatsReply
+		if f.get(h, PathStats, &st) != nil {
+			continue
+		}
+		r.HostStats[i] = st.Host
+		r.MaxQueueLen = max(r.MaxQueueLen, st.MaxQueueLen)
+		r.TotalServed += st.TotalServed
 	}
 }
 
-// post issues one un-retried POST: the driver's control ops (measure,
-// place, complete) are not idempotent, so a failure marks the node down
-// instead of retrying. The retried, idempotent RPC discipline lives in the
-// nodes' own client.
-func (d *Driver) post(base, path string, req, resp any) error {
-	res, err := d.client.Post(base+path, "application/json", bytes.NewReader(Encode(req)))
+// report replays a drained node event log into the loop's accounting —
+// wire Event back to the protocol.Observer call it was recorded from — and
+// keeps the decisions. The loop's charges are bucketed sums, so replaying
+// them when the log drains, rather than at the instant they happened,
+// changes nothing.
+func (f *httpFleet) report(evs []Event) {
+	for _, e := range evs {
+		at, id := time.Duration(e.At), object.ID(e.Object)
+		from, to := topology.NodeID(e.From), topology.NodeID(e.To)
+		switch e.Kind {
+		case EventMigrate, EventReplicate:
+			kind, err := ParseMoveKind(e.Move)
+			if err != nil {
+				continue
+			}
+			if e.Kind == EventMigrate {
+				f.acct.OnMigrate(at, id, from, to, kind)
+			} else {
+				f.acct.OnReplicate(at, id, from, to, kind)
+			}
+		case EventDrop:
+			f.acct.OnDrop(at, id, from)
+		case EventRefuse, EventDefer:
+			method, err := ParseMethod(e.Method)
+			if err != nil {
+				continue
+			}
+			if e.Kind == EventRefuse {
+				f.acct.OnRefuse(at, id, from, to, method)
+			} else {
+				f.acct.OnDefer(at, id, from, to, method)
+			}
+		case EventCopy:
+			f.acct.CopyObject(at, from, to, id)
+			continue
+		}
+		f.decisions = append(f.decisions, e)
+	}
+}
+
+// post issues one un-retried POST to a node.
+func (f *httpFleet) post(node topology.NodeID, path string, req, resp any) error {
+	res, err := f.client.Post(f.urls[node]+path, "application/json", bytes.NewReader(Encode(req)))
 	if err != nil {
 		return err
 	}
-	return readReply(res, base, path, resp)
+	return readReply(res, path, resp)
 }
 
-// get issues one un-retried GET.
-func (d *Driver) get(base, path string, resp any) error {
-	res, err := d.client.Get(base + path)
+// get issues one un-retried GET to a node.
+func (f *httpFleet) get(node topology.NodeID, path string, resp any) error {
+	res, err := f.client.Get(f.urls[node] + path)
 	if err != nil {
 		return err
 	}
-	return readReply(res, base, path, resp)
+	return readReply(res, path, resp)
 }
 
-func readReply(res *http.Response, base, path string, resp any) error {
+func readReply(res *http.Response, path string, resp any) error {
 	data, err := io.ReadAll(res.Body)
 	res.Body.Close()
 	if err != nil {
 		return err
 	}
 	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("live: %s%s: status %d: %s", base, path, res.StatusCode, data)
+		return fmt.Errorf("live: %s%s: status %d: %s", res.Request.URL.Host, path, res.StatusCode, data)
 	}
-	if resp == nil {
-		return nil
-	}
-	if v, ok := resp.(validator); ok {
-		return Decode(data, v)
-	}
-	return jsonUnmarshal(data, resp)
-}
-
-// trimSeries caps a series at the number of full buckets the run covers,
-// exactly as the simulator trims its own.
-func (d *Driver) trimSeries(points []metrics.Point) []metrics.Point {
-	full := int(d.cfg.Sim.Duration / d.cfg.Sim.MetricsBucket)
-	if full < 1 {
-		full = 1
-	}
-	if len(points) > full {
-		return points[:full]
-	}
-	return points
-}
-
-// finalCensus returns the mean replica count per object at the horizon.
-func (d *Driver) finalCensus() float64 {
-	total := 0
-	for _, loc := range d.redLocs {
-		if d.down[loc] {
-			continue
-		}
-		var rep CensusReply
-		if err := d.get(d.urls[loc], PathCensus, &rep); err != nil {
-			continue
-		}
-		total += rep.TotalReplicas
-	}
-	return float64(total) / float64(d.cfg.Sim.Universe.Count)
-}
-
-// results assembles the run's outputs in the simulator's schema. Live-only
-// gaps are documented divergences: the invariants check needs in-process
-// state (nil here), and the storage-layer aggregation has no live
-// counterpart.
-func (d *Driver) results() *sim.Results {
-	// Final drain: events recorded since each node's last placement pass
-	// (typically CreateObj copies on accepting nodes).
-	for i := 0; i < d.n; i++ {
-		if d.down[i] {
-			continue
-		}
-		var rep EventsReply
-		if err := d.get(d.urls[i], PathEvents, &rep); err != nil {
-			d.markDown(topology.NodeID(i))
-			continue
-		}
-		d.applyEvents(rep.Events)
-	}
-	cfg := d.cfg.Sim
-	r := &sim.Results{
-		WorkloadName:      cfg.Workload.Name(),
-		Policy:            cfg.Policy,
-		Dynamic:           cfg.DynamicPlacement,
-		Duration:          cfg.Duration,
-		Seed:              cfg.Seed,
-		Bandwidth:         d.trimSeries(d.col.BandwidthSeries()),
-		Latency:           d.trimSeries(d.col.LatencySeries()),
-		LatencyP99:        d.trimSeries(d.col.LatencyQuantileSeries(0.99)),
-		OverheadPct:       d.trimSeries(d.col.OverheadPercentSeries()),
-		MaxLoad:           d.col.MaxLoadSeries(),
-		HostLoad:          d.col.HostLoadSeries(),
-		Replicas:          d.col.ReplicaSeries(),
-		Counters:          d.col.Counters(),
-		OverheadPercent:   d.col.OverheadPercent(),
-		AvgReplicas:       d.finalCensus(),
-		DroppedChoices:    d.droppedChoices,
-		TimedOutRequests:  d.timedOut,
-		Failures:          d.failures,
-		FaultsEnabled:     d.faultsSeen,
-		FailedRequests:    d.col.Counters().FailedRequests,
-		FailedSeries:      d.trimSeries(d.col.FailedRequestSeries()),
-		Outages:           d.col.Outages(),
-		UnavailObjSecs:    d.col.UnavailableObjectSeconds(),
-		BelowFloor:        d.col.BelowFloorSeries(),
-		BelowFloorObjSecs: d.col.BelowFloorObjectSeconds(),
-		RepairByteHops:    d.repairByteHops,
-		HostStats:         make([]protocol.HostStats, d.n),
-		TrackedHost:       cfg.TrackedHost,
-		HighWatermark:     cfg.Protocol.HighWatermark,
-		SandwichSlackRPS:  1e-9,
-		StoreSpec:         cfg.Store.String(),
-	}
-	maxQ := 0
-	var totalServed int64
-	for i := 0; i < d.n; i++ {
-		if d.down[i] {
-			continue
-		}
-		var rep StatsReply
-		if err := d.get(d.urls[i], PathStats, &rep); err != nil {
-			continue
-		}
-		r.HostStats[i] = rep.Host
-		if rep.MaxQueueLen > maxQ {
-			maxQ = rep.MaxQueueLen
-		}
-		totalServed += rep.TotalServed
-	}
-	r.MaxQueueLen = maxQ
-	r.TotalServed = totalServed
-	r.BandwidthStats = metrics.Summarize(r.Bandwidth, 2)
-	r.LatencyStats = metrics.Summarize(r.Latency, 2)
-	r.AdjustmentTime, r.Adjusted = metrics.AdjustmentTime(r.Bandwidth, 1.10)
-	r.MaxLoadPeak = metrics.MaxValue(r.MaxLoad)
-	if len(r.MaxLoad) > 0 {
-		tail := r.MaxLoad[len(r.MaxLoad)*3/4:]
-		r.MaxLoadSettled = metrics.MaxValue(tail)
-	}
-	r.SandwichViolations = metrics.SandwichViolations(r.HostLoad, r.SandwichSlackRPS)
-	if math.IsNaN(r.BandwidthStats.ReductionPercent) {
-		r.BandwidthStats.ReductionPercent = 0
-	}
-	return r
+	return decodeReply(data, resp)
 }

@@ -41,7 +41,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalize()
+	cfg = cfg.Normalized()
 	routes := routing.New(cfg.Sim.Topo)
 	n := routes.NumNodes()
 	f := &Fleet{

@@ -62,7 +62,7 @@ func NewFreeDriver(cfg Config, urls []string) (*FreeDriver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalize()
+	cfg = cfg.Normalized()
 	if !cfg.FreeRunning {
 		return nil, fmt.Errorf("live: FreeDriver needs Config.FreeRunning (use Driver for driver-paced replay)")
 	}

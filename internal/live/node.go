@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -119,7 +118,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalize()
+	cfg = cfg.Normalized()
 	if routes == nil {
 		routes = routing.New(cfg.Sim.Topo)
 	}
@@ -159,9 +158,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 			if err != nil {
 				return nil, err
 			}
-			if f := cfg.Sim.Protocol.ReplicaFloor; f > 1 {
-				r.SetReplicaFloor(f)
-			}
+			r.SetReplicaFloor(cfg.Sim.Protocol.ReplicaFloor) // clamps to the paper's last-copy rule
 			nd.redirector = r
 		}
 	}
@@ -169,13 +166,10 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		Routes:        routes,
 		RedirectorFor: nd.redirectorFor,
 		Peer:          nd.peer,
-		FindRecipient: nd.findRecipient,
+		LoadReport:    nd.loadReport,
 		CopyObject:    nd.copyObject,
 		SendCreateObj: nd.sendCreateObj,
 		Observer:      (*nodeObserver)(nd),
-	}
-	if cfg.Sim.Protocol.ReplicaFloor > 1 {
-		env.FindRepairTarget = nd.findRepairTarget
 	}
 	nd.host, err = protocol.NewHost(id, cfg.Sim.Protocol, env, srv)
 	if err != nil {
@@ -439,9 +433,8 @@ func (nd *Node) redirectorFor(id object.ID) protocol.RedirectorControl {
 }
 
 // peer returns the host to hand a CreateObj to: the real host for
-// loopback, a stub carrying the node identity and an on-demand load
-// fetcher for remote peers, nil for peers marked down (the simulator's
-// s.down check).
+// loopback, a stub carrying the node identity for remote peers, nil for
+// peers marked down (the simulator's s.down check).
 func (nd *Node) peer(p topology.NodeID) *protocol.Host {
 	if p == nd.id {
 		return nd.host
@@ -449,7 +442,7 @@ func (nd *Node) peer(p topology.NodeID) *protocol.Host {
 	if nd.peerDown(p) {
 		return nil
 	}
-	return protocol.NewPeerStub(p, &remoteLoads{nd: nd, peer: p})
+	return protocol.NewPeerStub(p)
 }
 
 func (nd *Node) peerDown(p topology.NodeID) bool {
@@ -458,70 +451,22 @@ func (nd *Node) peerDown(p topology.NodeID) bool {
 	return nd.downPeers[p]
 }
 
-// findRecipient mirrors sim.findRecipient over the wire: query every live
-// peer's accept-side load and pick the one with the most relative headroom
-// strictly below its low watermark. A failed load query is the down-host
-// analog — the peer is skipped.
-func (nd *Node) findRecipient(exclude topology.NodeID) (topology.NodeID, bool) {
-	best, bestRel, found := topology.NodeID(0), 0.0, false
-	for i := 0; i < nd.n; i++ {
-		id := topology.NodeID(i)
-		if id == exclude || nd.peerDown(id) {
-			continue
-		}
-		rep, err := nd.fetchLoad(id, -1, 0)
-		if err != nil {
-			continue
-		}
-		rel := rep.AcceptLoad / rep.Low
-		if rep.AcceptLoad < rep.Low && (!found || rel < bestRel) {
-			best, bestRel, found = id, rel, true
-		}
+// loadReport backs Env.LoadReport over the wire: the election rule is the
+// simulator's, the reports come from the peers' /rpc/load (id < 0 omits
+// the replica-presence and halt-guard fields). A failed query is the
+// down-host analog — the peer is skipped.
+func (nd *Node) loadReport(p topology.NodeID, now time.Duration, id object.ID) (protocol.LoadReport, bool) {
+	if nd.peerDown(p) {
+		return protocol.LoadReport{}, false
 	}
-	return best, found
-}
-
-// findRepairTarget mirrors sim.findRepairTarget: the live peer with the
-// most relative headroom below its (availability-relaxed) accept ceiling
-// that does not already hold the object, skipping acquisition-halted hosts
-// when the availability objective is armed.
-func (nd *Node) findRepairTarget(now time.Duration, id object.ID, from topology.NodeID) (topology.NodeID, bool) {
-	w := nd.cfg.Sim.Protocol.AvailabilityWeight
-	best, bestRel, found := topology.NodeID(0), 0.0, false
-	for i := 0; i < nd.n; i++ {
-		nid := topology.NodeID(i)
-		if nid == from || nd.peerDown(nid) {
-			continue
-		}
-		rep, err := nd.fetchLoad(nid, id, now)
-		if err != nil || rep.Has {
-			continue
-		}
-		if w > 0 && rep.Halted {
-			continue
-		}
-		ceiling := rep.Low + w*(rep.High-rep.Low)
-		rel := rep.AcceptLoad / ceiling
-		if rep.AcceptLoad < ceiling && (!found || rel < bestRel) {
-			best, bestRel, found = nid, rel, true
-		}
-	}
-	return best, found
-}
-
-// fetchLoad queries a peer's /rpc/load. obj < 0 omits the replica-presence
-// and halt-guard fields.
-func (nd *Node) fetchLoad(p topology.NodeID, obj object.ID, now time.Duration) (LoadReply, error) {
 	q := url.Values{}
-	if obj >= 0 {
-		q.Set("obj", strconv.FormatInt(int64(obj), 10))
+	if id >= 0 {
+		q.Set("obj", strconv.FormatInt(int64(id), 10))
 		q.Set("now", strconv.FormatInt(int64(now), 10))
 	}
 	var rep LoadReply
-	if err := nd.client.get(nd.peerURL(p), PathLoad, q, &rep); err != nil {
-		return LoadReply{}, err
-	}
-	return rep, nil
+	err := nd.client.get(nd.peerURL(p), PathLoad, q, &rep)
+	return protocol.LoadReport(rep), err == nil
 }
 
 // copyObject runs on the accepting side of a CreateObj that materialized a
@@ -597,11 +542,11 @@ func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, 
 type nodeObserver Node
 
 func (o *nodeObserver) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	(*Node)(o).event(moveEvent(EventMigrate, int64(now), int64(id), int(from), int(to), kind))
+	(*Node)(o).event(Event{At: int64(now), Kind: EventMigrate, Object: int64(id), From: int(from), To: int(to), Move: kind.String()})
 }
 
 func (o *nodeObserver) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	(*Node)(o).event(moveEvent(EventReplicate, int64(now), int64(id), int(from), int(to), kind))
+	(*Node)(o).event(Event{At: int64(now), Kind: EventReplicate, Object: int64(id), From: int(from), To: int(to), Move: kind.String()})
 }
 
 func (o *nodeObserver) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
@@ -615,27 +560,6 @@ func (o *nodeObserver) OnRefuse(now time.Duration, id object.ID, from, to topolo
 func (o *nodeObserver) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
 	(*Node)(o).event(Event{At: int64(now), Kind: EventDefer, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
 }
-
-// remoteLoads is the LoadSource behind a remote peer stub: Load answers
-// the peer's accept-side load fetched over the wire (the stub's estimator
-// is permanently inactive, so the fetched value passes through
-// LoadForAccept unchanged). An unreachable peer reads as infinitely loaded
-// — the offload walk stops, exactly as if the recipient had crossed its
-// watermark.
-type remoteLoads struct {
-	nd   *Node
-	peer topology.NodeID
-}
-
-func (r *remoteLoads) Load() float64 {
-	rep, err := r.nd.fetchLoad(r.peer, -1, 0)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return rep.AcceptLoad
-}
-
-func (r *remoteLoads) ObjectLoad(object.ID) float64 { return 0 }
 
 // localRedirector adapts the co-located redirector to RedirectorControl
 // under redMu. Methods are called with mu held (mu -> redMu is the
@@ -849,27 +773,21 @@ func (nd *Node) handleRequestDrop(w http.ResponseWriter, r *http.Request) {
 
 func (nd *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	obj, now := int64(-1), int64(0)
+	if objStr := q.Get("obj"); objStr != "" {
+		var err1, err2 error
+		obj, err1 = strconv.ParseInt(objStr, 10, 64)
+		now, err2 = strconv.ParseInt(q.Get("now"), 10, 64)
+		if err1 != nil || err2 != nil || obj < 0 || now < 0 {
+			http.Error(w, "live: bad obj/now query", http.StatusBadRequest)
+			return
+		}
+	}
 	if !nd.lockMu() {
 		http.Error(w, "live: node busy", http.StatusServiceUnavailable)
 		return
 	}
-	p := nd.host.Params()
-	rep := LoadReply{
-		AcceptLoad: nd.host.Estimator().LoadForAccept(nd.srv.Load()),
-		Low:        p.LowWatermark,
-		High:       p.HighWatermark,
-	}
-	if objStr := q.Get("obj"); objStr != "" {
-		obj, err1 := strconv.ParseInt(objStr, 10, 64)
-		now, err2 := strconv.ParseInt(q.Get("now"), 10, 64)
-		if err1 != nil || err2 != nil || obj < 0 || now < 0 {
-			nd.mu.Unlock()
-			http.Error(w, "live: bad obj/now query", http.StatusBadRequest)
-			return
-		}
-		rep.Has = nd.host.Has(object.ID(obj))
-		rep.Halted = nd.host.AcquisitionHalted(nd.resolveNow(now))
-	}
+	rep := LoadReply(nd.host.LoadReport(nd.resolveNow(now), object.ID(obj)))
 	nd.mu.Unlock()
 	writeJSON(w, rep)
 }
@@ -916,9 +834,9 @@ func objQuery(r *http.Request, prefix string, n int) (object.ID, topology.NodeID
 }
 
 // handleObj is the redirecting front-end: choose a replica for the object
-// and answer 302 to its serve URL, with the virtual arrival time (the
-// redirector->host control hop) in the response headers. now is the
-// request's virtual arrival time at the redirector.
+// and answer 302 to its serve URL, which carries the virtual arrival time
+// there (the redirector->host control hop). now is the request's virtual
+// arrival time at the redirector.
 func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
 	id, g, wireNow, err := objQuery(r, PathObj, nd.n)
 	if err != nil {
@@ -936,14 +854,12 @@ func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// No choosable replica (every copy on killed hosts): the request
 		// fails at the redirector.
-		w.Header().Set(HeaderFailedAt, strconv.FormatInt(int64(now), 10))
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	// Redirector -> host is one more control hop of pure latency.
 	arrive := now + time.Duration(nd.routes.Distance(nd.id, h))*nd.cfg.Sim.Net.HopDelay
 	w.Header().Set(HeaderHost, strconv.Itoa(int(h)))
-	w.Header().Set(HeaderArrive, strconv.FormatInt(int64(arrive), 10))
 	// The 302 always targets the manifest URL: chaos partitions poison the
 	// control-plane peer table, not the client-facing data plane.
 	u := fmt.Sprintf("%s%s%d?g=%d&now=%d", nd.manifest[h], PathServe, int64(id), int(g), int64(arrive))

@@ -63,14 +63,8 @@ const (
 
 // Response headers carrying virtual-time results of object requests.
 const (
-	// HeaderArrive is the virtual arrival time (ns) of a redirected
-	// request at the chosen replica host.
-	HeaderArrive = "X-Radar-Arrive"
 	// HeaderHost is the chosen replica host's node ID on a 302.
 	HeaderHost = "X-Radar-Host"
-	// HeaderFailedAt is the virtual time (ns) a request failed at the
-	// redirector (no reachable replica).
-	HeaderFailedAt = "X-Radar-Failed-At"
 	// HeaderDone is the virtual FCFS service completion time (ns) of an
 	// admitted request.
 	HeaderDone = "X-Radar-Done"
@@ -118,6 +112,19 @@ func jsonUnmarshal(data []byte, v any) error {
 		return &WireError{Reason: err.Error()}
 	}
 	return nil
+}
+
+// decodeReply decodes a 200 reply body into resp: self-validating reply
+// types through Decode, the rest through jsonUnmarshal. A nil resp
+// discards the body.
+func decodeReply(data []byte, resp any) error {
+	if resp == nil {
+		return nil
+	}
+	if v, ok := resp.(validator); ok {
+		return Decode(data, v)
+	}
+	return jsonUnmarshal(data, resp)
 }
 
 // Encode marshals a wire message. Marshaling a validated message cannot

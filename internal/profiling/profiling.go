@@ -1,4 +1,5 @@
-package main
+// Package profiling is the -cpuprofile/-memprofile plumbing the cmds share.
+package profiling
 
 import (
 	"fmt"
@@ -7,11 +8,11 @@ import (
 	"runtime/pprof"
 )
 
-// startProfiles starts a CPU profile and/or arms a heap profile according
+// Start starts a CPU profile and/or arms a heap profile according
 // to the -cpuprofile/-memprofile flags (empty path = disabled). The
 // returned stop function flushes both; call it exactly once, after the
 // measured work, before exiting.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+func Start(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)

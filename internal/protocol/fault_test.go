@@ -95,14 +95,14 @@ func TestReplicaFloorBlocksDrops(t *testing.T) {
 	c.checkSubsetInvariant(t)
 }
 
-func TestNewHostRequiresRepairTargetWithFloor(t *testing.T) {
+// TestNewHostRequiresLoadReports: recipients and repair targets are
+// elected from Env.LoadReport, so a host cannot be built without it.
+func TestNewHostRequiresLoadReports(t *testing.T) {
 	c := newCluster(t, topology.Line(3), DefaultParams())
 	env := c.hosts[0].env
-	env.FindRepairTarget = nil
-	params := DefaultParams()
-	params.ReplicaFloor = 2
-	if _, err := NewHost(0, params, env, c.loads[0]); err == nil {
-		t.Fatal("NewHost accepted replica floor > 1 without FindRepairTarget")
+	env.LoadReport = nil
+	if _, err := NewHost(0, DefaultParams(), env, c.loads[0]); err == nil {
+		t.Fatal("NewHost accepted an Env without LoadReport")
 	}
 }
 

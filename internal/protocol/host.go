@@ -41,16 +41,12 @@ type CreateObjRequest struct {
 }
 
 // NewPeerStub builds a Host that stands in for a peer living in another
-// process: it carries only the node identity and a load source answering
-// the offload protocol's recipient-load reads (Fig. 5 consults the
-// recipient's accept-side load estimate; a remote stub's source reports
-// the value fetched from the real peer, and the stub's own estimator stays
-// permanently inactive so the fetched value passes through unmodified).
-// A live transport wires Env.Peer to return stubs; every actual protocol
-// interaction with the remote host travels through Env.SendCreateObj and
-// the redirector control interface, never through stub methods.
-func NewPeerStub(id topology.NodeID, loads LoadSource) *Host {
-	return &Host{ID: id, loads: loads}
+// process: it carries only the node identity. A live transport wires
+// Env.Peer to return stubs; every actual protocol interaction with the
+// remote host travels through Env.SendCreateObj, Env.LoadReport and the
+// redirector control interface, never through stub methods.
+func NewPeerStub(id topology.NodeID) *Host {
+	return &Host{ID: id}
 }
 
 // CreateObjStatus is the caller-visible outcome of a CreateObj handshake.
@@ -81,22 +77,18 @@ type Env struct {
 	RedirectorFor func(id object.ID) RedirectorControl
 	// Peer returns the host running on node p, for CreateObj requests.
 	Peer func(p topology.NodeID) *Host
-	// FindRecipient locates an offload recipient: a host (other than
-	// exclude) whose load is below the low watermark. It models the
-	// periodic load-report exchange of §4.2.2.
-	FindRecipient func(exclude topology.NodeID) (topology.NodeID, bool)
+	// LoadReport answers a load query against host p at time now — p's
+	// entry in the periodic load-report exchange of §4.2.2 — or false
+	// when p is down or unreachable. A negative id asks for the load and
+	// watermarks only. Offload recipients and repair targets are elected
+	// from these reports (electHost).
+	LoadReport func(p topology.NodeID, now time.Duration, id object.ID) (LoadReport, bool)
 	// CopyObject charges an object transfer from -> to to the network.
 	CopyObject func(now time.Duration, from, to topology.NodeID, id object.ID)
 	// CanReplicate, if non-nil, gates replication per object — the
 	// consistency hook of §5 (category-3 objects cap their replica
 	// count). Migration is never gated.
 	CanReplicate func(id object.ID, currentReplicas int) bool
-	// FindRepairTarget locates a host able to take a repair replica of id:
-	// a live host below the low watermark not already holding the object.
-	// now is the repair pass time, so selection can consult time-dependent
-	// host state (e.g. the acquisition-halt guard). Required when
-	// Params.ReplicaFloor > 1; unused otherwise.
-	FindRepairTarget func(now time.Duration, id object.ID, from topology.NodeID) (topology.NodeID, bool)
 	// SendCreateObj, if non-nil, carries CreateObj handshakes over a
 	// control-plane transport: it delivers req from req.From to req.To,
 	// runs the callee-side handler at most once per token at the request's
@@ -130,8 +122,8 @@ func (e *Env) validate() error {
 		return fmt.Errorf("%w: RedirectorFor", ErrNilDependency)
 	case e.Peer == nil:
 		return fmt.Errorf("%w: Peer", ErrNilDependency)
-	case e.FindRecipient == nil:
-		return fmt.Errorf("%w: FindRecipient", ErrNilDependency)
+	case e.LoadReport == nil:
+		return fmt.Errorf("%w: LoadReport", ErrNilDependency)
 	case e.CopyObject == nil:
 		return fmt.Errorf("%w: CopyObject", ErrNilDependency)
 	}
@@ -220,9 +212,6 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 	}
 	if loads == nil {
 		return nil, fmt.Errorf("%w: loads", ErrNilDependency)
-	}
-	if params.ReplicaFloor > 1 && env.FindRepairTarget == nil {
-		return nil, fmt.Errorf("%w: FindRepairTarget (required when ReplicaFloor > 1)", ErrNilDependency)
 	}
 	if env.Observer == nil {
 		env.Observer = nopObserver{}
@@ -561,7 +550,7 @@ func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
 
 // repairReplicas restores hosted objects whose recorded replica count fell
 // below Params.ReplicaFloor (failures thinned the set) by replicating them
-// to targets chosen by Env.FindRepairTarget. It runs before the Fig. 3 pass
+// to targets elected from the hosts not yet holding them. It runs before the Fig. 3 pass
 // so availability repair is not starved by geo decisions. Returns the
 // number of repair replications made.
 func (h *Host) repairReplicas(now time.Duration) int {
@@ -582,7 +571,7 @@ func (h *Host) repairReplicas(now time.Duration) int {
 			if h.env.CanReplicate != nil && !h.env.CanReplicate(id, count) {
 				break
 			}
-			target, ok := h.env.FindRepairTarget(now, id, h.ID)
+			target, _, ok := h.electHost(now, id, h.params.AvailabilityWeight)
 			if !ok {
 				break
 			}
@@ -828,7 +817,7 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 // watermark, a request is refused, or objects run out. It returns the
 // number of objects moved.
 func (h *Host) offload(now time.Duration, period float64) int {
-	rid, ok := h.env.FindRecipient(h.ID)
+	rid, recipientLoad, ok := h.electHost(now, -1, 0)
 	if !ok {
 		return 0
 	}
@@ -839,7 +828,6 @@ func (h *Host) offload(now time.Duration, period float64) int {
 	if peer == nil {
 		return 0
 	}
-	recipientLoad := peer.est.LoadForAccept(peer.loads.Load())
 	moved := 0
 
 	type cand struct {

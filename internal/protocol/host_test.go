@@ -82,9 +82,8 @@ func newCluster(t *testing.T, topo *topology.Topology, params Params) *cluster {
 			Routes:        routes,
 			RedirectorFor: func(object.ID) RedirectorControl { return c.red },
 			Peer:          func(p topology.NodeID) *Host { return c.hosts[p] },
-			FindRecipient: c.findRecipient,
-			FindRepairTarget: func(_ time.Duration, id object.ID, from topology.NodeID) (topology.NodeID, bool) {
-				return c.findRepairTarget(id, from)
+			LoadReport: func(p topology.NodeID, now time.Duration, id object.ID) (LoadReport, bool) {
+				return c.hosts[p].LoadReport(now, id), true
 			},
 			CopyObject: func(_ time.Duration, from, to topology.NodeID, id object.ID) {
 				c.copies = append(c.copies, copyRec{from: from, to: to, id: id})
@@ -98,38 +97,6 @@ func newCluster(t *testing.T, topo *topology.Topology, params Params) *cluster {
 		c.hosts[i] = h
 	}
 	return c
-}
-
-// findRecipient returns the host with the least accept-side load strictly
-// below the low watermark, excluding the requester.
-func (c *cluster) findRecipient(exclude topology.NodeID) (topology.NodeID, bool) {
-	best, bestLoad, found := topology.NodeID(0), 0.0, false
-	for i, h := range c.hosts {
-		if topology.NodeID(i) == exclude {
-			continue
-		}
-		l := h.Estimator().LoadForAccept(c.loads[i].Load())
-		if l < h.params.LowWatermark && (!found || l < bestLoad) {
-			best, bestLoad, found = topology.NodeID(i), l, true
-		}
-	}
-	return best, found
-}
-
-// findRepairTarget mirrors the simulator's repair-target choice: the
-// least-loaded host below the low watermark not already holding id.
-func (c *cluster) findRepairTarget(id object.ID, from topology.NodeID) (topology.NodeID, bool) {
-	best, bestLoad, found := topology.NodeID(0), 0.0, false
-	for i, h := range c.hosts {
-		if topology.NodeID(i) == from || h.Has(id) {
-			continue
-		}
-		l := h.Estimator().LoadForAccept(c.loads[i].Load())
-		if l < h.params.LowWatermark && (!found || l < bestLoad) {
-			best, bestLoad, found = topology.NodeID(i), l, true
-		}
-	}
-	return best, found
 }
 
 // seed places an object on a host and registers it at the redirector.
@@ -601,7 +568,7 @@ func TestNewHostValidation(t *testing.T) {
 		Routes:        routes,
 		RedirectorFor: func(object.ID) RedirectorControl { return red },
 		Peer:          func(topology.NodeID) *Host { return nil },
-		FindRecipient: func(topology.NodeID) (topology.NodeID, bool) { return 0, false },
+		LoadReport:    func(topology.NodeID, time.Duration, object.ID) (LoadReport, bool) { return LoadReport{}, false },
 		CopyObject:    func(time.Duration, topology.NodeID, topology.NodeID, object.ID) {},
 	}
 	if _, err := NewHost(0, Params{}, goodEnv, loads); err == nil {

@@ -98,10 +98,6 @@ type Config struct {
 	// replicas asynchronously (§5): immediately per write, or batched
 	// every Updates.BatchInterval. Requires Consistency.
 	Updates UpdateConfig
-	// Failures schedules host crash/recovery events (extension beyond
-	// the paper; see Failure). Kept for backward compatibility; new code
-	// should use Faults, which subsumes it.
-	Failures []Failure
 	// Faults is the deterministic fault-injection schedule: scripted
 	// crash/recovery and link cut/restore events plus optional stochastic
 	// MTBF/MTTR cycles drawn from the run's seed (a dedicated PRNG stream,
@@ -198,6 +194,80 @@ type UpdateConfig struct {
 	BatchInterval time.Duration
 }
 
+// Feature is a set of the optional subsystems a run can switch on beyond
+// the paper's core. The refusal table is written over features, so the
+// radar facade, whose Config spells the same switches differently, judges
+// a combination by the very rows Validate does.
+type Feature uint
+
+// The optional subsystems, and the one fact about a run that is not a
+// Config switch.
+const (
+	Sharding           Feature = 1 << iota // Shards selects the sharded engine
+	LinkContention                         // Net.Contention
+	ConsistencyUpdates                     // Consistency manager or provider updates
+	FaultInjection                         // Faults
+	StoreStack                             // a non-default Store
+	HostWeights                            // heterogeneous HostWeights
+	AltSeeding                             // RedirectorAtHome, ReplicateEverywhere, InitialPlacement
+	ExternalFleet                          // the fleet is not the in-memory one (NewOver, package live)
+)
+
+// Features reports the optional subsystems c switches on.
+func (c *Config) Features() Feature {
+	var f Feature
+	for i, on := range [...]bool{
+		c.Shards == -1 || c.Shards >= 2,
+		c.Net.Contention,
+		c.Consistency != nil || c.Updates.RatePerSec > 0,
+		c.Faults.Enabled() || c.Faults.HasMessageFaults(),
+		!c.Store.IsDefault(),
+		c.HostWeights != nil,
+		c.RedirectorAtHome || c.ReplicateEverywhere || c.InitialPlacement != nil,
+	} {
+		if on {
+			f |= 1 << i
+		}
+	}
+	return f
+}
+
+// Refusal is one row of the refusal table: a run with every feature of
+// With switched on is refused for Reason.
+type Refusal struct {
+	With   Feature
+	Reason string
+}
+
+// Refusals is the feature-compatibility table. The sharded engine
+// partitions per-node state, so subsystems with un-partitionable
+// cross-host feedback on the per-request path are refused rather than
+// silently run wrong. Every optional subsystem is implemented behind the
+// in-memory fleet (memfleet.go), so an external fleet runs none: they
+// model phenomena the simulator induces artificially, while a live fleet
+// exhibits its own.
+var Refusals = []Refusal{
+	{Sharding | LinkContention, "sharded engine is incompatible with link contention (shared busy-until state)"},
+	{Sharding | ConsistencyUpdates, "sharded engine is incompatible with the consistency/update subsystem"},
+	{ExternalFleet | FaultInjection, "fault injection is simulation-only (kill live nodes instead)"},
+	{ExternalFleet | StoreStack, "replica-storage stacks are simulation-only"},
+	{ExternalFleet | ConsistencyUpdates, "consistency/update subsystem is simulation-only"},
+	{ExternalFleet | HostWeights, "host weights are simulation-only"},
+	{ExternalFleet | AltSeeding, "alternate seeding modes are simulation-only"},
+	{ExternalFleet | LinkContention, "link contention is simulation-only"},
+	{ExternalFleet | Sharding, "the sharded engine is simulation-only"},
+}
+
+// MatchRefusal returns the first row of Refusals that set covers, or nil.
+func MatchRefusal(set Feature) *Refusal {
+	for i := range Refusals {
+		if r := &Refusals[i]; set&r.With == r.With {
+			return r
+		}
+	}
+	return nil
+}
+
 // ErrNoWorkload reports a Config without a workload generator.
 var ErrNoWorkload = errors.New("sim: config needs a workload generator")
 
@@ -252,16 +322,8 @@ func (c *Config) Validate() error {
 	if c.ShardQuantum < 0 {
 		return fmt.Errorf("sim: shard quantum %v must be non-negative", c.ShardQuantum)
 	}
-	if c.Shards == -1 || c.Shards >= 2 {
-		// The sharded engine partitions per-node state; subsystems with
-		// un-partitionable cross-host feedback on the per-request path are
-		// refused rather than silently run wrong.
-		if c.Net.Contention {
-			return fmt.Errorf("sim: sharded engine is incompatible with link contention (shared busy-until state)")
-		}
-		if c.Consistency != nil || c.Updates.RatePerSec > 0 {
-			return fmt.Errorf("sim: sharded engine is incompatible with the consistency/update subsystem")
-		}
+	if r := MatchRefusal(c.Features()); r != nil {
+		return fmt.Errorf("sim: %s", r.Reason)
 	}
 	if c.Updates.RatePerSec < 0 {
 		return fmt.Errorf("sim: update rate %v must be non-negative", c.Updates.RatePerSec)
@@ -288,9 +350,6 @@ func (c *Config) Validate() error {
 		}
 	}
 	if c.Topo != nil {
-		if err := c.validateFailures(); err != nil {
-			return err
-		}
 		if err := c.Faults.Validate(c.Topo.NumNodes()); err != nil {
 			return err
 		}

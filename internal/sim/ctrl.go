@@ -42,12 +42,12 @@ type ctrlState struct {
 	reconcileByteHops int64
 }
 
-// armCtrlPlane builds the control plane when the merged fault spec has
+// armCtrlPlane builds the control plane when the fault spec has
 // message-fault terms. Must run after the network and redirectors exist
-// and before buildHosts (which wires Env.SendCreateObj and the lossy
+// and before the hosts (whose Env gets SendCreateObj and the lossy
 // redirector wrappers).
 func (s *Simulation) armCtrlPlane() error {
-	spec := s.faultSpec()
+	spec := s.cfg.Faults
 	if !spec.HasMessageFaults() {
 		return nil
 	}
@@ -57,9 +57,9 @@ func (s *Simulation) armCtrlPlane() error {
 		return fmt.Errorf("sim: arming control plane: %w", err)
 	}
 	s.ctrl = &ctrlState{plane: plane}
-	s.ctrl.redirWrap = make([]lossyRedirector, len(s.redirectors))
-	for i, red := range s.redirectors {
-		s.ctrl.redirWrap[i] = lossyRedirector{s: s, red: red}
+	s.ctrl.redirWrap = make([]lossyRedirector, len(s.mem.redirectors))
+	for i, red := range s.mem.redirectors {
+		s.ctrl.redirWrap[i] = lossyRedirector{s: s, Redirector: red}
 	}
 	return nil
 }
@@ -111,50 +111,32 @@ func (s *Simulation) sendCreateObj(now time.Duration, req protocol.CreateObjRequ
 	}
 }
 
-// lossyRedirectorFor is redirectorFor's armed twin: the same object ->
-// redirector mapping, returning the preallocated lossy wrapper.
-func (s *Simulation) lossyRedirectorFor(id object.ID) protocol.RedirectorControl {
-	if s.cfg.RedirectorAtHome {
-		return &s.ctrl.redirWrap[s.cfg.Universe.HomeNode(id, len(s.redirectors))]
-	}
-	return &s.ctrl.redirWrap[int(id)%len(s.redirectors)]
-}
-
 // lossyRedirector carries a host's redirector control traffic over the
 // plane. Replica-change notifications are one-way fire-and-forget — a lost
 // notify leaves an orphaned replica for reconciliation to heal. Drop
 // arbitration is a full retried RPC; when it is lost the host
 // conservatively keeps its replica (returning false), which at worst
 // leaves an approved-but-unexecuted drop as an orphan record direction the
-// reconciler also repairs. Replica counts are read directly: the paper's
-// hosts already learn cluster state from the periodic load-report
-// exchange, which this models.
+// reconciler also repairs. Replica counts and replica sets are read
+// through the embedded redirector directly: the paper's hosts already
+// learn cluster state from the periodic load-report exchange, which this
+// models, not from a per-query RPC.
 type lossyRedirector struct {
-	s   *Simulation
-	red *protocol.Redirector
+	s *Simulation
+	*protocol.Redirector
 }
 
 func (l *lossyRedirector) NotifyReplicaChange(id object.ID, host topology.NodeID, aff int) {
-	l.s.ctrl.plane.Notify(l.s.ctrlNow(), host, l.red.Location, func(time.Duration) {
-		l.red.NotifyReplicaChange(id, host, aff)
+	l.s.ctrl.plane.Notify(l.s.ctrlNow(), host, l.Location, func(time.Duration) {
+		l.Redirector.NotifyReplicaChange(id, host, aff)
 	})
 }
 
 func (l *lossyRedirector) RequestDrop(id object.ID, host topology.NodeID) bool {
-	approved, _, _, ok := l.s.ctrl.plane.Call(l.s.ctrlNow(), host, l.red.Location, 0, func(time.Duration) bool {
-		return l.red.RequestDrop(id, host)
+	approved, _, _, ok := l.s.ctrl.plane.Call(l.s.ctrlNow(), host, l.Location, 0, func(time.Duration) bool {
+		return l.Redirector.RequestDrop(id, host)
 	})
 	return ok && approved
-}
-
-func (l *lossyRedirector) ReplicaCount(id object.ID) int {
-	return l.red.ReplicaCount(id)
-}
-
-func (l *lossyRedirector) ReplicaHosts(id object.ID, buf []topology.NodeID) []topology.NodeID {
-	// Read-through like ReplicaCount: replica-set knowledge rides the
-	// periodic load-report exchange, not a per-query RPC.
-	return l.red.ReplicaHosts(id, buf)
 }
 
 // scheduleReconcile arms the periodic anti-entropy pass.
@@ -163,14 +145,7 @@ func (s *Simulation) scheduleReconcile() error {
 		return nil
 	}
 	interval := s.ctrl.plane.Params().ReconcileInterval
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
-		s.reconcile(now)
-		if now+interval <= s.cfg.Duration {
-			_ = s.engine.Schedule(now+interval, tick)
-		}
-	}
-	if err := s.engine.Schedule(interval, tick); err != nil {
+	if err := s.every(interval, interval, s.reconcile); err != nil {
 		return fmt.Errorf("sim: scheduling reconciliation: %w", err)
 	}
 	return nil
@@ -187,17 +162,18 @@ func (s *Simulation) scheduleReconcile() error {
 // for every object whose host is up.
 func (s *Simulation) reconcile(now time.Duration) {
 	c := s.ctrl
+	hosts, redirectors := s.mem.hosts, s.mem.redirectors
 	c.reconcileRuns++
 	// Digest round trips: one request/summary pair per live host per
 	// redirector, charged reliably (reconciliation rides TCP, not the
 	// lossy datagram legs).
 	if s.cfg.ControlMsgBytes > 0 {
-		for i := range s.hosts {
+		for i := range hosts {
 			if s.down[i] {
 				continue
 			}
 			h := topology.NodeID(i)
-			for _, red := range s.redirectors {
+			for _, red := range redirectors {
 				d := int64(s.routes.Distance(h, red.Location))
 				s.net.ControlMessage(now, s.routes.Path(h, red.Location), s.cfg.ControlMsgBytes)
 				s.net.ControlMessage(now, s.routes.Path(red.Location, h), s.cfg.ControlMsgBytes)
@@ -206,12 +182,12 @@ func (s *Simulation) reconcile(now time.Duration) {
 		}
 	}
 	// Host -> redirector direction: heal orphans and stale affinities.
-	for i, h := range s.hosts {
+	for i, h := range hosts {
 		if s.down[i] {
 			continue
 		}
 		for _, id := range h.Objects() {
-			red := s.redirectorFor(id)
+			red := s.mem.redirectorFor(id)
 			aff := h.Affinity(id)
 			rec, known := red.RecordedAffinity(id, topology.NodeID(i))
 			switch {
@@ -227,10 +203,10 @@ func (s *Simulation) reconcile(now time.Duration) {
 	// Redirector -> host direction: erase records of replicas the host no
 	// longer holds (defensive; message loss alone cannot produce these, but
 	// the invariant is asserted, not assumed).
-	for _, red := range s.redirectors {
+	for _, red := range redirectors {
 		for _, id := range red.Objects() {
 			for _, rep := range red.Replicas(id) {
-				if !s.hosts[rep.Host].Has(id) {
+				if !hosts[rep.Host].Has(id) {
 					red.RemoveRecord(id, rep.Host)
 					c.ghostsRemoved++
 				}

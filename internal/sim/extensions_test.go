@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"radar/internal/consistency"
+	"radar/internal/fault"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
@@ -128,7 +129,10 @@ func TestHostFailureAndRecovery(t *testing.T) {
 	}
 	cfg := testConfig(t, gen, 12*time.Minute)
 	victim := topology.NodeID(9)
-	cfg.Failures = []Failure{{Node: victim, At: 3 * time.Minute, RecoverAt: 8 * time.Minute}}
+	cfg.Faults.Events = []fault.Event{
+		{Kind: fault.HostDown, At: 3 * time.Minute, Node: victim},
+		{Kind: fault.HostUp, At: 8 * time.Minute, Node: victim},
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,13 +173,13 @@ func TestFailureValidation(t *testing.T) {
 	}
 	cfg := testConfig(t, gen, time.Minute)
 	cfg.Topo = topology.UUNET()
-	cfg.Failures = []Failure{{Node: 999, At: time.Second}}
+	cfg.Faults.Events = []fault.Event{{Kind: fault.HostDown, At: time.Second, Node: 999}}
 	if _, err := New(cfg); err == nil {
 		t.Error("failure on unknown node accepted")
 	}
-	cfg.Failures = []Failure{{Node: 1, At: 2 * time.Minute, RecoverAt: time.Minute}}
+	cfg.Faults.Events = []fault.Event{{Kind: fault.HostDown, At: -time.Second, Node: 1}}
 	if _, err := New(cfg); err == nil {
-		t.Error("recovery before failure accepted")
+		t.Error("failure at a negative time accepted")
 	}
 }
 
@@ -187,7 +191,7 @@ func TestPermanentFailureLeavesObjectsUnavailable(t *testing.T) {
 	cfg := testConfig(t, gen, 5*time.Minute)
 	cfg.DynamicPlacement = false // nothing re-replicates
 	victim := topology.NodeID(3)
-	cfg.Failures = []Failure{{Node: victim, At: time.Minute}}
+	cfg.Faults.Events = []fault.Event{{Kind: fault.HostDown, At: time.Minute, Node: victim}}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"radar/internal/fault"
@@ -18,85 +19,17 @@ import (
 // expanded up front so it is independent of experiment parallelism.
 const faultStream uint64 = 1 << 32
 
-// Failure schedules a hosting-server crash (the co-located router stays
-// up, so routing is unaffected — a process failure, not a link cut). While
-// down, the server accepts no requests and no replicas; its replicas are
-// purged from the redirectors, so objects whose only copy lived there are
-// unavailable until recovery. On recovery the host re-registers the
-// replicas still on its disk.
-//
-// Failure is the legacy scripted-crash interface, kept for compatibility;
-// Config.Faults subsumes it (crashes, link cuts, stochastic MTBF/MTTR
-// cycles). Both feed the same timeline.
-//
-// Failure handling is an extension beyond the paper (which targets
-// performance, not availability, §1.1); it exercises the redirector's
-// subset invariant and the placement protocol's reaction to lost
-// capacity.
-type Failure struct {
-	// Node is the failing host.
-	Node topology.NodeID
-	// At is the crash time.
-	At time.Duration
-	// RecoverAt is the recovery time; zero means the host never returns.
-	RecoverAt time.Duration
-}
-
-// validateFailures checks failure specs against the topology.
-func (c *Config) validateFailures() error {
-	for _, f := range c.Failures {
-		if int(f.Node) < 0 || int(f.Node) >= c.Topo.NumNodes() {
-			return fmt.Errorf("sim: failure names unknown node %d", f.Node)
-		}
-		if f.At < 0 {
-			return fmt.Errorf("sim: failure time %v must be non-negative", f.At)
-		}
-		if f.RecoverAt != 0 && f.RecoverAt <= f.At {
-			return fmt.Errorf("sim: recovery %v must follow failure %v", f.RecoverAt, f.At)
-		}
-	}
-	return nil
-}
-
-// faultsEnabled reports whether any fault source is configured.
-func (s *Simulation) faultsEnabled() bool {
-	return len(s.cfg.Failures) > 0 || s.cfg.Faults.Enabled()
-}
-
-// faultSpec merges the legacy Failures list into the Faults spec as
-// scripted host events, without aliasing either config slice.
-func (s *Simulation) faultSpec() fault.Spec {
-	spec := s.cfg.Faults
-	if len(s.cfg.Failures) > 0 {
-		evs := make([]fault.Event, 0, len(spec.Events)+2*len(s.cfg.Failures))
-		evs = append(evs, spec.Events...)
-		for _, f := range s.cfg.Failures {
-			evs = append(evs, fault.Event{Kind: fault.HostDown, At: f.At, Node: f.Node})
-			if f.RecoverAt > 0 {
-				evs = append(evs, fault.Event{Kind: fault.HostUp, At: f.RecoverAt, Node: f.Node})
-			}
-		}
-		spec.Events = evs
-	}
-	return spec
-}
-
-// topoEdges lists the backbone's undirected edges with first endpoint <
-// second, in deterministic node order — the element order stochastic link
-// cycles draw in. Shared with the live chaos controller via
-// fault.TopoEdges so both worlds expand a schedule identically.
-func (s *Simulation) topoEdges() [][2]topology.NodeID {
-	return fault.TopoEdges(s.topo)
-}
-
-// scheduleFaults expands the merged fault spec into a timeline and arms
-// every event. Events beyond the run's horizon are dropped (a permanent
+// scheduleFaults expands the fault spec into a timeline and arms every
+// event. Fault handling is an extension beyond the paper (which targets
+// performance, not availability, §1.1). A host crash is a process failure,
+// not a link cut: the co-located router stays up, so routing is
+// unaffected. Events beyond the run's horizon are dropped (a permanent
 // failure's recovery simply never fires). When the timeline contains link
 // events, the request path gains severed-link checks and every redirector
 // gets a reachability filter; fault-free runs skip all of it, keeping the
 // hot path bit-identical to a build without fault injection.
 func (s *Simulation) scheduleFaults() error {
-	spec := s.faultSpec()
+	spec := s.cfg.Faults
 	if !spec.Enabled() {
 		return nil
 	}
@@ -106,7 +39,9 @@ func (s *Simulation) scheduleFaults() error {
 	}
 	var edges [][2]topology.NodeID
 	if spec.HasLinkFaults() {
-		edges = s.topoEdges()
+		// The live chaos controller expands schedules over the same edge
+		// order, so both worlds draw identical link cycles.
+		edges = fault.TopoEdges(s.topo)
 	}
 	timeline, err := spec.Timeline(s.topo.NumNodes(), edges, s.cfg.Duration, rng)
 	if err != nil {
@@ -116,11 +51,10 @@ func (s *Simulation) scheduleFaults() error {
 		if ev.At > s.cfg.Duration {
 			continue
 		}
-		ev := ev
 		var fire func(now time.Duration)
 		switch ev.Kind {
 		case fault.HostDown:
-			fire = func(now time.Duration) { s.failHost(now, ev.Node) }
+			fire = func(now time.Duration) { s.markDown(now, ev.Node) }
 		case fault.HostUp:
 			fire = func(now time.Duration) { s.recoverHost(now, ev.Node) }
 		case fault.LinkDown:
@@ -138,7 +72,7 @@ func (s *Simulation) scheduleFaults() error {
 		// Redirectors fail requests over to replicas whose forwarding path
 		// is intact; when no recorded replica is reachable the request
 		// fails (counted by dispatch).
-		for _, red := range s.redirectors {
+		for _, red := range s.mem.redirectors {
 			loc := red.Location
 			red.SetReachable(func(h topology.NodeID) bool {
 				return s.net.PathUp(s.routes.Path(loc, h))
@@ -148,27 +82,30 @@ func (s *Simulation) scheduleFaults() error {
 	return nil
 }
 
-// failHost marks the node down, wipes the host's in-memory control state,
-// and purges its replicas from every redirector. Objects left with zero
-// recorded replicas open an outage window.
-func (s *Simulation) failHost(now time.Duration, n topology.NodeID) {
-	if s.down[n] {
-		return
+// openOutage starts object id's outage window at now, unless one is
+// already open: the object just lost its last recorded replica.
+func (s *Simulation) openOutage(now time.Duration, id object.ID) {
+	if s.outageStart == nil {
+		s.outageStart = make(map[object.ID]time.Duration)
 	}
-	s.down[n] = true
-	s.failures++
-	s.hosts[n].OnCrash()
-	for _, red := range s.redirectors {
-		for _, id := range red.PurgeHost(n) {
-			if red.ReplicaCount(id) == 0 {
-				if s.outageStart == nil {
-					s.outageStart = make(map[object.ID]time.Duration)
-				}
-				if _, open := s.outageStart[id]; !open {
-					s.outageStart[id] = now
-				}
-			}
-		}
+	if _, open := s.outageStart[id]; !open {
+		s.outageStart[id] = now
+	}
+}
+
+// closeOutages closes the outage windows still open at the horizon so
+// object-seconds of unavailability are complete — in sorted object order,
+// because the windows accumulate into a floating-point sum and map
+// iteration order would otherwise leak into the result's low bits.
+func (s *Simulation) closeOutages(horizon time.Duration) {
+	open := make([]object.ID, 0, len(s.outageStart))
+	for id := range s.outageStart {
+		open = append(open, id)
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
+	for _, id := range open {
+		s.col.RecordOutageWindow(s.outageStart[id], horizon)
+		delete(s.outageStart, id)
 	}
 }
 
@@ -180,10 +117,10 @@ func (s *Simulation) recoverHost(now time.Duration, n topology.NodeID) {
 	}
 	s.down[n] = false
 	s.recoveries++
-	h := s.hosts[n]
+	h := s.mem.hosts[n]
 	h.OnRecover(now)
 	for _, id := range h.Objects() {
-		s.redirectorFor(id).NotifyReplicaChange(id, n, h.Affinity(id))
+		s.mem.redirectorFor(id).NotifyReplicaChange(id, n, h.Affinity(id))
 		if start, open := s.outageStart[id]; open {
 			s.col.RecordOutageWindow(start, now)
 			delete(s.outageStart, id)

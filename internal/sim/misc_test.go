@@ -28,7 +28,7 @@ func TestRedirectorAtHome(t *testing.T) {
 	// Each object's redirector sits at its home node.
 	for _, id := range []object.ID{0, 1, 52, 53, 777} {
 		want := testUniverse.HomeNode(id, 53)
-		if got := s.redirectorFor(id).Location; got != want {
+		if got := s.mem.redirectorFor(id).Location; got != want {
 			t.Fatalf("object %d redirector at %v, want home %v", id, got, want)
 		}
 	}

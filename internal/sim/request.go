@@ -78,11 +78,11 @@ func (q *reqFIFO) peek() *request {
 }
 
 // Fire implements simevent.Handler. Everything it touches is either
-// state of the chosen host r.h (server queue, store stack, protocol
-// records) or a sink on r.h's lane, which is what lets the sharded
-// engine run hosts' serve planes concurrently (see shards.go). Serial
-// runs take the ln.wheel == nil paths, which reproduce the original
-// single-engine code exactly.
+// state of the chosen host r.h — its queue, store and protocol records
+// behind the fleet, its FIFO here — or a sink on r.h's lane, which is what
+// lets the sharded engine run hosts' serve planes concurrently (see
+// shards.go). Serial runs take the ln.wheel == nil paths, which reproduce
+// the original single-engine code exactly.
 func (r *request) Fire(now time.Duration) {
 	s := r.s
 	ln := s.laneOf[r.h]
@@ -90,22 +90,25 @@ func (r *request) Fire(now time.Duration) {
 	case reqArrive:
 		if s.down[r.h] {
 			ln.droppedChoices++ // chosen replica crashed in flight
-			ln.col.RecordFailedRequest(now)
-			ln.release(r)
+			ln.fail(r, now)
 			return
 		}
-		if s.cfg.ClientTimeout > 0 && s.servers[r.h].QueueDelay(now) > s.cfg.ClientTimeout {
-			ln.timedOut++
-			ln.release(r)
+		doneAt, out := s.fleet.Admit(now, r.h, r.g, r.id)
+		if out != OK {
+			if out == Refused {
+				ln.timedOut++ // abandoned by the client-timeout model; not a failure
+				ln.release(r)
+				return
+			}
+			s.markDown(now, r.h)
+			ln.droppedChoices++
+			ln.fail(r, now)
 			return
 		}
 		// Reserve the completion's time and FIFO tie-break position at the
 		// exact point it used to be scheduled, but defer the actual queue
-		// insertion to the per-server FIFO (see reqFIFO). The storage
-		// backend charges its per-read cost here, at admission, so the
-		// stack's state (cache residency, outage windows) advances in
-		// arrival order — a deterministic sequence.
-		r.doneAt = s.servers[r.h].Enqueue(now, s.stores[r.h].ServeCost(now, r.id))
+		// insertion to the per-server FIFO (see reqFIFO).
+		r.doneAt = doneAt
 		r.phase = reqDone
 		if ln.wheel == nil {
 			r.seq = s.engine.ReserveSeq()
@@ -135,17 +138,17 @@ func (r *request) Fire(now time.Duration) {
 		if s.down[r.h] {
 			// Host crashed while this request sat in its queue: the work
 			// dies with the server; the client never hears back.
-			ln.col.RecordFailedRequest(now)
-			ln.release(r)
+			ln.fail(r, now)
 			return
 		}
-		s.servers[r.h].OnServed(r.id)
-		s.hosts[r.h].OnRequest(r.id, r.g)
+		if !s.fleet.Complete(now, r.h, r.g, r.id) {
+			s.markDown(now, r.h)
+			ln.fail(r, now)
+			return
+		}
 		path := s.routes.PreferencePath(r.h, r.g)
 		if s.haveLinkFaults && !ln.net.PathUp(path) {
-			// Response path severed: bytes never reach the gateway.
-			ln.col.RecordFailedRequest(now)
-			ln.release(r)
+			ln.fail(r, now) // response path severed: bytes never reach the gateway
 			return
 		}
 		deliver := ln.net.Transfer(now, path, int64(s.cfg.Universe.SizeBytes), simnet.Payload)

@@ -112,6 +112,12 @@ func (ln *lane) release(r *request) {
 	ln.reqFree = append(ln.reqFree, r)
 }
 
+// fail counts r as lost to a fault at now and retires it.
+func (ln *lane) fail(r *request, now time.Duration) {
+	ln.col.RecordFailedRequest(now)
+	ln.release(r)
+}
+
 // scheduleCompletion enqueues a reserved FCFS completion: on the serial
 // engine under its reserved sequence number, on a shard wheel under its
 // reserved stamp. Completion times are >= the current event time by FCFS

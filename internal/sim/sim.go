@@ -2,10 +2,10 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"radar/internal/metrics"
@@ -15,13 +15,15 @@ import (
 	"radar/internal/server"
 	"radar/internal/simevent"
 	"radar/internal/simnet"
-	"radar/internal/store"
 	"radar/internal/substrate"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
 
-// Simulation is one configured run. Build with New, execute with Run.
+// Simulation is one configured run: the run loop — virtual time, the
+// per-gateway generators, the request path and the three periodic ticks —
+// over a Fleet. Build with New (the in-memory fleet, the paper's
+// simulation) or NewOver (an external fleet), execute with Run.
 type Simulation struct {
 	cfg    Config
 	topo   *topology.Topology
@@ -29,15 +31,21 @@ type Simulation struct {
 	engine *simevent.Engine
 	net    *simnet.Network
 	col    *metrics.Collector
+	gen    workload.Generator
 
-	servers []*server.Server
-	hosts   []*protocol.Host
-	stores  []store.ReplicaStore // one backend stack per host
-	gen     workload.Generator
+	// fleet is what the loop drives. mem is the same value when that is
+	// the in-memory fleet and nil otherwise; only the optional subsystems
+	// (failures.go, ctrl.go, updates.go) and the read-only accessors reach
+	// through it, the loop itself goes through fleet.
+	fleet Fleet
+	mem   *memFleet
+	acct  chargingObserver
 
-	redirectors []*protocol.Redirector
-	rngs        []*rand.Rand // one request stream per gateway
-	svcQueue    []reqFIFO    // deferred FCFS completions, one FIFO per server
+	redLocs  []topology.NodeID // redirector locations, in partition order
+	rngs     []*rand.Rand      // one request stream per gateway
+	svcQueue []reqFIFO         // deferred FCFS completions, one FIFO per server
+	hooks    []hook
+	ran      bool
 
 	// Sharded-engine state (see shards.go). laneOf maps every node to its
 	// execution lane; serial runs point every node at the single main lane,
@@ -59,6 +67,8 @@ type Simulation struct {
 	updatesInjected   int64
 	updatesPropagated int64
 
+	// down is the loop's view of which nodes are crashed: scripted faults
+	// set it in memory, a Lost answer sets it over an external fleet.
 	down       []bool
 	failures   int64
 	recoveries int64
@@ -80,13 +90,34 @@ type Simulation struct {
 	outageStart map[object.ID]time.Duration
 }
 
-// New builds a simulation from cfg. A nil cfg.Topo selects the
-// reconstructed UUNET backbone. The topology and routing table come from
-// the shared substrate cache (internal/substrate): every simulation over a
-// structurally identical topology — including concurrent runs in an
-// experiment suite — reads the same frozen instances instead of rebuilding
-// its own.
+// hook is a caller-scheduled loop event (see At).
+type hook struct {
+	at time.Duration
+	fn func()
+}
+
+// New builds a simulation from cfg: the run loop over the in-memory fleet.
+// A nil cfg.Topo selects the reconstructed UUNET backbone. The topology
+// and routing table come from the shared substrate cache
+// (internal/substrate): every simulation over a structurally identical
+// topology — including concurrent runs in an experiment suite — reads the
+// same frozen instances instead of rebuilding its own.
 func New(cfg Config) (*Simulation, error) {
+	s, err := newLoop(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.fleet, err = newMemFleet(s); err != nil {
+		return nil, err
+	}
+	if err := s.initLanes(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newLoop builds everything of a Simulation but its fleet and lanes.
+func newLoop(cfg Config) (*Simulation, error) {
 	var sub *substrate.Substrate
 	if cfg.Topo == nil {
 		sub = substrate.UUNET()
@@ -101,10 +132,11 @@ func New(cfg Config) (*Simulation, error) {
 	s := &Simulation{
 		cfg:    cfg,
 		topo:   cfg.Topo,
+		routes: sub.Routes,
 		engine: simevent.New(),
 		gen:    cfg.Workload,
 	}
-	s.routes = sub.Routes
+	s.acct.s = s
 	col, err := metrics.New(cfg.MetricsBucket)
 	if err != nil {
 		return nil, err
@@ -115,245 +147,30 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.buildRedirectors(); err != nil {
-		return nil, err
-	}
-	if f := cfg.Protocol.ReplicaFloor; f > 1 {
-		for _, red := range s.redirectors {
-			red.SetReplicaFloor(f)
-		}
-	}
-	if err := s.armCtrlPlane(); err != nil {
-		return nil, err
-	}
-	s.stores, err = cfg.Store.BuildAll(s.topo.NumNodes(), store.Params{
-		Seed:     cfg.Seed,
-		Horizon:  cfg.Duration,
-		ObjBytes: int64(cfg.Universe.SizeBytes),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.buildHosts(); err != nil {
-		return nil, err
-	}
-	s.seedPlacement()
 	n := s.topo.NumNodes()
+	if cfg.RedirectorAtHome {
+		// One redirector per node. Objects are homed round-robin, so the
+		// id mod count partition sends each to its home node's.
+		s.redLocs = make([]topology.NodeID, n)
+		for i := range s.redLocs {
+			s.redLocs[i] = topology.NodeID(i)
+		}
+	} else {
+		s.redLocs = RedirectorLocations(s.routes, cfg.NumRedirectors)
+	}
 	s.down = make([]bool, n)
 	s.svcQueue = make([]reqFIFO, n)
 	s.rngs = make([]*rand.Rand, n)
 	for i := 0; i < n; i++ {
 		s.rngs[i] = workload.Stream(cfg.Seed, uint64(i))
 	}
-	if err := s.initLanes(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
-// buildRedirectors places cfg.NumRedirectors redirectors on the nodes with
-// the smallest average hop distance (paper §6.1) and hash-partitions the
-// object namespace among them.
-func (s *Simulation) buildRedirectors() error {
-	n := s.topo.NumNodes()
-	if s.cfg.RedirectorAtHome {
-		// One redirector per node; objects map to their home node's.
-		s.redirectors = make([]*protocol.Redirector, n)
-		for i := 0; i < n; i++ {
-			r, err := protocol.NewRedirector(topology.NodeID(i), s.routes, s.cfg.Policy, s.cfg.Protocol.DistConstant)
-			if err != nil {
-				return err
-			}
-			s.redirectors[i] = r
-		}
-		return nil
-	}
-	k := s.cfg.NumRedirectors
-	if k > n {
-		k = n
-	}
-	type cand struct {
-		id  topology.NodeID
-		avg float64
-	}
-	cands := make([]cand, n)
-	for i := 0; i < n; i++ {
-		cands[i] = cand{topology.NodeID(i), s.routes.AvgDistance(topology.NodeID(i))}
-	}
-	// Selection by (avg, id): stable and deterministic.
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if cands[j].avg < cands[best].avg ||
-				(cands[j].avg == cands[best].avg && cands[j].id < cands[best].id) {
-				best = j
-			}
-		}
-		cands[i], cands[best] = cands[best], cands[i]
-	}
-	s.redirectors = make([]*protocol.Redirector, k)
-	for i := 0; i < k; i++ {
-		r, err := protocol.NewRedirector(cands[i].id, s.routes, s.cfg.Policy, s.cfg.Protocol.DistConstant)
-		if err != nil {
-			return err
-		}
-		s.redirectors[i] = r
-	}
-	return nil
-}
-
-// redirectorFor maps an object to its responsible redirector: its home
-// node's under RedirectorAtHome, otherwise by hash partition.
-func (s *Simulation) redirectorFor(id object.ID) *protocol.Redirector {
-	if s.cfg.RedirectorAtHome {
-		return s.redirectors[s.cfg.Universe.HomeNode(id, len(s.redirectors))]
-	}
-	return s.redirectors[int(id)%len(s.redirectors)]
-}
-
-func (s *Simulation) buildHosts() error {
-	n := s.topo.NumNodes()
-	s.servers = make([]*server.Server, n)
-	s.hosts = make([]*protocol.Host, n)
-	obs := &chargingObserver{s: s}
-	var canReplicate func(object.ID, int) bool
-	if s.cfg.Consistency != nil {
-		canReplicate = s.cfg.Consistency.CanReplicate
-	}
-	for i := 0; i < n; i++ {
-		weight := 1.0
-		if s.cfg.HostWeights != nil {
-			weight = s.cfg.HostWeights[i]
-		}
-		srvCfg := s.cfg.Server
-		srvCfg.CapacityRPS *= weight
-		srv, err := server.New(topology.NodeID(i), srvCfg)
-		if err != nil {
-			return err
-		}
-		s.servers[i] = srv
-		env := protocol.Env{
-			Routes: s.routes,
-			RedirectorFor: func(id object.ID) protocol.RedirectorControl {
-				if s.ctrl != nil {
-					return s.lossyRedirectorFor(id)
-				}
-				return s.redirectorFor(id)
-			},
-			Peer: func(p topology.NodeID) *protocol.Host {
-				if s.down[p] {
-					return nil // failed hosts accept nothing
-				}
-				return s.hosts[p]
-			},
-			FindRecipient:    s.findRecipient,
-			CopyObject:       s.copyObject,
-			CanReplicate:     canReplicate,
-			FindRepairTarget: s.findRepairTarget,
-			Store:            s.stores[i],
-			Observer:         obs,
-		}
-		if s.ctrl != nil {
-			env.SendCreateObj = s.sendCreateObj
-		}
-		h, err := protocol.NewHost(topology.NodeID(i), s.cfg.Protocol.Weighted(weight), env, srv)
-		if err != nil {
-			return err
-		}
-		s.hosts[i] = h
-	}
-	return nil
-}
-
-// seedPlacement installs the paper's round-robin initial assignment
-// (object i on node i mod N), or a full replica set everywhere for the
-// full-replication ablation.
-func (s *Simulation) seedPlacement() {
-	n := s.topo.NumNodes()
-	for i := 0; i < s.cfg.Universe.Count; i++ {
-		id := object.ID(i)
-		switch {
-		case s.cfg.ReplicateEverywhere:
-			for h := 0; h < n; h++ {
-				s.hosts[h].SeedObject(id)
-				s.stores[h].Create(0, id)
-				s.redirectorFor(id).NotifyReplicaChange(id, topology.NodeID(h), 1)
-			}
-		case s.cfg.InitialPlacement != nil:
-			for _, h := range s.cfg.InitialPlacement[i] {
-				s.hosts[h].SeedObject(id)
-				s.stores[h].Create(0, id)
-				s.redirectorFor(id).NotifyReplicaChange(id, h, 1)
-			}
-		default:
-			home := s.cfg.Universe.HomeNode(id, n)
-			s.hosts[home].SeedObject(id)
-			s.stores[home].Create(0, id)
-			s.redirectorFor(id).NotifyReplicaChange(id, home, 1)
-		}
-	}
-}
-
-// findRecipient implements the offload-recipient lookup backed by the
-// periodic load-report exchange of §4.2.2: the host with the least
-// accept-side load strictly below the low watermark.
-func (s *Simulation) findRecipient(exclude topology.NodeID) (topology.NodeID, bool) {
-	best, bestLoad, found := topology.NodeID(0), 0.0, false
-	for i := range s.hosts {
-		id := topology.NodeID(i)
-		if id == exclude || s.down[i] {
-			continue
-		}
-		l := s.hosts[i].Estimator().LoadForAccept(s.servers[i].Load())
-		// Compare against each host's own (weight-scaled) watermark, and
-		// prefer the most relative headroom so strong hosts absorb more.
-		lw := s.hosts[i].Params().LowWatermark
-		rel := l / lw
-		if l < lw && (!found || rel < bestLoad) {
-			best, bestLoad, found = id, rel, true
-		}
-	}
-	return best, found
-}
-
-// findRepairTarget locates a host for a replica-floor repair copy: the
-// live host with the most relative headroom below its accept watermark
-// that does not already hold the object. With the availability-aware
-// objective armed (Params.AvailabilityWeight = w > 0) selection becomes
-// refusal-aware in two ways that mirror the Repair accept path: the
-// watermark is relaxed from lw toward hw by w (floor restoration may
-// consume load-balancing headroom in proportion to the knob), and hosts
-// whose acquisition-halt guard is active are skipped — their load
-// estimate is stale-low, so the pure-headroom rule keeps electing them
-// pass after pass and every such election is a guaranteed refusal that
-// costs the object a full placement interval of single-copy exposure.
-// Weight zero keeps the legacy selection byte-for-byte, halted electees
-// and all.
-func (s *Simulation) findRepairTarget(now time.Duration, id object.ID, from topology.NodeID) (topology.NodeID, bool) {
-	w := s.cfg.Protocol.AvailabilityWeight
-	best, bestRel, found := topology.NodeID(0), 0.0, false
-	for i := range s.hosts {
-		nid := topology.NodeID(i)
-		if nid == from || s.down[i] || s.hosts[i].Has(id) {
-			continue
-		}
-		if w > 0 && s.hosts[i].AcquisitionHalted(now) {
-			continue
-		}
-		l := s.hosts[i].Estimator().LoadForAccept(s.servers[i].Load())
-		p := s.hosts[i].Params()
-		ceiling := p.LowWatermark + w*(p.HighWatermark-p.LowWatermark)
-		rel := l / ceiling
-		if l < ceiling && (!found || rel < bestRel) {
-			best, bestRel, found = nid, rel, true
-		}
-	}
-	return best, found
-}
-
-// copyObject charges an inter-host object transfer as protocol overhead.
-func (s *Simulation) copyObject(now time.Duration, from, to topology.NodeID, _ object.ID) {
-	s.net.Transfer(now, s.routes.Path(from, to), int64(s.cfg.Universe.SizeBytes), simnet.Overhead)
+// redirectorIndex maps an object to its responsible redirector: the URL
+// namespace is hash-partitioned over the redirectors.
+func (s *Simulation) redirectorIndex(id object.ID) int {
+	return int(id) % len(s.redLocs)
 }
 
 // chargeHandshake charges a request/response control message pair.
@@ -371,18 +188,24 @@ func (s *Simulation) chargeNotify(now time.Duration, from topology.NodeID, id ob
 	if s.cfg.ControlMsgBytes == 0 {
 		return
 	}
-	red := s.redirectorFor(id)
-	s.net.ControlMessage(now, s.routes.Path(from, red.Location), s.cfg.ControlMsgBytes)
+	loc := s.redLocs[s.redirectorIndex(id)]
+	s.net.ControlMessage(now, s.routes.Path(from, loc), s.cfg.ControlMsgBytes)
 }
 
-// chargingObserver forwards protocol events to the metrics collector and
-// charges the associated control traffic; it also keeps the consistency
-// manager's primary tracking current. When the unreliable control plane is
-// armed the handshake/notify charges are skipped: the plane already
-// charged every message leg (including retries and duplicates) at its true
-// send time, so charging here would double-count.
+// chargingObserver is the loop's Accounting: it forwards protocol events
+// to the metrics collector and charges the associated control traffic; it
+// also keeps the consistency manager's primary tracking current. When the
+// unreliable control plane is armed the handshake/notify charges are
+// skipped: the plane already charged every message leg (including retries
+// and duplicates) at its true send time, so charging here would
+// double-count.
 type chargingObserver struct {
 	s *Simulation
+}
+
+// CopyObject charges an inter-host object transfer as protocol overhead.
+func (o *chargingObserver) CopyObject(now time.Duration, from, to topology.NodeID, _ object.ID) {
+	o.s.net.Transfer(now, o.s.routes.Path(from, to), int64(o.s.cfg.Universe.SizeBytes), simnet.Overhead)
 }
 
 func (o *chargingObserver) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
@@ -419,7 +242,7 @@ func (o *chargingObserver) OnDrop(now time.Duration, id object.ID, host topology
 		o.s.chargeNotify(now, host, id)
 	}
 	if o.s.cfg.Consistency != nil {
-		reps := o.s.redirectorFor(id).Replicas(id)
+		reps := o.s.mem.redirectorFor(id).Replicas(id)
 		if len(reps) > 0 {
 			o.s.cfg.Consistency.OnDrop(id, host, reps[0].Host)
 		}
@@ -447,8 +270,36 @@ func (o *chargingObserver) OnDefer(now time.Duration, id object.ID, from, to top
 	}
 }
 
+// At schedules fn to run as a loop event at virtual time at; call it
+// before Run. It is how a caller injects an action — killing a node,
+// marking it down — at a deterministic point of the schedule.
+func (s *Simulation) At(at time.Duration, fn func()) {
+	s.hooks = append(s.hooks, hook{at: at, fn: fn})
+}
+
+// MarkDown records node n as crashed as of the current virtual time, as
+// if a call to it had been Lost. Call it from an At hook.
+func (s *Simulation) MarkDown(n topology.NodeID) { s.markDown(s.engine.Now(), n) }
+
+// markDown is the loop's single crash path: scripted faults, Lost answers
+// and MarkDown all end here. The node leaves the schedule — requests to it
+// fail, its placement ticks idle — and the fleet is told once.
+func (s *Simulation) markDown(now time.Duration, n topology.NodeID) {
+	if s.down[n] {
+		return
+	}
+	s.down[n] = true
+	s.failures++
+	s.fleet.MarkDown(now, n)
+}
+
+// ErrAlreadyRan reports a second Run on one Simulation: the first call
+// consumed the generators' streams and the fleet's state.
+var ErrAlreadyRan = errors.New("sim: simulation already ran")
+
 // Run executes the simulation for cfg.Duration of virtual time and
-// returns its results. Run must be called at most once.
+// returns its results. A Simulation runs once; a second call returns
+// ErrAlreadyRan.
 func (s *Simulation) Run() (*Results, error) {
 	return s.RunContext(context.Background())
 }
@@ -457,40 +308,27 @@ func (s *Simulation) Run() (*Results, error) {
 // thousand events (microseconds of wall time), so canceling a long run
 // returns promptly with ctx.Err() and no results. The poll does not
 // perturb the event stream — a run that is never canceled is bit-identical
-// to Run. RunContext must be called at most once.
+// to Run.
 func (s *Simulation) RunContext(ctx context.Context) (*Results, error) {
+	if s.ran {
+		return nil, ErrAlreadyRan
+	}
+	s.ran = true
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := s.scheduleGenerators(); err != nil {
-		return nil, err
-	}
-	if err := s.scheduleMeasurement(); err != nil {
-		return nil, err
-	}
-	if s.cfg.DynamicPlacement {
-		if err := s.schedulePlacement(); err != nil {
+	// Sequence numbers are assigned at Schedule time and break same-instant
+	// ties, so this order is part of the schedule. The three after the
+	// census are the in-memory-only subsystems, no-ops unless configured.
+	for _, schedule := range []func() error{
+		s.scheduleGenerators, s.scheduleMeasurement, s.schedulePlacement, s.scheduleCensus,
+		s.scheduleUpdates, s.scheduleFaults, s.scheduleReconcile, s.scheduleSwitchAndHooks,
+	} {
+		if err := schedule(); err != nil {
 			return nil, err
-		}
-	}
-	if err := s.scheduleCensus(); err != nil {
-		return nil, err
-	}
-	if err := s.scheduleUpdates(); err != nil {
-		return nil, err
-	}
-	if err := s.scheduleFaults(); err != nil {
-		return nil, err
-	}
-	if err := s.scheduleReconcile(); err != nil {
-		return nil, err
-	}
-	if sw := s.cfg.WorkloadSwitch; sw.To != nil {
-		if err := s.engine.Schedule(sw.At, func(time.Duration) { s.gen = sw.To }); err != nil {
-			return nil, fmt.Errorf("sim: scheduling workload switch: %w", err)
 		}
 	}
 	if done := ctx.Done(); done != nil {
@@ -520,6 +358,22 @@ func (s *Simulation) RunContext(ctx context.Context) (*Results, error) {
 		return nil, err
 	}
 	return s.results(), nil
+}
+
+// scheduleSwitchAndHooks arms the workload switch and the caller's At
+// hooks, last in the schedule.
+func (s *Simulation) scheduleSwitchAndHooks() error {
+	if sw := s.cfg.WorkloadSwitch; sw.To != nil {
+		if err := s.engine.Schedule(sw.At, func(time.Duration) { s.gen = sw.To }); err != nil {
+			return fmt.Errorf("sim: scheduling workload switch: %w", err)
+		}
+	}
+	for _, h := range s.hooks {
+		if err := s.engine.Schedule(h.at, func(time.Duration) { h.fn() }); err != nil {
+			return fmt.Errorf("sim: scheduling hook at %v: %w", h.at, err)
+		}
+	}
+	return nil
 }
 
 // scheduleGenerators starts one request stream per gateway. Every backbone
@@ -569,24 +423,28 @@ func (s *Simulation) scheduleGenerators() error {
 // redirector (UDP, latency only) -> chosen host (UDP) -> FCFS service ->
 // response along the preference path back to the gateway. schedAt is the
 // instant the calling emit event was scheduled; serial runs ignore it,
-// sharded runs fold it into the delivery's ordering stamp.
+// sharded runs fold it into the delivery's ordering stamp. The redirector
+// mutates its distribution state (request counts, choice rotation) inside
+// Choose, so this instant is part of the schedule on every fleet.
 func (s *Simulation) dispatch(t0, schedAt time.Duration, g topology.NodeID, id object.ID) {
-	red := s.redirectorFor(id)
-	if s.haveLinkFaults && !s.net.PathUp(s.routes.Path(g, red.Location)) {
+	red := s.redirectorIndex(id)
+	loc := s.redLocs[red]
+	if s.haveLinkFaults && !s.net.PathUp(s.routes.Path(g, loc)) {
 		s.col.RecordFailedRequest(t0) // redirector unreachable: request lost
 		return
 	}
-	t1 := s.net.ControlLatency(t0, s.routes.Distance(g, red.Location))
-	h, err := red.ChooseReplica(g, id)
-	if err != nil {
-		// No replica to serve from: every copy was purged by crashes, or
-		// the reachability filter excluded them all. Only faults produce
-		// this, so the failed-request metric stays zero in fault-free runs.
-		s.droppedChoices++
+	t1 := s.net.ControlLatency(t0, s.routes.Distance(g, loc))
+	h, out := s.fleet.Choose(t1, red, g, id)
+	if out != OK {
+		if out == Lost {
+			s.markDown(t1, loc) // the redirector's node is gone
+		} else {
+			s.droppedChoices++ // no replica to serve from
+		}
 		s.col.RecordFailedRequest(t1)
 		return
 	}
-	t2 := s.net.ControlLatency(t1, s.routes.Distance(red.Location, h))
+	t2 := s.net.ControlLatency(t1, s.routes.Distance(loc, h))
 	r := s.disp.newRequest()
 	*r = request{s: s, g: g, h: h, id: id, t0: t0, phase: reqArrive}
 	if !s.sharded {
@@ -609,55 +467,65 @@ func (s *Simulation) dispatch(t0, schedAt time.Duration, g topology.NodeID, id o
 	}, r)
 }
 
+// every runs tick at first and then once per interval until the horizon,
+// on the global plane.
+func (s *Simulation) every(first, interval time.Duration, tick func(now time.Duration)) error {
+	var fire simevent.Event
+	fire = func(now time.Duration) {
+		tick(now)
+		if now+interval <= s.cfg.Duration {
+			_ = s.engine.Schedule(now+interval, fire)
+		}
+	}
+	return s.engine.Schedule(first, fire)
+}
+
 // scheduleMeasurement drives the periodic load measurement (paper §2.1):
 // close every server's interval, retire estimates, and sample the
-// Figure 8a/8b series.
+// Figure 8a/8b series. A tracked host that does not answer samples as
+// zero.
 func (s *Simulation) scheduleMeasurement() error {
 	interval := s.cfg.Server.MeasurementInterval
-	var tick simevent.Event
-	tick = func(now time.Duration) {
-		maxLoad := 0.0
-		for i := range s.servers {
-			start := s.servers[i].CloseInterval(now)
-			s.hosts[i].OnMeasurementIntervalClose(start)
-			if l := s.servers[i].Load(); l > maxLoad {
-				maxLoad = l
+	return s.every(interval, interval, func(now time.Duration) {
+		var maxLoad, actual, lower, upper float64
+		for i := range s.down {
+			h := topology.NodeID(i)
+			a, lo, up, ok := s.fleet.Measure(now, h)
+			if !ok {
+				s.markDown(now, h)
+				continue
+			}
+			maxLoad = max(maxLoad, a)
+			if h == s.cfg.TrackedHost {
+				actual, lower, upper = a, lo, up
 			}
 		}
 		s.col.RecordMaxLoad(now, maxLoad)
-		tracked := s.cfg.TrackedHost
-		actual := s.servers[tracked].Load()
-		lower, upper := s.hosts[tracked].Estimator().Bounds(actual)
 		s.col.RecordHostLoad(now, actual, lower, upper)
-		if now+interval <= s.cfg.Duration {
-			_ = s.engine.Schedule(now+interval, tick)
-		}
-	}
-	return s.engine.Schedule(interval, tick)
+	})
 }
 
-// schedulePlacement drives each host's periodic DecidePlacement. Hosts are
-// staggered across the placement interval unless PlacementSynchronized.
+// schedulePlacement drives each host's periodic placement pass, unless
+// the placement is frozen (the static baseline). Hosts are staggered
+// across the placement interval unless PlacementSynchronized.
 func (s *Simulation) schedulePlacement() error {
-	n := s.topo.NumNodes()
+	if !s.cfg.DynamicPlacement {
+		return nil
+	}
+	n := len(s.down)
 	interval := s.cfg.PlacementInterval
 	for i := 0; i < n; i++ {
-		h := s.hosts[i]
+		h := topology.NodeID(i)
 		offset := time.Duration(0)
 		if !s.cfg.PlacementSynchronized {
 			offset = interval * time.Duration(i) / time.Duration(n)
 		}
-		i := i
-		var tick simevent.Event
-		tick = func(now time.Duration) {
-			if !s.down[i] {
-				h.DecidePlacement(now)
+		err := s.every(interval+offset, interval, func(now time.Duration) {
+			if !s.down[h] && !s.fleet.Place(now, h) {
+				s.markDown(now, h)
 			}
-			if now+interval <= s.cfg.Duration {
-				_ = s.engine.Schedule(now+interval, tick)
-			}
-		}
-		if err := s.engine.Schedule(interval+offset, tick); err != nil {
+		})
+		if err != nil {
 			return fmt.Errorf("sim: scheduling placement for host %d: %w", i, err)
 		}
 	}
@@ -665,82 +533,54 @@ func (s *Simulation) schedulePlacement() error {
 }
 
 // scheduleCensus samples the average replica count per object once per
-// placement interval (Table 2's replica metric).
+// placement interval (Table 2's replica metric) and, with a replica floor,
+// the objects below it; below-floor object-seconds integrate count x
+// interval.
 func (s *Simulation) scheduleCensus() error {
 	interval := s.cfg.PlacementInterval
-	floor := s.cfg.Protocol.ReplicaFloor
-	var tick simevent.Event
-	tick = func(now time.Duration) {
-		if floor > 1 {
-			// One pass yields both the average and the below-floor census;
-			// below-floor object-seconds integrate count x interval.
-			total, below := 0, 0
-			for i := 0; i < s.cfg.Universe.Count; i++ {
-				c := s.redirectorFor(object.ID(i)).ReplicaCount(object.ID(i))
-				total += c
-				if c < floor {
-					below++
-				}
-			}
-			s.col.RecordReplicaCensus(now, float64(total)/float64(s.cfg.Universe.Count))
+	return s.every(interval, interval, func(now time.Duration) {
+		avg, below := s.census(now)
+		s.col.RecordReplicaCensus(now, avg)
+		if s.cfg.Protocol.ReplicaFloor > 1 {
 			s.col.RecordBelowFloor(now, below, float64(below)*interval.Seconds())
-		} else {
-			s.col.RecordReplicaCensus(now, s.averageReplicas())
 		}
-		if now+interval <= s.cfg.Duration {
-			_ = s.engine.Schedule(now+interval, tick)
-		}
-	}
-	return s.engine.Schedule(interval, tick)
+	})
 }
 
-// averageReplicas returns the mean number of physical replicas per object.
-func (s *Simulation) averageReplicas() float64 {
+// census asks every redirector for its replica count and returns the mean
+// number of physical replicas per object and the objects below the floor.
+// A redirector that does not answer contributes nothing.
+func (s *Simulation) census(now time.Duration) (avg float64, below int) {
 	total := 0
-	for i := 0; i < s.cfg.Universe.Count; i++ {
-		total += s.redirectorFor(object.ID(i)).ReplicaCount(object.ID(i))
+	for red, loc := range s.redLocs {
+		t, b, ok := s.fleet.Census(red)
+		if !ok {
+			s.markDown(now, loc)
+			continue
+		}
+		total += t
+		below += b
 	}
-	return float64(total) / float64(s.cfg.Universe.Count)
+	return float64(total) / float64(s.cfg.Universe.Count), below
 }
 
-// Hosts exposes the protocol hosts (read-only use by tests and tools).
-func (s *Simulation) Hosts() []*protocol.Host { return s.hosts }
+// Hosts exposes the in-memory fleet's protocol hosts. Like the accessors
+// below it is for read-only use by tests and tools, on simulations built
+// with New.
+func (s *Simulation) Hosts() []*protocol.Host { return s.mem.hosts }
 
-// Servers exposes the server models (read-only use by tests and tools).
-func (s *Simulation) Servers() []*server.Server { return s.servers }
+// Servers exposes the server models.
+func (s *Simulation) Servers() []*server.Server { return s.mem.servers }
 
-// Redirectors exposes the redirectors (read-only use by tests and tools).
-func (s *Simulation) Redirectors() []*protocol.Redirector { return s.redirectors }
+// Redirectors exposes the redirectors.
+func (s *Simulation) Redirectors() []*protocol.Redirector { return s.mem.redirectors }
 
-// Network exposes the network model (read-only use by tests and tools).
+// Network exposes the network model.
 func (s *Simulation) Network() *simnet.Network { return s.net }
 
-// CheckInvariants verifies cross-component invariants: the redirector's
-// replica sets are subsets of what hosts actually hold with matching
-// affinities, and every object retains at least one replica.
-func (s *Simulation) CheckInvariants() error {
-	for i := 0; i < s.cfg.Universe.Count; i++ {
-		id := object.ID(i)
-		reps := s.redirectorFor(id).Replicas(id)
-		if len(reps) == 0 {
-			// With faults configured an object whose only replica lived
-			// on a downed host is legitimately unavailable.
-			if s.faultsEnabled() {
-				continue
-			}
-			return fmt.Errorf("sim: object %d has no replicas recorded", id)
-		}
-		for _, rep := range reps {
-			if !s.hosts[rep.Host].Has(id) {
-				return fmt.Errorf("sim: redirector lists replica of %d on host %d which lacks it", id, rep.Host)
-			}
-			if got := s.hosts[rep.Host].Affinity(id); got != rep.Aff {
-				return fmt.Errorf("sim: object %d host %d affinity mismatch: redirector %d host %d", id, rep.Host, rep.Aff, got)
-			}
-		}
-	}
-	return nil
-}
+// CheckInvariants verifies the in-memory fleet's cross-component
+// invariants (memFleet.checkInvariants).
+func (s *Simulation) CheckInvariants() error { return s.mem.checkInvariants() }
 
 // trimSeries caps a series at the number of full buckets the run covers,
 // dropping the trailing partial bucket (deliveries completing just past
@@ -758,6 +598,7 @@ func (s *Simulation) trimSeries(points []metrics.Point) []metrics.Point {
 
 // results assembles the run's outputs.
 func (s *Simulation) results() *Results {
+	horizon := s.cfg.Duration
 	// Fold shard lanes' commutative accumulators into the main sinks
 	// before anything below reads them (no-op for serial runs).
 	s.mergeLanes()
@@ -765,64 +606,50 @@ func (s *Simulation) results() *Results {
 	// left by notifications lost since the last tick is healed before the
 	// invariant check, mirroring what the next periodic pass would do.
 	if s.ctrl != nil {
-		s.reconcile(s.cfg.Duration)
+		s.reconcile(horizon)
 	}
-	// Close outage windows still open at the horizon so object-seconds of
-	// unavailability are complete — in sorted object order, because the
-	// windows accumulate into a floating-point sum and map iteration
-	// order would otherwise leak into the result's low bits.
-	if len(s.outageStart) > 0 {
-		open := make([]object.ID, 0, len(s.outageStart))
-		for id := range s.outageStart {
-			open = append(open, id)
-		}
-		sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
-		for _, id := range open {
-			s.col.RecordOutageWindow(s.outageStart[id], s.cfg.Duration)
-			delete(s.outageStart, id)
-		}
-	}
-	r := &Results{
-		WorkloadName:      s.cfg.Workload.Name(),
-		Policy:            s.cfg.Policy,
-		Dynamic:           s.cfg.DynamicPlacement,
-		Duration:          s.cfg.Duration,
-		Seed:              s.cfg.Seed,
-		Bandwidth:         s.trimSeries(s.col.BandwidthSeries()),
-		Latency:           s.trimSeries(s.col.LatencySeries()),
-		LatencyP99:        s.trimSeries(s.col.LatencyQuantileSeries(0.99)),
-		OverheadPct:       s.trimSeries(s.col.OverheadPercentSeries()),
-		MaxLoad:           s.col.MaxLoadSeries(),
-		HostLoad:          s.col.HostLoadSeries(),
-		Replicas:          s.col.ReplicaSeries(),
-		Counters:          s.col.Counters(),
-		OverheadPercent:   s.col.OverheadPercent(),
-		AvgReplicas:       s.averageReplicas(),
-		DroppedChoices:    s.droppedChoices,
-		TimedOutRequests:  s.timedOut,
-		UpdatesInjected:   s.updatesInjected,
-		UpdatesPropagated: s.updatesPropagated,
-		Failures:          s.failures,
-		Recoveries:        s.recoveries,
-		FaultsEnabled:     s.faultsEnabled(),
-		LinkFailures:      s.linkFailures,
-		LinkRecoveries:    s.linkRecoveries,
-		FailedRequests:    s.col.Counters().FailedRequests,
-		FailedSeries:      s.trimSeries(s.col.FailedRequestSeries()),
-		Outages:           s.col.Outages(),
-		UnavailObjSecs:    s.col.UnavailableObjectSeconds(),
-		BelowFloor:        s.col.BelowFloorSeries(),
-		BelowFloorObjSecs: s.col.BelowFloorObjectSeconds(),
-		RepairByteHops:    s.repairByteHops,
-		HostStats:         make([]protocol.HostStats, len(s.hosts)),
-		InvariantsError:   s.CheckInvariants(),
-		TrackedHost:       s.cfg.TrackedHost,
-		HighWatermark:     s.cfg.Protocol.HighWatermark,
-		SandwichSlackRPS:  1e-9,
-	}
-	for i, h := range s.hosts {
-		r.HostStats[i] = h.Stats
-	}
+	s.closeOutages(horizon)
+	// The fleet reports first: what it still holds (an external fleet's
+	// undrained event logs) lands in the collector before the series below
+	// are read.
+	r := &Results{}
+	s.fleet.Stats(r)
+	r.AvgReplicas, _ = s.census(horizon)
+
+	r.WorkloadName = s.cfg.Workload.Name()
+	r.Policy = s.cfg.Policy
+	r.Dynamic = s.cfg.DynamicPlacement
+	r.Duration = horizon
+	r.Seed = s.cfg.Seed
+	r.Bandwidth = s.trimSeries(s.col.BandwidthSeries())
+	r.Latency = s.trimSeries(s.col.LatencySeries())
+	r.LatencyP99 = s.trimSeries(s.col.LatencyQuantileSeries(0.99))
+	r.OverheadPct = s.trimSeries(s.col.OverheadPercentSeries())
+	r.MaxLoad = s.col.MaxLoadSeries()
+	r.HostLoad = s.col.HostLoadSeries()
+	r.Replicas = s.col.ReplicaSeries()
+	r.Counters = s.col.Counters()
+	r.OverheadPercent = s.col.OverheadPercent()
+	r.DroppedChoices = s.droppedChoices
+	r.TimedOutRequests = s.timedOut
+	r.UpdatesInjected = s.updatesInjected
+	r.UpdatesPropagated = s.updatesPropagated
+	r.Failures = s.failures
+	r.Recoveries = s.recoveries
+	// A fleet that lost a node had a fault, configured or not.
+	r.FaultsEnabled = s.cfg.Faults.Enabled() || s.failures > 0
+	r.LinkFailures = s.linkFailures
+	r.LinkRecoveries = s.linkRecoveries
+	r.FailedRequests = r.Counters.FailedRequests
+	r.FailedSeries = s.trimSeries(s.col.FailedRequestSeries())
+	r.Outages = s.col.Outages()
+	r.UnavailObjSecs = s.col.UnavailableObjectSeconds()
+	r.BelowFloor = s.col.BelowFloorSeries()
+	r.BelowFloorObjSecs = s.col.BelowFloorObjectSeconds()
+	r.RepairByteHops = s.repairByteHops
+	r.TrackedHost = s.cfg.TrackedHost
+	r.HighWatermark = s.cfg.Protocol.HighWatermark
+	r.SandwichSlackRPS = 1e-9
 	if s.ctrl != nil {
 		r.CtrlEnabled = true
 		r.CtrlStats = s.ctrl.plane.Stats()
@@ -834,7 +661,6 @@ func (s *Simulation) results() *Results {
 	}
 	r.StoreEnabled = !s.cfg.Store.IsDefault()
 	r.StoreSpec = s.cfg.Store.String()
-	r.StoreLayers = store.Aggregate(s.stores)
 	r.BandwidthStats = metrics.Summarize(r.Bandwidth, 2)
 	r.LatencyStats = metrics.Summarize(r.Latency, 2)
 	r.AdjustmentTime, r.Adjusted = metrics.AdjustmentTime(r.Bandwidth, 1.10)
@@ -844,16 +670,6 @@ func (s *Simulation) results() *Results {
 		r.MaxLoadSettled = metrics.MaxValue(tail)
 	}
 	r.SandwichViolations = metrics.SandwichViolations(r.HostLoad, r.SandwichSlackRPS)
-	maxQ := 0
-	var totalServed int64
-	for _, srv := range s.servers {
-		if srv.MaxQueueLen() > maxQ {
-			maxQ = srv.MaxQueueLen()
-		}
-		totalServed += srv.TotalServed()
-	}
-	r.MaxQueueLen = maxQ
-	r.TotalServed = totalServed
 	if math.IsNaN(r.BandwidthStats.ReductionPercent) {
 		r.BandwidthStats.ReductionPercent = 0
 	}

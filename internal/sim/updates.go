@@ -5,7 +5,6 @@ import (
 
 	"radar/internal/consistency"
 	"radar/internal/object"
-	"radar/internal/simevent"
 	"radar/internal/simnet"
 	"radar/internal/topology"
 	"radar/internal/workload"
@@ -24,49 +23,34 @@ func (s *Simulation) scheduleUpdates() error {
 	rng := workload.Stream(s.cfg.Seed, 0x0BDA7E5)
 	spacing := time.Duration(float64(time.Second) / rate)
 
-	var write simevent.Event
-	write = func(now time.Duration) {
+	err := s.every(spacing, spacing, func(now time.Duration) {
 		id := object.ID(rng.Intn(s.cfg.Universe.Count))
 		s.cfg.Consistency.Update(id)
 		s.updatesInjected++
 		if s.cfg.Updates.Mode == consistency.Immediate {
 			s.flushUpdates(now, id)
 		}
-		if now+spacing <= s.cfg.Duration {
-			_ = s.engine.Schedule(now+spacing, write)
-		}
-	}
-	if err := s.engine.Schedule(spacing, write); err != nil {
+	})
+	if err != nil || s.cfg.Updates.Mode != consistency.Batched {
 		return err
 	}
-
-	if s.cfg.Updates.Mode == consistency.Batched {
-		interval := s.cfg.Updates.BatchInterval
-		var flush simevent.Event
-		flush = func(now time.Duration) {
-			// Flush every object with pending writes. Objects are visited
-			// in ID order for determinism; Flush clears the pending set.
-			for i := 0; i < s.cfg.Universe.Count; i++ {
-				id := object.ID(i)
-				if s.cfg.Consistency.Pending(id) > 0 {
-					s.flushUpdates(now, id)
-				}
-			}
-			if now+interval <= s.cfg.Duration {
-				_ = s.engine.Schedule(now+interval, flush)
+	interval := s.cfg.Updates.BatchInterval
+	return s.every(interval, interval, func(now time.Duration) {
+		// Flush every object with pending writes. Objects are visited
+		// in ID order for determinism; Flush clears the pending set.
+		for i := 0; i < s.cfg.Universe.Count; i++ {
+			id := object.ID(i)
+			if s.cfg.Consistency.Pending(id) > 0 {
+				s.flushUpdates(now, id)
 			}
 		}
-		if err := s.engine.Schedule(interval, flush); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // flushUpdates propagates an object's pending writes from its primary to
 // every other recorded replica, charging one transfer per replica.
 func (s *Simulation) flushUpdates(now time.Duration, id object.ID) {
-	reps := s.redirectorFor(id).Replicas(id)
+	reps := s.mem.redirectorFor(id).Replicas(id)
 	hosts := make([]topology.NodeID, len(reps))
 	for i, r := range reps {
 		hosts[i] = r.Host

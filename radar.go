@@ -116,28 +116,8 @@ var (
 	ErrBadConfig = errors.New("radar: bad config")
 )
 
-// Legacy per-field sentinels. Each now wraps ErrBadConfig, so both
-// errors.Is(err, ErrBadReplicaFloor) and errors.Is(err, ErrBadConfig)
-// match the corresponding validation failures — existing callers keep
-// working while new code can catch the whole class at once.
-var (
-	// ErrBadReplicaFloor reports a negative Config.Faults.ReplicaFloor.
-	ErrBadReplicaFloor = fmt.Errorf("%w: bad replica floor", ErrBadConfig)
-	// ErrBadAvailabilityWeight reports a Config.Placement.AvailabilityWeight
-	// outside [0, 1].
-	ErrBadAvailabilityWeight = fmt.Errorf("%w: bad availability weight", ErrBadConfig)
-	// ErrBadCtrlRetries reports a negative Config.Ctrl.CtrlRetries.
-	ErrBadCtrlRetries = fmt.Errorf("%w: bad control-plane retry budget", ErrBadConfig)
-	// ErrBadCtrlTimeout reports a negative Config.Ctrl.CtrlTimeout.
-	ErrBadCtrlTimeout = fmt.Errorf("%w: bad control-plane timeout", ErrBadConfig)
-	// ErrBadStoreSpec reports a Config.Storage.Store term that does not
-	// parse under the replica-storage stack grammar.
-	ErrBadStoreSpec = fmt.Errorf("%w: bad store spec", ErrBadConfig)
-)
-
 // ConfigError reports one configuration field whose value fails
-// validation. It wraps ErrBadConfig and, when the field predates the
-// grouped Config, the field's legacy sentinel — errors.Is matches either,
+// validation. It wraps ErrBadConfig, so errors.Is catches the whole class
 // and errors.As extracts the structured detail:
 //
 //	var ce *radar.ConfigError
@@ -152,24 +132,14 @@ type ConfigError struct {
 	Value any
 	// Reason says what constraint the value violates.
 	Reason string
-	// legacy is the pre-grouping sentinel for this field, nil for fields
-	// introduced after the redesign.
-	legacy error
 }
 
 func (e *ConfigError) Error() string {
 	return fmt.Sprintf("radar: bad config: %s = %v: %s", e.Field, e.Value, e.Reason)
 }
 
-// Unwrap exposes the error's sentinels to errors.Is: always ErrBadConfig,
-// plus the field's legacy sentinel when one exists (the legacy sentinels
-// themselves wrap ErrBadConfig, so either path reaches it).
-func (e *ConfigError) Unwrap() []error {
-	if e.legacy != nil {
-		return []error{ErrBadConfig, e.legacy}
-	}
-	return []error{ErrBadConfig}
-}
+// Unwrap exposes ErrBadConfig to errors.Is.
+func (e *ConfigError) Unwrap() error { return ErrBadConfig }
 
 // Placement groups the placement-policy knobs. It is embedded in Config,
 // so fields read both grouped (cfg.Placement.Policy) and flat
@@ -199,7 +169,7 @@ func (p Placement) Validate() error {
 	if p.AvailabilityWeight < 0 || p.AvailabilityWeight > 1 || p.AvailabilityWeight != p.AvailabilityWeight {
 		return &ConfigError{
 			Field: "Placement.AvailabilityWeight", Value: p.AvailabilityWeight,
-			Reason: "outside [0, 1]", legacy: ErrBadAvailabilityWeight,
+			Reason: "outside [0, 1]",
 		}
 	}
 	return nil
@@ -232,7 +202,7 @@ func (f Faults) Validate() error {
 	if f.ReplicaFloor < 0 {
 		return &ConfigError{
 			Field: "Faults.ReplicaFloor", Value: f.ReplicaFloor,
-			Reason: "negative", legacy: ErrBadReplicaFloor,
+			Reason: "negative",
 		}
 	}
 	if f.FaultSchedule != "" {
@@ -265,13 +235,13 @@ func (c Ctrl) Validate() error {
 	if c.CtrlRetries < 0 {
 		return &ConfigError{
 			Field: "Ctrl.CtrlRetries", Value: c.CtrlRetries,
-			Reason: "negative", legacy: ErrBadCtrlRetries,
+			Reason: "negative",
 		}
 	}
 	if c.CtrlTimeout < 0 {
 		return &ConfigError{
 			Field: "Ctrl.CtrlTimeout", Value: c.CtrlTimeout,
-			Reason: "negative", legacy: ErrBadCtrlTimeout,
+			Reason: "negative",
 		}
 	}
 	return nil
@@ -347,7 +317,7 @@ func (s Storage) Validate() error {
 	if _, err := store.ParseSpec(s.Store); err != nil {
 		return &ConfigError{
 			Field: "Storage.Store", Value: s.Store,
-			Reason: err.Error(), legacy: ErrBadStoreSpec,
+			Reason: err.Error(),
 		}
 	}
 	return nil
@@ -472,20 +442,6 @@ func (c Config) Validate() error {
 			Reason: "negative",
 		}
 	}
-	if c.Shards == -1 || c.Shards >= 2 {
-		if c.LinkContention {
-			return &ConfigError{
-				Field: "Shards", Value: c.Shards,
-				Reason: "sharded engine is incompatible with LinkContention",
-			}
-		}
-		if c.Consistency == ConsistencyMixed {
-			return &ConfigError{
-				Field: "Shards", Value: c.Shards,
-				Reason: "sharded engine is incompatible with ConsistencyMixed",
-			}
-		}
-	}
 	if err := c.Placement.Validate(); err != nil {
 		return err
 	}
@@ -501,27 +457,44 @@ func (c Config) Validate() error {
 	if err := c.Live.Validate(); err != nil {
 		return err
 	}
-	if c.LiveMode {
-		reason := ""
-		switch {
-		case c.Faults.FaultSchedule != "":
-			reason = "live mode is incompatible with fault injection (kill live nodes instead)"
-		case c.Storage.Store != "":
-			reason = "live mode is incompatible with replica-storage stacks"
-		case c.Consistency == ConsistencyMixed:
-			reason = "live mode is incompatible with mixed consistency"
-		case c.LinkContention:
-			reason = "live mode is incompatible with link contention"
-		case c.Shards != 0 && c.Shards != 1:
-			reason = "live mode is incompatible with the sharded engine"
-		case c.TraceWriter != nil:
-			reason = "live mode does not support trace writers"
+	// Combinations the engines refuse are judged by the engines' own table
+	// (sim.Refusals), over the features this Config switches on.
+	if r := sim.MatchRefusal(c.features()); r != nil {
+		if r.With&sim.ExternalFleet != 0 {
+			return &ConfigError{Field: "Live.LiveMode", Value: true, Reason: r.Reason}
 		}
-		if reason != "" {
-			return &ConfigError{Field: "Live.LiveMode", Value: true, Reason: reason}
-		}
+		return &ConfigError{Field: "Shards", Value: c.Shards, Reason: r.Reason}
+	}
+	if c.LiveMode && c.TraceWriter != nil {
+		return &ConfigError{Field: "Live.LiveMode", Value: true, Reason: "live mode does not support trace writers"}
 	}
 	return nil
+}
+
+// features maps the facade's switches onto the engines' feature set
+// (sim.Config.Features reads the same set off the built configuration).
+// It runs after the groups validated, so both specs parse.
+func (c Config) features() sim.Feature {
+	var f sim.Feature
+	if c.LiveMode {
+		f |= sim.ExternalFleet
+	}
+	if c.Shards == -1 || c.Shards >= 2 {
+		f |= sim.Sharding
+	}
+	if c.LinkContention {
+		f |= sim.LinkContention
+	}
+	if c.Consistency == ConsistencyMixed {
+		f |= sim.ConsistencyUpdates
+	}
+	if spec, err := fault.ParseSchedule(c.Faults.FaultSchedule); err == nil && (spec.Enabled() || spec.HasMessageFaults()) {
+		f |= sim.FaultInjection
+	}
+	if spec, err := store.ParseSpec(c.Storage.Store); err == nil && !spec.IsDefault() {
+		f |= sim.StoreStack
+	}
+	return f
 }
 
 // knownWorkload reports whether w names one of the package's workloads.
@@ -818,12 +791,10 @@ func runLive(ctx context.Context, cfg Config, simCfg *sim.Config) (*Result, erro
 	return convert(res), nil
 }
 
+// buildSimConfig translates a validated Config into the simulator's.
 func buildSimConfig(cfg Config) (*sim.Config, error) {
 	topo := substrate.UUNET().Topo
 	u := object.Universe{Count: cfg.Objects, SizeBytes: cfg.ObjectSizeBytes}
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
 	gen, err := buildWorkload(cfg.Workload, u, topo, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -839,26 +810,18 @@ func buildSimConfig(cfg Config) (*sim.Config, error) {
 	}
 	simCfg.DynamicPlacement = !cfg.Static
 	switch cfg.Placement.Policy {
-	case PolicyPaper, "":
-		simCfg.Policy = protocol.PolicyPaper
 	case PolicyRoundRobin:
 		simCfg.Policy = protocol.PolicyRoundRobin
 	case PolicyClosest:
 		simCfg.Policy = protocol.PolicyClosest
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPolicy, cfg.Placement.Policy)
 	}
-	switch cfg.Consistency {
-	case ConsistencyNone, "":
-		// All objects replicate freely.
-	case ConsistencyMixed:
+	if cfg.Consistency == ConsistencyMixed {
+		// Otherwise all objects replicate freely.
 		mgr, err := consistency.New(u, consistency.DefaultMix(), topo.NumNodes(), 1, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		simCfg.Consistency = mgr
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownConsistency, cfg.Consistency)
 	}
 	if cfg.NumRedirectors > 0 {
 		simCfg.NumRedirectors = cfg.NumRedirectors
@@ -878,25 +841,16 @@ func buildSimConfig(cfg Config) (*sim.Config, error) {
 	if cfg.TraceWriter != nil {
 		simCfg.ExtraObserver = trace.NewWriter(cfg.TraceWriter)
 	}
-	if cfg.Faults.FaultSchedule != "" {
-		spec, err := fault.ParseSchedule(cfg.Faults.FaultSchedule)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFaultSchedule, err)
-		}
-		simCfg.Faults = spec
+	if simCfg.Faults, err = fault.ParseSchedule(cfg.Faults.FaultSchedule); err != nil {
+		return nil, err
 	}
 	simCfg.Protocol.ReplicaFloor = cfg.Faults.ReplicaFloor
 	simCfg.Protocol.AvailabilityWeight = cfg.Placement.AvailabilityWeight
 	simCfg.Ctrl.Retries = cfg.Ctrl.CtrlRetries
 	simCfg.Ctrl.Timeout = cfg.Ctrl.CtrlTimeout
-	storeSpec, err := store.ParseSpec(cfg.Storage.Store)
-	if err != nil {
-		return nil, &ConfigError{
-			Field: "Storage.Store", Value: cfg.Storage.Store,
-			Reason: err.Error(), legacy: ErrBadStoreSpec,
-		}
+	if simCfg.Store, err = store.ParseSpec(cfg.Storage.Store); err != nil {
+		return nil, err
 	}
-	simCfg.Store = storeSpec
 	return &simCfg, nil
 }
 
