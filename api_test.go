@@ -42,14 +42,14 @@ func TestSentinelErrorsMatchable(t *testing.T) {
 	}{
 		{"unknown workload", func(c *radar.Config) { c.Workload = "no-such-workload" }, is(radar.ErrUnknownWorkload)},
 		{"unknown switch target", func(c *radar.Config) { c.SwitchTo = "no-such-workload" }, is(radar.ErrUnknownWorkload)},
-		{"unknown policy", func(c *radar.Config) { c.Policy = "no-such-policy" }, is(radar.ErrUnknownPolicy)},
+		{"unknown policy", func(c *radar.Config) { c.Placement.Policy = "no-such-policy" }, is(radar.ErrUnknownPolicy)},
 		{"unknown consistency", func(c *radar.Config) { c.Consistency = "no-such-regime" }, is(radar.ErrUnknownConsistency)},
-		{"bad fault schedule", func(c *radar.Config) { c.FaultSchedule = "drop:1.5" }, is(radar.ErrBadFaultSchedule)},
-		{"negative replica floor", func(c *radar.Config) { c.ReplicaFloor = -1 }, field("Faults.ReplicaFloor")},
-		{"availability weight above 1", func(c *radar.Config) { c.AvailabilityWeight = 1.5 }, field("Placement.AvailabilityWeight")},
-		{"negative availability weight", func(c *radar.Config) { c.AvailabilityWeight = -0.1 }, field("Placement.AvailabilityWeight")},
-		{"negative ctrl retries", func(c *radar.Config) { c.CtrlRetries = -2 }, field("Ctrl.CtrlRetries")},
-		{"negative ctrl timeout", func(c *radar.Config) { c.CtrlTimeout = -time.Second }, field("Ctrl.CtrlTimeout")},
+		{"bad fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "drop:1.5" }, is(radar.ErrBadFaultSchedule)},
+		{"negative replica floor", func(c *radar.Config) { c.Faults.ReplicaFloor = -1 }, field("Faults.ReplicaFloor")},
+		{"availability weight above 1", func(c *radar.Config) { c.Placement.AvailabilityWeight = 1.5 }, field("Placement.AvailabilityWeight")},
+		{"negative availability weight", func(c *radar.Config) { c.Placement.AvailabilityWeight = -0.1 }, field("Placement.AvailabilityWeight")},
+		{"negative ctrl retries", func(c *radar.Config) { c.Ctrl.CtrlRetries = -2 }, field("Ctrl.CtrlRetries")},
+		{"negative ctrl timeout", func(c *radar.Config) { c.Ctrl.CtrlTimeout = -time.Second }, field("Ctrl.CtrlTimeout")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,9 +184,9 @@ func TestRunSeedsContextCancellation(t *testing.T) {
 
 func TestRunLossyControlPlane(t *testing.T) {
 	cfg := quickCfg(radar.Zipf)
-	cfg.FaultSchedule = "drop:0.2; dup:0.05; cdelay:20ms"
-	cfg.CtrlRetries = 2
-	cfg.CtrlTimeout = 500 * time.Millisecond
+	cfg.Faults.FaultSchedule = "drop:0.2; dup:0.05; cdelay:20ms"
+	cfg.Ctrl.CtrlRetries = 2
+	cfg.Ctrl.CtrlTimeout = 500 * time.Millisecond
 	res, err := radar.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

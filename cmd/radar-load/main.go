@@ -31,7 +31,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -42,7 +41,6 @@ import (
 	"radar/internal/live"
 	"radar/internal/live/chaos"
 	"radar/internal/live/check"
-	"radar/internal/live/livetest"
 	"radar/internal/report"
 	"radar/internal/routing"
 	"radar/internal/scenario"
@@ -93,32 +91,23 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	var fleet []string // empty: an in-process loopback fleet
+	if *urls != "" {
+		fleet = strings.Split(*urls, ",")
+	}
 	if *freeRunning {
-		return runFree(ctx, cfg, *urls, *chaosSched, *doCheck || *chaosSched != "", *convergence, *gateFailed)
+		return runFree(ctx, cfg, fleet, *chaosSched, *doCheck || *chaosSched != "", *convergence, *gateFailed)
 	}
 
+	h, err := live.NewHarness(cfg, fleet)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
 	start := time.Now()
-	var res *sim.Results
-	if *urls != "" {
-		fleet := strings.Split(*urls, ",")
-		d, err := live.NewDriver(cfg, fleet)
-		if err != nil {
-			return err
-		}
-		res, err = d.Run(ctx)
-		if err != nil {
-			return err
-		}
-	} else {
-		h, err := livetest.New(cfg)
-		if err != nil {
-			return err
-		}
-		defer h.Close()
-		res, err = h.Run(ctx)
-		if err != nil {
-			return err
-		}
+	res, err := h.Run(ctx)
+	if err != nil {
+		return err
 	}
 	wall := time.Since(start).Round(time.Millisecond)
 
@@ -147,40 +136,25 @@ const floorWaitTimeout = 30 * time.Second
 // runFree executes a free-running run: wall-clock load generation, an
 // optional chaos schedule against the in-process fleet, and an optional
 // invariant checker whose violations fail the run.
-func runFree(ctx context.Context, cfg live.Config, urlsCSV, schedule string, doCheck bool, convergence time.Duration, gate bool) error {
+func runFree(ctx context.Context, cfg live.Config, urls []string, schedule string, doCheck bool, convergence time.Duration, gate bool) error {
 	cfg = cfg.Normalized()
 	wall := cfg.Sim.Duration
-	var (
-		free      *live.FreeDriver
-		fleetURLs []string
-		target    *chaos.FleetTarget
-	)
-	if urlsCSV != "" {
-		if schedule != "" {
-			return fmt.Errorf("-chaos needs the in-process fleet (radar-load must own the node lifecycles to kill them); drop -urls")
-		}
-		fleetURLs = strings.Split(urlsCSV, ",")
-		d, err := live.NewFreeDriver(cfg, fleetURLs)
-		if err != nil {
-			return err
-		}
-		free = d
-	} else {
-		h, err := livetest.New(cfg)
-		if err != nil {
-			return err
-		}
-		defer h.Close()
-		free = h.Free
-		fleetURLs = h.Fleet.URLs()
-		if schedule != "" {
-			target = chaos.NewFleetTarget(h.Fleet, free.SetLatency)
-			defer target.Close()
-		}
+	if schedule != "" && len(urls) > 0 {
+		return fmt.Errorf("-chaos needs the in-process fleet (radar-load must own the node lifecycles to kill them); drop -urls")
+	}
+	h, err := live.NewHarness(cfg, urls)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	free, fleetURLs := h.Free, h.URLs
+	var target *chaos.FleetTarget
+	if schedule != "" {
+		target = chaos.NewFleetTarget(h.Fleet, free.SetLatency)
+		defer target.Close()
 	}
 
-	routes := routing.New(cfg.Sim.Topo)
-	redirectors := live.RedirectorLocations(routes, cfg.Sim.NumRedirectors)
+	redirectors := sim.RedirectorLocs(&cfg.Sim, routing.New(cfg.Sim.Topo))
 
 	var checker *check.Checker
 	stopCheck := func() {}
@@ -271,19 +245,8 @@ func awaitFloor(ctx context.Context, urls []string, redirectors []topology.NodeI
 	for {
 		settled := true
 		for _, loc := range redirectors {
-			res, err := client.Get(urls[loc] + live.PathCensus)
-			if err != nil {
-				settled = false
-				continue
-			}
-			data, err := io.ReadAll(res.Body)
-			res.Body.Close()
-			if err != nil || res.StatusCode != http.StatusOK {
-				settled = false
-				continue
-			}
 			var rep live.CensusReply
-			if live.Decode(data, &rep) != nil || rep.BelowFloor > 0 || rep.Zero > 0 {
+			if live.Scrape(client, urls[loc]+live.PathCensus, &rep) != nil || rep.BelowFloor > 0 || rep.Zero > 0 {
 				settled = false
 			}
 		}

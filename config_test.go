@@ -8,39 +8,7 @@ import (
 	"radar"
 )
 
-// TestGroupedConfigPromotion: the embedded sub-structs promote their
-// fields, so grouped and flat assignment address the same storage and
-// produce identical configurations.
-func TestGroupedConfigPromotion(t *testing.T) {
-	grouped := radar.DefaultConfig(radar.Zipf)
-	grouped.Placement.Policy = radar.PolicyClosest
-	grouped.Placement.AvailabilityWeight = 0.5
-	grouped.Faults.FaultSchedule = "crash:9@3m+5m"
-	grouped.Faults.ReplicaFloor = 2
-	grouped.Ctrl.CtrlRetries = 4
-	grouped.Ctrl.CtrlTimeout = 2 * time.Second
-	grouped.Storage.Store = "cache(mem:64,disk:5ms)"
-	grouped.Live.LiveMaxInflightCreates = 8
-
-	flat := radar.DefaultConfig(radar.Zipf)
-	flat.Policy = radar.PolicyClosest
-	flat.AvailabilityWeight = 0.5
-	flat.FaultSchedule = "crash:9@3m+5m"
-	flat.ReplicaFloor = 2
-	flat.CtrlRetries = 4
-	flat.CtrlTimeout = 2 * time.Second
-	flat.Store = "cache(mem:64,disk:5ms)"
-	flat.LiveMaxInflightCreates = 8
-
-	if grouped != flat {
-		t.Errorf("grouped and flat assignment diverge:\n grouped: %+v\n flat: %+v", grouped, flat)
-	}
-	if err := grouped.Validate(); err != nil {
-		t.Errorf("grouped config fails validation: %v", err)
-	}
-}
-
-// TestGroupValidateIsolation: each embedded group validates on its own,
+// TestGroupValidateIsolation: each group validates on its own,
 // without needing the rest of the configuration to be well-formed.
 func TestGroupValidateIsolation(t *testing.T) {
 	if err := (radar.Placement{Policy: radar.PolicyPaper, AvailabilityWeight: 0.5}).Validate(); err != nil {

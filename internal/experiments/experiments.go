@@ -95,28 +95,15 @@ func (o Options) staticDuration() time.Duration {
 
 // Generators builds the paper's four workload generators over u and topo.
 func Generators(u object.Universe, topo *topology.Topology, seed int64) (map[string]workload.Generator, error) {
-	zipf, err := workload.NewZipf(u)
-	if err != nil {
-		return nil, err
+	gens := make(map[string]workload.Generator, len(WorkloadNames))
+	for _, name := range WorkloadNames {
+		gen, err := workload.Named(name, u, topo, seed)
+		if err != nil {
+			return nil, err
+		}
+		gens[name] = gen
 	}
-	hotSites, err := workload.NewHotSites(u, topo.NumNodes(), 0.9, seed)
-	if err != nil {
-		return nil, err
-	}
-	hotPages, err := workload.NewHotPages(u, 0.1, 0.9, seed)
-	if err != nil {
-		return nil, err
-	}
-	regional, err := workload.NewRegional(u, topo, 0.01, 0.9)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]workload.Generator{
-		"zipf":      zipf,
-		"hot-sites": hotSites,
-		"hot-pages": hotPages,
-		"regional":  regional,
-	}, nil
+	return gens, nil
 }
 
 // WorkloadRun pairs a workload's dynamic run with its static baseline.
@@ -182,10 +169,11 @@ func baseConfig(gen workload.Generator, opts Options, highLoad bool) sim.Config 
 // trackedHotSite returns a node that the hot-sites workload overloads, so
 // the Figure 8b trace shows estimates doing real work.
 func trackedHotSite(u object.Universe, topo *topology.Topology, seed int64) topology.NodeID {
-	hs, err := workload.NewHotSites(u, topo.NumNodes(), 0.9, seed)
+	gen, err := workload.Named("hot-sites", u, topo, seed)
 	if err != nil {
 		return 0
 	}
+	hs := gen.(*workload.HotSites)
 	for n := 0; n < topo.NumNodes(); n++ {
 		pages := u.ObjectsHomedAt(topology.NodeID(n), topo.NumNodes())
 		if len(pages) == 0 {

@@ -18,7 +18,6 @@ package check
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -33,7 +32,7 @@ type Config struct {
 	// URLs are the fleet's node base URLs, indexed by node ID.
 	URLs []string
 	// Redirectors are the nodes whose census endpoints own objects
-	// (live.RedirectorLocations).
+	// (sim.RedirectorLocs).
 	Redirectors []topology.NodeID
 	// Interval is the scrape period (default 250ms).
 	Interval time.Duration
@@ -253,13 +252,13 @@ func (c *Checker) Scrape() {
 	var censuses []censusResult
 	for _, loc := range c.cfg.Redirectors {
 		var rep live.CensusReply
-		ok := c.get(c.cfg.URLs[loc]+live.PathCensus, &rep) == nil
+		ok := live.Scrape(c.client, c.cfg.URLs[loc]+live.PathCensus, &rep) == nil
 		censuses = append(censuses, censusResult{loc, rep, ok})
 	}
 	stats := make([]*live.StatsReply, len(c.cfg.URLs))
 	for i, u := range c.cfg.URLs {
 		var rep live.StatsReply
-		if c.get(u+live.PathStats, &rep) == nil {
+		if live.Scrape(c.client, u+live.PathStats, &rep) == nil {
 			stats[i] = &rep
 		}
 	}
@@ -398,21 +397,4 @@ func (c *Checker) Report() *Report {
 		Scrapes:    c.scrapes,
 		Violations: append([]Violation(nil), c.violations...),
 	}
-}
-
-// get fetches and decodes one JSON endpoint.
-func (c *Checker) get(url string, msg interface{ Validate() error }) error {
-	res, err := c.client.Get(url)
-	if err != nil {
-		return err
-	}
-	data, err := io.ReadAll(res.Body)
-	res.Body.Close()
-	if err != nil {
-		return err
-	}
-	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("check: %s: %s", url, res.Status)
-	}
-	return live.Decode(data, msg)
 }

@@ -213,10 +213,40 @@ func (c *rpcClient) get(base, path string, query url.Values, resp any) error {
 	}, resp)
 }
 
+// poisoned reports a peer-table entry rewritten by a chaos partition: the
+// partition swallows the message before it is ever sent. No attempt, no
+// retry, no budget charge.
+func poisoned(base string) bool {
+	return !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://")
+}
+
+// fetch GETs base+path once and drains the reply: the data-plane copy it
+// serves is best-effort, so there is no retry, only the per-attempt
+// timeout, and Close aborts it.
+func (c *rpcClient) fetch(base, path string) error {
+	if poisoned(base) {
+		return &RPCError{Op: path, Target: base, Err: ErrPeerUnreachable}
+	}
+	ctx, cancel := context.WithTimeout(c.stopCtx, c.params.Timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	if err != nil {
+		return err
+	}
+	res, err := c.http.Do(req)
+	if err != nil {
+		return err
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		return fmt.Errorf("live: GET %s%s: status %d", base, path, res.StatusCode)
+	}
+	_, err = io.Copy(io.Discard, res.Body)
+	return err
+}
+
 func (c *rpcClient) roundTrip(base, path string, build func(context.Context) (*http.Request, error), resp any) error {
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		// A poisoned peer-table entry: the partition swallows the message
-		// before it is ever sent. No attempt, no retry, no budget charge.
+	if poisoned(base) {
 		return &RPCError{Op: path, Target: base, Err: ErrPeerUnreachable}
 	}
 	c.budget.onAttempt(base)

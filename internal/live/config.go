@@ -171,7 +171,7 @@ func ScenarioConfig(name string, duration time.Duration, rps float64, seed int64
 }
 
 // RedirectorLocations is the simulator's redirector placement
-// (sim.RedirectorLocations), under the name the live tools call it by.
+// (sim.RedirectorLocs) for a fleet configured with k redirectors.
 func RedirectorLocations(routes *routing.Table, k int) []topology.NodeID {
-	return sim.RedirectorLocations(routes, k)
+	return sim.RedirectorLocs(&sim.Config{NumRedirectors: k}, routes)
 }

@@ -12,6 +12,7 @@ import (
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/sim"
+	"radar/internal/store"
 	"radar/internal/substrate"
 	"radar/internal/topology"
 )
@@ -51,7 +52,7 @@ func NewDriver(cfg Config, urls []string) (*Driver, error) {
 	}
 	f := &httpFleet{
 		urls:    append([]string(nil), urls...),
-		redLocs: RedirectorLocations(substrate.Shared(cfg.Sim.Topo).Routes, cfg.Sim.NumRedirectors),
+		redLocs: sim.RedirectorLocs(&cfg.Sim, substrate.Shared(cfg.Sim.Topo).Routes),
 		down:    make([]bool, n),
 		client: &http.Client{
 			Timeout: driverHTTPTimeout,
@@ -99,7 +100,7 @@ func (d *Driver) Decisions() []Event {
 
 // Run replays the full schedule for cfg.Sim.Duration of virtual time and
 // returns the results in the simulator's schema, less what needs
-// in-process state (the invariant sweep, the storage-layer aggregation).
+// in-process state (the invariant sweep).
 // A driver runs once; a second call returns sim.ErrAlreadyRan.
 func (d *Driver) Run(ctx context.Context) (*sim.Results, error) {
 	return d.loop.RunContext(ctx)
@@ -211,7 +212,7 @@ func (f *httpFleet) Place(now time.Duration, h topology.NodeID) bool {
 // Census implements sim.Fleet.
 func (f *httpFleet) Census(red int) (total, below int, ok bool) {
 	var rep CensusReply
-	if loc := f.redLocs[red]; f.down[loc] || f.get(loc, PathCensus, &rep) != nil {
+	if loc := f.redLocs[red]; f.down[loc] || Scrape(f.client, f.urls[loc]+PathCensus, &rep) != nil {
 		return 0, 0, false
 	}
 	return rep.TotalReplicas, rep.BelowFloor, true
@@ -235,19 +236,19 @@ func (f *httpFleet) MarkDown(_ time.Duration, h topology.NodeID) {
 func (f *httpFleet) Stats(r *sim.Results) {
 	r.HostStats = make([]protocol.HostStats, len(f.urls))
 	for i := range f.urls {
-		h := topology.NodeID(i)
 		var ev EventsReply
-		if f.down[i] || f.get(h, PathEvents, &ev) != nil {
+		if f.down[i] || Scrape(f.client, f.urls[i]+PathEvents, &ev) != nil {
 			continue
 		}
 		f.report(ev.Events)
 		var st StatsReply
-		if f.get(h, PathStats, &st) != nil {
+		if Scrape(f.client, f.urls[i]+PathStats, &st) != nil {
 			continue
 		}
 		r.HostStats[i] = st.Host
 		r.MaxQueueLen = max(r.MaxQueueLen, st.MaxQueueLen)
 		r.TotalServed += st.TotalServed
+		r.StoreLayers = store.Aggregate(r.StoreLayers, st.StoreLayers)
 	}
 }
 
@@ -297,26 +298,30 @@ func (f *httpFleet) post(node topology.NodeID, path string, req, resp any) error
 	if err != nil {
 		return err
 	}
-	return readReply(res, path, resp)
+	return readReply(res, resp)
 }
 
-// get issues one un-retried GET to a node.
-func (f *httpFleet) get(node topology.NodeID, path string, resp any) error {
-	res, err := f.client.Get(f.urls[node] + path)
+// Scrape issues one un-retried GET with client and decodes the 200 reply's
+// JSON body into resp, validating it when the type validates itself. It is
+// the one read path of the fleet's /ctl endpoints: the driver, the free
+// driver's census, the invariant checker and radar-load's floor wait all
+// scrape through it.
+func Scrape(client *http.Client, url string, resp any) error {
+	res, err := client.Get(url)
 	if err != nil {
 		return err
 	}
-	return readReply(res, path, resp)
+	return readReply(res, resp)
 }
 
-func readReply(res *http.Response, path string, resp any) error {
+func readReply(res *http.Response, resp any) error {
 	data, err := io.ReadAll(res.Body)
 	res.Body.Close()
 	if err != nil {
 		return err
 	}
 	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("live: %s%s: status %d: %s", res.Request.URL.Host, path, res.StatusCode, data)
+		return fmt.Errorf("live: %s: status %d: %s", res.Request.URL, res.StatusCode, data)
 	}
 	return decodeReply(data, resp)
 }

@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/sim"
+	"radar/internal/store"
 	"radar/internal/topology"
 )
 
@@ -47,9 +49,49 @@ func (r *decisionRecorder) OnDefer(now time.Duration, id object.ID, from, to top
 // in order, with virtual timestamps — must be identical, along with the
 // request-path aggregates. The simulator is the executable spec; any
 // divergence on the live side is a bug in the transport lift.
+//
+// Beyond the baseline, each case switches on one thing a node carries
+// because sim.NewMachine builds it — a storage stack, host weights, each
+// alternate seeding mode. A case here is what licenses the absence of an
+// ExternalFleet row for that feature in sim.Refusals.
 func TestSimLiveEquivalence(t *testing.T) {
-	cfg := liveConfig(t, topology.Line(3), 24, 20, 3*time.Minute)
+	stack, err := store.ParseSpec("cache(mem:2,disk:40ms)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		on   func(*sim.Config)
+	}{
+		{"baseline", func(*sim.Config) {}},
+		// A small cache over a slow disk, under a client timeout tight
+		// enough that the misses' serve cost times requests out.
+		{"store-stack", func(c *sim.Config) { c.Store, c.ClientTimeout = stack, 30*time.Millisecond }},
+		{"host-weights", func(c *sim.Config) { c.HostWeights = []float64{1, 2, 0.5} }},
+		{"replicate-everywhere", func(c *sim.Config) { c.ReplicateEverywhere = true }},
+		{"redirector-at-home", func(c *sim.Config) { c.RedirectorAtHome = true }},
+		{"initial-placement", func(c *sim.Config) {
+			// Everything starts on the far end of the line, two copies of
+			// every third object.
+			c.InitialPlacement = make([][]topology.NodeID, c.Universe.Count)
+			for i := range c.InitialPlacement {
+				c.InitialPlacement[i] = []topology.NodeID{2}
+				if i%3 == 0 {
+					c.InitialPlacement[i] = []topology.NodeID{2, 0}
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := liveConfig(t, topology.Line(3), 24, 20, 3*time.Minute)
+			tc.on(&cfg.Sim)
+			checkSimLiveEquivalence(t, cfg)
+		})
+	}
+}
 
+func checkSimLiveEquivalence(t *testing.T, cfg live.Config) {
 	simCfg := cfg.Sim
 	rec := &decisionRecorder{}
 	simCfg.ExtraObserver = rec
@@ -69,6 +111,8 @@ func TestSimLiveEquivalence(t *testing.T) {
 	}
 
 	liveDecisions := h.Driver.Decisions()
+	t.Logf("sim: %d decisions, %d served, %d timed out, max queue %d, store layers %+v",
+		len(rec.events), simRes.TotalServed, simRes.TimedOutRequests, simRes.MaxQueueLen, simRes.StoreLayers)
 	if len(rec.events) == 0 {
 		t.Fatal("simulation made no placement decisions; the workload is too small to pin anything")
 	}
@@ -82,7 +126,8 @@ func TestSimLiveEquivalence(t *testing.T) {
 	}
 
 	// The request path must agree exactly too: same served/timed-out/
-	// dropped totals, same placement counters, same final census.
+	// dropped totals, same placement counters, same final census, same
+	// storage-layer counters.
 	if liveRes.TotalServed != simRes.TotalServed {
 		t.Errorf("TotalServed: live %d, sim %d", liveRes.TotalServed, simRes.TotalServed)
 	}
@@ -97,6 +142,12 @@ func TestSimLiveEquivalence(t *testing.T) {
 	}
 	if liveRes.AvgReplicas != simRes.AvgReplicas {
 		t.Errorf("AvgReplicas: live %v, sim %v", liveRes.AvgReplicas, simRes.AvgReplicas)
+	}
+	if !reflect.DeepEqual(liveRes.StoreLayers, simRes.StoreLayers) {
+		t.Errorf("StoreLayers:\n  live: %+v\n  sim:  %+v", liveRes.StoreLayers, simRes.StoreLayers)
+	}
+	if liveRes.MaxQueueLen != simRes.MaxQueueLen {
+		t.Errorf("MaxQueueLen: live %d, sim %d", liveRes.MaxQueueLen, simRes.MaxQueueLen)
 	}
 	if len(liveRes.Replicas) != len(simRes.Replicas) {
 		t.Fatalf("census series length: live %d, sim %d", len(liveRes.Replicas), len(simRes.Replicas))

@@ -212,20 +212,10 @@ func (f *Fleet) Close() {
 	}
 }
 
-// WaitHealthy polls every live node's health endpoint until it answers or
-// the deadline passes.
-func (f *Fleet) WaitHealthy(timeout time.Duration) error {
-	return f.wait(PathHealth, timeout)
-}
-
-// WaitReady polls every live node's readiness endpoint — the one that
-// requires the node to have booted (tickers running, recovery
+// WaitReady polls every live node's readiness endpoint until it answers or
+// the deadline passes. Ready means booted (tickers running, recovery
 // re-registration done), which is what restart coordination must gate on.
 func (f *Fleet) WaitReady(timeout time.Duration) error {
-	return f.wait(PathReady, timeout)
-}
-
-func (f *Fleet) wait(path string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
@@ -234,7 +224,7 @@ func (f *Fleet) wait(path string, timeout time.Duration) error {
 			continue
 		}
 		for {
-			res, err := client.Get(u + path)
+			res, err := client.Get(u + PathReady)
 			if err == nil {
 				res.Body.Close()
 				if res.StatusCode == http.StatusOK {
@@ -242,7 +232,7 @@ func (f *Fleet) wait(path string, timeout time.Duration) error {
 				}
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("live: node %d not answering %s after %v", i, path, timeout)
+				return fmt.Errorf("live: node %d not answering %s after %v", i, PathReady, timeout)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

@@ -75,7 +75,7 @@ func NewFreeDriver(cfg Config, urls []string) (*FreeDriver, error) {
 		cfg:     cfg,
 		urls:    append([]string(nil), urls...),
 		n:       n,
-		redLocs: RedirectorLocations(routes, cfg.Sim.NumRedirectors),
+		redLocs: sim.RedirectorLocs(&cfg.Sim, routes),
 		client:  &http.Client{Timeout: freeDriverHTTPTimeout},
 		gen:     cfg.Sim.Workload,
 	}, nil
@@ -239,17 +239,8 @@ func (d *FreeDriver) Census() float64 {
 	client := &http.Client{Timeout: freeDriverHTTPTimeout}
 	defer client.CloseIdleConnections()
 	for _, loc := range d.redLocs {
-		res, err := client.Get(d.urls[loc] + PathCensus)
-		if err != nil {
-			continue
-		}
-		data, err := io.ReadAll(res.Body)
-		res.Body.Close()
-		if err != nil || res.StatusCode != http.StatusOK {
-			continue
-		}
 		var rep CensusReply
-		if Decode(data, &rep) == nil {
+		if Scrape(client, d.urls[loc]+PathCensus, &rep) == nil {
 			total += rep.TotalReplicas
 		}
 	}

@@ -43,7 +43,7 @@ func freeRunConfig(t *testing.T, topo *topology.Topology, wall time.Duration) li
 // converged state: the checker judges steady-state maintenance, not the
 // boot transient — which under -race can legitimately outlast any
 // reasonable convergence budget.
-func awaitFloorConverged(t *testing.T, h *livetest.Harness, timeout time.Duration) {
+func awaitFloorConverged(t *testing.T, h *live.Harness, timeout time.Duration) {
 	t.Helper()
 	cfg := h.Fleet.Config()
 	locs := live.RedirectorLocations(h.Fleet.Routes(), cfg.Sim.NumRedirectors)
@@ -88,7 +88,7 @@ func fetchCensus(t *testing.T, client *http.Client, base string) (live.CensusRep
 
 // startChecker wires an invariant checker to the harness fleet and starts
 // its scrape loop; the returned stop function halts scraping.
-func startChecker(h *livetest.Harness, interval, convergence time.Duration) (*check.Checker, func()) {
+func startChecker(h *live.Harness, interval, convergence time.Duration) (*check.Checker, func()) {
 	cfg := h.Fleet.Config()
 	checker := check.New(check.Config{
 		URLs:        h.Fleet.URLs(),

@@ -3,6 +3,8 @@ package live
 import (
 	"errors"
 	"testing"
+
+	"radar/internal/store"
 )
 
 // FuzzLiveRPC feeds arbitrary bytes through every wire message type's
@@ -28,6 +30,11 @@ func FuzzLiveRPC(f *testing.F) {
 		{At: 3, Kind: EventCopy, Object: 4, From: 2, To: 0},
 	}}))
 	f.Add(Encode(&StatsReply{TotalServed: 10, CreateExecutions: 2, CreatePeakConcurrency: 1}))
+	f.Add(Encode(&StatsReply{TotalServed: 10, StoreLayers: []store.LayerStats{
+		{Label: "cache", Serves: 10, Hits: 7, Misses: 3, Evictions: 1, Replicas: 4},
+		{Label: "mem:8", Creates: 5, Serves: 7, Replicas: 4, BytesUsed: 4 << 12},
+		{Label: "disk:5ms", Creates: 4, Serves: 3, Replicas: 4, CostNanos: 15e6},
+	}}))
 	f.Add([]byte(`{"msg_id":18446744073709551615,"method":"MIGRATE","src_aff":1}`))
 	f.Add([]byte(`{"accept_load":1e308,"lw":1e-300,"hw":1e308}`))
 

@@ -1,10 +1,7 @@
-// Package livetest is the in-process integration harness for live mode:
-// it stands up a loopback Fleet, waits for every node's health endpoint,
-// and wires a driver to it, so a test (or radar-load's default mode) can
-// replay a workload against real HTTP servers in a few lines. Kill
-// crashes a node mid-replay the way the failover tests need: the
-// listener closes AND the driver marks the node down, mirroring what an
-// external health check would conclude.
+// Package livetest is the testing side of the live integration harness:
+// Start stands up a live.Harness (loopback fleet, readiness wait, the
+// mode's driver) with failures turned into t.Fatal and teardown into
+// t.Cleanup.
 //
 // Every Start-ed harness also registers a goroutine-leak check: after the
 // fleet is torn down, no goroutine of the live stack (nodes, servers,
@@ -13,8 +10,6 @@
 package livetest
 
 import (
-	"context"
-	"fmt"
 	"net/http"
 	"runtime"
 	"strings"
@@ -22,89 +17,22 @@ import (
 	"time"
 
 	"radar/internal/live"
-	"radar/internal/sim"
-	"radar/internal/topology"
 )
 
-// HealthTimeout bounds how long New waits for the fleet to answer health
-// checks before giving up.
-const HealthTimeout = 10 * time.Second
-
-// Harness couples a loopback fleet with the driver that replays a
-// workload against it. Exactly one of Driver (driver-paced) and Free
-// (free-running) is non-nil, keyed by Config.FreeRunning.
-type Harness struct {
-	Fleet  *live.Fleet
-	Driver *live.Driver
-	Free   *live.FreeDriver
-}
-
-// New builds a fleet for cfg, waits for it to become ready, and attaches
-// the mode's driver. The caller owns Close.
-func New(cfg live.Config) (*Harness, error) {
-	f, err := live.NewFleet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.WaitReady(HealthTimeout); err != nil {
-		f.Close()
-		return nil, err
-	}
-	h := &Harness{Fleet: f}
-	if cfg.FreeRunning {
-		h.Free, err = live.NewFreeDriver(f.Config(), f.URLs())
-	} else {
-		h.Driver, err = live.NewDriver(f.Config(), f.URLs())
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return h, nil
-}
-
-// Start is New for tests: failures become t.Fatal, the fleet is torn down
-// by t.Cleanup, and a goroutine-leak check runs after teardown.
-func Start(t *testing.T, cfg live.Config) *Harness {
+// Start is live.NewHarness over a loopback fleet for tests: failures
+// become t.Fatal, the fleet is torn down by t.Cleanup, and a
+// goroutine-leak check runs after teardown.
+func Start(t *testing.T, cfg live.Config) *live.Harness {
 	t.Helper()
 	// Registered before the Close cleanup: cleanups run LIFO, so the
 	// check observes the world after the fleet is gone.
 	CheckGoroutines(t)
-	h, err := New(cfg)
+	h, err := live.NewHarness(cfg, nil)
 	if err != nil {
 		t.Fatalf("livetest: starting fleet: %v", err)
 	}
 	t.Cleanup(h.Close)
 	return h
-}
-
-// Close tears the fleet down and releases the driver's connections.
-func (h *Harness) Close() {
-	if h.Driver != nil {
-		h.Driver.Close()
-	}
-	h.Fleet.Close()
-}
-
-// Kill crashes node i mid-replay: the node's listener closes and the
-// driver (in driver-paced mode) marks it down, so subsequent redirects
-// route around it. Free-running fleets spread the mark via the chaos
-// controller instead.
-func (h *Harness) Kill(i topology.NodeID) error {
-	if err := h.Fleet.Kill(i); err != nil {
-		return fmt.Errorf("livetest: killing node %d: %w", i, err)
-	}
-	if h.Driver != nil {
-		h.Driver.MarkDown(i)
-	}
-	return nil
-}
-
-// Run replays the configured workload against the fleet and returns the
-// run's results in the simulator's schema (driver-paced harnesses only;
-// free-running tests drive h.Free directly).
-func (h *Harness) Run(ctx context.Context) (*sim.Results, error) {
-	return h.Driver.Run(ctx)
 }
 
 // leakSettleTimeout is how long CheckGoroutines waits for straggler

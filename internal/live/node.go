@@ -14,15 +14,15 @@ import (
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/routing"
-	"radar/internal/server"
+	"radar/internal/sim"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
 
-// Node is one live fleet member: a protocol.Host and its FCFS server
-// behind the HTTP control plane, plus — when this node is one of the
-// fleet's redirector locations — a protocol.Redirector answering object
-// requests with 302s.
+// Node is one live fleet member: the simulator's node assembly
+// (sim.Machine — FCFS server, storage stack, protocol host) behind the HTTP
+// control plane, plus — when this node is one of the fleet's redirector
+// locations — a protocol.Redirector answering object requests with 302s.
 //
 // In driver-paced mode nodes are clock-less: every mutating endpoint
 // carries an explicit virtual timestamp, so a driver pacing the fleet
@@ -33,7 +33,7 @@ import (
 // tickers; wire timestamps on incoming requests are ignored for the node's
 // own state (DESIGN.md §4.9).
 //
-// Locking: mu guards the host, server, and event log; redMu guards the
+// Locking: mu guards the machine and the event log; redMu guards the
 // redirector and the peer-reachability view; peerMu guards the mutable
 // peer URL table (chaos partitions poison it). The only permitted nesting
 // is mu -> redMu (a placement pass notifying its own co-located
@@ -81,14 +81,14 @@ type Node struct {
 	timerMu sync.Mutex
 	timers  map[*time.Timer]struct{} // pending self-scheduled completions
 
-	mu     sync.Mutex
-	host   *protocol.Host
-	srv    *server.Server
-	events []Event
+	mu      sync.Mutex
+	machine *sim.Machine
+	events  []Event
 
 	redMu      sync.Mutex
 	redirector *protocol.Redirector
 	redLocs    []topology.NodeID
+	redIdx     int // this node's index in redLocs; meaningless without a redirector
 	downPeers  []bool
 	filtering  bool // reachability filter installed (first mark-down arms it)
 }
@@ -129,10 +129,6 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 	if len(peers) != n {
 		return nil, fmt.Errorf("live: %d peer URLs for %d nodes", len(peers), n)
 	}
-	srv, err := server.New(id, cfg.Sim.Server)
-	if err != nil {
-		return nil, err
-	}
 	nd := &Node{
 		id:       id,
 		cfg:      cfg,
@@ -146,23 +142,26 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		payload:  bytes.Repeat([]byte{0x5a}, cfg.Sim.Universe.SizeBytes),
 		creates:  newCallDedup(cfg.MaxInflightCreates),
 		drops:    newCallDedup(dropDedupLimit),
-		srv:      srv,
 		stopCh:   make(chan struct{}),
 		timers:   make(map[*time.Timer]struct{}),
 	}
-	nd.redLocs = RedirectorLocations(routes, cfg.Sim.NumRedirectors)
+	simCfg := &nd.cfg.Sim
+	nd.redLocs = sim.RedirectorLocs(simCfg, routes)
 	nd.downPeers = make([]bool, n)
-	for _, loc := range nd.redLocs {
+	// The part of the fleet this process holds: one machine, at most one
+	// redirector. Seeding is local (sim.SeedPlacement).
+	machines := make([]*sim.Machine, n)
+	redirectors := make([]*protocol.Redirector, len(nd.redLocs))
+	var err error
+	for i, loc := range nd.redLocs {
 		if loc == id {
-			r, err := protocol.NewRedirector(id, routes, cfg.Sim.Policy, cfg.Sim.Protocol.DistConstant)
-			if err != nil {
+			if nd.redirector, err = sim.NewRedirector(simCfg, routes, id); err != nil {
 				return nil, err
 			}
-			r.SetReplicaFloor(cfg.Sim.Protocol.ReplicaFloor) // clamps to the paper's last-copy rule
-			nd.redirector = r
+			nd.redIdx, redirectors[i] = i, nd.redirector
 		}
 	}
-	env := protocol.Env{
+	nd.machine, err = sim.NewMachine(simCfg, id, protocol.Env{
 		Routes:        routes,
 		RedirectorFor: nd.redirectorFor,
 		Peer:          nd.peer,
@@ -170,32 +169,14 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		CopyObject:    nd.copyObject,
 		SendCreateObj: nd.sendCreateObj,
 		Observer:      (*nodeObserver)(nd),
-	}
-	nd.host, err = protocol.NewHost(id, cfg.Sim.Protocol, env, srv)
+	})
 	if err != nil {
 		return nil, err
 	}
-	nd.seedPlacement()
+	machines[id] = nd.machine
+	sim.SeedPlacement(simCfg, machines, redirectors)
 	nd.buildMux()
 	return nd, nil
-}
-
-// seedPlacement installs the paper's round-robin initial assignment: this
-// node seeds the objects homed on it, and its redirector (if any) records
-// the initial replica of every object it is responsible for. All state is
-// local — every fleet member derives the same assignment from the shared
-// configuration, so startup needs no cross-node traffic.
-func (nd *Node) seedPlacement() {
-	for i := 0; i < nd.cfg.Sim.Universe.Count; i++ {
-		id := object.ID(i)
-		home := nd.cfg.Sim.Universe.HomeNode(id, nd.n)
-		if home == nd.id {
-			nd.host.SeedObject(id)
-		}
-		if nd.redirector != nil && nd.redirectorLoc(id) == nd.id {
-			nd.redirector.NotifyReplicaChange(id, home, 1)
-		}
-	}
 }
 
 // redirectorLoc returns the node owning id's redirector (the simulator's
@@ -212,7 +193,7 @@ func (nd *Node) Handler() http.Handler { return nd.mux }
 
 // Host exposes the protocol host for in-process inspection by tests. The
 // caller must not race it against live traffic.
-func (nd *Node) Host() *protocol.Host { return nd.host }
+func (nd *Node) Host() *protocol.Host { return nd.machine.Host }
 
 // BootID returns the node's incarnation number.
 func (nd *Node) BootID() int64 { return nd.bootID }
@@ -307,10 +288,11 @@ func (nd *Node) peerURL(p topology.NodeID) string {
 // replicas choosable again.
 func (nd *Node) reRegister() {
 	nd.mu.Lock()
-	objs := nd.host.Objects()
+	host := nd.machine.Host
+	objs := host.Objects()
 	affs := make([]int, len(objs))
 	for i, id := range objs {
-		affs[i] = nd.host.Affinity(id)
+		affs[i] = host.Affinity(id)
 	}
 	nd.mu.Unlock()
 	for i, id := range objs {
@@ -365,8 +347,7 @@ func (nd *Node) ticker(period time.Duration, stream uint64, count *atomic.Int64,
 // clock.
 func (nd *Node) measureTick(now time.Duration) {
 	nd.mu.Lock()
-	start := nd.srv.CloseInterval(now)
-	nd.host.OnMeasurementIntervalClose(start)
+	nd.machine.Measure(now)
 	nd.mu.Unlock()
 }
 
@@ -375,7 +356,7 @@ func (nd *Node) measureTick(now time.Duration) {
 // peers' bounded try-lock answers (see lockMu).
 func (nd *Node) placeTick(now time.Duration) {
 	nd.mu.Lock()
-	nd.host.DecidePlacement(now)
+	nd.machine.Host.DecidePlacement(now)
 	nd.mu.Unlock()
 }
 
@@ -437,7 +418,7 @@ func (nd *Node) redirectorFor(id object.ID) protocol.RedirectorControl {
 // peers marked down (the simulator's s.down check).
 func (nd *Node) peer(p topology.NodeID) *protocol.Host {
 	if p == nd.id {
-		return nd.host
+		return nd.machine.Host
 	}
 	if nd.peerDown(p) {
 		return nil
@@ -475,33 +456,14 @@ func (nd *Node) loadReport(p topology.NodeID, now time.Duration, id object.ID) (
 // is best-effort — in the simulation the copy cannot fail, and a live
 // source that died mid-handshake leaves the replica to be healed by the
 // next placement pass; the copy event is recorded regardless so the
-// accounting matches the simulator's.
+// accounting matches the simulator's. The caller holds mu, so the fetch is
+// one attempt under the RPC client's timeout, aborted by Stop: a wedged
+// source must not stall this node's serve path for longer than that.
 func (nd *Node) copyObject(now time.Duration, from, to topology.NodeID, id object.ID) {
 	if from != nd.id {
-		_ = nd.fetchBytes(from, id)
+		_ = nd.client.fetch(nd.peerURL(from), PathFetch+strconv.FormatInt(int64(id), 10))
 	}
 	nd.event(Event{At: int64(now), Kind: EventCopy, Object: int64(id), From: int(from), To: int(to)})
-}
-
-// fetchBytes GETs an object's bytes from a peer's /fetch endpoint.
-func (nd *Node) fetchBytes(from topology.NodeID, id object.ID) error {
-	u := nd.peerURL(from) + PathFetch + strconv.FormatInt(int64(id), 10)
-	res, err := http.Get(u)
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("live: fetch %s: status %d", u, res.StatusCode)
-	}
-	got, err := io.Copy(io.Discard, res.Body)
-	if err != nil {
-		return err
-	}
-	if got != int64(len(nd.payload)) {
-		return fmt.Errorf("live: fetch %s: %d bytes, want %d", u, got, len(nd.payload))
-	}
-	return nil
 }
 
 // sendCreateObj carries a CreateObj handshake to a remote peer as a
@@ -716,8 +678,8 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 			return nil, false
 		}
 		id := object.ID(msg.Object)
-		hadBefore := nd.host.Has(id)
-		accepted := nd.host.CreateObj(nd.resolveNow(msg.Now), method, id, msg.UnitLoad, msg.SrcAff, topology.NodeID(msg.From))
+		hadBefore := nd.machine.Host.Has(id)
+		accepted := nd.machine.Host.CreateObj(nd.resolveNow(msg.Now), method, id, msg.UnitLoad, msg.SrcAff, topology.NodeID(msg.From))
 		nd.mu.Unlock()
 		return Encode(CreateObjReply{MsgID: msg.MsgID, Accepted: accepted, Copied: accepted && !hadBefore}), true
 	})
@@ -787,7 +749,7 @@ func (nd *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "live: node busy", http.StatusServiceUnavailable)
 		return
 	}
-	rep := LoadReply(nd.host.LoadReport(nd.resolveNow(now), object.ID(obj)))
+	rep := LoadReply(nd.machine.Host.LoadReport(nd.resolveNow(now), object.ID(obj)))
 	nd.mu.Unlock()
 	writeJSON(w, rep)
 }
@@ -880,14 +842,13 @@ func (nd *Node) handleServe(w http.ResponseWriter, r *http.Request) {
 	}
 	now := nd.resolveNow(int64(wireNow))
 	nd.mu.Lock()
-	if t := nd.cfg.Sim.ClientTimeout; t > 0 && nd.srv.QueueDelay(now) > t {
-		nd.mu.Unlock()
+	done, out := nd.machine.Admit(now, id)
+	nd.mu.Unlock()
+	if out == sim.Refused {
 		w.Header().Set(HeaderTimeout, "1")
 		http.Error(w, "live: client timeout", http.StatusServiceUnavailable)
 		return
 	}
-	done := nd.srv.Enqueue(now, 0)
-	nd.mu.Unlock()
 	if nd.freeRun {
 		// No driver reports completions in free-running mode: the node
 		// schedules its own, firing when its clock reaches the FCFS
@@ -920,10 +881,7 @@ func (nd *Node) scheduleCompletion(id object.ID, g topology.NodeID, done time.Du
 		if nd.stopped.Load() {
 			return
 		}
-		nd.mu.Lock()
-		nd.srv.OnServed(id)
-		nd.host.OnRequest(id, g)
-		nd.mu.Unlock()
+		nd.complete(id, g)
 	})
 	nd.timers[t] = struct{}{}
 	nd.timerMu.Unlock()
@@ -944,7 +902,7 @@ func (nd *Node) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	nd.mu.Lock()
-	sum := nd.host.DecidePlacement(time.Duration(msg.Now))
+	sum := nd.machine.Host.DecidePlacement(time.Duration(msg.Now))
 	ev := nd.drainEvents()
 	nd.mu.Unlock()
 	writeJSON(w, PlaceReply{Summary: sum, Events: ev})
@@ -956,10 +914,7 @@ func (nd *Node) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	nd.mu.Lock()
-	start := nd.srv.CloseInterval(time.Duration(msg.Now))
-	nd.host.OnMeasurementIntervalClose(start)
-	load := nd.srv.Load()
-	lower, upper := nd.host.Estimator().Bounds(load)
+	start, load, lower, upper := nd.machine.Measure(time.Duration(msg.Now))
 	nd.mu.Unlock()
 	writeJSON(w, MeasureReply{Start: int64(start), Load: load, Lower: lower, Upper: upper})
 }
@@ -969,11 +924,16 @@ func (nd *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &msg) {
 		return
 	}
-	nd.mu.Lock()
-	nd.srv.OnServed(object.ID(msg.Object))
-	nd.host.OnRequest(object.ID(msg.Object), topology.NodeID(msg.Gateway))
-	nd.mu.Unlock()
+	nd.complete(object.ID(msg.Object), topology.NodeID(msg.Gateway))
 	writeJSON(w, struct{}{})
+}
+
+// complete records a serviced request: reported by the driver, or
+// self-scheduled in free-running mode.
+func (nd *Node) complete(id object.ID, g topology.NodeID) {
+	nd.mu.Lock()
+	nd.machine.Complete(id, g)
+	nd.mu.Unlock()
 }
 
 func (nd *Node) handleCensus(w http.ResponseWriter, r *http.Request) {
@@ -988,32 +948,9 @@ func (nd *Node) handleCensus(w http.ResponseWriter, r *http.Request) {
 // floor deficits, and the per-object extremes the invariant checker
 // asserts bounds on.
 func (nd *Node) census() CensusReply {
-	var rep CensusReply
-	floor := nd.cfg.Sim.Protocol.ReplicaFloor
 	nd.redMu.Lock()
-	for i := 0; i < nd.cfg.Sim.Universe.Count; i++ {
-		id := object.ID(i)
-		if nd.redirectorLoc(id) != nd.id {
-			continue
-		}
-		c := nd.redirector.ReplicaCount(id)
-		if rep.Objects == 0 || c < rep.MinReplicas {
-			rep.MinReplicas = c
-		}
-		if c > rep.MaxReplicas {
-			rep.MaxReplicas = c
-		}
-		rep.Objects++
-		rep.TotalReplicas += c
-		if floor > 1 && c < floor {
-			rep.BelowFloor++
-		}
-		if c == 0 {
-			rep.Zero++
-		}
-	}
-	nd.redMu.Unlock()
-	return rep
+	defer nd.redMu.Unlock()
+	return CensusReply(sim.Census(&nd.cfg.Sim, nd.redirector, nd.redIdx, len(nd.redLocs)))
 }
 
 func (nd *Node) handleMark(w http.ResponseWriter, r *http.Request) {
@@ -1077,9 +1014,10 @@ func (nd *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 	attempts, retries, lost := nd.client.Stats()
 	nd.mu.Lock()
 	rep := StatsReply{
-		Host:                  nd.host.Stats,
-		TotalServed:           nd.srv.TotalServed(),
-		MaxQueueLen:           nd.srv.MaxQueueLen(),
+		Host:                  nd.machine.Host.Stats,
+		TotalServed:           nd.machine.Server.TotalServed(),
+		MaxQueueLen:           nd.machine.Server.MaxQueueLen(),
+		StoreLayers:           nd.machine.Store.Stats(nil),
 		CreateExecutions:      nd.creates.Executed(),
 		CreatePeakConcurrency: nd.creates.Peak(),
 		BootID:                nd.bootID,

@@ -21,6 +21,8 @@ import (
 	"math"
 
 	"radar/internal/protocol"
+	"radar/internal/sim"
+	"radar/internal/store"
 )
 
 // HTTP paths of the live control plane. Object-request paths take the
@@ -414,24 +416,9 @@ func (m *CompleteMsg) Validate() error {
 	return checkTime("now", m.Now)
 }
 
-// CensusReply sums the recorded replica counts of every object whose
-// redirector this node owns. The per-object extremes feed the invariant
-// checker's watermark-bound assertions.
-type CensusReply struct {
-	Objects       int `json:"objects"`
-	TotalReplicas int `json:"total_replicas"`
-	// BelowFloor counts this redirector's objects currently below the
-	// configured replica floor (zero unless a floor above 1 is armed).
-	BelowFloor int `json:"below_floor,omitempty"`
-	// MinReplicas/MaxReplicas are the smallest and largest recorded
-	// replica count across this redirector's objects (zero when it owns
-	// none).
-	MinReplicas int `json:"min_replicas,omitempty"`
-	MaxReplicas int `json:"max_replicas,omitempty"`
-	// Zero counts objects with no recorded replica at all — each one is a
-	// lost object unless it is healed within the convergence budget.
-	Zero int `json:"zero,omitempty"`
-}
+// CensusReply is the replica census of the redirector this node owns
+// (GET /ctl/census): the simulator's census record on the wire.
+type CensusReply sim.ReplicaCensus
 
 // Validate implements validator.
 func (m *CensusReply) Validate() error {
@@ -579,6 +566,11 @@ type StatsReply struct {
 	MeasureTicks int64 `json:"measure_ticks,omitempty"`
 	PlaceTicks   int64 `json:"place_ticks,omitempty"`
 	CensusTicks  int64 `json:"census_ticks,omitempty"`
+
+	// StoreLayers is the node's storage stack, layer by layer in the
+	// stack's pre-order; the driver sums them fleet-wide into
+	// Results.StoreLayers (store.Aggregate).
+	StoreLayers []store.LayerStats `json:"store_layers,omitempty"`
 }
 
 // Validate implements validator.
@@ -591,6 +583,12 @@ func (m *StatsReply) Validate() error {
 	}
 	if m.MeasureTicks < 0 || m.PlaceTicks < 0 || m.CensusTicks < 0 {
 		return &WireError{Field: "measure_ticks", Reason: "negative counter"}
+	}
+	for _, l := range m.StoreLayers {
+		if min(l.Creates, l.Drops, l.Serves, l.Hits, l.Misses, l.Evictions, l.Repairs, l.Refetches,
+			l.Crashes, l.LostWrites, l.Replicas, l.BytesUsed, l.CostNanos) < 0 {
+			return &WireError{Field: "store_layers", Reason: fmt.Sprintf("negative counter in layer %q", l.Label)}
+		}
 	}
 	return nil
 }

@@ -1,10 +1,13 @@
 package live
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"radar/internal/protocol"
+	"radar/internal/store"
 )
 
 func TestDecodeValidCreateObj(t *testing.T) {
@@ -112,5 +115,31 @@ func TestLoadReplyWatermarkValidation(t *testing.T) {
 		if err := Decode(Encode(&bad), &dst); err == nil {
 			t.Fatalf("Decode accepted %+v", bad)
 		}
+	}
+}
+
+// TestStatsReplyStoreLayers: the optional store_layers field survives the
+// wire layer by layer, a reply without it stays as small as before, and a
+// negative layer counter is rejected by name.
+func TestStatsReplyStoreLayers(t *testing.T) {
+	good := StatsReply{TotalServed: 10, StoreLayers: []store.LayerStats{
+		{Label: "cache", Serves: 10, Hits: 7, Misses: 3},
+		{Label: "disk:5ms", Serves: 3, CostNanos: 15e6},
+	}}
+	var got StatsReply
+	if err := Decode(Encode(&good), &got); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, good) {
+		t.Fatalf("round trip: got %+v, want %+v", got, good)
+	}
+	if body := Encode(&StatsReply{TotalServed: 10}); bytes.Contains(body, []byte("store_layers")) {
+		t.Errorf("reply without layers carries the field: %s", body)
+	}
+	bad := good
+	bad.StoreLayers = []store.LayerStats{{Label: "mem", Serves: -1}}
+	var we *WireError
+	if err := Decode(Encode(&bad), &got); !errors.As(err, &we) || we.Field != "store_layers" {
+		t.Fatalf("Decode of a negative layer counter = %v, want WireError on store_layers", err)
 	}
 }

@@ -65,37 +65,26 @@ func (sp Spec) Config() (sim.Config, error) {
 	return cfg, nil
 }
 
-// buildGenerator constructs a demand generator by scenario name, with the
-// paper's skew parameters for the named workloads.
+// buildGenerator constructs a demand generator by scenario name: the
+// scenario corpus's own flash crowd, or one of workload.Named's.
 func buildGenerator(name string, u object.Universe, sub *substrate.Substrate, seed int64) (workload.Generator, error) {
 	topo := sub.Topo
-	switch name {
-	case "uniform":
-		return workload.NewUniform(u)
-	case "zipf":
-		return workload.NewZipf(u)
-	case "hot-sites":
-		return workload.NewHotSites(u, topo.NumNodes(), 0.9, seed)
-	case "hot-pages":
-		return workload.NewHotPages(u, 0.1, 0.9, seed)
-	case "regional":
-		return workload.NewRegional(u, topo, 0.01, 0.9)
-	case "flash-crowd":
-		background, err := workload.NewZipf(u)
-		if err != nil {
-			return nil, err
-		}
-		targets := u.ObjectsHomedAt(flashCrowdHome, topo.NumNodes())
-		if len(targets) == 0 {
-			return nil, fmt.Errorf("scenario: no objects homed at node %d for the flash crowd", flashCrowdHome)
-		}
-		var gateways []topology.NodeID
-		for n := 0; n < topo.NumNodes(); n++ {
-			if sub.Routes.Distance(flashCrowdHome, topology.NodeID(n)) <= flashCrowdRadius {
-				gateways = append(gateways, topology.NodeID(n))
-			}
-		}
-		return workload.NewFocused(targets, gateways, flashCrowdPFocus, background)
+	if name != flashCrowd {
+		return workload.Named(name, u, topo, seed)
 	}
-	return nil, fmt.Errorf("scenario: unknown workload %q", name)
+	background, err := workload.NewZipf(u)
+	if err != nil {
+		return nil, err
+	}
+	targets := u.ObjectsHomedAt(flashCrowdHome, topo.NumNodes())
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("scenario: no objects homed at node %d for the flash crowd", flashCrowdHome)
+	}
+	var gateways []topology.NodeID
+	for n := 0; n < topo.NumNodes(); n++ {
+		if sub.Routes.Distance(flashCrowdHome, topology.NodeID(n)) <= flashCrowdRadius {
+			gateways = append(gateways, topology.NodeID(n))
+		}
+	}
+	return workload.NewFocused(targets, gateways, flashCrowdPFocus, background)
 }

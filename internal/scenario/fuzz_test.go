@@ -34,10 +34,10 @@ func FuzzScenarioSpec(f *testing.F) {
 		if err != nil {
 			return // rejected composition is fine; it just must not panic
 		}
-		if !workloadNames[sp.Workload] {
+		if !knownWorkload(sp.Workload) {
 			t.Fatalf("parsed unknown workload %q from %q", sp.Workload, s)
 		}
-		if sp.SwitchTo != "" && (!workloadNames[sp.SwitchTo] || sp.SwitchAt <= 0 || sp.SwitchAt >= sp.Duration) {
+		if sp.SwitchTo != "" && (!knownWorkload(sp.SwitchTo) || sp.SwitchAt <= 0 || sp.SwitchAt >= sp.Duration) {
 			t.Fatalf("parsed incoherent switch %q@%v from %q", sp.SwitchTo, sp.SwitchAt, s)
 		}
 		if sp.Objects < 1 || sp.Objects > maxObjects {

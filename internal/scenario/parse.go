@@ -2,12 +2,14 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"radar/internal/fault"
 	"radar/internal/store"
+	"radar/internal/workload"
 )
 
 // Spec is a parsed scenario composition. The zero value is not runnable;
@@ -59,14 +61,11 @@ const (
 	maxRedirectors = 64
 )
 
-var workloadNames = map[string]bool{
-	"uniform":     true,
-	"zipf":        true,
-	"hot-sites":   true,
-	"hot-pages":   true,
-	"regional":    true,
-	"flash-crowd": true,
-}
+// flashCrowd names the one workload the scenario corpus adds to
+// workload.Named's.
+const flashCrowd = "flash-crowd"
+
+func knownWorkload(s string) bool { return s == flashCrowd || slices.Contains(workload.Names, s) }
 
 var policyNames = map[string]bool{
 	"paper":       true,
@@ -184,7 +183,7 @@ func ParseSpec(s string) (Spec, error) {
 }
 
 func parseWorkloadName(s string) (string, error) {
-	if !workloadNames[s] {
+	if !knownWorkload(s) {
 		return "", fmt.Errorf("unknown workload %q", s)
 	}
 	return s, nil

@@ -207,9 +207,6 @@ const (
 	LinkContention                         // Net.Contention
 	ConsistencyUpdates                     // Consistency manager or provider updates
 	FaultInjection                         // Faults
-	StoreStack                             // a non-default Store
-	HostWeights                            // heterogeneous HostWeights
-	AltSeeding                             // RedirectorAtHome, ReplicateEverywhere, InitialPlacement
 	ExternalFleet                          // the fleet is not the in-memory one (NewOver, package live)
 )
 
@@ -221,9 +218,6 @@ func (c *Config) Features() Feature {
 		c.Net.Contention,
 		c.Consistency != nil || c.Updates.RatePerSec > 0,
 		c.Faults.Enabled() || c.Faults.HasMessageFaults(),
-		!c.Store.IsDefault(),
-		c.HostWeights != nil,
-		c.RedirectorAtHome || c.ReplicateEverywhere || c.InitialPlacement != nil,
 	} {
 		if on {
 			f |= 1 << i
@@ -242,18 +236,15 @@ type Refusal struct {
 // Refusals is the feature-compatibility table. The sharded engine
 // partitions per-node state, so subsystems with un-partitionable
 // cross-host feedback on the per-request path are refused rather than
-// silently run wrong. Every optional subsystem is implemented behind the
-// in-memory fleet (memfleet.go), so an external fleet runs none: they
-// model phenomena the simulator induces artificially, while a live fleet
-// exhibits its own.
+// silently run wrong. What a Machine carries — storage stacks, host
+// weights, the seeding modes — runs on every fleet; what is refused over
+// an external fleet lives in the loop's or the in-memory fleet's own state
+// (DESIGN.md §4.8 gives the reason row by row).
 var Refusals = []Refusal{
 	{Sharding | LinkContention, "sharded engine is incompatible with link contention (shared busy-until state)"},
 	{Sharding | ConsistencyUpdates, "sharded engine is incompatible with the consistency/update subsystem"},
 	{ExternalFleet | FaultInjection, "fault injection is simulation-only (kill live nodes instead)"},
-	{ExternalFleet | StoreStack, "replica-storage stacks are simulation-only"},
 	{ExternalFleet | ConsistencyUpdates, "consistency/update subsystem is simulation-only"},
-	{ExternalFleet | HostWeights, "host weights are simulation-only"},
-	{ExternalFleet | AltSeeding, "alternate seeding modes are simulation-only"},
 	{ExternalFleet | LinkContention, "link contention is simulation-only"},
 	{ExternalFleet | Sharding, "the sharded engine is simulation-only"},
 }

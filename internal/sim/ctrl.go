@@ -162,13 +162,13 @@ func (s *Simulation) scheduleReconcile() error {
 // for every object whose host is up.
 func (s *Simulation) reconcile(now time.Duration) {
 	c := s.ctrl
-	hosts, redirectors := s.mem.hosts, s.mem.redirectors
+	machines, redirectors := s.mem.machines, s.mem.redirectors
 	c.reconcileRuns++
 	// Digest round trips: one request/summary pair per live host per
 	// redirector, charged reliably (reconciliation rides TCP, not the
 	// lossy datagram legs).
 	if s.cfg.ControlMsgBytes > 0 {
-		for i := range hosts {
+		for i := range machines {
 			if s.down[i] {
 				continue
 			}
@@ -182,10 +182,11 @@ func (s *Simulation) reconcile(now time.Duration) {
 		}
 	}
 	// Host -> redirector direction: heal orphans and stale affinities.
-	for i, h := range hosts {
+	for i, m := range machines {
 		if s.down[i] {
 			continue
 		}
+		h := m.Host
 		for _, id := range h.Objects() {
 			red := s.mem.redirectorFor(id)
 			aff := h.Affinity(id)
@@ -206,7 +207,7 @@ func (s *Simulation) reconcile(now time.Duration) {
 	for _, red := range redirectors {
 		for _, id := range red.Objects() {
 			for _, rep := range red.Replicas(id) {
-				if !hosts[rep.Host].Has(id) {
+				if !machines[rep.Host].Host.Has(id) {
 					red.RemoveRecord(id, rep.Host)
 					c.ghostsRemoved++
 				}

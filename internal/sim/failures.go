@@ -117,7 +117,7 @@ func (s *Simulation) recoverHost(now time.Duration, n topology.NodeID) {
 	}
 	s.down[n] = false
 	s.recoveries++
-	h := s.mem.hosts[n]
+	h := s.mem.machines[n].Host
 	h.OnRecover(now)
 	for _, id := range h.Objects() {
 		s.mem.redirectorFor(id).NotifyReplicaChange(id, n, h.Affinity(id))

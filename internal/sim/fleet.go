@@ -2,12 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"radar/internal/object"
 	"radar/internal/protocol"
-	"radar/internal/routing"
 	"radar/internal/topology"
 )
 
@@ -53,8 +51,8 @@ type Fleet interface {
 	MarkDown(now time.Duration, h topology.NodeID)
 	// Stats closes the run: the fleet reports any activity it still holds
 	// to its Accounting and fills the fleet-side fields of r (HostStats,
-	// TotalServed, MaxQueueLen and, in memory, the storage layers and
-	// the invariant sweep).
+	// TotalServed, MaxQueueLen, StoreLayers and, in memory, the invariant
+	// sweep).
 	Stats(r *Results)
 }
 
@@ -85,7 +83,8 @@ type Accounting interface {
 // loop's accounting and returns the fleet to drive. The schedule, the
 // request path and the Results assembly are New's, so a fleet that answers
 // like the in-memory one reproduces the simulation event for event. The
-// optional subsystems are refused (Refusals).
+// subsystems that live in the loop's in-memory state, not in a fleet's
+// nodes, are refused (Refusals).
 func NewOver(cfg Config, connect func(Accounting) (Fleet, error)) (*Simulation, error) {
 	s, err := newLoop(cfg)
 	if err != nil {
@@ -101,24 +100,4 @@ func NewOver(cfg Config, connect func(Accounting) (Fleet, error)) (*Simulation, 
 		return nil, err
 	}
 	return s, nil
-}
-
-// RedirectorLocations places k redirectors on the nodes with the smallest
-// average hop distance (paper §6.1), selected by (avg, id) so the order is
-// stable. The loop, every live node and the live tools derive the same
-// list from the shared routing table, so the object → redirector partition
-// needs no coordination.
-func RedirectorLocations(routes *routing.Table, k int) []topology.NodeID {
-	n := routes.NumNodes()
-	locs := make([]topology.NodeID, n)
-	avg := make([]float64, n)
-	for i := range locs {
-		locs[i] = topology.NodeID(i)
-		avg[i] = routes.AvgDistance(locs[i])
-	}
-	sort.Slice(locs, func(i, j int) bool {
-		a, b := locs[i], locs[j]
-		return avg[a] < avg[b] || (avg[a] == avg[b] && a < b)
-	})
-	return locs[:min(k, n)]
 }

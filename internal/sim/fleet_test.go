@@ -6,13 +6,16 @@ import (
 	"time"
 
 	"radar/internal/object"
+	"radar/internal/protocol"
+	"radar/internal/routing"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
 
 // scriptedFleet is a socket-free fake Fleet: every object lives on its
-// home node, a host serves a request in a fixed service time, each
-// redirector records one replica per object of its share of the namespace,
+// home node, a host is the shared node assembly (NewMachine) with its
+// placement passes scripted away, each redirector records one replica per
+// object of its share of the namespace,
 // and from virtual time failAt one call of one node — the victim's Choose,
 // Admit, Complete or Place — answers Lost. Like a live fleet, a redirector
 // dies with its node, and once told a host is down the others route its
@@ -24,13 +27,38 @@ type scriptedFleet struct {
 	failAt     time.Duration
 	failCall   string // "choose", "admit", "complete" or "place"
 
-	busyUntil  []time.Duration
+	machines   []*Machine
 	down       []bool
 	markDowns  []topology.NodeID
 	censusLost int // Census calls answered Lost
 }
 
-const scriptedService = 5 * time.Millisecond
+// newScriptedFleet builds the fake's machines from cfg. Their hosts never
+// run a placement pass, so the peer-facing Env is inert.
+func newScriptedFleet(t *testing.T, cfg *Config, f *scriptedFleet) *scriptedFleet {
+	t.Helper()
+	f.n = cfg.Topo.NumNodes()
+	f.objects = cfg.Universe.Count
+	f.down = make([]bool, f.n)
+	f.machines = make([]*Machine, f.n)
+	env := protocol.Env{
+		Routes:        routing.New(cfg.Topo),
+		RedirectorFor: func(object.ID) protocol.RedirectorControl { return nil },
+		Peer:          func(topology.NodeID) *protocol.Host { return nil },
+		LoadReport: func(topology.NodeID, time.Duration, object.ID) (protocol.LoadReport, bool) {
+			return protocol.LoadReport{}, false
+		},
+		CopyObject: func(time.Duration, topology.NodeID, topology.NodeID, object.ID) {},
+	}
+	for i := range f.machines {
+		m, err := NewMachine(cfg, topology.NodeID(i), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.machines[i] = m
+	}
+	return f
+}
 
 func (f *scriptedFleet) fails(call string, now time.Duration, h topology.NodeID) bool {
 	return f.down[h] || (call == f.failCall && h == f.victim && now >= f.failAt)
@@ -47,20 +75,24 @@ func (f *scriptedFleet) Choose(now time.Duration, red int, _ topology.NodeID, id
 	return h, OK
 }
 
-func (f *scriptedFleet) Admit(now time.Duration, h, _ topology.NodeID, _ object.ID) (time.Duration, Outcome) {
+func (f *scriptedFleet) Admit(now time.Duration, h, _ topology.NodeID, id object.ID) (time.Duration, Outcome) {
 	if f.fails("admit", now, h) {
 		return 0, Lost
 	}
-	f.busyUntil[h] = max(f.busyUntil[h], now) + scriptedService
-	return f.busyUntil[h], OK
+	return f.machines[h].Admit(now, id)
 }
 
-func (f *scriptedFleet) Complete(now time.Duration, h, _ topology.NodeID, _ object.ID) bool {
-	return !f.fails("complete", now, h)
+func (f *scriptedFleet) Complete(now time.Duration, h, g topology.NodeID, id object.ID) bool {
+	if f.fails("complete", now, h) {
+		return false
+	}
+	f.machines[h].Complete(id, g)
+	return true
 }
 
-func (f *scriptedFleet) Measure(time.Duration, topology.NodeID) (actual, lower, upper float64, ok bool) {
-	return 0, 0, 0, true
+func (f *scriptedFleet) Measure(now time.Duration, h topology.NodeID) (actual, lower, upper float64, ok bool) {
+	_, actual, lower, upper = f.machines[h].Measure(now)
+	return actual, lower, upper, true
 }
 
 func (f *scriptedFleet) Place(now time.Duration, h topology.NodeID) bool {
@@ -80,7 +112,11 @@ func (f *scriptedFleet) MarkDown(_ time.Duration, h topology.NodeID) {
 	f.markDowns = append(f.markDowns, h)
 }
 
-func (f *scriptedFleet) Stats(*Results) {}
+func (f *scriptedFleet) Stats(r *Results) {
+	for _, m := range f.machines {
+		r.TotalServed += m.Server.TotalServed()
+	}
+}
 
 // TestLoopAccountsForLostNode fails one call of one node at a chosen
 // virtual time and checks the loop's side of the seam: the node is marked
@@ -114,10 +150,7 @@ func TestLoopAccountsForLostNode(t *testing.T) {
 			cfg.PlacementInterval = 30 * time.Second
 			cfg.MetricsBucket = 30 * time.Second
 			cfg.NumRedirectors = 2
-			f := &scriptedFleet{
-				n: 4, objects: objects, victim: tc.victim, failAt: failAt, failCall: tc.call,
-				busyUntil: make([]time.Duration, 4), down: make([]bool, 4),
-			}
+			f := newScriptedFleet(t, &cfg, &scriptedFleet{victim: tc.victim, failAt: failAt, failCall: tc.call})
 			s, err := NewOver(cfg, func(Accounting) (Fleet, error) { return f, nil })
 			if err != nil {
 				t.Fatal(err)
@@ -132,6 +165,11 @@ func TestLoopAccountsForLostNode(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// Every response the loop delivered was admitted and completed
+			// on a machine first.
+			if res.TotalServed == 0 || res.TotalServed < res.Counters.Requests {
+				t.Errorf("machines served %d requests, the loop delivered %d", res.TotalServed, res.Counters.Requests)
+			}
 			if len(f.markDowns) != 1 || f.markDowns[0] != tc.victim {
 				t.Errorf("fleet told of crashes %v, want exactly [%d]", f.markDowns, tc.victim)
 			}

@@ -148,16 +148,7 @@ func newLoop(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	n := s.topo.NumNodes()
-	if cfg.RedirectorAtHome {
-		// One redirector per node. Objects are homed round-robin, so the
-		// id mod count partition sends each to its home node's.
-		s.redLocs = make([]topology.NodeID, n)
-		for i := range s.redLocs {
-			s.redLocs[i] = topology.NodeID(i)
-		}
-	} else {
-		s.redLocs = RedirectorLocations(s.routes, cfg.NumRedirectors)
-	}
+	s.redLocs = RedirectorLocs(&s.cfg, s.routes)
 	s.down = make([]bool, n)
 	s.svcQueue = make([]reqFIFO, n)
 	s.rngs = make([]*rand.Rand, n)
@@ -567,10 +558,22 @@ func (s *Simulation) census(now time.Duration) (avg float64, below int) {
 // Hosts exposes the in-memory fleet's protocol hosts. Like the accessors
 // below it is for read-only use by tests and tools, on simulations built
 // with New.
-func (s *Simulation) Hosts() []*protocol.Host { return s.mem.hosts }
+func (s *Simulation) Hosts() []*protocol.Host {
+	hosts := make([]*protocol.Host, len(s.mem.machines))
+	for i, m := range s.mem.machines {
+		hosts[i] = m.Host
+	}
+	return hosts
+}
 
 // Servers exposes the server models.
-func (s *Simulation) Servers() []*server.Server { return s.mem.servers }
+func (s *Simulation) Servers() []*server.Server {
+	servers := make([]*server.Server, len(s.mem.machines))
+	for i, m := range s.mem.machines {
+		servers[i] = m.Server
+	}
+	return servers
+}
 
 // Redirectors exposes the redirectors.
 func (s *Simulation) Redirectors() []*protocol.Redirector { return s.mem.redirectors }

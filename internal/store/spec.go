@@ -357,19 +357,6 @@ func (sp Spec) Build(node int, p Params) (ReplicaStore, error) {
 	return buildTerm(t, node, p, &faultyIdx)
 }
 
-// BuildAll constructs one stack per host.
-func (sp Spec) BuildAll(nodes int, p Params) ([]ReplicaStore, error) {
-	stores := make([]ReplicaStore, nodes)
-	for i := range stores {
-		st, err := sp.Build(i, p)
-		if err != nil {
-			return nil, err
-		}
-		stores[i] = st
-	}
-	return stores, nil
-}
-
 func buildTerm(t *term, node int, p Params, faultyIdx *int) (ReplicaStore, error) {
 	switch t.kind {
 	case "mem":

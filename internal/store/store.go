@@ -109,26 +109,16 @@ func (s *LayerStats) add(o LayerStats) {
 	s.CostNanos += o.CostNanos
 }
 
-// Aggregate sums same-shaped per-node stacks layer by layer: the fleet
-// view of a stack's counters. Nil stores are skipped; all non-nil stacks
-// must share one shape.
-func Aggregate(stores []ReplicaStore) []LayerStats {
-	var agg []LayerStats
-	var buf []LayerStats
-	for _, st := range stores {
-		if st == nil {
-			continue
-		}
-		buf = st.Stats(buf[:0])
-		if agg == nil {
-			agg = make([]LayerStats, len(buf))
-			copy(agg, buf)
-			continue
-		}
-		for i := range buf {
-			if i < len(agg) {
-				agg[i].add(buf[i])
-			}
+// Aggregate adds one node's per-layer counters (its stack's Stats) into
+// the fleet view agg and returns it: same-shaped stacks sum layer by
+// layer, the first node's layers start the aggregate.
+func Aggregate(agg, node []LayerStats) []LayerStats {
+	if agg == nil {
+		return append([]LayerStats(nil), node...)
+	}
+	for i := range node {
+		if i < len(agg) {
+			agg[i].add(node[i])
 		}
 	}
 	return agg

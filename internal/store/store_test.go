@@ -395,7 +395,7 @@ func TestAggregate(t *testing.T) {
 	b.Create(0, 2)
 	b.ServeCost(0, 2)
 	b.ServeCost(0, 2)
-	agg := Aggregate([]ReplicaStore{a, nil, b})
+	agg := Aggregate(Aggregate(nil, a.Stats(nil)), b.Stats(nil))
 	if len(agg) != 3 {
 		t.Fatalf("aggregate layers = %d, want 3", len(agg))
 	}
@@ -484,7 +484,7 @@ func TestSpecDefaults(t *testing.T) {
 	}
 }
 
-func TestBuildAllShapes(t *testing.T) {
+func TestBuildShapes(t *testing.T) {
 	specs := []string{
 		"mem", "mem:16", "disk:2ms", "cache(mem:8,disk)",
 		"mirror(mem,disk)", "faulty(mem,mtbf:30s,mttr:5s)",
@@ -495,9 +495,11 @@ func TestBuildAllShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseSpec(%q) = %v", s, err)
 		}
-		stores, err := sp.BuildAll(4, Params{Seed: 1, Horizon: time.Minute, ObjBytes: kb})
-		if err != nil {
-			t.Fatalf("BuildAll(%q) = %v", s, err)
+		stores := make([]ReplicaStore, 4)
+		for i := range stores {
+			if stores[i], err = sp.Build(i, Params{Seed: 1, Horizon: time.Minute, ObjBytes: kb}); err != nil {
+				t.Fatalf("Build(%q, %d) = %v", s, i, err)
+			}
 		}
 		for i, st := range stores {
 			if !st.Create(0, 1) {

@@ -8,6 +8,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -328,3 +329,28 @@ func (w *HotPages) IsHot(id object.ID) bool { return containsID(w.hotPages, id) 
 // IsHot reports whether the page is initially assigned to a hot site;
 // exposed for analysis tools and tests.
 func (w *HotSites) IsHot(id object.ID) bool { return containsID(w.hotPages, id) }
+
+// Names lists what Named builds: the paper's four synthetic workloads
+// (§6.1) and a uniform control.
+var Names = []string{"zipf", "hot-sites", "hot-pages", "regional", "uniform"}
+
+// ErrUnknown reports a workload name outside Names.
+var ErrUnknown = errors.New("workload: unknown workload")
+
+// Named builds a workload by name with the paper's §6.1 skew constants;
+// seed fixes the random choice of hot sites and pages.
+func Named(name string, u object.Universe, topo *topology.Topology, seed int64) (Generator, error) {
+	switch name {
+	case "zipf":
+		return NewZipf(u)
+	case "hot-sites": // 90% of demand on the pages of ~10% of the sites
+		return NewHotSites(u, topo.NumNodes(), 0.9, seed)
+	case "hot-pages": // 90% of demand on 10% of the pages
+		return NewHotPages(u, 0.1, 0.9, seed)
+	case "regional": // 90% of a region's demand on its preferred 1% of the pages
+		return NewRegional(u, topo, 0.01, 0.9)
+	case "uniform":
+		return NewUniform(u)
+	}
+	return nil, fmt.Errorf("%w: %q", ErrUnknown, name)
+}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"radar/internal/object"
@@ -253,6 +254,24 @@ func TestGeneratorNames(t *testing.T) {
 		if g.Name() != name {
 			t.Errorf("Name() = %q, want %q", g.Name(), name)
 		}
+	}
+}
+
+// TestNamedBuildsEveryName: the Names list and Named's switch agree — each
+// listed name builds the generator that reports it — and a name outside
+// the list is ErrUnknown.
+func TestNamedBuildsEveryName(t *testing.T) {
+	for _, name := range Names {
+		g, err := Named(name, testUniverse, topology.UUNET(), 1)
+		if err != nil {
+			t.Fatalf("Named(%q): %v", name, err)
+		}
+		if g.Name() != name {
+			t.Errorf("Named(%q) built %q", name, g.Name())
+		}
+	}
+	if _, err := Named("flash-crowd", testUniverse, topology.UUNET(), 1); !errors.Is(err, ErrUnknown) {
+		t.Errorf("Named of an unlisted name = %v, want ErrUnknown", err)
 	}
 }
 

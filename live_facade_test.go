@@ -18,13 +18,20 @@ func TestLiveGroupValidation(t *testing.T) {
 	if err := (radar.Live{LiveMode: true, LiveMaxInflightCreates: 8}).Validate(); err != nil {
 		t.Errorf("valid live group rejected: %v", err)
 	}
+	// A live node is the simulator's node assembly: it carries a storage
+	// stack like a simulated host does.
+	stacked := radar.DefaultConfig(radar.Zipf)
+	stacked.Live.LiveMode = true
+	stacked.Storage.Store = "cache(mem:64,disk:5ms)"
+	if err := stacked.Validate(); err != nil {
+		t.Errorf("live mode with a storage stack rejected: %v", err)
+	}
 
 	cases := []struct {
 		name   string
 		mutate func(*radar.Config)
 	}{
 		{"fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" }},
-		{"store stack", func(c *radar.Config) { c.Storage.Store = "cache(mem:64,disk:5ms)" }},
 		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }},
 		{"link contention", func(c *radar.Config) { c.LinkContention = true }},
 		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }},
@@ -65,7 +72,7 @@ func TestLiveFreeRunningNeedsLiveMode(t *testing.T) {
 // TestRunSeedsRejectsLiveMode: live mode runs one fleet at a time.
 func TestRunSeedsRejectsLiveMode(t *testing.T) {
 	cfg := radar.DefaultConfig(radar.Uniform)
-	cfg.LiveMode = true
+	cfg.Live.LiveMode = true
 	if _, err := radar.RunSeeds(cfg, []int64{1, 2}, 2); !errors.Is(err, radar.ErrBadConfig) {
 		t.Errorf("RunSeeds with LiveMode: err = %v, want ErrBadConfig", err)
 	}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"radar/internal/consistency"
@@ -36,7 +37,6 @@ import (
 	"radar/internal/sim"
 	"radar/internal/store"
 	"radar/internal/substrate"
-	"radar/internal/topology"
 	"radar/internal/trace"
 	"radar/internal/workload"
 )
@@ -141,9 +141,7 @@ func (e *ConfigError) Error() string {
 // Unwrap exposes ErrBadConfig to errors.Is.
 func (e *ConfigError) Unwrap() error { return ErrBadConfig }
 
-// Placement groups the placement-policy knobs. It is embedded in Config,
-// so fields read both grouped (cfg.Placement.Policy) and flat
-// (cfg.Policy) — existing callers keep compiling.
+// Placement groups the placement-policy knobs (Config.Placement).
 type Placement struct {
 	// Policy selects the request distribution algorithm.
 	Policy Policy
@@ -175,9 +173,8 @@ func (p Placement) Validate() error {
 	return nil
 }
 
-// Faults groups the fault-injection and availability knobs. It is
-// embedded in Config, so fields read both grouped
-// (cfg.Faults.FaultSchedule) and flat (cfg.FaultSchedule).
+// Faults groups the fault-injection and availability knobs
+// (Config.Faults).
 type Faults struct {
 	// FaultSchedule, when non-empty, enables deterministic fault
 	// injection. Semicolon-separated clauses: "crash:NODE@START[+DOWNTIME]"
@@ -199,27 +196,29 @@ type Faults struct {
 
 // Validate checks the faults group in isolation.
 func (f Faults) Validate() error {
+	_, err := f.parse()
+	return err
+}
+
+// parse validates the group and returns its parsed schedule.
+func (f Faults) parse() (fault.Spec, error) {
 	if f.ReplicaFloor < 0 {
-		return &ConfigError{
+		return fault.Spec{}, &ConfigError{
 			Field: "Faults.ReplicaFloor", Value: f.ReplicaFloor,
 			Reason: "negative",
 		}
 	}
-	if f.FaultSchedule != "" {
-		spec, err := fault.ParseSchedule(f.FaultSchedule)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadFaultSchedule, err)
-		}
-		if err := spec.Validate(substrate.UUNET().Topo.NumNodes()); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadFaultSchedule, err)
-		}
+	spec, err := fault.ParseSchedule(f.FaultSchedule)
+	if err == nil {
+		err = spec.Validate(substrate.UUNET().Topo.NumNodes())
 	}
-	return nil
+	if err != nil {
+		return fault.Spec{}, fmt.Errorf("%w: %v", ErrBadFaultSchedule, err)
+	}
+	return spec, nil
 }
 
-// Ctrl groups the unreliable-control-plane knobs. It is embedded in
-// Config, so fields read both grouped (cfg.Ctrl.CtrlRetries) and flat
-// (cfg.CtrlRetries).
+// Ctrl groups the unreliable-control-plane knobs (Config.Ctrl).
 type Ctrl struct {
 	// CtrlRetries overrides the unreliable control plane's RPC retry
 	// budget (attempts = 1 + retries); CtrlTimeout overrides its
@@ -247,8 +246,7 @@ func (c Ctrl) Validate() error {
 	return nil
 }
 
-// Live groups the live serving mode knobs. It is embedded in Config, so
-// fields read both grouped (cfg.Live.LiveMode) and flat (cfg.LiveMode).
+// Live groups the live serving mode knobs (Config.Live).
 type Live struct {
 	// LiveMode runs the configuration against an in-process loopback fleet
 	// of real HTTP servers instead of the simulator: one listener per
@@ -256,9 +254,11 @@ type Live struct {
 	// on redirector locations), with a driver replaying the simulator's
 	// event schedule over the wire. The deterministic simulation remains
 	// the executable spec — a healthy live run reproduces the simulator's
-	// placement decision sequence — but live mode refuses the
-	// simulation-only subsystems (fault injection, storage stacks, mixed
-	// consistency, link contention, sharding, trace writers).
+	// placement decision sequence. Every node is the simulator's own node
+	// assembly, so storage stacks (Storage.Store) run live and report
+	// their layers like a simulated run; live mode refuses what lives in
+	// the simulator's loop instead of its nodes (fault injection, mixed
+	// consistency, link contention, sharding) and trace writers.
 	LiveMode bool
 	// LiveMaxInflightCreates caps concurrent CreateObj executions per live
 	// node (duplicate messages are deduplicated and answer the cached
@@ -291,8 +291,8 @@ func (l Live) Validate() error {
 	return nil
 }
 
-// Storage groups the replica-storage stack knobs. It is embedded in
-// Config; the zero value selects the default in-memory backend, which is
+// Storage groups the replica-storage stack knobs (Config.Storage); the
+// zero value selects the default in-memory backend, which is
 // byte-identical to releases that predate storage modeling.
 type Storage struct {
 	// Store is a replica-storage stack term. The grammar composes
@@ -314,20 +314,25 @@ type Storage struct {
 
 // Validate checks the storage group in isolation.
 func (s Storage) Validate() error {
-	if _, err := store.ParseSpec(s.Store); err != nil {
-		return &ConfigError{
+	_, err := s.parse()
+	return err
+}
+
+// parse validates the group and returns its parsed stack term.
+func (s Storage) parse() (store.Spec, error) {
+	spec, err := store.ParseSpec(s.Store)
+	if err != nil {
+		return store.Spec{}, &ConfigError{
 			Field: "Storage.Store", Value: s.Store,
 			Reason: err.Error(),
 		}
 	}
-	return nil
+	return spec, nil
 }
 
 // Config configures one simulation run. The zero value is not usable;
-// start from DefaultConfig. Related knobs are grouped into embedded
-// sub-structs (Placement, Faults, Ctrl, Storage); embedding promotes
-// their fields, so both cfg.Placement.Policy and cfg.Policy refer to the
-// same field and pre-grouping callers compile unchanged.
+// start from DefaultConfig. Related knobs are grouped into sub-structs
+// (Placement, Faults, Ctrl, Storage, Live).
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
@@ -375,11 +380,11 @@ type Config struct {
 	// refusals) for offline analysis.
 	TraceWriter io.Writer
 
-	Placement
-	Faults
-	Ctrl
-	Storage
-	Live
+	Placement Placement
+	Faults    Faults
+	Ctrl      Ctrl
+	Storage   Storage
+	Live      Live
 }
 
 // DefaultConfig returns the paper's Table 1 configuration under the given
@@ -403,13 +408,32 @@ func DefaultConfig(w Workload) Config {
 // caller separate configuration errors from execution errors. All
 // returned errors wrap the package's sentinel errors (ErrUnknownWorkload,
 // ErrBadConfig and siblings) or the substrate's validation errors, so
-// errors.Is works. Each embedded group also validates in isolation via
-// its own Validate method.
+// errors.Is works. Each group also validates in isolation via its own
+// Validate method.
 func (c Config) Validate() error {
-	if !knownWorkload(c.Workload) {
+	_, _, err := c.resolve()
+	return err
+}
+
+// resolve parses what of c needs parsing — the fault schedule and the
+// storage stack term — validates c, and returns both, so a run parses each
+// once.
+func (c Config) resolve() (faults fault.Spec, stack store.Spec, err error) {
+	if faults, err = c.Faults.parse(); err != nil {
+		return faults, stack, err
+	}
+	if stack, err = c.Storage.parse(); err != nil {
+		return faults, stack, err
+	}
+	return faults, stack, c.validate(faults)
+}
+
+// validate checks everything but the two parsed groups.
+func (c Config) validate(faults fault.Spec) error {
+	if !slices.Contains(workload.Names, string(c.Workload)) {
 		return fmt.Errorf("%w: %q", ErrUnknownWorkload, c.Workload)
 	}
-	if c.SwitchTo != "" && !knownWorkload(c.SwitchTo) {
+	if c.SwitchTo != "" && !slices.Contains(workload.Names, string(c.SwitchTo)) {
 		return fmt.Errorf("%w: switch target %q", ErrUnknownWorkload, c.SwitchTo)
 	}
 	switch c.Consistency {
@@ -445,13 +469,7 @@ func (c Config) Validate() error {
 	if err := c.Placement.Validate(); err != nil {
 		return err
 	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
 	if err := c.Ctrl.Validate(); err != nil {
-		return err
-	}
-	if err := c.Storage.Validate(); err != nil {
 		return err
 	}
 	if err := c.Live.Validate(); err != nil {
@@ -459,13 +477,13 @@ func (c Config) Validate() error {
 	}
 	// Combinations the engines refuse are judged by the engines' own table
 	// (sim.Refusals), over the features this Config switches on.
-	if r := sim.MatchRefusal(c.features()); r != nil {
+	if r := sim.MatchRefusal(c.features(faults)); r != nil {
 		if r.With&sim.ExternalFleet != 0 {
 			return &ConfigError{Field: "Live.LiveMode", Value: true, Reason: r.Reason}
 		}
 		return &ConfigError{Field: "Shards", Value: c.Shards, Reason: r.Reason}
 	}
-	if c.LiveMode && c.TraceWriter != nil {
+	if c.Live.LiveMode && c.TraceWriter != nil {
 		return &ConfigError{Field: "Live.LiveMode", Value: true, Reason: "live mode does not support trace writers"}
 	}
 	return nil
@@ -473,10 +491,9 @@ func (c Config) Validate() error {
 
 // features maps the facade's switches onto the engines' feature set
 // (sim.Config.Features reads the same set off the built configuration).
-// It runs after the groups validated, so both specs parse.
-func (c Config) features() sim.Feature {
+func (c Config) features(faults fault.Spec) sim.Feature {
 	var f sim.Feature
-	if c.LiveMode {
+	if c.Live.LiveMode {
 		f |= sim.ExternalFleet
 	}
 	if c.Shards == -1 || c.Shards >= 2 {
@@ -488,22 +505,10 @@ func (c Config) features() sim.Feature {
 	if c.Consistency == ConsistencyMixed {
 		f |= sim.ConsistencyUpdates
 	}
-	if spec, err := fault.ParseSchedule(c.Faults.FaultSchedule); err == nil && (spec.Enabled() || spec.HasMessageFaults()) {
+	if faults.Enabled() || faults.HasMessageFaults() {
 		f |= sim.FaultInjection
 	}
-	if spec, err := store.ParseSpec(c.Storage.Store); err == nil && !spec.IsDefault() {
-		f |= sim.StoreStack
-	}
 	return f
-}
-
-// knownWorkload reports whether w names one of the package's workloads.
-func knownWorkload(w Workload) bool {
-	switch w {
-	case Zipf, HotSites, HotPages, Regional, Uniform:
-		return true
-	}
-	return false
 }
 
 // Point is one sample of a reported time series.
@@ -666,14 +671,15 @@ func Run(cfg Config) (*Result, error) {
 // virtual-time minutes) with ctx.Err(). A run that completes without
 // cancellation is bit-identical to Run.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	simCfg, err := buildSimConfig(cfg)
+	faults, stack, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.LiveMode {
+	simCfg, err := buildSimConfig(cfg, faults, stack)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Live.LiveMode {
 		return runLive(ctx, cfg, simCfg)
 	}
 	s, err := sim.New(*simCfg)
@@ -712,20 +718,21 @@ func RunSeedsContext(ctx context.Context, cfg Config, seeds []int64, parallelism
 	if cfg.TraceWriter != nil && len(seeds) > 1 {
 		return nil, fmt.Errorf("%w: %d seeds", ErrTraceWriterShared, len(seeds))
 	}
-	if cfg.LiveMode {
+	if cfg.Live.LiveMode {
 		return nil, &ConfigError{
 			Field: "Live.LiveMode", Value: true,
 			Reason: "live mode runs one fleet at a time; use Run per seed",
 		}
 	}
-	if err := cfg.Validate(); err != nil {
+	faults, stack, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	jobs := make([]experiments.Job, len(seeds))
 	for i, seed := range seeds {
 		seedCfg := cfg
 		seedCfg.Seed = seed
-		simCfg, err := buildSimConfig(seedCfg)
+		simCfg, err := buildSimConfig(seedCfg, faults, stack)
 		if err != nil {
 			return nil, fmt.Errorf("radar: seed %d: %w", seed, err)
 		}
@@ -750,52 +757,30 @@ func RunSeedsContext(ctx context.Context, cfg Config, seeds []int64, parallelism
 func runLive(ctx context.Context, cfg Config, simCfg *sim.Config) (*Result, error) {
 	liveCfg := live.Config{
 		Sim:                *simCfg,
-		MaxInflightCreates: cfg.LiveMaxInflightCreates,
-		FreeRunning:        cfg.LiveFreeRunning,
+		MaxInflightCreates: cfg.Live.LiveMaxInflightCreates,
+		FreeRunning:        cfg.Live.LiveFreeRunning,
 	}
 	if err := liveCfg.Validate(); err != nil {
 		return nil, &ConfigError{Field: "Live.LiveMode", Value: true, Reason: err.Error()}
 	}
-	fleet, err := live.NewFleet(liveCfg)
+	h, err := live.NewHarness(liveCfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer fleet.Close()
-	if cfg.LiveFreeRunning {
-		// Free-running: wait for readiness (nodes Start-ed, tickers live),
-		// generate load for the wall-clock duration, and report the real
-		// counters plus a final census — there is no virtual-time replay.
-		if err := fleet.WaitReady(10 * time.Second); err != nil {
-			return nil, err
-		}
-		free, err := live.NewFreeDriver(fleet.Config(), fleet.URLs())
-		if err != nil {
-			return nil, err
-		}
-		if err := free.Run(ctx, fleet.Config().Sim.Duration); err != nil {
-			return nil, err
-		}
-		return convert(free.Results(free.Census())), nil
-	}
-	if err := fleet.WaitHealthy(10 * time.Second); err != nil {
-		return nil, err
-	}
-	d, err := live.NewDriver(fleet.Config(), fleet.URLs())
-	if err != nil {
-		return nil, err
-	}
-	res, err := d.Run(ctx)
+	defer h.Close()
+	res, err := h.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return convert(res), nil
 }
 
-// buildSimConfig translates a validated Config into the simulator's.
-func buildSimConfig(cfg Config) (*sim.Config, error) {
+// buildSimConfig translates a validated Config, with its parsed fault
+// schedule and storage stack (Config.resolve), into the simulator's.
+func buildSimConfig(cfg Config, faults fault.Spec, stack store.Spec) (*sim.Config, error) {
 	topo := substrate.UUNET().Topo
 	u := object.Universe{Count: cfg.Objects, SizeBytes: cfg.ObjectSizeBytes}
-	gen, err := buildWorkload(cfg.Workload, u, topo, cfg.Seed)
+	gen, err := workload.Named(string(cfg.Workload), u, topo, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -831,7 +816,7 @@ func buildSimConfig(cfg Config) (*sim.Config, error) {
 	simCfg.Shards = cfg.Shards
 	simCfg.ShardQuantum = cfg.ShardQuantum
 	if cfg.SwitchTo != "" {
-		to, err := buildWorkload(cfg.SwitchTo, u, topo, cfg.Seed+1)
+		to, err := workload.Named(string(cfg.SwitchTo), u, topo, cfg.Seed+1)
 		if err != nil {
 			return nil, err
 		}
@@ -841,34 +826,13 @@ func buildSimConfig(cfg Config) (*sim.Config, error) {
 	if cfg.TraceWriter != nil {
 		simCfg.ExtraObserver = trace.NewWriter(cfg.TraceWriter)
 	}
-	if simCfg.Faults, err = fault.ParseSchedule(cfg.Faults.FaultSchedule); err != nil {
-		return nil, err
-	}
+	simCfg.Faults = faults
 	simCfg.Protocol.ReplicaFloor = cfg.Faults.ReplicaFloor
 	simCfg.Protocol.AvailabilityWeight = cfg.Placement.AvailabilityWeight
 	simCfg.Ctrl.Retries = cfg.Ctrl.CtrlRetries
 	simCfg.Ctrl.Timeout = cfg.Ctrl.CtrlTimeout
-	if simCfg.Store, err = store.ParseSpec(cfg.Storage.Store); err != nil {
-		return nil, err
-	}
+	simCfg.Store = stack
 	return &simCfg, nil
-}
-
-func buildWorkload(w Workload, u object.Universe, topo *topology.Topology, seed int64) (workload.Generator, error) {
-	switch w {
-	case Zipf:
-		return workload.NewZipf(u)
-	case HotSites:
-		return workload.NewHotSites(u, topo.NumNodes(), 0.9, seed)
-	case HotPages:
-		return workload.NewHotPages(u, 0.1, 0.9, seed)
-	case Regional:
-		return workload.NewRegional(u, topo, 0.01, 0.9)
-	case Uniform:
-		return workload.NewUniform(u)
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownWorkload, w)
-	}
 }
 
 func convert(res *sim.Results) *Result {

@@ -22,8 +22,8 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.ObjectSizeBytes != 12<<10 {
 		t.Errorf("ObjectSizeBytes = %d, want 12KB", cfg.ObjectSizeBytes)
 	}
-	if cfg.Policy != PolicyPaper {
-		t.Errorf("Policy = %q, want paper", cfg.Policy)
+	if cfg.Placement.Policy != PolicyPaper {
+		t.Errorf("Policy = %q, want paper", cfg.Placement.Policy)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Error("unknown workload accepted")
 	}
 	bad = quick(Zipf)
-	bad.Policy = "no-such-policy"
+	bad.Placement.Policy = "no-such-policy"
 	if _, err := Run(bad); err == nil {
 		t.Error("unknown policy accepted")
 	}
