@@ -15,12 +15,11 @@
 //
 // Lifecycle: SIGTERM (or SIGINT) begins a graceful drain — the listener
 // stops accepting, in-flight requests finish within -drain, and the
-// process exits 0 — while SIGKILL is the crash the chaos harness deals.
+// process exits 0 — while SIGKILL is the crash the fleet must survive.
 // A restarted node should be given -recovered so it re-announces its
 // replicas to the fleet's redirectors before reporting ready. -ready-file
 // names a file created once the node is serving and recovered: the
-// process-level readiness signal the chaos controller's restart path
-// waits on.
+// process-level readiness signal for whatever supervises the process.
 //
 // Example (3 terminals, after picking ports):
 //

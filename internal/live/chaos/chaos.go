@@ -1,9 +1,9 @@
 // Package chaos turns the simulator's declarative fault schedules into
-// real faults against a live fleet: killed and restarted node processes,
+// real faults against a live fleet: killed and restarted nodes,
 // control-plane partitions, and client-hop latency. The schedule DSL and
 // its expansion are shared with the simulator (package fault), so the same
-// "crash:3@10s+5s" clause that crashes simulated host 3 SIGKILLs live
-// node 3 — deterministically, from the same seed.
+// "crash:3@10s+5s" clause that crashes simulated host 3 kills live node 3
+// — deterministically, from the same seed.
 //
 // The controller is deliberately open-loop: it applies the planned actions
 // at their wall-clock times and reports what it did. Deciding whether the
@@ -30,8 +30,8 @@ type Kind uint8
 // fault.Kind order: a node dies before one revives, node actions precede
 // partition actions).
 const (
-	// Kill SIGKILLs a node (or the in-process equivalent: listener torn
-	// down, goroutines reaped).
+	// Kill crashes a node the way SIGKILL would: listener torn down,
+	// goroutines reaped, nothing flushed.
 	Kill Kind = iota + 1
 	// Restart brings a killed node back as a fresh incarnation.
 	Restart
@@ -134,7 +134,7 @@ func Plan(schedule string, topo *topology.Topology, horizon time.Duration, rng *
 }
 
 // Target is what the controller acts on: an in-process fleet
-// (FleetTarget) or real node processes (ProcTarget).
+// (FleetTarget), or a test's fake.
 type Target interface {
 	// Kill crashes a node.
 	Kill(n topology.NodeID) error

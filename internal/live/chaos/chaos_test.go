@@ -2,8 +2,6 @@ package chaos
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -174,41 +172,5 @@ func TestControllerCancel(t *testing.T) {
 	}
 	if len(tgt.calls) != 0 {
 		t.Fatalf("cancelled run applied %v", tgt.calls)
-	}
-}
-
-// TestProcTargetKillRestart: the process target launches a real process,
-// SIGKILLs it, and relaunches it, gating on the ready file both times.
-func TestProcTargetKillRestart(t *testing.T) {
-	dir := t.TempDir()
-	ready := filepath.Join(dir, "ready")
-	tgt := NewProcTarget([]Proc{{
-		Command:   []string{"sh", "-c", "touch " + ready + " && sleep 60"},
-		ReadyFile: ready,
-	}})
-	defer tgt.Close()
-	if err := tgt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ready); err != nil {
-		t.Fatalf("ready file missing after Start: %v", err)
-	}
-	if err := tgt.Kill(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ready); err == nil {
-		t.Fatal("ready file survives Kill")
-	}
-	if err := tgt.Kill(0); err == nil {
-		t.Fatal("double Kill did not error")
-	}
-	if err := tgt.Restart(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ready); err != nil {
-		t.Fatalf("ready file missing after Restart: %v", err)
-	}
-	if err := tgt.Restart(0); err == nil {
-		t.Fatal("Restart of a running process did not error")
 	}
 }

@@ -120,8 +120,7 @@ func (b *retryBudget) allowRetry(target string) bool {
 // and 503s (a node refusing while busy) are retried; any other non-2xx
 // status is a terminal protocol answer. On top of the per-call schedule, an
 // optional per-peer retry budget (free-running mode) cuts retries against a
-// peer that keeps failing, and an optional injected latency (the chaos
-// controller's client-hop delay) stalls every attempt.
+// peer that keeps failing.
 type rpcClient struct {
 	params ctrlplane.Params
 	http   *http.Client
@@ -129,7 +128,6 @@ type rpcClient struct {
 
 	stopCtx  context.Context
 	stopFn   context.CancelFunc
-	latency  atomic.Int64 // injected per-attempt delay, ns
 	rngMu    sync.Mutex
 	rng      *rand.Rand
 	attempts int64
@@ -159,10 +157,6 @@ func (c *rpcClient) Close() {
 	c.stopFn()
 	c.http.CloseIdleConnections()
 }
-
-// SetLatency injects a fixed delay before every attempt (chaos's client-hop
-// latency). Zero removes it.
-func (c *rpcClient) SetLatency(d time.Duration) { c.latency.Store(int64(d)) }
 
 // sleep waits d, aborted early by Close.
 func (c *rpcClient) sleep(d time.Duration) bool {
@@ -262,9 +256,6 @@ func (c *rpcClient) roundTrip(base, path string, build func(context.Context) (*h
 			if !c.backoffWait(&backoff) {
 				break // client closed mid-backoff
 			}
-		}
-		if d := time.Duration(c.latency.Load()); d > 0 && !c.sleep(d) {
-			break
 		}
 		atomic.AddInt64(&c.attempts, 1)
 		attempts++

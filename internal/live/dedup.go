@@ -8,11 +8,13 @@ import "sync"
 // message is answered from the cache), in-flight deduplication (a
 // duplicate arriving while the first copy still executes waits for that
 // execution's result instead of starting a second), and a concurrency
-// limit on executions admitted per node. The verdict cache is retained for
-// the node's lifetime: like the simulated plane's results map, a cached
-// verdict must survive until the caller is known to have seen it, and the
-// live plane has no confirmation leg — runs are bounded, so the cache is
-// too.
+// limit on executions admitted per node. What is replayed is the verdict's
+// bytes, so a retrying caller reads exactly what the one execution said —
+// accepted, copied — and acts on it once (Node.sendCreateObj records the
+// copy there). The verdict cache is retained for the node's lifetime: like
+// the simulated plane's results map, a cached verdict must survive until
+// the caller is known to have seen it, and the live plane has no
+// confirmation leg — runs are bounded, so the cache is too.
 type callDedup struct {
 	sem chan struct{}
 

@@ -198,8 +198,8 @@ func (f *httpFleet) Measure(now time.Duration, h topology.NodeID) (actual, lower
 	return rep.Load, rep.Lower, rep.Upper, true
 }
 
-// Place implements sim.Fleet: the pass's reply carries the node's drained
-// event log.
+// Place implements sim.Fleet: the pass's reply carries every event it
+// caused.
 func (f *httpFleet) Place(now time.Duration, h topology.NodeID) bool {
 	var rep PlaceReply
 	if f.post(h, PathPlace, &TickMsg{Now: int64(now)}, &rep) != nil {
@@ -230,19 +230,12 @@ func (f *httpFleet) MarkDown(_ time.Duration, h topology.NodeID) {
 	}
 }
 
-// Stats implements sim.Fleet: a final drain of every node's event log
-// (events recorded since its last placement pass — typically CreateObj
-// copies on accepting nodes), then the per-node counters.
+// Stats implements sim.Fleet: the per-node counters.
 func (f *httpFleet) Stats(r *sim.Results) {
 	r.HostStats = make([]protocol.HostStats, len(f.urls))
 	for i := range f.urls {
-		var ev EventsReply
-		if f.down[i] || Scrape(f.client, f.urls[i]+PathEvents, &ev) != nil {
-			continue
-		}
-		f.report(ev.Events)
 		var st StatsReply
-		if Scrape(f.client, f.urls[i]+PathStats, &st) != nil {
+		if f.down[i] || Scrape(f.client, f.urls[i]+PathStats, &st) != nil {
 			continue
 		}
 		r.HostStats[i] = st.Host
@@ -252,11 +245,12 @@ func (f *httpFleet) Stats(r *sim.Results) {
 	}
 }
 
-// report replays a drained node event log into the loop's accounting —
+// report replays a placement pass's events into the loop's accounting —
 // wire Event back to the protocol.Observer call it was recorded from — and
-// keeps the decisions. The loop's charges are bucketed sums, so replaying
-// them when the log drains, rather than at the instant they happened,
-// changes nothing.
+// keeps the decisions. The list is complete and in causal order, and the
+// pass is one loop event, so every charge is issued in the in-memory
+// fleet's order at the in-memory fleet's instant: link busy-until state
+// (Net.Contention) evolves as it does in the simulation.
 func (f *httpFleet) report(evs []Event) {
 	for _, e := range evs {
 		at, id := time.Duration(e.At), object.ID(e.Object)

@@ -8,6 +8,7 @@ import (
 
 	"radar/internal/live"
 	"radar/internal/live/livetest"
+	"radar/internal/metrics"
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/sim"
@@ -52,7 +53,9 @@ func (r *decisionRecorder) OnDefer(now time.Duration, id object.ID, from, to top
 //
 // Beyond the baseline, each case switches on one thing a node carries
 // because sim.NewMachine builds it — a storage stack, host weights, each
-// alternate seeding mode. A case here is what licenses the absence of an
+// alternate seeding mode — or one thing the loop prices from the fleet's
+// events: link contention, whose busy-until state moves with the order and
+// instant of every charge. A case here is what licenses the absence of an
 // ExternalFleet row for that feature in sim.Refusals.
 func TestSimLiveEquivalence(t *testing.T) {
 	stack, err := store.ParseSpec("cache(mem:2,disk:40ms)")
@@ -81,6 +84,7 @@ func TestSimLiveEquivalence(t *testing.T) {
 				}
 			}
 		}},
+		{"link-contention", func(c *sim.Config) { c.Net.Contention = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,6 +168,30 @@ func checkSimLiveEquivalence(t *testing.T, cfg live.Config) {
 		if liveRes.MaxLoad[i] != simRes.MaxLoad[i] {
 			t.Errorf("max-load sample %d: live %+v, sim %+v", i, liveRes.MaxLoad[i], simRes.MaxLoad[i])
 		}
+	}
+	// What the network model prices: a charge issued late or out of order
+	// moves these (and with link contention, every later transfer's delay).
+	for _, series := range []struct {
+		name      string
+		live, sim []metrics.Point
+	}{
+		{"Bandwidth", liveRes.Bandwidth, simRes.Bandwidth},
+		{"Latency", liveRes.Latency, simRes.Latency},
+		{"LatencyP99", liveRes.LatencyP99, simRes.LatencyP99},
+		{"OverheadPct", liveRes.OverheadPct, simRes.OverheadPct},
+	} {
+		if !reflect.DeepEqual(series.live, series.sim) {
+			t.Errorf("%s series:\n  live: %v\n  sim:  %v", series.name, series.live, series.sim)
+		}
+	}
+	if liveRes.BandwidthStats != simRes.BandwidthStats {
+		t.Errorf("BandwidthStats: live %+v, sim %+v", liveRes.BandwidthStats, simRes.BandwidthStats)
+	}
+	if liveRes.LatencyStats != simRes.LatencyStats {
+		t.Errorf("LatencyStats: live %+v, sim %+v", liveRes.LatencyStats, simRes.LatencyStats)
+	}
+	if liveRes.OverheadPercent != simRes.OverheadPercent {
+		t.Errorf("OverheadPercent: live %v, sim %v", liveRes.OverheadPercent, simRes.OverheadPercent)
 	}
 	if liveRes.FailedRequests != 0 || liveRes.Failures != 0 {
 		t.Errorf("healthy fleet reported %d failed requests, %d crashes", liveRes.FailedRequests, liveRes.Failures)

@@ -15,31 +15,22 @@ import (
 	"radar/internal/topology"
 )
 
-// wedgedSource stands up a two-node fleet whose node 0 never answers
-// /fetch/: the handler signals entered and hangs until the test ends.
-// rpcTimeout is the nodes' per-attempt RPC timeout.
-func wedgedSource(t *testing.T, rpcTimeout time.Duration) (nodes [2]*live.Node, urls []string, entered chan struct{}) {
+// twoNodes stands up a two-node fleet behind test servers. intercept sees
+// every request to node i before the node does and reports whether it
+// answered it.
+func twoNodes(t *testing.T, cfg live.Config, intercept func(i int, w http.ResponseWriter, r *http.Request) bool) (nodes [2]*live.Node, urls []string) {
 	t.Helper()
 	livetest.CheckGoroutines(t)
-	cfg := liveConfig(t, topology.Line(2), 8, 1, time.Minute)
-	cfg.RPC.Timeout = rpcTimeout
-	entered = make(chan struct{}, 1)
-	release := make(chan struct{})
 	urls = make([]string, 2)
 	for i := range nodes {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if i == 0 && strings.HasPrefix(r.URL.Path, live.PathFetch) {
-				entered <- struct{}{}
-				<-release
-				return
+			if !intercept(i, w, r) {
+				nodes[i].Handler().ServeHTTP(w, r)
 			}
-			nodes[i].Handler().ServeHTTP(w, r)
 		}))
 		urls[i] = srv.URL
 		t.Cleanup(srv.Close)
 	}
-	// Runs before the servers close (LIFO), which wait for their handlers.
-	t.Cleanup(func() { close(release) })
 	routes := routing.New(cfg.Sim.Topo)
 	for i := range nodes {
 		nd, err := live.NewNode(cfg, topology.NodeID(i), urls, routes)
@@ -50,6 +41,28 @@ func wedgedSource(t *testing.T, rpcTimeout time.Duration) (nodes [2]*live.Node, 
 		t.Cleanup(nd.Stop)
 		nodes[i] = nd
 	}
+	return nodes, urls
+}
+
+// wedgedSource stands up a two-node fleet whose node 0 never answers
+// /fetch/: the handler signals entered and hangs until the test ends.
+// rpcTimeout is the nodes' per-attempt RPC timeout.
+func wedgedSource(t *testing.T, rpcTimeout time.Duration) (nodes [2]*live.Node, urls []string, entered chan struct{}) {
+	t.Helper()
+	cfg := liveConfig(t, topology.Line(2), 8, 1, time.Minute)
+	cfg.RPC.Timeout = rpcTimeout
+	entered = make(chan struct{}, 1)
+	release := make(chan struct{})
+	nodes, urls = twoNodes(t, cfg, func(i int, _ http.ResponseWriter, r *http.Request) bool {
+		if i != 0 || !strings.HasPrefix(r.URL.Path, live.PathFetch) {
+			return false
+		}
+		entered <- struct{}{}
+		<-release
+		return true
+	})
+	// Runs before the servers close (LIFO), which wait for their handlers.
+	t.Cleanup(func() { close(release) })
 	return nodes, urls, entered
 }
 

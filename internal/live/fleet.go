@@ -15,12 +15,11 @@ import (
 // own loopback HTTP listener on an ephemeral port — the harness the
 // integration tests, the equivalence test, and radar-load's default mode
 // drive. Kill closes a node's listener and in-flight connections and stops
-// the node's own goroutines (tickers, pending completions, in-flight
-// client retries), making the node indistinguishable from a SIGKILLed
-// process to the rest of the fleet: connections refused, no further
-// control traffic. Restart brings a killed node back on its original
-// address as a fresh incarnation booted from the seed image, the way a
-// crashed process restarts from disk.
+// the node's own goroutines (tickers, in-flight client retries), making
+// the node indistinguishable from a SIGKILLed process to the rest of the
+// fleet: connections refused, no further control traffic. Restart brings a
+// killed node back on its original address as a fresh incarnation booted
+// from the seed image, the way a crashed process restarts from disk.
 type Fleet struct {
 	cfg    Config
 	routes *routing.Table
@@ -101,13 +100,6 @@ func (f *Fleet) URLs() []string { return append([]string(nil), f.urls...) }
 // URL returns one node's base URL.
 func (f *Fleet) URL(i topology.NodeID) string { return f.urls[i] }
 
-// Node returns a fleet member for in-process inspection.
-func (f *Fleet) Node(i topology.NodeID) *Node {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nodes[i]
-}
-
 // Routes returns the shared routing table.
 func (f *Fleet) Routes() *routing.Table { return f.routes }
 
@@ -118,11 +110,9 @@ func (f *Fleet) Config() Config { return f.cfg }
 func (f *Fleet) Epoch() time.Time { return f.epoch }
 
 // Kill crashes a node: its listener closes, open connections are torn
-// down, and the node's goroutines (tickers, timers, client retries) are
-// reaped, so every subsequent request to it fails at the transport and
-// nothing of the node keeps running — the in-process equivalent of
-// SIGKILL. The node's memory (host, server, redirector) is retained for
-// test inspection.
+// down, and the node's goroutines (tickers, client retries) are reaped, so
+// every subsequent request to it fails at the transport and nothing of the
+// node keeps running — the in-process equivalent of SIGKILL.
 func (f *Fleet) Kill(i topology.NodeID) error {
 	f.mu.Lock()
 	if f.killed[i] {

@@ -141,6 +141,21 @@ func TestFreeRunningServes(t *testing.T) {
 			t.Errorf("node %d never ran a placement tick", i)
 		}
 	}
+	// Nobody reports completions to a free-running node: it settles its
+	// own, and a stats scrape sees every served request recorded once the
+	// last ones' few milliseconds of service are over on the node's clock.
+	recorded := func() (n int64) {
+		for i := 0; i < h.Fleet.NumNodes(); i++ {
+			n += nodeStats(t, h.Fleet.URL(topology.NodeID(i))).TotalServed
+		}
+		return n
+	}
+	for deadline := time.Now().Add(2 * time.Second); recorded() != h.Free.Served() && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := recorded(); got != h.Free.Served() {
+		t.Errorf("nodes recorded %d completions of %d served requests", got, h.Free.Served())
+	}
 }
 
 // TestChaosKillRestartInvariants is the headline free-running test: a

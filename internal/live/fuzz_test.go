@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"radar/internal/protocol"
 	"radar/internal/store"
 )
 
@@ -24,10 +25,11 @@ func FuzzLiveRPC(f *testing.F) {
 	f.Add(Encode(&CompleteMsg{Object: 6, Gateway: 2, Now: 5}))
 	f.Add(Encode(&MarkMsg{Host: 3, Down: true}))
 	f.Add(Encode(&PeersMsg{Peer: 2, URL: "poison://partition"}))
-	f.Add(Encode(&EventsReply{Events: []Event{
+	f.Add(Encode(&PlaceReply{Summary: protocol.PlacementSummary{Replicated: 1}, Events: []Event{
 		{At: 1, Kind: EventMigrate, Object: 2, From: 0, To: 1, Move: "geo"},
 		{At: 2, Kind: EventRefuse, Object: 3, From: 1, To: 2, Method: "MIGRATE"},
 		{At: 3, Kind: EventCopy, Object: 4, From: 2, To: 0},
+		{At: 3, Kind: EventReplicate, Object: 4, From: 2, To: 0, Move: "load"},
 	}}))
 	f.Add(Encode(&StatsReply{TotalServed: 10, CreateExecutions: 2, CreatePeakConcurrency: 1}))
 	f.Add(Encode(&StatsReply{TotalServed: 10, StoreLayers: []store.LayerStats{
@@ -43,7 +45,7 @@ func FuzzLiveRPC(f *testing.F) {
 			&CreateObjMsg{}, &CreateObjReply{}, &NotifyMsg{}, &DropMsg{},
 			&DropReply{}, &LoadReply{}, &ReplicasReply{}, &TickMsg{},
 			&PlaceReply{}, &MeasureReply{}, &CompleteMsg{}, &CensusReply{},
-			&MarkMsg{}, &PeersMsg{}, &Event{}, &EventsReply{}, &StatsReply{},
+			&MarkMsg{}, &PeersMsg{}, &Event{}, &StatsReply{},
 		}
 		for _, msg := range msgs {
 			err := Decode(data, msg)

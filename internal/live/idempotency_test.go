@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,6 +117,78 @@ func TestCreateObjIdempotent(t *testing.T) {
 	stats := nodeStats(t, target)
 	if stats.CreateExecutions != 1 {
 		t.Fatalf("CreateExecutions = %d after 7 copies of one message, want 1", stats.CreateExecutions)
+	}
+}
+
+// postPlace runs one placement pass on a node at virtual time now.
+func postPlace(t *testing.T, url string, now time.Duration) live.PlaceReply {
+	t.Helper()
+	res, err := http.Post(url+live.PathPlace, "application/json", bytes.NewReader(live.Encode(&live.TickMsg{Now: int64(now)})))
+	if err != nil {
+		t.Fatalf("POST place: %v", err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("place status %d, err %v: %s", res.StatusCode, err, body)
+	}
+	var rep live.PlaceReply
+	if err := live.Decode(body, &rep); err != nil {
+		t.Fatalf("decoding place reply: %v", err)
+	}
+	return rep
+}
+
+// TestPlaceReplyCarriesItsCopies: a placement pass's reply is its complete
+// event list. Floor repair makes node 0's first pass replicate each of its
+// objects onto node 1; every copy rides node 0's reply, immediately before
+// the decision whose handshake made it, and none of it waits on the
+// acceptor for a later drain. The first verdict is lost in transit, so that
+// handshake is retried under one message ID: the acceptor replays the
+// verdict, and the placing node records one copy.
+func TestPlaceReplyCarriesItsCopies(t *testing.T) {
+	cfg := liveConfig(t, topology.Line(2), 6, 1, time.Minute)
+	cfg.Sim.Protocol.ReplicaFloor = 2
+	cfg.RPC.BackoffBase, cfg.RPC.BackoffCap = time.Millisecond, 5*time.Millisecond
+	var nodes [2]*live.Node
+	var creates, lost atomic.Int64
+	nodes, urls := twoNodes(t, cfg, func(i int, _ http.ResponseWriter, r *http.Request) bool {
+		if i != 1 || r.URL.Path != live.PathCreateObj || creates.Add(1) > 1 {
+			return false
+		}
+		// Execute the handshake, then lose the verdict.
+		nodes[1].Handler().ServeHTTP(httptest.NewRecorder(), r)
+		lost.Add(1)
+		panic(http.ErrAbortHandler)
+	})
+
+	rep := postPlace(t, urls[0], 30*time.Second)
+	if rep.Summary.Repaired != 3 {
+		t.Fatalf("node 0 repaired %d objects, want its 3: %+v", rep.Summary.Repaired, rep)
+	}
+	if len(rep.Events) != 6 {
+		t.Fatalf("node 0's pass reported %d events, want 3 copy+replicate pairs: %+v", len(rep.Events), rep.Events)
+	}
+	for i := 0; i < len(rep.Events); i += 2 {
+		cp, dec := rep.Events[i], rep.Events[i+1]
+		want := live.Event{At: int64(30 * time.Second), Kind: live.EventCopy, Object: dec.Object, From: 0, To: 1}
+		if cp != want || dec.Kind != live.EventReplicate || dec.At != want.At {
+			t.Fatalf("events %d,%d = %+v, %+v; want a copy 0->1 immediately before its replicate", i, i+1, cp, dec)
+		}
+	}
+	if lost.Load() != 1 {
+		t.Fatalf("%d verdicts lost, want the first", lost.Load())
+	}
+	if st := nodeStats(t, urls[1]); st.CreateExecutions != 3 || creates.Load() != 4 {
+		t.Fatalf("acceptor executed %d handshakes over %d deliveries, want 3 over 4", st.CreateExecutions, creates.Load())
+	}
+
+	// The acceptor's own pass reports its own moves (1 -> 0) and nothing of
+	// the copies it received.
+	for _, e := range postPlace(t, urls[1], 30*time.Second).Events {
+		if e.Kind == live.EventCopy && e.To == 1 {
+			t.Fatalf("acceptor's pass reported a copy it received: %+v", e)
+		}
 	}
 }
 

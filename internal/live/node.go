@@ -33,18 +33,19 @@ import (
 // tickers; wire timestamps on incoming requests are ignored for the node's
 // own state (DESIGN.md §4.9).
 //
-// Locking: mu guards the machine and the event log; redMu guards the
-// redirector and the peer-reachability view; peerMu guards the mutable
-// peer URL table (chaos partitions poison it). The only permitted nesting
-// is mu -> redMu (a placement pass notifying its own co-located
-// redirector). Handlers that issue outgoing RPCs while holding mu rely on
-// the driven operating model in driver-paced mode: the driver serializes
-// control operations fleet-wide, so no two nodes run placement
-// concurrently and cross-node lock cycles cannot form. In free-running
-// mode placement passes on different nodes do overlap, so the peer-called
-// handlers (CreateObj, load queries) take mu with a bounded try-lock and
-// answer busy (503) on timeout — the caller's jittered backoff retry
-// breaks the symmetry that a blocking lock would deadlock on.
+// Locking: mu guards the machine, the pending-completion queue and the
+// placement pass's event list; redMu guards the redirector and the
+// peer-reachability view; peerMu guards the mutable peer URL table (chaos
+// partitions poison it). The only permitted nesting is mu -> redMu (a
+// placement pass notifying its own co-located redirector). Handlers that
+// issue outgoing RPCs while holding mu rely on the driven operating model
+// in driver-paced mode: the driver serializes control operations
+// fleet-wide, so no two nodes run placement concurrently and cross-node
+// lock cycles cannot form. In free-running mode placement passes on
+// different nodes do overlap, so the peer-called handlers (CreateObj, load
+// queries) take mu with a bounded try-lock and answer busy (503) on
+// timeout — the caller's jittered backoff retry breaks the symmetry that a
+// blocking lock would deadlock on.
 type Node struct {
 	id      topology.NodeID
 	cfg     Config
@@ -69,7 +70,6 @@ type Node struct {
 	stopOnce sync.Once
 	tickWG   sync.WaitGroup
 	ready    atomic.Bool
-	stopped  atomic.Bool
 
 	measureTicks atomic.Int64
 	placeTicks   atomic.Int64
@@ -78,12 +78,11 @@ type Node struct {
 	peerMu sync.RWMutex
 	peers  []string // mutable control-plane URL per node ID
 
-	timerMu sync.Mutex
-	timers  map[*time.Timer]struct{} // pending self-scheduled completions
-
 	mu      sync.Mutex
 	machine *sim.Machine
-	events  []Event
+	pass    *[]Event     // the running /ctl/place pass's event list; nil outside one
+	pending []completion // free-running: admitted requests awaiting their done time,
+	head    int          // in admission order from pending[head]
 
 	redMu      sync.Mutex
 	redirector *protocol.Redirector
@@ -143,7 +142,6 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		creates:  newCallDedup(cfg.MaxInflightCreates),
 		drops:    newCallDedup(dropDedupLimit),
 		stopCh:   make(chan struct{}),
-		timers:   make(map[*time.Timer]struct{}),
 	}
 	simCfg := &nd.cfg.Sim
 	nd.redLocs = sim.RedirectorLocs(simCfg, routes)
@@ -185,18 +183,8 @@ func (nd *Node) redirectorLoc(id object.ID) topology.NodeID {
 	return nd.redLocs[int(id)%len(nd.redLocs)]
 }
 
-// ID returns the node's ID.
-func (nd *Node) ID() topology.NodeID { return nd.id }
-
 // Handler returns the node's HTTP handler.
 func (nd *Node) Handler() http.Handler { return nd.mux }
-
-// Host exposes the protocol host for in-process inspection by tests. The
-// caller must not race it against live traffic.
-func (nd *Node) Host() *protocol.Host { return nd.machine.Host }
-
-// BootID returns the node's incarnation number.
-func (nd *Node) BootID() int64 { return nd.bootID }
 
 // ---- Lifecycle ------------------------------------------------------------
 
@@ -217,23 +205,20 @@ func (nd *Node) Start(epoch time.Time, recovered bool) {
 	nd.ready.Store(true)
 }
 
-// Stop halts the node: tickers exit, pending self-scheduled completions
-// are cancelled, and the RPC client aborts in-flight calls and backoff
-// waits so a dying node never sits out a retry schedule. Stop is
-// idempotent and safe against a node never started.
+// Stop halts the node: tickers exit, the completions still pending are
+// dropped unrecorded (the work dies with the server), and the RPC client
+// aborts in-flight calls and backoff waits so a dying node never sits out
+// a retry schedule. Stop is idempotent and safe against a node never
+// started.
 func (nd *Node) Stop() {
 	nd.stopOnce.Do(func() {
-		nd.stopped.Store(true)
 		nd.ready.Store(false)
 		close(nd.stopCh)
 		nd.client.Close()
-		nd.timerMu.Lock()
-		for t := range nd.timers {
-			t.Stop()
-		}
-		nd.timers = make(map[*time.Timer]struct{})
-		nd.timerMu.Unlock()
 		nd.tickWG.Wait()
+		nd.mu.Lock()
+		nd.pending, nd.head = nil, 0
+		nd.mu.Unlock()
 	})
 }
 
@@ -251,6 +236,40 @@ func (nd *Node) resolveNow(wire int64) time.Duration {
 	return time.Duration(wire)
 }
 
+// completion is one admitted request awaiting its FCFS done time.
+type completion struct {
+	done time.Duration
+	id   object.ID
+	g    topology.NodeID
+}
+
+// lock takes the node lock and settles the completions that have come due,
+// so whoever reads served counts, access counts or load under mu sees every
+// request serviced by now. No driver reports completions in free-running
+// mode, and a driver-paced node's queue stays empty.
+func (nd *Node) lock() {
+	nd.mu.Lock()
+	nd.settle()
+}
+
+// settle records the pending requests whose service has completed on the
+// node's clock — the self-paced analog of the driver's /ctl/complete
+// report. FCFS completion times are nondecreasing in admission order, so
+// the due ones are a prefix. Callers hold mu.
+func (nd *Node) settle() {
+	if nd.head == len(nd.pending) {
+		return
+	}
+	now := nd.vnow()
+	for ; nd.head < len(nd.pending) && nd.pending[nd.head].done <= now; nd.head++ {
+		nd.machine.Complete(nd.pending[nd.head].id, nd.pending[nd.head].g)
+	}
+	if nd.head > len(nd.pending)/2 { // mostly settled: reuse the front
+		nd.pending = nd.pending[:copy(nd.pending, nd.pending[nd.head:])]
+		nd.head = 0
+	}
+}
+
 // lockMu takes the node lock for a peer-called handler. Driver-paced mode
 // blocks (the driver's serialization guarantees no cross-node cycle);
 // free-running mode bounds the wait and reports failure, because two
@@ -259,12 +278,13 @@ func (nd *Node) resolveNow(wire int64) time.Duration {
 // what breaks that symmetry.
 func (nd *Node) lockMu() bool {
 	if !nd.freeRun {
-		nd.mu.Lock()
+		nd.lock()
 		return true
 	}
 	deadline := time.Now().Add(busyDeadline)
 	for {
 		if nd.mu.TryLock() {
+			nd.settle()
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -287,7 +307,7 @@ func (nd *Node) peerURL(p topology.NodeID) string {
 // records when the crash was marked, so re-registration is what makes the
 // replicas choosable again.
 func (nd *Node) reRegister() {
-	nd.mu.Lock()
+	nd.lock()
 	host := nd.machine.Host
 	objs := host.Objects()
 	affs := make([]int, len(objs))
@@ -346,7 +366,7 @@ func (nd *Node) ticker(period time.Duration, stream uint64, count *atomic.Int64,
 // measureTick closes one load-measurement interval on the node's own
 // clock.
 func (nd *Node) measureTick(now time.Duration) {
-	nd.mu.Lock()
+	nd.lock()
 	nd.machine.Measure(now)
 	nd.mu.Unlock()
 }
@@ -355,7 +375,7 @@ func (nd *Node) measureTick(now time.Duration) {
 // while issuing peer RPCs — the free-running deadlock hazard that the
 // peers' bounded try-lock answers (see lockMu).
 func (nd *Node) placeTick(now time.Duration) {
-	nd.mu.Lock()
+	nd.lock()
 	nd.machine.Host.DecidePlacement(now)
 	nd.mu.Unlock()
 }
@@ -368,37 +388,18 @@ func (nd *Node) censusTick(time.Duration) {
 	_ = nd.census()
 }
 
-// maxEventLog bounds the free-running event log: nothing drains it
-// continuously (the driver does in driver-paced mode), so it keeps only
-// the most recent entries.
-const maxEventLog = 4096
-
-// capEvents halves the event log when it outgrows the free-running bound.
-// Callers hold mu.
-func (nd *Node) capEvents() {
-	if nd.freeRun && len(nd.events) > maxEventLog {
-		nd.events = append(nd.events[:0:0], nd.events[len(nd.events)-maxEventLog/2:]...)
-	}
-}
-
 // nextMsgID allocates a fleet-unique message ID: node ID in the high bits,
 // a per-node counter in the low 40.
 func (nd *Node) nextMsgID() uint64 {
 	return uint64(nd.id)<<40 | atomic.AddUint64(&nd.nextMsg, 1)
 }
 
-// event appends to the node's event log. Callers hold mu (the log is
-// drained under mu by /ctl/place and /ctl/events).
+// event adds to the event list of the /ctl/place pass that caused it; a
+// self-scheduled pass has no reader and keeps no list. Callers hold mu.
 func (nd *Node) event(e Event) {
-	nd.events = append(nd.events, e)
-	nd.capEvents()
-}
-
-// drainEvents returns and clears the event log. Callers hold mu.
-func (nd *Node) drainEvents() []Event {
-	ev := nd.events
-	nd.events = nil
-	return ev
+	if nd.pass != nil {
+		*nd.pass = append(*nd.pass, e)
+	}
 }
 
 // ---- Env wiring -----------------------------------------------------------
@@ -452,26 +453,28 @@ func (nd *Node) loadReport(p topology.NodeID, now time.Duration, id object.ID) (
 
 // copyObject runs on the accepting side of a CreateObj that materialized a
 // new replica: fetch the object's bytes from the source over the data
-// plane and record the copy for the driver's network accounting. The fetch
-// is best-effort — in the simulation the copy cannot fail, and a live
-// source that died mid-handshake leaves the replica to be healed by the
-// next placement pass; the copy event is recorded regardless so the
-// accounting matches the simulator's. The caller holds mu, so the fetch is
-// one attempt under the RPC client's timeout, aborted by Stop: a wedged
-// source must not stall this node's serve path for longer than that.
-func (nd *Node) copyObject(now time.Duration, from, to topology.NodeID, id object.ID) {
+// plane. The fetch is best-effort — in the simulation the copy cannot fail,
+// and a live source that died mid-handshake leaves the replica to be healed
+// by the next placement pass. The transfer is accounted where the verdict
+// lands (sendCreateObj), not here. The caller holds mu, so the fetch is one
+// attempt under the RPC client's timeout, aborted by Stop: a wedged source
+// must not stall this node's serve path for longer than that.
+func (nd *Node) copyObject(_ time.Duration, from, _ topology.NodeID, id object.ID) {
 	if from != nd.id {
 		_ = nd.client.fetch(nd.peerURL(from), PathFetch+strconv.FormatInt(int64(id), 10))
 	}
-	nd.event(Event{At: int64(now), Kind: EventCopy, Object: int64(id), From: int(from), To: int(to)})
 }
 
 // sendCreateObj carries a CreateObj handshake to a remote peer as a
 // retried, idempotent RPC: the message ID doubles as the ctrlplane token,
 // so a CreateLost re-issue (same token, next placement interval) replays
-// the receiver's cached verdict instead of double-creating. The returned
-// completion time is the virtual send time — live handshakes resolve
-// inline, like the simulator's reliable path.
+// the receiver's cached verdict instead of double-creating. The verdict
+// says whether acceptance copied the object; the copy is recorded here, at
+// the handshake's instant and ahead of the decision it belongs to — where
+// the simulator charges it. The cache replays the verdict bytes, so a
+// retried handshake records one copy and a lost one none, like its
+// decision. The returned completion time is the virtual send time — live
+// handshakes resolve inline, like the simulator's reliable path.
 func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64, _ func(at time.Duration) bool) (protocol.CreateObjStatus, uint64, time.Duration) {
 	msgID := token
 	if msgID == 0 {
@@ -491,16 +494,19 @@ func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, 
 	if err := nd.client.call(nd.peerURL(req.To), PathCreateObj, &msg, &rep); err != nil {
 		return protocol.CreateLost, msgID, now
 	}
-	if rep.Accepted {
-		return protocol.CreateAccepted, msgID, now
+	if !rep.Accepted {
+		return protocol.CreateRefused, msgID, now
 	}
-	return protocol.CreateRefused, msgID, now
+	if rep.Copied {
+		nd.event(Event{At: int64(now), Kind: EventCopy, Object: msg.Object, From: msg.From, To: msg.To})
+	}
+	return protocol.CreateAccepted, msgID, now
 }
 
-// nodeObserver appends protocol events to the node's log; the driver
-// drains and replays them into its metrics and network accounting. The
-// host only fires observer callbacks inside mutating entry points that
-// already hold mu.
+// nodeObserver adds the placement decisions to the running pass's event
+// list; the driver replays the list into its metrics and network
+// accounting. The host fires observer callbacks only inside a placement
+// pass, which holds mu.
 type nodeObserver Node
 
 func (o *nodeObserver) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
@@ -639,7 +645,6 @@ func (nd *Node) buildMux() {
 	mux.HandleFunc(PathComplete, nd.handleComplete)
 	mux.HandleFunc(PathCensus, nd.handleCensus)
 	mux.HandleFunc(PathMark, nd.handleMark)
-	mux.HandleFunc(PathEvents, nd.handleEvents)
 	mux.HandleFunc(PathStats, nd.handleStats)
 	nd.mux = mux
 }
@@ -841,50 +846,22 @@ func (nd *Node) handleServe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := nd.resolveNow(int64(wireNow))
-	nd.mu.Lock()
+	nd.lock()
 	done, out := nd.machine.Admit(now, id)
+	if out == sim.OK && nd.freeRun {
+		// No driver reports completions in free-running mode: the node
+		// settles its own once its clock reaches the FCFS done time.
+		nd.pending = append(nd.pending, completion{done, id, g})
+	}
 	nd.mu.Unlock()
 	if out == sim.Refused {
 		w.Header().Set(HeaderTimeout, "1")
 		http.Error(w, "live: client timeout", http.StatusServiceUnavailable)
 		return
 	}
-	if nd.freeRun {
-		// No driver reports completions in free-running mode: the node
-		// schedules its own, firing when its clock reaches the FCFS
-		// service completion time.
-		nd.scheduleCompletion(id, g, done)
-	}
 	w.Header().Set(HeaderDone, strconv.FormatInt(int64(done), 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(nd.payload)
-}
-
-// scheduleCompletion arms a timer that records the serviced request
-// (access counts, load measurement) when virtual time reaches done —
-// the self-scheduled analog of the driver's /ctl/complete report.
-func (nd *Node) scheduleCompletion(id object.ID, g topology.NodeID, done time.Duration) {
-	delay := done - nd.vnow()
-	if delay < 0 {
-		delay = 0
-	}
-	nd.timerMu.Lock()
-	if nd.stopped.Load() {
-		nd.timerMu.Unlock()
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(delay, func() {
-		nd.timerMu.Lock()
-		delete(nd.timers, t)
-		nd.timerMu.Unlock()
-		if nd.stopped.Load() {
-			return
-		}
-		nd.complete(id, g)
-	})
-	nd.timers[t] = struct{}{}
-	nd.timerMu.Unlock()
 }
 
 func (nd *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
@@ -901,11 +878,13 @@ func (nd *Node) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &msg) {
 		return
 	}
-	nd.mu.Lock()
-	sum := nd.machine.Host.DecidePlacement(time.Duration(msg.Now))
-	ev := nd.drainEvents()
+	var rep PlaceReply
+	nd.lock()
+	nd.pass = &rep.Events
+	rep.Summary = nd.machine.Host.DecidePlacement(time.Duration(msg.Now))
+	nd.pass = nil
 	nd.mu.Unlock()
-	writeJSON(w, PlaceReply{Summary: sum, Events: ev})
+	writeJSON(w, rep)
 }
 
 func (nd *Node) handleMeasure(w http.ResponseWriter, r *http.Request) {
@@ -913,7 +892,7 @@ func (nd *Node) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &msg) {
 		return
 	}
-	nd.mu.Lock()
+	nd.lock()
 	start, load, lower, upper := nd.machine.Measure(time.Duration(msg.Now))
 	nd.mu.Unlock()
 	writeJSON(w, MeasureReply{Start: int64(start), Load: load, Lower: lower, Upper: upper})
@@ -924,16 +903,10 @@ func (nd *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &msg) {
 		return
 	}
-	nd.complete(object.ID(msg.Object), topology.NodeID(msg.Gateway))
-	writeJSON(w, struct{}{})
-}
-
-// complete records a serviced request: reported by the driver, or
-// self-scheduled in free-running mode.
-func (nd *Node) complete(id object.ID, g topology.NodeID) {
-	nd.mu.Lock()
-	nd.machine.Complete(id, g)
+	nd.lock()
+	nd.machine.Complete(object.ID(msg.Object), topology.NodeID(msg.Gateway))
 	nd.mu.Unlock()
+	writeJSON(w, struct{}{})
 }
 
 func (nd *Node) handleCensus(w http.ResponseWriter, r *http.Request) {
@@ -973,14 +946,12 @@ func (nd *Node) handleMark(w http.ResponseWriter, r *http.Request) {
 		down := nd.downPeers
 		nd.redirector.SetReachable(func(h topology.NodeID) bool { return !down[h] })
 	}
-	if msg.Down && nd.freeRun && nd.redirector != nil {
-		// Free-running mode applies the simulator's crash semantics in
-		// full: the dead host's records are purged, so replica counts drop
-		// below the floor and the placement passes' repair machinery — not
-		// just the reachability filter — restores them. The recovering node
-		// re-registers its holdings on Start (reRegister). Driver-paced
-		// mode keeps filter-only marks: the equivalence and failover suites
-		// pin that behavior.
+	if msg.Down && nd.redirector != nil {
+		// The simulator's crash rule (memFleet.MarkDown): the dead host's
+		// records are purged, so replica counts drop below the floor and
+		// the placement passes' repair machinery — not just the
+		// reachability filter — restores them. A recovering node
+		// re-registers its holdings on Start (reRegister).
 		nd.redirector.PurgeHost(topology.NodeID(msg.Host))
 	}
 	nd.redMu.Unlock()
@@ -1003,16 +974,9 @@ func (nd *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct{}{})
 }
 
-func (nd *Node) handleEvents(w http.ResponseWriter, r *http.Request) {
-	nd.mu.Lock()
-	ev := nd.drainEvents()
-	nd.mu.Unlock()
-	writeJSON(w, EventsReply{Events: ev})
-}
-
 func (nd *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 	attempts, retries, lost := nd.client.Stats()
-	nd.mu.Lock()
+	nd.lock()
 	rep := StatsReply{
 		Host:                  nd.machine.Host.Stats,
 		TotalServed:           nd.machine.Server.TotalServed(),

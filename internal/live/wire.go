@@ -52,7 +52,6 @@ const (
 	PathCensus   = "/ctl/census"
 	PathMark     = "/ctl/mark"
 	PathPeers    = "/ctl/peers"
-	PathEvents   = "/ctl/events"
 	PathStats    = "/ctl/stats"
 	// PathHealth is pure liveness: the process is up and serving HTTP.
 	PathHealth = "/healthz"
@@ -356,9 +355,10 @@ type TickMsg struct {
 // Validate implements validator.
 func (m *TickMsg) Validate() error { return checkTime("now", m.Now) }
 
-// PlaceReply reports one placement pass: the run summary and the node's
-// drained event log (placement decisions, refusals, deferrals, and object
-// copies recorded since the previous drain).
+// PlaceReply reports one placement pass: the run summary and every event
+// the pass caused, in causal order and stamped with the pass's now —
+// placement decisions, refusals, deferrals, and each object copy ahead of
+// the decision whose handshake made it.
 type PlaceReply struct {
 	Summary protocol.PlacementSummary `json:"summary"`
 	Events  []Event                   `json:"events,omitempty"`
@@ -468,7 +468,7 @@ func (m *PeersMsg) Validate() error {
 	return nil
 }
 
-// Event kinds appearing in node event logs.
+// Event kinds appearing in a placement pass's event list.
 const (
 	EventMigrate   = "migrate"
 	EventReplicate = "replicate"
@@ -476,13 +476,14 @@ const (
 	EventRefuse    = "refuse"
 	EventDefer     = "defer"
 	// EventCopy records an accepted CreateObj that materialized a new
-	// replica: the object's bytes traveled From -> To. The driver charges
-	// it to its network accounting as protocol overhead, mirroring the
-	// simulator's Env.CopyObject.
+	// replica: the object's bytes traveled From -> To. The placing node
+	// records it when the verdict comes back; the driver charges it to its
+	// network accounting as protocol overhead, mirroring the simulator's
+	// Env.CopyObject.
 	EventCopy = "copy"
 )
 
-// Event is one entry of a node's placement event log, mirroring
+// Event is one entry of a placement pass's event list, mirroring
 // protocol.Observer callbacks (plus EventCopy) with virtual timestamps, so
 // the driver can replay the simulator's metrics accounting and the
 // equivalence test can compare decision sequences byte for byte.
@@ -516,21 +517,6 @@ func (e *Event) Validate() error {
 		return err
 	}
 	return checkNode("to", e.To)
-}
-
-// EventsReply is a drained node event log (GET /ctl/events).
-type EventsReply struct {
-	Events []Event `json:"events,omitempty"`
-}
-
-// Validate implements validator.
-func (m *EventsReply) Validate() error {
-	for i := range m.Events {
-		if err := m.Events[i].Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // StatsReply is a node's activity snapshot (GET /ctl/stats): the host's

@@ -245,7 +245,6 @@ var Refusals = []Refusal{
 	{Sharding | ConsistencyUpdates, "sharded engine is incompatible with the consistency/update subsystem"},
 	{ExternalFleet | FaultInjection, "fault injection is simulation-only (kill live nodes instead)"},
 	{ExternalFleet | ConsistencyUpdates, "consistency/update subsystem is simulation-only"},
-	{ExternalFleet | LinkContention, "link contention is simulation-only"},
 	{ExternalFleet | Sharding, "the sharded engine is simulation-only"},
 }
 

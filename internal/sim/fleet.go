@@ -70,8 +70,8 @@ const (
 // activity to it, and the loop charges each decision's control messages
 // and each copy's bytes to the network model, counts them, and forwards
 // decisions to Config.ExtraObserver. In-memory hosts hold it as their
-// protocol.Env observer; an external fleet replays its nodes' event logs
-// into it.
+// protocol.Env observer; an external fleet replays into it the events
+// each placement pass reports, before the loop moves on.
 type Accounting interface {
 	protocol.Observer
 	protocol.DeferralObserver

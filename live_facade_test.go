@@ -18,23 +18,20 @@ func TestLiveGroupValidation(t *testing.T) {
 	if err := (radar.Live{LiveMode: true, LiveMaxInflightCreates: 8}).Validate(); err != nil {
 		t.Errorf("valid live group rejected: %v", err)
 	}
-	// A live node is the simulator's node assembly: it carries a storage
-	// stack like a simulated host does.
-	stacked := radar.DefaultConfig(radar.Zipf)
-	stacked.Live.LiveMode = true
-	stacked.Storage.Store = "cache(mem:64,disk:5ms)"
-	if err := stacked.Validate(); err != nil {
-		t.Errorf("live mode with a storage stack rejected: %v", err)
-	}
-
 	cases := []struct {
-		name   string
-		mutate func(*radar.Config)
+		name    string
+		mutate  func(*radar.Config)
+		refused bool
 	}{
-		{"fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" }},
-		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }},
-		{"link contention", func(c *radar.Config) { c.LinkContention = true }},
-		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }},
+		// A live node is the simulator's node assembly: it carries a
+		// storage stack like a simulated host does.
+		{"storage stack", func(c *radar.Config) { c.Storage.Store = "cache(mem:64,disk:5ms)" }, false},
+		// A placement pass reports its copies with its decisions, so the
+		// loop charges the links in the simulation's order.
+		{"link contention", func(c *radar.Config) { c.LinkContention = true }, false},
+		{"fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" }, true},
+		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }, true},
+		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,6 +39,12 @@ func TestLiveGroupValidation(t *testing.T) {
 			cfg.Live.LiveMode = true
 			tc.mutate(&cfg)
 			err := cfg.Validate()
+			if !tc.refused {
+				if err != nil {
+					t.Fatalf("live mode with %s rejected: %v", tc.name, err)
+				}
+				return
+			}
 			if !errors.Is(err, radar.ErrBadConfig) {
 				t.Fatalf("err = %v, want ErrBadConfig", err)
 			}
@@ -80,7 +83,8 @@ func TestRunSeedsRejectsLiveMode(t *testing.T) {
 
 // TestRunLiveMode: the facade stands up a loopback fleet of real HTTP
 // servers over the full backbone, replays the workload, and reports the
-// simulation schema with no failed requests.
+// simulated run's Summary with no failed requests. Link contention is on:
+// the loop prices it from what the fleet reports, like everything else.
 func TestRunLiveMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet replay over 53 loopback listeners; skipped in -short")
@@ -88,12 +92,20 @@ func TestRunLiveMode(t *testing.T) {
 	cfg := radar.DefaultConfig(radar.Zipf)
 	cfg.Objects = 106
 	cfg.Duration = 15 * time.Second
+	cfg.LinkContention = true
+	want, err := radar.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Live.LiveMode = true
 	res, err := radar.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := res.Summary
+	if s != want.Summary {
+		t.Errorf("live Summary differs from the simulated one:\n  live: %+v\n  sim:  %+v", s, want.Summary)
+	}
 	if s.TotalServed == 0 {
 		t.Error("live fleet served no requests")
 	}

@@ -256,9 +256,12 @@ type Live struct {
 	// the executable spec — a healthy live run reproduces the simulator's
 	// placement decision sequence. Every node is the simulator's own node
 	// assembly, so storage stacks (Storage.Store) run live and report
-	// their layers like a simulated run; live mode refuses what lives in
-	// the simulator's loop instead of its nodes (fault injection, mixed
-	// consistency, link contention, sharding) and trace writers.
+	// their layers like a simulated run, and every placement pass reports
+	// its copies with its decisions, so the loop prices the network —
+	// LinkContention included — exactly as a simulated run does. Live
+	// mode refuses what lives in the simulator's loop instead of its
+	// nodes (fault injection, mixed consistency, sharding) and trace
+	// writers.
 	LiveMode bool
 	// LiveMaxInflightCreates caps concurrent CreateObj executions per live
 	// node (duplicate messages are deduplicated and answer the cached
