@@ -1,7 +1,8 @@
 package protocol
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"radar/internal/object"
 	"radar/internal/topology"
@@ -65,11 +66,14 @@ func (h *Host) orderCandidates(id object.ID, st *ObjectState, method Method) []t
 			safe:  h.floorSafe(p, replicas, method),
 		})
 	}
-	sort.SliceStable(scored, func(i, j int) bool {
-		if scored[i].safe != scored[j].safe {
-			return scored[i].safe
+	slices.SortStableFunc(scored, func(a, b availCand) int {
+		if a.safe != b.safe {
+			if a.safe {
+				return -1
+			}
+			return 1
 		}
-		return scored[i].score > scored[j].score
+		return cmp.Compare(b.score, a.score)
 	})
 	for i := range scored {
 		cands[i] = scored[i].node

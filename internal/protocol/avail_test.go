@@ -24,7 +24,7 @@ func TestOrderCandidatesZeroWeightIsLegacy(t *testing.T) {
 	c.seed(obj, 0)
 	touch(c, 0, obj, 1, 3, 5, 7)
 	h := c.hosts[0]
-	st := h.objects[obj]
+	st := h.objs.get(obj)
 	legacy := append([]topology.NodeID(nil), h.candidatesByDistanceDesc(st)...)
 	for _, method := range []Method{Migrate, Replicate} {
 		got := h.orderCandidates(obj, st, method)
@@ -71,7 +71,7 @@ func TestOrderCandidatesFloorSafety(t *testing.T) {
 			}
 			touch(c, 0, obj, 1, 3, 5, 7)
 			h := c.hosts[0]
-			st := h.objects[obj]
+			st := h.objs.get(obj)
 			got := h.orderCandidates(obj, st, tc.method)
 			unsafe := map[topology.NodeID]bool{}
 			for _, u := range tc.unsafe {

@@ -65,7 +65,7 @@ func TestChaosInvariants(t *testing.T) {
 					}
 					if c.hosts[to].CreateObj(now, method, id, rng.Float64()*5, 1, from) && method == Migrate {
 						// The initiating host completes the migration.
-						if st, ok := c.hosts[from].objects[id]; ok {
+						if st := c.hosts[from].objs.get(id); st != nil {
 							c.hosts[from].reduceAffinity(now, id, st)
 						}
 					}

@@ -1,8 +1,9 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"radar/internal/object"
@@ -143,16 +144,17 @@ type Host struct {
 	env      Env
 	loads    LoadSource
 	est      LoadEstimator
-	objects  map[object.ID]*ObjectState
+	objs     objTable
 	numNodes int
 
 	offloading    bool
 	lastPlacement time.Duration
 	// deferred holds placement moves whose CreateObj handshake was lost;
 	// they are re-issued with the same token at the next placement run
-	// (the degradation policy of the unreliable control plane). Nil until
-	// the first loss, so reliable runs never touch it.
-	deferred map[object.ID]deferredMove
+	// (the degradation policy of the unreliable control plane), in
+	// ascending object order, at most one per object. Nil until the first
+	// loss, so reliable runs never touch it.
+	deferred []deferredMove
 	// deferObs is env.Observer's DeferralObserver side, resolved once.
 	deferObs DeferralObserver
 	// candBuf is the reusable candidate scratch buffer for the placement
@@ -163,6 +165,9 @@ type Host struct {
 	candBuf  []topology.NodeID
 	replBuf  []topology.NodeID
 	availBuf []availCand
+	// idBuf is DecidePlacement's snapshot of the hosted IDs, reused from
+	// pass to pass.
+	idBuf []object.ID
 
 	// Stats accumulates protocol activity counters for reports.
 	Stats HostStats
@@ -223,7 +228,6 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 		params:   params,
 		env:      env,
 		loads:    loads,
-		objects:  make(map[object.ID]*ObjectState),
 		numNodes: env.Routes.NumNodes(),
 		candBuf:  make([]topology.NodeID, 0, env.Routes.NumNodes()),
 	}, nil
@@ -232,39 +236,31 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 // SeedObject installs an initial replica (simulation bootstrap). It does
 // not notify the redirector; the simulator seeds both sides.
 func (h *Host) SeedObject(id object.ID) {
-	if _, ok := h.objects[id]; !ok {
-		st := newObjectState(h.numNodes)
-		st.AcquiredAt = -1 // before any window: immediately eligible
-		h.objects[id] = st
+	if !h.Has(id) {
+		// Acquired before any window: immediately eligible.
+		h.objs.put(id, &ObjectState{Aff: 1, AcquiredAt: -1})
 	}
 }
 
 // Has reports whether the host currently holds a replica of id.
 func (h *Host) Has(id object.ID) bool {
-	_, ok := h.objects[id]
-	return ok
+	return h.objs.get(id) != nil
 }
 
 // Affinity returns the affinity of the host's replica of id (0 if absent).
 func (h *Host) Affinity(id object.ID) int {
-	if st, ok := h.objects[id]; ok {
+	if st := h.objs.get(id); st != nil {
 		return st.Aff
 	}
 	return 0
 }
 
-// Objects returns the IDs of all hosted objects, sorted.
-func (h *Host) Objects() []object.ID {
-	ids := make([]object.ID, 0, len(h.objects))
-	for id := range h.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+// Objects returns the IDs of all hosted objects, sorted. The slice is a
+// snapshot the caller owns: dropping objects while walking it is safe.
+func (h *Host) Objects() []object.ID { return slices.Clone(h.objs.ids) }
 
 // NumObjects returns the number of hosted objects.
-func (h *Host) NumObjects() int { return len(h.objects) }
+func (h *Host) NumObjects() int { return h.objs.len() }
 
 // Offloading reports whether the host is in offloading mode.
 func (h *Host) Offloading() bool { return h.offloading }
@@ -277,11 +273,11 @@ func (h *Host) Estimator() *LoadEstimator { return &h.est }
 // access-count appearance (paper §4.1). Requests for objects the host no
 // longer holds (dropped while queued) are counted against no state.
 func (h *Host) OnRequest(id object.ID, g topology.NodeID) {
-	st, ok := h.objects[id]
-	if !ok {
+	st := h.objs.get(id)
+	if st == nil {
 		return
 	}
-	st.recordPath(h.env.Routes.PreferencePath(h.ID, g))
+	st.recordPath(h.env.Routes.PreferencePath(h.ID, g), h.numNodes)
 }
 
 // OnMeasurementIntervalClose informs the host that the load measurement
@@ -299,9 +295,7 @@ func (h *Host) OnCrash() {
 	h.est.Reset()
 	h.offloading = false
 	h.deferred = nil
-	for _, st := range h.objects {
-		st.reset()
-	}
+	h.objs.each((*ObjectState).reset)
 }
 
 // OnRecover prepares a host returning to service at virtual time now:
@@ -313,9 +307,7 @@ func (h *Host) OnCrash() {
 // pass (strictly before now), which is what makes AcquiredAt > prev hold
 // for every survivor; decisions resume one full clean window later.
 func (h *Host) OnRecover(now time.Duration) {
-	for _, st := range h.objects {
-		st.AcquiredAt = now
-	}
+	h.objs.each(func(st *ObjectState) { st.AcquiredAt = now })
 }
 
 // PlacementSummary reports what one DecidePlacement run did.
@@ -373,20 +365,22 @@ func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 	}
 
 	hasDeferred := len(h.deferred) > 0
-	for _, id := range h.Objects() {
-		st, ok := h.objects[id]
-		if !ok {
+	// The pass drops objects as it goes, so it walks a snapshot of the IDs.
+	h.idBuf = append(h.idBuf[:0], h.objs.ids...)
+	for _, id := range h.idBuf {
+		st := h.objs.get(id)
+		if st == nil {
 			continue // dropped earlier in this run
 		}
 		if hasDeferred {
-			if _, pending := h.deferred[id]; pending {
+			if _, pending := h.findDeferred(id); pending {
 				continue // a lost move is still in flight toward its target
 			}
 		}
 		if st.AcquiredAt > prev {
 			continue // acquired mid-window: no full observation yet
 		}
-		ua := st.unitAccess(h.ID, period)
+		ua := st.unitAccess(period)
 		dropped, migrated := false, false
 		if ua < h.params.DeletionThreshold {
 			switch h.reduceAffinity(now, id, st) {
@@ -429,9 +423,7 @@ func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 		h.Stats.OffloadRuns++
 	}
 
-	for _, st := range h.objects {
-		st.reset()
-	}
+	h.objs.each((*ObjectState).reset)
 	sum.Deferred = len(h.deferred)
 	return sum
 }
@@ -469,10 +461,12 @@ func (h *Host) createObj(now time.Duration, peer *Host, method Method, id object
 // deferMove records a placement move whose handshake was lost, to be
 // re-issued with the same token at the next placement run.
 func (h *Host) deferMove(now time.Duration, id object.ID, to topology.NodeID, method Method, token uint64) {
-	if h.deferred == nil {
-		h.deferred = make(map[object.ID]deferredMove)
+	d := deferredMove{id: id, to: to, method: method, token: token}
+	if at, pending := h.findDeferred(id); pending {
+		h.deferred[at] = d // a lost replication after a lost migration supersedes it
+	} else {
+		h.deferred = slices.Insert(h.deferred, at, d)
 	}
-	h.deferred[id] = deferredMove{to: to, method: method, token: token}
 	h.Stats.DeferredMoves++
 	if h.deferObs != nil {
 		h.deferObs.OnDefer(now, id, h.ID, to, method)
@@ -481,9 +475,18 @@ func (h *Host) deferMove(now time.Duration, id object.ID, to topology.NodeID, me
 
 // deferredMove is one placement move awaiting same-token retry.
 type deferredMove struct {
+	id     object.ID
 	to     topology.NodeID
 	method Method
 	token  uint64
+}
+
+// findDeferred returns the position of id's deferred move and true, or
+// the position it would be inserted at and false.
+func (h *Host) findDeferred(id object.ID) (int, bool) {
+	return slices.BinarySearchFunc(h.deferred, id, func(d deferredMove, id object.ID) int {
+		return cmp.Compare(d.id, id)
+	})
 }
 
 // DeferredCount returns the number of placement moves currently deferred.
@@ -498,28 +501,24 @@ func (h *Host) DeferredCount() int { return len(h.deferred) }
 // replica existed); refusals abandon the deferral; a re-lost exchange is
 // deferred again.
 func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
-	ids := make([]object.ID, 0, len(h.deferred))
-	for id := range h.deferred {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		d := h.deferred[id]
-		st, ok := h.objects[id]
-		if !ok {
-			delete(h.deferred, id) // replica gone meanwhile; nothing to move
-			continue
+	// Filtered in place: an entry stays only if it is appended to kept.
+	kept := h.deferred[:0]
+	for _, d := range h.deferred {
+		id := d.id
+		st := h.objs.get(id)
+		if st == nil {
+			continue // replica gone meanwhile; nothing to move
 		}
 		peer := h.env.Peer(d.to)
 		if peer == nil {
-			continue // target down: hold the deferral for the next interval
+			kept = append(kept, d) // target down: hold the deferral for the next interval
+			continue
 		}
 		objLoad := h.loads.ObjectLoad(id)
 		unitLoad := objLoad / float64(st.Aff)
 		status, tok, doneAt := h.createObj(now, peer, d.method, id, unitLoad, st.Aff, d.token)
 		switch status {
 		case CreateAccepted:
-			delete(h.deferred, id)
 			h.Stats.DeferredCompleted++
 			if d.method == Migrate {
 				h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(objLoad, st.Aff))
@@ -534,18 +533,18 @@ func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
 				h.env.Observer.OnReplicate(doneAt, id, h.ID, d.to, GeoMove)
 			}
 		case CreateRefused:
-			delete(h.deferred, id)
 			h.Stats.RefusalsGot++
 			h.env.Observer.OnRefuse(now, id, h.ID, d.to, d.method)
 		case CreateLost:
 			d.token = tok
-			h.deferred[id] = d
+			kept = append(kept, d)
 			h.Stats.DeferredMoves++
 			if h.deferObs != nil {
 				h.deferObs.OnDefer(now, id, h.ID, d.to, d.method)
 			}
 		}
 	}
+	h.deferred = kept
 }
 
 // repairReplicas restores hosted objects whose recorded replica count fell
@@ -555,11 +554,7 @@ func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
 // number of repair replications made.
 func (h *Host) repairReplicas(now time.Duration) int {
 	repaired := 0
-	for _, id := range h.Objects() {
-		st, ok := h.objects[id]
-		if !ok {
-			continue
-		}
+	for _, id := range h.objs.ids { // repair only adds replicas elsewhere
 		red := h.env.RedirectorFor(id)
 		count := red.ReplicaCount(id)
 		if count == 0 {
@@ -579,6 +574,7 @@ func (h *Host) repairReplicas(now time.Duration) int {
 			if peer == nil {
 				break
 			}
+			st := h.objs.get(id)
 			objLoad := h.loads.ObjectLoad(id)
 			unitLoad := objLoad / float64(st.Aff)
 			// With the availability objective armed, repair travels as the
@@ -630,7 +626,7 @@ func (h *Host) candidatesByDistanceDesc(st *ObjectState) []topology.NodeID {
 // tryGeoMigrate attempts the migration branch of Fig. 3. It returns the
 // recipient on success.
 func (h *Host) tryGeoMigrate(now time.Duration, id object.ID, st *ObjectState) (topology.NodeID, bool) {
-	total := st.Cnt[h.ID]
+	total := st.Total
 	if total == 0 {
 		return 0, false
 	}
@@ -664,7 +660,7 @@ func (h *Host) tryGeoMigrate(now time.Duration, id object.ID, st *ObjectState) (
 // tryGeoReplicate attempts the replication branch of Fig. 3. It returns
 // the recipient on success.
 func (h *Host) tryGeoReplicate(now time.Duration, id object.ID, st *ObjectState) (topology.NodeID, bool) {
-	total := st.Cnt[h.ID]
+	total := st.Total
 	if total == 0 {
 		return 0, false
 	}
@@ -717,7 +713,7 @@ func (h *Host) reduceAffinity(now time.Duration, id object.ID, st *ObjectState) 
 		return affDecremented
 	}
 	if red.RequestDrop(id, h.ID) {
-		delete(h.objects, id)
+		h.objs.remove(id)
 		if h.env.Store != nil {
 			h.env.Store.Drop(now, id)
 		}
@@ -757,7 +753,7 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 	}
 	// Storage component of the vector load (§2.1): a full host refuses.
 	// An incoming affinity increment occupies no extra storage.
-	if h.params.StorageCapacity > 0 && !h.Has(id) && len(h.objects) >= h.params.StorageCapacity {
+	if h.params.StorageCapacity > 0 && !h.Has(id) && h.objs.len() >= h.params.StorageCapacity {
 		h.Stats.RefusalsSent++
 		h.Stats.RefusedStorage++
 		return false
@@ -783,8 +779,8 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 		h.Stats.RefusedHW++
 		return false
 	}
-	st, have := h.objects[id]
-	if !have {
+	st := h.objs.get(id)
+	if st == nil {
 		// The storage backend is the last admission check: every earlier
 		// guard is side-effect free, and a successful backend create
 		// commits the placement.
@@ -794,9 +790,8 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 			return false
 		}
 		h.env.CopyObject(now, from, h.ID, id)
-		st = newObjectState(h.numNodes)
-		st.AcquiredAt = now
-		h.objects[id] = st
+		st = &ObjectState{Aff: 1, AcquiredAt: now}
+		h.objs.put(id, st)
 	} else {
 		st.Aff++
 	}
@@ -836,12 +831,12 @@ func (h *Host) offload(now time.Duration, period float64) int {
 	}
 	windowStart := now - time.Duration(period*float64(time.Second))
 	var cands []cand
-	for _, id := range h.Objects() {
-		st := h.objects[id]
+	for _, id := range h.objs.ids {
+		st := h.objs.get(id)
 		if st.AcquiredAt > windowStart {
 			continue // acquired mid-window: no full observation yet
 		}
-		total := st.Cnt[h.ID]
+		total := st.Total
 		if total == 0 {
 			continue
 		}
@@ -853,11 +848,11 @@ func (h *Host) offload(now time.Duration, period float64) int {
 		}
 		cands = append(cands, cand{id: id, foreign: float64(best) / float64(total)})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].foreign != cands[j].foreign {
-			return cands[i].foreign > cands[j].foreign
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(b.foreign, a.foreign); c != 0 {
+			return c
 		}
-		return cands[i].id < cands[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 
 	for _, c := range cands {
@@ -867,13 +862,13 @@ func (h *Host) offload(now time.Duration, period float64) int {
 		if h.est.LoadForOffload(h.loads.Load()) <= h.params.LowWatermark || recipientLoad >= h.params.LowWatermark {
 			break
 		}
-		st, ok := h.objects[c.id]
-		if !ok {
+		st := h.objs.get(c.id)
+		if st == nil {
 			continue
 		}
 		objLoad := h.loads.ObjectLoad(c.id)
 		unitLoad := objLoad / float64(st.Aff)
-		if st.unitAccess(h.ID, period) <= h.params.ReplicationThreshold {
+		if st.unitAccess(period) <= h.params.ReplicationThreshold {
 			status, _, doneAt := h.createObj(now, peer, Migrate, c.id, unitLoad, st.Aff, 0)
 			if status != CreateAccepted {
 				if status == CreateRefused {

@@ -65,7 +65,7 @@ type cluster struct {
 	rec    *recorder
 }
 
-func newCluster(t *testing.T, topo *topology.Topology, params Params) *cluster {
+func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 	t.Helper()
 	routes := routing.New(topo)
 	red, err := NewRedirector(routes.MinAvgDistanceNode(), routes, PolicyPaper, params.DistConstant)
@@ -231,7 +231,7 @@ func TestLastReplicaNeverDropped(t *testing.T) {
 func TestAffinityDecrementBeforeDrop(t *testing.T) {
 	c := newCluster(t, topology.Line(4), DefaultParams())
 	c.seed(obj, 0)
-	c.hosts[0].objects[obj].Aff = 3
+	c.hosts[0].objs.get(obj).Aff = 3
 	c.red.NotifyReplicaChange(obj, 0, 3)
 	sum := c.hosts[0].DecidePlacement(100 * time.Second)
 	if sum.AffReduced != 1 || sum.Dropped != 0 {
@@ -500,7 +500,7 @@ func TestCountsResetAfterPlacement(t *testing.T) {
 		c.hosts[0].OnRequest(obj, 2)
 	}
 	c.hosts[0].DecidePlacement(100 * time.Second)
-	if st := c.hosts[0].objects[obj]; st != nil {
+	if st := c.hosts[0].objs.get(obj); st != nil {
 		for p, cnt := range st.Cnt {
 			if cnt != 0 {
 				t.Fatalf("Cnt[%d] = %d after placement, want 0", p, cnt)

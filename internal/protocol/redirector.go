@@ -3,7 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"radar/internal/object"
 	"radar/internal/routing"
@@ -308,17 +308,16 @@ func (r *Redirector) NotifyReplicaChange(id object.ID, host topology.NodeID, aff
 	}
 	e := r.entry(id)
 	e.known = true
-	found := false
-	for i := range e.replicas {
-		if e.replicas[i].Host == host {
-			e.replicas[i].Aff = aff
-			found = true
-			break
-		}
+	// Replica sets are a handful of entries: a linear scan finds the record
+	// or the position that keeps the set sorted by host.
+	at := 0
+	for at < len(e.replicas) && e.replicas[at].Host < host {
+		at++
 	}
-	if !found {
-		e.replicas = append(e.replicas, Replica{Host: host, Aff: aff})
-		sort.Slice(e.replicas, func(i, j int) bool { return e.replicas[i].Host < e.replicas[j].Host })
+	if at < len(e.replicas) && e.replicas[at].Host == host {
+		e.replicas[at].Aff = aff
+	} else {
+		e.replicas = slices.Insert(e.replicas, at, Replica{Host: host, Aff: aff})
 	}
 	e.resetCounts()
 }

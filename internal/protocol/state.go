@@ -16,12 +16,17 @@ type ObjectState struct {
 	Aff int
 	// Cnt[p] is the access count of candidate p: how many preference
 	// paths of requests for this object p appeared on since the last
-	// placement decision. Cnt[own host] is the total access count,
-	// because the servicing host heads every preference path. int32 is
-	// ample for one observation window (minutes at a few thousand req/s)
-	// and halves the cache footprint of the per-request increments, which
-	// dominate the protocol layer's profile.
+	// placement decision. int32 is ample for one observation window
+	// (minutes at a few thousand req/s) and halves the cache footprint of
+	// the per-request increments, which dominate the protocol layer's
+	// profile. Nil until the first recorded request: most floor-repair
+	// copies are never asked for.
 	Cnt []int32
+	// Total is the total access count since the last placement decision.
+	// It equals Cnt[own host], because the servicing host heads every
+	// preference path; the placement pass reads it here, without the
+	// second load through Cnt.
+	Total int32
 	// AcquiredAt is when this host obtained the replica. An object
 	// acquired partway through the current observation window is exempt
 	// from placement decisions for that window: judging it on a partial
@@ -31,31 +36,34 @@ type ObjectState struct {
 	AcquiredAt time.Duration
 }
 
-func newObjectState(numNodes int) *ObjectState {
-	return &ObjectState{Aff: 1, Cnt: make([]int32, numNodes)}
-}
-
-// recordPath charges one appearance to every node on a preference path.
-func (st *ObjectState) recordPath(path []topology.NodeID) {
+// recordPath charges one appearance to every node on a preference path of
+// a fleet of numNodes nodes.
+func (st *ObjectState) recordPath(path []topology.NodeID, numNodes int) {
+	if st.Cnt == nil {
+		st.Cnt = make([]int32, numNodes)
+	}
 	for _, p := range path {
 		st.Cnt[p]++
 	}
+	st.Total++
 }
 
 // reset clears all access counts for the next placement period.
 func (st *ObjectState) reset() {
-	for i := range st.Cnt {
-		st.Cnt[i] = 0
+	if st.Total == 0 {
+		return // nobody asked: every count is already zero
 	}
+	clear(st.Cnt)
+	st.Total = 0
 }
 
 // unitAccess returns the unit access count cnt(s,x_s)/aff(x_s) as a rate
 // (requests/sec) over a period of periodSec seconds.
-func (st *ObjectState) unitAccess(self topology.NodeID, periodSec float64) float64 {
+func (st *ObjectState) unitAccess(periodSec float64) float64 {
 	if periodSec <= 0 {
 		return 0
 	}
-	return float64(st.Cnt[self]) / (float64(st.Aff) * periodSec)
+	return float64(st.Total) / (float64(st.Aff) * periodSec)
 }
 
 // candidates appends all nodes with non-zero access counts other than the

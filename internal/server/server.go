@@ -44,6 +44,9 @@ type Server struct {
 
 	serviceTime time.Duration
 	interval    time.Duration
+	// objects is the ExpectObjects hint: the per-object arrays' first
+	// growth goes straight to this length.
+	objects int
 
 	busyUntil time.Duration
 
@@ -82,6 +85,12 @@ func New(id topology.NodeID, cfg Config) (*Server, error) {
 	}, nil
 }
 
+// ExpectObjects tells the server that object IDs run below n, so that the
+// per-object arrays grow once, on the first served request, to exactly n
+// entries instead of doubling their way to somewhere between n and 2n.
+// Nothing is allocated here: a server that never serves pays nothing.
+func (s *Server) ExpectObjects(n int) { s.objects = n }
+
 // growTo returns s grown to length n, zero-filling new elements and
 // reusing spare capacity when possible. n must be at least len(s).
 func growTo[T any](s []T, n int) []T {
@@ -118,7 +127,7 @@ func (s *Server) OnServed(id object.ID) {
 	s.served++
 	s.totalServed++
 	if int(id) >= len(s.servedPerObj) {
-		s.servedPerObj = growTo(s.servedPerObj, int(id)+1)
+		s.servedPerObj = growTo(s.servedPerObj, max(int(id)+1, s.objects))
 	}
 	if s.servedPerObj[id] == 0 {
 		s.servedTouched = append(s.servedTouched, id)

@@ -204,11 +204,13 @@ func (s *Simulation) reconcile(now time.Duration) {
 	// Redirector -> host direction: erase records of replicas the host no
 	// longer holds (defensive; message loss alone cannot produce these, but
 	// the invariant is asserted, not assumed).
+	var hosts []topology.NodeID
 	for _, red := range redirectors {
 		for _, id := range red.Objects() {
-			for _, rep := range red.Replicas(id) {
-				if !machines[rep.Host].Host.Has(id) {
-					red.RemoveRecord(id, rep.Host)
+			hosts = red.ReplicaHosts(id, hosts)
+			for _, h := range hosts {
+				if !machines[h].Host.Has(id) {
+					red.RemoveRecord(id, h)
 					c.ghostsRemoved++
 				}
 			}

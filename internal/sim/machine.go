@@ -42,6 +42,7 @@ func NewMachine(cfg *Config, id topology.NodeID, env protocol.Env) (*Machine, er
 	if err != nil {
 		return nil, err
 	}
+	srv.ExpectObjects(cfg.Universe.Count)
 	st, err := cfg.Store.Build(int(id), store.Params{
 		Seed:     cfg.Seed,
 		Horizon:  cfg.Duration,
