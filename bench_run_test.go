@@ -1,7 +1,7 @@
 // End-to-end hot-path benchmarks: one full default-scale (Table 1)
-// simulation per iteration, per workload. These are the numbers the
-// BENCH_run.json artifact tracks (see cmd/radar-bench and
-// EXPERIMENTS.md); run them with
+// simulation per iteration, per workload. The zipf sub-benchmark is the
+// run the benchmark ledger's sim-zipf workload stamps and bounds (see
+// EXPERIMENTS.md, "Measuring"); run them with
 //
 //	go test -bench 'BenchmarkRun$' -benchmem
 //

@@ -33,11 +33,6 @@ type Options struct {
 	// RunSuite, RunMultiSeed and the ablations; <= 0 selects GOMAXPROCS.
 	// Results are bit-identical at every parallelism level.
 	Parallelism int
-	// Shards selects the sharded event engine inside each run (see
-	// sim.Config.Shards): 0/1 serial, -1 one shard per region, >= 2 that
-	// many shards. Cross-run parallelism (Parallelism) and intra-run
-	// sharding compose; results are bit-identical either way.
-	Shards int
 	// over shrinks runs far below Quick scale; tests use it to exercise
 	// the whole suite pipeline in seconds.
 	over *scaleOverride
@@ -159,7 +154,6 @@ type RunTiming struct {
 func baseConfig(gen workload.Generator, opts Options, highLoad bool) sim.Config {
 	cfg := sim.DefaultConfig(gen, opts.Seed)
 	cfg.Universe = opts.universe()
-	cfg.Shards = opts.Shards
 	if highLoad {
 		cfg.Protocol = protocol.HighLoadParams()
 	}

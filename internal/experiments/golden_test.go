@@ -61,26 +61,48 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// goldenSuite runs the multi-seed quick suite (seeds 1-2, 16 runs) at the
+// given parallelism, fails tb unless the rendered table hashes to
+// suiteGoldenHash, and returns the rendered bytes.
+func goldenSuite(tb testing.TB, parallelism int) []byte {
+	tb.Helper()
+	ms, err := RunMultiSeed(Options{Seed: 1, Quick: true, Parallelism: parallelism}, []int64{1, 2}, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ms.Table().Render(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got := fmt.Sprintf("%x", h.Sum64()); got != suiteGoldenHash {
+		tb.Errorf("suite table hash %s at parallelism %d, want %s (zero-fault output is no longer bit-identical to the baseline)", got, parallelism, suiteGoldenHash)
+	}
+	return buf.Bytes()
+}
+
 // TestGoldenSuiteTable pins the rendered multi-seed quick suite table
 // byte-for-byte, and its hash against the pre-fault-subsystem baseline.
 func TestGoldenSuiteTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16-run suite")
 	}
-	ms, err := RunMultiSeed(Options{Seed: 1, Quick: true}, []int64{1, 2}, false)
-	if err != nil {
-		t.Fatal(err)
+	checkGolden(t, "suite_table.txt", goldenSuite(t, 0))
+}
+
+// BenchmarkMultiSeedSuite times the experiment engine on the suite
+// TestGoldenSuiteTable pins, at parallelism 1, 2 and 4; every iteration
+// must reproduce the golden table hash.
+func BenchmarkMultiSeedSuite(b *testing.B) {
+	for _, p := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				goldenSuite(b, p)
+			}
+		})
 	}
-	var buf bytes.Buffer
-	if err := ms.Table().Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
-	if got := fmt.Sprintf("%x", h.Sum64()); got != suiteGoldenHash {
-		t.Errorf("suite table hash %s, want %s (zero-fault output is no longer bit-identical to the baseline)", got, suiteGoldenHash)
-	}
-	checkGolden(t, "suite_table.txt", buf.Bytes())
 }
 
 // runSnapshot is the deterministic slice of a run's results the per-run

@@ -97,9 +97,6 @@ func New(bucket time.Duration) (*Collector, error) {
 	return &Collector{bucket: bucket, curIdx: -1}, nil
 }
 
-// Bucket returns the series bucket width.
-func (c *Collector) Bucket() time.Duration { return c.bucket }
-
 // Reserve preallocates bucketed storage to cover horizon (plus slack for
 // deliveries completing just past it), so recording never reallocates
 // mid-run. Calling it is optional and purely a performance hint.

@@ -489,9 +489,6 @@ func (h *Host) findDeferred(id object.ID) (int, bool) {
 	})
 }
 
-// DeferredCount returns the number of placement moves currently deferred.
-func (h *Host) DeferredCount() int { return len(h.deferred) }
-
 // retryDeferred re-issues placement moves whose CreateObj was lost in an
 // earlier interval, each with its original message token: if the lost
 // request actually reached its target, the control plane replays the

@@ -144,12 +144,6 @@ func (e *Engine) ScheduleHandler(at time.Duration, h Handler) error {
 	return nil
 }
 
-// ScheduleHandlerAfter enqueues h.Fire to run delay after the current
-// virtual time. A negative delay returns ErrSchedulePast.
-func (e *Engine) ScheduleHandlerAfter(delay time.Duration, h Handler) error {
-	return e.ScheduleHandler(e.now+delay, h)
-}
-
 // ReserveSeq allocates and returns the next scheduling sequence number
 // without enqueuing anything. Together with ScheduleHandlerReserved it
 // lets a caller fix an event's FIFO tie-break position now and insert the

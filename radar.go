@@ -514,22 +514,13 @@ func (c Config) features(faults fault.Spec) sim.Feature {
 	return f
 }
 
-// Point is one sample of a reported time series.
-type Point struct {
-	// T is the bucket start time.
-	T time.Duration
-	// V is the bucket value.
-	V float64
-}
+// Point is one sample of a reported time series: T is the bucket start
+// time, V the bucket value.
+type Point = metrics.Point
 
 // LoadSample is one Figure 8b sample: a host's measured load between its
 // lower and upper protocol estimates.
-type LoadSample struct {
-	T      time.Duration
-	Actual float64
-	Lower  float64
-	Upper  float64
-}
+type LoadSample = metrics.HostLoadSample
 
 // Summary carries a run's headline numbers.
 type Summary struct {
@@ -624,25 +615,7 @@ type Summary struct {
 // StoreLayer is one layer of the replica-storage stack's per-layer
 // accounting, summed across hosts, in the stack's pre-order (a decorator
 // precedes the backends it wraps).
-type StoreLayer struct {
-	// Label names the layer kind: mem, disk, cache, mirror, faulty, or a
-	// metered layer's custom label.
-	Label string
-	// Creates/Drops/Serves count replica installs, removals and request
-	// servings at this layer.
-	Creates, Drops, Serves int64
-	// Hits/Misses/Evictions are cache-tier counters.
-	Hits, Misses, Evictions int64
-	// Repairs counts mirror read-repairs; Refetches counts serves a
-	// faulty layer satisfied at its refetch penalty.
-	Repairs, Refetches int64
-	// Crashes/LostWrites count a faulty layer's outages and the creates
-	// acknowledged during them.
-	Crashes, LostWrites int64
-	// Replicas/BytesUsed are the layer's final occupancy; CostNanos
-	// accrues every serve's storage latency.
-	Replicas, BytesUsed, CostNanos int64
-}
+type StoreLayer = store.LayerStats
 
 // Result is everything one run produces.
 type Result struct {
@@ -839,13 +812,6 @@ func buildSimConfig(cfg Config, faults fault.Spec, stack store.Spec) (*sim.Confi
 }
 
 func convert(res *sim.Results) *Result {
-	conv := func(in []metrics.Point) []Point {
-		out := make([]Point, len(in))
-		for i, p := range in {
-			out[i] = Point{T: p.T, V: p.V}
-		}
-		return out
-	}
 	r := &Result{
 		Summary: Summary{
 			BandwidthInitial:      res.BandwidthStats.Initial,
@@ -891,29 +857,19 @@ func convert(res *sim.Results) *Result {
 			ReconcileRuns:     res.ReconcileRuns,
 			ReconcileByteHops: res.ReconcileByteHops,
 		},
-		Bandwidth:   conv(res.Bandwidth),
-		Latency:     conv(res.Latency),
-		LatencyP99:  conv(res.LatencyP99),
-		OverheadPct: conv(res.OverheadPct),
-		MaxLoad:     conv(res.MaxLoad),
+		Bandwidth:   res.Bandwidth,
+		Latency:     res.Latency,
+		LatencyP99:  res.LatencyP99,
+		OverheadPct: res.OverheadPct,
+		MaxLoad:     res.MaxLoad,
+		HostLoad:    res.HostLoad,
 		raw:         res,
-	}
-	r.HostLoad = make([]LoadSample, len(res.HostLoad))
-	for i, s := range res.HostLoad {
-		r.HostLoad[i] = LoadSample{T: s.T, Actual: s.Actual, Lower: s.Lower, Upper: s.Upper}
 	}
 	if res.StoreEnabled {
 		r.Summary.StoreEnabled = true
 		r.Summary.StoreSpec = res.StoreSpec
-		r.StoreLayers = make([]StoreLayer, len(res.StoreLayers))
-		for i, l := range res.StoreLayers {
-			r.StoreLayers[i] = StoreLayer{
-				Label: l.Label, Creates: l.Creates, Drops: l.Drops, Serves: l.Serves,
-				Hits: l.Hits, Misses: l.Misses, Evictions: l.Evictions,
-				Repairs: l.Repairs, Refetches: l.Refetches,
-				Crashes: l.Crashes, LostWrites: l.LostWrites,
-				Replicas: l.Replicas, BytesUsed: l.BytesUsed, CostNanos: l.CostNanos,
-			}
+		r.StoreLayers = res.StoreLayers
+		for _, l := range res.StoreLayers {
 			r.Summary.StoreHits += l.Hits
 			r.Summary.StoreMisses += l.Misses
 			r.Summary.StoreEvictions += l.Evictions

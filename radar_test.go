@@ -4,7 +4,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"radar/internal/sim"
 )
+
+// The facade's result types are the simulator's own, so convert hands a
+// run's slices through; this stops compiling if one becomes a copy again.
+func _(r *sim.Results) ([]Point, []LoadSample, []StoreLayer) {
+	return r.Bandwidth, r.HostLoad, r.StoreLayers
+}
 
 // quick returns a fast, scaled-down configuration for facade tests.
 func quick(w Workload) Config {
