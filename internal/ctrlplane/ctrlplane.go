@@ -176,10 +176,11 @@ type Plane struct {
 	faults    Faults
 	rng       *rand.Rand
 	transport Transport
-	// results caches each message ID's callee verdict, making retries and
-	// duplicates idempotent: the callee runs at most once per ID.
-	// Entries are dropped once the caller sees the reply; IDs of Lost RPCs
-	// keep theirs so a deferred re-issue with the same token replays it.
+	// results caches the callee verdict of every message ID whose RPC
+	// executed and then ended Lost, so a deferred re-issue with the same
+	// token replays it: the callee runs at most once per ID. A call's own
+	// retries never come here: they are inside one Call, which holds the
+	// verdict in a local, and a confirmed call leaves no entry.
 	results map[uint64]bool
 	nextID  uint64
 	stats   Stats
@@ -232,8 +233,13 @@ func (p *Plane) NextToken() uint64 {
 // exhausted — the caller cannot distinguish "never executed" from
 // "executed, reply lost"; only a same-token retry or reconciliation can.
 func (p *Plane) Call(now time.Duration, from, to topology.NodeID, token uint64, exec func(at time.Duration) bool) (verdict bool, tok uint64, doneAt time.Duration, ok bool) {
+	// The verdict lives here for the length of the call: a re-issue takes
+	// its token's out of the cache, and a call that ends Lost puts it back.
+	var res, executed bool
 	if token == 0 {
 		token = p.NextToken()
+	} else if res, executed = p.results[token]; executed {
+		delete(p.results, token)
 	}
 	t := now
 	backoff := p.params.NewBackoff()
@@ -245,15 +251,20 @@ func (p *Plane) Call(now time.Duration, from, to topology.NodeID, token uint64, 
 		deadline := t + p.params.Timeout
 		reqAt, reqOK := p.leg(t, from, to)
 		if reqOK {
-			res := p.execOnce(token, reqAt, exec)
+			if !executed {
+				res, executed = exec(reqAt), true
+			}
 			if replyAt, replyOK := p.leg(reqAt, to, from); replyOK && replyAt <= deadline {
-				// Confirmed: the caller will never reuse this token.
-				delete(p.results, token)
+				// Confirmed: the caller will never reuse this token, so
+				// nothing is cached.
 				return res, token, replyAt, true
 			}
 		}
 		p.stats.Timeouts++
 		t = deadline + backoff.Wait(p.rng)
+	}
+	if executed {
+		p.results[token] = res
 	}
 	p.stats.Lost++
 	return false, token, t, false
@@ -271,17 +282,6 @@ func (p *Plane) Notify(now time.Duration, from, to topology.NodeID, apply func(a
 	}
 	apply(at)
 	return true
-}
-
-// execOnce runs exec for a token at most once, replaying the cached
-// verdict for duplicates and retries.
-func (p *Plane) execOnce(token uint64, at time.Duration, exec func(time.Duration) bool) bool {
-	if res, seen := p.results[token]; seen {
-		return res
-	}
-	res := exec(at)
-	p.results[token] = res
-	return res
 }
 
 // leg delivers one message leg with fault injection. Loopback legs

@@ -141,6 +141,54 @@ func TestCallTokenReplayIsIdempotent(t *testing.T) {
 	if execs != 1 {
 		t.Fatalf("callee re-executed on token replay: %d runs", execs)
 	}
+	if len(p.results) != 0 {
+		t.Fatalf("confirmed re-issue left %d cached verdicts", len(p.results))
+	}
+}
+
+func TestCallTokenReissueAfterDroppedRequests(t *testing.T) {
+	// First call: no request ever arrives -> the callee never ran and there
+	// is no verdict to replay. The same-token re-issue is the first
+	// execution.
+	failRequests := true
+	tr := func(now time.Duration, from, to topology.NodeID) (time.Duration, bool) {
+		if failRequests && from == 0 { // request direction
+			return now, false
+		}
+		return now + time.Millisecond, true
+	}
+	p := newPlane(t, Faults{}, tr)
+	execs := 0
+	exec := func(time.Duration) bool {
+		execs++
+		return true
+	}
+	_, tok, _, ok := p.Call(0, 0, 1, 0, exec)
+	if ok || execs != 0 {
+		t.Fatalf("call with severed requests: ok=%v, execs=%d; want lost and unexecuted", ok, execs)
+	}
+	if len(p.results) != 0 {
+		t.Fatalf("unexecuted call cached %d verdicts", len(p.results))
+	}
+	failRequests = false
+	res, _, _, ok := p.Call(time.Minute, 0, 1, tok, exec)
+	if !ok || !res || execs != 1 {
+		t.Fatalf("same-token re-issue = (%v, %v), execs=%d; want a first execution", res, ok, execs)
+	}
+}
+
+func TestConfirmedCallsLeaveNoVerdict(t *testing.T) {
+	// A call made with a fresh token keeps its verdict in a local: only a
+	// call that executed and ended Lost has anything to cache.
+	p := newPlane(t, Faults{Dup: 0.5, Delay: time.Millisecond}, instantTransport(time.Millisecond, nil))
+	for i := 0; i < 10000; i++ {
+		if res, _, _, ok := p.Call(time.Duration(i)*time.Second, 0, 1, 0, func(time.Duration) bool { return i%2 == 0 }); !ok || res != (i%2 == 0) {
+			t.Fatalf("call %d = (%v, ok=%v)", i, res, ok)
+		}
+	}
+	if len(p.results) != 0 {
+		t.Fatalf("%d verdicts cached after 10000 confirmed calls", len(p.results))
+	}
 }
 
 func TestCallTimeoutFromDelay(t *testing.T) {

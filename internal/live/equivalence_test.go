@@ -55,8 +55,10 @@ func (r *decisionRecorder) OnDefer(now time.Duration, id object.ID, from, to top
 // because sim.NewMachine builds it — a storage stack, host weights, each
 // alternate seeding mode — or one thing the loop prices from the fleet's
 // events: link contention, whose busy-until state moves with the order and
-// instant of every charge. A case here is what licenses the absence of an
-// ExternalFleet row for that feature in sim.Refusals.
+// instant of every charge. The replica-floor case runs the repair
+// elections, whose load reports a node fetches from its peers. A case here
+// is what licenses the absence of an ExternalFleet row for that feature in
+// sim.Refusals.
 func TestSimLiveEquivalence(t *testing.T) {
 	stack, err := store.ParseSpec("cache(mem:2,disk:40ms)")
 	if err != nil {
@@ -85,6 +87,9 @@ func TestSimLiveEquivalence(t *testing.T) {
 			}
 		}},
 		{"link-contention", func(c *sim.Config) { c.Net.Contention = true }},
+		// The only case whose passes elect repair targets, over /rpc/load:
+		// every object starts one copy under the floor.
+		{"replica-floor", func(c *sim.Config) { c.Protocol.ReplicaFloor, c.Protocol.AvailabilityWeight = 2, 0.5 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

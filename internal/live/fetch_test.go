@@ -15,13 +15,14 @@ import (
 	"radar/internal/topology"
 )
 
-// twoNodes stands up a two-node fleet behind test servers. intercept sees
-// every request to node i before the node does and reports whether it
-// answered it.
-func twoNodes(t *testing.T, cfg live.Config, intercept func(i int, w http.ResponseWriter, r *http.Request) bool) (nodes [2]*live.Node, urls []string) {
+// testNodes stands up cfg's fleet, one node per topology member, behind
+// test servers. intercept sees every request to node i before the node
+// does and reports whether it answered it.
+func testNodes(t *testing.T, cfg live.Config, intercept func(i int, w http.ResponseWriter, r *http.Request) bool) (nodes []*live.Node, urls []string) {
 	t.Helper()
 	livetest.CheckGoroutines(t)
-	urls = make([]string, 2)
+	nodes = make([]*live.Node, cfg.Sim.Topo.NumNodes())
+	urls = make([]string, len(nodes))
 	for i := range nodes {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if !intercept(i, w, r) {
@@ -47,13 +48,13 @@ func twoNodes(t *testing.T, cfg live.Config, intercept func(i int, w http.Respon
 // wedgedSource stands up a two-node fleet whose node 0 never answers
 // /fetch/: the handler signals entered and hangs until the test ends.
 // rpcTimeout is the nodes' per-attempt RPC timeout.
-func wedgedSource(t *testing.T, rpcTimeout time.Duration) (nodes [2]*live.Node, urls []string, entered chan struct{}) {
+func wedgedSource(t *testing.T, rpcTimeout time.Duration) (nodes []*live.Node, urls []string, entered chan struct{}) {
 	t.Helper()
 	cfg := liveConfig(t, topology.Line(2), 8, 1, time.Minute)
 	cfg.RPC.Timeout = rpcTimeout
 	entered = make(chan struct{}, 1)
 	release := make(chan struct{})
-	nodes, urls = twoNodes(t, cfg, func(i int, _ http.ResponseWriter, r *http.Request) bool {
+	nodes, urls = testNodes(t, cfg, func(i int, _ http.ResponseWriter, r *http.Request) bool {
 		if i != 0 || !strings.HasPrefix(r.URL.Path, live.PathFetch) {
 			return false
 		}

@@ -150,9 +150,9 @@ func TestPlaceReplyCarriesItsCopies(t *testing.T) {
 	cfg := liveConfig(t, topology.Line(2), 6, 1, time.Minute)
 	cfg.Sim.Protocol.ReplicaFloor = 2
 	cfg.RPC.BackoffBase, cfg.RPC.BackoffCap = time.Millisecond, 5*time.Millisecond
-	var nodes [2]*live.Node
+	var nodes []*live.Node
 	var creates, lost atomic.Int64
-	nodes, urls := twoNodes(t, cfg, func(i int, _ http.ResponseWriter, r *http.Request) bool {
+	nodes, urls := testNodes(t, cfg, func(i int, _ http.ResponseWriter, r *http.Request) bool {
 		if i != 1 || r.URL.Path != live.PathCreateObj || creates.Add(1) > 1 {
 			return false
 		}
@@ -189,6 +189,54 @@ func TestPlaceReplyCarriesItsCopies(t *testing.T) {
 		if e.Kind == live.EventCopy && e.To == 1 {
 			t.Fatalf("acceptor's pass reported a copy it received: %+v", e)
 		}
+	}
+}
+
+// TestPlacePassLoadReports: a placement pass exchanges load reports once.
+// Node 0 of a floor-2 fleet repairs its six single-copy objects in one
+// pass; its /rpc/load traffic is one report per peer, one per would-be
+// winner and one after each handshake, not N−1 per election, and a peer
+// that fails the exchange without having been marked down is asked once,
+// not once per election.
+func TestPlacePassLoadReports(t *testing.T) {
+	const n, dead = 5, 3
+	cfg := liveConfig(t, topology.Line(n), 30, 1, time.Minute)
+	cfg.Sim.Protocol.ReplicaFloor = 2
+	var loads [n]atomic.Int64
+	_, urls := testNodes(t, cfg, func(i int, w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path != live.PathLoad {
+			return false
+		}
+		loads[i].Add(1)
+		if i == dead {
+			http.Error(w, "load reports are gone", http.StatusInternalServerError)
+		}
+		return i == dead
+	})
+
+	rep := postPlace(t, urls[0], 30*time.Second)
+	elections := 0
+	for _, e := range rep.Events {
+		if e.Kind == live.EventReplicate && e.Move == protocol.RepairMove.String() {
+			elections++
+			if e.To == dead {
+				t.Errorf("repair target %d gave no load report: %+v", dead, e)
+			}
+		}
+	}
+	if elections != 6 {
+		t.Fatalf("node 0's pass made %d repairs, want its 6: %+v", elections, rep.Events)
+	}
+	total := int64(0)
+	for i := range loads {
+		total += loads[i].Load()
+	}
+	t.Logf("%d repair elections among %d peers: %d /rpc/load requests (%d when every election asks every peer)", elections, n-1, total, (n-1)*elections)
+	if total >= int64((n-1)*elections) {
+		t.Errorf("%d /rpc/load requests for %d elections among %d peers: the pass asked every peer at every election", total, elections, n-1)
+	}
+	if got := loads[dead].Load(); got != 1 {
+		t.Errorf("the peer that failed the exchange was asked %d times in one pass, want 1", got)
 	}
 }
 

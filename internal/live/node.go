@@ -789,13 +789,14 @@ func objQuery(r *http.Request, prefix string, n int) (object.ID, topology.NodeID
 	if err != nil || id < 0 {
 		return 0, 0, 0, fmt.Errorf("live: bad object id %q", idStr)
 	}
-	g, err := strconv.Atoi(r.URL.Query().Get("g"))
+	q := r.URL.Query() // parsed once: every call builds a fresh map
+	g, err := strconv.Atoi(q.Get("g"))
 	if err != nil || g < 0 || g >= n {
-		return 0, 0, 0, fmt.Errorf("live: bad gateway %q", r.URL.Query().Get("g"))
+		return 0, 0, 0, fmt.Errorf("live: bad gateway %q", q.Get("g"))
 	}
-	now, err := strconv.ParseInt(r.URL.Query().Get("now"), 10, 64)
+	now, err := strconv.ParseInt(q.Get("now"), 10, 64)
 	if err != nil || now < 0 {
-		return 0, 0, 0, fmt.Errorf("live: bad now %q", r.URL.Query().Get("now"))
+		return 0, 0, 0, fmt.Errorf("live: bad now %q", q.Get("now"))
 	}
 	return object.ID(id), topology.NodeID(g), time.Duration(now), nil
 }
@@ -821,7 +822,7 @@ func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// No choosable replica (every copy on killed hosts): the request
 		// fails at the redirector.
-		http.Error(w, err.Error(), http.StatusNotFound)
+		http.Error(w, fmt.Sprintf("%v: object %d", err, id), http.StatusNotFound)
 		return
 	}
 	// Redirector -> host is one more control hop of pure latency.

@@ -82,7 +82,8 @@ type Env struct {
 	// entry in the periodic load-report exchange of §4.2.2 — or false
 	// when p is down or unreachable. A negative id asks for the load and
 	// watermarks only. Offload recipients and repair targets are elected
-	// from these reports (electHost).
+	// from these reports (electHost), which asks each peer once per
+	// placement pass and keeps the answers on the host's load board.
 	LoadReport func(p topology.NodeID, now time.Duration, id object.ID) (LoadReport, bool)
 	// CopyObject charges an object transfer from -> to to the network.
 	CopyObject func(now time.Duration, from, to topology.NodeID, id object.ID)
@@ -168,6 +169,9 @@ type Host struct {
 	// idBuf is DecidePlacement's snapshot of the hosted IDs, reused from
 	// pass to pass.
 	idBuf []object.ID
+	// board is the pass's load-report exchange, one entry per node, which
+	// electHost fills and reads. Nil until the host's first election.
+	board []boardEntry
 
 	// Stats accumulates protocol activity counters for reports.
 	Stats HostStats
@@ -295,6 +299,7 @@ func (h *Host) OnCrash() {
 	h.est.Reset()
 	h.offloading = false
 	h.deferred = nil
+	clear(h.board)
 	h.objs.each((*ObjectState).reset)
 }
 
@@ -341,6 +346,7 @@ func (s PlacementSummary) moved() bool {
 // Access counts are reset at the end of the run.
 func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 	var sum PlacementSummary
+	clear(h.board) // load reports are exchanged anew every pass
 	prev := h.lastPlacement
 	period := (now - prev).Seconds()
 	h.lastPlacement = now
@@ -435,6 +441,7 @@ func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 // with it to keep the same identity), and the caller-side completion time
 // (now on the inline path, so downstream bookkeeping is unchanged there).
 func (h *Host) createObj(now time.Duration, peer *Host, method Method, id object.ID, unitLoad float64, srcAff int, token uint64) (CreateObjStatus, uint64, time.Duration) {
+	h.forgetReport(peer.ID)
 	if h.env.SendCreateObj == nil {
 		if peer.CreateObj(now, method, id, unitLoad, srcAff, h.ID) {
 			return CreateAccepted, 0, now

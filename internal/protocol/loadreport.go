@@ -35,6 +35,35 @@ func (h *Host) LoadReport(now time.Duration, id object.ID) LoadReport {
 	return r
 }
 
+// boardEntry is one peer's line on a host's load board: its answer to this
+// pass's load-report exchange. Only the load and watermarks are read back;
+// the object-specific fields are asked per election.
+type boardEntry struct {
+	report LoadReport
+	asked  bool // queried this pass, and not handshaken with since
+	up     bool // the query was answered
+}
+
+// forgetReport drops peer p's board entry, so the next election asks p
+// again. createObj calls it for every handshake this host sends, whatever
+// the outcome: an accepted copy raises p's load estimate, and a lost reply
+// may still have executed.
+func (h *Host) forgetReport(p topology.NodeID) {
+	if h.board != nil {
+		h.board[p] = boardEntry{}
+	}
+}
+
+// contends reports r's load relative to its accept ceiling lw + w·(hw−lw),
+// and whether r takes the election from the incumbent: strictly below its
+// ceiling, and strictly more relative headroom than bestRel when an
+// incumbent was found.
+func (r LoadReport) contends(w float64, found bool, bestRel float64) (rel float64, wins bool) {
+	ceiling := r.Low + w*(r.High-r.Low)
+	rel = r.AcceptLoad / ceiling
+	return rel, r.AcceptLoad < ceiling && (!found || rel < bestRel)
+}
+
 // electHost elects, among the other hosts, the one with the most relative
 // headroom below its accept ceiling lw + w·(hw−lw), strictly below it.
 // Each host is judged against its own watermarks, so strong hosts absorb
@@ -50,20 +79,45 @@ func (h *Host) LoadReport(now time.Duration, id object.ID) LoadReport {
 // electing them and every such election is a guaranteed refusal that costs
 // the object a placement interval of single-copy exposure. Weight zero
 // keeps halted electees, byte-for-byte the paper's selection.
+//
+// Loads come from the host's load board, the once-per-pass report exchange
+// of §4.2.2: DecidePlacement (and OnCrash) empties it, the first election
+// of a pass asks every peer for its load and watermarks, and later
+// elections rank the same entries; a peer is asked again only after a
+// handshake from this host (forgetReport). The object-specific question —
+// does the peer hold id, is its halt guard active — goes only to a peer
+// that would take the lead on load alone, so the winner is the one a scan
+// asking all N−1 peers about id would elect. Its answer carries the peer's
+// current load too and replaces the entry; a peer that fails to answer
+// either query is skipped for the rest of the pass.
 func (h *Host) electHost(now time.Duration, id object.ID, w float64) (best topology.NodeID, load float64, found bool) {
+	if h.board == nil {
+		h.board = make([]boardEntry, h.numNodes)
+	}
 	bestRel := 0.0
-	for i := 0; i < h.numNodes; i++ {
+	for i := range h.board {
 		p := topology.NodeID(i)
 		if p == h.ID {
 			continue
 		}
-		r, ok := h.env.LoadReport(p, now, id)
-		if !ok || r.Has || (w > 0 && r.Halted) {
+		e := &h.board[i]
+		if !e.asked {
+			e.report, e.up = h.env.LoadReport(p, now, -1)
+			e.asked = true
+		}
+		if !e.up {
 			continue
 		}
-		ceiling := r.Low + w*(r.High-r.Low)
-		if rel := r.AcceptLoad / ceiling; r.AcceptLoad < ceiling && (!found || rel < bestRel) {
-			best, load, bestRel, found = p, r.AcceptLoad, rel, true
+		rel, wins := e.report.contends(w, found, bestRel)
+		if wins && id >= 0 {
+			e.report, e.up = h.env.LoadReport(p, now, id)
+			if !e.up || e.report.Has || (w > 0 && e.report.Halted) {
+				continue
+			}
+			rel, wins = e.report.contends(w, found, bestRel)
+		}
+		if wins {
+			best, load, bestRel, found = p, e.report.AcceptLoad, rel, true
 		}
 	}
 	return best, load, found

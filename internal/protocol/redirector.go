@@ -175,15 +175,17 @@ func (r *Redirector) entry(id object.ID) *redirEntry {
 
 // ChooseReplica picks the host to service a request for id that entered
 // the platform at gateway g, and charges the chosen replica's request
-// count. This is the algorithm of Fig. 2 (under PolicyPaper).
+// count. This is the algorithm of Fig. 2 (under PolicyPaper). The errors
+// are the bare ErrUnknownObject and ErrNoReachableReplica (the caller holds
+// the id), so a failed choice allocates nothing.
 func (r *Redirector) ChooseReplica(g topology.NodeID, id object.ID) (topology.NodeID, error) {
 	e := r.lookup(id)
 	if e == nil || len(e.replicas) == 0 {
-		return 0, fmt.Errorf("%w: object %d", ErrUnknownObject, id)
+		return 0, ErrUnknownObject
 	}
 	r.chooseCount++
 	if r.reachable != nil {
-		return r.chooseFiltered(g, id, e)
+		return r.chooseFiltered(g, e)
 	}
 	switch r.policy {
 	case PolicyRoundRobin:
@@ -224,7 +226,7 @@ func (r *Redirector) ChooseReplica(g topology.NodeID, id object.ID) (topology.No
 // chooseFiltered is ChooseReplica under a reachability filter: the same
 // per-policy logic restricted to replicas the filter admits. It lives on a
 // separate code path so fault-free runs execute the original byte-for-byte.
-func (r *Redirector) chooseFiltered(g topology.NodeID, id object.ID, e *redirEntry) (topology.NodeID, error) {
+func (r *Redirector) chooseFiltered(g topology.NodeID, e *redirEntry) (topology.NodeID, error) {
 	var buf [8]int
 	live := buf[:0]
 	for i := range e.replicas {
@@ -233,7 +235,7 @@ func (r *Redirector) chooseFiltered(g topology.NodeID, id object.ID, e *redirEnt
 		}
 	}
 	if len(live) == 0 {
-		return 0, fmt.Errorf("%w: object %d", ErrNoReachableReplica, id)
+		return 0, ErrNoReachableReplica
 	}
 	switch r.policy {
 	case PolicyRoundRobin:
