@@ -15,7 +15,6 @@ package consistency
 
 import (
 	"fmt"
-	"time"
 
 	"radar/internal/object"
 	"radar/internal/topology"
@@ -215,14 +214,4 @@ func (m *Manager) Flush(id object.ID, replicas []topology.NodeID) []Propagation 
 		out = append(out, Propagation{ID: id, From: m.primary[id], To: r, Updates: n})
 	}
 	return out
-}
-
-// StalenessBound returns the maximum time a replica may lag the primary
-// under the given mode and batch interval: zero for immediate
-// propagation, the batch interval for batched.
-func StalenessBound(mode PropagationMode, batchInterval time.Duration) time.Duration {
-	if mode == Immediate {
-		return 0
-	}
-	return batchInterval
 }

@@ -2,7 +2,6 @@ package consistency
 
 import (
 	"testing"
-	"time"
 
 	"radar/internal/object"
 	"radar/internal/topology"
@@ -146,15 +145,6 @@ func TestUpdateFlush(t *testing.T) {
 	}
 	if got := m.Pending(id); got != 0 {
 		t.Fatalf("pending after flush = %d, want 0", got)
-	}
-}
-
-func TestStalenessBound(t *testing.T) {
-	if got := StalenessBound(Immediate, time.Minute); got != 0 {
-		t.Errorf("immediate staleness = %v, want 0", got)
-	}
-	if got := StalenessBound(Batched, time.Minute); got != time.Minute {
-		t.Errorf("batched staleness = %v, want 1m", got)
 	}
 }
 

@@ -8,7 +8,7 @@
 // forward within a boot, and request failures stay confined to crash
 // windows.
 //
-// The checker learns about crashes through NoteKill/NoteRestart (it
+// The checker learns about crashes through OnKill/OnRestart (it
 // satisfies chaos.Observer), so everything that goes wrong while a node
 // is legitimately dead — unreachable scrapes, failed requests, a sagging
 // floor — is excused until the convergence budget after recovery runs
@@ -131,7 +131,7 @@ type redState struct {
 }
 
 // Checker scrapes and judges one fleet. Create with New, feed crash
-// windows via NoteKill/NoteRestart (or wire it as the chaos controller's
+// windows via OnKill/OnRestart (wire it as the chaos controller's
 // Observer), Run until the experiment ends, then Report.
 type Checker struct {
 	cfg    Config
@@ -161,19 +161,16 @@ func New(cfg Config) *Checker {
 }
 
 // OnKill and OnRestart make the checker a chaos controller Observer:
-// applied lifecycle actions become crash windows.
-func (c *Checker) OnKill(n topology.NodeID, at time.Time)    { c.NoteKill(n, at) }
-func (c *Checker) OnRestart(n topology.NodeID, at time.Time) { c.NoteRestart(n, at) }
-
-// NoteKill opens a crash window for node n.
-func (c *Checker) NoteKill(n topology.NodeID, at time.Time) {
+// applied lifecycle actions become crash windows. OnKill opens one for
+// node n.
+func (c *Checker) OnKill(n topology.NodeID, at time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.windows = append(c.windows, window{node: n, start: at})
 }
 
-// NoteRestart closes node n's open crash window.
-func (c *Checker) NoteRestart(n topology.NodeID, at time.Time) {
+// OnRestart closes node n's open crash window.
+func (c *Checker) OnRestart(n topology.NodeID, at time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := len(c.windows) - 1; i >= 0; i-- {

@@ -90,7 +90,7 @@ func TestCheckerLostObject(t *testing.T) {
 
 	// Same scenario with an open crash window: excused.
 	c2 := New(testConfig([]string{a.srv.URL}))
-	c2.NoteKill(0, time.Now())
+	c2.OnKill(0, time.Now())
 	c2.Scrape()
 	time.Sleep(60 * time.Millisecond)
 	c2.Scrape()
@@ -176,7 +176,7 @@ func TestCheckerUnreachable(t *testing.T) {
 	}
 
 	c2 := New(testConfig([]string{a.srv.URL, deadURL}))
-	c2.NoteKill(1, time.Now())
+	c2.OnKill(1, time.Now())
 	c2.Scrape()
 	c2.Scrape()
 	if rep := c2.Report(); !rep.OK() {
@@ -189,8 +189,8 @@ func TestCheckerUnreachable(t *testing.T) {
 func TestCheckFailures(t *testing.T) {
 	c := New(testConfig([]string{"http://invalid"}))
 	kill := time.Now()
-	c.NoteKill(0, kill)
-	c.NoteRestart(0, kill.Add(20*time.Millisecond))
+	c.OnKill(0, kill)
+	c.OnRestart(0, kill.Add(20*time.Millisecond))
 	inside := kill.Add(10 * time.Millisecond)
 	grace := kill.Add(50 * time.Millisecond)  // within 40ms convergence of restart
 	stray := kill.Add(-10 * time.Millisecond) // before the window

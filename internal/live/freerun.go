@@ -199,10 +199,9 @@ func (d *FreeDriver) noteFailure() {
 	d.failMu.Unlock()
 }
 
-// Served, Failed, and TimedOut return the request totals so far.
-func (d *FreeDriver) Served() int64   { return d.served.Load() }
-func (d *FreeDriver) Failed() int64   { return d.failed.Load() }
-func (d *FreeDriver) TimedOut() int64 { return d.timedOut.Load() }
+// Served and Failed return the request totals so far.
+func (d *FreeDriver) Served() int64 { return d.served.Load() }
+func (d *FreeDriver) Failed() int64 { return d.failed.Load() }
 
 // Failures returns the wall-clock times of every failed request.
 func (d *FreeDriver) Failures() []time.Time {

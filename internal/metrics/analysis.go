@@ -100,21 +100,6 @@ func MaxValue(points []Point) float64 {
 	return max
 }
 
-// WindowMean returns the mean of values with T in [from, to).
-func WindowMean(points []Point, from, to time.Duration) float64 {
-	total, n := 0.0, 0
-	for _, p := range points {
-		if p.T >= from && p.T < to {
-			total += p.V
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / float64(n)
-}
-
 // SandwichViolations counts Figure 8b samples where the actual load lies
 // outside [lower-slack, upper+slack]. The paper's claim is zero.
 func SandwichViolations(samples []HostLoadSample, slack float64) int {

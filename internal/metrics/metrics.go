@@ -228,7 +228,7 @@ func (c *Collector) OnRefuse(_ time.Duration, _ object.ID, _, _ topology.NodeID,
 	c.counters.Refusals++
 }
 
-// OnDefer implements protocol.DeferralObserver.
+// OnDefer implements protocol.Observer.
 func (c *Collector) OnDefer(_ time.Duration, _ object.ID, _, _ topology.NodeID, _ protocol.Method) {
 	c.counters.DeferredMoves++
 }

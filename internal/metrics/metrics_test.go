@@ -140,16 +140,10 @@ func TestAdjustmentTime(t *testing.T) {
 	}
 }
 
-func TestMaxValueAndWindowMean(t *testing.T) {
+func TestMaxValue(t *testing.T) {
 	pts := []Point{{0, 1}, {time.Minute, 9}, {2 * time.Minute, 4}}
 	if got := MaxValue(pts); got != 9 {
 		t.Errorf("MaxValue = %v, want 9", got)
-	}
-	if got := WindowMean(pts, time.Minute, 3*time.Minute); got != 6.5 {
-		t.Errorf("WindowMean = %v, want 6.5", got)
-	}
-	if got := WindowMean(pts, time.Hour, 2*time.Hour); got != 0 {
-		t.Errorf("empty window mean = %v, want 0", got)
 	}
 }
 

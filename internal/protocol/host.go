@@ -155,9 +155,7 @@ type Host struct {
 	// (the degradation policy of the unreliable control plane), in
 	// ascending object order, at most one per object. Nil until the first
 	// loss, so reliable runs never touch it.
-	deferred []deferredMove
-	// deferObs is env.Observer's DeferralObserver side, resolved once.
-	deferObs DeferralObserver
+	deferred []move
 	// candBuf is the reusable candidate scratch buffer for the placement
 	// pass; its contents are only valid within one candidatesByDistanceDesc
 	// call chain. replBuf and availBuf are the availability-aware ordering's
@@ -225,9 +223,7 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 	if env.Observer == nil {
 		env.Observer = nopObserver{}
 	}
-	deferObs, _ := env.Observer.(DeferralObserver)
 	return &Host{
-		deferObs: deferObs,
 		ID:       id,
 		params:   params,
 		env:      env,
@@ -399,20 +395,13 @@ func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 				// Sole replica of a cold object: the redirector refused
 				// the drop; the object stays put.
 			}
-		} else {
-			if to, ok := h.tryGeoMigrate(now, id, st); ok {
-				migrated = true
-				sum.Migrated++
-				h.Stats.GeoMigrations++
-				h.env.Observer.OnMigrate(now, id, h.ID, to, GeoMove)
-			}
+		} else if h.tryGeo(now, id, st, Migrate, h.params.MigrRatio) {
+			migrated = true
+			sum.Migrated++
 		}
-		if !dropped && !migrated && ua > h.params.ReplicationThreshold {
-			if to, ok := h.tryGeoReplicate(now, id, st); ok {
-				sum.Replicated++
-				h.Stats.GeoReplications++
-				h.env.Observer.OnReplicate(now, id, h.ID, to, GeoMove)
-			}
+		if !dropped && !migrated && ua > h.params.ReplicationThreshold &&
+			h.tryGeo(now, id, st, Replicate, h.params.ReplRatio) {
+			sum.Replicated++
 		}
 	}
 
@@ -465,33 +454,83 @@ func (h *Host) createObj(now time.Duration, peer *Host, method Method, id object
 	return status, tok, doneAt
 }
 
-// deferMove records a placement move whose handshake was lost, to be
-// re-issued with the same token at the next placement run.
-func (h *Host) deferMove(now time.Duration, id object.ID, to topology.NodeID, method Method, token uint64) {
-	d := deferredMove{id: id, to: to, method: method, token: token}
-	if at, pending := h.findDeferred(id); pending {
-		h.deferred[at] = d // a lost replication after a lost migration supersedes it
-	} else {
-		h.deferred = slices.Insert(h.deferred, at, d)
-	}
-	h.Stats.DeferredMoves++
-	if h.deferObs != nil {
-		h.deferObs.OnDefer(now, id, h.ID, to, method)
-	}
-}
-
-// deferredMove is one placement move awaiting same-token retry.
-type deferredMove struct {
+// move is one placement move: send one affinity unit of id to host to,
+// by method, for the reason kind names. token is zero for a fresh move and
+// the lost exchange's message token for a deferred one.
+type move struct {
 	id     object.ID
 	to     topology.NodeID
 	method Method
+	kind   MoveKind
 	token  uint64
+}
+
+// perform is the one road to a peer: it runs mv's CreateObj handshake with
+// peer and commits the verdict on this host, which holds the replica st.
+// Accepted: the lower-bound load estimate sheds the Theorem 1/3 source
+// bound, a migration hands its affinity unit over, the move is counted and
+// observed, all at the handshake's completion time. Refused: counted and
+// observed at now. Lost: nothing here — the caller defers the move or lets
+// its next pass decide again — and the returned token re-issues it.
+func (h *Host) perform(now time.Duration, mv move, st *ObjectState, peer *Host) (CreateObjStatus, uint64) {
+	objLoad := h.loads.ObjectLoad(mv.id)
+	status, tok, doneAt := h.createObj(now, peer, mv.method, mv.id, objLoad/float64(st.Aff), st.Aff, mv.token)
+	switch status {
+	case CreateAccepted:
+		if mv.method == Migrate {
+			h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(objLoad, st.Aff))
+			h.reduceAffinity(doneAt, mv.id, st)
+			h.Stats.count(mv)
+			h.env.Observer.OnMigrate(doneAt, mv.id, h.ID, mv.to, mv.kind)
+		} else {
+			h.est.OnShed(doneAt, h.loads.Load(), ReplicationSourceMaxDecrease(objLoad))
+			h.Stats.count(mv)
+			h.env.Observer.OnReplicate(doneAt, mv.id, h.ID, mv.to, mv.kind)
+		}
+	case CreateRefused:
+		h.Stats.RefusalsGot++
+		h.env.Observer.OnRefuse(now, mv.id, h.ID, mv.to, mv.method)
+	}
+	return status, tok
+}
+
+// count adds one accepted move to the counter its method and kind select.
+func (s *HostStats) count(mv move) {
+	switch {
+	case mv.kind == RepairMove:
+		s.RepairReplications++
+	case mv.kind == LoadMove && mv.method == Migrate:
+		s.LoadMigrations++
+	case mv.kind == LoadMove:
+		s.LoadReplications++
+	case mv.method == Migrate:
+		s.GeoMigrations++
+	default:
+		s.GeoReplications++
+	}
+}
+
+// deferMove records a placement move whose handshake was lost, to be
+// re-issued with the same token at the next placement run.
+func (h *Host) deferMove(now time.Duration, mv move) {
+	if at, pending := h.findDeferred(mv.id); pending {
+		h.deferred[at] = mv // a lost replication after a lost migration supersedes it
+	} else {
+		h.deferred = slices.Insert(h.deferred, at, mv)
+	}
+	h.noteDeferred(now, mv)
+}
+
+// noteDeferred counts and observes one deferral of mv.
+func (h *Host) noteDeferred(now time.Duration, mv move) {
+	h.Stats.DeferredMoves++
+	h.env.Observer.OnDefer(now, mv.id, h.ID, mv.to, mv.method)
 }
 
 // findDeferred returns the position of id's deferred move and true, or
 // the position it would be inserted at and false.
 func (h *Host) findDeferred(id object.ID) (int, bool) {
-	return slices.BinarySearchFunc(h.deferred, id, func(d deferredMove, id object.ID) int {
+	return slices.BinarySearchFunc(h.deferred, id, func(d move, id object.ID) int {
 		return cmp.Compare(d.id, id)
 	})
 }
@@ -508,8 +547,7 @@ func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
 	// Filtered in place: an entry stays only if it is appended to kept.
 	kept := h.deferred[:0]
 	for _, d := range h.deferred {
-		id := d.id
-		st := h.objs.get(id)
+		st := h.objs.get(d.id)
 		if st == nil {
 			continue // replica gone meanwhile; nothing to move
 		}
@@ -518,34 +556,18 @@ func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
 			kept = append(kept, d) // target down: hold the deferral for the next interval
 			continue
 		}
-		objLoad := h.loads.ObjectLoad(id)
-		unitLoad := objLoad / float64(st.Aff)
-		status, tok, doneAt := h.createObj(now, peer, d.method, id, unitLoad, st.Aff, d.token)
-		switch status {
+		switch status, tok := h.perform(now, d, st, peer); status {
 		case CreateAccepted:
 			h.Stats.DeferredCompleted++
 			if d.method == Migrate {
-				h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(objLoad, st.Aff))
-				h.reduceAffinity(doneAt, id, st)
 				sum.Migrated++
-				h.Stats.GeoMigrations++
-				h.env.Observer.OnMigrate(doneAt, id, h.ID, d.to, GeoMove)
 			} else {
-				h.est.OnShed(doneAt, h.loads.Load(), ReplicationSourceMaxDecrease(objLoad))
 				sum.Replicated++
-				h.Stats.GeoReplications++
-				h.env.Observer.OnReplicate(doneAt, id, h.ID, d.to, GeoMove)
 			}
-		case CreateRefused:
-			h.Stats.RefusalsGot++
-			h.env.Observer.OnRefuse(now, id, h.ID, d.to, d.method)
 		case CreateLost:
 			d.token = tok
 			kept = append(kept, d)
-			h.Stats.DeferredMoves++
-			if h.deferObs != nil {
-				h.deferObs.OnDefer(now, id, h.ID, d.to, d.method)
-			}
+			h.noteDeferred(now, d)
 		}
 	}
 	h.deferred = kept
@@ -557,6 +579,13 @@ func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
 // so availability repair is not starved by geo decisions. Returns the
 // number of repair replications made.
 func (h *Host) repairReplicas(now time.Duration) int {
+	// With the availability objective armed, repair travels as the Repair
+	// method so the target applies the availability-relaxed accept
+	// watermark; at w = 0 it is plain Replicate, byte-for-byte.
+	method := Replicate
+	if h.params.AvailabilityWeight > 0 {
+		method = Repair
+	}
 	repaired := 0
 	for _, id := range h.objs.ids { // repair only adds replicas elsewhere
 		red := h.env.RedirectorFor(id)
@@ -578,29 +607,12 @@ func (h *Host) repairReplicas(now time.Duration) int {
 			if peer == nil {
 				break
 			}
-			st := h.objs.get(id)
-			objLoad := h.loads.ObjectLoad(id)
-			unitLoad := objLoad / float64(st.Aff)
-			// With the availability objective armed, repair travels as the
-			// Repair method so the target applies the availability-relaxed
-			// accept watermark; at w = 0 it is plain Replicate, byte-for-byte.
-			method := Replicate
-			if h.params.AvailabilityWeight > 0 {
-				method = Repair
-			}
-			status, _, doneAt := h.createObj(now, peer, method, id, unitLoad, st.Aff, 0)
-			if status != CreateAccepted {
-				if status == CreateRefused {
-					h.Stats.RefusalsGot++
-					h.env.Observer.OnRefuse(now, id, h.ID, target, method)
-				}
+			mv := move{id: id, to: target, method: method, kind: RepairMove}
+			if status, _ := h.perform(now, mv, h.objs.get(id), peer); status != CreateAccepted {
 				// A lost repair handshake is retried by the next repair
 				// pass; reconciliation heals any replica it did create.
 				break
 			}
-			h.est.OnShed(doneAt, h.loads.Load(), ReplicationSourceMaxDecrease(objLoad))
-			h.Stats.RepairReplications++
-			h.env.Observer.OnReplicate(doneAt, id, h.ID, target, RepairMove)
 			repaired++
 			count = red.ReplicaCount(id)
 		}
@@ -627,72 +639,39 @@ func (h *Host) candidatesByDistanceDesc(st *ObjectState) []topology.NodeID {
 	return cands
 }
 
-// tryGeoMigrate attempts the migration branch of Fig. 3. It returns the
-// recipient on success.
-func (h *Host) tryGeoMigrate(now time.Duration, id object.ID, st *ObjectState) (topology.NodeID, bool) {
+// tryGeo attempts the migration or the replication branch of Fig. 3 (method
+// says which): the first candidate that appears on more than ratio of the
+// object's preference paths and accepts takes the move. It reports whether
+// one did.
+func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method Method, ratio float64) bool {
 	total := st.Total
 	if total == 0 {
-		return 0, false
+		return false
 	}
-	unitLoad := h.loads.ObjectLoad(id) / float64(st.Aff)
-	for _, p := range h.orderCandidates(id, st, Migrate) {
-		if float64(st.Cnt[p])/float64(total) <= h.params.MigrRatio {
+	if method == Replicate && h.env.CanReplicate != nil && !h.env.CanReplicate(id, h.env.RedirectorFor(id).ReplicaCount(id)) {
+		return false
+	}
+	for _, p := range h.orderCandidates(id, st, method) {
+		if float64(st.Cnt[p])/float64(total) <= ratio {
 			continue
 		}
 		peer := h.env.Peer(p)
 		if peer == nil {
 			continue
 		}
-		switch status, tok, doneAt := h.createObj(now, peer, Migrate, id, unitLoad, st.Aff, 0); status {
+		mv := move{id: id, to: p, method: method, kind: GeoMove}
+		switch status, tok := h.perform(now, mv, st, peer); status {
 		case CreateAccepted:
-			h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(h.loads.ObjectLoad(id), st.Aff))
-			h.reduceAffinity(doneAt, id, st)
-			return p, true
+			return true
 		case CreateLost:
 			// The exchange may have landed; trying the next candidate could
 			// double-place. Defer this exact move to the next interval.
-			h.deferMove(now, id, p, Migrate, tok)
-			return 0, false
-		default:
-			h.Stats.RefusalsGot++
-			h.env.Observer.OnRefuse(now, id, h.ID, p, Migrate)
+			mv.token = tok
+			h.deferMove(now, mv)
+			return false
 		}
 	}
-	return 0, false
-}
-
-// tryGeoReplicate attempts the replication branch of Fig. 3. It returns
-// the recipient on success.
-func (h *Host) tryGeoReplicate(now time.Duration, id object.ID, st *ObjectState) (topology.NodeID, bool) {
-	total := st.Total
-	if total == 0 {
-		return 0, false
-	}
-	if h.env.CanReplicate != nil && !h.env.CanReplicate(id, h.env.RedirectorFor(id).ReplicaCount(id)) {
-		return 0, false
-	}
-	unitLoad := h.loads.ObjectLoad(id) / float64(st.Aff)
-	for _, p := range h.orderCandidates(id, st, Replicate) {
-		if float64(st.Cnt[p])/float64(total) <= h.params.ReplRatio {
-			continue
-		}
-		peer := h.env.Peer(p)
-		if peer == nil {
-			continue
-		}
-		switch status, tok, doneAt := h.createObj(now, peer, Replicate, id, unitLoad, st.Aff, 0); status {
-		case CreateAccepted:
-			h.est.OnShed(doneAt, h.loads.Load(), ReplicationSourceMaxDecrease(h.loads.ObjectLoad(id)))
-			return p, true
-		case CreateLost:
-			h.deferMove(now, id, p, Replicate, tok)
-			return 0, false
-		default:
-			h.Stats.RefusalsGot++
-			h.env.Observer.OnRefuse(now, id, h.ID, p, Replicate)
-		}
-	}
-	return 0, false
+	return false
 }
 
 // affResult is the outcome of a ReduceAffinity attempt.
@@ -870,44 +849,27 @@ func (h *Host) offload(now time.Duration, period float64) int {
 		if st == nil {
 			continue
 		}
-		objLoad := h.loads.ObjectLoad(c.id)
-		unitLoad := objLoad / float64(st.Aff)
-		if st.unitAccess(period) <= h.params.ReplicationThreshold {
-			status, _, doneAt := h.createObj(now, peer, Migrate, c.id, unitLoad, st.Aff, 0)
-			if status != CreateAccepted {
-				if status == CreateRefused {
-					h.Stats.RefusalsGot++
-					h.env.Observer.OnRefuse(now, c.id, h.ID, rid, Migrate)
-				}
-				// Lost or refused: stop shedding to this recipient — load
-				// moves are re-decided from fresh estimates next run, so no
-				// deferral is needed.
-				break
-			}
-			h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(objLoad, st.Aff))
-			recipientLoad += MigrationTargetMaxIncrease(objLoad, st.Aff)
-			h.reduceAffinity(doneAt, c.id, st)
-			h.Stats.LoadMigrations++
-			h.env.Observer.OnMigrate(doneAt, c.id, h.ID, rid, LoadMove)
-		} else {
+		objLoad, aff := h.loads.ObjectLoad(c.id), st.Aff // as the recipient sees them: before the move
+		mv := move{id: c.id, to: rid, method: Migrate, kind: LoadMove}
+		if st.unitAccess(period) > h.params.ReplicationThreshold {
 			// Hot objects are only ever replicated during offload (a load
 			// migration could undo a previous geo-replication), so when
 			// the consistency layer bars replication the object stays.
 			if h.env.CanReplicate != nil && !h.env.CanReplicate(c.id, h.env.RedirectorFor(c.id).ReplicaCount(c.id)) {
 				continue
 			}
-			status, _, doneAt := h.createObj(now, peer, Replicate, c.id, unitLoad, st.Aff, 0)
-			if status != CreateAccepted {
-				if status == CreateRefused {
-					h.Stats.RefusalsGot++
-					h.env.Observer.OnRefuse(now, c.id, h.ID, rid, Replicate)
-				}
-				break
-			}
-			h.est.OnShed(doneAt, h.loads.Load(), ReplicationSourceMaxDecrease(objLoad))
-			recipientLoad += ReplicationTargetMaxIncrease(objLoad, st.Aff)
-			h.Stats.LoadReplications++
-			h.env.Observer.OnReplicate(doneAt, c.id, h.ID, rid, LoadMove)
+			mv.method = Replicate
+		}
+		if status, _ := h.perform(now, mv, st, peer); status != CreateAccepted {
+			// Lost or refused: stop shedding to this recipient — load moves
+			// are re-decided from fresh estimates next run, so no deferral
+			// is needed.
+			break
+		}
+		if mv.method == Migrate {
+			recipientLoad += MigrationTargetMaxIncrease(objLoad, aff)
+		} else {
+			recipientLoad += ReplicationTargetMaxIncrease(objLoad, aff)
 		}
 		moved++
 	}

@@ -35,7 +35,7 @@ type moveRec struct {
 type recorder struct {
 	migrates, replicates []moveRec
 	drops                []moveRec
-	refusals             []moveRec
+	refusals, deferrals  []moveRec
 }
 
 func (r *recorder) OnMigrate(_ time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
@@ -52,6 +52,10 @@ func (r *recorder) OnDrop(_ time.Duration, id object.ID, host topology.NodeID) {
 
 func (r *recorder) OnRefuse(_ time.Duration, id object.ID, from, to topology.NodeID, m Method) {
 	r.refusals = append(r.refusals, moveRec{id: id, from: from, to: to, method: m})
+}
+
+func (r *recorder) OnDefer(_ time.Duration, id object.ID, from, to topology.NodeID, m Method) {
+	r.deferrals = append(r.deferrals, moveRec{id: id, from: from, to: to, method: m})
 }
 
 // cluster is an in-memory wiring of hosts + one redirector for unit tests.

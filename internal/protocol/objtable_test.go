@@ -228,8 +228,8 @@ func TestTotalTracksOwnCount(t *testing.T) {
 // the rest from five gateways, so the object sits between the deletion and
 // replication thresholds and no candidate reaches MIGR_RATIO. A pass over
 // it then decides everything and moves nothing — the steady state.
-func benchHost(b *testing.B, objects int) (*Host, func()) {
-	c := newCluster(b, topology.UUNET(), DefaultParams())
+func benchHost(tb testing.TB, objects int) (*Host, func()) {
+	c := newCluster(tb, topology.UUNET(), DefaultParams())
 	for i := 0; i < objects; i++ {
 		c.seed(object.ID(i), 0)
 	}
@@ -259,6 +259,25 @@ func BenchmarkDecidePlacement(b *testing.B) {
 		if sum.moved() {
 			b.Fatalf("pass %d moved objects: %+v", i, sum)
 		}
+	}
+}
+
+// TestPlacementPassAllocFree holds BenchmarkDecidePlacement's 0 allocs/op as
+// a test: a steady-state pass over a thousand objects allocates nothing.
+func TestPlacementPassAllocFree(t *testing.T) {
+	h, request := benchHost(t, 1000)
+	now := 100 * time.Second
+	request()
+	h.DecidePlacement(now) // first pass sizes the reused buffers
+	allocs := testing.AllocsPerRun(5, func() {
+		request()
+		now += 100 * time.Second
+		if sum := h.DecidePlacement(now); sum.moved() {
+			t.Fatalf("pass at %v moved objects: %+v", now, sum)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a steady-state placement pass allocates %v times, want 0", allocs)
 	}
 }
 

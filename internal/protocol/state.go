@@ -152,17 +152,10 @@ type Observer interface {
 	OnDrop(now time.Duration, id object.ID, host topology.NodeID)
 	// OnRefuse fires when a CreateObj request was refused.
 	OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method Method)
-}
-
-// DeferralObserver is an optional Observer extension: observers that also
-// implement it receive deferral events from the unreliable control plane's
-// degradation policy (a placement move whose CreateObj handshake exhausted
-// its retry budget is deferred to the next placement interval rather than
-// silently dropped). Kept separate from Observer so existing observers —
-// trace writers, test recorders — keep compiling unchanged.
-type DeferralObserver interface {
 	// OnDefer fires when from deferred a placement move of id to `to`
-	// because the control plane lost the handshake.
+	// because the control plane lost the handshake: a move whose CreateObj
+	// exhausted its retry budget waits for the next placement interval
+	// rather than being silently dropped.
 	OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method Method)
 }
 
@@ -174,3 +167,4 @@ func (nopObserver) OnReplicate(time.Duration, object.ID, topology.NodeID, topolo
 }
 func (nopObserver) OnDrop(time.Duration, object.ID, topology.NodeID)                            {}
 func (nopObserver) OnRefuse(time.Duration, object.ID, topology.NodeID, topology.NodeID, Method) {}
+func (nopObserver) OnDefer(time.Duration, object.ID, topology.NodeID, topology.NodeID, Method)  {}

@@ -74,7 +74,6 @@ const (
 // each placement pass reports, before the loop moves on.
 type Accounting interface {
 	protocol.Observer
-	protocol.DeferralObserver
 	// CopyObject charges an object transfer from -> to as protocol overhead.
 	CopyObject(now time.Duration, from, to topology.NodeID, id object.ID)
 }

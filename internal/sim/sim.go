@@ -256,8 +256,8 @@ func (o *chargingObserver) OnRefuse(now time.Duration, id object.ID, from, to to
 
 func (o *chargingObserver) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
 	o.s.col.OnDefer(now, id, from, to, method)
-	if d, ok := o.s.cfg.ExtraObserver.(protocol.DeferralObserver); ok {
-		d.OnDefer(now, id, from, to, method)
+	if o.s.cfg.ExtraObserver != nil {
+		o.s.cfg.ExtraObserver.OnDefer(now, id, from, to, method)
 	}
 }
 

@@ -332,14 +332,3 @@ func (nw *Network) PathUp(path []topology.NodeID) bool {
 func (nw *Network) LinkBytes(a, b topology.NodeID) int64 {
 	return nw.linkBytes[int(a)*nw.n+int(b)]
 }
-
-// HottestLink returns the directed link with the most cumulative bytes.
-func (nw *Network) HottestLink() (a, b topology.NodeID, bytes int64) {
-	best := 0
-	for i, v := range nw.linkBytes {
-		if v > nw.linkBytes[best] {
-			best = i
-		}
-	}
-	return topology.NodeID(best / nw.n), topology.NodeID(best % nw.n), nw.linkBytes[best]
-}

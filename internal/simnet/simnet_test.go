@@ -139,19 +139,6 @@ func TestControlLatencyAndMessage(t *testing.T) {
 	}
 }
 
-func TestHottestLink(t *testing.T) {
-	nw, err := New(DefaultConfig(), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Transfer(0, path(0, 1), 10, Payload)
-	nw.Transfer(0, path(2, 3), 500, Payload)
-	a, b, bytes := nw.HottestLink()
-	if a != 2 || b != 3 || bytes != 500 {
-		t.Fatalf("HottestLink = %d->%d (%d bytes), want 2->3 (500)", a, b, bytes)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{HopDelay: -time.Second, LinkBandwidthBps: 1}, 2, nil); err == nil {
 		t.Error("negative hop delay accepted")

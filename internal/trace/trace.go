@@ -3,9 +3,9 @@
 // Two artifact kinds are supported:
 //
 //   - Placement traces: a JSONL stream of protocol events (migrations,
-//     replications, drops, refusals) for debugging and offline analysis.
-//     Writer implements protocol.Observer; Reader parses the stream back
-//     and Summarize aggregates it.
+//     replications, drops, refusals, deferrals) for debugging and offline
+//     analysis. Writer implements protocol.Observer; Reader parses the
+//     stream back and Summarize aggregates it.
 //   - Request logs: the (gateway, object) sequence of a workload, written
 //     as CSV. Recording wraps any workload generator; Replay plays a log
 //     back as a generator, enabling trace-driven simulation (the paper's
@@ -29,7 +29,7 @@ import (
 type Event struct {
 	// T is the virtual time in seconds.
 	T float64 `json:"t"`
-	// Kind is one of "migrate", "replicate", "drop", "refuse".
+	// Kind is one of "migrate", "replicate", "drop", "refuse", "defer".
 	Kind string `json:"ev"`
 	// Object is the object acted on.
 	Object object.ID `json:"obj"`
@@ -39,7 +39,7 @@ type Event struct {
 	To topology.NodeID `json:"to,omitempty"`
 	// Move is "geo" or "load" for migrations/replications.
 	Move string `json:"move,omitempty"`
-	// Method is "MIGRATE" or "REPLICATE" for refusals.
+	// Method is "MIGRATE", "REPLICATE" or "REPAIR" for refusals and deferrals.
 	Method string `json:"method,omitempty"`
 }
 
@@ -94,36 +94,9 @@ func (w *Writer) OnRefuse(now time.Duration, id object.ID, from, to topology.Nod
 	w.emit(Event{T: now.Seconds(), Kind: "refuse", Object: id, From: from, To: to, Method: method.String()})
 }
 
-// Tee fans protocol events out to several observers (e.g. metrics
-// collection plus a trace writer).
-type Tee []protocol.Observer
-
-// OnMigrate implements protocol.Observer.
-func (t Tee) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	for _, o := range t {
-		o.OnMigrate(now, id, from, to, kind)
-	}
-}
-
-// OnReplicate implements protocol.Observer.
-func (t Tee) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	for _, o := range t {
-		o.OnReplicate(now, id, from, to, kind)
-	}
-}
-
-// OnDrop implements protocol.Observer.
-func (t Tee) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
-	for _, o := range t {
-		o.OnDrop(now, id, host)
-	}
-}
-
-// OnRefuse implements protocol.Observer.
-func (t Tee) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	for _, o := range t {
-		o.OnRefuse(now, id, from, to, method)
-	}
+// OnDefer implements protocol.Observer.
+func (w *Writer) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
+	w.emit(Event{T: now.Seconds(), Kind: "defer", Object: id, From: from, To: to, Method: method.String()})
 }
 
 // Read parses a JSONL placement trace.

@@ -18,18 +18,19 @@ func TestWriterReadRoundTrip(t *testing.T) {
 	w.OnReplicate(20*time.Second, 4, 5, 6, protocol.LoadMove)
 	w.OnDrop(30*time.Second, 7, 8)
 	w.OnRefuse(40*time.Second, 9, 10, 11, protocol.Migrate)
+	w.OnDefer(50*time.Second, 12, 13, 14, protocol.Replicate)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", w.Count())
+	if w.Count() != 5 {
+		t.Fatalf("Count = %d, want 5", w.Count())
 	}
 	events, err := Read(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 4 {
-		t.Fatalf("read %d events, want 4", len(events))
+	if len(events) != 5 {
+		t.Fatalf("read %d events, want 5", len(events))
 	}
 	if events[0].Kind != "migrate" || events[0].T != 10 || events[0].Move != "geo" {
 		t.Errorf("event 0 = %+v", events[0])
@@ -42,6 +43,9 @@ func TestWriterReadRoundTrip(t *testing.T) {
 	}
 	if events[3].Kind != "refuse" || events[3].Method != "MIGRATE" {
 		t.Errorf("event 3 = %+v", events[3])
+	}
+	if events[4].Kind != "defer" || events[4].To != 14 || events[4].Method != "REPLICATE" {
+		t.Errorf("event 4 = %+v", events[4])
 	}
 }
 
@@ -71,22 +75,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.ByObject[10] != 3 {
 		t.Errorf("ByObject[10] = %d, want 3", s.ByObject[10])
-	}
-}
-
-func TestTeeFansOut(t *testing.T) {
-	var a, b strings.Builder
-	wa, wb := NewWriter(&a), NewWriter(&b)
-	tee := Tee{wa, wb}
-	tee.OnMigrate(time.Second, 1, 2, 3, protocol.GeoMove)
-	tee.OnDrop(2*time.Second, 1, 2)
-	tee.OnReplicate(3*time.Second, 1, 2, 3, protocol.GeoMove)
-	tee.OnRefuse(4*time.Second, 1, 2, 3, protocol.Replicate)
-	if wa.Count() != 4 || wb.Count() != 4 {
-		t.Fatalf("counts = %d/%d, want 4/4", wa.Count(), wb.Count())
-	}
-	if a.String() != b.String() {
-		t.Fatal("tee outputs differ")
 	}
 }
 

@@ -380,7 +380,7 @@ type Config struct {
 	SwitchAt time.Duration
 	// TraceWriter, when non-nil, receives a JSONL stream of every
 	// placement protocol event (migrations, replications, drops,
-	// refusals) for offline analysis.
+	// refusals, deferrals) for offline analysis.
 	TraceWriter io.Writer
 
 	Placement Placement
