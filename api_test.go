@@ -50,6 +50,9 @@ func TestSentinelErrorsMatchable(t *testing.T) {
 		{"negative availability weight", func(c *radar.Config) { c.Placement.AvailabilityWeight = -0.1 }, field("Placement.AvailabilityWeight")},
 		{"negative ctrl retries", func(c *radar.Config) { c.Ctrl.CtrlRetries = -2 }, field("Ctrl.CtrlRetries")},
 		{"negative ctrl timeout", func(c *radar.Config) { c.Ctrl.CtrlTimeout = -time.Second }, field("Ctrl.CtrlTimeout")},
+		{"negative duration", func(c *radar.Config) { c.Duration = -time.Second }, field("Duration")},
+		{"negative redirector count", func(c *radar.Config) { c.NumRedirectors = -1 }, field("NumRedirectors")},
+		{"negative switch time", func(c *radar.Config) { c.SwitchAt = -time.Second }, field("SwitchAt")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"radar/internal/experiments"
+	"radar/internal/report"
 	"radar/internal/scenario"
 )
 
@@ -73,31 +74,18 @@ func run() error {
 		return nil
 	}
 
-	if *only == "all" || *only == "figures" {
-		fmt.Println("== Paper suite (Table 1 parameters, low load) ==")
-		suite, err := experiments.RunSuite(opts, false)
-		if err != nil {
-			return err
+	for _, s := range []struct {
+		only, title string
+		highLoad    bool
+	}{
+		{"figures", "== Paper suite (Table 1 parameters, low load) ==", false},
+		{"figure9", "== Figure 9 (high load: hw=50, lw=40) ==", true},
+	} {
+		if *only != "all" && *only != s.only {
+			continue
 		}
-		if err := suite.RenderAll(os.Stdout); err != nil {
-			return err
-		}
-		if *times {
-			if err := suite.Timing().Render(os.Stdout); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		if *csvDir != "" {
-			if err := suite.WriteCSVs(*csvDir); err != nil {
-				return err
-			}
-		}
-	}
-
-	if *only == "all" || *only == "figure9" {
-		fmt.Println("== Figure 9 (high load: hw=50, lw=40) ==")
-		suite, err := experiments.RunSuite(opts, true)
+		fmt.Println(s.title)
+		suite, err := experiments.RunSuite(opts, s.highLoad)
 		if err != nil {
 			return err
 		}
@@ -137,20 +125,18 @@ func run() error {
 		}
 	}
 
-	if *only == "faults" {
-		fmt.Println("== Fault injection ==")
-		tbl, err := experiments.RunFaultScenario(opts)
-		if err != nil {
-			return err
+	for _, s := range []struct {
+		only, title string
+		run         func(experiments.Options) (*report.Table, error)
+	}{
+		{"faults", "== Fault injection ==", experiments.RunFaultScenario},
+		{"ctrl", "== Unreliable control plane ==", experiments.RunCtrlScenario},
+	} {
+		if *only != s.only {
+			continue
 		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			return err
-		}
-	}
-
-	if *only == "ctrl" {
-		fmt.Println("== Unreliable control plane ==")
-		tbl, err := experiments.RunCtrlScenario(opts)
+		fmt.Println(s.title)
+		tbl, err := s.run(opts)
 		if err != nil {
 			return err
 		}

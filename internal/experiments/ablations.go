@@ -1,23 +1,79 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"strings"
 
 	"radar/internal/protocol"
 	"radar/internal/report"
 	"radar/internal/sim"
-	"radar/internal/substrate"
 )
 
-// Each ablation builds its sweep points up front, fans them out on the
-// parallel engine (fail-fast), and assembles its table from the ordered
-// results, so rows always appear in point order regardless of which run
+// A study is one table of the evaluation as a value: the runs to make and
+// the metrics to read off each. Options.table fans the points out on the
+// parallel engine and assembles the rows in point order, whichever run
 // finishes first.
+type study struct {
+	title   string
+	headers []string
+	points  []point
+	// metrics renders one run into the cells that follow the point's own.
+	metrics func(*sim.Results) []string
+}
 
-// runAblationJobs executes an ablation's points on the options' engine.
-func runAblationJobs(opts Options, jobs []Job) ([]JobResult, error) {
-	return opts.engine().Run(context.Background(), jobs)
+// point is one run of a study: its job label, the leading cells of its
+// row and its configuration.
+type point struct {
+	label string
+	cells []string
+	cfg   sim.Config
+}
+
+// table runs the study and renders one row per point.
+func (o Options) table(s study) (*report.Table, error) {
+	jobs := make([]Job, len(s.points))
+	for i, p := range s.points {
+		jobs[i] = Job{Label: p.label, Config: p.cfg}
+	}
+	results, err := o.run(jobs)
+	if err != nil {
+		return nil, err
+	}
+	t := &report.Table{Title: s.title, Headers: s.headers}
+	for i, p := range s.points {
+		t.AddRow(append(p.cells, s.metrics(results[i].Results)...)...)
+	}
+	return t, nil
+}
+
+// sweep builds one point per value from the workload's dynamic
+// configuration: set applies the value, and cells names it in the row and,
+// under prefix, in the job label.
+func sweep[T any](opts Options, workload, prefix string, values []T, cells func(T) []string, set func(*sim.Config, T)) ([]point, error) {
+	base, err := opts.dynamic(workload)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]point, len(values))
+	for i, v := range values {
+		p := point{cells: cells(v), cfg: base}
+		p.label = prefix + "/" + strings.Join(p.cells, ",")
+		set(&p.cfg, v)
+		points[i] = p
+	}
+	return points, nil
+}
+
+// hotSpotMetrics are the columns of the two hot-sites policy comparisons
+// (A1, A6): whether hot spots and their latency persist.
+func hotSpotMetrics(res *sim.Results) []string {
+	return []string{
+		report.F(res.BandwidthStats.Equilibrium, 0),
+		report.F(res.LatencyStats.Equilibrium, 3),
+		report.F(res.MaxLoadSettled, 1),
+		fmt.Sprint(res.TimedOutRequests),
+		report.F(res.AvgReplicas, 2),
+	}
 }
 
 // AblationDistribution compares the paper's request distribution algorithm
@@ -28,38 +84,19 @@ func runAblationJobs(opts Options, jobs []Job) ([]JobResult, error) {
 // all requests will be sent to it anyway" (§3) — so its hot spots and
 // latency persist.
 func AblationDistribution(opts Options) (*report.Table, error) {
-	topo := substrate.UUNET().Topo
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
+	points, err := sweep(opts, "hot-sites", "policy",
+		[]protocol.Policy{protocol.PolicyPaper, protocol.PolicyRoundRobin, protocol.PolicyClosest},
+		func(pol protocol.Policy) []string { return []string{pol.String()} },
+		func(cfg *sim.Config, pol protocol.Policy) { cfg.Policy = pol })
 	if err != nil {
 		return nil, err
 	}
-	policies := []protocol.Policy{protocol.PolicyPaper, protocol.PolicyRoundRobin, protocol.PolicyClosest}
-	jobs := make([]Job, 0, len(policies))
-	for _, pol := range policies {
-		cfg := baseConfig(gens["hot-sites"], opts, false)
-		cfg.Duration = opts.dynamicDuration("hot-sites")
-		cfg.Policy = pol
-		jobs = append(jobs, Job{Label: "policy/" + pol.String(), Config: cfg})
-	}
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Ablation A1 (§3): request distribution policies on hot-sites",
-		Headers: []string{"policy", "bw equilibrium (B·hops/s)", "latency eq (s)", "max load settled", "timeouts", "avg replicas"},
-	}
-	for i, pol := range policies {
-		res := results[i].Results
-		t.AddRow(pol.String(),
-			report.F(res.BandwidthStats.Equilibrium, 0),
-			report.F(res.LatencyStats.Equilibrium, 3),
-			report.F(res.MaxLoadSettled, 1),
-			fmt.Sprint(res.TimedOutRequests),
-			report.F(res.AvgReplicas, 2))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Ablation A1 (§3): request distribution policies on hot-sites",
+		headers: []string{"policy", "bw equilibrium (B·hops/s)", "latency eq (s)", "max load settled", "timeouts", "avg replicas"},
+		points:  points,
+		metrics: hotSpotMetrics,
+	})
 }
 
 // AblationFullReplication probes the §4 claim that needless replicas are
@@ -72,121 +109,85 @@ func AblationDistribution(opts Options) (*report.Table, error) {
 // across the world — the §4 spillover harm — so full replication loses to
 // the protocol's selective placement despite infinite storage.
 func AblationFullReplication(opts Options) (*report.Table, error) {
-	topo := substrate.UUNET().Topo
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	names := []string{"zipf", "regional"}
-	var jobs []Job
-	for _, name := range names {
-		full := baseConfig(gens[name], opts, false)
+	var points []point
+	for _, name := range []string{"zipf", "regional"} {
+		dyn, err := opts.dynamic(name)
+		if err != nil {
+			return nil, err
+		}
+		full := dyn
 		full.Duration = opts.staticDuration()
 		full.DynamicPlacement = false
 		full.ReplicateEverywhere = true
-		jobs = append(jobs, Job{Label: "full/" + name, Config: full})
-
-		dyn := baseConfig(gens[name], opts, false)
-		dyn.Duration = opts.dynamicDuration(name)
-		jobs = append(jobs, Job{Label: "dynamic/" + name, Config: dyn})
+		points = append(points,
+			point{"full/" + name, []string{name, "replicate everywhere"}, full},
+			point{"dynamic/" + name, []string{name, "dynamic (paper)"}, dyn})
 	}
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Ablation A2 (§4): replicate-everywhere vs selective dynamic placement",
-		Headers: []string{"workload", "placement", "bw equilibrium (B·hops/s)", "latency eq (s)", "avg replicas"},
-	}
-	for i, name := range names {
-		fullRes, dynRes := results[2*i].Results, results[2*i+1].Results
-		t.AddRow(name, "replicate everywhere",
-			report.F(fullRes.BandwidthStats.Equilibrium, 0),
-			report.F(fullRes.LatencyStats.Equilibrium, 3),
-			report.F(fullRes.AvgReplicas, 2))
-		t.AddRow(name, "dynamic (paper)",
-			report.F(dynRes.BandwidthStats.Equilibrium, 0),
-			report.F(dynRes.LatencyStats.Equilibrium, 3),
-			report.F(dynRes.AvgReplicas, 2))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Ablation A2 (§4): replicate-everywhere vs selective dynamic placement",
+		headers: []string{"workload", "placement", "bw equilibrium (B·hops/s)", "latency eq (s)", "avg replicas"},
+		points:  points,
+		metrics: func(res *sim.Results) []string {
+			return []string{
+				report.F(res.BandwidthStats.Equilibrium, 0),
+				report.F(res.LatencyStats.Equilibrium, 3),
+				report.F(res.AvgReplicas, 2),
+			}
+		},
+	})
 }
 
 // AblationConstant sweeps the request distribution constant (§6.1 names it
 // a tunable; the paper fixes 2).
 func AblationConstant(opts Options) (*report.Table, error) {
-	topo := substrate.UUNET().Topo
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
+	points, err := sweep(opts, "hot-pages", "constant", []float64{1.5, 2, 3, 4},
+		func(c float64) []string { return []string{report.F(c, 1)} },
+		func(cfg *sim.Config, c float64) { cfg.Protocol.DistConstant = c })
 	if err != nil {
 		return nil, err
 	}
-	consts := []float64{1.5, 2, 3, 4}
-	jobs := make([]Job, 0, len(consts))
-	for _, c := range consts {
-		cfg := baseConfig(gens["hot-pages"], opts, false)
-		cfg.Duration = opts.dynamicDuration("hot-pages")
-		cfg.Protocol.DistConstant = c
-		jobs = append(jobs, Job{Label: fmt.Sprintf("constant/%v", c), Config: cfg})
-	}
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Ablation A3 (§6.1): distribution constant sweep on hot-pages",
-		Headers: []string{"constant", "bw equilibrium (B·hops/s)", "latency eq (s)", "max load settled", "avg replicas"},
-	}
-	for i, c := range consts {
-		res := results[i].Results
-		t.AddRow(report.F(c, 1),
-			report.F(res.BandwidthStats.Equilibrium, 0),
-			report.F(res.LatencyStats.Equilibrium, 3),
-			report.F(res.MaxLoadSettled, 1),
-			report.F(res.AvgReplicas, 2))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Ablation A3 (§6.1): distribution constant sweep on hot-pages",
+		headers: []string{"constant", "bw equilibrium (B·hops/s)", "latency eq (s)", "max load settled", "avg replicas"},
+		points:  points,
+		metrics: func(res *sim.Results) []string {
+			return []string{
+				report.F(res.BandwidthStats.Equilibrium, 0),
+				report.F(res.LatencyStats.Equilibrium, 3),
+				report.F(res.MaxLoadSettled, 1),
+				report.F(res.AvgReplicas, 2),
+			}
+		},
+	})
 }
 
 // AblationThresholds sweeps the deletion threshold u and the m/u ratio
 // (§6.1 discusses both tradeoffs; the theory requires m > 4u).
 func AblationThresholds(opts Options) (*report.Table, error) {
-	topo := substrate.UUNET().Topo
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
+	type pt struct{ u, ratio float64 }
+	points, err := sweep(opts, "hot-pages", "thresholds",
+		[]pt{{0.015, 6}, {0.03, 4.5}, {0.03, 6}, {0.03, 9}, {0.06, 6}},
+		func(p pt) []string { return []string{report.F(p.u, 3), report.F(p.ratio, 1)} },
+		func(cfg *sim.Config, p pt) {
+			cfg.Protocol.DeletionThreshold = p.u
+			cfg.Protocol.ReplicationThreshold = p.u * p.ratio
+		})
 	if err != nil {
 		return nil, err
 	}
-	type pt struct {
-		u, ratio float64
-	}
-	pts := []pt{{0.015, 6}, {0.03, 4.5}, {0.03, 6}, {0.03, 9}, {0.06, 6}}
-	jobs := make([]Job, 0, len(pts))
-	for _, p := range pts {
-		cfg := baseConfig(gens["hot-pages"], opts, false)
-		cfg.Duration = opts.dynamicDuration("hot-pages")
-		cfg.Protocol.DeletionThreshold = p.u
-		cfg.Protocol.ReplicationThreshold = p.u * p.ratio
-		jobs = append(jobs, Job{Label: fmt.Sprintf("thresholds/u=%v,ratio=%v", p.u, p.ratio), Config: cfg})
-	}
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Ablation A4 (§6.1): deletion/replication threshold sweep on hot-pages",
-		Headers: []string{"u (req/s)", "m/u", "bw equilibrium (B·hops/s)", "avg replicas", "drops", "overhead %"},
-	}
-	for i, p := range pts {
-		res := results[i].Results
-		t.AddRow(report.F(p.u, 3), report.F(p.ratio, 1),
-			report.F(res.BandwidthStats.Equilibrium, 0),
-			report.F(res.AvgReplicas, 2),
-			fmt.Sprint(res.Counters.Drops),
-			report.F(res.OverheadPercent, 2))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Ablation A4 (§6.1): deletion/replication threshold sweep on hot-pages",
+		headers: []string{"u (req/s)", "m/u", "bw equilibrium (B·hops/s)", "avg replicas", "drops", "overhead %"},
+		points:  points,
+		metrics: func(res *sim.Results) []string {
+			return []string{
+				report.F(res.BandwidthStats.Equilibrium, 0),
+				report.F(res.AvgReplicas, 2),
+				fmt.Sprint(res.Counters.Drops),
+				report.F(res.OverheadPercent, 2),
+			}
+		},
+	})
 }
 
 // AblationNeighborOnly compares the paper's protocol against the
@@ -197,47 +198,28 @@ func AblationThresholds(opts Options) (*report.Table, error) {
 // sending them back) nor create distant replicas directly, so hot spots
 // and bandwidth linger.
 func AblationNeighborOnly(opts Options) (*report.Table, error) {
-	topo := substrate.UUNET().Topo
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
+	points, err := sweep(opts, "hot-sites", "variant", []bool{false, true},
+		func(adr bool) []string {
+			if adr {
+				return []string{"neighbor-only + closest (ADR/WebWave style)"}
+			}
+			return []string{"paper protocol"}
+		},
+		func(cfg *sim.Config, adr bool) {
+			if adr {
+				cfg.Protocol.NeighborOnly = true
+				cfg.Policy = protocol.PolicyClosest
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	variants := []struct {
-		label  string
-		mutate func(*sim.Config)
-	}{
-		{"paper protocol", func(*sim.Config) {}},
-		{"neighbor-only + closest (ADR/WebWave style)", func(cfg *sim.Config) {
-			cfg.Protocol.NeighborOnly = true
-			cfg.Policy = protocol.PolicyClosest
-		}},
-	}
-	jobs := make([]Job, 0, len(variants))
-	for _, v := range variants {
-		cfg := baseConfig(gens["hot-sites"], opts, false)
-		cfg.Duration = opts.dynamicDuration("hot-sites")
-		v.mutate(&cfg)
-		jobs = append(jobs, Job{Label: "variant/" + v.label, Config: cfg})
-	}
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Ablation A6 (§1.1): paper protocol vs neighbor-only placement + closest routing (hot-sites)",
-		Headers: []string{"protocol", "bw equilibrium (B·hops/s)", "latency eq (s)", "max load settled", "timeouts", "avg replicas"},
-	}
-	for i, v := range variants {
-		res := results[i].Results
-		t.AddRow(v.label,
-			report.F(res.BandwidthStats.Equilibrium, 0),
-			report.F(res.LatencyStats.Equilibrium, 3),
-			report.F(res.MaxLoadSettled, 1),
-			fmt.Sprint(res.TimedOutRequests),
-			report.F(res.AvgReplicas, 2))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Ablation A6 (§1.1): paper protocol vs neighbor-only placement + closest routing (hot-sites)",
+		headers: []string{"protocol", "bw equilibrium (B·hops/s)", "latency eq (s)", "max load settled", "timeouts", "avg replicas"},
+		points:  points,
+		metrics: hotSpotMetrics,
+	})
 }
 
 // AblationBulkOffload compares the paper's en-masse offloading (enabled by
@@ -246,44 +228,33 @@ func AblationNeighborOnly(opts Options) (*report.Table, error) {
 // would be hopelessly slow in adjusting to demand changes"). Measured on
 // hot-sites, where offloading does the heavy lifting.
 func AblationBulkOffload(opts Options) (*report.Table, error) {
-	topo := substrate.UUNET().Topo
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
+	points, err := sweep(opts, "hot-sites", "offload-cap", []int{0, 1},
+		func(cap int) []string {
+			if cap == 1 {
+				return []string{"one per round"}
+			}
+			return []string{"en masse (paper)"}
+		},
+		func(cfg *sim.Config, cap int) { cfg.Protocol.MaxOffloadPerRun = cap })
 	if err != nil {
 		return nil, err
 	}
-	caps := []int{0, 1}
-	jobs := make([]Job, 0, len(caps))
-	for _, cap := range caps {
-		cfg := baseConfig(gens["hot-sites"], opts, false)
-		cfg.Duration = opts.dynamicDuration("hot-sites")
-		cfg.Protocol.MaxOffloadPerRun = cap
-		jobs = append(jobs, Job{Label: fmt.Sprintf("offload-cap/%d", cap), Config: cfg})
-	}
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Ablation A5 (§1.2): en-masse vs one-object-per-round offloading on hot-sites",
-		Headers: []string{"offload mode", "adjustment (min)", "max load settled", "latency eq (s)", "load moves"},
-	}
-	for i, cap := range caps {
-		res := results[i].Results
-		mode := "en masse (paper)"
-		if cap == 1 {
-			mode = "one per round"
-		}
-		adj := "not settled"
-		if res.Adjusted {
-			adj = report.Mins(res.AdjustmentTime)
-		}
-		t.AddRow(mode, adj,
-			report.F(res.MaxLoadSettled, 1),
-			report.F(res.LatencyStats.Equilibrium, 3),
-			fmt.Sprint(res.Counters.LoadMigrations+res.Counters.LoadReplications))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Ablation A5 (§1.2): en-masse vs one-object-per-round offloading on hot-sites",
+		headers: []string{"offload mode", "adjustment (min)", "max load settled", "latency eq (s)", "load moves"},
+		points:  points,
+		metrics: func(res *sim.Results) []string {
+			adj := "not settled"
+			if res.Adjusted {
+				adj = report.Mins(res.AdjustmentTime)
+			}
+			return []string{adj,
+				report.F(res.MaxLoadSettled, 1),
+				report.F(res.LatencyStats.Equilibrium, 3),
+				fmt.Sprint(res.Counters.LoadMigrations + res.Counters.LoadReplications),
+			}
+		},
+	})
 }
 
 // Ablation pairs an ablation's report name with its runner.

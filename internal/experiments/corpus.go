@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"radar/internal/oracle"
 	"radar/internal/report"
 	"radar/internal/scenario"
 	"radar/internal/sim"
-	"radar/internal/substrate"
 )
 
 // CorpusRun is one scenario's three-way comparison: the legacy policy
@@ -40,8 +38,6 @@ func RunCorpus(opts Options, scens []scenario.Scenario) (*CorpusReport, error) {
 	if len(scens) == 0 {
 		scens = scenario.Corpus()
 	}
-	sub := substrate.UUNET()
-
 	stage1 := make([]Job, 0, 2*len(scens))
 	for _, sc := range scens {
 		cfg, err := sc.Config()
@@ -53,7 +49,7 @@ func RunCorpus(opts Options, scens []scenario.Scenario) (*CorpusReport, error) {
 		stage1 = append(stage1, Job{Label: sc.Name + "/legacy", Config: legacy})
 		stage1 = append(stage1, Job{Label: sc.Name + "/avail", Config: cfg})
 	}
-	res1, err := runAblationJobs(opts, stage1)
+	res1, err := opts.run(stage1)
 	if err != nil {
 		return nil, err
 	}
@@ -65,26 +61,13 @@ func RunCorpus(opts Options, scens []scenario.Scenario) (*CorpusReport, error) {
 	// but unrepaired placement costs in availability.
 	stage2 := make([]Job, 0, len(scens))
 	for i, sc := range scens {
-		legacyRes := res1[2*i].Results
-		cfg := stage1[2*i].Config
-		demand, err := oracle.EstimateDemand(cfg.Workload, sub.Topo, cfg.Universe, cfg.NodeRequestRPS, 20000, cfg.Seed)
+		ocfg, err := oracleConfig(stage1[2*i].Config, res1[2*i].Results.AvgReplicas)
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s: %w", sc.Name, err)
 		}
-		extra := int(float64(cfg.Universe.Count) * (legacyRes.AvgReplicas - 1))
-		if extra < 0 {
-			extra = 0
-		}
-		placement, err := oracle.Greedy(sub.Routes, demand, extra)
-		if err != nil {
-			return nil, fmt.Errorf("corpus %s: %w", sc.Name, err)
-		}
-		ocfg := cfg
-		ocfg.DynamicPlacement = false
-		ocfg.InitialPlacement = placement
 		stage2 = append(stage2, Job{Label: sc.Name + "/oracle", Config: ocfg})
 	}
-	res2, err := runAblationJobs(opts, stage2)
+	res2, err := opts.run(stage2)
 	if err != nil {
 		return nil, err
 	}

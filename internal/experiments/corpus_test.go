@@ -1,10 +1,17 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 
 	"radar/internal/scenario"
 )
+
+// fullCorpus runs the whole scenario corpus once, at parallelism 4 and
+// seed 1, for every test that reads it.
+var fullCorpus = sync.OnceValues(func() (*CorpusReport, error) {
+	return RunCorpus(Options{Seed: 1, Parallelism: 4}, nil)
+})
 
 // TestRunCorpus is the corpus acceptance run: it executes the full
 // scenario corpus at parallelism 4, checks the comparison is complete,
@@ -14,7 +21,7 @@ func TestRunCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration runs")
 	}
-	rep, err := RunCorpus(Options{Seed: 1, Parallelism: 4}, nil)
+	rep, err := fullCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +62,14 @@ func TestRunCorpusParallelismInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration runs")
 	}
+	full, err := fullCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := map[string]CorpusRun{}
+	for _, run := range full.Runs {
+		par[run.Scenario.Name] = run
+	}
 	scens := []scenario.Scenario{}
 	for _, name := range []string{"steady-state-baseline", "correlated-rack-failures", "cache-over-disk-tier"} {
 		sc, ok := scenario.ByName(name)
@@ -67,26 +82,20 @@ func TestRunCorpusParallelismInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCorpus(Options{Seed: 1, Parallelism: 4}, scens)
-	if err != nil {
-		t.Fatal(err)
+	if len(seq.Runs) != len(scens) {
+		t.Fatalf("got %d runs, want %d", len(seq.Runs), len(scens))
 	}
-	if len(seq.Runs) != len(par.Runs) {
-		t.Fatalf("run counts differ: %d vs %d", len(seq.Runs), len(par.Runs))
-	}
-	for i := range seq.Runs {
-		name := seq.Runs[i].Scenario.Name
-		if seq.Runs[i].LegacyM != par.Runs[i].LegacyM {
-			t.Errorf("%s legacy metrics differ across parallelism:\n p=1: %+v\n p=4: %+v",
-				name, seq.Runs[i].LegacyM, par.Runs[i].LegacyM)
+	for _, s := range seq.Runs {
+		name := s.Scenario.Name
+		p := par[name]
+		if s.LegacyM != p.LegacyM {
+			t.Errorf("%s legacy metrics differ across parallelism:\n p=1: %+v\n p=4: %+v", name, s.LegacyM, p.LegacyM)
 		}
-		if seq.Runs[i].AvailM != par.Runs[i].AvailM {
-			t.Errorf("%s avail metrics differ across parallelism:\n p=1: %+v\n p=4: %+v",
-				name, seq.Runs[i].AvailM, par.Runs[i].AvailM)
+		if s.AvailM != p.AvailM {
+			t.Errorf("%s avail metrics differ across parallelism:\n p=1: %+v\n p=4: %+v", name, s.AvailM, p.AvailM)
 		}
-		if seq.Runs[i].OracleM != par.Runs[i].OracleM {
-			t.Errorf("%s oracle metrics differ across parallelism:\n p=1: %+v\n p=4: %+v",
-				name, seq.Runs[i].OracleM, par.Runs[i].OracleM)
+		if s.OracleM != p.OracleM {
+			t.Errorf("%s oracle metrics differ across parallelism:\n p=1: %+v\n p=4: %+v", name, s.OracleM, p.OracleM)
 		}
 	}
 }

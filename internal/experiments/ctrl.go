@@ -6,7 +6,7 @@ import (
 
 	"radar/internal/fault"
 	"radar/internal/report"
-	"radar/internal/workload"
+	"radar/internal/sim"
 )
 
 // RunCtrlScenario sweeps control-message drop rates over the Zipf workload
@@ -17,49 +17,37 @@ import (
 // deferred placement moves and anti-entropy healing grow with loss, and
 // that the protocol keeps converging (equilibrium bandwidth/latency).
 func RunCtrlScenario(opts Options) (*report.Table, error) {
-	u := opts.universe()
-	zipf, err := workload.NewZipf(u)
+	points, err := sweep(opts, "zipf", "ctrl", []float64{0, 0.05, 0.2, 0.5},
+		func(drop float64) []string {
+			if drop == 0 {
+				return []string{"0 (reliable)"}
+			}
+			return []string{report.F(drop, 2)}
+		},
+		func(cfg *sim.Config, drop float64) {
+			cfg.Protocol.ReplicaFloor = 2
+			if drop > 0 {
+				cfg.Faults = fault.Spec{MsgDrop: drop, MsgDup: 0.05, MsgDelay: 20 * time.Millisecond}
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	drops := []float64{0, 0.05, 0.2, 0.5}
-	jobs := make([]Job, 0, len(drops))
-	for _, drop := range drops {
-		cfg := baseConfig(zipf, opts, false)
-		cfg.Duration = opts.dynamicDuration("zipf")
-		cfg.Protocol.ReplicaFloor = 2
-		if drop > 0 {
-			cfg.Faults = fault.Spec{MsgDrop: drop, MsgDup: 0.05, MsgDelay: 20 * time.Millisecond}
-		}
-		label := "ctrl/reliable"
-		if drop > 0 {
-			label = fmt.Sprintf("ctrl/drop-%g", drop)
-		}
-		jobs = append(jobs, Job{Label: label, Config: cfg})
-	}
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Unreliable control plane: message drop sweep (dup 5%, cdelay <=20ms, replica floor 2, Zipf demand)",
-		Headers: []string{"drop rate", "rpc attempts", "retries", "lost", "deferred", "orphans healed", "stale fixed", "bw eq (B-h/s)", "latency eq (s)"},
-	}
-	for i, drop := range drops {
-		res := results[i].Results
-		name := "0 (reliable)"
-		if drop > 0 {
-			name = report.F(drop, 2)
-		}
-		t.AddRow(name,
-			fmt.Sprint(res.CtrlStats.Attempts),
-			fmt.Sprint(res.CtrlStats.Retries),
-			fmt.Sprint(res.CtrlStats.Lost),
-			fmt.Sprint(res.Counters.DeferredMoves),
-			fmt.Sprint(res.OrphansHealed),
-			fmt.Sprint(res.StaleAffinityRepaired),
-			report.F(res.BandwidthStats.Equilibrium, 0),
-			report.F(res.LatencyStats.Equilibrium, 3))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Unreliable control plane: message drop sweep (dup 5%, cdelay <=20ms, replica floor 2, Zipf demand)",
+		headers: []string{"drop rate", "rpc attempts", "retries", "lost", "deferred", "orphans healed", "stale fixed", "bw eq (B-h/s)", "latency eq (s)"},
+		points:  points,
+		metrics: func(res *sim.Results) []string {
+			return []string{
+				fmt.Sprint(res.CtrlStats.Attempts),
+				fmt.Sprint(res.CtrlStats.Retries),
+				fmt.Sprint(res.CtrlStats.Lost),
+				fmt.Sprint(res.Counters.DeferredMoves),
+				fmt.Sprint(res.OrphansHealed),
+				fmt.Sprint(res.StaleAffinityRepaired),
+				report.F(res.BandwidthStats.Equilibrium, 0),
+				report.F(res.LatencyStats.Equilibrium, 3),
+			}
+		},
+	})
 }

@@ -35,11 +35,11 @@ func TestLossyRunsDeterministicAcrossParallelism(t *testing.T) {
 		}
 		return jobs
 	}
-	serial, err := runAblationJobs(Options{Parallelism: 1}, makeJobs())
+	serial, err := Options{Parallelism: 1}.run(makeJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := runAblationJobs(Options{Parallelism: 0}, makeJobs())
+	parallel, err := Options{Parallelism: 0}.run(makeJobs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestEngineMatchesSerialExecution(t *testing.T) {
 	want := runSerial(t, jobs)
 
 	for _, p := range []int{1, runtime.GOMAXPROCS(0)} {
-		results, err := Engine{Parallelism: p, FailFast: true}.Run(context.Background(), jobs)
+		results, err := Engine{Parallelism: p}.Run(context.Background(), jobs)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}

@@ -15,8 +15,9 @@ import (
 // paper's evaluation is reproduced by running many independent
 // single-threaded simulations — workloads x seeds x ablation points — so
 // the harness fans them out over a bounded worker pool. Every batch
-// entry point in this package (RunSuite, RunMultiSeed, RunAblations,
-// Sweep) funnels through Engine.Run.
+// entry point in this package (RunSuite, RunMultiSeed, RunAblations, the
+// studies, RunCorpus) funnels through Engine.Run, which has one error
+// mode: the first failure stops the batch and is returned.
 //
 // Concurrency safety rests on each sim.Config being self-contained: a
 // simulation derives every RNG stream from its own Seed and builds its
@@ -43,9 +44,9 @@ type Job struct {
 type JobResult struct {
 	Label   string
 	Results *sim.Results
-	// Err is the job's failure, nil on success. Jobs abandoned by a
-	// fail-fast cancellation or a canceled context carry an error
-	// wrapping context.Canceled.
+	// Err is the job's failure, nil on success. Jobs abandoned after
+	// another job's failure or a canceled context carry an error wrapping
+	// context.Canceled.
 	Err error
 	// Wall is the job's wall-clock execution time (zero for jobs that
 	// never ran).
@@ -53,8 +54,7 @@ type JobResult struct {
 }
 
 // Engine executes batches of independent simulations on a bounded worker
-// pool. The zero value is ready to use: GOMAXPROCS workers, collect-all
-// error mode.
+// pool. The zero value is ready to use: GOMAXPROCS workers.
 type Engine struct {
 	// Parallelism bounds how many simulations run concurrently; <= 0
 	// selects GOMAXPROCS. Each simulation is single-threaded and
@@ -65,10 +65,6 @@ type Engine struct {
 	// bit-identical at every requested level either way — see the
 	// determinism suite.
 	Parallelism int
-	// FailFast stops dispatching new jobs after the first failure and
-	// makes Run return that failure. When false (collect-all), every job
-	// runs and errors are reported per JobResult only.
-	FailFast bool
 }
 
 // Run executes jobs and returns one JobResult per job, in input order.
@@ -76,13 +72,12 @@ type Engine struct {
 // Parallelism: per-run determinism comes from each config's Seed, and
 // the pool never shares state between jobs.
 //
-// Under FailFast the first error (lowest input index) is returned and
-// not-yet-started jobs are abandoned with a cancellation error; jobs
-// already in flight are interrupted promptly (the simulation engine polls
-// cancellation every few thousand events) and report a cancellation
-// error. Canceling ctx abandons and interrupts jobs the same way and
-// makes Run return ctx's error. In collect-all mode Run's error is nil
-// unless ctx was canceled; inspect per-job Errs (see FirstError).
+// A failing job stops the batch: Run returns the first error (lowest
+// input index, see FirstError), not-yet-started jobs are abandoned with a
+// cancellation error, and jobs already in flight are interrupted promptly
+// (the simulation engine polls cancellation every few thousand events)
+// and report a cancellation error. Canceling ctx abandons and interrupts
+// jobs the same way and makes Run return ctx's error.
 func (e Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -106,7 +101,7 @@ func (e Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 			defer wg.Done()
 			for i := range next {
 				out[i] = e.runJob(runCtx, jobs[i])
-				if out[i].Err != nil && e.FailFast {
+				if out[i].Err != nil {
 					cancel()
 				}
 			}
@@ -121,10 +116,7 @@ func (e Engine) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
-	if e.FailFast {
-		return out, FirstError(out)
-	}
-	return out, nil
+	return out, FirstError(out)
 }
 
 // runJob executes one job under ctx, timing it. A job whose context is
@@ -145,8 +137,8 @@ func (e Engine) runJob(ctx context.Context, j Job) JobResult {
 }
 
 // FirstError returns the first real failure in input order, skipping
-// cancellation-abandoned jobs so the error that triggered a fail-fast
-// stop is reported rather than its fallout. It returns nil if every job
+// cancellation-abandoned jobs so the error that stopped the batch is
+// reported rather than its fallout. It returns nil if every job
 // succeeded or was merely abandoned.
 func FirstError(results []JobResult) error {
 	var abandoned error

@@ -8,7 +8,24 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"radar/internal/object"
+	"radar/internal/sim"
+	"radar/internal/workload"
 )
+
+func tinyConfig(t *testing.T, seed int64) sim.Config {
+	t.Helper()
+	u := object.Universe{Count: 300, SizeBytes: 12 << 10}
+	gen, err := workload.NewUniform(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(gen, seed)
+	cfg.Universe = u
+	cfg.Duration = time.Minute
+	return cfg
+}
 
 // engineJobs builds n tiny, independent jobs with distinct seeds.
 func engineJobs(t *testing.T, n int) []Job {
@@ -45,36 +62,12 @@ func TestEnginePreservesInputOrder(t *testing.T) {
 	}
 }
 
-// TestEngineCollectAllErrorPropagation includes a point whose config
-// fails validation: collect-all mode must still run every other point
-// and report the failure in place.
-func TestEngineCollectAllErrorPropagation(t *testing.T) {
-	jobs := engineJobs(t, 3)
-	jobs[1].Config.NodeRequestRPS = -1 // fails sim.Config.Validate
-	results, err := Engine{Parallelism: 2}.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("collect-all Run returned %v, want nil", err)
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Errorf("good jobs failed: %v, %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil {
-		t.Fatal("invalid config succeeded")
-	}
-	if !strings.Contains(results[1].Err.Error(), jobs[1].Label) {
-		t.Errorf("error %q does not name the failing job %q", results[1].Err, jobs[1].Label)
-	}
-	if err := FirstError(results); !errors.Is(err, results[1].Err) {
-		t.Errorf("FirstError = %v, want the bad job's error %v", err, results[1].Err)
-	}
-}
-
 // TestEngineFailFast: the first failing job's error is returned and the
 // good results that did run are still available.
 func TestEngineFailFast(t *testing.T) {
 	jobs := engineJobs(t, 3)
 	jobs[0].Config.NodeRequestRPS = -1
-	results, err := Engine{Parallelism: 1, FailFast: true}.Run(context.Background(), jobs)
+	results, err := Engine{Parallelism: 1}.Run(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("fail-fast Run returned nil error")
 	}
@@ -152,7 +145,7 @@ func TestEngineFailFastStopsLongTail(t *testing.T) {
 		jobs[i] = Job{Label: fmt.Sprintf("tail-%d", i), Config: cfg}
 	}
 	jobs[0].Config.NodeRequestRPS = -1
-	results, err := Engine{Parallelism: 1, FailFast: true}.Run(context.Background(), jobs)
+	results, err := Engine{Parallelism: 1}.Run(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("want error")
 	}

@@ -44,9 +44,9 @@ type scaleOverride struct {
 	Dynamic, Static time.Duration
 }
 
-// engine returns the fail-fast engine the batch entry points share.
-func (o Options) engine() Engine {
-	return Engine{Parallelism: o.Parallelism, FailFast: true}
+// run executes jobs on the engine every batch entry point shares.
+func (o Options) run(jobs []Job) ([]JobResult, error) {
+	return Engine{Parallelism: o.Parallelism}.Run(context.Background(), jobs)
 }
 
 // universe returns the object universe for the scale.
@@ -160,6 +160,18 @@ func baseConfig(gen workload.Generator, opts Options, highLoad bool) sim.Config 
 	return cfg
 }
 
+// dynamic returns the Table 1 configuration of a dynamic-placement run
+// under the named workload.
+func (o Options) dynamic(name string) (sim.Config, error) {
+	gen, err := workload.Named(name, o.universe(), substrate.UUNET().Topo, o.Seed)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg := baseConfig(gen, o, false)
+	cfg.Duration = o.dynamicDuration(name)
+	return cfg, nil
+}
+
 // trackedHotSite returns a node that the hot-sites workload overloads, so
 // the Figure 8b trace shows estimates doing real work.
 func trackedHotSite(u object.Universe, topo *topology.Topology, seed int64) topology.NodeID {
@@ -237,17 +249,11 @@ func suiteFromResults(results []JobResult, highLoad bool) (*Suite, error) {
 // (90/80). The eight runs execute concurrently on the engine's worker
 // pool; results are identical to a sequential execution.
 func RunSuite(opts Options, highLoad bool) (*Suite, error) {
-	return RunSuiteContext(context.Background(), opts, highLoad)
-}
-
-// RunSuiteContext is RunSuite with cancellation: canceling ctx abandons
-// runs that have not started and returns ctx's error.
-func RunSuiteContext(ctx context.Context, opts Options, highLoad bool) (*Suite, error) {
 	jobs, err := suiteJobs(opts, highLoad)
 	if err != nil {
 		return nil, err
 	}
-	results, err := opts.engine().Run(ctx, jobs)
+	results, err := opts.run(jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -146,7 +146,9 @@ func TestAblationFullReplicationQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
 	}
-	tbl, err := AblationFullReplication(Options{Seed: 3, Quick: true, over: raceOver()})
+	// Table shape only, so the tiny scale: TestStudyTables pins the cells
+	// and BenchmarkAblationFullReplication runs the quick scale.
+	tbl, err := AblationFullReplication(tinyOptions(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,9 @@ func TestAblationOracleQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
 	}
-	tbl, err := AblationOracle(Options{Seed: 3, Quick: true, over: raceOver()})
+	// Table shape only, so the tiny scale: TestStudyTables pins the cells
+	// and BenchmarkAblationOracle runs the quick scale.
+	tbl, err := AblationOracle(tinyOptions(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

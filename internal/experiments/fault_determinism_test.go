@@ -34,11 +34,11 @@ func TestFaultedRunsDeterministicAcrossParallelism(t *testing.T) {
 		}
 		return jobs
 	}
-	serial, err := runAblationJobs(Options{Parallelism: 1}, makeJobs())
+	serial, err := Options{Parallelism: 1}.run(makeJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := runAblationJobs(Options{Parallelism: 0}, makeJobs())
+	parallel, err := Options{Parallelism: 0}.run(makeJobs())
 	if err != nil {
 		t.Fatal(err)
 	}

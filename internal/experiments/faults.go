@@ -6,7 +6,7 @@ import (
 
 	"radar/internal/fault"
 	"radar/internal/report"
-	"radar/internal/workload"
+	"radar/internal/sim"
 )
 
 // RunFaultScenario sweeps host failure rates over the uniform workload —
@@ -19,48 +19,37 @@ import (
 // object-seconds) and the repair machinery's response (repair
 // replications, replica census).
 func RunFaultScenario(opts Options) (*report.Table, error) {
-	u := opts.universe()
-	uniform, err := workload.NewUniform(u)
+	points, err := sweep(opts, "uniform", "faults",
+		[]time.Duration{0, 20 * time.Minute, 10 * time.Minute, 5 * time.Minute},
+		func(mtbf time.Duration) []string {
+			if mtbf == 0 {
+				return []string{"none"}
+			}
+			return []string{mtbf.String()}
+		},
+		func(cfg *sim.Config, mtbf time.Duration) {
+			cfg.Protocol.ReplicaFloor = 2
+			if mtbf > 0 {
+				cfg.Faults = fault.Spec{HostMTBF: mtbf, HostMTTR: 2 * time.Minute}
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	mtbfs := []time.Duration{0, 20 * time.Minute, 10 * time.Minute, 5 * time.Minute}
-	jobs := make([]Job, 0, len(mtbfs))
-	for _, mtbf := range mtbfs {
-		cfg := baseConfig(uniform, opts, false)
-		cfg.Duration = opts.dynamicDuration("uniform")
-		cfg.Protocol.ReplicaFloor = 2
-		if mtbf > 0 {
-			cfg.Faults = fault.Spec{HostMTBF: mtbf, HostMTTR: 2 * time.Minute}
-		}
-		label := "faults/none"
-		if mtbf > 0 {
-			label = fmt.Sprintf("faults/mtbf-%s", mtbf)
-		}
-		jobs = append(jobs, Job{Label: label, Config: cfg})
-	}
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Fault injection: host MTBF sweep (MTTR 2m, replica floor 2, uniform demand)",
-		Headers: []string{"host mtbf", "failures", "failed reqs", "outage obj-s", "below-floor obj-s", "repairs", "avg replicas", "latency eq (s)"},
-	}
-	for i, mtbf := range mtbfs {
-		res := results[i].Results
-		name := "none"
-		if mtbf > 0 {
-			name = mtbf.String()
-		}
-		t.AddRow(name,
-			fmt.Sprint(res.Failures),
-			fmt.Sprint(res.FailedRequests),
-			report.F(res.UnavailObjSecs, 0),
-			report.F(res.BelowFloorObjSecs, 0),
-			fmt.Sprint(res.Counters.RepairReplications),
-			report.F(res.AvgReplicas, 2),
-			report.F(res.LatencyStats.Equilibrium, 3))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Fault injection: host MTBF sweep (MTTR 2m, replica floor 2, uniform demand)",
+		headers: []string{"host mtbf", "failures", "failed reqs", "outage obj-s", "below-floor obj-s", "repairs", "avg replicas", "latency eq (s)"},
+		points:  points,
+		metrics: func(res *sim.Results) []string {
+			return []string{
+				fmt.Sprint(res.Failures),
+				fmt.Sprint(res.FailedRequests),
+				report.F(res.UnavailObjSecs, 0),
+				report.F(res.BelowFloorObjSecs, 0),
+				fmt.Sprint(res.Counters.RepairReplications),
+				report.F(res.AvgReplicas, 2),
+				report.F(res.LatencyStats.Equilibrium, 3),
+			}
+		},
+	})
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -24,11 +23,6 @@ type MultiSeed struct {
 // single run; aggregated results are identical to running the suites
 // sequentially.
 func RunMultiSeed(base Options, seeds []int64, highLoad bool) (*MultiSeed, error) {
-	return RunMultiSeedContext(context.Background(), base, seeds, highLoad)
-}
-
-// RunMultiSeedContext is RunMultiSeed with cancellation.
-func RunMultiSeedContext(ctx context.Context, base Options, seeds []int64, highLoad bool) (*MultiSeed, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: no seeds")
 	}
@@ -46,7 +40,7 @@ func RunMultiSeedContext(ctx context.Context, base Options, seeds []int64, highL
 		}
 		jobs = append(jobs, seedJobs...)
 	}
-	results, err := base.engine().Run(ctx, jobs)
+	results, err := base.run(jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,8 @@ import (
 
 	"radar/internal/oracle"
 	"radar/internal/report"
+	"radar/internal/sim"
 	"radar/internal/substrate"
-	"radar/internal/topology"
 )
 
 // AblationOracle answers the paper's future-work question (§1.1): how far
@@ -17,13 +17,6 @@ import (
 // evaluated under identical demand: the oracle as a static run (its
 // placement is already demand-optimal), the protocol dynamically.
 func AblationOracle(opts Options) (*report.Table, error) {
-	sub := substrate.UUNET()
-	topo, routes := sub.Topo, sub.Routes
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
 	names := []string{"zipf", "regional"}
 
 	// Stage 1: the autonomous protocol runs, fanned out together. The
@@ -31,42 +24,29 @@ func AblationOracle(opts Options) (*report.Table, error) {
 	// oracle evaluations form a second batch.
 	dynJobs := make([]Job, 0, len(names))
 	for _, name := range names {
-		dyn := baseConfig(gens[name], opts, false)
-		dyn.Duration = opts.dynamicDuration(name)
+		dyn, err := opts.dynamic(name)
+		if err != nil {
+			return nil, err
+		}
 		dynJobs = append(dynJobs, Job{Label: "dynamic/" + name, Config: dyn})
 	}
-	dynResults, err := runAblationJobs(opts, dynJobs)
+	dynResults, err := opts.run(dynJobs)
 	if err != nil {
 		return nil, err
 	}
 
 	// Stage 2: offline greedy placements with the protocol's budget,
 	// evaluated as static runs under identical demand.
-	placements := make([][][]topology.NodeID, len(names))
 	oracleJobs := make([]Job, 0, len(names))
 	for i, name := range names {
-		gen := gens[name]
-		dynRes := dynResults[i].Results
-		demand, err := oracle.EstimateDemand(gen, topo, u, dynJobs[i].Config.NodeRequestRPS, 20000, opts.Seed)
+		oracleCfg, err := oracleConfig(dynJobs[i].Config, dynResults[i].Results.AvgReplicas)
 		if err != nil {
 			return nil, err
 		}
-		extra := int(float64(u.Count) * (dynRes.AvgReplicas - 1))
-		if extra < 0 {
-			extra = 0
-		}
-		placement, err := oracle.Greedy(routes, demand, extra)
-		if err != nil {
-			return nil, err
-		}
-		placements[i] = placement
-		oracleCfg := baseConfig(gen, opts, false)
 		oracleCfg.Duration = opts.staticDuration()
-		oracleCfg.DynamicPlacement = false
-		oracleCfg.InitialPlacement = placement
 		oracleJobs = append(oracleJobs, Job{Label: "oracle/" + name, Config: oracleCfg})
 	}
-	oracleResults, err := runAblationJobs(opts, oracleJobs)
+	oracleResults, err := opts.run(oracleJobs)
 	if err != nil {
 		return nil, err
 	}
@@ -78,6 +58,7 @@ func AblationOracle(opts Options) (*report.Table, error) {
 	for i, name := range names {
 		dynRes := dynResults[i].Results
 		oracleRes := oracleResults[i].Results
+		placed := oracle.TotalReplicas(oracleJobs[i].Config.InitialPlacement)
 		t.AddRow(name, "protocol (autonomous)",
 			report.F(dynRes.BandwidthStats.Equilibrium, 0),
 			report.F(dynRes.LatencyStats.Equilibrium, 3),
@@ -85,52 +66,63 @@ func AblationOracle(opts Options) (*report.Table, error) {
 		t.AddRow(name, "oracle (offline greedy)",
 			report.F(oracleRes.BandwidthStats.Equilibrium, 0),
 			report.F(oracleRes.LatencyStats.Equilibrium, 3),
-			report.F(float64(oracle.TotalReplicas(placements[i]))/float64(u.Count), 2))
+			report.F(float64(placed)/float64(opts.universe().Count), 2))
 	}
 	return t, nil
+}
+
+// oracleConfig freezes cfg at the placement the offline oracle computes
+// for it: the oracle sees cfg's exact initial demand matrix and places
+// greedily with the replica budget a dynamic run of cfg ended up using
+// (avgReplicas per object).
+func oracleConfig(cfg sim.Config, avgReplicas float64) (sim.Config, error) {
+	sub := substrate.UUNET()
+	demand, err := oracle.EstimateDemand(cfg.Workload, sub.Topo, cfg.Universe, cfg.NodeRequestRPS, 20000, cfg.Seed)
+	if err != nil {
+		return cfg, err
+	}
+	extra := int(float64(cfg.Universe.Count) * (avgReplicas - 1))
+	if extra < 0 {
+		extra = 0
+	}
+	cfg.InitialPlacement, err = oracle.Greedy(sub.Routes, demand, extra)
+	cfg.DynamicPlacement = false
+	return cfg, err
 }
 
 // AblationRedirectors sweeps the number of hash-partitioned redirectors
 // (§6.1 future work: redirector placement to minimize added latency).
 // More redirectors shorten the gateway-to-redirector detour on average.
 func AblationRedirectors(opts Options) (*report.Table, error) {
-	topo := substrate.UUNET().Topo
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
+	// perObject stands for each object's redirector at its home node.
+	const perObject = 0
+	points, err := sweep(opts, "zipf", "redirectors", []int{1, 2, 4, 8, perObject},
+		func(k int) []string {
+			if k == perObject {
+				return []string{"per-object (home node)"}
+			}
+			return []string{fmt.Sprint(k)}
+		},
+		func(cfg *sim.Config, k int) {
+			if k == perObject {
+				cfg.RedirectorAtHome = true
+			} else {
+				cfg.NumRedirectors = k
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	counts := []int{1, 2, 4, 8}
-	jobs := make([]Job, 0, len(counts)+1)
-	labels := make([]string, 0, len(counts)+1)
-	for _, k := range counts {
-		cfg := baseConfig(gens["zipf"], opts, false)
-		cfg.Duration = opts.dynamicDuration("zipf")
-		cfg.NumRedirectors = k
-		jobs = append(jobs, Job{Label: fmt.Sprintf("redirectors/%d", k), Config: cfg})
-		labels = append(labels, fmt.Sprint(k))
-	}
-	// Per-object placement: each object's redirector at its home node.
-	cfg := baseConfig(gens["zipf"], opts, false)
-	cfg.Duration = opts.dynamicDuration("zipf")
-	cfg.RedirectorAtHome = true
-	jobs = append(jobs, Job{Label: "redirectors/per-object", Config: cfg})
-	labels = append(labels, "per-object (home node)")
-
-	results, err := runAblationJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Ablation A8 (§6.1 future work): redirector count sweep (zipf)",
-		Headers: []string{"redirectors", "latency eq (s)", "bw equilibrium (B·hops/s)", "avg replicas"},
-	}
-	for i, label := range labels {
-		res := results[i].Results
-		t.AddRow(label,
-			report.F(res.LatencyStats.Equilibrium, 3),
-			report.F(res.BandwidthStats.Equilibrium, 0),
-			report.F(res.AvgReplicas, 2))
-	}
-	return t, nil
+	return opts.table(study{
+		title:   "Ablation A8 (§6.1 future work): redirector count sweep (zipf)",
+		headers: []string{"redirectors", "latency eq (s)", "bw equilibrium (B·hops/s)", "avg replicas"},
+		points:  points,
+		metrics: func(res *sim.Results) []string {
+			return []string{
+				report.F(res.LatencyStats.Equilibrium, 3),
+				report.F(res.BandwidthStats.Equilibrium, 0),
+				report.F(res.AvgReplicas, 2),
+			}
+		},
+	})
 }

@@ -45,12 +45,6 @@ type Config struct {
 	// FreeRun tunes the free-running timers; zero fields take defaults
 	// derived from the simulation intervals.
 	FreeRun FreeRun
-
-	// RetryBudget arms the per-peer retry token bucket with this many
-	// tokens (free-running mode defaults to DefaultRetryBudget). Zero
-	// disables the budget — the driver-paced default, where retry cutoffs
-	// would perturb the pinned schedule.
-	RetryBudget int
 }
 
 // FreeRun groups the free-running mode's wall-clock timer periods. In
@@ -107,9 +101,6 @@ func (c Config) Normalized() Config {
 		if c.FreeRun.Jitter == 0 {
 			c.FreeRun.Jitter = DefaultFreeRunJitter
 		}
-		if c.RetryBudget == 0 {
-			c.RetryBudget = DefaultRetryBudget
-		}
 	}
 	return c
 }
@@ -128,9 +119,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.RPC.Validate(); err != nil {
 		return err
-	}
-	if c.RetryBudget < 0 {
-		return fmt.Errorf("live: negative RetryBudget %d", c.RetryBudget)
 	}
 	if c.FreeRun.Measurement < 0 || c.FreeRun.Placement < 0 || c.FreeRun.Census < 0 {
 		return fmt.Errorf("live: negative free-running interval")

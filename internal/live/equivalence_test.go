@@ -1,6 +1,7 @@
 package live_test
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"radar/internal/sim"
 	"radar/internal/store"
 	"radar/internal/topology"
+	"radar/internal/trace"
 )
 
 // decisionRecorder mirrors the live nodes' event log on the simulator
@@ -43,6 +45,35 @@ func (r *decisionRecorder) OnDefer(now time.Duration, id object.ID, from, to top
 	r.events = append(r.events, live.Event{At: int64(now), Kind: live.EventDefer, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
 }
 
+// both forwards every decision to two observers: the simulator's side of
+// a traced case feeds the recorder and a trace writer.
+type both [2]protocol.Observer
+
+func (b both) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
+	b[0].OnMigrate(now, id, from, to, kind)
+	b[1].OnMigrate(now, id, from, to, kind)
+}
+
+func (b both) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
+	b[0].OnReplicate(now, id, from, to, kind)
+	b[1].OnReplicate(now, id, from, to, kind)
+}
+
+func (b both) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
+	b[0].OnDrop(now, id, host)
+	b[1].OnDrop(now, id, host)
+}
+
+func (b both) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
+	b[0].OnRefuse(now, id, from, to, method)
+	b[1].OnRefuse(now, id, from, to, method)
+}
+
+func (b both) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
+	b[0].OnDefer(now, id, from, to, method)
+	b[1].OnDefer(now, id, from, to, method)
+}
+
 // TestSimLiveEquivalence is the headline test pinning live mode to the
 // simulator: one configuration drives both the deterministic simulation
 // and a 3-node loopback fleet of real HTTP servers, and the sequence of
@@ -58,23 +89,27 @@ func (r *decisionRecorder) OnDefer(now time.Duration, id object.ID, from, to top
 // instant of every charge. The replica-floor case runs the repair
 // elections, whose load reports a node fetches from its peers. A case here
 // is what licenses the absence of an ExternalFleet row for that feature in
-// sim.Refusals.
+// sim.Refusals. The traced case also writes a JSONL decision trace on both
+// sides (the loop's accounting forwards a driver-paced pass's replayed
+// decisions to Config.ExtraObserver) and compares the bytes: that is what
+// licenses a trace writer on a driver-paced live run.
 func TestSimLiveEquivalence(t *testing.T) {
 	stack, err := store.ParseSpec("cache(mem:2,disk:40ms)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name string
-		on   func(*sim.Config)
+		name   string
+		on     func(*sim.Config)
+		traced bool
 	}{
-		{"baseline", func(*sim.Config) {}},
+		{"baseline", func(*sim.Config) {}, true},
 		// A small cache over a slow disk, under a client timeout tight
 		// enough that the misses' serve cost times requests out.
-		{"store-stack", func(c *sim.Config) { c.Store, c.ClientTimeout = stack, 30*time.Millisecond }},
-		{"host-weights", func(c *sim.Config) { c.HostWeights = []float64{1, 2, 0.5} }},
-		{"replicate-everywhere", func(c *sim.Config) { c.ReplicateEverywhere = true }},
-		{"redirector-at-home", func(c *sim.Config) { c.RedirectorAtHome = true }},
+		{"store-stack", func(c *sim.Config) { c.Store, c.ClientTimeout = stack, 30*time.Millisecond }, false},
+		{"host-weights", func(c *sim.Config) { c.HostWeights = []float64{1, 2, 0.5} }, false},
+		{"replicate-everywhere", func(c *sim.Config) { c.ReplicateEverywhere = true }, false},
+		{"redirector-at-home", func(c *sim.Config) { c.RedirectorAtHome = true }, false},
 		{"initial-placement", func(c *sim.Config) {
 			// Everything starts on the far end of the line, two copies of
 			// every third object.
@@ -85,25 +120,30 @@ func TestSimLiveEquivalence(t *testing.T) {
 					c.InitialPlacement[i] = []topology.NodeID{2, 0}
 				}
 			}
-		}},
-		{"link-contention", func(c *sim.Config) { c.Net.Contention = true }},
+		}, false},
+		{"link-contention", func(c *sim.Config) { c.Net.Contention = true }, false},
 		// The only case whose passes elect repair targets, over /rpc/load:
 		// every object starts one copy under the floor.
-		{"replica-floor", func(c *sim.Config) { c.Protocol.ReplicaFloor, c.Protocol.AvailabilityWeight = 2, 0.5 }},
+		{"replica-floor", func(c *sim.Config) { c.Protocol.ReplicaFloor, c.Protocol.AvailabilityWeight = 2, 0.5 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := liveConfig(t, topology.Line(3), 24, 20, 3*time.Minute)
 			tc.on(&cfg.Sim)
-			checkSimLiveEquivalence(t, cfg)
+			checkSimLiveEquivalence(t, cfg, tc.traced)
 		})
 	}
 }
 
-func checkSimLiveEquivalence(t *testing.T, cfg live.Config) {
+func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) {
 	simCfg := cfg.Sim
 	rec := &decisionRecorder{}
 	simCfg.ExtraObserver = rec
+	var simTrace, liveTrace bytes.Buffer
+	if traced {
+		simCfg.ExtraObserver = both{rec, trace.NewWriter(&simTrace)}
+		cfg.Sim.ExtraObserver = trace.NewWriter(&liveTrace)
+	}
 	s, err := sim.New(simCfg)
 	if err != nil {
 		t.Fatalf("building simulation: %v", err)
@@ -132,6 +172,10 @@ func checkSimLiveEquivalence(t *testing.T, cfg live.Config) {
 		if liveDecisions[i] != rec.events[i] {
 			t.Fatalf("decision %d diverges:\n  live: %+v\n  sim:  %+v", i, liveDecisions[i], rec.events[i])
 		}
+	}
+
+	if traced && (simTrace.Len() == 0 || !bytes.Equal(liveTrace.Bytes(), simTrace.Bytes())) {
+		t.Errorf("decision trace: live wrote %d bytes, sim %d; they must be equal and non-empty", liveTrace.Len(), simTrace.Len())
 	}
 
 	// The request path must agree exactly too: same served/timed-out/

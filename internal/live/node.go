@@ -128,6 +128,12 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 	if len(peers) != n {
 		return nil, fmt.Errorf("live: %d peer URLs for %d nodes", len(peers), n)
 	}
+	// Only a free-running node budgets its retries: a cutoff would perturb
+	// the driver-paced schedule.
+	retryTokens := 0
+	if cfg.FreeRunning {
+		retryTokens = DefaultRetryBudget
+	}
 	nd := &Node{
 		id:       id,
 		cfg:      cfg,
@@ -137,7 +143,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		freeRun:  cfg.FreeRunning,
 		bootID:   atomic.AddInt64(&bootCounter, 1),
 		routes:   routes,
-		client:   newRPCClient(cfg.RPC, workload.Stream(cfg.Sim.Seed, (1<<33)|uint64(id)), cfg.RetryBudget),
+		client:   newRPCClient(cfg.RPC, workload.Stream(cfg.Sim.Seed, (1<<33)|uint64(id)), retryTokens),
 		payload:  bytes.Repeat([]byte{0x5a}, cfg.Sim.Universe.SizeBytes),
 		creates:  newCallDedup(cfg.MaxInflightCreates),
 		drops:    newCallDedup(dropDedupLimit),

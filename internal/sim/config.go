@@ -50,10 +50,8 @@ type Config struct {
 	// paper's model) to Poisson arrivals.
 	PoissonArrivals bool
 	// PlacementInterval is the placement decision frequency (Table 1:
-	// 100 s). Hosts are staggered across the interval unless
-	// PlacementSynchronized is set.
-	PlacementInterval     time.Duration
-	PlacementSynchronized bool
+	// 100 s). Hosts are staggered across the interval.
+	PlacementInterval time.Duration
 	// DynamicPlacement enables the paper's protocol; false freezes the
 	// initial placement (the static/no-replication baseline).
 	DynamicPlacement bool

@@ -498,7 +498,7 @@ func (s *Simulation) scheduleMeasurement() error {
 
 // schedulePlacement drives each host's periodic placement pass, unless
 // the placement is frozen (the static baseline). Hosts are staggered
-// across the placement interval unless PlacementSynchronized.
+// across the placement interval.
 func (s *Simulation) schedulePlacement() error {
 	if !s.cfg.DynamicPlacement {
 		return nil
@@ -507,10 +507,7 @@ func (s *Simulation) schedulePlacement() error {
 	interval := s.cfg.PlacementInterval
 	for i := 0; i < n; i++ {
 		h := topology.NodeID(i)
-		offset := time.Duration(0)
-		if !s.cfg.PlacementSynchronized {
-			offset = interval * time.Duration(i) / time.Duration(n)
-		}
+		offset := interval * time.Duration(i) / time.Duration(n)
 		err := s.every(interval+offset, interval, func(now time.Duration) {
 			if !s.down[h] && !s.fleet.Place(now, h) {
 				s.markDown(now, h)

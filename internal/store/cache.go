@@ -95,9 +95,6 @@ func (c *Cache) promote(now time.Duration, id object.ID) {
 	}
 }
 
-// CapacityBytes implements ReplicaStore: bounded by the slow tier.
-func (c *Cache) CapacityBytes() int64 { return c.slow.CapacityBytes() }
-
 // BytesUsed implements ReplicaStore: authoritative bytes live in the slow
 // tier (the fast tier holds copies).
 func (c *Cache) BytesUsed() int64 { return c.slow.BytesUsed() }

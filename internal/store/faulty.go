@@ -106,9 +106,6 @@ func (f *Faulty) ServeCost(now time.Duration, id object.ID) time.Duration {
 	return cost
 }
 
-// CapacityBytes implements ReplicaStore.
-func (f *Faulty) CapacityBytes() int64 { return f.inner.CapacityBytes() }
-
 // BytesUsed implements ReplicaStore.
 func (f *Faulty) BytesUsed() int64 { return f.inner.BytesUsed() }
 

@@ -52,9 +52,6 @@ func (m *Metered) ServeCost(now time.Duration, id object.ID) time.Duration {
 	return cost
 }
 
-// CapacityBytes implements ReplicaStore.
-func (m *Metered) CapacityBytes() int64 { return m.inner.CapacityBytes() }
-
 // BytesUsed implements ReplicaStore.
 func (m *Metered) BytesUsed() int64 { return m.inner.BytesUsed() }
 

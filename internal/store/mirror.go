@@ -74,19 +74,6 @@ func (m *Mirror) ServeCost(now time.Duration, id object.ID) time.Duration {
 	return cost
 }
 
-// CapacityBytes implements ReplicaStore: the pair stores every replica
-// twice, so the usable capacity is the smaller side's.
-func (m *Mirror) CapacityBytes() int64 {
-	ca, cb := m.a.CapacityBytes(), m.b.CapacityBytes()
-	if ca == 0 {
-		return cb
-	}
-	if cb == 0 || ca < cb {
-		return ca
-	}
-	return cb
-}
-
 // BytesUsed implements ReplicaStore: logical bytes, counted once per
 // mirrored replica (the larger side dominates).
 func (m *Mirror) BytesUsed() int64 {

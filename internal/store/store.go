@@ -45,8 +45,6 @@ type ReplicaStore interface {
 	// is answered even if the replica must be refetched, so storage faults
 	// surface as latency, never as protocol errors.
 	ServeCost(now time.Duration, id object.ID) time.Duration
-	// CapacityBytes is the storage capacity in bytes; zero means unbounded.
-	CapacityBytes() int64
 	// BytesUsed is the bytes currently occupied by held replicas.
 	BytesUsed() int64
 	// Replicas is the number of held replicas.
@@ -124,13 +122,16 @@ func Aggregate(agg, node []LayerStats) []LayerStats {
 	return agg
 }
 
-// Memory is the baseline resident store: zero serve cost, optional
-// replica-count bound, per-replica byte accounting. It is today's implicit
-// hosting-server storage model made explicit.
+// Memory is the one tier type: a set of held replicas with per-replica
+// byte accounting, an optional replica-count bound and a fixed device
+// latency every serve pays. The plain memory tier has zero latency (today's
+// implicit hosting-server storage model made explicit); NewDisk builds the
+// unbounded slow tier.
 type Memory struct {
 	label    string
 	objBytes int64
 	capacity int // max replicas; 0 = unbounded
+	latency  time.Duration
 	held     map[object.ID]struct{}
 	stats    LayerStats
 }
@@ -140,6 +141,15 @@ type Memory struct {
 func NewMemory(label string, capacity int, objBytes int64) *Memory {
 	return &Memory{label: label, objBytes: objBytes, capacity: capacity,
 		held: make(map[object.ID]struct{})}
+}
+
+// NewDisk builds an unbounded slow tier with the given per-read latency.
+// It models the paper-era "replica on the hosting server's disk" without
+// queueing (the FCFS server model already serializes service).
+func NewDisk(label string, latency time.Duration, objBytes int64) *Memory {
+	m := NewMemory(label, 0, objBytes)
+	m.latency = latency
+	return m
 }
 
 // Create implements ReplicaStore.
@@ -169,14 +179,13 @@ func (m *Memory) Contains(id object.ID) bool {
 	return ok
 }
 
-// ServeCost implements ReplicaStore: resident replicas serve for free.
+// ServeCost implements ReplicaStore: every read pays the tier's device
+// latency, which is zero for resident replicas.
 func (m *Memory) ServeCost(time.Duration, object.ID) time.Duration {
 	m.stats.Serves++
-	return 0
+	m.stats.CostNanos += int64(m.latency)
+	return m.latency
 }
-
-// CapacityBytes implements ReplicaStore.
-func (m *Memory) CapacityBytes() int64 { return int64(m.capacity) * m.objBytes }
 
 // BytesUsed implements ReplicaStore.
 func (m *Memory) BytesUsed() int64 { return int64(len(m.held)) * m.objBytes }
@@ -193,73 +202,5 @@ func (m *Memory) Stats(buf []LayerStats) []LayerStats {
 	s.Label = m.label
 	s.Replicas = int64(len(m.held))
 	s.BytesUsed = m.BytesUsed()
-	return append(buf, s)
-}
-
-// Disk is an unbounded slow tier: every serve costs a fixed device
-// latency. It models the paper-era "replica on the hosting server's disk"
-// without queueing (the FCFS server model already serializes service).
-type Disk struct {
-	label    string
-	objBytes int64
-	latency  time.Duration
-	held     map[object.ID]struct{}
-	stats    LayerStats
-}
-
-// NewDisk builds a disk tier with the given per-read latency.
-func NewDisk(label string, latency time.Duration, objBytes int64) *Disk {
-	return &Disk{label: label, objBytes: objBytes, latency: latency,
-		held: make(map[object.ID]struct{})}
-}
-
-// Create implements ReplicaStore.
-func (d *Disk) Create(_ time.Duration, id object.ID) bool {
-	if _, ok := d.held[id]; !ok {
-		d.held[id] = struct{}{}
-		d.stats.Creates++
-	}
-	return true
-}
-
-// Drop implements ReplicaStore.
-func (d *Disk) Drop(_ time.Duration, id object.ID) {
-	if _, ok := d.held[id]; ok {
-		delete(d.held, id)
-		d.stats.Drops++
-	}
-}
-
-// Contains implements ReplicaStore.
-func (d *Disk) Contains(id object.ID) bool {
-	_, ok := d.held[id]
-	return ok
-}
-
-// ServeCost implements ReplicaStore: every read pays the device latency.
-func (d *Disk) ServeCost(time.Duration, object.ID) time.Duration {
-	d.stats.Serves++
-	d.stats.CostNanos += int64(d.latency)
-	return d.latency
-}
-
-// CapacityBytes implements ReplicaStore.
-func (d *Disk) CapacityBytes() int64 { return 0 }
-
-// BytesUsed implements ReplicaStore.
-func (d *Disk) BytesUsed() int64 { return int64(len(d.held)) * d.objBytes }
-
-// Replicas implements ReplicaStore.
-func (d *Disk) Replicas() int { return len(d.held) }
-
-// Clear implements ReplicaStore.
-func (d *Disk) Clear(time.Duration) { clear(d.held) }
-
-// Stats implements ReplicaStore.
-func (d *Disk) Stats(buf []LayerStats) []LayerStats {
-	s := d.stats
-	s.Label = d.label
-	s.Replicas = int64(len(d.held))
-	s.BytesUsed = d.BytesUsed()
 	return append(buf, s)
 }

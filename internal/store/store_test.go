@@ -52,9 +52,6 @@ func TestMemoryBasics(t *testing.T) {
 	if got := m.BytesUsed(); got != 2*kb {
 		t.Errorf("BytesUsed = %d, want %d", got, 2*kb)
 	}
-	if got := m.CapacityBytes(); got != 2*kb {
-		t.Errorf("CapacityBytes = %d, want %d", got, 2*kb)
-	}
 	if c := m.ServeCost(now, 1); c != 0 {
 		t.Errorf("memory ServeCost = %v, want 0", c)
 	}
@@ -322,7 +319,6 @@ func (s *syncStore) Contains(id object.ID) bool {
 	return ok
 }
 func (s *syncStore) ServeCost(time.Duration, object.ID) time.Duration { return time.Microsecond }
-func (s *syncStore) CapacityBytes() int64                             { return 0 }
 func (s *syncStore) BytesUsed() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -573,7 +569,7 @@ func TestStreamIsolationAcrossNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Sweep time forward so the whole timeline applies.
+		// Advance time so the whole timeline applies.
 		st.ServeCost(p.Horizon, 1)
 		return st.Stats(nil)[0].Crashes
 	}

@@ -2,6 +2,7 @@ package radar_test
 
 import (
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -22,16 +23,23 @@ func TestLiveGroupValidation(t *testing.T) {
 		name    string
 		mutate  func(*radar.Config)
 		refused bool
+		field   string // the refusing field; Live.LiveMode when empty
 	}{
 		// A live node is the simulator's node assembly: it carries a
 		// storage stack like a simulated host does.
-		{"storage stack", func(c *radar.Config) { c.Storage.Store = "cache(mem:64,disk:5ms)" }, false},
+		{"storage stack", func(c *radar.Config) { c.Storage.Store = "cache(mem:64,disk:5ms)" }, false, ""},
 		// A placement pass reports its copies with its decisions, so the
 		// loop charges the links in the simulation's order.
-		{"link contention", func(c *radar.Config) { c.LinkContention = true }, false},
-		{"fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" }, true},
-		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }, true},
-		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }, true},
+		{"link contention", func(c *radar.Config) { c.LinkContention = true }, false, ""},
+		{"fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" }, true, ""},
+		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }, true, ""},
+		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }, true, ""},
+		// A driver-paced pass replays its decisions into the loop, which
+		// forwards them to the writer; a free-running fleet has no loop.
+		{"trace writer", func(c *radar.Config) { c.TraceWriter = io.Discard }, false, ""},
+		{"free-running trace writer", func(c *radar.Config) {
+			c.Live.LiveFreeRunning, c.TraceWriter = true, io.Discard
+		}, true, "Live.LiveFreeRunning"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,9 +56,12 @@ func TestLiveGroupValidation(t *testing.T) {
 			if !errors.Is(err, radar.ErrBadConfig) {
 				t.Fatalf("err = %v, want ErrBadConfig", err)
 			}
+			if tc.field == "" {
+				tc.field = "Live.LiveMode"
+			}
 			var ce *radar.ConfigError
-			if !errors.As(err, &ce) || ce.Field != "Live.LiveMode" {
-				t.Fatalf("err = %v, want ConfigError on Live.LiveMode", err)
+			if !errors.As(err, &ce) || ce.Field != tc.field {
+				t.Fatalf("err = %v, want ConfigError on %s", err, tc.field)
 			}
 		})
 	}

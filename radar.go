@@ -258,10 +258,10 @@ type Live struct {
 	// assembly, so storage stacks (Storage.Store) run live and report
 	// their layers like a simulated run, and every placement pass reports
 	// its copies with its decisions, so the loop prices the network —
-	// LinkContention included — exactly as a simulated run does. Live
-	// mode refuses what lives in the simulator's loop instead of its
-	// nodes (fault injection, mixed consistency, sharding) and trace
-	// writers.
+	// LinkContention included — exactly as a simulated run does, and a
+	// TraceWriter receives the same decision stream. Live mode refuses
+	// what lives in the simulator's loop instead of its nodes (fault
+	// injection, mixed consistency, sharding).
 	LiveMode bool
 	// LiveMaxInflightCreates caps concurrent CreateObj executions per live
 	// node (duplicate messages are deduplicated and answer the cached
@@ -273,7 +273,8 @@ type Live struct {
 	// Duration read as wall-clock run length. The run is no longer
 	// replayable against the simulator — correctness in this mode is
 	// asserted by invariant checking (package live/check), not sequence
-	// equality. Requires LiveMode.
+	// equality. Requires LiveMode; refuses a TraceWriter, having no driver
+	// loop to trace.
 	LiveFreeRunning bool
 }
 
@@ -449,13 +450,13 @@ func (c Config) validate(faults fault.Spec) error {
 		return err
 	}
 	if c.Duration < 0 {
-		return fmt.Errorf("radar: negative duration %v", c.Duration)
+		return &ConfigError{Field: "Duration", Value: c.Duration, Reason: "negative"}
 	}
 	if c.NumRedirectors < 0 {
-		return fmt.Errorf("radar: negative redirector count %d", c.NumRedirectors)
+		return &ConfigError{Field: "NumRedirectors", Value: c.NumRedirectors, Reason: "negative"}
 	}
 	if c.SwitchAt < 0 {
-		return fmt.Errorf("radar: negative switch time %v", c.SwitchAt)
+		return &ConfigError{Field: "SwitchAt", Value: c.SwitchAt, Reason: "negative"}
 	}
 	if c.Shards < -1 {
 		return &ConfigError{
@@ -486,8 +487,8 @@ func (c Config) validate(faults fault.Spec) error {
 		}
 		return &ConfigError{Field: "Shards", Value: c.Shards, Reason: r.Reason}
 	}
-	if c.Live.LiveMode && c.TraceWriter != nil {
-		return &ConfigError{Field: "Live.LiveMode", Value: true, Reason: "live mode does not support trace writers"}
+	if c.Live.LiveFreeRunning && c.TraceWriter != nil {
+		return &ConfigError{Field: "Live.LiveFreeRunning", Value: true, Reason: "a free-running fleet has no driver loop to trace"}
 	}
 	return nil
 }
@@ -714,7 +715,7 @@ func RunSeedsContext(ctx context.Context, cfg Config, seeds []int64, parallelism
 		}
 		jobs[i] = experiments.Job{Label: fmt.Sprintf("seed/%d", seed), Config: *simCfg}
 	}
-	eng := experiments.Engine{Parallelism: parallelism, FailFast: true}
+	eng := experiments.Engine{Parallelism: parallelism}
 	results, err := eng.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
