@@ -157,15 +157,6 @@ func (m *Manager) OnDrop(id object.ID, host topology.NodeID, survivor topology.N
 	}
 }
 
-// CountByCategory returns how many objects are in each category.
-func (m *Manager) CountByCategory() map[Category]int {
-	out := make(map[Category]int, 3)
-	for _, c := range m.categories {
-		out[c]++
-	}
-	return out
-}
-
 // PropagationMode selects how provider updates reach replicas.
 type PropagationMode int
 

@@ -20,7 +20,10 @@ func newManager(t *testing.T) *Manager {
 
 func TestCategoryMix(t *testing.T) {
 	m := newManager(t)
-	counts := m.CountByCategory()
+	counts := make(map[Category]int)
+	for _, c := range m.categories {
+		counts[c]++
+	}
 	total := 0
 	for _, c := range counts {
 		total += c

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +59,8 @@ type Node struct {
 	routes  *routing.Table
 	client  *rpcClient
 	mux     *http.ServeMux
-	payload []byte
+	payload []byte   // every object's body
+	payLen  []string // its Content-Length header value
 
 	creates *callDedup // CreateObj admission gate + verdict cache
 	drops   *callDedup // RequestDrop verdict cache
@@ -145,6 +147,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		routes:   routes,
 		client:   newRPCClient(cfg.RPC, workload.Stream(cfg.Sim.Seed, (1<<33)|uint64(id)), retryTokens),
 		payload:  bytes.Repeat([]byte{0x5a}, cfg.Sim.Universe.SizeBytes),
+		payLen:   []string{strconv.Itoa(cfg.Sim.Universe.SizeBytes)},
 		creates:  newCallDedup(cfg.MaxInflightCreates),
 		drops:    newCallDedup(dropDedupLimit),
 		stopCh:   make(chan struct{}),
@@ -795,16 +798,54 @@ func objQuery(r *http.Request, prefix string, n int) (object.ID, topology.NodeID
 	if err != nil || id < 0 {
 		return 0, 0, 0, fmt.Errorf("live: bad object id %q", idStr)
 	}
-	q := r.URL.Query() // parsed once: every call builds a fresh map
-	g, err := strconv.Atoi(q.Get("g"))
-	if err != nil || g < 0 || g >= n {
-		return 0, 0, 0, fmt.Errorf("live: bad gateway %q", q.Get("g"))
+	// Both values are digits on every well-formed request, so the raw query
+	// is scanned in place; url.Values (a map and a slice per key) is built
+	// only for a query that escapes something.
+	var gStr, nowStr string
+	if raw := r.URL.RawQuery; strings.ContainsAny(raw, "%+;") {
+		q := r.URL.Query()
+		gStr, nowStr = q.Get("g"), q.Get("now")
+	} else {
+		gStr, nowStr = rawQueryValue(raw, "g"), rawQueryValue(raw, "now")
 	}
-	now, err := strconv.ParseInt(q.Get("now"), 10, 64)
+	g, err := strconv.Atoi(gStr)
+	if err != nil || g < 0 || g >= n {
+		return 0, 0, 0, fmt.Errorf("live: bad gateway %q", gStr)
+	}
+	now, err := strconv.ParseInt(nowStr, 10, 64)
 	if err != nil || now < 0 {
-		return 0, 0, 0, fmt.Errorf("live: bad now %q", q.Get("now"))
+		return 0, 0, 0, fmt.Errorf("live: bad now %q", nowStr)
 	}
 	return object.ID(id), topology.NodeID(g), time.Duration(now), nil
+}
+
+// rawQueryValue returns the first value of key in a raw query that holds
+// no escape, which is what url.Values.Get returns for it.
+func rawQueryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
+}
+
+// Header values every data-plane answer shares. net/http only reads a
+// header's value slice, so one slice serves every response.
+var (
+	octetStream = []string{"application/octet-stream"}
+	zeroLength  = []string{"0"}
+)
+
+// writePayload answers 200 with the object's bytes and says how many, so
+// the response is not chunked.
+func (nd *Node) writePayload(w http.ResponseWriter) {
+	h := w.Header()
+	h["Content-Type"] = octetStream
+	h["Content-Length"] = nd.payLen
+	_, _ = w.Write(nd.payload)
 }
 
 // handleObj is the redirecting front-end: choose a replica for the object
@@ -833,11 +874,22 @@ func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
 	}
 	// Redirector -> host is one more control hop of pure latency.
 	arrive := now + time.Duration(nd.routes.Distance(nd.id, h))*nd.cfg.Sim.Net.HopDelay
-	w.Header().Set(HeaderHost, strconv.Itoa(int(h)))
 	// The 302 always targets the manifest URL: chaos partitions poison the
-	// control-plane peer table, not the client-facing data plane.
-	u := fmt.Sprintf("%s%s%d?g=%d&now=%d", nd.manifest[h], PathServe, int64(id), int(g), int64(arrive))
-	http.Redirect(w, r, u, http.StatusFound)
+	// control-plane peer table, not the client-facing data plane. The
+	// headers are the whole answer: no client reads a redirect's body.
+	u := make([]byte, 0, 96)
+	u = append(u, nd.manifest[h]...)
+	u = append(u, PathServe...)
+	u = strconv.AppendInt(u, int64(id), 10)
+	u = append(u, "?g="...)
+	u = strconv.AppendInt(u, int64(g), 10)
+	u = append(u, "&now="...)
+	u = strconv.AppendInt(u, int64(arrive), 10)
+	hd := w.Header()
+	hd.Set(HeaderHost, strconv.Itoa(int(h)))
+	hd.Set("Location", string(u))
+	hd["Content-Length"] = zeroLength
+	w.WriteHeader(http.StatusFound)
 }
 
 // handleServe admits an object request into the FCFS queue. now is the
@@ -867,8 +919,7 @@ func (nd *Node) handleServe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(HeaderDone, strconv.FormatInt(int64(done), 10))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(nd.payload)
+	nd.writePayload(w)
 }
 
 func (nd *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
@@ -876,8 +927,7 @@ func (nd *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "live: bad object id", http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(nd.payload)
+	nd.writePayload(w)
 }
 
 func (nd *Node) handlePlace(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,11 @@
 package live
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"testing"
 	"time"
 
@@ -10,18 +15,26 @@ import (
 	"radar/internal/workload"
 )
 
-// TestCompletionFIFO: a free-running node settles its own completions
-// whenever its lock is taken — in admission order, only those whose done
-// time its clock has reached, and none after Stop. The test moves the
-// node's epoch instead of sleeping.
-func TestCompletionFIFO(t *testing.T) {
+// twoNodeConfig is a two-node line fleet of eight 1 KB objects.
+func twoNodeConfig(t *testing.T) Config {
+	t.Helper()
 	u := object.Universe{Count: 8, SizeBytes: 1 << 10}
 	gen, err := workload.NewHotPages(u, 0.1, 0.9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Sim: sim.DefaultConfig(gen, 7), FreeRunning: true}
+	cfg := Config{Sim: sim.DefaultConfig(gen, 7)}
 	cfg.Sim.Topo, cfg.Sim.Universe = topology.Line(2), u
+	return cfg
+}
+
+// TestCompletionFIFO: a free-running node settles its own completions
+// whenever its lock is taken — in admission order, only those whose done
+// time its clock has reached, and none after Stop. The test moves the
+// node's epoch instead of sleeping.
+func TestCompletionFIFO(t *testing.T) {
+	cfg := twoNodeConfig(t)
+	cfg.FreeRunning = true
 	nd, err := NewNode(cfg, 0, []string{"http://node0.invalid", "http://node1.invalid"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -53,5 +66,81 @@ func TestCompletionFIFO(t *testing.T) {
 	nd.epoch = nd.epoch.Add(-time.Hour)
 	if got := served(nd.lock); got != 4 {
 		t.Fatalf("served %d after Stop, want the 4 from before it", got)
+	}
+}
+
+// TestDataPlaneAnswers pins what a client of the two hot endpoints gets:
+// a 302 that is its headers and nothing else, and a 200 that states the
+// object's length instead of chunking it.
+func TestDataPlaneAnswers(t *testing.T) {
+	cfg := twoNodeConfig(t)
+	u := cfg.Sim.Universe
+	var nd *Node
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { nd.Handler().ServeHTTP(w, r) }))
+	defer srv.Close()
+	// Node 0 is the fleet's redirector; object 1 is homed on node 1.
+	nd, err := NewNode(cfg, 0, []string{srv.URL, "http://node1.invalid"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start(time.Now(), false)
+	defer nd.Stop()
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	get := func(pathAndQuery string) (*http.Response, string) {
+		t.Helper()
+		res, err := client.Get(srv.URL + pathAndQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, string(body)
+	}
+
+	arrive := time.Microsecond + cfg.Sim.Net.HopDelay // one hop from the redirector to node 1
+	wantLoc := "http://node1.invalid" + PathServe + "1?g=1&now=" + strconv.FormatInt(int64(arrive), 10)
+	for _, query := range []string{"?g=1&now=1000", "?now=1000&g=%31"} { // scanned in place; parsed because it escapes
+		res, body := get(PathObj + "1" + query)
+		if res.StatusCode != http.StatusFound || res.Header.Get("Location") != wantLoc || res.Header.Get(HeaderHost) != "1" {
+			t.Fatalf("%s: status %d, Location %q, %s %q; want 302 to %q on host 1",
+				query, res.StatusCode, res.Header.Get("Location"), HeaderHost, res.Header.Get(HeaderHost), wantLoc)
+		}
+		if body != "" || res.ContentLength != 0 || res.TransferEncoding != nil {
+			t.Fatalf("%s: 302 carries body %q (length %d, encoding %v), want none", query, body, res.ContentLength, res.TransferEncoding)
+		}
+	}
+	for _, path := range []string{PathServe + "0?g=1&now=1000", PathFetch + "0"} {
+		res, body := get(path)
+		if res.StatusCode != http.StatusOK || len(body) != u.SizeBytes {
+			t.Fatalf("%s: status %d with %d bytes, want 200 with %d", path, res.StatusCode, len(body), u.SizeBytes)
+		}
+		if res.ContentLength != int64(u.SizeBytes) || res.TransferEncoding != nil {
+			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v; want %d, not chunked", path, res.ContentLength, res.TransferEncoding, u.SizeBytes)
+		}
+	}
+	if res, body := get(PathServe + "0?g=%78&now=1"); res.StatusCode != http.StatusBadRequest || body != "live: bad gateway \"x\"\n" {
+		t.Fatalf("escaped bad gateway: status %d, body %q", res.StatusCode, body)
+	}
+}
+
+// TestRawQueryValue: on a query without escapes the in-place scan returns
+// what url.Values.Get does, duplicates, bare keys and empty pairs included.
+func TestRawQueryValue(t *testing.T) {
+	for _, raw := range []string{
+		"g=3&now=5", "now=5&g=3", "g=3&g=4&now=1", "g&now=1", "&&g=1&&now=2&", "x=1", "",
+		"g==&now=1", "gg=1&now=2", "g=1=2", "=7&g=2", "now=&g=",
+	} {
+		want, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatalf("%q: %v", raw, err)
+		}
+		for _, key := range []string{"g", "now"} {
+			if got := rawQueryValue(raw, key); got != want.Get(key) {
+				t.Errorf("rawQueryValue(%q, %q) = %q, url.Values.Get = %q", raw, key, got, want.Get(key))
+			}
+		}
 	}
 }

@@ -170,6 +170,9 @@ type Host struct {
 	// board is the pass's load-report exchange, one entry per node, which
 	// electHost fills and reads. Nil until the host's first election.
 	board []boardEntry
+	// reqLog holds the serviced requests OnRequest has taken but settle has
+	// not yet charged to the access counts. Nil until the first request.
+	reqLog []loggedReq
 
 	// Stats accumulates protocol activity counters for reports.
 	Stats HostStats
@@ -237,6 +240,7 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 // not notify the redirector; the simulator seeds both sides.
 func (h *Host) SeedObject(id object.ID) {
 	if !h.Has(id) {
+		h.settle()
 		// Acquired before any window: immediately eligible.
 		h.objs.put(id, &ObjectState{Aff: 1, AcquiredAt: -1})
 	}
@@ -271,13 +275,55 @@ func (h *Host) Estimator() *LoadEstimator { return &h.est }
 // OnRequest records a serviced request for id that entered at gateway g:
 // every node on the preference path from this host to g is charged one
 // access-count appearance (paper §4.1). Requests for objects the host no
-// longer holds (dropped while queued) are counted against no state.
+// longer holds (dropped while queued) are counted against no state. The
+// request is only logged here; settle charges it.
 func (h *Host) OnRequest(id object.ID, g topology.NodeID) {
-	st := h.objs.get(id)
-	if st == nil {
+	if len(h.reqLog) == cap(h.reqLog) {
+		h.settle()
+		if h.reqLog == nil {
+			h.reqLog = make([]loggedReq, 0, reqLogCap)
+		}
+	}
+	h.reqLog = append(h.reqLog, loggedReq{id: uint32(id), g: uint32(g)})
+}
+
+// settle charges every logged request to its object's access counts and
+// empties the log. Charging early is what an unbatched OnRequest did, so
+// it is always exact; charging late is exact as long as nothing read a
+// count or changed which state an ID names in between. settle therefore
+// runs when the log is full and first thing in every method that does
+// either: DecidePlacement (every reader, and the only removal), CreateObj
+// and SeedObject (a newly held object must not inherit requests served
+// under its ID before), and OnCrash (before the reset).
+//
+// The charges are the cache misses they always were (index slot, state,
+// count lines), but an event loop takes them one at a time; each loop
+// here issues its miss for every logged request before the next loop
+// needs the answer (DESIGN §1.4 has the measurements).
+func (h *Host) settle() {
+	if len(h.reqLog) == 0 {
 		return
 	}
-	st.recordPath(h.env.Routes.PreferencePath(h.ID, g), h.numNodes)
+	var sts [reqLogCap]*ObjectState
+	for i, r := range h.reqLog {
+		sts[i] = h.objs.get(object.ID(r.id))
+	}
+	for _, st := range sts[:len(h.reqLog)] {
+		if st != nil {
+			if st.Cnt == nil {
+				st.Cnt = make([]int32, h.numNodes)
+			}
+			st.Total++
+		}
+	}
+	for i, r := range h.reqLog {
+		if st := sts[i]; st != nil {
+			for _, p := range h.env.Routes.PreferencePath(h.ID, topology.NodeID(r.g)) {
+				st.Cnt[p]++
+			}
+		}
+	}
+	h.reqLog = h.reqLog[:0]
 }
 
 // OnMeasurementIntervalClose informs the host that the load measurement
@@ -292,6 +338,7 @@ func (h *Host) OnMeasurementIntervalClose(start time.Duration) {
 // objects survive (disk state) so the host can re-register its replicas on
 // recovery.
 func (h *Host) OnCrash() {
+	h.settle()
 	h.est.Reset()
 	h.offloading = false
 	h.deferred = nil
@@ -342,6 +389,7 @@ func (s PlacementSummary) moved() bool {
 // Access counts are reset at the end of the run.
 func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 	var sum PlacementSummary
+	h.settle()
 	clear(h.board) // load reports are exchanged anew every pass
 	prev := h.lastPlacement
 	period := (now - prev).Seconds()
@@ -726,6 +774,7 @@ func (h *Host) AcquisitionHalted(now time.Duration) bool {
 // after the fact, and this host's upper-bound load estimate grows by the
 // Theorem 2/4 bound 4·unitLoad.
 func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoad float64, srcAff int, from topology.NodeID) bool {
+	h.settle()
 	// §2.1 footnote 2: when back-to-back acquisitions have kept the
 	// upper-bound estimate alive too long, halt further acquisitions so a
 	// clean measurement interval can complete and real load data returns.

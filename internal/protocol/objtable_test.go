@@ -180,6 +180,7 @@ func TestTotalTracksOwnCount(t *testing.T) {
 	check := func(when string, wantZero bool) {
 		t.Helper()
 		for _, h := range c.hosts {
+			h.settle() // a white-box read, like every reader inside Host
 			for _, id := range h.Objects() {
 				st := h.objs.get(id)
 				own := int32(0)
@@ -281,12 +282,30 @@ func TestPlacementPassAllocFree(t *testing.T) {
 	}
 }
 
+// BenchmarkHostOnRequest measures the request accounting of a fleet whose
+// state does not fit the cache: sixteen hosts of a thousand objects each,
+// every one requested in turn (some 5 MB of counts; a hundred IDs of one
+// host are 27 KB and never showed the misses that dominate a real run).
+// OnRequest only logs; every reqLogCap-th call runs settle, so the charge
+// is amortised into ns/op here, and in the ledger's protocol.onrequest_ns,
+// with no settle call in the loop.
 func BenchmarkHostOnRequest(b *testing.B) {
-	h, request := benchHost(b, 1000)
-	request() // allocates the requested objects' counts
+	const hosts, objects = 16, 1000
+	c := newCluster(b, topology.UUNET(), DefaultParams())
+	for i := 0; i < hosts*objects; i++ {
+		c.seed(object.ID(i), topology.NodeID(i%hosts))
+	}
+	request := func(i int) {
+		// 617 is coprime to both: i walks every (host, object) pair, scattered.
+		id := object.ID(i * 617 % (hosts * objects))
+		c.hosts[int(id)%hosts].OnRequest(id, topology.NodeID(i%53))
+	}
+	for i := 0; i < hosts*objects; i++ {
+		request(i) // allocates the objects' counts
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.OnRequest(object.ID(i%100*10), topology.NodeID(i%53))
+		request(i)
 	}
 }

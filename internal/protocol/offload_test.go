@@ -70,7 +70,7 @@ func TestOffloadExaminedOnce(t *testing.T) {
 	// one new affinity unit at the recipient per run.
 	for i := 0; i < 3; i++ {
 		id := object.ID(100 + i)
-		total := c.red.TotalAffinity(id)
+		total := totalAffinity(c.red, id)
 		if total > 2 {
 			t.Errorf("object %d total affinity %d after one offload run, want <= 2", id, total)
 		}

@@ -91,15 +91,11 @@ type Redirector struct {
 	// skipped). Nil means every recorded replica is eligible — the exact
 	// paper behavior.
 	reachable func(host topology.NodeID) bool
-
-	// chooseCount counts ChooseReplica calls, for reports.
-	chooseCount int64
 }
 
 // Errors returned by Redirector methods.
 var (
-	ErrUnknownObject  = errors.New("protocol: redirector has no replicas recorded for object")
-	ErrUnknownReplica = errors.New("protocol: no such replica recorded")
+	ErrUnknownObject = errors.New("protocol: redirector has no replicas recorded for object")
 	// ErrNoReachableReplica reports that an object has recorded replicas
 	// but the reachability filter excluded all of them (every forwarding
 	// path crosses a cut link); the request fails.
@@ -183,7 +179,6 @@ func (r *Redirector) ChooseReplica(g topology.NodeID, id object.ID) (topology.No
 	if e == nil || len(e.replicas) == 0 {
 		return 0, ErrUnknownObject
 	}
-	r.chooseCount++
 	if r.reachable != nil {
 		return r.chooseFiltered(g, e)
 	}
@@ -453,19 +448,6 @@ func (r *Redirector) ReplicaCount(id object.ID) int {
 	return len(e.replicas)
 }
 
-// TotalAffinity returns the sum of affinities over id's replicas.
-func (r *Redirector) TotalAffinity(id object.ID) int {
-	e := r.lookup(id)
-	if e == nil {
-		return 0
-	}
-	total := 0
-	for _, rep := range e.replicas {
-		total += rep.Aff
-	}
-	return total
-}
-
 // Objects returns the IDs of all objects with recorded replicas, sorted.
 func (r *Redirector) Objects() []object.ID {
 	var ids []object.ID
@@ -476,6 +458,3 @@ func (r *Redirector) Objects() []object.ID {
 	}
 	return ids
 }
-
-// ChooseCount returns the number of ChooseReplica calls served.
-func (r *Redirector) ChooseCount() int64 { return r.chooseCount }

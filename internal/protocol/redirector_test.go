@@ -266,14 +266,23 @@ func TestReplicasReturnsCopy(t *testing.T) {
 	}
 }
 
+// totalAffinity sums the affinities of id's recorded replicas.
+func totalAffinity(r *Redirector, id object.ID) int {
+	total := 0
+	for _, rep := range r.Replicas(id) {
+		total += rep.Aff
+	}
+	return total
+}
+
 func TestTotalAffinityAndObjects(t *testing.T) {
 	topo := topology.Line(4)
 	r, _ := newTestRedirector(t, topo, PolicyPaper)
 	r.NotifyReplicaChange(object.ID(1), 0, 2)
 	r.NotifyReplicaChange(object.ID(1), 3, 1)
 	r.NotifyReplicaChange(object.ID(2), 2, 1)
-	if got := r.TotalAffinity(object.ID(1)); got != 3 {
-		t.Errorf("TotalAffinity = %d, want 3", got)
+	if got := totalAffinity(r, object.ID(1)); got != 3 {
+		t.Errorf("total affinity = %d, want 3", got)
 	}
 	ids := r.Objects()
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {

@@ -54,9 +54,13 @@ type Server struct {
 	// integers, so per-object counters are slices indexed by ID with a
 	// touched-list instead of maps: the per-request update is an indexed
 	// increment, and CloseInterval only walks objects actually served.
+	// The per-object counters are exact whenever a method of the server
+	// reads them: OnServed only logs the ID, and settle charges the log
+	// when it is full and first thing in CloseInterval, their one reader.
 	intervalStart time.Duration
 	served        int64
-	servedPerObj  []int32 // indexed by object.ID, grown on demand;
+	servedLog     []uint32 // served, not yet charged; nil until the first request
+	servedPerObj  []int32  // indexed by object.ID, grown on demand;
 	// int32 is ample for one measurement interval and keeps the dense
 	// per-object counter block cache-resident
 
@@ -122,20 +126,41 @@ func (s *Server) Enqueue(now time.Duration, storageCost time.Duration) time.Dura
 	return done
 }
 
-// OnServed records the completion of a request for id.
+// servedLogCap bounds a server's log of served requests (see settle).
+const servedLogCap = 64
+
+// OnServed records the completion of a request for id. The scalar counters
+// move now, because Stats and QueueLen read them at any time; the
+// per-object charge waits in the log for settle.
 func (s *Server) OnServed(id object.ID) {
 	s.served++
 	s.totalServed++
-	if int(id) >= len(s.servedPerObj) {
-		s.servedPerObj = growTo(s.servedPerObj, max(int(id)+1, s.objects))
-	}
-	if s.servedPerObj[id] == 0 {
-		s.servedTouched = append(s.servedTouched, id)
-	}
-	s.servedPerObj[id]++
 	if s.queueLen > 0 {
 		s.queueLen--
 	}
+	if len(s.servedLog) == cap(s.servedLog) {
+		s.settle()
+		if s.servedLog == nil {
+			s.servedLog = make([]uint32, 0, servedLogCap)
+		}
+	}
+	s.servedLog = append(s.servedLog, uint32(id))
+}
+
+// settle charges every logged request to its object's counter, in service
+// order, and empties the log: one loop of independent iterations overlaps
+// the counters' cache misses, which an event loop takes one at a time.
+func (s *Server) settle() {
+	for _, id := range s.servedLog {
+		if int(id) >= len(s.servedPerObj) {
+			s.servedPerObj = growTo(s.servedPerObj, max(int(id)+1, s.objects))
+		}
+		if s.servedPerObj[id] == 0 {
+			s.servedTouched = append(s.servedTouched, object.ID(id))
+		}
+		s.servedPerObj[id]++
+	}
+	s.servedLog = s.servedLog[:0]
 }
 
 // CloseInterval completes the measurement interval ending at now: the
@@ -144,6 +169,7 @@ func (s *Server) OnServed(id object.ID) {
 // opens. It returns the start time of the interval just closed, which the
 // protocol layer feeds to its load estimator.
 func (s *Server) CloseInterval(now time.Duration) (closedStart time.Duration) {
+	s.settle()
 	closedStart = s.intervalStart
 	secs := (now - s.intervalStart).Seconds()
 	if secs <= 0 {

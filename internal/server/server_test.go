@@ -2,6 +2,7 @@ package server
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -223,5 +224,54 @@ func TestEnqueueStorageCost(t *testing.T) {
 	d2 := s.Enqueue(0, 0)
 	if d2 != 15*time.Millisecond {
 		t.Fatalf("second completion = %v, want 15ms (queued behind storage)", d2)
+	}
+}
+
+// TestServedLogEquivalence: a server that charges its per-object counters
+// from the log and one that settles after every request (the unbatched
+// accounting) measure the same thing — loads, per-object loads and the
+// order of the touched lists — over intervals whose request counts sit
+// below, on and well beyond the log's capacity.
+func TestServedLogEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	batched, eager := newServer(t, 200), newServer(t, 200)
+	batched.ExpectObjects(16) // IDs run past the hint, so the arrays grow mid-log too
+	eager.ExpectObjects(16)
+	const ids = 40
+	now := time.Duration(0)
+	for i, n := range []int{0, 1, servedLogCap - 1, servedLogCap, servedLogCap + 1, 5*servedLogCap + 7, 3} {
+		for j := 0; j < n; j++ {
+			id := object.ID(rng.Intn(ids) * (1 + i%2)) // odd intervals reach IDs the even ones never touch
+			batched.Enqueue(now, 0)
+			eager.Enqueue(now, 0)
+			batched.OnServed(id)
+			eager.OnServed(id)
+			eager.settle()
+			if batched.QueueLen() != eager.QueueLen() || batched.TotalServed() != eager.TotalServed() {
+				t.Fatalf("interval %d request %d: queue %d/%d, served %d/%d: the scalars must not wait for settle",
+					i, j, batched.QueueLen(), eager.QueueLen(), batched.TotalServed(), eager.TotalServed())
+			}
+		}
+		if n > 0 && len(batched.servedLog) == 0 {
+			t.Fatalf("interval %d: the log is empty before the interval closes", i)
+		}
+		now += 20 * time.Second
+		if b, e := batched.CloseInterval(now), eager.CloseInterval(now); b != e {
+			t.Fatalf("interval %d: closed start %v, eager %v", i, b, e)
+		}
+		if batched.Load() != eager.Load() {
+			t.Fatalf("interval %d: load %v, eager %v", i, batched.Load(), eager.Load())
+		}
+		for id := object.ID(0); id < 2*ids; id++ {
+			if b, e := batched.ObjectLoad(id), eager.ObjectLoad(id); b != e {
+				t.Fatalf("interval %d: object %d load %v, eager %v", i, id, b, e)
+			}
+		}
+		if !slices.Equal(batched.loadTouched, eager.loadTouched) {
+			t.Fatalf("interval %d: touched %v, eager %v", i, batched.loadTouched, eager.loadTouched)
+		}
+		if len(batched.servedLog)+len(batched.servedTouched) != 0 {
+			t.Fatalf("interval %d: %d logged and %d touched entries survive the close", i, len(batched.servedLog), len(batched.servedTouched))
+		}
 	}
 }

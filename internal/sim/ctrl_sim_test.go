@@ -88,7 +88,7 @@ func TestPropertyCtrlInvariantAtReconcileBoundaries(t *testing.T) {
 		for at := interval + time.Nanosecond; at <= cfg.Duration; at += interval {
 			if err := s.engine.Schedule(at, func(time.Duration) {
 				probes++
-				if e := s.CheckInvariants(); e != nil && probeErr == nil {
+				if e := s.mem.checkInvariants(); e != nil && probeErr == nil {
 					probeErr = e
 				}
 			}); err != nil {

@@ -75,7 +75,9 @@ func (m *Machine) Admit(now time.Duration, id object.ID) (time.Duration, Outcome
 }
 
 // Complete records a serviced request from gateway g: the load measurement
-// and the access counts see it when service ends, not at admission.
+// and the access counts see it when service ends, not at admission. It is
+// the one caller of both; each logs the request and charges its per-object
+// counters in batches, exact whenever a method of their owner reads them.
 func (m *Machine) Complete(id object.ID, g topology.NodeID) {
 	m.Server.OnServed(id)
 	m.Host.OnRequest(id, g)

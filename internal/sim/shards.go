@@ -291,24 +291,6 @@ func (s *Simulation) initLanes() error {
 	return nil
 }
 
-// ShardCount reports the effective number of serve-plane shards (1 for
-// the serial engine).
-func (s *Simulation) ShardCount() int {
-	if !s.sharded {
-		return 1
-	}
-	return len(s.lanes)
-}
-
-// ShardOf exposes the node→shard assignment (nil for serial runs;
-// read-only use by tests and tools).
-func (s *Simulation) ShardOf() []int { return s.shardOf }
-
-// Lookahead reports the frozen conservative lookahead bound W: the
-// minimum virtual-time distance any cross-shard interaction covers. Zero
-// for serial runs.
-func (s *Simulation) Lookahead() time.Duration { return s.lookahead }
-
 // runSharded executes the window/barrier loop described at the top of
 // this file. It produces exactly the event executions of
 // s.engine.Run(horizon) on the serial engine, in an order that differs

@@ -136,7 +136,7 @@ func TestShardsSerialPathUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.ShardCount() != 1 || s.Lookahead() != 0 || s.ShardOf() != nil {
+		if s.sharded || s.lookahead != 0 || s.shardOf != nil {
 			t.Fatalf("Shards=%d built a sharded engine", k)
 		}
 	}
@@ -203,14 +203,14 @@ func TestLookaheadBoundsCrossShardDeliveries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ShardCount() != 4 {
-		t.Fatalf("got %d shards", s.ShardCount())
+	if len(s.lanes) != 4 {
+		t.Fatalf("got %d shards", len(s.lanes))
 	}
-	w := s.Lookahead()
+	w := s.lookahead
 	if w <= 0 {
 		t.Fatalf("lookahead %v, want positive on a region-sparse graph", w)
 	}
-	assign := s.ShardOf()
+	assign := s.shardOf
 	hop := cfg.Net.HopDelay
 	n := cfg.Topo.NumNodes()
 	// The delivery timestamp for (g, red, h) is

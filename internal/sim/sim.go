@@ -578,10 +578,6 @@ func (s *Simulation) Redirectors() []*protocol.Redirector { return s.mem.redirec
 // Network exposes the network model.
 func (s *Simulation) Network() *simnet.Network { return s.net }
 
-// CheckInvariants verifies the in-memory fleet's cross-component
-// invariants (memFleet.checkInvariants).
-func (s *Simulation) CheckInvariants() error { return s.mem.checkInvariants() }
-
 // trimSeries caps a series at the number of full buckets the run covers,
 // dropping the trailing partial bucket (deliveries completing just past
 // the horizon land there and would skew per-second rates).

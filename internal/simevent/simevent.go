@@ -74,7 +74,7 @@ type Engine struct {
 	stopped bool
 
 	// interrupt, when non-nil, is polled every interruptEvery executed
-	// events during Run/RunAll; returning true stops the run. It exists so
+	// events during Run; returning true stops the run. It exists so
 	// long simulations can observe context cancellation promptly without
 	// per-event overhead or extra events in the queue.
 	interrupt      func() bool
@@ -101,7 +101,7 @@ func (e *Engine) PeekTime() (time.Duration, bool) {
 }
 
 // SetInterrupt installs a poll function consulted every `every` executed
-// events during Run and RunAll; when it returns true the run stops as if
+// events during Run; when it returns true the run stops as if
 // Stop had been called. every <= 0 selects a default of 4096. A nil f
 // removes the hook. The hook does not alter the event stream, so runs
 // with and without it produce identical results.
@@ -125,12 +125,6 @@ func (e *Engine) Schedule(at time.Duration, fn Event) error {
 	e.seq++
 	e.push(at, e.seq, fn, nil)
 	return nil
-}
-
-// ScheduleAfter enqueues fn to run delay after the current virtual time.
-// A negative delay returns ErrSchedulePast.
-func (e *Engine) ScheduleAfter(delay time.Duration, fn Event) error {
-	return e.Schedule(e.now+delay, fn)
 }
 
 // ScheduleHandler enqueues h.Fire to run at absolute virtual time at,
@@ -286,24 +280,6 @@ func (e *Engine) Run(horizon time.Duration) {
 		if e.heap[0].at > horizon {
 			return
 		}
-		e.Step()
-		if e.interrupt != nil {
-			if sinceCheck++; sinceCheck >= e.interruptEvery {
-				sinceCheck = 0
-				if e.interrupt() {
-					return
-				}
-			}
-		}
-	}
-}
-
-// RunAll executes events until the queue is empty, Stop is called, or the
-// interrupt hook fires.
-func (e *Engine) RunAll() {
-	e.stopped = false
-	sinceCheck := 0
-	for !e.stopped && len(e.heap) > 0 {
 		e.Step()
 		if e.interrupt != nil {
 			if sinceCheck++; sinceCheck >= e.interruptEvery {

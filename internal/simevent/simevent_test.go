@@ -2,12 +2,17 @@ package simevent
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// forever is a horizon no test event lies beyond: Run(forever) drains the
+// queue.
+const forever = time.Duration(math.MaxInt64)
 
 func TestZeroValueReady(t *testing.T) {
 	var e Engine
@@ -18,7 +23,7 @@ func TestZeroValueReady(t *testing.T) {
 	if err := e.Schedule(5*time.Millisecond, func(time.Duration) { ran = true }); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	e.RunAll()
+	e.Run(forever)
 	if !ran {
 		t.Fatal("event did not run")
 	}
@@ -37,7 +42,7 @@ func TestTimestampOrder(t *testing.T) {
 			t.Fatalf("Schedule(%v): %v", at, err)
 		}
 	}
-	e.RunAll()
+	e.Run(forever)
 	want := append([]time.Duration(nil), times...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if len(got) != len(want) {
@@ -59,7 +64,7 @@ func TestFIFOTieBreak(t *testing.T) {
 			t.Fatalf("Schedule: %v", err)
 		}
 	}
-	e.RunAll()
+	e.Run(forever)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d, want %d (FIFO among ties)", i, v, i)
@@ -72,13 +77,13 @@ func TestSchedulePastRejected(t *testing.T) {
 	if err := e.Schedule(time.Second, func(time.Duration) {}); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	e.RunAll()
+	e.Run(forever)
 	err := e.Schedule(500*time.Millisecond, func(time.Duration) {})
 	if !errors.Is(err, ErrSchedulePast) {
 		t.Fatalf("err = %v, want ErrSchedulePast", err)
 	}
-	if err := e.ScheduleAfter(-time.Millisecond, func(time.Duration) {}); !errors.Is(err, ErrSchedulePast) {
-		t.Fatalf("ScheduleAfter(-1ms) err = %v, want ErrSchedulePast", err)
+	if err := e.Schedule(e.Now()-time.Millisecond, func(time.Duration) {}); !errors.Is(err, ErrSchedulePast) {
+		t.Fatalf("Schedule(now-1ms) err = %v, want ErrSchedulePast", err)
 	}
 }
 
@@ -87,8 +92,8 @@ func TestScheduleAtNowRunsAfterPending(t *testing.T) {
 	var order []string
 	if err := e.Schedule(time.Second, func(time.Duration) {
 		order = append(order, "first")
-		if err := e.ScheduleAfter(0, func(time.Duration) { order = append(order, "rescheduled") }); err != nil {
-			t.Errorf("ScheduleAfter(0): %v", err)
+		if err := e.Schedule(e.Now(), func(time.Duration) { order = append(order, "rescheduled") }); err != nil {
+			t.Errorf("Schedule(now): %v", err)
 		}
 	}); err != nil {
 		t.Fatalf("Schedule: %v", err)
@@ -96,7 +101,7 @@ func TestScheduleAtNowRunsAfterPending(t *testing.T) {
 	if err := e.Schedule(time.Second, func(time.Duration) { order = append(order, "second") }); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	e.RunAll()
+	e.Run(forever)
 	want := []string{"first", "second", "rescheduled"}
 	for i, w := range want {
 		if i >= len(order) || order[i] != w {
@@ -139,11 +144,11 @@ func TestStop(t *testing.T) {
 			t.Fatalf("Schedule: %v", err)
 		}
 	}
-	e.RunAll()
+	e.Run(forever)
 	if count != 2 {
 		t.Fatalf("count = %d, want 2 (stopped after second event)", count)
 	}
-	e.RunAll()
+	e.Run(forever)
 	if count != 5 {
 		t.Fatalf("count = %d after resume, want 5", count)
 	}
@@ -163,15 +168,15 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	fire = func(now time.Duration) {
 		depth++
 		if depth < 100 {
-			if err := e.ScheduleAfter(time.Millisecond, fire); err != nil {
-				t.Errorf("ScheduleAfter: %v", err)
+			if err := e.Schedule(e.Now()+time.Millisecond, fire); err != nil {
+				t.Errorf("Schedule: %v", err)
 			}
 		}
 	}
 	if err := e.Schedule(0, fire); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	e.RunAll()
+	e.Run(forever)
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
 	}
@@ -202,7 +207,7 @@ func TestOrderProperty(t *testing.T) {
 			}
 		}
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
-		e.RunAll()
+		e.Run(forever)
 		if len(got) != len(want) {
 			return false
 		}
@@ -232,7 +237,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 			e.Step()
 		}
 	}
-	e.RunAll()
+	e.Run(forever)
 }
 
 // benchHandler is a no-op pooled handler for the allocation benchmark.
@@ -256,7 +261,7 @@ func BenchmarkScheduleHandlerAndRun(b *testing.B) {
 			e.Step()
 		}
 	}
-	e.RunAll()
+	e.Run(forever)
 	if h.fired != b.N {
 		b.Fatalf("fired %d of %d events", h.fired, b.N)
 	}

@@ -130,16 +130,6 @@ func (w *HotSites) Next(_ topology.NodeID, rng *rand.Rand) object.ID {
 	return w.coldPages[rng.Intn(len(w.coldPages))]
 }
 
-// HotSiteCount returns the number of sites in the hot bucket; exposed for
-// tests and reports.
-func (w *HotSites) HotSiteCount(u object.Universe, numNodes int) int {
-	sites := make(map[topology.NodeID]bool)
-	for _, id := range w.hotPages {
-		sites[u.HomeNode(id, numNodes)] = true
-	}
-	return len(sites)
-}
-
 // HotPages models uniformly more popular objects: pages are split into hot
 // and cold buckets in ratio 1:9 and a hot page is requested with
 // probability 0.9 (paper §6.1).
@@ -259,50 +249,6 @@ func (w *Regional) Next(g topology.NodeID, rng *rand.Rand) object.ID {
 		return pref[rng.Intn(len(pref))]
 	}
 	return object.ID(rng.Intn(w.count))
-}
-
-// PreferredSet returns the preferred object IDs of region r; exposed for
-// tests and reports.
-func (w *Regional) PreferredSet(r topology.Region) []object.ID {
-	out := make([]object.ID, len(w.preferred[r]))
-	copy(out, w.preferred[r])
-	return out
-}
-
-// Mix composes generators with fixed weights, modelling the paper's remark
-// that "a real-life workload would be some mix of workloads similar to the
-// ones considered". Component selection uses a Vose alias table — O(1) per
-// draw instead of the former linear cumulative-weight walk.
-type Mix struct {
-	parts []Generator
-	alias *AliasTable
-	name  string
-}
-
-// NewMix builds a weighted mixture. Weights must be positive; they are
-// normalized internally.
-func NewMix(parts []Generator, weights []float64) (*Mix, error) {
-	if len(parts) == 0 || len(parts) != len(weights) {
-		return nil, fmt.Errorf("workload: mix needs matching non-empty parts (%d) and weights (%d)", len(parts), len(weights))
-	}
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("workload: mix weight %v must be positive", w)
-		}
-	}
-	alias, err := NewAliasTable(weights)
-	if err != nil {
-		return nil, err
-	}
-	return &Mix{name: "mix", parts: parts, alias: alias}, nil
-}
-
-// Name implements Generator.
-func (w *Mix) Name() string { return w.name }
-
-// Next implements Generator.
-func (w *Mix) Next(g topology.NodeID, rng *rand.Rand) object.ID {
-	return w.parts[w.alias.Draw(rng)].Next(g, rng)
 }
 
 // containsID reports whether the sorted slice contains id.

@@ -55,13 +55,14 @@ func TestHotSitesSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotSites := w.HotSiteCount(testUniverse, nodes)
-	if hotSites < 3 || hotSites > 8 {
-		t.Fatalf("hot sites = %d, want ~10%% of 53", hotSites)
-	}
 	hotSet := make(map[object.ID]bool, len(w.hotPages))
+	hotSites := make(map[topology.NodeID]bool)
 	for _, id := range w.hotPages {
 		hotSet[id] = true
+		hotSites[testUniverse.HomeNode(id, nodes)] = true
+	}
+	if len(hotSites) < 3 || len(hotSites) > 8 {
+		t.Fatalf("hot sites = %d, want ~10%% of 53", len(hotSites))
 	}
 	rng := Stream(3, 0)
 	hot := 0
@@ -137,7 +138,7 @@ func TestRegionalPrefersOwnSlice(t *testing.T) {
 	// Preferred sets must be disjoint contiguous slices.
 	seen := make(map[object.ID]topology.Region)
 	for _, r := range regions {
-		set := w.PreferredSet(r)
+		set := w.preferred[r]
 		if len(set) != 10 {
 			t.Fatalf("region %v preferred set = %d objects, want 10 (1%% of 1000)", r, len(set))
 		}
@@ -162,7 +163,7 @@ func TestRegionalPrefersOwnSlice(t *testing.T) {
 		}
 	}
 	euSet := make(map[object.ID]bool)
-	for _, id := range w.PreferredSet(topology.Europe) {
+	for _, id := range w.preferred[topology.Europe] {
 		euSet[id] = true
 	}
 	rng := Stream(5, 0)
@@ -176,34 +177,6 @@ func TestRegionalPrefersOwnSlice(t *testing.T) {
 	// 90% local plus ~1% of the uniform tail landing in the slice.
 	if frac := float64(local) / draws; frac < 0.85 || frac > 0.95 {
 		t.Fatalf("local share = %.3f, want ~0.9", frac)
-	}
-}
-
-func TestMixWeights(t *testing.T) {
-	z, err := NewZipf(testUniverse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := NewUniform(testUniverse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMix([]Generator{z, u}, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := Stream(6, 0)
-	head := 0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		if m.Next(0, rng) < 10 {
-			head++
-		}
-	}
-	// 75% Zipf (top-10 ≈ 39%) + 25% uniform (top-10 = 1%) ≈ 30%.
-	frac := float64(head) / draws
-	if frac < 0.15 || frac > 0.45 {
-		t.Fatalf("mixed top-10 share = %.3f, want ~0.30", frac)
 	}
 }
 
@@ -230,13 +203,6 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewRegional(object.Universe{Count: 2, SizeBytes: 1}, topo, 0.01, 0.9); err == nil {
 		t.Error("NewRegional accepted universe smaller than region slices")
-	}
-	if _, err := NewMix(nil, nil); err == nil {
-		t.Error("NewMix accepted empty parts")
-	}
-	z, _ := NewZipf(testUniverse)
-	if _, err := NewMix([]Generator{z}, []float64{-1}); err == nil {
-		t.Error("NewMix accepted negative weight")
 	}
 }
 
