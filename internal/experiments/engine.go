@@ -25,17 +25,17 @@ import (
 // workload generators built by Generators are immutable after
 // construction (their Next methods only read), so sharing one generator
 // across concurrent jobs is safe. Configs that carry *stateful* shared
-// components — a trace.Recording/trace.Replay generator, a
-// consistency.Manager, or an ExtraObserver — must not appear in more
-// than one job of a batch; give each job its own instance.
+// components — a trace.Recording/trace.Replay generator or an
+// ExtraObserver — must not appear in more than one job of a batch; give
+// each job its own instance.
 
 // Job is one labeled simulation in an engine batch.
 type Job struct {
 	// Label identifies the job in errors and timing reports.
 	Label string
 	// Config is the full simulation configuration. It must not share
-	// mutable components (stateful generators, consistency managers,
-	// observers) with any other job in the same batch.
+	// mutable components (stateful generators, observers) with any other
+	// job in the same batch.
 	Config sim.Config
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/consistency"
 	"radar/internal/live"
 	"radar/internal/live/livetest"
 	"radar/internal/metrics"
@@ -87,7 +88,10 @@ func (b both) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID,
 // alternate seeding mode — or one thing the loop prices from the fleet's
 // events: link contention, whose busy-until state moves with the order and
 // instant of every charge. The replica-floor case runs the repair
-// elections, whose load reports a node fetches from its peers. A case here
+// elections, whose load reports a node fetches from its peers. The
+// mixed-consistency case bars half the objects from replicating: each node
+// derives the §5 category table from the shared configuration, and the
+// case also requires the gate to change the decision sequence. A case here
 // is what licenses the absence of an ExternalFleet row for that feature in
 // sim.Refusals. The traced case also writes a JSONL decision trace on both
 // sides (the loop's accounting forwards a driver-paced pass's replayed
@@ -125,17 +129,38 @@ func TestSimLiveEquivalence(t *testing.T) {
 		// The only case whose passes elect repair targets, over /rpc/load:
 		// every object starts one copy under the floor.
 		{"replica-floor", func(c *sim.Config) { c.Protocol.ReplicaFloor, c.Protocol.AvailabilityWeight = 2, 0.5 }, false},
+		{"mixed-consistency", func(c *sim.Config) { c.Consistency = consistency.Mix{Static: 0.5, NonCommuting: 0.5} }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := liveConfig(t, topology.Line(3), 24, 20, 3*time.Minute)
 			tc.on(&cfg.Sim)
-			checkSimLiveEquivalence(t, cfg, tc.traced)
+			decisions := checkSimLiveEquivalence(t, cfg, tc.traced)
+			if cfg.Sim.Consistency == (consistency.Mix{}) {
+				return
+			}
+			// The gate has to fire for the case to pin anything: the same
+			// run without it decides differently.
+			rec := &decisionRecorder{}
+			cfg.Sim.Consistency, cfg.Sim.ExtraObserver = consistency.Mix{}, rec
+			s, err := sim.New(cfg.Sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("ungated: %d decisions", len(rec.events))
+			if reflect.DeepEqual(rec.events, decisions) {
+				t.Errorf("the category gate changed none of %d decisions", len(decisions))
+			}
 		})
 	}
 }
 
-func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) {
+// checkSimLiveEquivalence runs cfg on both sides, compares them, and
+// returns the simulator's decision sequence.
+func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) []live.Event {
 	simCfg := cfg.Sim
 	rec := &decisionRecorder{}
 	simCfg.ExtraObserver = rec
@@ -245,4 +270,5 @@ func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) {
 	if liveRes.FailedRequests != 0 || liveRes.Failures != 0 {
 		t.Errorf("healthy fleet reported %d failed requests, %d crashes", liveRes.FailedRequests, liveRes.Failures)
 	}
+	return rec.events
 }

@@ -37,8 +37,7 @@ type FreeDriver struct {
 	latency atomic.Int64
 	epoch   time.Time
 
-	genMu sync.Mutex
-	gen   workload.Generator
+	genMu sync.Mutex // serialises the generators' Next
 
 	served   atomic.Int64
 	failed   atomic.Int64
@@ -77,7 +76,6 @@ func NewFreeDriver(cfg Config, urls []string) (*FreeDriver, error) {
 		n:       n,
 		redLocs: sim.RedirectorLocs(&cfg.Sim, routes),
 		client:  &http.Client{Timeout: freeDriverHTTPTimeout},
-		gen:     cfg.Sim.Workload,
 	}, nil
 }
 
@@ -101,17 +99,10 @@ func (d *FreeDriver) Run(ctx context.Context, wall time.Duration) error {
 	var wg sync.WaitGroup
 	for i := 0; i < d.n; i++ {
 		g := topology.NodeID(i)
-		rate := d.cfg.Sim.NodeRequestRPS
-		if d.cfg.Sim.NodeRates != nil {
-			rate = d.cfg.Sim.NodeRates[i]
-		}
-		if rate <= 0 {
-			continue
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.generate(runCtx, g, rate)
+			d.generate(runCtx, g)
 		}()
 	}
 	wg.Wait()
@@ -119,10 +110,12 @@ func (d *FreeDriver) Run(ctx context.Context, wall time.Duration) error {
 	return ctx.Err()
 }
 
-// generate paces one gateway's request stream in real time.
-func (d *FreeDriver) generate(ctx context.Context, g topology.NodeID, rate float64) {
+// generate paces one gateway's request stream in real time. Virtual time
+// is wall time in this mode, so a configured workload switch takes effect
+// WorkloadSwitch.At after the run's start.
+func (d *FreeDriver) generate(ctx context.Context, g topology.NodeID) {
 	rng := workload.Stream(d.cfg.Sim.Seed, uint64(g))
-	spacing := time.Duration(float64(time.Second) / rate)
+	spacing := time.Duration(float64(time.Second) / d.cfg.Sim.NodeRequestRPS)
 	// The same phase offset the simulator's generators use, mapped to
 	// wall time, so the fleet's gateways do not fire in lockstep.
 	timer := time.NewTimer(spacing * time.Duration(g) / time.Duration(d.n))
@@ -133,8 +126,12 @@ func (d *FreeDriver) generate(ctx context.Context, g topology.NodeID, rate float
 			return
 		case <-timer.C:
 		}
+		gen := d.cfg.Sim.Workload
+		if sw := d.cfg.Sim.WorkloadSwitch; sw.To != nil && time.Since(d.epoch) >= sw.At {
+			gen = sw.To
+		}
 		d.genMu.Lock()
-		id := d.gen.Next(g, rng)
+		id := gen.Next(g, rng)
 		d.genMu.Unlock()
 		d.request(ctx, g, int64(id))
 		next := spacing

@@ -3,7 +3,13 @@ package live_test
 import (
 	"context"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +18,7 @@ import (
 	"radar/internal/live/chaos"
 	"radar/internal/live/check"
 	"radar/internal/live/livetest"
+	"radar/internal/object"
 	"radar/internal/topology"
 )
 
@@ -270,6 +277,55 @@ func TestChaosPartitionHeals(t *testing.T) {
 	for i := 0; i < h.Fleet.NumNodes(); i++ {
 		if h.Fleet.Killed(topology.NodeID(i)) {
 			t.Fatalf("node %d died during a control-plane partition", i)
+		}
+	}
+}
+
+// constGen is a workload that requests one object from every gateway.
+type constGen object.ID
+
+func (c constGen) Name() string                               { return "const" }
+func (c constGen) Next(topology.NodeID, *rand.Rand) object.ID { return object.ID(c) }
+
+// TestFreeDriverSwitchesWorkload: virtual time is wall time in free-running
+// mode, so WorkloadSwitch.At after the run's start every gateway draws from
+// the second generator. The fleet is a stub that records, per gateway, the
+// object ids it was asked for.
+func TestFreeDriverSwitchesWorkload(t *testing.T) {
+	const wall, at = 600 * time.Millisecond, 250 * time.Millisecond
+	topo := topology.Star(4)
+	var mu sync.Mutex
+	asked := make([][]string, topo.NumNodes())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		g, _ := strconv.Atoi(r.URL.Query().Get("g"))
+		mu.Lock()
+		asked[g] = append(asked[g], strings.TrimPrefix(r.URL.Path, live.PathObj))
+		mu.Unlock()
+	}))
+	defer srv.Close()
+
+	cfg := freeRunConfig(t, topo, wall)
+	cfg.Sim.NodeRequestRPS = 50
+	cfg.Sim.Workload = constGen(1)
+	cfg.Sim.WorkloadSwitch.At = at
+	cfg.Sim.WorkloadSwitch.To = constGen(2)
+	urls := make([]string, topo.NumNodes())
+	for i := range urls {
+		urls[i] = srv.URL
+	}
+	d, err := live.NewFreeDriver(cfg, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background(), wall); err != nil {
+		t.Fatal(err)
+	}
+	// A gateway's requests are sequential, so its ids arrive in the order
+	// it drew them: object 1 up to the switch, object 2 from then on.
+	for g, ids := range asked {
+		got := strings.Join(slices.Compact(ids), ",")
+		if got != "1,2" {
+			t.Errorf("gateway %d asked for objects %s over %d requests, want 1 then 2", g, got, len(ids))
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"radar/internal/consistency"
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/routing"
@@ -156,7 +157,9 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 	nd.redLocs = sim.RedirectorLocs(simCfg, routes)
 	nd.downPeers = make([]bool, n)
 	// The part of the fleet this process holds: one machine, at most one
-	// redirector. Seeding is local (sim.SeedPlacement).
+	// redirector. Seeding is local (sim.SeedPlacement), and so is the §5
+	// category table behind the replication gate: every process derives
+	// the same one from the shared configuration.
 	machines := make([]*sim.Machine, n)
 	redirectors := make([]*protocol.Redirector, len(nd.redLocs))
 	var err error
@@ -174,6 +177,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		Peer:          nd.peer,
 		LoadReport:    nd.loadReport,
 		CopyObject:    nd.copyObject,
+		CanReplicate:  consistency.Gate(simCfg.Universe, simCfg.Consistency, simCfg.Seed),
 		SendCreateObj: nd.sendCreateObj,
 		Observer:      (*nodeObserver)(nd),
 	})
@@ -790,13 +794,23 @@ func (nd *Node) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rep)
 }
 
-// objQuery parses the {id}, g and now parameters of an object-request
-// endpoint.
-func objQuery(r *http.Request, prefix string, n int) (object.ID, topology.NodeID, time.Duration, error) {
+// objectID parses the {id} of a data-plane path: an object of the
+// configured universe.
+func (nd *Node) objectID(r *http.Request, prefix string) (object.ID, error) {
 	idStr := r.URL.Path[len(prefix):]
 	id, err := strconv.ParseInt(idStr, 10, 64)
-	if err != nil || id < 0 {
-		return 0, 0, 0, fmt.Errorf("live: bad object id %q", idStr)
+	if err != nil || id < 0 || id >= int64(nd.cfg.Sim.Universe.Count) {
+		return 0, fmt.Errorf("live: bad object id %q", idStr)
+	}
+	return object.ID(id), nil
+}
+
+// objQuery parses the {id}, g and now parameters of an object-request
+// endpoint.
+func (nd *Node) objQuery(r *http.Request, prefix string) (object.ID, topology.NodeID, time.Duration, error) {
+	id, err := nd.objectID(r, prefix)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	// Both values are digits on every well-formed request, so the raw query
 	// is scanned in place; url.Values (a map and a slice per key) is built
@@ -809,14 +823,14 @@ func objQuery(r *http.Request, prefix string, n int) (object.ID, topology.NodeID
 		gStr, nowStr = rawQueryValue(raw, "g"), rawQueryValue(raw, "now")
 	}
 	g, err := strconv.Atoi(gStr)
-	if err != nil || g < 0 || g >= n {
+	if err != nil || g < 0 || g >= nd.n {
 		return 0, 0, 0, fmt.Errorf("live: bad gateway %q", gStr)
 	}
 	now, err := strconv.ParseInt(nowStr, 10, 64)
 	if err != nil || now < 0 {
 		return 0, 0, 0, fmt.Errorf("live: bad now %q", nowStr)
 	}
-	return object.ID(id), topology.NodeID(g), time.Duration(now), nil
+	return id, topology.NodeID(g), time.Duration(now), nil
 }
 
 // rawQueryValue returns the first value of key in a raw query that holds
@@ -853,7 +867,7 @@ func (nd *Node) writePayload(w http.ResponseWriter) {
 // there (the redirector->host control hop). now is the request's virtual
 // arrival time at the redirector.
 func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
-	id, g, wireNow, err := objQuery(r, PathObj, nd.n)
+	id, g, wireNow, err := nd.objQuery(r, PathObj)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -899,7 +913,7 @@ func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
 // measurement and access counts record the serviced request — exactly the
 // simulator's two-phase arrival/completion split.
 func (nd *Node) handleServe(w http.ResponseWriter, r *http.Request) {
-	id, g, wireNow, err := objQuery(r, PathServe, nd.n)
+	id, g, wireNow, err := nd.objQuery(r, PathServe)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -923,8 +937,8 @@ func (nd *Node) handleServe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (nd *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
-	if _, err := strconv.ParseInt(r.URL.Path[len(PathFetch):], 10, 64); err != nil {
-		http.Error(w, "live: bad object id", http.StatusBadRequest)
+	if _, err := nd.objectID(r, PathFetch); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	nd.writePayload(w)

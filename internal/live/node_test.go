@@ -124,6 +124,15 @@ func TestDataPlaneAnswers(t *testing.T) {
 	if res, body := get(PathServe + "0?g=%78&now=1"); res.StatusCode != http.StatusBadRequest || body != "live: bad gateway \"x\"\n" {
 		t.Fatalf("escaped bad gateway: status %d, body %q", res.StatusCode, body)
 	}
+	// An id that parses but names no object of the universe is a bad id on
+	// every data-plane path, the replica fetch included.
+	for _, id := range []string{"-1", strconv.Itoa(u.Count), "x"} {
+		for _, path := range []string{PathFetch + id, PathServe + id + "?g=1&now=1000", PathObj + id + "?g=1&now=1000"} {
+			if res, body := get(path); res.StatusCode != http.StatusBadRequest || body != "live: bad object id \""+id+"\"\n" {
+				t.Errorf("%s: status %d, body %q; want 400 bad object id", path, res.StatusCode, body)
+			}
+		}
+	}
 }
 
 // TestRawQueryValue: on a query without escapes the in-place scan returns

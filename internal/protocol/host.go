@@ -783,13 +783,6 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 		h.Stats.RefusedHalt++
 		return false
 	}
-	// Storage component of the vector load (§2.1): a full host refuses.
-	// An incoming affinity increment occupies no extra storage.
-	if h.params.StorageCapacity > 0 && !h.Has(id) && h.objs.len() >= h.params.StorageCapacity {
-		h.Stats.RefusalsSent++
-		h.Stats.RefusedStorage++
-		return false
-	}
 	loadForAccept := h.est.LoadForAccept(h.loads.Load())
 	// Availability-aware repair accepts against a watermark relaxed from lw
 	// toward hw by the availability weight: a floor repair copy is cold (its
@@ -844,10 +837,13 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 // watermark, a request is refused, or objects run out. It returns the
 // number of objects moved.
 func (h *Host) offload(now time.Duration, period float64) int {
-	rid, recipientLoad, ok := h.electHost(now, -1, 0)
+	rid, report, ok := h.electHost(now, -1, 0)
 	if !ok {
 		return 0
 	}
+	// The recipient is judged against its own watermark, as its CreateObj
+	// will judge it: a strong host keeps absorbing past this host's lw.
+	recipientLoad, recipientLow := report.AcceptLoad, report.Low
 	if h.params.NeighborOnly && h.env.Routes.Distance(h.ID, rid) != 1 {
 		return 0 // the related-work baseline cannot shed to distant hosts
 	}
@@ -891,7 +887,7 @@ func (h *Host) offload(now time.Duration, period float64) int {
 		if h.params.MaxOffloadPerRun > 0 && moved >= h.params.MaxOffloadPerRun {
 			break
 		}
-		if h.est.LoadForOffload(h.loads.Load()) <= h.params.LowWatermark || recipientLoad >= h.params.LowWatermark {
+		if h.est.LoadForOffload(h.loads.Load()) <= h.params.LowWatermark || recipientLoad >= recipientLow {
 			break
 		}
 		st := h.objs.get(c.id)

@@ -427,6 +427,28 @@ func TestOffloadStopsAtRecipientWatermark(t *testing.T) {
 	}
 }
 
+// A recipient is judged against its own watermark, as its CreateObj judges
+// it: a host ten times as strong keeps absorbing at a load twice the
+// source's lw.
+func TestOffloadJudgesRecipientByItsOwnWatermark(t *testing.T) {
+	params := DefaultParams()
+	c := newCluster(t, topology.Line(4), params)
+	overloadHostZero(t, c, params, 10, 100, 4.5)
+	c.hosts[1].params = params.Weighted(10)
+	c.loads[1].total = 2 * params.LowWatermark
+	c.loads[2].total = params.LowWatermark + 1 // ineligible
+	c.loads[3].total = params.LowWatermark + 1 // ineligible
+	sum := c.hosts[0].DecidePlacement(100 * time.Second)
+	if !sum.OffloadRan || sum.OffloadSent < 3 {
+		t.Fatalf("offload to the strong host sent %d (%+v), want >= 3", sum.OffloadSent, sum)
+	}
+	for _, m := range c.rec.replicates {
+		if m.to != 1 {
+			t.Errorf("offload replicated to host %d, want the strong host 1", m.to)
+		}
+	}
+}
+
 func TestOffloadBulkRelocation(t *testing.T) {
 	// With a fresh recipient, a single placement run must move MANY
 	// objects at once — the paper's en-masse relocation feature.

@@ -67,7 +67,7 @@ func (r LoadReport) contends(w float64, found bool, bestRel float64) (rel float6
 // electHost elects, among the other hosts, the one with the most relative
 // headroom below its accept ceiling lw + w·(hw−lw), strictly below it.
 // Each host is judged against its own watermarks, so strong hosts absorb
-// more. It returns the winner and its reported accept-side load.
+// more. It returns the winner and its report.
 //
 // An offload recipient (Fig. 5) is elected with id < 0 and w = 0: the
 // ceiling is the low watermark. A replica-floor repair target is elected
@@ -90,7 +90,7 @@ func (r LoadReport) contends(w float64, found bool, bestRel float64) (rel float6
 // asking all N−1 peers about id would elect. Its answer carries the peer's
 // current load too and replaces the entry; a peer that fails to answer
 // either query is skipped for the rest of the pass.
-func (h *Host) electHost(now time.Duration, id object.ID, w float64) (best topology.NodeID, load float64, found bool) {
+func (h *Host) electHost(now time.Duration, id object.ID, w float64) (best topology.NodeID, report LoadReport, found bool) {
 	if h.board == nil {
 		h.board = make([]boardEntry, h.numNodes)
 	}
@@ -117,8 +117,8 @@ func (h *Host) electHost(now time.Duration, id object.ID, w float64) (best topol
 			rel, wins = e.report.contends(w, found, bestRel)
 		}
 		if wins {
-			best, load, bestRel, found = p, e.report.AcceptLoad, rel, true
+			best, report, bestRel, found = p, e.report, rel, true
 		}
 	}
-	return best, load, found
+	return best, report, found
 }

@@ -125,7 +125,8 @@ func TestElectHostMatchesScan(t *testing.T) {
 				id, ew = -1, 0 // an offload-recipient election
 			}
 			wantBest, wantLoad, wantFound := scanElect(h, rc.answer, now, id, ew)
-			best, load, found := h.electHost(now, id, ew)
+			best, report, found := h.electHost(now, id, ew)
+			load := report.AcceptLoad
 			if best != wantBest || load != wantLoad || found != wantFound {
 				t.Fatalf("seed %d round %d (id %d, w %v): board elects (%d, %v, %v), scan elects (%d, %v, %v)",
 					seed, round, id, ew, best, load, found, wantBest, wantLoad, wantFound)

@@ -81,12 +81,6 @@ type Params struct {
 	// paper's farthest-first ordering byte-for-byte; 1 orders candidates by
 	// availability gain alone. Must be in [0, 1].
 	AvailabilityWeight float64
-	// StorageCapacity caps the number of objects a host may store —
-	// the storage component of the §2.1 vector load ("the load metric
-	// may be represented by a vector reflecting multiple components,
-	// notably computational load and storage utilization"). A full host
-	// refuses CreateObj requests. Zero means unlimited.
-	StorageCapacity int
 }
 
 // Weighted scales the load watermarks by a host's relative power w,
@@ -163,9 +157,6 @@ func (p Params) Validate() error {
 	}
 	if p.AvailabilityWeight < 0 || p.AvailabilityWeight > 1 || p.AvailabilityWeight != p.AvailabilityWeight {
 		return fmt.Errorf("protocol: AvailabilityWeight %v must be in [0,1]", p.AvailabilityWeight)
-	}
-	if p.StorageCapacity < 0 {
-		return fmt.Errorf("protocol: StorageCapacity %d must be non-negative", p.StorageCapacity)
 	}
 	return nil
 }

@@ -41,11 +41,6 @@ type Config struct {
 	Net simnet.Config
 	// NodeRequestRPS is each gateway's constant request rate (Table 1: 40).
 	NodeRequestRPS float64
-	// NodeRates, when non-nil, overrides NodeRequestRPS per gateway
-	// (length must equal the node count; zero entries silence a gateway).
-	// Real gateways differ in offered load; the paper's simulation uses a
-	// uniform rate.
-	NodeRates []float64
 	// PoissonArrivals switches gateways from constant spacing (the
 	// paper's model) to Poisson arrivals.
 	PoissonArrivals bool
@@ -88,14 +83,10 @@ type Config struct {
 	// ("servers normally drop messages or clients timeout before queues
 	// build up", §6.1). Zero disables timeouts (unbounded backlog).
 	ClientTimeout time.Duration
-	// Consistency, when non-nil, gates category-3 replication and tracks
-	// primaries (§5).
-	Consistency *consistency.Manager
-	// Updates, when Updates.RatePerSec > 0, injects provider writes
-	// against random objects' primary copies and propagates them to
-	// replicas asynchronously (§5): immediately per write, or batched
-	// every Updates.BatchInterval. Requires Consistency.
-	Updates UpdateConfig
+	// Consistency is the §5 category mix: each object draws its category
+	// from the seed, and category-3 objects migrate but never replicate.
+	// The zero value is the all-static population, which gates nothing.
+	Consistency consistency.Mix
 	// Faults is the deterministic fault-injection schedule: scripted
 	// crash/recovery and link cut/restore events plus optional stochastic
 	// MTBF/MTTR cycles drawn from the run's seed (a dedicated PRNG stream,
@@ -122,9 +113,8 @@ type Config struct {
 	// DESIGN.md). 0 and 1 select the serial engine (the default, and
 	// byte-identical to builds without the sharding subsystem); -1 selects
 	// one shard per populated region; values above the node count are
-	// clamped. Sharding is incompatible with link contention and with the
-	// consistency/update subsystem, whose cross-host feedback cannot be
-	// partitioned.
+	// clamped. Sharding is incompatible with link contention, whose
+	// cross-host feedback cannot be partitioned.
 	Shards int
 	// ShardQuantum caps a sharded run's window length: shards synchronize
 	// at least this often in virtual time (and always at global protocol
@@ -177,21 +167,6 @@ func DefaultConfig(gen workload.Generator, seed int64) Config {
 	}
 }
 
-// UpdateConfig describes provider-write injection (§5).
-type UpdateConfig struct {
-	// RatePerSec is the global provider write rate; writes target
-	// uniformly random objects. The paper cites studies showing most Web
-	// objects are rarely written, so realistic rates are small.
-	RatePerSec float64
-	// SizeBytes is the payload carried per propagated write batch; zero
-	// defaults to the object size (full-object refresh).
-	SizeBytes int64
-	// Mode selects immediate or batched propagation.
-	Mode consistency.PropagationMode
-	// BatchInterval is the flush period in Batched mode.
-	BatchInterval time.Duration
-}
-
 // Feature is a set of the optional subsystems a run can switch on beyond
 // the paper's core. The refusal table is written over features, so the
 // radar facade, whose Config spells the same switches differently, judges
@@ -201,11 +176,10 @@ type Feature uint
 // The optional subsystems, and the one fact about a run that is not a
 // Config switch.
 const (
-	Sharding           Feature = 1 << iota // Shards selects the sharded engine
-	LinkContention                         // Net.Contention
-	ConsistencyUpdates                     // Consistency manager or provider updates
-	FaultInjection                         // Faults
-	ExternalFleet                          // the fleet is not the in-memory one (NewOver, package live)
+	Sharding       Feature = 1 << iota // Shards selects the sharded engine
+	LinkContention                     // Net.Contention
+	FaultInjection                     // Faults
+	ExternalFleet                      // the fleet is not the in-memory one (NewOver, package live)
 )
 
 // Features reports the optional subsystems c switches on.
@@ -214,7 +188,6 @@ func (c *Config) Features() Feature {
 	for i, on := range [...]bool{
 		c.Shards == -1 || c.Shards >= 2,
 		c.Net.Contention,
-		c.Consistency != nil || c.Updates.RatePerSec > 0,
 		c.Faults.Enabled() || c.Faults.HasMessageFaults(),
 	} {
 		if on {
@@ -235,14 +208,13 @@ type Refusal struct {
 // partitions per-node state, so subsystems with un-partitionable
 // cross-host feedback on the per-request path are refused rather than
 // silently run wrong. What a Machine carries — storage stacks, host
-// weights, the seeding modes — runs on every fleet; what is refused over
+// weights, the seeding modes, the category gate — runs on every fleet and
+// engine; what is refused over
 // an external fleet lives in the loop's or the in-memory fleet's own state
 // (DESIGN.md §4.8 gives the reason row by row).
 var Refusals = []Refusal{
 	{Sharding | LinkContention, "sharded engine is incompatible with link contention (shared busy-until state)"},
-	{Sharding | ConsistencyUpdates, "sharded engine is incompatible with the consistency/update subsystem"},
 	{ExternalFleet | FaultInjection, "fault injection is simulation-only (kill live nodes instead)"},
-	{ExternalFleet | ConsistencyUpdates, "consistency/update subsystem is simulation-only"},
 	{ExternalFleet | Sharding, "the sharded engine is simulation-only"},
 }
 
@@ -258,10 +230,6 @@ func MatchRefusal(set Feature) *Refusal {
 
 // ErrNoWorkload reports a Config without a workload generator.
 var ErrNoWorkload = errors.New("sim: config needs a workload generator")
-
-// ErrUpdatesNeedConsistency reports update injection without a
-// consistency manager.
-var ErrUpdatesNeedConsistency = errors.New("sim: update injection requires a consistency manager")
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
@@ -313,19 +281,8 @@ func (c *Config) Validate() error {
 	if r := MatchRefusal(c.Features()); r != nil {
 		return fmt.Errorf("sim: %s", r.Reason)
 	}
-	if c.Updates.RatePerSec < 0 {
-		return fmt.Errorf("sim: update rate %v must be non-negative", c.Updates.RatePerSec)
-	}
-	if c.Updates.RatePerSec > 0 {
-		if c.Consistency == nil {
-			return ErrUpdatesNeedConsistency
-		}
-		if c.Updates.Mode == consistency.Batched && c.Updates.BatchInterval <= 0 {
-			return fmt.Errorf("sim: batched propagation needs a positive batch interval")
-		}
-		if c.Updates.Mode != consistency.Immediate && c.Updates.Mode != consistency.Batched {
-			return fmt.Errorf("sim: unknown propagation mode %d", c.Updates.Mode)
-		}
+	if err := c.Consistency.Validate(); err != nil {
+		return err
 	}
 	if c.InitialPlacement != nil {
 		if len(c.InitialPlacement) != c.Universe.Count {
@@ -340,16 +297,6 @@ func (c *Config) Validate() error {
 	if c.Topo != nil {
 		if err := c.Faults.Validate(c.Topo.NumNodes()); err != nil {
 			return err
-		}
-		if c.NodeRates != nil {
-			if len(c.NodeRates) != c.Topo.NumNodes() {
-				return fmt.Errorf("sim: %d node rates for %d nodes", len(c.NodeRates), c.Topo.NumNodes())
-			}
-			for i, r := range c.NodeRates {
-				if r < 0 {
-					return fmt.Errorf("sim: node %d rate %v must be non-negative", i, r)
-				}
-			}
 		}
 		if c.HostWeights != nil {
 			if len(c.HostWeights) != c.Topo.NumNodes() {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"radar/internal/consistency"
 	"radar/internal/fault"
 	"radar/internal/topology"
 	"radar/internal/workload"
@@ -37,85 +36,6 @@ func TestWorkloadSwitch(t *testing.T) {
 	}
 	if res.BandwidthStats.Equilibrium >= around {
 		t.Errorf("bandwidth eq %.3g not below switch-time level %.3g", res.BandwidthStats.Equilibrium, around)
-	}
-}
-
-func TestUpdatePropagationImmediate(t *testing.T) {
-	gen, err := workload.NewUniform(testUniverse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := consistency.New(testUniverse, consistency.DefaultMix(), 53, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(t, gen, 4*time.Minute)
-	cfg.Consistency = mgr
-	cfg.Updates.RatePerSec = 5
-	cfg.Updates.Mode = consistency.Immediate
-	res := mustRun(t, cfg)
-	// 5/s for 240s = ~1200 writes.
-	if res.UpdatesInjected < 1100 || res.UpdatesInjected > 1300 {
-		t.Errorf("UpdatesInjected = %d, want ~1200", res.UpdatesInjected)
-	}
-	// With mostly single-replica objects few propagations occur, but some
-	// replicas exist by the end of the run.
-	if res.UpdatesInjected == 0 {
-		t.Fatal("no updates injected")
-	}
-}
-
-func TestUpdatePropagationBatchedAmortizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration run")
-	}
-	gen, err := workload.NewHotPages(testUniverse, 0.1, 0.9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(mode consistency.PropagationMode) *Results {
-		mgr, err := consistency.New(testUniverse, consistency.Mix{Static: 1}, 53, 1, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := testConfig(t, gen, 15*time.Minute)
-		cfg.Consistency = mgr
-		cfg.Updates.RatePerSec = 50 // hot namespace: repeats hit the same objects
-		cfg.Updates.Mode = mode
-		cfg.Updates.BatchInterval = time.Minute
-		cfg.Updates.SizeBytes = 1 << 10
-		return mustRun(t, cfg)
-	}
-	imm := run(consistency.Immediate)
-	bat := run(consistency.Batched)
-	if imm.UpdatesInjected == 0 || bat.UpdatesInjected == 0 {
-		t.Fatal("no updates injected")
-	}
-	// Batching must send no more propagation transfers than immediate
-	// mode for the same write stream (multiple writes share a flush).
-	if bat.UpdatesPropagated > imm.UpdatesPropagated {
-		t.Errorf("batched propagated %d > immediate %d", bat.UpdatesPropagated, imm.UpdatesPropagated)
-	}
-}
-
-func TestUpdateValidation(t *testing.T) {
-	gen, err := workload.NewUniform(testUniverse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(t, gen, time.Minute)
-	cfg.Updates.RatePerSec = 1 // no consistency manager
-	if _, err := New(cfg); err == nil {
-		t.Error("updates without consistency accepted")
-	}
-	mgr, err := consistency.New(testUniverse, consistency.DefaultMix(), 53, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Consistency = mgr
-	cfg.Updates.Mode = consistency.Batched // missing interval
-	if _, err := New(cfg); err == nil {
-		t.Error("batched mode without interval accepted")
 	}
 }
 

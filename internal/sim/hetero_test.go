@@ -5,8 +5,19 @@ import (
 	"time"
 
 	"radar/internal/protocol"
+	"radar/internal/store"
 	"radar/internal/workload"
 )
+
+// mustStore parses a store-stack DSL string.
+func mustStore(t *testing.T, dsl string) store.Spec {
+	t.Helper()
+	sp, err := store.ParseSpec(dsl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
 
 func TestHostWeightsValidation(t *testing.T) {
 	gen, err := workload.NewUniform(testUniverse)
@@ -99,7 +110,7 @@ func TestStorageCapacityRefusals(t *testing.T) {
 	}
 	cfg := testConfig(t, gen, 15*time.Minute)
 	// ~38 objects per host initially; a cap of 45 leaves little headroom.
-	cfg.Protocol.StorageCapacity = 45
+	cfg.Store = mustStore(t, "mem:45")
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -136,14 +147,14 @@ func TestStorageCapAllowsAffinityIncrement(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(t, gen, time.Minute)
-	cfg.Protocol.StorageCapacity = 1
+	cfg.Store = mustStore(t, "mem:1")
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Host 0 is full (its seeded objects exceed... cap=1 but seeding
-	// ignores caps: the cap only guards CreateObj). An affinity increment
-	// on an object it already has must still be accepted.
+	// Host 0 is full (seeding ignores the store's verdict: the cap only
+	// guards CreateObj). An affinity increment on an object it already has
+	// occupies no extra storage and must still be accepted.
 	h := s.Hosts()[0]
 	objs := h.Objects()
 	if len(objs) == 0 {

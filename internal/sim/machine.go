@@ -28,8 +28,9 @@ type Machine struct {
 
 // NewMachine builds node id's machine from cfg. env carries what differs
 // between transports — how the host reaches its peers and redirectors, and
-// who observes its decisions; the storage stack and the consistency gate
-// come from cfg. A weight in cfg.HostWeights scales the server's capacity
+// who observes its decisions — and the §5 category gate, which a fleet
+// derives from cfg once for all the machines it holds; the storage stack
+// comes from cfg. A weight in cfg.HostWeights scales the server's capacity
 // and the host's watermarks.
 func NewMachine(cfg *Config, id topology.NodeID, env protocol.Env) (*Machine, error) {
 	weight := 1.0
@@ -52,9 +53,6 @@ func NewMachine(cfg *Config, id topology.NodeID, env protocol.Env) (*Machine, er
 		return nil, err
 	}
 	env.Store = st
-	if cfg.Consistency != nil {
-		env.CanReplicate = cfg.Consistency.CanReplicate
-	}
 	h, err := protocol.NewHost(id, cfg.Protocol.Weighted(weight), env, srv)
 	if err != nil {
 		return nil, err

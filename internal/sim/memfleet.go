@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"radar/internal/consistency"
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/store"
@@ -14,9 +15,8 @@ import (
 // per location, all plain structs called directly. It is the fleet the
 // paper's simulation runs on, and the only one behind which the remaining
 // optional subsystems work — scripted faults, the lossy control plane,
-// provider updates, link contention, the sharded serve plane — because
-// each of them reaches into this state or the loop's directly (failures.go,
-// ctrl.go, updates.go, shards.go).
+// link contention, the sharded serve plane — because each of them reaches
+// into this state or the loop's directly (failures.go, ctrl.go, shards.go).
 type memFleet struct {
 	s           *Simulation
 	machines    []*Machine
@@ -25,7 +25,8 @@ type memFleet struct {
 
 // newMemFleet builds the fleet for s: redirectors at s.redLocs, the control
 // plane if armed, one machine per node wired to its peers by direct
-// pointers (or the lossy plane), and the initial placement.
+// pointers (or the lossy plane) and sharing one category gate, and the
+// initial placement.
 func newMemFleet(s *Simulation) (*memFleet, error) {
 	f := &memFleet{
 		s:           s,
@@ -62,8 +63,9 @@ func newMemFleet(s *Simulation) (*memFleet, error) {
 			}
 			return f.machines[p].Host.LoadReport(now, id), true
 		},
-		CopyObject: s.acct.CopyObject,
-		Observer:   &s.acct,
+		CopyObject:   s.acct.CopyObject,
+		CanReplicate: consistency.Gate(s.cfg.Universe, s.cfg.Consistency, s.cfg.Seed),
+		Observer:     &s.acct,
 	}
 	if s.ctrl != nil {
 		env.SendCreateObj = s.sendCreateObj

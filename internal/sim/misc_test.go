@@ -44,48 +44,6 @@ func TestRedirectorAtHome(t *testing.T) {
 	}
 }
 
-func TestNodeRatesZeroSilencesGateway(t *testing.T) {
-	gen, err := workload.NewUniform(testUniverse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(t, gen, 2*time.Minute)
-	rates := make([]float64, 53)
-	rates[7] = 40 // only gateway 7 speaks
-	cfg.NodeRates = rates
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 40 req/s x 120 s = 4800 requests, all from gateway 7.
-	if res.TotalServed < 4700 || res.TotalServed > 4900 {
-		t.Fatalf("TotalServed = %d, want ~4800", res.TotalServed)
-	}
-}
-
-func TestNodeRatesValidation(t *testing.T) {
-	gen, err := workload.NewUniform(testUniverse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(t, gen, time.Minute)
-	cfg.NodeRates = []float64{40}
-	if _, err := New(cfg); err == nil {
-		t.Error("wrong-length node rates accepted")
-	}
-	cfg = testConfig(t, gen, time.Minute)
-	r := make([]float64, 53)
-	r[3] = -1
-	cfg.NodeRates = r
-	if _, err := New(cfg); err == nil {
-		t.Error("negative node rate accepted")
-	}
-}
-
 func TestInitialPlacementValidation(t *testing.T) {
 	gen, err := workload.NewUniform(testUniverse)
 	if err != nil {

@@ -64,8 +64,10 @@ type Results struct {
 	DroppedChoices int64
 	// TimedOutRequests counts requests abandoned due to ClientTimeout.
 	TimedOutRequests int64
-	// UpdatesInjected / UpdatesPropagated count §5 provider writes and
-	// the primary-to-replica transfers that carried them.
+	// UpdatesInjected / UpdatesPropagated are always zero: provider-update
+	// injection is gone. The fields stay because the frozen ledger's
+	// identity hashes (benchmark/simrun.go) are over the JSON of Results;
+	// they go with the next PR that may re-pin those.
 	UpdatesInjected   int64
 	UpdatesPropagated int64
 	// Failures / Recoveries count executed host crash and recovery events.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/consistency"
 	"radar/internal/fault"
 	"radar/internal/topology"
 	"radar/internal/workload"
@@ -12,8 +13,9 @@ import (
 
 // shardVariants are the scenario mutations the bit-identity property is
 // checked under: the plain dynamic-placement run, a hostile run with
-// crash/link faults plus a lossy control plane, and the transit-stub
-// topology the bigrun benchmark uses.
+// crash/link faults plus a lossy control plane, the transit-stub
+// topology the bigrun benchmark uses, and the §5 category gate, which the
+// placement passes of every shard consult.
 func shardVariants(t *testing.T) []struct {
 	name   string
 	mutate func(*Config)
@@ -37,6 +39,9 @@ func shardVariants(t *testing.T) []struct {
 		}},
 		{"transit-stub", func(c *Config) {
 			c.Topo = topology.TransitStub(4, 2, 3) // 32 nodes, 4 regions
+		}},
+		{"uunet-mixed", func(c *Config) {
+			c.Consistency = consistency.Mix{Static: 0.5, NonCommuting: 0.5}
 		}},
 	}
 }
@@ -82,6 +87,14 @@ func TestShardedBitIdenticalToSerial(t *testing.T) {
 			cfg := shardTestConfig(t)
 			v.mutate(&cfg)
 			serial := runShards(t, cfg, 0)
+			if cfg.Consistency != (consistency.Mix{}) {
+				// The variant pins the gate only if the gate fires.
+				plain := cfg
+				plain.Consistency = consistency.Mix{}
+				if got := runShards(t, plain, 0).Counters; got == serial.Counters {
+					t.Fatalf("the category gate changed no counter: %+v", got)
+				}
+			}
 			for _, k := range []int{2, 4, 8} {
 				got := runShards(t, cfg, k)
 				if !reflect.DeepEqual(serial, got) {

@@ -35,8 +35,8 @@ type Simulation struct {
 
 	// fleet is what the loop drives. mem is the same value when that is
 	// the in-memory fleet and nil otherwise; only the optional subsystems
-	// (failures.go, ctrl.go, updates.go) and the read-only accessors reach
-	// through it, the loop itself goes through fleet.
+	// (failures.go, ctrl.go) and the read-only accessors reach through it,
+	// the loop itself goes through fleet.
 	fleet Fleet
 	mem   *memFleet
 	acct  chargingObserver
@@ -62,10 +62,8 @@ type Simulation struct {
 	shardOf   []int
 	lookahead time.Duration
 
-	droppedChoices    int64
-	timedOut          int64
-	updatesInjected   int64
-	updatesPropagated int64
+	droppedChoices int64
+	timedOut       int64
 
 	// down is the loop's view of which nodes are crashed: scripted faults
 	// set it in memory, a Lost answer sets it over an external fleet.
@@ -184,11 +182,10 @@ func (s *Simulation) chargeNotify(now time.Duration, from topology.NodeID, id ob
 }
 
 // chargingObserver is the loop's Accounting: it forwards protocol events
-// to the metrics collector and charges the associated control traffic; it
-// also keeps the consistency manager's primary tracking current. When the
-// unreliable control plane is armed the handshake/notify charges are
-// skipped: the plane already charged every message leg (including retries
-// and duplicates) at its true send time, so charging here would
+// to the metrics collector and charges the associated control traffic.
+// When the unreliable control plane is armed the handshake/notify charges
+// are skipped: the plane already charged every message leg (including
+// retries and duplicates) at its true send time, so charging here would
 // double-count.
 type chargingObserver struct {
 	s *Simulation
@@ -203,9 +200,6 @@ func (o *chargingObserver) OnMigrate(now time.Duration, id object.ID, from, to t
 	if o.s.ctrl == nil {
 		o.s.chargeHandshake(now, from, to)
 		o.s.chargeNotify(now, to, id)
-	}
-	if o.s.cfg.Consistency != nil {
-		o.s.cfg.Consistency.OnMigrate(id, from, to)
 	}
 	o.s.col.OnMigrate(now, id, from, to, kind)
 	if o.s.cfg.ExtraObserver != nil {
@@ -231,12 +225,6 @@ func (o *chargingObserver) OnReplicate(now time.Duration, id object.ID, from, to
 func (o *chargingObserver) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
 	if o.s.ctrl == nil {
 		o.s.chargeNotify(now, host, id)
-	}
-	if o.s.cfg.Consistency != nil {
-		reps := o.s.mem.redirectorFor(id).Replicas(id)
-		if len(reps) > 0 {
-			o.s.cfg.Consistency.OnDrop(id, host, reps[0].Host)
-		}
 	}
 	o.s.col.OnDrop(now, id, host)
 	if o.s.cfg.ExtraObserver != nil {
@@ -312,11 +300,11 @@ func (s *Simulation) RunContext(ctx context.Context) (*Results, error) {
 		return nil, err
 	}
 	// Sequence numbers are assigned at Schedule time and break same-instant
-	// ties, so this order is part of the schedule. The three after the
+	// ties, so this order is part of the schedule. The two after the
 	// census are the in-memory-only subsystems, no-ops unless configured.
 	for _, schedule := range []func() error{
 		s.scheduleGenerators, s.scheduleMeasurement, s.schedulePlacement, s.scheduleCensus,
-		s.scheduleUpdates, s.scheduleFaults, s.scheduleReconcile, s.scheduleSwitchAndHooks,
+		s.scheduleFaults, s.scheduleReconcile, s.scheduleSwitchAndHooks,
 	} {
 		if err := schedule(); err != nil {
 			return nil, err
@@ -372,16 +360,9 @@ func (s *Simulation) scheduleSwitchAndHooks() error {
 // does not fire in lockstep.
 func (s *Simulation) scheduleGenerators() error {
 	n := s.topo.NumNodes()
+	spacing := time.Duration(float64(time.Second) / s.cfg.NodeRequestRPS)
 	for i := 0; i < n; i++ {
 		g := topology.NodeID(i)
-		rate := s.cfg.NodeRequestRPS
-		if s.cfg.NodeRates != nil {
-			rate = s.cfg.NodeRates[i]
-		}
-		if rate == 0 {
-			continue
-		}
-		spacing := time.Duration(float64(time.Second) / rate)
 		phase := spacing * time.Duration(i) / time.Duration(n)
 		// schedAt tracks when this emit was (re)scheduled — the instant its
 		// serial sequence number was assigned. Sharded runs stamp it onto
@@ -628,8 +609,6 @@ func (s *Simulation) results() *Results {
 	r.OverheadPercent = s.col.OverheadPercent()
 	r.DroppedChoices = s.droppedChoices
 	r.TimedOutRequests = s.timedOut
-	r.UpdatesInjected = s.updatesInjected
-	r.UpdatesPropagated = s.updatesPropagated
 	r.Failures = s.failures
 	r.Recoveries = s.recoveries
 	// A fleet that lost a node had a fault, configured or not.

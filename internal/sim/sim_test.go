@@ -274,13 +274,9 @@ func TestConsistencyGateCapsCategory3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Everything non-commuting with a replica cap of 1: migrate-only.
-	mgr, err := consistency.New(testUniverse, consistency.Mix{NonCommuting: 1}, 53, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Everything non-commuting: migrate-only.
 	cfg := testConfig(t, gen, 15*time.Minute)
-	cfg.Consistency = mgr
+	cfg.Consistency = consistency.Mix{NonCommuting: 1}
 	res := mustRun(t, cfg)
 	if res.Counters.GeoReplications != 0 || res.Counters.LoadReplications != 0 {
 		t.Errorf("replications happened despite migrate-only consistency: %+v", res.Counters)

@@ -42,10 +42,13 @@ func TestVicinityOverloadClosestVsPaper(t *testing.T) {
 		cfg.Server = server.Config{CapacityRPS: 50, MeasurementInterval: 20 * time.Second}
 		cfg.Protocol.HighWatermark = 45
 		cfg.Protocol.LowWatermark = 35
-		// Gateway 0 fires 100 req/s at its own node's objects; everyone
-		// else trickles background demand.
-		rates := []float64{100, 10, 10, 10, 10, 10, 10, 10}
-		cfg.NodeRates = rates
+		// Gateway 0 fires 100 req/s at its own node's objects, twice the
+		// node's capacity. Every gateway fires at the one rate, so the
+		// victim is the fleet's one weak host: to the other seven, ten
+		// times as strong, the same rate is the trickle of background
+		// demand a tenth of it would be to a peer of the victim's size.
+		cfg.NodeRequestRPS = 100
+		cfg.HostWeights = []float64{1, 10, 10, 10, 10, 10, 10, 10}
 		cfg.Duration = 70 * time.Minute
 		s, err := New(cfg)
 		if err != nil {

@@ -18,10 +18,9 @@ import (
 //	      | cache(mem[:CAP], term)             bounded LRU memory tier over an authoritative tier
 //	      | mirror(term, term)                 paired backends with read-repair
 //	      | faulty(term[, mtbf:D][, mttr:D][, penalty:D])   backend outages (defaults 2m/30s/25ms)
-//	      | metered(term)                      pass-through operation meter
 //
 // Examples: "mem", "cache(mem:64, disk:5ms)",
-// "mirror(faulty(mem), mem)", "metered(cache(mem:128, disk))".
+// "mirror(faulty(mem), mem)".
 // The zero Spec (and "mem") is the default stack and is byte-identical to
 // the pre-store simulator.
 
@@ -57,7 +56,7 @@ const storeStream uint64 = 1 << 34
 
 // term is one parsed stack node.
 type term struct {
-	kind    string // "mem", "disk", "cache", "mirror", "faulty", "metered"
+	kind    string // "mem", "disk", "cache", "mirror", "faulty"
 	cap     int    // mem replica bound (0 = unbounded)
 	latency time.Duration
 	mtbf    time.Duration
@@ -111,10 +110,6 @@ func writeTerm(b *strings.Builder, t *term) {
 		b.WriteString("faulty(")
 		writeTerm(b, t.kids[0])
 		fmt.Fprintf(b, ",mtbf:%s,mttr:%s,penalty:%s", t.mtbf, t.mttr, t.penalty)
-		b.WriteByte(')')
-	case "metered":
-		b.WriteString("metered(")
-		writeTerm(b, t.kids[0])
 		b.WriteByte(')')
 	}
 }
@@ -316,18 +311,6 @@ func (p *parser) parseTerm(depth int) (*term, error) {
 			return nil, err
 		}
 		return t, nil
-	case "metered":
-		if err := p.expect('('); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseTerm(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return &term{kind: "metered", kids: []*term{inner}}, nil
 	case "":
 		return nil, fmt.Errorf("%w: expected a term at offset %d", ErrSpec, p.i)
 	default:
@@ -406,12 +389,6 @@ func buildTerm(t *term, node int, p Params, faultyIdx *int) (ReplicaStore, error
 			return nil, fmt.Errorf("%w: %v", ErrSpec, err)
 		}
 		return NewFaulty(inner, timeline, t.penalty), nil
-	case "metered":
-		inner, err := buildTerm(t.kids[0], node, p, faultyIdx)
-		if err != nil {
-			return nil, err
-		}
-		return NewMetered("metered", inner), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown term kind %q", ErrSpec, t.kind)
 	}

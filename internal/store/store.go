@@ -25,9 +25,7 @@ import (
 
 // ReplicaStore is one hosting server's replica storage. The simulation
 // keeps exactly one stack per host; calls arrive in nondecreasing virtual
-// time from a single goroutine (stores are not safe for concurrent use,
-// except Metered's counters, which are atomic so shared read-side meters
-// can be hammered under -race).
+// time from a single goroutine (stores are not safe for concurrent use).
 type ReplicaStore interface {
 	// Create stores a replica of id at virtual time now. It returns false
 	// when capacity is exhausted (the caller surfaces a storage refusal);

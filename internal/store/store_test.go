@@ -3,7 +3,7 @@ package store
 import (
 	"math/rand"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -278,109 +278,6 @@ func TestFaultyDeterminism(t *testing.T) {
 	}
 }
 
-func TestMeteredCounts(t *testing.T) {
-	m := NewMetered("metered", NewDisk("disk:5ms", 5*time.Millisecond, kb))
-	m.Create(0, 1)
-	m.ServeCost(0, 1)
-	m.ServeCost(0, 1)
-	m.Drop(0, 1)
-	st := m.Stats(nil)
-	if st[0].Label != "metered" || st[0].Creates != 1 || st[0].Serves != 2 || st[0].Drops != 1 {
-		t.Errorf("metered stats = %+v", st[0])
-	}
-	if st[0].CostNanos != int64(10*time.Millisecond) {
-		t.Errorf("metered CostNanos = %d, want %d", st[0].CostNanos, int64(10*time.Millisecond))
-	}
-}
-
-// syncStore is a concurrency-safe stub inner store for the -race hammer
-// (real stores are single-goroutine by contract; Metered's counters are
-// the part that must be race-free).
-type syncStore struct {
-	mu   sync.Mutex
-	held map[object.ID]struct{}
-}
-
-func (s *syncStore) Create(_ time.Duration, id object.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.held[id] = struct{}{}
-	return true
-}
-func (s *syncStore) Drop(_ time.Duration, id object.ID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.held, id)
-}
-func (s *syncStore) Contains(id object.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.held[id]
-	return ok
-}
-func (s *syncStore) ServeCost(time.Duration, object.ID) time.Duration { return time.Microsecond }
-func (s *syncStore) BytesUsed() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.held)) * kb
-}
-func (s *syncStore) Replicas() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.held)
-}
-func (s *syncStore) Clear(time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	clear(s.held)
-}
-func (s *syncStore) Stats(buf []LayerStats) []LayerStats {
-	return append(buf, LayerStats{Label: "sync"})
-}
-
-// TestMeteredStackRaceHammer drives a metered stack from many goroutines
-// while another reads Stats, proving the meter's counters are safe under
-// -race.
-func TestMeteredStackRaceHammer(t *testing.T) {
-	m := NewMetered("metered", &syncStore{held: make(map[object.ID]struct{})})
-	const workers, ops = 8, 2000
-	stop := make(chan struct{})
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				m.Stats(nil)
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < ops; i++ {
-				id := object.ID((w*ops + i) % 64)
-				m.Create(0, id)
-				m.ServeCost(0, id)
-				if i%7 == 0 {
-					m.Drop(0, id)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	<-readerDone
-	st := m.Stats(nil)
-	if st[0].Serves != workers*ops {
-		t.Errorf("Serves = %d, want %d", st[0].Serves, workers*ops)
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	build := func() ReplicaStore {
 		return NewCache(NewMemory("mem:2", 2, kb), NewDisk("disk:5ms", 5*time.Millisecond, kb), 2)
@@ -417,8 +314,7 @@ func TestParseSpecCanonical(t *testing.T) {
 		{"mirror(mem, mem)", "mirror(mem,mem)"},
 		{"faulty(mem)", "faulty(mem,mtbf:2m0s,mttr:30s,penalty:25ms)"},
 		{"faulty(disk:1ms, mtbf:5m, mttr:10s)", "faulty(disk:1ms,mtbf:5m0s,mttr:10s,penalty:25ms)"},
-		{"metered(cache(mem:32, disk))", "metered(cache(mem:32,disk:5ms))"},
-		{"mirror(faulty(mem), metered(disk))", "mirror(faulty(mem,mtbf:2m0s,mttr:30s,penalty:25ms),metered(disk:5ms))"},
+		{"mirror(faulty(mem), disk)", "mirror(faulty(mem,mtbf:2m0s,mttr:30s,penalty:25ms),disk:5ms)"},
 	}
 	for _, tc := range cases {
 		sp, err := ParseSpec(tc.in)
@@ -445,7 +341,7 @@ func TestParseSpecRejects(t *testing.T) {
 		"disk:bogus", "disk:-5ms", "disk:11s",
 		"cache(mem)", "cache(disk,mem)", "cache(mem,disk", "cache(mem,disk))",
 		"mirror(mem)", "faulty(mem,mtbf:1ms)", "faulty(mem,mttr:0s)",
-		"faulty(mem,nope:3s)", "metered()", "mem extra",
+		"faulty(mem,nope:3s)", "metered(mem)", "mem extra",
 		"cache(cache(mem,cache(mem,cache(mem,cache(mem,cache(mem,cache(mem,mem)))))),mem)",
 	}
 	for _, s := range bad {
@@ -484,7 +380,7 @@ func TestBuildShapes(t *testing.T) {
 	specs := []string{
 		"mem", "mem:16", "disk:2ms", "cache(mem:8,disk)",
 		"mirror(mem,disk)", "faulty(mem,mtbf:30s,mttr:5s)",
-		"metered(mirror(faulty(mem),mem))",
+		"mirror(faulty(mem),mem)",
 	}
 	for _, s := range specs {
 		sp, err := ParseSpec(s)
@@ -523,7 +419,13 @@ func FuzzStoreSpec(f *testing.F) {
 	f.Add("disk:5ms")
 	f.Add("cache(mem:64,disk:5ms)")
 	f.Add("mirror(faulty(mem,mtbf:30s,mttr:5s),mem)")
-	f.Add("metered(cache(mem:8,mirror(disk,disk:1ms)))")
+	f.Add("cache(mem:8,mirror(disk,disk:1ms))")
+	// Every layer counts its own operations (LayerStats); the grammar has
+	// no pass-through meter.
+	if _, err := ParseSpec("metered(mem)"); err == nil || !strings.Contains(err.Error(), `unknown backend "metered"`) {
+		f.Fatalf(`ParseSpec("metered(mem)") = %v, want an unknown-backend error`, err)
+	}
+	f.Add("metered(mem)")
 	f.Add("cache(mem, faulty(disk, penalty:0s))")
 	f.Fuzz(func(t *testing.T, s string) {
 		sp, err := ParseSpec(s)

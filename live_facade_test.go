@@ -32,7 +32,9 @@ func TestLiveGroupValidation(t *testing.T) {
 		// loop charges the links in the simulation's order.
 		{"link contention", func(c *radar.Config) { c.LinkContention = true }, false, ""},
 		{"fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" }, true, ""},
-		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }, true, ""},
+		// Every node derives the §5 category table from the shared
+		// configuration and gates its own placement passes with it.
+		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }, false, ""},
 		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }, true, ""},
 		// A driver-paced pass replays its decisions into the loop, which
 		// forwards them to the writer; a free-running fleet has no loop.
@@ -150,5 +152,49 @@ func TestRunLiveFreeRunning(t *testing.T) {
 	}
 	if s.FailedRequests != 0 {
 		t.Errorf("healthy free-running fleet reported %d failed requests", s.FailedRequests)
+	}
+}
+
+// TestConsistencyMixedOnEveryEngine: the §5 category gate is a table every
+// fleet and engine derives from the shared configuration, so
+// ConsistencyMixed validates and runs sharded and live, and both report the
+// serial simulation's Summary.
+func TestConsistencyMixedOnEveryEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live fleet replay over 53 loopback listeners; skipped in -short")
+	}
+	run := func(cfg radar.Config) radar.Summary {
+		t.Helper()
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		res, err := radar.Run(cfg)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return res.Summary
+	}
+	cfg := radar.DefaultConfig(radar.HotPages)
+	cfg.Objects = 1000
+	cfg.Duration = 4 * time.Minute
+	ungated := run(cfg)
+	cfg.Consistency = radar.ConsistencyMixed
+	serial := run(cfg)
+	if serial == ungated {
+		t.Fatal("the category gate changed nothing in the serial run; the comparison below pins nothing")
+	}
+	cfg.Shards = 4
+	if sharded := run(cfg); sharded != serial {
+		t.Errorf("sharded Summary differs from the serial one:\n  sharded: %+v\n  serial:  %+v", sharded, serial)
+	}
+
+	cfg = radar.DefaultConfig(radar.Zipf)
+	cfg.Objects = 106
+	cfg.Duration = 15 * time.Second
+	cfg.Consistency = radar.ConsistencyMixed
+	serial = run(cfg)
+	cfg.Live.LiveMode = true
+	if live := run(cfg); live != serial {
+		t.Errorf("live Summary differs from the simulated one:\n  live: %+v\n  sim:  %+v", live, serial)
 	}
 }

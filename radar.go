@@ -256,12 +256,14 @@ type Live struct {
 	// the executable spec — a healthy live run reproduces the simulator's
 	// placement decision sequence. Every node is the simulator's own node
 	// assembly, so storage stacks (Storage.Store) run live and report
-	// their layers like a simulated run, and every placement pass reports
-	// its copies with its decisions, so the loop prices the network —
-	// LinkContention included — exactly as a simulated run does, and a
-	// TraceWriter receives the same decision stream. Live mode refuses
-	// what lives in the simulator's loop instead of its nodes (fault
-	// injection, mixed consistency, sharding).
+	// their layers like a simulated run, and ConsistencyMixed gates the
+	// same objects: each node derives the category table from the shared
+	// configuration. Every placement pass reports its copies with its
+	// decisions, so the loop prices the network — LinkContention
+	// included — exactly as a simulated run does, and a TraceWriter
+	// receives the same decision stream. Live mode refuses what lives in
+	// the simulator's loop instead of its nodes (fault injection,
+	// sharding).
 	LiveMode bool
 	// LiveMaxInflightCreates caps concurrent CreateObj executions per live
 	// node (duplicate messages are deduplicated and answer the cached
@@ -308,7 +310,6 @@ type Storage struct {
 	//	mirror(TERM, TERM)            paired backends with read-repair
 	//	faulty(TERM[, mtbf:D][, mttr:D][, penalty:D])
 	//	                               crash/degrade cycles over TERM
-	//	metered(TERM)                 per-layer counters around TERM
 	//
 	// Examples: "mem", "cache(mem:64,disk:5ms)",
 	// "mirror(faulty(mem),mem)". Empty selects the default memory
@@ -367,8 +368,8 @@ type Config struct {
 	// executed concurrently between deterministic barriers, with results
 	// bit-identical to the serial engine at every shard count. 0 or 1
 	// (the default) selects the serial engine; -1 selects one shard per
-	// backbone region. Sharding is incompatible with LinkContention and
-	// ConsistencyMixed, whose cross-host feedback cannot be partitioned.
+	// backbone region. Sharding is incompatible with LinkContention,
+	// whose cross-host feedback cannot be partitioned.
 	Shards int
 	// ShardQuantum caps the sharded engine's barrier interval in virtual
 	// time; zero lets windows run to the next global protocol event.
@@ -505,9 +506,6 @@ func (c Config) features(faults fault.Spec) sim.Feature {
 	}
 	if c.LinkContention {
 		f |= sim.LinkContention
-	}
-	if c.Consistency == ConsistencyMixed {
-		f |= sim.ConsistencyUpdates
 	}
 	if faults.Enabled() || faults.HasMessageFaults() {
 		f |= sim.FaultInjection
@@ -682,8 +680,8 @@ func RunSeeds(cfg Config, seeds []int64, parallelism int) ([]*Result, error) {
 
 // RunSeedsContext is RunSeeds with cancellation: canceling ctx abandons
 // queued runs, interrupts in-flight ones promptly, and returns ctx's
-// error. Each run gets its own independently built generators and
-// consistency state, so runs are race-free and each Result is
+// error. Each run gets its own independently built generators, so
+// runs are race-free and each Result is
 // bit-identical to Run with that seed. An empty seed list returns
 // ErrNoSeeds; a TraceWriter with more than one seed returns
 // ErrTraceWriterShared, because concurrent runs would interleave their
@@ -779,11 +777,7 @@ func buildSimConfig(cfg Config, faults fault.Spec, stack store.Spec) (*sim.Confi
 	}
 	if cfg.Consistency == ConsistencyMixed {
 		// Otherwise all objects replicate freely.
-		mgr, err := consistency.New(u, consistency.DefaultMix(), topo.NumNodes(), 1, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		simCfg.Consistency = mgr
+		simCfg.Consistency = consistency.DefaultMix()
 	}
 	if cfg.NumRedirectors > 0 {
 		simCfg.NumRedirectors = cfg.NumRedirectors

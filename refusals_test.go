@@ -19,11 +19,13 @@ import (
 func TestRefusalTableOneVerdict(t *testing.T) {
 	// switches turns each feature on in a facade Config.
 	switches := map[sim.Feature]func(*Config){
-		sim.Sharding:           func(c *Config) { c.Shards = 4 },
-		sim.LinkContention:     func(c *Config) { c.LinkContention = true },
-		sim.ConsistencyUpdates: func(c *Config) { c.Consistency = ConsistencyMixed },
-		sim.FaultInjection:     func(c *Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" },
-		sim.ExternalFleet:      func(c *Config) { c.Live.LiveMode = true },
+		sim.Sharding:       func(c *Config) { c.Shards = 4 },
+		sim.LinkContention: func(c *Config) { c.LinkContention = true },
+		sim.FaultInjection: func(c *Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" },
+		sim.ExternalFleet:  func(c *Config) { c.Live.LiveMode = true },
+	}
+	if len(sim.Refusals) != 3 {
+		t.Fatalf("sim.Refusals has %d rows, want 3", len(sim.Refusals))
 	}
 	for _, row := range sim.Refusals {
 		t.Run(row.Reason, func(t *testing.T) {
