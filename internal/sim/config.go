@@ -231,6 +231,9 @@ func MatchRefusal(set Feature) *Refusal {
 // ErrNoWorkload reports a Config without a workload generator.
 var ErrNoWorkload = errors.New("sim: config needs a workload generator")
 
+// ErrUnschedulableRate reports a gateway rate outside (0, 1e9] req/s.
+var ErrUnschedulableRate = errors.New("sim: node request rate cannot be scheduled")
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if c.Workload == nil {
@@ -248,8 +251,8 @@ func (c *Config) Validate() error {
 	if err := c.Net.Validate(); err != nil {
 		return err
 	}
-	if c.NodeRequestRPS <= 0 {
-		return fmt.Errorf("sim: node request rate %v must be positive", c.NodeRequestRPS)
+	if rps := c.NodeRequestRPS; !(rps > 0 && rps <= float64(time.Second)) { // NaN fails both
+		return fmt.Errorf("%w: %v req/s (requests under 1ns apart would fire at one instant forever)", ErrUnschedulableRate, rps)
 	}
 	if c.PlacementInterval <= 0 {
 		return fmt.Errorf("sim: placement interval %v must be positive", c.PlacementInterval)

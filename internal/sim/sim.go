@@ -319,11 +319,11 @@ func (s *Simulation) RunContext(ctx context.Context) (*Results, error) {
 				return false
 			}
 		}
-		s.engine.SetInterrupt(0, poll)
-		defer s.engine.SetInterrupt(0, nil)
+		s.engine.SetInterrupt(poll)
+		defer s.engine.SetInterrupt(nil)
 		if s.dispEng != s.engine {
-			s.dispEng.SetInterrupt(0, poll)
-			defer s.dispEng.SetInterrupt(0, nil)
+			s.dispEng.SetInterrupt(poll)
+			defer s.dispEng.SetInterrupt(nil)
 		}
 	}
 	if s.sharded {
@@ -362,39 +362,45 @@ func (s *Simulation) scheduleGenerators() error {
 	n := s.topo.NumNodes()
 	spacing := time.Duration(float64(time.Second) / s.cfg.NodeRequestRPS)
 	for i := 0; i < n; i++ {
-		g := topology.NodeID(i)
-		phase := spacing * time.Duration(i) / time.Duration(n)
-		// schedAt tracks when this emit was (re)scheduled — the instant its
-		// serial sequence number was assigned. Sharded runs stamp it onto
-		// deliveries as the tie-breaking ParentAt (see shards.go).
-		schedAt := time.Duration(0)
-		var emit simevent.Event
-		emit = func(now time.Duration) {
-			s.dispatch(now, schedAt, g, s.gen.Next(g, s.rngs[g]))
-			next := spacing
-			if s.cfg.PoissonArrivals {
-				next = time.Duration(s.rngs[g].ExpFloat64() * float64(spacing))
-				if next <= 0 {
-					next = time.Nanosecond
-				}
-			}
-			if now+next <= s.cfg.Duration {
-				schedAt = now
-				// Rescheduling forward in time cannot fail.
-				_ = s.dispEng.Schedule(now+next, emit)
-			}
-		}
-		if err := s.dispEng.Schedule(phase, emit); err != nil {
+		gw := &gateway{s: s, g: topology.NodeID(i), spacing: spacing}
+		if err := s.dispEng.ScheduleSorted(spacing*time.Duration(i)/time.Duration(n), gw); err != nil {
 			return fmt.Errorf("sim: scheduling generator %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
+// gateway is one node's request stream, waiting in the dispatch engine's
+// sorted run: each firing issues a request and reschedules it at or near
+// the run's tail, one spacing ahead (an exponential draw under Poisson).
+type gateway struct {
+	s       *Simulation
+	g       topology.NodeID
+	spacing time.Duration
+	// schedAt is when this firing was (re)scheduled — the instant its
+	// serial sequence number was assigned. Sharded runs stamp it onto
+	// deliveries as the tie-breaking ParentAt (see shards.go).
+	schedAt time.Duration
+}
+
+func (gw *gateway) Fire(now time.Duration) {
+	s, g := gw.s, gw.g
+	s.dispatch(now, gw.schedAt, g, s.gen.Next(g, s.rngs[g]))
+	next := gw.spacing
+	if s.cfg.PoissonArrivals {
+		next = max(time.Nanosecond, time.Duration(s.rngs[g].ExpFloat64()*float64(gw.spacing)))
+	}
+	if now+next <= s.cfg.Duration {
+		gw.schedAt = now
+		// Rescheduling forward in time cannot fail.
+		_ = s.dispEng.ScheduleSorted(now+next, gw)
+	}
+}
+
 // dispatch runs one request through the paper's pipeline: gateway ->
 // redirector (UDP, latency only) -> chosen host (UDP) -> FCFS service ->
 // response along the preference path back to the gateway. schedAt is the
-// instant the calling emit event was scheduled; serial runs ignore it,
+// instant the calling gateway event was scheduled; serial runs ignore it,
 // sharded runs fold it into the delivery's ordering stamp. The redirector
 // mutates its distribution state (request counts, choice rotation) inside
 // Choose, so this instant is part of the schedule on every fleet.

@@ -1,6 +1,11 @@
 package sim
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
@@ -212,6 +217,28 @@ func TestPoissonArrivals(t *testing.T) {
 	}
 }
 
+// TestPoissonArrivalsPinned pins the whole output of a Poisson zipf run:
+// the FNV-64a of its JSON Results, computed before the gateways left the
+// event heap. It is the one pin whose gateway streams overtake each other,
+// so it is the one that exercises the sorted run's insertion scan.
+func TestPoissonArrivalsPinned(t *testing.T) {
+	gen, err := workload.NewZipf(testUniverse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, gen, 4*time.Minute)
+	cfg.PoissonArrivals = true
+	data, err := json.Marshal(mustRun(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "2185900681074610"; got != want {
+		t.Fatalf("Poisson zipf results hash %s, want %s", got, want)
+	}
+}
+
 func TestMultipleRedirectors(t *testing.T) {
 	gen, err := workload.NewZipf(testUniverse)
 	if err != nil {
@@ -332,6 +359,28 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatal("invalid config accepted")
 			}
 		})
+	}
+}
+
+// TestValidateRejectsUnschedulableRate: a rate whose spacing truncates to
+// zero would make a periodic gateway fire at one instant forever, so
+// Validate refuses it (and NaN) before any run starts.
+func TestValidateRejectsUnschedulableRate(t *testing.T) {
+	gen, err := workload.NewUniform(testUniverse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2e9, 1e9 + 1} {
+		cfg := testConfig(t, gen, time.Millisecond)
+		cfg.NodeRequestRPS = rps
+		if err := cfg.Validate(); !errors.Is(err, ErrUnschedulableRate) {
+			t.Errorf("Validate(rps=%v) = %v, want ErrUnschedulableRate", rps, err)
+		}
+	}
+	cfg := testConfig(t, gen, time.Millisecond)
+	cfg.NodeRequestRPS = 1e9 // a 1ns spacing is the finest the engine schedules
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate(rps=1e9) = %v, want nil", err)
 	}
 }
 

@@ -12,11 +12,18 @@
 // Hot callers that would otherwise allocate a closure per event can
 // implement Handler and use ScheduleHandler; a pooled Handler round-trips
 // through the queue without touching the garbage collector at all.
+//
+// Beside the heap, a sorted run (a ring scanned back from its tail) holds
+// events scheduled nearly in time order: the simulator's gateway streams.
+// Both draw seq from one counter and each step fires the earlier head, so
+// the order is the heap-only one. Periodic ticks stay in the heap: at the
+// ring's tail, their staggered entries would lengthen every scan.
 package simevent
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -66,20 +73,24 @@ var ErrSchedulePast = errors.New("simevent: schedule time is in the past")
 // ready to use. Engine is not safe for concurrent use; a simulation is a
 // sequential program over virtual time.
 type Engine struct {
-	heap    []key
-	slots   []payload
-	free    []int32
-	now     time.Duration
-	seq     uint64
-	stopped bool
+	heap  []key
+	slots []payload
+	free  []int32
+	now   time.Duration
+	seq   uint64
+
+	// ring is the sorted run: ringLen keys from ringHead, mod len(ring) (2^k).
+	ring              []key
+	ringHead, ringLen int
 
 	// interrupt, when non-nil, is polled every interruptEvery executed
 	// events during Run; returning true stops the run. It exists so
 	// long simulations can observe context cancellation promptly without
 	// per-event overhead or extra events in the queue.
-	interrupt      func() bool
-	interruptEvery int
+	interrupt func() bool
 }
+
+const interruptEvery = 4096 // executed events between two interrupt polls
 
 // New returns an Engine with its clock at zero.
 func New() *Engine { return &Engine{} }
@@ -87,31 +98,29 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Len returns the number of pending events.
-func (e *Engine) Len() int { return len(e.heap) }
-
 // PeekTime returns the fire time of the earliest pending event, or false
 // when the queue is empty. The sharded simulation uses it to bound each
 // parallel window at the next serially-executed global event.
 func (e *Engine) PeekTime() (time.Duration, bool) {
+	if e.ringFirst() {
+		return e.ring[e.ringHead].at, true
+	}
 	if len(e.heap) == 0 {
 		return 0, false
 	}
 	return e.heap[0].at, true
 }
 
-// SetInterrupt installs a poll function consulted every `every` executed
-// events during Run; when it returns true the run stops as if
-// Stop had been called. every <= 0 selects a default of 4096. A nil f
+// ringFirst reports whether the sorted run's head is the earliest event.
+func (e *Engine) ringFirst() bool {
+	return e.ringLen > 0 && (len(e.heap) == 0 || e.ring[e.ringHead].before(&e.heap[0]))
+}
+
+// SetInterrupt installs a poll function consulted every interruptEvery
+// executed events during Run; when it returns true the run stops. A nil f
 // removes the hook. The hook does not alter the event stream, so runs
 // with and without it produce identical results.
-func (e *Engine) SetInterrupt(every int, f func() bool) {
-	if every <= 0 {
-		every = 4096
-	}
-	e.interrupt = f
-	e.interruptEvery = every
-}
+func (e *Engine) SetInterrupt(f func() bool) { e.interrupt = f }
 
 // Schedule enqueues fn to run at absolute virtual time at. Scheduling at
 // the current time is allowed (the event runs after already-pending events
@@ -135,6 +144,30 @@ func (e *Engine) ScheduleHandler(at time.Duration, h Handler) error {
 	}
 	e.seq++
 	e.push(at, e.seq, nil, h)
+	return nil
+}
+
+// ScheduleSorted is ScheduleHandler for events scheduled nearly in time
+// order: h waits in the sorted run, inserted by a scan back from its tail
+// that moves one key per pending sorted event later than at.
+func (e *Engine) ScheduleSorted(at time.Duration, h Handler) error {
+	if at < e.now {
+		return fmt.Errorf("%w: at=%v now=%v", ErrSchedulePast, at, e.now)
+	}
+	if e.ringLen == len(e.ring) { // full: double it, unwrapped
+		ring := make([]key, max(64, 2*len(e.ring)))
+		n := copy(ring, e.ring[e.ringHead:])
+		copy(ring[n:], e.ring[:e.ringHead])
+		e.ring, e.ringHead = ring, 0
+	}
+	e.seq++
+	entry, mask := key{at: at, seq: e.seq, slot: e.alloc(nil, h)}, len(e.ring)-1
+	i := e.ringHead + e.ringLen
+	for ; i > e.ringHead && entry.before(&e.ring[(i-1)&mask]); i-- {
+		e.ring[i&mask] = e.ring[(i-1)&mask]
+	}
+	e.ring[i&mask] = entry
+	e.ringLen++
 	return nil
 }
 
@@ -167,9 +200,17 @@ func (e *Engine) ScheduleHandlerReserved(at time.Duration, seq uint64, h Handler
 	return nil
 }
 
-// Stop makes the current or next Run call return once the currently
-// executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
+// alloc stores a payload in a recycled or new slot and returns its index.
+func (e *Engine) alloc(fn Event, h Handler) int32 {
+	if n := len(e.free); n > 0 {
+		s := e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slots[s] = payload{fn: fn, h: h}
+		return s
+	}
+	e.slots = append(e.slots, payload{fn: fn, h: h})
+	return int32(len(e.slots) - 1)
+}
 
 // The queue is a 4-ary min-heap of 24-byte keys ordered by (at, seq).
 // Compared to the binary container/heap it halves the tree depth, keeps
@@ -179,20 +220,11 @@ func (e *Engine) Stop() { e.stopped = true }
 // never move function or interface values.
 
 func (e *Engine) push(at time.Duration, seq uint64, fn Event, h Handler) {
-	var s int32
-	if n := len(e.free); n > 0 {
-		s = e.free[n-1]
-		e.free = e.free[:n-1]
-		e.slots[s] = payload{fn: fn, h: h}
-	} else {
-		s = int32(len(e.slots))
-		e.slots = append(e.slots, payload{fn: fn, h: h})
-	}
 	// Hole-based sift-up: bubble a hole to the entry's final position and
 	// write the entry once, instead of swapping it level by level. The
 	// comparison sequence is identical to a swap-based sift, so the heap
 	// layout — and therefore pop order — is unchanged.
-	entry := key{at: at, seq: seq, slot: s}
+	entry := key{at: at, seq: seq, slot: e.alloc(fn, h)}
 	e.heap = append(e.heap, entry)
 	i := len(e.heap) - 1
 	for i > 0 {
@@ -206,9 +238,8 @@ func (e *Engine) push(at time.Duration, seq uint64, fn Event, h Handler) {
 	e.heap[i] = entry
 }
 
-// pop removes the earliest key and returns its timestamp and payload,
-// releasing the payload slot back to the freelist.
-func (e *Engine) pop() (time.Duration, payload) {
+// pop removes and returns the heap's earliest key.
+func (e *Engine) pop() key {
 	h := e.heap
 	top := h[0]
 	n := len(h) - 1
@@ -216,11 +247,9 @@ func (e *Engine) pop() (time.Duration, payload) {
 	h = h[:n]
 	e.heap = h
 	// Hole-based sift-down: move the displaced last element's hole down to
-	// its final position and write it once. This was the hottest loop in
-	// the whole simulator (the heap pops one entry per event); compared to
-	// the swap-based sift it performs one 24-byte write per level instead
-	// of three, with an identical comparison sequence, so pop order — and
-	// every simulation result — is bit-identical.
+	// its final position and write it once — one 24-byte write per level
+	// instead of a swap's three, with an identical comparison sequence, so
+	// pop order (and every simulation result) is bit-identical.
 	if n > 0 {
 		i := 0
 		for {
@@ -246,20 +275,31 @@ func (e *Engine) pop() (time.Duration, payload) {
 		}
 		h[i] = last
 	}
-	p := e.slots[top.slot]
-	e.slots[top.slot] = payload{} // release fn/h references
-	e.free = append(e.free, top.slot)
-	return top.at, p
+	return top
 }
 
 // Step executes the single earliest pending event and advances the clock
 // to its timestamp. It returns false if no events are pending.
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
+
+// step is Step for an event that fires no later than horizon.
+func (e *Engine) step(horizon time.Duration) bool {
+	var top key
+	if e.ringFirst() {
+		if top = e.ring[e.ringHead]; top.at > horizon {
+			return false
+		}
+		e.ringHead = (e.ringHead + 1) & (len(e.ring) - 1)
+		e.ringLen--
+	} else if len(e.heap) > 0 && e.heap[0].at <= horizon {
+		top = e.pop()
+	} else {
 		return false
 	}
-	at, p := e.pop()
-	e.now = at
+	p := e.slots[top.slot]
+	e.slots[top.slot] = payload{} // release fn/h references
+	e.free = append(e.free, top.slot)
+	e.now = top.at
 	if p.h != nil {
 		p.h.Fire(e.now)
 	} else {
@@ -268,21 +308,15 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events in timestamp order until the queue is empty, Stop is
-// called, the interrupt hook fires, or the next event lies strictly beyond
-// horizon. The clock never advances past the last executed event; events
-// beyond the horizon remain queued so Run can be resumed with a later
-// horizon.
+// Run executes events in timestamp order until the queue is empty, the
+// interrupt hook fires, or the next event lies strictly beyond horizon.
+// The clock never advances past the last executed event; events beyond
+// the horizon remain queued so Run can be resumed with a later horizon.
 func (e *Engine) Run(horizon time.Duration) {
-	e.stopped = false
 	sinceCheck := 0
-	for !e.stopped && len(e.heap) > 0 {
-		if e.heap[0].at > horizon {
-			return
-		}
-		e.Step()
+	for e.step(horizon) {
 		if e.interrupt != nil {
-			if sinceCheck++; sinceCheck >= e.interruptEvery {
+			if sinceCheck++; sinceCheck >= interruptEvery {
 				sinceCheck = 0
 				if e.interrupt() {
 					return

@@ -122,35 +122,12 @@ func TestRunHorizon(t *testing.T) {
 	if len(ran) != 2 {
 		t.Fatalf("ran %d events within horizon, want 2", len(ran))
 	}
-	if e.Len() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Len())
+	if at, ok := e.PeekTime(); !ok || at != 3*time.Second {
+		t.Fatalf("PeekTime() = %v, %v; want the 3s event pending", at, ok)
 	}
 	e.Run(10 * time.Second)
 	if len(ran) != 3 {
 		t.Fatalf("resumed run executed %d total, want 3", len(ran))
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		if err := e.Schedule(time.Duration(i)*time.Second, func(time.Duration) {
-			count++
-			if count == 2 {
-				e.Stop()
-			}
-		}); err != nil {
-			t.Fatalf("Schedule: %v", err)
-		}
-	}
-	e.Run(forever)
-	if count != 2 {
-		t.Fatalf("count = %d, want 2 (stopped after second event)", count)
-	}
-	e.Run(forever)
-	if count != 5 {
-		t.Fatalf("count = %d after resume, want 5", count)
 	}
 }
 
@@ -265,4 +242,190 @@ func BenchmarkScheduleHandlerAndRun(b *testing.B) {
 	if h.fired != b.N {
 		b.Fatalf("fired %d of %d events", h.fired, b.N)
 	}
+}
+
+// streamHandler is one periodic stream: each firing reschedules it one
+// spacing ahead, the way a simulated gateway does.
+type streamHandler struct {
+	e       *Engine
+	spacing time.Duration
+	sorted  bool
+}
+
+func (h *streamHandler) Fire(now time.Duration) { h.schedule(now + h.spacing) }
+
+func (h *streamHandler) schedule(at time.Duration) {
+	if h.sorted {
+		_ = h.e.ScheduleSorted(at, h)
+		return
+	}
+	_ = h.e.ScheduleHandler(at, h)
+}
+
+// BenchmarkScheduleSorted measures the gateway pattern — 53 phase-offset
+// periodic streams, each firing one pop and one reschedule — in the sorted
+// run and, for comparison, in the heap.
+func BenchmarkScheduleSorted(b *testing.B) {
+	const streams = 53
+	spacing := 25 * time.Millisecond
+	for _, sorted := range []bool{true, false} {
+		name := "heap"
+		if sorted {
+			name = "sorted"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := New()
+			for i := 0; i < streams; i++ {
+				h := &streamHandler{e: e, spacing: spacing, sorted: sorted}
+				h.schedule(spacing * time.Duration(i) / streams)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
+	}
+}
+
+// program is one seeded random run of the engine that mixes every way to
+// schedule. Replayed with sorted false, every ScheduleSorted becomes a
+// ScheduleHandler: that heap-only replay is the ordering oracle.
+type program struct {
+	e      *Engine
+	rng    *rand.Rand
+	sorted bool
+	budget int     // events still to be created
+	log    []int64 // fired (id, time) pairs and observed peek/clock values
+	// wrappedGrows counts sorted inserts that found the ring full and
+	// wrapped, so that growing it had to unwrap it.
+	wrappedGrows int
+}
+
+// progEvent is one event of a program; firing logs it and spawns up to two
+// more.
+type progEvent struct {
+	p  *program
+	id int64
+}
+
+func (ev *progEvent) Fire(now time.Duration) {
+	ev.p.log = append(ev.p.log, ev.id, int64(now))
+	ev.p.spawn(now, ev.p.rng.Intn(3))
+}
+
+// spawn schedules n events at or after now, on a millisecond grid so that
+// equal instants are common. Sorted events land either anywhere in the
+// next 8 ms (usually out of order) or past it (usually in order).
+// Reserved events take their seq first and enter the heap after the
+// others of this call, as the per-server FIFO heads do.
+func (p *program) spawn(now time.Duration, n int) {
+	type reserved struct {
+		at  time.Duration
+		seq uint64
+		ev  *progEvent
+	}
+	var held []reserved
+	for ; n > 0 && p.budget > 0; n-- {
+		p.budget--
+		ev := &progEvent{p: p, id: int64(p.budget)}
+		at := now + time.Duration(p.rng.Intn(8))*time.Millisecond
+		var err error
+		switch p.rng.Intn(5) {
+		case 0:
+			err = p.e.Schedule(at, ev.Fire)
+		case 1:
+			err = p.e.ScheduleHandler(at, ev)
+		case 2:
+			held = append(held, reserved{at, p.e.ReserveSeq(), ev})
+		default:
+			if p.rng.Intn(2) == 0 {
+				at += 8 * time.Millisecond
+			}
+			if !p.sorted {
+				err = p.e.ScheduleHandler(at, ev)
+				break
+			}
+			if p.e.ringLen == len(p.e.ring) && p.e.ringHead != 0 {
+				p.wrappedGrows++
+			}
+			err = p.e.ScheduleSorted(at, ev)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	for _, r := range held {
+		if err := p.e.ScheduleHandlerReserved(r.at, r.seq, r.ev); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// runProgram runs the program of seed to exhaustion, alternating Step with
+// Run to random horizons and logging PeekTime before and the clock after
+// each.
+func runProgram(seed int64, sorted bool) *program {
+	rng := rand.New(rand.NewSource(seed))
+	p := &program{e: New(), rng: rng, sorted: sorted, budget: 200 + rng.Intn(800)}
+	p.spawn(0, 40+rng.Intn(100))
+	for {
+		at, ok := p.e.PeekTime()
+		if !ok {
+			return p
+		}
+		p.log = append(p.log, -1, int64(at))
+		if p.rng.Intn(3) == 0 {
+			p.e.Step()
+		} else {
+			p.e.Run(p.e.Now() + time.Duration(p.rng.Intn(4))*time.Millisecond)
+		}
+		p.log = append(p.log, -2, int64(p.e.Now()))
+	}
+}
+
+// sameOrder reports where the program of seed first diverges from its
+// heap-only replay, or -1.
+func sameOrder(seed int64) (diverge int, sorted *program) {
+	sorted, oracle := runProgram(seed, true), runProgram(seed, false)
+	for i := range sorted.log {
+		if i >= len(oracle.log) || sorted.log[i] != oracle.log[i] {
+			return i, sorted
+		}
+	}
+	if len(oracle.log) != len(sorted.log) {
+		return len(sorted.log), sorted
+	}
+	return -1, sorted
+}
+
+// TestSortedRunMatchesHeap checks that the sorted run changes nothing
+// about the order events fire in, nor where PeekTime and Run(horizon)
+// stop: seeded programs mixing every scheduling call fire exactly as
+// their heap-only replays do.
+func TestSortedRunMatchesHeap(t *testing.T) {
+	wrapped := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		i, p := sameOrder(seed)
+		if i >= 0 {
+			t.Fatalf("seed %d: sorted run diverges from the heap at log entry %d", seed, i)
+		}
+		wrapped += p.wrappedGrows
+	}
+	if wrapped == 0 {
+		t.Fatal("no program grew the ring while it was wrapped")
+	}
+}
+
+// FuzzSortedRun widens TestSortedRunMatchesHeap to any seed.
+func FuzzSortedRun(f *testing.F) {
+	for seed := int64(1); seed <= 40; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if i, _ := sameOrder(seed); i >= 0 {
+			t.Fatalf("seed %d: sorted run diverges from the heap at log entry %d", seed, i)
+		}
+	})
 }

@@ -104,9 +104,6 @@ func (w *Wheel) Now() time.Duration { return w.now }
 // Committed returns the exclusive upper bound of the last completed window.
 func (w *Wheel) Committed() time.Duration { return w.committed }
 
-// Len returns the number of pending events.
-func (w *Wheel) Len() int { return len(w.heap) }
-
 // NextLocalSeq allocates the next PlaneLocal stamp sequence number. Like
 // Engine.ReserveSeq it can be used to fix an event's tie-break position
 // before the event is pushed, under the same invariant: the push must

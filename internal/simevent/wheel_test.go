@@ -55,8 +55,8 @@ func TestWheelRunBeforeIsExclusive(t *testing.T) {
 	if w.Committed() != ms(20) {
 		t.Fatalf("committed %v, want %v", w.Committed(), ms(20))
 	}
-	if w.Len() != 1 {
-		t.Fatalf("%d events pending, want 1", w.Len())
+	if at, ok := w.PeekTime(); !ok || at != ms(20) {
+		t.Fatalf("PeekTime() = %v, %v; want the 20ms event pending", at, ok)
 	}
 	if n := w.RunBefore(ms(21)); n != 1 {
 		t.Fatalf("second window ran %d events, want 1", n)
