@@ -302,3 +302,45 @@ func TestMalformedRPCAnswers400(t *testing.T) {
 		t.Fatalf("malformed bodies executed %d creates", got)
 	}
 }
+
+// TestOutOfRangeIDsAnswer400: a well-formed peer message naming a host
+// outside the fleet or an object outside the universe is refused with 400
+// before the redirector sees it, and the redirector keeps answering object
+// requests. A recorded replica on a host without a distance row would make
+// the next choice panic with the redirector's lock held.
+func TestOutOfRangeIDsAnswer400(t *testing.T) {
+	const objects, nodes = 16, 4
+	// Star(4): node 0 is the hub and the one redirector.
+	h := livetest.Start(t, liveConfig(t, topology.Star(nodes), objects, 1, time.Minute))
+	client := &http.Client{
+		Timeout:       5 * time.Second,
+		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
+	}
+	for _, c := range []struct {
+		path string
+		msg  any
+	}{
+		{live.PathNotify, &live.NotifyMsg{MsgID: 1, Object: 1, Host: nodes, Aff: 1}},
+		{live.PathNotify, &live.NotifyMsg{MsgID: 2, Object: objects, Host: 1, Aff: 1}},
+		{live.PathRequestDrop, &live.DropMsg{MsgID: 3, Object: 1, Host: nodes}},
+		{live.PathRequestDrop, &live.DropMsg{MsgID: 4, Object: objects, Host: 1}},
+		{live.PathMark, &live.MarkMsg{Host: nodes, Down: true}},
+	} {
+		res, err := client.Post(h.Fleet.URL(0)+c.path, "application/json", bytes.NewReader(live.Encode(c.msg)))
+		if err != nil {
+			t.Fatalf("POST %s %+v: %v", c.path, c.msg, err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %+v: status %d, want 400", c.path, c.msg, res.StatusCode)
+		}
+		res, err = client.Get(h.Fleet.URL(0) + live.PathObj + "1?g=1&now=0")
+		if err != nil {
+			t.Fatalf("object request after POST %s %+v: %v", c.path, c.msg, err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusFound {
+			t.Fatalf("object request after POST %s %+v: status %d, want 302", c.path, c.msg, res.StatusCode)
+		}
+	}
+}

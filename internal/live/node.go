@@ -712,13 +712,28 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(reply)
 }
 
-func (nd *Node) handleNotify(w http.ResponseWriter, r *http.Request) {
-	var msg NotifyMsg
-	if !readBody(w, r, &msg) {
-		return
+// inRange answers 400 unless object (0 for a message naming none) is in the
+// universe and host in the fleet: the redirector would grow to any object
+// ID, and panic on a host without a distance row with redMu held.
+func (nd *Node) inRange(w http.ResponseWriter, object int64, host int) bool {
+	if object < int64(nd.cfg.Sim.Universe.Count) && host < nd.n {
+		return true
 	}
+	http.Error(w, fmt.Sprintf("live: object %d or host %d outside a universe of %d and a fleet of %d", object, host, nd.cfg.Sim.Universe.Count, nd.n), http.StatusBadRequest)
+	return false
+}
+
+// hostsRedirector answers 400 unless this node hosts a redirector.
+func (nd *Node) hostsRedirector(w http.ResponseWriter) bool {
 	if nd.redirector == nil {
 		http.Error(w, "live: node hosts no redirector", http.StatusBadRequest)
+	}
+	return nd.redirector != nil
+}
+
+func (nd *Node) handleNotify(w http.ResponseWriter, r *http.Request) {
+	var msg NotifyMsg
+	if !readBody(w, r, &msg) || !nd.inRange(w, msg.Object, msg.Host) || !nd.hostsRedirector(w) {
 		return
 	}
 	// Replica-change notifications set the recorded affinity, so retries
@@ -731,11 +746,7 @@ func (nd *Node) handleNotify(w http.ResponseWriter, r *http.Request) {
 
 func (nd *Node) handleRequestDrop(w http.ResponseWriter, r *http.Request) {
 	var msg DropMsg
-	if !readBody(w, r, &msg) {
-		return
-	}
-	if nd.redirector == nil {
-		http.Error(w, "live: node hosts no redirector", http.StatusBadRequest)
+	if !readBody(w, r, &msg) || !nd.inRange(w, msg.Object, msg.Host) || !nd.hostsRedirector(w) {
 		return
 	}
 	// Drop arbitration is not naturally idempotent (an approved drop
@@ -773,8 +784,7 @@ func (nd *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 func (nd *Node) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	if nd.redirector == nil {
-		http.Error(w, "live: node hosts no redirector", http.StatusBadRequest)
+	if !nd.hostsRedirector(w) {
 		return
 	}
 	obj, err := strconv.ParseInt(r.URL.Query().Get("obj"), 10, 64)
@@ -981,8 +991,7 @@ func (nd *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (nd *Node) handleCensus(w http.ResponseWriter, r *http.Request) {
-	if nd.redirector == nil {
-		http.Error(w, "live: node hosts no redirector", http.StatusBadRequest)
+	if !nd.hostsRedirector(w) {
 		return
 	}
 	writeJSON(w, nd.census())
@@ -999,11 +1008,7 @@ func (nd *Node) census() CensusReply {
 
 func (nd *Node) handleMark(w http.ResponseWriter, r *http.Request) {
 	var msg MarkMsg
-	if !readBody(w, r, &msg) {
-		return
-	}
-	if msg.Host >= nd.n {
-		http.Error(w, fmt.Sprintf("live: host %d outside fleet of %d", msg.Host, nd.n), http.StatusBadRequest)
+	if !readBody(w, r, &msg) || !nd.inRange(w, 0, msg.Host) {
 		return
 	}
 	nd.redMu.Lock()
@@ -1032,11 +1037,7 @@ func (nd *Node) handleMark(w http.ResponseWriter, r *http.Request) {
 // handlePeers rewrites one peer URL table entry (chaos partitions).
 func (nd *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
 	var msg PeersMsg
-	if !readBody(w, r, &msg) {
-		return
-	}
-	if msg.Peer >= nd.n {
-		http.Error(w, fmt.Sprintf("live: peer %d outside fleet of %d", msg.Peer, nd.n), http.StatusBadRequest)
+	if !readBody(w, r, &msg) || !nd.inRange(w, 0, msg.Peer) {
 		return
 	}
 	nd.peerMu.Lock()

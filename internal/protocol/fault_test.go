@@ -186,8 +186,9 @@ func TestChooseReplicaNoReachableReplica(t *testing.T) {
 }
 
 func TestChooseReplicaFilterManyReplicas(t *testing.T) {
-	// More replicas than the filter path's stack buffer, most unreachable:
-	// exercises the spill path and still balances over the survivors.
+	// Sixteen replicas, most unreachable: round-robin still balances over
+	// the survivors, and a filtered choice allocates nothing even when all
+	// sixteen are reachable.
 	r, _ := newTestRedirector(t, topology.Line(16), PolicyRoundRobin)
 	for i := 0; i < 16; i++ {
 		r.NotifyReplicaChange(testObj, topology.NodeID(i), 1)
@@ -208,6 +209,10 @@ func TestChooseReplicaFilterManyReplicas(t *testing.T) {
 		if seen[want] == 0 {
 			t.Errorf("round-robin never chose reachable replica %d (got %v)", want, seen)
 		}
+	}
+	r.SetReachable(func(topology.NodeID) bool { return true })
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = r.ChooseReplica(0, testObj) }); allocs != 0 {
+		t.Errorf("a filtered choice among 16 reachable replicas made %v allocations, want 0", allocs)
 	}
 }
 

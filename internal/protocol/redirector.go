@@ -56,10 +56,24 @@ type Replica struct {
 // unitRcnt is the replica's unit request count rcnt/aff (Fig. 2).
 func (r Replica) unitRcnt() float64 { return float64(r.Rcnt) / float64(r.Aff) }
 
+// nearTableMin is the smallest replica set that memoizes its choices; below
+// it one pass over the set is cheaper, and most sets are that small.
+const nearTableMin = 8
+
 type redirEntry struct {
-	replicas []Replica // sorted by Host for deterministic iteration
-	cursor   int       // round-robin position (baseline policy)
-	known    bool      // a replica was ever recorded (survives PurgeHost)
+	replicas []Replica  // sorted by Host for deterministic iteration
+	memo     *redirMemo // nil below nearTableMin replicas
+	cursor   int32      // round-robin position (baseline policy)
+	known    bool       // a replica was ever recorded (survives PurgeHost)
+}
+
+// redirMemo holds a large replica set's two operands of Fig. 2, ties to the
+// lowest index: least is the replica with the smallest unit request count,
+// nil until scanned, and near[g] is 1 + the index of the replica closest to
+// gateway g, 0 until scanned.
+type redirMemo struct {
+	least *Replica
+	near  []uint16
 }
 
 // Redirector implements the request distribution side of the protocol: it
@@ -179,118 +193,116 @@ func (r *Redirector) ChooseReplica(g topology.NodeID, id object.ID) (topology.No
 	if e == nil || len(e.replicas) == 0 {
 		return 0, ErrUnknownObject
 	}
-	if r.reachable != nil {
-		return r.chooseFiltered(g, e)
+	if r.reachable != nil || r.policy != PolicyPaper {
+		return r.choosePass(g, e)
 	}
-	switch r.policy {
-	case PolicyRoundRobin:
-		e.cursor = (e.cursor + 1) % len(e.replicas)
-		rep := &e.replicas[e.cursor]
-		rep.Rcnt++
-		return rep.Host, nil
-	case PolicyClosest:
-		rep := e.closestTo(g, r.routes)
-		rep.Rcnt++
-		return rep.Host, nil
-	default:
+	if e.memo == nil {
 		// One pass finds both the closest replica (distance ties broken by
 		// the sorted-by-host order) and the least-loaded one (strictly
 		// smaller unit request count wins, so ties also break by host).
 		dist := r.routes.DistancesFrom(g)
 		closest, least := &e.replicas[0], &e.replicas[0]
-		bestD := dist[closest.Host]
-		leastU := least.unitRcnt()
+		bestD, closestU := dist[closest.Host], closest.unitRcnt()
+		leastU := closestU
 		for i := 1; i < len(e.replicas); i++ {
 			rep := &e.replicas[i]
+			u := rep.unitRcnt()
 			if d := dist[rep.Host]; d < bestD {
-				closest, bestD = rep, d
+				closest, bestD, closestU = rep, d, u
 			}
-			if u := rep.unitRcnt(); u < leastU {
+			if u < leastU {
 				least, leastU = rep, u
 			}
 		}
-		chosen := closest
-		if closest.unitRcnt() > r.cRatio*leastU {
-			chosen = least
+		if closestU > r.cRatio*leastU {
+			closest = least
 		}
-		chosen.Rcnt++
-		return chosen.Host, nil
+		return e.charge(closest), nil
 	}
+	return e.charge(r.fig2(e.memoized(g, r.routes))), nil
 }
 
-// chooseFiltered is ChooseReplica under a reachability filter: the same
-// per-policy logic restricted to replicas the filter admits. It lives on a
-// separate code path so fault-free runs execute the original byte-for-byte.
-func (r *Redirector) chooseFiltered(g topology.NodeID, e *redirEntry) (topology.NodeID, error) {
-	var buf [8]int
-	live := buf[:0]
+// choosePass is ChooseReplica under a reachability filter or a baseline
+// policy. The memos range over unreachable replicas, so one pass finds the
+// closest and least-loaded admitted replica instead (same tie rules).
+func (r *Redirector) choosePass(g topology.NodeID, e *redirEntry) (topology.NodeID, error) {
+	dist := r.routes.DistancesFrom(g)
+	var closest, least *Replica
+	var bestD int32
+	var leastU float64
 	for i := range e.replicas {
-		if r.reachable(e.replicas[i].Host) {
-			live = append(live, i)
+		rep := &e.replicas[i]
+		if r.reachable != nil && !r.reachable(rep.Host) {
+			continue
+		}
+		if d := dist[rep.Host]; closest == nil || d < bestD {
+			closest, bestD = rep, d
+		}
+		if u := rep.unitRcnt(); least == nil || u < leastU {
+			least, leastU = rep, u
 		}
 	}
-	if len(live) == 0 {
+	switch {
+	case closest == nil:
 		return 0, ErrNoReachableReplica
-	}
-	switch r.policy {
-	case PolicyRoundRobin:
-		// Advance the cursor until it lands on a reachable replica; the
-		// non-empty live set guarantees termination.
+	case r.policy == PolicyRoundRobin:
+		// Advance to the next reachable replica; the pass found one.
 		for {
-			e.cursor = (e.cursor + 1) % len(e.replicas)
-			if r.reachable(e.replicas[e.cursor].Host) {
-				break
+			e.cursor = (e.cursor + 1) % int32(len(e.replicas))
+			if rep := &e.replicas[e.cursor]; r.reachable == nil || r.reachable(rep.Host) {
+				return e.charge(rep), nil
 			}
 		}
-		rep := &e.replicas[e.cursor]
-		rep.Rcnt++
-		return rep.Host, nil
-	case PolicyClosest:
-		dist := r.routes.DistancesFrom(g)
-		best := &e.replicas[live[0]]
-		bestD := dist[best.Host]
-		for _, i := range live[1:] {
-			if d := dist[e.replicas[i].Host]; d < bestD {
-				best, bestD = &e.replicas[i], d
-			}
-		}
-		best.Rcnt++
-		return best.Host, nil
-	default:
-		dist := r.routes.DistancesFrom(g)
-		closest, least := &e.replicas[live[0]], &e.replicas[live[0]]
-		bestD := dist[closest.Host]
-		leastU := least.unitRcnt()
-		for _, i := range live[1:] {
-			rep := &e.replicas[i]
-			if d := dist[rep.Host]; d < bestD {
-				closest, bestD = rep, d
-			}
-			if u := rep.unitRcnt(); u < leastU {
-				least, leastU = rep, u
-			}
-		}
-		chosen := closest
-		if closest.unitRcnt() > r.cRatio*leastU {
-			chosen = least
-		}
-		chosen.Rcnt++
-		return chosen.Host, nil
+	case r.policy == PolicyClosest:
+		return e.charge(closest), nil
 	}
+	return e.charge(r.fig2(closest, least)), nil
 }
 
-// closestTo returns the replica closest to gateway g, breaking distance
-// ties by smaller host ID.
-func (e *redirEntry) closestTo(g topology.NodeID, routes *routing.Table) *Replica {
-	dist := routes.DistancesFrom(g)
-	best := &e.replicas[0]
-	bestD := dist[best.Host]
-	for i := 1; i < len(e.replicas); i++ {
-		if d := dist[e.replicas[i].Host]; d < bestD {
-			best, bestD = &e.replicas[i], d
+// fig2 is the rule of Fig. 2: the closest replica, unless its unit request
+// count exceeds the distribution constant times the least-loaded one's.
+func (r *Redirector) fig2(closest, least *Replica) *Replica {
+	if closest.unitRcnt() > r.cRatio*least.unitRcnt() {
+		return least
+	}
+	return closest
+}
+
+// charge counts a request on replica rep of e and returns its host. Counts
+// only grow between resets, so only charging the least-loaded replica can
+// displace it.
+func (e *redirEntry) charge(rep *Replica) topology.NodeID {
+	rep.Rcnt++
+	if e.memo != nil && rep == e.memo.least {
+		e.memo.least = nil
+	}
+	return rep.Host
+}
+
+// memoized returns the replica closest to gateway g and the least-loaded
+// one from the memo, scanning to refill what charge or a reset dropped.
+func (e *redirEntry) memoized(g topology.NodeID, routes *routing.Table) (closest, least *Replica) {
+	m := e.memo
+	if m.near[g] == 0 {
+		dist := routes.DistancesFrom(g)
+		best, bestD := 0, dist[e.replicas[0].Host]
+		for i := 1; i < len(e.replicas); i++ {
+			if d := dist[e.replicas[i].Host]; d < bestD {
+				best, bestD = i, d
+			}
+		}
+		m.near[g] = uint16(best + 1)
+	}
+	if m.least == nil {
+		m.least = &e.replicas[0]
+		leastU := m.least.unitRcnt()
+		for i := 1; i < len(e.replicas); i++ {
+			if u := e.replicas[i].unitRcnt(); u < leastU {
+				m.least, leastU = &e.replicas[i], u
+			}
 		}
 	}
-	return best
+	return &e.replicas[m.near[g]-1], m.least
 }
 
 // NotifyReplicaChange records that host now holds a replica of id with the
@@ -305,24 +317,49 @@ func (r *Redirector) NotifyReplicaChange(id object.ID, host topology.NodeID, aff
 	}
 	e := r.entry(id)
 	e.known = true
-	// Replica sets are a handful of entries: a linear scan finds the record
-	// or the position that keeps the set sorted by host.
-	at := 0
-	for at < len(e.replicas) && e.replicas[at].Host < host {
-		at++
-	}
-	if at < len(e.replicas) && e.replicas[at].Host == host {
+	if at, ok := e.find(host); ok {
 		e.replicas[at].Aff = aff
 	} else {
 		e.replicas = slices.Insert(e.replicas, at, Replica{Host: host, Aff: aff})
 	}
-	e.resetCounts()
+	e.resetCounts(r.routes.NumNodes())
 }
 
-// resetCounts sets every replica's request count to 1.
-func (e *redirEntry) resetCounts() {
+// find returns the index of host's record, or where inserting it keeps the
+// set sorted, and whether it exists. Sets are small: a scan beats bisection.
+func (e *redirEntry) find(host topology.NodeID) (int, bool) {
+	at := 0
+	for at < len(e.replicas) && e.replicas[at].Host < host {
+		at++
+	}
+	return at, at < len(e.replicas) && e.replicas[at].Host == host
+}
+
+// remove deletes host's record of e, if any, and resets the rest.
+func (r *Redirector) remove(e *redirEntry, host topology.NodeID) bool {
+	i, ok := e.find(host)
+	if ok {
+		e.replicas = slices.Delete(e.replicas, i, i+1)
+		e.resetCounts(r.routes.NumNodes())
+	}
+	return ok
+}
+
+// resetCounts follows every replica-set change: each request count returns
+// to 1 and the memo, which points into the old set, is emptied. Only a set
+// of nearTableMin or more keeps one.
+func (e *redirEntry) resetCounts(gateways int) {
 	for i := range e.replicas {
 		e.replicas[i].Rcnt = 1
+	}
+	switch large := len(e.replicas) >= nearTableMin; {
+	case large && e.memo == nil:
+		e.memo = &redirMemo{near: make([]uint16, gateways)}
+	case large:
+		e.memo.least = nil
+		clear(e.memo.near)
+	case e.memo != nil: // storing nil over nil still pays a write barrier
+		e.memo = nil
 	}
 }
 
@@ -334,17 +371,7 @@ func (e *redirEntry) resetCounts() {
 // the remaining counts are reset.
 func (r *Redirector) RequestDrop(id object.ID, host topology.NodeID) bool {
 	e := r.lookup(id)
-	if e == nil || len(e.replicas) <= r.minReplicas {
-		return false
-	}
-	for i := range e.replicas {
-		if e.replicas[i].Host == host {
-			e.replicas = append(e.replicas[:i], e.replicas[i+1:]...)
-			e.resetCounts()
-			return true
-		}
-	}
-	return false
+	return e != nil && len(e.replicas) > r.minReplicas && r.remove(e, host)
 }
 
 // RecordedAffinity returns the recorded affinity of id's replica on host
@@ -353,12 +380,8 @@ func (r *Redirector) RequestDrop(id object.ID, host topology.NodeID) bool {
 // find orphans (live but unrecorded) and stale affinities left by lost
 // notifications.
 func (r *Redirector) RecordedAffinity(id object.ID, host topology.NodeID) (int, bool) {
-	e := r.lookup(id)
-	if e == nil {
-		return 0, false
-	}
-	for i := range e.replicas {
-		if e.replicas[i].Host == host {
+	if e := r.lookup(id); e != nil {
+		if i, ok := e.find(host); ok {
 			return e.replicas[i].Aff, true
 		}
 	}
@@ -372,17 +395,7 @@ func (r *Redirector) RecordedAffinity(id object.ID, host topology.NodeID) (int, 
 // keeping the record would route requests to a missing copy.
 func (r *Redirector) RemoveRecord(id object.ID, host topology.NodeID) bool {
 	e := r.lookup(id)
-	if e == nil {
-		return false
-	}
-	for i := range e.replicas {
-		if e.replicas[i].Host == host {
-			e.replicas = append(e.replicas[:i], e.replicas[i+1:]...)
-			e.resetCounts()
-			return true
-		}
-	}
-	return false
+	return e != nil && r.remove(e, host)
 }
 
 // PurgeHost removes every replica recorded on the given host — the
@@ -395,17 +408,8 @@ func (r *Redirector) RemoveRecord(id object.ID, host topology.NodeID) bool {
 func (r *Redirector) PurgeHost(host topology.NodeID) []object.ID {
 	var affected []object.ID
 	for i := range r.entries {
-		e := &r.entries[i]
-		if !e.known {
-			continue
-		}
-		for j := range e.replicas {
-			if e.replicas[j].Host == host {
-				e.replicas = append(e.replicas[:j], e.replicas[j+1:]...)
-				e.resetCounts()
-				affected = append(affected, object.ID(i))
-				break
-			}
+		if r.remove(&r.entries[i], host) {
+			affected = append(affected, object.ID(i))
 		}
 	}
 	return affected
@@ -418,9 +422,7 @@ func (r *Redirector) Replicas(id object.ID) []Replica {
 	if e == nil {
 		return nil
 	}
-	out := make([]Replica, len(e.replicas))
-	copy(out, e.replicas)
-	return out
+	return slices.Clone(e.replicas)
 }
 
 // ReplicaHosts appends the hosts recorded for id to buf and returns it,
@@ -429,23 +431,20 @@ func (r *Redirector) Replicas(id object.ID) []Replica {
 // hot path.
 func (r *Redirector) ReplicaHosts(id object.ID, buf []topology.NodeID) []topology.NodeID {
 	buf = buf[:0]
-	e := r.lookup(id)
-	if e == nil {
-		return buf
-	}
-	for i := range e.replicas {
-		buf = append(buf, e.replicas[i].Host)
+	if e := r.lookup(id); e != nil {
+		for i := range e.replicas {
+			buf = append(buf, e.replicas[i].Host)
+		}
 	}
 	return buf
 }
 
 // ReplicaCount returns the number of recorded replicas of id.
 func (r *Redirector) ReplicaCount(id object.ID) int {
-	e := r.lookup(id)
-	if e == nil {
-		return 0
+	if e := r.lookup(id); e != nil {
+		return len(e.replicas)
 	}
-	return len(e.replicas)
+	return 0
 }
 
 // Objects returns the IDs of all objects with recorded replicas, sorted.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"radar/internal/object"
@@ -614,6 +615,225 @@ func TestPurgeHost(t *testing.T) {
 	}
 }
 
+// scanChoose is a choice as one full scan of the replica set, the way every
+// choice was made before the redirector memoized the closest and the
+// least-loaded replica: the oracle ChooseReplica must reproduce. It returns
+// the chosen index, or -1 when reachable admits no replica. It exists only
+// here.
+func scanChoose(policy Policy, c float64, dist []int32, reps []Replica, cursor *int, reachable func(topology.NodeID) bool) int {
+	closest, least := -1, -1
+	for i, rep := range reps {
+		if reachable != nil && !reachable(rep.Host) {
+			continue
+		}
+		if closest < 0 || dist[rep.Host] < dist[reps[closest].Host] {
+			closest = i
+		}
+		if least < 0 || rep.unitRcnt() < reps[least].unitRcnt() {
+			least = i
+		}
+	}
+	switch {
+	case closest < 0:
+		return -1
+	case policy == PolicyRoundRobin:
+		for {
+			*cursor = (*cursor + 1) % len(reps)
+			if reachable == nil || reachable(reps[*cursor].Host) {
+				return *cursor
+			}
+		}
+	case policy == PolicyClosest || reps[closest].unitRcnt() <= c*reps[least].unitRcnt():
+		return closest
+	}
+	return least
+}
+
+// scanModel is the redirector's bookkeeping without memos: sorted replica
+// sets, round-robin cursors, counts reset to 1 on every set change.
+type scanModel struct {
+	sets    [choiceObjects][]Replica
+	cursors [choiceObjects]int
+}
+
+const choiceObjects = 3
+
+func (m *scanModel) reset(id object.ID) {
+	for i := range m.sets[id] {
+		m.sets[id][i].Rcnt = 1
+	}
+}
+
+func (m *scanModel) notify(id object.ID, h topology.NodeID, aff int) {
+	at := 0
+	for at < len(m.sets[id]) && m.sets[id][at].Host < h {
+		at++
+	}
+	if at < len(m.sets[id]) && m.sets[id][at].Host == h {
+		m.sets[id][at].Aff = aff
+	} else {
+		m.sets[id] = slices.Insert(m.sets[id], at, Replica{Host: h, Aff: aff})
+	}
+	m.reset(id)
+}
+
+func (m *scanModel) remove(id object.ID, h topology.NodeID) bool {
+	for i := range m.sets[id] {
+		if m.sets[id][i].Host == h {
+			m.sets[id] = slices.Delete(m.sets[id], i, i+1)
+			m.reset(id)
+			return true
+		}
+	}
+	return false
+}
+
+// choiceCoverage counts the choices a program made on each path: the
+// paper policy's one-pass loop and its memos, and choosePass.
+type choiceCoverage struct{ loop, memo, pass int }
+
+// runChoiceProgram reads a fleet and a sequence of redirector operations
+// from data and applies each to a Redirector and to a scanModel: choices
+// in bursts from one gateway (so the closest replica's count climbs past
+// the distribution constant), notifications with affinity changes, drops,
+// record removals, host purges and reachability filters. After every step
+// each returned host, verdict and replica record, counts included, must
+// agree.
+func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	// 10 to 24 nodes: replica sets on both sides of nearTableMin. A star
+	// and a ring have distance ties; a line has none.
+	n := 10 + next()%15
+	topo := []func(int) *topology.Topology{topology.Star, topology.Ring, topology.Line}[next()%3](n)
+	routes := routing.New(topo)
+	policy := Policy(1 + next()%3)
+	r, err := NewRedirector(0, routes, policy, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := 1 + next()%2
+	r.SetReplicaFloor(floor)
+	var m scanModel
+	var reachable func(topology.NodeID) bool
+	var cov choiceCoverage
+	for step := 0; len(data) > 0; step++ {
+		id, h, op := object.ID(next()%choiceObjects), topology.NodeID(next()%n), next()
+		what := ""
+		switch {
+		case op < 150:
+			what = fmt.Sprintf("%d choices for %d from gateway %d", 1+op%8, id, h)
+			for k := 0; k <= op%8; k++ {
+				switch {
+				case reachable != nil || policy != PolicyPaper:
+					cov.pass++
+				case len(m.sets[id]) >= nearTableMin:
+					cov.memo++
+				default:
+					cov.loop++
+				}
+				want := -1
+				if len(m.sets[id]) > 0 {
+					want = scanChoose(policy, 2, routes.DistancesFrom(h), m.sets[id], &m.cursors[id], reachable)
+				}
+				got, err := r.ChooseReplica(h, id)
+				if want < 0 {
+					if err == nil {
+						t.Fatalf("step %d (%s): chose %d, the scan finds no replica", step, what, got)
+					}
+					continue
+				}
+				m.sets[id][want].Rcnt++
+				if err != nil || got != m.sets[id][want].Host {
+					t.Fatalf("step %d (%s): chose %d (%v), the scan chooses %d", step, what, got, err, m.sets[id][want].Host)
+				}
+			}
+		case op < 200:
+			aff := 1 + op%3
+			what = fmt.Sprintf("notify %d on %d, affinity %d", id, h, aff)
+			r.NotifyReplicaChange(id, h, aff)
+			m.notify(id, h, aff)
+		case op < 215:
+			what = fmt.Sprintf("request drop of %d on %d", id, h)
+			want := len(m.sets[id]) > floor && m.remove(id, h)
+			if got := r.RequestDrop(id, h); got != want {
+				t.Fatalf("step %d (%s): verdict %v, want %v", step, what, got, want)
+			}
+		case op < 225:
+			what = fmt.Sprintf("remove record of %d on %d", id, h)
+			if got, want := r.RemoveRecord(id, h), m.remove(id, h); got != want {
+				t.Fatalf("step %d (%s): removed %v, want %v", step, what, got, want)
+			}
+		case op < 230:
+			what = fmt.Sprintf("purge %d", h)
+			var want []object.ID
+			for id := object.ID(0); id < choiceObjects; id++ {
+				if m.remove(id, h) {
+					want = append(want, id)
+				}
+			}
+			if got := r.PurgeHost(h); !slices.Equal(got, want) {
+				t.Fatalf("step %d (%s): affected %v, want %v", step, what, got, want)
+			}
+		case op < 240:
+			down := uint32(next()) | uint32(next())<<8 | uint32(next())<<16
+			what = fmt.Sprintf("filter out hosts %b", down)
+			reachable = func(h topology.NodeID) bool { return down>>h&1 == 0 }
+			if op%2 == 0 {
+				what, reachable = "no filter", nil
+			}
+			r.SetReachable(reachable)
+		default:
+			// A large set at once: every stride-th node, affinities 1–3.
+			what = fmt.Sprintf("notify %d on every %d-th node", id, 1+op%2)
+			for k := 0; k < n; k += 1 + op%2 {
+				r.NotifyReplicaChange(id, topology.NodeID(k), 1+k%3)
+				m.notify(id, topology.NodeID(k), 1+k%3)
+			}
+		}
+		for id := object.ID(0); id < choiceObjects; id++ {
+			if got := r.Replicas(id); !slices.Equal(got, m.sets[id]) {
+				t.Fatalf("step %d (%s): object %d records %+v, the scan model %+v", step, what, id, got, m.sets[id])
+			}
+		}
+	}
+	return cov
+}
+
+// TestChooseReplicaMatchesScan runs seeded programs of every policy, with
+// and without a reachability filter, over fleets with distance and
+// unit-count ties, and requires the memoized choice to equal the full
+// scan's after every step.
+func TestChooseReplicaMatchesScan(t *testing.T) {
+	var cov choiceCoverage
+	for seed := int64(0); seed < 90; seed++ {
+		data := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(data)
+		c := runChoiceProgram(t, data)
+		cov.loop, cov.memo, cov.pass = cov.loop+c.loop, cov.memo+c.memo, cov.pass+c.pass
+	}
+	if cov.loop == 0 || cov.memo == 0 || cov.pass == 0 {
+		t.Fatalf("choices per path %+v: every path must run", cov)
+	}
+	t.Logf("choices per path: %+v", cov)
+}
+
+// FuzzChooseReplica is TestChooseReplicaMatchesScan over fuzzed programs.
+func FuzzChooseReplica(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		data := make([]byte, 200)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runChoiceProgram(t, data) })
+}
+
 // benchRedirector builds a redirector over the full UUNET backbone with
 // nReplicas replicas of testObj spread across the nodes.
 func benchRedirector(b *testing.B, policy Policy, nReplicas int) *Redirector {
@@ -632,14 +852,24 @@ func benchRedirector(b *testing.B, policy Policy, nReplicas int) *Redirector {
 
 // BenchmarkChooseReplica measures the Fig. 2 per-request decision on the
 // UUNET backbone — the redirector's hot path, which must not allocate.
+// Sets of 2 take the one-pass loop, the larger ones the memos; the notify
+// case changes an affinity every 64 choices, which resets the counts and
+// empties the closest table, to price the invalidation.
 func BenchmarkChooseReplica(b *testing.B) {
-	for _, nReplicas := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("replicas=%d", nReplicas), func(b *testing.B) {
-			r := benchRedirector(b, PolicyPaper, nReplicas)
+	for _, bc := range []struct{ replicas, notifyEvery int }{{2, 0}, {8, 0}, {32, 0}, {53, 0}, {32, 64}} {
+		name := fmt.Sprintf("replicas=%d", bc.replicas)
+		if bc.notifyEvery > 0 {
+			name += fmt.Sprintf(",notify=%d", bc.notifyEvery)
+		}
+		b.Run(name, func(b *testing.B) {
+			r := benchRedirector(b, PolicyPaper, bc.replicas)
 			n := 53 // UUNET nodes
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if bc.notifyEvery > 0 && i%bc.notifyEvery == 0 {
+					r.NotifyReplicaChange(testObj, 0, 1+i/bc.notifyEvery%2)
+				}
 				if _, err := r.ChooseReplica(topology.NodeID(i%n), testObj); err != nil {
 					b.Fatal(err)
 				}
