@@ -8,35 +8,6 @@ import (
 	"radar"
 )
 
-// TestGroupValidateIsolation: each group validates on its own,
-// without needing the rest of the configuration to be well-formed.
-func TestGroupValidateIsolation(t *testing.T) {
-	if err := (radar.Placement{Policy: radar.PolicyPaper, AvailabilityWeight: 0.5}).Validate(); err != nil {
-		t.Errorf("valid placement group rejected: %v", err)
-	}
-	if err := (radar.Placement{AvailabilityWeight: 1.5}).Validate(); !badField(err, "Placement.AvailabilityWeight") {
-		t.Errorf("placement group error = %v, want ConfigError on Placement.AvailabilityWeight", err)
-	}
-	if err := (radar.Faults{ReplicaFloor: -1}).Validate(); !badField(err, "Faults.ReplicaFloor") {
-		t.Errorf("faults group error = %v, want ConfigError on Faults.ReplicaFloor", err)
-	}
-	if err := (radar.Faults{FaultSchedule: "nope"}).Validate(); !errors.Is(err, radar.ErrBadFaultSchedule) {
-		t.Errorf("faults group error = %v, want ErrBadFaultSchedule", err)
-	}
-	if err := (radar.Ctrl{CtrlRetries: -1}).Validate(); !badField(err, "Ctrl.CtrlRetries") {
-		t.Errorf("ctrl group error = %v, want ConfigError on Ctrl.CtrlRetries", err)
-	}
-	if err := (radar.Ctrl{CtrlTimeout: -time.Second}).Validate(); !badField(err, "Ctrl.CtrlTimeout") {
-		t.Errorf("ctrl group error = %v, want ConfigError on Ctrl.CtrlTimeout", err)
-	}
-	if err := (radar.Storage{Store: "cache(disk,mem)"}).Validate(); !badField(err, "Storage.Store") {
-		t.Errorf("storage group error = %v, want ConfigError on Storage.Store", err)
-	}
-	if err := (radar.Storage{}).Validate(); err != nil {
-		t.Errorf("zero storage group rejected: %v", err)
-	}
-}
-
 // TestConfigErrorClassAndDetail: every out-of-range value is a
 // *ConfigError wrapping ErrBadConfig, with the structured field detail
 // intact.

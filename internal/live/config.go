@@ -133,7 +133,8 @@ func (c Config) Validate() error {
 }
 
 // ScenarioConfig resolves a named scenario into a fleet configuration with
-// the command-line overrides applied (zero keeps the scenario's value).
+// the command-line overrides applied to its Spec (zero keeps the
+// scenario's value), so an overridden seed seeds the generators too.
 // radar-load and radar-node both resolve through it, so a driver and an
 // externally launched fleet agree on every parameter.
 func ScenarioConfig(name string, duration time.Duration, rps float64, seed int64, inflight int, freeRunning bool) (Config, error) {
@@ -141,18 +142,22 @@ func ScenarioConfig(name string, duration time.Duration, rps float64, seed int64
 	if !ok {
 		return Config{}, fmt.Errorf("unknown scenario %q", name)
 	}
-	simCfg, err := sc.Config()
+	sp, err := sc.Spec()
 	if err != nil {
 		return Config{}, err
 	}
 	if duration > 0 {
-		simCfg.Duration = duration
+		sp.Duration = duration
 	}
 	if rps > 0 {
-		simCfg.NodeRequestRPS = rps
+		sp.RPS = rps
 	}
 	if seed != 0 {
-		simCfg.Seed = seed
+		sp.Seed = seed
+	}
+	simCfg, err := sp.Config()
+	if err != nil {
+		return Config{}, fmt.Errorf("scenario %s: %w", name, err)
 	}
 	cfg := Config{Sim: simCfg, MaxInflightCreates: inflight, FreeRunning: freeRunning}
 	return cfg, cfg.Validate()

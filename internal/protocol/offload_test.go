@@ -110,6 +110,16 @@ func TestPolicyAndMethodStrings(t *testing.T) {
 	if Policy(42).String() != "Policy(42)" {
 		t.Error("unknown policy name changed")
 	}
+	for _, p := range []Policy{PolicyPaper, PolicyRoundRobin, PolicyClosest} {
+		if got, err := ParsePolicy(p.String()); got != p || err != nil {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p, got, err)
+		}
+	}
+	for _, name := range []string{"", "Policy(42)", "Paper", "best"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", name)
+		}
+	}
 	if Migrate.String() != "MIGRATE" || Replicate.String() != "REPLICATE" || Method(9).String() != "UNKNOWN" {
 		t.Error("method names changed")
 	}

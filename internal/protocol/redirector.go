@@ -41,6 +41,17 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy returns the policy whose String is name: the one lookup
+// from a policy's name to the policy.
+func ParsePolicy(name string) (Policy, error) {
+	for p := PolicyPaper; p <= PolicyClosest; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("protocol: unknown policy %q", name)
+}
+
 // Replica is the redirector's view of one object replica.
 type Replica struct {
 	// Host is the node holding the replica.

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 
 	"radar/internal/object"
@@ -22,7 +23,9 @@ const (
 )
 
 // Config builds the full simulation configuration the spec composes:
-// Table 1 defaults specialized by every parsed clause.
+// Table 1 defaults specialized by every field. Scenario, CLI and radar
+// facade runs are all assembled here: the facade lowers its Config to a
+// Spec.
 func (sp Spec) Config() (sim.Config, error) {
 	if sp.Workload == "" {
 		return sim.Config{}, fmt.Errorf("scenario: spec has no workload (use ParseSpec)")
@@ -35,20 +38,20 @@ func (sp Spec) Config() (sim.Config, error) {
 	}
 	cfg := sim.DefaultConfig(gen, sp.Seed)
 	cfg.Universe = u
-	cfg.Duration = sp.Duration
-	cfg.NodeRequestRPS = sp.RPS
-	cfg.NumRedirectors = sp.Redirectors
+	cfg.Duration = cmp.Or(sp.Duration, cfg.Duration)
+	cfg.NodeRequestRPS = cmp.Or(sp.RPS, cfg.NodeRequestRPS)
+	cfg.NumRedirectors = cmp.Or(sp.Redirectors, cfg.NumRedirectors)
 	if sp.HighLoad {
 		cfg.Protocol = protocol.HighLoadParams()
 	}
 	cfg.Protocol.ReplicaFloor = sp.Floor
 	cfg.Protocol.AvailabilityWeight = sp.Avail
-	switch sp.Policy {
-	case "round-robin":
-		cfg.Policy = protocol.PolicyRoundRobin
-	case "closest":
-		cfg.Policy = protocol.PolicyClosest
-	}
+	cfg.Policy = sp.Policy
+	cfg.DynamicPlacement = !sp.Static
+	cfg.Consistency = sp.Consistency
+	cfg.PoissonArrivals = sp.Poisson
+	cfg.Net.Contention = sp.Contention
+	cfg.Ctrl = sp.Ctrl
 	cfg.Faults = sp.Faults
 	cfg.Store = sp.Store
 	if sp.SwitchTo != "" {

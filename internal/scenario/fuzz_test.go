@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"testing"
+
+	"radar/internal/protocol"
 )
 
 // FuzzScenarioSpec drives the scenario DSL parser with arbitrary input:
@@ -61,8 +63,8 @@ func FuzzScenarioSpec(f *testing.F) {
 		if sp.Redirectors < 1 || sp.Redirectors > maxRedirectors {
 			t.Fatalf("parsed redirector count %d out of range from %q", sp.Redirectors, s)
 		}
-		if !policyNames[sp.Policy] {
-			t.Fatalf("parsed unknown policy %q from %q", sp.Policy, s)
+		if _, err := protocol.ParsePolicy(sp.Policy.String()); err != nil {
+			t.Fatalf("parsed unknown policy %v from %q", sp.Policy, s)
 		}
 		// Message-fault terms must be in range (the fault parser's own
 		// contract, re-checked across the "|" rewriting).

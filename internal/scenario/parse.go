@@ -7,19 +7,25 @@ import (
 	"strings"
 	"time"
 
+	"radar/internal/consistency"
+	"radar/internal/ctrlplane"
 	"radar/internal/fault"
+	"radar/internal/protocol"
 	"radar/internal/store"
 	"radar/internal/workload"
 )
 
 // Spec is a parsed scenario composition. The zero value is not runnable;
-// build Specs with ParseSpec, which fills the documented defaults.
+// build Specs with ParseSpec, which fills the documented defaults. The
+// defaults below are ParseSpec's; Spec.Config reads a zero Duration, RPS
+// or Redirectors as Table 1's value.
 type Spec struct {
 	// Workload names the demand generator (required): uniform, zipf,
 	// hot-sites, hot-pages, regional, or flash-crowd.
 	Workload string
 	// SwitchTo / SwitchAt, when SwitchTo is non-empty, swap the demand
-	// generator mid-run (the diurnal pattern change of §1).
+	// generator mid-run (the diurnal pattern change of §1). The new
+	// generator is seeded with Seed, like the first.
 	SwitchTo string
 	SwitchAt time.Duration
 	// Objects is the universe size (default 2000, the Quick scale).
@@ -36,11 +42,21 @@ type Spec struct {
 	Avail float64
 	// Redirectors hash-partitions the URL namespace (default 1).
 	Redirectors int
-	// Policy is the request distribution algorithm: paper (default),
-	// round-robin, or closest.
-	Policy string
+	// Policy is the request distribution algorithm (default paper).
+	Policy protocol.Policy
 	// HighLoad selects the Figure 9 watermarks (50/40) over Table 1's.
 	HighLoad bool
+	// Static freezes the initial placement (the no-replication baseline).
+	Static bool
+	// Consistency is the §5 category mix; the zero value gates nothing.
+	Consistency consistency.Mix
+	// Poisson draws gateway arrivals from a Poisson process instead of
+	// the paper's constant spacing.
+	Poisson bool
+	// Contention serializes transfers on each directed link.
+	Contention bool
+	// Ctrl tunes the lossy control plane; zero fields take its defaults.
+	Ctrl ctrlplane.Params
 	// Faults is the parsed fault schedule; FaultsDSL keeps the raw
 	// sub-schedule for display.
 	Faults    fault.Spec
@@ -66,12 +82,6 @@ const (
 const flashCrowd = "flash-crowd"
 
 func knownWorkload(s string) bool { return s == flashCrowd || slices.Contains(workload.Names, s) }
-
-var policyNames = map[string]bool{
-	"paper":       true,
-	"round-robin": true,
-	"closest":     true,
-}
 
 // ParseSpec parses the scenario DSL: a semicolon-separated list of
 // key:value clauses composing workload, faults, control-plane loss and
@@ -104,7 +114,7 @@ func ParseSpec(s string) (Spec, error) {
 		RPS:         40,
 		Seed:        1,
 		Redirectors: 1,
-		Policy:      "paper",
+		Policy:      protocol.PolicyPaper,
 	}
 	seen := make(map[string]bool, 8)
 	for _, clause := range strings.Split(s, ";") {
@@ -153,11 +163,7 @@ func ParseSpec(s string) (Spec, error) {
 		case "redirectors":
 			sp.Redirectors, err = parseIntRange(rest, 1, maxRedirectors)
 		case "policy":
-			if !policyNames[rest] {
-				err = fmt.Errorf("unknown policy %q", rest)
-			} else {
-				sp.Policy = rest
-			}
+			sp.Policy, err = protocol.ParsePolicy(rest)
 		case "highload":
 			err = fmt.Errorf("highload is a bare clause and takes no value")
 		case "faults":

@@ -15,7 +15,7 @@ func TestParseSpecDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sp.Workload != "zipf" || sp.Objects != 2000 || sp.Duration != 8*time.Minute ||
-		sp.RPS != 40 || sp.Seed != 1 || sp.Redirectors != 1 || sp.Policy != "paper" ||
+		sp.RPS != 40 || sp.Seed != 1 || sp.Redirectors != 1 || sp.Policy != protocol.PolicyPaper ||
 		sp.Floor != 0 || sp.Avail != 0 || sp.HighLoad || sp.SwitchTo != "" ||
 		sp.Faults.Enabled() || sp.FaultsDSL != "" {
 		t.Errorf("ParseSpec defaults = %+v", sp)
@@ -35,8 +35,8 @@ func TestParseSpecFullComposition(t *testing.T) {
 	if sp.Objects != 500 || sp.Duration != 12*time.Minute || sp.RPS != 25.5 || sp.Seed != 7 {
 		t.Errorf("scale = %d obj, %v, %v rps, seed %d", sp.Objects, sp.Duration, sp.RPS, sp.Seed)
 	}
-	if sp.Floor != 2 || sp.Avail != 0.5 || sp.Redirectors != 4 || sp.Policy != "closest" || !sp.HighLoad {
-		t.Errorf("policy knobs = floor %d avail %v redirectors %d policy %q highload %v",
+	if sp.Floor != 2 || sp.Avail != 0.5 || sp.Redirectors != 4 || sp.Policy != protocol.PolicyClosest || !sp.HighLoad {
+		t.Errorf("policy knobs = floor %d avail %v redirectors %d policy %v highload %v",
 			sp.Floor, sp.Avail, sp.Redirectors, sp.Policy, sp.HighLoad)
 	}
 	if len(sp.Faults.Events) != 2 || sp.Faults.MsgDrop != 0.2 {
@@ -149,5 +149,23 @@ func TestSpecConfigRequiresWorkload(t *testing.T) {
 	var sp Spec
 	if _, err := sp.Config(); err == nil || !strings.Contains(err.Error(), "workload") {
 		t.Errorf("zero Spec.Config() error = %v, want workload complaint", err)
+	}
+}
+
+// A hand-built Spec runs the policy it names or none: an unknown policy
+// (the zero value included) is refused, never quietly run as Fig. 2.
+func TestSpecConfigRefusesUnknownPolicy(t *testing.T) {
+	sp, err := ParseSpec("workload:uniform; objects:100; policy:round-robin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err := sp.Config(); err != nil || cfg.Policy != protocol.PolicyRoundRobin {
+		t.Fatalf("round-robin spec built policy %v, err %v", cfg.Policy, err)
+	}
+	for _, p := range []protocol.Policy{0, protocol.PolicyClosest + 1} {
+		sp.Policy = p
+		if cfg, err := sp.Config(); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+			t.Errorf("Spec{Policy: %v}.Config() = policy %v, err %v; want an unknown-policy error", p, cfg.Policy, err)
+		}
 	}
 }

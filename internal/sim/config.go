@@ -169,8 +169,8 @@ func DefaultConfig(gen workload.Generator, seed int64) Config {
 
 // Feature is a set of the optional subsystems a run can switch on beyond
 // the paper's core. The refusal table is written over features, so the
-// radar facade, whose Config spells the same switches differently, judges
-// a combination by the very rows Validate does.
+// radar facade, which judges the configuration it built, refuses a
+// combination by the very rows Validate does.
 type Feature uint
 
 // The optional subsystems, and the one fact about a run that is not a
@@ -256,6 +256,9 @@ func (c *Config) Validate() error {
 	}
 	if c.PlacementInterval <= 0 {
 		return fmt.Errorf("sim: placement interval %v must be positive", c.PlacementInterval)
+	}
+	if _, err := protocol.ParsePolicy(c.Policy.String()); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if c.NumRedirectors < 1 {
 		return fmt.Errorf("sim: need at least one redirector, got %d", c.NumRedirectors)

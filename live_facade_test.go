@@ -9,16 +9,9 @@ import (
 	"radar"
 )
 
-// TestLiveGroupValidation: the Live group validates in isolation and its
-// incompatibilities with simulation-only subsystems are caught at
-// Validate time as ConfigErrors.
+// TestLiveGroupValidation: live mode's incompatibilities with
+// simulation-only subsystems are caught at Validate time as ConfigErrors.
 func TestLiveGroupValidation(t *testing.T) {
-	if err := (radar.Live{LiveMaxInflightCreates: -1}).Validate(); !errors.Is(err, radar.ErrBadConfig) {
-		t.Errorf("negative inflight limit: err = %v, want ErrBadConfig", err)
-	}
-	if err := (radar.Live{LiveMode: true, LiveMaxInflightCreates: 8}).Validate(); err != nil {
-		t.Errorf("valid live group rejected: %v", err)
-	}
 	cases := []struct {
 		name    string
 		mutate  func(*radar.Config)
@@ -72,16 +65,14 @@ func TestLiveGroupValidation(t *testing.T) {
 // TestLiveFreeRunningNeedsLiveMode: free-running is a refinement of live
 // mode, not a standalone switch.
 func TestLiveFreeRunningNeedsLiveMode(t *testing.T) {
-	err := (radar.Live{LiveFreeRunning: true}).Validate()
-	if !errors.Is(err, radar.ErrBadConfig) {
-		t.Fatalf("LiveFreeRunning without LiveMode: err = %v, want ErrBadConfig", err)
+	cfg := radar.DefaultConfig(radar.Zipf)
+	cfg.Live.LiveFreeRunning = true
+	if err := cfg.Validate(); !badField(err, "Live.LiveFreeRunning") {
+		t.Fatalf("LiveFreeRunning without LiveMode: err = %v, want ConfigError on Live.LiveFreeRunning", err)
 	}
-	var ce *radar.ConfigError
-	if !errors.As(err, &ce) || ce.Field != "Live.LiveFreeRunning" {
-		t.Fatalf("err = %v, want ConfigError on Live.LiveFreeRunning", err)
-	}
-	if err := (radar.Live{LiveMode: true, LiveFreeRunning: true}).Validate(); err != nil {
-		t.Fatalf("valid free-running group rejected: %v", err)
+	cfg.Live.LiveMode = true
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("valid free-running config rejected: %v", err)
 	}
 }
 

@@ -19,6 +19,7 @@
 package radar
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,13 +28,14 @@ import (
 	"time"
 
 	"radar/internal/consistency"
+	"radar/internal/ctrlplane"
 	"radar/internal/experiments"
 	"radar/internal/fault"
 	"radar/internal/live"
 	"radar/internal/metrics"
-	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/report"
+	"radar/internal/scenario"
 	"radar/internal/sim"
 	"radar/internal/store"
 	"radar/internal/substrate"
@@ -157,22 +159,6 @@ type Placement struct {
 	AvailabilityWeight float64
 }
 
-// Validate checks the placement group in isolation.
-func (p Placement) Validate() error {
-	switch p.Policy {
-	case PolicyPaper, PolicyRoundRobin, PolicyClosest, "":
-	default:
-		return fmt.Errorf("%w: %q", ErrUnknownPolicy, p.Policy)
-	}
-	if p.AvailabilityWeight < 0 || p.AvailabilityWeight > 1 || p.AvailabilityWeight != p.AvailabilityWeight {
-		return &ConfigError{
-			Field: "Placement.AvailabilityWeight", Value: p.AvailabilityWeight,
-			Reason: "outside [0, 1]",
-		}
-	}
-	return nil
-}
-
 // Faults groups the fault-injection and availability knobs
 // (Config.Faults).
 type Faults struct {
@@ -194,30 +180,6 @@ type Faults struct {
 	ReplicaFloor int
 }
 
-// Validate checks the faults group in isolation.
-func (f Faults) Validate() error {
-	_, err := f.parse()
-	return err
-}
-
-// parse validates the group and returns its parsed schedule.
-func (f Faults) parse() (fault.Spec, error) {
-	if f.ReplicaFloor < 0 {
-		return fault.Spec{}, &ConfigError{
-			Field: "Faults.ReplicaFloor", Value: f.ReplicaFloor,
-			Reason: "negative",
-		}
-	}
-	spec, err := fault.ParseSchedule(f.FaultSchedule)
-	if err == nil {
-		err = spec.Validate(substrate.UUNET().Topo.NumNodes())
-	}
-	if err != nil {
-		return fault.Spec{}, fmt.Errorf("%w: %v", ErrBadFaultSchedule, err)
-	}
-	return spec, nil
-}
-
 // Ctrl groups the unreliable-control-plane knobs (Config.Ctrl).
 type Ctrl struct {
 	// CtrlRetries overrides the unreliable control plane's RPC retry
@@ -227,23 +189,6 @@ type Ctrl struct {
 	// (3 retries, 1s).
 	CtrlRetries int
 	CtrlTimeout time.Duration
-}
-
-// Validate checks the control-plane group in isolation.
-func (c Ctrl) Validate() error {
-	if c.CtrlRetries < 0 {
-		return &ConfigError{
-			Field: "Ctrl.CtrlRetries", Value: c.CtrlRetries,
-			Reason: "negative",
-		}
-	}
-	if c.CtrlTimeout < 0 {
-		return &ConfigError{
-			Field: "Ctrl.CtrlTimeout", Value: c.CtrlTimeout,
-			Reason: "negative",
-		}
-	}
-	return nil
 }
 
 // Live groups the live serving mode knobs (Config.Live).
@@ -265,10 +210,6 @@ type Live struct {
 	// the simulator's loop instead of its nodes (fault injection,
 	// sharding).
 	LiveMode bool
-	// LiveMaxInflightCreates caps concurrent CreateObj executions per live
-	// node (duplicate messages are deduplicated and answer the cached
-	// verdict). Zero selects the default limit.
-	LiveMaxInflightCreates int
 	// LiveFreeRunning lets the fleet own its clocks: nodes self-schedule
 	// measurement, placement, and census ticks on jittered wall-clock
 	// timers and the load generator paces requests in real time, with
@@ -278,23 +219,6 @@ type Live struct {
 	// equality. Requires LiveMode; refuses a TraceWriter, having no driver
 	// loop to trace.
 	LiveFreeRunning bool
-}
-
-// Validate checks the live group in isolation.
-func (l Live) Validate() error {
-	if l.LiveMaxInflightCreates < 0 {
-		return &ConfigError{
-			Field: "Live.LiveMaxInflightCreates", Value: l.LiveMaxInflightCreates,
-			Reason: "negative",
-		}
-	}
-	if l.LiveFreeRunning && !l.LiveMode {
-		return &ConfigError{
-			Field: "Live.LiveFreeRunning", Value: true,
-			Reason: "free-running mode requires LiveMode",
-		}
-	}
-	return nil
 }
 
 // Storage groups the replica-storage stack knobs (Config.Storage); the
@@ -317,24 +241,6 @@ type Storage struct {
 	Store string
 }
 
-// Validate checks the storage group in isolation.
-func (s Storage) Validate() error {
-	_, err := s.parse()
-	return err
-}
-
-// parse validates the group and returns its parsed stack term.
-func (s Storage) parse() (store.Spec, error) {
-	spec, err := store.ParseSpec(s.Store)
-	if err != nil {
-		return store.Spec{}, &ConfigError{
-			Field: "Storage.Store", Value: s.Store,
-			Reason: err.Error(),
-		}
-	}
-	return spec, nil
-}
-
 // Config configures one simulation run. The zero value is not usable;
 // start from DefaultConfig. Related knobs are grouped into sub-structs
 // (Placement, Faults, Ctrl, Storage, Live).
@@ -343,10 +249,9 @@ type Config struct {
 	Seed int64
 	// Workload selects the demand shape.
 	Workload Workload
-	// Objects is the hosted object count (Table 1: 10,000).
+	// Objects is the hosted object count (Table 1: 10,000 objects of
+	// 12 KB).
 	Objects int
-	// ObjectSizeBytes is the uniform object size (Table 1: 12 KB).
-	ObjectSizeBytes int
 	// Duration is the simulated time span.
 	Duration time.Duration
 	// HighLoad selects the Figure 9 watermarks (50/40) instead of
@@ -376,7 +281,8 @@ type Config struct {
 	// Results are bit-identical at any quantum. Ignored by serial runs.
 	ShardQuantum time.Duration
 	// SwitchTo, when non-empty, swaps the demand to this workload at
-	// SwitchAt — for responsiveness studies of demand-pattern changes.
+	// SwitchAt — for responsiveness studies of demand-pattern changes. The
+	// new generator is seeded with Seed, as a scenario's is.
 	SwitchTo Workload
 	// SwitchAt is the virtual time of the workload switch.
 	SwitchAt time.Duration
@@ -396,121 +302,121 @@ type Config struct {
 // workload.
 func DefaultConfig(w Workload) Config {
 	return Config{
-		Seed:            1,
-		Workload:        w,
-		Objects:         10000,
-		ObjectSizeBytes: 12 << 10,
-		Duration:        40 * time.Minute,
-		Placement:       Placement{Policy: PolicyPaper},
-		Consistency:     ConsistencyNone,
-		NumRedirectors:  1,
+		Seed:           1,
+		Workload:       w,
+		Objects:        10000,
+		Duration:       40 * time.Minute,
+		Placement:      Placement{Policy: PolicyPaper},
+		Consistency:    ConsistencyNone,
+		NumRedirectors: 1,
 	}
 }
 
 // Validate reports whether the configuration names a known workload,
-// policy and consistency regime and carries usable simulation parameters.
-// Run and RunSeeds validate internally; calling Validate first lets a
-// caller separate configuration errors from execution errors. All
-// returned errors wrap the package's sentinel errors (ErrUnknownWorkload,
-// ErrBadConfig and siblings) or the substrate's validation errors, so
-// errors.Is works. Each group also validates in isolation via its own
-// Validate method.
+// policy and consistency regime and builds a runnable simulation: it
+// assembles the very run Run would execute, so a caller can separate
+// configuration errors from execution errors. Errors wrap the package's
+// sentinels (ErrUnknownWorkload, ErrBadConfig and siblings) or the
+// engine's own validation errors, so errors.Is works. A combination the
+// engines refuse (sim.Refusals, judged on the built configuration) is a
+// *ConfigError on Shards or Live.LiveMode carrying the table's reason.
 func (c Config) Validate() error {
-	_, _, err := c.resolve()
+	_, err := c.build()
 	return err
 }
 
-// resolve parses what of c needs parsing — the fault schedule and the
-// storage stack term — validates c, and returns both, so a run parses each
-// once.
-func (c Config) resolve() (faults fault.Spec, stack store.Spec, err error) {
-	if faults, err = c.Faults.parse(); err != nil {
-		return faults, stack, err
-	}
-	if stack, err = c.Storage.parse(); err != nil {
-		return faults, stack, err
-	}
-	return faults, stack, c.validate(faults)
-}
-
-// validate checks everything but the two parsed groups.
-func (c Config) validate(faults fault.Spec) error {
+// spec lowers c to the scenario.Spec it names, after the checks whose
+// failures the facade types: the ErrUnknown* sentinels,
+// ErrBadFaultSchedule, and a *ConfigError per out-of-range field.
+func (c Config) spec() (sp scenario.Spec, err error) {
 	if !slices.Contains(workload.Names, string(c.Workload)) {
-		return fmt.Errorf("%w: %q", ErrUnknownWorkload, c.Workload)
+		return sp, fmt.Errorf("%w: %q", ErrUnknownWorkload, c.Workload)
 	}
 	if c.SwitchTo != "" && !slices.Contains(workload.Names, string(c.SwitchTo)) {
-		return fmt.Errorf("%w: switch target %q", ErrUnknownWorkload, c.SwitchTo)
+		return sp, fmt.Errorf("%w: switch target %q", ErrUnknownWorkload, c.SwitchTo)
 	}
+	policy, err := protocol.ParsePolicy(string(cmp.Or(c.Placement.Policy, PolicyPaper)))
+	if err != nil {
+		return sp, fmt.Errorf("%w: %q", ErrUnknownPolicy, c.Placement.Policy)
+	}
+	var mix consistency.Mix // all objects replicate freely
 	switch c.Consistency {
-	case ConsistencyNone, ConsistencyMixed, "":
+	case ConsistencyNone, "":
+	case ConsistencyMixed:
+		mix = consistency.DefaultMix()
 	default:
-		return fmt.Errorf("%w: %q", ErrUnknownConsistency, c.Consistency)
+		return sp, fmt.Errorf("%w: %q", ErrUnknownConsistency, c.Consistency)
 	}
-	u := object.Universe{Count: c.Objects, SizeBytes: c.ObjectSizeBytes}
-	if err := u.Validate(); err != nil {
-		return err
-	}
-	if c.Duration < 0 {
-		return &ConfigError{Field: "Duration", Value: c.Duration, Reason: "negative"}
-	}
-	if c.NumRedirectors < 0 {
-		return &ConfigError{Field: "NumRedirectors", Value: c.NumRedirectors, Reason: "negative"}
-	}
-	if c.SwitchAt < 0 {
-		return &ConfigError{Field: "SwitchAt", Value: c.SwitchAt, Reason: "negative"}
-	}
-	if c.Shards < -1 {
-		return &ConfigError{
-			Field: "Shards", Value: c.Shards,
-			Reason: "must be -1 (one shard per region), 0/1 (serial) or >= 2",
+	aw := c.Placement.AvailabilityWeight
+	for _, e := range []struct {
+		bad bool
+		ConfigError
+	}{
+		{c.Duration < 0, ConfigError{"Duration", c.Duration, "negative"}},
+		{c.NumRedirectors < 0, ConfigError{"NumRedirectors", c.NumRedirectors, "negative"}},
+		{c.SwitchAt < 0, ConfigError{"SwitchAt", c.SwitchAt, "negative"}},
+		{c.Shards < -1, ConfigError{"Shards", c.Shards, "must be -1 (one shard per region), 0/1 (serial) or >= 2"}},
+		{c.ShardQuantum < 0, ConfigError{"ShardQuantum", c.ShardQuantum, "negative"}},
+		{!(aw >= 0 && aw <= 1), ConfigError{"Placement.AvailabilityWeight", aw, "outside [0, 1]"}},
+		{c.Faults.ReplicaFloor < 0, ConfigError{"Faults.ReplicaFloor", c.Faults.ReplicaFloor, "negative"}},
+		{c.Ctrl.CtrlRetries < 0, ConfigError{"Ctrl.CtrlRetries", c.Ctrl.CtrlRetries, "negative"}},
+		{c.Ctrl.CtrlTimeout < 0, ConfigError{"Ctrl.CtrlTimeout", c.Ctrl.CtrlTimeout, "negative"}},
+		{c.Live.LiveFreeRunning && !c.Live.LiveMode, ConfigError{"Live.LiveFreeRunning", true, "free-running mode requires LiveMode"}},
+		{c.Live.LiveFreeRunning && c.TraceWriter != nil, ConfigError{"Live.LiveFreeRunning", true, "a free-running fleet has no driver loop to trace"}},
+	} {
+		if e.bad {
+			return sp, &e.ConfigError
 		}
 	}
-	if c.ShardQuantum < 0 {
-		return &ConfigError{
-			Field: "ShardQuantum", Value: c.ShardQuantum,
-			Reason: "negative",
-		}
+	faults, err := fault.ParseSchedule(c.Faults.FaultSchedule)
+	if err == nil {
+		err = faults.Validate(substrate.UUNET().Topo.NumNodes())
 	}
-	if err := c.Placement.Validate(); err != nil {
-		return err
+	if err != nil {
+		return sp, fmt.Errorf("%w: %v", ErrBadFaultSchedule, err)
 	}
-	if err := c.Ctrl.Validate(); err != nil {
-		return err
+	stack, err := store.ParseSpec(c.Storage.Store)
+	if err != nil {
+		return sp, &ConfigError{Field: "Storage.Store", Value: c.Storage.Store, Reason: err.Error()}
 	}
-	if err := c.Live.Validate(); err != nil {
-		return err
-	}
-	// Combinations the engines refuse are judged by the engines' own table
-	// (sim.Refusals), over the features this Config switches on.
-	if r := sim.MatchRefusal(c.features(faults)); r != nil {
-		if r.With&sim.ExternalFleet != 0 {
-			return &ConfigError{Field: "Live.LiveMode", Value: true, Reason: r.Reason}
-		}
-		return &ConfigError{Field: "Shards", Value: c.Shards, Reason: r.Reason}
-	}
-	if c.Live.LiveFreeRunning && c.TraceWriter != nil {
-		return &ConfigError{Field: "Live.LiveFreeRunning", Value: true, Reason: "a free-running fleet has no driver loop to trace"}
-	}
-	return nil
+	return scenario.Spec{
+		Workload: string(c.Workload), SwitchTo: string(c.SwitchTo), SwitchAt: c.SwitchAt,
+		Objects: c.Objects, Duration: c.Duration, Seed: c.Seed, Redirectors: c.NumRedirectors,
+		Floor: c.Faults.ReplicaFloor, Avail: aw, Policy: policy, HighLoad: c.HighLoad,
+		Faults: faults, Store: stack, Static: c.Static, Consistency: mix,
+		Poisson: c.PoissonArrivals, Contention: c.LinkContention,
+		Ctrl: ctrlplane.Params{Retries: c.Ctrl.CtrlRetries, Timeout: c.Ctrl.CtrlTimeout},
+	}, nil
 }
 
-// features maps the facade's switches onto the engines' feature set
-// (sim.Config.Features reads the same set off the built configuration).
-func (c Config) features(faults fault.Spec) sim.Feature {
-	var f sim.Feature
+// build assembles the run c describes: Spec.Config builds it from the
+// lowered spec, build adds what a Spec does not carry (the sharded engine,
+// the trace writer), and the engines' refusal table judges the result once.
+func (c Config) build() (*sim.Config, error) {
+	sp, err := c.spec()
+	if err != nil {
+		return nil, err
+	}
+	simCfg, err := sp.Config()
+	if err != nil {
+		return nil, err
+	}
+	simCfg.Shards = c.Shards
+	simCfg.ShardQuantum = c.ShardQuantum
+	if c.TraceWriter != nil {
+		simCfg.ExtraObserver = trace.NewWriter(c.TraceWriter)
+	}
+	features := simCfg.Features()
 	if c.Live.LiveMode {
-		f |= sim.ExternalFleet
+		features |= sim.ExternalFleet
 	}
-	if c.Shards == -1 || c.Shards >= 2 {
-		f |= sim.Sharding
+	if r := sim.MatchRefusal(features); r != nil {
+		if r.With&sim.ExternalFleet != 0 {
+			return nil, &ConfigError{Field: "Live.LiveMode", Value: true, Reason: r.Reason}
+		}
+		return nil, &ConfigError{Field: "Shards", Value: c.Shards, Reason: r.Reason}
 	}
-	if c.LinkContention {
-		f |= sim.LinkContention
-	}
-	if faults.Enabled() || faults.HasMessageFaults() {
-		f |= sim.FaultInjection
-	}
-	return f
+	return &simCfg, nil
 }
 
 // Point is one sample of a reported time series: T is the bucket start
@@ -646,16 +552,12 @@ func Run(cfg Config) (*Result, error) {
 // virtual-time minutes) with ctx.Err(). A run that completes without
 // cancellation is bit-identical to Run.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	faults, stack, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	simCfg, err := buildSimConfig(cfg, faults, stack)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Live.LiveMode {
-		return runLive(ctx, cfg, simCfg)
+		return runLive(ctx, cfg)
+	}
+	simCfg, err := cfg.build()
+	if err != nil {
+		return nil, err
 	}
 	s, err := sim.New(*simCfg)
 	if err != nil {
@@ -699,17 +601,12 @@ func RunSeedsContext(ctx context.Context, cfg Config, seeds []int64, parallelism
 			Reason: "live mode runs one fleet at a time; use Run per seed",
 		}
 	}
-	faults, stack, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
 	jobs := make([]experiments.Job, len(seeds))
 	for i, seed := range seeds {
-		seedCfg := cfg
-		seedCfg.Seed = seed
-		simCfg, err := buildSimConfig(seedCfg, faults, stack)
+		cfg.Seed = seed
+		simCfg, err := cfg.build()
 		if err != nil {
-			return nil, fmt.Errorf("radar: seed %d: %w", seed, err)
+			return nil, err
 		}
 		jobs[i] = experiments.Job{Label: fmt.Sprintf("seed/%d", seed), Config: *simCfg}
 	}
@@ -729,16 +626,12 @@ func RunSeedsContext(ctx context.Context, cfg Config, seeds []int64, parallelism
 // fleet: real HTTP listeners, one per backbone node, driven through the
 // simulator's event schedule. Results use the same schema as a simulated
 // run (live-only gaps — e.g. post-run invariant sweeps — stay zero).
-func runLive(ctx context.Context, cfg Config, simCfg *sim.Config) (*Result, error) {
-	liveCfg := live.Config{
-		Sim:                *simCfg,
-		MaxInflightCreates: cfg.Live.LiveMaxInflightCreates,
-		FreeRunning:        cfg.Live.LiveFreeRunning,
+func runLive(ctx context.Context, cfg Config) (*Result, error) {
+	simCfg, err := cfg.build()
+	if err != nil {
+		return nil, err
 	}
-	if err := liveCfg.Validate(); err != nil {
-		return nil, &ConfigError{Field: "Live.LiveMode", Value: true, Reason: err.Error()}
-	}
-	h, err := live.NewHarness(liveCfg, nil)
+	h, err := live.NewHarness(live.Config{Sim: *simCfg, FreeRunning: cfg.Live.LiveFreeRunning}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -748,62 +641,6 @@ func runLive(ctx context.Context, cfg Config, simCfg *sim.Config) (*Result, erro
 		return nil, err
 	}
 	return convert(res), nil
-}
-
-// buildSimConfig translates a validated Config, with its parsed fault
-// schedule and storage stack (Config.resolve), into the simulator's.
-func buildSimConfig(cfg Config, faults fault.Spec, stack store.Spec) (*sim.Config, error) {
-	topo := substrate.UUNET().Topo
-	u := object.Universe{Count: cfg.Objects, SizeBytes: cfg.ObjectSizeBytes}
-	gen, err := workload.Named(string(cfg.Workload), u, topo, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	simCfg := sim.DefaultConfig(gen, cfg.Seed)
-	simCfg.Topo = topo
-	simCfg.Universe = u
-	if cfg.Duration > 0 {
-		simCfg.Duration = cfg.Duration
-	}
-	if cfg.HighLoad {
-		simCfg.Protocol = protocol.HighLoadParams()
-	}
-	simCfg.DynamicPlacement = !cfg.Static
-	switch cfg.Placement.Policy {
-	case PolicyRoundRobin:
-		simCfg.Policy = protocol.PolicyRoundRobin
-	case PolicyClosest:
-		simCfg.Policy = protocol.PolicyClosest
-	}
-	if cfg.Consistency == ConsistencyMixed {
-		// Otherwise all objects replicate freely.
-		simCfg.Consistency = consistency.DefaultMix()
-	}
-	if cfg.NumRedirectors > 0 {
-		simCfg.NumRedirectors = cfg.NumRedirectors
-	}
-	simCfg.PoissonArrivals = cfg.PoissonArrivals
-	simCfg.Net.Contention = cfg.LinkContention
-	simCfg.Shards = cfg.Shards
-	simCfg.ShardQuantum = cfg.ShardQuantum
-	if cfg.SwitchTo != "" {
-		to, err := workload.Named(string(cfg.SwitchTo), u, topo, cfg.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		simCfg.WorkloadSwitch.At = cfg.SwitchAt
-		simCfg.WorkloadSwitch.To = to
-	}
-	if cfg.TraceWriter != nil {
-		simCfg.ExtraObserver = trace.NewWriter(cfg.TraceWriter)
-	}
-	simCfg.Faults = faults
-	simCfg.Protocol.ReplicaFloor = cfg.Faults.ReplicaFloor
-	simCfg.Protocol.AvailabilityWeight = cfg.Placement.AvailabilityWeight
-	simCfg.Ctrl.Retries = cfg.Ctrl.CtrlRetries
-	simCfg.Ctrl.Timeout = cfg.Ctrl.CtrlTimeout
-	simCfg.Store = stack
-	return &simCfg, nil
 }
 
 func convert(res *sim.Results) *Result {

@@ -27,9 +27,6 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.Objects != 10000 {
 		t.Errorf("Objects = %d, want 10000", cfg.Objects)
 	}
-	if cfg.ObjectSizeBytes != 12<<10 {
-		t.Errorf("ObjectSizeBytes = %d, want 12KB", cfg.ObjectSizeBytes)
-	}
 	if cfg.Placement.Policy != PolicyPaper {
 		t.Errorf("Policy = %q, want paper", cfg.Placement.Policy)
 	}

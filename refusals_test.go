@@ -10,9 +10,9 @@ import (
 )
 
 // TestRefusalTableOneVerdict walks every row of sim.Refusals and checks
-// the facade and the engine refuse the combination alike: the facade's
-// Validate answers a ConfigError carrying the row's reason, and the
-// configuration it would build is refused by the engine's own Validate —
+// the facade and the engine refuse the combination alike: build answers a
+// ConfigError carrying the row's reason on the row's field, and the
+// configuration build assembles is refused by the engine's own Validate —
 // sim.Config for the sharded-engine rows, live.Config for the
 // external-fleet rows — for the same reason. The facade can spell every
 // feature a row names.
@@ -36,26 +36,24 @@ func TestRefusalTableOneVerdict(t *testing.T) {
 					switches[bit](&cfg)
 				}
 			}
-			faults, err := cfg.Faults.parse()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := cfg.features(faults); got != row.With {
-				t.Fatalf("facade features = %#b, want the row's %#b", got, row.With)
+			field := "Shards"
+			if cfg.Live.LiveMode {
+				field = "Live.LiveMode"
 			}
 			var ce *ConfigError
-			if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) || !errors.As(err, &ce) || ce.Reason != row.Reason {
-				t.Errorf("facade Validate = %v, want ConfigError with reason %q", err, row.Reason)
+			if _, err := cfg.build(); !errors.Is(err, ErrBadConfig) || !errors.As(err, &ce) || ce.Reason != row.Reason || ce.Field != field {
+				t.Errorf("facade build = %v, want ConfigError on %s with reason %q", err, field, row.Reason)
 			}
-			// The engine's verdict on the configuration the facade builds.
-			stack, err := cfg.Storage.parse()
+			// The engine's verdict on the configuration build assembles:
+			// the Spec's half builds (no row is Spec-only), then the two
+			// switches a Spec does not carry go on as build puts them.
+			half := cfg
+			half.Shards, half.Live.LiveMode = 0, false
+			simCfg, err := half.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			simCfg, err := buildSimConfig(cfg, faults, stack)
-			if err != nil {
-				t.Fatal(err)
-			}
+			simCfg.Shards = cfg.Shards
 			want := row.With &^ sim.ExternalFleet
 			if got := simCfg.Features(); got != want {
 				t.Fatalf("engine features = %#b, want %#b", got, want)
