@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,7 +44,6 @@ import (
 	"radar/internal/routing"
 	"radar/internal/scenario"
 	"radar/internal/sim"
-	"radar/internal/topology"
 )
 
 func main() {
@@ -63,7 +61,6 @@ func run() error {
 		rps         = flag.Float64("rps", 0, "override the per-gateway request rate (0 = keep)")
 		seed        = flag.Int64("seed", 0, "override the scenario seed (0 = keep)")
 		urls        = flag.String("urls", "", "comma-separated radar-node base URLs (empty = in-process loopback fleet)")
-		inflight    = flag.Int("max-inflight-creates", 0, "per-node CreateObj concurrency limit (0 = default)")
 		gateFailed  = flag.Bool("gate-zero-failed", false, "exit non-zero if any request failed or any node crashed")
 		freeRunning = flag.Bool("free-running", false, "free-running mode: nodes self-schedule on wall clocks; generator paces in real time")
 		chaosSched  = flag.String("chaos", "", "fault-DSL chaos schedule to deal against the fleet (implies -check; needs -free-running, in-process fleet)")
@@ -83,7 +80,7 @@ func run() error {
 		return fmt.Errorf("-chaos and -check need -free-running (driver-paced replay is verified against the simulator instead)")
 	}
 
-	cfg, err := live.ScenarioConfig(*name, *duration, *rps, *seed, *inflight, *freeRunning)
+	cfg, err := live.ScenarioConfig(*name, *duration, *rps, *seed, *freeRunning)
 	if err != nil {
 		return err
 	}
@@ -162,7 +159,7 @@ func runFree(ctx context.Context, cfg live.Config, urls []string, schedule strin
 		// Judge steady-state maintenance, not the boot transient: wait for
 		// the self-scheduled placement passes to finish the initial floor
 		// repair before the first scrape.
-		if err := awaitFloor(ctx, fleetURLs, redirectors); err != nil {
+		if err := check.AwaitFloor(ctx, fleetURLs, redirectors, floorWaitTimeout); err != nil {
 			return err
 		}
 		checker = check.New(check.Config{
@@ -233,33 +230,4 @@ func runFree(ctx context.Context, cfg live.Config, urls []string, schedule strin
 		return fmt.Errorf("gate: %d failed requests (want zero)", res.FailedRequests)
 	}
 	return nil
-}
-
-// awaitFloor polls the redirectors' censuses until no object sits below
-// the replica floor (or with zero replicas), so invariant checking starts
-// from a converged fleet.
-func awaitFloor(ctx context.Context, urls []string, redirectors []topology.NodeID) error {
-	client := &http.Client{Timeout: 2 * time.Second}
-	defer client.CloseIdleConnections()
-	deadline := time.Now().Add(floorWaitTimeout)
-	for {
-		settled := true
-		for _, loc := range redirectors {
-			var rep live.CensusReply
-			if live.Scrape(client, urls[loc]+live.PathCensus, &rep) != nil || rep.BelowFloor > 0 || rep.Zero > 0 {
-				settled = false
-			}
-		}
-		if settled {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not repair the initial replica-floor deficit within %v", floorWaitTimeout)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
 }

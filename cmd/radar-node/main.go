@@ -61,7 +61,6 @@ func run() error {
 		duration  = flag.Duration("duration", 0, "override the scenario's virtual duration (0 = keep)")
 		rps       = flag.Float64("rps", 0, "override the per-gateway request rate (0 = keep)")
 		seed      = flag.Int64("seed", 0, "override the scenario seed (0 = keep)")
-		inflight  = flag.Int("max-inflight-creates", 0, "CreateObj concurrency limit (0 = default)")
 		freeRun   = flag.Bool("free-running", false, "self-schedule control ticks on the wall clock instead of waiting for a driver")
 		recovered = flag.Bool("recovered", false, "this is a restart: re-announce held replicas to the redirectors before reporting ready")
 		readyFile = flag.String("ready-file", "", "create this file once serving and recovered (readiness signal for process supervisors)")
@@ -76,7 +75,7 @@ func run() error {
 		return fmt.Errorf("missing -peers")
 	}
 
-	cfg, err := live.ScenarioConfig(*name, *duration, *rps, *seed, *inflight, *freeRun)
+	cfg, err := live.ScenarioConfig(*name, *duration, *rps, *seed, *freeRun)
 	if err != nil {
 		return err
 	}

@@ -25,9 +25,8 @@ import (
 // workload generators built by Generators are immutable after
 // construction (their Next methods only read), so sharing one generator
 // across concurrent jobs is safe. Configs that carry *stateful* shared
-// components — a trace.Recording/trace.Replay generator or an
-// ExtraObserver — must not appear in more than one job of a batch; give
-// each job its own instance.
+// components — a stateful generator or an ExtraObserver — must not appear
+// in more than one job of a batch; give each job its own instance.
 
 // Job is one labeled simulation in an engine batch.
 type Job struct {

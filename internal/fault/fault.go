@@ -351,41 +351,3 @@ func sanitize(events []Event) []Event {
 	}
 	return kept
 }
-
-// CheckTimeline verifies a timeline's invariants: sorted by time, valid
-// kinds, normalized link endpoints, and strict per-element down/up
-// alternation starting from up. Timeline's output always satisfies it;
-// fuzzing and tests assert it.
-func CheckTimeline(events []Event) error {
-	type elem struct {
-		link bool
-		n    topology.NodeID
-		a, b topology.NodeID
-	}
-	downState := make(map[elem]bool)
-	for i, e := range events {
-		if i > 0 && e.At < events[i-1].At {
-			return fmt.Errorf("fault: timeline unsorted at %d: %v after %v", i, e.At, events[i-1].At)
-		}
-		var el elem
-		var wantDown bool
-		switch e.Kind {
-		case HostDown, HostUp:
-			el = elem{n: e.Node}
-			wantDown = e.Kind == HostDown
-		case LinkDown, LinkUp:
-			if e.A >= e.B {
-				return fmt.Errorf("fault: timeline event %d has unnormalized link %d-%d", i, e.A, e.B)
-			}
-			el = elem{link: true, a: e.A, b: e.B}
-			wantDown = e.Kind == LinkDown
-		default:
-			return fmt.Errorf("fault: timeline event %d has unknown kind %d", i, e.Kind)
-		}
-		if downState[el] == wantDown {
-			return fmt.Errorf("fault: timeline event %d (%s) does not change element state", i, e.Kind)
-		}
-		downState[el] = wantDown
-	}
-	return nil
-}

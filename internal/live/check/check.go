@@ -237,6 +237,35 @@ func (c *Checker) Run(ctx context.Context) {
 	}
 }
 
+// AwaitFloor polls the redirectors' censuses until no object sits below
+// the replica floor (or with zero replicas), so invariant checking starts
+// from a converged fleet. It gives up after timeout.
+func AwaitFloor(ctx context.Context, urls []string, redirectors []topology.NodeID, timeout time.Duration) error {
+	client := &http.Client{Timeout: 2 * time.Second}
+	defer client.CloseIdleConnections()
+	deadline := time.Now().Add(timeout)
+	for {
+		settled := true
+		for _, loc := range redirectors {
+			var rep live.CensusReply
+			if live.Scrape(client, urls[loc]+live.PathCensus, &rep) != nil || rep.BelowFloor > 0 || rep.Zero > 0 {
+				settled = false
+			}
+		}
+		if settled {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("fleet did not repair the initial replica-floor deficit within %v", timeout)
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+}
+
 // Scrape performs one scrape-and-judge pass. Exposed so tests (and
 // one-shot callers) can drive the checker without the ticker.
 func (c *Checker) Scrape() {

@@ -23,11 +23,6 @@ type Config struct {
 	// backbone, like the simulator.
 	Sim sim.Config
 
-	// MaxInflightCreates caps concurrent CreateObj executions per node
-	// (the buildbarn-style replication concurrency limit). Zero selects
-	// DefaultMaxInflightCreates.
-	MaxInflightCreates int
-
 	// RPC tunes the control-plane client: per-attempt timeout, retry
 	// budget, and backoff, reusing ctrlplane.Params (zero fields select
 	// the ctrlplane defaults).
@@ -72,20 +67,13 @@ const (
 	DefaultFreeRunJitter = 0.1
 )
 
-// DefaultMaxInflightCreates is the per-node CreateObj concurrency limit
-// when Config.MaxInflightCreates is zero.
-const DefaultMaxInflightCreates = 4
-
 // Normalized returns the configuration with every default resolved — the
-// UUNET topology for a nil Topo, the ctrlplane RPC defaults, the CreateObj
-// concurrency default, the free-running timers — which is the exact
-// configuration a fleet, driver, or checker built from c will run with.
+// UUNET topology for a nil Topo, the ctrlplane RPC defaults, the
+// free-running timers — which is the exact configuration a fleet, driver,
+// or checker built from c will run with.
 func (c Config) Normalized() Config {
 	if c.Sim.Topo == nil {
 		c.Sim.Topo = substrate.UUNET().Topo
-	}
-	if c.MaxInflightCreates == 0 {
-		c.MaxInflightCreates = DefaultMaxInflightCreates
 	}
 	c.RPC = c.RPC.WithDefaults()
 	if c.FreeRunning {
@@ -114,9 +102,6 @@ func (c Config) Validate() error {
 	if err := c.Sim.Validate(); err != nil {
 		return err
 	}
-	if c.MaxInflightCreates < 0 {
-		return fmt.Errorf("live: negative MaxInflightCreates %d", c.MaxInflightCreates)
-	}
 	if err := c.RPC.Validate(); err != nil {
 		return err
 	}
@@ -137,7 +122,7 @@ func (c Config) Validate() error {
 // scenario's value), so an overridden seed seeds the generators too.
 // radar-load and radar-node both resolve through it, so a driver and an
 // externally launched fleet agree on every parameter.
-func ScenarioConfig(name string, duration time.Duration, rps float64, seed int64, inflight int, freeRunning bool) (Config, error) {
+func ScenarioConfig(name string, duration time.Duration, rps float64, seed int64, freeRunning bool) (Config, error) {
 	sc, ok := scenario.ByName(name)
 	if !ok {
 		return Config{}, fmt.Errorf("unknown scenario %q", name)
@@ -159,7 +144,7 @@ func ScenarioConfig(name string, duration time.Duration, rps float64, seed int64
 	if err != nil {
 		return Config{}, fmt.Errorf("scenario %s: %w", name, err)
 	}
-	cfg := Config{Sim: simCfg, MaxInflightCreates: inflight, FreeRunning: freeRunning}
+	cfg := Config{Sim: simCfg, FreeRunning: freeRunning}
 	return cfg, cfg.Validate()
 }
 

@@ -19,7 +19,7 @@ import (
 // configuration it built.
 func TestScenarioConfigOverridesTheSpec(t *testing.T) {
 	const name, dsl = "diurnal-lossy-ctrl", "seed:1"
-	got, err := ScenarioConfig(name, 0, 0, 7, 0, false)
+	got, err := ScenarioConfig(name, 0, 0, 7, false)
 	if err == nil || !strings.Contains(err.Error(), "fault injection is simulation-only") {
 		t.Fatalf("ScenarioConfig(%s) error = %v, want the fault-injection refusal", name, err)
 	}

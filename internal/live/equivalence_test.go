@@ -9,7 +9,6 @@ import (
 
 	"radar/internal/consistency"
 	"radar/internal/live"
-	"radar/internal/live/livetest"
 	"radar/internal/metrics"
 	"radar/internal/object"
 	"radar/internal/protocol"
@@ -178,7 +177,7 @@ func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) []live.
 		t.Fatalf("running simulation: %v", err)
 	}
 
-	h := livetest.Start(t, cfg)
+	h := startHarness(t, cfg)
 	liveRes, err := h.Run(context.Background())
 	if err != nil {
 		t.Fatalf("running live fleet: %v", err)

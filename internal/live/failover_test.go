@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"radar/internal/live"
-	"radar/internal/live/livetest"
 	"radar/internal/topology"
 )
 
@@ -28,7 +27,7 @@ func TestRedirectorFailover(t *testing.T) {
 	cfg := liveConfig(t, topology.Star(4), 16, 10, duration)
 	cfg.Sim.Protocol.ReplicaFloor = 2
 
-	h := livetest.Start(t, cfg)
+	h := startHarness(t, cfg)
 	h.Driver.At(killAt, func() {
 		if err := h.Kill(victim); err != nil {
 			t.Errorf("killing node %d: %v", victim, err)

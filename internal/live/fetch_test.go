@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"radar/internal/live"
-	"radar/internal/live/livetest"
 	"radar/internal/protocol"
 	"radar/internal/routing"
 	"radar/internal/topology"
@@ -20,7 +19,7 @@ import (
 // does and reports whether it answered it.
 func testNodes(t *testing.T, cfg live.Config, intercept func(i int, w http.ResponseWriter, r *http.Request) bool) (nodes []*live.Node, urls []string) {
 	t.Helper()
-	livetest.CheckGoroutines(t)
+	checkGoroutines(t)
 	nodes = make([]*live.Node, cfg.Sim.Topo.NumNodes())
 	urls = make([]string, len(nodes))
 	for i := range nodes {

@@ -2,7 +2,6 @@ package live_test
 
 import (
 	"context"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +16,6 @@ import (
 	"radar/internal/live"
 	"radar/internal/live/chaos"
 	"radar/internal/live/check"
-	"radar/internal/live/livetest"
 	"radar/internal/object"
 	"radar/internal/topology"
 )
@@ -45,52 +43,16 @@ func freeRunConfig(t *testing.T, topo *topology.Topology, wall time.Duration) li
 }
 
 // awaitFloorConverged waits for the fleet's self-scheduled placement
-// passes to finish the initial floor repair (objects seed with one
-// replica; the floor demands more). Invariant checking starts from this
-// converged state: the checker judges steady-state maintenance, not the
-// boot transient — which under -race can legitimately outlast any
+// passes to finish the initial floor repair. Invariant checking starts
+// from this converged state: the checker judges steady-state maintenance,
+// not the boot transient — which under -race can legitimately outlast any
 // reasonable convergence budget.
 func awaitFloorConverged(t *testing.T, h *live.Harness, timeout time.Duration) {
 	t.Helper()
-	cfg := h.Fleet.Config()
-	locs := live.RedirectorLocations(h.Fleet.Routes(), cfg.Sim.NumRedirectors)
-	client := &http.Client{Timeout: 2 * time.Second}
-	defer client.CloseIdleConnections()
-	deadline := time.Now().Add(timeout)
-	for {
-		settled := true
-		for _, loc := range locs {
-			rep, ok := fetchCensus(t, client, h.Fleet.URL(loc))
-			if !ok || rep.BelowFloor > 0 || rep.Zero > 0 {
-				settled = false
-			}
-		}
-		if settled {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet did not repair the initial floor deficit within %v", timeout)
-		}
-		time.Sleep(50 * time.Millisecond)
+	locs := live.RedirectorLocations(h.Fleet.Routes(), h.Fleet.Config().Sim.NumRedirectors)
+	if err := check.AwaitFloor(context.Background(), h.Fleet.URLs(), locs, timeout); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func fetchCensus(t *testing.T, client *http.Client, base string) (live.CensusReply, bool) {
-	t.Helper()
-	var rep live.CensusReply
-	res, err := client.Get(base + live.PathCensus)
-	if err != nil {
-		return rep, false
-	}
-	defer res.Body.Close()
-	data, err := io.ReadAll(res.Body)
-	if err != nil || res.StatusCode != http.StatusOK {
-		return rep, false
-	}
-	if err := live.Decode(data, &rep); err != nil {
-		t.Fatalf("decoding census: %v", err)
-	}
-	return rep, true
 }
 
 // startChecker wires an invariant checker to the harness fleet and starts
@@ -118,7 +80,7 @@ func startChecker(h *live.Harness, interval, convergence time.Duration) (*check.
 func TestFreeRunningServes(t *testing.T) {
 	const wall = 3 * time.Second
 	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := livetest.Start(t, cfg)
+	h := startHarness(t, cfg)
 	awaitFloorConverged(t, h, 30*time.Second)
 	checker, stopCheck := startChecker(h, 100*time.Millisecond, 2*time.Second)
 
@@ -178,7 +140,7 @@ func TestChaosKillRestartInvariants(t *testing.T) {
 		victim      = topology.NodeID(3) // Star(4) leaf; node 0 is the redirector
 	)
 	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := livetest.Start(t, cfg)
+	h := startHarness(t, cfg)
 	awaitFloorConverged(t, h, 30*time.Second)
 	checker, stopCheck := startChecker(h, 100*time.Millisecond, convergence)
 
@@ -240,7 +202,7 @@ func TestChaosKillRestartInvariants(t *testing.T) {
 func TestChaosPartitionHeals(t *testing.T) {
 	const wall = 4 * time.Second
 	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := livetest.Start(t, cfg)
+	h := startHarness(t, cfg)
 	awaitFloorConverged(t, h, 30*time.Second)
 	checker, stopCheck := startChecker(h, 100*time.Millisecond, 2*time.Second)
 

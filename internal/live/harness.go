@@ -15,10 +15,9 @@ const ReadyTimeout = 10 * time.Second
 
 // Harness couples a fleet with the driver that replays a workload against
 // it — what the facade's live mode, radar-load and the integration tests
-// (livetest.Start) all run. Exactly one of Driver (driver-paced) and Free
-// (free-running) is non-nil, keyed by Config.FreeRunning. Fleet is the
-// in-process loopback fleet the harness owns, nil when it drives an
-// external one.
+// all run. Exactly one of Driver (driver-paced) and Free (free-running) is
+// non-nil, keyed by Config.FreeRunning. Fleet is the in-process loopback
+// fleet the harness owns, nil when it drives an external one.
 type Harness struct {
 	Fleet  *Fleet
 	URLs   []string // base URL per node ID

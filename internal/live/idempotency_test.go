@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"radar/internal/live"
-	"radar/internal/live/livetest"
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/sim"
@@ -78,7 +77,7 @@ func nodeStats(t *testing.T, url string) live.StatsReply {
 // CreateObj message execute the handshake once and replay the identical
 // verdict — the buildbarn-style request deduplication on the live wire.
 func TestCreateObjIdempotent(t *testing.T) {
-	h := livetest.Start(t, liveConfig(t, topology.Line(3), 9, 1, time.Minute))
+	h := startHarness(t, liveConfig(t, topology.Line(3), 9, 1, time.Minute))
 	target := h.Fleet.URL(1)
 	msg := &live.CreateObjMsg{
 		MsgID: 7001, From: 0, To: 1, Method: protocol.Replicate.String(),
@@ -241,12 +240,10 @@ func TestPlacePassLoadReports(t *testing.T) {
 }
 
 // TestCreateObjConcurrencyLimit: distinct CreateObj messages all execute,
-// but never more than the configured per-node limit at a time.
+// but never more than the node's fixed limit (createDedupLimit) at a time.
 func TestCreateObjConcurrencyLimit(t *testing.T) {
-	const limit, msgs = 2, 12
-	cfg := liveConfig(t, topology.Line(3), 24, 1, time.Minute)
-	cfg.MaxInflightCreates = limit
-	h := livetest.Start(t, cfg)
+	const limit, msgs = 4, 12
+	h := startHarness(t, liveConfig(t, topology.Line(3), 24, 1, time.Minute))
 	target := h.Fleet.URL(2)
 
 	var wg sync.WaitGroup
@@ -283,7 +280,7 @@ func TestCreateObjConcurrencyLimit(t *testing.T) {
 // TestMalformedRPCAnswers400: a malformed control-plane body is rejected
 // with the typed wire error, not a hang or a panic.
 func TestMalformedRPCAnswers400(t *testing.T) {
-	h := livetest.Start(t, liveConfig(t, topology.Line(2), 4, 1, time.Minute))
+	h := startHarness(t, liveConfig(t, topology.Line(2), 4, 1, time.Minute))
 	for _, body := range []string{`{"msg_id":`, `{"msg_id":0}`, `{"msg_id":1,"method":"STEAL","src_aff":1}`} {
 		res, err := http.Post(h.Fleet.URL(0)+live.PathCreateObj, "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -307,11 +304,13 @@ func TestMalformedRPCAnswers400(t *testing.T) {
 // outside the fleet or an object outside the universe is refused with 400
 // before the redirector sees it, and the redirector keeps answering object
 // requests. A recorded replica on a host without a distance row would make
-// the next choice panic with the redirector's lock held.
+// the next choice panic with the redirector's lock held; a completion from
+// a gateway past the fleet would make the next placement pass charge the
+// wrong path, or panic with the node's lock held.
 func TestOutOfRangeIDsAnswer400(t *testing.T) {
 	const objects, nodes = 16, 4
 	// Star(4): node 0 is the hub and the one redirector.
-	h := livetest.Start(t, liveConfig(t, topology.Star(nodes), objects, 1, time.Minute))
+	h := startHarness(t, liveConfig(t, topology.Star(nodes), objects, 1, time.Minute))
 	client := &http.Client{
 		Timeout:       5 * time.Second,
 		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
@@ -325,6 +324,12 @@ func TestOutOfRangeIDsAnswer400(t *testing.T) {
 		{live.PathRequestDrop, &live.DropMsg{MsgID: 3, Object: 1, Host: nodes}},
 		{live.PathRequestDrop, &live.DropMsg{MsgID: 4, Object: objects, Host: 1}},
 		{live.PathMark, &live.MarkMsg{Host: nodes, Down: true}},
+		{live.PathCreateObj, &live.CreateObjMsg{MsgID: 5, From: 1, To: 0, Method: protocol.Replicate.String(), Object: objects, UnitLoad: 0.01, SrcAff: 1}},
+		// Object 0 is homed on node 0, so the host settles its completions
+		// over the gateway's preference path at the next pass.
+		{live.PathComplete, &live.CompleteMsg{Object: 0, Gateway: nodes}},
+		{live.PathComplete, &live.CompleteMsg{Object: 0, Gateway: nodes * nodes}},
+		{live.PathComplete, &live.CompleteMsg{Object: objects, Gateway: 1}},
 	} {
 		res, err := client.Post(h.Fleet.URL(0)+c.path, "application/json", bytes.NewReader(live.Encode(c.msg)))
 		if err != nil {
@@ -342,5 +347,14 @@ func TestOutOfRangeIDsAnswer400(t *testing.T) {
 		if res.StatusCode != http.StatusFound {
 			t.Fatalf("object request after POST %s %+v: status %d, want 302", c.path, c.msg, res.StatusCode)
 		}
+	}
+	// A pass settles whatever the completions logged; it must answer.
+	res, err := client.Post(h.Fleet.URL(0)+live.PathPlace, "application/json", bytes.NewReader(live.Encode(&live.TickMsg{Now: 0})))
+	if err != nil {
+		t.Fatalf("POST %s after the out-of-range rows: %v", live.PathPlace, err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s after the out-of-range rows: status %d, want 200", live.PathPlace, res.StatusCode)
 	}
 }

@@ -106,10 +106,14 @@ const (
 	busyPoll     = 2 * time.Millisecond
 )
 
-// dropDedupLimit bounds concurrent RequestDrop executions; drops are cheap
-// map operations, the gate exists only to reuse the verdict-replay
-// machinery.
-const dropDedupLimit = 16
+// Concurrency limits of the two dedup gates. createDedupLimit bounds the
+// CreateObj executions a node runs at once, the buildbarn-style
+// replication concurrency limit. Drops are cheap map operations; their
+// gate exists only to reuse the verdict-replay machinery.
+const (
+	createDedupLimit = 4
+	dropDedupLimit   = 16
+)
 
 // NewNode builds the fleet member running on node id. peers maps every
 // node ID to its base URL (http://host:port); the entry for id itself may
@@ -149,7 +153,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		client:   newRPCClient(cfg.RPC, workload.Stream(cfg.Sim.Seed, (1<<33)|uint64(id)), retryTokens),
 		payload:  bytes.Repeat([]byte{0x5a}, cfg.Sim.Universe.SizeBytes),
 		payLen:   []string{strconv.Itoa(cfg.Sim.Universe.SizeBytes)},
-		creates:  newCallDedup(cfg.MaxInflightCreates),
+		creates:  newCallDedup(createDedupLimit),
 		drops:    newCallDedup(dropDedupLimit),
 		stopCh:   make(chan struct{}),
 	}
@@ -683,10 +687,10 @@ func writeJSON(w http.ResponseWriter, msg any) {
 
 func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 	var msg CreateObjMsg
-	if !readBody(w, r, &msg) {
+	if !readBody(w, r, &msg) || !nd.inRange(w, msg.Object, msg.From) {
 		return
 	}
-	if msg.To != int(nd.id) || msg.From >= nd.n {
+	if msg.To != int(nd.id) {
 		http.Error(w, fmt.Sprintf("live: createobj addressed to node %d, this is node %d of %d", msg.To, nd.id, nd.n), http.StatusBadRequest)
 		return
 	}
@@ -713,8 +717,9 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 }
 
 // inRange answers 400 unless object (0 for a message naming none) is in the
-// universe and host in the fleet: the redirector would grow to any object
-// ID, and panic on a host without a distance row with redMu held.
+// universe and host in the fleet: the redirector and the host would grow
+// to any object ID, and a host or gateway without a row in the routing
+// table panics with a node lock held, or reads a neighbouring row.
 func (nd *Node) inRange(w http.ResponseWriter, object int64, host int) bool {
 	if object < int64(nd.cfg.Sim.Universe.Count) && host < nd.n {
 		return true
@@ -981,7 +986,7 @@ func (nd *Node) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 func (nd *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var msg CompleteMsg
-	if !readBody(w, r, &msg) {
+	if !readBody(w, r, &msg) || !nd.inRange(w, msg.Object, msg.Gateway) {
 		return
 	}
 	nd.lock()

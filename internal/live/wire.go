@@ -530,7 +530,7 @@ type StatsReply struct {
 
 	// CreateExecutions counts CreateObj handlers actually executed (after
 	// dedup); CreatePeakConcurrency is the high-water mark of concurrent
-	// executions, bounded by the configured limit.
+	// executions, at most the node's fixed CreateObj limit of 4.
 	CreateExecutions      int64 `json:"create_executions"`
 	CreatePeakConcurrency int   `json:"create_peak_concurrency"`
 

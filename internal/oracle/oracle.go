@@ -174,31 +174,6 @@ func Greedy(routes *routing.Table, demand Demand, extraBudget int) (Placement, e
 	return placement, nil
 }
 
-// Cost returns the total response traffic (byte×hops per second) of a
-// placement under closest-replica assignment.
-func Cost(routes *routing.Table, demand Demand, placement Placement, sizeBytes int) float64 {
-	n := routes.NumNodes()
-	total := 0.0
-	for x, replicas := range placement {
-		for g := 0; g < n; g++ {
-			w := demand[g][x]
-			if w == 0 {
-				continue
-			}
-			best := -1
-			for _, r := range replicas {
-				if d := routes.Distance(topology.NodeID(g), r); best < 0 || d < best {
-					best = d
-				}
-			}
-			if best > 0 {
-				total += w * float64(best) * float64(sizeBytes)
-			}
-		}
-	}
-	return total
-}
-
 // TotalReplicas returns the number of replicas in a placement.
 func TotalReplicas(p Placement) int {
 	total := 0

@@ -192,3 +192,28 @@ func TestGreedyBeatsRoundRobin(t *testing.T) {
 		t.Errorf("budgeted cost %v not below base %v", richCost, baseCost)
 	}
 }
+
+// Cost returns the total response traffic (byte×hops per second) of a
+// placement under closest-replica assignment.
+func Cost(routes *routing.Table, demand Demand, placement Placement, sizeBytes int) float64 {
+	n := routes.NumNodes()
+	total := 0.0
+	for x, replicas := range placement {
+		for g := 0; g < n; g++ {
+			w := demand[g][x]
+			if w == 0 {
+				continue
+			}
+			best := -1
+			for _, r := range replicas {
+				if d := routes.Distance(topology.NodeID(g), r); best < 0 || d < best {
+					best = d
+				}
+			}
+			if best > 0 {
+				total += w * float64(best) * float64(sizeBytes)
+			}
+		}
+	}
+	return total
+}

@@ -116,7 +116,7 @@ func TestChaosLoadEstimatorNeverNegative(t *testing.T) {
 			if lo < 0 {
 				t.Fatalf("seed %d step %d: negative lower bound %v", seed, step, lo)
 			}
-			if e.UpperActive() && e.LowerActive() && lo > hi {
+			if e.upperActive && e.lowerActive && lo > hi {
 				t.Fatalf("seed %d step %d: lower %v above upper %v", seed, step, lo, hi)
 			}
 			if e.UpperActiveFor(now) < 0 {

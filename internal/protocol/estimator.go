@@ -106,9 +106,6 @@ func (e *LoadEstimator) LoadForOffload(measured float64) float64 {
 	return measured
 }
 
-// UpperActive reports whether the upper-limit estimate is in force.
-func (e *LoadEstimator) UpperActive() bool { return e.upperActive }
-
 // UpperActiveFor returns how long the upper estimate has been continuously
 // active; zero when inactive. Hosts use it to halt relocations so a clean
 // measurement interval can complete when back-to-back acquisitions would
@@ -119,9 +116,6 @@ func (e *LoadEstimator) UpperActiveFor(now time.Duration) time.Duration {
 	}
 	return now - e.upperSince
 }
-
-// LowerActive reports whether the lower-limit estimate is in force.
-func (e *LoadEstimator) LowerActive() bool { return e.lowerActive }
 
 // Bounds returns the current (lower, upper) estimates with measured
 // substituted for inactive sides; used for the Figure 8b trace.

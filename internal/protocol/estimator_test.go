@@ -13,7 +13,7 @@ func TestEstimatorInactivePassthrough(t *testing.T) {
 	if got := e.LoadForOffload(42); got != 42 {
 		t.Errorf("LoadForOffload = %v, want measured 42", got)
 	}
-	if e.UpperActive() || e.LowerActive() {
+	if e.upperActive || e.lowerActive {
 		t.Error("fresh estimator has active estimates")
 	}
 }
@@ -55,12 +55,12 @@ func TestEstimatorRetiresAfterCleanInterval(t *testing.T) {
 	e.OnShed(26*time.Second, 50, 5)
 	// Interval [20s, 40s) contains the relocations: still dirty.
 	e.OnIntervalClose(20 * time.Second)
-	if !e.UpperActive() || !e.LowerActive() {
+	if !e.upperActive || !e.lowerActive {
 		t.Fatal("estimates retired although relocations happened mid-interval")
 	}
 	// Interval [40s, 60s) started after both relocations: clean.
 	e.OnIntervalClose(40 * time.Second)
-	if e.UpperActive() || e.LowerActive() {
+	if e.upperActive || e.lowerActive {
 		t.Fatal("estimates not retired after clean interval")
 	}
 	if got := e.LoadForAccept(33); got != 33 {
@@ -74,7 +74,7 @@ func TestEstimatorRelocationAtIntervalStartCounts(t *testing.T) {
 	var e LoadEstimator
 	e.OnAccept(40*time.Second, 10, 4)
 	e.OnIntervalClose(40 * time.Second)
-	if e.UpperActive() {
+	if e.upperActive {
 		t.Fatal("estimate should retire when interval starts at acquisition time")
 	}
 }
@@ -143,16 +143,16 @@ func TestEstimatorRetirementNeedsNoTraffic(t *testing.T) {
 	for start := 0 * time.Second; start <= 10*time.Second; start += 5 * time.Second {
 		e.OnIntervalClose(start)
 	}
-	if e.UpperActive() {
+	if e.upperActive {
 		t.Error("upper estimate survived clean intervals on an idle host (dirty interval [10s,15s) retired too early?)")
 	}
 	// lastShed = 12s > start 10s: the shed is retired only by the next
 	// close, at start 15s.
-	if !e.LowerActive() {
+	if !e.lowerActive {
 		t.Error("lower estimate retired by an interval that contained the shed")
 	}
 	e.OnIntervalClose(15 * time.Second)
-	if e.LowerActive() {
+	if e.lowerActive {
 		t.Error("lower estimate survived a clean interval on an idle host")
 	}
 	if got := e.LoadForAccept(7); got != 7 {
@@ -168,11 +168,11 @@ func TestEstimatorReset(t *testing.T) {
 	var e LoadEstimator
 	e.OnAccept(time.Minute, 80, 10)
 	e.OnShed(time.Minute, 80, 10)
-	if !e.UpperActive() || !e.LowerActive() {
+	if !e.upperActive || !e.lowerActive {
 		t.Fatal("setup: estimates not active")
 	}
 	e.Reset()
-	if e.UpperActive() || e.LowerActive() {
+	if e.upperActive || e.lowerActive {
 		t.Error("Reset left estimates active")
 	}
 	if got := e.UpperActiveFor(2 * time.Hour); got != 0 {

@@ -115,7 +115,7 @@ func TestOnCrashWipesControlState(t *testing.T) {
 	h.Estimator().OnAccept(10*time.Second, 50, 8)
 	h.Estimator().OnShed(11*time.Second, 50, 3)
 	h.OnCrash()
-	if h.Estimator().UpperActive() || h.Estimator().LowerActive() {
+	if h.Estimator().upperActive || h.Estimator().lowerActive {
 		t.Error("crash left load estimates active")
 	}
 	if got := h.Estimator().UpperActiveFor(time.Hour); got != 0 {

@@ -266,9 +266,6 @@ func (h *Host) Objects() []object.ID { return slices.Clone(h.objs.ids) }
 // NumObjects returns the number of hosted objects.
 func (h *Host) NumObjects() int { return h.objs.len() }
 
-// Offloading reports whether the host is in offloading mode.
-func (h *Host) Offloading() bool { return h.offloading }
-
 // Estimator exposes the host's load estimator (read-only use by metrics).
 func (h *Host) Estimator() *LoadEstimator { return &h.est }
 

@@ -321,18 +321,18 @@ func TestOffloadingModeHysteresis(t *testing.T) {
 	h := c.hosts[0]
 	c.loads[0].total = params.HighWatermark + 5
 	h.DecidePlacement(100 * time.Second)
-	if !h.Offloading() {
+	if !h.offloading {
 		t.Fatal("host above hw not offloading")
 	}
 	// Between lw and hw: mode must stick.
 	c.loads[0].total = (params.HighWatermark + params.LowWatermark) / 2
 	h.DecidePlacement(200 * time.Second)
-	if !h.Offloading() {
+	if !h.offloading {
 		t.Fatal("offloading mode did not stick between watermarks")
 	}
 	c.loads[0].total = params.LowWatermark - 5
 	h.DecidePlacement(300 * time.Second)
-	if h.Offloading() {
+	if h.offloading {
 		t.Fatal("host below lw still offloading")
 	}
 }

@@ -150,8 +150,8 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 	if got := h.est.LoadForOffload(load); got != wantLower {
 		t.Errorf("lower-bound load %v, want %v", got, wantLower)
 	}
-	if h.est.LowerActive() != (verdict == CreateAccepted) {
-		t.Errorf("lower estimate active = %v after verdict %d", h.est.LowerActive(), verdict)
+	if h.est.lowerActive != (verdict == CreateAccepted) {
+		t.Errorf("lower estimate active = %v after verdict %d", h.est.lowerActive, verdict)
 	}
 	if got := h.Affinity(mv.id); got != wantAff {
 		t.Errorf("affinity %d, want %d", got, wantAff)

@@ -28,7 +28,7 @@ func buildTopologies(t *testing.T) map[string]*topology.Topology {
 }
 
 // TestParallelBuildBitIdentical: newTable must produce bit-identical
-// dist/next/parent arrays and path contents for every worker count,
+// dist arrays and path contents for every worker count,
 // including counts far above the node count.
 func TestParallelBuildBitIdentical(t *testing.T) {
 	for name, topo := range buildTopologies(t) {
@@ -37,12 +37,6 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 			par := newTable(topo, workers)
 			if !reflect.DeepEqual(serial.dist, par.dist) {
 				t.Errorf("%s workers=%d: dist differs from serial build", name, workers)
-			}
-			if !reflect.DeepEqual(serial.next, par.next) {
-				t.Errorf("%s workers=%d: next-hop table differs from serial build", name, workers)
-			}
-			if !reflect.DeepEqual(serial.parent, par.parent) {
-				t.Errorf("%s workers=%d: parent table differs from serial build", name, workers)
 			}
 			if len(serial.paths) != len(par.paths) {
 				t.Fatalf("%s workers=%d: %d paths, want %d", name, workers, len(par.paths), len(serial.paths))
@@ -68,7 +62,7 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 func TestExportedNewMatchesSerial(t *testing.T) {
 	topo := topology.UUNET()
 	serial, auto := newTable(topo, 1), New(topo)
-	if !reflect.DeepEqual(serial.dist, auto.dist) || !reflect.DeepEqual(serial.next, auto.next) {
+	if !reflect.DeepEqual(serial.dist, auto.dist) {
 		t.Fatal("New differs from serial build")
 	}
 	for i := range serial.paths {
@@ -80,7 +74,7 @@ func TestExportedNewMatchesSerial(t *testing.T) {
 
 // TestSharedTableConcurrentReads hammers one shared Table from many
 // goroutines through every read-path accessor the simulator uses —
-// Distance, DistancesFrom, Path, PreferencePath, NextHop, AvgDistance,
+// Distance, DistancesFrom, Path, PreferencePath, AvgDistance,
 // MinAvgDistanceNode, Diameter and SortByDistanceDesc (own slice per
 // goroutine) — locking in the immutability contract the substrate cache
 // relies on. Run it with -race to detect any accessor that writes Table
@@ -119,10 +113,6 @@ func TestSharedTableConcurrentReads(t *testing.T) {
 					p := tab.Path(s, topology.NodeID(d))
 					if len(p) != want[int(s)*n+d]+1 || p[0] != s || p[len(p)-1] != topology.NodeID(d) {
 						t.Errorf("goroutine %d: Path(%d,%d) malformed", g, s, d)
-						return
-					}
-					if next := tab.NextHop(s, topology.NodeID(d)); len(p) > 1 && next != p[1] {
-						t.Errorf("goroutine %d: NextHop(%d,%d) = %d, want %d", g, s, d, next, p[1])
 						return
 					}
 				}

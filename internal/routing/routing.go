@@ -9,11 +9,11 @@
 // the request's preference path: the sequence of hosts co-located with the
 // routers a response passes on its way out of the platform.
 //
-// All-pairs distances, next hops and materialized paths are precomputed at
+// All-pairs distances and materialized paths are precomputed at
 // construction into contiguous backing arrays, so every per-request lookup
-// (Distance, NextHop, Path, PreferencePath, DistancesFrom) is a bounds
-// check and an indexed load — no allocation, no pointer chasing beyond a
-// single row slice.
+// (Distance, Path, PreferencePath, DistancesFrom) is a bounds check and an
+// indexed load — no allocation, no pointer chasing beyond a single row
+// slice.
 //
 // Construction fans the per-source work (BFS and path materialization)
 // across GOMAXPROCS goroutines. Each source owns disjoint rows of the
@@ -48,12 +48,6 @@ type Table struct {
 	// contiguous int32 block for cache density (the redirector scans
 	// distance rows on every request).
 	dist []int32
-	// next[s*n+d] is the first hop on the chosen path s -> d (the
-	// next-hop forwarding table a router would hold); next[s*n+s] == s.
-	next []topology.NodeID
-	// parent[s*n+d] is the predecessor of d on the BFS tree rooted at s;
-	// parent[s*n+s] == s.
-	parent []topology.NodeID
 	// paths[s*n+d] is the node sequence s, ..., d (inclusive) of the
 	// chosen path, all rows sliced out of one shared backing array —
 	// callers must not mutate.
@@ -79,20 +73,21 @@ func New(topo *topology.Topology) *Table {
 func newTable(topo *topology.Topology, workers int) *Table {
 	n := topo.NumNodes()
 	t := &Table{
-		topo:   topo,
-		n:      n,
-		dist:   make([]int32, n*n),
-		next:   make([]topology.NodeID, n*n),
-		parent: make([]topology.NodeID, n*n),
-		paths:  make([][]topology.NodeID, n*n),
+		topo:  topo,
+		n:     n,
+		dist:  make([]int32, n*n),
+		paths: make([][]topology.NodeID, n*n),
 	}
+	// parent[s*n+d] is the predecessor of d on the BFS tree rooted at s;
+	// parent[s*n+s] == s. Only the path materialization reads it.
+	parent := make([]topology.NodeID, n*n)
 
 	// Phase 1: one BFS per source. Source s writes only rows s of dist
 	// and parent, so sources partition cleanly across workers.
 	forEachSource(n, workers, func(lo, hi int) {
 		queue := make([]topology.NodeID, 0, n)
 		for s := lo; s < hi; s++ {
-			t.bfs(topology.NodeID(s), queue)
+			t.bfs(topology.NodeID(s), parent[s*n:(s+1)*n], queue)
 		}
 	})
 
@@ -112,7 +107,7 @@ func newTable(topo *topology.Topology, workers int) *Table {
 	arena := make([]topology.NodeID, offsets[n])
 	forEachSource(n, workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			t.materialize(topology.NodeID(s), arena, offsets[s])
+			t.materialize(topology.NodeID(s), parent[s*n:(s+1)*n], arena, offsets[s])
 		}
 	})
 
@@ -149,11 +144,11 @@ func forEachSource(n, workers int, fn func(lo, hi int)) {
 
 // bfs grows a breadth-first tree from src, visiting neighbors in ascending
 // ID order so that the parent of every node is the smallest-ID predecessor
-// at minimal distance discovered first — a deterministic tie-break. queue
-// is scratch space owned by the calling worker.
-func (t *Table) bfs(src topology.NodeID, queue []topology.NodeID) {
+// at minimal distance discovered first — a deterministic tie-break. parent
+// is src's row of the tree; queue is scratch space owned by the calling
+// worker.
+func (t *Table) bfs(src topology.NodeID, parent, queue []topology.NodeID) {
 	dist := t.dist[int(src)*t.n : (int(src)+1)*t.n]
-	parent := t.parent[int(src)*t.n : (int(src)+1)*t.n]
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -174,10 +169,9 @@ func (t *Table) bfs(src topology.NodeID, queue []topology.NodeID) {
 }
 
 // materialize writes source s's paths into arena starting at off, filling
-// t.paths and t.next for row s. Each path is reconstructed backwards from
-// the parent row, exactly as a serial arena build would lay it out.
-func (t *Table) materialize(s topology.NodeID, arena []topology.NodeID, off int) {
-	row := t.parent[int(s)*t.n : (int(s)+1)*t.n]
+// row s of t.paths. Each path is reconstructed backwards from s's parent
+// row, exactly as a serial arena build would lay it out.
+func (t *Table) materialize(s topology.NodeID, row, arena []topology.NodeID, off int) {
 	for d := 0; d < t.n; d++ {
 		hops := int(t.dist[int(s)*t.n+d])
 		seg := arena[off : off+hops+1 : off+hops+1]
@@ -187,11 +181,6 @@ func (t *Table) materialize(s topology.NodeID, arena []topology.NodeID, off int)
 			v = row[v]
 		}
 		t.paths[int(s)*t.n+d] = seg
-		if hops > 0 {
-			t.next[int(s)*t.n+d] = seg[1]
-		} else {
-			t.next[int(s)*t.n+d] = s
-		}
 		off += hops + 1
 	}
 }
@@ -236,12 +225,6 @@ func (t *Table) Distance(a, b topology.NodeID) int {
 // per destination.
 func (t *Table) DistancesFrom(s topology.NodeID) []int32 {
 	return t.dist[int(s)*t.n : (int(s)+1)*t.n]
-}
-
-// NextHop returns the first hop on the chosen path from s toward d — the
-// forwarding table a router at s would consult. NextHop(s, s) == s.
-func (t *Table) NextHop(s, d topology.NodeID) topology.NodeID {
-	return t.next[int(s)*t.n+int(d)]
 }
 
 // Path returns the chosen path from s to d as the node sequence s, ..., d.
@@ -308,9 +291,6 @@ func (t *Table) Validate() error {
 			}
 			if p[0] != topology.NodeID(s) || p[len(p)-1] != topology.NodeID(d) {
 				return fmt.Errorf("routing: path %d -> %d has wrong endpoints", s, d)
-			}
-			if want := t.next[s*t.n+d]; len(p) > 1 && p[1] != want {
-				return fmt.Errorf("routing: next hop %d -> %d is %d, path says %d", s, d, want, p[1])
 			}
 		}
 	}

@@ -258,17 +258,6 @@ func BenchmarkDistanceLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkNextHopLookup measures the per-hop forwarding query.
-func BenchmarkNextHopLookup(b *testing.B) {
-	tab := New(topology.UUNET())
-	n := tab.NumNodes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tab.NextHop(topology.NodeID(i%n), topology.NodeID((i*7)%n))
-	}
-}
-
 // BenchmarkDistancesFrom measures the row accessor the redirector's
 // single-pass replica choice is built on.
 func BenchmarkDistancesFrom(b *testing.B) {

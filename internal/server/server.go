@@ -224,6 +224,3 @@ func (s *Server) MaxQueueLen() int { return s.maxQueueLen }
 
 // TotalServed returns the lifetime number of serviced requests.
 func (s *Server) TotalServed() int64 { return s.totalServed }
-
-// ServiceTime returns the fixed per-request service time.
-func (s *Server) ServiceTime() time.Duration { return s.serviceTime }

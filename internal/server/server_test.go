@@ -157,8 +157,8 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ServiceTime() != 5*time.Millisecond {
-		t.Errorf("service time = %v, want 5ms", s.ServiceTime())
+	if s.serviceTime != 5*time.Millisecond {
+		t.Errorf("service time = %v, want 5ms", s.serviceTime)
 	}
 }
 
@@ -180,10 +180,10 @@ func TestQueueInvariantsProperty(t *testing.T) {
 				pending = pending[1:]
 			}
 			done := s.Enqueue(now, 0)
-			if done < now+s.ServiceTime() {
+			if done < now+s.serviceTime {
 				t.Fatalf("seed %d: completion %v before arrival+service", seed, done)
 			}
-			if done < prevDone+s.ServiceTime() {
+			if done < prevDone+s.serviceTime {
 				t.Fatalf("seed %d: FCFS violated: %v after %v", seed, done, prevDone)
 			}
 			prevDone = done

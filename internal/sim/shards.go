@@ -398,7 +398,7 @@ func (s *Simulation) reclaimRequests() {
 }
 
 // mergeLanes folds every lane's commutative accumulators — metric
-// buckets, network byte counters, failure counters — into the
+// buckets and failure counters — into the
 // simulation-level sinks. Serial runs have nothing to fold (the main
 // lane aliases the simulation's own sinks). Called exactly once, from
 // results().
@@ -408,9 +408,6 @@ func (s *Simulation) mergeLanes() {
 		s.timedOut += ln.timedOut
 		if ln.col != s.col {
 			s.col.MergeFrom(ln.col)
-		}
-		if ln.net != s.net {
-			s.net.MergeFrom(ln.net)
 		}
 	}
 }

@@ -23,7 +23,6 @@ package simevent
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -278,11 +277,9 @@ func (e *Engine) pop() key {
 	return top
 }
 
-// Step executes the single earliest pending event and advances the clock
-// to its timestamp. It returns false if no events are pending.
-func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
-
-// step is Step for an event that fires no later than horizon.
+// step executes the single earliest pending event that fires no later
+// than horizon and advances the clock to its timestamp. It returns false
+// if there is none.
 func (e *Engine) step(horizon time.Duration) bool {
 	var top key
 	if e.ringFirst() {

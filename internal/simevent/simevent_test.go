@@ -133,8 +133,8 @@ func TestRunHorizon(t *testing.T) {
 
 func TestStepEmpty(t *testing.T) {
 	e := New()
-	if e.Step() {
-		t.Fatal("Step on empty engine returned true")
+	if e.step(math.MaxInt64) {
+		t.Fatal("step on empty engine returned true")
 	}
 }
 
@@ -211,7 +211,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%4 == 3 {
-			e.Step()
+			e.step(math.MaxInt64)
 		}
 	}
 	e.Run(forever)
@@ -235,7 +235,7 @@ func BenchmarkScheduleHandlerAndRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%4 == 3 {
-			e.Step()
+			e.step(math.MaxInt64)
 		}
 	}
 	e.Run(forever)
@@ -282,7 +282,7 @@ func BenchmarkScheduleSorted(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Step()
+				e.step(math.MaxInt64)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 		})
@@ -363,7 +363,7 @@ func (p *program) spawn(now time.Duration, n int) {
 	}
 }
 
-// runProgram runs the program of seed to exhaustion, alternating Step with
+// runProgram runs the program of seed to exhaustion, alternating step with
 // Run to random horizons and logging PeekTime before and the clock after
 // each.
 func runProgram(seed int64, sorted bool) *program {
@@ -377,7 +377,7 @@ func runProgram(seed int64, sorted bool) *program {
 		}
 		p.log = append(p.log, -1, int64(at))
 		if p.rng.Intn(3) == 0 {
-			p.e.Step()
+			p.e.step(math.MaxInt64)
 		} else {
 			p.e.Run(p.e.Now() + time.Duration(p.rng.Intn(4))*time.Millisecond)
 		}

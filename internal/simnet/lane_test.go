@@ -4,38 +4,34 @@ import (
 	"testing"
 )
 
-// TestLaneAccountingMerges checks a lane accumulates traffic privately
-// (totals, link bytes) and MergeFrom folds it into the parent so the
-// combined accounting equals a single-network run.
+// TestLaneAccountingMerges checks a lane records traffic against its own
+// recorder only, so merging the parent's and the lanes' recorders gives
+// the accounting of a single-network run.
 func TestLaneAccountingMerges(t *testing.T) {
 	cfg := DefaultConfig()
-	direct, err := New(cfg, 4, nil)
+	direct, parentRec, laneRec := &recSink{}, &recSink{}, &recSink{}
+	nw, err := New(cfg, 4, direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := New(cfg, 4, nil)
+	parent, err := New(cfg, 4, parentRec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := parent.Lane(nil)
+	lane := parent.Lane(laneRec)
 
-	direct.Transfer(0, path(0, 1, 2), 100, Payload)
-	direct.Transfer(0, path(2, 3), 50, Overhead)
+	nw.Transfer(0, path(0, 1, 2), 100, Payload)
+	nw.Transfer(0, path(2, 3), 50, Overhead)
 	parent.Transfer(0, path(0, 1, 2), 100, Payload)
 	lane.Transfer(0, path(2, 3), 50, Overhead)
 
-	if got := parent.OverheadByteHops(); got != 0 {
-		t.Fatalf("lane traffic leaked into parent before merge: %d", got)
+	if got := parentRec.byteHops(Overhead); got != 0 {
+		t.Fatalf("lane traffic leaked into the parent's recorder: %d", got)
 	}
-	parent.MergeFrom(lane)
-	if parent.PayloadByteHops() != direct.PayloadByteHops() {
-		t.Errorf("payload byte-hops %d, want %d", parent.PayloadByteHops(), direct.PayloadByteHops())
-	}
-	if parent.OverheadByteHops() != direct.OverheadByteHops() {
-		t.Errorf("overhead byte-hops %d, want %d", parent.OverheadByteHops(), direct.OverheadByteHops())
-	}
-	if parent.LinkBytes(2, 3) != direct.LinkBytes(2, 3) {
-		t.Errorf("link 2->3 bytes %d, want %d", parent.LinkBytes(2, 3), direct.LinkBytes(2, 3))
+	for _, c := range []Class{Payload, Overhead} {
+		if got, want := parentRec.byteHops(c)+laneRec.byteHops(c), direct.byteHops(c); got != want {
+			t.Errorf("%v byte-hops %d, want %d", c, got, want)
+		}
 	}
 }
 
@@ -54,7 +50,7 @@ func TestLaneSharesLinkState(t *testing.T) {
 	}
 	// SetLinkDown cuts both directions, so one undirected cut is two
 	// directed down links.
-	if !lane.LinkIsDown(1, 2) || lane.DownLinks() != 2 {
+	if !lane.LinkIsDown(1, 2) || lane.links.downLinks != 2 {
 		t.Error("lane link-state accessors out of sync with parent")
 	}
 	parent.SetLinkDown(1, 2, false)

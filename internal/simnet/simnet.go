@@ -7,8 +7,9 @@
 // Transfers are walked hop by hop analytically at send time: each directed
 // link keeps a busy-until timestamp, a transfer on a link starts at
 // max(arrival, busyUntil) when contention is enabled, and store-and-forward
-// transmission plus propagation delay accumulate into the delivery time.
-// This charges exact per-link byte counts without per-hop simulator events.
+// transmission plus propagation delay accumulate into the delivery time,
+// without per-hop simulator events. Each transfer's bytes and hop count go
+// to the Recorder.
 //
 // The paper's own simulation treats link bandwidth as a fixed per-hop
 // transmission cost rather than a shared capacity (its offered response
@@ -109,14 +110,8 @@ type Network struct {
 	// busyUntil[a*n+b] is the directed link a->b's reservation horizon;
 	// allocated lazily only when contention is enabled.
 	busyUntil []time.Duration
-	// linkBytes[a*n+b] accumulates bytes sent over each directed link,
-	// for hot-link reports.
-	linkBytes []int64
 	// links is the shared up/down state; lanes alias their parent's.
 	links *linkState
-	// totals by class.
-	payloadByteHops  int64
-	overheadByteHops int64
 }
 
 // New builds a network over numNodes nodes. recorder may be nil.
@@ -127,7 +122,7 @@ func New(cfg Config, numNodes int, recorder Recorder) (*Network, error) {
 	if numNodes <= 0 {
 		return nil, fmt.Errorf("simnet: numNodes %d must be positive", numNodes)
 	}
-	n := &Network{cfg: cfg, n: numNodes, recorder: recorder, linkBytes: make([]int64, numNodes*numNodes), links: &linkState{}}
+	n := &Network{cfg: cfg, n: numNodes, recorder: recorder, links: &linkState{}}
 	if cfg.Contention {
 		n.busyUntil = make([]time.Duration, numNodes*numNodes)
 	}
@@ -135,37 +130,18 @@ func New(cfg Config, numNodes int, recorder Recorder) (*Network, error) {
 }
 
 // Lane returns an accounting lane of nw: a view that shares nw's
-// configuration and link up/down state but accumulates byte counts and
-// byte×hop totals privately, recording transfers against its own recorder.
-// A sharded simulation gives each shard a lane so concurrent shards never
-// write shared accounting state; MergeFrom folds lanes back after the run.
-// Lanes do not support link contention (the busy-until feedback would
-// couple shards through shared mutable state), so nw must have been built
-// with Contention off.
+// configuration and link up/down state but records transfers against its
+// own recorder. A sharded simulation gives each shard a lane so concurrent
+// shards never write shared accounting state; the caller merges the lanes'
+// recorders after the run (see metrics.Collector.MergeFrom). Lanes do not
+// support link contention (the busy-until feedback would couple shards
+// through shared mutable state), so nw must have been built with
+// Contention off.
 func (nw *Network) Lane(recorder Recorder) *Network {
 	if nw.busyUntil != nil {
 		panic("simnet: accounting lanes are incompatible with link contention")
 	}
-	return &Network{
-		cfg:       nw.cfg,
-		n:         nw.n,
-		recorder:  recorder,
-		linkBytes: make([]int64, nw.n*nw.n),
-		links:     nw.links,
-	}
-}
-
-// MergeFrom folds a lane's private accounting (per-link bytes and byte×hop
-// totals) into nw. The lane's recorder-side series are merged separately by
-// the caller (see metrics.Collector.MergeFrom).
-func (nw *Network) MergeFrom(lane *Network) {
-	for i, v := range lane.linkBytes {
-		if v != 0 {
-			nw.linkBytes[i] += v
-		}
-	}
-	nw.payloadByteHops += lane.payloadByteHops
-	nw.overheadByteHops += lane.overheadByteHops
+	return &Network{cfg: nw.cfg, n: nw.n, recorder: recorder, links: nw.links}
 }
 
 // TxTime returns the per-link transmission time of a transfer of bytes.
@@ -185,19 +161,17 @@ func (nw *Network) Transfer(now time.Duration, path []topology.NodeID, bytes int
 	t := now
 	tx := nw.TxTime(bytes)
 	for i := 0; i < hops; i++ {
-		a, b := int(path[i]), int(path[i+1])
-		li := a*nw.n + b
 		start := t
 		if nw.busyUntil != nil {
+			li := int(path[i])*nw.n + int(path[i+1])
 			if nw.busyUntil[li] > start {
 				start = nw.busyUntil[li]
 			}
 			nw.busyUntil[li] = start + tx
 		}
 		t = start + tx + nw.cfg.HopDelay
-		nw.linkBytes[li] += bytes
 	}
-	nw.account(now, class, bytes, hops)
+	nw.record(now, class, bytes, hops)
 	return t
 }
 
@@ -220,10 +194,7 @@ func (nw *Network) ControlMessage(now time.Duration, path []topology.NodeID, byt
 	if hops <= 0 {
 		return now
 	}
-	for i := 0; i < hops; i++ {
-		nw.linkBytes[int(path[i])*nw.n+int(path[i+1])] += bytes
-	}
-	nw.account(now, Overhead, bytes, hops)
+	nw.record(now, Overhead, bytes, hops)
 	return now + time.Duration(hops)*nw.cfg.HopDelay
 }
 
@@ -245,38 +216,23 @@ func (nw *Network) ControlMessageTo(now time.Duration, path []topology.NodeID, b
 	t := now
 	sent := 0
 	for i := 0; i < hops; i++ {
-		li := int(path[i])*nw.n + int(path[i+1])
-		if nw.links.down[li] {
+		if nw.links.down[int(path[i])*nw.n+int(path[i+1])] {
 			break
 		}
-		nw.linkBytes[li] += bytes
 		t += nw.cfg.HopDelay
 		sent++
 	}
 	if sent > 0 {
-		nw.account(now, Overhead, bytes, sent)
+		nw.record(now, Overhead, bytes, sent)
 	}
 	return t, sent == hops
 }
 
-func (nw *Network) account(now time.Duration, class Class, bytes int64, hops int) {
-	bh := bytes * int64(hops)
-	switch class {
-	case Payload:
-		nw.payloadByteHops += bh
-	case Overhead:
-		nw.overheadByteHops += bh
-	}
+func (nw *Network) record(now time.Duration, class Class, bytes int64, hops int) {
 	if nw.recorder != nil {
 		nw.recorder.RecordTransfer(now, class, bytes, hops)
 	}
 }
-
-// PayloadByteHops returns cumulative payload traffic in byte×hops.
-func (nw *Network) PayloadByteHops() int64 { return nw.payloadByteHops }
-
-// OverheadByteHops returns cumulative overhead traffic in byte×hops.
-func (nw *Network) OverheadByteHops() int64 { return nw.overheadByteHops }
 
 // SetLinkDown cuts or restores the undirected link between a and b (both
 // directions at once). It is idempotent: setting an already-down link down
@@ -309,9 +265,6 @@ func (nw *Network) LinkIsDown(a, b topology.NodeID) bool {
 	return nw.links.down[int(a)*nw.n+int(b)]
 }
 
-// DownLinks returns the number of currently-cut directed links.
-func (nw *Network) DownLinks() int { return nw.links.downLinks }
-
 // PathUp reports whether every hop of path is currently up. When no link
 // was ever cut this is a nil check; with no down links it is a counter
 // check, so fault-free traffic pays nothing.
@@ -326,9 +279,4 @@ func (nw *Network) PathUp(path []topology.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// LinkBytes returns the cumulative bytes sent over the directed link a->b.
-func (nw *Network) LinkBytes(a, b topology.NodeID) int64 {
-	return nw.linkBytes[int(a)*nw.n+int(b)]
 }

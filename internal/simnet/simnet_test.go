@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -28,6 +29,17 @@ func (r *recSink) RecordTransfer(_ time.Duration, class Class, bytes int64, hops
 	r.hops = append(r.hops, hops)
 }
 
+// byteHops sums the recorded byte×hops of one class.
+func (r *recSink) byteHops(class Class) int64 {
+	var total int64
+	for i, c := range r.classes {
+		if c == class {
+			total += r.bytes[i] * int64(r.hops[i])
+		}
+	}
+	return total
+}
+
 func path(ids ...topology.NodeID) []topology.NodeID { return ids }
 
 func TestTransferLatencyNoContention(t *testing.T) {
@@ -52,10 +64,10 @@ func TestTransferByteHopAccounting(t *testing.T) {
 	}
 	nw.Transfer(0, path(0, 1, 2), 1200, Payload)
 	nw.Transfer(0, path(2, 1), 300, Overhead)
-	if got := nw.PayloadByteHops(); got != 2400 {
+	if got := sink.byteHops(Payload); got != 2400 {
 		t.Errorf("payload byte-hops = %d, want 2400", got)
 	}
-	if got := nw.OverheadByteHops(); got != 300 {
+	if got := sink.byteHops(Overhead); got != 300 {
 		t.Errorf("overhead byte-hops = %d, want 300", got)
 	}
 	if len(sink.classes) != 2 || sink.classes[0] != Payload || sink.classes[1] != Overhead {
@@ -64,23 +76,18 @@ func TestTransferByteHopAccounting(t *testing.T) {
 	if sink.hops[0] != 2 || sink.hops[1] != 1 {
 		t.Errorf("recorder hops = %v", sink.hops)
 	}
-	if got := nw.LinkBytes(0, 1); got != 1200 {
-		t.Errorf("LinkBytes(0,1) = %d, want 1200", got)
-	}
-	if got := nw.LinkBytes(1, 0); got != 0 {
-		t.Errorf("LinkBytes(1,0) = %d, want 0 (directed)", got)
-	}
 }
 
 func TestSingleNodePathIsFree(t *testing.T) {
-	nw, err := New(DefaultConfig(), 3, nil)
+	sink := &recSink{}
+	nw, err := New(DefaultConfig(), 3, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := nw.Transfer(5*time.Second, path(1), 9999, Payload); got != 5*time.Second {
 		t.Fatalf("local delivery = %v, want immediate", got)
 	}
-	if nw.PayloadByteHops() != 0 {
+	if len(sink.classes) != 0 {
 		t.Fatal("local delivery consumed bandwidth")
 	}
 }
@@ -120,7 +127,8 @@ func TestNoContentionByDefault(t *testing.T) {
 }
 
 func TestControlLatencyAndMessage(t *testing.T) {
-	nw, err := New(DefaultConfig(), 4, nil)
+	sink := &recSink{}
+	nw, err := New(DefaultConfig(), 4, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +142,7 @@ func TestControlLatencyAndMessage(t *testing.T) {
 	if d != 20*time.Millisecond {
 		t.Fatalf("ControlMessage delivery = %v, want 20ms", d)
 	}
-	if got := nw.OverheadByteHops(); got != 400 {
+	if got := sink.byteHops(Overhead); got != 400 {
 		t.Fatalf("control overhead byte-hops = %d, want 400", got)
 	}
 }
@@ -164,14 +172,15 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	}
 }
 
-// TestConservationProperty: the sum of per-link byte counters always
-// equals total bytes x hops across random transfer sequences.
+// TestConservationProperty: the byte×hops recorded per class always sum
+// to the bytes × path hops sent, across random transfer sequences.
 func TestConservationProperty(t *testing.T) {
 	topo := topology.UUNET()
 	routes := routingTablesForTest(t, topo)
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		nw, err := New(DefaultConfig(), topo.NumNodes(), nil)
+		sink := &recSink{}
+		nw, err := New(DefaultConfig(), topo.NumNodes(), sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,16 +197,7 @@ func TestConservationProperty(t *testing.T) {
 			nw.Transfer(0, p, bytes, class)
 			wantByteHops += bytes * int64(len(p)-1)
 		}
-		var gotLinkBytes int64
-		for a := 0; a < topo.NumNodes(); a++ {
-			for b := 0; b < topo.NumNodes(); b++ {
-				gotLinkBytes += nw.LinkBytes(topology.NodeID(a), topology.NodeID(b))
-			}
-		}
-		if gotLinkBytes != wantByteHops {
-			t.Fatalf("seed %d: link bytes %d != byte-hops %d", seed, gotLinkBytes, wantByteHops)
-		}
-		p, o := nw.PayloadByteHops(), nw.OverheadByteHops()
+		p, o := sink.byteHops(Payload), sink.byteHops(Overhead)
 		if p+o != wantByteHops {
 			t.Fatalf("seed %d: class totals %d != %d", seed, p+o, wantByteHops)
 		}
@@ -239,12 +239,12 @@ func TestLinkDownLifecycle(t *testing.T) {
 	}
 	path := []topology.NodeID{0, 1, 2}
 	// Fault-free fast path: no allocation, everything up.
-	if !nw.PathUp(path) || nw.DownLinks() != 0 {
+	if !nw.PathUp(path) || nw.links.downLinks != 0 {
 		t.Fatal("fresh network reports a down link")
 	}
 	// Restoring a never-cut link must not allocate the down-map.
 	nw.SetLinkDown(1, 2, false)
-	if nw.DownLinks() != 0 || nw.LinkIsDown(1, 2) {
+	if nw.links.down != nil || nw.LinkIsDown(1, 2) {
 		t.Fatal("restoring an up link changed state")
 	}
 
@@ -252,8 +252,8 @@ func TestLinkDownLifecycle(t *testing.T) {
 	if !nw.LinkIsDown(1, 2) || !nw.LinkIsDown(2, 1) {
 		t.Error("cut is not bidirectional")
 	}
-	if nw.DownLinks() != 2 {
-		t.Errorf("DownLinks = %d, want 2 (both directions)", nw.DownLinks())
+	if nw.links.downLinks != 2 {
+		t.Errorf("down links = %d, want 2 (both directions)", nw.links.downLinks)
 	}
 	if nw.PathUp(path) {
 		t.Error("path over the cut link reported up")
@@ -267,12 +267,12 @@ func TestLinkDownLifecycle(t *testing.T) {
 
 	// Idempotence both ways.
 	nw.SetLinkDown(1, 2, true)
-	if nw.DownLinks() != 2 {
-		t.Errorf("re-cutting changed DownLinks to %d", nw.DownLinks())
+	if nw.links.downLinks != 2 {
+		t.Errorf("re-cutting changed the down links to %d", nw.links.downLinks)
 	}
 	nw.SetLinkDown(1, 2, false)
 	nw.SetLinkDown(1, 2, false)
-	if nw.DownLinks() != 0 || nw.LinkIsDown(1, 2) {
+	if nw.links.downLinks != 0 || nw.LinkIsDown(1, 2) {
 		t.Error("restore did not clear the cut")
 	}
 	if !nw.PathUp(path) {
@@ -282,24 +282,23 @@ func TestLinkDownLifecycle(t *testing.T) {
 
 func TestControlMessageToMatchesControlMessageWhenUp(t *testing.T) {
 	cfg := Config{HopDelay: 10 * time.Millisecond, LinkBandwidthBps: 1000}
-	a, _ := New(cfg, 5, nil)
-	b, _ := New(cfg, 5, nil)
+	sa, sb := &recSink{}, &recSink{}
+	a, _ := New(cfg, 5, sa)
+	b, _ := New(cfg, 5, sb)
 	wantAt := a.ControlMessage(time.Second, path(0, 1, 2), 200)
 	gotAt, ok := b.ControlMessageTo(time.Second, path(0, 1, 2), 200)
 	if !ok || gotAt != wantAt {
 		t.Fatalf("ControlMessageTo = (%v, %v), want (%v, true)", gotAt, ok, wantAt)
 	}
-	if a.OverheadByteHops() != b.OverheadByteHops() {
-		t.Fatalf("byte-hops diverge: %d vs %d", a.OverheadByteHops(), b.OverheadByteHops())
-	}
-	if a.LinkBytes(1, 2) != b.LinkBytes(1, 2) {
-		t.Fatalf("link bytes diverge")
+	if !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("recorded transfers diverge: %+v vs %+v", sa, sb)
 	}
 }
 
 func TestControlMessageToStopsAtDownLink(t *testing.T) {
 	cfg := Config{HopDelay: 10 * time.Millisecond, LinkBandwidthBps: 1000}
-	nw, _ := New(cfg, 5, nil)
+	sink := &recSink{}
+	nw, _ := New(cfg, 5, sink)
 	nw.SetLinkDown(1, 2, true)
 	at, ok := nw.ControlMessageTo(time.Second, path(0, 1, 2, 3), 200)
 	if ok {
@@ -309,18 +308,16 @@ func TestControlMessageToStopsAtDownLink(t *testing.T) {
 	if want := time.Second + 10*time.Millisecond; at != want {
 		t.Fatalf("stranded arrival = %v, want %v", at, want)
 	}
-	if got := nw.OverheadByteHops(); got != 200 {
+	if got := sink.byteHops(Overhead); got != 200 {
 		t.Fatalf("overhead byte-hops = %d, want 200 (partial charge)", got)
 	}
-	if got := nw.LinkBytes(1, 2); got != 0 {
-		t.Fatalf("bytes on the cut link = %d, want 0", got)
-	}
 	// Lost at the first hop: nothing charged at all.
-	nw2, _ := New(cfg, 5, nil)
+	sink2 := &recSink{}
+	nw2, _ := New(cfg, 5, sink2)
 	nw2.SetLinkDown(0, 1, true)
 	at, ok = nw2.ControlMessageTo(time.Second, path(0, 1, 2), 200)
-	if ok || at != time.Second || nw2.OverheadByteHops() != 0 {
-		t.Fatalf("first-hop cut: (%v, %v, %d B·h), want (1s, false, 0)", at, ok, nw2.OverheadByteHops())
+	if ok || at != time.Second || len(sink2.classes) != 0 {
+		t.Fatalf("first-hop cut: (%v, %v, %d transfers), want (1s, false, 0)", at, ok, len(sink2.classes))
 	}
 	// Restoring the link restores full delivery.
 	nw.SetLinkDown(1, 2, false)

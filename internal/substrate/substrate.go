@@ -74,7 +74,10 @@ type entry struct {
 }
 
 var (
-	mu    sync.Mutex
+	mu sync.Mutex
+	// cache holds one entry per distinct topology structure. It is never
+	// evicted: topologies are tiny (a few hundred KB of routing state each)
+	// and experiment processes use a handful at most.
 	cache = map[string]*entry{}
 
 	uunetOnce sync.Once
@@ -110,14 +113,4 @@ func UUNET() *Substrate {
 		uunet = Shared(topology.UUNET())
 	})
 	return uunet
-}
-
-// CacheSize reports the number of distinct topology structures currently
-// cached. The cache is never evicted — topologies are tiny (a few hundred
-// KB of routing state each) and experiment processes use a handful at most
-// — but tests use this to observe hit/miss behavior.
-func CacheSize() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return len(cache)
 }

@@ -38,14 +38,19 @@ func TestUUNETIsSharedCacheEntry(t *testing.T) {
 // TestCacheSizeCountsDistinctStructures: a novel structure grows the
 // cache by exactly one, and repeat lookups do not grow it.
 func TestCacheSizeCountsDistinctStructures(t *testing.T) {
+	cacheSize := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(cache)
+	}
 	topo := topology.Ring(31) // size unused by other tests in this package
-	before := CacheSize()
+	before := cacheSize()
 	Shared(topo)
-	if got := CacheSize(); got != before+1 {
+	if got := cacheSize(); got != before+1 {
 		t.Fatalf("cache size %d after first lookup, want %d", got, before+1)
 	}
 	Shared(topology.Ring(31))
-	if got := CacheSize(); got != before+1 {
+	if got := cacheSize(); got != before+1 {
 		t.Fatalf("cache size %d after repeat lookup, want %d", got, before+1)
 	}
 }

@@ -1,16 +1,8 @@
-// Package trace records and replays simulation activity.
-//
-// Two artifact kinds are supported:
-//
-//   - Placement traces: a JSONL stream of protocol events (migrations,
-//     replications, drops, refusals, deferrals) for debugging and offline
-//     analysis. Writer implements protocol.Observer; Reader parses the
-//     stream back and Summarize aggregates it.
-//   - Request logs: the (gateway, object) sequence of a workload, written
-//     as CSV. Recording wraps any workload generator; Replay plays a log
-//     back as a generator, enabling trace-driven simulation (the paper's
-//     companion report [1] runs trace-driven experiments; the format here
-//     doubles as an import path for real traces).
+// Package trace records placement activity as a JSONL stream of protocol
+// events (migrations, replications, drops, refusals, deferrals) for
+// debugging and offline analysis. Writer implements protocol.Observer
+// (radar-sim -trace writes the stream); Reader parses it back and
+// Summarize aggregates it (radar-analyze).
 package trace
 
 import (

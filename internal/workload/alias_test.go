@@ -137,3 +137,17 @@ func TestZipfExactSingleObject(t *testing.T) {
 		}
 	}
 }
+
+// Probabilities reconstructs the exact distribution the table samples
+// from: outcome i's probability is its own column's acceptance mass plus
+// every donation it received from other columns, to compare against the
+// normalized input weights.
+func (t *AliasTable) Probabilities() []float64 {
+	n := len(t.prob)
+	out := make([]float64, n)
+	for i := range t.prob {
+		out[i] += t.prob[i] / float64(n)
+		out[t.alias[i]] += (1 - t.prob[i]) / float64(n)
+	}
+	return out
+}
