@@ -12,10 +12,12 @@
 // With -free-running the fleet owns its clocks: nodes self-schedule their
 // control ticks, the generator paces requests in wall time, and instead of
 // comparing against the simulator the run is judged by an invariant
-// checker (-check) that scrapes the fleet's census and stats. -chaos takes
-// the simulator's fault-schedule DSL and deals it for real — SIGKILL-style
-// node crashes, control-plane partitions, client-hop latency — against the
-// in-process fleet, with crash windows reported to the checker.
+// checker that scrapes the fleet's census and stats; a violation fails the
+// run. -chaos takes the simulator's fault-schedule DSL and deals it for
+// real — SIGKILL-style node crashes, control-plane partitions, client-hop
+// latency — against the in-process fleet, with crash windows reported to
+// the checker. Stochastic clauses draw from the seed's fault stream, so
+// the nodes killed are the ones a simulation of the scenario crashes.
 //
 // Examples:
 //
@@ -23,27 +25,23 @@
 //	radar-load -scenario steady-state-baseline -duration 2m -rps 10
 //	radar-load -scenario steady-state-baseline -duration 2m -rps 10 -gate-zero-failed
 //	radar-load -scenario steady-state-baseline -urls http://127.0.0.1:8300,http://127.0.0.1:8301,...
-//	radar-load -scenario steady-state-baseline -free-running -duration 10s -check
-//	radar-load -scenario steady-state-baseline -free-running -duration 15s -chaos "crash:2@5s+3s" -check
+//	radar-load -scenario steady-state-baseline -free-running -duration 10s
+//	radar-load -scenario steady-state-baseline -free-running -duration 15s -chaos "crash:2@5s+3s"
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
 	"time"
 
 	"radar/internal/live"
-	"radar/internal/live/chaos"
 	"radar/internal/live/check"
 	"radar/internal/report"
-	"radar/internal/routing"
 	"radar/internal/scenario"
-	"radar/internal/sim"
 )
 
 func main() {
@@ -63,8 +61,7 @@ func run() error {
 		urls        = flag.String("urls", "", "comma-separated radar-node base URLs (empty = in-process loopback fleet)")
 		gateFailed  = flag.Bool("gate-zero-failed", false, "exit non-zero if any request failed or any node crashed")
 		freeRunning = flag.Bool("free-running", false, "free-running mode: nodes self-schedule on wall clocks; generator paces in real time")
-		chaosSched  = flag.String("chaos", "", "fault-DSL chaos schedule to deal against the fleet (implies -check; needs -free-running, in-process fleet)")
-		doCheck     = flag.Bool("check", false, "scrape the fleet and assert protocol invariants; exit non-zero on violations (needs -free-running)")
+		chaosSched  = flag.String("chaos", "", "fault-DSL chaos schedule to deal against the fleet (needs -free-running, in-process fleet)")
 		convergence = flag.Duration("convergence", 5*time.Second, "invariant checker's convergence budget: how long a bound may stay violated before it counts")
 	)
 	flag.Parse()
@@ -76,8 +73,8 @@ func run() error {
 		}
 		return nil
 	}
-	if (*chaosSched != "" || *doCheck) && !*freeRunning {
-		return fmt.Errorf("-chaos and -check need -free-running (driver-paced replay is verified against the simulator instead)")
+	if *chaosSched != "" && !*freeRunning {
+		return fmt.Errorf("-chaos needs -free-running (driver-paced replay is verified against the simulator instead)")
 	}
 
 	cfg, err := live.ScenarioConfig(*name, *duration, *rps, *seed, *freeRunning)
@@ -92,17 +89,16 @@ func run() error {
 	if *urls != "" {
 		fleet = strings.Split(*urls, ",")
 	}
-	if *freeRunning {
-		return runFree(ctx, cfg, fleet, *chaosSched, *doCheck || *chaosSched != "", *convergence, *gateFailed)
-	}
-
 	h, err := live.NewHarness(cfg, fleet)
 	if err != nil {
 		return err
 	}
 	defer h.Close()
+	if *freeRunning {
+		return runFree(ctx, h, *chaosSched, *convergence, *gateFailed)
+	}
 	start := time.Now()
-	res, err := h.Run(ctx)
+	res, err := h.Driver.Run(ctx)
 	if err != nil {
 		return err
 	}
@@ -124,107 +120,32 @@ func run() error {
 	return nil
 }
 
-// floorWaitTimeout bounds how long runFree waits for the fleet's initial
-// floor repair before starting the invariant checker: objects seed with a
-// single replica, so a fresh fleet legitimately spends its first moments
-// below the replica floor.
-const floorWaitTimeout = 30 * time.Second
-
-// runFree executes a free-running run: wall-clock load generation, an
-// optional chaos schedule against the in-process fleet, and an optional
-// invariant checker whose violations fail the run.
-func runFree(ctx context.Context, cfg live.Config, urls []string, schedule string, doCheck bool, convergence time.Duration, gate bool) error {
-	cfg = cfg.Normalized()
-	wall := cfg.Sim.Duration
-	if schedule != "" && len(urls) > 0 {
-		return fmt.Errorf("-chaos needs the in-process fleet (radar-load must own the node lifecycles to kill them); drop -urls")
-	}
-	h, err := live.NewHarness(cfg, urls)
+// runFree runs the free-running harness through the one free-running run,
+// prints what it served, the chaos it dealt and the checker's verdict, and
+// fails on a violation.
+func runFree(ctx context.Context, h *live.Harness, schedule string, convergence time.Duration, gate bool) error {
+	start := time.Now()
+	out, err := check.RunFree(ctx, h, schedule, convergence)
 	if err != nil {
 		return err
 	}
-	defer h.Close()
-	free, fleetURLs := h.Free, h.URLs
-	var target *chaos.FleetTarget
-	if schedule != "" {
-		target = chaos.NewFleetTarget(h.Fleet, free.SetLatency)
-		defer target.Close()
-	}
+	wall := time.Since(start).Round(time.Millisecond)
 
-	redirectors := sim.RedirectorLocs(&cfg.Sim, routing.New(cfg.Sim.Topo))
-
-	var checker *check.Checker
-	stopCheck := func() {}
-	if doCheck {
-		// Judge steady-state maintenance, not the boot transient: wait for
-		// the self-scheduled placement passes to finish the initial floor
-		// repair before the first scrape.
-		if err := check.AwaitFloor(ctx, fleetURLs, redirectors, floorWaitTimeout); err != nil {
-			return err
-		}
-		checker = check.New(check.Config{
-			URLs:        fleetURLs,
-			Redirectors: redirectors,
-			Convergence: convergence,
-		})
-		checkCtx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			checker.Run(checkCtx)
-		}()
-		stopCheck = func() { cancel(); <-done }
-	}
-
-	chaosDone := make(chan error, 1)
-	var ctl *chaos.Controller
-	if schedule != "" {
-		plan, err := chaos.Plan(schedule, cfg.Sim.Topo, wall, rand.New(rand.NewSource(cfg.Sim.Seed)))
-		if err != nil {
-			return err
-		}
-		var obs chaos.Observer
-		if checker != nil {
-			obs = checker
-		}
-		ctl = chaos.NewController(target, plan, obs)
-		go func() { chaosDone <- ctl.Run(ctx, time.Now()) }()
-	} else {
-		chaosDone <- nil
-	}
-
-	start := time.Now()
-	runErr := free.Run(ctx, wall)
-	wallTook := time.Since(start).Round(time.Millisecond)
-	chaosErr := <-chaosDone
-	stopCheck()
-	if runErr != nil {
-		return runErr
-	}
-	if chaosErr != nil {
-		return fmt.Errorf("chaos: %w", chaosErr)
-	}
-
-	res := free.Results(free.Census())
+	res := out.Results
 	if err := report.Summary(res).Render(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Printf("\nfree run: %d served, %d failed, %d timed out (wall time %v)\n",
-		res.TotalServed, res.FailedRequests, res.TimedOutRequests, wallTook)
-	if ctl != nil {
-		fmt.Printf("chaos: %d actions applied\n", len(ctl.Applied()))
-		for _, a := range ctl.Applied() {
+		res.TotalServed, res.FailedRequests, res.TimedOutRequests, wall)
+	if schedule != "" {
+		fmt.Printf("chaos: %d actions applied\n", len(out.Applied))
+		for _, a := range out.Applied {
 			fmt.Printf("  %s\n", a)
 		}
 	}
-
-	if checker != nil {
-		checker.CheckFailures(free.Failures())
-		rep := checker.Report()
-		fmt.Printf("invariants: %s\n", rep)
-		if !rep.OK() {
-			return fmt.Errorf("invariant check: %d violations", len(rep.Violations))
-		}
+	fmt.Printf("invariants: %s\n", out.Report)
+	if !out.Report.OK() {
+		return fmt.Errorf("invariant check: %d violations", len(out.Report.Violations))
 	}
 	if gate && res.FailedRequests > 0 {
 		return fmt.Errorf("gate: %d failed requests (want zero)", res.FailedRequests)

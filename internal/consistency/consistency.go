@@ -67,7 +67,7 @@ func (m Mix) Validate() error {
 // seed's reserved stream following mix.
 func Assign(u object.Universe, mix Mix, seed int64) []Category {
 	cats := make([]Category, u.Count)
-	rng := workload.Stream(seed, 0xC0DE)
+	rng := workload.Stream(seed, workload.ConsistencyStream)
 	for i := range cats {
 		switch roll := rng.Float64(); {
 		case roll < mix.Static:

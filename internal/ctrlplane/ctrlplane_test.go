@@ -1,11 +1,11 @@
 package ctrlplane
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // instantTransport delivers every leg after a fixed latency, counting legs.
@@ -20,7 +20,7 @@ func instantTransport(latency time.Duration, legs *int) Transport {
 
 func newPlane(t *testing.T, faults Faults, tr Transport) *Plane {
 	t.Helper()
-	p, err := New(Params{}, faults, rand.New(rand.NewSource(1)), tr)
+	p, err := New(Params{}, faults, workload.Stream(1, 0), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCallTimeoutFromDelay(t *testing.T) {
 	// times out even with zero drop probability, and the callee runs only
 	// once thanks to token dedupe.
 	p, err := New(Params{Timeout: 10 * time.Millisecond}, Faults{},
-		rand.New(rand.NewSource(1)), instantTransport(50*time.Millisecond, nil))
+		workload.Stream(1, 0), instantTransport(50*time.Millisecond, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,10 +299,10 @@ func TestNewRejectsNilDeps(t *testing.T) {
 	if _, err := New(Params{}, Faults{}, nil, tr); err == nil {
 		t.Error("nil rng accepted")
 	}
-	if _, err := New(Params{}, Faults{}, rand.New(rand.NewSource(1)), nil); err == nil {
+	if _, err := New(Params{}, Faults{}, workload.Stream(1, 0), nil); err == nil {
 		t.Error("nil transport accepted")
 	}
-	if _, err := New(Params{Retries: -1}, Faults{}, rand.New(rand.NewSource(1)), tr); err == nil {
+	if _, err := New(Params{Retries: -1}, Faults{}, workload.Stream(1, 0), tr); err == nil {
 		t.Error("invalid params accepted")
 	}
 }

@@ -11,19 +11,6 @@ import (
 	"radar/internal/sim"
 )
 
-// raceOver returns the reduced-scale override used by heavy integration
-// tests when the race detector is on. The detector multiplies simulation
-// cost several-fold; shrinking the simulated scale keeps the exact same
-// concurrency structure (same jobs, same worker pool, same shared
-// generators) within the test timeout, trading only physics fidelity,
-// which the non-race run still covers. It returns nil without -race.
-func raceOver() *scaleOverride {
-	if !raceEnabled {
-		return nil
-	}
-	return &scaleOverride{Objects: 300, Dynamic: 2 * time.Minute, Static: time.Minute}
-}
-
 // tinyOptions shrinks the suite far below Quick scale so determinism can
 // be checked end to end in seconds.
 func tinyOptions(seed int64, parallelism int) Options {

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,8 +64,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // goldenSuite runs the multi-seed quick suite (seeds 1-2, 16 runs) at the
 // given parallelism, fails tb unless the rendered table hashes to
-// suiteGoldenHash, and returns the rendered bytes.
-func goldenSuite(tb testing.TB, parallelism int) []byte {
+// suiteGoldenHash, and returns the suites and the rendered bytes.
+func goldenSuite(tb testing.TB, parallelism int) (*MultiSeed, []byte) {
 	tb.Helper()
 	ms, err := RunMultiSeed(Options{Seed: 1, Quick: true, Parallelism: parallelism}, []int64{1, 2}, false)
 	if err != nil {
@@ -79,16 +80,93 @@ func goldenSuite(tb testing.TB, parallelism int) []byte {
 	if got := fmt.Sprintf("%x", h.Sum64()); got != suiteGoldenHash {
 		tb.Errorf("suite table hash %s at parallelism %d, want %s (zero-fault output is no longer bit-identical to the baseline)", got, parallelism, suiteGoldenHash)
 	}
-	return buf.Bytes()
+	return ms, buf.Bytes()
 }
 
 // TestGoldenSuiteTable pins the rendered multi-seed quick suite table
-// byte-for-byte, and its hash against the pre-fault-subsystem baseline.
+// byte-for-byte, and its hash against the pre-fault-subsystem baseline,
+// then checks at both seeds that the qualitative claims of §6.2 hold end
+// to end and that every figure renders and writes its CSV.
 func TestGoldenSuiteTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16-run suite")
 	}
-	checkGolden(t, "suite_table.txt", goldenSuite(t, 0))
+	ms, table := goldenSuite(t, 0)
+	checkGolden(t, "suite_table.txt", table)
+	for i, suite := range ms.Suites {
+		t.Run(fmt.Sprintf("seed=%d", ms.Seeds[i]), func(t *testing.T) { checkSuiteClaims(t, suite) })
+	}
+}
+
+// checkSuiteClaims asserts the §6.2 claims a quick-scale suite reproduces
+// and that its artifacts render.
+func checkSuiteClaims(t *testing.T, suite *Suite) {
+	for _, name := range WorkloadNames {
+		r := suite.Runs[name]
+		if r == nil {
+			t.Fatalf("missing run %q", name)
+		}
+		if red := r.BandwidthReduction(); red < 20 {
+			t.Errorf("%s: bandwidth reduction %.1f%%, want >= 20%% (paper: 60-90%%)", name, red)
+		}
+		// Hot-sites starts saturated; at quick scale its backlog is still
+		// draining at the end of the run, so judge it by collapse from
+		// its own initial level rather than against the static baseline.
+		if name == "hot-sites" {
+			ls := r.Dynamic.LatencyStats
+			if ls.Equilibrium > ls.Initial/2 {
+				t.Errorf("hot-sites: latency eq %.3g not far below initial %.3g", ls.Equilibrium, ls.Initial)
+			}
+		} else if red := r.LatencyReduction(); red <= 0 {
+			t.Errorf("%s: latency did not improve (%.1f%%)", name, red)
+		}
+		if r.Dynamic.OverheadPercent > 2.5 {
+			t.Errorf("%s: overhead %.2f%% above the paper's 2.5%% ceiling", name, r.Dynamic.OverheadPercent)
+		}
+		if r.Dynamic.AvgReplicas < 1.05 || r.Dynamic.AvgReplicas > 8 {
+			t.Errorf("%s: avg replicas %.2f outside plausible range", name, r.Dynamic.AvgReplicas)
+		}
+	}
+	// Regional must be the biggest bandwidth winner (locality).
+	regional := suite.Runs["regional"].BandwidthReduction()
+	for _, name := range []string{"zipf", "hot-pages"} {
+		if suite.Runs[name].BandwidthReduction() >= regional {
+			t.Errorf("regional reduction %.1f%% should exceed %s's %.1f%%",
+				regional, name, suite.Runs[name].BandwidthReduction())
+		}
+	}
+	// Hot-sites and hot-pages share an access pattern, so their dynamic
+	// equilibria converge to the same level (paper §6.2). Quick-scale
+	// runs end before both fully settle; require same order of magnitude
+	// here and verify the tight match in the full-scale experiments.
+	hs := suite.Runs["hot-sites"].Dynamic.BandwidthStats.Equilibrium
+	hp := suite.Runs["hot-pages"].Dynamic.BandwidthStats.Equilibrium
+	if ratio := hs / hp; ratio < 0.3 || ratio > 3 {
+		t.Errorf("hot-sites eq %.3g vs hot-pages eq %.3g: want same order", hs, hp)
+	}
+
+	var b strings.Builder
+	if err := suite.RenderAll(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"Figure 6", "Figure 7", "Figure 8a", "Figure 8b", "Table 2", "regional", "hot-sites"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered artifacts missing %q", want)
+		}
+	}
+	dir := t.TempDir()
+	if err := suite.WriteCSVs(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"fig6_bandwidth.csv", "fig6_latency.csv", "fig7_overhead.csv", "fig8a_maxload.csv", "fig8b_hostload.csv"} {
+		data, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
+			t.Errorf("missing CSV %s: %v", f, err)
+		} else if len(data) < 100 {
+			t.Errorf("CSV %s suspiciously small (%d bytes)", f, len(data))
+		}
+	}
 }
 
 // BenchmarkMultiSeedSuite times the experiment engine on the suite

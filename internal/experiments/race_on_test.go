@@ -4,5 +4,5 @@ package experiments
 
 // raceEnabled reports whether the race detector is compiled in; heavy
 // integration tests shrink their simulation scale under -race (see
-// raceOver) because the detector multiplies simulation cost several-fold.
+// tinyOptions) because the detector multiplies simulation cost several-fold.
 const raceEnabled = true

@@ -2,12 +2,12 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 func TestParseScheduleScripted(t *testing.T) {
@@ -119,11 +119,11 @@ func testEdges() [][2]topology.NodeID {
 func TestTimelineDeterministic(t *testing.T) {
 	spec := Spec{HostMTBF: 10 * time.Minute, HostMTTR: time.Minute,
 		LinkMTBF: 30 * time.Minute, LinkMTTR: 2 * time.Minute}
-	a, err := spec.Timeline(4, testEdges(), time.Hour, rand.New(rand.NewSource(42)))
+	a, err := spec.Timeline(4, testEdges(), time.Hour, workload.Stream(42, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := spec.Timeline(4, testEdges(), time.Hour, rand.New(rand.NewSource(42)))
+	b, err := spec.Timeline(4, testEdges(), time.Hour, workload.Stream(42, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTimelineDeterministic(t *testing.T) {
 	if err := CheckTimeline(a); err != nil {
 		t.Fatal(err)
 	}
-	c, err := spec.Timeline(4, testEdges(), time.Hour, rand.New(rand.NewSource(43)))
+	c, err := spec.Timeline(4, testEdges(), time.Hour, workload.Stream(43, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

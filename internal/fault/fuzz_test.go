@@ -1,11 +1,11 @@
 package fault
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // FuzzFaultSchedule drives the schedule parser and timeline expansion with
@@ -98,7 +98,7 @@ func checkScheduleRoundTrip(t *testing.T, s string, spec Spec, numNodes int) {
 	for i := 0; i < numNodes-1; i++ {
 		edges = append(edges, [2]topology.NodeID{topology.NodeID(i), topology.NodeID(i + 1)})
 	}
-	tl, err := spec.Timeline(numNodes, edges, 30*time.Minute, rand.New(rand.NewSource(1)))
+	tl, err := spec.Timeline(numNodes, edges, 30*time.Minute, workload.Stream(1, 0))
 	if err != nil {
 		return // e.g. a scripted link event naming a non-edge of the line
 	}
@@ -106,7 +106,7 @@ func checkScheduleRoundTrip(t *testing.T, s string, spec Spec, numNodes int) {
 		t.Fatalf("timeline invariant violated for %q: %v", s, err)
 	}
 	// Same inputs must reproduce the same timeline.
-	tl2, err := spec.Timeline(numNodes, edges, 30*time.Minute, rand.New(rand.NewSource(1)))
+	tl2, err := spec.Timeline(numNodes, edges, 30*time.Minute, workload.Stream(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -90,13 +89,13 @@ func (a Action) String() string {
 
 // Plan parses a fault-DSL schedule ("crash:N@T+D; mtbf/mttr; link:A-B@T+D;
 // cdelay:D") and expands it into the chaos actions for a fleet on the
-// given topology over the given horizon. Expansion goes through the exact
-// code path the simulator uses (fault.ParseSchedule, Spec.Timeline over
-// fault.TopoEdges), so a schedule means the same thing in both worlds;
-// stochastic clauses draw from rng (nil is fine for purely scripted
-// schedules). Message drop/dup clauses are rejected: a live fleet cannot
-// un-deliver a TCP payload — crash or partition it instead.
-func Plan(schedule string, topo *topology.Topology, horizon time.Duration, rng *rand.Rand) ([]Action, error) {
+// given topology over the given horizon. Expansion is the simulator's own
+// (fault.ParseSchedule, Spec.Expand): stochastic clauses draw from seed's
+// reserved fault stream, so a schedule at a seed kills the nodes a
+// simulation at that seed crashes, at the same instants. Message drop/dup
+// clauses are rejected: a live fleet cannot un-deliver a TCP payload —
+// crash or partition it instead.
+func Plan(schedule string, topo *topology.Topology, horizon time.Duration, seed int64) ([]Action, error) {
 	spec, err := fault.ParseSchedule(schedule)
 	if err != nil {
 		return nil, err
@@ -104,7 +103,7 @@ func Plan(schedule string, topo *topology.Topology, horizon time.Duration, rng *
 	if spec.MsgDrop > 0 || spec.MsgDup > 0 {
 		return nil, fmt.Errorf("chaos: message drop/dup is simulation-only (crash or partition live nodes instead)")
 	}
-	timeline, err := spec.Timeline(topo.NumNodes(), fault.TopoEdges(topo), horizon, rng)
+	timeline, err := spec.Expand(topo, horizon, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/fault"
+	"radar/internal/object"
+	"radar/internal/sim"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
@@ -13,7 +16,7 @@ import (
 // TestPlanScriptedCrash: a scripted crash clause expands to a kill and a
 // restart at the scheduled times.
 func TestPlanScriptedCrash(t *testing.T) {
-	actions, err := Plan("crash:1@2s+3s", topology.Star(4), 10*time.Second, nil)
+	actions, err := Plan("crash:1@2s+3s", topology.Star(4), 10*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func TestPlanScriptedCrash(t *testing.T) {
 // TestPlanLinkAndLatency: link clauses become cut/heal pairs and a cdelay
 // clause becomes an upfront latency action.
 func TestPlanLinkAndLatency(t *testing.T) {
-	actions, err := Plan("link:0-1@1s+2s; cdelay:50ms", topology.Star(4), 10*time.Second, nil)
+	actions, err := Plan("link:0-1@1s+2s; cdelay:50ms", topology.Star(4), 10*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func TestPlanLinkAndLatency(t *testing.T) {
 // TestPlanRejectsMessageLoss: drop/dup clauses are simulation-only.
 func TestPlanRejectsMessageLoss(t *testing.T) {
 	for _, sched := range []string{"drop:0.5", "dup:0.2", "crash:0@1s; drop:0.1"} {
-		if _, err := Plan(sched, topology.Star(4), 10*time.Second, nil); err == nil {
+		if _, err := Plan(sched, topology.Star(4), 10*time.Second, 1); err == nil {
 			t.Fatalf("Plan(%q) accepted a message-loss clause", sched)
 		}
 	}
@@ -66,7 +69,7 @@ func TestPlanRejectsMessageLoss(t *testing.T) {
 func TestPlanStochasticDeterministic(t *testing.T) {
 	topo := topology.Ring(6)
 	plan := func() []Action {
-		a, err := Plan("mtbf:60s; mttr:5s", topo, 5*time.Minute, workload.Stream(7, 99))
+		a, err := Plan("mtbf:60s; mttr:5s", topo, 5*time.Minute, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,6 +86,72 @@ func TestPlanStochasticDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("plans diverge at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestPlanKillsWhatTheSimulatorCrashes: a stochastic schedule kills, live,
+// the nodes a simulation at the same seed crashes, at the same instants —
+// both expand it from the seed's fault stream. Every planned action is
+// checked against the simulator's own view of the node an instant before
+// and at its time.
+func TestPlanKillsWhatTheSimulatorCrashes(t *testing.T) {
+	const (
+		schedule = "mtbf:20s; mttr:3s"
+		seed     = 7
+		horizon  = 30 * time.Second
+	)
+	plan, err := Plan(schedule, topology.UUNET(), horizon, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan) < 4 {
+		t.Fatalf("plan %v: want crash cycles", plan)
+	}
+	if a := plan[0]; a.Kind != Kill || a.Node != 35 || a.At.Round(100*time.Microsecond) != 132800*time.Microsecond {
+		t.Fatalf("plan opens with %v: want node 35 killed at 132.8ms", a)
+	}
+
+	spec, err := fault.ParseSchedule(schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := object.Universe{Count: 106, SizeBytes: 12 << 10}
+	gen, err := workload.NewUniform(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(gen, seed)
+	cfg.Universe, cfg.Duration, cfg.Faults = u, horizon, spec
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kills, restarts int64
+	for _, a := range plan {
+		down := a.Kind == Kill
+		if down {
+			kills++
+		} else {
+			restarts++
+		}
+		s.At(a.At-1, func() {
+			if s.Down(a.Node) == down {
+				t.Errorf("%v: the simulator already has node %d in that state", a, a.Node)
+			}
+		})
+		s.At(a.At, func() {
+			if s.Down(a.Node) != down {
+				t.Errorf("%v: the simulator does not", a)
+			}
+		})
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures != kills || res.Recoveries != restarts {
+		t.Errorf("simulator crashed %d and recovered %d nodes; the plan kills %d and restarts %d",
+			res.Failures, res.Recoveries, kills, restarts)
 	}
 }
 

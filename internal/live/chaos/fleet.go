@@ -24,23 +24,15 @@ const PoisonURL = "poison://partition"
 type FleetTarget struct {
 	fleet  *live.Fleet
 	client *http.Client
-	// latency receives SetLatency updates — wired to the free driver's
-	// client-hop injection point. May be nil (latency actions then fail).
+	// latency receives SetLatency updates: the free driver's client-hop
+	// injection point.
 	latency func(time.Duration)
-	// readyTimeout bounds Restart's readiness wait.
-	readyTimeout time.Duration
 }
 
-// NewFleetTarget wraps a fleet. latencySink may be nil when the plan has
-// no latency actions; pass (*live.FreeDriver).SetLatency to inject at the
-// client hop.
+// NewFleetTarget wraps a fleet whose load generator injects client-hop
+// latency through latencySink ((*live.FreeDriver).SetLatency).
 func NewFleetTarget(f *live.Fleet, latencySink func(time.Duration)) *FleetTarget {
-	return &FleetTarget{
-		fleet:        f,
-		client:       &http.Client{Timeout: 2 * time.Second},
-		latency:      latencySink,
-		readyTimeout: 10 * time.Second,
-	}
+	return &FleetTarget{fleet: f, client: &http.Client{Timeout: 2 * time.Second}, latency: latencySink}
 }
 
 // Close releases the target's HTTP connections.
@@ -51,7 +43,7 @@ func (t *FleetTarget) Kill(n topology.NodeID) error {
 	if err := t.fleet.Kill(n); err != nil {
 		return err
 	}
-	t.broadcastMark(n, true)
+	live.MarkAll(t.client, t.fleet.URLs(), n, true, t.fleet.Killed)
 	return nil
 }
 
@@ -61,29 +53,11 @@ func (t *FleetTarget) Restart(n topology.NodeID) error {
 	if err := t.fleet.Restart(n); err != nil {
 		return err
 	}
-	if err := t.fleet.WaitReady(t.readyTimeout); err != nil {
+	if err := t.fleet.WaitReady(live.ReadyTimeout); err != nil {
 		return err
 	}
-	t.broadcastMark(n, false)
+	live.MarkAll(t.client, t.fleet.URLs(), n, false, t.fleet.Killed)
 	return nil
-}
-
-// broadcastMark posts a reachability mark for host n to every live node,
-// best-effort — a node that misses the mark rediscovers reachability
-// through its own RPC failures.
-func (t *FleetTarget) broadcastMark(n topology.NodeID, down bool) {
-	msg := live.MarkMsg{Host: int(n), Down: down}
-	for i := 0; i < t.fleet.NumNodes(); i++ {
-		id := topology.NodeID(i)
-		if id == n && down || t.fleet.Killed(id) {
-			continue
-		}
-		res, err := t.client.Post(t.fleet.URL(id)+live.PathMark, "application/json",
-			bytes.NewReader(live.Encode(&msg)))
-		if err == nil {
-			res.Body.Close()
-		}
-	}
 }
 
 // SetPartition implements Target: poison (or restore) each side's peer-URL
@@ -119,9 +93,6 @@ func (t *FleetTarget) setPeer(on, peer topology.NodeID, cut bool) error {
 
 // SetLatency implements Target.
 func (t *FleetTarget) SetLatency(d time.Duration) error {
-	if t.latency == nil {
-		return fmt.Errorf("chaos: no latency injection point wired")
-	}
 	t.latency(d)
 	return nil
 }

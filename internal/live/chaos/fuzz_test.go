@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"radar/internal/topology"
-	"radar/internal/workload"
 )
 
 // FuzzChaosSchedule: any schedule string either fails to plan or yields a
@@ -23,7 +22,7 @@ func FuzzChaosSchedule(f *testing.F) {
 	topo := topology.Star(4)
 	f.Fuzz(func(t *testing.T, sched string) {
 		plan := func() []Action {
-			a, err := Plan(sched, topo, 30*time.Second, workload.Stream(1, 2))
+			a, err := Plan(sched, topo, 30*time.Second, 1)
 			if err != nil {
 				t.SkipNow()
 			}

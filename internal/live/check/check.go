@@ -1,15 +1,16 @@
-// Package check is the free-running mode's verification instrument: a
-// continuous invariant checker that scrapes a live fleet's census and
-// stats endpoints and asserts the properties that replace sequence
-// equality once nodes self-schedule. Driver-paced runs are verified by
-// byte-identity with the simulator; free-running runs are verified here —
-// watermark bounds hold within a convergence budget, the replica floor is
-// repaired after recoveries, no object is lost, counters only move
-// forward within a boot, and request failures stay confined to crash
-// windows.
+// Package check runs and judges a free-running fleet. RunFree is the one
+// free-running run — load, chaos and a continuous invariant checker wired
+// together — and every such run is judged: the checker scrapes the fleet's
+// census and stats endpoints and asserts the properties that replace
+// sequence equality once nodes self-schedule. Driver-paced runs are
+// verified by byte-identity with the simulator; free-running runs are
+// verified here — watermark bounds hold within a convergence budget, the
+// replica floor is repaired after recoveries, no object is lost, counters
+// only move forward within a boot, and request failures stay confined to
+// crash windows.
 //
-// The checker learns about crashes through OnKill/OnRestart (it
-// satisfies chaos.Observer), so everything that goes wrong while a node
+// The checker learns about crashes through OnKill/OnRestart (it is the
+// chaos controller's Observer), so everything that goes wrong while a node
 // is legitimately dead — unreachable scrapes, failed requests, a sagging
 // floor — is excused until the convergence budget after recovery runs
 // out.
@@ -27,37 +28,13 @@ import (
 	"radar/internal/topology"
 )
 
-// Config tunes the checker.
-type Config struct {
-	// URLs are the fleet's node base URLs, indexed by node ID.
-	URLs []string
-	// Redirectors are the nodes whose census endpoints own objects
-	// (sim.RedirectorLocs).
-	Redirectors []topology.NodeID
-	// Interval is the scrape period (default 250ms).
-	Interval time.Duration
-	// Convergence is the budget within which a violated bound must heal:
-	// a below-floor or zero-replica census older than this (outside crash
-	// windows) is a violation, as is a request failure later than this
-	// after the last recovery. Default 5s.
-	Convergence time.Duration
-	// MaxUnreachable is how many consecutive failed scrapes of a node not
-	// in a crash window count as a violation (default 4).
-	MaxUnreachable int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval == 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.Convergence == 0 {
-		c.Convergence = 5 * time.Second
-	}
-	if c.MaxUnreachable == 0 {
-		c.MaxUnreachable = 4
-	}
-	return c
-}
+// Scrape cadence: the checker scrapes every scrapeInterval, and a node not
+// in a crash window that fails maxUnreachable scrapes in a row is a
+// violation.
+const (
+	scrapeInterval = 250 * time.Millisecond
+	maxUnreachable = 4
+)
 
 // Violation is one observed invariant breach.
 type Violation struct {
@@ -130,12 +107,18 @@ type redState struct {
 	overSince  time.Time
 }
 
-// Checker scrapes and judges one fleet. Create with New, feed crash
-// windows via OnKill/OnRestart (wire it as the chaos controller's
-// Observer), Run until the experiment ends, then Report.
-type Checker struct {
-	cfg    Config
-	client *http.Client
+// checker scrapes and judges one fleet. RunFree builds one, feeds it crash
+// windows via OnKill/OnRestart (it is the chaos controller's Observer),
+// runs it until the load ends, then judges the failures and reports.
+type checker struct {
+	urls        []string          // node base URLs, indexed by node ID
+	redirectors []topology.NodeID // the nodes whose censuses own objects
+	// convergence is the budget within which a violated bound must heal:
+	// a below-floor or zero-replica census older than this (outside crash
+	// windows) is a violation, as is a request failure later than this
+	// after the last recovery.
+	convergence time.Duration
+	client      *http.Client
 
 	mu         sync.Mutex
 	windows    []window
@@ -145,16 +128,16 @@ type Checker struct {
 	violations []Violation
 }
 
-// New builds a checker.
-func New(cfg Config) *Checker {
-	cfg = cfg.withDefaults()
-	c := &Checker{
-		cfg:    cfg,
-		client: &http.Client{Timeout: 2 * time.Second},
-		nodes:  make([]nodeState, len(cfg.URLs)),
-		reds:   make(map[topology.NodeID]*redState, len(cfg.Redirectors)),
+func newChecker(urls []string, redirectors []topology.NodeID, convergence time.Duration) *checker {
+	c := &checker{
+		urls:        urls,
+		redirectors: redirectors,
+		convergence: convergence,
+		client:      &http.Client{Timeout: 2 * time.Second},
+		nodes:       make([]nodeState, len(urls)),
+		reds:        make(map[topology.NodeID]*redState, len(redirectors)),
 	}
-	for _, r := range cfg.Redirectors {
+	for _, r := range redirectors {
 		c.reds[r] = &redState{}
 	}
 	return c
@@ -163,14 +146,14 @@ func New(cfg Config) *Checker {
 // OnKill and OnRestart make the checker a chaos controller Observer:
 // applied lifecycle actions become crash windows. OnKill opens one for
 // node n.
-func (c *Checker) OnKill(n topology.NodeID, at time.Time) {
+func (c *checker) OnKill(n topology.NodeID, at time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.windows = append(c.windows, window{node: n, start: at})
 }
 
 // OnRestart closes node n's open crash window.
-func (c *Checker) OnRestart(n topology.NodeID, at time.Time) {
+func (c *checker) OnRestart(n topology.NodeID, at time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := len(c.windows) - 1; i >= 0; i-- {
@@ -185,7 +168,7 @@ func (c *Checker) OnRestart(n topology.NodeID, at time.Time) {
 
 // inWindow reports whether t falls inside any crash window, extended by
 // the convergence grace after its close. Callers hold c.mu.
-func (c *Checker) inWindow(t time.Time, node topology.NodeID, anyNode bool) bool {
+func (c *checker) inWindow(t time.Time, node topology.NodeID, anyNode bool) bool {
 	for _, w := range c.windows {
 		if !anyNode && w.node != node {
 			continue
@@ -193,7 +176,7 @@ func (c *Checker) inWindow(t time.Time, node topology.NodeID, anyNode bool) bool
 		if t.Before(w.start) {
 			continue
 		}
-		if w.end.IsZero() || !t.After(w.end.Add(c.cfg.Convergence)) {
+		if w.end.IsZero() || !t.After(w.end.Add(c.convergence)) {
 			return true
 		}
 	}
@@ -202,9 +185,9 @@ func (c *Checker) inWindow(t time.Time, node topology.NodeID, anyNode bool) bool
 
 // openWindows reports whether any crash window is open or closed less
 // than the convergence budget ago. Callers hold c.mu.
-func (c *Checker) openWindows(now time.Time) bool {
+func (c *checker) openWindows(now time.Time) bool {
 	for _, w := range c.windows {
-		if w.end.IsZero() || !now.After(w.end.Add(c.cfg.Convergence)) {
+		if w.end.IsZero() || !now.After(w.end.Add(c.convergence)) {
 			return true
 		}
 	}
@@ -212,51 +195,59 @@ func (c *Checker) openWindows(now time.Time) bool {
 }
 
 // liveNodes counts nodes without an open crash window. Callers hold c.mu.
-func (c *Checker) liveNodes() int {
+func (c *checker) liveNodes() int {
 	down := map[topology.NodeID]bool{}
 	for _, w := range c.windows {
 		if w.end.IsZero() {
 			down[w.node] = true
 		}
 	}
-	return len(c.cfg.URLs) - len(down)
+	return len(c.urls) - len(down)
 }
 
-// Run scrapes every Interval until ctx is done.
-func (c *Checker) Run(ctx context.Context) {
-	t := time.NewTicker(c.cfg.Interval)
+// run scrapes every scrapeInterval until ctx is done.
+func (c *checker) run(ctx context.Context) {
+	t := time.NewTicker(scrapeInterval)
 	defer t.Stop()
-	defer c.client.CloseIdleConnections()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			c.Scrape()
+			c.scrape()
 		}
 	}
 }
 
-// AwaitFloor polls the redirectors' censuses until no object sits below
-// the replica floor (or with zero replicas), so invariant checking starts
-// from a converged fleet. It gives up after timeout.
-func AwaitFloor(ctx context.Context, urls []string, redirectors []topology.NodeID, timeout time.Duration) error {
-	client := &http.Client{Timeout: 2 * time.Second}
-	defer client.CloseIdleConnections()
+// censuses scrapes every redirector's census once, in redirector order; an
+// unreachable redirector's entry is nil. It is the one census read of a
+// free-running run: the floor wait, the judge and the final replica count.
+func (c *checker) censuses() []*live.CensusReply {
+	reps := make([]*live.CensusReply, len(c.redirectors))
+	for i, loc := range c.redirectors {
+		var rep live.CensusReply
+		if live.Scrape(c.client, c.urls[loc]+live.PathCensus, &rep) == nil {
+			reps[i] = &rep
+		}
+	}
+	return reps
+}
+
+// awaitFloor polls the censuses until no object sits below the replica
+// floor (or with zero replicas), so invariant checking starts from a
+// converged fleet. It gives up after timeout.
+func (c *checker) awaitFloor(ctx context.Context, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		settled := true
-		for _, loc := range redirectors {
-			var rep live.CensusReply
-			if live.Scrape(client, urls[loc]+live.PathCensus, &rep) != nil || rep.BelowFloor > 0 || rep.Zero > 0 {
-				settled = false
-			}
+		for _, rep := range c.censuses() {
+			settled = settled && rep != nil && rep.BelowFloor == 0 && rep.Zero == 0
 		}
 		if settled {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not repair the initial replica-floor deficit within %v", timeout)
+			return fmt.Errorf("check: fleet did not repair the initial replica-floor deficit within %v", timeout)
 		}
 		select {
 		case <-ctx.Done():
@@ -266,23 +257,12 @@ func AwaitFloor(ctx context.Context, urls []string, redirectors []topology.NodeI
 	}
 }
 
-// Scrape performs one scrape-and-judge pass. Exposed so tests (and
-// one-shot callers) can drive the checker without the ticker.
-func (c *Checker) Scrape() {
+// scrape performs one scrape-and-judge pass.
+func (c *checker) scrape() {
 	now := time.Now()
-	type censusResult struct {
-		loc topology.NodeID
-		rep live.CensusReply
-		ok  bool
-	}
-	var censuses []censusResult
-	for _, loc := range c.cfg.Redirectors {
-		var rep live.CensusReply
-		ok := live.Scrape(c.client, c.cfg.URLs[loc]+live.PathCensus, &rep) == nil
-		censuses = append(censuses, censusResult{loc, rep, ok})
-	}
-	stats := make([]*live.StatsReply, len(c.cfg.URLs))
-	for i, u := range c.cfg.URLs {
+	censuses := c.censuses()
+	stats := make([]*live.StatsReply, len(c.urls))
+	for i, u := range c.urls {
 		var rep live.StatsReply
 		if live.Scrape(c.client, u+live.PathStats, &rep) == nil {
 			stats[i] = &rep
@@ -292,8 +272,8 @@ func (c *Checker) Scrape() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.scrapes++
-	for _, cr := range censuses {
-		c.judgeCensus(now, cr.loc, cr.rep, cr.ok)
+	for i, rep := range censuses {
+		c.judgeCensus(now, c.redirectors[i], rep)
 	}
 	for i, rep := range stats {
 		c.judgeStats(now, topology.NodeID(i), rep)
@@ -302,9 +282,9 @@ func (c *Checker) Scrape() {
 
 // judgeCensus applies the replica-set rules to one redirector's census.
 // Callers hold c.mu.
-func (c *Checker) judgeCensus(now time.Time, loc topology.NodeID, rep live.CensusReply, ok bool) {
+func (c *checker) judgeCensus(now time.Time, loc topology.NodeID, rep *live.CensusReply) {
 	rs := c.reds[loc]
-	if !ok {
+	if rep == nil {
 		// Reachability is judged in judgeStats; an unreachable census
 		// just freezes the onset clocks (no fresh evidence either way).
 		return
@@ -329,23 +309,23 @@ func (c *Checker) judgeCensus(now time.Time, loc topology.NodeID, rep live.Censu
 		if excuseWindows && c.openWindows(now) {
 			return
 		}
-		if now.Sub(*since) > c.cfg.Convergence {
+		if now.Sub(*since) > c.convergence {
 			c.violate(now, rule, int(loc), detail)
 			*since = now // re-arm so one stuck condition reports per budget, not per scrape
 		}
 	}
 	n := c.liveNodes()
 	judgeOnset(n > 0 && rep.MaxReplicas > n, false, &rs.overSince, RuleOverMax,
-		fmt.Sprintf("object with %d replicas, only %d live nodes, past %v budget", rep.MaxReplicas, n, c.cfg.Convergence))
+		fmt.Sprintf("object with %d replicas, only %d live nodes, past %v budget", rep.MaxReplicas, n, c.convergence))
 	judgeOnset(rep.BelowFloor > 0, true, &rs.belowSince, RuleBelowFloor,
-		fmt.Sprintf("%d objects below replica floor past %v budget", rep.BelowFloor, c.cfg.Convergence))
+		fmt.Sprintf("%d objects below replica floor past %v budget", rep.BelowFloor, c.convergence))
 	judgeOnset(rep.Zero > 0, true, &rs.zeroSince, RuleLostObject,
-		fmt.Sprintf("%d objects with zero replicas past %v budget", rep.Zero, c.cfg.Convergence))
+		fmt.Sprintf("%d objects with zero replicas past %v budget", rep.Zero, c.convergence))
 }
 
 // judgeStats applies reachability and counter-monotonicity to one node's
 // stats scrape. Callers hold c.mu.
-func (c *Checker) judgeStats(now time.Time, id topology.NodeID, rep *live.StatsReply) {
+func (c *checker) judgeStats(now time.Time, id topology.NodeID, rep *live.StatsReply) {
 	ns := &c.nodes[id]
 	if rep == nil {
 		if c.inWindow(now, id, false) {
@@ -354,7 +334,7 @@ func (c *Checker) judgeStats(now time.Time, id topology.NodeID, rep *live.StatsR
 			return
 		}
 		ns.unreachable++
-		if ns.unreachable == c.cfg.MaxUnreachable {
+		if ns.unreachable == maxUnreachable {
 			c.violate(now, RuleUnreachable, int(id),
 				fmt.Sprintf("%d consecutive failed scrapes outside any crash window", ns.unreachable))
 		}
@@ -372,7 +352,6 @@ func (c *Checker) judgeStats(now time.Time, id topology.NodeID, rep *live.StatsR
 			{"rpc_attempts", ns.stats.RPCAttempts, rep.RPCAttempts},
 			{"measure_ticks", ns.stats.MeasureTicks, rep.MeasureTicks},
 			{"place_ticks", ns.stats.PlaceTicks, rep.PlaceTicks},
-			{"census_ticks", ns.stats.CensusTicks, rep.CensusTicks},
 		} {
 			if x.new < x.old {
 				c.violate(now, RuleCounter, int(id),
@@ -384,12 +363,11 @@ func (c *Checker) judgeStats(now time.Time, id topology.NodeID, rep *live.StatsR
 	ns.stats = *rep
 }
 
-// CheckFailures judges the load generator's failed-request timestamps:
+// checkFailures judges the load generator's failed-request timestamps:
 // every failure must fall inside some crash window (any node — a dead
 // redirector fails requests for objects it owns regardless of where the
-// load is aimed), extended by the convergence grace. Call once after the
-// run with (*live.FreeDriver).Failures().
-func (c *Checker) CheckFailures(failures []time.Time) {
+// load is aimed), extended by the convergence grace.
+func (c *checker) checkFailures(failures []time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sort.Slice(failures, func(i, j int) bool { return failures[i].Before(failures[j]) })
@@ -411,12 +389,12 @@ func (c *Checker) CheckFailures(failures []time.Time) {
 }
 
 // violate records one violation. Callers hold c.mu.
-func (c *Checker) violate(at time.Time, rule string, node int, detail string) {
+func (c *checker) violate(at time.Time, rule string, node int, detail string) {
 	c.violations = append(c.violations, Violation{At: at, Rule: rule, Node: node, Detail: detail})
 }
 
 // Report returns the verdict so far.
-func (c *Checker) Report() *Report {
+func (c *checker) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return &Report{

@@ -43,13 +43,10 @@ func (n *stubNode) set(fn func(*live.CensusReply, *live.StatsReply)) {
 	fn(&n.census, &n.stats)
 }
 
-func testConfig(urls []string) Config {
-	return Config{
-		URLs:           urls,
-		Redirectors:    []topology.NodeID{0},
-		Convergence:    40 * time.Millisecond,
-		MaxUnreachable: 2,
-	}
+// testChecker judges the stub fleet at urls, node 0 its redirector, with a
+// 40ms convergence budget.
+func testChecker(urls ...string) *checker {
+	return newChecker(urls, []topology.NodeID{0}, 40*time.Millisecond)
 }
 
 // TestCheckerCleanFleet: a healthy, stable fleet produces no violations.
@@ -60,9 +57,9 @@ func TestCheckerCleanFleet(t *testing.T) {
 		s.BootID = 1
 	})
 	b.set(func(c *live.CensusReply, s *live.StatsReply) { s.BootID = 2 })
-	c := New(testConfig([]string{a.srv.URL, b.srv.URL}))
+	c := testChecker(a.srv.URL, b.srv.URL)
 	for i := 0; i < 3; i++ {
-		c.Scrape()
+		c.scrape()
 		// Counters move forward between scrapes, as on a live node.
 		a.set(func(_ *live.CensusReply, s *live.StatsReply) { s.TotalServed++; s.MeasureTicks++ })
 	}
@@ -79,21 +76,21 @@ func TestCheckerLostObject(t *testing.T) {
 	a.set(func(c *live.CensusReply, _ *live.StatsReply) {
 		c.Objects, c.Zero = 3, 1
 	})
-	c := New(testConfig([]string{a.srv.URL}))
-	c.Scrape() // onset
+	c := testChecker(a.srv.URL)
+	c.scrape() // onset
 	time.Sleep(60 * time.Millisecond)
-	c.Scrape() // past budget
+	c.scrape() // past budget
 	rep := c.Report()
 	if rep.OK() || rep.Violations[0].Rule != RuleLostObject {
 		t.Fatalf("persistent zero-replica census not flagged: %s", rep)
 	}
 
 	// Same scenario with an open crash window: excused.
-	c2 := New(testConfig([]string{a.srv.URL}))
+	c2 := testChecker(a.srv.URL)
 	c2.OnKill(0, time.Now())
-	c2.Scrape()
+	c2.scrape()
 	time.Sleep(60 * time.Millisecond)
-	c2.Scrape()
+	c2.scrape()
 	if rep := c2.Report(); !rep.OK() {
 		t.Fatalf("crash-window zero-replica census flagged: %s", rep)
 	}
@@ -104,11 +101,11 @@ func TestCheckerLostObject(t *testing.T) {
 func TestCheckerBelowFloorHeals(t *testing.T) {
 	a := newStubNode(t)
 	a.set(func(c *live.CensusReply, _ *live.StatsReply) { c.Objects, c.BelowFloor = 3, 2 })
-	c := New(testConfig([]string{a.srv.URL}))
-	c.Scrape()
+	c := testChecker(a.srv.URL)
+	c.scrape()
 	a.set(func(cr *live.CensusReply, _ *live.StatsReply) { cr.BelowFloor = 0 })
 	time.Sleep(60 * time.Millisecond)
-	c.Scrape()
+	c.scrape()
 	if rep := c.Report(); !rep.OK() {
 		t.Fatalf("healed floor deficit flagged: %s", rep)
 	}
@@ -123,10 +120,10 @@ func TestCheckerReplicaCeiling(t *testing.T) {
 	a.set(func(c *live.CensusReply, _ *live.StatsReply) {
 		c.Objects, c.TotalReplicas, c.MinReplicas, c.MaxReplicas = 1, 3, 3, 3
 	})
-	c := New(testConfig([]string{a.srv.URL}))
-	c.Scrape() // onset: ceiling is 1 live node here, 3 recorded replicas
+	c := testChecker(a.srv.URL)
+	c.scrape() // onset: ceiling is 1 live node here, 3 recorded replicas
 	time.Sleep(60 * time.Millisecond)
-	c.Scrape()
+	c.scrape()
 	rep := c.Report()
 	if rep.OK() || rep.Violations[0].Rule != RuleOverMax {
 		t.Fatalf("persistent over-ceiling census not flagged: %s", rep)
@@ -139,10 +136,10 @@ func TestCheckerReplicaCeiling(t *testing.T) {
 func TestCheckerCounterMonotone(t *testing.T) {
 	a := newStubNode(t)
 	a.set(func(_ *live.CensusReply, s *live.StatsReply) { s.BootID, s.TotalServed = 1, 100 })
-	c := New(testConfig([]string{a.srv.URL}))
-	c.Scrape()
+	c := testChecker(a.srv.URL)
+	c.scrape()
 	a.set(func(_ *live.CensusReply, s *live.StatsReply) { s.TotalServed = 50 })
-	c.Scrape()
+	c.scrape()
 	rep := c.Report()
 	if rep.OK() || rep.Violations[0].Rule != RuleCounter {
 		t.Fatalf("backward counter not flagged: %s", rep)
@@ -150,10 +147,10 @@ func TestCheckerCounterMonotone(t *testing.T) {
 
 	b := newStubNode(t)
 	b.set(func(_ *live.CensusReply, s *live.StatsReply) { s.BootID, s.TotalServed = 1, 100 })
-	c2 := New(testConfig([]string{b.srv.URL}))
-	c2.Scrape()
+	c2 := testChecker(b.srv.URL)
+	c2.scrape()
 	b.set(func(_ *live.CensusReply, s *live.StatsReply) { s.BootID, s.TotalServed = 2, 0 })
-	c2.Scrape()
+	c2.scrape()
 	if rep := c2.Report(); !rep.OK() {
 		t.Fatalf("reboot counter reset flagged: %s", rep)
 	}
@@ -167,18 +164,20 @@ func TestCheckerUnreachable(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	c := New(testConfig([]string{a.srv.URL, deadURL}))
-	c.Scrape()
-	c.Scrape()
+	c := testChecker(a.srv.URL, deadURL)
+	for i := 0; i < maxUnreachable; i++ {
+		c.scrape()
+	}
 	rep := c.Report()
 	if rep.OK() || rep.Violations[0].Rule != RuleUnreachable || rep.Violations[0].Node != 1 {
 		t.Fatalf("unreachable node not flagged: %s", rep)
 	}
 
-	c2 := New(testConfig([]string{a.srv.URL, deadURL}))
+	c2 := testChecker(a.srv.URL, deadURL)
 	c2.OnKill(1, time.Now())
-	c2.Scrape()
-	c2.Scrape()
+	for i := 0; i < maxUnreachable; i++ {
+		c2.scrape()
+	}
 	if rep := c2.Report(); !rep.OK() {
 		t.Fatalf("killed node's unreachability flagged: %s", rep)
 	}
@@ -187,18 +186,18 @@ func TestCheckerUnreachable(t *testing.T) {
 // TestCheckFailures: failed requests inside crash windows (plus the
 // convergence grace) pass; strays are flagged.
 func TestCheckFailures(t *testing.T) {
-	c := New(testConfig([]string{"http://invalid"}))
+	c := testChecker("http://invalid")
 	kill := time.Now()
 	c.OnKill(0, kill)
 	c.OnRestart(0, kill.Add(20*time.Millisecond))
 	inside := kill.Add(10 * time.Millisecond)
 	grace := kill.Add(50 * time.Millisecond)  // within 40ms convergence of restart
 	stray := kill.Add(-10 * time.Millisecond) // before the window
-	c.CheckFailures([]time.Time{inside, grace})
+	c.checkFailures([]time.Time{inside, grace})
 	if rep := c.Report(); !rep.OK() {
 		t.Fatalf("confined failures flagged: %s", rep)
 	}
-	c.CheckFailures([]time.Time{stray})
+	c.checkFailures([]time.Time{stray})
 	rep := c.Report()
 	if rep.OK() || rep.Violations[0].Rule != RuleFailures {
 		t.Fatalf("stray failure not flagged: %s", rep)

@@ -29,8 +29,8 @@ type Config struct {
 	RPC ctrlplane.Params
 
 	// FreeRunning switches the fleet from driver-paced to self-scheduled
-	// operation: nodes own wall-clock timers for their measurement,
-	// placement, and census ticks, virtual time is wall time since node
+	// operation: nodes own wall-clock timers for their measurement and
+	// placement ticks, virtual time is wall time since node
 	// start, and peer handlers answer busy (503, retried by the caller)
 	// rather than block when a concurrent placement pass holds the node.
 	// Verification shifts from sequence equality to invariants (package
@@ -52,8 +52,6 @@ type FreeRun struct {
 	// Placement is the placement-pass interval (default:
 	// Sim.PlacementInterval).
 	Placement time.Duration
-	// Census is the census/self-audit interval (default: Placement).
-	Census time.Duration
 	// Jitter is the fraction of each period by which ticks are randomly
 	// advanced or delayed, in [0,1) (default DefaultFreeRunJitter), so a
 	// fleet started in the same instant does not phase-lock its placement
@@ -83,9 +81,6 @@ func (c Config) Normalized() Config {
 		if c.FreeRun.Placement == 0 {
 			c.FreeRun.Placement = c.Sim.PlacementInterval
 		}
-		if c.FreeRun.Census == 0 {
-			c.FreeRun.Census = c.FreeRun.Placement
-		}
 		if c.FreeRun.Jitter == 0 {
 			c.FreeRun.Jitter = DefaultFreeRunJitter
 		}
@@ -105,7 +100,7 @@ func (c Config) Validate() error {
 	if err := c.RPC.Validate(); err != nil {
 		return err
 	}
-	if c.FreeRun.Measurement < 0 || c.FreeRun.Placement < 0 || c.FreeRun.Census < 0 {
+	if c.FreeRun.Measurement < 0 || c.FreeRun.Placement < 0 {
 		return fmt.Errorf("live: negative free-running interval")
 	}
 	if c.FreeRun.Jitter < 0 || c.FreeRun.Jitter >= 1 {

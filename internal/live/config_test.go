@@ -1,7 +1,6 @@
 package live
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,7 +44,7 @@ func TestScenarioConfigOverridesTheSpec(t *testing.T) {
 		if g.a.Name() != g.b.Name() {
 			t.Fatalf("%s = %s, want %s", g.name, g.a.Name(), g.b.Name())
 		}
-		ra, rb := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+		ra, rb := workload.Stream(1, 0), workload.Stream(1, 0)
 		for i := 0; i < 10_000; i++ {
 			gw := topology.NodeID(i % 53)
 			if a, b := g.a.Next(gw, ra), g.b.Next(gw, rb); a != b {

@@ -218,14 +218,26 @@ func (f *httpFleet) Census(red int) (total, below int, ok bool) {
 	return rep.TotalReplicas, rep.BelowFloor, true
 }
 
-// MarkDown implements sim.Fleet: broadcast the mark to the live fleet,
-// best-effort, so redirectors stop choosing the dead node's replicas.
+// MarkDown implements sim.Fleet: broadcast the mark to the live fleet, so
+// redirectors stop choosing the dead node's replicas.
 func (f *httpFleet) MarkDown(_ time.Duration, h topology.NodeID) {
 	f.down[h] = true
-	msg := MarkMsg{Host: int(h), Down: true}
-	for j := range f.urls {
-		if !f.down[j] {
-			_ = f.post(topology.NodeID(j), PathMark, &msg, nil)
+	MarkAll(f.client, f.urls, h, true, func(j topology.NodeID) bool { return f.down[j] })
+}
+
+// MarkAll posts host h's reachability mark to every node skip does not
+// name, best-effort: a node that misses it rediscovers reachability through
+// its own RPC failures. It is the one broadcast of a crash or a recovery:
+// the driver's for a node its loop marked down, the chaos target's for the
+// nodes it kills and restarts.
+func MarkAll(client *http.Client, urls []string, h topology.NodeID, down bool, skip func(topology.NodeID) bool) {
+	body := Encode(&MarkMsg{Host: int(h), Down: down})
+	for i, u := range urls {
+		if skip(topology.NodeID(i)) {
+			continue
+		}
+		if res, err := client.Post(u+PathMark, "application/json", bytes.NewReader(body)); err == nil {
+			_ = readReply(res, nil)
 		}
 	}
 }
@@ -297,9 +309,8 @@ func (f *httpFleet) post(node topology.NodeID, path string, req, resp any) error
 
 // Scrape issues one un-retried GET with client and decodes the 200 reply's
 // JSON body into resp, validating it when the type validates itself. It is
-// the one read path of the fleet's /ctl endpoints: the driver, the free
-// driver's census, the invariant checker and radar-load's floor wait all
-// scrape through it.
+// the one read path of the fleet's /ctl endpoints: the driver and the
+// invariant checker both scrape through it.
 func Scrape(client *http.Client, url string, resp any) error {
 	res, err := client.Get(url)
 	if err != nil {

@@ -178,7 +178,7 @@ func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) []live.
 	}
 
 	h := startHarness(t, cfg)
-	liveRes, err := h.Run(context.Background())
+	liveRes, err := h.Driver.Run(context.Background())
 	if err != nil {
 		t.Fatalf("running live fleet: %v", err)
 	}

@@ -33,7 +33,7 @@ func TestRedirectorFailover(t *testing.T) {
 			t.Errorf("killing node %d: %v", victim, err)
 		}
 	})
-	res, err := h.Run(context.Background())
+	res, err := h.Driver.Run(context.Background())
 	if err != nil {
 		t.Fatalf("running fleet: %v", err)
 	}

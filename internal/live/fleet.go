@@ -91,9 +91,6 @@ func (f *Fleet) startNode(i topology.NodeID, nd *Node, ln net.Listener, recovere
 	nd.Start(f.epoch, recovered)
 }
 
-// NumNodes returns the fleet size.
-func (f *Fleet) NumNodes() int { return len(f.nodes) }
-
 // URLs returns the node base URLs, indexed by node ID.
 func (f *Fleet) URLs() []string { return append([]string(nil), f.urls...) }
 

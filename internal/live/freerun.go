@@ -79,21 +79,21 @@ func NewFreeDriver(cfg Config, urls []string) (*FreeDriver, error) {
 	}, nil
 }
 
+// Config returns the normalized configuration the driver generates load for.
+func (d *FreeDriver) Config() Config { return d.cfg }
+
 // SetLatency injects a fixed delay before every generated request — the
 // chaos controller's client-hop latency.
 func (d *FreeDriver) SetLatency(lat time.Duration) { d.latency.Store(int64(lat)) }
 
-// Run generates load for the given wall-clock duration (or until ctx is
-// cancelled) and returns the totals. Run must be called at most once.
-func (d *FreeDriver) Run(ctx context.Context, wall time.Duration) error {
+// Run generates load for the configured duration of wall time (or until
+// ctx is cancelled). Run must be called at most once.
+func (d *FreeDriver) Run(ctx context.Context) error {
 	if d.ran {
 		return fmt.Errorf("live: free driver already ran")
 	}
 	d.ran = true
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	runCtx, cancel := context.WithTimeout(ctx, wall)
+	runCtx, cancel := context.WithTimeout(ctx, d.cfg.Sim.Duration)
 	defer cancel()
 	d.epoch = time.Now()
 	var wg sync.WaitGroup
@@ -114,7 +114,7 @@ func (d *FreeDriver) Run(ctx context.Context, wall time.Duration) error {
 // is wall time in this mode, so a configured workload switch takes effect
 // WorkloadSwitch.At after the run's start.
 func (d *FreeDriver) generate(ctx context.Context, g topology.NodeID) {
-	rng := workload.Stream(d.cfg.Sim.Seed, uint64(g))
+	rng := workload.Stream(d.cfg.Sim.Seed, workload.GatewayStream(int(g)))
 	spacing := time.Duration(float64(time.Second) / d.cfg.Sim.NodeRequestRPS)
 	// The same phase offset the simulator's generators use, mapped to
 	// wall time, so the fleet's gateways do not fire in lockstep.
@@ -196,10 +196,6 @@ func (d *FreeDriver) noteFailure() {
 	d.failMu.Unlock()
 }
 
-// Served and Failed return the request totals so far.
-func (d *FreeDriver) Served() int64 { return d.served.Load() }
-func (d *FreeDriver) Failed() int64 { return d.failed.Load() }
-
 // Failures returns the wall-clock times of every failed request.
 func (d *FreeDriver) Failures() []time.Time {
 	d.failMu.Lock()
@@ -208,9 +204,9 @@ func (d *FreeDriver) Failures() []time.Time {
 }
 
 // Results assembles the free run's totals in the simulator's results
-// schema. Free-running mode has no virtual-time metrics pipeline — the
-// series and network accounting stay empty; the counters and the census
-// are real.
+// schema, with fleetCensus the mean replica count per object. Free-running
+// mode has no virtual-time metrics pipeline — the series and network
+// accounting stay empty; the counters and the census are real.
 func (d *FreeDriver) Results(fleetCensus float64) *sim.Results {
 	return &sim.Results{
 		WorkloadName:     d.cfg.Sim.Workload.Name(),
@@ -225,20 +221,4 @@ func (d *FreeDriver) Results(fleetCensus float64) *sim.Results {
 		HighWatermark:    d.cfg.Sim.Protocol.HighWatermark,
 		StoreSpec:        d.cfg.Sim.Store.String(),
 	}
-}
-
-// Census scrapes the fleet's redirectors once and returns the mean replica
-// count per object (the driver-paced finalCensus analog) — used to fill
-// Results and by callers wanting a quick fleet health read.
-func (d *FreeDriver) Census() float64 {
-	total := 0
-	client := &http.Client{Timeout: freeDriverHTTPTimeout}
-	defer client.CloseIdleConnections()
-	for _, loc := range d.redLocs {
-		var rep CensusReply
-		if Scrape(client, d.urls[loc]+PathCensus, &rep) == nil {
-			total += rep.TotalReplicas
-		}
-	}
-	return float64(total) / float64(d.cfg.Sim.Universe.Count)
 }

@@ -14,7 +14,6 @@ import (
 
 	"radar/internal/ctrlplane"
 	"radar/internal/live"
-	"radar/internal/live/chaos"
 	"radar/internal/live/check"
 	"radar/internal/object"
 	"radar/internal/topology"
@@ -31,7 +30,6 @@ func freeRunConfig(t *testing.T, topo *topology.Topology, wall time.Duration) li
 	cfg.FreeRun = live.FreeRun{
 		Measurement: 200 * time.Millisecond,
 		Placement:   400 * time.Millisecond,
-		Census:      400 * time.Millisecond,
 	}
 	cfg.RPC = ctrlplane.Params{
 		Timeout:     time.Second,
@@ -42,66 +40,44 @@ func freeRunConfig(t *testing.T, topo *topology.Topology, wall time.Duration) li
 	return cfg
 }
 
-// awaitFloorConverged waits for the fleet's self-scheduled placement
-// passes to finish the initial floor repair. Invariant checking starts
-// from this converged state: the checker judges steady-state maintenance,
-// not the boot transient — which under -race can legitimately outlast any
-// reasonable convergence budget.
-func awaitFloorConverged(t *testing.T, h *live.Harness, timeout time.Duration) {
-	t.Helper()
-	locs := live.RedirectorLocations(h.Fleet.Routes(), h.Fleet.Config().Sim.NumRedirectors)
-	if err := check.AwaitFloor(context.Background(), h.Fleet.URLs(), locs, timeout); err != nil {
-		t.Fatal(err)
-	}
+// startFree starts a free-running Star(4) test harness for wall.
+func startFree(t *testing.T, wall time.Duration) *live.Harness {
+	return startHarness(t, freeRunConfig(t, topology.Star(4), wall))
 }
 
-// startChecker wires an invariant checker to the harness fleet and starts
-// its scrape loop; the returned stop function halts scraping.
-func startChecker(h *live.Harness, interval, convergence time.Duration) (*check.Checker, func()) {
-	cfg := h.Fleet.Config()
-	checker := check.New(check.Config{
-		URLs:        h.Fleet.URLs(),
-		Redirectors: live.RedirectorLocations(h.Fleet.Routes(), cfg.Sim.NumRedirectors),
-		Interval:    interval,
-		Convergence: convergence,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		checker.Run(ctx)
-	}()
-	return checker, func() { cancel(); <-done }
+// runFree is check.RunFree for tests: it fails the test on an error, on any
+// invariant violation, on fewer than ten scrapes, or on a run that served
+// nothing.
+func runFree(t *testing.T, h *live.Harness, schedule string, convergence time.Duration) *check.Outcome {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), h.Free.Config().Sim.Duration+time.Minute)
+	defer cancel()
+	out, err := check.RunFree(ctx, h, schedule, convergence)
+	if err != nil {
+		t.Fatalf("free run: %v", err)
+	}
+	if !out.Report.OK() {
+		t.Fatalf("invariant violations:\n%s", out.Report)
+	}
+	if out.Report.Scrapes < 10 {
+		t.Fatalf("checker only scraped %d times", out.Report.Scrapes)
+	}
+	if out.Results.TotalServed == 0 {
+		t.Fatal("no requests served")
+	}
+	return out
 }
 
 // TestFreeRunningServes: a free-running fleet with no chaos serves load on
 // its own clock — tickers advance, requests succeed, and the invariant
 // checker stays silent.
 func TestFreeRunningServes(t *testing.T) {
-	const wall = 3 * time.Second
-	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := startHarness(t, cfg)
-	awaitFloorConverged(t, h, 30*time.Second)
-	checker, stopCheck := startChecker(h, 100*time.Millisecond, 2*time.Second)
-
-	if err := h.Free.Run(context.Background(), wall); err != nil {
-		t.Fatalf("free run: %v", err)
+	h := startFree(t, 3*time.Second)
+	out := runFree(t, h, "", 2*time.Second)
+	if out.Results.FailedRequests != 0 {
+		t.Fatalf("%d failed requests on a healthy fleet", out.Results.FailedRequests)
 	}
-	stopCheck()
-	checker.CheckFailures(h.Free.Failures())
-
-	if rep := checker.Report(); !rep.OK() {
-		t.Fatalf("invariant violations on a healthy fleet:\n%s", rep)
-	} else if rep.Scrapes == 0 {
-		t.Fatal("checker never scraped")
-	}
-	if h.Free.Served() == 0 {
-		t.Fatal("no requests served")
-	}
-	if h.Free.Failed() != 0 {
-		t.Fatalf("%d failed requests on a healthy fleet", h.Free.Failed())
-	}
-	for i := 0; i < h.Fleet.NumNodes(); i++ {
+	for i := range h.URLs {
 		st := nodeStats(t, h.Fleet.URL(topology.NodeID(i)))
 		if st.MeasureTicks == 0 {
 			t.Errorf("node %d never ran a measurement tick", i)
@@ -114,16 +90,17 @@ func TestFreeRunningServes(t *testing.T) {
 	// own, and a stats scrape sees every served request recorded once the
 	// last ones' few milliseconds of service are over on the node's clock.
 	recorded := func() (n int64) {
-		for i := 0; i < h.Fleet.NumNodes(); i++ {
+		for i := range h.URLs {
 			n += nodeStats(t, h.Fleet.URL(topology.NodeID(i))).TotalServed
 		}
 		return n
 	}
-	for deadline := time.Now().Add(2 * time.Second); recorded() != h.Free.Served() && time.Now().Before(deadline); {
+	served := out.Results.TotalServed
+	for deadline := time.Now().Add(2 * time.Second); recorded() != served && time.Now().Before(deadline); {
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := recorded(); got != h.Free.Served() {
-		t.Errorf("nodes recorded %d completions of %d served requests", got, h.Free.Served())
+	if got := recorded(); got != served {
+		t.Errorf("nodes recorded %d completions of %d served requests", got, served)
 	}
 }
 
@@ -134,52 +111,14 @@ func TestFreeRunningServes(t *testing.T) {
 // counters stay monotone per boot, and every failed request falls inside
 // the crash window.
 func TestChaosKillRestartInvariants(t *testing.T) {
-	const (
-		wall        = 9 * time.Second
-		convergence = 3 * time.Second
-		victim      = topology.NodeID(3) // Star(4) leaf; node 0 is the redirector
-	)
-	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := startHarness(t, cfg)
-	awaitFloorConverged(t, h, 30*time.Second)
-	checker, stopCheck := startChecker(h, 100*time.Millisecond, convergence)
-
+	const victim = topology.NodeID(3) // Star(4) leaf; node 0 is the redirector
+	h := startFree(t, 9*time.Second)
+	bootBefore := nodeStats(t, h.Fleet.URL(victim)).BootID
 	// The same DSL clause the simulator takes: kill node 3 at T+2s,
 	// restart it 2s later.
-	plan, err := chaos.Plan("crash:3@2s+2s", h.Fleet.Config().Sim.Topo, wall, nil)
-	if err != nil {
-		t.Fatalf("planning chaos: %v", err)
-	}
-	target := chaos.NewFleetTarget(h.Fleet, h.Free.SetLatency)
-	defer target.Close()
-	ctl := chaos.NewController(target, plan, checker)
-
-	bootBefore := nodeStats(t, h.Fleet.URL(victim)).BootID
-
-	ctx, cancel := context.WithTimeout(context.Background(), wall+30*time.Second)
-	defer cancel()
-	chaosDone := make(chan error, 1)
-	go func() { chaosDone <- ctl.Run(ctx, time.Now()) }()
-
-	if err := h.Free.Run(ctx, wall); err != nil {
-		t.Fatalf("free run: %v", err)
-	}
-	if err := <-chaosDone; err != nil {
-		t.Fatalf("chaos controller: %v", err)
-	}
-	stopCheck()
-	checker.CheckFailures(h.Free.Failures())
-
-	if got := len(ctl.Applied()); got != 2 {
-		t.Fatalf("chaos applied %d actions %v, want kill+restart", got, ctl.Applied())
-	}
-	if rep := checker.Report(); !rep.OK() {
-		t.Fatalf("invariant violations:\n%s", rep)
-	} else if rep.Scrapes < 10 {
-		t.Fatalf("checker only scraped %d times over %v", rep.Scrapes, wall)
-	}
-	if h.Free.Served() == 0 {
-		t.Fatal("no requests served")
+	out := runFree(t, h, "crash:3@2s+2s", 3*time.Second)
+	if got := len(out.Applied); got != 2 {
+		t.Fatalf("chaos applied %d actions %v, want kill+restart", got, out.Applied)
 	}
 	// The victim came back as a fresh incarnation and is serving again.
 	if h.Fleet.Killed(victim) {
@@ -200,43 +139,12 @@ func TestChaosKillRestartInvariants(t *testing.T) {
 // served. Partitions cut control RPCs only — the data plane (client 302s)
 // is deliberately untouched.
 func TestChaosPartitionHeals(t *testing.T) {
-	const wall = 4 * time.Second
-	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := startHarness(t, cfg)
-	awaitFloorConverged(t, h, 30*time.Second)
-	checker, stopCheck := startChecker(h, 100*time.Millisecond, 2*time.Second)
-
-	plan, err := chaos.Plan("link:0-2@1s+1500ms", h.Fleet.Config().Sim.Topo, wall, nil)
-	if err != nil {
-		t.Fatalf("planning chaos: %v", err)
+	h := startFree(t, 4*time.Second)
+	out := runFree(t, h, "link:0-2@1s+1500ms", 2*time.Second)
+	if got := len(out.Applied); got != 2 {
+		t.Fatalf("chaos applied %d actions %v, want cut+heal", got, out.Applied)
 	}
-	target := chaos.NewFleetTarget(h.Fleet, h.Free.SetLatency)
-	defer target.Close()
-	ctl := chaos.NewController(target, plan, checker)
-
-	ctx, cancel := context.WithTimeout(context.Background(), wall+30*time.Second)
-	defer cancel()
-	chaosDone := make(chan error, 1)
-	go func() { chaosDone <- ctl.Run(ctx, time.Now()) }()
-	if err := h.Free.Run(ctx, wall); err != nil {
-		t.Fatalf("free run: %v", err)
-	}
-	if err := <-chaosDone; err != nil {
-		t.Fatalf("chaos controller: %v", err)
-	}
-	stopCheck()
-	checker.CheckFailures(h.Free.Failures())
-
-	if rep := checker.Report(); !rep.OK() {
-		t.Fatalf("invariant violations after partition+heal:\n%s", rep)
-	}
-	if h.Free.Served() == 0 {
-		t.Fatal("no requests served")
-	}
-	// Both sides survived the partition with RPCs refused at the client;
-	// at least one should have recorded unreachable-peer fast-failures if
-	// any control traffic crossed the cut, and none may have crashed.
-	for i := 0; i < h.Fleet.NumNodes(); i++ {
+	for i := range h.URLs {
 		if h.Fleet.Killed(topology.NodeID(i)) {
 			t.Fatalf("node %d died during a control-plane partition", i)
 		}
@@ -279,7 +187,7 @@ func TestFreeDriverSwitchesWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(context.Background(), wall); err != nil {
+	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A gateway's requests are sequential, so its ids arrive in the order

@@ -1,11 +1,9 @@
 package live
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"radar/internal/sim"
 	"radar/internal/topology"
 )
 
@@ -16,8 +14,9 @@ const ReadyTimeout = 10 * time.Second
 // Harness couples a fleet with the driver that replays a workload against
 // it — what the facade's live mode, radar-load and the integration tests
 // all run. Exactly one of Driver (driver-paced) and Free (free-running) is
-// non-nil, keyed by Config.FreeRunning. Fleet is the in-process loopback
-// fleet the harness owns, nil when it drives an external one.
+// non-nil, keyed by Config.FreeRunning; Driver.Run replays, and
+// check.RunFree is the one free-running run. Fleet is the in-process
+// loopback fleet the harness owns, nil when it drives an external one.
 type Harness struct {
 	Fleet  *Fleet
 	URLs   []string // base URL per node ID
@@ -76,18 +75,4 @@ func (h *Harness) Kill(i topology.NodeID) error {
 		h.Driver.MarkDown(i)
 	}
 	return nil
-}
-
-// Run replays the configured workload against the fleet and returns the
-// run's results in the simulator's schema. A free-running fleet has no
-// virtual-time replay: the driver generates load for the configured
-// duration of wall time and reports the real counters plus a final census.
-func (h *Harness) Run(ctx context.Context) (*sim.Results, error) {
-	if h.Free == nil {
-		return h.Driver.Run(ctx)
-	}
-	if err := h.Free.Run(ctx, h.Free.cfg.Sim.Duration); err != nil {
-		return nil, err
-	}
-	return h.Free.Results(h.Free.Census()), nil
 }

@@ -31,7 +31,7 @@ import (
 // through the simulator's event schedule reproduces the simulation's
 // decision sequence exactly (DESIGN.md §4.8). In free-running mode
 // (Config.FreeRunning) the node owns its clock — virtual time is wall time
-// since Start — and runs its own jittered measurement/placement/census
+// since Start — and runs its own jittered measurement and placement
 // tickers; wire timestamps on incoming requests are ignored for the node's
 // own state (DESIGN.md §4.9).
 //
@@ -76,7 +76,6 @@ type Node struct {
 
 	measureTicks atomic.Int64
 	placeTicks   atomic.Int64
-	censusTicks  atomic.Int64
 
 	peerMu sync.RWMutex
 	peers  []string // mutable control-plane URL per node ID
@@ -150,7 +149,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		freeRun:  cfg.FreeRunning,
 		bootID:   atomic.AddInt64(&bootCounter, 1),
 		routes:   routes,
-		client:   newRPCClient(cfg.RPC, workload.Stream(cfg.Sim.Seed, (1<<33)|uint64(id)), retryTokens),
+		client:   newRPCClient(cfg.RPC, workload.Stream(cfg.Sim.Seed, workload.RPCStream(int(id))), retryTokens),
 		payload:  bytes.Repeat([]byte{0x5a}, cfg.Sim.Universe.SizeBytes),
 		payLen:   []string{strconv.Itoa(cfg.Sim.Universe.SizeBytes)},
 		creates:  newCallDedup(createDedupLimit),
@@ -207,7 +206,7 @@ func (nd *Node) Handler() http.Handler { return nd.mux }
 
 // Start begins the node's life at the given wall-clock epoch (virtual time
 // zero). In driver-paced mode it only marks the node ready; in free-running
-// mode it launches the measurement, placement, and census tickers, and —
+// mode it launches the measurement and placement tickers, and —
 // when recovered is set (a restart after a crash) — first re-registers
 // every held replica with its object's redirector, the live analog of the
 // simulator's HostUp re-registration.
@@ -345,9 +344,6 @@ func (nd *Node) startTickers() {
 	if nd.cfg.Sim.DynamicPlacement {
 		nd.ticker(nd.cfg.FreeRun.Placement, 2, &nd.placeTicks, nd.placeTick)
 	}
-	if nd.redirector != nil {
-		nd.ticker(nd.cfg.FreeRun.Census, 3, &nd.censusTicks, nd.censusTick)
-	}
 }
 
 // ticker runs fn every jittered period until Stop. Each ticker draws its
@@ -357,7 +353,7 @@ func (nd *Node) ticker(period time.Duration, stream uint64, count *atomic.Int64,
 	if period <= 0 {
 		return
 	}
-	rng := workload.Stream(nd.cfg.Sim.Seed, (1<<34)|stream<<20|uint64(nd.id))
+	rng := workload.Stream(nd.cfg.Sim.Seed, workload.TickerStream(int(nd.id), stream))
 	jitter := nd.cfg.FreeRun.Jitter
 	nd.tickWG.Add(1)
 	go func() {
@@ -395,14 +391,6 @@ func (nd *Node) placeTick(now time.Duration) {
 	nd.lock()
 	nd.machine.Host.DecidePlacement(now)
 	nd.mu.Unlock()
-}
-
-// censusTick audits the co-located redirector's records; the scrape
-// endpoints serve the same computation on demand, so the ticker's product
-// is liveness (the counter the readiness checks and the invariant checker
-// watch).
-func (nd *Node) censusTick(time.Duration) {
-	_ = nd.census()
 }
 
 // nextMsgID allocates a fleet-unique message ID: node ID in the high bits,
@@ -995,20 +983,17 @@ func (nd *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct{}{})
 }
 
+// handleCensus answers the co-located redirector's replica census: totals,
+// floor deficits, and the per-object extremes the invariant checker
+// asserts bounds on.
 func (nd *Node) handleCensus(w http.ResponseWriter, r *http.Request) {
 	if !nd.hostsRedirector(w) {
 		return
 	}
-	writeJSON(w, nd.census())
-}
-
-// census computes the co-located redirector's replica census: totals,
-// floor deficits, and the per-object extremes the invariant checker
-// asserts bounds on.
-func (nd *Node) census() CensusReply {
 	nd.redMu.Lock()
-	defer nd.redMu.Unlock()
-	return CensusReply(sim.Census(&nd.cfg.Sim, nd.redirector, nd.redIdx, len(nd.redLocs)))
+	rep := CensusReply(sim.Census(&nd.cfg.Sim, nd.redirector, nd.redIdx, len(nd.redLocs)))
+	nd.redMu.Unlock()
+	writeJSON(w, rep)
 }
 
 func (nd *Node) handleMark(w http.ResponseWriter, r *http.Request) {
@@ -1068,7 +1053,6 @@ func (nd *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 		RPCBudgetDenials:      nd.client.BudgetDenials(),
 		MeasureTicks:          nd.measureTicks.Load(),
 		PlaceTicks:            nd.placeTicks.Load(),
-		CensusTicks:           nd.censusTicks.Load(),
 	}
 	nd.mu.Unlock()
 	writeJSON(w, rep)

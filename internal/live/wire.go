@@ -547,11 +547,10 @@ type StatsReply struct {
 	RPCLost          int64 `json:"rpc_lost,omitempty"`
 	RPCBudgetDenials int64 `json:"rpc_budget_denials,omitempty"`
 
-	// Free-running ticker counters: how many self-scheduled measurement,
-	// placement, and census ticks this incarnation has run.
+	// Free-running ticker counters: how many self-scheduled measurement
+	// and placement ticks this incarnation has run.
 	MeasureTicks int64 `json:"measure_ticks,omitempty"`
 	PlaceTicks   int64 `json:"place_ticks,omitempty"`
-	CensusTicks  int64 `json:"census_ticks,omitempty"`
 
 	// StoreLayers is the node's storage stack, layer by layer in the
 	// stack's pre-order; the driver sums them fleet-wide into
@@ -567,7 +566,7 @@ func (m *StatsReply) Validate() error {
 	if m.BootID < 0 || m.RPCAttempts < 0 || m.RPCRetries < 0 || m.RPCLost < 0 || m.RPCBudgetDenials < 0 {
 		return &WireError{Field: "boot_id", Reason: "negative counter"}
 	}
-	if m.MeasureTicks < 0 || m.PlaceTicks < 0 || m.CensusTicks < 0 {
+	if m.MeasureTicks < 0 || m.PlaceTicks < 0 {
 		return &WireError{Field: "measure_ticks", Reason: "negative counter"}
 	}
 	for _, l := range m.StoreLayers {

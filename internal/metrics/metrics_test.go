@@ -1,12 +1,12 @@
 package metrics
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"radar/internal/protocol"
 	"radar/internal/simnet"
+	"radar/internal/workload"
 )
 
 func newCollector(t *testing.T) *Collector {
@@ -233,7 +233,7 @@ func TestLatencyQuantileEdges(t *testing.T) {
 // TestHistogramMonotoneProperty: quantiles are monotone in q and bracket
 // the observed samples' bins.
 func TestHistogramMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := workload.Stream(5, 0)
 	for trial := 0; trial < 50; trial++ {
 		var h latencyHist
 		for i := 0; i < 200; i++ {

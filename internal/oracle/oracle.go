@@ -44,7 +44,7 @@ func EstimateDemand(gen workload.Generator, topo *topology.Topology, u object.Un
 	n := topo.NumNodes()
 	d := make(Demand, n)
 	for g := 0; g < n; g++ {
-		rng := workload.Stream(seed, 0x0AC1E<<8|uint64(g))
+		rng := workload.Stream(seed, workload.OracleStream(g))
 		row := make([]float64, u.Count)
 		for i := 0; i < samplesPerGateway; i++ {
 			row[gen.Next(topology.NodeID(g), rng)]++

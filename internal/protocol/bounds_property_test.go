@@ -8,6 +8,7 @@ import (
 	"radar/internal/object"
 	"radar/internal/routing"
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // The tests in this file check the Theorem 1-5 bounds (paper §3) against
@@ -70,7 +71,7 @@ const boundTrials = 5000
 // drop the source's load by more than ReplicationSourceMaxDecrease nor
 // raise the recipient's load by more than ReplicationTargetMaxIncrease.
 func TestReplicationBoundsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := workload.Stream(1, 0)
 	for trial := 0; trial < boundTrials; trial++ {
 		pre := randomState(rng, 1+rng.Intn(5))
 		srcLoad := pre.load(0)
@@ -100,7 +101,7 @@ func TestReplicationBoundsProperty(t *testing.T) {
 // than MigrationTargetMaxIncrease; with affinity 1 the object leaves the
 // source entirely and the decrease is exactly the whole load.
 func TestMigrationBoundsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := workload.Stream(2, 0)
 	for trial := 0; trial < boundTrials; trial++ {
 		pre := randomState(rng, 1+rng.Intn(5))
 		srcLoad := pre.load(0)
@@ -161,7 +162,7 @@ func TestReplicationThresholdProperty(t *testing.T) {
 func TestDistributionKeepsUnitCountsBalanced(t *testing.T) {
 	topo := topology.UUNET()
 	routes := routing.New(topo)
-	rng := rand.New(rand.NewSource(3))
+	rng := workload.Stream(3, 0)
 	const id = object.ID(42)
 
 	for trial := 0; trial < 50; trial++ {

@@ -1,12 +1,12 @@
 package protocol
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"radar/internal/object"
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // TestChaosInvariants runs randomized interleavings of every protocol
@@ -24,7 +24,7 @@ func TestChaosInvariants(t *testing.T) {
 		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
+			rng := workload.Stream(seed, 0)
 			params := DefaultParams()
 			c := newCluster(t, topology.Ring(8), params)
 			n := c.topo.NumNodes()
@@ -98,7 +98,7 @@ func TestChaosInvariants(t *testing.T) {
 // sequences and asserts estimates stay sane.
 func TestChaosLoadEstimatorNeverNegative(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := workload.Stream(seed, 0)
 		var e LoadEstimator
 		now := time.Duration(0)
 		measured := rng.Float64() * 100

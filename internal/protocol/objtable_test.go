@@ -1,13 +1,13 @@
 package protocol
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"radar/internal/object"
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // checkAgainst compares every view of t with the reference map over the
@@ -47,7 +47,7 @@ func checkAgainst(t *testing.T, tab *objTable, ref map[object.ID]*ObjectState, u
 func TestObjTableAgainstMap(t *testing.T) {
 	const universe = 600
 	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := workload.Stream(seed, 0)
 		var tab objTable
 		ref := make(map[object.ID]*ObjectState)
 		grew := 0
@@ -169,7 +169,7 @@ func TestObjectsIsASnapshot(t *testing.T) {
 // equals Cnt[own host], an object nobody asked for has allocated no counts,
 // and a placement pass zeroes both.
 func TestTotalTracksOwnCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := workload.Stream(7, 0)
 	c := newCluster(t, topology.Ring(9), DefaultParams())
 	const n = 12
 	for i := 0; i < n; i++ {

@@ -10,6 +10,7 @@ import (
 	"radar/internal/object"
 	"radar/internal/routing"
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 const testObj = object.ID(7)
@@ -337,7 +338,7 @@ func TestTheorem1And2ReplicationBounds(t *testing.T) {
 	topo := topology.Line(n)
 	routes := routing.New(topo)
 	for trial := 0; trial < 60; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		rng := workload.Stream(int64(1000+trial), 0)
 		r, err := NewRedirector(0, routes, PolicyPaper, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -406,7 +407,7 @@ func TestTheorem3And4MigrationBounds(t *testing.T) {
 	topo := topology.Line(n)
 	routes := routing.New(topo)
 	for trial := 0; trial < 60; trial++ {
-		rng := rand.New(rand.NewSource(int64(5000 + trial)))
+		rng := workload.Stream(int64(5000+trial), 0)
 		r, err := NewRedirector(0, routes, PolicyPaper, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -468,7 +469,7 @@ func TestTheorem5FloorAfterReplication(t *testing.T) {
 	routes := routing.New(topo)
 	checked := 0
 	for trial := 0; trial < 80 && checked < 25; trial++ {
-		rng := rand.New(rand.NewSource(int64(9000 + trial)))
+		rng := workload.Stream(int64(9000+trial), 0)
 		r, err := NewRedirector(0, routes, PolicyPaper, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -814,7 +815,7 @@ func TestChooseReplicaMatchesScan(t *testing.T) {
 	var cov choiceCoverage
 	for seed := int64(0); seed < 90; seed++ {
 		data := make([]byte, 600)
-		rand.New(rand.NewSource(seed)).Read(data)
+		workload.Stream(seed, 0).Read(data)
 		c := runChoiceProgram(t, data)
 		cov.loop, cov.memo, cov.pass = cov.loop+c.loop, cov.memo+c.memo, cov.pass+c.pass
 	}
@@ -828,7 +829,7 @@ func TestChooseReplicaMatchesScan(t *testing.T) {
 func FuzzChooseReplica(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		data := make([]byte, 200)
-		rand.New(rand.NewSource(seed)).Read(data)
+		workload.Stream(seed, 0).Read(data)
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runChoiceProgram(t, data) })

@@ -2,13 +2,13 @@ package protocol
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"radar/internal/object"
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // traceObserver writes every placement event into one sequence.
@@ -54,7 +54,7 @@ type settleCoverage struct {
 // cov accumulates what the run went through.
 func settleScript(t *testing.T, seed int64, eager bool, cov *settleCoverage) []string {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
+	rng := workload.Stream(seed, 0)
 	n := 3 + rng.Intn(7)
 	params := DefaultParams()
 	c := newCluster(t, topology.Ring(n), params)

@@ -1,11 +1,11 @@
 package routing
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 func TestLineDistances(t *testing.T) {
@@ -83,7 +83,7 @@ func TestDistanceSymmetry(t *testing.T) {
 func TestTriangleInequality(t *testing.T) {
 	tab := New(topology.UUNET())
 	n := tab.NumNodes()
-	rng := rand.New(rand.NewSource(7))
+	rng := workload.Stream(7, 0)
 	for i := 0; i < 20000; i++ {
 		a := topology.NodeID(rng.Intn(n))
 		b := topology.NodeID(rng.Intn(n))
@@ -205,7 +205,7 @@ func TestSortByDistanceDescProperty(t *testing.T) {
 	tab := New(topo)
 	n := topo.NumNodes()
 	f := func(seed int64, srcRaw uint8, count uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := workload.Stream(seed, 0)
 		src := topology.NodeID(int(srcRaw) % n)
 		ids := make([]topology.NodeID, int(count)%20+2)
 		for i := range ids {

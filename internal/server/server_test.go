@@ -1,12 +1,12 @@
 package server
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"radar/internal/object"
+	"radar/internal/workload"
 )
 
 func newServer(t *testing.T, capacity float64) *Server {
@@ -167,7 +167,7 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 // time, and the queue never goes negative.
 func TestQueueInvariantsProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := workload.Stream(seed, 0)
 		s := newServer(t, 100) // 10ms service
 		now := time.Duration(0)
 		var prevDone time.Duration
@@ -199,7 +199,7 @@ func TestQueueInvariantsProperty(t *testing.T) {
 // measured load.
 func TestLoadAttributionSumsToTotal(t *testing.T) {
 	s := newServer(t, 200)
-	rng := rand.New(rand.NewSource(3))
+	rng := workload.Stream(3, 0)
 	for i := 0; i < 500; i++ {
 		s.OnServed(object.ID(rng.Intn(17)))
 	}
@@ -233,7 +233,7 @@ func TestEnqueueStorageCost(t *testing.T) {
 // order of the touched lists — over intervals whose request counts sit
 // below, on and well beyond the log's capacity.
 func TestServedLogEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := workload.Stream(11, 0)
 	batched, eager := newServer(t, 200), newServer(t, 200)
 	batched.ExpectObjects(16) // IDs run past the hint, so the arrays grow mid-log too
 	eager.ExpectObjects(16)

@@ -11,13 +11,6 @@ import (
 	"radar/internal/workload"
 )
 
-// ctrlStream is the PRNG stream index reserved for control-message faults
-// (drop/dup/cdelay draws, retry jitter). Gateways use streams
-// 0..numNodes-1 and fault timelines use 1<<32, so a disjoint constant
-// keeps control-plane randomness from perturbing either: arming message
-// faults never changes request streams or crash timelines.
-const ctrlStream uint64 = 1 << 33
-
 // ctrlState is the armed unreliable-control-plane of one run. It exists
 // only when the fault spec carries message-fault terms; a nil
 // Simulation.ctrl means every control exchange resolves inline and
@@ -52,7 +45,7 @@ func (s *Simulation) armCtrlPlane() error {
 		return nil
 	}
 	faults := ctrlplane.Faults{Drop: spec.MsgDrop, Dup: spec.MsgDup, Delay: spec.MsgDelay}
-	plane, err := ctrlplane.New(s.cfg.Ctrl, faults, workload.Stream(s.cfg.Seed, ctrlStream), s.ctrlTransport)
+	plane, err := ctrlplane.New(s.cfg.Ctrl, faults, workload.Stream(s.cfg.Seed, workload.ControlStream), s.ctrlTransport)
 	if err != nil {
 		return fmt.Errorf("sim: arming control plane: %w", err)
 	}

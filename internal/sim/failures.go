@@ -2,29 +2,22 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"radar/internal/fault"
 	"radar/internal/object"
 	"radar/internal/topology"
-	"radar/internal/workload"
 )
-
-// faultStream is the PRNG stream index reserved for stochastic fault
-// timelines. Gateways use streams 0..numNodes-1 of the run's seed, so a
-// large constant keeps fault draws disjoint from every workload stream:
-// enabling faults never perturbs request randomness, and the timeline is
-// expanded up front so it is independent of experiment parallelism.
-const faultStream uint64 = 1 << 32
 
 // scheduleFaults expands the fault spec into a timeline and arms every
 // event. Fault handling is an extension beyond the paper (which targets
 // performance, not availability, §1.1). A host crash is a process failure,
 // not a link cut: the co-located router stays up, so routing is
-// unaffected. Events beyond the run's horizon are dropped (a permanent
-// failure's recovery simply never fires). When the timeline contains link
+// unaffected. The timeline is the one the live chaos plan deals
+// (Spec.Expand), expanded up front from the reserved fault stream, so
+// enabling faults never perturbs request randomness and the timeline is
+// independent of experiment parallelism. When the timeline contains link
 // events, the request path gains severed-link checks and every redirector
 // gets a reachability filter; fault-free runs skip all of it, keeping the
 // hot path bit-identical to a build without fault injection.
@@ -33,24 +26,11 @@ func (s *Simulation) scheduleFaults() error {
 	if !spec.Enabled() {
 		return nil
 	}
-	var rng *rand.Rand
-	if spec.HostMTBF > 0 || spec.LinkMTBF > 0 {
-		rng = workload.Stream(s.cfg.Seed, faultStream)
-	}
-	var edges [][2]topology.NodeID
-	if spec.HasLinkFaults() {
-		// The live chaos controller expands schedules over the same edge
-		// order, so both worlds draw identical link cycles.
-		edges = fault.TopoEdges(s.topo)
-	}
-	timeline, err := spec.Timeline(s.topo.NumNodes(), edges, s.cfg.Duration, rng)
+	timeline, err := spec.Expand(s.topo, s.cfg.Duration, s.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("sim: building fault timeline: %w", err)
 	}
 	for _, ev := range timeline {
-		if ev.At > s.cfg.Duration {
-			continue
-		}
 		var fire func(now time.Duration)
 		switch ev.Kind {
 		case fault.HostDown:

@@ -151,7 +151,7 @@ func newLoop(cfg Config) (*Simulation, error) {
 	s.svcQueue = make([]reqFIFO, n)
 	s.rngs = make([]*rand.Rand, n)
 	for i := 0; i < n; i++ {
-		s.rngs[i] = workload.Stream(cfg.Seed, uint64(i))
+		s.rngs[i] = workload.Stream(cfg.Seed, workload.GatewayStream(i))
 	}
 	return s, nil
 }

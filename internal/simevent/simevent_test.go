@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"radar/internal/workload"
 )
 
 // forever is a horizon no test event lies beyond: Run(forever) drains the
@@ -166,7 +168,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 // stable sort of (time, insertion order).
 func TestOrderProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := workload.Stream(seed, 0)
 		e := New()
 		type rec struct {
 			at  time.Duration
@@ -201,7 +203,7 @@ func TestOrderProperty(t *testing.T) {
 }
 
 func BenchmarkScheduleAndRun(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := workload.Stream(1, 0)
 	e := New()
 	nop := func(time.Duration) {}
 	b.ReportAllocs()
@@ -225,7 +227,7 @@ func (h *benchHandler) Fire(time.Duration) { h.fired++ }
 // BenchmarkScheduleHandlerAndRun measures the pooled-handler hot path:
 // unlike closure scheduling, it must not allocate per event.
 func BenchmarkScheduleHandlerAndRun(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := workload.Stream(1, 0)
 	e := New()
 	h := &benchHandler{}
 	b.ReportAllocs()
@@ -367,7 +369,7 @@ func (p *program) spawn(now time.Duration, n int) {
 // Run to random horizons and logging PeekTime before and the clock after
 // each.
 func runProgram(seed int64, sorted bool) *program {
-	rng := rand.New(rand.NewSource(seed))
+	rng := workload.Stream(seed, 0)
 	p := &program{e: New(), rng: rng, sorted: sorted, budget: 200 + rng.Intn(800)}
 	p.spawn(0, 40+rng.Intn(100))
 	for {

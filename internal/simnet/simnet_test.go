@@ -1,13 +1,13 @@
 package simnet
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"radar/internal/routing"
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // routingTablesForTest builds routes without creating an import cycle in
@@ -178,7 +178,7 @@ func TestConservationProperty(t *testing.T) {
 	topo := topology.UUNET()
 	routes := routingTablesForTest(t, topo)
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := workload.Stream(seed, 0)
 		sink := &recSink{}
 		nw, err := New(DefaultConfig(), topo.NumNodes(), sink)
 		if err != nil {
@@ -209,7 +209,7 @@ func TestConservationProperty(t *testing.T) {
 func TestContentionFIFOProperty(t *testing.T) {
 	cfg := Config{HopDelay: time.Millisecond, LinkBandwidthBps: 10000, Contention: true}
 	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := workload.Stream(seed, 0)
 		nw, err := New(cfg, 2, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -2,9 +2,10 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"radar/internal/workload"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -66,7 +67,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestMeanErrShrinksWithN(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := workload.Stream(1, 0)
 	small := make([]float64, 10)
 	large := make([]float64, 1000)
 	for i := range small {
@@ -95,7 +96,7 @@ func TestFormatMeanErr(t *testing.T) {
 // TestPropertyBounds checks order-statistics invariants on random samples.
 func TestPropertyBounds(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := workload.Stream(seed, 0)
 		n := int(nRaw)%50 + 2
 		xs := make([]float64, n)
 		for i := range xs {

@@ -48,12 +48,6 @@ const (
 	defaultPenalty     = 25 * time.Millisecond
 )
 
-// storeStream is the base of the PRNG sub-stream range reserved for
-// backend fault timelines: stream storeStream | node<<8 | faultyIndex.
-// Gateways use streams 0..n-1, the fault timeline 1<<32, the control
-// plane 1<<33; this range is disjoint from all of them.
-const storeStream uint64 = 1 << 34
-
 // term is one parsed stack node.
 type term struct {
 	kind    string // "mem", "disk", "cache", "mirror", "faulty"
@@ -381,9 +375,8 @@ func buildTerm(t *term, node int, p Params, faultyIdx *int) (ReplicaStore, error
 		}
 		// Each faulty layer on each node gets its own reserved stream, so
 		// stack shape and node count never shift another layer's draws.
-		stream := storeStream | uint64(node)<<8 | uint64(*faultyIdx)
+		rng := workload.Stream(p.Seed, workload.StoreStream(node, *faultyIdx))
 		*faultyIdx++
-		rng := workload.Stream(p.Seed, stream)
 		timeline, err := fault.Cycles(p.Horizon, t.mtbf, t.mttr, rng)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSpec, err)

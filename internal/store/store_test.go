@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"radar/internal/fault"
 	"radar/internal/object"
+	"radar/internal/workload"
 )
 
 const kb = 1024
@@ -16,7 +16,7 @@ const kb = 1024
 // drive applies a scripted operation sequence and returns the final
 // flattened stats, for determinism comparisons.
 func drive(st ReplicaStore, ops int, seed int64) []LayerStats {
-	rng := rand.New(rand.NewSource(seed))
+	rng := workload.Stream(seed, 0)
 	now := time.Duration(0)
 	for i := 0; i < ops; i++ {
 		now += time.Duration(rng.Intn(50)+1) * time.Millisecond

@@ -3,14 +3,14 @@
 //
 // A Generator maps (requesting gateway, randomness) to the object requested.
 // Generators are deterministic given their construction seed, so entire
-// simulation runs are reproducible. A real-life workload is expected to be
-// a mix of these shapes; the mix helper composes them.
+// simulation runs are reproducible.
 package workload
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"radar/internal/object"
 	"radar/internal/topology"
@@ -69,15 +69,47 @@ func (w *Zipf) Next(_ topology.NodeID, rng *rand.Rand) object.ID {
 	return object.ID(w.sampler.Rank(rng) - 1)
 }
 
+// twoBuckets requests a random hot page with probability p and a random
+// cold page otherwise: the sampler of hot-sites and hot-pages, which differ
+// only in how they split the pages. Both buckets are in ascending ID order.
+type twoBuckets struct {
+	p         float64
+	hot, cold []object.ID
+}
+
+// split puts each of count pages in the bucket isHot names.
+func split(p float64, count int, isHot func(object.ID) bool) twoBuckets {
+	b := twoBuckets{p: p}
+	for i := 0; i < count; i++ {
+		if id := object.ID(i); isHot(id) {
+			b.hot = append(b.hot, id)
+		} else {
+			b.cold = append(b.cold, id)
+		}
+	}
+	return b
+}
+
+// Next implements Generator.
+func (b *twoBuckets) Next(_ topology.NodeID, rng *rand.Rand) object.ID {
+	if rng.Float64() < b.p {
+		return b.hot[rng.Intn(len(b.hot))]
+	}
+	return b.cold[rng.Intn(len(b.cold))]
+}
+
+// IsHot reports whether the page is in the hot bucket; exposed for
+// analysis tools and tests.
+func (b *twoBuckets) IsHot(id object.ID) bool {
+	_, found := slices.BinarySearch(b.hot, id)
+	return found
+}
+
 // HotSites models entire Web sites varying in popularity: sites (nodes) are
 // randomly split into hot (1-p fraction) and cold (p fraction); with
 // probability p a request targets a random page initially assigned to a hot
 // site, otherwise a random page from a cold site. The paper uses p = 0.9.
-type HotSites struct {
-	p         float64
-	hotPages  []object.ID
-	coldPages []object.ID
-}
+type HotSites struct{ twoBuckets }
 
 // NewHotSites partitions the numNodes sites with the given seed and builds
 // the page buckets from the round-robin initial assignment.
@@ -91,7 +123,7 @@ func NewHotSites(u object.Universe, numNodes int, p float64, seed int64) (*HotSi
 	if p <= 0 || p >= 1 {
 		return nil, fmt.Errorf("workload: hot-sites p %v must be in (0,1)", p)
 	}
-	rng := Stream(seed, 0x4053)
+	rng := Stream(seed, HotSitesStream)
 	perm := rng.Perm(numNodes)
 	numHot := int(float64(numNodes)*(1-p) + 0.5)
 	if numHot < 1 {
@@ -104,16 +136,8 @@ func NewHotSites(u object.Universe, numNodes int, p float64, seed int64) (*HotSi
 	for _, s := range perm[:numHot] {
 		hotSite[s] = true
 	}
-	w := &HotSites{p: p}
-	for i := 0; i < u.Count; i++ {
-		id := object.ID(i)
-		if hotSite[u.HomeNode(id, numNodes)] {
-			w.hotPages = append(w.hotPages, id)
-		} else {
-			w.coldPages = append(w.coldPages, id)
-		}
-	}
-	if len(w.hotPages) == 0 || len(w.coldPages) == 0 {
+	w := &HotSites{split(p, u.Count, func(id object.ID) bool { return hotSite[u.HomeNode(id, numNodes)] })}
+	if len(w.hot) == 0 || len(w.cold) == 0 {
 		return nil, fmt.Errorf("workload: hot-sites split left a bucket empty (objects=%d nodes=%d)", u.Count, numNodes)
 	}
 	return w, nil
@@ -122,22 +146,10 @@ func NewHotSites(u object.Universe, numNodes int, p float64, seed int64) (*HotSi
 // Name implements Generator.
 func (w *HotSites) Name() string { return "hot-sites" }
 
-// Next implements Generator.
-func (w *HotSites) Next(_ topology.NodeID, rng *rand.Rand) object.ID {
-	if rng.Float64() < w.p {
-		return w.hotPages[rng.Intn(len(w.hotPages))]
-	}
-	return w.coldPages[rng.Intn(len(w.coldPages))]
-}
-
 // HotPages models uniformly more popular objects: pages are split into hot
 // and cold buckets in ratio 1:9 and a hot page is requested with
 // probability 0.9 (paper §6.1).
-type HotPages struct {
-	pHot      float64
-	hotPages  []object.ID
-	coldPages []object.ID
-}
+type HotPages struct{ twoBuckets }
 
 // NewHotPages builds the generator; hotFraction is the fraction of pages in
 // the hot bucket (paper: 0.1) and pHot the probability of requesting a hot
@@ -161,33 +173,17 @@ func NewHotPages(u object.Universe, hotFraction, pHot float64, seed int64) (*Hot
 	if numHot >= u.Count {
 		numHot = u.Count - 1
 	}
-	rng := Stream(seed, 0x9a6e)
+	rng := Stream(seed, HotPagesStream)
 	perm := rng.Perm(u.Count)
-	w := &HotPages{pHot: pHot}
 	hot := make([]bool, u.Count)
 	for _, i := range perm[:numHot] {
 		hot[i] = true
 	}
-	for i := 0; i < u.Count; i++ {
-		if hot[i] {
-			w.hotPages = append(w.hotPages, object.ID(i))
-		} else {
-			w.coldPages = append(w.coldPages, object.ID(i))
-		}
-	}
-	return w, nil
+	return &HotPages{split(pHot, u.Count, func(id object.ID) bool { return hot[id] })}, nil
 }
 
 // Name implements Generator.
 func (w *HotPages) Name() string { return "hot-pages" }
-
-// Next implements Generator.
-func (w *HotPages) Next(_ topology.NodeID, rng *rand.Rand) object.ID {
-	if rng.Float64() < w.pHot {
-		return w.hotPages[rng.Intn(len(w.hotPages))]
-	}
-	return w.coldPages[rng.Intn(len(w.coldPages))]
-}
 
 // Regional models popularity varying by region: each of the four regions is
 // assigned a contiguous 1% slice of the object numbers as its preferred
@@ -250,31 +246,6 @@ func (w *Regional) Next(g topology.NodeID, rng *rand.Rand) object.ID {
 	}
 	return object.ID(rng.Intn(w.count))
 }
-
-// containsID reports whether the sorted slice contains id.
-func containsID(sorted []object.ID, id object.ID) bool {
-	lo, hi := 0, len(sorted)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		switch {
-		case sorted[mid] == id:
-			return true
-		case sorted[mid] < id:
-			lo = mid + 1
-		default:
-			hi = mid - 1
-		}
-	}
-	return false
-}
-
-// IsHot reports whether the page is in the hot bucket; exposed for
-// analysis tools and tests. The hot bucket is built in ascending ID order.
-func (w *HotPages) IsHot(id object.ID) bool { return containsID(w.hotPages, id) }
-
-// IsHot reports whether the page is initially assigned to a hot site;
-// exposed for analysis tools and tests.
-func (w *HotSites) IsHot(id object.ID) bool { return containsID(w.hotPages, id) }
 
 // Names lists what Named builds: the paper's four synthetic workloads
 // (§6.1) and a uniform control.

@@ -55,9 +55,9 @@ func TestHotSitesSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotSet := make(map[object.ID]bool, len(w.hotPages))
+	hotSet := make(map[object.ID]bool, len(w.hot))
 	hotSites := make(map[topology.NodeID]bool)
-	for _, id := range w.hotPages {
+	for _, id := range w.hot {
 		hotSet[id] = true
 		hotSites[testUniverse.HomeNode(id, nodes)] = true
 	}
@@ -86,7 +86,7 @@ func TestHotSitesConcentratedOnFewSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	sites := make(map[topology.NodeID]int)
-	for _, id := range w.hotPages {
+	for _, id := range w.hot {
 		sites[testUniverse.HomeNode(id, nodes)]++
 	}
 	if len(sites) > 8 {
@@ -100,19 +100,19 @@ func TestHotPagesSkewAndSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(w.hotPages); got != 100 {
+	if got := len(w.hot); got != 100 {
 		t.Fatalf("hot bucket = %d pages, want 100 (1:9 of 1000)", got)
 	}
 	// Hot pages must be spread across many sites (contrast with hot-sites).
 	sites := make(map[topology.NodeID]bool)
-	for _, id := range w.hotPages {
+	for _, id := range w.hot {
 		sites[testUniverse.HomeNode(id, nodes)] = true
 	}
 	if len(sites) < nodes/2 {
 		t.Fatalf("hot pages on only %d sites, want wide spread", len(sites))
 	}
 	hotSet := make(map[object.ID]bool)
-	for _, id := range w.hotPages {
+	for _, id := range w.hot {
 		hotSet[id] = true
 	}
 	rng := Stream(4, 0)

@@ -16,25 +16,21 @@ func TestLiveGroupValidation(t *testing.T) {
 		name    string
 		mutate  func(*radar.Config)
 		refused bool
-		field   string // the refusing field; Live.LiveMode when empty
 	}{
 		// A live node is the simulator's node assembly: it carries a
 		// storage stack like a simulated host does.
-		{"storage stack", func(c *radar.Config) { c.Storage.Store = "cache(mem:64,disk:5ms)" }, false, ""},
+		{"storage stack", func(c *radar.Config) { c.Storage.Store = "cache(mem:64,disk:5ms)" }, false},
 		// A placement pass reports its copies with its decisions, so the
 		// loop charges the links in the simulation's order.
-		{"link contention", func(c *radar.Config) { c.LinkContention = true }, false, ""},
-		{"fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" }, true, ""},
+		{"link contention", func(c *radar.Config) { c.LinkContention = true }, false},
+		{"fault schedule", func(c *radar.Config) { c.Faults.FaultSchedule = "crash:9@3m+5m" }, true},
 		// Every node derives the §5 category table from the shared
 		// configuration and gates its own placement passes with it.
-		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }, false, ""},
-		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }, true, ""},
+		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }, false},
+		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }, true},
 		// A driver-paced pass replays its decisions into the loop, which
-		// forwards them to the writer; a free-running fleet has no loop.
-		{"trace writer", func(c *radar.Config) { c.TraceWriter = io.Discard }, false, ""},
-		{"free-running trace writer", func(c *radar.Config) {
-			c.Live.LiveFreeRunning, c.TraceWriter = true, io.Discard
-		}, true, "Live.LiveFreeRunning"},
+		// forwards them to the writer.
+		{"trace writer", func(c *radar.Config) { c.TraceWriter = io.Discard }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,31 +44,10 @@ func TestLiveGroupValidation(t *testing.T) {
 				}
 				return
 			}
-			if !errors.Is(err, radar.ErrBadConfig) {
-				t.Fatalf("err = %v, want ErrBadConfig", err)
-			}
-			if tc.field == "" {
-				tc.field = "Live.LiveMode"
-			}
-			var ce *radar.ConfigError
-			if !errors.As(err, &ce) || ce.Field != tc.field {
-				t.Fatalf("err = %v, want ConfigError on %s", err, tc.field)
+			if !badField(err, "Live.LiveMode") {
+				t.Fatalf("err = %v, want ErrBadConfig on Live.LiveMode", err)
 			}
 		})
-	}
-}
-
-// TestLiveFreeRunningNeedsLiveMode: free-running is a refinement of live
-// mode, not a standalone switch.
-func TestLiveFreeRunningNeedsLiveMode(t *testing.T) {
-	cfg := radar.DefaultConfig(radar.Zipf)
-	cfg.Live.LiveFreeRunning = true
-	if err := cfg.Validate(); !badField(err, "Live.LiveFreeRunning") {
-		t.Fatalf("LiveFreeRunning without LiveMode: err = %v, want ConfigError on Live.LiveFreeRunning", err)
-	}
-	cfg.Live.LiveMode = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid free-running config rejected: %v", err)
 	}
 }
 
@@ -118,31 +93,6 @@ func TestRunLiveMode(t *testing.T) {
 	}
 	if s.TimedOutRequests != 0 {
 		t.Errorf("%d timed-out requests at nominal load", s.TimedOutRequests)
-	}
-}
-
-// TestRunLiveFreeRunning: the facade's free-running path stands up the
-// fleet on wall clocks and generates real-time load; Duration is wall
-// time, so a short run finishes fast even over the full backbone.
-func TestRunLiveFreeRunning(t *testing.T) {
-	if testing.Short() {
-		t.Skip("free-running fleet over 53 loopback listeners; skipped in -short")
-	}
-	cfg := radar.DefaultConfig(radar.Zipf)
-	cfg.Objects = 106
-	cfg.Duration = 2 * time.Second
-	cfg.Live.LiveMode = true
-	cfg.Live.LiveFreeRunning = true
-	res, err := radar.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Summary
-	if s.TotalServed == 0 {
-		t.Error("free-running fleet served no requests")
-	}
-	if s.FailedRequests != 0 {
-		t.Errorf("healthy free-running fleet reported %d failed requests", s.FailedRequests)
 	}
 }
 

@@ -2,7 +2,6 @@ package radar
 
 import (
 	"io"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -87,7 +86,7 @@ func sameDraws(a, b workload.Generator) bool {
 		return false
 	}
 	n := substrate.UUNET().Topo.NumNodes()
-	ra, rb := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+	ra, rb := workload.Stream(1, 0), workload.Stream(1, 0)
 	for i := 0; i < 10_000; i++ {
 		g := topology.NodeID(i % n)
 		if a.Next(g, ra) != b.Next(g, rb) {

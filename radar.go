@@ -210,15 +210,6 @@ type Live struct {
 	// the simulator's loop instead of its nodes (fault injection,
 	// sharding).
 	LiveMode bool
-	// LiveFreeRunning lets the fleet own its clocks: nodes self-schedule
-	// measurement, placement, and census ticks on jittered wall-clock
-	// timers and the load generator paces requests in real time, with
-	// Duration read as wall-clock run length. The run is no longer
-	// replayable against the simulator — correctness in this mode is
-	// asserted by invariant checking (package live/check), not sequence
-	// equality. Requires LiveMode; refuses a TraceWriter, having no driver
-	// loop to trace.
-	LiveFreeRunning bool
 }
 
 // Storage groups the replica-storage stack knobs (Config.Storage); the
@@ -361,8 +352,6 @@ func (c Config) spec() (sp scenario.Spec, err error) {
 		{c.Faults.ReplicaFloor < 0, ConfigError{"Faults.ReplicaFloor", c.Faults.ReplicaFloor, "negative"}},
 		{c.Ctrl.CtrlRetries < 0, ConfigError{"Ctrl.CtrlRetries", c.Ctrl.CtrlRetries, "negative"}},
 		{c.Ctrl.CtrlTimeout < 0, ConfigError{"Ctrl.CtrlTimeout", c.Ctrl.CtrlTimeout, "negative"}},
-		{c.Live.LiveFreeRunning && !c.Live.LiveMode, ConfigError{"Live.LiveFreeRunning", true, "free-running mode requires LiveMode"}},
-		{c.Live.LiveFreeRunning && c.TraceWriter != nil, ConfigError{"Live.LiveFreeRunning", true, "a free-running fleet has no driver loop to trace"}},
 	} {
 		if e.bad {
 			return sp, &e.ConfigError
@@ -631,12 +620,12 @@ func runLive(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := live.NewHarness(live.Config{Sim: *simCfg, FreeRunning: cfg.Live.LiveFreeRunning}, nil)
+	h, err := live.NewHarness(live.Config{Sim: *simCfg}, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer h.Close()
-	res, err := h.Run(ctx)
+	res, err := h.Driver.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
