@@ -32,10 +32,11 @@ type Outcome struct {
 // schedule (empty for none) against h.Fleet while it drives h.Free for the
 // configured wall duration, and judges the failed requests. A schedule
 // expands from the seed's fault stream, so it kills the nodes a simulation
-// of the same configuration crashes; it needs the in-process fleet.
-// convergence is the budget within which a violated bound must heal. The
-// error reports a run that could not be carried out; violations are in
-// the Outcome's Report.
+// of the same configuration crashes; it needs the in-process fleet, and the
+// run lasts until all of it is dealt. convergence is the budget within
+// which a violated bound must heal. The error reports a run that could not
+// be carried out, a plan cut short included; violations are in the
+// Outcome's Report.
 func RunFree(ctx context.Context, h *live.Harness, schedule string, convergence time.Duration) (*Outcome, error) {
 	cfg := h.Free.Config()
 	var plan []chaos.Action
@@ -66,22 +67,20 @@ func RunFree(ctx context.Context, h *live.Harness, schedule string, convergence 
 		c.run(checkCtx)
 	}()
 
-	// Chaos ends with the load: a controller behind its schedule (restarts
-	// wait for readiness) deals nothing after the run.
+	// The checker judges until the whole plan is dealt, even when restarts
+	// (each waits for fleet readiness) put the controller behind the load.
 	ctl := chaos.NewController(target, plan, c)
-	chaosCtx, stopChaos := context.WithCancel(ctx)
 	chaosDone := make(chan error, 1)
-	go func() { chaosDone <- ctl.Run(chaosCtx, time.Now()) }()
+	go func() { chaosDone <- ctl.Run(ctx, time.Now()) }()
 	runErr := h.Free.Run(ctx)
-	stopChaos()
 	chaosErr := <-chaosDone
 	stopCheck()
 	<-checked
-	if runErr != nil {
-		return nil, runErr
+	if err := errors.Join(runErr, chaosErr); err != nil {
+		return nil, err
 	}
-	if chaosErr != nil {
-		return nil, fmt.Errorf("chaos: %w", chaosErr)
+	if n := len(ctl.Applied()); n < len(plan) {
+		return nil, fmt.Errorf("chaos: %d of %d planned actions applied: %w", n, len(plan), ctx.Err())
 	}
 
 	c.checkFailures(h.Free.Failures())

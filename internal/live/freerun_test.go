@@ -72,7 +72,9 @@ func runFree(t *testing.T, h *live.Harness, schedule string, convergence time.Du
 // its own clock — tickers advance, requests succeed, and the invariant
 // checker stays silent.
 func TestFreeRunningServes(t *testing.T) {
-	h := startFree(t, 3*time.Second)
+	// 5 s is some 20 scrapes at the checker's 250 ms: a margin over
+	// runFree's ten for ticks a slow scrape drops.
+	h := startFree(t, 5*time.Second)
 	out := runFree(t, h, "", 2*time.Second)
 	if out.Results.FailedRequests != 0 {
 		t.Fatalf("%d failed requests on a healthy fleet", out.Results.FailedRequests)
