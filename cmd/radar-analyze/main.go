@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"radar/internal/topology"
 	"radar/internal/trace"
@@ -46,10 +47,12 @@ func run() error {
 	fmt.Printf("  replications: %d\n", s.Replications)
 	fmt.Printf("  drops:        %d\n", s.Drops)
 	fmt.Printf("  refusals:     %d\n", s.Refusals)
+	fmt.Printf("  deferrals:    %d\n", s.Deferrals)
 	fmt.Printf("  geo moves:    %d\n", s.GeoMoves)
 	fmt.Printf("  load moves:   %d\n", s.LoadMoves)
+	fmt.Printf("  repair moves: %d\n", s.RepairMoves)
 	if len(events) > 0 {
-		fmt.Printf("  time span:    %.0fs .. %.0fs\n", events[0].T, events[len(events)-1].T)
+		fmt.Printf("  time span:    %v .. %v\n", time.Duration(events[0].At), time.Duration(events[len(events)-1].At))
 	}
 
 	names := topology.UUNET()

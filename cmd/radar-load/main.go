@@ -138,7 +138,7 @@ func runFree(ctx context.Context, h *live.Harness, schedule string, convergence 
 	fmt.Printf("\nfree run: %d served, %d failed, %d timed out (wall time %v)\n",
 		res.TotalServed, res.FailedRequests, res.TimedOutRequests, wall)
 	if schedule != "" {
-		fmt.Printf("chaos: %d actions applied\n", len(out.Applied))
+		fmt.Printf("chaos: %d events applied\n", len(out.Applied))
 		for _, a := range out.Applied {
 			fmt.Printf("  %s\n", a)
 		}

@@ -77,6 +77,14 @@ type Event struct {
 	A, B topology.NodeID
 }
 
+// String renders the event for logs: "4s host-down node 2", "1s link-up 0-1".
+func (e Event) String() string {
+	if e.Kind == HostDown || e.Kind == HostUp {
+		return fmt.Sprintf("%v %s node %d", e.At, e.Kind, e.Node)
+	}
+	return fmt.Sprintf("%v %s %d-%d", e.At, e.Kind, e.A, e.B)
+}
+
 // Spec is a declarative fault schedule: explicit scripted events plus
 // optional stochastic crash/recovery cycles. The zero value disables
 // injection entirely.

@@ -5,131 +5,42 @@
 // "crash:3@10s+5s" clause that crashes simulated host 3 kills live node 3
 // — deterministically, from the same seed.
 //
-// The controller is deliberately open-loop: it applies the planned actions
-// at their wall-clock times and reports what it did. Deciding whether the
-// fleet survived is the invariant checker's job (package check), which the
-// controller keeps informed through the Observer hook.
+// The controller is deliberately open-loop: it deals the planned fault
+// events at their wall-clock times and reports what it did. Deciding
+// whether the fleet survived is the invariant checker's job (package
+// check), which the controller keeps informed through the Observer hook.
 package chaos
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"radar/internal/fault"
 	"radar/internal/topology"
 )
 
-// Kind labels a chaos action.
-type Kind uint8
-
-// Action kinds, in application order at equal times (mirroring
-// fault.Kind order: a node dies before one revives, node actions precede
-// partition actions).
-const (
-	// Kill crashes a node the way SIGKILL would: listener torn down,
-	// goroutines reaped, nothing flushed.
-	Kill Kind = iota + 1
-	// Restart brings a killed node back as a fresh incarnation.
-	Restart
-	// Cut partitions a pair of nodes at the control plane: each side's
-	// peer-URL entry for the other is poisoned, so every control RPC
-	// between them fails at the client without crossing the network.
-	Cut
-	// Heal restores a cut pair's peer URLs.
-	Heal
-	// Latency sets the client-hop injection delay (applied before every
-	// generated request).
-	Latency
-)
-
-// String returns the kind's name.
-func (k Kind) String() string {
-	switch k {
-	case Kill:
-		return "kill"
-	case Restart:
-		return "restart"
-	case Cut:
-		return "cut"
-	case Heal:
-		return "heal"
-	case Latency:
-		return "latency"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Action is one scheduled chaos step, At relative to the run's epoch.
-type Action struct {
-	At   time.Duration
-	Kind Kind
-	// Node is the killed/restarted node (Kill, Restart).
-	Node topology.NodeID
-	// A, B are the partitioned pair, A < B (Cut, Heal).
-	A, B topology.NodeID
-	// Delay is the injected client-hop latency (Latency).
-	Delay time.Duration
-}
-
-// String renders the action for logs and violation reports.
-func (a Action) String() string {
-	switch a.Kind {
-	case Kill, Restart:
-		return fmt.Sprintf("%v %s node %d", a.At, a.Kind, a.Node)
-	case Cut, Heal:
-		return fmt.Sprintf("%v %s %d-%d", a.At, a.Kind, a.A, a.B)
-	default:
-		return fmt.Sprintf("%v %s %v", a.At, a.Kind, a.Delay)
-	}
-}
-
 // Plan parses a fault-DSL schedule ("crash:N@T+D; mtbf/mttr; link:A-B@T+D;
-// cdelay:D") and expands it into the chaos actions for a fleet on the
-// given topology over the given horizon. Expansion is the simulator's own
-// (fault.ParseSchedule, Spec.Expand): stochastic clauses draw from seed's
-// reserved fault stream, so a schedule at a seed kills the nodes a
-// simulation at that seed crashes, at the same instants. Message drop/dup
-// clauses are rejected: a live fleet cannot un-deliver a TCP payload —
-// crash or partition it instead.
-func Plan(schedule string, topo *topology.Topology, horizon time.Duration, seed int64) ([]Action, error) {
+// cdelay:D") and expands it into the fault timeline the controller deals to
+// a fleet on the given topology over the given horizon, plus the client-hop
+// latency its cdelay clause injects (zero for none). The timeline is the
+// simulator's own (fault.ParseSchedule, Spec.Expand), sorted by (At, Kind,
+// element): stochastic clauses draw from seed's reserved fault stream, so a
+// schedule at a seed kills the nodes a simulation at that seed crashes, at
+// the same instants. Message drop/dup clauses are rejected: a live fleet
+// cannot un-deliver a TCP payload — crash or partition it instead.
+func Plan(schedule string, topo *topology.Topology, horizon time.Duration, seed int64) ([]fault.Event, time.Duration, error) {
 	spec, err := fault.ParseSchedule(schedule)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if spec.MsgDrop > 0 || spec.MsgDup > 0 {
-		return nil, fmt.Errorf("chaos: message drop/dup is simulation-only (crash or partition live nodes instead)")
+		return nil, 0, fmt.Errorf("chaos: message drop/dup is simulation-only (crash or partition live nodes instead)")
 	}
 	timeline, err := spec.Expand(topo, horizon, seed)
-	if err != nil {
-		return nil, err
-	}
-	var actions []Action
-	if spec.MsgDelay > 0 {
-		actions = append(actions, Action{Kind: Latency, Delay: spec.MsgDelay})
-	}
-	for _, e := range timeline {
-		switch e.Kind {
-		case fault.HostDown:
-			actions = append(actions, Action{At: e.At, Kind: Kill, Node: e.Node})
-		case fault.HostUp:
-			actions = append(actions, Action{At: e.At, Kind: Restart, Node: e.Node})
-		case fault.LinkDown:
-			actions = append(actions, Action{At: e.At, Kind: Cut, A: e.A, B: e.B})
-		case fault.LinkUp:
-			actions = append(actions, Action{At: e.At, Kind: Heal, A: e.A, B: e.B})
-		}
-	}
-	sort.SliceStable(actions, func(i, j int) bool {
-		if actions[i].At != actions[j].At {
-			return actions[i].At < actions[j].At
-		}
-		return actions[i].Kind < actions[j].Kind
-	})
-	return actions, nil
+	return timeline, spec.MsgDelay, err
 }
 
 // Target is what the controller acts on: an in-process fleet
@@ -154,30 +65,36 @@ type Observer interface {
 	OnRestart(n topology.NodeID, at time.Time)
 }
 
-// Controller applies a planned action sequence to a target at wall-clock
-// pace.
+// Controller deals a planned fault timeline to a target at wall-clock
+// pace: a host going down is a killed node, a link going down a cut pair.
 type Controller struct {
 	target  Target
-	actions []Action
+	events  []fault.Event
+	latency time.Duration
 	obs     Observer
 
-	applied []Action
+	applied []fault.Event
 }
 
 // NewController builds a controller for the given plan. obs may be nil.
-func NewController(target Target, actions []Action, obs Observer) *Controller {
-	return &Controller{target: target, actions: append([]Action(nil), actions...), obs: obs}
+func NewController(target Target, events []fault.Event, latency time.Duration, obs Observer) *Controller {
+	return &Controller{target: target, events: slices.Clone(events), latency: latency, obs: obs}
 }
 
-// Run applies each action when the wall clock reaches epoch+Action.At,
-// stopping early if ctx is cancelled. Failed actions do not stop the run
-// (chaos is best-effort: a Kill of an already-dead node is not worth
-// aborting an experiment over); the joined errors are returned at the
-// end, and every action that did apply is recorded for Applied.
+// Run sets the plan's latency, then applies each event when the wall clock
+// reaches epoch+At, stopping early if ctx is cancelled. Failed events do not
+// stop the run (chaos is best-effort: a kill of an already-dead node is not
+// worth aborting an experiment over); the joined errors are returned at the
+// end, and every event that did apply is recorded for Applied.
 func (c *Controller) Run(ctx context.Context, epoch time.Time) error {
 	var errs []error
-	for _, a := range c.actions {
-		if wait := time.Until(epoch.Add(a.At)); wait > 0 {
+	if c.latency > 0 && ctx.Err() == nil {
+		if err := c.target.SetLatency(c.latency); err != nil {
+			errs = append(errs, fmt.Errorf("chaos: latency %v: %w", c.latency, err))
+		}
+	}
+	for _, e := range c.events {
+		if wait := time.Until(epoch.Add(e.At)); wait > 0 {
 			t := time.NewTimer(wait)
 			select {
 			case <-ctx.Done():
@@ -189,47 +106,45 @@ func (c *Controller) Run(ctx context.Context, epoch time.Time) error {
 		if ctx.Err() != nil {
 			return errors.Join(errs...)
 		}
-		if err := c.apply(a); err != nil {
-			errs = append(errs, fmt.Errorf("chaos: %s: %w", a, err))
+		if err := c.apply(e); err != nil {
+			errs = append(errs, fmt.Errorf("chaos: %s: %w", e, err))
 			continue
 		}
-		c.applied = append(c.applied, a)
+		c.applied = append(c.applied, e)
 	}
 	return errors.Join(errs...)
 }
 
-func (c *Controller) apply(a Action) error {
-	switch a.Kind {
-	case Kill:
+func (c *Controller) apply(e fault.Event) error {
+	switch e.Kind {
+	case fault.HostDown:
 		// The window opens when the kill BEGINS: requests already fail
 		// while the listener is being torn down, and the observer's crash
 		// window must cover them.
 		at := time.Now()
-		if err := c.target.Kill(a.Node); err != nil {
+		if err := c.target.Kill(e.Node); err != nil {
 			return err
 		}
 		if c.obs != nil {
-			c.obs.OnKill(a.Node, at)
+			c.obs.OnKill(e.Node, at)
 		}
 		return nil
-	case Restart:
-		if err := c.target.Restart(a.Node); err != nil {
+	case fault.HostUp:
+		if err := c.target.Restart(e.Node); err != nil {
 			return err
 		}
 		if c.obs != nil {
-			c.obs.OnRestart(a.Node, time.Now())
+			c.obs.OnRestart(e.Node, time.Now())
 		}
 		return nil
-	case Cut:
-		return c.target.SetPartition(a.A, a.B, true)
-	case Heal:
-		return c.target.SetPartition(a.A, a.B, false)
-	case Latency:
-		return c.target.SetLatency(a.Delay)
+	case fault.LinkDown:
+		return c.target.SetPartition(e.A, e.B, true)
+	case fault.LinkUp:
+		return c.target.SetPartition(e.A, e.B, false)
 	default:
-		return fmt.Errorf("unknown action kind %d", a.Kind)
+		return fmt.Errorf("unknown fault kind %v", e.Kind)
 	}
 }
 
-// Applied returns the actions that were successfully applied, in order.
-func (c *Controller) Applied() []Action { return append([]Action(nil), c.applied...) }
+// Applied returns the events that were successfully applied, in order.
+func (c *Controller) Applied() []fault.Event { return slices.Clone(c.applied) }

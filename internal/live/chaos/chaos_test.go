@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,53 +14,42 @@ import (
 	"radar/internal/workload"
 )
 
-// TestPlanScriptedCrash: a scripted crash clause expands to a kill and a
-// restart at the scheduled times.
+// TestPlanScriptedCrash: a scripted crash clause expands to a host going
+// down and coming back up at the scheduled times, with no latency.
 func TestPlanScriptedCrash(t *testing.T) {
-	actions, err := Plan("crash:1@2s+3s", topology.Star(4), 10*time.Second, 1)
+	events, latency, err := Plan("crash:1@2s+3s", topology.Star(4), 10*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Action{
-		{At: 2 * time.Second, Kind: Kill, Node: 1},
-		{At: 5 * time.Second, Kind: Restart, Node: 1},
+	want := []fault.Event{
+		{At: 2 * time.Second, Kind: fault.HostDown, Node: 1},
+		{At: 5 * time.Second, Kind: fault.HostUp, Node: 1},
 	}
-	if len(actions) != len(want) {
-		t.Fatalf("got %d actions %v, want %d", len(actions), actions, len(want))
-	}
-	for i := range want {
-		if actions[i] != want[i] {
-			t.Fatalf("action %d = %v, want %v", i, actions[i], want[i])
-		}
+	if !slices.Equal(events, want) || latency != 0 {
+		t.Fatalf("got %v with latency %v, want %v with none", events, latency, want)
 	}
 }
 
-// TestPlanLinkAndLatency: link clauses become cut/heal pairs and a cdelay
-// clause becomes an upfront latency action.
+// TestPlanLinkAndLatency: link clauses become down/up pairs and a cdelay
+// clause becomes the plan's latency.
 func TestPlanLinkAndLatency(t *testing.T) {
-	actions, err := Plan("link:0-1@1s+2s; cdelay:50ms", topology.Star(4), 10*time.Second, 1)
+	events, latency, err := Plan("link:0-1@1s+2s; cdelay:50ms", topology.Star(4), 10*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Action{
-		{At: 0, Kind: Latency, Delay: 50 * time.Millisecond},
-		{At: 1 * time.Second, Kind: Cut, A: 0, B: 1},
-		{At: 3 * time.Second, Kind: Heal, A: 0, B: 1},
+	want := []fault.Event{
+		{At: 1 * time.Second, Kind: fault.LinkDown, A: 0, B: 1},
+		{At: 3 * time.Second, Kind: fault.LinkUp, A: 0, B: 1},
 	}
-	if len(actions) != len(want) {
-		t.Fatalf("got %v, want %v", actions, want)
-	}
-	for i := range want {
-		if actions[i] != want[i] {
-			t.Fatalf("action %d = %v, want %v", i, actions[i], want[i])
-		}
+	if !slices.Equal(events, want) || latency != 50*time.Millisecond {
+		t.Fatalf("got %v with latency %v, want %v with 50ms", events, latency, want)
 	}
 }
 
 // TestPlanRejectsMessageLoss: drop/dup clauses are simulation-only.
 func TestPlanRejectsMessageLoss(t *testing.T) {
 	for _, sched := range []string{"drop:0.5", "dup:0.2", "crash:0@1s; drop:0.1"} {
-		if _, err := Plan(sched, topology.Star(4), 10*time.Second, 1); err == nil {
+		if _, _, err := Plan(sched, topology.Star(4), 10*time.Second, 1); err == nil {
 			t.Fatalf("Plan(%q) accepted a message-loss clause", sched)
 		}
 	}
@@ -68,30 +58,25 @@ func TestPlanRejectsMessageLoss(t *testing.T) {
 // TestPlanStochasticDeterministic: equal seeds yield identical plans.
 func TestPlanStochasticDeterministic(t *testing.T) {
 	topo := topology.Ring(6)
-	plan := func() []Action {
-		a, err := Plan("mtbf:60s; mttr:5s", topo, 5*time.Minute, 7)
+	plan := func() []fault.Event {
+		events, _, err := Plan("mtbf:60s; mttr:5s", topo, 5*time.Minute, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		return events
 	}
 	a, b := plan(), plan()
 	if len(a) == 0 {
-		t.Fatal("stochastic schedule produced no actions over a 5m horizon")
+		t.Fatal("stochastic schedule produced no events over a 5m horizon")
 	}
-	if len(a) != len(b) {
-		t.Fatalf("plans differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("plans diverge at %d: %v vs %v", i, a[i], b[i])
-		}
+	if !slices.Equal(a, b) {
+		t.Fatalf("plans differ:\n%v\n%v", a, b)
 	}
 }
 
 // TestPlanKillsWhatTheSimulatorCrashes: a stochastic schedule kills, live,
 // the nodes a simulation at the same seed crashes, at the same instants —
-// both expand it from the seed's fault stream. Every planned action is
+// both expand it from the seed's fault stream. Every planned event is
 // checked against the simulator's own view of the node an instant before
 // and at its time.
 func TestPlanKillsWhatTheSimulatorCrashes(t *testing.T) {
@@ -100,14 +85,14 @@ func TestPlanKillsWhatTheSimulatorCrashes(t *testing.T) {
 		seed     = 7
 		horizon  = 30 * time.Second
 	)
-	plan, err := Plan(schedule, topology.UUNET(), horizon, seed)
+	plan, _, err := Plan(schedule, topology.UUNET(), horizon, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan) < 4 {
 		t.Fatalf("plan %v: want crash cycles", plan)
 	}
-	if a := plan[0]; a.Kind != Kill || a.Node != 35 || a.At.Round(100*time.Microsecond) != 132800*time.Microsecond {
+	if a := plan[0]; a.Kind != fault.HostDown || a.Node != 35 || a.At.Round(100*time.Microsecond) != 132800*time.Microsecond {
 		t.Fatalf("plan opens with %v: want node 35 killed at 132.8ms", a)
 	}
 
@@ -128,7 +113,7 @@ func TestPlanKillsWhatTheSimulatorCrashes(t *testing.T) {
 	}
 	var kills, restarts int64
 	for _, a := range plan {
-		down := a.Kind == Kill
+		down := a.Kind == fault.HostDown
 		if down {
 			kills++
 		} else {
@@ -196,46 +181,41 @@ func (o *fakeObserver) OnRestart(n topology.NodeID, at time.Time) {
 	o.mu.Unlock()
 }
 
-// TestControllerAppliesPlan: the controller walks the plan in order,
-// notifies the observer of lifecycle actions, and records what applied.
+// TestControllerAppliesPlan: the controller sets the latency before it
+// deals the first event, walks the plan in order, notifies the observer of
+// lifecycle events, and records what applied.
 func TestControllerAppliesPlan(t *testing.T) {
 	tgt := &fakeTarget{}
 	obs := &fakeObserver{}
-	actions := []Action{
-		{At: 0, Kind: Latency, Delay: time.Millisecond},
-		{At: 5 * time.Millisecond, Kind: Kill, Node: 1},
-		{At: 10 * time.Millisecond, Kind: Cut, A: 0, B: 1},
-		{At: 15 * time.Millisecond, Kind: Heal, A: 0, B: 1},
-		{At: 20 * time.Millisecond, Kind: Restart, Node: 1},
+	events := []fault.Event{
+		{At: 5 * time.Millisecond, Kind: fault.HostDown, Node: 1},
+		{At: 10 * time.Millisecond, Kind: fault.LinkDown, A: 0, B: 1},
+		{At: 15 * time.Millisecond, Kind: fault.LinkUp, A: 0, B: 1},
+		{At: 20 * time.Millisecond, Kind: fault.HostUp, Node: 1},
 	}
-	ctl := NewController(tgt, actions, obs)
+	ctl := NewController(tgt, events, time.Millisecond, obs)
 	if err := ctl.Run(context.Background(), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"latency", "kill", "cut", "heal", "restart"}
-	if len(tgt.calls) != len(want) {
+	if !slices.Equal(tgt.calls, want) {
 		t.Fatalf("calls = %v, want %v", tgt.calls, want)
-	}
-	for i := range want {
-		if tgt.calls[i] != want[i] {
-			t.Fatalf("call %d = %s, want %s", i, tgt.calls[i], want[i])
-		}
 	}
 	if obs.kills != 1 || obs.restarts != 1 {
 		t.Fatalf("observer saw %d kills, %d restarts; want 1, 1", obs.kills, obs.restarts)
 	}
-	if got := ctl.Applied(); len(got) != len(actions) {
-		t.Fatalf("Applied() = %d actions, want %d", len(got), len(actions))
+	if got := ctl.Applied(); !slices.Equal(got, events) {
+		t.Fatalf("Applied() = %v, want %v", got, events)
 	}
 }
 
 // TestControllerCancel: cancelling the context stops the run without
-// applying pending actions.
+// applying pending events or the latency.
 func TestControllerCancel(t *testing.T) {
 	tgt := &fakeTarget{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ctl := NewController(tgt, []Action{{At: time.Hour, Kind: Kill, Node: 0}}, nil)
+	ctl := NewController(tgt, []fault.Event{{At: time.Hour, Kind: fault.HostDown, Node: 0}}, time.Millisecond, nil)
 	if err := ctl.Run(ctx, time.Now()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,19 @@
 package chaos
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"radar/internal/fault"
 	"radar/internal/topology"
 )
 
 // FuzzChaosSchedule: any schedule string either fails to plan or yields a
-// well-formed action sequence — sorted by time, kill/restart strictly
-// alternating per node starting from alive, cut/heal alternating per
-// pair, no action kinds outside the enum, and deterministic (planning
-// twice yields the identical sequence).
+// well-formed fault timeline — sorted by time, down/up strictly alternating
+// per node starting from alive, down/up alternating per normalized link, no
+// kinds outside the enum, a non-negative latency — and is deterministic
+// (planning twice yields the identical plan).
 func FuzzChaosSchedule(f *testing.F) {
 	f.Add("crash:1@2s+3s")
 	f.Add("link:0-1@1s+2s; cdelay:50ms")
@@ -21,57 +23,54 @@ func FuzzChaosSchedule(f *testing.F) {
 	f.Add("")
 	topo := topology.Star(4)
 	f.Fuzz(func(t *testing.T, sched string) {
-		plan := func() []Action {
-			a, err := Plan(sched, topo, 30*time.Second, 1)
+		plan := func() ([]fault.Event, time.Duration) {
+			events, latency, err := Plan(sched, topo, 30*time.Second, 1)
 			if err != nil {
 				t.SkipNow()
 			}
-			return a
+			return events, latency
 		}
-		actions := plan()
-		again := plan()
-		if len(actions) != len(again) {
-			t.Fatalf("plan not deterministic: %d vs %d actions", len(actions), len(again))
+		events, latency := plan()
+		again, againLatency := plan()
+		if !slices.Equal(events, again) || latency != againLatency {
+			t.Fatalf("plan not deterministic: %v, %v vs %v, %v", events, latency, again, againLatency)
+		}
+		if latency < 0 {
+			t.Fatalf("negative latency %v", latency)
 		}
 		nodeDown := map[topology.NodeID]bool{}
 		pairCut := map[[2]topology.NodeID]bool{}
-		for i, a := range actions {
-			if a != again[i] {
-				t.Fatalf("plan not deterministic at %d: %v vs %v", i, a, again[i])
+		for i, e := range events {
+			if i > 0 && e.At < events[i-1].At {
+				t.Fatalf("plan unsorted at %d: %v after %v", i, e.At, events[i-1].At)
 			}
-			if i > 0 && a.At < actions[i-1].At {
-				t.Fatalf("plan unsorted at %d: %v after %v", i, a.At, actions[i-1].At)
-			}
-			switch a.Kind {
-			case Kill:
-				if nodeDown[a.Node] {
-					t.Fatalf("action %d kills node %d twice", i, a.Node)
+			pair := [2]topology.NodeID{e.A, e.B}
+			switch e.Kind {
+			case fault.HostDown:
+				if nodeDown[e.Node] {
+					t.Fatalf("event %d kills node %d twice", i, e.Node)
 				}
-				nodeDown[a.Node] = true
-			case Restart:
-				if !nodeDown[a.Node] {
-					t.Fatalf("action %d restarts live node %d", i, a.Node)
+				nodeDown[e.Node] = true
+			case fault.HostUp:
+				if !nodeDown[e.Node] {
+					t.Fatalf("event %d restarts live node %d", i, e.Node)
 				}
-				nodeDown[a.Node] = false
-			case Cut:
-				if a.A >= a.B {
-					t.Fatalf("action %d has unnormalized pair %d-%d", i, a.A, a.B)
+				nodeDown[e.Node] = false
+			case fault.LinkDown:
+				if e.A >= e.B {
+					t.Fatalf("event %d has unnormalized pair %d-%d", i, e.A, e.B)
 				}
-				if pairCut[[2]topology.NodeID{a.A, a.B}] {
-					t.Fatalf("action %d cuts %d-%d twice", i, a.A, a.B)
+				if pairCut[pair] {
+					t.Fatalf("event %d cuts %d-%d twice", i, e.A, e.B)
 				}
-				pairCut[[2]topology.NodeID{a.A, a.B}] = true
-			case Heal:
-				if !pairCut[[2]topology.NodeID{a.A, a.B}] {
-					t.Fatalf("action %d heals intact pair %d-%d", i, a.A, a.B)
+				pairCut[pair] = true
+			case fault.LinkUp:
+				if !pairCut[pair] {
+					t.Fatalf("event %d heals intact pair %d-%d", i, e.A, e.B)
 				}
-				pairCut[[2]topology.NodeID{a.A, a.B}] = false
-			case Latency:
-				if a.Delay < 0 {
-					t.Fatalf("action %d has negative latency %v", i, a.Delay)
-				}
+				pairCut[pair] = false
 			default:
-				t.Fatalf("action %d has unknown kind %d", i, a.Kind)
+				t.Fatalf("event %d has unknown kind %d", i, e.Kind)
 			}
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"radar/internal/fault"
 	"radar/internal/live"
 	"radar/internal/live/chaos"
 	"radar/internal/sim"
@@ -23,8 +24,8 @@ type Outcome struct {
 	Results *sim.Results
 	// Report is the invariant checker's verdict over the whole run.
 	Report *Report
-	// Applied are the chaos actions that took effect, in order.
-	Applied []chaos.Action
+	// Applied are the fault events the chaos controller dealt, in order.
+	Applied []fault.Event
 }
 
 // RunFree is the one free-running run of a free-running harness: it waits
@@ -39,14 +40,15 @@ type Outcome struct {
 // Outcome's Report.
 func RunFree(ctx context.Context, h *live.Harness, schedule string, convergence time.Duration) (*Outcome, error) {
 	cfg := h.Free.Config()
-	var plan []chaos.Action
+	var plan []fault.Event
+	var latency time.Duration
 	var target chaos.Target
 	if schedule != "" {
 		if h.Fleet == nil {
 			return nil, errors.New("check: chaos needs the in-process fleet, whose node lifecycles it owns")
 		}
 		var err error
-		if plan, err = chaos.Plan(schedule, cfg.Sim.Topo, cfg.Sim.Duration, cfg.Sim.Seed); err != nil {
+		if plan, latency, err = chaos.Plan(schedule, cfg.Sim.Topo, cfg.Sim.Duration, cfg.Sim.Seed); err != nil {
 			return nil, err
 		}
 		ft := chaos.NewFleetTarget(h.Fleet, h.Free.SetLatency)
@@ -69,7 +71,7 @@ func RunFree(ctx context.Context, h *live.Harness, schedule string, convergence 
 
 	// The checker judges until the whole plan is dealt, even when restarts
 	// (each waits for fleet readiness) put the controller behind the load.
-	ctl := chaos.NewController(target, plan, c)
+	ctl := chaos.NewController(target, plan, latency, c)
 	chaosDone := make(chan error, 1)
 	go func() { chaosDone <- ctl.Run(ctx, time.Now()) }()
 	runErr := h.Free.Run(ctx)
@@ -80,7 +82,7 @@ func RunFree(ctx context.Context, h *live.Harness, schedule string, convergence 
 		return nil, err
 	}
 	if n := len(ctl.Applied()); n < len(plan) {
-		return nil, fmt.Errorf("chaos: %d of %d planned actions applied: %w", n, len(plan), ctx.Err())
+		return nil, fmt.Errorf("chaos: %d of %d planned events applied: %w", n, len(plan), ctx.Err())
 	}
 
 	c.checkFailures(h.Free.Failures())

@@ -257,44 +257,19 @@ func (f *httpFleet) Stats(r *sim.Results) {
 	}
 }
 
-// report replays a placement pass's events into the loop's accounting —
-// wire Event back to the protocol.Observer call it was recorded from — and
-// keeps the decisions. The list is complete and in causal order, and the
-// pass is one loop event, so every charge is issued in the in-memory
-// fleet's order at the in-memory fleet's instant: link busy-until state
-// (Net.Contention) evolves as it does in the simulation.
+// report replays a placement pass's events into the loop's accounting and
+// keeps the decisions; a copy has no decision and is charged as a
+// transfer. The list is complete and in causal order, and the pass is one
+// loop event, so every charge is issued in the in-memory fleet's order at
+// the in-memory fleet's instant: link busy-until state (Net.Contention)
+// evolves as it does in the simulation.
 func (f *httpFleet) report(evs []Event) {
 	for _, e := range evs {
-		at, id := time.Duration(e.At), object.ID(e.Object)
-		from, to := topology.NodeID(e.From), topology.NodeID(e.To)
-		switch e.Kind {
-		case EventMigrate, EventReplicate:
-			kind, err := ParseMoveKind(e.Move)
-			if err != nil {
-				continue
-			}
-			if e.Kind == EventMigrate {
-				f.acct.OnMigrate(at, id, from, to, kind)
-			} else {
-				f.acct.OnReplicate(at, id, from, to, kind)
-			}
-		case EventDrop:
-			f.acct.OnDrop(at, id, from)
-		case EventRefuse, EventDefer:
-			method, err := ParseMethod(e.Method)
-			if err != nil {
-				continue
-			}
-			if e.Kind == EventRefuse {
-				f.acct.OnRefuse(at, id, from, to, method)
-			} else {
-				f.acct.OnDefer(at, id, from, to, method)
-			}
-		case EventCopy:
-			f.acct.CopyObject(at, from, to, id)
-			continue
+		if e.Replay(f.acct) {
+			f.decisions = append(f.decisions, e)
+		} else {
+			f.acct.CopyObject(time.Duration(e.At), topology.NodeID(e.From), topology.NodeID(e.To), object.ID(e.Object))
 		}
-		f.decisions = append(f.decisions, e)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"radar/internal/consistency"
 	"radar/internal/live"
 	"radar/internal/metrics"
-	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/sim"
 	"radar/internal/store"
@@ -18,60 +17,10 @@ import (
 	"radar/internal/trace"
 )
 
-// decisionRecorder mirrors the live nodes' event log on the simulator
-// side: every placement decision the protocol announces is recorded in
-// the wire Event shape, so the two sequences compare field for field.
-type decisionRecorder struct {
-	events []live.Event
-}
-
-func (r *decisionRecorder) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	r.events = append(r.events, live.Event{At: int64(now), Kind: live.EventMigrate, Object: int64(id), From: int(from), To: int(to), Move: kind.String()})
-}
-
-func (r *decisionRecorder) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	r.events = append(r.events, live.Event{At: int64(now), Kind: live.EventReplicate, Object: int64(id), From: int(from), To: int(to), Move: kind.String()})
-}
-
-func (r *decisionRecorder) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
-	r.events = append(r.events, live.Event{At: int64(now), Kind: live.EventDrop, Object: int64(id), From: int(host)})
-}
-
-func (r *decisionRecorder) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	r.events = append(r.events, live.Event{At: int64(now), Kind: live.EventRefuse, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
-}
-
-func (r *decisionRecorder) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	r.events = append(r.events, live.Event{At: int64(now), Kind: live.EventDefer, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
-}
-
-// both forwards every decision to two observers: the simulator's side of
-// a traced case feeds the recorder and a trace writer.
-type both [2]protocol.Observer
-
-func (b both) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	b[0].OnMigrate(now, id, from, to, kind)
-	b[1].OnMigrate(now, id, from, to, kind)
-}
-
-func (b both) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	b[0].OnReplicate(now, id, from, to, kind)
-	b[1].OnReplicate(now, id, from, to, kind)
-}
-
-func (b both) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
-	b[0].OnDrop(now, id, host)
-	b[1].OnDrop(now, id, host)
-}
-
-func (b both) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	b[0].OnRefuse(now, id, from, to, method)
-	b[1].OnRefuse(now, id, from, to, method)
-}
-
-func (b both) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	b[0].OnDefer(now, id, from, to, method)
-	b[1].OnDefer(now, id, from, to, method)
+// record returns a Recorder that appends every decision to events: the
+// simulator's side of the live nodes' event lists.
+func record(events *[]live.Event) protocol.Recorder {
+	return func(e live.Event) { *events = append(*events, e) }
 }
 
 // TestSimLiveEquivalence is the headline test pinning live mode to the
@@ -140,8 +89,8 @@ func TestSimLiveEquivalence(t *testing.T) {
 			}
 			// The gate has to fire for the case to pin anything: the same
 			// run without it decides differently.
-			rec := &decisionRecorder{}
-			cfg.Sim.Consistency, cfg.Sim.ExtraObserver = consistency.Mix{}, rec
+			var ungated []live.Event
+			cfg.Sim.Consistency, cfg.Sim.ExtraObserver = consistency.Mix{}, record(&ungated)
 			s, err := sim.New(cfg.Sim)
 			if err != nil {
 				t.Fatal(err)
@@ -149,8 +98,8 @@ func TestSimLiveEquivalence(t *testing.T) {
 			if _, err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("ungated: %d decisions", len(rec.events))
-			if reflect.DeepEqual(rec.events, decisions) {
+			t.Logf("ungated: %d decisions", len(ungated))
+			if reflect.DeepEqual(ungated, decisions) {
 				t.Errorf("the category gate changed none of %d decisions", len(decisions))
 			}
 		})
@@ -161,11 +110,13 @@ func TestSimLiveEquivalence(t *testing.T) {
 // returns the simulator's decision sequence.
 func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) []live.Event {
 	simCfg := cfg.Sim
-	rec := &decisionRecorder{}
+	var decisions []live.Event
+	rec := record(&decisions)
 	simCfg.ExtraObserver = rec
 	var simTrace, liveTrace bytes.Buffer
 	if traced {
-		simCfg.ExtraObserver = both{rec, trace.NewWriter(&simTrace)}
+		w := trace.NewWriter(&simTrace)
+		simCfg.ExtraObserver = protocol.Recorder(func(e live.Event) { rec(e); w(e) })
 		cfg.Sim.ExtraObserver = trace.NewWriter(&liveTrace)
 	}
 	s, err := sim.New(simCfg)
@@ -185,16 +136,16 @@ func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) []live.
 
 	liveDecisions := h.Driver.Decisions()
 	t.Logf("sim: %d decisions, %d served, %d timed out, max queue %d, store layers %+v",
-		len(rec.events), simRes.TotalServed, simRes.TimedOutRequests, simRes.MaxQueueLen, simRes.StoreLayers)
-	if len(rec.events) == 0 {
+		len(decisions), simRes.TotalServed, simRes.TimedOutRequests, simRes.MaxQueueLen, simRes.StoreLayers)
+	if len(decisions) == 0 {
 		t.Fatal("simulation made no placement decisions; the workload is too small to pin anything")
 	}
-	if len(liveDecisions) != len(rec.events) {
-		t.Fatalf("decision count: live %d, sim %d", len(liveDecisions), len(rec.events))
+	if len(liveDecisions) != len(decisions) {
+		t.Fatalf("decision count: live %d, sim %d", len(liveDecisions), len(decisions))
 	}
-	for i := range rec.events {
-		if liveDecisions[i] != rec.events[i] {
-			t.Fatalf("decision %d diverges:\n  live: %+v\n  sim:  %+v", i, liveDecisions[i], rec.events[i])
+	for i := range decisions {
+		if liveDecisions[i] != decisions[i] {
+			t.Fatalf("decision %d diverges:\n  live: %+v\n  sim:  %+v", i, liveDecisions[i], decisions[i])
 		}
 	}
 
@@ -269,5 +220,5 @@ func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) []live.
 	if liveRes.FailedRequests != 0 || liveRes.Failures != 0 {
 		t.Errorf("healthy fleet reported %d failed requests, %d crashes", liveRes.FailedRequests, liveRes.Failures)
 	}
-	return rec.events
+	return decisions
 }

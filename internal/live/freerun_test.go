@@ -120,7 +120,7 @@ func TestChaosKillRestartInvariants(t *testing.T) {
 	// restart it 2s later.
 	out := runFree(t, h, "crash:3@2s+2s", 3*time.Second)
 	if got := len(out.Applied); got != 2 {
-		t.Fatalf("chaos applied %d actions %v, want kill+restart", got, out.Applied)
+		t.Fatalf("chaos applied %d events %v, want kill+restart", got, out.Applied)
 	}
 	// The victim came back as a fresh incarnation and is serving again.
 	if h.Fleet.Killed(victim) {
@@ -144,7 +144,7 @@ func TestChaosPartitionHeals(t *testing.T) {
 	h := startFree(t, 4*time.Second)
 	out := runFree(t, h, "link:0-2@1s+1500ms", 2*time.Second)
 	if got := len(out.Applied); got != 2 {
-		t.Fatalf("chaos applied %d actions %v, want cut+heal", got, out.Applied)
+		t.Fatalf("chaos applied %d events %v, want cut+heal", got, out.Applied)
 	}
 	for i := range h.URLs {
 		if h.Fleet.Killed(topology.NodeID(i)) {

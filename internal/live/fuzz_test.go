@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"radar/internal/protocol"
 	"radar/internal/store"
 )
 
@@ -25,11 +24,13 @@ func FuzzLiveRPC(f *testing.F) {
 	f.Add(Encode(&CompleteMsg{Object: 6, Gateway: 2, Now: 5}))
 	f.Add(Encode(&MarkMsg{Host: 3, Down: true}))
 	f.Add(Encode(&PeersMsg{Peer: 2, URL: "poison://partition"}))
-	f.Add(Encode(&PlaceReply{Summary: protocol.PlacementSummary{Replicated: 1}, Events: []Event{
+	f.Add(Encode(&PlaceReply{Events: []Event{
 		{At: 1, Kind: EventMigrate, Object: 2, From: 0, To: 1, Move: "geo"},
 		{At: 2, Kind: EventRefuse, Object: 3, From: 1, To: 2, Method: "MIGRATE"},
 		{At: 3, Kind: EventCopy, Object: 4, From: 2, To: 0},
 		{At: 3, Kind: EventReplicate, Object: 4, From: 2, To: 0, Move: "load"},
+		{At: 4, Kind: EventDefer, Object: 5, From: 0, To: 2, Method: "REPAIR"},
+		{At: 5, Kind: EventDrop, Object: 6, From: 1},
 	}}))
 	f.Add(Encode(&StatsReply{TotalServed: 10, CreateExecutions: 2, CreatePeakConcurrency: 1}))
 	f.Add(Encode(&StatsReply{TotalServed: 10, StoreLayers: []store.LayerStats{
@@ -45,7 +46,7 @@ func FuzzLiveRPC(f *testing.F) {
 			&CreateObjMsg{}, &CreateObjReply{}, &NotifyMsg{}, &DropMsg{},
 			&DropReply{}, &LoadReply{}, &ReplicasReply{}, &TickMsg{},
 			&PlaceReply{}, &MeasureReply{}, &CompleteMsg{}, &CensusReply{},
-			&MarkMsg{}, &PeersMsg{}, &Event{}, &StatsReply{},
+			&MarkMsg{}, &PeersMsg{}, &StatsReply{},
 		}
 		for _, msg := range msgs {
 			err := Decode(data, msg)

@@ -162,17 +162,14 @@ func TestPlaceReplyCarriesItsCopies(t *testing.T) {
 	})
 
 	rep := postPlace(t, urls[0], 30*time.Second)
-	if rep.Summary.Repaired != 3 {
-		t.Fatalf("node 0 repaired %d objects, want its 3: %+v", rep.Summary.Repaired, rep)
-	}
 	if len(rep.Events) != 6 {
-		t.Fatalf("node 0's pass reported %d events, want 3 copy+replicate pairs: %+v", len(rep.Events), rep.Events)
+		t.Fatalf("node 0's pass reported %d events, want 3 copy+repair pairs: %+v", len(rep.Events), rep.Events)
 	}
 	for i := 0; i < len(rep.Events); i += 2 {
 		cp, dec := rep.Events[i], rep.Events[i+1]
 		want := live.Event{At: int64(30 * time.Second), Kind: live.EventCopy, Object: dec.Object, From: 0, To: 1}
-		if cp != want || dec.Kind != live.EventReplicate || dec.At != want.At {
-			t.Fatalf("events %d,%d = %+v, %+v; want a copy 0->1 immediately before its replicate", i, i+1, cp, dec)
+		if cp != want || dec.Kind != live.EventReplicate || dec.Move != "repair" || dec.At != want.At {
+			t.Fatalf("events %d,%d = %+v, %+v; want a copy 0->1 immediately before its repair", i, i+1, cp, dec)
 		}
 	}
 	if lost.Load() != 1 {

@@ -182,7 +182,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		CopyObject:    nd.copyObject,
 		CanReplicate:  consistency.Gate(simCfg.Universe, simCfg.Consistency, simCfg.Seed),
 		SendCreateObj: nd.sendCreateObj,
-		Observer:      (*nodeObserver)(nd),
+		Observer:      protocol.Recorder(nd.event),
 	})
 	if err != nil {
 		return nil, err
@@ -400,7 +400,9 @@ func (nd *Node) nextMsgID() uint64 {
 }
 
 // event adds to the event list of the /ctl/place pass that caused it; a
-// self-scheduled pass has no reader and keeps no list. Callers hold mu.
+// self-scheduled pass has no reader and keeps no list. It records the
+// host's decisions (the host makes them only inside a placement pass,
+// which holds mu) and the copies sendCreateObj sees. Callers hold mu.
 func (nd *Node) event(e Event) {
 	if nd.pass != nil {
 		*nd.pass = append(*nd.pass, e)
@@ -506,32 +508,6 @@ func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, 
 		nd.event(Event{At: int64(now), Kind: EventCopy, Object: msg.Object, From: msg.From, To: msg.To})
 	}
 	return protocol.CreateAccepted, msgID, now
-}
-
-// nodeObserver adds the placement decisions to the running pass's event
-// list; the driver replays the list into its metrics and network
-// accounting. The host fires observer callbacks only inside a placement
-// pass, which holds mu.
-type nodeObserver Node
-
-func (o *nodeObserver) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	(*Node)(o).event(Event{At: int64(now), Kind: EventMigrate, Object: int64(id), From: int(from), To: int(to), Move: kind.String()})
-}
-
-func (o *nodeObserver) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	(*Node)(o).event(Event{At: int64(now), Kind: EventReplicate, Object: int64(id), From: int(from), To: int(to), Move: kind.String()})
-}
-
-func (o *nodeObserver) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
-	(*Node)(o).event(Event{At: int64(now), Kind: EventDrop, Object: int64(id), From: int(host)})
-}
-
-func (o *nodeObserver) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	(*Node)(o).event(Event{At: int64(now), Kind: EventRefuse, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
-}
-
-func (o *nodeObserver) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	(*Node)(o).event(Event{At: int64(now), Kind: EventDefer, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
 }
 
 // localRedirector adapts the co-located redirector to RedirectorControl
@@ -682,7 +658,7 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("live: createobj addressed to node %d, this is node %d of %d", msg.To, nd.id, nd.n), http.StatusBadRequest)
 		return
 	}
-	method, _ := ParseMethod(msg.Method) // validated by Decode
+	method, _ := protocol.ParseMethod(msg.Method) // validated by Decode
 	reply, ok := nd.creates.do(msg.MsgID, func() ([]byte, bool) {
 		if !nd.lockMu() {
 			return nil, false
@@ -955,7 +931,7 @@ func (nd *Node) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var rep PlaceReply
 	nd.lock()
 	nd.pass = &rep.Events
-	rep.Summary = nd.machine.Host.DecidePlacement(time.Duration(msg.Now))
+	nd.machine.Host.DecidePlacement(time.Duration(msg.Now))
 	nd.pass = nil
 	nd.mu.Unlock()
 	writeJSON(w, rep)

@@ -138,34 +138,6 @@ func Encode(msg any) []byte {
 	return data
 }
 
-// ParseMethod maps a wire method name back to the protocol method.
-func ParseMethod(s string) (protocol.Method, error) {
-	switch s {
-	case protocol.Migrate.String():
-		return protocol.Migrate, nil
-	case protocol.Replicate.String():
-		return protocol.Replicate, nil
-	case protocol.Repair.String():
-		return protocol.Repair, nil
-	default:
-		return 0, &WireError{Field: "method", Reason: fmt.Sprintf("unknown method %q", s)}
-	}
-}
-
-// ParseMoveKind maps a report move name back to the protocol move kind.
-func ParseMoveKind(s string) (protocol.MoveKind, error) {
-	switch s {
-	case protocol.GeoMove.String():
-		return protocol.GeoMove, nil
-	case protocol.LoadMove.String():
-		return protocol.LoadMove, nil
-	case protocol.RepairMove.String():
-		return protocol.RepairMove, nil
-	default:
-		return 0, &WireError{Field: "move", Reason: fmt.Sprintf("unknown move kind %q", s)}
-	}
-}
-
 // checkNode validates a node ID field (non-negative; the upper bound is
 // the receiver's fleet size, checked at dispatch, not here — the wire
 // format does not know the topology).
@@ -210,8 +182,8 @@ func (m *CreateObjMsg) Validate() error {
 	if err := checkNode("to", m.To); err != nil {
 		return err
 	}
-	if _, err := ParseMethod(m.Method); err != nil {
-		return err
+	if _, err := protocol.ParseMethod(m.Method); err != nil {
+		return &WireError{Field: "method", Reason: err.Error()}
 	}
 	if m.Object < 0 {
 		return &WireError{Field: "object", Reason: fmt.Sprintf("negative object id %d", m.Object)}
@@ -355,20 +327,19 @@ type TickMsg struct {
 // Validate implements validator.
 func (m *TickMsg) Validate() error { return checkTime("now", m.Now) }
 
-// PlaceReply reports one placement pass: the run summary and every event
-// the pass caused, in causal order and stamped with the pass's now —
-// placement decisions, refusals, deferrals, and each object copy ahead of
-// the decision whose handshake made it.
+// PlaceReply reports one placement pass: every event the pass caused, in
+// causal order — placement decisions, refusals, deferrals, and each object
+// copy ahead of the decision whose handshake made it. The list is all a
+// pass reports.
 type PlaceReply struct {
-	Summary protocol.PlacementSummary `json:"summary"`
-	Events  []Event                   `json:"events,omitempty"`
+	Events []Event `json:"events,omitempty"`
 }
 
 // Validate implements validator.
 func (m *PlaceReply) Validate() error {
-	for i := range m.Events {
-		if err := m.Events[i].Validate(); err != nil {
-			return err
+	for _, e := range m.Events {
+		if err := e.Validate(); err != nil {
+			return &WireError{Field: "events", Reason: err.Error()}
 		}
 	}
 	return nil
@@ -468,56 +439,19 @@ func (m *PeersMsg) Validate() error {
 	return nil
 }
 
-// Event kinds appearing in a placement pass's event list.
+// Event is an entry of a placement pass's event list: the protocol's one
+// record of a decision, in its wire form.
+type Event = protocol.Event
+
+// Event kinds, the protocol's.
 const (
-	EventMigrate   = "migrate"
-	EventReplicate = "replicate"
-	EventDrop      = "drop"
-	EventRefuse    = "refuse"
-	EventDefer     = "defer"
-	// EventCopy records an accepted CreateObj that materialized a new
-	// replica: the object's bytes traveled From -> To. The placing node
-	// records it when the verdict comes back; the driver charges it to its
-	// network accounting as protocol overhead, mirroring the simulator's
-	// Env.CopyObject.
-	EventCopy = "copy"
+	EventMigrate   = protocol.EventMigrate
+	EventReplicate = protocol.EventReplicate
+	EventDrop      = protocol.EventDrop
+	EventRefuse    = protocol.EventRefuse
+	EventDefer     = protocol.EventDefer
+	EventCopy      = protocol.EventCopy
 )
-
-// Event is one entry of a placement pass's event list, mirroring
-// protocol.Observer callbacks (plus EventCopy) with virtual timestamps, so
-// the driver can replay the simulator's metrics accounting and the
-// equivalence test can compare decision sequences byte for byte.
-type Event struct {
-	At     int64  `json:"at"`
-	Kind   string `json:"kind"`
-	Object int64  `json:"object"`
-	From   int    `json:"from"`
-	To     int    `json:"to,omitempty"`
-	// Move is the MoveKind report name (geo/load/repair) on
-	// migrate/replicate events.
-	Move string `json:"move,omitempty"`
-	// Method is the CreateObj method name on refuse/defer events.
-	Method string `json:"method,omitempty"`
-}
-
-// Validate implements validator.
-func (e *Event) Validate() error {
-	switch e.Kind {
-	case EventMigrate, EventReplicate, EventDrop, EventRefuse, EventDefer, EventCopy:
-	default:
-		return &WireError{Field: "kind", Reason: fmt.Sprintf("unknown event kind %q", e.Kind)}
-	}
-	if err := checkTime("at", e.At); err != nil {
-		return err
-	}
-	if e.Object < 0 {
-		return &WireError{Field: "object", Reason: fmt.Sprintf("negative object id %d", e.Object)}
-	}
-	if err := checkNode("from", e.From); err != nil {
-		return err
-	}
-	return checkNode("to", e.To)
-}
 
 // StatsReply is a node's activity snapshot (GET /ctl/stats): the host's
 // protocol counters, the server's volume counters, and the CreateObj

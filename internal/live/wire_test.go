@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"radar/internal/protocol"
 	"radar/internal/store"
@@ -58,45 +60,58 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeEventValidation: a place reply whose events a driver cannot
+// replay is rejected on the events field — an unknown kind, and an unknown
+// move or method on the kinds that carry one, which the replay would
+// otherwise skip, losing the decision from the accounting.
 func TestDecodeEventValidation(t *testing.T) {
-	ev := Event{At: 10, Kind: EventReplicate, Object: 3, From: 1, To: 2, Move: "repair"}
-	var got Event
-	if err := Decode(Encode(&ev), &got); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got != ev {
-		t.Fatalf("round trip: got %+v, want %+v", got, ev)
-	}
-	bad := Event{At: 10, Kind: "teleport"}
-	var dst Event
-	err := Decode(Encode(&bad), &dst)
-	var we *WireError
-	if !errors.As(err, &we) || we.Field != "kind" {
-		t.Fatalf("unknown kind: err = %v, want WireError on field kind", err)
-	}
-}
-
-func TestParseMethodRoundTrip(t *testing.T) {
-	for _, m := range []protocol.Method{protocol.Migrate, protocol.Replicate, protocol.Repair} {
-		got, err := ParseMethod(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMethod(%q) = %v, %v", m.String(), got, err)
+	for _, body := range []string{
+		`{"events":[{"at":10,"kind":"teleport"}]}`,
+		`{"events":[{"at":10,"kind":"migrate","object":3,"from":1,"to":2,"move":"sideways"}]}`,
+		`{"events":[{"at":10,"kind":"replicate","object":3,"from":1,"to":2}]}`,
+		`{"events":[{"at":10,"kind":"refuse","object":3,"from":1,"to":2,"method":"TELEPORT"}]}`,
+		`{"events":[{"at":10,"kind":"defer","object":3,"from":1,"to":2}]}`,
+		`{"events":[{"at":-1,"kind":"drop","object":3,"from":1}]}`,
+	} {
+		var rep PlaceReply
+		var we *WireError
+		if err := Decode([]byte(body), &rep); !errors.As(err, &we) || we.Field != "events" {
+			t.Errorf("Decode(%s) = %v, want a WireError on field events", body, err)
 		}
 	}
-	if _, err := ParseMethod("EXFILTRATE"); err == nil {
-		t.Fatal("ParseMethod accepted unknown name")
-	}
 }
 
-func TestParseMoveKindRoundTrip(t *testing.T) {
+// TestEventWireRoundTrip: a decision recorded on a node, sent in a place
+// reply and replayed on the driver is recorded again as the same value,
+// for every kind, move kind and method; a copy has no callback.
+func TestEventWireRoundTrip(t *testing.T) {
+	var sent []Event
+	rec := protocol.Recorder(func(e Event) { sent = append(sent, e) })
+	at := 90 * time.Second
 	for _, k := range []protocol.MoveKind{protocol.GeoMove, protocol.LoadMove, protocol.RepairMove} {
-		got, err := ParseMoveKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseMoveKind(%q) = %v, %v", k.String(), got, err)
+		rec.OnMigrate(at, 3, 1, 2, k)
+		rec.OnReplicate(at, 4, 2, 0, k)
+	}
+	for _, m := range []protocol.Method{protocol.Migrate, protocol.Replicate, protocol.Repair} {
+		rec.OnRefuse(at, 5, 0, 1, m)
+		rec.OnDefer(at, 6, 1, 0, m)
+	}
+	rec.OnDrop(at, 7, 2)
+	copied := Event{At: int64(at), Kind: EventCopy, Object: 8, From: 0, To: 2}
+
+	var rep PlaceReply
+	if err := Decode(Encode(&PlaceReply{Events: append(slices.Clone(sent), copied)}), &rep); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []Event
+	again := protocol.Recorder(func(e Event) { replayed = append(replayed, e) })
+	for _, e := range rep.Events {
+		if e.Replay(again) != (e != copied) {
+			t.Errorf("Replay(%+v) reported the wrong callback presence", e)
 		}
 	}
-	if _, err := ParseMoveKind("sideways"); err == nil {
-		t.Fatal("ParseMoveKind accepted unknown name")
+	if !slices.Equal(replayed, sent) {
+		t.Fatalf("replayed %+v, recorded %+v", replayed, sent)
 	}
 }
 

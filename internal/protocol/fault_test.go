@@ -16,29 +16,26 @@ func TestRepairRestoresReplicaFloor(t *testing.T) {
 	c := newCluster(t, topology.Line(6), params)
 	c.red.SetReplicaFloor(params.ReplicaFloor)
 	c.seed(obj, 0)
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Repaired != 2 {
-		t.Fatalf("Repaired = %d, want 2 (floor 3, one replica)", sum.Repaired)
+	pass := c.decide(0, 100*time.Second)
+	if pass.RepairReplications != 2 {
+		t.Fatalf("RepairReplications = %d, want 2 (floor 3, one replica)", pass.RepairReplications)
 	}
 	if got := c.red.ReplicaCount(obj); got != 3 {
 		t.Fatalf("replica count = %d, want floor 3", got)
 	}
-	if got := c.hosts[0].Stats.RepairReplications; got != 2 {
-		t.Errorf("RepairReplications = %d, want 2", got)
-	}
 	// Repairs are reported as RepairMove replications, distinct from the
 	// paper's geo/load moves, and never double-counted as placement moves.
 	repairs := 0
-	for _, m := range c.rec.replicates {
-		if m.kind == RepairMove {
+	for _, m := range c.recorded(EventReplicate) {
+		if m.Move == "repair" {
 			repairs++
 		}
 	}
 	if repairs != 2 {
 		t.Errorf("observer saw %d RepairMove replications, want 2", repairs)
 	}
-	if sum.Replicated != 0 {
-		t.Errorf("Replicated = %d, want 0 (repairs are not geo replications)", sum.Replicated)
+	if pass.GeoReplications != 0 {
+		t.Errorf("GeoReplications = %d, want 0 (repairs are not geo replications)", pass.GeoReplications)
 	}
 	c.checkSubsetInvariant(t)
 }
@@ -52,9 +49,8 @@ func TestRepairSkipsUnregisteredObjects(t *testing.T) {
 	// of it — the state of a crashed host before re-registration. Repair
 	// must not resurrect it from here.
 	c.hosts[0].SeedObject(obj)
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Repaired != 0 {
-		t.Fatalf("Repaired = %d, want 0 for an unregistered object", sum.Repaired)
+	if pass := c.decide(0, 100*time.Second); pass.RepairReplications != 0 {
+		t.Fatalf("RepairReplications = %d, want 0 for an unregistered object", pass.RepairReplications)
 	}
 }
 
@@ -69,9 +65,8 @@ func TestRepairStopsOnRefusal(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		c.loads[i].total = params.LowWatermark + 1
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Repaired != 0 {
-		t.Fatalf("Repaired = %d, want 0 (all targets loaded)", sum.Repaired)
+	if pass := c.decide(0, 100*time.Second); pass.RepairReplications != 0 {
+		t.Fatalf("RepairReplications = %d, want 0 (all targets loaded)", pass.RepairReplications)
 	}
 	if got := c.red.ReplicaCount(obj); got != 1 {
 		t.Fatalf("replica count = %d, want 1", got)
@@ -85,9 +80,8 @@ func TestReplicaFloorBlocksDrops(t *testing.T) {
 	c.seed(obj, 2)
 	// Cold object with two replicas: without a floor this drops (see
 	// TestColdObjectDropsWhenSafe); floor 2 refuses the drop.
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Dropped != 0 {
-		t.Fatalf("Dropped = %d, want 0 under floor 2", sum.Dropped)
+	if pass := c.decide(0, 100*time.Second); pass.Drops != 0 {
+		t.Fatalf("Drops = %d, want 0 under floor 2", pass.Drops)
 	}
 	if got := c.red.ReplicaCount(obj); got != 2 {
 		t.Fatalf("replica count = %d, want 2", got)
@@ -137,14 +131,12 @@ func TestOnRecoverGrantsMeasurementGrace(t *testing.T) {
 	// on pre-crash silence.
 	h.OnCrash()
 	h.OnRecover(90 * time.Second)
-	sum := h.DecidePlacement(100 * time.Second)
-	if sum.Dropped != 0 {
-		t.Fatalf("Dropped = %d, want 0 right after recovery (measurement grace)", sum.Dropped)
+	if pass := c.decide(0, 100*time.Second); pass.Drops != 0 {
+		t.Fatalf("Drops = %d, want 0 right after recovery (measurement grace)", pass.Drops)
 	}
 	// A full observation window later, the still-cold replica drops.
-	sum = h.DecidePlacement(200 * time.Second)
-	if sum.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1 one full window after recovery", sum.Dropped)
+	if pass := c.decide(0, 200*time.Second); pass.Drops != 1 {
+		t.Fatalf("Drops = %d, want 1 one full window after recovery", pass.Drops)
 	}
 	c.checkSubsetInvariant(t)
 }

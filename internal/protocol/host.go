@@ -355,27 +355,6 @@ func (h *Host) OnRecover(now time.Duration) {
 	h.objs.each(func(st *ObjectState) { st.AcquiredAt = now })
 }
 
-// PlacementSummary reports what one DecidePlacement run did.
-type PlacementSummary struct {
-	Dropped     int
-	Migrated    int
-	Replicated  int
-	AffReduced  int
-	OffloadRan  bool
-	OffloadSent int
-	// Repaired counts replica-floor repair replications made this run.
-	Repaired int
-	// Deferred is the number of placement moves still deferred to the next
-	// placement interval when this run ended (lost handshakes awaiting
-	// same-token retry).
-	Deferred int
-}
-
-// moved reports whether any object was dropped, migrated or replicated.
-func (s PlacementSummary) moved() bool {
-	return s.Dropped > 0 || s.Migrated > 0 || s.Replicated > 0 || s.AffReduced > 0
-}
-
 // DecidePlacement runs the replica placement algorithm of Fig. 3 at
 // virtual time now: update the offloading mode against the watermarks,
 // then for every hosted object decide among dropping an affinity unit
@@ -383,16 +362,16 @@ func (s PlacementSummary) moved() bool {
 // than MIGR_RATIO of preference paths), or geo-replicating (unit access
 // count above m and a candidate above REPL_RATIO); finally, if the host is
 // offloading and the geo pass moved nothing, run the offloading protocol.
-// Access counts are reset at the end of the run.
-func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
-	var sum PlacementSummary
+// Access counts are reset at the end of the run. The decisions reach the
+// Observer; HostStats counts them.
+func (h *Host) DecidePlacement(now time.Duration) {
 	h.settle()
 	clear(h.board) // load reports are exchanged anew every pass
 	prev := h.lastPlacement
 	period := (now - prev).Seconds()
 	h.lastPlacement = now
 	if period <= 0 {
-		return sum
+		return
 	}
 
 	load := h.est.LoadForOffload(h.loads.Load())
@@ -403,12 +382,12 @@ func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 		h.offloading = false
 	}
 
-	if len(h.deferred) > 0 {
-		h.retryDeferred(now, &sum)
-	}
+	// moved reports whether a deferred or a Fig. 3 move went through or an
+	// affinity unit went: the offload gate. Floor repairs do not count.
+	moved := len(h.deferred) > 0 && h.retryDeferred(now)
 
 	if h.params.ReplicaFloor > 1 {
-		sum.Repaired = h.repairReplicas(now)
+		h.repairReplicas(now)
 	}
 
 	hasDeferred := len(h.deferred) > 0
@@ -430,23 +409,17 @@ func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 		ua := st.unitAccess(period)
 		dropped, migrated := false, false
 		if ua < h.params.DeletionThreshold {
-			switch h.reduceAffinity(now, id, st) {
-			case affDropped:
-				dropped = true
-				sum.Dropped++
-			case affDecremented:
-				sum.AffReduced++
-			case affUnchanged:
-				// Sole replica of a cold object: the redirector refused
-				// the drop; the object stays put.
-			}
+			// affUnchanged: sole replica of a cold object; the redirector
+			// refused the drop, and the object stays put.
+			res := h.reduceAffinity(now, id, st)
+			dropped = res == affDropped
+			moved = moved || res != affUnchanged
 		} else if h.tryGeo(now, id, st, Migrate, h.params.MigrRatio) {
-			migrated = true
-			sum.Migrated++
+			migrated, moved = true, true
 		}
 		if !dropped && !migrated && ua > h.params.ReplicationThreshold &&
 			h.tryGeo(now, id, st, Replicate, h.params.ReplRatio) {
-			sum.Replicated++
+			moved = true
 		}
 	}
 
@@ -457,15 +430,12 @@ func (h *Host) DecidePlacement(now time.Duration) PlacementSummary {
 	// forever while idle far-away hosts are never considered, because geo
 	// moves can only target nodes on preference paths.
 	if h.offloading &&
-		(!sum.moved() || h.est.LoadForOffload(h.loads.Load()) > h.params.HighWatermark) {
-		sum.OffloadRan = true
-		sum.OffloadSent = h.offload(now, period)
+		(!moved || h.est.LoadForOffload(h.loads.Load()) > h.params.HighWatermark) {
+		h.offload(now, period)
 		h.Stats.OffloadRuns++
 	}
 
 	h.objs.each((*ObjectState).reset)
-	sum.Deferred = len(h.deferred)
-	return sum
 }
 
 // createObj performs the CreateObj handshake with peer: inline and
@@ -587,8 +557,9 @@ func (h *Host) findDeferred(id object.ID) (int, bool) {
 // exactly once. Accepted moves perform their source-side effects now (they
 // could not safely run at loss time — the caller did not know whether the
 // replica existed); refusals abandon the deferral; a re-lost exchange is
-// deferred again.
-func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
+// deferred again. It reports whether any deferred move went through.
+func (h *Host) retryDeferred(now time.Duration) bool {
+	completed := false
 	// Filtered in place: an entry stays only if it is appended to kept.
 	kept := h.deferred[:0]
 	for _, d := range h.deferred {
@@ -604,11 +575,7 @@ func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
 		switch status, tok := h.perform(now, d, st, peer); status {
 		case CreateAccepted:
 			h.Stats.DeferredCompleted++
-			if d.method == Migrate {
-				sum.Migrated++
-			} else {
-				sum.Replicated++
-			}
+			completed = true
 		case CreateLost:
 			d.token = tok
 			kept = append(kept, d)
@@ -616,14 +583,14 @@ func (h *Host) retryDeferred(now time.Duration, sum *PlacementSummary) {
 		}
 	}
 	h.deferred = kept
+	return completed
 }
 
 // repairReplicas restores hosted objects whose recorded replica count fell
 // below Params.ReplicaFloor (failures thinned the set) by replicating them
 // to targets elected from the hosts not yet holding them. It runs before the Fig. 3 pass
-// so availability repair is not starved by geo decisions. Returns the
-// number of repair replications made.
-func (h *Host) repairReplicas(now time.Duration) int {
+// so availability repair is not starved by geo decisions.
+func (h *Host) repairReplicas(now time.Duration) {
 	// With the availability objective armed, repair travels as the Repair
 	// method so the target applies the availability-relaxed accept
 	// watermark; at w = 0 it is plain Replicate, byte-for-byte.
@@ -631,7 +598,6 @@ func (h *Host) repairReplicas(now time.Duration) int {
 	if h.params.AvailabilityWeight > 0 {
 		method = Repair
 	}
-	repaired := 0
 	for _, id := range h.objs.ids { // repair only adds replicas elsewhere
 		red := h.env.RedirectorFor(id)
 		count := red.ReplicaCount(id)
@@ -658,11 +624,9 @@ func (h *Host) repairReplicas(now time.Duration) int {
 				// pass; reconciliation heals any replica it did create.
 				break
 			}
-			repaired++
 			count = red.ReplicaCount(id)
 		}
 	}
-	return repaired
 }
 
 // candidatesByDistanceDesc returns the object's candidate nodes ordered by
@@ -831,22 +795,21 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 // load move never undoes a previous geo-replication), updating this
 // host's lower-bound and the recipient's upper-bound load estimates after
 // every move. The walk stops when either estimate crosses the low
-// watermark, a request is refused, or objects run out. It returns the
-// number of objects moved.
-func (h *Host) offload(now time.Duration, period float64) int {
+// watermark, a request is refused, or objects run out.
+func (h *Host) offload(now time.Duration, period float64) {
 	rid, report, ok := h.electHost(now, -1, 0)
 	if !ok {
-		return 0
+		return
 	}
 	// The recipient is judged against its own watermark, as its CreateObj
 	// will judge it: a strong host keeps absorbing past this host's lw.
 	recipientLoad, recipientLow := report.AcceptLoad, report.Low
 	if h.params.NeighborOnly && h.env.Routes.Distance(h.ID, rid) != 1 {
-		return 0 // the related-work baseline cannot shed to distant hosts
+		return // the related-work baseline cannot shed to distant hosts
 	}
 	peer := h.env.Peer(rid)
 	if peer == nil {
-		return 0
+		return
 	}
 	moved := 0
 
@@ -915,5 +878,4 @@ func (h *Host) offload(now time.Duration, period float64) int {
 		}
 		moved++
 	}
-	return moved
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,40 +25,6 @@ type copyRec struct {
 	id       object.ID
 }
 
-type moveRec struct {
-	id       object.ID
-	from, to topology.NodeID
-	kind     MoveKind
-	method   Method
-}
-
-// recorder implements Observer.
-type recorder struct {
-	migrates, replicates []moveRec
-	drops                []moveRec
-	refusals, deferrals  []moveRec
-}
-
-func (r *recorder) OnMigrate(_ time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
-	r.migrates = append(r.migrates, moveRec{id: id, from: from, to: to, kind: kind})
-}
-
-func (r *recorder) OnReplicate(_ time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
-	r.replicates = append(r.replicates, moveRec{id: id, from: from, to: to, kind: kind})
-}
-
-func (r *recorder) OnDrop(_ time.Duration, id object.ID, host topology.NodeID) {
-	r.drops = append(r.drops, moveRec{id: id, from: host})
-}
-
-func (r *recorder) OnRefuse(_ time.Duration, id object.ID, from, to topology.NodeID, m Method) {
-	r.refusals = append(r.refusals, moveRec{id: id, from: from, to: to, method: m})
-}
-
-func (r *recorder) OnDefer(_ time.Duration, id object.ID, from, to topology.NodeID, m Method) {
-	r.deferrals = append(r.deferrals, moveRec{id: id, from: from, to: to, method: m})
-}
-
 // cluster is an in-memory wiring of hosts + one redirector for unit tests.
 type cluster struct {
 	topo   *topology.Topology
@@ -66,7 +33,8 @@ type cluster struct {
 	hosts  []*Host
 	loads  []*fakeLoads
 	copies []copyRec
-	rec    *recorder
+	// events are the decisions the hosts recorded, in order.
+	events []Event
 }
 
 func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
@@ -76,7 +44,7 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{topo: topo, routes: routes, red: red, rec: &recorder{}}
+	c := &cluster{topo: topo, routes: routes, red: red}
 	n := topo.NumNodes()
 	c.hosts = make([]*Host, n)
 	c.loads = make([]*fakeLoads, n)
@@ -92,7 +60,7 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 			CopyObject: func(_ time.Duration, from, to topology.NodeID, id object.ID) {
 				c.copies = append(c.copies, copyRec{from: from, to: to, id: id})
 			},
-			Observer: c.rec,
+			Observer: Recorder(func(e Event) { c.events = append(c.events, e) }),
 		}
 		h, err := NewHost(topology.NodeID(i), params, env, c.loads[i])
 		if err != nil {
@@ -101,6 +69,40 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 		c.hosts[i] = h
 	}
 	return c
+}
+
+// recorded returns the recorded decisions of one kind, in order.
+func (c *cluster) recorded(kind string) []Event {
+	var out []Event
+	for _, e := range c.events {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// decide runs one placement pass on host n at now and returns what the
+// pass counted: the change of the host's HostStats.
+func (c *cluster) decide(n topology.NodeID, now time.Duration) HostStats {
+	h := c.hosts[n]
+	before := h.Stats
+	h.DecidePlacement(now)
+	d := h.Stats
+	dv, bv := reflect.ValueOf(&d).Elem(), reflect.ValueOf(before)
+	for i := 0; i < dv.NumField(); i++ {
+		dv.Field(i).SetInt(dv.Field(i).Int() - bv.Field(i).Int())
+	}
+	return d
+}
+
+// loadMoves counts the offload protocol's moves.
+func (s HostStats) loadMoves() int64 { return s.LoadMigrations + s.LoadReplications }
+
+// fig3Moves counts the Fig. 3 pass's own moves: geo migrations and
+// replications, drops and affinity decrements.
+func (s HostStats) fig3Moves() int64 {
+	return s.GeoMigrations + s.GeoReplications + s.Drops + s.AffinityDecrs
 }
 
 // seed places an object on a host and registers it at the redirector.
@@ -138,9 +140,9 @@ func TestGeoMigrationToFarthestQualified(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.hosts[0].OnRequest(obj, 0)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Migrated != 1 {
-		t.Fatalf("Migrated = %d, want 1", sum.Migrated)
+	pass := c.decide(0, 100*time.Second)
+	if pass.GeoMigrations != 1 {
+		t.Fatalf("Migrated = %d, want 1", pass.GeoMigrations)
 	}
 	if c.hosts[0].Has(obj) {
 		t.Error("source still holds the object after migration")
@@ -151,8 +153,8 @@ func TestGeoMigrationToFarthestQualified(t *testing.T) {
 	if len(c.copies) != 1 || c.copies[0] != (copyRec{from: 0, to: 5, id: obj}) {
 		t.Errorf("copies = %v, want one 0->5 transfer", c.copies)
 	}
-	if len(c.rec.migrates) != 1 || c.rec.migrates[0].kind != GeoMove {
-		t.Errorf("observer migrates = %v, want one geo move", c.rec.migrates)
+	if m := c.recorded(EventMigrate); len(m) != 1 || m[0].Move != "geo" {
+		t.Errorf("observer migrates = %v, want one geo move", m)
 	}
 	c.checkSubsetInvariant(t)
 }
@@ -167,13 +169,13 @@ func TestNoMigrationBelowRatio(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.hosts[0].OnRequest(obj, 0)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Migrated != 0 {
-		t.Fatalf("Migrated = %d at exactly MIGR_RATIO, want 0", sum.Migrated)
+	pass := c.decide(0, 100*time.Second)
+	if pass.GeoMigrations != 0 {
+		t.Fatalf("Migrated = %d at exactly MIGR_RATIO, want 0", pass.GeoMigrations)
 	}
 	// It should replicate instead: ua = 1 req/s > m and 0.6 > REPL_RATIO.
-	if sum.Replicated != 1 {
-		t.Fatalf("Replicated = %d, want 1", sum.Replicated)
+	if pass.GeoReplications != 1 {
+		t.Fatalf("Replicated = %d, want 1", pass.GeoReplications)
 	}
 	if !c.hosts[0].Has(obj) || !c.hosts[5].Has(obj) {
 		t.Error("replication should leave copies on both source and target")
@@ -193,9 +195,9 @@ func TestGeoReplicationRequiresThreshold(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.hosts[0].OnRequest(obj, 5)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Replicated != 0 || sum.Migrated != 0 || sum.Dropped != 0 {
-		t.Fatalf("summary = %+v, want no action below replication threshold", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.GeoReplications != 0 || pass.GeoMigrations != 0 || pass.Drops != 0 {
+		t.Fatalf("pass counted %+v, want no action below replication threshold", pass)
 	}
 }
 
@@ -205,9 +207,9 @@ func TestColdObjectDropsWhenSafe(t *testing.T) {
 	c.seed(obj, 2) // second replica so the drop is legal
 	c.hosts[0].OnRequest(obj, 0)
 	// 1 request / 100s = 0.01 < u = 0.03.
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", sum.Dropped)
+	pass := c.decide(0, 100*time.Second)
+	if pass.Drops != 1 {
+		t.Fatalf("Dropped = %d, want 1", pass.Drops)
 	}
 	if c.hosts[0].Has(obj) {
 		t.Error("cold replica still present")
@@ -222,9 +224,9 @@ func TestLastReplicaNeverDropped(t *testing.T) {
 	c := newCluster(t, topology.Line(4), DefaultParams())
 	c.seed(obj, 0)
 	// Zero requests: clearly below deletion threshold.
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Dropped != 0 {
-		t.Fatalf("Dropped = %d, want 0 (sole replica)", sum.Dropped)
+	pass := c.decide(0, 100*time.Second)
+	if pass.Drops != 0 {
+		t.Fatalf("Dropped = %d, want 0 (sole replica)", pass.Drops)
 	}
 	if !c.hosts[0].Has(obj) {
 		t.Fatal("sole replica was dropped")
@@ -237,9 +239,9 @@ func TestAffinityDecrementBeforeDrop(t *testing.T) {
 	c.seed(obj, 0)
 	c.hosts[0].objs.get(obj).Aff = 3
 	c.red.NotifyReplicaChange(obj, 0, 3)
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.AffReduced != 1 || sum.Dropped != 0 {
-		t.Fatalf("summary = %+v, want one affinity decrement", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.AffinityDecrs != 1 || pass.Drops != 0 {
+		t.Fatalf("pass counted %+v, want one affinity decrement", pass)
 	}
 	if got := c.hosts[0].Affinity(obj); got != 2 {
 		t.Fatalf("affinity = %d, want 2", got)
@@ -258,16 +260,16 @@ func TestCreateObjRefusesAboveLowWatermark(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.hosts[0].OnRequest(obj, 0)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
+	pass := c.decide(0, 100*time.Second)
 	// Host 5 refuses; the next farthest qualified candidate (4) accepts.
-	if sum.Migrated != 1 {
-		t.Fatalf("Migrated = %d, want 1 via fallback candidate", sum.Migrated)
+	if pass.GeoMigrations != 1 {
+		t.Fatalf("Migrated = %d, want 1 via fallback candidate", pass.GeoMigrations)
 	}
 	if !c.hosts[4].Has(obj) {
 		t.Error("object not on fallback candidate 4")
 	}
-	if len(c.rec.refusals) != 1 || c.rec.refusals[0].to != 5 {
-		t.Errorf("refusals = %v, want one from host 5", c.rec.refusals)
+	if r := c.recorded(EventRefuse); len(r) != 1 || r[0].To != 5 {
+		t.Errorf("refusals = %v, want one from host 5", r)
 	}
 	if c.hosts[5].Stats.RefusalsSent != 1 {
 		t.Errorf("host 5 RefusalsSent = %d, want 1", c.hosts[5].Stats.RefusalsSent)
@@ -357,25 +359,25 @@ func TestOffloadReplicatesHotObjects(t *testing.T) {
 	c := newCluster(t, topology.Line(4), params)
 	// 4 objects, 100 requests each over 100s: ua = 1 > m -> replicate.
 	overloadHostZero(t, c, params, 4, 100, 10)
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan {
-		t.Fatalf("offload did not run: %+v", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 {
+		t.Fatalf("offload did not run: %+v", pass)
 	}
-	if sum.OffloadSent == 0 {
+	if pass.loadMoves() == 0 {
 		t.Fatal("offload moved nothing")
 	}
-	if len(c.rec.replicates) == 0 {
+	if len(c.recorded(EventReplicate)) == 0 {
 		t.Fatal("expected load replications")
 	}
-	for _, m := range c.rec.replicates {
-		if m.kind != LoadMove {
-			t.Errorf("offload produced %v move, want load", m.kind)
+	for _, m := range c.recorded(EventReplicate) {
+		if m.Move != "load" {
+			t.Errorf("offload produced %v move, want load", m.Move)
 		}
 	}
 	// Hot objects must be replicated, never migrated (would undo a prior
 	// geo-replication).
-	if len(c.rec.migrates) != 0 {
-		t.Errorf("offload migrated hot objects: %v", c.rec.migrates)
+	if m := c.recorded(EventMigrate); len(m) != 0 {
+		t.Errorf("offload migrated hot objects: %v", m)
 	}
 	for i := 0; i < 4; i++ {
 		if !c.hosts[0].Has(object.ID(100 + i)) {
@@ -390,11 +392,11 @@ func TestOffloadMigratesWarmObjects(t *testing.T) {
 	c := newCluster(t, topology.Line(4), params)
 	// 16 requests per object over 100s: ua = 0.16 <= m = 0.18 -> migrate.
 	overloadHostZero(t, c, params, 4, 16, 10)
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan || sum.OffloadSent == 0 {
-		t.Fatalf("offload did not move anything: %+v", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 || pass.loadMoves() == 0 {
+		t.Fatalf("offload did not move anything: %+v", pass)
 	}
-	if len(c.rec.migrates) == 0 {
+	if len(c.recorded(EventMigrate)) == 0 {
 		t.Fatal("expected load migrations")
 	}
 	moved := 0
@@ -418,12 +420,12 @@ func TestOffloadStopsAtRecipientWatermark(t *testing.T) {
 	c.loads[1].total = 70
 	c.loads[2].total = params.LowWatermark + 1 // ineligible
 	c.loads[3].total = params.LowWatermark + 1 // ineligible
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan {
-		t.Fatalf("offload did not run: %+v", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 {
+		t.Fatalf("offload did not run: %+v", pass)
 	}
-	if sum.OffloadSent == 0 || sum.OffloadSent > 2 {
-		t.Fatalf("OffloadSent = %d, want 1-2 (recipient estimate caps bulk)", sum.OffloadSent)
+	if pass.loadMoves() == 0 || pass.loadMoves() > 2 {
+		t.Fatalf("OffloadSent = %d, want 1-2 (recipient estimate caps bulk)", pass.loadMoves())
 	}
 }
 
@@ -438,13 +440,13 @@ func TestOffloadJudgesRecipientByItsOwnWatermark(t *testing.T) {
 	c.loads[1].total = 2 * params.LowWatermark
 	c.loads[2].total = params.LowWatermark + 1 // ineligible
 	c.loads[3].total = params.LowWatermark + 1 // ineligible
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan || sum.OffloadSent < 3 {
-		t.Fatalf("offload to the strong host sent %d (%+v), want >= 3", sum.OffloadSent, sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 || pass.loadMoves() < 3 {
+		t.Fatalf("offload to the strong host sent %d (%+v), want >= 3", pass.loadMoves(), pass)
 	}
-	for _, m := range c.rec.replicates {
-		if m.to != 1 {
-			t.Errorf("offload replicated to host %d, want the strong host 1", m.to)
+	for _, m := range c.recorded(EventReplicate) {
+		if m.To != 1 {
+			t.Errorf("offload replicated to host %d, want the strong host 1", m.To)
 		}
 	}
 }
@@ -455,12 +457,12 @@ func TestOffloadBulkRelocation(t *testing.T) {
 	params := DefaultParams()
 	c := newCluster(t, topology.Line(4), params)
 	overloadHostZero(t, c, params, 40, 16, 4.5) // warm objects, light enough for bulk moves
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan {
-		t.Fatalf("offload did not run: %+v", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 {
+		t.Fatalf("offload did not run: %+v", pass)
 	}
-	if sum.OffloadSent < 3 {
-		t.Fatalf("OffloadSent = %d, want >= 3 in one run (en-masse)", sum.OffloadSent)
+	if pass.loadMoves() < 3 {
+		t.Fatalf("OffloadSent = %d, want >= 3 in one run (en-masse)", pass.loadMoves())
 	}
 }
 
@@ -476,11 +478,11 @@ func TestOffloadSkippedWhenGeoPassRelieves(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.hosts[0].OnRequest(obj, 5) // 100% foreign: geo-migrates
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Migrated != 1 {
-		t.Fatalf("Migrated = %d, want 1", sum.Migrated)
+	pass := c.decide(0, 100*time.Second)
+	if pass.GeoMigrations != 1 {
+		t.Fatalf("Migrated = %d, want 1", pass.GeoMigrations)
 	}
-	if sum.OffloadRan {
+	if pass.OffloadRuns != 0 {
 		t.Fatal("offload ran although the geo pass relieved the overload")
 	}
 }
@@ -497,11 +499,11 @@ func TestOffloadRunsWhenGeoPassInsufficient(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.hosts[0].OnRequest(obj, 5)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Migrated != 1 {
-		t.Fatalf("Migrated = %d, want 1", sum.Migrated)
+	pass := c.decide(0, 100*time.Second)
+	if pass.GeoMigrations != 1 {
+		t.Fatalf("Migrated = %d, want 1", pass.GeoMigrations)
 	}
-	if !sum.OffloadRan {
+	if pass.OffloadRuns != 1 {
 		t.Fatal("offload skipped although the host remains far above hw")
 	}
 }
@@ -513,9 +515,9 @@ func TestOffloadNoRecipient(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		c.loads[i].total = params.LowWatermark + 1
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan || sum.OffloadSent != 0 {
-		t.Fatalf("summary = %+v, want offload attempted but nothing sent", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 || pass.loadMoves() != 0 {
+		t.Fatalf("pass counted %+v, want offload attempted but nothing sent", pass)
 	}
 }
 
@@ -548,17 +550,17 @@ func TestCanReplicateGate(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.hosts[0].OnRequest(obj, 5)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Replicated != 0 {
+	pass := c.decide(0, 100*time.Second)
+	if pass.GeoReplications != 0 {
 		t.Fatal("replication happened despite CanReplicate gate")
 	}
 	// Migration is never gated: flip demand so migration triggers.
 	for i := 0; i < 100; i++ {
 		c.hosts[0].OnRequest(obj, 5)
 	}
-	sum = c.hosts[0].DecidePlacement(200 * time.Second)
-	if sum.Migrated != 1 {
-		t.Fatalf("Migrated = %d, want 1 (gate must not block migration)", sum.Migrated)
+	pass = c.decide(0, 200*time.Second)
+	if pass.GeoMigrations != 1 {
+		t.Fatalf("Migrated = %d, want 1 (gate must not block migration)", pass.GeoMigrations)
 	}
 }
 
@@ -568,9 +570,9 @@ func TestSelfGatewayPathHasNoCandidates(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.hosts[0].OnRequest(obj, 0)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Migrated != 0 || sum.Replicated != 0 {
-		t.Fatalf("summary = %+v: purely local demand must not relocate", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.GeoMigrations != 0 || pass.GeoReplications != 0 {
+		t.Fatalf("pass counted %+v: purely local demand must not relocate", pass)
 	}
 }
 
@@ -621,8 +623,8 @@ func TestNewHostValidation(t *testing.T) {
 func TestDecidePlacementZeroPeriod(t *testing.T) {
 	c := newCluster(t, topology.Line(3), DefaultParams())
 	c.seed(obj, 0)
-	sum := c.hosts[0].DecidePlacement(0)
-	if sum.moved() || sum.OffloadRan {
-		t.Fatalf("zero-period placement acted: %+v", sum)
+	pass := c.decide(0, 0)
+	if pass != (HostStats{}) || len(c.events) != 0 {
+		t.Fatalf("zero-period placement acted: %+v, %v", pass, c.events)
 	}
 }

@@ -179,9 +179,8 @@ func TestPassLoadReportCount(t *testing.T) {
 	rc := reportCounter{c: c, down: map[topology.NodeID]bool{1: true}}
 	rc.install(h)
 
-	sum := h.DecidePlacement(100 * time.Second)
-	if sum.Repaired != k {
-		t.Fatalf("Repaired = %d, want %d", sum.Repaired, k)
+	if pass := c.decide(0, 100*time.Second); pass.RepairReplications != k {
+		t.Fatalf("RepairReplications = %d, want %d", pass.RepairReplications, k)
 	}
 	// Peer 2 wins every election (objects carry no load, so accepting does
 	// not raise its estimate) and is asked again after each handshake but
@@ -247,10 +246,10 @@ func BenchmarkRepairPass(b *testing.B) {
 		rc := reportCounter{c: c}
 		rc.install(h)
 		b.StartTimer()
-		sum := h.DecidePlacement(100 * time.Second)
+		h.DecidePlacement(100 * time.Second)
 		b.StopTimer()
-		if sum.Repaired != under {
-			b.Fatalf("Repaired = %d, want %d", sum.Repaired, under)
+		if h.Stats.RepairReplications != under {
+			b.Fatalf("RepairReplications = %d, want %d", h.Stats.RepairReplications, under)
 		}
 		reports += rc.idless + rc.withID
 		b.StartTimer()

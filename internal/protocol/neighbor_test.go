@@ -20,9 +20,8 @@ func TestNeighborOnlyRestrictsGeoTargets(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.hosts[0].OnRequest(obj, 5)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if sum.Migrated != 1 {
-		t.Fatalf("Migrated = %d, want 1", sum.Migrated)
+	if pass := c.decide(0, 100*time.Second); pass.GeoMigrations != 1 {
+		t.Fatalf("GeoMigrations = %d, want 1", pass.GeoMigrations)
 	}
 	if !c.hosts[1].Has(obj) {
 		t.Error("object should have crawled to the direct neighbor")
@@ -88,11 +87,11 @@ func TestNeighborOnlyOffloadRestricted(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		c.loads[i].total = params.LowWatermark + 1
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan {
-		t.Fatalf("offload did not run: %+v", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 {
+		t.Fatalf("offload did not run: %+v", pass)
 	}
-	if sum.OffloadSent != 0 {
-		t.Fatalf("OffloadSent = %d, want 0 (recipient not a neighbor)", sum.OffloadSent)
+	if pass.loadMoves() != 0 {
+		t.Fatalf("offload sent %d, want 0 (recipient not a neighbor)", pass.loadMoves())
 	}
 }

@@ -39,12 +39,12 @@ func TestOffloadOrdersByForeignRatio(t *testing.T) {
 	for i := 0; i < 95; i++ {
 		c.hosts[0].OnRequest(leastForeign, 0)
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan {
-		t.Fatalf("offload did not run: %+v", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 {
+		t.Fatalf("offload did not run: %+v", pass)
 	}
-	if sum.OffloadSent != 1 {
-		t.Fatalf("OffloadSent = %d, want 1 (recipient saturates after one heavy object)", sum.OffloadSent)
+	if pass.loadMoves() != 1 {
+		t.Fatalf("offload sent %d, want 1 (recipient saturates after one heavy object)", pass.loadMoves())
 	}
 	if c.red.ReplicaCount(mostForeign) != 2 {
 		t.Error("most-foreign object did not move")
@@ -62,9 +62,8 @@ func TestOffloadExaminedOnce(t *testing.T) {
 	params := DefaultParams()
 	c := newCluster(t, topology.Line(4), params)
 	overloadHostZero(t, c, params, 3, 100, 2) // hot objects, light loads
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan {
-		t.Fatalf("offload did not run: %+v", sum)
+	if pass := c.decide(0, 100*time.Second); pass.OffloadRuns != 1 {
+		t.Fatalf("offload did not run: %+v", pass)
 	}
 	// Hot objects are replicated during offload: each may gain at most
 	// one new affinity unit at the recipient per run.
@@ -93,12 +92,12 @@ func TestOffloadStopsWhenSourceEstimateRecovers(t *testing.T) {
 			c.hosts[0].OnRequest(id, 0)
 		}
 	}
-	sum := c.hosts[0].DecidePlacement(100 * time.Second)
-	if !sum.OffloadRan {
-		t.Fatalf("offload did not run: %+v", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.OffloadRuns != 1 {
+		t.Fatalf("offload did not run: %+v", pass)
 	}
-	if sum.OffloadSent != 1 {
-		t.Fatalf("OffloadSent = %d, want exactly 1 (source estimate recovered)", sum.OffloadSent)
+	if pass.loadMoves() != 1 {
+		t.Fatalf("offload sent %d, want exactly 1 (source estimate recovered)", pass.loadMoves())
 	}
 }
 
@@ -125,6 +124,34 @@ func TestPolicyAndMethodStrings(t *testing.T) {
 	}
 	if GeoMove.String() != "geo" || LoadMove.String() != "load" {
 		t.Error("move kind names changed")
+	}
+}
+
+func TestParseMethodRoundTrip(t *testing.T) {
+	for _, m := range []Method{Migrate, Replicate, Repair} {
+		got, err := ParseMethod(m.String())
+		if err != nil || got != m {
+			t.Fatalf("ParseMethod(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, name := range []string{"EXFILTRATE", "UNKNOWN", "migrate", ""} {
+		if _, err := ParseMethod(name); err == nil {
+			t.Errorf("ParseMethod(%q) accepted", name)
+		}
+	}
+}
+
+func TestParseMoveKindRoundTrip(t *testing.T) {
+	for _, k := range []MoveKind{GeoMove, LoadMove, RepairMove} {
+		got, err := ParseMoveKind(k.String())
+		if err != nil || got != k {
+			t.Fatalf("ParseMoveKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for _, name := range []string{"sideways", "GEO", ""} {
+		if _, err := ParseMoveKind(name); err == nil {
+			t.Errorf("ParseMoveKind(%q) accepted", name)
+		}
 	}
 }
 

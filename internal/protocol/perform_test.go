@@ -6,32 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"radar/internal/object"
 	"radar/internal/topology"
 )
-
-// callLog records observer calls in order, each with its timestamp.
-type callLog []string
-
-func (l *callLog) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
-	*l = append(*l, fmt.Sprintf("migrate %d %d->%d %v @%v", id, from, to, kind, now))
-}
-
-func (l *callLog) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
-	*l = append(*l, fmt.Sprintf("replicate %d %d->%d %v @%v", id, from, to, kind, now))
-}
-
-func (l *callLog) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
-	*l = append(*l, fmt.Sprintf("drop %d %d @%v", id, host, now))
-}
-
-func (l *callLog) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, m Method) {
-	*l = append(*l, fmt.Sprintf("refuse %d %d->%d %v @%v", id, from, to, m, now))
-}
-
-func (l *callLog) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, m Method) {
-	*l = append(*l, fmt.Sprintf("defer %d %d->%d %v @%v", id, from, to, m, now))
-}
 
 // TestPerformEffects pins what perform commits on the source host for every
 // verdict of every move: the request it sends, the estimator shed, the
@@ -76,8 +52,6 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 	c.red.NotifyReplicaChange(mv.id, h.ID, aff)
 	c.loads[0].total = load
 	c.loads[0].perObj[mv.id] = objLoad
-	var log callLog
-	h.env.Observer = &log
 	var sent CreateObjRequest
 	var sentTok uint64
 	h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, tok uint64, exec func(time.Duration) bool) (CreateObjStatus, uint64, time.Duration) {
@@ -105,10 +79,12 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 		t.Errorf("sent %+v with token %d, want %+v with token %d", sent, sentTok, wantReq, mv.token)
 	}
 	wantAff, wantLower := aff, load
-	var wantLog []string
+	var wantLog []Event
+	decided := Event{Object: int64(mv.id), From: int(h.ID), To: int(mv.to)}
 	switch verdict {
 	case CreateAccepted:
 		done := now + delta
+		decided.At, decided.Move = int64(done), mv.kind.String()
 		switch {
 		case mv.kind == RepairMove:
 			want.RepairReplications++
@@ -126,21 +102,23 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 			wantAff--
 			if wantAff == 0 { // the peer holds the copy now, so the redirector lets this one go
 				want.Drops++
-				wantLog = append(wantLog, fmt.Sprintf("drop %d %d @%v", mv.id, h.ID, done))
+				wantLog = append(wantLog, Event{At: int64(done), Kind: EventDrop, Object: int64(mv.id), From: int(h.ID)})
 			} else {
 				want.AffinityDecrs++
 			}
-			wantLog = append(wantLog, fmt.Sprintf("migrate %d %d->%d %v @%v", mv.id, h.ID, mv.to, mv.kind, done))
+			decided.Kind = EventMigrate
 		} else {
 			wantLower -= ReplicationSourceMaxDecrease(objLoad)
-			wantLog = append(wantLog, fmt.Sprintf("replicate %d %d->%d %v @%v", mv.id, h.ID, mv.to, mv.kind, done))
+			decided.Kind = EventReplicate
 		}
+		wantLog = append(wantLog, decided)
 		if h.est.lastShed != done {
 			t.Errorf("shed at %v, want the completion time %v", h.est.lastShed, done)
 		}
 	case CreateRefused:
 		want.RefusalsGot++
-		wantLog = append(wantLog, fmt.Sprintf("refuse %d %d->%d %v @%v", mv.id, h.ID, mv.to, mv.method, now))
+		decided.At, decided.Kind, decided.Method = int64(now), EventRefuse, mv.method.String()
+		wantLog = append(wantLog, decided)
 	case CreateLost:
 		want.CreateLost++
 		if tok != lostTok {
@@ -159,8 +137,8 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 	if h.Stats != want {
 		t.Errorf("stats %+v, want %+v", h.Stats, want)
 	}
-	if !slices.Equal(log, wantLog) {
-		t.Errorf("observed %q, want %q", []string(log), wantLog)
+	if !slices.Equal(c.events, wantLog) {
+		t.Errorf("observed %+v, want %+v", c.events, wantLog)
 	}
 	c.checkSubsetInvariant(t)
 }
@@ -196,29 +174,32 @@ func TestLostGeoMoveIsDeferredThenCompleted(t *testing.T) {
 	}
 
 	request()
-	sum := h.DecidePlacement(100 * time.Second)
-	if sum.moved() || sum.Deferred != 1 {
-		t.Fatalf("first pass: %+v, want nothing moved and one move deferred", sum)
+	pass := c.decide(0, 100*time.Second)
+	if pass.fig3Moves() != 0 || len(h.deferred) != 1 {
+		t.Fatalf("first pass: %+v, %d deferred; want nothing moved and one move deferred", pass, len(h.deferred))
 	}
-	wantDefer := []moveRec{{id: obj, from: 0, to: 5, method: Migrate}}
-	if !slices.Equal(c.rec.deferrals, wantDefer) || len(c.rec.migrates) != 0 {
-		t.Fatalf("first pass observed deferrals %+v, migrations %+v; want %+v and none", c.rec.deferrals, c.rec.migrates, wantDefer)
+	wantDefer := []Event{{At: int64(100 * time.Second), Kind: EventDefer, Object: int64(obj), From: 0, To: 5, Method: "MIGRATE"}}
+	if !slices.Equal(c.events, wantDefer) {
+		t.Fatalf("first pass observed %+v, want %+v", c.events, wantDefer)
 	}
 	if !h.Has(obj) || !c.hosts[5].Has(obj) {
 		t.Fatal("after the loss the source must still hold its copy, and the peer the one it created")
 	}
 
 	request()
-	sum = h.DecidePlacement(200 * time.Second)
-	if sum.Migrated != 1 || sum.Deferred != 0 {
-		t.Fatalf("second pass: %+v, want the deferred migration completed", sum)
+	pass = c.decide(0, 200*time.Second)
+	if pass.GeoMigrations != 1 || len(h.deferred) != 0 {
+		t.Fatalf("second pass: %+v, %d deferred; want the deferred migration completed", pass, len(h.deferred))
 	}
 	if !slices.Equal(tokens, []uint64{0, lostTok}) {
 		t.Fatalf("handshake tokens %v, want one fresh exchange and one re-issue of token %d", tokens, lostTok)
 	}
-	wantMigrate := []moveRec{{id: obj, from: 0, to: 5, kind: GeoMove}}
-	if !slices.Equal(c.rec.migrates, wantMigrate) || len(c.rec.deferrals) != 1 {
-		t.Fatalf("second pass observed migrations %+v, deferrals %+v", c.rec.migrates, c.rec.deferrals)
+	at := int64(200 * time.Second)
+	wantEvents := append(wantDefer,
+		Event{At: at, Kind: EventDrop, Object: int64(obj), From: 0},
+		Event{At: at, Kind: EventMigrate, Object: int64(obj), From: 0, To: 5, Move: "geo"})
+	if !slices.Equal(c.events, wantEvents) {
+		t.Fatalf("the passes observed %+v, want %+v", c.events, wantEvents)
 	}
 	want := HostStats{CreateLost: 1, DeferredMoves: 1, DeferredCompleted: 1, GeoMigrations: 1, Drops: 1}
 	if h.Stats != want {

@@ -52,6 +52,26 @@ func ParsePolicy(name string) (Policy, error) {
 	return 0, fmt.Errorf("protocol: unknown policy %q", name)
 }
 
+// ParseMethod returns the CreateObj method whose String is name.
+func ParseMethod(name string) (Method, error) {
+	for m := Migrate; m <= Repair; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("protocol: unknown method %q", name)
+}
+
+// ParseMoveKind returns the move kind whose String is name.
+func ParseMoveKind(name string) (MoveKind, error) {
+	for k := GeoMove; k <= RepairMove; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("protocol: unknown move kind %q", name)
+}
+
 // Replica is the redirector's view of one object replica.
 type Replica struct {
 	// Host is the node holding the replica.

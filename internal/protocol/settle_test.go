@@ -11,29 +11,6 @@ import (
 	"radar/internal/workload"
 )
 
-// traceObserver writes every placement event into one sequence.
-type traceObserver struct{ trace *[]string }
-
-func (o traceObserver) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
-	*o.trace = append(*o.trace, fmt.Sprintf("%v migrate %d %d->%d %v", now, id, from, to, kind))
-}
-
-func (o traceObserver) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
-	*o.trace = append(*o.trace, fmt.Sprintf("%v replicate %d %d->%d %v", now, id, from, to, kind))
-}
-
-func (o traceObserver) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
-	*o.trace = append(*o.trace, fmt.Sprintf("%v drop %d at %d", now, id, host))
-}
-
-func (o traceObserver) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, m Method) {
-	*o.trace = append(*o.trace, fmt.Sprintf("%v refuse %d %d->%d %v", now, id, from, to, m))
-}
-
-func (o traceObserver) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, m Method) {
-	*o.trace = append(*o.trace, fmt.Sprintf("%v defer %d %d->%d %v", now, id, from, to, m))
-}
-
 // settleCoverage counts the situations settleScript runs went through, so
 // the test can insist that its seeds reach the ones settle exists for.
 type settleCoverage struct {
@@ -46,8 +23,8 @@ type settleCoverage struct {
 
 // settleScript drives a fresh fleet with the operation sequence seed
 // selects and returns everything an observer of the fleet could tell:
-// every pass's summary, every CreateObj verdict and every placement event
-// in order, then each host's counters and per-object state after a final
+// every pass's counters and deferrals, every CreateObj verdict and every
+// placement event in order, then each host's counters and per-object state after a final
 // settle. The script depends on the seed alone, never on the fleet's
 // state, so two fleets given one seed are asked exactly the same things.
 // An eager fleet settles after every request — the unbatched accounting.
@@ -60,7 +37,7 @@ func settleScript(t *testing.T, seed int64, eager bool, cov *settleCoverage) []s
 	c := newCluster(t, topology.Ring(n), params)
 	var trace []string
 	for _, h := range c.hosts {
-		h.env.Observer = traceObserver{&trace}
+		h.env.Observer = Recorder(func(e Event) { trace = append(trace, fmt.Sprintf("%+v", e)) })
 	}
 	const universe = 10
 	for i := 0; i < universe; i++ {
@@ -93,8 +70,8 @@ func settleScript(t *testing.T, seed int64, eager bool, cov *settleCoverage) []s
 				}
 			}
 		case k < 13:
-			sum := h.DecidePlacement(now)
-			trace = append(trace, fmt.Sprintf("%v place %d: %+v", now, hi, sum))
+			h.DecidePlacement(now)
+			trace = append(trace, fmt.Sprintf("%v place %d: %+v, %d deferred", now, hi, h.Stats, len(h.deferred)))
 			noteHeld()
 		case k < 16: // a peer asks h to take a copy
 			id := object.ID(rng.Intn(universe))
@@ -152,7 +129,7 @@ func settleScript(t *testing.T, seed int64, eager bool, cov *settleCoverage) []s
 
 // TestSettleEquivalence is the oracle for "exact at every read": a fleet
 // whose hosts batch their request accounting and one that settles after
-// every request must be indistinguishable — same pass summaries, CreateObj
+// every request must be indistinguishable — same pass counters, CreateObj
 // verdicts, event sequence and final counts — under interleavings of
 // request bursts longer than the log, placement passes, peer CreateObj
 // (accepted, refused, re-acquiring a dropped object), hand-seeded copies,

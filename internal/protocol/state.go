@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"time"
 
 	"radar/internal/object"
@@ -155,6 +156,111 @@ type Observer interface {
 	// exhausted its retry budget waits for the next placement interval
 	// rather than being silently dropped.
 	OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method Method)
+}
+
+// Event kinds: one per Observer callback, plus EventCopy.
+const (
+	EventMigrate   = "migrate"
+	EventReplicate = "replicate"
+	EventDrop      = "drop"
+	EventRefuse    = "refuse"
+	EventDefer     = "defer"
+	// EventCopy records an accepted CreateObj that materialized a new
+	// replica: the object's bytes traveled From -> To. No Observer callback
+	// makes it; a live node records it where the verdict lands, and the
+	// replaying side charges it like the simulator's Env.CopyObject.
+	EventCopy = "copy"
+)
+
+// Event is one placement decision as a value, and the only record of one:
+// a Recorder makes it from an Observer callback, a live placement pass
+// replies with a list of them, the JSONL trace writes one per line, and
+// Replay turns it back into the callback. Events compare with ==.
+type Event struct {
+	// At is the virtual time in nanoseconds.
+	At     int64  `json:"at"`
+	Kind   string `json:"kind"`
+	Object int64  `json:"object"`
+	// From is the initiating host (the dropping host for a drop).
+	From int `json:"from"`
+	To   int `json:"to,omitempty"`
+	// Move is the MoveKind name (geo/load/repair) on migrate/replicate
+	// events.
+	Move string `json:"move,omitempty"`
+	// Method is the CreateObj method name on refuse/defer events.
+	Method string `json:"method,omitempty"`
+}
+
+// Validate reports why e cannot be replayed: an unknown kind, a negative
+// time, object or node, or an unknown Move or Method on a kind that carries
+// one.
+func (e Event) Validate() error {
+	switch {
+	case e.At < 0:
+		return fmt.Errorf("protocol: event at negative time %d", e.At)
+	case e.Object < 0:
+		return fmt.Errorf("protocol: event on negative object %d", e.Object)
+	case e.From < 0 || e.To < 0:
+		return fmt.Errorf("protocol: event between negative nodes %d->%d", e.From, e.To)
+	}
+	var err error
+	switch e.Kind {
+	case EventMigrate, EventReplicate:
+		_, err = ParseMoveKind(e.Move)
+	case EventRefuse, EventDefer:
+		_, err = ParseMethod(e.Method)
+	case EventDrop, EventCopy:
+	default:
+		err = fmt.Errorf("protocol: unknown event kind %q", e.Kind)
+	}
+	return err
+}
+
+// Replay makes the Observer callback a valid e records, and reports false
+// for a copy, which has none: the caller charges it.
+func (e Event) Replay(o Observer) bool {
+	at, id := time.Duration(e.At), object.ID(e.Object)
+	from, to := topology.NodeID(e.From), topology.NodeID(e.To)
+	kind, _ := ParseMoveKind(e.Move)
+	method, _ := ParseMethod(e.Method)
+	switch e.Kind {
+	case EventMigrate:
+		o.OnMigrate(at, id, from, to, kind)
+	case EventReplicate:
+		o.OnReplicate(at, id, from, to, kind)
+	case EventDrop:
+		o.OnDrop(at, id, from)
+	case EventRefuse:
+		o.OnRefuse(at, id, from, to, method)
+	case EventDefer:
+		o.OnDefer(at, id, from, to, method)
+	default:
+		return false
+	}
+	return true
+}
+
+// Recorder is the Observer that records every callback as an Event.
+type Recorder func(Event)
+
+func (r Recorder) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
+	r(Event{At: int64(now), Kind: EventMigrate, Object: int64(id), From: int(from), To: int(to), Move: kind.String()})
+}
+
+func (r Recorder) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {
+	r(Event{At: int64(now), Kind: EventReplicate, Object: int64(id), From: int(from), To: int(to), Move: kind.String()})
+}
+
+func (r Recorder) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
+	r(Event{At: int64(now), Kind: EventDrop, Object: int64(id), From: int(host)})
+}
+
+func (r Recorder) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method Method) {
+	r(Event{At: int64(now), Kind: EventRefuse, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
+}
+
+func (r Recorder) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method Method) {
+	r(Event{At: int64(now), Kind: EventDefer, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
 }
 
 // nopObserver is used when no observer is wired.

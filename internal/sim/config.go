@@ -124,7 +124,8 @@ type Config struct {
 	// results are bit-identical at any quantum. Ignored by serial runs.
 	ShardQuantum time.Duration
 	// ExtraObserver, when non-nil, receives every placement protocol
-	// event in addition to the metrics collector — e.g. a trace.Writer.
+	// event in addition to the metrics collector — e.g. a trace recorder
+	// (trace.NewWriter).
 	ExtraObserver protocol.Observer
 	// HostWeights gives each host a relative power factor (§2:
 	// heterogeneity via per-host weights): host i gets weight x the

@@ -16,56 +16,58 @@ func TestWriterReadRoundTrip(t *testing.T) {
 	w.OnDrop(30*time.Second, 7, 8)
 	w.OnRefuse(40*time.Second, 9, 10, 11, protocol.Migrate)
 	w.OnDefer(50*time.Second, 12, 13, 14, protocol.Replicate)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", w.Count())
+	if line, _, _ := strings.Cut(buf.String(), "\n"); line != `{"at":10000000000,"kind":"migrate","object":3,"from":1,"to":2,"move":"geo"}` {
+		t.Errorf("first line %s is not the event's wire form", line)
 	}
 	events, err := Read(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 5 {
-		t.Fatalf("read %d events, want 5", len(events))
+	want := []protocol.Event{
+		{At: int64(10 * time.Second), Kind: protocol.EventMigrate, Object: 3, From: 1, To: 2, Move: "geo"},
+		{At: int64(20 * time.Second), Kind: protocol.EventReplicate, Object: 4, From: 5, To: 6, Move: "load"},
+		{At: int64(30 * time.Second), Kind: protocol.EventDrop, Object: 7, From: 8},
+		{At: int64(40 * time.Second), Kind: protocol.EventRefuse, Object: 9, From: 10, To: 11, Method: "MIGRATE"},
+		{At: int64(50 * time.Second), Kind: protocol.EventDefer, Object: 12, From: 13, To: 14, Method: "REPLICATE"},
 	}
-	if events[0].Kind != "migrate" || events[0].T != 10 || events[0].Move != "geo" {
-		t.Errorf("event 0 = %+v", events[0])
+	if len(events) != len(want) {
+		t.Fatalf("read %d events, want %d", len(events), len(want))
 	}
-	if events[1].Kind != "replicate" || events[1].Move != "load" {
-		t.Errorf("event 1 = %+v", events[1])
-	}
-	if events[2].Kind != "drop" || events[2].From != 8 {
-		t.Errorf("event 2 = %+v", events[2])
-	}
-	if events[3].Kind != "refuse" || events[3].Method != "MIGRATE" {
-		t.Errorf("event 3 = %+v", events[3])
-	}
-	if events[4].Kind != "defer" || events[4].To != 14 || events[4].Method != "REPLICATE" {
-		t.Errorf("event 4 = %+v", events[4])
+	for i := range want {
+		if events[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, events[i], want[i])
+		}
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("{\"t\":1}\nnot json\n")); err == nil {
-		t.Fatal("garbage accepted")
+	for _, body := range []string{
+		`{"at":1,"kind":"drop"}` + "\nnot json\n",
+		`{"at":1,"kind":"teleport"}`,
+		`{"at":1,"kind":"migrate","move":"sideways"}`,
+	} {
+		if _, err := Read(strings.NewReader(body)); err == nil {
+			t.Errorf("garbage %q accepted", body)
+		}
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	events := []Event{
+	events := []protocol.Event{
 		{Kind: "migrate", Move: "geo", From: 1, Object: 10},
 		{Kind: "migrate", Move: "load", From: 1, Object: 10},
 		{Kind: "replicate", Move: "geo", From: 2, Object: 11},
+		{Kind: "replicate", Move: "repair", From: 2, Object: 13},
 		{Kind: "drop", From: 3, Object: 10},
 		{Kind: "refuse", From: 1, Object: 12},
+		{Kind: "defer", From: 4, Object: 12},
 	}
 	s := Summarize(events)
-	if s.Migrations != 2 || s.Replications != 1 || s.Drops != 1 || s.Refusals != 1 {
+	if s.Migrations != 2 || s.Replications != 2 || s.Drops != 1 || s.Refusals != 1 || s.Deferrals != 1 {
 		t.Fatalf("summary = %+v", s)
 	}
-	if s.GeoMoves != 2 || s.LoadMoves != 1 {
-		t.Fatalf("move counts = %d/%d, want 2/1", s.GeoMoves, s.LoadMoves)
+	if s.GeoMoves != 2 || s.LoadMoves != 1 || s.RepairMoves != 1 {
+		t.Fatalf("move counts = %d/%d/%d, want 2/1/1", s.GeoMoves, s.LoadMoves, s.RepairMoves)
 	}
 	if s.ByHost[1] != 3 {
 		t.Errorf("ByHost[1] = %d, want 3", s.ByHost[1])

@@ -97,9 +97,9 @@ func sameDraws(a, b workload.Generator) bool {
 }
 
 // diffConfigs reports every field in which got differs from want. The
-// generators are compared by their draws; Topo is normalized, because
-// build leaves it nil for sim.New to resolve to the UUNET backbone the
-// reference names.
+// generators are compared by their draws and the trace recorders, which
+// are closures, by their type; Topo is normalized, because build leaves it
+// nil for sim.New to resolve to the UUNET backbone the reference names.
 func diffConfigs(t *testing.T, got, want sim.Config) {
 	t.Helper()
 	if !sameDraws(got.Workload, want.Workload) {
@@ -108,11 +108,14 @@ func diffConfigs(t *testing.T, got, want sim.Config) {
 	if !sameDraws(got.WorkloadSwitch.To, want.WorkloadSwitch.To) {
 		t.Error("WorkloadSwitch.To draws differ")
 	}
+	if g, w := reflect.TypeOf(got.ExtraObserver), reflect.TypeOf(want.ExtraObserver); g != w {
+		t.Errorf("ExtraObserver is a %v, want a %v", g, w)
+	}
 	if got.Topo != nil {
 		t.Errorf("Topo = %p, want nil (the UUNET backbone)", got.Topo)
 	}
-	got.Workload, got.WorkloadSwitch.To, got.Topo = nil, nil, nil
-	want.Workload, want.WorkloadSwitch.To, want.Topo = nil, nil, nil
+	got.Workload, got.WorkloadSwitch.To, got.ExtraObserver, got.Topo = nil, nil, nil, nil
+	want.Workload, want.WorkloadSwitch.To, want.ExtraObserver, want.Topo = nil, nil, nil, nil
 	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < gv.NumField(); i++ {
 		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {

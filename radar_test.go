@@ -191,7 +191,7 @@ func TestTraceWriterFacade(t *testing.T) {
 	if int64(lines) < moves {
 		t.Errorf("trace has %d lines for %d moves (+drops/refusals)", lines, moves)
 	}
-	if !strings.Contains(buf.String(), `"ev":"replicate"`) {
+	if !strings.Contains(buf.String(), `"kind":"replicate"`) {
 		t.Error("trace missing replicate events")
 	}
 }
