@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"radar/internal/consistency"
+	"radar/internal/fault"
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/topology"
@@ -228,14 +229,61 @@ func TestPoissonArrivalsPinned(t *testing.T) {
 	}
 	cfg := testConfig(t, gen, 4*time.Minute)
 	cfg.PoissonArrivals = true
+	if got, want := resultsHash(t, cfg), "2185900681074610"; got != want {
+		t.Fatalf("Poisson zipf results hash %s, want %s", got, want)
+	}
+}
+
+// resultsHash runs cfg and returns the FNV-64a of its JSON Results.
+func resultsHash(t *testing.T, cfg Config) string {
+	t.Helper()
 	data, err := json.Marshal(mustRun(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
 	h.Write(data)
-	if got, want := fmt.Sprintf("%016x", h.Sum64()), "2185900681074610"; got != want {
-		t.Fatalf("Poisson zipf results hash %s, want %s", got, want)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestArrivalOrderPinned pins two runs whose arrival order rests on what
+// the per-hop-class arrival FIFOs must keep, with hashes computed while
+// every arrival still sat in the event heap. With no hop delay each arrival
+// ties the instant it was dispatched, so the sequence number alone orders
+// it against the gateways and ticks of that instant. Poisson arrivals under
+// a scripted link cut and a workload switch interleave overtaking gateway
+// streams with severed paths and a mid-run generator change.
+func TestArrivalOrderPinned(t *testing.T) {
+	zipf, err := workload.NewZipf(testUniverse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := workload.NewHotPages(testUniverse, 0.1, 0.9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"zero-hop-delay", func(c *Config) { c.Net.HopDelay = 0 }, "ac89278def35d9bc"},
+		{"poisson-link-cut-switch", func(c *Config) {
+			c.PoissonArrivals = true
+			c.Faults = fault.Spec{Events: []fault.Event{
+				{Kind: fault.LinkDown, At: time.Minute, A: 12, B: 13},
+				{Kind: fault.LinkUp, At: 2 * time.Minute, A: 12, B: 13},
+			}}
+			c.WorkloadSwitch.At, c.WorkloadSwitch.To = 90*time.Second, hot
+		}, "de1ebbd894fd4594"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, zipf, 3*time.Minute)
+			tc.mutate(&cfg)
+			if got := resultsHash(t, cfg); got != tc.want {
+				t.Fatalf("results hash %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
 
