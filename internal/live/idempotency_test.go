@@ -188,52 +188,120 @@ func TestPlaceReplyCarriesItsCopies(t *testing.T) {
 	}
 }
 
-// TestPlacePassLoadReports: a placement pass exchanges load reports once.
+// countingFleet stands up cfg's fleet and counts, per node, the /rpc/load
+// requests and the /rpc/replicas requests that ask for the replica set
+// (not just its size). Node dead, if not -1, fails every load report.
+func countingFleet(t *testing.T, cfg live.Config, dead int) (urls []string, loads, replicaSets []atomic.Int64) {
+	n := cfg.Sim.Topo.NumNodes()
+	loads, replicaSets = make([]atomic.Int64, n), make([]atomic.Int64, n)
+	_, urls = testNodes(t, cfg, func(i int, w http.ResponseWriter, r *http.Request) bool {
+		switch {
+		case r.URL.Path == live.PathReplicas && r.URL.Query().Get("hosts") != "":
+			replicaSets[i].Add(1)
+		case r.URL.Path == live.PathLoad:
+			loads[i].Add(1)
+			if i == dead {
+				http.Error(w, "load reports are gone", http.StatusInternalServerError)
+				return true
+			}
+		}
+		return false
+	})
+	return urls, loads, replicaSets
+}
+
+// sum totals per-node counters.
+func sum(counts []atomic.Int64) int64 {
+	total := int64(0)
+	for i := range counts {
+		total += counts[i].Load()
+	}
+	return total
+}
+
+// TestPlacePassLoadReports: a placement pass exchanges load reports once,
+// and fetches an object's replica set only to order candidates.
+//
 // Node 0 of a floor-2 fleet repairs its six single-copy objects in one
 // pass; its /rpc/load traffic is one report per peer, one per would-be
 // winner and one after each handshake, not N−1 per election, and a peer
 // that fails the exchange without having been marked down is asked once,
 // not once per election.
+//
+// At availability weight 0.5 a pass asks for the replica set only of an
+// object with two or more candidates past Fig. 3's ratio: ordering fewer
+// needs no score.
 func TestPlacePassLoadReports(t *testing.T) {
-	const n, dead = 5, 3
-	cfg := liveConfig(t, topology.Line(n), 30, 1, time.Minute)
-	cfg.Sim.Protocol.ReplicaFloor = 2
-	var loads [n]atomic.Int64
-	_, urls := testNodes(t, cfg, func(i int, w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path != live.PathLoad {
-			return false
-		}
-		loads[i].Add(1)
-		if i == dead {
-			http.Error(w, "load reports are gone", http.StatusInternalServerError)
-		}
-		return i == dead
-	})
+	const n = 5
+	t.Run("load-reports", func(t *testing.T) {
+		const dead = 3
+		cfg := liveConfig(t, topology.Line(n), 30, 1, time.Minute)
+		cfg.Sim.Protocol.ReplicaFloor = 2
+		urls, loads, _ := countingFleet(t, cfg, dead)
 
-	rep := postPlace(t, urls[0], 30*time.Second)
-	elections := 0
-	for _, e := range rep.Events {
-		if e.Kind == live.EventReplicate && e.Move == protocol.RepairMove.String() {
-			elections++
-			if e.To == dead {
-				t.Errorf("repair target %d gave no load report: %+v", dead, e)
+		rep := postPlace(t, urls[0], 30*time.Second)
+		elections := 0
+		for _, e := range rep.Events {
+			if e.Kind == live.EventReplicate && e.Move == protocol.RepairMove.String() {
+				elections++
+				if e.To == dead {
+					t.Errorf("repair target %d gave no load report: %+v", dead, e)
+				}
 			}
 		}
-	}
-	if elections != 6 {
-		t.Fatalf("node 0's pass made %d repairs, want its 6: %+v", elections, rep.Events)
-	}
-	total := int64(0)
-	for i := range loads {
-		total += loads[i].Load()
-	}
-	t.Logf("%d repair elections among %d peers: %d /rpc/load requests (%d when every election asks every peer)", elections, n-1, total, (n-1)*elections)
-	if total >= int64((n-1)*elections) {
-		t.Errorf("%d /rpc/load requests for %d elections among %d peers: the pass asked every peer at every election", total, elections, n-1)
-	}
-	if got := loads[dead].Load(); got != 1 {
-		t.Errorf("the peer that failed the exchange was asked %d times in one pass, want 1", got)
-	}
+		if elections != 6 {
+			t.Fatalf("node 0's pass made %d repairs, want its 6: %+v", elections, rep.Events)
+		}
+		total := sum(loads)
+		t.Logf("%d repair elections among %d peers: %d /rpc/load requests (%d when every election asks every peer)", elections, n-1, total, (n-1)*elections)
+		if total >= int64((n-1)*elections) {
+			t.Errorf("%d /rpc/load requests for %d elections among %d peers: the pass asked every peer at every election", total, elections, n-1)
+		}
+		if got := loads[dead].Load(); got != 1 {
+			t.Errorf("the peer that failed the exchange was asked %d times in one pass, want 1", got)
+		}
+	})
+
+	t.Run("replica-sets", func(t *testing.T) {
+		// Node 0 holds objects 0, 5, ..., 25 (round-robin), and the one
+		// redirector sits on node 2. Five requests in the 30 s window put an
+		// object in Fig. 3's migration branch and short of replication. Objects
+		// 0 and 5 come four times from gateway 4 and once locally, so nodes 1-4
+		// each sit on 80 % of the paths. Objects 10 and 15 come four times from
+		// gateway 1 and once from gateway 4: nodes 1-4 are counted, but only
+		// node 1 is past MIGR_RATIO. Object 20 is asked only locally, 25 never.
+		cfg := liveConfig(t, topology.Line(n), 30, 1, time.Minute)
+		cfg.Sim.Protocol.AvailabilityWeight = 0.5
+		urls, _, replicaSets := countingFleet(t, cfg, -1)
+		for obj, gateways := range map[int64][]int{
+			0: {4, 4, 4, 4, 0}, 5: {4, 4, 4, 4, 0},
+			10: {1, 1, 1, 1, 4}, 15: {1, 1, 1, 1, 4},
+			20: {0, 0, 0, 0, 0},
+		} {
+			for _, g := range gateways {
+				res, err := http.Post(urls[0]+live.PathComplete, "application/json", bytes.NewReader(live.Encode(&live.CompleteMsg{Object: obj, Gateway: g})))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Body.Close()
+				if res.StatusCode != http.StatusOK {
+					t.Fatalf("complete of object %d from gateway %d: status %d", obj, g, res.StatusCode)
+				}
+			}
+		}
+		migrations := 0
+		for _, e := range postPlace(t, urls[0], 30*time.Second).Events {
+			if e.Kind == live.EventMigrate {
+				migrations++
+			}
+		}
+		if migrations != 4 {
+			t.Fatalf("node 0's pass made %d migrations, want objects 0, 5, 10 and 15 moved", migrations)
+		}
+		if got := sum(replicaSets); got != 2 {
+			t.Errorf("the pass fetched %d replica sets, want 2: objects 0 and 5 (every object with two counted candidates is 4)", got)
+		}
+	})
 }
 
 // TestCreateObjConcurrencyLimit: distinct CreateObj messages all execute,

@@ -39,11 +39,28 @@ type availCand struct {
 	safe  bool
 }
 
-// orderCandidates returns the candidate targets for moving id (method is
-// Migrate or Replicate) in the order they should be tried. With
-// AvailabilityWeight zero it is exactly candidatesByDistanceDesc.
-func (h *Host) orderCandidates(id object.ID, st *ObjectState, method Method) []topology.NodeID {
-	cands := h.candidatesByDistanceDesc(st)
+// orderCandidates returns the targets for moving id (method is Migrate or
+// Replicate) that appear on more than ratio of its preference paths, in the
+// order they should be tried. That is farthest first, the paper's
+// responsiveness heuristic, with ties by node ID; under the NeighborOnly
+// baseline only direct neighbors qualify. A positive AvailabilityWeight
+// then re-sorts them, stably, by score.
+//
+// Only the qualifying candidates are ordered. Both sorts compare a
+// candidate by values of its own, so the order is the subsequence of what
+// ordering every counted node would give.
+func (h *Host) orderCandidates(id object.ID, st *ObjectState, method Method, ratio float64) []topology.NodeID {
+	cands := st.candidates(h.ID, ratio, h.candBuf)
+	if h.params.NeighborOnly {
+		kept := cands[:0]
+		for _, p := range cands {
+			if h.env.Routes.Distance(h.ID, p) == 1 {
+				kept = append(kept, p)
+			}
+		}
+		cands = kept
+	}
+	h.env.Routes.SortByDistanceDesc(h.ID, cands)
 	w := h.params.AvailabilityWeight
 	if w == 0 || len(cands) < 2 {
 		return cands

@@ -1,11 +1,15 @@
 package protocol
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"radar/internal/object"
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // touch registers a request from each given node so it becomes a
@@ -17,24 +21,18 @@ func touch(c *cluster, h topology.NodeID, id object.ID, nodes ...topology.NodeID
 }
 
 // TestOrderCandidatesZeroWeightIsLegacy: with AvailabilityWeight zero the
-// ordering is exactly the paper's farthest-first candidatesByDistanceDesc
-// — same nodes, same order — and makes no redirector lookups.
+// ordering is exactly the paper's farthest first, for both methods.
 func TestOrderCandidatesZeroWeightIsLegacy(t *testing.T) {
 	c := newCluster(t, topology.Line(8), DefaultParams())
 	c.seed(obj, 0)
 	touch(c, 0, obj, 1, 3, 5, 7)
 	h := c.hosts[0]
+	h.settle()
 	st := h.objs.get(obj)
-	legacy := append([]topology.NodeID(nil), h.candidatesByDistanceDesc(st)...)
+	farthestFirst := []topology.NodeID{7, 6, 5, 4, 3, 2, 1}
 	for _, method := range []Method{Migrate, Replicate} {
-		got := h.orderCandidates(obj, st, method)
-		if len(got) != len(legacy) {
-			t.Fatalf("%v: ordered %d candidates, legacy %d", method, len(got), len(legacy))
-		}
-		for i := range got {
-			if got[i] != legacy[i] {
-				t.Errorf("%v: candidate[%d] = %d, legacy %d", method, i, got[i], legacy[i])
-			}
+		if got := h.orderCandidates(obj, st, method, 0); !slices.Equal(got, farthestFirst) {
+			t.Errorf("%v: order %v, want %v", method, got, farthestFirst)
 		}
 	}
 }
@@ -72,7 +70,7 @@ func TestOrderCandidatesFloorSafety(t *testing.T) {
 			touch(c, 0, obj, 1, 3, 5, 7)
 			h := c.hosts[0]
 			st := h.objs.get(obj)
-			got := h.orderCandidates(obj, st, tc.method)
+			got := h.orderCandidates(obj, st, tc.method, 0)
 			unsafe := map[topology.NodeID]bool{}
 			for _, u := range tc.unsafe {
 				unsafe[u] = true
@@ -94,6 +92,131 @@ func TestOrderCandidatesFloorSafety(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fullOrder is the ordering without the ratio prefilter, kept as the
+// oracle: every counted node farthest first, re-sorted by availability
+// score over all of them, and only then Fig. 3's ratio test, as tryGeo
+// once applied it in its loop.
+func fullOrder(h *Host, id object.ID, st *ObjectState, method Method, ratio float64) []topology.NodeID {
+	var cands []topology.NodeID
+	for p, c := range st.Cnt {
+		if c > 0 && topology.NodeID(p) != h.ID {
+			cands = append(cands, topology.NodeID(p))
+		}
+	}
+	if h.params.NeighborOnly {
+		cands = slices.DeleteFunc(cands, func(p topology.NodeID) bool { return h.env.Routes.Distance(h.ID, p) != 1 })
+	}
+	h.env.Routes.SortByDistanceDesc(h.ID, cands)
+	w, diam := h.params.AvailabilityWeight, float64(h.env.Routes.Diameter())
+	if w > 0 && len(cands) >= 2 && diam > 0 {
+		replicas := h.env.RedirectorFor(id).ReplicaHosts(id, nil)
+		scored := make([]availCand, len(cands))
+		for i, p := range cands {
+			scored[i] = availCand{node: p, score: h.availScore(p, replicas, method, w, diam), safe: h.floorSafe(p, replicas, method)}
+		}
+		slices.SortStableFunc(scored, func(a, b availCand) int {
+			if a.safe != b.safe {
+				if a.safe {
+					return -1
+				}
+				return 1
+			}
+			return cmp.Compare(b.score, a.score)
+		})
+		for i := range scored {
+			cands[i] = scored[i].node
+		}
+	}
+	return slices.DeleteFunc(cands, func(p topology.NodeID) bool {
+		return float64(st.Cnt[p])/float64(st.Total) <= ratio
+	})
+}
+
+// checkOrderCase draws one placement state for id on h from next — a
+// replica that may join id's set, access counts, a method and a ratio
+// (MIGR_RATIO, REPL_RATIO or any) — and checks that orderCandidates orders
+// it as fullOrder does.
+func checkOrderCase(t *testing.T, c *cluster, h *Host, id object.ID, next func() int) {
+	t.Helper()
+	n := len(c.hosts)
+	if next()%4 == 0 {
+		c.red.NotifyReplicaChange(id, topology.NodeID(next()%n), 1)
+	}
+	st := &ObjectState{Aff: 1, Total: int32(1 + next()), Cnt: make([]int32, n)}
+	for p := range st.Cnt {
+		if next()%3 == 0 {
+			st.Cnt[p] = int32(next()) % (st.Total + 1)
+		}
+	}
+	st.Cnt[h.ID] = st.Total
+	method := []Method{Migrate, Replicate}[next()%2]
+	ratio := []float64{h.params.MigrRatio, h.params.ReplRatio, float64(next()) / 256}[next()%3]
+	got := slices.Clone(h.orderCandidates(id, st, method, ratio))
+	if want := fullOrder(h, id, st, method, ratio); !slices.Equal(got, want) {
+		t.Fatalf("host %d, %v at ratio %v, w %v, floor %d, neighbor-only %v, replicas %v, counts %v/%d:\norder %v\nwant  %v",
+			h.ID, method, ratio, h.params.AvailabilityWeight, h.params.ReplicaFloor, h.params.NeighborOnly,
+			c.red.ReplicaHosts(id, nil), st.Cnt, st.Total, got, want)
+	}
+}
+
+// TestOrderCandidatesMatchesFullOrder replays seeded placement states on
+// the UUNET backbone under every availability weight, floor and the
+// NeighborOnly baseline: ordering only the candidates past the ratio gives
+// the order the full candidate list gave after the ratio test.
+func TestOrderCandidatesMatchesFullOrder(t *testing.T) {
+	c := newCluster(t, topology.UUNET(), DefaultParams())
+	id := object.ID(0)
+	for _, w := range []float64{0, 0.3, 0.5, 1} {
+		for _, floor := range []int{0, 2, 3} {
+			for _, neighborOnly := range []bool{false, true} {
+				id++
+				t.Run(fmt.Sprintf("w=%v,floor=%d,neighbor-only=%v", w, floor, neighborOnly), func(t *testing.T) {
+					rng := workload.Stream(int64(id), 0)
+					next := func() int { return rng.Intn(256) }
+					for i := 0; i < 200; i++ {
+						h := c.hosts[rng.Intn(len(c.hosts))]
+						h.params.AvailabilityWeight, h.params.ReplicaFloor, h.params.NeighborOnly = w, floor, neighborOnly
+						checkOrderCase(t, c, h, id, next)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzOrderCandidates is TestOrderCandidatesMatchesFullOrder over fuzzed
+// programs on the UUNET backbone and on stars, rings and lines, whose
+// distance ties exercise the node-ID tie-break.
+func FuzzOrderCandidates(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		data := make([]byte, 400)
+		workload.Stream(seed, 0).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		topo := topology.UUNET()
+		if n := 10 + next()%15; next()%4 != 0 {
+			topo = []func(int) *topology.Topology{topology.Star, topology.Ring, topology.Line}[next()%3](n)
+		}
+		c := newCluster(t, topo, DefaultParams())
+		h := c.hosts[next()%len(c.hosts)]
+		h.params.AvailabilityWeight = []float64{0, 0.3, 0.5, 1}[next()%4]
+		h.params.ReplicaFloor = []int{0, 2, 3}[next()%3]
+		h.params.NeighborOnly = next()%4 == 0
+		for len(data) > 0 {
+			checkOrderCase(t, c, h, obj, next)
+		}
+	})
 }
 
 // TestAvailScoreTable pins the availability score's two terms: a fresh

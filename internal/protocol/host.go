@@ -157,8 +157,8 @@ type Host struct {
 	// loss, so reliable runs never touch it.
 	deferred []move
 	// candBuf is the reusable candidate scratch buffer for the placement
-	// pass; its contents are only valid within one candidatesByDistanceDesc
-	// call chain. replBuf and availBuf are the availability-aware ordering's
+	// pass; its contents are only valid within one orderCandidates call.
+	// replBuf and availBuf are the availability-aware ordering's
 	// scratch buffers (replica hosts and scored candidates), with the same
 	// single-call lifetime.
 	candBuf  []topology.NodeID
@@ -629,41 +629,18 @@ func (h *Host) repairReplicas(now time.Duration) {
 	}
 }
 
-// candidatesByDistanceDesc returns the object's candidate nodes ordered by
-// decreasing distance from this host (the paper's responsiveness
-// heuristic: place replicas on the farthest qualified candidate first).
-// Under the NeighborOnly baseline only direct neighbors qualify.
-func (h *Host) candidatesByDistanceDesc(st *ObjectState) []topology.NodeID {
-	cands := st.candidates(h.ID, h.candBuf)
-	if h.params.NeighborOnly {
-		kept := cands[:0]
-		for _, p := range cands {
-			if h.env.Routes.Distance(h.ID, p) == 1 {
-				kept = append(kept, p)
-			}
-		}
-		cands = kept
-	}
-	h.env.Routes.SortByDistanceDesc(h.ID, cands)
-	return cands
-}
-
 // tryGeo attempts the migration or the replication branch of Fig. 3 (method
 // says which): the first candidate that appears on more than ratio of the
 // object's preference paths and accepts takes the move. It reports whether
 // one did.
 func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method Method, ratio float64) bool {
-	total := st.Total
-	if total == 0 {
+	if st.Total == 0 {
 		return false
 	}
 	if method == Replicate && h.env.CanReplicate != nil && !h.env.CanReplicate(id, h.env.RedirectorFor(id).ReplicaCount(id)) {
 		return false
 	}
-	for _, p := range h.orderCandidates(id, st, method) {
-		if float64(st.Cnt[p])/float64(total) <= ratio {
-			continue
-		}
+	for _, p := range h.orderCandidates(id, st, method, ratio) {
 		peer := h.env.Peer(p)
 		if peer == nil {
 			continue

@@ -224,64 +224,91 @@ func TestTotalTracksOwnCount(t *testing.T) {
 	check("after a pass", true)
 }
 
-// benchHost returns host 0 of a UUNET cluster holding objects sole replicas
-// and a function that requests every tenth of them ten times: half locally,
-// the rest from five gateways, so the object sits between the deletion and
-// replication thresholds and no candidate reaches MIGR_RATIO. A pass over
-// it then decides everything and moves nothing — the steady state.
-func benchHost(tb testing.TB, objects int) (*Host, func()) {
+// benchHost returns a host of a UUNET cluster holding objects sole
+// replicas, a function that requests them, and the time between two
+// passes. A pass over it then decides everything and moves nothing — the
+// steady state — because every requested object sits between the deletion
+// and replication thresholds and no candidate reaches MIGR_RATIO.
+//
+// Host 0 requests every tenth object ten times: half locally, the rest
+// from five gateways, so each has a handful of candidates. With
+// allGateways, the redirector's node requests every object once from each
+// of the 53 gateways, passes ten times further apart: every object has
+// some 52 candidates, the shape of a sim-zipf pass.
+func benchHost(tb testing.TB, objects int, allGateways bool) (*Host, func(), time.Duration) {
 	c := newCluster(tb, topology.UUNET(), DefaultParams())
-	for i := 0; i < objects; i++ {
-		c.seed(object.ID(i), 0)
-	}
 	h := c.hosts[0]
-	request := func() {
+	if allGateways {
+		h = c.hosts[c.routes.MinAvgDistanceNode()]
+	}
+	for i := 0; i < objects; i++ {
+		c.seed(object.ID(i), h.ID)
+	}
+	if allGateways {
+		return h, func() {
+			for i := 0; i < objects; i++ {
+				for g := range c.hosts {
+					h.OnRequest(object.ID(i), topology.NodeID(g))
+				}
+			}
+		}, 1000 * time.Second
+	}
+	return h, func() {
 		for i := 0; i < objects; i += 10 {
 			for r := 0; r < 5; r++ {
 				h.OnRequest(object.ID(i), 0)
 				h.OnRequest(object.ID(i), topology.NodeID(10*(r+1)))
 			}
 		}
-	}
-	return h, request
+	}, 100 * time.Second
 }
 
 func BenchmarkDecidePlacement(b *testing.B) {
-	h, request := benchHost(b, 1000)
-	request()
-	h.DecidePlacement(100 * time.Second) // first pass sizes the reused buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		request()
-		b.StartTimer()
-		before := h.Stats
-		h.DecidePlacement(time.Duration(i+2) * 100 * time.Second)
-		if h.Stats.fig3Moves() != before.fig3Moves() {
-			b.Fatalf("pass %d moved objects: %+v", i, h.Stats)
+	for _, allGateways := range []bool{false, true} {
+		name := "gateways=5"
+		if allGateways {
+			name = "gateways=53"
 		}
+		b.Run(name, func(b *testing.B) {
+			h, request, step := benchHost(b, 1000, allGateways)
+			request()
+			h.DecidePlacement(step) // first pass sizes the reused buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				request()
+				b.StartTimer()
+				before := h.Stats
+				h.DecidePlacement(time.Duration(i+2) * step)
+				if h.Stats.fig3Moves() != before.fig3Moves() {
+					b.Fatalf("pass %d moved objects: %+v", i, h.Stats)
+				}
+			}
+		})
 	}
 }
 
 // TestPlacementPassAllocFree holds BenchmarkDecidePlacement's 0 allocs/op as
 // a test: a steady-state pass over a thousand objects allocates nothing.
 func TestPlacementPassAllocFree(t *testing.T) {
-	h, request := benchHost(t, 1000)
-	now := 100 * time.Second
-	request()
-	h.DecidePlacement(now) // first pass sizes the reused buffers
-	allocs := testing.AllocsPerRun(5, func() {
+	for _, allGateways := range []bool{false, true} {
+		h, request, step := benchHost(t, 1000, allGateways)
+		now := step
 		request()
-		now += 100 * time.Second
-		before := h.Stats
-		h.DecidePlacement(now)
-		if h.Stats.fig3Moves() != before.fig3Moves() {
-			t.Fatalf("pass at %v moved objects: %+v", now, h.Stats)
+		h.DecidePlacement(now) // first pass sizes the reused buffers
+		allocs := testing.AllocsPerRun(5, func() {
+			request()
+			now += step
+			before := h.Stats
+			h.DecidePlacement(now)
+			if h.Stats.fig3Moves() != before.fig3Moves() {
+				t.Fatalf("pass at %v moved objects: %+v", now, h.Stats)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("a steady-state placement pass (all gateways %v) allocates %v times, want 0", allGateways, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("a steady-state placement pass allocates %v times, want 0", allocs)
 	}
 }
 

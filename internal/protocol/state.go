@@ -65,14 +65,15 @@ func (st *ObjectState) unitAccess(periodSec float64) float64 {
 	return float64(st.Total) / (float64(st.Aff) * periodSec)
 }
 
-// candidates appends all nodes with non-zero access counts other than the
-// host itself to buf[:0], in ascending node order; the caller reorders by
-// distance. Passing a reused buffer keeps the placement pass allocation-
-// free.
-func (st *ObjectState) candidates(self topology.NodeID, buf []topology.NodeID) []topology.NodeID {
-	out := buf[:0]
+// candidates appends to buf[:0], in ascending node order, every node other
+// than the host itself that appears on more than ratio of the object's
+// preference paths: Fig. 3's test for the target of a geo move. The caller
+// reorders them. Passing a reused buffer keeps the placement pass
+// allocation-free.
+func (st *ObjectState) candidates(self topology.NodeID, ratio float64, buf []topology.NodeID) []topology.NodeID {
+	out, total := buf[:0], float64(st.Total)
 	for p, c := range st.Cnt {
-		if c > 0 && topology.NodeID(p) != self {
+		if c > 0 && float64(c)/total > ratio && topology.NodeID(p) != self {
 			out = append(out, topology.NodeID(p))
 		}
 	}

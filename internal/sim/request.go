@@ -20,10 +20,11 @@ type request struct {
 	h      topology.NodeID // chosen replica host
 	id     object.ID
 	t0     time.Duration  // entry time, for end-to-end latency
-	doneAt time.Duration  // reserved service completion time (reqDone phase)
-	seq    uint64         // reserved engine sequence number (reqDone, serial)
+	doneAt time.Duration  // reserved fire time of the current phase: arrival, then completion
+	seq    uint64         // reserved engine sequence number of the current phase (serial)
 	stamp  simevent.Stamp // reserved wheel stamp (reqDone, sharded)
 	phase  uint8
+	hops   int32 // gateway -> redirector -> host hops: the arrival FIFO (serial)
 }
 
 // Request phases.
@@ -32,25 +33,29 @@ const (
 	reqDone                // FCFS service completed
 )
 
-// reqFIFO is a ring buffer of deferred service completions for one server.
+// reqFIFO is a ring buffer of requests whose next event (time in doneAt,
+// sequence number in seq) is reserved and already in (doneAt, seq) order
+// within the FIFO: one server's FCFS completions, or one hop count's
+// arrivals.
 //
 // An FCFS server's completion times are nondecreasing in admission order,
-// and completions reserve their engine sequence numbers at admission, so a
-// server's pending completions are already totally ordered by (at, seq).
-// Only the head of each FIFO therefore needs to occupy the global event
-// queue; the rest wait here. This keeps the event heap at ~one entry per
-// server instead of one per queued request (tens of thousands when servers
-// saturate), which removes most of the heap's sift cost and its backing
-// memory. Fired heads push their successor while executing, which is early
-// enough to preserve the engine's exact pop order (see
-// simevent.ScheduleHandlerReserved).
+// and an arrival lands a fixed number of hop delays after its gateway
+// fired; both reserve their engine sequence numbers when they would have
+// been scheduled. Only the head of each FIFO therefore needs to occupy the
+// global event queue; the rest wait here. This keeps the event heap at
+// ~one entry per stream instead of one per in-flight request, which
+// removes most of the heap's sift cost and its backing memory. Fired heads
+// push their successor while executing, which is early enough to preserve
+// the engine's exact pop order (see simevent.ScheduleHandlerReserved).
 type reqFIFO struct {
 	buf  []*request // capacity is always a power of two
 	head int
 	len  int
 }
 
-func (q *reqFIFO) push(r *request) {
+// push appends r. A request that lands in an empty FIFO is its head and is
+// scheduled on ln at once.
+func (q *reqFIFO) push(ln *lane, r *request) {
 	if q.len == len(q.buf) {
 		grown := make([]*request, max(2*len(q.buf), 64))
 		for i := 0; i < q.len; i++ {
@@ -60,21 +65,21 @@ func (q *reqFIFO) push(r *request) {
 	}
 	q.buf[(q.head+q.len)&(len(q.buf)-1)] = r
 	q.len++
+	if q.len == 1 {
+		ln.schedule(r)
+	}
 }
 
-func (q *reqFIFO) pop() *request {
-	r := q.buf[q.head]
+// pop retires the head, which is firing, and schedules its successor on
+// ln. The successor's key is larger, and its time no earlier, so it enters
+// the queue before it can be the earliest event.
+func (q *reqFIFO) pop(ln *lane) {
 	q.buf[q.head] = nil
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.len--
-	return r
-}
-
-func (q *reqFIFO) peek() *request {
-	if q.len == 0 {
-		return nil
+	if q.len > 0 {
+		ln.schedule(q.buf[q.head])
 	}
-	return q.buf[q.head]
 }
 
 // Fire implements simevent.Handler. Everything it touches is either
@@ -88,6 +93,9 @@ func (r *request) Fire(now time.Duration) {
 	ln := s.laneOf[r.h]
 	switch r.phase {
 	case reqArrive:
+		if ln.wheel == nil {
+			s.arrivals[r.hops].pop(ln) // r is its hop count's head
+		}
 		if s.down[r.h] {
 			ln.droppedChoices++ // chosen replica crashed in flight
 			ln.fail(r, now)
@@ -121,20 +129,9 @@ func (r *request) Fire(now time.Duration) {
 				Seq:      ln.wheel.NextLocalSeq(),
 			}
 		}
-		q := &s.svcQueue[r.h]
-		q.push(r)
-		if q.len == 1 {
-			ln.scheduleCompletion(r)
-		}
+		s.svcQueue[r.h].push(ln, r)
 	case reqDone:
-		// This request is its server's stream head; promote the successor
-		// into the event queue (its completion time is >= now by FCFS
-		// monotonicity, so this cannot fail).
-		q := &s.svcQueue[r.h]
-		q.pop()
-		if next := q.peek(); next != nil {
-			ln.scheduleCompletion(next)
-		}
+		s.svcQueue[r.h].pop(ln) // r is its server's head
 		if s.down[r.h] {
 			// Host crashed while this request sat in its queue: the work
 			// dies with the server; the client never hears back.

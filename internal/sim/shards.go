@@ -118,11 +118,11 @@ func (ln *lane) fail(r *request, now time.Duration) {
 	ln.release(r)
 }
 
-// scheduleCompletion enqueues a reserved FCFS completion: on the serial
+// schedule enqueues a reqFIFO head at its reserved time: on the serial
 // engine under its reserved sequence number, on a shard wheel under its
-// reserved stamp. Completion times are >= the current event time by FCFS
-// monotonicity, so neither path can fail.
-func (ln *lane) scheduleCompletion(r *request) {
+// reserved stamp. A head's time is >= the current event time, so neither
+// path can fail.
+func (ln *lane) schedule(r *request) {
 	if ln.wheel == nil {
 		_ = ln.s.engine.ScheduleHandlerReserved(r.doneAt, r.seq, r)
 		return

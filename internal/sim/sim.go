@@ -44,6 +44,7 @@ type Simulation struct {
 	redLocs  []topology.NodeID // redirector locations, in partition order
 	rngs     []*rand.Rand      // one request stream per gateway
 	svcQueue []reqFIFO         // deferred FCFS completions, one FIFO per server
+	arrivals []reqFIFO         // deferred arrivals, one FIFO per hop count (serial)
 	hooks    []hook
 	ran      bool
 
@@ -149,6 +150,7 @@ func newLoop(cfg Config) (*Simulation, error) {
 	s.redLocs = RedirectorLocs(&s.cfg, s.routes)
 	s.down = make([]bool, n)
 	s.svcQueue = make([]reqFIFO, n)
+	s.arrivals = make([]reqFIFO, 2*s.routes.Diameter()+1)
 	s.rngs = make([]*rand.Rand, n)
 	for i := 0; i < n; i++ {
 		s.rngs[i] = workload.Stream(cfg.Seed, workload.GatewayStream(i))
@@ -411,7 +413,8 @@ func (s *Simulation) dispatch(t0, schedAt time.Duration, g topology.NodeID, id o
 		s.col.RecordFailedRequest(t0) // redirector unreachable: request lost
 		return
 	}
-	t1 := s.net.ControlLatency(t0, s.routes.Distance(g, loc))
+	d1 := s.routes.Distance(g, loc)
+	t1 := s.net.ControlLatency(t0, d1)
 	h, out := s.fleet.Choose(t1, red, g, id)
 	if out != OK {
 		if out == Lost {
@@ -422,12 +425,17 @@ func (s *Simulation) dispatch(t0, schedAt time.Duration, g topology.NodeID, id o
 		s.col.RecordFailedRequest(t1)
 		return
 	}
-	t2 := s.net.ControlLatency(t1, s.routes.Distance(loc, h))
+	d2 := s.routes.Distance(loc, h)
+	t2 := s.net.ControlLatency(t1, d2)
 	r := s.disp.newRequest()
 	*r = request{s: s, g: g, h: h, id: id, t0: t0, phase: reqArrive}
 	if !s.sharded {
-		// Scheduling forward in time cannot fail.
-		_ = s.engine.ScheduleHandler(t2, r)
+		// ControlLatency is linear in hops, so t2 - t0 is the same for every
+		// request of one hop count, and gateways fire in time order: each
+		// hop count's arrivals are dispatched in (t2, seq) order, and only
+		// the head of their FIFO waits in the event heap (see reqFIFO).
+		r.doneAt, r.seq, r.hops = t2, s.engine.ReserveSeq(), int32(d1+d2)
+		s.arrivals[r.hops].push(s.disp, r)
 		return
 	}
 	// Deliver into the chosen host's shard wheel. The stamp reconstructs
