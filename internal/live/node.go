@@ -324,12 +324,11 @@ func (nd *Node) peerURL(p topology.NodeID) string {
 // replicas choosable again.
 func (nd *Node) reRegister() {
 	nd.lock()
-	host := nd.machine.Host
-	objs := host.Objects()
-	affs := make([]int, len(objs))
-	for i, id := range objs {
-		affs[i] = host.Affinity(id)
-	}
+	var objs []object.ID
+	var affs []int
+	nd.machine.Host.EachObject(func(id object.ID, aff int) {
+		objs, affs = append(objs, id), append(affs, aff)
+	})
 	nd.mu.Unlock()
 	for i, id := range objs {
 		nd.redirectorFor(id).NotifyReplicaChange(id, nd.id, affs[i])
@@ -482,7 +481,7 @@ func (nd *Node) copyObject(_ time.Duration, from, _ topology.NodeID, id object.I
 // retried handshake records one copy and a lost one none, like its
 // decision. The returned completion time is the virtual send time — live
 // handshakes resolve inline, like the simulator's reliable path.
-func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64, _ func(at time.Duration) bool) (protocol.CreateObjStatus, uint64, time.Duration) {
+func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
 	msgID := token
 	if msgID == 0 {
 		msgID = nd.nextMsgID()

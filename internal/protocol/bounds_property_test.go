@@ -180,7 +180,7 @@ func TestDistributionKeepsUnitCountsBalanced(t *testing.T) {
 			if _, err := r.ChooseReplica(g, id); err != nil {
 				t.Fatal(err)
 			}
-			reps := r.Replicas(id)
+			reps := r.AppendReplicas(nil, id)
 			min := reps[0].unitRcnt()
 			for _, rep := range reps {
 				if u := rep.unitRcnt(); u < min {

@@ -36,7 +36,7 @@ func TestChaosInvariants(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // request burst at a random replica holder
 					id := object.ID(rng.Intn(numObjects))
-					reps := c.red.Replicas(id)
+					reps := c.red.AppendReplicas(nil, id)
 					if len(reps) == 0 {
 						t.Fatalf("step %d: object %d lost all replicas", step, id)
 					}
@@ -80,7 +80,7 @@ func TestChaosInvariants(t *testing.T) {
 					if c.red.ReplicaCount(id) == 0 {
 						t.Fatalf("step %d: object %d has no replicas", step, id)
 					}
-					for _, rep := range c.red.Replicas(id) {
+					for _, rep := range c.red.AppendReplicas(nil, id) {
 						if rep.Aff < 1 {
 							t.Fatalf("step %d: object %d replica on %d has affinity %d", step, id, rep.Host, rep.Aff)
 						}

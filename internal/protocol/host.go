@@ -96,14 +96,9 @@ type Env struct {
 	// runs the callee-side handler at most once per token at the request's
 	// arrival time, and reports the outcome, the message token (pass it
 	// back to re-issue a CreateLost exchange with the same identity), and
-	// the caller-side completion time. The request is fully serializable so
-	// a transport may marshal it onto the wire; exec is a convenience for
-	// in-process transports (the simulator's lossy plane) and equals
-	// running CreateObj on the req.To host with req's fields — a remote
-	// transport ignores it and invokes the peer's handler instead. Nil
-	// resolves handshakes inline and reliably — the paper's instantaneous
-	// model.
-	SendCreateObj func(now time.Duration, req CreateObjRequest, token uint64, exec func(at time.Duration) bool) (CreateObjStatus, uint64, time.Duration)
+	// the caller-side completion time. Nil resolves handshakes inline and
+	// reliably — the paper's instantaneous model.
+	SendCreateObj func(now time.Duration, req CreateObjRequest, token uint64) (CreateObjStatus, uint64, time.Duration)
 	// Store, if non-nil, is this host's replica-storage backend stack.
 	// CreateObj charges each accepted new replica to it as the last
 	// admission check (a full backend refuses like §2.1 storage
@@ -164,9 +159,6 @@ type Host struct {
 	candBuf  []topology.NodeID
 	replBuf  []topology.NodeID
 	availBuf []availCand
-	// idBuf is DecidePlacement's snapshot of the hosted IDs, reused from
-	// pass to pass.
-	idBuf []object.ID
 	// board is the pass's load-report exchange, one entry per node, which
 	// electHost fills and reads. Nil until the host's first election.
 	board []boardEntry
@@ -241,8 +233,8 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 func (h *Host) SeedObject(id object.ID) {
 	if !h.Has(id) {
 		h.settle()
-		// Acquired before any window: immediately eligible.
-		h.objs.put(id, &ObjectState{Aff: 1, AcquiredAt: -1})
+		st := h.objs.add(id)
+		st.Aff, st.AcquiredAt = 1, -1 // acquired before any window: immediately eligible
 	}
 }
 
@@ -259,12 +251,16 @@ func (h *Host) Affinity(id object.ID) int {
 	return 0
 }
 
-// Objects returns the IDs of all hosted objects, sorted. The slice is a
-// snapshot the caller owns: dropping objects while walking it is safe.
-func (h *Host) Objects() []object.ID { return slices.Clone(h.objs.ids) }
+// EachObject calls fn with the ID and affinity of every hosted object, in
+// ascending ID order. fn must not add or drop objects on h.
+func (h *Host) EachObject(fn func(id object.ID, aff int)) {
+	for i, st := range h.objs.sts {
+		fn(h.objs.ids[i], st.Aff)
+	}
+}
 
 // NumObjects returns the number of hosted objects.
-func (h *Host) NumObjects() int { return h.objs.len() }
+func (h *Host) NumObjects() int { return len(h.objs.ids) }
 
 // Estimator exposes the host's load estimator (read-only use by metrics).
 func (h *Host) Estimator() *LoadEstimator { return &h.est }
@@ -391,13 +387,13 @@ func (h *Host) DecidePlacement(now time.Duration) {
 	}
 
 	hasDeferred := len(h.deferred) > 0
-	// The pass drops objects as it goes, so it walks a snapshot of the IDs.
-	h.idBuf = append(h.idBuf[:0], h.objs.ids...)
-	for _, id := range h.idBuf {
-		st := h.objs.get(id)
-		if st == nil {
-			continue // dropped earlier in this run
-		}
+	// The pass walks the live list and drops objects as it goes. Only the
+	// object in hand can leave the list (moves go to other hosts), so after
+	// a drop the next object sits where it was.
+	var id object.ID
+	for at := 0; at < len(h.objs.ids); at = h.objs.next(at, id) {
+		id = h.objs.ids[at]
+		st := h.objs.sts[at]
 		if hasDeferred {
 			if _, pending := h.findDeferred(id); pending {
 				continue // a lost move is still in flight toward its target
@@ -452,17 +448,8 @@ func (h *Host) createObj(now time.Duration, peer *Host, method Method, id object
 		}
 		return CreateRefused, 0, now
 	}
-	req := CreateObjRequest{
-		From:     h.ID,
-		To:       peer.ID,
-		Method:   method,
-		Object:   id,
-		UnitLoad: unitLoad,
-		SrcAff:   srcAff,
-	}
-	status, tok, doneAt := h.env.SendCreateObj(now, req, token, func(at time.Duration) bool {
-		return peer.CreateObj(at, method, id, unitLoad, srcAff, h.ID)
-	})
+	req := CreateObjRequest{From: h.ID, To: peer.ID, Method: method, Object: id, UnitLoad: unitLoad, SrcAff: srcAff}
+	status, tok, doneAt := h.env.SendCreateObj(now, req, token)
 	if status == CreateLost {
 		h.Stats.CreateLost++
 	}
@@ -598,7 +585,7 @@ func (h *Host) repairReplicas(now time.Duration) {
 	if h.params.AvailabilityWeight > 0 {
 		method = Repair
 	}
-	for _, id := range h.objs.ids { // repair only adds replicas elsewhere
+	for i, id := range h.objs.ids { // repair only adds replicas elsewhere
 		red := h.env.RedirectorFor(id)
 		count := red.ReplicaCount(id)
 		if count == 0 {
@@ -619,7 +606,7 @@ func (h *Host) repairReplicas(now time.Duration) {
 				break
 			}
 			mv := move{id: id, to: target, method: method, kind: RepairMove}
-			if status, _ := h.perform(now, mv, h.objs.get(id), peer); status != CreateAccepted {
+			if status, _ := h.perform(now, mv, h.objs.sts[i], peer); status != CreateAccepted {
 				// A lost repair handshake is retried by the next repair
 				// pass; reconciliation heals any replica it did create.
 				break
@@ -753,8 +740,8 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 			return false
 		}
 		h.env.CopyObject(now, from, h.ID, id)
-		st = &ObjectState{Aff: 1, AcquiredAt: now}
-		h.objs.put(id, st)
+		st = h.objs.add(id)
+		st.Aff, st.AcquiredAt = 1, now
 	} else {
 		st.Aff++
 	}
@@ -796,8 +783,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 	}
 	windowStart := now - time.Duration(period*float64(time.Second))
 	var cands []cand
-	for _, id := range h.objs.ids {
-		st := h.objs.get(id)
+	for i, st := range h.objs.sts {
 		if st.AcquiredAt > windowStart {
 			continue // acquired mid-window: no full observation yet
 		}
@@ -811,7 +797,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 				best = c
 			}
 		}
-		cands = append(cands, cand{id: id, foreign: float64(best) / float64(total)})
+		cands = append(cands, cand{id: h.objs.ids[i], foreign: float64(best) / float64(total)})
 	}
 	slices.SortFunc(cands, func(a, b cand) int {
 		if c := cmp.Compare(b.foreign, a.foreign); c != 0 {

@@ -111,12 +111,18 @@ func (c *cluster) seed(id object.ID, host topology.NodeID) {
 	c.red.NotifyReplicaChange(id, host, 1)
 }
 
+// deliver runs req's CreateObj handler on its target at time at, as a
+// control-plane transport does.
+func (c *cluster) deliver(at time.Duration, req CreateObjRequest) bool {
+	return c.hosts[req.To].CreateObj(at, req.Method, req.Object, req.UnitLoad, req.SrcAff, req.From)
+}
+
 // checkSubsetInvariant asserts the redirector's recorded replicas all
 // exist on their hosts.
 func (c *cluster) checkSubsetInvariant(t *testing.T) {
 	t.Helper()
-	for _, id := range c.red.Objects() {
-		for _, rep := range c.red.Replicas(id) {
+	for _, id := range recordedIDs(c.red) {
+		for _, rep := range c.red.AppendReplicas(nil, id) {
 			if !c.hosts[rep.Host].Has(id) {
 				t.Fatalf("redirector records replica of %d on host %d, but host lacks it", id, rep.Host)
 			}

@@ -105,15 +105,15 @@ func TestElectHostMatchesScan(t *testing.T) {
 		// The handshake transport: the verdict arrives, or the exchange is
 		// lost after the callee ran, or lost before it ran.
 		lose, elections := 0, 0
-		h.env.SendCreateObj = func(at time.Duration, _ CreateObjRequest, _ uint64, exec func(time.Duration) bool) (CreateObjStatus, uint64, time.Duration) {
+		h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, _ uint64) (CreateObjStatus, uint64, time.Duration) {
 			switch lose {
 			case 1:
-				exec(at)
+				c.deliver(at, req)
 				return CreateLost, 1, at
 			case 2:
 				return CreateLost, 1, at
 			}
-			if exec(at) {
+			if c.deliver(at, req) {
 				return CreateAccepted, 0, at
 			}
 			return CreateRefused, 0, at

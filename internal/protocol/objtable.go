@@ -8,20 +8,22 @@ import (
 )
 
 // objTable is a host's object table: the §4.1 control state of every
-// hosted object, reachable two ways. ids lists the hosted IDs in ascending
-// order, so the "for each object x_s" loops of Fig. 3 and Fig. 5 walk it
-// as is instead of collecting and sorting keys. slots is an open-addressed
-// index from ID to state (multiplicative hash, linear probing,
-// backward-shift delete, at most half full), so Has, OnRequest and a load
-// report cost one probe sequence over 16-byte slots. It is sized to the
-// hosted count — about 16 KB on a host of 500 objects — rather than dense
-// over the universe, which every host of a fleet would pay for in full.
-// It grows by doubling and never shrinks: it is bounded by the most
-// objects the host ever held at once.
+// hosted object. ids lists the hosted IDs in ascending order and sts[i] is
+// ids[i]'s state, so the "for each object x_s" loops of Fig. 3 and Fig. 5
+// read the states in place, with no lookup and no sort. slots is an
+// open-addressed index from ID to state (multiplicative hash, linear
+// probing, backward-shift delete, at most half full) for Has, settle,
+// CreateObj and load reports: one probe sequence over 16-byte slots, sized
+// to the hosted count (about 16 KB for 500 objects) rather than dense over
+// the universe. It doubles and never shrinks. States are allocated objSlab
+// at a time onto free, so a host's states sit together in memory; remove
+// zeroes a state and puts it back.
 type objTable struct {
 	ids   []object.ID
+	sts   []*ObjectState
 	slots []objSlot
-	shift uint // 64 - log2(len(slots)): the hash keeps the product's top bits
+	shift uint           // 64 - log2(len(slots)): the hash keeps the product's top bits
+	free  []*ObjectState // zeroed states, the next to hand out last
 }
 
 // objSlot is one index slot; st == nil marks it free.
@@ -30,9 +32,7 @@ type objSlot struct {
 	st *ObjectState
 }
 
-const minObjSlots = 8
-
-func (t *objTable) len() int { return len(t.ids) }
+const minObjSlots, objSlab = 8, 64
 
 // home returns the slot id hashes to (Fibonacci hashing: IDs homed
 // round-robin arrive as arithmetic progressions, which it spreads evenly).
@@ -54,14 +54,25 @@ func (t *objTable) get(id object.ID) *ObjectState {
 	}
 }
 
-// put installs st as id's state; id must not be present and st not nil.
-func (t *objTable) put(id object.ID, st *ObjectState) {
+// add installs and returns a zeroed state for id, which must not be
+// present: the last removed object's, or a new slab's first.
+func (t *objTable) add(id object.ID) *ObjectState {
+	if len(t.free) == 0 {
+		slab := make([]ObjectState, objSlab)
+		for i := range slab {
+			t.free = append(t.free, &slab[objSlab-1-i])
+		}
+	}
+	st := t.free[len(t.free)-1]
+	t.free = t.free[:len(t.free)-1]
 	if 2*(len(t.ids)+1) > len(t.slots) {
 		t.grow()
 	}
 	t.place(id, st)
 	at, _ := slices.BinarySearch(t.ids, id)
 	t.ids = slices.Insert(t.ids, at, id)
+	t.sts = slices.Insert(t.sts, at, st)
+	return st
 }
 
 // place stores (id, st) in the first free slot of id's probe sequence.
@@ -87,9 +98,10 @@ func (t *objTable) grow() {
 	}
 }
 
-// remove deletes id, reporting whether it was present. The hole it leaves
-// is closed by shifting back every later entry of the run that may move
-// without passing its own home slot, so lookups need no tombstones.
+// remove deletes id, reporting whether it was present, and frees its
+// state. The hole it leaves in the index is closed by shifting back every
+// later entry of the run that may move without passing its own home slot,
+// so lookups need no tombstones.
 func (t *objTable) remove(id object.ID) bool {
 	if t.get(id) == nil {
 		return false
@@ -109,15 +121,25 @@ func (t *objTable) remove(id object.ID) bool {
 	}
 	t.slots[hole] = objSlot{}
 	at, _ := slices.BinarySearch(t.ids, id)
+	*t.sts[at] = ObjectState{}
+	t.free = append(t.free, t.sts[at])
 	t.ids = slices.Delete(t.ids, at, at+1)
+	t.sts = slices.Delete(t.sts, at, at+1)
 	return true
 }
 
-// each calls fn on every hosted object's state, in no particular order.
+// next returns the position after at once the walk has handled id there:
+// at itself if id left the list, which moved the next object up.
+func (t *objTable) next(at int, id object.ID) int {
+	if at < len(t.ids) && t.ids[at] == id {
+		at++
+	}
+	return at
+}
+
+// each calls fn on every hosted object's state, in ascending ID order.
 func (t *objTable) each(fn func(*ObjectState)) {
-	for i := range t.slots {
-		if st := t.slots[i].st; st != nil {
-			fn(st)
-		}
+	for _, st := range t.sts {
+		fn(st)
 	}
 }

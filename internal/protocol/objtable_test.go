@@ -10,9 +10,14 @@ import (
 	"radar/internal/workload"
 )
 
+// hostedIDs returns a copy of h's hosted IDs, ascending.
+func hostedIDs(h *Host) []object.ID { return slices.Clone(h.objs.ids) }
+
 // checkAgainst compares every view of t with the reference map over the
-// ID range [0, universe).
-func checkAgainst(t *testing.T, tab *objTable, ref map[object.ID]*ObjectState, universe int) {
+// ID range [0, universe): the ordered list is strictly ascending, names the
+// reference's IDs, and holds get(id) beside each id; every free state is
+// zeroed.
+func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, universe int) {
 	t.Helper()
 	want := make([]object.ID, 0, len(ref))
 	for id := range ref {
@@ -22,8 +27,16 @@ func checkAgainst(t *testing.T, tab *objTable, ref map[object.ID]*ObjectState, u
 	if !slices.Equal(tab.ids, want) {
 		t.Fatalf("ids = %v, want %v", tab.ids, want)
 	}
-	if tab.len() != len(ref) {
-		t.Fatalf("len = %d, want %d", tab.len(), len(ref))
+	if len(tab.sts) != len(ref) {
+		t.Fatalf("%d states, want %d", len(tab.sts), len(ref))
+	}
+	for i, id := range tab.ids {
+		if i > 0 && tab.ids[i-1] >= id {
+			t.Fatalf("ids[%d] = %d after %d: not strictly ascending", i, id, tab.ids[i-1])
+		}
+		if tab.sts[i] != tab.get(id) {
+			t.Fatalf("sts[%d] = %p, get(%d) = %p", i, tab.sts[i], id, tab.get(id))
+		}
 	}
 	for i := 0; i < universe; i++ {
 		if got := tab.get(object.ID(i)); got != ref[object.ID(i)] {
@@ -31,39 +44,68 @@ func checkAgainst(t *testing.T, tab *objTable, ref map[object.ID]*ObjectState, u
 		}
 	}
 	seen := 0
-	tab.each(func(st *ObjectState) { seen++ })
+	tab.each(func(st *ObjectState) {
+		if st != tab.sts[seen] {
+			t.Fatalf("each visited %p at %d, want %p", st, seen, tab.sts[seen])
+		}
+		seen++
+	})
 	if seen != len(ref) {
 		t.Fatalf("each visited %d states, want %d", seen, len(ref))
 	}
 	if 2*len(ref) > len(tab.slots) {
 		t.Fatalf("%d entries in %d slots: more than half full", len(ref), len(tab.slots))
 	}
+	for _, st := range tab.free {
+		if st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
+			t.Fatalf("free state %+v is not zeroed", *st)
+		}
+	}
+}
+
+// addDirty adds id to tab, checks that the state it gets is zeroed, and
+// then dirties every field, so a state reused after remove shows whether
+// remove cleared it.
+func addDirty(t testing.TB, tab *objTable, id object.ID) *ObjectState {
+	t.Helper()
+	st := tab.add(id)
+	if st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
+		t.Fatalf("add(%d) = %+v, want a zeroed state", id, *st)
+	}
+	*st = ObjectState{Aff: 3, Cnt: []int32{1, 2}, Total: 3, AcquiredAt: 9}
+	return st
 }
 
 // TestObjTableAgainstMap drives the table and a reference map with the
-// same seeded put/remove/get sequence. The population swings between empty
-// and a few hundred, so the index grows several times and, while it is
-// small, probe runs wrap around its last slot constantly.
+// same seeded add/remove/get sequence, checking the ordered list after
+// every operation. The population swings between empty and a few hundred,
+// so the index grows several times and, while it is small, probe runs wrap
+// around its last slot constantly; the drains free states that later adds
+// must hand out zeroed.
 func TestObjTableAgainstMap(t *testing.T) {
 	const universe = 600
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := workload.Stream(seed, 0)
 		var tab objTable
 		ref := make(map[object.ID]*ObjectState)
-		grew := 0
+		issued := make(map[*ObjectState]bool)
+		grew, reused := 0, 0
 		for op := 0; op < 6000; op++ {
 			id := object.ID(rng.Intn(universe))
 			// Fill for 2000 operations, drain for 1000, twice over.
 			fill := op%3000 < 2000
 			switch _, have := ref[id]; {
 			case !have && (fill || rng.Intn(4) == 0):
-				st := &ObjectState{Aff: 1}
 				slots := len(tab.slots)
-				tab.put(id, st)
+				st := addDirty(t, &tab, id)
 				ref[id] = st
 				if len(tab.slots) != slots {
 					grew++
 				}
+				if issued[st] {
+					reused++
+				}
+				issued[st] = true
 			case have && (!fill || rng.Intn(4) == 0):
 				if !tab.remove(id) {
 					t.Fatalf("seed %d op %d: remove(%d) = false for a present ID", seed, op, id)
@@ -77,15 +119,63 @@ func TestObjTableAgainstMap(t *testing.T) {
 			if got := tab.get(id); got != ref[id] {
 				t.Fatalf("seed %d op %d: get(%d) = %p, want %p", seed, op, id, got, ref[id])
 			}
-			if op%97 == 0 {
-				checkAgainst(t, &tab, ref, universe)
-			}
+			checkAgainst(t, &tab, ref, universe)
 		}
-		checkAgainst(t, &tab, ref, universe)
 		if grew < 5 {
 			t.Fatalf("seed %d: index grew %d times, want at least 5", seed, grew)
 		}
+		if reused == 0 {
+			t.Fatalf("seed %d: none of %d states was reused: the free list is not used", seed, len(issued))
+		}
 	}
+}
+
+// FuzzObjTable is TestObjTableAgainstMap over fuzzed programs: each byte
+// adds, removes or looks up one of 64 IDs, or walks the table, and the
+// table is held against a map and a sorted slice after every step.
+func FuzzObjTable(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 63, 128, 191, 64, 255, 1, 129})
+	f.Add([]byte{5, 69, 133, 197, 5, 69, 133, 197})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		var tab objTable
+		ref := make(map[object.ID]*ObjectState)
+		var sorted []object.ID
+		for step, b := range prog {
+			id := object.ID(b & 63)
+			at, have := slices.BinarySearch(sorted, id)
+			switch b >> 6 {
+			case 0, 1: // add, or look up a present ID
+				if have {
+					if tab.get(id) != ref[id] {
+						t.Fatalf("step %d: get(%d) = %p, want %p", step, id, tab.get(id), ref[id])
+					}
+					continue
+				}
+				ref[id] = addDirty(t, &tab, id)
+				sorted = slices.Insert(sorted, at, id)
+			case 2:
+				if tab.remove(id) != have {
+					t.Fatalf("step %d: remove(%d) = %v, want %v", step, id, !have, have)
+				}
+				if have {
+					delete(ref, id)
+					sorted = slices.Delete(sorted, at, at+1)
+				}
+			case 3: // walk
+				var walked []object.ID
+				for i, st := range tab.sts {
+					if st != ref[tab.ids[i]] {
+						t.Fatalf("step %d: walk found %p for %d, want %p", step, st, tab.ids[i], ref[tab.ids[i]])
+					}
+					walked = append(walked, tab.ids[i])
+				}
+				if !slices.Equal(walked, sorted) {
+					t.Fatalf("step %d: walk = %v, want %v", step, walked, sorted)
+				}
+			}
+			checkAgainst(t, &tab, ref, 64)
+		}
+	})
 }
 
 // idsHomedAt returns the first n IDs whose home slot in tab is slot.
@@ -111,9 +201,9 @@ func TestObjTableWrapAndBackwardShift(t *testing.T) {
 	a, b := tail[0], tail[1]
 	c := idsHomedAt(&tab, 0, 1)[0]
 	d := idsHomedAt(&tab, 2, 1)[0]
-	st := map[object.ID]*ObjectState{a: {Aff: 1}, b: {Aff: 2}, c: {Aff: 3}, d: {Aff: 4}}
+	st := make(map[object.ID]*ObjectState)
 	for _, id := range []object.ID{a, b, c, d} {
-		tab.put(id, st[id])
+		st[id] = tab.add(id)
 	}
 	// a sits at home; b wrapped to slot 0, pushing c to slot 1; d is at home.
 	for slot, id := range map[int]object.ID{last: a, 0: b, 1: c, 2: d} {
@@ -138,8 +228,10 @@ func TestObjTableWrapAndBackwardShift(t *testing.T) {
 	checkAgainst(t, &tab, st, int(max(a, b, c, d))+1)
 }
 
-// TestObjectsIsASnapshot: dropping every object while walking Objects()
-// visits each exactly once — the slice does not alias the table's own.
+// TestObjectsIsASnapshot: EachObject reports every hosted object once, in
+// ascending order, with its affinity; and the placement pass, which walks
+// the live list while it drops objects, decides each object exactly once
+// while it drops every one of them.
 func TestObjectsIsASnapshot(t *testing.T) {
 	c := newCluster(t, topology.Line(3), DefaultParams())
 	const n = 40
@@ -148,16 +240,26 @@ func TestObjectsIsASnapshot(t *testing.T) {
 		c.seed(object.ID(i), 1) // a second copy, so the redirector approves the drop
 	}
 	h := c.hosts[0]
-	visited := make(map[object.ID]int)
-	for _, id := range h.Objects() {
-		visited[id]++
-		if got := h.reduceAffinity(0, id, h.objs.get(id)); got != affDropped {
-			t.Fatalf("object %d: reduceAffinity = %v, want dropped", id, got)
+	h.objs.get(7).Aff = 2 // only for the walk below
+	var walked []object.ID
+	h.EachObject(func(id object.ID, aff int) {
+		if want := h.Affinity(id); aff != want {
+			t.Fatalf("EachObject: object %d affinity %d, want %d", id, aff, want)
 		}
+		walked = append(walked, id)
+	})
+	if !slices.Equal(walked, hostedIDs(h)) || len(walked) != n {
+		t.Fatalf("EachObject walked %v", walked)
+	}
+	h.objs.get(7).Aff = 1
+	h.DecidePlacement(100 * time.Second) // nobody asked: every object is cold
+	visited := make(map[object.ID]int)
+	for _, e := range c.recorded(EventDrop) {
+		visited[object.ID(e.Object)]++
 	}
 	for i := 0; i < n; i++ {
 		if visited[object.ID(i)] != 1 {
-			t.Fatalf("object %d visited %d times, want once", i, visited[object.ID(i)])
+			t.Fatalf("object %d dropped %d times, want once", i, visited[object.ID(i)])
 		}
 	}
 	if h.NumObjects() != 0 {
@@ -181,7 +283,7 @@ func TestTotalTracksOwnCount(t *testing.T) {
 		t.Helper()
 		for _, h := range c.hosts {
 			h.settle() // a white-box read, like every reader inside Host
-			for _, id := range h.Objects() {
+			for _, id := range hostedIDs(h) {
 				st := h.objs.get(id)
 				own := int32(0)
 				if st.Cnt != nil {
@@ -208,8 +310,8 @@ func TestTotalTracksOwnCount(t *testing.T) {
 	check("after requests", false)
 	total := 0
 	for _, h := range c.hosts {
-		for _, id := range h.Objects() {
-			total += int(h.objs.get(id).Total)
+		for _, st := range h.objs.sts {
+			total += int(st.Total)
 		}
 	}
 	if total != requested {
@@ -224,7 +326,7 @@ func TestTotalTracksOwnCount(t *testing.T) {
 	check("after a pass", true)
 }
 
-// benchHost returns a host of a UUNET cluster holding objects sole
+// benchHost returns a UUNET cluster, one of its hosts holding objects sole
 // replicas, a function that requests them, and the time between two
 // passes. A pass over it then decides everything and moves nothing — the
 // steady state — because every requested object sits between the deletion
@@ -235,7 +337,7 @@ func TestTotalTracksOwnCount(t *testing.T) {
 // allGateways, the redirector's node requests every object once from each
 // of the 53 gateways, passes ten times further apart: every object has
 // some 52 candidates, the shape of a sim-zipf pass.
-func benchHost(tb testing.TB, objects int, allGateways bool) (*Host, func(), time.Duration) {
+func benchHost(tb testing.TB, objects int, allGateways bool) (*cluster, *Host, func(), time.Duration) {
 	c := newCluster(tb, topology.UUNET(), DefaultParams())
 	h := c.hosts[0]
 	if allGateways {
@@ -245,7 +347,7 @@ func benchHost(tb testing.TB, objects int, allGateways bool) (*Host, func(), tim
 		c.seed(object.ID(i), h.ID)
 	}
 	if allGateways {
-		return h, func() {
+		return c, h, func() {
 			for i := 0; i < objects; i++ {
 				for g := range c.hosts {
 					h.OnRequest(object.ID(i), topology.NodeID(g))
@@ -253,7 +355,7 @@ func benchHost(tb testing.TB, objects int, allGateways bool) (*Host, func(), tim
 			}
 		}, 1000 * time.Second
 	}
-	return h, func() {
+	return c, h, func() {
 		for i := 0; i < objects; i += 10 {
 			for r := 0; r < 5; r++ {
 				h.OnRequest(object.ID(i), 0)
@@ -270,7 +372,7 @@ func BenchmarkDecidePlacement(b *testing.B) {
 			name = "gateways=53"
 		}
 		b.Run(name, func(b *testing.B) {
-			h, request, step := benchHost(b, 1000, allGateways)
+			_, h, request, step := benchHost(b, 1000, allGateways)
 			request()
 			h.DecidePlacement(step) // first pass sizes the reused buffers
 			b.ReportAllocs()
@@ -290,10 +392,45 @@ func BenchmarkDecidePlacement(b *testing.B) {
 }
 
 // TestPlacementPassAllocFree holds BenchmarkDecidePlacement's 0 allocs/op as
-// a test: a steady-state pass over a thousand objects allocates nothing.
+// a test: a steady-state pass over a thousand objects allocates nothing, and
+// neither does a pass that drops an object followed by a CreateObj that
+// brings it back, which reuses the dropped object's state.
 func TestPlacementPassAllocFree(t *testing.T) {
+	t.Run("drop-then-re-add", func(t *testing.T) {
+		c, h, request, step := benchHost(t, 1000, false)
+		const cold = object.ID(1000) // nobody asks for it; a second copy lets it go
+		other := c.hosts[(int(h.ID)+1)%len(c.hosts)]
+		c.seed(cold, h.ID)
+		c.seed(cold, other.ID)
+		now := step
+		request()
+		h.DecidePlacement(now) // sizes the reused buffers and drops cold once
+		var st *ObjectState
+		dropAndReAdd := func() {
+			if !h.CreateObj(now, Replicate, cold, 0, 1, other.ID) {
+				t.Fatal("the idle host refused the object back")
+			}
+			if st != nil && h.objs.get(cold) != st {
+				t.Fatal("the re-add did not reuse the dropped object's state")
+			}
+			st = h.objs.get(cold)
+			h.OnMeasurementIntervalClose(now) // retires the acceptance's upper estimate
+			c.events, c.copies = c.events[:0], c.copies[:0]
+			request()
+			now += step
+			before := h.Stats
+			h.DecidePlacement(now)
+			if d := h.Stats.fig3Moves() - before.fig3Moves(); d != 1 || h.Stats.Drops != before.Drops+1 || h.Has(cold) {
+				t.Fatalf("pass at %v: %d moves, want the one drop: %+v", now, d, h.Stats)
+			}
+		}
+		dropAndReAdd()
+		if allocs := testing.AllocsPerRun(5, dropAndReAdd); allocs != 0 {
+			t.Fatalf("a pass that drops an object and its re-add allocate %v times, want 0", allocs)
+		}
+	})
 	for _, allGateways := range []bool{false, true} {
-		h, request, step := benchHost(t, 1000, allGateways)
+		_, h, request, step := benchHost(t, 1000, allGateways)
 		now := step
 		request()
 		h.DecidePlacement(now) // first pass sizes the reused buffers

@@ -54,11 +54,11 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 	c.loads[0].perObj[mv.id] = objLoad
 	var sent CreateObjRequest
 	var sentTok uint64
-	h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, tok uint64, exec func(time.Duration) bool) (CreateObjStatus, uint64, time.Duration) {
+	h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
 		sent, sentTok = req, tok
 		switch verdict {
 		case CreateAccepted:
-			if !exec(at + delta/2) {
+			if !c.deliver(at+delta/2, req) {
 				t.Fatal("the idle peer refused")
 			}
 			return CreateAccepted, tok, at + delta
@@ -153,12 +153,12 @@ func TestLostGeoMoveIsDeferredThenCompleted(t *testing.T) {
 	h := c.hosts[0]
 	const lostTok = uint64(7)
 	var tokens []uint64
-	h.env.SendCreateObj = func(at time.Duration, _ CreateObjRequest, tok uint64, exec func(time.Duration) bool) (CreateObjStatus, uint64, time.Duration) {
+	h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
 		tokens = append(tokens, tok)
 		if tok == lostTok {
 			return CreateAccepted, tok, at // the cached verdict, replayed
 		}
-		if !exec(at) {
+		if !c.deliver(at, req) {
 			t.Fatal("the idle peer refused")
 		}
 		return CreateLost, lostTok, at

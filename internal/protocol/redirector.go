@@ -44,32 +44,28 @@ func (p Policy) String() string {
 // ParsePolicy returns the policy whose String is name: the one lookup
 // from a policy's name to the policy.
 func ParsePolicy(name string) (Policy, error) {
-	for p := PolicyPaper; p <= PolicyClosest; p++ {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("protocol: unknown policy %q", name)
+	return parseName("policy", name, PolicyPaper, PolicyRoundRobin, PolicyClosest)
 }
 
 // ParseMethod returns the CreateObj method whose String is name.
 func ParseMethod(name string) (Method, error) {
-	for m := Migrate; m <= Repair; m++ {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("protocol: unknown method %q", name)
+	return parseName("method", name, Migrate, Replicate, Repair)
 }
 
 // ParseMoveKind returns the move kind whose String is name.
 func ParseMoveKind(name string) (MoveKind, error) {
-	for k := GeoMove; k <= RepairMove; k++ {
-		if k.String() == name {
-			return k, nil
+	return parseName("move kind", name, GeoMove, LoadMove, RepairMove)
+}
+
+// parseName returns the one of vals whose String is name.
+func parseName[T fmt.Stringer](what, name string, vals ...T) (T, error) {
+	for _, v := range vals {
+		if v.String() == name {
+			return v, nil
 		}
 	}
-	return 0, fmt.Errorf("protocol: unknown move kind %q", name)
+	var none T
+	return none, fmt.Errorf("protocol: unknown %s %q", what, name)
 }
 
 // Replica is the redirector's view of one object replica.
@@ -446,14 +442,13 @@ func (r *Redirector) PurgeHost(host topology.NodeID) []object.ID {
 	return affected
 }
 
-// Replicas returns a copy of the recorded replica set for id, sorted by
-// host ID. It returns nil for unknown objects.
-func (r *Redirector) Replicas(id object.ID) []Replica {
-	e := r.lookup(id)
-	if e == nil {
-		return nil
+// AppendReplicas appends the recorded replica set for id to buf, sorted by
+// host ID, and returns it; buf is unchanged for unknown objects.
+func (r *Redirector) AppendReplicas(buf []Replica, id object.ID) []Replica {
+	if e := r.lookup(id); e != nil {
+		buf = append(buf, e.replicas...)
 	}
-	return slices.Clone(e.replicas)
+	return buf
 }
 
 // ReplicaHosts appends the hosts recorded for id to buf and returns it,
@@ -478,13 +473,12 @@ func (r *Redirector) ReplicaCount(id object.ID) int {
 	return 0
 }
 
-// Objects returns the IDs of all objects with recorded replicas, sorted.
-func (r *Redirector) Objects() []object.ID {
-	var ids []object.ID
+// EachObject calls fn with the ID of every object a replica was ever
+// recorded for, in ascending order.
+func (r *Redirector) EachObject(fn func(id object.ID)) {
 	for i := range r.entries {
 		if r.entries[i].known {
-			ids = append(ids, object.ID(i))
+			fn(object.ID(i))
 		}
 	}
-	return ids
 }

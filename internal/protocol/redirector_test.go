@@ -162,13 +162,13 @@ func TestCountsResetOnReplicaChange(t *testing.T) {
 	r, _ := newTestRedirector(t, topo, PolicyPaper)
 	r.NotifyReplicaChange(testObj, 0, 1)
 	drive(t, r, testObj, []topology.NodeID{0}, 100)
-	for _, rep := range r.Replicas(testObj) {
+	for _, rep := range r.AppendReplicas(nil, testObj) {
 		if rep.Rcnt <= 1 {
 			t.Fatalf("expected accumulated counts before change, got %d", rep.Rcnt)
 		}
 	}
 	r.NotifyReplicaChange(testObj, 2, 1)
-	for _, rep := range r.Replicas(testObj) {
+	for _, rep := range r.AppendReplicas(nil, testObj) {
 		if rep.Rcnt != 1 {
 			t.Errorf("host %d rcnt = %d after replica-set change, want 1", rep.Host, rep.Rcnt)
 		}
@@ -176,7 +176,7 @@ func TestCountsResetOnReplicaChange(t *testing.T) {
 	// Affinity-only change also resets.
 	drive(t, r, testObj, []topology.NodeID{0}, 100)
 	r.NotifyReplicaChange(testObj, 2, 2)
-	for _, rep := range r.Replicas(testObj) {
+	for _, rep := range r.AppendReplicas(nil, testObj) {
 		if rep.Rcnt != 1 {
 			t.Errorf("host %d rcnt = %d after affinity change, want 1", rep.Host, rep.Rcnt)
 		}
@@ -258,20 +258,31 @@ func TestReplicasReturnsCopy(t *testing.T) {
 	topo := topology.Line(3)
 	r, _ := newTestRedirector(t, topo, PolicyPaper)
 	r.NotifyReplicaChange(testObj, 0, 1)
-	reps := r.Replicas(testObj)
-	reps[0].Rcnt = 999
-	if r.Replicas(testObj)[0].Rcnt == 999 {
-		t.Fatal("Replicas exposed internal state")
+	buf := []Replica{{Host: 9}}
+	reps := r.AppendReplicas(buf, testObj)
+	if len(reps) != 2 || reps[0].Host != 9 || reps[1].Host != 0 {
+		t.Fatalf("AppendReplicas = %+v, want the record after buf's entry", reps)
 	}
-	if r.Replicas(object.ID(555)) != nil {
-		t.Fatal("Replicas for unknown object should be nil")
+	reps[1].Rcnt = 999
+	if r.AppendReplicas(nil, testObj)[0].Rcnt == 999 {
+		t.Fatal("AppendReplicas exposed internal state")
 	}
+	if r.AppendReplicas(nil, object.ID(555)) != nil {
+		t.Fatal("AppendReplicas for unknown object should leave buf nil")
+	}
+}
+
+// recordedIDs returns the IDs r ever recorded a replica for, ascending.
+func recordedIDs(r *Redirector) []object.ID {
+	var ids []object.ID
+	r.EachObject(func(id object.ID) { ids = append(ids, id) })
+	return ids
 }
 
 // totalAffinity sums the affinities of id's recorded replicas.
 func totalAffinity(r *Redirector, id object.ID) int {
 	total := 0
-	for _, rep := range r.Replicas(id) {
+	for _, rep := range r.AppendReplicas(nil, id) {
 		total += rep.Aff
 	}
 	return total
@@ -286,9 +297,9 @@ func TestTotalAffinityAndObjects(t *testing.T) {
 	if got := totalAffinity(r, object.ID(1)); got != 3 {
 		t.Errorf("total affinity = %d, want 3", got)
 	}
-	ids := r.Objects()
+	ids := recordedIDs(r)
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Errorf("Objects() = %v, want [1 2]", ids)
+		t.Errorf("EachObject walked %v, want [1 2]", ids)
 	}
 }
 
@@ -360,7 +371,7 @@ func TestTheorem1And2ReplicationBounds(t *testing.T) {
 		// Host i replicates to a host j without a replica.
 		i := topology.NodeID(hosts[rng.Intn(numReplicas)])
 		var affI int
-		for _, rep := range r.Replicas(testObj) {
+		for _, rep := range r.AppendReplicas(nil, testObj) {
 			if rep.Host == i {
 				affI = rep.Aff
 			}
@@ -369,7 +380,7 @@ func TestTheorem1And2ReplicationBounds(t *testing.T) {
 		for _, cand := range rng.Perm(n) {
 			if _, isReplica := pre[topology.NodeID(cand)]; !isReplica {
 				found := false
-				for _, rep := range r.Replicas(testObj) {
+				for _, rep := range r.AppendReplicas(nil, testObj) {
 					if rep.Host == topology.NodeID(cand) {
 						found = true
 					}
@@ -506,7 +517,7 @@ func TestTheorem5FloorAfterReplication(t *testing.T) {
 		r.NotifyReplicaChange(testObj, j, 1)
 		post := steadyState(r, testObj, gateways, weights, 40000, rng)
 		floor := MinUnitAccessAfterReplication(m)
-		for _, rep := range r.Replicas(testObj) {
+		for _, rep := range r.AppendReplicas(nil, testObj) {
 			unit := post[rep.Host] / float64(rep.Aff)
 			if unit < floor*0.9 {
 				t.Errorf("trial %d: replica %d unit rate %.4f below Thm5 floor %.4f",
@@ -583,7 +594,7 @@ func TestObjectsAreIsolated(t *testing.T) {
 	if h != 5 {
 		t.Fatalf("object b routed to %d, want its closest replica 5", h)
 	}
-	for _, rep := range r.Replicas(b) {
+	for _, rep := range r.AppendReplicas(nil, b) {
 		if rep.Host == 0 && rep.Rcnt != 1 {
 			t.Fatalf("object b contaminated by object a's traffic: %+v", rep)
 		}
@@ -799,7 +810,7 @@ func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 			}
 		}
 		for id := object.ID(0); id < choiceObjects; id++ {
-			if got := r.Replicas(id); !slices.Equal(got, m.sets[id]) {
+			if got := r.AppendReplicas(nil, id); !slices.Equal(got, m.sets[id]) {
 				t.Fatalf("step %d (%s): object %d records %+v, the scan model %+v", step, what, id, got, m.sets[id])
 			}
 		}

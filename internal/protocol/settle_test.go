@@ -46,7 +46,7 @@ func settleScript(t *testing.T, seed int64, eager bool, cov *settleCoverage) []s
 	held := make(map[[2]int]bool) // (host, object) pairs that held a replica at some point
 	noteHeld := func() {
 		for hi, h := range c.hosts {
-			for _, id := range h.Objects() {
+			for _, id := range hostedIDs(h) {
 				held[[2]int{hi, int(id)}] = true
 			}
 		}
@@ -117,12 +117,12 @@ func settleScript(t *testing.T, seed int64, eager bool, cov *settleCoverage) []s
 	for hi, h := range c.hosts {
 		h.settle()
 		trace = append(trace, fmt.Sprintf("host %d stats %+v", hi, h.Stats))
-		for _, id := range h.Objects() {
+		for _, id := range hostedIDs(h) {
 			trace = append(trace, fmt.Sprintf("host %d object %d: %+v", hi, id, *h.objs.get(id)))
 		}
 	}
-	for _, id := range c.red.Objects() {
-		trace = append(trace, fmt.Sprintf("object %d replicas %+v", id, c.red.Replicas(id)))
+	for _, id := range recordedIDs(c.red) {
+		trace = append(trace, fmt.Sprintf("object %d replicas %+v", id, c.red.AppendReplicas(nil, id)))
 	}
 	return trace
 }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"testing"
+
+	"radar/internal/object"
 )
 
 // TestCorpusInvariants checks, for every corpus scenario at its final
@@ -49,11 +51,11 @@ func TestCorpusInvariants(t *testing.T) {
 			if sp.Floor > 1 {
 				below := 0
 				for _, red := range run.sim.Redirectors() {
-					for _, id := range red.Objects() {
+					red.EachObject(func(id object.ID) {
 						if red.ReplicaCount(id) < sp.Floor {
 							below++
 						}
-					}
+					})
 				}
 				if len(res.BelowFloor) == 0 {
 					t.Fatalf("no below-floor census despite floor %d", sp.Floor)

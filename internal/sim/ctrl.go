@@ -26,6 +26,8 @@ type ctrlState struct {
 	// callee sends from inside the handshake (its replica-change notify)
 	// depart at that dilated time, not at the enclosing event's time.
 	execAt time.Duration
+	// hostBuf is reconcile's scratch for one replica set's hosts.
+	hostBuf []topology.NodeID
 
 	// Anti-entropy accounting.
 	reconcileRuns     int64
@@ -86,11 +88,11 @@ func (s *Simulation) ctrlNow() time.Duration {
 // handshake becomes a retried request/reply RPC, and the callee handler
 // runs under execAt so its own notifications depart at the request's true
 // arrival time.
-func (s *Simulation) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64, exec func(at time.Duration) bool) (protocol.CreateObjStatus, uint64, time.Duration) {
+func (s *Simulation) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
 	verdict, tok, doneAt, ok := s.ctrl.plane.Call(now, req.From, req.To, token, func(at time.Duration) bool {
 		prev := s.ctrl.execAt
 		s.ctrl.execAt = at
-		res := exec(at)
+		res := s.mem.machines[req.To].Host.CreateObj(at, req.Method, req.Object, req.UnitLoad, req.SrcAff, req.From)
 		s.ctrl.execAt = prev
 		return res
 	})
@@ -179,34 +181,32 @@ func (s *Simulation) reconcile(now time.Duration) {
 		if s.down[i] {
 			continue
 		}
-		h := m.Host
-		for _, id := range h.Objects() {
+		host := topology.NodeID(i)
+		m.Host.EachObject(func(id object.ID, aff int) {
 			red := s.mem.redirectorFor(id)
-			aff := h.Affinity(id)
-			rec, known := red.RecordedAffinity(id, topology.NodeID(i))
+			rec, known := red.RecordedAffinity(id, host)
 			switch {
 			case !known:
-				red.NotifyReplicaChange(id, topology.NodeID(i), aff)
+				red.NotifyReplicaChange(id, host, aff)
 				c.orphansHealed++
 			case rec != aff:
-				red.NotifyReplicaChange(id, topology.NodeID(i), aff)
+				red.NotifyReplicaChange(id, host, aff)
 				c.staleAffinity++
 			}
-		}
+		})
 	}
 	// Redirector -> host direction: erase records of replicas the host no
 	// longer holds (defensive; message loss alone cannot produce these, but
 	// the invariant is asserted, not assumed).
-	var hosts []topology.NodeID
 	for _, red := range redirectors {
-		for _, id := range red.Objects() {
-			hosts = red.ReplicaHosts(id, hosts)
-			for _, h := range hosts {
+		red.EachObject(func(id object.ID) {
+			c.hostBuf = red.ReplicaHosts(id, c.hostBuf)
+			for _, h := range c.hostBuf {
 				if !machines[h].Host.Has(id) {
 					red.RemoveRecord(id, h)
 					c.ghostsRemoved++
 				}
 			}
-		}
+		})
 	}
 }

@@ -183,3 +183,24 @@ func TestCtrlLossAccountingConsistent(t *testing.T) {
 		t.Errorf("reconciliation charged no digest traffic: %d", res.ReconcileByteHops)
 	}
 }
+
+// TestReconcileAllocFree: once a lossy run has settled, an anti-entropy
+// pass reads every host's objects and every redirector's records in place
+// and allocates nothing.
+func TestReconcileAllocFree(t *testing.T) {
+	cfg := lossyConfig(t, 3*time.Minute, 5, 0.2)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.reconcile(cfg.Duration) // heals what the last interval lost, sizes the scratch
+	if allocs := testing.AllocsPerRun(5, func() { s.reconcile(cfg.Duration) }); allocs != 0 {
+		t.Fatalf("a reconcile pass over a settled fleet allocates %v times, want 0", allocs)
+	}
+	if s.ctrl.ghostsRemoved != 0 {
+		t.Fatalf("%d ghost records removed from a fleet that never had one", s.ctrl.ghostsRemoved)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"radar/internal/fault"
+	"radar/internal/object"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
@@ -78,11 +79,11 @@ func TestHostFailureAndRecovery(t *testing.T) {
 		t.Fatalf("invariants: %v", res.InvariantsError)
 	}
 	for _, red := range s.Redirectors() {
-		for _, id := range red.Objects() {
+		red.EachObject(func(id object.ID) {
 			if red.ReplicaCount(id) == 0 {
 				t.Fatalf("object %d unavailable after recovery", id)
 			}
-		}
+		})
 	}
 }
 

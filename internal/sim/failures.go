@@ -99,13 +99,13 @@ func (s *Simulation) recoverHost(now time.Duration, n topology.NodeID) {
 	s.recoveries++
 	h := s.mem.machines[n].Host
 	h.OnRecover(now)
-	for _, id := range h.Objects() {
-		s.mem.redirectorFor(id).NotifyReplicaChange(id, n, h.Affinity(id))
+	h.EachObject(func(id object.ID, aff int) {
+		s.mem.redirectorFor(id).NotifyReplicaChange(id, n, aff)
 		if start, open := s.outageStart[id]; open {
 			s.col.RecordOutageWindow(start, now)
 			delete(s.outageStart, id)
 		}
-	}
+	})
 }
 
 // failLink cuts the undirected link a-b: traffic whose path crosses it is

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"radar/internal/fault"
+	"radar/internal/object"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
@@ -157,11 +158,11 @@ func TestPropertyRepairReachesFloor(t *testing.T) {
 	}
 	below := 0
 	for _, red := range s.Redirectors() {
-		for _, id := range red.Objects() {
+		red.EachObject(func(id object.ID) {
 			if red.ReplicaCount(id) < 2 {
 				below++
 			}
-		}
+		})
 	}
 	// Uniform demand keeps acceptors scarce (most hosts sit near the low
 	// watermark), yet repair must still reach the floor for ≥99% of

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/store"
 	"radar/internal/workload"
@@ -156,7 +157,8 @@ func TestStorageCapAllowsAffinityIncrement(t *testing.T) {
 	// guards CreateObj). An affinity increment on an object it already has
 	// occupies no extra storage and must still be accepted.
 	h := s.Hosts()[0]
-	objs := h.Objects()
+	var objs []object.ID
+	h.EachObject(func(id object.ID, _ int) { objs = append(objs, id) })
 	if len(objs) == 0 {
 		t.Fatal("host 0 has no seeded objects")
 	}
