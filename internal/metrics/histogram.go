@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -45,9 +46,68 @@ func binUpper(idx int) float64 {
 	return histMin * math.Exp(float64(idx+1)/float64(histBins)*histLogRange)
 }
 
+// binCells bins a duration without a logarithm. A cell is picked by the
+// nanosecond count's leading bit and the three bits after it, so it spans
+// at most an eighth of an octave (0.118 nat), narrower than one bin
+// (0.168 nat): it holds at most one bin edge, and the bin of any duration
+// in it is its base plus one past that edge. The edges are binFor's own,
+// so binOf(d) == binFor(d.Seconds()) for every d.
+var binCells = buildBinCells()
+
+type binCell struct {
+	edge uint64 // the first nanosecond of bin base+1, or MaxUint64 when the cell holds no edge
+	base int    // the bin of every duration in the cell below edge
+}
+
+// cellOf returns the table cell of a positive duration.
+func cellOf(d time.Duration) int {
+	p := bits.Len64(uint64(d)) - 1
+	return p<<3 | int(uint64(d)<<(63-p)>>60&7)
+}
+
+// binOf is binFor(d.Seconds()) by one table load and one compare.
+func binOf(d time.Duration) int {
+	d = max(d, 1)
+	c := &binCells[cellOf(d)&(len(binCells)-1)]
+	if uint64(d) >= c.edge {
+		return c.base + 1
+	}
+	return c.base
+}
+
+func buildBinCells() (cells [512]binCell) {
+	for i := range cells {
+		cells[i].edge = math.MaxUint64
+	}
+	for k := 1; k < histBins; k++ {
+		// binUpper(k-1) is bin k's lower edge in seconds; walk from its
+		// rounding to the first nanosecond binFor puts in bin k.
+		d := time.Duration(binUpper(k-1) * 1e9)
+		for binFor(d.Seconds()) >= k {
+			d--
+		}
+		for binFor(d.Seconds()) < k {
+			d++
+		}
+		c := &cells[cellOf(d)]
+		if c.edge != math.MaxUint64 {
+			panic("metrics: two latency-bin edges in one table cell")
+		}
+		c.edge = uint64(d)
+	}
+	base := 0
+	for i := range cells {
+		cells[i].base = base
+		if cells[i].edge != math.MaxUint64 {
+			base++
+		}
+	}
+	return cells
+}
+
 // observe records one latency sample.
 func (h *latencyHist) observe(d time.Duration) {
-	h.bins[binFor(d.Seconds())]++
+	h.bins[binOf(d)]++
 	h.count++
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -249,3 +250,77 @@ func TestHistogramMonotoneProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyBinTable checks the table against its definition, binFor:
+// every nanosecond within 10 µs of each bin edge, the durations at and
+// below zero, those past the histogram's ceiling, and a million random
+// ones spread over every octave.
+func TestLatencyBinTable(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := binOf(d), binFor(d.Seconds()); got != want {
+			t.Fatalf("binOf(%d ns) = %d, binFor says %d", int64(d), got, want)
+		}
+	}
+	const near = 10 * time.Microsecond
+	for k := 1; k < histBins; k++ {
+		edge := time.Duration(binUpper(k-1) * 1e9)
+		if binOf(edge-near) >= k || binOf(edge+near) < k {
+			t.Fatalf("edge %d at %v is not within %v of its estimate", k, edge, near)
+		}
+		for d := edge - near; d <= edge+near; d++ {
+			check(d)
+		}
+	}
+	for _, d := range []time.Duration{0, -1, -time.Second, math.MinInt64, 1, 7, 8} {
+		check(d)
+	}
+	ceiling := time.Duration(histMax * 1e9)
+	for _, d := range []time.Duration{ceiling - 1, ceiling, ceiling + 1, 2 * ceiling, math.MaxInt64} {
+		check(d)
+	}
+	rng := workload.Stream(7, 0)
+	for i := 0; i < 1_000_000; i++ {
+		check(time.Duration(rng.Int63() >> rng.Intn(63)))
+	}
+}
+
+// FuzzLatencyBin widens TestLatencyBinTable to any duration.
+func FuzzLatencyBin(f *testing.F) {
+	for _, d := range []int64{0, -1, 100_000, 117_000, 1e12, math.MaxInt64} {
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, ns int64) {
+		d := time.Duration(ns)
+		if got, want := binOf(d), binFor(d.Seconds()); got != want {
+			t.Fatalf("binOf(%d ns) = %d, binFor says %d", ns, got, want)
+		}
+	})
+}
+
+// BenchmarkLatencyBin sizes the table lookup against the logarithm it
+// replaces, over request-like latencies (1 ms to 1 s).
+func BenchmarkLatencyBin(b *testing.B) {
+	rng := workload.Stream(1, 0)
+	ds := make([]time.Duration, 1<<12)
+	for i := range ds {
+		ds[i] = time.Millisecond + time.Duration(rng.Int63n(int64(time.Second)))
+	}
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink += binOf(ds[i&(len(ds)-1)])
+		}
+	})
+	b.Run("log", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink += binFor(ds[i&(len(ds)-1)].Seconds())
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink += buildBinCells()[i&511].base
+		}
+	})
+}
+
+var benchSink int

@@ -5,54 +5,48 @@
 // scheduled (FIFO tie-breaking by sequence number), which makes every
 // simulation run reproducible from its inputs alone.
 //
-// The queue is a value-based 4-ary heap of compact (time, seq) keys with
-// event payloads held in a recycled slot arena: scheduling an event
-// appends to contiguous backing slices instead of allocating heap nodes,
-// so the steady-state scheduling path performs zero allocations.
-// Hot callers that would otherwise allocate a closure per event can
-// implement Handler and use ScheduleHandler; a pooled Handler round-trips
-// through the queue without touching the garbage collector at all.
-//
-// Beside the heap, a sorted run (a ring scanned back from its tail) holds
-// events scheduled nearly in time order: the simulator's gateway streams.
-// Both draw seq from one counter and each step fires the earlier head, so
-// the order is the heap-only one. Periodic ticks stay in the heap: at the
-// ring's tail, their staggered entries would lengthen every scan.
+// The queue is three queues of compact (time, seq, handler) keys, each
+// drawing seq from one counter; a step fires the earliest of their three
+// heads, so the order is that of one queue holding everything. Handlers
+// (ScheduleHandler, ScheduleHandlerReserved) wait in the work heap, a
+// value-based 4-ary heap: scheduling appends to a contiguous slice instead
+// of allocating a node, so the steady-state path performs zero
+// allocations. Closures (Schedule: periodic ticks, the fault timeline,
+// hooks) wait in a timer heap of the same shape: firing at most about
+// once per simulated second each, they would otherwise crowd the work
+// heap and deepen every sift of the serve plane's events. A sorted run (a
+// ring scanned back from its tail) holds events scheduled nearly in time
+// order: the simulator's gateway streams (ScheduleSorted).
 package simevent
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
-// Event is a unit of work scheduled to run at a virtual time.
+// Event is a unit of work scheduled to run at a virtual time. Its Fire
+// method makes it a Handler; a pre-built Event is scheduled without
+// allocating, though building a closure allocates once.
 type Event func(now time.Duration)
 
-// Handler is the allocation-free alternative to Event: a pre-built
-// (typically pooled) object whose Fire method runs at the scheduled time.
-// Storing a pointer-shaped Handler in the queue does not allocate, whereas
-// every closure passed to Schedule is one heap allocation.
+// Fire implements Handler.
+func (f Event) Fire(now time.Duration) { f(now) }
+
+// Handler is the allocation-free alternative to a fresh closure: a
+// pre-built (typically pooled) object whose Fire method runs at the
+// scheduled time. Storing a pointer-shaped Handler in the queue does not
+// allocate.
 type Handler interface {
 	Fire(now time.Duration)
 }
 
-// key is a heap entry: the ordering fields plus the index of the event's
-// payload slot. Keys are 24 bytes, so sift operations move and compare
-// barely more than half the bytes a combined key+payload entry would;
-// payloads sit still in a slot arena and are looked up once per pop.
+// key is a queued event: the ordering fields plus the handler to fire.
 type key struct {
-	at   time.Duration
-	seq  uint64
-	slot int32
-}
-
-// payload is the work half of a scheduled event. Exactly one of fn and h
-// is set. Slots are recycled through a LIFO freelist, so the steady-state
-// scheduling path performs zero allocations.
-type payload struct {
-	fn Event
-	h  Handler
+	at  time.Duration
+	seq uint64
+	h   Handler
 }
 
 // before reports whether a fires before b: earlier timestamp, FIFO on
@@ -72,11 +66,10 @@ var ErrSchedulePast = errors.New("simevent: schedule time is in the past")
 // ready to use. Engine is not safe for concurrent use; a simulation is a
 // sequential program over virtual time.
 type Engine struct {
-	heap  []key
-	slots []payload
-	free  []int32
-	now   time.Duration
-	seq   uint64
+	work   heap4 // ScheduleHandler, ScheduleHandlerReserved
+	timers heap4 // Schedule
+	now    time.Duration
+	seq    uint64
 
 	// ring is the sorted run: ringLen keys from ringHead, mod len(ring) (2^k).
 	ring              []key
@@ -101,18 +94,17 @@ func (e *Engine) Now() time.Duration { return e.now }
 // when the queue is empty. The sharded simulation uses it to bound each
 // parallel window at the next serially-executed global event.
 func (e *Engine) PeekTime() (time.Duration, bool) {
-	if e.ringFirst() {
-		return e.ring[e.ringHead].at, true
+	at, ok := time.Duration(math.MaxInt64), false
+	if len(e.work) > 0 {
+		at, ok = e.work[0].at, true
 	}
-	if len(e.heap) == 0 {
-		return 0, false
+	if e.ringLen > 0 {
+		at, ok = min(at, e.ring[e.ringHead].at), true
 	}
-	return e.heap[0].at, true
-}
-
-// ringFirst reports whether the sorted run's head is the earliest event.
-func (e *Engine) ringFirst() bool {
-	return e.ringLen > 0 && (len(e.heap) == 0 || e.ring[e.ringHead].before(&e.heap[0]))
+	if len(e.timers) > 0 {
+		at, ok = min(at, e.timers[0].at), true
+	}
+	return at, ok
 }
 
 // SetInterrupt installs a poll function consulted every interruptEvery
@@ -124,14 +116,14 @@ func (e *Engine) SetInterrupt(f func() bool) { e.interrupt = f }
 // Schedule enqueues fn to run at absolute virtual time at. Scheduling at
 // the current time is allowed (the event runs after already-pending events
 // for the same instant). Scheduling in the past returns ErrSchedulePast.
-// Note fn itself is typically a closure, which the caller allocates; use
-// ScheduleHandler on paths hot enough to care.
+// fn waits in the timer heap: Schedule is for events that fire rarely
+// (ticks, faults, hooks); use ScheduleHandler on paths hot enough to care.
 func (e *Engine) Schedule(at time.Duration, fn Event) error {
 	if at < e.now {
 		return fmt.Errorf("%w: at=%v now=%v", ErrSchedulePast, at, e.now)
 	}
 	e.seq++
-	e.push(at, e.seq, fn, nil)
+	e.timers.push(key{at: at, seq: e.seq, h: fn})
 	return nil
 }
 
@@ -142,7 +134,7 @@ func (e *Engine) ScheduleHandler(at time.Duration, h Handler) error {
 		return fmt.Errorf("%w: at=%v now=%v", ErrSchedulePast, at, e.now)
 	}
 	e.seq++
-	e.push(at, e.seq, nil, h)
+	e.work.push(key{at: at, seq: e.seq, h: h})
 	return nil
 }
 
@@ -160,7 +152,7 @@ func (e *Engine) ScheduleSorted(at time.Duration, h Handler) error {
 		e.ring, e.ringHead = ring, 0
 	}
 	e.seq++
-	entry, mask := key{at: at, seq: e.seq, slot: e.alloc(nil, h)}, len(e.ring)-1
+	entry, mask := key{at: at, seq: e.seq, h: h}, len(e.ring)-1
 	i := e.ringHead + e.ringLen
 	for ; i > e.ringHead && entry.before(&e.ring[(i-1)&mask]); i-- {
 		e.ring[i&mask] = e.ring[(i-1)&mask]
@@ -195,60 +187,45 @@ func (e *Engine) ScheduleHandlerReserved(at time.Duration, seq uint64, h Handler
 	if at < e.now {
 		return fmt.Errorf("%w: at=%v now=%v", ErrSchedulePast, at, e.now)
 	}
-	e.push(at, seq, nil, h)
+	e.work.push(key{at: at, seq: seq, h: h})
 	return nil
 }
 
-// alloc stores a payload in a recycled or new slot and returns its index.
-func (e *Engine) alloc(fn Event, h Handler) int32 {
-	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free = e.free[:n-1]
-		e.slots[s] = payload{fn: fn, h: h}
-		return s
-	}
-	e.slots = append(e.slots, payload{fn: fn, h: h})
-	return int32(len(e.slots) - 1)
-}
+// heap4 is a 4-ary min-heap of keys ordered by (at, seq). Compared to the
+// binary container/heap it halves the tree depth, keeps children of a
+// node in one cache line's reach, and avoids both the per-node allocation
+// and the interface boxing of heap.Push/heap.Pop.
+type heap4 []key
 
-// The queue is a 4-ary min-heap of 24-byte keys ordered by (at, seq).
-// Compared to the binary container/heap it halves the tree depth, keeps
-// children of a node in one cache line's reach, and avoids both the
-// per-node allocation and the interface boxing of heap.Push/heap.Pop.
-// Event payloads live outside the heap in a slot arena, so sift swaps
-// never move function or interface values.
-
-func (e *Engine) push(at time.Duration, seq uint64, fn Event, h Handler) {
+func (q *heap4) push(entry key) {
 	// Hole-based sift-up: bubble a hole to the entry's final position and
-	// write the entry once, instead of swapping it level by level. The
-	// comparison sequence is identical to a swap-based sift, so the heap
-	// layout — and therefore pop order — is unchanged.
-	entry := key{at: at, seq: seq, slot: e.alloc(fn, h)}
-	e.heap = append(e.heap, entry)
-	i := len(e.heap) - 1
+	// write the entry once, instead of swapping it level by level.
+	h := append(*q, entry)
+	*q = h
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !entry.before(&e.heap[parent]) {
+		if !entry.before(&h[parent]) {
 			break
 		}
-		e.heap[i] = e.heap[parent]
+		h[i] = h[parent]
 		i = parent
 	}
-	e.heap[i] = entry
+	h[i] = entry
 }
 
 // pop removes and returns the heap's earliest key.
-func (e *Engine) pop() key {
-	h := e.heap
+func (q *heap4) pop() key {
+	h := *q
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
+	h[n] = key{} // release the handler reference
 	h = h[:n]
-	e.heap = h
+	*q = h
 	// Hole-based sift-down: move the displaced last element's hole down to
-	// its final position and write it once — one 24-byte write per level
-	// instead of a swap's three, with an identical comparison sequence, so
-	// pop order (and every simulation result) is bit-identical.
+	// its final position and write it once — one write per level instead
+	// of a swap's three.
 	if n > 0 {
 		i := 0
 		for {
@@ -257,10 +234,7 @@ func (e *Engine) pop() key {
 				break
 			}
 			best := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
+			end := min(first+4, n)
 			for c := first + 1; c < end; c++ {
 				if h[c].before(&h[best]) {
 					best = c
@@ -281,27 +255,39 @@ func (e *Engine) pop() key {
 // than horizon and advances the clock to its timestamp. It returns false
 // if there is none.
 func (e *Engine) step(horizon time.Duration) bool {
-	var top key
-	if e.ringFirst() {
-		if top = e.ring[e.ringHead]; top.at > horizon {
-			return false
+	// Find the earliest of the three heads: q is 1, 2 or 3 for the work
+	// heap, the sorted run or the timer heap.
+	q, top := 0, (*key)(nil)
+	if len(e.work) > 0 {
+		q, top = 1, &e.work[0]
+	}
+	if e.ringLen > 0 {
+		if r := &e.ring[e.ringHead]; top == nil || r.before(top) {
+			q, top = 2, r
 		}
-		e.ringHead = (e.ringHead + 1) & (len(e.ring) - 1)
-		e.ringLen--
-	} else if len(e.heap) > 0 && e.heap[0].at <= horizon {
-		top = e.pop()
-	} else {
+	}
+	if len(e.timers) > 0 {
+		if t := &e.timers[0]; top == nil || t.before(top) {
+			q, top = 3, t
+		}
+	}
+	if top == nil || top.at > horizon {
 		return false
 	}
-	p := e.slots[top.slot]
-	e.slots[top.slot] = payload{} // release fn/h references
-	e.free = append(e.free, top.slot)
-	e.now = top.at
-	if p.h != nil {
-		p.h.Fire(e.now)
-	} else {
-		p.fn(e.now)
+	var k key
+	switch q {
+	case 1:
+		k = e.work.pop()
+	case 2:
+		k = *top
+		*top = key{} // release the handler reference
+		e.ringHead = (e.ringHead + 1) & (len(e.ring) - 1)
+		e.ringLen--
+	default:
+		k = e.timers.pop()
 	}
+	e.now = k.at
+	k.h.Fire(k.at)
 	return true
 }
 

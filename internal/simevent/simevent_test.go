@@ -2,6 +2,7 @@ package simevent
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -291,63 +292,122 @@ func BenchmarkScheduleSorted(b *testing.B) {
 	}
 }
 
+// TestScheduleAllocFree pins the zero-allocation paths: a pooled Handler
+// and a pre-built Event each round-trip through their queue without
+// allocating once the queues have grown.
+func TestScheduleAllocFree(t *testing.T) {
+	e := New()
+	h := &benchHandler{}
+	fn := Event(func(time.Duration) {})
+	for i := 0; i < 64; i++ {
+		_ = e.ScheduleHandler(time.Duration(i), h)
+		_ = e.Schedule(time.Duration(i), fn)
+		_ = e.ScheduleSorted(time.Duration(i), h)
+	}
+	e.Run(forever)
+	for name, schedule := range map[string]func(){
+		"ScheduleHandler": func() { _ = e.ScheduleHandler(e.Now()+1, h) },
+		"Schedule":        func() { _ = e.Schedule(e.Now()+1, fn) },
+	} {
+		if a := testing.AllocsPerRun(1000, func() { schedule(); e.step(forever) }); a != 0 {
+			t.Errorf("%s allocates %v times per event", name, a)
+		}
+	}
+}
+
 // program is one seeded random run of the engine that mixes every way to
-// schedule. Replayed with sorted false, every ScheduleSorted becomes a
-// ScheduleHandler: that heap-only replay is the ordering oracle.
+// schedule with step and Run(horizon) stops. Beside the engine it keeps
+// the reference: every pending event's (at, seq) in a plain list, seq
+// counted by the program itself, so the event due next is the list's
+// minimum. Any firing, PeekTime or Run stop that disagrees is an error.
 type program struct {
-	e      *Engine
-	rng    *rand.Rand
-	sorted bool
-	budget int     // events still to be created
-	log    []int64 // fired (id, time) pairs and observed peek/clock values
-	// wrappedGrows counts sorted inserts that found the ring full and
-	// wrapped, so that growing it had to unwrap it.
+	e       *Engine
+	rng     *rand.Rand
+	budget  int // events still to be created
+	seq     uint64
+	pending []refEvent
+	err     error
+	// kinds counts the events made by each way to schedule; wrappedGrows
+	// counts sorted inserts that found the ring full and wrapped, so that
+	// growing it had to unwrap it.
+	kinds        [4]int
 	wrappedGrows int
 }
 
-// progEvent is one event of a program; firing logs it and spawns up to two
-// more.
+type refEvent struct {
+	at  time.Duration
+	seq uint64
+	id  int
+}
+
+// earliest returns the index of the reference's next event, or -1.
+func (p *program) earliest() int {
+	best := -1
+	for i, r := range p.pending {
+		if best < 0 || r.at < p.pending[best].at || (r.at == p.pending[best].at && r.seq < p.pending[best].seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (p *program) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf(format, args...)
+	}
+}
+
+// progEvent is one event of a program; firing checks it against the
+// reference and spawns up to two more.
 type progEvent struct {
 	p  *program
-	id int64
+	id int
 }
 
 func (ev *progEvent) Fire(now time.Duration) {
-	ev.p.log = append(ev.p.log, ev.id, int64(now))
-	ev.p.spawn(now, ev.p.rng.Intn(3))
+	p := ev.p
+	if i := p.earliest(); i < 0 || p.pending[i].id != ev.id || p.pending[i].at != now {
+		p.fail("event %d fired at %v; the reference's next is %+v", ev.id, now, p.pending)
+	}
+	for i, r := range p.pending {
+		if r.id == ev.id {
+			p.pending = append(p.pending[:i], p.pending[i+1:]...)
+			break
+		}
+	}
+	p.spawn(now, p.rng.Intn(3))
 }
 
 // spawn schedules n events at or after now, on a millisecond grid so that
-// equal instants are common. Sorted events land either anywhere in the
-// next 8 ms (usually out of order) or past it (usually in order).
-// Reserved events take their seq first and enter the heap after the
-// others of this call, as the per-server FIFO heads do.
+// equal instants across the three queues are common. Sorted events land
+// either anywhere in the next 8 ms (usually out of order) or past it
+// (usually in order). Reserved events take their seq first and enter the
+// work heap after the others of this call, as the per-server FIFO heads
+// do.
 func (p *program) spawn(now time.Duration, n int) {
-	type reserved struct {
-		at  time.Duration
-		seq uint64
-		ev  *progEvent
-	}
-	var held []reserved
+	var held []refEvent
 	for ; n > 0 && p.budget > 0; n-- {
 		p.budget--
-		ev := &progEvent{p: p, id: int64(p.budget)}
+		ev := &progEvent{p: p, id: p.budget}
 		at := now + time.Duration(p.rng.Intn(8))*time.Millisecond
+		kind := min(p.rng.Intn(5), 3)
+		p.kinds[kind]++
+		p.seq++
 		var err error
-		switch p.rng.Intn(5) {
+		switch kind {
 		case 0:
 			err = p.e.Schedule(at, ev.Fire)
 		case 1:
 			err = p.e.ScheduleHandler(at, ev)
 		case 2:
-			held = append(held, reserved{at, p.e.ReserveSeq(), ev})
+			if seq := p.e.ReserveSeq(); seq != p.seq {
+				p.fail("ReserveSeq gave %d, the reference counts %d", seq, p.seq)
+			}
+			held = append(held, refEvent{at, p.seq, ev.id})
+			continue
 		default:
 			if p.rng.Intn(2) == 0 {
 				at += 8 * time.Millisecond
-			}
-			if !p.sorted {
-				err = p.e.ScheduleHandler(at, ev)
-				break
 			}
 			if p.e.ringLen == len(p.e.ring) && p.e.ringHead != 0 {
 				p.wrappedGrows++
@@ -357,66 +417,68 @@ func (p *program) spawn(now time.Duration, n int) {
 		if err != nil {
 			panic(err)
 		}
+		p.pending = append(p.pending, refEvent{at, p.seq, ev.id})
 	}
 	for _, r := range held {
-		if err := p.e.ScheduleHandlerReserved(r.at, r.seq, r.ev); err != nil {
+		if err := p.e.ScheduleHandlerReserved(r.at, r.seq, &progEvent{p: p, id: r.id}); err != nil {
 			panic(err)
 		}
+		p.pending = append(p.pending, r)
 	}
 }
 
 // runProgram runs the program of seed to exhaustion, alternating step with
-// Run to random horizons and logging PeekTime before and the clock after
-// each.
-func runProgram(seed int64, sorted bool) *program {
+// Run to random horizons, and checks PeekTime before and the stop after
+// each against the reference.
+func runProgram(seed int64) *program {
 	rng := workload.Stream(seed, 0)
-	p := &program{e: New(), rng: rng, sorted: sorted, budget: 200 + rng.Intn(800)}
+	p := &program{e: New(), rng: rng, budget: 200 + rng.Intn(800)}
 	p.spawn(0, 40+rng.Intn(100))
-	for {
+	for p.err == nil {
 		at, ok := p.e.PeekTime()
+		next := p.earliest()
+		if ok != (next >= 0) || (ok && at != p.pending[next].at) {
+			p.fail("PeekTime() = %v, %v; the reference's next is %+v", at, ok, p.pending)
+		}
 		if !ok {
 			return p
 		}
-		p.log = append(p.log, -1, int64(at))
 		if p.rng.Intn(3) == 0 {
 			p.e.step(math.MaxInt64)
-		} else {
-			p.e.Run(p.e.Now() + time.Duration(p.rng.Intn(4))*time.Millisecond)
+			continue
 		}
-		p.log = append(p.log, -2, int64(p.e.Now()))
-	}
-}
-
-// sameOrder reports where the program of seed first diverges from its
-// heap-only replay, or -1.
-func sameOrder(seed int64) (diverge int, sorted *program) {
-	sorted, oracle := runProgram(seed, true), runProgram(seed, false)
-	for i := range sorted.log {
-		if i >= len(oracle.log) || sorted.log[i] != oracle.log[i] {
-			return i, sorted
+		horizon := p.e.Now() + time.Duration(p.rng.Intn(4))*time.Millisecond
+		p.e.Run(horizon)
+		if i := p.earliest(); i >= 0 && p.pending[i].at <= horizon {
+			p.fail("Run(%v) stopped before %+v", horizon, p.pending[i])
 		}
 	}
-	if len(oracle.log) != len(sorted.log) {
-		return len(sorted.log), sorted
-	}
-	return -1, sorted
+	return p
 }
 
-// TestSortedRunMatchesHeap checks that the sorted run changes nothing
-// about the order events fire in, nor where PeekTime and Run(horizon)
-// stop: seeded programs mixing every scheduling call fire exactly as
-// their heap-only replays do.
+// TestSortedRunMatchesHeap checks that the engine's three queues fire
+// events in the order of one sorted list, and that PeekTime and
+// Run(horizon) stop where that list says: seeded programs mixing every
+// scheduling call against their reference.
 func TestSortedRunMatchesHeap(t *testing.T) {
-	wrapped := 0
+	wrapped, kinds := 0, [4]int{}
 	for seed := int64(1); seed <= 40; seed++ {
-		i, p := sameOrder(seed)
-		if i >= 0 {
-			t.Fatalf("seed %d: sorted run diverges from the heap at log entry %d", seed, i)
+		p := runProgram(seed)
+		if p.err != nil {
+			t.Fatalf("seed %d: %v", seed, p.err)
 		}
 		wrapped += p.wrappedGrows
+		for i, n := range p.kinds {
+			kinds[i] += n
+		}
 	}
 	if wrapped == 0 {
 		t.Fatal("no program grew the ring while it was wrapped")
+	}
+	for i, n := range kinds {
+		if n == 0 {
+			t.Fatalf("no program scheduled an event of kind %d", i)
+		}
 	}
 }
 
@@ -426,8 +488,8 @@ func FuzzSortedRun(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if i, _ := sameOrder(seed); i >= 0 {
-			t.Fatalf("seed %d: sorted run diverges from the heap at log entry %d", seed, i)
+		if p := runProgram(seed); p.err != nil {
+			t.Fatalf("seed %d: %v", seed, p.err)
 		}
 	})
 }

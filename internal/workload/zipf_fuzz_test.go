@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzZipfReedsRank: for any universe size and seed, the Reeds
-// approximation must return ranks in [1, n] (clamping degenerate n to 1)
-// and do so deterministically for a fixed (seed, stream) pair.
+// approximation must return ranks in [1, n] (clamping degenerate n to 1),
+// each the closed form's rank of one uniform draw, deterministically for a
+// fixed (seed, stream) pair.
 func FuzzZipfReedsRank(f *testing.F) {
 	f.Add(int64(1), uint16(10000))
 	f.Add(int64(-7), uint16(1))
@@ -25,8 +26,9 @@ func FuzzZipfReedsRank(f *testing.F) {
 			if r < 1 || r > n {
 				t.Fatalf("rank %d out of [1, %d] (seed %d, draw %d)", r, n, seed, i)
 			}
-			if r2 := z.Rank(rng2); r2 != r {
-				t.Fatalf("same stream diverged: draw %d gave %d then %d", i, r, r2)
+			u := rng2.Float64()
+			if want := z.rank(u); r != want {
+				t.Fatalf("draw %d (u=%v) gave rank %d, the closed form says %d", i, u, r, want)
 			}
 		}
 	})

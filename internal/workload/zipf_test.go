@@ -164,3 +164,68 @@ func TestStreamIndependenceAndDeterminism(t *testing.T) {
 		t.Error("different seeds produced identical sequences")
 	}
 }
+
+// TestReedsTableMatchesFormula checks the bucket table against the closed
+// form at both ends of every bucket and at the float64 neighbours of every
+// rank boundary, where a bucket that wrongly claimed a rank would show.
+func TestReedsTableMatchesFormula(t *testing.T) {
+	const w = 1.0 / reedsBuckets
+	for _, n := range []int{1, 2, 3, 500, 2000, 10000, 100000} {
+		z := NewZipfReeds(n)
+		check := func(u float64) {
+			t.Helper()
+			if u < 0 || u >= 1 {
+				return
+			}
+			if got, want := z.at(u), z.rank(u); got != want {
+				t.Fatalf("n=%d: rank at u=%v is %d, the formula says %d", n, u, got, want)
+			}
+		}
+		covered := 0
+		for b := 0; b < reedsBuckets; b++ {
+			check(float64(b) * w)
+			check(math.Nextafter(float64(b+1)*w, 0))
+			if z.ranks[b] != 0 {
+				covered++
+			}
+		}
+		for k := 1; k < n; k++ {
+			u := math.Log(float64(k)+0.5) / z.logN
+			for _, dir := range []float64{0, 1} {
+				v := u
+				for i := 0; i < 4; i++ {
+					check(v)
+					v = math.Nextafter(v, dir)
+				}
+			}
+		}
+		t.Logf("n=%d: the table covers %.3f of u", n, float64(covered)/reedsBuckets)
+		if n == 10000 && covered < reedsBuckets/2 {
+			t.Errorf("n=%d: the table covers only %d of %d buckets", n, covered, reedsBuckets)
+		}
+	}
+}
+
+// BenchmarkZipfReeds sizes a draw and the table build at the Table 1
+// universe.
+func BenchmarkZipfReeds(b *testing.B) {
+	b.Run("rank", func(b *testing.B) {
+		z, rng := NewZipfReeds(10000), Stream(1, 1)
+		for i := 0; i < b.N; i++ {
+			rankSink += z.Rank(rng)
+		}
+	})
+	b.Run("formula", func(b *testing.B) {
+		z, rng := NewZipfReeds(10000), Stream(1, 1)
+		for i := 0; i < b.N; i++ {
+			rankSink += z.rank(rng.Float64())
+		}
+	})
+	b.Run("new", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rankSink += int(NewZipfReeds(10000).ranks[0])
+		}
+	})
+}
+
+var rankSink int
