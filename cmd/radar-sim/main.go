@@ -58,7 +58,7 @@ func run() error {
 		availWeight  = flag.Float64("avail-weight", 0, "availability-aware placement weight in [0,1] (0 = paper behavior)")
 		ctrlRetries  = flag.Int("ctrl-retries", 0, "control-RPC retry budget under message faults (0 = default 3)")
 		ctrlTimeout  = flag.Duration("ctrl-timeout", 0, "per-attempt control-RPC timeout under message faults (0 = default 1s)")
-		storeSpec    = flag.String("store", "", `replica-storage stack, e.g. "cache(mem:64,disk:5ms)" or "mirror(faulty(mem),mem)" (empty = in-memory)`)
+		storeSpec    = flag.String("store", "", `replica-storage stack, e.g. "disk:2ms" or "cache(mem:64,disk:5ms)" (empty = in-memory)`)
 	)
 	flag.Parse()
 

@@ -45,15 +45,18 @@ func TestConfigErrorClassAndDetail(t *testing.T) {
 	}
 }
 
-// TestRunBadStoreSpec: a malformed store term is caught at Run time as a
-// ConfigError on its field.
+// TestRunBadStoreSpec: a malformed store term, or one naming a backend
+// the grammar does not have, is caught at Run time as a ConfigError on its
+// field.
 func TestRunBadStoreSpec(t *testing.T) {
-	cfg := radar.DefaultConfig(radar.Uniform)
-	cfg.Objects = 100
-	cfg.Duration = time.Minute
-	cfg.Storage.Store = "mirror(mem)"
-	if _, err := radar.Run(cfg); !badField(err, "Storage.Store") {
-		t.Errorf("Run error = %v, want ConfigError on Storage.Store", err)
+	for _, term := range []string{"cache(mem)", "mirror(mem,mem)"} {
+		cfg := radar.DefaultConfig(radar.Uniform)
+		cfg.Objects = 100
+		cfg.Duration = time.Minute
+		cfg.Storage.Store = term
+		if _, err := radar.Run(cfg); !badField(err, "Storage.Store") {
+			t.Errorf("Run(%q) error = %v, want ConfigError on Storage.Store", term, err)
+		}
 	}
 }
 

@@ -268,28 +268,6 @@ func (s *Spec) Timeline(numNodes int, edges [][2]topology.NodeID, horizon time.D
 	return sanitize(events), nil
 }
 
-// Cycles draws one element's alternating down/up outage windows out to
-// the horizon from MTBF/MTTR exponentials — the single-element form of a
-// stochastic Spec timeline, used by the store package for per-backend
-// fault injection. Events carry only Kind (HostDown/HostUp) and At, in
-// nondecreasing time order with strict down/up alternation. Equal
-// (mtbf, mttr, rng state) inputs yield identical windows; the same
-// sub-second MTBF guard as Spec.Validate applies.
-func Cycles(horizon, mtbf, mttr time.Duration, rng *rand.Rand) ([]Event, error) {
-	if mtbf < time.Second {
-		return nil, fmt.Errorf("fault: backend MTBF %v must be at least 1s", mtbf)
-	}
-	if mttr <= 0 {
-		return nil, fmt.Errorf("fault: backend MTBF %v needs a positive MTTR", mtbf)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("fault: stochastic cycles need an rng")
-	}
-	return appendCycles(nil, horizon, mtbf, mttr, rng,
-		func(at time.Duration, k Kind) Event { return Event{Kind: k, At: at} },
-		HostDown, HostUp), nil
-}
-
 // appendCycles draws alternating down/up cycles out to the horizon.
 func appendCycles(events []Event, horizon, mtbf, mttr time.Duration, rng *rand.Rand,
 	mk func(time.Duration, Kind) Event, down, up Kind) []Event {

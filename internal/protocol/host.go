@@ -671,7 +671,7 @@ func (h *Host) reduceAffinity(now time.Duration, id object.ID, st *ObjectState) 
 	if red.RequestDrop(id, h.ID) {
 		h.objs.remove(id)
 		if h.env.Store != nil {
-			h.env.Store.Drop(now, id)
+			h.env.Store.Drop(id)
 		}
 		h.Stats.Drops++
 		h.env.Observer.OnDrop(now, id, h.ID)
@@ -734,7 +734,7 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 		// The storage backend is the last admission check: every earlier
 		// guard is side-effect free, and a successful backend create
 		// commits the placement.
-		if h.env.Store != nil && !h.env.Store.Create(now, id) {
+		if h.env.Store != nil && !h.env.Store.Create(id) {
 			h.Stats.RefusalsSent++
 			h.Stats.RefusedStorage++
 			return false

@@ -181,18 +181,13 @@ func Summary(res *sim.Results) *Table {
 	}
 	// Storage section, only with a non-default replica-storage stack:
 	// default-stack renders stay byte-identical. One row per stack layer,
-	// in pre-order, with that layer's hit/miss and fault counters.
+	// in pre-order, with that layer's hit/miss and eviction counters.
 	if res.StoreEnabled {
 		t.AddRow("store stack", res.StoreSpec)
 		for i, l := range res.StoreLayers {
 			t.AddRow(fmt.Sprintf("store[%d] %s serves (hit/miss)", i, l.Label),
 				fmt.Sprintf("%d (%d / %d)", l.Serves, l.Hits, l.Misses))
-			t.AddRow(fmt.Sprintf("store[%d] %s evict/repair/refetch", i, l.Label),
-				fmt.Sprintf("%d / %d / %d", l.Evictions, l.Repairs, l.Refetches))
-			if l.Crashes > 0 || l.LostWrites > 0 {
-				t.AddRow(fmt.Sprintf("store[%d] %s crashes / lost writes", i, l.Label),
-					fmt.Sprintf("%d / %d", l.Crashes, l.LostWrites))
-			}
+			t.AddRow(fmt.Sprintf("store[%d] %s evictions", i, l.Label), strconv.FormatInt(l.Evictions, 10))
 			t.AddRow(fmt.Sprintf("store[%d] %s replicas / MB / cost (s)", i, l.Label),
 				fmt.Sprintf("%d / %s / %s", l.Replicas, F(float64(l.BytesUsed)/(1<<20), 1),
 					F(time.Duration(l.CostNanos).Seconds(), 3)))

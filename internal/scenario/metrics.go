@@ -29,14 +29,12 @@ type Metrics struct {
 	AvgReplicas        float64 `json:"avgReplicas"`
 	TotalMoves         int64   `json:"totalMoves"`
 	// Replica-storage stack counters, summed across layers. All zero for
-	// the default memory stack (the only layer it has never hits, misses,
-	// evicts, repairs or refetches), so pre-store goldens — which decode
+	// the default memory stack (the only layer it has never hits, misses
+	// or evicts), so pre-store goldens — which decode
 	// these fields as zero — still match storeless scenarios exactly.
 	StoreHits      int64 `json:"storeHits,omitempty"`
 	StoreMisses    int64 `json:"storeMisses,omitempty"`
 	StoreEvictions int64 `json:"storeEvictions,omitempty"`
-	StoreRepairs   int64 `json:"storeRepairs,omitempty"`
-	StoreRefetches int64 `json:"storeRefetches,omitempty"`
 }
 
 // MetricsFrom extracts the acceptance metrics from a run's results.
@@ -70,8 +68,6 @@ func MetricsFrom(res *sim.Results) Metrics {
 		m.StoreHits += l.Hits
 		m.StoreMisses += l.Misses
 		m.StoreEvictions += l.Evictions
-		m.StoreRepairs += l.Repairs
-		m.StoreRefetches += l.Refetches
 	}
 	return m
 }
@@ -110,8 +106,6 @@ func (m Metrics) fields() []field {
 		{"StoreHits", float64(m.StoreHits)},
 		{"StoreMisses", float64(m.StoreMisses)},
 		{"StoreEvictions", float64(m.StoreEvictions)},
-		{"StoreRepairs", float64(m.StoreRepairs)},
-		{"StoreRefetches", float64(m.StoreRefetches)},
 	}
 }
 

@@ -57,14 +57,11 @@ type Spec struct {
 	Contention bool
 	// Ctrl tunes the lossy control plane; zero fields take its defaults.
 	Ctrl ctrlplane.Params
-	// Faults is the parsed fault schedule; FaultsDSL keeps the raw
-	// sub-schedule for display.
-	Faults    fault.Spec
-	FaultsDSL string
-	// Store is the parsed replica-storage stack; StoreDSL keeps the raw
-	// term for display. The zero value is the default memory stack.
-	Store    store.Spec
-	StoreDSL string
+	// Faults is the parsed fault schedule.
+	Faults fault.Spec
+	// Store is the parsed replica-storage stack. The zero value is the
+	// default memory stack.
+	Store store.Spec
 }
 
 // Scenario DSL limits: a composition is a simulation recipe, not a place
@@ -102,7 +99,7 @@ func knownWorkload(s string) bool { return s == flashCrowd || slices.Contains(wo
 //	faults:SCHEDULE     fault sub-schedule in the -faults DSL with "|"
 //	                    standing in for ";" (e.g. crash:9@4m+3m|drop:0.2)
 //	store:TERM          replica-storage stack in the -store DSL (e.g.
-//	                    mem, cache(mem:64,disk:5ms), mirror(faulty(mem),mem))
+//	                    mem, disk:2ms, cache(mem:64,disk:5ms))
 //
 // Durations use Go syntax. Unknown keys, duplicate keys, malformed values
 // and a missing workload are errors — a scenario either parses into
@@ -168,10 +165,8 @@ func ParseSpec(s string) (Spec, error) {
 			err = fmt.Errorf("highload is a bare clause and takes no value")
 		case "faults":
 			sp.Faults, err = fault.ParseSchedule(strings.ReplaceAll(rest, "|", ";"))
-			sp.FaultsDSL = rest
 		case "store":
 			sp.Store, err = store.ParseSpec(rest)
-			sp.StoreDSL = rest
 		default:
 			return Spec{}, fmt.Errorf("scenario: unknown clause %q", key)
 		}

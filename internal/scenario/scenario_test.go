@@ -17,7 +17,7 @@ func TestParseSpecDefaults(t *testing.T) {
 	if sp.Workload != "zipf" || sp.Objects != 2000 || sp.Duration != 8*time.Minute ||
 		sp.RPS != 40 || sp.Seed != 1 || sp.Redirectors != 1 || sp.Policy != protocol.PolicyPaper ||
 		sp.Floor != 0 || sp.Avail != 0 || sp.HighLoad || sp.SwitchTo != "" ||
-		sp.Faults.Enabled() || sp.FaultsDSL != "" {
+		sp.Faults.Enabled() {
 		t.Errorf("ParseSpec defaults = %+v", sp)
 	}
 }
@@ -78,6 +78,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"workload:zipf; faults:crash:7",           // malformed fault sub-schedule
 		"workload:zipf; faults:drop:2",            // fault value out of range
 		"workload:zipf; faults:drop:0.2|drop:0.3", // duplicate fault key
+		"workload:zipf; store:cache(mem)",         // malformed store term
+		"workload:zipf; store:mirror(mem,mem)",    // removed store backend
+		"workload:zipf; store:faulty(mem)",        // removed store backend
 		"workload",                                // bare non-highload clause
 	} {
 		if _, err := ParseSpec(bad); err == nil {

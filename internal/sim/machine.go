@@ -44,14 +44,7 @@ func NewMachine(cfg *Config, id topology.NodeID, env protocol.Env) (*Machine, er
 		return nil, err
 	}
 	srv.ExpectObjects(cfg.Universe.Count)
-	st, err := cfg.Store.Build(int(id), store.Params{
-		Seed:     cfg.Seed,
-		Horizon:  cfg.Duration,
-		ObjBytes: int64(cfg.Universe.SizeBytes),
-	})
-	if err != nil {
-		return nil, err
-	}
+	st := cfg.Store.Build(int64(cfg.Universe.SizeBytes))
 	env.Store = st
 	h, err := protocol.NewHost(id, cfg.Protocol.Weighted(weight), env, srv)
 	if err != nil {
@@ -63,13 +56,13 @@ func NewMachine(cfg *Config, id topology.NodeID, env protocol.Env) (*Machine, er
 // Admit offers a request arriving at now to the FCFS queue and returns its
 // service completion time, or Refused when the queue delay exceeds the
 // client timeout. The storage backend charges its per-read cost here, at
-// admission, so the stack's state (cache residency, outage windows)
-// advances in arrival order — a deterministic sequence.
+// admission, so the stack's state (cache residency) advances in arrival
+// order — a deterministic sequence.
 func (m *Machine) Admit(now time.Duration, id object.ID) (time.Duration, Outcome) {
 	if t := m.clientTimeout; t > 0 && m.Server.QueueDelay(now) > t {
 		return 0, Refused
 	}
-	return m.Server.Enqueue(now, m.Store.ServeCost(now, id)), OK
+	return m.Server.Enqueue(now, m.Store.ServeCost(id)), OK
 }
 
 // Complete records a serviced request from gateway g: the load measurement
@@ -141,7 +134,7 @@ func SeedPlacement(cfg *Config, machines []*Machine, redirectors []*protocol.Red
 	seed := func(id object.ID, h topology.NodeID) {
 		if m := machines[h]; m != nil {
 			m.Host.SeedObject(id)
-			m.Store.Create(0, id)
+			m.Store.Create(id)
 		}
 		if r := redirectors[int(id)%len(redirectors)]; r != nil {
 			r.NotifyReplicaChange(id, h, 1)

@@ -34,23 +34,23 @@ func NewCache(fast, slow ReplicaStore, capacity int) *Cache {
 
 // Create implements ReplicaStore: write-through to the slow tier, then
 // promote into the fast tier.
-func (c *Cache) Create(now time.Duration, id object.ID) bool {
-	if !c.slow.Create(now, id) {
+func (c *Cache) Create(id object.ID) bool {
+	if !c.slow.Create(id) {
 		return false
 	}
 	c.stats.Creates++
-	c.promote(now, id)
+	c.promote(id)
 	return true
 }
 
 // Drop implements ReplicaStore: removes the replica from both tiers.
-func (c *Cache) Drop(now time.Duration, id object.ID) {
+func (c *Cache) Drop(id object.ID) {
 	c.stats.Drops++
-	c.slow.Drop(now, id)
+	c.slow.Drop(id)
 	if el, ok := c.resident[id]; ok {
 		c.lru.Remove(el)
 		delete(c.resident, id)
-		c.fast.Drop(now, id)
+		c.fast.Drop(id)
 	}
 }
 
@@ -59,25 +59,25 @@ func (c *Cache) Contains(id object.ID) bool { return c.slow.Contains(id) }
 
 // ServeCost implements ReplicaStore: a resident replica serves at the fast
 // tier's cost; a miss pays the slow tier and promotes.
-func (c *Cache) ServeCost(now time.Duration, id object.ID) time.Duration {
+func (c *Cache) ServeCost(id object.ID) time.Duration {
 	c.stats.Serves++
 	if el, ok := c.resident[id]; ok {
 		c.stats.Hits++
 		c.lru.MoveToFront(el)
-		cost := c.fast.ServeCost(now, id)
+		cost := c.fast.ServeCost(id)
 		c.stats.CostNanos += int64(cost)
 		return cost
 	}
 	c.stats.Misses++
-	cost := c.slow.ServeCost(now, id)
+	cost := c.slow.ServeCost(id)
 	c.stats.CostNanos += int64(cost)
-	c.promote(now, id)
+	c.promote(id)
 	return cost
 }
 
 // promote makes id resident in the fast tier, evicting the LRU resident
 // replica if the tier is full.
-func (c *Cache) promote(now time.Duration, id object.ID) {
+func (c *Cache) promote(id object.ID) {
 	if el, ok := c.resident[id]; ok {
 		c.lru.MoveToFront(el)
 		return
@@ -87,10 +87,10 @@ func (c *Cache) promote(now time.Duration, id object.ID) {
 		victim := oldest.Value.(object.ID)
 		c.lru.Remove(oldest)
 		delete(c.resident, victim)
-		c.fast.Drop(now, victim)
+		c.fast.Drop(victim)
 		c.stats.Evictions++
 	}
-	if c.fast.Create(now, id) {
+	if c.fast.Create(id) {
 		c.resident[id] = c.lru.PushFront(id)
 	}
 }
@@ -101,14 +101,6 @@ func (c *Cache) BytesUsed() int64 { return c.slow.BytesUsed() }
 
 // Replicas implements ReplicaStore.
 func (c *Cache) Replicas() int { return c.slow.Replicas() }
-
-// Clear implements ReplicaStore.
-func (c *Cache) Clear(now time.Duration) {
-	c.fast.Clear(now)
-	c.slow.Clear(now)
-	c.lru.Init()
-	clear(c.resident)
-}
 
 // Stats implements ReplicaStore.
 func (c *Cache) Stats(buf []LayerStats) []LayerStats {

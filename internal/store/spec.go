@@ -6,9 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"radar/internal/fault"
-	"radar/internal/workload"
 )
 
 // The store DSL describes one per-host backend stack:
@@ -16,11 +13,8 @@ import (
 //	term := mem[:CAP]                          resident tier, CAP replicas (0/absent = unbounded)
 //	      | disk[:LATENCY]                     unbounded slow tier (default 5ms per read)
 //	      | cache(mem[:CAP], term)             bounded LRU memory tier over an authoritative tier
-//	      | mirror(term, term)                 paired backends with read-repair
-//	      | faulty(term[, mtbf:D][, mttr:D][, penalty:D])   backend outages (defaults 2m/30s/25ms)
 //
-// Examples: "mem", "cache(mem:64, disk:5ms)",
-// "mirror(faulty(mem), mem)".
+// Examples: "mem", "disk:2ms", "cache(mem:64, disk:5ms)".
 // The zero Spec (and "mem") is the default stack and is byte-identical to
 // the pre-store simulator.
 
@@ -30,32 +24,24 @@ var ErrSpec = errors.New("store: bad spec")
 // Parse/safety limits: deep or enormous stacks are configuration errors
 // (and keep fuzzing honest).
 const (
-	maxSpecLen   = 256
-	maxDepth     = 6
-	maxTerms     = 16
-	maxCap       = 1 << 20
-	maxLatency   = 10 * time.Second
-	minMTBF      = time.Second
-	maxCycleSpan = 24 * time.Hour
+	maxSpecLen = 256
+	maxDepth   = 6
+	maxTerms   = 16
+	maxCap     = 1 << 20
+	maxLatency = 10 * time.Second
 )
 
 // Defaults for optional DSL parameters.
 const (
 	defaultDiskLatency = 5 * time.Millisecond
 	defaultCacheCap    = 128
-	defaultMTBF        = 2 * time.Minute
-	defaultMTTR        = 30 * time.Second
-	defaultPenalty     = 25 * time.Millisecond
 )
 
 // term is one parsed stack node.
 type term struct {
-	kind    string // "mem", "disk", "cache", "mirror", "faulty"
+	kind    string // "mem", "disk", "cache"
 	cap     int    // mem replica bound (0 = unbounded)
 	latency time.Duration
-	mtbf    time.Duration
-	mttr    time.Duration
-	penalty time.Duration
 	kids    []*term
 }
 
@@ -93,17 +79,11 @@ func writeTerm(b *strings.Builder, t *term) {
 		}
 	case "disk":
 		fmt.Fprintf(b, "disk:%s", t.latency)
-	case "cache", "mirror":
-		b.WriteString(t.kind)
-		b.WriteByte('(')
+	case "cache":
+		b.WriteString("cache(")
 		writeTerm(b, t.kids[0])
 		b.WriteByte(',')
 		writeTerm(b, t.kids[1])
-		b.WriteByte(')')
-	case "faulty":
-		b.WriteString("faulty(")
-		writeTerm(b, t.kids[0])
-		fmt.Fprintf(b, ",mtbf:%s,mttr:%s,penalty:%s", t.mtbf, t.mttr, t.penalty)
 		b.WriteByte(')')
 	}
 }
@@ -248,63 +228,6 @@ func (p *parser) parseTerm(depth int) (*term, error) {
 			return nil, err
 		}
 		return &term{kind: "cache", kids: []*term{fast, slow}}, nil
-	case "mirror":
-		if err := p.expect('('); err != nil {
-			return nil, err
-		}
-		a, err := p.parseTerm(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(','); err != nil {
-			return nil, err
-		}
-		b, err := p.parseTerm(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return &term{kind: "mirror", kids: []*term{a, b}}, nil
-	case "faulty":
-		if err := p.expect('('); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseTerm(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		t := &term{kind: "faulty", kids: []*term{inner},
-			mtbf: defaultMTBF, mttr: defaultMTTR, penalty: defaultPenalty}
-		for p.peek() == ',' {
-			p.i++
-			p.skipSpace()
-			key := p.ident()
-			if err := p.expect(':'); err != nil {
-				return nil, err
-			}
-			switch key {
-			case "mtbf":
-				if t.mtbf, err = p.duration("mtbf", minMTBF, maxCycleSpan); err != nil {
-					return nil, err
-				}
-			case "mttr":
-				if t.mttr, err = p.duration("mttr", time.Millisecond, maxCycleSpan); err != nil {
-					return nil, err
-				}
-			case "penalty":
-				if t.penalty, err = p.duration("penalty", 0, maxLatency); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, fmt.Errorf("%w: unknown faulty option %q", ErrSpec, key)
-			}
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return t, nil
 	case "":
 		return nil, fmt.Errorf("%w: expected a term at offset %d", ErrSpec, p.i)
 	default:
@@ -312,77 +235,31 @@ func (p *parser) parseTerm(depth int) (*term, error) {
 	}
 }
 
-// Params are the run parameters a stack is built against.
-type Params struct {
-	// Seed is the run's master seed (fault timelines draw from a
-	// reserved sub-stream of it).
-	Seed int64
-	// Horizon bounds backend fault timelines.
-	Horizon time.Duration
-	// ObjBytes is the per-replica size for byte accounting.
-	ObjBytes int64
-}
-
-// Build constructs the stack for one host. Equal (spec, node, params)
-// always build identically-behaving stacks.
-func (sp Spec) Build(node int, p Params) (ReplicaStore, error) {
+// Build constructs one host's stack over replicas of objBytes each. Equal
+// specs always build identically-behaving stacks.
+func (sp Spec) Build(objBytes int64) ReplicaStore {
 	t := sp.root
 	if t == nil {
 		t = &term{kind: "mem"}
 	}
-	faultyIdx := 0
-	return buildTerm(t, node, p, &faultyIdx)
+	return buildTerm(t, objBytes)
 }
 
-func buildTerm(t *term, node int, p Params, faultyIdx *int) (ReplicaStore, error) {
+func buildTerm(t *term, objBytes int64) ReplicaStore {
 	switch t.kind {
-	case "mem":
-		label := "mem"
-		if t.cap > 0 {
-			label = fmt.Sprintf("mem:%d", t.cap)
-		}
-		return NewMemory(label, t.cap, p.ObjBytes), nil
 	case "disk":
-		return NewDisk(fmt.Sprintf("disk:%s", t.latency), t.latency, p.ObjBytes), nil
+		return NewDisk(fmt.Sprintf("disk:%s", t.latency), t.latency, objBytes)
 	case "cache":
-		fast, err := buildTerm(t.kids[0], node, p, faultyIdx)
-		if err != nil {
-			return nil, err
-		}
-		slow, err := buildTerm(t.kids[1], node, p, faultyIdx)
-		if err != nil {
-			return nil, err
-		}
 		capacity := t.kids[0].cap
 		if capacity == 0 {
 			capacity = defaultCacheCap
 		}
-		return NewCache(fast, slow, capacity), nil
-	case "mirror":
-		a, err := buildTerm(t.kids[0], node, p, faultyIdx)
-		if err != nil {
-			return nil, err
-		}
-		b, err := buildTerm(t.kids[1], node, p, faultyIdx)
-		if err != nil {
-			return nil, err
-		}
-		return NewMirror(a, b), nil
-	case "faulty":
-		inner, err := buildTerm(t.kids[0], node, p, faultyIdx)
-		if err != nil {
-			return nil, err
-		}
-		// Each faulty layer on each node gets its own reserved stream, so
-		// stack shape and node count never shift another layer's draws.
-		rng := workload.Stream(p.Seed, workload.StoreStream(node, *faultyIdx))
-		*faultyIdx++
-		timeline, err := fault.Cycles(p.Horizon, t.mtbf, t.mttr, rng)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSpec, err)
-		}
-		return NewFaulty(inner, timeline, t.penalty), nil
+		return NewCache(buildTerm(t.kids[0], objBytes), buildTerm(t.kids[1], objBytes), capacity)
 	default:
-		return nil, fmt.Errorf("%w: unknown term kind %q", ErrSpec, t.kind)
+		label := "mem"
+		if t.cap > 0 {
+			label = fmt.Sprintf("mem:%d", t.cap)
+		}
+		return NewMemory(label, t.cap, objBytes)
 	}
 }

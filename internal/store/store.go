@@ -1,19 +1,15 @@
 // Package store is the composable replica-storage backend stack: a small
 // ReplicaStore interface extracted from the server and protocol layers
 // (replica create/drop/contains, per-serve storage cost, capacity and
-// per-replica byte accounting), plus a set of stackable decorators in the
-// style of buildbarn's BlobAccess middleware — a bounded memory cache over
-// a slower disk tier, mirrored pairs with on-the-fly read-repair of
-// inconsistencies, per-backend fault injection driven by a reserved PRNG
-// sub-stream, and a metering layer.
+// per-replica byte accounting), plus memory and disk tiers and a bounded
+// memory cache over a slower tier, stacked in the style of buildbarn's
+// BlobAccess middleware.
 //
 // Determinism contract: a store's behavior is a pure function of its
-// construction parameters and the sequence of (time, object) operations
-// applied to it. Stores hold no global state and draw randomness only from
-// timelines expanded at build time from a reserved stream of the run's
-// seed (internal/fault discipline), so equal seeds give bit-identical
-// behavior at any experiment parallelism. The plain memory store is free:
-// zero serve cost, unbounded capacity, and no randomness, leaving a run
+// construction parameters and the sequence of object operations applied
+// to it. Stores hold no global state and draw no randomness, so equal runs
+// behave bit-identically at any experiment parallelism. The plain memory
+// store is free: zero serve cost and unbounded capacity, leaving a run
 // over it byte-identical to a build without this package.
 package store
 
@@ -24,31 +20,26 @@ import (
 )
 
 // ReplicaStore is one hosting server's replica storage. The simulation
-// keeps exactly one stack per host; calls arrive in nondecreasing virtual
-// time from a single goroutine (stores are not safe for concurrent use).
+// keeps exactly one stack per host; calls arrive in order from a single
+// goroutine (stores are not safe for concurrent use).
 type ReplicaStore interface {
-	// Create stores a replica of id at virtual time now. It returns false
-	// when capacity is exhausted (the caller surfaces a storage refusal);
-	// a false return leaves the store unchanged. Creating an already-held
-	// replica is a no-op returning true.
-	Create(now time.Duration, id object.ID) bool
+	// Create stores a replica of id. It returns false when capacity is
+	// exhausted (the caller surfaces a storage refusal); a false return
+	// leaves the store unchanged. Creating an already-held replica is a
+	// no-op returning true.
+	Create(id object.ID) bool
 	// Drop removes the replica of id, if held.
-	Drop(now time.Duration, id object.ID)
+	Drop(id object.ID)
 	// Contains reports whether a replica of id is held and servable.
 	Contains(id object.ID) bool
 	// ServeCost charges one read of id and returns the extra service
 	// latency the storage layer adds (zero for resident memory, the device
-	// latency for a disk tier, a refetch penalty for lost replicas).
-	// ServeCost always serves: a request routed here by the control plane
-	// is answered even if the replica must be refetched, so storage faults
-	// surface as latency, never as protocol errors.
-	ServeCost(now time.Duration, id object.ID) time.Duration
+	// latency for a disk tier).
+	ServeCost(id object.ID) time.Duration
 	// BytesUsed is the bytes currently occupied by held replicas.
 	BytesUsed() int64
 	// Replicas is the number of held replicas.
 	Replicas() int
-	// Clear drops every held replica (crash data loss).
-	Clear(now time.Duration)
 	// Stats appends this store's per-layer counters to buf in pre-order
 	// (self first, then children) and returns it. The layer order is a
 	// function of the stack shape alone, so same-shaped stacks aggregate
@@ -70,14 +61,13 @@ type LayerStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// Repairs counts mirror read-repairs initiated by this layer.
-	Repairs int64
-	// Refetches counts serves answered by refetching a lost or
-	// unavailable replica at the refetch penalty (faulty backends).
-	Refetches int64
-	// Crashes counts backend down-transitions; LostWrites counts creates
-	// absorbed by a crashed backend (the write is acknowledged upstream
-	// but the data never lands — the inconsistency read-repair heals).
+	// Repairs, Refetches, Crashes and LostWrites are always zero: no
+	// layer repairs, refetches or crashes. The fields stay because the
+	// frozen ledger's identity hashes (benchmark/simrun.go) are over the
+	// JSON of sim.Results, which carries these stats; they go with the
+	// next PR that may re-pin those (ROADMAP item 1's benchmark PR).
+	Repairs    int64
+	Refetches  int64
 	Crashes    int64
 	LostWrites int64
 	// Replicas/BytesUsed snapshot occupancy at collection time.
@@ -96,10 +86,6 @@ func (s *LayerStats) add(o LayerStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
-	s.Repairs += o.Repairs
-	s.Refetches += o.Refetches
-	s.Crashes += o.Crashes
-	s.LostWrites += o.LostWrites
 	s.Replicas += o.Replicas
 	s.BytesUsed += o.BytesUsed
 	s.CostNanos += o.CostNanos
@@ -151,7 +137,7 @@ func NewDisk(label string, latency time.Duration, objBytes int64) *Memory {
 }
 
 // Create implements ReplicaStore.
-func (m *Memory) Create(_ time.Duration, id object.ID) bool {
+func (m *Memory) Create(id object.ID) bool {
 	if _, ok := m.held[id]; ok {
 		return true
 	}
@@ -164,7 +150,7 @@ func (m *Memory) Create(_ time.Duration, id object.ID) bool {
 }
 
 // Drop implements ReplicaStore.
-func (m *Memory) Drop(_ time.Duration, id object.ID) {
+func (m *Memory) Drop(id object.ID) {
 	if _, ok := m.held[id]; ok {
 		delete(m.held, id)
 		m.stats.Drops++
@@ -179,7 +165,7 @@ func (m *Memory) Contains(id object.ID) bool {
 
 // ServeCost implements ReplicaStore: every read pays the tier's device
 // latency, which is zero for resident replicas.
-func (m *Memory) ServeCost(time.Duration, object.ID) time.Duration {
+func (m *Memory) ServeCost(object.ID) time.Duration {
 	m.stats.Serves++
 	m.stats.CostNanos += int64(m.latency)
 	return m.latency
@@ -190,9 +176,6 @@ func (m *Memory) BytesUsed() int64 { return int64(len(m.held)) * m.objBytes }
 
 // Replicas implements ReplicaStore.
 func (m *Memory) Replicas() int { return len(m.held) }
-
-// Clear implements ReplicaStore.
-func (m *Memory) Clear(time.Duration) { clear(m.held) }
 
 // Stats implements ReplicaStore.
 func (m *Memory) Stats(buf []LayerStats) []LayerStats {

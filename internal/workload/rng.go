@@ -24,8 +24,7 @@ func Stream(master int64, stream uint64) *rand.Rand {
 // The reserved streams of one seed. Every draw of a run, simulated or live,
 // comes from Stream(seed, s) for an s named here, so switching a subsystem
 // on never shifts another's draws. The ranges are disjoint for fleets of up
-// to 4,095 nodes, whose store streams fill bits 8-19 below the live
-// tickers' (TestStreamsDisjoint).
+// to 4,095 nodes (TestStreamsDisjoint).
 const (
 	// FaultStream draws host and link fault timelines: the simulator's and
 	// the live chaos plan's, so one schedule means one timeline in both.
@@ -42,10 +41,6 @@ const (
 
 // GatewayStream draws the requests entering at gateway g.
 func GatewayStream(g int) uint64 { return uint64(g) }
-
-// StoreStream draws the fault cycles of the i-th faulty layer (i < 256) of
-// node's storage stack.
-func StoreStream(node, i int) uint64 { return 1<<34 | uint64(node)<<8 | uint64(i) }
 
 // TickerStream draws the jitter of a live node's self-scheduled ticker:
 // 1 measurement, 2 placement.

@@ -21,9 +21,6 @@ func TestStreamsDisjoint(t *testing.T) {
 		all = append(all, owned{GatewayStream(i), "gateway"}, owned{OracleStream(i), "oracle"},
 			owned{TickerStream(i, 1), "measure ticker"}, owned{TickerStream(i, 2), "place ticker"},
 			owned{RPCStream(i), "rpc"})
-		for layer := 0; layer < 256; layer++ {
-			all = append(all, owned{StoreStream(i, layer), "store"})
-		}
 	}
 	slices.SortFunc(all, func(a, b owned) int {
 		switch {
@@ -54,7 +51,6 @@ func TestStreamsPinned(t *testing.T) {
 		{"hot-sites", HotSitesStream, 0x4053},
 		{"hot-pages", HotPagesStream, 0x9a6e},
 		{"gateway 52", GatewayStream(52), 52},
-		{"store node 9 layer 1", StoreStream(9, 1), 1<<34 | 9<<8 | 1},
 		{"measure ticker node 3", TickerStream(3, 1), 1<<34 | 1<<20 | 3},
 		{"place ticker node 3", TickerStream(3, 2), 1<<34 | 2<<20 | 3},
 		{"oracle gateway 52", OracleStream(52), 0x0AC1E<<8 | 52},

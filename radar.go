@@ -217,18 +217,14 @@ type Live struct {
 // byte-identical to releases that predate storage modeling.
 type Storage struct {
 	// Store is a replica-storage stack term. The grammar composes
-	// backends and decorators:
+	// tiers:
 	//
 	//	mem[:CAP]                      in-memory, optional replica capacity
 	//	disk[:LATENCY]                 unbounded, fixed per-serve latency
 	//	cache(mem[:CAP], TERM)        small memory tier over a slower TERM
-	//	mirror(TERM, TERM)            paired backends with read-repair
-	//	faulty(TERM[, mtbf:D][, mttr:D][, penalty:D])
-	//	                               crash/degrade cycles over TERM
 	//
-	// Examples: "mem", "cache(mem:64,disk:5ms)",
-	// "mirror(faulty(mem),mem)". Empty selects the default memory
-	// backend.
+	// Examples: "mem", "disk:2ms", "cache(mem:64,disk:5ms)". Empty
+	// selects the default memory backend.
 	Store string
 }
 
@@ -495,15 +491,11 @@ type Summary struct {
 	// StoreEnabled records whether one was configured; StoreSpec is its
 	// canonical term. Per-layer breakdowns are in Result.StoreLayers
 	// (Summary stays comparable with ==, so only scalars live here).
-	StoreEnabled    bool
-	StoreSpec       string
-	StoreHits       int64
-	StoreMisses     int64
-	StoreEvictions  int64
-	StoreRepairs    int64
-	StoreRefetches  int64
-	StoreCrashes    int64
-	StoreLostWrites int64
+	StoreEnabled   bool
+	StoreSpec      string
+	StoreHits      int64
+	StoreMisses    int64
+	StoreEvictions int64
 }
 
 // StoreLayer is one layer of the replica-storage stack's per-layer
@@ -694,10 +686,6 @@ func convert(res *sim.Results) *Result {
 			r.Summary.StoreHits += l.Hits
 			r.Summary.StoreMisses += l.Misses
 			r.Summary.StoreEvictions += l.Evictions
-			r.Summary.StoreRepairs += l.Repairs
-			r.Summary.StoreRefetches += l.Refetches
-			r.Summary.StoreCrashes += l.Crashes
-			r.Summary.StoreLostWrites += l.LostWrites
 		}
 	}
 	return r
