@@ -240,7 +240,7 @@ func (h *Host) SeedObject(id object.ID) {
 
 // Has reports whether the host currently holds a replica of id.
 func (h *Host) Has(id object.ID) bool {
-	return h.objs.get(id) != nil
+	return h.objs.has(id)
 }
 
 // Affinity returns the affinity of the host's replica of id (0 if absent).

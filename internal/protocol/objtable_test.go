@@ -1,6 +1,9 @@
 package protocol
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"testing"
 	"time"
@@ -15,8 +18,9 @@ func hostedIDs(h *Host) []object.ID { return slices.Clone(h.objs.ids) }
 
 // checkAgainst compares every view of t with the reference map over the
 // ID range [0, universe): the ordered list is strictly ascending, names the
-// reference's IDs, and holds get(id) beside each id; every free state is
-// zeroed.
+// reference's IDs, and holds get(id) beside each id; the bitmap holds
+// len(ids) bits and rank[w] counts the hosted IDs below 64·w; every free
+// state is zeroed.
 func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, universe int) {
 	t.Helper()
 	want := make([]object.ID, 0, len(ref))
@@ -53,8 +57,18 @@ func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, u
 	if seen != len(ref) {
 		t.Fatalf("each visited %d states, want %d", seen, len(ref))
 	}
-	if 2*len(ref) > len(tab.slots) {
-		t.Fatalf("%d entries in %d slots: more than half full", len(ref), len(tab.slots))
+	if len(tab.rank) != len(tab.bits) {
+		t.Fatalf("%d rank words for %d bitmap words", len(tab.rank), len(tab.bits))
+	}
+	below := 0
+	for w, word := range tab.bits {
+		if int(tab.rank[w]) != below {
+			t.Fatalf("rank[%d] = %d, want %d hosted IDs below %d", w, tab.rank[w], below, 64*w)
+		}
+		below += bits.OnesCount64(word)
+	}
+	if below != len(tab.ids) {
+		t.Fatalf("bitmap holds %d IDs, want %d", below, len(tab.ids))
 	}
 	for _, st := range tab.free {
 		if st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
@@ -78,10 +92,10 @@ func addDirty(t testing.TB, tab *objTable, id object.ID) *ObjectState {
 
 // TestObjTableAgainstMap drives the table and a reference map with the
 // same seeded add/remove/get sequence, checking the ordered list after
-// every operation. The population swings between empty and a few hundred,
-// so the index grows several times and, while it is small, probe runs wrap
-// around its last slot constantly; the drains free states that later adds
-// must hand out zeroed.
+// every operation. The population swings between empty and a few hundred
+// over ten bitmap words, so every add and remove moves the rank of the
+// words above it; the drains free states that later adds must hand out
+// zeroed.
 func TestObjTableAgainstMap(t *testing.T) {
 	const universe = 600
 	for seed := int64(1); seed <= 4; seed++ {
@@ -89,19 +103,15 @@ func TestObjTableAgainstMap(t *testing.T) {
 		var tab objTable
 		ref := make(map[object.ID]*ObjectState)
 		issued := make(map[*ObjectState]bool)
-		grew, reused := 0, 0
+		reused := 0
 		for op := 0; op < 6000; op++ {
 			id := object.ID(rng.Intn(universe))
 			// Fill for 2000 operations, drain for 1000, twice over.
 			fill := op%3000 < 2000
 			switch _, have := ref[id]; {
 			case !have && (fill || rng.Intn(4) == 0):
-				slots := len(tab.slots)
 				st := addDirty(t, &tab, id)
 				ref[id] = st
-				if len(tab.slots) != slots {
-					grew++
-				}
 				if issued[st] {
 					reused++
 				}
@@ -121,32 +131,30 @@ func TestObjTableAgainstMap(t *testing.T) {
 			}
 			checkAgainst(t, &tab, ref, universe)
 		}
-		if grew < 5 {
-			t.Fatalf("seed %d: index grew %d times, want at least 5", seed, grew)
-		}
 		if reused == 0 {
 			t.Fatalf("seed %d: none of %d states was reused: the free list is not used", seed, len(issued))
 		}
 	}
 }
 
-// FuzzObjTable is TestObjTableAgainstMap over fuzzed programs: each byte
-// adds, removes or looks up one of 64 IDs, or walks the table, and the
-// table is held against a map and a sorted slice after every step.
+// FuzzObjTable is TestObjTableAgainstMap over fuzzed programs: each pair
+// of bytes adds, removes or looks up one of 256 IDs (four bitmap words, so
+// ranks move across words), or walks the table, and the table is held
+// against a map and a sorted slice after every step.
 func FuzzObjTable(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 63, 128, 191, 64, 255, 1, 129})
-	f.Add([]byte{5, 69, 133, 197, 5, 69, 133, 197})
+	f.Add([]byte{0, 0, 0, 1, 0, 63, 0, 64, 0, 127, 0, 128, 0, 255, 128, 64, 192, 0, 64, 128})
+	f.Add([]byte{0, 200, 0, 5, 128, 200, 0, 69, 64, 5, 192, 0, 128, 5, 0, 200})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		var tab objTable
 		ref := make(map[object.ID]*ObjectState)
 		var sorted []object.ID
-		for step, b := range prog {
-			id := object.ID(b & 63)
+		for step := 0; step+1 < len(prog); step += 2 {
+			id := object.ID(prog[step+1])
 			at, have := slices.BinarySearch(sorted, id)
-			switch b >> 6 {
+			switch prog[step] >> 6 {
 			case 0, 1: // add, or look up a present ID
 				if have {
-					if tab.get(id) != ref[id] {
+					if tab.get(id) != ref[id] || !tab.has(id) {
 						t.Fatalf("step %d: get(%d) = %p, want %p", step, id, tab.get(id), ref[id])
 					}
 					continue
@@ -173,59 +181,56 @@ func FuzzObjTable(f *testing.F) {
 					t.Fatalf("step %d: walk = %v, want %v", step, walked, sorted)
 				}
 			}
-			checkAgainst(t, &tab, ref, 64)
+			checkAgainst(t, &tab, ref, 320)
 		}
 	})
 }
 
-// idsHomedAt returns the first n IDs whose home slot in tab is slot.
-func idsHomedAt(tab *objTable, slot, n int) []object.ID {
-	var ids []object.ID
-	for id := object.ID(0); len(ids) < n; id++ {
-		if tab.home(id) == slot {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
+// outside are IDs no table can hold: negative, or past any bitmap here.
+var outside = []object.ID{-1, -64, math.MinInt, 1 << 20, math.MaxInt}
 
-// TestObjTableWrapAndBackwardShift pins the two places an open-addressed
-// index goes wrong: a probe run that wraps from the last slot to slot 0,
-// and a delete that must shift entries back across that wrap — but only
-// those that do not pass their own home slot.
-func TestObjTableWrapAndBackwardShift(t *testing.T) {
+// TestObjTableWordEdges adds and removes the IDs on either side of the
+// first word boundaries, in an order that puts each one below IDs already
+// hosted, so every add and remove moves the ranks of the words above; and
+// IDs outside the bitmap read absent, never panic, and remove nothing,
+// in the table and through Host.Has and Host.Affinity.
+func TestObjTableWordEdges(t *testing.T) {
 	var tab objTable
-	tab.grow() // minObjSlots slots, so four entries fit without growing
-	last := len(tab.slots) - 1
-	tail := idsHomedAt(&tab, last, 2)
-	a, b := tail[0], tail[1]
-	c := idsHomedAt(&tab, 0, 1)[0]
-	d := idsHomedAt(&tab, 2, 1)[0]
-	st := make(map[object.ID]*ObjectState)
-	for _, id := range []object.ID{a, b, c, d} {
-		st[id] = tab.add(id)
-	}
-	// a sits at home; b wrapped to slot 0, pushing c to slot 1; d is at home.
-	for slot, id := range map[int]object.ID{last: a, 0: b, 1: c, 2: d} {
-		if got := tab.slots[slot]; got.id != id || got.st != st[id] {
-			t.Fatalf("slot %d holds %+v, want ID %d", slot, got, id)
+	ref := make(map[object.ID]*ObjectState)
+	check := func(when string) {
+		t.Helper()
+		checkAgainst(t, &tab, ref, 200)
+		for _, id := range outside {
+			if tab.get(id) != nil || tab.has(id) || tab.remove(id) {
+				t.Fatalf("%s: ID %d outside the bitmap reads present", when, id)
+			}
 		}
 	}
-	if !tab.remove(a) {
-		t.Fatal("remove(a) = false")
+	check("empty")
+	for _, id := range []object.ID{128, 127, 64, 63, 0} {
+		ref[id] = addDirty(t, &tab, id)
+		check(fmt.Sprintf("after add(%d)", id))
 	}
-	// b shifts back across the wrap into the last slot, c follows into its
-	// home; d is already at home and must stay.
-	for slot, id := range map[int]object.ID{last: b, 0: c, 2: d} {
-		if got := tab.slots[slot]; got.id != id || got.st != st[id] {
-			t.Fatalf("after remove: slot %d holds %+v, want ID %d", slot, got, id)
+	if want := []int32{0, 2, 4}; !slices.Equal(tab.rank, want) {
+		t.Fatalf("rank = %v, want %v", tab.rank, want)
+	}
+	for _, id := range []object.ID{64, 0, 128, 127, 63} {
+		if !tab.remove(id) {
+			t.Fatalf("remove(%d) = false for a present ID", id)
+		}
+		delete(ref, id)
+		check(fmt.Sprintf("after remove(%d)", id))
+	}
+	if len(tab.ids) != 0 || len(tab.bits) != 3 {
+		t.Fatalf("%d IDs in %d words, want none in the 3 words the table grew to", len(tab.ids), len(tab.bits))
+	}
+	c := newCluster(t, topology.Line(3), DefaultParams())
+	c.seed(5, 0)
+	for _, id := range outside {
+		if h := c.hosts[0]; h.Has(id) || h.Affinity(id) != 0 {
+			t.Fatalf("host: ID %d outside the bitmap reads present", id)
 		}
 	}
-	if tab.slots[1].st != nil {
-		t.Fatalf("after remove: slot 1 holds %+v, want it free", tab.slots[1])
-	}
-	delete(st, a)
-	checkAgainst(t, &tab, st, int(max(a, b, c, d))+1)
 }
 
 // TestObjectsIsASnapshot: EachObject reports every hosted object once, in
@@ -475,4 +480,47 @@ func BenchmarkHostOnRequest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		request(i)
 	}
+}
+
+// BenchmarkObjTable sizes the by-ID paths of one host's table at sim-churn
+// scale: some 700 of 20,000 objects hosted, scattered over the universe.
+// get looks up hosted IDs (settle, CreateObj, load reports), has probes the
+// whole universe (the anti-entropy sweep), and add+remove drops a hosted
+// object and takes it back, which reuses its state: 0 allocs/op.
+func BenchmarkObjTable(b *testing.B) {
+	const universe, hosted = 20000, 700
+	var tab objTable
+	ids := make([]object.ID, hosted)
+	for i := range ids {
+		ids[i] = object.ID(i * 57 % universe) // 57 is coprime to 20,000: distinct IDs
+		tab.add(ids[i])
+	}
+	b.Run("get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if tab.get(ids[i%hosted]) == nil {
+				b.Fatal("a hosted ID is missing")
+			}
+		}
+	})
+	b.Run("has", func(b *testing.B) {
+		b.ReportAllocs()
+		n := 0
+		for i := 0; i < b.N; i++ {
+			if tab.has(object.ID(i * 617 % universe)) {
+				n++
+			}
+		}
+		if b.N >= universe && n == 0 {
+			b.Fatal("has found no hosted ID")
+		}
+	})
+	b.Run("add+remove", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			id := ids[i*7%hosted]
+			tab.remove(id)
+			tab.add(id)
+		}
+	})
 }

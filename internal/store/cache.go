@@ -43,10 +43,13 @@ func (c *Cache) Create(id object.ID) bool {
 	return true
 }
 
-// Drop implements ReplicaStore: removes the replica from both tiers.
+// Drop implements ReplicaStore: removes the replica from both tiers. Like
+// a tier's, the drop counts only if the slow tier held the replica.
 func (c *Cache) Drop(id object.ID) {
-	c.stats.Drops++
-	c.slow.Drop(id)
+	if c.slow.Contains(id) {
+		c.stats.Drops++
+		c.slow.Drop(id)
+	}
 	if el, ok := c.resident[id]; ok {
 		c.lru.Remove(el)
 		delete(c.resident, id)

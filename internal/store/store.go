@@ -116,15 +116,15 @@ type Memory struct {
 	objBytes int64
 	capacity int // max replicas; 0 = unbounded
 	latency  time.Duration
-	held     map[object.ID]struct{}
+	held     object.Set
+	n        int // members of held
 	stats    LayerStats
 }
 
 // NewMemory builds a memory store holding at most capacity replicas of
 // objBytes each (capacity 0 = unbounded).
 func NewMemory(label string, capacity int, objBytes int64) *Memory {
-	return &Memory{label: label, objBytes: objBytes, capacity: capacity,
-		held: make(map[object.ID]struct{})}
+	return &Memory{label: label, objBytes: objBytes, capacity: capacity}
 }
 
 // NewDisk builds an unbounded slow tier with the given per-read latency.
@@ -138,30 +138,28 @@ func NewDisk(label string, latency time.Duration, objBytes int64) *Memory {
 
 // Create implements ReplicaStore.
 func (m *Memory) Create(id object.ID) bool {
-	if _, ok := m.held[id]; ok {
+	if m.held.Has(id) {
 		return true
 	}
-	if m.capacity > 0 && len(m.held) >= m.capacity {
+	if m.capacity > 0 && m.n >= m.capacity {
 		return false
 	}
-	m.held[id] = struct{}{}
+	m.held.Add(id)
+	m.n++
 	m.stats.Creates++
 	return true
 }
 
 // Drop implements ReplicaStore.
 func (m *Memory) Drop(id object.ID) {
-	if _, ok := m.held[id]; ok {
-		delete(m.held, id)
+	if m.held.Remove(id) {
+		m.n--
 		m.stats.Drops++
 	}
 }
 
 // Contains implements ReplicaStore.
-func (m *Memory) Contains(id object.ID) bool {
-	_, ok := m.held[id]
-	return ok
-}
+func (m *Memory) Contains(id object.ID) bool { return m.held.Has(id) }
 
 // ServeCost implements ReplicaStore: every read pays the tier's device
 // latency, which is zero for resident replicas.
@@ -172,16 +170,16 @@ func (m *Memory) ServeCost(object.ID) time.Duration {
 }
 
 // BytesUsed implements ReplicaStore.
-func (m *Memory) BytesUsed() int64 { return int64(len(m.held)) * m.objBytes }
+func (m *Memory) BytesUsed() int64 { return int64(m.n) * m.objBytes }
 
 // Replicas implements ReplicaStore.
-func (m *Memory) Replicas() int { return len(m.held) }
+func (m *Memory) Replicas() int { return m.n }
 
 // Stats implements ReplicaStore.
 func (m *Memory) Stats(buf []LayerStats) []LayerStats {
 	s := m.stats
 	s.Label = m.label
-	s.Replicas = int64(len(m.held))
+	s.Replicas = int64(m.n)
 	s.BytesUsed = m.BytesUsed()
 	return append(buf, s)
 }

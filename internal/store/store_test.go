@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -58,6 +59,76 @@ func TestMemoryBasics(t *testing.T) {
 	}
 }
 
+// TestMemoryOutsideIDs: an ID no bitmap word covers, negative or past the
+// last word, is absent, and dropping it changes nothing and never panics.
+func TestMemoryOutsideIDs(t *testing.T) {
+	m := NewMemory("mem", 0, kb)
+	m.Create(5)
+	for _, id := range []object.ID{-1, -64, math.MinInt, 64, 1 << 20, math.MaxInt} {
+		m.Drop(id)
+		if m.Contains(id) {
+			t.Errorf("Contains(%d) = true", id)
+		}
+	}
+	if st := m.Stats(nil)[0]; st.Drops != 0 || st.Replicas != 1 || !m.Contains(5) {
+		t.Errorf("drops outside the bitmap changed the store: %+v", st)
+	}
+}
+
+// FuzzMemoryStore holds Memory, unbounded and bounded, against a reference
+// map: each pair of bytes creates, drops or serves one of 256 IDs, or
+// drops and looks up a negative one, and Contains, Replicas, BytesUsed and
+// Stats must agree with the map after every step.
+func FuzzMemoryStore(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 63, 0, 64, 0, 200, 1, 64, 2, 63, 3, 9, 0, 64, 1, 7})
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1, 3, 0, 7, 0, 8, 1, 1})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		for _, capacity := range []int{0, 5} {
+			m := NewMemory("mem", capacity, kb)
+			ref := make(map[object.ID]bool)
+			var want LayerStats
+			for step := 0; step+1 < len(prog); step += 2 {
+				id := object.ID(prog[step+1])
+				switch prog[step] % 4 {
+				case 0:
+					ok := ref[id] || capacity == 0 || len(ref) < capacity
+					if ok && !ref[id] {
+						ref[id] = true
+						want.Creates++
+					}
+					if got := m.Create(id); got != ok {
+						t.Fatalf("capacity %d step %d: Create(%d) = %v, want %v", capacity, step, id, got, ok)
+					}
+				case 1:
+					if ref[id] {
+						delete(ref, id)
+						want.Drops++
+					}
+					m.Drop(id)
+				case 2:
+					if ref[id] {
+						m.ServeCost(id)
+						want.Serves++
+					}
+				case 3:
+					id = -1 - id
+					m.Drop(id)
+				}
+				if m.Contains(id) != ref[id] {
+					t.Fatalf("capacity %d step %d: Contains(%d) = %v, want %v", capacity, step, id, !ref[id], ref[id])
+				}
+				want.Label, want.Replicas, want.BytesUsed = "mem", int64(len(ref)), int64(len(ref))*kb
+				if m.Replicas() != len(ref) || m.BytesUsed() != want.BytesUsed {
+					t.Fatalf("capacity %d step %d: %d replicas in %d bytes, want %d", capacity, step, m.Replicas(), m.BytesUsed(), len(ref))
+				}
+				if st := m.Stats(nil); len(st) != 1 || st[0] != want {
+					t.Fatalf("capacity %d step %d: Stats = %+v, want %+v", capacity, step, st, want)
+				}
+			}
+		}
+	})
+}
+
 func TestDiskCharges(t *testing.T) {
 	d := NewDisk("disk:5ms", 5*time.Millisecond, kb)
 	d.Create(7)
@@ -104,6 +175,38 @@ func TestCacheHitMissEviction(t *testing.T) {
 	c.Drop(1)
 	if c.Contains(1) {
 		t.Error("dropped replica still present")
+	}
+}
+
+// TestCacheDropCountsHeldOnly: like a tier, the cache counts a drop only
+// of a replica it holds, so dropping an absent ID, or one twice, moves no
+// counter on any layer.
+func TestCacheDropCountsHeldOnly(t *testing.T) {
+	c := NewCache(NewMemory("mem:2", 2, kb), NewDisk("disk:5ms", 5*time.Millisecond, kb), 2)
+	drops := func() []int64 {
+		var n []int64
+		for _, l := range c.Stats(nil) {
+			n = append(n, l.Drops)
+		}
+		return n
+	}
+	for _, step := range []struct {
+		create bool
+		id     object.ID
+		want   []int64 // cache, fast tier, slow tier
+	}{
+		{false, 5, []int64{0, 0, 0}},
+		{false, -1, []int64{0, 0, 0}},
+		{true, 5, []int64{1, 1, 1}},
+		{false, 5, []int64{1, 1, 1}},
+	} {
+		if step.create {
+			c.Create(step.id)
+		}
+		c.Drop(step.id)
+		if got := drops(); !slices.Equal(got, step.want) {
+			t.Fatalf("drop of %d (created %v): drops %v, want %v", step.id, step.create, got, step.want)
+		}
 	}
 }
 
