@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"radar/internal/fault"
-	"radar/internal/workload"
 )
 
 // TestLossyRunsDeterministicAcrossParallelism pins the acceptance
@@ -19,15 +18,13 @@ func TestLossyRunsDeterministicAcrossParallelism(t *testing.T) {
 		t.Skip("integration runs")
 	}
 	makeJobs := func() []Job {
-		u := Options{Quick: true}.universe()
-		zipf, err := workload.NewZipf(u)
-		if err != nil {
-			t.Fatal(err)
-		}
 		jobs := make([]Job, 0, 3)
 		for i, drop := range []float64{0.05, 0.2, 0.5} {
 			opts := Options{Seed: int64(i + 1), Quick: true}
-			cfg := baseConfig(zipf, opts, false)
+			cfg, err := opts.dynamic("zipf")
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg.Duration = 8 * time.Minute
 			cfg.Protocol.ReplicaFloor = 2
 			cfg.Faults = fault.Spec{MsgDrop: drop, MsgDup: 0.05, MsgDelay: 20 * time.Millisecond}

@@ -22,11 +22,11 @@ import (
 // Concurrency safety rests on each sim.Config being self-contained: a
 // simulation derives every RNG stream from its own Seed and builds its
 // own topology, routing table, hosts and collectors in sim.New. The
-// workload generators built by Generators are immutable after
-// construction (their Next methods only read), so sharing one generator
-// across concurrent jobs is safe. Configs that carry *stateful* shared
-// components — a stateful generator or an ExtraObserver — must not appear
-// in more than one job of a batch; give each job its own instance.
+// paper's workload generators are immutable after construction (their
+// Next methods only read), so sharing one generator across concurrent
+// jobs is safe. Configs that carry *stateful* shared components — a
+// stateful generator or an ExtraObserver — must not appear in more than
+// one job of a batch; give each job its own instance.
 
 // Job is one labeled simulation in an engine batch.
 type Job struct {

@@ -12,6 +12,7 @@ import (
 
 	"radar/internal/object"
 	"radar/internal/protocol"
+	"radar/internal/scenario"
 	"radar/internal/sim"
 	"radar/internal/substrate"
 	"radar/internal/topology"
@@ -88,19 +89,6 @@ func (o Options) staticDuration() time.Duration {
 	return 10 * time.Minute
 }
 
-// Generators builds the paper's four workload generators over u and topo.
-func Generators(u object.Universe, topo *topology.Topology, seed int64) (map[string]workload.Generator, error) {
-	gens := make(map[string]workload.Generator, len(WorkloadNames))
-	for _, name := range WorkloadNames {
-		gen, err := workload.Named(name, u, topo, seed)
-		if err != nil {
-			return nil, err
-		}
-		gens[name] = gen
-	}
-	return gens, nil
-}
-
 // WorkloadRun pairs a workload's dynamic run with its static baseline.
 type WorkloadRun struct {
 	Name    string
@@ -150,27 +138,24 @@ type RunTiming struct {
 	Wall  time.Duration
 }
 
-// baseConfig builds the Table 1 configuration for one run.
-func baseConfig(gen workload.Generator, opts Options, highLoad bool) sim.Config {
-	cfg := sim.DefaultConfig(gen, opts.Seed)
-	cfg.Universe = opts.universe()
-	if highLoad {
-		cfg.Protocol = protocol.HighLoadParams()
+// config returns the Table 1 configuration of a run under the named
+// workload at the options' scale, built by scenario.Spec.Config: dynamic
+// placement, or with static the no-replication baseline; highLoad selects
+// the Figure 9 watermarks.
+func (o Options) config(name string, static, highLoad bool) (sim.Config, error) {
+	duration := o.dynamicDuration(name)
+	if static {
+		duration = o.staticDuration()
 	}
-	return cfg
+	return scenario.Spec{
+		Workload: name, Objects: o.universe().Count, Duration: duration, Seed: o.Seed,
+		Policy: protocol.PolicyPaper, HighLoad: highLoad, Static: static,
+	}.Config()
 }
 
 // dynamic returns the Table 1 configuration of a dynamic-placement run
 // under the named workload.
-func (o Options) dynamic(name string) (sim.Config, error) {
-	gen, err := workload.Named(name, o.universe(), substrate.UUNET().Topo, o.Seed)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg := baseConfig(gen, o, false)
-	cfg.Duration = o.dynamicDuration(name)
-	return cfg, nil
-}
+func (o Options) dynamic(name string) (sim.Config, error) { return o.config(name, false, false) }
 
 // trackedHotSite returns a node that the hot-sites workload overloads, so
 // the Figure 8b trace shows estimates doing real work.
@@ -193,32 +178,23 @@ func trackedHotSite(u object.Universe, topo *topology.Topology, seed int64) topo
 }
 
 // suiteJobs builds the suite's job list: a static baseline and a dynamic
-// run per workload, two jobs per workload in WorkloadNames order. The
-// generators built here are immutable after construction, so sharing one
-// between a workload's static and dynamic jobs is concurrency-safe.
+// run per workload, two jobs per workload in WorkloadNames order.
 func suiteJobs(opts Options, highLoad bool) ([]Job, error) {
-	topo := substrate.UUNET().Topo
-	u := opts.universe()
-	gens, err := Generators(u, topo, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	tracked := trackedHotSite(u, topo, opts.Seed)
+	tracked := trackedHotSite(opts.universe(), substrate.UUNET().Topo, opts.Seed)
 	jobs := make([]Job, 0, 2*len(WorkloadNames))
 	for _, name := range WorkloadNames {
-		gen := gens[name]
-
-		staticCfg := baseConfig(gen, opts, highLoad)
-		staticCfg.DynamicPlacement = false
-		staticCfg.Duration = opts.staticDuration()
-		jobs = append(jobs, Job{Label: "static/" + name, Config: staticCfg})
-
-		dynCfg := baseConfig(gen, opts, highLoad)
-		dynCfg.Duration = opts.dynamicDuration(name)
+		staticCfg, err := opts.config(name, true, highLoad)
+		if err != nil {
+			return nil, err
+		}
+		dynCfg, err := opts.config(name, false, highLoad)
+		if err != nil {
+			return nil, err
+		}
 		if name == "hot-sites" {
 			dynCfg.TrackedHost = tracked
 		}
-		jobs = append(jobs, Job{Label: "dynamic/" + name, Config: dynCfg})
+		jobs = append(jobs, Job{Label: "static/" + name, Config: staticCfg}, Job{Label: "dynamic/" + name, Config: dynCfg})
 	}
 	return jobs, nil
 }

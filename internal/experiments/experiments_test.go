@@ -8,23 +8,6 @@ import (
 	"radar/internal/topology"
 )
 
-func TestGeneratorsCoverPaperWorkloads(t *testing.T) {
-	opts := Options{Seed: 1, Quick: true}
-	gens, err := Generators(opts.universe(), topology.UUNET(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range WorkloadNames {
-		g, ok := gens[name]
-		if !ok {
-			t.Fatalf("missing generator %q", name)
-		}
-		if g.Name() != name {
-			t.Errorf("generator %q reports name %q", name, g.Name())
-		}
-	}
-}
-
 func TestTrackedHotSiteIsHot(t *testing.T) {
 	opts := Options{Seed: 1, Quick: true}
 	u := opts.universe()

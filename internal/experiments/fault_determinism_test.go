@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"radar/internal/fault"
-	"radar/internal/workload"
 )
 
 // TestFaultedRunsDeterministicAcrossParallelism pins the acceptance
@@ -18,15 +17,13 @@ func TestFaultedRunsDeterministicAcrossParallelism(t *testing.T) {
 		t.Skip("integration runs")
 	}
 	makeJobs := func() []Job {
-		u := Options{Quick: true}.universe()
-		uniform, err := workload.NewUniform(u)
-		if err != nil {
-			t.Fatal(err)
-		}
 		jobs := make([]Job, 0, 3)
 		for i, mtbf := range []time.Duration{4 * time.Minute, 7 * time.Minute, 11 * time.Minute} {
 			opts := Options{Seed: int64(i + 1), Quick: true}
-			cfg := baseConfig(uniform, opts, false)
+			cfg, err := opts.dynamic("uniform")
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg.Duration = 8 * time.Minute
 			cfg.Protocol.ReplicaFloor = 2
 			cfg.Faults = fault.Spec{HostMTBF: mtbf, HostMTTR: time.Minute}

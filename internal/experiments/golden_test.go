@@ -286,13 +286,13 @@ func TestGoldenRunMetrics(t *testing.T) {
 	}
 	topo := substrate.UUNET().Topo
 	u := object.Universe{Count: 2000, SizeBytes: 12 << 10}
-	gens, err := Generators(u, topo, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform, err := workload.NewUniform(u)
-	if err != nil {
-		t.Fatal(err)
+	gens := make(map[string]workload.Generator)
+	for _, name := range []string{"zipf", "hot-sites", "uniform"} {
+		gen, err := workload.Named(name, u, topo, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens[name] = gen
 	}
 	cases := []struct {
 		name string
@@ -313,7 +313,7 @@ func TestGoldenRunMetrics(t *testing.T) {
 			return cfg
 		}},
 		{"uniform_faults", func() sim.Config {
-			cfg := sim.DefaultConfig(uniform, 1)
+			cfg := sim.DefaultConfig(gens["uniform"], 1)
 			cfg.Universe = u
 			cfg.Duration = 10 * time.Minute
 			cfg.Protocol.ReplicaFloor = 2

@@ -145,12 +145,6 @@ type Host struct {
 
 	offloading    bool
 	lastPlacement time.Duration
-	// deferred holds placement moves whose CreateObj handshake was lost;
-	// they are re-issued with the same token at the next placement run
-	// (the degradation policy of the unreliable control plane), in
-	// ascending object order, at most one per object. Nil until the first
-	// loss, so reliable runs never touch it.
-	deferred []move
 	// candBuf is the reusable candidate scratch buffer for the placement
 	// pass; its contents are only valid within one orderCandidates call.
 	// replBuf and availBuf are the availability-aware ordering's
@@ -254,13 +248,13 @@ func (h *Host) Affinity(id object.ID) int {
 // EachObject calls fn with the ID and affinity of every hosted object, in
 // ascending ID order. fn must not add or drop objects on h.
 func (h *Host) EachObject(fn func(id object.ID, aff int)) {
-	for i, st := range h.objs.sts {
-		fn(h.objs.ids[i], st.Aff)
+	for _, st := range h.objs.sts {
+		fn(st.id, st.Aff)
 	}
 }
 
 // NumObjects returns the number of hosted objects.
-func (h *Host) NumObjects() int { return len(h.objs.ids) }
+func (h *Host) NumObjects() int { return len(h.objs.sts) }
 
 // Estimator exposes the host's load estimator (read-only use by metrics).
 func (h *Host) Estimator() *LoadEstimator { return &h.est }
@@ -327,16 +321,18 @@ func (h *Host) OnMeasurementIntervalClose(start time.Duration) {
 }
 
 // OnCrash models a host failure wiping the host's in-memory control state:
-// load estimates, offloading mode and access counts are discarded. Hosted
-// objects survive (disk state) so the host can re-register its replicas on
-// recovery.
+// load estimates, offloading mode, deferred moves and access counts are
+// discarded. Hosted objects survive (disk state) so the host can
+// re-register its replicas on recovery.
 func (h *Host) OnCrash() {
 	h.settle()
 	h.est.Reset()
 	h.offloading = false
-	h.deferred = nil
 	clear(h.board)
-	h.objs.each((*ObjectState).reset)
+	h.objs.each(func(st *ObjectState) {
+		st.deferred = nil
+		st.reset()
+	})
 }
 
 // OnRecover prepares a host returning to service at virtual time now:
@@ -380,24 +376,22 @@ func (h *Host) DecidePlacement(now time.Duration) {
 
 	// moved reports whether a deferred or a Fig. 3 move went through or an
 	// affinity unit went: the offload gate. Floor repairs do not count.
-	moved := len(h.deferred) > 0 && h.retryDeferred(now)
+	// Inline handshakes are never lost, so only a transport defers.
+	moved := h.env.SendCreateObj != nil && h.retryDeferred(now)
 
 	if h.params.ReplicaFloor > 1 {
 		h.repairReplicas(now)
 	}
 
-	hasDeferred := len(h.deferred) > 0
 	// The pass walks the live list and drops objects as it goes. Only the
 	// object in hand can leave the list (moves go to other hosts), so after
 	// a drop the next object sits where it was.
-	var id object.ID
-	for at := 0; at < len(h.objs.ids); at = h.objs.next(at, id) {
-		id = h.objs.ids[at]
-		st := h.objs.sts[at]
-		if hasDeferred {
-			if _, pending := h.findDeferred(id); pending {
-				continue // a lost move is still in flight toward its target
-			}
+	var st *ObjectState
+	for at := 0; at < len(h.objs.sts); at = h.objs.next(at, st) {
+		st = h.objs.sts[at]
+		id := st.id
+		if st.deferred != nil {
+			continue // a lost move is still in flight toward its target
 		}
 		if st.AcquiredAt > prev {
 			continue // acquired mid-window: no full observation yet
@@ -512,14 +506,11 @@ func (s *HostStats) count(mv move) {
 	}
 }
 
-// deferMove records a placement move whose handshake was lost, to be
-// re-issued with the same token at the next placement run.
-func (h *Host) deferMove(now time.Duration, mv move) {
-	if at, pending := h.findDeferred(mv.id); pending {
-		h.deferred[at] = mv // a lost replication after a lost migration supersedes it
-	} else {
-		h.deferred = slices.Insert(h.deferred, at, mv)
-	}
+// deferMove records on st a placement move whose handshake was lost, to be
+// re-issued with the same token at the next placement run. A lost
+// replication after a lost migration supersedes it.
+func (h *Host) deferMove(now time.Duration, st *ObjectState, mv move) {
+	st.deferred = &mv
 	h.noteDeferred(now, mv)
 }
 
@@ -529,14 +520,6 @@ func (h *Host) noteDeferred(now time.Duration, mv move) {
 	h.env.Observer.OnDefer(now, mv.id, h.ID, mv.to, mv.method)
 }
 
-// findDeferred returns the position of id's deferred move and true, or
-// the position it would be inserted at and false.
-func (h *Host) findDeferred(id object.ID) (int, bool) {
-	return slices.BinarySearchFunc(h.deferred, id, func(d move, id object.ID) int {
-		return cmp.Compare(d.id, id)
-	})
-}
-
 // retryDeferred re-issues placement moves whose CreateObj was lost in an
 // earlier interval, each with its original message token: if the lost
 // request actually reached its target, the control plane replays the
@@ -544,32 +527,33 @@ func (h *Host) findDeferred(id object.ID) (int, bool) {
 // exactly once. Accepted moves perform their source-side effects now (they
 // could not safely run at loss time — the caller did not know whether the
 // replica existed); refusals abandon the deferral; a re-lost exchange is
-// deferred again. It reports whether any deferred move went through.
+// deferred again. The walk visits the objects in ascending ID order, and
+// a replayed migration may drop only the object in hand, as in
+// DecidePlacement. It reports whether any deferred move went through.
 func (h *Host) retryDeferred(now time.Duration) bool {
 	completed := false
-	// Filtered in place: an entry stays only if it is appended to kept.
-	kept := h.deferred[:0]
-	for _, d := range h.deferred {
-		st := h.objs.get(d.id)
-		if st == nil {
-			continue // replica gone meanwhile; nothing to move
+	var st *ObjectState
+	for at := 0; at < len(h.objs.sts); at = h.objs.next(at, st) {
+		st = h.objs.sts[at]
+		d := st.deferred
+		if d == nil {
+			continue
 		}
 		peer := h.env.Peer(d.to)
 		if peer == nil {
-			kept = append(kept, d) // target down: hold the deferral for the next interval
-			continue
+			continue // target down: hold the deferral for the next interval
 		}
-		switch status, tok := h.perform(now, d, st, peer); status {
+		st.deferred = nil
+		switch status, tok := h.perform(now, *d, st, peer); status {
 		case CreateAccepted:
 			h.Stats.DeferredCompleted++
 			completed = true
 		case CreateLost:
 			d.token = tok
-			kept = append(kept, d)
-			h.noteDeferred(now, d)
+			st.deferred = d
+			h.noteDeferred(now, *d)
 		}
 	}
-	h.deferred = kept
 	return completed
 }
 
@@ -585,7 +569,8 @@ func (h *Host) repairReplicas(now time.Duration) {
 	if h.params.AvailabilityWeight > 0 {
 		method = Repair
 	}
-	for i, id := range h.objs.ids { // repair only adds replicas elsewhere
+	for _, st := range h.objs.sts { // repair only adds replicas elsewhere
+		id := st.id
 		red := h.env.RedirectorFor(id)
 		count := red.ReplicaCount(id)
 		if count == 0 {
@@ -606,7 +591,7 @@ func (h *Host) repairReplicas(now time.Duration) {
 				break
 			}
 			mv := move{id: id, to: target, method: method, kind: RepairMove}
-			if status, _ := h.perform(now, mv, h.objs.sts[i], peer); status != CreateAccepted {
+			if status, _ := h.perform(now, mv, st, peer); status != CreateAccepted {
 				// A lost repair handshake is retried by the next repair
 				// pass; reconciliation heals any replica it did create.
 				break
@@ -640,7 +625,7 @@ func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method M
 			// The exchange may have landed; trying the next candidate could
 			// double-place. Defer this exact move to the next interval.
 			mv.token = tok
-			h.deferMove(now, mv)
+			h.deferMove(now, st, mv)
 			return false
 		}
 	}
@@ -783,7 +768,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 	}
 	windowStart := now - time.Duration(period*float64(time.Second))
 	var cands []cand
-	for i, st := range h.objs.sts {
+	for _, st := range h.objs.sts {
 		if st.AcquiredAt > windowStart {
 			continue // acquired mid-window: no full observation yet
 		}
@@ -797,7 +782,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 				best = c
 			}
 		}
-		cands = append(cands, cand{id: h.objs.ids[i], foreign: float64(best) / float64(total)})
+		cands = append(cands, cand{id: st.id, foreign: float64(best) / float64(total)})
 	}
 	slices.SortFunc(cands, func(a, b cand) int {
 		if c := cmp.Compare(b.foreign, a.foreign); c != 0 {

@@ -13,14 +13,23 @@ import (
 	"radar/internal/workload"
 )
 
-// hostedIDs returns a copy of h's hosted IDs, ascending.
-func hostedIDs(h *Host) []object.ID { return slices.Clone(h.objs.ids) }
+// hostedIDs returns h's hosted IDs, ascending.
+func hostedIDs(h *Host) []object.ID { return tableIDs(&h.objs) }
+
+// tableIDs returns the IDs the states of tab carry, in table order.
+func tableIDs(tab *objTable) []object.ID {
+	ids := make([]object.ID, len(tab.sts))
+	for i, st := range tab.sts {
+		ids[i] = st.id
+	}
+	return ids
+}
 
 // checkAgainst compares every view of t with the reference map over the
-// ID range [0, universe): the ordered list is strictly ascending, names the
-// reference's IDs, and holds get(id) beside each id; the bitmap holds
-// len(ids) bits and rank[w] counts the hosted IDs below 64·w; every free
-// state is zeroed.
+// ID range [0, universe): the states' IDs are strictly ascending and name
+// the reference's IDs, and get(id) is the state carrying id; the bitmap
+// holds len(sts) bits and rank[w] counts the hosted IDs below 64·w; every
+// free state is zeroed, with no deferred move left on it.
 func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, universe int) {
 	t.Helper()
 	want := make([]object.ID, 0, len(ref))
@@ -28,23 +37,25 @@ func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, u
 		want = append(want, id)
 	}
 	slices.Sort(want)
-	if !slices.Equal(tab.ids, want) {
-		t.Fatalf("ids = %v, want %v", tab.ids, want)
+	if ids := tableIDs(tab); !slices.Equal(ids, want) {
+		t.Fatalf("ids = %v, want %v", ids, want)
 	}
-	if len(tab.sts) != len(ref) {
-		t.Fatalf("%d states, want %d", len(tab.sts), len(ref))
-	}
-	for i, id := range tab.ids {
-		if i > 0 && tab.ids[i-1] >= id {
-			t.Fatalf("ids[%d] = %d after %d: not strictly ascending", i, id, tab.ids[i-1])
+	for i, st := range tab.sts {
+		if i > 0 && tab.sts[i-1].id >= st.id {
+			t.Fatalf("sts[%d].id = %d after %d: not strictly ascending", i, st.id, tab.sts[i-1].id)
 		}
-		if tab.sts[i] != tab.get(id) {
-			t.Fatalf("sts[%d] = %p, get(%d) = %p", i, tab.sts[i], id, tab.get(id))
+		if st != tab.get(st.id) {
+			t.Fatalf("sts[%d] = %p, get(%d) = %p", i, st, st.id, tab.get(st.id))
 		}
 	}
 	for i := 0; i < universe; i++ {
-		if got := tab.get(object.ID(i)); got != ref[object.ID(i)] {
-			t.Fatalf("get(%d) = %p, want %p", i, got, ref[object.ID(i)])
+		id := object.ID(i)
+		got := tab.get(id)
+		if got != ref[id] {
+			t.Fatalf("get(%d) = %p, want %p", i, got, ref[id])
+		}
+		if got != nil && got.id != id {
+			t.Fatalf("get(%d).id = %d", i, got.id)
 		}
 	}
 	seen := 0
@@ -67,26 +78,26 @@ func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, u
 		}
 		below += bits.OnesCount64(word)
 	}
-	if below != len(tab.ids) {
-		t.Fatalf("bitmap holds %d IDs, want %d", below, len(tab.ids))
+	if below != len(tab.sts) {
+		t.Fatalf("bitmap holds %d IDs, want %d", below, len(tab.sts))
 	}
 	for _, st := range tab.free {
-		if st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
+		if st.id != 0 || st.deferred != nil || st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
 			t.Fatalf("free state %+v is not zeroed", *st)
 		}
 	}
 }
 
-// addDirty adds id to tab, checks that the state it gets is zeroed, and
-// then dirties every field, so a state reused after remove shows whether
-// remove cleared it.
+// addDirty adds id to tab, checks that the state it gets is zeroed but for
+// its ID, and then dirties every other field, a deferred move included, so
+// a state reused after remove shows whether remove cleared it.
 func addDirty(t testing.TB, tab *objTable, id object.ID) *ObjectState {
 	t.Helper()
 	st := tab.add(id)
-	if st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
-		t.Fatalf("add(%d) = %+v, want a zeroed state", id, *st)
+	if st.id != id || st.deferred != nil || st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
+		t.Fatalf("add(%d) = %+v, want a state zeroed but for its ID", id, *st)
 	}
-	*st = ObjectState{Aff: 3, Cnt: []int32{1, 2}, Total: 3, AcquiredAt: 9}
+	*st = ObjectState{id: id, deferred: &move{id: id, token: 7}, Aff: 3, Cnt: []int32{1, 2}, Total: 3, AcquiredAt: 9}
 	return st
 }
 
@@ -140,7 +151,8 @@ func TestObjTableAgainstMap(t *testing.T) {
 // FuzzObjTable is TestObjTableAgainstMap over fuzzed programs: each pair
 // of bytes adds, removes or looks up one of 256 IDs (four bitmap words, so
 // ranks move across words), or walks the table, and the table is held
-// against a map and a sorted slice after every step.
+// against a map and a sorted slice after every step, the IDs its states
+// carry included.
 func FuzzObjTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 63, 0, 64, 0, 127, 0, 128, 0, 255, 128, 64, 192, 0, 64, 128})
 	f.Add([]byte{0, 200, 0, 5, 128, 200, 0, 69, 64, 5, 192, 0, 128, 5, 0, 200})
@@ -171,11 +183,11 @@ func FuzzObjTable(f *testing.F) {
 				}
 			case 3: // walk
 				var walked []object.ID
-				for i, st := range tab.sts {
-					if st != ref[tab.ids[i]] {
-						t.Fatalf("step %d: walk found %p for %d, want %p", step, st, tab.ids[i], ref[tab.ids[i]])
+				for _, st := range tab.sts {
+					if st != ref[st.id] {
+						t.Fatalf("step %d: walk found %p for %d, want %p", step, st, st.id, ref[st.id])
 					}
-					walked = append(walked, tab.ids[i])
+					walked = append(walked, st.id)
 				}
 				if !slices.Equal(walked, sorted) {
 					t.Fatalf("step %d: walk = %v, want %v", step, walked, sorted)
@@ -221,8 +233,8 @@ func TestObjTableWordEdges(t *testing.T) {
 		delete(ref, id)
 		check(fmt.Sprintf("after remove(%d)", id))
 	}
-	if len(tab.ids) != 0 || len(tab.bits) != 3 {
-		t.Fatalf("%d IDs in %d words, want none in the 3 words the table grew to", len(tab.ids), len(tab.bits))
+	if len(tab.sts) != 0 || len(tab.bits) != 3 {
+		t.Fatalf("%d IDs in %d words, want none in the 3 words the table grew to", len(tab.sts), len(tab.bits))
 	}
 	c := newCluster(t, topology.Line(3), DefaultParams())
 	c.seed(5, 0)

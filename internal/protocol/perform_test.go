@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/object"
 	"radar/internal/topology"
 )
 
@@ -143,18 +144,33 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 	c.checkSubsetInvariant(t)
 }
 
-// TestLostGeoMoveIsDeferredThenCompleted: a geo migration whose verdict is
-// lost after the peer ran it is deferred (counted, observed, no next
-// candidate tried, the object skipped by the pass), and the next pass
-// re-issues it under the same token and commits the replayed verdict once.
-func TestLostGeoMoveIsDeferredThenCompleted(t *testing.T) {
-	c := newCluster(t, topology.Line(6), DefaultParams())
+// deferrals counts h's objects that hold a deferred move.
+func deferrals(h *Host) int {
+	n := 0
+	for _, st := range h.objs.sts {
+		if st.deferred != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// lostTok is the token a lost exchange in lostMigration returns.
+const lostTok = uint64(7)
+
+// lostMigration builds a six-node line whose host 0 holds obj and whose
+// transport loses the first exchange after the peer ran it, under
+// lostTok, and replays the acceptance when that token is re-issued. It
+// returns the cluster, the tokens host 0 sends, and a request burst that
+// makes obj warm enough to keep, too cool to replicate, and 70 % asked
+// from the far end: a pass geo-migrates it toward host 5.
+func lostMigration(t *testing.T) (c *cluster, tokens *[]uint64, request func()) {
+	c = newCluster(t, topology.Line(6), DefaultParams())
 	c.seed(obj, 0)
 	h := c.hosts[0]
-	const lostTok = uint64(7)
-	var tokens []uint64
+	tokens = new([]uint64)
 	h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
-		tokens = append(tokens, tok)
+		*tokens = append(*tokens, tok)
 		if tok == lostTok {
 			return CreateAccepted, tok, at // the cached verdict, replayed
 		}
@@ -163,8 +179,7 @@ func TestLostGeoMoveIsDeferredThenCompleted(t *testing.T) {
 		}
 		return CreateLost, lostTok, at
 	}
-	// Warm enough to keep, too cool to replicate, 70 % of it from the far end.
-	request := func() {
+	return c, tokens, func() {
 		for i := 0; i < 7; i++ {
 			h.OnRequest(obj, 5)
 		}
@@ -172,11 +187,20 @@ func TestLostGeoMoveIsDeferredThenCompleted(t *testing.T) {
 			h.OnRequest(obj, 0)
 		}
 	}
+}
+
+// TestLostGeoMoveIsDeferredThenCompleted: a geo migration whose verdict is
+// lost after the peer ran it is deferred (counted, observed, no next
+// candidate tried, the object skipped by the pass), and the next pass
+// re-issues it under the same token and commits the replayed verdict once.
+func TestLostGeoMoveIsDeferredThenCompleted(t *testing.T) {
+	c, tokens, request := lostMigration(t)
+	h := c.hosts[0]
 
 	request()
 	pass := c.decide(0, 100*time.Second)
-	if pass.fig3Moves() != 0 || len(h.deferred) != 1 {
-		t.Fatalf("first pass: %+v, %d deferred; want nothing moved and one move deferred", pass, len(h.deferred))
+	if pass.fig3Moves() != 0 || deferrals(h) != 1 {
+		t.Fatalf("first pass: %+v, %d deferred; want nothing moved and one move deferred", pass, deferrals(h))
 	}
 	wantDefer := []Event{{At: int64(100 * time.Second), Kind: EventDefer, Object: int64(obj), From: 0, To: 5, Method: "MIGRATE"}}
 	if !slices.Equal(c.events, wantDefer) {
@@ -188,11 +212,11 @@ func TestLostGeoMoveIsDeferredThenCompleted(t *testing.T) {
 
 	request()
 	pass = c.decide(0, 200*time.Second)
-	if pass.GeoMigrations != 1 || len(h.deferred) != 0 {
-		t.Fatalf("second pass: %+v, %d deferred; want the deferred migration completed", pass, len(h.deferred))
+	if pass.GeoMigrations != 1 || deferrals(h) != 0 {
+		t.Fatalf("second pass: %+v, %d deferred; want the deferred migration completed", pass, deferrals(h))
 	}
-	if !slices.Equal(tokens, []uint64{0, lostTok}) {
-		t.Fatalf("handshake tokens %v, want one fresh exchange and one re-issue of token %d", tokens, lostTok)
+	if !slices.Equal(*tokens, []uint64{0, lostTok}) {
+		t.Fatalf("handshake tokens %v, want one fresh exchange and one re-issue of token %d", *tokens, lostTok)
 	}
 	at := int64(200 * time.Second)
 	wantEvents := append(wantDefer,
@@ -207,6 +231,115 @@ func TestLostGeoMoveIsDeferredThenCompleted(t *testing.T) {
 	}
 	if h.Has(obj) {
 		t.Fatal("the source still holds the object it migrated")
+	}
+	c.checkSubsetInvariant(t)
+}
+
+// TestStaleDeferralDiesWithItsReplica: a deferred move belongs to the
+// replica it was decided for. Once that replica is dropped, a fresh
+// replica of the same object that arrives by CreateObj does not inherit
+// it: the next pass re-issues nothing, so the cached acceptance is never
+// replayed onto the fresh replica and nothing drops it.
+func TestStaleDeferralDiesWithItsReplica(t *testing.T) {
+	c, tokens, request := lostMigration(t)
+	h := c.hosts[0]
+	request()
+	c.decide(0, 100*time.Second) // defers the migration under lostTok
+
+	if res := h.reduceAffinity(150*time.Second, obj, h.objs.get(obj)); res != affDropped {
+		t.Fatalf("dropping the deferred replica: %v, want it dropped", res)
+	}
+	if !h.CreateObj(150*time.Second, Replicate, obj, 0, 1, 5) {
+		t.Fatal("the idle host refused a fresh replica")
+	}
+	request()
+	pass := c.decide(0, 200*time.Second)
+	if !slices.Equal(*tokens, []uint64{0}) {
+		t.Fatalf("handshake tokens %v, want only the first exchange: the deferral died with its replica", *tokens)
+	}
+	if pass.GeoMigrations != 0 || pass.DeferredCompleted != 0 || pass.Drops != 0 || !h.Has(obj) {
+		t.Fatalf("second pass: %+v, holds obj %v; want the fresh replica kept and nothing moved", pass, h.Has(obj))
+	}
+	c.checkSubsetInvariant(t)
+}
+
+// TestCrashDiscardsDeferrals: a crash wipes every deferred move with the
+// rest of the control state, so the pass after recovery re-issues none.
+func TestCrashDiscardsDeferrals(t *testing.T) {
+	c, tokens, request := lostMigration(t)
+	h := c.hosts[0]
+	request()
+	c.decide(0, 100*time.Second)
+	if deferrals(h) != 1 {
+		t.Fatalf("%d deferred after the lost exchange, want 1", deferrals(h))
+	}
+	h.OnCrash()
+	if deferrals(h) != 0 {
+		t.Fatalf("%d deferred after a crash, want none", deferrals(h))
+	}
+	h.OnRecover(150 * time.Second)
+	request()
+	if pass := c.decide(0, 200*time.Second); pass.DeferredCompleted != 0 || !slices.Equal(*tokens, []uint64{0}) {
+		t.Fatalf("pass after recovery: %+v, tokens %v; want no re-issue", pass, *tokens)
+	}
+}
+
+// TestDeferredRetryWalksInIDOrder: three deferred migrations are re-issued
+// in ascending object order, each under its own token, and the middle
+// one's replayed migration dropping its replica does not make the retry
+// skip the third.
+func TestDeferredRetryWalksInIDOrder(t *testing.T) {
+	c := newCluster(t, topology.Line(6), DefaultParams())
+	h := c.hosts[0]
+	ids := []object.ID{3, 70, 140} // three bitmap words
+	for _, id := range ids {
+		c.seed(id, 0)
+	}
+	for _, id := range []object.ID{ids[0], ids[2]} { // the migration only lowers their affinity
+		h.objs.get(id).Aff = 2
+		c.red.NotifyReplicaChange(id, 0, 2)
+	}
+	lose := true
+	var reissued []uint64
+	h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
+		switch {
+		case tok != 0:
+			reissued = append(reissued, tok)
+			return CreateAccepted, tok, at // the cached verdict, replayed
+		case !lose:
+			return CreateRefused, 0, at
+		case !c.deliver(at, req):
+			t.Fatal("the idle peer refused")
+		}
+		return CreateLost, 100 + uint64(req.Object), at
+	}
+	request := func() {
+		for _, id := range ids {
+			for i := 0; i < 7; i++ {
+				h.OnRequest(id, 5)
+			}
+			for i := 0; i < 3; i++ {
+				h.OnRequest(id, 0)
+			}
+		}
+	}
+	request()
+	c.decide(0, 100*time.Second)
+	if deferrals(h) != 3 {
+		t.Fatalf("%d deferred after the first pass, want 3", deferrals(h))
+	}
+	lose = false
+	request()
+	pass := c.decide(0, 200*time.Second)
+	if want := []uint64{103, 170, 240}; !slices.Equal(reissued, want) {
+		t.Fatalf("re-issued tokens %v, want %v", reissued, want)
+	}
+	if pass.DeferredCompleted != 3 || pass.GeoMigrations != 3 || pass.Drops != 1 || deferrals(h) != 0 {
+		t.Fatalf("second pass: %+v, %d deferred; want three migrations completed, one drop", pass, deferrals(h))
+	}
+	if h.Has(ids[1]) || h.Affinity(ids[0]) != 1 || h.Affinity(ids[2]) != 1 {
+		t.Fatalf("after the retries: holds %d %v, affinities %d and %d; want it gone and the others at 1",
+			ids[1], h.Has(ids[1]), h.Affinity(ids[0]), h.Affinity(ids[2]))
 	}
 	c.checkSubsetInvariant(t)
 }

@@ -71,7 +71,7 @@ func settleScript(t *testing.T, seed int64, eager bool, cov *settleCoverage) []s
 			}
 		case k < 13:
 			h.DecidePlacement(now)
-			trace = append(trace, fmt.Sprintf("%v place %d: %+v, %d deferred", now, hi, h.Stats, len(h.deferred)))
+			trace = append(trace, fmt.Sprintf("%v place %d: %+v, %d deferred", now, hi, h.Stats, deferrals(h)))
 			noteHeld()
 		case k < 16: // a peer asks h to take a copy
 			id := object.ID(rng.Intn(universe))

@@ -14,6 +14,13 @@ import (
 // run, the number of those appearances. The counts are exact whenever a
 // method of the owning Host reads them: (*Host).settle runs first.
 type ObjectState struct {
+	// id is the object this state belongs to.
+	id object.ID
+	// deferred is the placement move whose CreateObj handshake was lost,
+	// re-issued with the same token at the next placement run (the
+	// degradation policy of the unreliable control plane); nil when none
+	// is. It lives and dies with the replica: a freed state holds none.
+	deferred *move
 	// Aff is this replica's affinity.
 	Aff int
 	// Cnt[p] is the access count of candidate p: how many preference

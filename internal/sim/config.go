@@ -305,6 +305,13 @@ func (c *Config) Validate() error {
 		if err := c.Faults.Validate(c.Topo.NumNodes()); err != nil {
 			return err
 		}
+		for i, reps := range c.InitialPlacement {
+			for _, n := range reps {
+				if n < 0 || int(n) >= c.Topo.NumNodes() {
+					return fmt.Errorf("sim: object %d's initial placement names node %d, outside the %d-node topology", i, n, c.Topo.NumNodes())
+				}
+			}
+		}
 		if c.HostWeights != nil {
 			if len(c.HostWeights) != c.Topo.NumNodes() {
 				return fmt.Errorf("sim: %d host weights for %d nodes", len(c.HostWeights), c.Topo.NumNodes())

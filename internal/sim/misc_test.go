@@ -44,25 +44,36 @@ func TestRedirectorAtHome(t *testing.T) {
 	}
 }
 
+// TestInitialPlacementValidation: New refuses a placement of the wrong
+// length, an empty replica set, and a replica on a node outside the
+// topology, naming the object and the node, instead of panicking while it
+// seeds.
 func TestInitialPlacementValidation(t *testing.T) {
 	gen, err := workload.NewUniform(testUniverse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(t, gen, time.Minute)
-	cfg.InitialPlacement = [][]topology.NodeID{{0}} // wrong length
-	if _, err := New(cfg); err == nil {
-		t.Error("short initial placement accepted")
-	}
-	cfg = testConfig(t, gen, time.Minute)
-	placement := make([][]topology.NodeID, testUniverse.Count)
-	for i := range placement {
-		placement[i] = []topology.NodeID{topology.NodeID(i % 7)}
-	}
-	placement[5] = nil // empty replica set
-	cfg.InitialPlacement = placement
-	if _, err := New(cfg); err == nil {
-		t.Error("empty per-object placement accepted")
+	for _, tc := range []struct {
+		name string
+		edit func([][]topology.NodeID) [][]topology.NodeID
+		want string
+	}{
+		{"short", func([][]topology.NodeID) [][]topology.NodeID { return [][]topology.NodeID{{0}} }, "covers 1 objects"},
+		{"empty replica set", func(p [][]topology.NodeID) [][]topology.NodeID { p[5] = nil; return p }, "object 5"},
+		{"node past the topology", func(p [][]topology.NodeID) [][]topology.NodeID { p[5] = []topology.NodeID{1, 1000}; return p }, "object 5's initial placement names node 1000"},
+		{"negative node", func(p [][]topology.NodeID) [][]topology.NodeID { p[6] = []topology.NodeID{-1}; return p }, "object 6's initial placement names node -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, gen, time.Minute)
+			placement := make([][]topology.NodeID, testUniverse.Count)
+			for i := range placement {
+				placement[i] = []topology.NodeID{topology.NodeID(i % 7)}
+			}
+			cfg.InitialPlacement = tc.edit(placement)
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 
