@@ -181,9 +181,10 @@ func (c *rpcClient) backoffWait(b *ctrlplane.Backoff) bool {
 	return c.sleep(w)
 }
 
-// call POSTs req as JSON to base+path and decodes the JSON reply into
-// resp, retrying per the ctrlplane schedule. A nil resp discards the body.
-func (c *rpcClient) call(base, path string, req, resp any) error {
+// call POSTs req as JSON to base+path and decodes and validates the JSON
+// reply into resp, retrying per the ctrlplane schedule. A nil resp
+// discards the body.
+func (c *rpcClient) call(base, path string, req any, resp validator) error {
 	body := Encode(req)
 	return c.roundTrip(base, path, func(ctx context.Context) (*http.Request, error) {
 		r, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
@@ -195,9 +196,9 @@ func (c *rpcClient) call(base, path string, req, resp any) error {
 	}, resp)
 }
 
-// get issues a retried GET with query parameters, decoding the JSON reply
-// into resp.
-func (c *rpcClient) get(base, path string, query url.Values, resp any) error {
+// get issues a retried GET with query parameters, decoding and validating
+// the JSON reply into resp.
+func (c *rpcClient) get(base, path string, query url.Values, resp validator) error {
 	u := base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -239,7 +240,7 @@ func (c *rpcClient) fetch(base, path string) error {
 	return err
 }
 
-func (c *rpcClient) roundTrip(base, path string, build func(context.Context) (*http.Request, error), resp any) error {
+func (c *rpcClient) roundTrip(base, path string, build func(context.Context) (*http.Request, error), resp validator) error {
 	if poisoned(base) {
 		return &RPCError{Op: path, Target: base, Err: ErrPeerUnreachable}
 	}

@@ -31,6 +31,14 @@ func testClient(t *testing.T, budget int) *rpcClient {
 	return c
 }
 
+// flagReply is a test reply type with two flags; every body is valid.
+type flagReply struct {
+	OK   bool `json:"ok"`
+	Done bool `json:"done"`
+}
+
+func (*flagReply) Validate() error { return nil }
+
 // flakyServer answers 503 for the first fail attempts, then 200 with the
 // given body.
 func flakyServer(t *testing.T, fail int, body string) (*httptest.Server, *atomic.Int64) {
@@ -53,9 +61,7 @@ func flakyServer(t *testing.T, fail int, body string) (*httptest.Server, *atomic
 func TestClientRetriesFlakyPeer(t *testing.T) {
 	srv, hits := flakyServer(t, 2, `{"ok":true}`)
 	c := testClient(t, 0)
-	var resp struct {
-		OK bool `json:"ok"`
-	}
+	var resp flagReply
 	start := time.Now()
 	if err := c.get(srv.URL, "/x", nil, &resp); err != nil {
 		t.Fatal(err)
@@ -173,9 +179,7 @@ func TestClientDedupReplayOnRetry(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	c := testClient(t, 0)
-	var resp struct {
-		Done bool `json:"done"`
-	}
+	var resp flagReply
 	type createReq struct {
 		MsgID uint64 `json:"msg_id"`
 	}

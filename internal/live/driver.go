@@ -274,7 +274,7 @@ func (f *httpFleet) report(evs []Event) {
 }
 
 // post issues one un-retried POST to a node.
-func (f *httpFleet) post(node topology.NodeID, path string, req, resp any) error {
+func (f *httpFleet) post(node topology.NodeID, path string, req any, resp validator) error {
 	res, err := f.client.Post(f.urls[node]+path, "application/json", bytes.NewReader(Encode(req)))
 	if err != nil {
 		return err
@@ -282,11 +282,11 @@ func (f *httpFleet) post(node topology.NodeID, path string, req, resp any) error
 	return readReply(res, resp)
 }
 
-// Scrape issues one un-retried GET with client and decodes the 200 reply's
-// JSON body into resp, validating it when the type validates itself. It is
-// the one read path of the fleet's /ctl endpoints: the driver and the
-// invariant checker both scrape through it.
-func Scrape(client *http.Client, url string, resp any) error {
+// Scrape issues one un-retried GET with client and decodes and validates
+// the 200 reply's JSON body into resp. It is the one read path of the
+// fleet's /ctl endpoints: the driver and the invariant checker both scrape
+// through it.
+func Scrape(client *http.Client, url string, resp validator) error {
 	res, err := client.Get(url)
 	if err != nil {
 		return err
@@ -294,7 +294,7 @@ func Scrape(client *http.Client, url string, resp any) error {
 	return readReply(res, resp)
 }
 
-func readReply(res *http.Response, resp any) error {
+func readReply(res *http.Response, resp validator) error {
 	data, err := io.ReadAll(res.Body)
 	res.Body.Close()
 	if err != nil {

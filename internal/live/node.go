@@ -177,7 +177,6 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 	nd.machine, err = sim.NewMachine(simCfg, id, protocol.Env{
 		Routes:        routes,
 		RedirectorFor: nd.redirectorFor,
-		Peer:          nd.peer,
 		LoadReport:    nd.loadReport,
 		CopyObject:    nd.copyObject,
 		CanReplicate:  consistency.Gate(simCfg.Universe, simCfg.Consistency, simCfg.Seed),
@@ -420,19 +419,6 @@ func (nd *Node) redirectorFor(id object.ID) protocol.RedirectorControl {
 	return &remoteRedirector{nd: nd, loc: loc}
 }
 
-// peer returns the host to hand a CreateObj to: the real host for
-// loopback, a stub carrying the node identity for remote peers, nil for
-// peers marked down (the simulator's s.down check).
-func (nd *Node) peer(p topology.NodeID) *protocol.Host {
-	if p == nd.id {
-		return nd.machine.Host
-	}
-	if nd.peerDown(p) {
-		return nil
-	}
-	return protocol.NewPeerStub(p)
-}
-
 func (nd *Node) peerDown(p topology.NodeID) bool {
 	nd.redMu.Lock()
 	defer nd.redMu.Unlock()
@@ -480,8 +466,13 @@ func (nd *Node) copyObject(_ time.Duration, from, _ topology.NodeID, id object.I
 // the simulator charges it. The cache replays the verdict bytes, so a
 // retried handshake records one copy and a lost one none, like its
 // decision. The returned completion time is the virtual send time — live
-// handshakes resolve inline, like the simulator's reliable path.
+// handshakes resolve inline, like the simulator's reliable path. A peer
+// marked down (the simulator's s.down check) is sent nothing and costs no
+// message ID.
 func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
+	if nd.peerDown(req.To) {
+		return protocol.CreateDown, token, now
+	}
 	msgID := token
 	if msgID == 0 {
 		msgID = nd.nextMsgID()

@@ -6,10 +6,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"radar/internal/object"
+	"radar/internal/protocol"
 	"radar/internal/sim"
 	"radar/internal/topology"
 	"radar/internal/workload"
@@ -66,6 +68,49 @@ func TestCompletionFIFO(t *testing.T) {
 	nd.epoch = nd.epoch.Add(-time.Hour)
 	if got := served(nd.lock); got != 4 {
 		t.Fatalf("served %d after Stop, want the 4 from before it", got)
+	}
+}
+
+// TestSendCreateObjToDownPeer: a handshake to a peer marked down is
+// answered CreateDown before the RPC client sees it: no /rpc/createobj
+// attempt and no message ID. Once the peer is back, the next handshake
+// carries the node's first message ID.
+func TestSendCreateObjToDownPeer(t *testing.T) {
+	cfg := twoNodeConfig(t)
+	var received, lastID atomic.Uint64 // written by the peer's handler goroutine
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var msg CreateObjMsg
+		if r.URL.Path != PathCreateObj || !readBody(w, r, &msg) {
+			t.Errorf("peer got %s, want a valid %s", r.URL.Path, PathCreateObj)
+			return
+		}
+		received.Add(1)
+		lastID.Store(msg.MsgID)
+		writeJSON(w, CreateObjReply{MsgID: msg.MsgID, Accepted: true})
+	}))
+	defer peer.Close()
+	nd, err := NewNode(cfg, 0, []string{"http://node0.invalid", peer.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+	req := protocol.CreateObjRequest{From: 0, To: 1, Method: protocol.Replicate, Object: 1, UnitLoad: 1, SrcAff: 1}
+
+	nd.downPeers[1] = true
+	if status, tok, at := nd.sendCreateObj(time.Second, req, 0); status != protocol.CreateDown || tok != 0 || at != time.Second {
+		t.Fatalf("handshake to a down peer: (%d, %d, %v), want (CreateDown, 0, 1s)", status, tok, at)
+	}
+	if attempts, _, _ := nd.client.Stats(); attempts != 0 || received.Load() != 0 {
+		t.Fatalf("down peer: %d RPC attempts, %d handshakes received; want none", attempts, received.Load())
+	}
+
+	nd.downPeers[1] = false
+	if status, tok, _ := nd.sendCreateObj(2*time.Second, req, 0); status != protocol.CreateAccepted || tok != 1 {
+		t.Fatalf("handshake to the peer back up: (%d, %d), want (CreateAccepted, 1)", status, tok)
+	}
+	if attempts, _, _ := nd.client.Stats(); attempts != 1 || received.Load() != 1 || lastID.Load() != 1 {
+		t.Fatalf("peer back up: %d RPC attempts, %d handshakes received, the last with ID %d; want one, with ID 1",
+			attempts, received.Load(), lastID.Load())
 	}
 }
 

@@ -106,26 +106,13 @@ func Decode(data []byte, msg validator) error {
 	return msg.Validate()
 }
 
-// jsonUnmarshal decodes into a reply type without self-validation,
-// wrapping failures as *WireError.
-func jsonUnmarshal(data []byte, v any) error {
-	if err := json.Unmarshal(data, v); err != nil {
-		return &WireError{Reason: err.Error()}
-	}
-	return nil
-}
-
-// decodeReply decodes a 200 reply body into resp: self-validating reply
-// types through Decode, the rest through jsonUnmarshal. A nil resp
-// discards the body.
-func decodeReply(data []byte, resp any) error {
+// decodeReply decodes and validates a 200 reply body into resp. A nil
+// resp discards the body.
+func decodeReply(data []byte, resp validator) error {
 	if resp == nil {
 		return nil
 	}
-	if v, ok := resp.(validator); ok {
-		return Decode(data, v)
-	}
-	return jsonUnmarshal(data, resp)
+	return Decode(data, resp)
 }
 
 // Encode marshals a wire message. Marshaling a validated message cannot

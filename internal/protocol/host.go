@@ -41,15 +41,6 @@ type CreateObjRequest struct {
 	SrcAff   int
 }
 
-// NewPeerStub builds a Host that stands in for a peer living in another
-// process: it carries only the node identity. A live transport wires
-// Env.Peer to return stubs; every actual protocol interaction with the
-// remote host travels through Env.SendCreateObj, Env.LoadReport and the
-// redirector control interface, never through stub methods.
-func NewPeerStub(id topology.NodeID) *Host {
-	return &Host{ID: id}
-}
-
 // CreateObjStatus is the caller-visible outcome of a CreateObj handshake.
 type CreateObjStatus int
 
@@ -65,10 +56,13 @@ const (
 	// token is safe (idempotent), and anti-entropy reconciliation heals
 	// any replica the lost exchange did create.
 	CreateLost
+	// CreateDown: the target is known down. Nothing was sent and no token
+	// was spent.
+	CreateDown
 )
 
-// Env wires a host into its world. All fields except Observer,
-// CanReplicate and SendCreateObj are required.
+// Env wires a host into its world. All fields except CanReplicate are
+// required.
 type Env struct {
 	// Routes answers distance and preference-path queries (the stand-in
 	// for the router databases of a real deployment).
@@ -76,8 +70,6 @@ type Env struct {
 	// RedirectorFor returns the redirector responsible for an object
 	// (the URL namespace may be hash-partitioned over several).
 	RedirectorFor func(id object.ID) RedirectorControl
-	// Peer returns the host running on node p, for CreateObj requests.
-	Peer func(p topology.NodeID) *Host
 	// LoadReport answers a load query against host p at time now — p's
 	// entry in the periodic load-report exchange of §4.2.2 — or false
 	// when p is down or unreachable. A negative id asks for the load and
@@ -91,23 +83,21 @@ type Env struct {
 	// consistency hook of §5 (category-3 objects cap their replica
 	// count). Migration is never gated.
 	CanReplicate func(id object.ID, currentReplicas int) bool
-	// SendCreateObj, if non-nil, carries CreateObj handshakes over a
-	// control-plane transport: it delivers req from req.From to req.To,
-	// runs the callee-side handler at most once per token at the request's
+	// SendCreateObj carries a CreateObj handshake (Fig. 4), the only way
+	// a host reaches a peer: it delivers req from req.From to req.To, runs
+	// the callee-side handler at most once per token at the request's
 	// arrival time, and reports the outcome, the message token (pass it
 	// back to re-issue a CreateLost exchange with the same identity), and
-	// the caller-side completion time. Nil resolves handshakes inline and
-	// reliably — the paper's instantaneous model.
+	// the caller-side completion time. A target known down answers
+	// CreateDown without sending anything.
 	SendCreateObj func(now time.Duration, req CreateObjRequest, token uint64) (CreateObjStatus, uint64, time.Duration)
-	// Store, if non-nil, is this host's replica-storage backend stack.
-	// CreateObj charges each accepted new replica to it as the last
-	// admission check (a full backend refuses like §2.1 storage
-	// capacity), and affinity drops release it. Serve costs are charged
-	// by the simulator's request path, not here. Nil — like the default
-	// unbounded memory stack — preserves the paper's costless-storage
-	// model.
+	// Store is this host's replica-storage backend stack. CreateObj
+	// charges each accepted new replica to it as the last admission check
+	// (a full backend refuses like §2.1 storage capacity), and affinity
+	// drops release it. Serve costs are charged by the simulator's request
+	// path, not here.
 	Store store.ReplicaStore
-	// Observer, if non-nil, receives placement events.
+	// Observer receives placement events.
 	Observer Observer
 }
 
@@ -117,12 +107,16 @@ func (e *Env) validate() error {
 		return fmt.Errorf("%w: Routes", ErrNilDependency)
 	case e.RedirectorFor == nil:
 		return fmt.Errorf("%w: RedirectorFor", ErrNilDependency)
-	case e.Peer == nil:
-		return fmt.Errorf("%w: Peer", ErrNilDependency)
 	case e.LoadReport == nil:
 		return fmt.Errorf("%w: LoadReport", ErrNilDependency)
 	case e.CopyObject == nil:
 		return fmt.Errorf("%w: CopyObject", ErrNilDependency)
+	case e.SendCreateObj == nil:
+		return fmt.Errorf("%w: SendCreateObj", ErrNilDependency)
+	case e.Store == nil:
+		return fmt.Errorf("%w: Store", ErrNilDependency)
+	case e.Observer == nil:
+		return fmt.Errorf("%w: Observer", ErrNilDependency)
 	}
 	return nil
 }
@@ -208,9 +202,6 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 	}
 	if loads == nil {
 		return nil, fmt.Errorf("%w: loads", ErrNilDependency)
-	}
-	if env.Observer == nil {
-		env.Observer = nopObserver{}
 	}
 	return &Host{
 		ID:       id,
@@ -376,8 +367,7 @@ func (h *Host) DecidePlacement(now time.Duration) {
 
 	// moved reports whether a deferred or a Fig. 3 move went through or an
 	// affinity unit went: the offload gate. Floor repairs do not count.
-	// Inline handshakes are never lost, so only a transport defers.
-	moved := h.env.SendCreateObj != nil && h.retryDeferred(now)
+	moved := h.retryDeferred(now)
 
 	if h.params.ReplicaFloor > 1 {
 		h.repairReplicas(now)
@@ -428,24 +418,19 @@ func (h *Host) DecidePlacement(now time.Duration) {
 	h.objs.each((*ObjectState).reset)
 }
 
-// createObj performs the CreateObj handshake with peer: inline and
-// reliable when Env.SendCreateObj is nil (the paper's instantaneous
-// model), otherwise as a retried RPC over the lossy control plane. It
-// returns the outcome, the message token (re-issue a CreateLost exchange
-// with it to keep the same identity), and the caller-side completion time
-// (now on the inline path, so downstream bookkeeping is unchanged there).
-func (h *Host) createObj(now time.Duration, peer *Host, method Method, id object.ID, unitLoad float64, srcAff int, token uint64) (CreateObjStatus, uint64, time.Duration) {
-	h.forgetReport(peer.ID)
-	if h.env.SendCreateObj == nil {
-		if peer.CreateObj(now, method, id, unitLoad, srcAff, h.ID) {
-			return CreateAccepted, 0, now
-		}
-		return CreateRefused, 0, now
-	}
-	req := CreateObjRequest{From: h.ID, To: peer.ID, Method: method, Object: id, UnitLoad: unitLoad, SrcAff: srcAff}
+// createObj performs the CreateObj handshake with host to over
+// Env.SendCreateObj. It returns the outcome, the message token (re-issue a
+// CreateLost exchange with it to keep the same identity), and the
+// caller-side completion time. A handshake that was sent forgets to's
+// load report, so the next election asks it again.
+func (h *Host) createObj(now time.Duration, to topology.NodeID, method Method, id object.ID, unitLoad float64, srcAff int, token uint64) (CreateObjStatus, uint64, time.Duration) {
+	req := CreateObjRequest{From: h.ID, To: to, Method: method, Object: id, UnitLoad: unitLoad, SrcAff: srcAff}
 	status, tok, doneAt := h.env.SendCreateObj(now, req, token)
 	if status == CreateLost {
 		h.Stats.CreateLost++
+	}
+	if status != CreateDown {
+		h.forgetReport(to)
 	}
 	return status, tok, doneAt
 }
@@ -462,15 +447,16 @@ type move struct {
 }
 
 // perform is the one road to a peer: it runs mv's CreateObj handshake with
-// peer and commits the verdict on this host, which holds the replica st.
+// mv.to and commits the verdict on this host, which holds the replica st.
 // Accepted: the lower-bound load estimate sheds the Theorem 1/3 source
 // bound, a migration hands its affinity unit over, the move is counted and
 // observed, all at the handshake's completion time. Refused: counted and
 // observed at now. Lost: nothing here — the caller defers the move or lets
-// its next pass decide again — and the returned token re-issues it.
-func (h *Host) perform(now time.Duration, mv move, st *ObjectState, peer *Host) (CreateObjStatus, uint64) {
+// its next pass decide again — and the returned token re-issues it. Down:
+// nothing here or on the wire.
+func (h *Host) perform(now time.Duration, mv move, st *ObjectState) (CreateObjStatus, uint64) {
 	objLoad := h.loads.ObjectLoad(mv.id)
-	status, tok, doneAt := h.createObj(now, peer, mv.method, mv.id, objLoad/float64(st.Aff), st.Aff, mv.token)
+	status, tok, doneAt := h.createObj(now, mv.to, mv.method, mv.id, objLoad/float64(st.Aff), st.Aff, mv.token)
 	switch status {
 	case CreateAccepted:
 		if mv.method == Migrate {
@@ -527,9 +513,10 @@ func (h *Host) noteDeferred(now time.Duration, mv move) {
 // exactly once. Accepted moves perform their source-side effects now (they
 // could not safely run at loss time — the caller did not know whether the
 // replica existed); refusals abandon the deferral; a re-lost exchange is
-// deferred again. The walk visits the objects in ascending ID order, and
-// a replayed migration may drop only the object in hand, as in
-// DecidePlacement. It reports whether any deferred move went through.
+// deferred again; a down target holds it as it is. The walk visits the
+// objects in ascending ID order, and a replayed migration may drop only
+// the object in hand, as in DecidePlacement. It reports whether any
+// deferred move went through.
 func (h *Host) retryDeferred(now time.Duration) bool {
 	completed := false
 	var st *ObjectState
@@ -539,12 +526,8 @@ func (h *Host) retryDeferred(now time.Duration) bool {
 		if d == nil {
 			continue
 		}
-		peer := h.env.Peer(d.to)
-		if peer == nil {
-			continue // target down: hold the deferral for the next interval
-		}
 		st.deferred = nil
-		switch status, tok := h.perform(now, *d, st, peer); status {
+		switch status, tok := h.perform(now, *d, st); status {
 		case CreateAccepted:
 			h.Stats.DeferredCompleted++
 			completed = true
@@ -552,6 +535,8 @@ func (h *Host) retryDeferred(now time.Duration) bool {
 			d.token = tok
 			st.deferred = d
 			h.noteDeferred(now, *d)
+		case CreateDown:
+			st.deferred = d // held for the next interval, under the same token
 		}
 	}
 	return completed
@@ -586,12 +571,8 @@ func (h *Host) repairReplicas(now time.Duration) {
 			if !ok {
 				break
 			}
-			peer := h.env.Peer(target)
-			if peer == nil {
-				break
-			}
 			mv := move{id: id, to: target, method: method, kind: RepairMove}
-			if status, _ := h.perform(now, mv, st, peer); status != CreateAccepted {
+			if status, _ := h.perform(now, mv, st); status != CreateAccepted {
 				// A lost repair handshake is retried by the next repair
 				// pass; reconciliation heals any replica it did create.
 				break
@@ -613,12 +594,8 @@ func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method M
 		return false
 	}
 	for _, p := range h.orderCandidates(id, st, method, ratio) {
-		peer := h.env.Peer(p)
-		if peer == nil {
-			continue
-		}
 		mv := move{id: id, to: p, method: method, kind: GeoMove}
-		switch status, tok := h.perform(now, mv, st, peer); status {
+		switch status, tok := h.perform(now, mv, st); status {
 		case CreateAccepted:
 			return true
 		case CreateLost:
@@ -628,6 +605,7 @@ func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method M
 			h.deferMove(now, st, mv)
 			return false
 		}
+		// Refused or down: the next candidate may take it.
 	}
 	return false
 }
@@ -655,9 +633,7 @@ func (h *Host) reduceAffinity(now time.Duration, id object.ID, st *ObjectState) 
 	}
 	if red.RequestDrop(id, h.ID) {
 		h.objs.remove(id)
-		if h.env.Store != nil {
-			h.env.Store.Drop(id)
-		}
+		h.env.Store.Drop(id)
 		h.Stats.Drops++
 		h.env.Observer.OnDrop(now, id, h.ID)
 		return affDropped
@@ -719,7 +695,7 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 		// The storage backend is the last admission check: every earlier
 		// guard is side-effect free, and a successful backend create
 		// commits the placement.
-		if h.env.Store != nil && !h.env.Store.Create(id) {
+		if !h.env.Store.Create(id) {
 			h.Stats.RefusalsSent++
 			h.Stats.RefusedStorage++
 			return false
@@ -755,10 +731,6 @@ func (h *Host) offload(now time.Duration, period float64) {
 	recipientLoad, recipientLow := report.AcceptLoad, report.Low
 	if h.params.NeighborOnly && h.env.Routes.Distance(h.ID, rid) != 1 {
 		return // the related-work baseline cannot shed to distant hosts
-	}
-	peer := h.env.Peer(rid)
-	if peer == nil {
-		return
 	}
 	moved := 0
 
@@ -813,10 +785,10 @@ func (h *Host) offload(now time.Duration, period float64) {
 			}
 			mv.method = Replicate
 		}
-		if status, _ := h.perform(now, mv, st, peer); status != CreateAccepted {
-			// Lost or refused: stop shedding to this recipient — load moves
-			// are re-decided from fresh estimates next run, so no deferral
-			// is needed.
+		if status, _ := h.perform(now, mv, st); status != CreateAccepted {
+			// Lost, refused or down: stop shedding to this recipient — load
+			// moves are re-decided from fresh estimates next run, so no
+			// deferral is needed.
 			break
 		}
 		if mv.method == Migrate {

@@ -1,12 +1,14 @@
 package protocol
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
 	"radar/internal/object"
 	"radar/internal/routing"
+	"radar/internal/store"
 	"radar/internal/topology"
 )
 
@@ -35,6 +37,9 @@ type cluster struct {
 	copies []copyRec
 	// events are the decisions the hosts recorded, in order.
 	events []Event
+	// down are the hosts the handshake transport knows down: a handshake
+	// to one answers CreateDown. Load reports still answer for them.
+	down map[topology.NodeID]bool
 }
 
 func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
@@ -44,7 +49,7 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{topo: topo, routes: routes, red: red}
+	c := &cluster{topo: topo, routes: routes, red: red, down: map[topology.NodeID]bool{}}
 	n := topo.NumNodes()
 	c.hosts = make([]*Host, n)
 	c.loads = make([]*fakeLoads, n)
@@ -53,14 +58,15 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 		env := Env{
 			Routes:        routes,
 			RedirectorFor: func(object.ID) RedirectorControl { return c.red },
-			Peer:          func(p topology.NodeID) *Host { return c.hosts[p] },
 			LoadReport: func(p topology.NodeID, now time.Duration, id object.ID) (LoadReport, bool) {
 				return c.hosts[p].LoadReport(now, id), true
 			},
 			CopyObject: func(_ time.Duration, from, to topology.NodeID, id object.ID) {
 				c.copies = append(c.copies, copyRec{from: from, to: to, id: id})
 			},
-			Observer: Recorder(func(e Event) { c.events = append(c.events, e) }),
+			SendCreateObj: c.send,
+			Store:         store.NewMemory("mem", 0, 1),
+			Observer:      Recorder(func(e Event) { c.events = append(c.events, e) }),
 		}
 		h, err := NewHost(topology.NodeID(i), params, env, c.loads[i])
 		if err != nil {
@@ -115,6 +121,18 @@ func (c *cluster) seed(id object.ID, host topology.NodeID) {
 // control-plane transport does.
 func (c *cluster) deliver(at time.Duration, req CreateObjRequest) bool {
 	return c.hosts[req.To].CreateObj(at, req.Method, req.Object, req.UnitLoad, req.SrcAff, req.From)
+}
+
+// send is the cluster's handshake transport, the in-memory fleet's
+// reliable one: nothing to a down host, otherwise the verdict at once.
+func (c *cluster) send(at time.Duration, req CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
+	switch {
+	case c.down[req.To]:
+		return CreateDown, tok, at
+	case c.deliver(at, req):
+		return CreateAccepted, 0, at
+	}
+	return CreateRefused, 0, at
 }
 
 // checkSubsetInvariant asserts the redirector's recorded replicas all
@@ -601,22 +619,28 @@ func TestNewHostValidation(t *testing.T) {
 	goodEnv := Env{
 		Routes:        routes,
 		RedirectorFor: func(object.ID) RedirectorControl { return red },
-		Peer:          func(topology.NodeID) *Host { return nil },
 		LoadReport:    func(topology.NodeID, time.Duration, object.ID) (LoadReport, bool) { return LoadReport{}, false },
 		CopyObject:    func(time.Duration, topology.NodeID, topology.NodeID, object.ID) {},
+		SendCreateObj: func(at time.Duration, _ CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
+			return CreateDown, tok, at
+		},
+		Store:    store.NewMemory("mem", 0, 1),
+		Observer: Recorder(func(Event) {}),
 	}
 	if _, err := NewHost(0, Params{}, goodEnv, loads); err == nil {
 		t.Error("invalid params accepted")
 	}
-	bad := goodEnv
-	bad.Routes = nil
-	if _, err := NewHost(0, DefaultParams(), bad, loads); err == nil {
-		t.Error("nil Routes accepted")
-	}
-	bad = goodEnv
-	bad.Peer = nil
-	if _, err := NewHost(0, DefaultParams(), bad, loads); err == nil {
-		t.Error("nil Peer accepted")
+	for name, unset := range map[string]func(*Env){
+		"Routes":        func(e *Env) { e.Routes = nil },
+		"SendCreateObj": func(e *Env) { e.SendCreateObj = nil },
+		"Store":         func(e *Env) { e.Store = nil },
+		"Observer":      func(e *Env) { e.Observer = nil },
+	} {
+		bad := goodEnv
+		unset(&bad)
+		if _, err := NewHost(0, DefaultParams(), bad, loads); !errors.Is(err, ErrNilDependency) {
+			t.Errorf("nil %s: err %v, want ErrNilDependency", name, err)
+		}
 	}
 	if _, err := NewHost(0, DefaultParams(), goodEnv, nil); err == nil {
 		t.Error("nil loads accepted")

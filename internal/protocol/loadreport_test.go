@@ -140,7 +140,7 @@ func TestElectHostMatchesScan(t *testing.T) {
 				method = Repair
 			}
 			lose = rng.Intn(4) % 3 // half the handshakes get their verdict back
-			status, _, _ := h.createObj(now, c.hosts[best], method, object.ID(rng.Intn(numObjects)), rng.Float64()*3, 1, 0)
+			status, _, _ := h.createObj(now, best, method, object.ID(rng.Intn(numObjects)), rng.Float64()*3, 1, 0)
 			outcomes[status]++
 		}
 		// A two-peer fleet whose winner keeps contending can cost the board

@@ -14,14 +14,16 @@ import (
 // verdict of every move: the request it sends, the estimator shed, the
 // affinity left, the one counter that moved, and the observer calls in
 // order with their times — completion time for a move (and the drop a
-// migration ends in), decision time for a refusal, nothing for a loss. A
-// pass issues five of the nine method × kind pairs; the others pin that the
-// method alone picks the bound and the kind alone picks counter and label.
+// migration ends in), decision time for a refusal, nothing for a loss or a
+// down target — and that the load board forgets the target after every
+// handshake that was sent, and only then. A pass issues five of the nine
+// method × kind pairs; the others pin that the method alone picks the
+// bound and the kind alone picks counter and label.
 func TestPerformEffects(t *testing.T) {
 	const deferred = uint64(42) // a token kept from an earlier lost exchange
 	for _, method := range []Method{Migrate, Replicate, Repair} {
 		for _, kind := range []MoveKind{GeoMove, LoadMove, RepairMove} {
-			for _, verdict := range []CreateObjStatus{CreateAccepted, CreateRefused, CreateLost} {
+			for _, verdict := range []CreateObjStatus{CreateAccepted, CreateRefused, CreateLost, CreateDown} {
 				for _, token := range []uint64{0, deferred} {
 					for _, aff := range []int{1, 3} {
 						name := fmt.Sprintf("%v/%v/verdict%d/token%d/aff%d", method, kind, verdict, token, aff)
@@ -65,12 +67,15 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 			return CreateAccepted, tok, at + delta
 		case CreateRefused:
 			return CreateRefused, tok, at + delta
+		case CreateDown:
+			return CreateDown, tok, at
 		}
 		return CreateLost, lostTok, at + delta
 	}
+	h.electHost(now, -1, 0) // every peer's report is on the board
 
 	want := h.Stats
-	status, tok := h.perform(now, mv, st, c.hosts[mv.to])
+	status, tok := h.perform(now, mv, st)
 
 	if status != verdict {
 		t.Fatalf("status %d, want %d", status, verdict)
@@ -125,6 +130,16 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 		if tok != lostTok {
 			t.Errorf("token %d, want the lost exchange's %d", tok, lostTok)
 		}
+	case CreateDown:
+		if tok != mv.token {
+			t.Errorf("token %d, want the move's own %d: nothing was spent", tok, mv.token)
+		}
+	}
+	if kept := h.board[mv.to].asked; kept != (verdict == CreateDown) {
+		t.Errorf("target's load report kept = %v after verdict %d, want it forgotten only after a sent handshake", kept, verdict)
+	}
+	if deferrals(h) != 0 {
+		t.Errorf("%d deferred: perform leaves deferral to its caller", deferrals(h))
 	}
 	if got := h.est.LoadForOffload(load); got != wantLower {
 		t.Errorf("lower-bound load %v, want %v", got, wantLower)
@@ -160,16 +175,20 @@ const lostTok = uint64(7)
 
 // lostMigration builds a six-node line whose host 0 holds obj and whose
 // transport loses the first exchange after the peer ran it, under
-// lostTok, and replays the acceptance when that token is re-issued. It
-// returns the cluster, the tokens host 0 sends, and a request burst that
-// makes obj warm enough to keep, too cool to replicate, and 70 % asked
-// from the far end: a pass geo-migrates it toward host 5.
+// lostTok, and replays the acceptance when that token is re-issued; it
+// sends nothing to a host in c.down. It returns the cluster, the tokens
+// host 0 sends, and a request burst that makes obj warm enough to keep,
+// too cool to replicate, and 70 % asked from the far end: a pass
+// geo-migrates it toward host 5.
 func lostMigration(t *testing.T) (c *cluster, tokens *[]uint64, request func()) {
 	c = newCluster(t, topology.Line(6), DefaultParams())
 	c.seed(obj, 0)
 	h := c.hosts[0]
 	tokens = new([]uint64)
 	h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
+		if c.down[req.To] {
+			return CreateDown, tok, at
+		}
 		*tokens = append(*tokens, tok)
 		if tok == lostTok {
 			return CreateAccepted, tok, at // the cached verdict, replayed
@@ -342,4 +361,113 @@ func TestDeferredRetryWalksInIDOrder(t *testing.T) {
 			ids[1], h.Has(ids[1]), h.Affinity(ids[0]), h.Affinity(ids[2]))
 	}
 	c.checkSubsetInvariant(t)
+}
+
+// offered wraps host n's transport to record the target of every handshake
+// the host offers it, those to down hosts included.
+func (c *cluster) offered(n topology.NodeID) *[]topology.NodeID {
+	to := new([]topology.NodeID)
+	h := c.hosts[n]
+	send := h.env.SendCreateObj
+	h.env.SendCreateObj = func(at time.Duration, req CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
+		*to = append(*to, req.To)
+		return send(at, req, tok)
+	}
+	return to
+}
+
+// TestDownGeoTargetTriesNextCandidate: a geo candidate the transport knows
+// down costs the pass nothing, and the next candidate takes the move.
+func TestDownGeoTargetTriesNextCandidate(t *testing.T) {
+	c := newCluster(t, topology.Line(6), DefaultParams())
+	c.seed(obj, 0)
+	c.down[5] = true
+	h := c.hosts[0]
+	offered := c.offered(0)
+	for i := 0; i < 7; i++ {
+		h.OnRequest(obj, 5)
+	}
+	for i := 0; i < 3; i++ {
+		h.OnRequest(obj, 0)
+	}
+	pass := c.decide(0, 100*time.Second)
+	if !slices.Equal(*offered, []topology.NodeID{5, 4}) {
+		t.Fatalf("handshakes offered to %v, want the down host 5 and then 4", *offered)
+	}
+	if pass != (HostStats{GeoMigrations: 1, Drops: 1}) {
+		t.Fatalf("pass %+v, want one geo migration and the drop it ends in", pass)
+	}
+	if h.Has(obj) || c.hosts[5].Has(obj) || !c.hosts[4].Has(obj) {
+		t.Fatalf("obj held by 0/4/5: %v/%v/%v, want only by 4", h.Has(obj), c.hosts[4].Has(obj), c.hosts[5].Has(obj))
+	}
+	c.checkSubsetInvariant(t)
+}
+
+// TestDeferredMoveHeldWhileTargetDown: a deferred move whose target is
+// down is held as it is — not observed or counted again, no other
+// candidate tried — and re-issued under the same token once the target is
+// back.
+func TestDeferredMoveHeldWhileTargetDown(t *testing.T) {
+	c, tokens, request := lostMigration(t)
+	h := c.hosts[0]
+	request()
+	c.decide(0, 100*time.Second) // defers the migration under lostTok
+	deferredEvents := slices.Clone(c.events)
+
+	c.down[5] = true
+	request()
+	if pass := c.decide(0, 200*time.Second); pass != (HostStats{}) {
+		t.Fatalf("pass with the target down: %+v, want nothing counted", pass)
+	}
+	if d := h.objs.get(obj).deferred; d == nil || d.token != lostTok || d.to != 5 {
+		t.Fatalf("deferral after the down pass: %+v, want the migration to 5 under token %d", d, lostTok)
+	}
+	if !slices.Equal(c.events, deferredEvents) || !slices.Equal(*tokens, []uint64{0}) {
+		t.Fatalf("down pass observed %+v and sent tokens %v; want nothing new", c.events[len(deferredEvents):], *tokens)
+	}
+
+	c.down[5] = false
+	request()
+	if pass := c.decide(0, 300*time.Second); pass.DeferredCompleted != 1 || pass.GeoMigrations != 1 {
+		t.Fatalf("pass with the target back: %+v, want the deferred migration completed", pass)
+	}
+	if !slices.Equal(*tokens, []uint64{0, lostTok}) {
+		t.Fatalf("handshake tokens %v, want the re-issue under token %d", *tokens, lostTok)
+	}
+	if h.Stats.DeferredMoves != 1 || h.Has(obj) {
+		t.Fatalf("DeferredMoves %d, source holds obj %v; want one deferral and the object gone", h.Stats.DeferredMoves, h.Has(obj))
+	}
+	c.checkSubsetInvariant(t)
+}
+
+// TestRepairAndOffloadStopAtDownTarget: floor repair and offload each stop
+// at the first elected host the transport knows down (load reports still
+// answer for it, as for a host that crashed after reporting).
+func TestRepairAndOffloadStopAtDownTarget(t *testing.T) {
+	params := DefaultParams()
+	t.Run("repair", func(t *testing.T) {
+		params := params
+		params.ReplicaFloor = 2
+		c := newCluster(t, topology.Line(4), params)
+		c.red.SetReplicaFloor(params.ReplicaFloor)
+		c.seed(obj, 0)
+		c.down[1], c.down[2], c.down[3] = true, true, true
+		offered := c.offered(0)
+		if pass := c.decide(0, 100*time.Second); pass.RepairReplications != 0 || len(*offered) != 1 {
+			t.Fatalf("pass %+v offered handshakes to %v; want one, to a down host, and no repair", pass, *offered)
+		}
+		if got := c.red.ReplicaCount(obj); got != 1 {
+			t.Fatalf("replica count %d, want 1", got)
+		}
+	})
+	t.Run("offload", func(t *testing.T) {
+		c := newCluster(t, topology.Line(4), params)
+		overloadHostZero(t, c, params, 3, 100, 2)
+		c.down[1], c.down[2], c.down[3] = true, true, true
+		offered := c.offered(0)
+		pass := c.decide(0, 100*time.Second)
+		if pass.OffloadRuns != 1 || pass.loadMoves() != 0 || len(*offered) != 1 {
+			t.Fatalf("pass %+v offered handshakes to %v; want one offload run that stops at its first, down, recipient", pass, *offered)
+		}
+	})
 }

@@ -270,13 +270,3 @@ func (r Recorder) OnRefuse(now time.Duration, id object.ID, from, to topology.No
 func (r Recorder) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method Method) {
 	r(Event{At: int64(now), Kind: EventDefer, Object: int64(id), From: int(from), To: int(to), Method: method.String()})
 }
-
-// nopObserver is used when no observer is wired.
-type nopObserver struct{}
-
-func (nopObserver) OnMigrate(time.Duration, object.ID, topology.NodeID, topology.NodeID, MoveKind) {}
-func (nopObserver) OnReplicate(time.Duration, object.ID, topology.NodeID, topology.NodeID, MoveKind) {
-}
-func (nopObserver) OnDrop(time.Duration, object.ID, topology.NodeID)                            {}
-func (nopObserver) OnRefuse(time.Duration, object.ID, topology.NodeID, topology.NodeID, Method) {}
-func (nopObserver) OnDefer(time.Duration, object.ID, topology.NodeID, topology.NodeID, Method)  {}

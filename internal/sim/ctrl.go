@@ -39,8 +39,8 @@ type ctrlState struct {
 
 // armCtrlPlane builds the control plane when the fault spec has
 // message-fault terms. Must run after the network and redirectors exist
-// and before the hosts (whose Env gets SendCreateObj and the lossy
-// redirector wrappers).
+// and before the hosts (whose handshakes and redirector control then go
+// over the plane).
 func (s *Simulation) armCtrlPlane() error {
 	spec := s.cfg.Faults
 	if !spec.HasMessageFaults() {
@@ -84,11 +84,11 @@ func (s *Simulation) ctrlNow() time.Duration {
 	return s.engine.Now()
 }
 
-// sendCreateObj implements protocol.Env.SendCreateObj over the plane: the
-// handshake becomes a retried request/reply RPC, and the callee handler
-// runs under execAt so its own notifications depart at the request's true
-// arrival time.
-func (s *Simulation) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
+// callCreateObj carries a CreateObj handshake to a live host over the
+// plane: the handshake becomes a retried request/reply RPC, and the callee
+// handler runs under execAt so its own notifications depart at the
+// request's true arrival time.
+func (s *Simulation) callCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
 	verdict, tok, doneAt, ok := s.ctrl.plane.Call(now, req.From, req.To, token, func(at time.Duration) bool {
 		prev := s.ctrl.execAt
 		s.ctrl.execAt = at

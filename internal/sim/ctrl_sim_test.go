@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"radar/internal/fault"
+	"radar/internal/protocol"
 	"radar/internal/workload"
 )
 
@@ -202,5 +203,43 @@ func TestReconcileAllocFree(t *testing.T) {
 	}
 	if s.ctrl.ghostsRemoved != 0 {
 		t.Fatalf("%d ghost records removed from a fleet that never had one", s.ctrl.ghostsRemoved)
+	}
+}
+
+// TestDownTargetSpendsNothingOnThePlane: the in-memory fleet answers a
+// handshake to a crashed host CreateDown before the lossy plane sees it.
+// No attempt or leg is counted and no token is allocated, and the control
+// stream draws nothing: a twin fleet that never made the call stays in
+// step through the handshakes that follow.
+func TestDownTargetSpendsNothingOnThePlane(t *testing.T) {
+	cfg := lossyConfig(t, time.Minute, 5, 0.5)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.down[1] = true
+	before := a.ctrl.plane.Stats()
+	req := protocol.CreateObjRequest{From: 0, To: 1, Method: protocol.Replicate, Object: 3, UnitLoad: 1, SrcAff: 1}
+	if status, tok, at := a.mem.sendCreateObj(time.Second, req, 0); status != protocol.CreateDown || tok != 0 || at != time.Second {
+		t.Fatalf("handshake to a down host: (%d, %d, %v), want (CreateDown, 0, 1s)", status, tok, at)
+	}
+	if got := a.ctrl.plane.Stats(); got != before {
+		t.Fatalf("plane stats moved from %+v to %+v", before, got)
+	}
+	req.To = 2
+	for i := 0; i < 8; i++ {
+		now := time.Duration(2+i) * time.Second
+		sa, ta, da := a.mem.sendCreateObj(now, req, 0)
+		sb, tb, db := b.mem.sendCreateObj(now, req, 0)
+		if sa != sb || ta != tb || da != db {
+			t.Fatalf("handshake %d: (%d, %d, %v) after the down call, (%d, %d, %v) without it", i, sa, ta, da, sb, tb, db)
+		}
+	}
+	if sa, sb := a.ctrl.plane.Stats(), b.ctrl.plane.Stats(); sa != sb {
+		t.Fatalf("plane stats %+v after the down call, %+v without it", sa, sb)
 	}
 }

@@ -44,11 +44,14 @@ func newScriptedFleet(t *testing.T, cfg *Config, f *scriptedFleet) *scriptedFlee
 	env := protocol.Env{
 		Routes:        routing.New(cfg.Topo),
 		RedirectorFor: func(object.ID) protocol.RedirectorControl { return nil },
-		Peer:          func(topology.NodeID) *protocol.Host { return nil },
 		LoadReport: func(topology.NodeID, time.Duration, object.ID) (protocol.LoadReport, bool) {
 			return protocol.LoadReport{}, false
 		},
 		CopyObject: func(time.Duration, topology.NodeID, topology.NodeID, object.ID) {},
+		SendCreateObj: func(now time.Duration, _ protocol.CreateObjRequest, tok uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
+			return protocol.CreateDown, tok, now
+		},
+		Observer: protocol.Recorder(func(protocol.Event) {}),
 	}
 	for i := range f.machines {
 		m, err := NewMachine(cfg, topology.NodeID(i), env)

@@ -24,9 +24,8 @@ type memFleet struct {
 }
 
 // newMemFleet builds the fleet for s: redirectors at s.redLocs, the control
-// plane if armed, one machine per node wired to its peers by direct
-// pointers (or the lossy plane) and sharing one category gate, and the
-// initial placement.
+// plane if armed, one machine per node sharing one handshake transport
+// (sendCreateObj) and one category gate, and the initial placement.
 func newMemFleet(s *Simulation) (*memFleet, error) {
 	f := &memFleet{
 		s:           s,
@@ -51,24 +50,16 @@ func newMemFleet(s *Simulation) (*memFleet, error) {
 			}
 			return f.redirectorFor(id)
 		},
-		Peer: func(p topology.NodeID) *protocol.Host {
-			if s.down[p] {
-				return nil // failed hosts accept nothing
-			}
-			return f.machines[p].Host
-		},
 		LoadReport: func(p topology.NodeID, now time.Duration, id object.ID) (protocol.LoadReport, bool) {
 			if s.down[p] {
 				return protocol.LoadReport{}, false
 			}
 			return f.machines[p].Host.LoadReport(now, id), true
 		},
-		CopyObject:   s.acct.CopyObject,
-		CanReplicate: consistency.Gate(s.cfg.Universe, s.cfg.Consistency, s.cfg.Seed),
-		Observer:     &s.acct,
-	}
-	if s.ctrl != nil {
-		env.SendCreateObj = s.sendCreateObj
+		CopyObject:    s.acct.CopyObject,
+		CanReplicate:  consistency.Gate(s.cfg.Universe, s.cfg.Consistency, s.cfg.Seed),
+		SendCreateObj: f.sendCreateObj,
+		Observer:      &s.acct,
 	}
 	for i := range f.machines {
 		if f.machines[i], err = NewMachine(&s.cfg, topology.NodeID(i), env); err != nil {
@@ -77,6 +68,22 @@ func newMemFleet(s *Simulation) (*memFleet, error) {
 	}
 	SeedPlacement(&s.cfg, f.machines, f.redirectors)
 	return f, nil
+}
+
+// sendCreateObj implements protocol.Env.SendCreateObj: a failed host
+// accepts nothing and is sent nothing; otherwise the handshake runs over
+// the lossy control plane when one is armed, else inline and reliably at
+// now — the paper's instantaneous model.
+func (f *memFleet) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
+	switch {
+	case f.s.down[req.To]:
+		return protocol.CreateDown, token, now
+	case f.s.ctrl != nil:
+		return f.s.callCreateObj(now, req, token)
+	case f.machines[req.To].Host.CreateObj(now, req.Method, req.Object, req.UnitLoad, req.SrcAff, req.From):
+		return protocol.CreateAccepted, 0, now
+	}
+	return protocol.CreateRefused, 0, now
 }
 
 // redirectorFor maps an object to its responsible redirector.
