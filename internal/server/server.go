@@ -6,10 +6,10 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"radar/internal/object"
-	"radar/internal/topology"
 )
 
 // Config parameterizes a server.
@@ -39,37 +39,25 @@ func (c Config) Validate() error {
 // Server is one hosting server's queueing and load-measurement state.
 // It implements protocol.LoadSource.
 type Server struct {
-	// ID is the node the server runs on.
-	ID topology.NodeID
-
 	serviceTime time.Duration
-	interval    time.Duration
-	// objects is the ExpectObjects hint: the per-object arrays' first
-	// growth goes straight to this length.
-	objects int
 
 	busyUntil time.Duration
 
-	// Current (open) interval accumulation. Object IDs are dense small
-	// integers, so per-object counters are slices indexed by ID with a
-	// touched-list instead of maps: the per-request update is an indexed
-	// increment, and CloseInterval only walks objects actually served.
-	// The per-object counters are exact whenever a method of the server
-	// reads them: OnServed only logs the ID, and settle charges the log
-	// when it is full and first thing in CloseInterval, their one reader.
+	// Current (open) interval accumulation. The per-object counts hold
+	// only the objects served, so they follow the work done, not the
+	// universe. They are exact whenever a method of the server reads them:
+	// OnServed only logs the ID, and settle charges the log when it is
+	// full and first thing in CloseInterval, their one reader.
 	intervalStart time.Duration
 	served        int64
-	servedLog     []uint32 // served, not yet charged; nil until the first request
-	servedPerObj  []int32  // indexed by object.ID, grown on demand;
-	// int32 is ample for one measurement interval and keeps the dense
-	// per-object counter block cache-resident
+	servedLog     []uint32 // served, not yet charged
+	open          countTable
 
-	servedTouched []object.ID // IDs with non-zero servedPerObj entries
-
-	// Last completed interval's measurements.
+	// Last completed interval's measurements; ObjectLoad divides a count
+	// in closed by closedSecs.
 	measuredLoad float64
-	objLoad      []float64   // indexed by object.ID, grown on demand
-	loadTouched  []object.ID // IDs with non-zero objLoad entries
+	closed       countTable
+	closedSecs   float64
 
 	// Lifetime counters.
 	totalServed int64
@@ -77,33 +65,15 @@ type Server struct {
 	queueLen    int
 }
 
-// New builds a server on node id.
-func New(id topology.NodeID, cfg Config) (*Server, error) {
+// New builds a server.
+func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Server{
-		ID:          id,
 		serviceTime: time.Duration(float64(time.Second) / cfg.CapacityRPS),
-		interval:    cfg.MeasurementInterval,
+		servedLog:   make([]uint32, 0, servedLogCap),
 	}, nil
-}
-
-// ExpectObjects tells the server that object IDs run below n, so that the
-// per-object arrays grow once, on the first served request, to exactly n
-// entries instead of doubling their way to somewhere between n and 2n.
-// Nothing is allocated here: a server that never serves pays nothing.
-func (s *Server) ExpectObjects(n int) { s.objects = n }
-
-// growTo returns s grown to length n, zero-filling new elements and
-// reusing spare capacity when possible. n must be at least len(s).
-func growTo[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	grown := make([]T, n, max(2*cap(s), n))
-	copy(grown, s)
-	return grown
 }
 
 // Enqueue admits a request arriving at now into the FCFS queue and returns
@@ -138,27 +108,17 @@ func (s *Server) OnServed(id object.ID) {
 	if s.queueLen > 0 {
 		s.queueLen--
 	}
-	if len(s.servedLog) == cap(s.servedLog) {
+	if len(s.servedLog) == servedLogCap {
 		s.settle()
-		if s.servedLog == nil {
-			s.servedLog = make([]uint32, 0, servedLogCap)
-		}
 	}
 	s.servedLog = append(s.servedLog, uint32(id))
 }
 
-// settle charges every logged request to its object's counter, in service
-// order, and empties the log: one loop of independent iterations overlaps
-// the counters' cache misses, which an event loop takes one at a time.
+// settle charges every logged request to its object's count, in service
+// order, and empties the log.
 func (s *Server) settle() {
 	for _, id := range s.servedLog {
-		if int(id) >= len(s.servedPerObj) {
-			s.servedPerObj = growTo(s.servedPerObj, max(int(id)+1, s.objects))
-		}
-		if s.servedPerObj[id] == 0 {
-			s.servedTouched = append(s.servedTouched, object.ID(id))
-		}
-		s.servedPerObj[id]++
+		s.open.inc(id)
 	}
 	s.servedLog = s.servedLog[:0]
 }
@@ -176,19 +136,9 @@ func (s *Server) CloseInterval(now time.Duration) (closedStart time.Duration) {
 		return closedStart
 	}
 	s.measuredLoad = float64(s.served) / secs
-	for _, id := range s.loadTouched {
-		s.objLoad[id] = 0
-	}
-	s.loadTouched = s.loadTouched[:0]
-	if len(s.servedPerObj) > len(s.objLoad) {
-		s.objLoad = growTo(s.objLoad, len(s.servedPerObj))
-	}
-	for _, id := range s.servedTouched {
-		s.objLoad[id] = float64(s.servedPerObj[id]) / secs
-		s.servedPerObj[id] = 0
-		s.loadTouched = append(s.loadTouched, id)
-	}
-	s.servedTouched = s.servedTouched[:0]
+	s.closedSecs = secs
+	s.open, s.closed = countTable{slots: s.closed.slots}, s.open
+	clear(s.open.slots)
 	s.served = 0
 	s.intervalStart = now
 	return closedStart
@@ -199,12 +149,16 @@ func (s *Server) CloseInterval(now time.Duration) (closedStart time.Duration) {
 func (s *Server) Load() float64 { return s.measuredLoad }
 
 // ObjectLoad returns the measured load attributed to id over the last
-// completed interval. It implements protocol.LoadSource.
+// completed interval, 0 for an ID it did not serve. It implements
+// protocol.LoadSource.
 func (s *Server) ObjectLoad(id object.ID) float64 {
-	if int(id) >= len(s.objLoad) {
+	if s.closed.n == 0 || uint64(id) > math.MaxUint32 { // negative, or past every logged ID
 		return 0
 	}
-	return s.objLoad[id]
+	if n := s.closed.slot(uint32(id)).cnt; n != 0 {
+		return float64(n) / s.closedSecs
+	}
+	return 0
 }
 
 // QueueDelay returns how long a request arriving at now would wait before
@@ -224,3 +178,46 @@ func (s *Server) MaxQueueLen() int { return s.maxQueueLen }
 
 // TotalServed returns the lifetime number of serviced requests.
 func (s *Server) TotalServed() int64 { return s.totalServed }
+
+// countTable counts requests per object over one interval: open addressing
+// with linear probing from the top bits of a Fibonacci hash, at most half
+// full, doubling from 16 slots; a zero count marks an empty slot.
+// CloseInterval empties a table but keeps its slots, so it is as large as
+// the most distinct objects its server served in one interval.
+type countTable struct {
+	slots []countSlot
+	n     int
+}
+
+type countSlot struct{ id, cnt uint32 }
+
+// slot returns id's slot, or the empty slot where its probe ends. The
+// table must have slots.
+func (t *countTable) slot(id uint32) *countSlot {
+	mask := uint64(len(t.slots) - 1)
+	i := uint64(id*0x9e3779b9) * uint64(len(t.slots)) >> 32
+	for t.slots[i].cnt != 0 && t.slots[i].id != id {
+		i = (i + 1) & mask
+	}
+	return &t.slots[i]
+}
+
+// inc adds one to id's count, first doubling the slots if they are half
+// full.
+func (t *countTable) inc(id uint32) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]countSlot, max(16, 2*len(old)))
+		for _, sl := range old {
+			if sl.cnt != 0 {
+				*t.slot(sl.id) = sl
+			}
+		}
+	}
+	sl := t.slot(id)
+	if sl.cnt == 0 {
+		sl.id = id
+		t.n++
+	}
+	sl.cnt++
+}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -11,7 +13,7 @@ import (
 
 func newServer(t *testing.T, capacity float64) *Server {
 	t.Helper()
-	s, err := New(3, Config{CapacityRPS: capacity, MeasurementInterval: 20 * time.Second})
+	s, err := New(Config{CapacityRPS: capacity, MeasurementInterval: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +139,10 @@ func TestTotalServed(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(0, Config{CapacityRPS: 0, MeasurementInterval: time.Second}); err == nil {
+	if _, err := New(Config{CapacityRPS: 0, MeasurementInterval: time.Second}); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := New(0, Config{CapacityRPS: 1, MeasurementInterval: 0}); err == nil {
+	if _, err := New(Config{CapacityRPS: 1, MeasurementInterval: 0}); err == nil {
 		t.Error("zero interval accepted")
 	}
 }
@@ -153,7 +155,7 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.MeasurementInterval != 20*time.Second {
 		t.Errorf("measurement interval = %v, want 20s", cfg.MeasurementInterval)
 	}
-	s, err := New(0, cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,16 +229,14 @@ func TestEnqueueStorageCost(t *testing.T) {
 	}
 }
 
-// TestServedLogEquivalence: a server that charges its per-object counters
+// TestServedLogEquivalence: a server that charges its per-object counts
 // from the log and one that settles after every request (the unbatched
 // accounting) measure the same thing — loads, per-object loads and the
-// order of the touched lists — over intervals whose request counts sit
-// below, on and well beyond the log's capacity.
+// closed interval's table, slot for slot — over intervals whose request
+// counts sit below, on and well beyond the log's capacity.
 func TestServedLogEquivalence(t *testing.T) {
 	rng := workload.Stream(11, 0)
 	batched, eager := newServer(t, 200), newServer(t, 200)
-	batched.ExpectObjects(16) // IDs run past the hint, so the arrays grow mid-log too
-	eager.ExpectObjects(16)
 	const ids = 40
 	now := time.Duration(0)
 	for i, n := range []int{0, 1, servedLogCap - 1, servedLogCap, servedLogCap + 1, 5*servedLogCap + 7, 3} {
@@ -267,11 +267,104 @@ func TestServedLogEquivalence(t *testing.T) {
 				t.Fatalf("interval %d: object %d load %v, eager %v", i, id, b, e)
 			}
 		}
-		if !slices.Equal(batched.loadTouched, eager.loadTouched) {
-			t.Fatalf("interval %d: touched %v, eager %v", i, batched.loadTouched, eager.loadTouched)
+		if !slices.Equal(batched.closed.slots, eager.closed.slots) {
+			t.Fatalf("interval %d: closed table %v, eager %v", i, batched.closed.slots, eager.closed.slots)
 		}
-		if len(batched.servedLog)+len(batched.servedTouched) != 0 {
-			t.Fatalf("interval %d: %d logged and %d touched entries survive the close", i, len(batched.servedLog), len(batched.servedTouched))
+		if len(batched.servedLog)+batched.open.n != 0 {
+			t.Fatalf("interval %d: %d logged and %d counted objects survive the close", i, len(batched.servedLog), batched.open.n)
 		}
 	}
+}
+
+// TestServerOutsideIDs: an ID the server never served reads 0 and never
+// panics, whether it is negative, unseen, far past every served ID or past
+// what the log's uint32 holds.
+func TestServerOutsideIDs(t *testing.T) {
+	s := newServer(t, 200)
+	for _, id := range []object.ID{-1, math.MinInt, 5, 1 << 20, math.MaxUint32 + 5, math.MaxInt} {
+		if got := s.ObjectLoad(id); got != 0 {
+			t.Errorf("before any close: ObjectLoad(%d) = %v, want 0", id, got)
+		}
+	}
+	s.OnServed(5)
+	s.CloseInterval(20 * time.Second)
+	if got := s.ObjectLoad(5); got != 0.05 {
+		t.Fatalf("ObjectLoad(5) = %v, want 0.05", got)
+	}
+	for _, id := range []object.ID{-1, -64, math.MinInt, 4, 6, 64, 1 << 20, 1<<32 + 5, 1 << 40, math.MaxInt} {
+		if got := s.ObjectLoad(id); got != 0 {
+			t.Errorf("ObjectLoad(%d) = %v, want 0", id, got)
+		}
+	}
+}
+
+// TestServerMemoryFollowsServedObjects: a server that serves object 0 and
+// object 1<<30 over three intervals allocates for the two objects it
+// served, not for the IDs between them.
+func TestServerMemoryFollowsServedObjects(t *testing.T) {
+	s := newServer(t, 200)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 1; k <= 3; k++ {
+		for i := 0; i < 3*servedLogCap; i++ {
+			s.OnServed(object.ID(i%2) << 30)
+		}
+		s.CloseInterval(time.Duration(k) * 20 * time.Second)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+		t.Fatalf("three intervals over IDs 0 and 1<<30 allocated %d bytes, want under 4 KB", got)
+	}
+	if got, want := s.ObjectLoad(1<<30), float64(3*servedLogCap/2)/20; got != want {
+		t.Fatalf("ObjectLoad(1<<30) = %v, want %v", got, want)
+	}
+}
+
+// FuzzServerCounts holds the per-object loads against a map oracle. Each
+// pair of bytes serves one of a pool of IDs — widely spaced ones, and a run
+// that all share a first probe in the 16-slot table, so tables grow and
+// probe chains form — or closes an interval of 0 to 255 seconds. After
+// every close, ObjectLoad of each ID the stream named must be the oracle's
+// count over the interval's seconds, bit for bit.
+func FuzzServerCounts(f *testing.F) {
+	pool := []object.ID{0, 1, 1 << 30, math.MaxUint32, 1<<31 + 7}
+	probe := countTable{slots: make([]countSlot, 16)}
+	home := probe.slot(0)
+	for id := uint32(1); len(pool) < 24; id += 7919 {
+		if probe.slot(id) == home {
+			pool = append(pool, object.ID(id))
+		}
+	}
+	f.Add([]byte{1, 5, 1, 6, 1, 5, 0, 20, 1, 7, 0, 0, 1, 8, 0, 3})
+	f.Add([]byte{1, 5, 1, 6, 1, 7, 1, 8, 1, 9, 1, 10, 1, 11, 1, 12, 1, 13, 1, 14, 1, 15, 1, 16, 1, 17, 1, 2, 0, 20})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		s := newServer(t, 200)
+		open := make(map[object.ID]int32)
+		now, start := time.Duration(0), time.Duration(0)
+		for step := 0; step+1 < len(prog); step += 2 {
+			if prog[step]%4 != 0 {
+				id := pool[int(prog[step+1])%len(pool)]
+				s.OnServed(id)
+				open[id]++
+				continue
+			}
+			now += time.Duration(prog[step+1]) * time.Second
+			s.CloseInterval(now)
+			secs := (now - start).Seconds()
+			if secs <= 0 {
+				continue // a zero-length close keeps the interval open
+			}
+			for _, id := range pool {
+				want := 0.0
+				if n := open[id]; n != 0 {
+					want = float64(n) / secs
+				}
+				if got := s.ObjectLoad(id); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d: ObjectLoad(%d) = %v, want %v", step, id, got, want)
+				}
+			}
+			clear(open)
+			start = now
+		}
+	})
 }

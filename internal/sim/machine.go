@@ -39,11 +39,10 @@ func NewMachine(cfg *Config, id topology.NodeID, env protocol.Env) (*Machine, er
 	}
 	srvCfg := cfg.Server
 	srvCfg.CapacityRPS *= weight
-	srv, err := server.New(id, srvCfg)
+	srv, err := server.New(srvCfg)
 	if err != nil {
 		return nil, err
 	}
-	srv.ExpectObjects(cfg.Universe.Count)
 	st := cfg.Store.Build(int64(cfg.Universe.SizeBytes))
 	env.Store = st
 	h, err := protocol.NewHost(id, cfg.Protocol.Weighted(weight), env, srv)
