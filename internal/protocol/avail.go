@@ -50,15 +50,12 @@ type availCand struct {
 // candidate by values of its own, so the order is the subsequence of what
 // ordering every counted node would give.
 func (h *Host) orderCandidates(id object.ID, st *ObjectState, method Method, ratio float64) []topology.NodeID {
-	cands := st.candidates(h.ID, ratio, h.candBuf)
-	if h.params.NeighborOnly {
-		kept := cands[:0]
-		for _, p := range cands {
-			if h.env.Routes.Distance(h.ID, p) == 1 {
-				kept = append(kept, p)
-			}
+	cands, total := h.candBuf[:0], float64(st.Total)
+	for p, c := range h.cnts.of(st) {
+		if c > 0 && float64(c)/total > ratio && topology.NodeID(p) != h.ID &&
+			(!h.params.NeighborOnly || h.env.Routes.Distance(h.ID, topology.NodeID(p)) == 1) {
+			cands = append(cands, topology.NodeID(p))
 		}
-		cands = kept
 	}
 	h.env.Routes.SortByDistanceDesc(h.ID, cands)
 	w := h.params.AvailabilityWeight
@@ -72,9 +69,6 @@ func (h *Host) orderCandidates(id object.ID, st *ObjectState, method Method, rat
 	h.replBuf = h.env.RedirectorFor(id).ReplicaHosts(id, h.replBuf)
 	replicas := h.replBuf
 
-	if cap(h.availBuf) < len(cands) {
-		h.availBuf = make([]availCand, 0, len(cands))
-	}
 	scored := h.availBuf[:0]
 	for _, p := range cands {
 		scored = append(scored, availCand{

@@ -100,7 +100,8 @@ func TestOrderCandidatesFloorSafety(t *testing.T) {
 // once applied it in its loop.
 func fullOrder(h *Host, id object.ID, st *ObjectState, method Method, ratio float64) []topology.NodeID {
 	var cands []topology.NodeID
-	for p, c := range st.Cnt {
+	cnt := h.cnts.of(st)
+	for p, c := range cnt {
 		if c > 0 && topology.NodeID(p) != h.ID {
 			cands = append(cands, topology.NodeID(p))
 		}
@@ -130,7 +131,7 @@ func fullOrder(h *Host, id object.ID, st *ObjectState, method Method, ratio floa
 		}
 	}
 	return slices.DeleteFunc(cands, func(p topology.NodeID) bool {
-		return float64(st.Cnt[p])/float64(st.Total) <= ratio
+		return float64(cnt[p])/float64(st.Total) <= ratio
 	})
 }
 
@@ -144,20 +145,23 @@ func checkOrderCase(t *testing.T, c *cluster, h *Host, id object.ID, next func()
 	if next()%4 == 0 {
 		c.red.NotifyReplicaChange(id, topology.NodeID(next()%n), 1)
 	}
-	st := &ObjectState{Aff: 1, Total: int32(1 + next()), Cnt: make([]int32, n)}
-	for p := range st.Cnt {
+	st := &ObjectState{Aff: 1, Total: int32(1 + next())}
+	h.cnts.take(st)
+	defer h.cnts.reset([]*ObjectState{st})
+	cnt := h.cnts.of(st)
+	for p := range cnt {
 		if next()%3 == 0 {
-			st.Cnt[p] = int32(next()) % (st.Total + 1)
+			cnt[p] = int32(next()) % (st.Total + 1)
 		}
 	}
-	st.Cnt[h.ID] = st.Total
+	cnt[h.ID] = st.Total
 	method := []Method{Migrate, Replicate}[next()%2]
 	ratio := []float64{h.params.MigrRatio, h.params.ReplRatio, float64(next()) / 256}[next()%3]
 	got := slices.Clone(h.orderCandidates(id, st, method, ratio))
 	if want := fullOrder(h, id, st, method, ratio); !slices.Equal(got, want) {
 		t.Fatalf("host %d, %v at ratio %v, w %v, floor %d, neighbor-only %v, replicas %v, counts %v/%d:\norder %v\nwant  %v",
 			h.ID, method, ratio, h.params.AvailabilityWeight, h.params.ReplicaFloor, h.params.NeighborOnly,
-			c.red.ReplicaHosts(id, nil), st.Cnt, st.Total, got, want)
+			c.red.ReplicaHosts(id, nil), cnt, st.Total, got, want)
 	}
 }
 

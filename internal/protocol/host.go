@@ -130,12 +130,12 @@ type Host struct {
 	// ID is the node this host runs on.
 	ID topology.NodeID
 
-	params   Params
-	env      Env
-	loads    LoadSource
-	est      LoadEstimator
-	objs     objTable
-	numNodes int
+	params Params
+	env    Env
+	loads  LoadSource
+	est    LoadEstimator
+	objs   objTable
+	cnts   counts
 
 	offloading    bool
 	lastPlacement time.Duration
@@ -204,12 +204,12 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 		return nil, fmt.Errorf("%w: loads", ErrNilDependency)
 	}
 	return &Host{
-		ID:       id,
-		params:   params,
-		env:      env,
-		loads:    loads,
-		numNodes: env.Routes.NumNodes(),
-		candBuf:  make([]topology.NodeID, 0, env.Routes.NumNodes()),
+		ID:      id,
+		params:  params,
+		env:     env,
+		loads:   loads,
+		cnts:    counts{n: env.Routes.NumNodes()},
+		candBuf: make([]topology.NodeID, 0, env.Routes.NumNodes()),
 	}, nil
 }
 
@@ -225,7 +225,7 @@ func (h *Host) SeedObject(id object.ID) {
 
 // Has reports whether the host currently holds a replica of id.
 func (h *Host) Has(id object.ID) bool {
-	return h.objs.has(id)
+	return h.objs.bits.Has(id)
 }
 
 // Affinity returns the affinity of the host's replica of id (0 if absent).
@@ -274,10 +274,11 @@ func (h *Host) OnRequest(id object.ID, g topology.NodeID) {
 // and SeedObject (a newly held object must not inherit requests served
 // under its ID before), and OnCrash (before the reset).
 //
-// The charges are the cache misses they always were (index slot, state,
-// count lines), but an event loop takes them one at a time; each loop
-// here issues its miss for every logged request before the next loop
-// needs the answer (DESIGN §1.4 has the measurements).
+// A state's first charge in the window takes it a count row. The charges
+// are the cache misses they always were (index slot, state, count row),
+// but an event loop takes them one at a time; each loop here issues its
+// miss for every logged request before the next loop needs the answer
+// (DESIGN §1.4 has the measurements).
 func (h *Host) settle() {
 	if len(h.reqLog) == 0 {
 		return
@@ -288,16 +289,17 @@ func (h *Host) settle() {
 	}
 	for _, st := range sts[:len(h.reqLog)] {
 		if st != nil {
-			if st.Cnt == nil {
-				st.Cnt = make([]int32, h.numNodes)
+			if st.row == 0 {
+				h.cnts.take(st)
 			}
 			st.Total++
 		}
 	}
 	for i, r := range h.reqLog {
 		if st := sts[i]; st != nil {
+			cnt := h.cnts.of(st)
 			for _, p := range h.env.Routes.PreferencePath(h.ID, topology.NodeID(r.g)) {
-				st.Cnt[p]++
+				cnt[p]++
 			}
 		}
 	}
@@ -320,10 +322,10 @@ func (h *Host) OnCrash() {
 	h.est.Reset()
 	h.offloading = false
 	clear(h.board)
-	h.objs.each(func(st *ObjectState) {
+	for _, st := range h.objs.sts {
 		st.deferred = nil
-		st.reset()
-	})
+	}
+	h.cnts.reset(h.objs.sts)
 }
 
 // OnRecover prepares a host returning to service at virtual time now:
@@ -335,7 +337,9 @@ func (h *Host) OnCrash() {
 // pass (strictly before now), which is what makes AcquiredAt > prev hold
 // for every survivor; decisions resume one full clean window later.
 func (h *Host) OnRecover(now time.Duration) {
-	h.objs.each(func(st *ObjectState) { st.AcquiredAt = now })
+	for _, st := range h.objs.sts {
+		st.AcquiredAt = now
+	}
 }
 
 // DecidePlacement runs the replica placement algorithm of Fig. 3 at
@@ -380,11 +384,10 @@ func (h *Host) DecidePlacement(now time.Duration) {
 	for at := 0; at < len(h.objs.sts); at = h.objs.next(at, st) {
 		st = h.objs.sts[at]
 		id := st.id
-		if st.deferred != nil {
-			continue // a lost move is still in flight toward its target
-		}
-		if st.AcquiredAt > prev {
-			continue // acquired mid-window: no full observation yet
+		// Skip a lost move still in flight toward its target, and an object
+		// acquired mid-window: no full observation yet.
+		if st.deferred != nil || st.AcquiredAt > prev {
+			continue
 		}
 		ua := st.unitAccess(period)
 		dropped, migrated := false, false
@@ -415,7 +418,7 @@ func (h *Host) DecidePlacement(now time.Duration) {
 		h.Stats.OffloadRuns++
 	}
 
-	h.objs.each((*ObjectState).reset)
+	h.cnts.reset(h.objs.sts)
 }
 
 // createObj performs the CreateObj handshake with host to over
@@ -741,20 +744,16 @@ func (h *Host) offload(now time.Duration, period float64) {
 	windowStart := now - time.Duration(period*float64(time.Second))
 	var cands []cand
 	for _, st := range h.objs.sts {
-		if st.AcquiredAt > windowStart {
-			continue // acquired mid-window: no full observation yet
-		}
-		total := st.Total
-		if total == 0 {
-			continue
+		if st.AcquiredAt > windowStart || st.Total == 0 {
+			continue // acquired mid-window (no full observation yet), or not asked for
 		}
 		best := int32(0)
-		for p, c := range st.Cnt {
+		for p, c := range h.cnts.of(st) {
 			if topology.NodeID(p) != h.ID && c > best {
 				best = c
 			}
 		}
-		cands = append(cands, cand{id: st.id, foreign: float64(best) / float64(total)})
+		cands = append(cands, cand{id: st.id, foreign: float64(best) / float64(st.Total)})
 	}
 	slices.SortFunc(cands, func(a, b cand) int {
 		if c := cmp.Compare(b.foreign, a.foreign); c != 0 {

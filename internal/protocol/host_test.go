@@ -2,7 +2,9 @@ package protocol
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -545,19 +547,42 @@ func TestOffloadNoRecipient(t *testing.T) {
 	}
 }
 
+// TestCountsResetAfterPlacement: a placement pass ends the window. Every
+// hosted state hands its row back, the store keeps the blocks the window
+// used and they read zero, and the next window counts from zero; its own
+// reset then keeps only the one block it needed.
 func TestCountsResetAfterPlacement(t *testing.T) {
 	c := newCluster(t, topology.Line(4), DefaultParams())
+	h := c.hosts[0]
 	c.seed(obj, 0)
-	for i := 0; i < 50; i++ {
-		c.hosts[0].OnRequest(obj, 2)
+	const others = 2 * rowBlock // each asked once: cold, but the sole replica stays
+	for i := 0; i < others; i++ {
+		c.seed(obj+1+object.ID(i), 0)
+		h.OnRequest(obj+1+object.ID(i), 0)
 	}
-	c.hosts[0].DecidePlacement(100 * time.Second)
-	if st := c.hosts[0].objs.get(obj); st != nil {
-		for p, cnt := range st.Cnt {
-			if cnt != 0 {
-				t.Fatalf("Cnt[%d] = %d after placement, want 0", p, cnt)
-			}
+	window := func(now time.Duration) {
+		t.Helper()
+		for i := 0; i < 50; i++ {
+			h.OnRequest(obj, topology.NodeID(2*(i%2))) // half local, half from node 2: below MIGR_RATIO
 		}
+		h.settle()
+		st := h.objs.get(obj)
+		if cnt := h.cnts.of(st); st.Total != 50 || !slices.Equal(cnt, []int32{50, 25, 25, 0}) {
+			t.Fatalf("at %v: Total %d, counts %v, want 50 and [50 25 25 0]", now, st.Total, cnt)
+		}
+		h.DecidePlacement(now)
+		if !h.Has(obj) {
+			t.Fatalf("at %v: the pass moved the object away", now)
+		}
+		checkCountsReset(t, h, fmt.Sprintf("pass at %v", now))
+	}
+	window(100 * time.Second)
+	if want := (others + rowBlock) / rowBlock; len(h.cnts.blocks) != want {
+		t.Fatalf("first reset kept %d blocks, want the %d its window used", len(h.cnts.blocks), want)
+	}
+	window(200 * time.Second)
+	if len(h.cnts.blocks) != 1 {
+		t.Fatalf("second reset kept %d blocks, want the one its window used", len(h.cnts.blocks))
 	}
 }
 

@@ -35,9 +35,6 @@ func (t *objTable) at(id object.ID) (int, bool) {
 	return int(t.rank[id>>6]) + bits.OnesCount64(t.bits[id>>6]&(1<<(id&63)-1)), true
 }
 
-// has reports whether the host holds id.
-func (t *objTable) has(id object.ID) bool { return t.bits.Has(id) }
-
 // get returns id's state, or nil if the host does not hold id.
 func (t *objTable) get(id object.ID) *ObjectState {
 	if at, ok := t.at(id); ok {
@@ -96,11 +93,4 @@ func (t *objTable) next(at int, st *ObjectState) int {
 		at++
 	}
 	return at
-}
-
-// each calls fn on every hosted object's state, in ascending ID order.
-func (t *objTable) each(fn func(*ObjectState)) {
-	for _, st := range t.sts {
-		fn(st)
-	}
 }

@@ -29,7 +29,7 @@ func tableIDs(tab *objTable) []object.ID {
 // ID range [0, universe): the states' IDs are strictly ascending and name
 // the reference's IDs, and get(id) is the state carrying id; the bitmap
 // holds len(sts) bits and rank[w] counts the hosted IDs below 64·w; every
-// free state is zeroed, with no deferred move left on it.
+// free state is zeroed, with no deferred move or count row left on it.
 func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, universe int) {
 	t.Helper()
 	want := make([]object.ID, 0, len(ref))
@@ -58,16 +58,6 @@ func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, u
 			t.Fatalf("get(%d).id = %d", i, got.id)
 		}
 	}
-	seen := 0
-	tab.each(func(st *ObjectState) {
-		if st != tab.sts[seen] {
-			t.Fatalf("each visited %p at %d, want %p", st, seen, tab.sts[seen])
-		}
-		seen++
-	})
-	if seen != len(ref) {
-		t.Fatalf("each visited %d states, want %d", seen, len(ref))
-	}
 	if len(tab.rank) != len(tab.bits) {
 		t.Fatalf("%d rank words for %d bitmap words", len(tab.rank), len(tab.bits))
 	}
@@ -82,7 +72,7 @@ func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, u
 		t.Fatalf("bitmap holds %d IDs, want %d", below, len(tab.sts))
 	}
 	for _, st := range tab.free {
-		if st.id != 0 || st.deferred != nil || st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
+		if *st != (ObjectState{}) {
 			t.Fatalf("free state %+v is not zeroed", *st)
 		}
 	}
@@ -94,10 +84,10 @@ func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, u
 func addDirty(t testing.TB, tab *objTable, id object.ID) *ObjectState {
 	t.Helper()
 	st := tab.add(id)
-	if st.id != id || st.deferred != nil || st.Aff != 0 || st.Cnt != nil || st.Total != 0 || st.AcquiredAt != 0 {
+	if *st != (ObjectState{id: id}) {
 		t.Fatalf("add(%d) = %+v, want a state zeroed but for its ID", id, *st)
 	}
-	*st = ObjectState{id: id, deferred: &move{id: id, token: 7}, Aff: 3, Cnt: []int32{1, 2}, Total: 3, AcquiredAt: 9}
+	*st = ObjectState{id: id, deferred: &move{id: id, token: 7}, Aff: 3, row: 2, Total: 3, AcquiredAt: 9}
 	return st
 }
 
@@ -166,7 +156,7 @@ func FuzzObjTable(f *testing.F) {
 			switch prog[step] >> 6 {
 			case 0, 1: // add, or look up a present ID
 				if have {
-					if tab.get(id) != ref[id] || !tab.has(id) {
+					if tab.get(id) != ref[id] || !tab.bits.Has(id) {
 						t.Fatalf("step %d: get(%d) = %p, want %p", step, id, tab.get(id), ref[id])
 					}
 					continue
@@ -213,7 +203,7 @@ func TestObjTableWordEdges(t *testing.T) {
 		t.Helper()
 		checkAgainst(t, &tab, ref, 200)
 		for _, id := range outside {
-			if tab.get(id) != nil || tab.has(id) || tab.remove(id) {
+			if tab.get(id) != nil || tab.bits.Has(id) || tab.remove(id) {
 				t.Fatalf("%s: ID %d outside the bitmap reads present", when, id)
 			}
 		}
@@ -285,8 +275,8 @@ func TestObjectsIsASnapshot(t *testing.T) {
 }
 
 // TestTotalTracksOwnCount: after any request sequence an object's Total
-// equals Cnt[own host], an object nobody asked for has allocated no counts,
-// and a placement pass zeroes both.
+// equals its row's count of the own host, an object nobody asked for holds
+// no row, and a placement pass hands every row back.
 func TestTotalTracksOwnCount(t *testing.T) {
 	rng := workload.Stream(7, 0)
 	c := newCluster(t, topology.Ring(9), DefaultParams())
@@ -303,14 +293,14 @@ func TestTotalTracksOwnCount(t *testing.T) {
 			for _, id := range hostedIDs(h) {
 				st := h.objs.get(id)
 				own := int32(0)
-				if st.Cnt != nil {
-					own = st.Cnt[h.ID]
+				if cnt := h.cnts.of(st); cnt != nil {
+					own = cnt[h.ID]
 				}
 				if st.Total != own {
-					t.Fatalf("%s: host %d object %d: Total %d, Cnt[self] %d", when, h.ID, id, st.Total, own)
+					t.Fatalf("%s: host %d object %d: Total %d, own count %d", when, h.ID, id, st.Total, own)
 				}
-				if wantZero && st.Total != 0 {
-					t.Fatalf("%s: host %d object %d: Total %d, want 0", when, h.ID, id, st.Total)
+				if wantZero && (st.Total != 0 || st.row != 0) {
+					t.Fatalf("%s: host %d object %d: Total %d, row %d, want neither", when, h.ID, id, st.Total, st.row)
 				}
 			}
 		}
@@ -334,8 +324,8 @@ func TestTotalTracksOwnCount(t *testing.T) {
 	if total != requested {
 		t.Fatalf("totals sum to %d, want %d", total, requested)
 	}
-	if st := c.hosts[0].objs.get(idle); st.Cnt != nil {
-		t.Fatalf("idle object allocated %d counts before any request", len(st.Cnt))
+	if st := c.hosts[0].objs.get(idle); st.row != 0 {
+		t.Fatalf("idle object holds row %d before any request", st.row)
 	}
 	for _, h := range c.hosts {
 		h.DecidePlacement(100 * time.Second)
@@ -409,9 +399,11 @@ func BenchmarkDecidePlacement(b *testing.B) {
 }
 
 // TestPlacementPassAllocFree holds BenchmarkDecidePlacement's 0 allocs/op as
-// a test: a steady-state pass over a thousand objects allocates nothing, and
+// a test: a steady-state pass over a thousand objects allocates nothing;
 // neither does a pass that drops an object followed by a CreateObj that
-// brings it back, which reuses the dropped object's state.
+// brings it back, which reuses the dropped object's state, and a request
+// for it, which takes it a count row; nor, after one lap, do windows that
+// each count a different tenth of the objects.
 func TestPlacementPassAllocFree(t *testing.T) {
 	t.Run("drop-then-re-add", func(t *testing.T) {
 		c, h, request, step := benchHost(t, 1000, false)
@@ -434,6 +426,7 @@ func TestPlacementPassAllocFree(t *testing.T) {
 			h.OnMeasurementIntervalClose(now) // retires the acceptance's upper estimate
 			c.events, c.copies = c.events[:0], c.copies[:0]
 			request()
+			h.OnRequest(cold, h.ID) // still cold: one request in a window
 			now += step
 			before := h.Stats
 			h.DecidePlacement(now)
@@ -444,6 +437,31 @@ func TestPlacementPassAllocFree(t *testing.T) {
 		dropAndReAdd()
 		if allocs := testing.AllocsPerRun(5, dropAndReAdd); allocs != 0 {
 			t.Fatalf("a pass that drops an object and its re-add allocate %v times, want 0", allocs)
+		}
+	})
+	t.Run("rolling", func(t *testing.T) {
+		_, h, _, step := benchHost(t, 1000, false)
+		now, lap := time.Duration(0), 0
+		window := func() {
+			for i := lap % 10; i < 1000; i += 10 { // benchHost's requests, a tenth further on
+				for r := 0; r < 5; r++ {
+					h.OnRequest(object.ID(i), 0)
+					h.OnRequest(object.ID(i), topology.NodeID(10*(r+1)))
+				}
+			}
+			lap++
+			now += step
+			before := h.Stats
+			h.DecidePlacement(now)
+			if h.Stats.fig3Moves() != before.fig3Moves() {
+				t.Fatalf("pass at %v moved objects: %+v", now, h.Stats)
+			}
+		}
+		for lap < 10 {
+			window()
+		}
+		if allocs := testing.AllocsPerRun(10, window); allocs != 0 {
+			t.Fatalf("a lap of windows over different tenths allocates %v times a pass, want 0", allocs)
 		}
 	})
 	for _, allGateways := range []bool{false, true} {
@@ -468,7 +486,8 @@ func TestPlacementPassAllocFree(t *testing.T) {
 
 // BenchmarkHostOnRequest measures the request accounting of a fleet whose
 // state does not fit the cache: sixteen hosts of a thousand objects each,
-// every one requested in turn (some 5 MB of counts; a hundred IDs of one
+// every one requested in turn within one window, so each object holds a
+// row of its host's count store (some 3.4 MB of rows; a hundred IDs of one
 // host are 27 KB and never showed the misses that dominate a real run).
 // OnRequest only logs; every reqLogCap-th call runs settle, so the charge
 // is amortised into ns/op here, and in the ledger's protocol.onrequest_ns,
@@ -485,7 +504,7 @@ func BenchmarkHostOnRequest(b *testing.B) {
 		c.hosts[int(id)%hosts].OnRequest(id, topology.NodeID(i%53))
 	}
 	for i := 0; i < hosts*objects; i++ {
-		request(i) // allocates the objects' counts
+		request(i) // gives every object its row
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -519,7 +538,7 @@ func BenchmarkObjTable(b *testing.B) {
 		b.ReportAllocs()
 		n := 0
 		for i := 0; i < b.N; i++ {
-			if tab.has(object.ID(i * 617 % universe)) {
+			if tab.bits.Has(object.ID(i * 617 % universe)) {
 				n++
 			}
 		}

@@ -11,8 +11,9 @@ import (
 // ObjectState is the control state a host keeps per hosted object
 // (paper §4.1): the replica's affinity and, for every node that appeared
 // on the preference paths of requests serviced since the last placement
-// run, the number of those appearances. The counts are exact whenever a
-// method of the owning Host reads them: (*Host).settle runs first.
+// run, the number of those appearances, held in the host's count store.
+// They are exact whenever a method of the owning Host reads them:
+// (*Host).settle runs first.
 type ObjectState struct {
 	// id is the object this state belongs to.
 	id object.ID
@@ -23,18 +24,14 @@ type ObjectState struct {
 	deferred *move
 	// Aff is this replica's affinity.
 	Aff int
-	// Cnt[p] is the access count of candidate p: how many preference
-	// paths of requests for this object p appeared on since the last
-	// placement decision. int32 is ample for one observation window
-	// (minutes at a few thousand req/s) and halves the cache footprint of
-	// the per-request increments, which dominate the protocol layer's
-	// profile. Nil until the first recorded request: most floor-repair
+	// row is 1 + the index of this object's counts in the host's store, or
+	// 0 while the window has counted no request for it: most floor-repair
 	// copies are never asked for.
-	Cnt []int32
+	row int32
 	// Total is the total access count since the last placement decision.
-	// It equals Cnt[own host], because the servicing host heads every
-	// preference path; the placement pass reads it here, without the
-	// second load through Cnt.
+	// It equals the row's count of the own host, because the servicing host
+	// heads every preference path; the placement pass reads it here,
+	// without the second load through the row.
 	Total int32
 	// AcquiredAt is when this host obtained the replica. An object
 	// acquired partway through the current observation window is exempt
@@ -54,37 +51,56 @@ type loggedReq struct{ id, g uint32 }
 // same on sim-zipf; 64 keeps a 53-host fleet's logs under 30 KB.
 const reqLogCap = 64
 
-// reset clears all access counts for the next placement period.
-func (st *ObjectState) reset() {
-	if st.Total == 0 {
-		return // nobody asked: every count is already zero
+// counts is a host's count store, the access counts of the open placement
+// window (§4.1; Fig. 3 resets them every run): one row of n counts per
+// object counted in the window (int32: ample for a window, half the cache
+// footprint), handed out in order from blocks of rowBlock rows. reset keeps
+// only the blocks the window used, so memory follows the current window,
+// not the run's peak. A state freed mid-window leaves its row unused until
+// the reset zeroes it.
+type counts struct {
+	n, used int
+	blocks  [][]int32
+}
+
+const rowBlock = 16
+
+// of returns st's row, nil if the window has counted no request for it.
+func (c *counts) of(st *ObjectState) []int32 {
+	if st.row == 0 {
+		return nil
 	}
-	clear(st.Cnt)
-	st.Total = 0
+	i := int(st.row) - 1
+	return c.blocks[i/rowBlock][i%rowBlock*c.n:][:c.n:c.n]
+}
+
+// take gives st the next row, whose counts are all zero.
+func (c *counts) take(st *ObjectState) {
+	if c.used == len(c.blocks)*rowBlock {
+		c.blocks = append(c.blocks, make([]int32, rowBlock*c.n))
+	}
+	c.used++
+	st.row = int32(c.used)
+}
+
+// reset ends the window: the hosted states sts hand back their rows and
+// counts, the blocks the window used read zero again, and the rest go.
+func (c *counts) reset(sts []*ObjectState) {
+	for _, st := range sts {
+		st.row, st.Total = 0, 0
+	}
+	used := (c.used + rowBlock - 1) / rowBlock
+	for _, b := range c.blocks[:used] {
+		clear(b)
+	}
+	clear(c.blocks[used:])
+	c.blocks, c.used = c.blocks[:used], 0
 }
 
 // unitAccess returns the unit access count cnt(s,x_s)/aff(x_s) as a rate
-// (requests/sec) over a period of periodSec seconds.
+// (requests/sec) over a period of periodSec > 0 seconds.
 func (st *ObjectState) unitAccess(periodSec float64) float64 {
-	if periodSec <= 0 {
-		return 0
-	}
 	return float64(st.Total) / (float64(st.Aff) * periodSec)
-}
-
-// candidates appends to buf[:0], in ascending node order, every node other
-// than the host itself that appears on more than ratio of the object's
-// preference paths: Fig. 3's test for the target of a geo move. The caller
-// reorders them. Passing a reused buffer keeps the placement pass
-// allocation-free.
-func (st *ObjectState) candidates(self topology.NodeID, ratio float64, buf []topology.NodeID) []topology.NodeID {
-	out, total := buf[:0], float64(st.Total)
-	for p, c := range st.Cnt {
-		if c > 0 && float64(c)/total > ratio && topology.NodeID(p) != self {
-			out = append(out, topology.NodeID(p))
-		}
-	}
-	return out
 }
 
 // Method distinguishes the two CreateObj request kinds (Fig. 4).
