@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -365,10 +366,10 @@ func TestMalformedRPCAnswers400(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeIDsAnswer400: a well-formed peer message naming a host
-// outside the fleet or an object outside the universe is refused with 400
-// before the redirector sees it, and the redirector keeps answering object
-// requests. A recorded replica on a host without a distance row would make
+// TestOutOfRangeIDsAnswer400: a well-formed peer message or load/replica
+// query naming a host outside the fleet or an object outside the universe
+// is refused with 400 before the host or redirector sees it, and the
+// redirector keeps answering object requests. A recorded replica on a host without a distance row would make
 // the next choice panic with the redirector's lock held; a completion from
 // a gateway past the fleet would make the next placement pass charge the
 // wrong path, or panic with the node's lock held.
@@ -382,7 +383,7 @@ func TestOutOfRangeIDsAnswer400(t *testing.T) {
 	}
 	for _, c := range []struct {
 		path string
-		msg  any
+		msg  any // nil: a GET of path
 	}{
 		{live.PathNotify, &live.NotifyMsg{MsgID: 1, Object: 1, Host: nodes, Aff: 1}},
 		{live.PathNotify, &live.NotifyMsg{MsgID: 2, Object: objects, Host: 1, Aff: 1}},
@@ -395,22 +396,30 @@ func TestOutOfRangeIDsAnswer400(t *testing.T) {
 		{live.PathComplete, &live.CompleteMsg{Object: 0, Gateway: nodes}},
 		{live.PathComplete, &live.CompleteMsg{Object: 0, Gateway: nodes * nodes}},
 		{live.PathComplete, &live.CompleteMsg{Object: objects, Gateway: 1}},
+		{live.PathLoad + "?obj=" + strconv.Itoa(objects) + "&now=0", nil},
+		{live.PathReplicas + "?obj=" + strconv.Itoa(objects) + "&hosts=1", nil},
 	} {
-		res, err := client.Post(h.Fleet.URL(0)+c.path, "application/json", bytes.NewReader(live.Encode(c.msg)))
+		var res *http.Response
+		var err error
+		if c.msg == nil {
+			res, err = client.Get(h.Fleet.URL(0) + c.path)
+		} else {
+			res, err = client.Post(h.Fleet.URL(0)+c.path, "application/json", bytes.NewReader(live.Encode(c.msg)))
+		}
 		if err != nil {
-			t.Fatalf("POST %s %+v: %v", c.path, c.msg, err)
+			t.Fatalf("%s %+v: %v", c.path, c.msg, err)
 		}
 		res.Body.Close()
 		if res.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s %+v: status %d, want 400", c.path, c.msg, res.StatusCode)
+			t.Errorf("%s %+v: status %d, want 400", c.path, c.msg, res.StatusCode)
 		}
 		res, err = client.Get(h.Fleet.URL(0) + live.PathObj + "1?g=1&now=0")
 		if err != nil {
-			t.Fatalf("object request after POST %s %+v: %v", c.path, c.msg, err)
+			t.Fatalf("object request after %s %+v: %v", c.path, c.msg, err)
 		}
 		res.Body.Close()
 		if res.StatusCode != http.StatusFound {
-			t.Fatalf("object request after POST %s %+v: status %d, want 302", c.path, c.msg, res.StatusCode)
+			t.Fatalf("object request after %s %+v: status %d, want 302", c.path, c.msg, res.StatusCode)
 		}
 	}
 	// A pass settles whatever the completions logged; it must answer.

@@ -733,6 +733,9 @@ func (nd *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if !nd.inRange(w, obj, 0) {
+		return
+	}
 	if !nd.lockMu() {
 		http.Error(w, "live: node busy", http.StatusServiceUnavailable)
 		return
@@ -749,6 +752,9 @@ func (nd *Node) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	obj, err := strconv.ParseInt(r.URL.Query().Get("obj"), 10, 64)
 	if err != nil || obj < 0 {
 		http.Error(w, "live: bad obj query", http.StatusBadRequest)
+		return
+	}
+	if !nd.inRange(w, obj, 0) {
 		return
 	}
 	wantHosts := r.URL.Query().Get("hosts") != ""

@@ -91,12 +91,13 @@ type Env struct {
 	// the caller-side completion time. A target known down answers
 	// CreateDown without sending anything.
 	SendCreateObj func(now time.Duration, req CreateObjRequest, token uint64) (CreateObjStatus, uint64, time.Duration)
-	// Store is this host's replica-storage backend stack. CreateObj
-	// charges each accepted new replica to it as the last admission check
-	// (a full backend refuses like §2.1 storage capacity), and affinity
-	// drops release it. Serve costs are charged by the simulator's request
-	// path, not here.
-	Store store.ReplicaStore
+	// Store is this host's replica-storage stack. The host's object table
+	// says which replicas it holds; the stack counts them: every replica
+	// the table gains (seeded or accepted) is created on it and every one
+	// the table loses is dropped. A full stack is CreateObj's last
+	// admission check (§2.1 storage capacity). Serve costs are charged by
+	// the simulator's request path, not here.
+	Store *store.Stack
 	// Observer receives placement events.
 	Observer Observer
 }
@@ -213,13 +214,16 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 	}, nil
 }
 
-// SeedObject installs an initial replica (simulation bootstrap). It does
-// not notify the redirector; the simulator seeds both sides.
+// SeedObject installs an initial replica (simulation bootstrap) and counts
+// it on the host's storage stack, past the stack's capacity if the seeding
+// holds more. It does not notify the redirector; the simulator seeds both
+// sides.
 func (h *Host) SeedObject(id object.ID) {
 	if !h.Has(id) {
 		h.settle()
 		st := h.objs.add(id)
 		st.Aff, st.AcquiredAt = 1, -1 // acquired before any window: immediately eligible
+		h.env.Store.Create(id)
 	}
 }
 
@@ -695,14 +699,14 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 	}
 	st := h.objs.get(id)
 	if st == nil {
-		// The storage backend is the last admission check: every earlier
-		// guard is side-effect free, and a successful backend create
-		// commits the placement.
-		if !h.env.Store.Create(id) {
+		// The storage stack is the last admission check: every guard is
+		// side-effect free, and the create commits the placement.
+		if h.env.Store.Full() {
 			h.Stats.RefusalsSent++
 			h.Stats.RefusedStorage++
 			return false
 		}
+		h.env.Store.Create(id)
 		h.env.CopyObject(now, from, h.ID, id)
 		st = h.objs.add(id)
 		st.Aff, st.AcquiredAt = 1, now

@@ -67,7 +67,7 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 				c.copies = append(c.copies, copyRec{from: from, to: to, id: id})
 			},
 			SendCreateObj: c.send,
-			Store:         store.NewMemory("mem", 0, 1),
+			Store:         store.Spec{}.Build(1),
 			Observer:      Recorder(func(e Event) { c.events = append(c.events, e) }),
 		}
 		h, err := NewHost(topology.NodeID(i), params, env, c.loads[i])
@@ -649,7 +649,7 @@ func TestNewHostValidation(t *testing.T) {
 		SendCreateObj: func(at time.Duration, _ CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
 			return CreateDown, tok, at
 		},
-		Store:    store.NewMemory("mem", 0, 1),
+		Store:    store.Spec{}.Build(1),
 		Observer: Recorder(func(Event) {}),
 	}
 	if _, err := NewHost(0, Params{}, goodEnv, loads); err == nil {

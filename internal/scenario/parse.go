@@ -98,8 +98,8 @@ func knownWorkload(s string) bool { return s == flashCrowd || slices.Contains(wo
 //	highload            Figure 9 watermarks (bare clause, no value)
 //	faults:SCHEDULE     fault sub-schedule in the -faults DSL with "|"
 //	                    standing in for ";" (e.g. crash:9@4m+3m|drop:0.2)
-//	store:TERM          replica-storage stack in the -store DSL (e.g.
-//	                    mem, disk:2ms, cache(mem:64,disk:5ms))
+//	store:SPEC          replica-storage stack in the -store DSL, one
+//	                    level deep (mem, disk:2ms, cache(mem:64,disk:5ms))
 //
 // Durations use Go syntax. Unknown keys, duplicate keys, malformed values
 // and a missing workload are errors — a scenario either parses into

@@ -20,7 +20,7 @@ import (
 // concurrent use.
 type Machine struct {
 	Server *server.Server
-	Store  store.ReplicaStore
+	Store  *store.Stack
 	Host   *protocol.Host
 
 	clientTimeout time.Duration
@@ -132,8 +132,7 @@ func SeedPlacement(cfg *Config, machines []*Machine, redirectors []*protocol.Red
 	n := len(machines)
 	seed := func(id object.ID, h topology.NodeID) {
 		if m := machines[h]; m != nil {
-			m.Host.SeedObject(id)
-			m.Store.Create(id)
+			m.Host.SeedObject(id) // counts the replica on the machine's stack
 		}
 		if r := redirectors[int(id)%len(redirectors)]; r != nil {
 			r.NotifyReplicaChange(id, h, 1)

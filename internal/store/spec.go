@@ -1,32 +1,34 @@
 package store
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
+
+	"radar/internal/object"
 )
 
-// The store DSL describes one per-host backend stack:
+// The store DSL describes one per-host stack:
 //
-//	term := mem[:CAP]                          resident tier, CAP replicas (0/absent = unbounded)
-//	      | disk[:LATENCY]                     unbounded slow tier (default 5ms per read)
-//	      | cache(mem[:CAP], term)             bounded LRU memory tier over an authoritative tier
+//	spec := tier
+//	      | cache(mem[:CAP], tier)     bounded LRU memory tier over an authoritative tier
+//	tier := mem[:CAP]                  resident tier, CAP replicas (0/absent = unbounded)
+//	      | disk[:LATENCY]             unbounded slow tier (default 5ms per read)
 //
-// Examples: "mem", "disk:2ms", "cache(mem:64, disk:5ms)".
-// The zero Spec (and "mem") is the default stack and is byte-identical to
-// the pre-store simulator.
+// Examples: "mem", "disk:2ms", "cache(mem:64, disk:5ms)". Caches do not
+// nest. The zero Spec (and "mem") is the default stack and is
+// byte-identical to the pre-store simulator.
 
 // ErrSpec tags every store-DSL parse error.
 var ErrSpec = errors.New("store: bad spec")
 
-// Parse/safety limits: deep or enormous stacks are configuration errors
-// (and keep fuzzing honest).
+// Parse limits: enormous specs are configuration errors (and keep fuzzing
+// honest).
 const (
 	maxSpecLen = 256
-	maxDepth   = 6
-	maxTerms   = 16
 	maxCap     = 1 << 20
 	maxLatency = 10 * time.Second
 )
@@ -37,58 +39,47 @@ const (
 	defaultCacheCap    = 128
 )
 
-// term is one parsed stack node.
-type term struct {
-	kind    string // "mem", "disk", "cache"
-	cap     int    // mem replica bound (0 = unbounded)
+// tier is one parsed tier: a mem tier of cap replicas (0 = unbounded) when
+// latency is zero, an unbounded disk tier otherwise.
+type tier struct {
+	cap     int
 	latency time.Duration
-	kids    []*term
+}
+
+// String is the tier's canonical term, which is also its layer label.
+func (t tier) String() string {
+	switch {
+	case t.latency > 0:
+		return "disk:" + t.latency.String()
+	case t.cap > 0:
+		return "mem:" + strconv.Itoa(t.cap)
+	}
+	return "mem"
 }
 
 // Spec is a parsed, validated store stack description. The zero value is
-// the default unbounded memory stack. Specs are immutable after parsing
-// and safe to copy.
+// the default unbounded memory stack. Specs are immutable and comparable.
 type Spec struct {
-	root *term
+	auth   tier
+	cached bool // cache(mem:front, auth)
+	front  int  // the memory tier's CAP (0 = the default LRU capacity)
 }
 
 // IsDefault reports whether the spec is the plain unbounded memory stack
 // (the zero value or "mem"), whose runs are byte-identical to the
 // pre-store simulator.
-func (sp Spec) IsDefault() bool {
-	return sp.root == nil || (sp.root.kind == "mem" && sp.root.cap == 0)
-}
+func (sp Spec) IsDefault() bool { return sp == Spec{} }
 
 // String renders the spec in canonical DSL form; ParseSpec(sp.String())
 // round-trips.
 func (sp Spec) String() string {
-	if sp.root == nil {
-		return "mem"
+	if !sp.cached {
+		return sp.auth.String()
 	}
-	var b strings.Builder
-	writeTerm(&b, sp.root)
-	return b.String()
+	return "cache(" + tier{cap: sp.front}.String() + "," + sp.auth.String() + ")"
 }
 
-func writeTerm(b *strings.Builder, t *term) {
-	switch t.kind {
-	case "mem":
-		b.WriteString("mem")
-		if t.cap > 0 {
-			fmt.Fprintf(b, ":%d", t.cap)
-		}
-	case "disk":
-		fmt.Fprintf(b, "disk:%s", t.latency)
-	case "cache":
-		b.WriteString("cache(")
-		writeTerm(b, t.kids[0])
-		b.WriteByte(',')
-		writeTerm(b, t.kids[1])
-		b.WriteByte(')')
-	}
-}
-
-// ParseSpec parses a store-DSL term. The empty string is the default
+// ParseSpec parses a store-DSL spec. The empty string is the default
 // stack. Errors wrap ErrSpec.
 func ParseSpec(s string) (Spec, error) {
 	if strings.TrimSpace(s) == "" {
@@ -97,169 +88,93 @@ func ParseSpec(s string) (Spec, error) {
 	if len(s) > maxSpecLen {
 		return Spec{}, fmt.Errorf("%w: %d bytes exceeds the %d-byte limit", ErrSpec, len(s), maxSpecLen)
 	}
-	p := &parser{s: s}
-	root, err := p.parseTerm(0)
+	kw, rest := keyword(s)
+	if kw != "cache" {
+		auth, err := parseTier(kw, rest)
+		return Spec{auth: auth}, err
+	}
+	args, open := strings.CutPrefix(rest, "(")
+	args, closed := strings.CutSuffix(args, ")")
+	fastTerm, authTerm, comma := strings.Cut(args, ",")
+	if !open || !closed || !comma {
+		return Spec{}, fmt.Errorf("%w: want cache(mem[:CAP], TIER), got %q", ErrSpec, s)
+	}
+	fkw, frest := keyword(fastTerm)
+	if fkw != "mem" {
+		return Spec{}, fmt.Errorf("%w: cache fast tier must be a mem term, got %q", ErrSpec, fkw)
+	}
+	fast, err := parseTier(fkw, frest)
 	if err != nil {
 		return Spec{}, err
 	}
-	p.skipSpace()
-	if p.i != len(p.s) {
-		return Spec{}, fmt.Errorf("%w: trailing input %q", ErrSpec, p.s[p.i:])
+	akw, arest := keyword(authTerm)
+	if akw == "cache" {
+		return Spec{}, fmt.Errorf("%w: caches do not nest", ErrSpec)
 	}
-	return Spec{root: root}, nil
+	auth, err := parseTier(akw, arest)
+	return Spec{auth: auth, cached: true, front: fast.cap}, err
 }
 
-// parser is a recursive-descent scanner over the DSL term.
-type parser struct {
-	s     string
-	i     int
-	terms int
-}
-
-func (p *parser) skipSpace() {
-	for p.i < len(p.s) && (p.s[p.i] == ' ' || p.s[p.i] == '\t') {
-		p.i++
+// keyword splits s, less surrounding blanks, into its leading lowercase
+// word and the rest after it, less leading blanks.
+func keyword(s string) (kw, rest string) {
+	s = strings.Trim(s, " \t")
+	i := 0
+	for i < len(s) && s[i] >= 'a' && s[i] <= 'z' {
+		i++
 	}
+	return s[:i], strings.TrimLeft(s[i:], " \t")
 }
 
-// ident scans a lowercase keyword.
-func (p *parser) ident() string {
-	start := p.i
-	for p.i < len(p.s) && p.s[p.i] >= 'a' && p.s[p.i] <= 'z' {
-		p.i++
+// parseTier parses a mem or disk term: kw and, in rest, an optional
+// ":VALUE".
+func parseTier(kw, rest string) (tier, error) {
+	if kw != "mem" && kw != "disk" {
+		return tier{}, fmt.Errorf("%w: unknown backend %q", ErrSpec, kw)
 	}
-	return p.s[start:p.i]
-}
-
-// expect consumes c or fails.
-func (p *parser) expect(c byte) error {
-	p.skipSpace()
-	if p.i >= len(p.s) || p.s[p.i] != c {
-		return fmt.Errorf("%w: expected %q at offset %d", ErrSpec, string(c), p.i)
+	t := tier{}
+	if kw == "disk" {
+		t.latency = defaultDiskLatency
 	}
-	p.i++
-	return nil
-}
-
-// peek returns the next non-space byte without consuming it (0 at end).
-func (p *parser) peek() byte {
-	p.skipSpace()
-	if p.i >= len(p.s) {
-		return 0
+	if rest == "" {
+		return t, nil
 	}
-	return p.s[p.i]
-}
-
-// scanValue consumes a value token: everything up to the next ',' / ')' /
-// end, trimmed.
-func (p *parser) scanValue() string {
-	p.skipSpace()
-	start := p.i
-	for p.i < len(p.s) && p.s[p.i] != ',' && p.s[p.i] != ')' {
-		p.i++
+	v, ok := strings.CutPrefix(rest, ":")
+	if !ok {
+		return tier{}, fmt.Errorf("%w: trailing input %q", ErrSpec, rest)
 	}
-	return strings.TrimSpace(p.s[start:p.i])
-}
-
-func (p *parser) duration(what string, min, max time.Duration) (time.Duration, error) {
-	v := p.scanValue()
+	v = strings.TrimSpace(v)
+	if kw == "mem" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 || n > maxCap {
+			return tier{}, fmt.Errorf("%w: bad mem capacity %q (want 0..%d)", ErrSpec, v, maxCap)
+		}
+		t.cap = n
+		return t, nil
+	}
 	d, err := time.ParseDuration(v)
 	if err != nil {
-		return 0, fmt.Errorf("%w: bad %s duration %q", ErrSpec, what, v)
+		return tier{}, fmt.Errorf("%w: bad disk latency duration %q", ErrSpec, v)
 	}
-	if d < min || d > max {
-		return 0, fmt.Errorf("%w: %s %s out of range [%s, %s]", ErrSpec, what, d, min, max)
+	if d < time.Nanosecond || d > maxLatency {
+		return tier{}, fmt.Errorf("%w: disk latency %s out of range [%s, %s]", ErrSpec, d, time.Nanosecond, maxLatency)
 	}
-	return d, nil
-}
-
-func (p *parser) parseTerm(depth int) (*term, error) {
-	if depth > maxDepth {
-		return nil, fmt.Errorf("%w: nesting exceeds depth %d", ErrSpec, maxDepth)
-	}
-	p.terms++
-	if p.terms > maxTerms {
-		return nil, fmt.Errorf("%w: more than %d terms", ErrSpec, maxTerms)
-	}
-	p.skipSpace()
-	switch kw := p.ident(); kw {
-	case "mem":
-		t := &term{kind: "mem"}
-		if p.peek() == ':' {
-			p.i++
-			v := p.scanValue()
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 || n > maxCap {
-				return nil, fmt.Errorf("%w: bad mem capacity %q (want 0..%d)", ErrSpec, v, maxCap)
-			}
-			t.cap = n
-		}
-		return t, nil
-	case "disk":
-		t := &term{kind: "disk", latency: defaultDiskLatency}
-		if p.peek() == ':' {
-			p.i++
-			d, err := p.duration("disk latency", time.Nanosecond, maxLatency)
-			if err != nil {
-				return nil, err
-			}
-			t.latency = d
-		}
-		return t, nil
-	case "cache":
-		if err := p.expect('('); err != nil {
-			return nil, err
-		}
-		fast, err := p.parseTerm(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		if fast.kind != "mem" {
-			return nil, fmt.Errorf("%w: cache fast tier must be a mem term, got %s", ErrSpec, fast.kind)
-		}
-		if err := p.expect(','); err != nil {
-			return nil, err
-		}
-		slow, err := p.parseTerm(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return &term{kind: "cache", kids: []*term{fast, slow}}, nil
-	case "":
-		return nil, fmt.Errorf("%w: expected a term at offset %d", ErrSpec, p.i)
-	default:
-		return nil, fmt.Errorf("%w: unknown backend %q", ErrSpec, kw)
-	}
+	t.latency = d
+	return t, nil
 }
 
 // Build constructs one host's stack over replicas of objBytes each. Equal
 // specs always build identically-behaving stacks.
-func (sp Spec) Build(objBytes int64) ReplicaStore {
-	t := sp.root
-	if t == nil {
-		t = &term{kind: "mem"}
-	}
-	return buildTerm(t, objBytes)
-}
-
-func buildTerm(t *term, objBytes int64) ReplicaStore {
-	switch t.kind {
-	case "disk":
-		return NewDisk(fmt.Sprintf("disk:%s", t.latency), t.latency, objBytes)
-	case "cache":
-		capacity := t.kids[0].cap
-		if capacity == 0 {
-			capacity = defaultCacheCap
+func (sp Spec) Build(objBytes int64) *Stack {
+	s := &Stack{objBytes: objBytes, capacity: sp.auth.cap, latency: sp.auth.latency}
+	s.auth.Label = sp.auth.String()
+	if sp.cached {
+		s.lruCap = sp.front
+		if s.lruCap == 0 {
+			s.lruCap = defaultCacheCap
 		}
-		return NewCache(buildTerm(t.kids[0], objBytes), buildTerm(t.kids[1], objBytes), capacity)
-	default:
-		label := "mem"
-		if t.cap > 0 {
-			label = fmt.Sprintf("mem:%d", t.cap)
-		}
-		return NewMemory(label, t.cap, objBytes)
+		s.lru, s.resident = list.New(), make(map[object.ID]*list.Element)
+		s.cache.Label, s.fast.Label = "cache", tier{cap: sp.front}.String()
 	}
+	return s
 }

@@ -1,51 +1,27 @@
-// Package store is the composable replica-storage backend stack: a small
-// ReplicaStore interface extracted from the server and protocol layers
-// (replica create/drop/contains, per-serve storage cost, capacity and
-// per-replica byte accounting), plus memory and disk tiers and a bounded
-// memory cache over a slower tier, stacked in the style of buildbarn's
-// BlobAccess middleware.
+// Package store is a host's replica-storage model: the storage part of
+// §2.1's vector load. A Stack gives each host a capacity that can refuse an
+// acquisition and a per-read latency, and counts what each of its layers
+// did (LayerStats).
 //
-// Determinism contract: a store's behavior is a pure function of its
-// construction parameters and the sequence of object operations applied
-// to it. Stores hold no global state and draw no randomness, so equal runs
-// behave bit-identically at any experiment parallelism. The plain memory
-// store is free: zero serve cost and unbounded capacity, leaving a run
-// over it byte-identical to a build without this package.
+// The host's object table is the one record of which replicas the host
+// holds; a stack counts them and never names them. The host creates only
+// an object it does not hold and drops only one it holds, so a stack's
+// occupancy is its host's object count.
+//
+// Determinism contract: a stack's behavior is a pure function of its spec
+// and the sequence of operations applied to it. Stacks hold no global state
+// and draw no randomness, so equal runs behave bit-identically at any
+// experiment parallelism. The default stack is free: zero serve cost and
+// unbounded capacity, leaving a run over it byte-identical to a build
+// without this package.
 package store
 
 import (
+	"container/list"
 	"time"
 
 	"radar/internal/object"
 )
-
-// ReplicaStore is one hosting server's replica storage. The simulation
-// keeps exactly one stack per host; calls arrive in order from a single
-// goroutine (stores are not safe for concurrent use).
-type ReplicaStore interface {
-	// Create stores a replica of id. It returns false when capacity is
-	// exhausted (the caller surfaces a storage refusal); a false return
-	// leaves the store unchanged. Creating an already-held replica is a
-	// no-op returning true.
-	Create(id object.ID) bool
-	// Drop removes the replica of id, if held.
-	Drop(id object.ID)
-	// Contains reports whether a replica of id is held and servable.
-	Contains(id object.ID) bool
-	// ServeCost charges one read of id and returns the extra service
-	// latency the storage layer adds (zero for resident memory, the device
-	// latency for a disk tier).
-	ServeCost(id object.ID) time.Duration
-	// BytesUsed is the bytes currently occupied by held replicas.
-	BytesUsed() int64
-	// Replicas is the number of held replicas.
-	Replicas() int
-	// Stats appends this store's per-layer counters to buf in pre-order
-	// (self first, then children) and returns it. The layer order is a
-	// function of the stack shape alone, so same-shaped stacks aggregate
-	// index by index.
-	Stats(buf []LayerStats) []LayerStats
-}
 
 // LayerStats is one stack layer's counters. Fields irrelevant to a layer
 // kind stay zero (a memory tier has no hits or misses; only a cache does).
@@ -106,80 +82,121 @@ func Aggregate(agg, node []LayerStats) []LayerStats {
 	return agg
 }
 
-// Memory is the one tier type: a set of held replicas with per-replica
-// byte accounting, an optional replica-count bound and a fixed device
-// latency every serve pays. The plain memory tier has zero latency (today's
-// implicit hosting-server storage model made explicit); NewDisk builds the
-// unbounded slow tier.
-type Memory struct {
-	label    string
+// Stack is one hosting server's replica storage: an authoritative tier (a
+// replica count, an optional capacity and a fixed per-read device latency)
+// and, for a cache(...) spec, a bounded LRU memory tier in front of it.
+// Creates and drops go to both tiers (write-through); a serve hits the
+// memory tier when the replica is resident and otherwise pays the
+// authoritative tier's latency and makes it resident, evicting the least
+// recently used replica when the memory tier is full. Eviction order is a
+// pure function of the operation sequence. A Stack is not safe for
+// concurrent use.
+type Stack struct {
 	objBytes int64
-	capacity int // max replicas; 0 = unbounded
-	latency  time.Duration
-	held     object.Set
-	n        int // members of held
-	stats    LayerStats
+	capacity int           // authoritative replica bound; 0 = unbounded
+	latency  time.Duration // authoritative per-read latency
+	auth     LayerStats    // Replicas is the authoritative count
+
+	// The memory tier in front; lru is nil for a plain tier.
+	lruCap   int
+	lru      *list.List // resident IDs, most recently used first
+	resident map[object.ID]*list.Element
+	cache    LayerStats // the "cache" layer
+	fast     LayerStats // the memory tier; Replicas is the resident count
 }
 
-// NewMemory builds a memory store holding at most capacity replicas of
-// objBytes each (capacity 0 = unbounded).
-func NewMemory(label string, capacity int, objBytes int64) *Memory {
-	return &Memory{label: label, objBytes: objBytes, capacity: capacity}
+// Full reports whether the authoritative tier is at capacity, so a create
+// must be refused (the host counts it as a §2.1 storage refusal).
+func (s *Stack) Full() bool {
+	return s.capacity > 0 && s.auth.Replicas >= int64(s.capacity)
 }
 
-// NewDisk builds an unbounded slow tier with the given per-read latency.
-// It models the paper-era "replica on the hosting server's disk" without
-// queueing (the FCFS server model already serializes service).
-func NewDisk(label string, latency time.Duration, objBytes int64) *Memory {
-	m := NewMemory(label, 0, objBytes)
-	m.latency = latency
-	return m
-}
-
-// Create implements ReplicaStore.
-func (m *Memory) Create(id object.ID) bool {
-	if m.held.Has(id) {
-		return true
-	}
-	if m.capacity > 0 && m.n >= m.capacity {
-		return false
-	}
-	m.held.Add(id)
-	m.n++
-	m.stats.Creates++
-	return true
-}
-
-// Drop implements ReplicaStore.
-func (m *Memory) Drop(id object.ID) {
-	if m.held.Remove(id) {
-		m.n--
-		m.stats.Drops++
+// Create stores a replica of id, which the host does not hold. It never
+// refuses: the host asks Full first, and a seeded replica counts even past
+// the capacity.
+func (s *Stack) Create(id object.ID) {
+	s.auth.Creates++
+	s.auth.Replicas++
+	if s.lru != nil {
+		s.cache.Creates++
+		s.promote(id)
 	}
 }
 
-// Contains implements ReplicaStore.
-func (m *Memory) Contains(id object.ID) bool { return m.held.Has(id) }
-
-// ServeCost implements ReplicaStore: every read pays the tier's device
-// latency, which is zero for resident replicas.
-func (m *Memory) ServeCost(object.ID) time.Duration {
-	m.stats.Serves++
-	m.stats.CostNanos += int64(m.latency)
-	return m.latency
+// Drop removes the replica of id, which the host holds, from both tiers.
+func (s *Stack) Drop(id object.ID) {
+	s.auth.Drops++
+	s.auth.Replicas--
+	if s.lru != nil {
+		s.cache.Drops++
+		if el, ok := s.resident[id]; ok {
+			s.unload(el)
+		}
+	}
 }
 
-// BytesUsed implements ReplicaStore.
-func (m *Memory) BytesUsed() int64 { return int64(m.n) * m.objBytes }
+// ServeCost charges one read of id and returns the latency storage adds to
+// its service: zero for a resident replica, the authoritative tier's
+// device latency otherwise.
+func (s *Stack) ServeCost(id object.ID) time.Duration {
+	if s.lru == nil {
+		return charge(&s.auth, s.latency)
+	}
+	s.cache.Serves++
+	if el, ok := s.resident[id]; ok {
+		s.cache.Hits++
+		s.lru.MoveToFront(el)
+		return charge(&s.fast, 0)
+	}
+	s.cache.Misses++
+	cost := charge(&s.auth, s.latency)
+	s.cache.CostNanos += int64(cost)
+	s.promote(id)
+	return cost
+}
 
-// Replicas implements ReplicaStore.
-func (m *Memory) Replicas() int { return m.n }
+// charge counts one serve of cost d on layer l and returns d.
+func charge(l *LayerStats, d time.Duration) time.Duration {
+	l.Serves++
+	l.CostNanos += int64(d)
+	return d
+}
 
-// Stats implements ReplicaStore.
-func (m *Memory) Stats(buf []LayerStats) []LayerStats {
-	s := m.stats
-	s.Label = m.label
-	s.Replicas = int64(m.n)
-	s.BytesUsed = m.BytesUsed()
-	return append(buf, s)
+// promote makes id the most recently used resident replica, evicting the
+// least recently used one if the memory tier is full.
+func (s *Stack) promote(id object.ID) {
+	if el, ok := s.resident[id]; ok {
+		s.lru.MoveToFront(el)
+		return
+	}
+	if s.lru.Len() >= s.lruCap {
+		s.cache.Evictions++
+		s.unload(s.lru.Back())
+	}
+	s.resident[id] = s.lru.PushFront(id)
+	s.fast.Creates++
+	s.fast.Replicas++
+}
+
+// unload takes a resident replica out of the memory tier.
+func (s *Stack) unload(el *list.Element) {
+	delete(s.resident, s.lru.Remove(el).(object.ID))
+	s.fast.Drops++
+	s.fast.Replicas--
+}
+
+// Stats appends the stack's per-layer counters to buf and returns it: the
+// cache layer, its memory tier and the authoritative tier for a cache(...)
+// stack, the one tier otherwise. The layer order is a function of the
+// spec alone, so same-spec stacks aggregate index by index.
+func (s *Stack) Stats(buf []LayerStats) []LayerStats {
+	auth := s.auth
+	auth.BytesUsed = auth.Replicas * s.objBytes
+	if s.lru == nil {
+		return append(buf, auth)
+	}
+	c, f := s.cache, s.fast
+	c.Replicas, c.BytesUsed = auth.Replicas, auth.BytesUsed
+	f.BytesUsed = f.Replicas * s.objBytes
+	return append(buf, c, f, auth)
 }

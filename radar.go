@@ -216,12 +216,12 @@ type Live struct {
 // zero value selects the default in-memory backend, which is
 // byte-identical to releases that predate storage modeling.
 type Storage struct {
-	// Store is a replica-storage stack term. The grammar composes
-	// tiers:
+	// Store is a replica-storage stack spec: one tier, optionally with
+	// an LRU memory tier in front (caches do not nest):
 	//
 	//	mem[:CAP]                      in-memory, optional replica capacity
 	//	disk[:LATENCY]                 unbounded, fixed per-serve latency
-	//	cache(mem[:CAP], TERM)        small memory tier over a slower TERM
+	//	cache(mem[:CAP], TIER)         LRU memory tier over a mem or disk TIER
 	//
 	// Examples: "mem", "disk:2ms", "cache(mem:64,disk:5ms)". Empty
 	// selects the default memory backend.
@@ -489,7 +489,7 @@ type Summary struct {
 	// Replica-storage stack aggregates, summed across all hosts and stack
 	// layers; all zero unless Config.Storage selects a non-default stack.
 	// StoreEnabled records whether one was configured; StoreSpec is its
-	// canonical term. Per-layer breakdowns are in Result.StoreLayers
+	// canonical spec. Per-layer breakdowns are in Result.StoreLayers
 	// (Summary stays comparable with ==, so only scalars live here).
 	StoreEnabled   bool
 	StoreSpec      string
