@@ -30,8 +30,8 @@ import (
 	"radar/internal/topology"
 )
 
-// Params tunes RPC retry behavior and reconciliation cadence. The zero
-// value selects the documented defaults via WithDefaults.
+// Params tunes RPC retry behavior. The zero value selects the documented
+// defaults via WithDefaults.
 type Params struct {
 	// Timeout is the per-attempt RPC timeout: if the reply has not arrived
 	// this long after the attempt's request was sent, the caller retries
@@ -46,11 +46,6 @@ type Params struct {
 	// stream (defaults 200ms, capped at 2s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// ReconcileInterval is the anti-entropy period: every interval each
-	// host exchanges a replica digest with the redirectors, healing
-	// orphaned replicas and stale records left by lost notifications
-	// (default 100s, the placement interval).
-	ReconcileInterval time.Duration
 }
 
 // WithDefaults returns p with zero fields replaced by the defaults.
@@ -66,9 +61,6 @@ func (p Params) WithDefaults() Params {
 	}
 	if p.BackoffCap == 0 {
 		p.BackoffCap = 2 * time.Second
-	}
-	if p.ReconcileInterval == 0 {
-		p.ReconcileInterval = 100 * time.Second
 	}
 	return p
 }
@@ -87,9 +79,6 @@ func (p Params) Validate() error {
 	}
 	if p.BackoffBase > 0 && p.BackoffCap > 0 && p.BackoffCap < p.BackoffBase {
 		return fmt.Errorf("ctrlplane: backoff cap %v below base %v", p.BackoffCap, p.BackoffBase)
-	}
-	if p.ReconcileInterval < 0 {
-		return fmt.Errorf("ctrlplane: negative reconcile interval %v", p.ReconcileInterval)
 	}
 	return nil
 }
@@ -206,9 +195,6 @@ func New(params Params, faults Faults, rng *rand.Rand, transport Transport) (*Pl
 		results:   make(map[uint64]bool),
 	}, nil
 }
-
-// Params returns the resolved parameters.
-func (p *Plane) Params() Params { return p.params }
 
 // Stats returns a snapshot of the activity counters.
 func (p *Plane) Stats() Stats { return p.stats }

@@ -68,14 +68,14 @@ func TestCallDropOneIsLostAfterBudget(t *testing.T) {
 		t.Fatalf("callee ran %d times despite total loss", execs)
 	}
 	s := p.Stats()
-	if want := int64(1 + p.Params().Retries); s.Attempts != want {
+	if want := int64(1 + p.params.Retries); s.Attempts != want {
 		t.Fatalf("attempts = %d, want %d", s.Attempts, want)
 	}
-	if s.Retries != int64(p.Params().Retries) || s.Lost != 1 {
+	if s.Retries != int64(p.params.Retries) || s.Lost != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 	// Give-up time covers every timeout window plus backoffs.
-	if minDone := time.Duration(s.Attempts) * p.Params().Timeout; doneAt < minDone {
+	if minDone := time.Duration(s.Attempts) * p.params.Timeout; doneAt < minDone {
 		t.Fatalf("gave up at %v, before %d timeout windows (%v)", doneAt, s.Attempts, minDone)
 	}
 	if tok == 0 {
@@ -274,7 +274,6 @@ func TestParamsValidate(t *testing.T) {
 		{Retries: -1},
 		{BackoffBase: -time.Millisecond},
 		{BackoffBase: time.Second, BackoffCap: time.Millisecond},
-		{ReconcileInterval: -time.Minute},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) succeeded, want error", bad)
@@ -285,8 +284,7 @@ func TestParamsValidate(t *testing.T) {
 	}
 	def := Params{}.WithDefaults()
 	if def.Timeout != time.Second || def.Retries != 3 ||
-		def.BackoffBase != 200*time.Millisecond || def.BackoffCap != 2*time.Second ||
-		def.ReconcileInterval != 100*time.Second {
+		def.BackoffBase != 200*time.Millisecond || def.BackoffCap != 2*time.Second {
 		t.Fatalf("defaults = %+v", def)
 	}
 	if err := def.Validate(); err != nil {

@@ -126,9 +126,9 @@ func (wr *WorkloadRun) LatencyReduction() float64 {
 type Suite struct {
 	Runs     map[string]*WorkloadRun
 	HighLoad bool
-	// Timings records each run's wall-clock, in job order (static and
-	// dynamic per workload). Wall times vary run to run, so the timing
-	// table is rendered separately from the deterministic artifacts.
+	// Timings records each run's wall-clock, in job order (suiteJobs).
+	// Wall times vary run to run, so the timing table is rendered
+	// separately from the deterministic artifacts.
 	Timings []RunTiming
 }
 
@@ -177,15 +177,20 @@ func trackedHotSite(u object.Universe, topo *topology.Topology, seed int64) topo
 	return 0
 }
 
-// suiteJobs builds the suite's job list: a static baseline and a dynamic
-// run per workload, two jobs per workload in WorkloadNames order.
+// suiteJobs builds the suite's job list, in WorkloadNames order: a static
+// baseline and a dynamic run per workload, except that hot-sites has no
+// static run. Its static level saturates forever, so the suite uses
+// hot-pages' (identical access pattern, §6.2).
 func suiteJobs(opts Options, highLoad bool) ([]Job, error) {
 	tracked := trackedHotSite(opts.universe(), substrate.UUNET().Topo, opts.Seed)
-	jobs := make([]Job, 0, 2*len(WorkloadNames))
+	jobs := make([]Job, 0, suiteRuns())
 	for _, name := range WorkloadNames {
-		staticCfg, err := opts.config(name, true, highLoad)
-		if err != nil {
-			return nil, err
+		if name != "hot-sites" {
+			staticCfg, err := opts.config(name, true, highLoad)
+			if err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, Job{Label: "static/" + name, Config: staticCfg})
 		}
 		dynCfg, err := opts.config(name, false, highLoad)
 		if err != nil {
@@ -194,27 +199,32 @@ func suiteJobs(opts Options, highLoad bool) ([]Job, error) {
 		if name == "hot-sites" {
 			dynCfg.TrackedHost = tracked
 		}
-		jobs = append(jobs, Job{Label: "static/" + name, Config: staticCfg}, Job{Label: "dynamic/" + name, Config: dynCfg})
+		jobs = append(jobs, Job{Label: "dynamic/" + name, Config: dynCfg})
 	}
 	return jobs, nil
 }
 
-// suiteFromResults assembles a Suite from suiteJobs results (two per
-// workload, in WorkloadNames order).
+// suiteRuns is the length of suiteJobs' list.
+func suiteRuns() int { return 2*len(WorkloadNames) - 1 }
+
+// suiteFromResults assembles a Suite from suiteJobs results.
 func suiteFromResults(results []JobResult, highLoad bool) (*Suite, error) {
-	if len(results) != 2*len(WorkloadNames) {
-		return nil, fmt.Errorf("experiments: suite expects %d results, got %d", 2*len(WorkloadNames), len(results))
+	if len(results) != suiteRuns() {
+		return nil, fmt.Errorf("experiments: suite expects %d results, got %d", suiteRuns(), len(results))
 	}
 	suite := &Suite{Runs: make(map[string]*WorkloadRun), HighLoad: highLoad}
-	for i, name := range WorkloadNames {
-		static, dyn := results[2*i], results[2*i+1]
-		suite.Runs[name] = &WorkloadRun{Name: name, Dynamic: dyn.Results, Static: static.Results}
+	next := results
+	for _, name := range WorkloadNames {
+		run := &WorkloadRun{Name: name}
+		if name != "hot-sites" {
+			run.Static, next = next[0].Results, next[1:]
+		}
+		run.Dynamic, next = next[0].Results, next[1:]
+		suite.Runs[name] = run
 	}
 	for _, r := range results {
 		suite.Timings = append(suite.Timings, RunTiming{Label: r.Label, Wall: r.Wall})
 	}
-	// Hot-sites static saturates forever; substitute the hot-pages static
-	// level as its baseline (identical access pattern, §6.2).
 	suite.Runs["hot-sites"].Static = suite.Runs["hot-pages"].Static
 	return suite, nil
 }
@@ -222,7 +232,7 @@ func suiteFromResults(results []JobResult, highLoad bool) (*Suite, error) {
 // RunSuite executes the four paper workloads (dynamic plus static
 // baselines) at the given load level and returns the shared results.
 // highLoad selects the Figure 9 watermarks (50/40) instead of Table 1's
-// (90/80). The eight runs execute concurrently on the engine's worker
+// (90/80). The seven runs execute concurrently on the engine's worker
 // pool; results are identical to a sequential execution.
 func RunSuite(opts Options, highLoad bool) (*Suite, error) {
 	jobs, err := suiteJobs(opts, highLoad)

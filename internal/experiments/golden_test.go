@@ -28,7 +28,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files under testdata/golden/")
 
 // suiteGoldenHash is the FNV-64a hash of the rendered multi-seed quick
-// suite table (seeds 1-2, 16 runs), recorded before the fault-injection
+// suite table (seeds 1-2, 14 runs), recorded before the fault-injection
 // subsystem existed. The suite configures no faults, so its output pins
 // the zero-fault bit-identity guarantee: if this hash moves, some
 // fault-path check leaked into the fault-free hot path.
@@ -62,7 +62,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// goldenSuite runs the multi-seed quick suite (seeds 1-2, 16 runs) at the
+// goldenSuite runs the multi-seed quick suite (seeds 1-2, 14 runs) at the
 // given parallelism, fails tb unless the rendered table hashes to
 // suiteGoldenHash, and returns the suites and the rendered bytes.
 func goldenSuite(tb testing.TB, parallelism int) (*MultiSeed, []byte) {
@@ -89,7 +89,7 @@ func goldenSuite(tb testing.TB, parallelism int) (*MultiSeed, []byte) {
 // to end and that every figure renders and writes its CSV.
 func TestGoldenSuiteTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("16-run suite")
+		t.Skip("14-run suite")
 	}
 	ms, table := goldenSuite(t, 0)
 	checkGolden(t, "suite_table.txt", table)

@@ -27,7 +27,7 @@ func RunMultiSeed(base Options, seeds []int64, highLoad bool) (*MultiSeed, error
 		return nil, fmt.Errorf("experiments: no seeds")
 	}
 	var jobs []Job
-	perSeed := 2 * len(WorkloadNames)
+	perSeed := suiteRuns()
 	for _, seed := range seeds {
 		opts := base
 		opts.Seed = seed

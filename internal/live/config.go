@@ -4,29 +4,24 @@ import (
 	"fmt"
 	"time"
 
-	"radar/internal/ctrlplane"
 	"radar/internal/routing"
 	"radar/internal/scenario"
+	"radar/internal/server"
 	"radar/internal/sim"
 	"radar/internal/substrate"
 	"radar/internal/topology"
 )
 
-// Config describes one live fleet. The simulation configuration is
-// embedded whole — the same sim.Config drives both the simulator and the
-// fleet, which is what lets the equivalence test hand one value to both
-// sides — plus the live-only transport knobs.
+// Config describes one live fleet: the simulation configuration, embedded
+// whole (the same sim.Config drives the simulator and the fleet, which lets
+// the equivalence test hand one value to both; its Ctrl tunes every node's
+// RPC client), plus the live-only knobs, FreeRunning and FreeRun.
 type Config struct {
 	// Sim is the run the fleet mirrors: topology, object universe,
 	// protocol parameters, server model, request rates, intervals, policy,
 	// redirector count, duration. A nil Sim.Topo selects the UUNET
 	// backbone, like the simulator.
 	Sim sim.Config
-
-	// RPC tunes the control-plane client: per-attempt timeout, retry
-	// budget, and backoff, reusing ctrlplane.Params (zero fields select
-	// the ctrlplane defaults).
-	RPC ctrlplane.Params
 
 	// FreeRunning switches the fleet from driver-paced to self-scheduled
 	// operation: nodes own wall-clock timers for their measurement and
@@ -47,15 +42,15 @@ type Config struct {
 // simulation's virtual intervals one-to-one onto real ones.
 type FreeRun struct {
 	// Measurement is the load-measurement interval (default:
-	// Sim.Server.MeasurementInterval).
+	// server.MeasurementInterval).
 	Measurement time.Duration
 	// Placement is the placement-pass interval (default:
 	// Sim.PlacementInterval).
 	Placement time.Duration
 	// Jitter is the fraction of each period by which ticks are randomly
-	// advanced or delayed, in [0,1) (default DefaultFreeRunJitter), so a
-	// fleet started in the same instant does not phase-lock its placement
-	// passes.
+	// advanced or delayed, in (0,1); zero selects DefaultFreeRunJitter. It
+	// keeps a fleet started in the same instant from phase-locking its
+	// placement passes.
 	Jitter float64
 }
 
@@ -66,17 +61,16 @@ const (
 )
 
 // Normalized returns the configuration with every default resolved — the
-// UUNET topology for a nil Topo, the ctrlplane RPC defaults, the
-// free-running timers — which is the exact configuration a fleet, driver,
-// or checker built from c will run with.
+// UUNET topology for a nil Topo, the free-running timers — which is the
+// exact configuration a fleet, driver, or checker built from c will run
+// with.
 func (c Config) Normalized() Config {
 	if c.Sim.Topo == nil {
 		c.Sim.Topo = substrate.UUNET().Topo
 	}
-	c.RPC = c.RPC.WithDefaults()
 	if c.FreeRunning {
 		if c.FreeRun.Measurement == 0 {
-			c.FreeRun.Measurement = c.Sim.Server.MeasurementInterval
+			c.FreeRun.Measurement = server.MeasurementInterval
 		}
 		if c.FreeRun.Placement == 0 {
 			c.FreeRun.Placement = c.Sim.PlacementInterval
@@ -95,9 +89,6 @@ func (c Config) Normalized() Config {
 func (c Config) Validate() error {
 	c = c.Normalized()
 	if err := c.Sim.Validate(); err != nil {
-		return err
-	}
-	if err := c.RPC.Validate(); err != nil {
 		return err
 	}
 	if c.FreeRun.Measurement < 0 || c.FreeRun.Placement < 0 {

@@ -46,7 +46,7 @@ func record(events *[]live.Event) protocol.Recorder {
 // decisions to Config.ExtraObserver) and compares the bytes: that is what
 // licenses a trace writer on a driver-paced live run.
 func TestSimLiveEquivalence(t *testing.T) {
-	stack, err := store.ParseSpec("cache(mem:2,disk:40ms)")
+	stack, err := store.ParseSpec("cache(mem:2,disk:400ms)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +56,9 @@ func TestSimLiveEquivalence(t *testing.T) {
 		traced bool
 	}{
 		{"baseline", func(*sim.Config) {}, true},
-		// A small cache over a slow disk, under a client timeout tight
-		// enough that the misses' serve cost times requests out.
-		{"store-stack", func(c *sim.Config) { c.Store, c.ClientTimeout = stack, 30*time.Millisecond }, false},
+		// A small cache over a disk slow enough that the misses' serve
+		// cost backs the queues up past the 60 s client timeout.
+		{"store-stack", func(c *sim.Config) { c.Store = stack }, false},
 		{"host-weights", func(c *sim.Config) { c.HostWeights = []float64{1, 2, 0.5} }, false},
 		{"replicate-everywhere", func(c *sim.Config) { c.ReplicateEverywhere = true }, false},
 		{"redirector-at-home", func(c *sim.Config) { c.RedirectorAtHome = true }, false},
@@ -161,6 +161,12 @@ func checkSimLiveEquivalence(t *testing.T, cfg live.Config, traced bool) []live.
 	}
 	if liveRes.TimedOutRequests != simRes.TimedOutRequests {
 		t.Errorf("TimedOutRequests: live %d, sim %d", liveRes.TimedOutRequests, simRes.TimedOutRequests)
+	}
+	// The store-stack case is there to time requests out: its serve cost
+	// must reach the client timeout on both sides.
+	if !cfg.Sim.Store.IsDefault() && (liveRes.TimedOutRequests == 0 || simRes.TimedOutRequests == 0) {
+		t.Errorf("store stack %v timed out live %d, sim %d requests; want some on both sides",
+			cfg.Sim.Store, liveRes.TimedOutRequests, simRes.TimedOutRequests)
 	}
 	if liveRes.DroppedChoices != simRes.DroppedChoices {
 		t.Errorf("DroppedChoices: live %d, sim %d", liveRes.DroppedChoices, simRes.DroppedChoices)

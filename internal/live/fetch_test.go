@@ -50,7 +50,7 @@ func testNodes(t *testing.T, cfg live.Config, intercept func(i int, w http.Respo
 func wedgedSource(t *testing.T, rpcTimeout time.Duration) (nodes []*live.Node, urls []string, entered chan struct{}) {
 	t.Helper()
 	cfg := liveConfig(t, topology.Line(2), 8, 1, time.Minute)
-	cfg.RPC.Timeout = rpcTimeout
+	cfg.Sim.Ctrl.Timeout = rpcTimeout
 	entered = make(chan struct{}, 1)
 	release := make(chan struct{})
 	nodes, urls = testNodes(t, cfg, func(i int, _ http.ResponseWriter, r *http.Request) bool {

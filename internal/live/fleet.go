@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"radar/internal/routing"
+	"radar/internal/substrate"
 	"radar/internal/topology"
 )
 
@@ -41,7 +42,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	cfg = cfg.Normalized()
-	routes := routing.New(cfg.Sim.Topo)
+	routes := substrate.Shared(cfg.Sim.Topo).Routes
 	n := routes.NumNodes()
 	f := &Fleet{
 		cfg:       cfg,

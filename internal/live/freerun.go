@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"radar/internal/routing"
 	"radar/internal/sim"
+	"radar/internal/substrate"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
@@ -65,7 +65,7 @@ func NewFreeDriver(cfg Config, urls []string) (*FreeDriver, error) {
 	if !cfg.FreeRunning {
 		return nil, fmt.Errorf("live: FreeDriver needs Config.FreeRunning (use Driver for driver-paced replay)")
 	}
-	routes := routing.New(cfg.Sim.Topo)
+	routes := substrate.Shared(cfg.Sim.Topo).Routes
 	n := routes.NumNodes()
 	if len(urls) != n {
 		return nil, fmt.Errorf("live: %d node URLs for %d nodes", len(urls), n)

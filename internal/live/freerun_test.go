@@ -31,7 +31,7 @@ func freeRunConfig(t *testing.T, topo *topology.Topology, wall time.Duration) li
 		Measurement: 200 * time.Millisecond,
 		Placement:   400 * time.Millisecond,
 	}
-	cfg.RPC = ctrlplane.Params{
+	cfg.Sim.Ctrl = ctrlplane.Params{
 		Timeout:     time.Second,
 		Retries:     3,
 		BackoffBase: 20 * time.Millisecond,

@@ -149,7 +149,7 @@ func postPlace(t *testing.T, url string, now time.Duration) live.PlaceReply {
 func TestPlaceReplyCarriesItsCopies(t *testing.T) {
 	cfg := liveConfig(t, topology.Line(2), 6, 1, time.Minute)
 	cfg.Sim.Protocol.ReplicaFloor = 2
-	cfg.RPC.BackoffBase, cfg.RPC.BackoffCap = time.Millisecond, 5*time.Millisecond
+	cfg.Sim.Ctrl.BackoffBase, cfg.Sim.Ctrl.BackoffCap = time.Millisecond, 5*time.Millisecond
 	var nodes []*live.Node
 	var creates, lost atomic.Int64
 	nodes, urls := testNodes(t, cfg, func(i int, _ http.ResponseWriter, r *http.Request) bool {

@@ -17,6 +17,7 @@ import (
 	"radar/internal/protocol"
 	"radar/internal/routing"
 	"radar/internal/sim"
+	"radar/internal/substrate"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
@@ -116,16 +117,15 @@ const (
 
 // NewNode builds the fleet member running on node id. peers maps every
 // node ID to its base URL (http://host:port); the entry for id itself may
-// be empty. routes may be nil, in which case the node computes the routing
-// table from the configured topology (fleets sharing a process pass one
-// table to all members).
+// be empty. routes may be nil, in which case the node uses the configured
+// topology's shared routing table.
 func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Table) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.Normalized()
 	if routes == nil {
-		routes = routing.New(cfg.Sim.Topo)
+		routes = substrate.Shared(cfg.Sim.Topo).Routes
 	}
 	n := routes.NumNodes()
 	if int(id) < 0 || int(id) >= n {
@@ -149,7 +149,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		freeRun:  cfg.FreeRunning,
 		bootID:   atomic.AddInt64(&bootCounter, 1),
 		routes:   routes,
-		client:   newRPCClient(cfg.RPC, workload.Stream(cfg.Sim.Seed, workload.RPCStream(int(id))), retryTokens),
+		client:   newRPCClient(cfg.Sim.Ctrl, workload.Stream(cfg.Sim.Seed, workload.RPCStream(int(id))), retryTokens),
 		payload:  bytes.Repeat([]byte{0x5a}, cfg.Sim.Universe.SizeBytes),
 		payLen:   []string{strconv.Itoa(cfg.Sim.Universe.SizeBytes)},
 		creates:  newCallDedup(createDedupLimit),
@@ -348,20 +348,13 @@ func (nd *Node) startTickers() {
 // jitter from its own seeded stream, so runs are reproducible modulo
 // scheduling.
 func (nd *Node) ticker(period time.Duration, stream uint64, count *atomic.Int64, fn func(now time.Duration)) {
-	if period <= 0 {
-		return
-	}
 	rng := workload.Stream(nd.cfg.Sim.Seed, workload.TickerStream(int(nd.id), stream))
 	jitter := nd.cfg.FreeRun.Jitter
 	nd.tickWG.Add(1)
 	go func() {
 		defer nd.tickWG.Done()
 		for {
-			d := period
-			if jitter > 0 {
-				d = time.Duration(float64(period) * (1 + jitter*(2*rng.Float64()-1)))
-			}
-			t := time.NewTimer(d)
+			t := time.NewTimer(time.Duration(float64(period) * (1 + jitter*(2*rng.Float64()-1))))
 			select {
 			case <-nd.stopCh:
 				t.Stop()

@@ -2,6 +2,7 @@ package live
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/ctrlplane"
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/sim"
@@ -111,6 +113,33 @@ func TestSendCreateObjToDownPeer(t *testing.T) {
 	if attempts, _, _ := nd.client.Stats(); attempts != 1 || received.Load() != 1 || lastID.Load() != 1 {
 		t.Fatalf("peer back up: %d RPC attempts, %d handshakes received, the last with ID %d; want one, with ID 1",
 			attempts, received.Load(), lastID.Load())
+	}
+}
+
+// TestNodeTakesRPCPolicyFromSimCtrl: a node's RPC client runs the retry
+// policy of cfg.Sim.Ctrl, the knobs the simulator's lossy plane reads. With
+// one retry, a handshake to a peer that refuses connections costs two
+// attempts and is reported lost.
+func TestNodeTakesRPCPolicyFromSimCtrl(t *testing.T) {
+	cfg := twoNodeConfig(t)
+	cfg.Sim.Ctrl = ctrlplane.Params{Retries: 1, BackoffBase: time.Millisecond, BackoffCap: time.Millisecond}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "http://" + ln.Addr().String()
+	ln.Close()
+	nd, err := NewNode(cfg, 0, []string{"http://node0.invalid", refused}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+	req := protocol.CreateObjRequest{From: 0, To: 1, Method: protocol.Replicate, Object: 1, UnitLoad: 1, SrcAff: 1}
+	if status, _, _ := nd.sendCreateObj(time.Second, req, 0); status != protocol.CreateLost {
+		t.Fatalf("handshake to a refusing peer: status %d, want CreateLost", status)
+	}
+	if attempts, retries, lost := nd.client.Stats(); attempts != 2 || retries != 1 || lost != 1 {
+		t.Fatalf("%d attempts, %d retries, %d lost; want 2, 1, 1 (Sim.Ctrl.Retries = 1)", attempts, retries, lost)
 	}
 }
 

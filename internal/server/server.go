@@ -16,22 +16,20 @@ import (
 type Config struct {
 	// CapacityRPS is the service rate in requests/sec (Table 1: 200).
 	CapacityRPS float64
-	// MeasurementInterval is the load averaging window (paper: 20 s).
-	MeasurementInterval time.Duration
 }
+
+// MeasurementInterval is the load averaging window (§2.1: 20 s).
+const MeasurementInterval = 20 * time.Second
 
 // DefaultConfig returns Table 1 server parameters.
 func DefaultConfig() Config {
-	return Config{CapacityRPS: 200, MeasurementInterval: 20 * time.Second}
+	return Config{CapacityRPS: 200}
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.CapacityRPS <= 0 {
 		return fmt.Errorf("server: capacity %v must be positive", c.CapacityRPS)
-	}
-	if c.MeasurementInterval <= 0 {
-		return fmt.Errorf("server: measurement interval %v must be positive", c.MeasurementInterval)
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 
 func newServer(t *testing.T, capacity float64) *Server {
 	t.Helper()
-	s, err := New(Config{CapacityRPS: capacity, MeasurementInterval: 20 * time.Second})
+	s, err := New(Config{CapacityRPS: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,8 @@ func TestTotalServed(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{CapacityRPS: 0, MeasurementInterval: time.Second}); err == nil {
+	if _, err := New(Config{CapacityRPS: 0}); err == nil {
 		t.Error("zero capacity accepted")
-	}
-	if _, err := New(Config{CapacityRPS: 1, MeasurementInterval: 0}); err == nil {
-		t.Error("zero interval accepted")
 	}
 }
 
@@ -152,8 +149,8 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.CapacityRPS != 200 {
 		t.Errorf("capacity = %v, want 200 req/s", cfg.CapacityRPS)
 	}
-	if cfg.MeasurementInterval != 20*time.Second {
-		t.Errorf("measurement interval = %v, want 20s", cfg.MeasurementInterval)
+	if MeasurementInterval != 20*time.Second {
+		t.Errorf("measurement interval = %v, want 20s", MeasurementInterval)
 	}
 	s, err := New(cfg)
 	if err != nil {

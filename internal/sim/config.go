@@ -35,7 +35,7 @@ type Config struct {
 	Universe object.Universe
 	// Protocol carries the placement/distribution parameters.
 	Protocol protocol.Params
-	// Server carries capacity and measurement interval.
+	// Server carries the service capacity.
 	Server server.Config
 	// Net carries hop delay, bandwidth and the contention switch.
 	Net simnet.Config
@@ -75,14 +75,6 @@ type Config struct {
 	// TrackedHost is the node whose load estimates are sampled for the
 	// Figure 8b trace.
 	TrackedHost topology.NodeID
-	// ControlMsgBytes sizes a control message (CreateObj handshake legs,
-	// redirector notifications), charged as protocol overhead.
-	ControlMsgBytes int64
-	// ClientTimeout models clients abandoning slow requests: a request
-	// that would wait longer than this in a server queue is dropped
-	// ("servers normally drop messages or clients timeout before queues
-	// build up", §6.1). Zero disables timeouts (unbounded backlog).
-	ClientTimeout time.Duration
 	// Consistency is the §5 category mix: each object draws its category
 	// from the seed, and category-3 objects migrate but never replicate.
 	// The zero value is the all-static population, which gates nothing.
@@ -100,10 +92,10 @@ type Config struct {
 	// subsystem; non-default stacks charge per-read storage costs into
 	// the FCFS servers and surface per-layer counters in Results.
 	Store store.Spec
-	// Ctrl tunes the unreliable control plane's RPC retry behavior and
-	// reconciliation cadence. Only consulted when Faults carries message-
-	// fault terms (drop/dup/cdelay); the zero value selects the documented
-	// ctrlplane defaults.
+	// Ctrl tunes control RPCs' timeout, retries and backoff: the
+	// simulator's lossy plane, armed only when Faults carries message-
+	// fault terms (drop/dup/cdelay), and every live node's RPC client.
+	// The zero value selects the documented ctrlplane defaults.
 	Ctrl ctrlplane.Params
 	// Shards selects the sharded event engine: the node set is partitioned
 	// into this many shards (along region boundaries) and request
@@ -144,6 +136,14 @@ type Config struct {
 	}
 }
 
+// Fixed parts of the §6.1 model: the size of every control message
+// (handshake leg, notification, reconciliation digest), charged as protocol
+// overhead, and the queueing delay past which a client abandons a request.
+const (
+	controlMsgBytes = 200
+	clientTimeout   = 60 * time.Second
+)
+
 // DefaultConfig returns the Table 1 configuration (low-load watermarks)
 // with the given workload and seed. Topo defaults to the UUNET backbone
 // at build time in New.
@@ -162,8 +162,6 @@ func DefaultConfig(gen workload.Generator, seed int64) Config {
 		Duration:          40 * time.Minute,
 		MetricsBucket:     time.Minute,
 		TrackedHost:       0,
-		ControlMsgBytes:   200,
-		ClientTimeout:     60 * time.Second,
 		Workload:          gen,
 	}
 }
@@ -270,14 +268,8 @@ func (c *Config) Validate() error {
 	if c.MetricsBucket <= 0 {
 		return fmt.Errorf("sim: metrics bucket %v must be positive", c.MetricsBucket)
 	}
-	if c.ControlMsgBytes < 0 {
-		return fmt.Errorf("sim: control message size %v must be non-negative", c.ControlMsgBytes)
-	}
 	if err := c.Ctrl.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
-	}
-	if c.ClientTimeout < 0 {
-		return fmt.Errorf("sim: client timeout %v must be non-negative", c.ClientTimeout)
 	}
 	if c.Shards < -1 {
 		return fmt.Errorf("sim: shard count %d must be -1 (auto), 0/1 (serial) or >= 2", c.Shards)

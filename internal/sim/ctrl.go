@@ -60,18 +60,9 @@ func (s *Simulation) armCtrlPlane() error {
 }
 
 // ctrlTransport delivers one control-message leg for the plane: charged
-// over the routing path, stranded at the first severed link. A zero
-// ControlMsgBytes charges nothing (matching the reliable path's "free
-// control traffic" configuration) but still accrues propagation delay.
+// over the routing path, stranded at the first severed link.
 func (s *Simulation) ctrlTransport(now time.Duration, from, to topology.NodeID) (time.Duration, bool) {
-	path := s.routes.Path(from, to)
-	if s.cfg.ControlMsgBytes == 0 {
-		if !s.net.PathUp(path) {
-			return now, false
-		}
-		return s.net.ControlLatency(now, len(path)-1), true
-	}
-	return s.net.ControlMessageTo(now, path, s.cfg.ControlMsgBytes)
+	return s.net.ControlMessageTo(now, s.routes.Path(from, to), controlMsgBytes)
 }
 
 // ctrlNow is the departure time for a control message sent right now:
@@ -134,12 +125,13 @@ func (l *lossyRedirector) RequestDrop(id object.ID, host topology.NodeID) bool {
 	return ok && approved
 }
 
-// scheduleReconcile arms the periodic anti-entropy pass.
+// scheduleReconcile arms the anti-entropy pass, once per placement
+// interval.
 func (s *Simulation) scheduleReconcile() error {
 	if s.ctrl == nil {
 		return nil
 	}
-	interval := s.ctrl.plane.Params().ReconcileInterval
+	interval := s.cfg.PlacementInterval
 	if err := s.every(interval, interval, s.reconcile); err != nil {
 		return fmt.Errorf("sim: scheduling reconciliation: %w", err)
 	}
@@ -162,18 +154,16 @@ func (s *Simulation) reconcile(now time.Duration) {
 	// Digest round trips: one request/summary pair per live host per
 	// redirector, charged reliably (reconciliation rides TCP, not the
 	// lossy datagram legs).
-	if s.cfg.ControlMsgBytes > 0 {
-		for i := range machines {
-			if s.down[i] {
-				continue
-			}
-			h := topology.NodeID(i)
-			for _, red := range redirectors {
-				d := int64(s.routes.Distance(h, red.Location))
-				s.net.ControlMessage(now, s.routes.Path(h, red.Location), s.cfg.ControlMsgBytes)
-				s.net.ControlMessage(now, s.routes.Path(red.Location, h), s.cfg.ControlMsgBytes)
-				c.reconcileByteHops += 2 * s.cfg.ControlMsgBytes * d
-			}
+	for i := range machines {
+		if s.down[i] {
+			continue
+		}
+		h := topology.NodeID(i)
+		for _, red := range redirectors {
+			d := int64(s.routes.Distance(h, red.Location))
+			s.net.ControlMessage(now, s.routes.Path(h, red.Location), controlMsgBytes)
+			s.net.ControlMessage(now, s.routes.Path(red.Location, h), controlMsgBytes)
+			c.reconcileByteHops += 2 * controlMsgBytes * d
 		}
 	}
 	// Host -> redirector direction: heal orphans and stale affinities.

@@ -83,7 +83,7 @@ func TestPropertyCtrlInvariantAtReconcileBoundaries(t *testing.T) {
 		// Probes fire one nanosecond after each reconcile tick; the tick and
 		// same-timestamp placement runs execute first (scheduled earlier), so
 		// the probe observes the post-reconciliation state.
-		interval := s.ctrl.plane.Params().ReconcileInterval
+		interval := cfg.PlacementInterval
 		var probeErr error
 		probes := 0
 		for at := interval + time.Nanosecond; at <= cfg.Duration; at += interval {

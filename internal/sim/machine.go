@@ -22,8 +22,6 @@ type Machine struct {
 	Server *server.Server
 	Store  *store.Stack
 	Host   *protocol.Host
-
-	clientTimeout time.Duration
 }
 
 // NewMachine builds node id's machine from cfg. env carries what differs
@@ -49,7 +47,7 @@ func NewMachine(cfg *Config, id topology.NodeID, env protocol.Env) (*Machine, er
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{Server: srv, Store: st, Host: h, clientTimeout: cfg.ClientTimeout}, nil
+	return &Machine{Server: srv, Store: st, Host: h}, nil
 }
 
 // Admit offers a request arriving at now to the FCFS queue and returns its
@@ -58,7 +56,7 @@ func NewMachine(cfg *Config, id topology.NodeID, env protocol.Env) (*Machine, er
 // admission, so the stack's state (cache residency) advances in arrival
 // order — a deterministic sequence.
 func (m *Machine) Admit(now time.Duration, id object.ID) (time.Duration, Outcome) {
-	if t := m.clientTimeout; t > 0 && m.Server.QueueDelay(now) > t {
+	if m.Server.QueueDelay(now) > clientTimeout {
 		return 0, Refused
 	}
 	return m.Server.Enqueue(now, m.Store.ServeCost(id)), OK

@@ -62,7 +62,7 @@ type Results struct {
 	TotalServed    int64
 	MaxQueueLen    int
 	DroppedChoices int64
-	// TimedOutRequests counts requests abandoned due to ClientTimeout.
+	// TimedOutRequests counts requests abandoned by the client timeout.
 	TimedOutRequests int64
 	// UpdatesInjected / UpdatesPropagated are always zero: provider-update
 	// injection is gone. The fields stay because the frozen ledger's

@@ -166,21 +166,15 @@ func (s *Simulation) redirectorIndex(id object.ID) int {
 
 // chargeHandshake charges a request/response control message pair.
 func (s *Simulation) chargeHandshake(now time.Duration, from, to topology.NodeID) {
-	if s.cfg.ControlMsgBytes == 0 {
-		return
-	}
-	s.net.ControlMessage(now, s.routes.Path(from, to), s.cfg.ControlMsgBytes)
-	s.net.ControlMessage(now, s.routes.Path(to, from), s.cfg.ControlMsgBytes)
+	s.net.ControlMessage(now, s.routes.Path(from, to), controlMsgBytes)
+	s.net.ControlMessage(now, s.routes.Path(to, from), controlMsgBytes)
 }
 
 // chargeNotify charges a one-way notification from a host to the object's
 // redirector.
 func (s *Simulation) chargeNotify(now time.Duration, from topology.NodeID, id object.ID) {
-	if s.cfg.ControlMsgBytes == 0 {
-		return
-	}
 	loc := s.redLocs[s.redirectorIndex(id)]
-	s.net.ControlMessage(now, s.routes.Path(from, loc), s.cfg.ControlMsgBytes)
+	s.net.ControlMessage(now, s.routes.Path(from, loc), controlMsgBytes)
 }
 
 // chargingObserver is the loop's Accounting: it forwards protocol events
@@ -471,7 +465,7 @@ func (s *Simulation) every(first, interval time.Duration, tick func(now time.Dur
 // Figure 8a/8b series. A tracked host that does not answer samples as
 // zero.
 func (s *Simulation) scheduleMeasurement() error {
-	interval := s.cfg.Server.MeasurementInterval
+	interval := server.MeasurementInterval
 	return s.every(interval, interval, func(now time.Duration) {
 		var maxLoad, actual, lower, upper float64
 		for i := range s.down {

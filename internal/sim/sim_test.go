@@ -398,8 +398,6 @@ func TestConfigValidation(t *testing.T) {
 		{"no redirectors", func(c *Config) { c.NumRedirectors = 0 }},
 		{"bad duration", func(c *Config) { c.Duration = 0 }},
 		{"bad bucket", func(c *Config) { c.MetricsBucket = 0 }},
-		{"negative control bytes", func(c *Config) { c.ControlMsgBytes = -1 }},
-		{"negative timeout", func(c *Config) { c.ClientTimeout = -time.Second }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

@@ -39,7 +39,7 @@ func TestVicinityOverloadClosestVsPaper(t *testing.T) {
 		cfg.Topo = topo
 		cfg.Universe = u
 		cfg.Policy = policy
-		cfg.Server = server.Config{CapacityRPS: 50, MeasurementInterval: 20 * time.Second}
+		cfg.Server = server.Config{CapacityRPS: 50}
 		cfg.Protocol.HighWatermark = 45
 		cfg.Protocol.LowWatermark = 35
 		// Gateway 0 fires 100 req/s at its own node's objects, twice the

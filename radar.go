@@ -180,12 +180,13 @@ type Faults struct {
 	ReplicaFloor int
 }
 
-// Ctrl groups the unreliable-control-plane knobs (Config.Ctrl).
+// Ctrl groups the control-RPC knobs (Config.Ctrl).
 type Ctrl struct {
-	// CtrlRetries overrides the unreliable control plane's RPC retry
-	// budget (attempts = 1 + retries); CtrlTimeout overrides its
-	// per-attempt timeout. Both only matter when FaultSchedule carries
-	// message-fault clauses (drop/dup/cdelay); zero keeps the defaults
+	// CtrlRetries overrides the control RPCs' retry budget (attempts =
+	// 1 + retries); CtrlTimeout overrides their per-attempt timeout. In
+	// the simulator they tune the unreliable control plane, which only
+	// FaultSchedule's message-fault clauses (drop/dup/cdelay) arm; in
+	// live mode they set every node's RPC client. Zero keeps the defaults
 	// (3 retries, 1s).
 	CtrlRetries int
 	CtrlTimeout time.Duration
