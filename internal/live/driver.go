@@ -63,8 +63,8 @@ func NewDriver(cfg Config, urls []string) (*Driver, error) {
 			},
 		},
 	}
-	loop, err := sim.NewOver(cfg.Sim, func(acct sim.Accounting) (sim.Fleet, error) {
-		f.acct = acct
+	loop, err := sim.NewOver(cfg.Sim, func(record protocol.Recorder) (sim.Fleet, error) {
+		f.record = record
 		return f, nil
 	})
 	if err != nil {
@@ -115,7 +115,7 @@ type httpFleet struct {
 	urls    []string
 	redLocs []topology.NodeID
 	client  *http.Client
-	acct    sim.Accounting
+	record  protocol.Recorder
 	// down lists the nodes the loop has marked down. They are never
 	// dialed again: a live node's redirector dies with it, so calls to
 	// one answer Lost without a connection attempt.
@@ -257,18 +257,16 @@ func (f *httpFleet) Stats(r *sim.Results) {
 	}
 }
 
-// report replays a placement pass's events into the loop's accounting and
-// keeps the decisions; a copy has no decision and is charged as a
-// transfer. The list is complete and in causal order, and the pass is one
-// loop event, so every charge is issued in the in-memory fleet's order at
-// the in-memory fleet's instant: link busy-until state (Net.Contention)
-// evolves as it does in the simulation.
+// report hands a placement pass's events, copies included, to the loop's
+// recorder and keeps the decisions. The list is complete and in causal
+// order, and the pass is one loop event, so every charge is issued in the
+// in-memory fleet's order at the in-memory fleet's instant: link
+// busy-until state (Net.Contention) evolves as it does in the simulation.
 func (f *httpFleet) report(evs []Event) {
 	for _, e := range evs {
-		if e.Replay(f.acct) {
+		f.record(e)
+		if e.Kind != EventCopy {
 			f.decisions = append(f.decisions, e)
-		} else {
-			f.acct.CopyObject(time.Duration(e.At), topology.NodeID(e.From), topology.NodeID(e.To), object.ID(e.Object))
 		}
 	}
 }

@@ -181,7 +181,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		CopyObject:    nd.copyObject,
 		CanReplicate:  consistency.Gate(simCfg.Universe, simCfg.Consistency, simCfg.Seed),
 		SendCreateObj: nd.sendCreateObj,
-		Observer:      protocol.Recorder(nd.event),
+		Observer:      nd.event,
 	})
 	if err != nil {
 		return nil, err

@@ -33,14 +33,14 @@ func TestCollectorMergeFrom(t *testing.T) {
 			c.RecordTransfer(time.Second, simnet.Payload, 1000, 3)
 			c.RecordLatency(2*time.Second, 150*time.Millisecond)
 			c.RecordFailedRequest(3 * time.Second)
-			c.OnMigrate(0, object.ID(1), 0, 1, protocol.GeoMove)
+			protocol.Recorder(c.Count).OnMigrate(0, object.ID(1), 0, 1, protocol.GeoMove)
 			c.RecordOutageWindow(time.Second, 3*time.Second)
 		} else {
 			c.RecordTransfer(4*time.Second, simnet.Overhead, 500, 2)
 			c.RecordLatency(4*time.Second, 50*time.Millisecond)
 			c.RecordLatency(5*time.Second, 75*time.Millisecond)
-			c.OnReplicate(0, object.ID(2), 1, 2, protocol.LoadMove)
-			c.OnDrop(0, object.ID(2), 1)
+			protocol.Recorder(c.Count).OnReplicate(0, object.ID(2), 1, 2, protocol.LoadMove)
+			protocol.Recorder(c.Count).OnDrop(0, object.ID(2), 1)
 			c.RecordBelowFloor(5*time.Second, 2, 4.5)
 		}
 	}

@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"time"
 
-	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/simnet"
-	"radar/internal/topology"
 )
 
 // Point is one sample of a time series.
@@ -54,7 +52,7 @@ type HostLoadSample struct {
 }
 
 // Collector accumulates run statistics. It implements simnet.Recorder and
-// protocol.Observer. The zero value is not usable; call New.
+// counts protocol.Events. The zero value is not usable; call New.
 //
 // Bucketed series live in parallel slices (histograms stored by value in
 // one contiguous block); Reserve preallocates them for a known horizon so
@@ -197,40 +195,32 @@ func (c *Collector) RecordReplicaCensus(now time.Duration, avg float64) {
 	c.replicas = append(c.replicas, Point{T: now, V: avg})
 }
 
-// OnMigrate implements protocol.Observer.
-func (c *Collector) OnMigrate(_ time.Duration, _ object.ID, _, _ topology.NodeID, kind protocol.MoveKind) {
-	if kind == protocol.GeoMove {
-		c.counters.GeoMigrations++
-	} else {
-		c.counters.LoadMigrations++
+// Count adds one placement decision to the protocol counters; a copy is
+// not a decision and counts nothing.
+func (c *Collector) Count(e protocol.Event) {
+	switch e.Kind {
+	case protocol.EventMigrate:
+		if e.Move == protocol.GeoMove.String() {
+			c.counters.GeoMigrations++
+		} else {
+			c.counters.LoadMigrations++
+		}
+	case protocol.EventReplicate:
+		switch e.Move {
+		case protocol.GeoMove.String():
+			c.counters.GeoReplications++
+		case protocol.RepairMove.String():
+			c.counters.RepairReplications++
+		default:
+			c.counters.LoadReplications++
+		}
+	case protocol.EventDrop:
+		c.counters.Drops++
+	case protocol.EventRefuse:
+		c.counters.Refusals++
+	case protocol.EventDefer:
+		c.counters.DeferredMoves++
 	}
-}
-
-// OnReplicate implements protocol.Observer.
-func (c *Collector) OnReplicate(_ time.Duration, _ object.ID, _, _ topology.NodeID, kind protocol.MoveKind) {
-	switch kind {
-	case protocol.GeoMove:
-		c.counters.GeoReplications++
-	case protocol.RepairMove:
-		c.counters.RepairReplications++
-	default:
-		c.counters.LoadReplications++
-	}
-}
-
-// OnDrop implements protocol.Observer.
-func (c *Collector) OnDrop(_ time.Duration, _ object.ID, _ topology.NodeID) {
-	c.counters.Drops++
-}
-
-// OnRefuse implements protocol.Observer.
-func (c *Collector) OnRefuse(_ time.Duration, _ object.ID, _, _ topology.NodeID, _ protocol.Method) {
-	c.counters.Refusals++
-}
-
-// OnDefer implements protocol.Observer.
-func (c *Collector) OnDefer(_ time.Duration, _ object.ID, _, _ topology.NodeID, _ protocol.Method) {
-	c.counters.DeferredMoves++
 }
 
 // Counters returns the accumulated protocol counters.

@@ -75,15 +75,20 @@ func TestLatencySeries(t *testing.T) {
 
 func TestObserverCounters(t *testing.T) {
 	c := newCollector(t)
-	c.OnMigrate(0, 1, 0, 1, protocol.GeoMove)
-	c.OnMigrate(0, 1, 0, 1, protocol.LoadMove)
-	c.OnReplicate(0, 1, 0, 1, protocol.GeoMove)
-	c.OnReplicate(0, 1, 0, 1, protocol.LoadMove)
-	c.OnReplicate(0, 1, 0, 1, protocol.LoadMove)
-	c.OnDrop(0, 1, 0)
-	c.OnRefuse(0, 1, 0, 1, protocol.Migrate)
+	r := protocol.Recorder(c.Count)
+	r.OnMigrate(0, 1, 0, 1, protocol.GeoMove)
+	r.OnMigrate(0, 1, 0, 1, protocol.LoadMove)
+	r.OnReplicate(0, 1, 0, 1, protocol.GeoMove)
+	r.OnReplicate(0, 1, 0, 1, protocol.LoadMove)
+	r.OnReplicate(0, 1, 0, 1, protocol.LoadMove)
+	r.OnReplicate(0, 1, 0, 1, protocol.RepairMove)
+	r.OnDrop(0, 1, 0)
+	r.OnRefuse(0, 1, 0, 1, protocol.Migrate)
+	r.OnDefer(0, 1, 0, 1, protocol.Replicate)
+	c.Count(protocol.Event{Kind: protocol.EventCopy, Object: 1, To: 1}) // not a decision
 	got := c.Counters()
-	want := Counters{GeoMigrations: 1, LoadMigrations: 1, GeoReplications: 1, LoadReplications: 2, Drops: 1, Refusals: 1}
+	want := Counters{GeoMigrations: 1, LoadMigrations: 1, GeoReplications: 1, LoadReplications: 2,
+		RepairReplications: 1, Drops: 1, Refusals: 1, DeferredMoves: 1}
 	if got != want {
 		t.Fatalf("counters = %+v, want %+v", got, want)
 	}

@@ -98,8 +98,9 @@ type Env struct {
 	// admission check (§2.1 storage capacity). Serve costs are charged by
 	// the simulator's request path, not here.
 	Store *store.Stack
-	// Observer receives placement events.
-	Observer Observer
+	// Observer receives every placement decision this host makes, one
+	// Event each, in the order the host makes them.
+	Observer Recorder
 }
 
 func (e *Env) validate() error {
@@ -353,8 +354,8 @@ func (h *Host) OnRecover(now time.Duration) {
 // than MIGR_RATIO of preference paths), or geo-replicating (unit access
 // count above m and a candidate above REPL_RATIO); finally, if the host is
 // offloading and the geo pass moved nothing, run the offloading protocol.
-// Access counts are reset at the end of the run. The decisions reach the
-// Observer; HostStats counts them.
+// Access counts are reset at the end of the run. The decisions reach
+// Env.Observer; HostStats counts them.
 func (h *Host) DecidePlacement(now time.Duration) {
 	h.settle()
 	clear(h.board) // load reports are exchanged anew every pass
@@ -466,21 +467,35 @@ func (h *Host) perform(now time.Duration, mv move, st *ObjectState) (CreateObjSt
 	status, tok, doneAt := h.createObj(now, mv.to, mv.method, mv.id, objLoad/float64(st.Aff), st.Aff, mv.token)
 	switch status {
 	case CreateAccepted:
+		kind := EventReplicate
 		if mv.method == Migrate {
 			h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(objLoad, st.Aff))
 			h.reduceAffinity(doneAt, mv.id, st)
-			h.Stats.count(mv)
-			h.env.Observer.OnMigrate(doneAt, mv.id, h.ID, mv.to, mv.kind)
+			kind = EventMigrate
 		} else {
 			h.est.OnShed(doneAt, h.loads.Load(), ReplicationSourceMaxDecrease(objLoad))
-			h.Stats.count(mv)
-			h.env.Observer.OnReplicate(doneAt, mv.id, h.ID, mv.to, mv.kind)
 		}
+		h.Stats.count(mv)
+		h.record(doneAt, kind, mv)
 	case CreateRefused:
 		h.Stats.RefusalsGot++
-		h.env.Observer.OnRefuse(now, mv.id, h.ID, mv.to, mv.method)
+		h.record(now, EventRefuse, mv)
 	}
 	return status, tok
+}
+
+// record hands Env.Observer the Event of one decision this host made at
+// at about mv: an accepted move names its MoveKind, a refusal or a deferral
+// its method, and a drop (mv carrying only the object) no target.
+func (h *Host) record(at time.Duration, kind string, mv move) {
+	e := Event{At: int64(at), Kind: kind, Object: int64(mv.id), From: int(h.ID), To: int(mv.to)}
+	switch kind {
+	case EventMigrate, EventReplicate:
+		e.Move = mv.kind.String()
+	case EventRefuse, EventDefer:
+		e.Method = mv.method.String()
+	}
+	h.env.Observer(e)
 }
 
 // count adds one accepted move to the counter its method and kind select.
@@ -510,7 +525,7 @@ func (h *Host) deferMove(now time.Duration, st *ObjectState, mv move) {
 // noteDeferred counts and observes one deferral of mv.
 func (h *Host) noteDeferred(now time.Duration, mv move) {
 	h.Stats.DeferredMoves++
-	h.env.Observer.OnDefer(now, mv.id, h.ID, mv.to, mv.method)
+	h.record(now, EventDefer, mv)
 }
 
 // retryDeferred re-issues placement moves whose CreateObj was lost in an
@@ -642,7 +657,7 @@ func (h *Host) reduceAffinity(now time.Duration, id object.ID, st *ObjectState) 
 		h.objs.remove(id)
 		h.env.Store.Drop(id)
 		h.Stats.Drops++
-		h.env.Observer.OnDrop(now, id, h.ID)
+		h.record(now, EventDrop, move{id: id})
 		return affDropped
 	}
 	return affUnchanged

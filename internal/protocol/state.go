@@ -163,9 +163,11 @@ func (k MoveKind) String() string {
 	}
 }
 
-// Observer receives placement protocol events; the simulator's metrics
-// collector implements it. All methods must be cheap and must not call
-// back into the protocol.
+// Observer is the callback form of an Event, one method per decision
+// kind: Event.Replay makes the call. It is the contract of
+// sim.Config.ExtraObserver; hosts hand their decisions out as Events
+// (Env.Observer). All methods must be cheap and must not call back into
+// the protocol.
 type Observer interface {
 	// OnMigrate fires when one affinity unit of id moved from -> to.
 	OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind)
@@ -190,16 +192,17 @@ const (
 	EventRefuse    = "refuse"
 	EventDefer     = "defer"
 	// EventCopy records an accepted CreateObj that materialized a new
-	// replica: the object's bytes traveled From -> To. No Observer callback
-	// makes it; a live node records it where the verdict lands, and the
-	// replaying side charges it like the simulator's Env.CopyObject.
+	// replica: the object's bytes traveled From -> To. No host decision
+	// makes it and no Observer method replays it; a live node records it
+	// where the verdict lands, and the run loop charges it like the
+	// simulator's Env.CopyObject.
 	EventCopy = "copy"
 )
 
 // Event is one placement decision as a value, and the only record of one:
-// a Recorder makes it from an Observer callback, a live placement pass
-// replies with a list of them, the JSONL trace writes one per line, and
-// Replay turns it back into the callback. Events compare with ==.
+// a host hands it to its Env.Observer, a live placement pass replies with
+// a list of them, the JSONL trace writes one per line, and Replay turns it
+// into the Observer call. Events compare with ==.
 type Event struct {
 	// At is the virtual time in nanoseconds.
 	At     int64  `json:"at"`
@@ -240,9 +243,8 @@ func (e Event) Validate() error {
 	return err
 }
 
-// Replay makes the Observer callback a valid e records, and reports false
-// for a copy, which has none: the caller charges it.
-func (e Event) Replay(o Observer) bool {
+// Replay makes the Observer call a valid e records; a copy has none.
+func (e Event) Replay(o Observer) {
 	at, id := time.Duration(e.At), object.ID(e.Object)
 	from, to := topology.NodeID(e.From), topology.NodeID(e.To)
 	kind, _ := ParseMoveKind(e.Move)
@@ -258,13 +260,11 @@ func (e Event) Replay(o Observer) bool {
 		o.OnRefuse(at, id, from, to, method)
 	case EventDefer:
 		o.OnDefer(at, id, from, to, method)
-	default:
-		return false
 	}
-	return true
 }
 
-// Recorder is the Observer that records every callback as an Event.
+// Recorder receives Events: a host's Env.Observer is one. Its methods make
+// it the Observer that records every callback as an Event.
 type Recorder func(Event)
 
 func (r Recorder) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind MoveKind) {

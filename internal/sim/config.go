@@ -20,6 +20,7 @@ import (
 	"radar/internal/server"
 	"radar/internal/simnet"
 	"radar/internal/store"
+	"radar/internal/substrate"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
@@ -293,25 +294,31 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	if c.Topo != nil {
-		if err := c.Faults.Validate(c.Topo.NumNodes()); err != nil {
-			return err
-		}
-		for i, reps := range c.InitialPlacement {
-			for _, n := range reps {
-				if n < 0 || int(n) >= c.Topo.NumNodes() {
-					return fmt.Errorf("sim: object %d's initial placement names node %d, outside the %d-node topology", i, n, c.Topo.NumNodes())
-				}
+	if c.WorkloadSwitch.At < 0 {
+		return fmt.Errorf("sim: workload switch at negative time %v", c.WorkloadSwitch.At)
+	}
+	topo := c.Topo
+	if topo == nil {
+		topo = substrate.UUNET().Topo
+	}
+	n := topo.NumNodes()
+	if err := c.Faults.Validate(n); err != nil {
+		return err
+	}
+	for i, reps := range c.InitialPlacement {
+		for _, h := range reps {
+			if h < 0 || int(h) >= n {
+				return fmt.Errorf("sim: object %d's initial placement names node %d, outside the %d-node topology", i, h, n)
 			}
 		}
-		if c.HostWeights != nil {
-			if len(c.HostWeights) != c.Topo.NumNodes() {
-				return fmt.Errorf("sim: %d host weights for %d nodes", len(c.HostWeights), c.Topo.NumNodes())
-			}
-			for i, w := range c.HostWeights {
-				if w <= 0 {
-					return fmt.Errorf("sim: host %d weight %v must be positive", i, w)
-				}
+	}
+	if c.HostWeights != nil {
+		if len(c.HostWeights) != n {
+			return fmt.Errorf("sim: %d host weights for %d nodes", len(c.HostWeights), n)
+		}
+		for i, w := range c.HostWeights {
+			if w <= 0 {
+				return fmt.Errorf("sim: host %d weight %v must be positive", i, w)
 			}
 		}
 	}

@@ -41,7 +41,7 @@ type Fleet interface {
 	// measured load between the protocol's lower and upper estimates.
 	Measure(now time.Duration, h topology.NodeID) (actual, lower, upper float64, ok bool)
 	// Place runs h's placement pass (Fig. 3 and Fig. 5) at now; its
-	// decisions reach the loop through the fleet's Accounting.
+	// decisions reach the loop's recorder.
 	Place(now time.Duration, h topology.NodeID) (ok bool)
 	// Census counts the replicas redirector red records for its objects,
 	// and how many of those objects sit below the replica floor.
@@ -50,9 +50,9 @@ type Fleet interface {
 	// calls it once per crash.
 	MarkDown(now time.Duration, h topology.NodeID)
 	// Stats closes the run: the fleet reports any activity it still holds
-	// to its Accounting and fills the fleet-side fields of r (HostStats,
-	// TotalServed, MaxQueueLen, StoreLayers and, in memory, the invariant
-	// sweep).
+	// to the loop's recorder and fills the fleet-side fields of r
+	// (HostStats, TotalServed, MaxQueueLen, StoreLayers and, in memory, the
+	// invariant sweep).
 	Stats(r *Results)
 }
 
@@ -66,25 +66,15 @@ const (
 	Lost                   // the node did not answer, or answered garbage
 )
 
-// Accounting is the loop's side of the seam: a fleet reports protocol
-// activity to it, and the loop charges each decision's control messages
-// and each copy's bytes to the network model, counts them, and forwards
-// decisions to Config.ExtraObserver. In-memory hosts hold it as their
-// protocol.Env observer; an external fleet replays into it the events
-// each placement pass reports, before the loop moves on.
-type Accounting interface {
-	protocol.Observer
-	// CopyObject charges an object transfer from -> to as protocol overhead.
-	CopyObject(now time.Duration, from, to topology.NodeID, id object.ID)
-}
-
 // NewOver builds the run loop over an external fleet: connect receives the
-// loop's accounting and returns the fleet to drive. The schedule, the
-// request path and the Results assembly are New's, so a fleet that answers
-// like the in-memory one reproduces the simulation event for event. The
-// subsystems that live in the loop's in-memory state, not in a fleet's
-// nodes, are refused (Refusals).
-func NewOver(cfg Config, connect func(Accounting) (Fleet, error)) (*Simulation, error) {
+// loop's recorder, to which the fleet hands every Event its placement
+// passes report (copies included) before the loop moves on, and returns
+// the fleet to drive. The schedule, the request path and the Results
+// assembly are New's, so a fleet that answers like the in-memory one
+// reproduces the simulation event for event. The subsystems that live in
+// the loop's in-memory state, not in a fleet's nodes, are refused
+// (Refusals).
+func NewOver(cfg Config, connect func(protocol.Recorder) (Fleet, error)) (*Simulation, error) {
 	s, err := newLoop(cfg)
 	if err != nil {
 		return nil, err
@@ -92,7 +82,7 @@ func NewOver(cfg Config, connect func(Accounting) (Fleet, error)) (*Simulation, 
 	if r := MatchRefusal(s.cfg.Features() | ExternalFleet); r != nil {
 		return nil, fmt.Errorf("sim: %s", r.Reason)
 	}
-	if s.fleet, err = connect(&s.acct); err != nil {
+	if s.fleet, err = connect(s.record); err != nil {
 		return nil, err
 	}
 	if err := s.initLanes(); err != nil {

@@ -154,7 +154,7 @@ func TestLoopAccountsForLostNode(t *testing.T) {
 			cfg.MetricsBucket = 30 * time.Second
 			cfg.NumRedirectors = 2
 			f := newScriptedFleet(t, &cfg, &scriptedFleet{victim: tc.victim, failAt: failAt, failCall: tc.call})
-			s, err := NewOver(cfg, func(Accounting) (Fleet, error) { return f, nil })
+			s, err := NewOver(cfg, func(protocol.Recorder) (Fleet, error) { return f, nil })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func TestNewOverRefusesInMemoryOnlySubsystems(t *testing.T) {
 	}
 	cfg := testConfig(t, gen, time.Minute)
 	cfg.Shards = 4
-	_, err = NewOver(cfg, func(Accounting) (Fleet, error) {
+	_, err = NewOver(cfg, func(protocol.Recorder) (Fleet, error) {
 		t.Error("fleet connected despite the refusal")
 		return nil, nil
 	})

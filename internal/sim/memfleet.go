@@ -56,10 +56,10 @@ func newMemFleet(s *Simulation) (*memFleet, error) {
 			}
 			return f.machines[p].Host.LoadReport(now, id), true
 		},
-		CopyObject:    s.acct.CopyObject,
+		CopyObject:    s.copyObject,
 		CanReplicate:  consistency.Gate(s.cfg.Universe, s.cfg.Consistency, s.cfg.Seed),
 		SendCreateObj: f.sendCreateObj,
-		Observer:      &s.acct,
+		Observer:      s.record,
 	}
 	for i := range f.machines {
 		if f.machines[i], err = NewMachine(&s.cfg, topology.NodeID(i), env); err != nil {

@@ -110,6 +110,12 @@ func TestInitialPlacementApplied(t *testing.T) {
 	}
 }
 
+// TestExtraObserverReceivesEvents holds the two consumers of the one
+// event stream against each other, kind by kind: the JSONL trace, which
+// reaches ExtraObserver through Event.Replay, and Results.Counters, which
+// the collector counts from the same Events. The second run is shaped like
+// sim-churn (lossy control plane, crashes, floor 2, availability weight
+// 0.5), so deferrals and repairs flow too.
 func TestExtraObserverReceivesEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
@@ -118,25 +124,46 @@ func TestExtraObserverReceivesEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	w := trace.NewWriter(&buf)
-	cfg := testConfig(t, gen, 8*time.Minute)
-	cfg.ExtraObserver = w
-	res := mustRun(t, cfg)
-	if res.TotalMoves() == 0 {
-		t.Fatal("no placement activity")
-	}
-	events, err := trace.Read(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := trace.Summarize(events)
-	moves := int64(s.Migrations + s.Replications)
-	if moves != res.TotalMoves() {
-		t.Fatalf("trace recorded %d moves, metrics %d", moves, res.TotalMoves())
-	}
-	if int64(s.Refusals) != res.Counters.Refusals {
-		t.Fatalf("trace refusals %d, metrics %d", s.Refusals, res.Counters.Refusals)
+	churn := testConfig(t, gen, 4*time.Minute)
+	churnShaped(&churn)
+	for _, run := range []struct {
+		name string
+		cfg  Config
+	}{{"quiet", testConfig(t, gen, 8*time.Minute)}, {"churn", churn}} {
+		cfg := run.cfg
+		t.Run(run.name, func(t *testing.T) {
+			var buf strings.Builder
+			cfg.ExtraObserver = trace.NewWriter(&buf)
+			c := mustRun(t, cfg).Counters
+			events, err := trace.Read(strings.NewReader(buf.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := trace.Summarize(events)
+			for _, k := range []struct {
+				kind           string
+				trace, counted int64
+			}{
+				{"migrations", int64(s.Migrations), c.GeoMigrations + c.LoadMigrations},
+				{"replications", int64(s.Replications), c.GeoReplications + c.LoadReplications + c.RepairReplications},
+				{"drops", int64(s.Drops), c.Drops},
+				{"refusals", int64(s.Refusals), c.Refusals},
+				{"deferrals", int64(s.Deferrals), c.DeferredMoves},
+				{"geo moves", int64(s.GeoMoves), c.GeoMigrations + c.GeoReplications},
+				{"load moves", int64(s.LoadMoves), c.LoadMigrations + c.LoadReplications},
+				{"repair moves", int64(s.RepairMoves), c.RepairReplications},
+			} {
+				if k.trace != k.counted {
+					t.Errorf("trace recorded %d %s, metrics %d", k.trace, k.kind, k.counted)
+				}
+			}
+			if s.Migrations == 0 || s.Drops == 0 || s.Refusals == 0 {
+				t.Fatalf("too little placement activity: %+v", c)
+			}
+			if run.name == "churn" && (s.Deferrals == 0 || s.RepairMoves == 0) {
+				t.Fatalf("the churn run deferred %d and repaired %d moves", s.Deferrals, s.RepairMoves)
+			}
+		})
 	}
 }
 

@@ -39,7 +39,6 @@ type Simulation struct {
 	// the loop itself goes through fleet.
 	fleet Fleet
 	mem   *memFleet
-	acct  chargingObserver
 
 	redLocs  []topology.NodeID // redirector locations, in partition order
 	rngs     []*rand.Rand      // one request stream per gateway
@@ -135,7 +134,6 @@ func newLoop(cfg Config) (*Simulation, error) {
 		engine: simevent.New(),
 		gen:    cfg.Workload,
 	}
-	s.acct.s = s
 	col, err := metrics.New(cfg.MetricsBucket)
 	if err != nil {
 		return nil, err
@@ -177,71 +175,42 @@ func (s *Simulation) chargeNotify(now time.Duration, from topology.NodeID, id ob
 	s.net.ControlMessage(now, s.routes.Path(from, loc), controlMsgBytes)
 }
 
-// chargingObserver is the loop's Accounting: it forwards protocol events
-// to the metrics collector and charges the associated control traffic.
-// When the unreliable control plane is armed the handshake/notify charges
-// are skipped: the plane already charged every message leg (including
-// retries and duplicates) at its true send time, so charging here would
-// double-count.
-type chargingObserver struct {
-	s *Simulation
+// copyObject charges an inter-host object transfer as protocol overhead.
+func (s *Simulation) copyObject(now time.Duration, from, to topology.NodeID, _ object.ID) {
+	s.net.Transfer(now, s.routes.Path(from, to), int64(s.cfg.Universe.SizeBytes), simnet.Overhead)
 }
 
-// CopyObject charges an inter-host object transfer as protocol overhead.
-func (o *chargingObserver) CopyObject(now time.Duration, from, to topology.NodeID, _ object.ID) {
-	o.s.net.Transfer(now, o.s.routes.Path(from, to), int64(o.s.cfg.Universe.SizeBytes), simnet.Overhead)
-}
-
-func (o *chargingObserver) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	if o.s.ctrl == nil {
-		o.s.chargeHandshake(now, from, to)
-		o.s.chargeNotify(now, to, id)
+// record is the loop's side of the seam: every placement decision and copy
+// a fleet's hosts make reaches it as an Event, in order. A copy charges its
+// transfer. A decision charges its control messages, unless the unreliable
+// control plane is armed (it charged every leg, retries and duplicates
+// included, at its true send time), then a repair its byte-hops; it is
+// counted and handed to Config.ExtraObserver.
+func (s *Simulation) record(e protocol.Event) {
+	now, id := time.Duration(e.At), object.ID(e.Object)
+	from, to := topology.NodeID(e.From), topology.NodeID(e.To)
+	if e.Kind == protocol.EventCopy {
+		s.copyObject(now, from, to, id)
+		return
 	}
-	o.s.col.OnMigrate(now, id, from, to, kind)
-	if o.s.cfg.ExtraObserver != nil {
-		o.s.cfg.ExtraObserver.OnMigrate(now, id, from, to, kind)
+	if s.ctrl == nil {
+		switch e.Kind {
+		case protocol.EventMigrate, protocol.EventReplicate:
+			s.chargeHandshake(now, from, to)
+			s.chargeNotify(now, to, id)
+		case protocol.EventDrop:
+			s.chargeNotify(now, from, id)
+		case protocol.EventRefuse:
+			s.chargeHandshake(now, from, to)
+		}
 	}
-}
-
-func (o *chargingObserver) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	if o.s.ctrl == nil {
-		o.s.chargeHandshake(now, from, to)
-		o.s.chargeNotify(now, to, id)
-	}
-	if kind == protocol.RepairMove {
+	if e.Kind == protocol.EventReplicate && e.Move == protocol.RepairMove.String() {
 		// Re-replication traffic: the repair copy's bytes over its path.
-		o.s.repairByteHops += int64(o.s.cfg.Universe.SizeBytes) * int64(o.s.routes.Distance(from, to))
+		s.repairByteHops += int64(s.cfg.Universe.SizeBytes) * int64(s.routes.Distance(from, to))
 	}
-	o.s.col.OnReplicate(now, id, from, to, kind)
-	if o.s.cfg.ExtraObserver != nil {
-		o.s.cfg.ExtraObserver.OnReplicate(now, id, from, to, kind)
-	}
-}
-
-func (o *chargingObserver) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
-	if o.s.ctrl == nil {
-		o.s.chargeNotify(now, host, id)
-	}
-	o.s.col.OnDrop(now, id, host)
-	if o.s.cfg.ExtraObserver != nil {
-		o.s.cfg.ExtraObserver.OnDrop(now, id, host)
-	}
-}
-
-func (o *chargingObserver) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	if o.s.ctrl == nil {
-		o.s.chargeHandshake(now, from, to)
-	}
-	o.s.col.OnRefuse(now, id, from, to, method)
-	if o.s.cfg.ExtraObserver != nil {
-		o.s.cfg.ExtraObserver.OnRefuse(now, id, from, to, method)
-	}
-}
-
-func (o *chargingObserver) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	o.s.col.OnDefer(now, id, from, to, method)
-	if o.s.cfg.ExtraObserver != nil {
-		o.s.cfg.ExtraObserver.OnDefer(now, id, from, to, method)
+	s.col.Count(e)
+	if s.cfg.ExtraObserver != nil {
+		e.Replay(s.cfg.ExtraObserver)
 	}
 }
 

@@ -398,11 +398,23 @@ func TestConfigValidation(t *testing.T) {
 		{"no redirectors", func(c *Config) { c.NumRedirectors = 0 }},
 		{"bad duration", func(c *Config) { c.Duration = 0 }},
 		{"bad bucket", func(c *Config) { c.MetricsBucket = 0 }},
+		// A nil Topo means UUNET's 53 nodes, and Validate judges node IDs
+		// against them, not only New.
+		{"fault outside the nil topology", func(c *Config) {
+			c.Topo = nil
+			c.Faults.Events = []fault.Event{{Kind: fault.HostDown, At: time.Second, Node: 99}}
+		}},
+		{"switch before start", func(c *Config) {
+			c.WorkloadSwitch.To, c.WorkloadSwitch.At = c.Workload, -time.Second
+		}},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			cfg := testConfig(t, gen, time.Minute)
 			m.mutate(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted an invalid config")
+			}
 			if _, err := New(cfg); err == nil {
 				t.Fatal("invalid config accepted")
 			}

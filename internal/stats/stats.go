@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used to aggregate
-// multi-seed experiment runs: sample mean, standard deviation,
-// percentiles and normal-approximation confidence intervals. Single-seed
+// multi-seed experiment runs: sample mean, standard deviation and
+// normal-approximation confidence intervals. Single-seed
 // simulation results carry run-to-run noise; reporting mean ± interval
 // across seeds is what makes paper-vs-measured comparisons defensible.
 package stats
@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean; 0 for an empty sample.
@@ -36,59 +35,6 @@ func StdDev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Percentile returns the p-th percentile (0..100) using linear
-// interpolation between order statistics; it panics on no data or an out
-// of range p being impossible — instead it clamps p into [0,100] and
-// returns 0 for an empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Summary is a sample's headline statistics.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	P50    float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs), Mean: Mean(xs), StdDev: StdDev(xs), P50: Percentile(xs, 50)}
-	for i, x := range xs {
-		if i == 0 || x < s.Min {
-			s.Min = x
-		}
-		if i == 0 || x > s.Max {
-			s.Max = x
-		}
-	}
-	return s
 }
 
 // MeanErr returns the mean and its ~95% normal-approximation half-width
