@@ -9,12 +9,14 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
+	"radar/internal/object"
 	"radar/internal/topology"
 	"radar/internal/trace"
 )
@@ -43,65 +45,49 @@ func run() error {
 	}
 	s := trace.Summarize(events)
 	fmt.Printf("events: %d total\n", len(events))
-	fmt.Printf("  migrations:   %d\n", s.Migrations)
-	fmt.Printf("  replications: %d\n", s.Replications)
+	fmt.Printf("  migrations:   %d\n", s.GeoMigrations+s.LoadMigrations)
+	fmt.Printf("  replications: %d\n", s.GeoReplications+s.LoadReplications+s.RepairReplications)
 	fmt.Printf("  drops:        %d\n", s.Drops)
 	fmt.Printf("  refusals:     %d\n", s.Refusals)
-	fmt.Printf("  deferrals:    %d\n", s.Deferrals)
-	fmt.Printf("  geo moves:    %d\n", s.GeoMoves)
-	fmt.Printf("  load moves:   %d\n", s.LoadMoves)
-	fmt.Printf("  repair moves: %d\n", s.RepairMoves)
+	fmt.Printf("  deferrals:    %d\n", s.DeferredMoves)
+	fmt.Printf("  geo moves:    %d\n", s.GeoMigrations+s.GeoReplications)
+	fmt.Printf("  load moves:   %d\n", s.LoadMigrations+s.LoadReplications)
+	fmt.Printf("  repair moves: %d\n", s.RepairReplications)
 	if len(events) > 0 {
 		fmt.Printf("  time span:    %v .. %v\n", time.Duration(events[0].At), time.Duration(events[len(events)-1].At))
 	}
 
 	names := topology.UUNET()
 	fmt.Printf("\nbusiest hosts (by initiated events):\n")
-	type kv struct {
-		id topology.NodeID
-		n  int
-	}
-	var hosts []kv
-	for id, n := range s.ByHost {
-		hosts = append(hosts, kv{id, n})
-	}
-	sort.Slice(hosts, func(i, j int) bool {
-		if hosts[i].n != hosts[j].n {
-			return hosts[i].n > hosts[j].n
+	printTop(s.ByHost, *top, func(id topology.NodeID) string {
+		name := fmt.Sprintf("node %d", id)
+		if int(id) < names.NumNodes() {
+			name = names.Node(id).Name
 		}
-		return hosts[i].id < hosts[j].id
+		return fmt.Sprintf("%-16s", name)
 	})
-	for i, h := range hosts {
-		if i >= *top {
-			break
-		}
-		name := fmt.Sprintf("node %d", h.id)
-		if int(h.id) < names.NumNodes() {
-			name = names.Node(h.id).Name
-		}
-		fmt.Printf("  %-16s %d\n", name, h.n)
-	}
-
 	fmt.Printf("\nmost relocated objects:\n")
-	type ov struct {
-		id int
-		n  int
+	printTop(s.ByObject, *top, func(id object.ID) string { return fmt.Sprintf("object %-8d", id) })
+	return nil
+}
+
+// printTop lists the n largest counts, ties in ascending key order, each
+// after its key's label.
+func printTop[K cmp.Ordered](counts map[K]int, n int, label func(K) string) {
+	keys := make([]K, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
 	}
-	var objs []ov
-	for id, n := range s.ByObject {
-		objs = append(objs, ov{int(id), n})
-	}
-	sort.Slice(objs, func(i, j int) bool {
-		if objs[i].n != objs[j].n {
-			return objs[i].n > objs[j].n
+	slices.SortFunc(keys, func(a, b K) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
 		}
-		return objs[i].id < objs[j].id
+		return cmp.Compare(a, b)
 	})
-	for i, o := range objs {
-		if i >= *top {
+	for i, k := range keys {
+		if i >= n {
 			break
 		}
-		fmt.Printf("  object %-8d %d\n", o.id, o.n)
+		fmt.Printf("  %s %d\n", label(k), counts[k])
 	}
-	return nil
 }

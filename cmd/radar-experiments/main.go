@@ -15,7 +15,7 @@
 //	radar-experiments -only figures    # skip the ablations
 //	radar-experiments -csv out/        # also dump the series data
 //	radar-experiments -times           # include per-run wall-clock tables
-//	radar-experiments -corpus          # scenario corpus: legacy vs availability-aware vs oracle
+//	radar-experiments -only corpus     # scenario corpus: legacy vs availability-aware vs oracle
 //	radar-experiments -scenario correlated-rack-failures   # one corpus scenario
 package main
 
@@ -42,7 +42,6 @@ func run() error {
 		seed        = flag.Int64("seed", 1, "random seed")
 		quick       = flag.Bool("quick", false, "reduced scale (2000 objects, halved durations)")
 		only        = flag.String("only", "all", "what to run: all | figures | figure9 | ablations | multiseed | faults | ctrl | corpus")
-		corpus      = flag.Bool("corpus", false, "run the scenario corpus comparison (same as -only corpus)")
 		scenarioSel = flag.String("scenario", "", "run the corpus comparison for one named scenario (see internal/scenario)")
 		seeds       = flag.Int("seeds", 3, "number of seeds for -only multiseed")
 		csvDir      = flag.String("csv", "", "directory for per-figure series CSVs")
@@ -53,7 +52,7 @@ func run() error {
 	opts := experiments.Options{Seed: *seed, Quick: *quick, Parallelism: *parallelism}
 	start := time.Now()
 
-	if *corpus || *scenarioSel != "" || *only == "corpus" {
+	if *scenarioSel != "" || *only == "corpus" {
 		fmt.Println("== Scenario corpus ==")
 		var scens []scenario.Scenario
 		if *scenarioSel != "" {

@@ -17,12 +17,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"radar"
 	"radar/internal/profiling"
+	"radar/internal/report"
 )
 
 func main() {
@@ -142,36 +144,34 @@ func runMany(cfg radar.Config, n, parallelism int) error {
 	return nil
 }
 
+// writeCSVs writes bandwidth, latency, overhead and max load one file
+// each, in the format of radar-experiments' figure CSVs but on a time axis
+// in seconds, and the tracked host's trace in fig8b_hostload.csv's format.
 func writeCSVs(dir string, res *radar.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	series := map[string][]radar.Point{
-		"bandwidth.csv": res.Bandwidth,
-		"latency.csv":   res.Latency,
-		"overhead.csv":  res.OverheadPct,
-		"maxload.csv":   res.MaxLoad,
-	}
-	for name, pts := range series {
+	write := func(name string, fill func(io.Writer) error) error {
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(f, "time_s,value")
-		for _, p := range pts {
-			fmt.Fprintf(f, "%.1f,%g\n", p.T.Seconds(), p.V)
+		defer f.Close()
+		if err := fill(f); err != nil {
+			return err
 		}
-		if err := f.Close(); err != nil {
+		return f.Close()
+	}
+	for _, s := range []struct {
+		name string
+		pts  []radar.Point
+	}{{"bandwidth", res.Bandwidth}, {"latency", res.Latency}, {"overhead", res.OverheadPct}, {"maxload", res.MaxLoad}} {
+		err := write(s.name+".csv", func(w io.Writer) error {
+			return report.WriteSeriesCSV(w, time.Second, map[string][]radar.Point{s.name: s.pts}, []string{s.name})
+		})
+		if err != nil {
 			return err
 		}
 	}
-	f, err := os.Create(filepath.Join(dir, "hostload.csv"))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(f, "time_s,actual,lower,upper")
-	for _, s := range res.HostLoad {
-		fmt.Fprintf(f, "%.1f,%g,%g,%g\n", s.T.Seconds(), s.Actual, s.Lower, s.Upper)
-	}
-	return f.Close()
+	return write("hostload.csv", func(w io.Writer) error { return report.WriteHostLoadCSV(w, res.HostLoad) })
 }

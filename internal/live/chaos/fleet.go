@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"bytes"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -78,17 +76,7 @@ func (t *FleetTarget) setPeer(on, peer topology.NodeID, cut bool) error {
 	if !cut {
 		url = t.fleet.URL(peer)
 	}
-	msg := live.PeersMsg{Peer: int(peer), URL: url}
-	res, err := t.client.Post(t.fleet.URL(on)+live.PathPeers, "application/json",
-		bytes.NewReader(live.Encode(&msg)))
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("chaos: node %d rejected peer rewrite: %s", on, res.Status)
-	}
-	return nil
+	return live.Post(t.client, t.fleet.URL(on)+live.PathPeers, &live.PeersMsg{Peer: int(peer), URL: url}, nil)
 }
 
 // SetLatency implements Target.

@@ -123,10 +123,10 @@ type httpFleet struct {
 	decisions []Event
 }
 
-// objectURL is the request line shared by the redirecting front-end and
-// the serve endpoint.
-func (f *httpFleet) objectURL(node topology.NodeID, path string, id object.ID, g topology.NodeID, now time.Duration) string {
-	return fmt.Sprintf("%s%s%d?g=%d&now=%d", f.urls[node], path, int64(id), int(g), int64(now))
+// objectURL is the request line, at the node whose base URL is base,
+// shared by the redirecting front-end and the serve endpoint.
+func objectURL(base, path string, id object.ID, g topology.NodeID, now time.Duration) string {
+	return fmt.Sprintf("%s%s%d?g=%d&now=%d", base, path, int64(id), int(g), int64(now))
 }
 
 // fetch issues one GET and discards the body; the answer is in the status
@@ -150,7 +150,7 @@ func (f *httpFleet) Choose(now time.Duration, red int, g topology.NodeID, id obj
 	if f.down[loc] {
 		return 0, sim.Lost
 	}
-	res, err := f.fetch(f.objectURL(loc, PathObj, id, g, now))
+	res, err := f.fetch(objectURL(f.urls[loc], PathObj, id, g, now))
 	if err != nil {
 		return 0, sim.Lost
 	}
@@ -169,7 +169,7 @@ func (f *httpFleet) Choose(now time.Duration, red int, g topology.NodeID, id obj
 // rule, so now equals the 302's arrival time — and read the FCFS
 // completion time, or the client-timeout refusal, from the headers.
 func (f *httpFleet) Admit(now time.Duration, h, g topology.NodeID, id object.ID) (time.Duration, sim.Outcome) {
-	res, err := f.fetch(f.objectURL(h, PathServe, id, g, now))
+	res, err := f.fetch(objectURL(f.urls[h], PathServe, id, g, now))
 	if err != nil {
 		return 0, sim.Lost
 	}
@@ -186,13 +186,13 @@ func (f *httpFleet) Admit(now time.Duration, h, g topology.NodeID, id object.ID)
 // Complete implements sim.Fleet.
 func (f *httpFleet) Complete(now time.Duration, h, g topology.NodeID, id object.ID) bool {
 	msg := CompleteMsg{Object: int64(id), Gateway: int(g), Now: int64(now)}
-	return f.post(h, PathComplete, &msg, nil) == nil
+	return Post(f.client, f.urls[h]+PathComplete, &msg, nil) == nil
 }
 
 // Measure implements sim.Fleet.
 func (f *httpFleet) Measure(now time.Duration, h topology.NodeID) (actual, lower, upper float64, ok bool) {
 	var rep MeasureReply
-	if f.down[h] || f.post(h, PathMeasure, &TickMsg{Now: int64(now)}, &rep) != nil {
+	if f.down[h] || Post(f.client, f.urls[h]+PathMeasure, &TickMsg{Now: int64(now)}, &rep) != nil {
 		return 0, 0, 0, false
 	}
 	return rep.Load, rep.Lower, rep.Upper, true
@@ -202,7 +202,7 @@ func (f *httpFleet) Measure(now time.Duration, h topology.NodeID) (actual, lower
 // caused.
 func (f *httpFleet) Place(now time.Duration, h topology.NodeID) bool {
 	var rep PlaceReply
-	if f.post(h, PathPlace, &TickMsg{Now: int64(now)}, &rep) != nil {
+	if Post(f.client, f.urls[h]+PathPlace, &TickMsg{Now: int64(now)}, &rep) != nil {
 		return false
 	}
 	f.report(rep.Events)
@@ -231,13 +231,10 @@ func (f *httpFleet) MarkDown(_ time.Duration, h topology.NodeID) {
 // the driver's for a node its loop marked down, the chaos target's for the
 // nodes it kills and restarts.
 func MarkAll(client *http.Client, urls []string, h topology.NodeID, down bool, skip func(topology.NodeID) bool) {
-	body := Encode(&MarkMsg{Host: int(h), Down: down})
+	msg := MarkMsg{Host: int(h), Down: down}
 	for i, u := range urls {
-		if skip(topology.NodeID(i)) {
-			continue
-		}
-		if res, err := client.Post(u+PathMark, "application/json", bytes.NewReader(body)); err == nil {
-			_ = readReply(res, nil)
+		if !skip(topology.NodeID(i)) {
+			_ = Post(client, u+PathMark, &msg, nil)
 		}
 	}
 }
@@ -271,9 +268,13 @@ func (f *httpFleet) report(evs []Event) {
 	}
 }
 
-// post issues one un-retried POST to a node.
-func (f *httpFleet) post(node topology.NodeID, path string, req any, resp validator) error {
-	res, err := f.client.Post(f.urls[node]+path, "application/json", bytes.NewReader(Encode(req)))
+// Post issues one un-retried POST of the wire message req with client and
+// decodes and validates the 200 reply's JSON body into resp (a nil resp
+// discards it); any other status is an error carrying the reply body. It
+// is the one write path of the fleet's endpoints: the driver, MarkAll and
+// the chaos target post through it.
+func Post(client *http.Client, url string, req any, resp validator) error {
+	res, err := client.Post(url, "application/json", bytes.NewReader(Encode(req)))
 	if err != nil {
 		return err
 	}

@@ -29,9 +29,10 @@ func TestRedirectorFailover(t *testing.T) {
 
 	h := startHarness(t, cfg)
 	h.Driver.At(killAt, func() {
-		if err := h.Kill(victim); err != nil {
+		if err := h.Fleet.Kill(victim); err != nil {
 			t.Errorf("killing node %d: %v", victim, err)
 		}
+		h.Driver.MarkDown(victim)
 	})
 	res, err := h.Driver.Run(context.Background())
 	if err != nil {

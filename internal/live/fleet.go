@@ -212,6 +212,9 @@ func (f *Fleet) WaitReady(timeout time.Duration) error {
 			continue
 		}
 		for {
+			// A node that accepts and never answers must not hold the
+			// wait past the deadline.
+			client.Timeout = max(time.Until(deadline), time.Millisecond)
 			res, err := client.Get(u + PathReady)
 			if err == nil {
 				res.Body.Close()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"radar/internal/object"
 	"radar/internal/sim"
 	"radar/internal/substrate"
 	"radar/internal/topology"
@@ -163,7 +164,7 @@ func (d *FreeDriver) request(ctx context.Context, g topology.NodeID, id int64) {
 	}
 	loc := d.redLocs[int(id)%len(d.redLocs)]
 	now := time.Since(d.epoch)
-	u := fmt.Sprintf("%s%s%d?g=%d&now=%d", d.urls[loc], PathObj, id, int(g), int64(now))
+	u := objectURL(d.urls[loc], PathObj, object.ID(id), g, now)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		d.noteFailure()

@@ -1,11 +1,6 @@
 package live
 
-import (
-	"fmt"
-	"time"
-
-	"radar/internal/topology"
-)
+import "time"
 
 // ReadyTimeout bounds how long NewHarness waits for its fleet to report
 // ready before giving up.
@@ -61,18 +56,4 @@ func (h *Harness) Close() {
 	if h.Fleet != nil {
 		h.Fleet.Close()
 	}
-}
-
-// Kill crashes node i mid-replay: the node's listener closes and the
-// driver (in driver-paced mode) marks it down, so subsequent redirects
-// route around it — what an external health check would conclude.
-// Free-running fleets spread the mark via the chaos controller instead.
-func (h *Harness) Kill(i topology.NodeID) error {
-	if err := h.Fleet.Kill(i); err != nil {
-		return fmt.Errorf("live: killing node %d: %w", i, err)
-	}
-	if h.Driver != nil {
-		h.Driver.MarkDown(i)
-	}
-	return nil
 }

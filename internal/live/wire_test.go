@@ -3,8 +3,11 @@ package live
 import (
 	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,5 +157,30 @@ func TestStatsReplyStoreLayers(t *testing.T) {
 	var we *WireError
 	if err := Decode(Encode(&bad), &got); !errors.As(err, &we) || we.Field != "store_layers" {
 		t.Fatalf("Decode of a negative layer counter = %v, want WireError on store_layers", err)
+	}
+}
+
+// TestPostReadsReplies: Post decodes a 200 reply into resp and reads any
+// other status as an error that carries the reply body.
+func TestPostReadsReplies(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var msg TickMsg
+		if !readBody(w, r, &msg) {
+			return
+		}
+		if msg.Now != 7 {
+			http.Error(w, "no tick at 7", http.StatusConflict)
+			return
+		}
+		writeJSON(w, &MeasureReply{Load: 3})
+	}))
+	defer srv.Close()
+	var rep MeasureReply
+	if err := Post(srv.Client(), srv.URL, &TickMsg{Now: 7}, &rep); err != nil || rep.Load != 3 {
+		t.Fatalf("Post = %v with reply %+v, want nil and load 3", err, rep)
+	}
+	err := Post(srv.Client(), srv.URL, &TickMsg{Now: 8}, nil)
+	if err == nil || !strings.Contains(err.Error(), "status 409") || !strings.Contains(err.Error(), "no tick at 7") {
+		t.Fatalf("Post of a refused message = %v, want the status and the body", err)
 	}
 }

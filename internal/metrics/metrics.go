@@ -118,14 +118,7 @@ func (c *Collector) idx(now time.Duration) int {
 		}
 	}
 	i := int(now / c.bucket)
-	for len(c.payloadBH) <= i {
-		c.payloadBH = append(c.payloadBH, 0)
-		c.overheadBH = append(c.overheadBH, 0)
-		c.latencySum = append(c.latencySum, 0)
-		c.latencyCnt = append(c.latencyCnt, 0)
-		c.latencyH = append(c.latencyH, latencyHist{})
-		c.failedCnt = append(c.failedCnt, 0)
-	}
+	c.ensureBuckets(i + 1)
 	c.curIdx = i
 	c.curStart = time.Duration(i) * c.bucket
 	return i
@@ -195,31 +188,36 @@ func (c *Collector) RecordReplicaCensus(now time.Duration, avg float64) {
 	c.replicas = append(c.replicas, Point{T: now, V: avg})
 }
 
-// Count adds one placement decision to the protocol counters; a copy is
-// not a decision and counts nothing.
-func (c *Collector) Count(e protocol.Event) {
+// Count adds one placement decision to the protocol counters.
+func (c *Collector) Count(e protocol.Event) { c.counters.Add(e) }
+
+// Add counts one placement decision by its kind and move: a migration or
+// replication by its MoveKind, a drop, a refusal or a deferral. A copy is
+// not a decision and counts nothing; Requests and FailedRequests are not
+// decisions either and are left alone.
+func (c *Counters) Add(e protocol.Event) {
 	switch e.Kind {
 	case protocol.EventMigrate:
 		if e.Move == protocol.GeoMove.String() {
-			c.counters.GeoMigrations++
+			c.GeoMigrations++
 		} else {
-			c.counters.LoadMigrations++
+			c.LoadMigrations++
 		}
 	case protocol.EventReplicate:
 		switch e.Move {
 		case protocol.GeoMove.String():
-			c.counters.GeoReplications++
+			c.GeoReplications++
 		case protocol.RepairMove.String():
-			c.counters.RepairReplications++
+			c.RepairReplications++
 		default:
-			c.counters.LoadReplications++
+			c.LoadReplications++
 		}
 	case protocol.EventDrop:
-		c.counters.Drops++
+		c.Drops++
 	case protocol.EventRefuse:
-		c.counters.Refusals++
+		c.Refusals++
 	case protocol.EventDefer:
-		c.counters.DeferredMoves++
+		c.DeferredMoves++
 	}
 }
 

@@ -514,18 +514,15 @@ func (s *HostStats) count(mv move) {
 	}
 }
 
-// deferMove records on st a placement move whose handshake was lost, to be
-// re-issued with the same token at the next placement run. A lost
-// replication after a lost migration supersedes it.
-func (h *Host) deferMove(now time.Duration, st *ObjectState, mv move) {
-	st.deferred = &mv
-	h.noteDeferred(now, mv)
-}
-
-// noteDeferred counts and observes one deferral of mv.
-func (h *Host) noteDeferred(now time.Duration, mv move) {
+// deferMove records on st a placement move whose handshake was lost under
+// message token tok, to be re-issued with that token at the next placement
+// run, and counts and observes the deferral. A lost replication after a
+// lost migration supersedes it.
+func (h *Host) deferMove(now time.Duration, st *ObjectState, mv *move, tok uint64) {
+	mv.token = tok
+	st.deferred = mv
 	h.Stats.DeferredMoves++
-	h.record(now, EventDefer, mv)
+	h.record(now, EventDefer, *mv)
 }
 
 // retryDeferred re-issues placement moves whose CreateObj was lost in an
@@ -554,9 +551,7 @@ func (h *Host) retryDeferred(now time.Duration) bool {
 			h.Stats.DeferredCompleted++
 			completed = true
 		case CreateLost:
-			d.token = tok
-			st.deferred = d
-			h.noteDeferred(now, *d)
+			h.deferMove(now, st, d, tok)
 		case CreateDown:
 			st.deferred = d // held for the next interval, under the same token
 		}
@@ -623,8 +618,8 @@ func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method M
 		case CreateLost:
 			// The exchange may have landed; trying the next candidate could
 			// double-place. Defer this exact move to the next interval.
-			mv.token = tok
-			h.deferMove(now, st, mv)
+			lost := mv // a copy, so only a deferral leaves the stack
+			h.deferMove(now, st, &lost, tok)
 			return false
 		}
 		// Refused or down: the next candidate may take it.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 
+	"radar/internal/metrics"
 	"radar/internal/object"
 	"radar/internal/protocol"
 	"radar/internal/topology"
@@ -52,49 +53,24 @@ func Read(r io.Reader) ([]protocol.Event, error) {
 
 // Summary aggregates a placement trace.
 type Summary struct {
-	Migrations   int
-	Replications int
-	Drops        int
-	Refusals     int
-	Deferrals    int
-	GeoMoves     int
-	LoadMoves    int
-	// RepairMoves counts replica-floor repair replications.
-	RepairMoves int
+	// Counters counts the decisions as the simulator's collector does;
+	// Requests and FailedRequests stay zero.
+	metrics.Counters
 	// ByHost counts events initiated per host.
 	ByHost map[topology.NodeID]int
 	// ByObject counts events per object.
 	ByObject map[object.ID]int
 }
 
-// Summarize aggregates events into per-kind, per-move, per-host and
-// per-object counts.
+// Summarize aggregates events into decision counters and per-host and
+// per-object event counts.
 func Summarize(events []protocol.Event) Summary {
 	s := Summary{
 		ByHost:   make(map[topology.NodeID]int),
 		ByObject: make(map[object.ID]int),
 	}
 	for _, e := range events {
-		switch e.Kind {
-		case protocol.EventMigrate:
-			s.Migrations++
-		case protocol.EventReplicate:
-			s.Replications++
-		case protocol.EventDrop:
-			s.Drops++
-		case protocol.EventRefuse:
-			s.Refusals++
-		case protocol.EventDefer:
-			s.Deferrals++
-		}
-		switch e.Move {
-		case protocol.GeoMove.String():
-			s.GeoMoves++
-		case protocol.LoadMove.String():
-			s.LoadMoves++
-		case protocol.RepairMove.String():
-			s.RepairMoves++
-		}
+		s.Add(e)
 		s.ByHost[topology.NodeID(e.From)]++
 		s.ByObject[object.ID(e.Object)]++
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/metrics"
 	"radar/internal/protocol"
 )
 
@@ -63,11 +64,12 @@ func TestSummarize(t *testing.T) {
 		{Kind: "defer", From: 4, Object: 12},
 	}
 	s := Summarize(events)
-	if s.Migrations != 2 || s.Replications != 2 || s.Drops != 1 || s.Refusals != 1 || s.Deferrals != 1 {
-		t.Fatalf("summary = %+v", s)
+	want := metrics.Counters{
+		GeoMigrations: 1, LoadMigrations: 1, GeoReplications: 1, RepairReplications: 1,
+		Drops: 1, Refusals: 1, DeferredMoves: 1,
 	}
-	if s.GeoMoves != 2 || s.LoadMoves != 1 || s.RepairMoves != 1 {
-		t.Fatalf("move counts = %d/%d/%d, want 2/1/1", s.GeoMoves, s.LoadMoves, s.RepairMoves)
+	if s.Counters != want {
+		t.Fatalf("counters = %+v, want %+v", s.Counters, want)
 	}
 	if s.ByHost[1] != 3 {
 		t.Errorf("ByHost[1] = %d, want 3", s.ByHost[1])

@@ -532,27 +532,18 @@ func Run(cfg Config) (*Result, error) {
 // The simulation engine polls ctx every few thousand events, so canceling
 // a long run returns promptly (microseconds of simulation work, not
 // virtual-time minutes) with ctx.Err(). A run that completes without
-// cancellation is bit-identical to Run.
+// cancellation is bit-identical to Run. A simulated run is
+// RunSeedsContext with the one seed cfg.Seed; live mode drives a loopback
+// fleet instead.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Live.LiveMode {
 		return runLive(ctx, cfg)
 	}
-	simCfg, err := cfg.build()
+	out, err := RunSeedsContext(ctx, cfg, []int64{cfg.Seed}, 1)
 	if err != nil {
 		return nil, err
 	}
-	s, err := sim.New(*simCfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if res.InvariantsError != nil {
-		return nil, fmt.Errorf("radar: post-run invariant check failed: %w", res.InvariantsError)
-	}
-	return convert(res), nil
+	return out[0], nil
 }
 
 // RunSeeds executes cfg once per seed, up to parallelism simulations
