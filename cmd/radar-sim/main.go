@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,8 +48,6 @@ func run() error {
 		redirectors  = flag.Int("redirectors", 1, "number of hash-partitioned redirectors")
 		poisson      = flag.Bool("poisson", false, "Poisson request arrivals instead of constant spacing")
 		contention   = flag.Bool("contention", false, "FIFO link contention instead of fixed per-hop cost")
-		shards       = flag.Int("shards", 0, "serve-plane shards inside each run, bit-identical results (0/1 = serial, -1 = one per region)")
-		shardQuantum = flag.Duration("shard-quantum", 0, "max virtual time between shard barriers (0 = bound by global events only)")
 		csvDir       = flag.String("csv", "", "directory to write per-bucket series CSVs")
 		traceFile    = flag.String("trace", "", "file to write a JSONL placement-event trace")
 		runs         = flag.Int("runs", 1, "number of consecutive-seed runs (run concurrently when > 1)")
@@ -63,6 +62,9 @@ func run() error {
 		storeSpec    = flag.String("store", "", `replica-storage stack, e.g. "disk:2ms" or "cache(mem:64,disk:5ms)" (empty = in-memory)`)
 	)
 	flag.Parse()
+	if *runs > 1 && *csvDir != "" {
+		return errors.New("-csv writes one run's series and cannot be combined with -runs > 1")
+	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -81,8 +83,6 @@ func run() error {
 	cfg.NumRedirectors = *redirectors
 	cfg.PoissonArrivals = *poisson
 	cfg.LinkContention = *contention
-	cfg.Shards = *shards
-	cfg.ShardQuantum = *shardQuantum
 	cfg.Faults.FaultSchedule = *faults
 	cfg.Faults.ReplicaFloor = *replicaFloor
 	cfg.Placement.AvailabilityWeight = *availWeight
@@ -151,27 +151,16 @@ func writeCSVs(dir string, res *radar.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, fill func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := fill(f); err != nil {
-			return err
-		}
-		return f.Close()
-	}
 	for _, s := range []struct {
 		name string
 		pts  []radar.Point
 	}{{"bandwidth", res.Bandwidth}, {"latency", res.Latency}, {"overhead", res.OverheadPct}, {"maxload", res.MaxLoad}} {
-		err := write(s.name+".csv", func(w io.Writer) error {
+		err := report.WriteFile(filepath.Join(dir, s.name+".csv"), func(w io.Writer) error {
 			return report.WriteSeriesCSV(w, time.Second, map[string][]radar.Point{s.name: s.pts}, []string{s.name})
 		})
 		if err != nil {
 			return err
 		}
 	}
-	return write("hostload.csv", func(w io.Writer) error { return report.WriteHostLoadCSV(w, res.HostLoad) })
+	return report.WriteFile(filepath.Join(dir, "hostload.csv"), func(w io.Writer) error { return report.WriteHostLoadCSV(w, res.HostLoad) })
 }

@@ -173,33 +173,17 @@ func (s *Suite) WriteCSVs(dir string) error {
 		files = files[:2]
 	}
 	for _, f := range files {
-		if err := writeCSVFile(filepath.Join(dir, f.name), f.series); err != nil {
-			return err
-		}
-	}
-	if !s.HighLoad {
-		path := filepath.Join(dir, "fig8b_hostload.csv")
-		fh, err := os.Create(path)
+		err := report.WriteFile(filepath.Join(dir, f.name), func(w io.Writer) error {
+			return report.WriteSeriesCSV(w, time.Minute, f.series, WorkloadNames)
+		})
 		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-		defer fh.Close()
-		if err := report.WriteHostLoadCSV(fh, s.Runs["hot-sites"].Dynamic.HostLoad); err != nil {
 			return err
 		}
-		return fh.Close()
 	}
-	return nil
-}
-
-func writeCSVFile(path string, series map[string][]metrics.Point) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("experiments: %w", err)
+	if s.HighLoad {
+		return nil
 	}
-	defer fh.Close()
-	if err := report.WriteSeriesCSV(fh, time.Minute, series, WorkloadNames); err != nil {
-		return err
-	}
-	return fh.Close()
+	return report.WriteFile(filepath.Join(dir, "fig8b_hostload.csv"), func(w io.Writer) error {
+		return report.WriteHostLoadCSV(w, s.Runs["hot-sites"].Dynamic.HostLoad)
+	})
 }

@@ -6,6 +6,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -123,6 +124,20 @@ func WriteSeriesCSV(w io.Writer, timeUnit time.Duration, series map[string][]met
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// WriteFile creates the file at path, lets fill write it and closes it,
+// reporting the first error of the three.
+func WriteFile(path string, fill func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := fill(f); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // WriteHostLoadCSV writes the Figure 8b trace.

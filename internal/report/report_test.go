@@ -1,6 +1,10 @@
 package report
 
 import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +93,28 @@ func TestWriteHostLoadCSV(t *testing.T) {
 	want := "time_s,actual,lower,upper\n20,40,35.5,50\n"
 	if b.String() != want {
 		t.Fatalf("csv = %q, want %q", b.String(), want)
+	}
+}
+
+// TestWriteFile: the file holds what fill wrote, and fill's error and a
+// missing directory both come back to the caller.
+func TestWriteFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.csv")
+	if err := WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "a,b\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "a,b\n" {
+		t.Fatalf("file = %q, %v; want %q", got, err, "a,b\n")
+	}
+	boom := errors.New("boom")
+	if err := WriteFile(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("fill error = %v, want %v", err, boom)
+	}
+	if err := WriteFile(filepath.Join(path, "no", "dir"), func(io.Writer) error { return nil }); err == nil {
+		t.Error("a path under a file was created")
 	}
 }
 

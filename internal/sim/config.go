@@ -98,24 +98,15 @@ type Config struct {
 	// fault terms (drop/dup/cdelay), and every live node's RPC client.
 	// The zero value selects the documented ctrlplane defaults.
 	Ctrl ctrlplane.Params
-	// Shards selects the sharded event engine: the node set is partitioned
-	// into this many shards (along region boundaries) and request
-	// service — arrival, FCFS completion, response delivery — runs
-	// concurrently across shards between deterministic barriers, with
-	// results bit-identical to the serial engine (see shards.go and
-	// DESIGN.md). 0 and 1 select the serial engine (the default, and
-	// byte-identical to builds without the sharding subsystem); -1 selects
-	// one shard per populated region; values above the node count are
-	// clamped. Sharding is incompatible with link contention, whose
-	// cross-host feedback cannot be partitioned.
+	// Shards is an internal switch: a value of 2 or more selects the
+	// sharded event engine (shards.go), whose results are bit-identical to
+	// the serial engine's. Only the benchmark module and the engine's own
+	// tests set it; ROADMAP item 1b deletes it with the engine.
 	Shards int
-	// ShardQuantum caps a sharded run's window length: shards synchronize
-	// at least this often in virtual time (and always at global protocol
-	// events — measurement, placement, census, faults, reconciliation —
-	// which bound windows regardless). Zero, the default, lets windows run
-	// to the next global event. Smaller quanta exercise the barrier more;
-	// results are bit-identical at any quantum. Ignored by serial runs.
-	ShardQuantum time.Duration
+	// quantum caps a sharded run's window length in virtual time; zero
+	// lets windows run to the next global event. Only the barrier tests
+	// set it, to force many more barriers than global events require.
+	quantum time.Duration
 	// ExtraObserver, when non-nil, receives every placement protocol
 	// event in addition to the metrics collector — e.g. a trace recorder
 	// (trace.NewWriter).
@@ -186,7 +177,7 @@ const (
 func (c *Config) Features() Feature {
 	var f Feature
 	for i, on := range [...]bool{
-		c.Shards == -1 || c.Shards >= 2,
+		c.Shards >= 2,
 		c.Net.Contention,
 		c.Faults.Enabled() || c.Faults.HasMessageFaults(),
 	} {
@@ -272,11 +263,8 @@ func (c *Config) Validate() error {
 	if err := c.Ctrl.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if c.Shards < -1 {
-		return fmt.Errorf("sim: shard count %d must be -1 (auto), 0/1 (serial) or >= 2", c.Shards)
-	}
-	if c.ShardQuantum < 0 {
-		return fmt.Errorf("sim: shard quantum %v must be non-negative", c.ShardQuantum)
+	if c.Shards < 0 {
+		return fmt.Errorf("sim: shard count %d is negative", c.Shards)
 	}
 	if r := MatchRefusal(c.Features()); r != nil {
 		return fmt.Errorf("sim: %s", r.Reason)

@@ -39,7 +39,7 @@ import (
 // shards' order-sensitive latency samples into the main collector in the
 // canonical serial order. `end` is clamped to the next global event (so
 // no global can fire inside a window and be observed late by dispatch or
-// serve events) and optionally to T + ShardQuantum.
+// serve events) and optionally to T + quantum.
 //
 // Determinism. Serial event order is (time, seq) with seq assigned at
 // scheduling time. Shard wheels order events by (time, Stamp) where
@@ -153,25 +153,6 @@ func (ln *lane) run() {
 	}
 }
 
-// shardTarget resolves cfg.Shards to an effective shard count: -1 maps to
-// the number of populated regions, and the count is clamped to the node
-// count. Results < 2 select the serial engine.
-func (s *Simulation) shardTarget() int {
-	k := s.cfg.Shards
-	if k == -1 {
-		k = 0
-		for _, r := range topology.Regions() {
-			if len(s.topo.NodesInRegion(r)) > 0 {
-				k++
-			}
-		}
-	}
-	if n := s.topo.NumNodes(); k > n {
-		k = n
-	}
-	return k
-}
-
 // shardAssignments deterministically partitions the topology's nodes into
 // k shards along region boundaries: populated regions (in canonical
 // Regions() order) form the initial groups; while there are fewer groups
@@ -262,7 +243,7 @@ func (s *Simulation) initLanes() error {
 	for i := range s.laneOf {
 		s.laneOf[i] = main
 	}
-	k := s.shardTarget()
+	k := min(s.cfg.Shards, n)
 	if k < 2 {
 		return nil
 	}
@@ -297,7 +278,7 @@ func (s *Simulation) initLanes() error {
 // only between provably independent events.
 func (s *Simulation) runSharded(ctx context.Context) error {
 	horizon := s.cfg.Duration
-	quantum := s.cfg.ShardQuantum
+	quantum := s.cfg.quantum
 	done := ctx.Done()
 	for _, ln := range s.lanes {
 		ln.start = make(chan time.Duration, 1)

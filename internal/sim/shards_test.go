@@ -101,10 +101,6 @@ func TestShardedBitIdenticalToSerial(t *testing.T) {
 					t.Errorf("shards=%d diverges from serial: serial=%+v sharded=%+v", k, abridge(serial), abridge(got))
 				}
 			}
-			auto := runShards(t, cfg, -1)
-			if !reflect.DeepEqual(serial, auto) {
-				t.Errorf("shards=auto diverges from serial")
-			}
 		})
 	}
 }
@@ -130,7 +126,7 @@ func TestShardedQuantumBitIdentical(t *testing.T) {
 	cfg.Duration = time.Minute
 	serial := runShards(t, cfg, 0)
 	for _, q := range []time.Duration{75 * time.Millisecond, time.Second} {
-		cfg.ShardQuantum = q
+		cfg.quantum = q
 		got := runShards(t, cfg, 4)
 		if !reflect.DeepEqual(serial, got) {
 			t.Errorf("quantum=%v diverges from serial", q)
@@ -272,11 +268,11 @@ func TestSerialOutageCloseDeterministic(t *testing.T) {
 func TestShardedBarrierHammer(t *testing.T) {
 	cfg := shardTestConfig(t)
 	cfg.Duration = 20 * time.Second
-	cfg.ShardQuantum = 20 * time.Millisecond // ~1000 windows
+	cfg.quantum = 20 * time.Millisecond // ~1000 windows
 	cfg.Shards = 8
 	serial := cfg
 	serial.Shards = 0
-	serial.ShardQuantum = 0
+	serial.quantum = 0
 	want := runShards(t, serial, 0)
 	got := runShards(t, cfg, cfg.Shards)
 	if !reflect.DeepEqual(want, got) {
@@ -296,15 +292,11 @@ func TestShardedRefusesIncompatibleSubsystems(t *testing.T) {
 		t.Error("sharded + contention accepted")
 	}
 
-	cfg = base
-	cfg.Shards = -2
-	if _, err := New(cfg); err == nil {
-		t.Error("Shards=-2 accepted")
-	}
-
-	cfg = base
-	cfg.ShardQuantum = -time.Second
-	if _, err := New(cfg); err == nil {
-		t.Error("negative quantum accepted")
+	for _, k := range []int{-1, -2} {
+		cfg = base
+		cfg.Shards = k
+		if _, err := New(cfg); err == nil {
+			t.Errorf("Shards=%d accepted", k)
+		}
 	}
 }

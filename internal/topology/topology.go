@@ -194,17 +194,3 @@ func (t *Topology) Lookup(name string) (NodeID, bool) {
 	}
 	return 0, false
 }
-
-func min(a, b NodeID) NodeID {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b NodeID) NodeID {
-	if a > b {
-		return a
-	}
-	return b
-}

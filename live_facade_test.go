@@ -27,7 +27,6 @@ func TestLiveGroupValidation(t *testing.T) {
 		// Every node derives the §5 category table from the shared
 		// configuration and gates its own placement passes with it.
 		{"mixed consistency", func(c *radar.Config) { c.Consistency = radar.ConsistencyMixed }, false},
-		{"sharded engine", func(c *radar.Config) { c.Shards = 4 }, true},
 		// A driver-paced pass replays its decisions into the loop, which
 		// forwards them to the writer.
 		{"trace writer", func(c *radar.Config) { c.TraceWriter = io.Discard }, false},
@@ -97,9 +96,10 @@ func TestRunLiveMode(t *testing.T) {
 }
 
 // TestConsistencyMixedOnEveryEngine: the §5 category gate is a table every
-// fleet and engine derives from the shared configuration, so
-// ConsistencyMixed validates and runs sharded and live, and both report the
-// serial simulation's Summary.
+// fleet derives from the shared configuration, so ConsistencyMixed
+// validates and runs live and reports the simulation's Summary. The
+// sharded engine's leg is TestShardedBitIdenticalToSerial/uunet-mixed in
+// internal/sim.
 func TestConsistencyMixedOnEveryEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet replay over 53 loopback listeners; skipped in -short")
@@ -115,25 +115,11 @@ func TestConsistencyMixedOnEveryEngine(t *testing.T) {
 		}
 		return res.Summary
 	}
-	cfg := radar.DefaultConfig(radar.HotPages)
-	cfg.Objects = 1000
-	cfg.Duration = 4 * time.Minute
-	ungated := run(cfg)
-	cfg.Consistency = radar.ConsistencyMixed
-	serial := run(cfg)
-	if serial == ungated {
-		t.Fatal("the category gate changed nothing in the serial run; the comparison below pins nothing")
-	}
-	cfg.Shards = 4
-	if sharded := run(cfg); sharded != serial {
-		t.Errorf("sharded Summary differs from the serial one:\n  sharded: %+v\n  serial:  %+v", sharded, serial)
-	}
-
-	cfg = radar.DefaultConfig(radar.Zipf)
+	cfg := radar.DefaultConfig(radar.Zipf)
 	cfg.Objects = 106
 	cfg.Duration = 15 * time.Second
 	cfg.Consistency = radar.ConsistencyMixed
-	serial = run(cfg)
+	serial := run(cfg)
 	cfg.Live.LiveMode = true
 	if live := run(cfg); live != serial {
 		t.Errorf("live Summary differs from the simulated one:\n  live: %+v\n  sim:  %+v", live, serial)

@@ -208,8 +208,7 @@ type Live struct {
 	// decisions, so the loop prices the network — LinkContention
 	// included — exactly as a simulated run does, and a TraceWriter
 	// receives the same decision stream. Live mode refuses what lives in
-	// the simulator's loop instead of its nodes (fault injection,
-	// sharding).
+	// the simulator's loop instead of its nodes: fault injection.
 	LiveMode bool
 }
 
@@ -257,17 +256,6 @@ type Config struct {
 	// LinkContention serializes transfers on each directed link instead
 	// of the paper's fixed per-hop transmission cost.
 	LinkContention bool
-	// Shards partitions the request-serving plane into this many shards
-	// executed concurrently between deterministic barriers, with results
-	// bit-identical to the serial engine at every shard count. 0 or 1
-	// (the default) selects the serial engine; -1 selects one shard per
-	// backbone region. Sharding is incompatible with LinkContention,
-	// whose cross-host feedback cannot be partitioned.
-	Shards int
-	// ShardQuantum caps the sharded engine's barrier interval in virtual
-	// time; zero lets windows run to the next global protocol event.
-	// Results are bit-identical at any quantum. Ignored by serial runs.
-	ShardQuantum time.Duration
 	// SwitchTo, when non-empty, swaps the demand to this workload at
 	// SwitchAt — for responsiveness studies of demand-pattern changes. The
 	// new generator is seeded with Seed, as a scenario's is.
@@ -305,9 +293,9 @@ func DefaultConfig(w Workload) Config {
 // assembles the very run Run would execute, so a caller can separate
 // configuration errors from execution errors. Errors wrap the package's
 // sentinels (ErrUnknownWorkload, ErrBadConfig and siblings) or the
-// engine's own validation errors, so errors.Is works. A combination the
-// engines refuse (sim.Refusals, judged on the built configuration) is a
-// *ConfigError on Shards or Live.LiveMode carrying the table's reason.
+// engine's own validation errors, so errors.Is works. A combination live
+// mode refuses (sim.Refusals, judged on the built configuration) is a
+// *ConfigError on Live.LiveMode carrying the table's reason.
 func (c Config) Validate() error {
 	_, err := c.build()
 	return err
@@ -343,8 +331,6 @@ func (c Config) spec() (sp scenario.Spec, err error) {
 		{c.Duration < 0, ConfigError{"Duration", c.Duration, "negative"}},
 		{c.NumRedirectors < 0, ConfigError{"NumRedirectors", c.NumRedirectors, "negative"}},
 		{c.SwitchAt < 0, ConfigError{"SwitchAt", c.SwitchAt, "negative"}},
-		{c.Shards < -1, ConfigError{"Shards", c.Shards, "must be -1 (one shard per region), 0/1 (serial) or >= 2"}},
-		{c.ShardQuantum < 0, ConfigError{"ShardQuantum", c.ShardQuantum, "negative"}},
 		{!(aw >= 0 && aw <= 1), ConfigError{"Placement.AvailabilityWeight", aw, "outside [0, 1]"}},
 		{c.Faults.ReplicaFloor < 0, ConfigError{"Faults.ReplicaFloor", c.Faults.ReplicaFloor, "negative"}},
 		{c.Ctrl.CtrlRetries < 0, ConfigError{"Ctrl.CtrlRetries", c.Ctrl.CtrlRetries, "negative"}},
@@ -376,8 +362,8 @@ func (c Config) spec() (sp scenario.Spec, err error) {
 }
 
 // build assembles the run c describes: Spec.Config builds it from the
-// lowered spec, build adds what a Spec does not carry (the sharded engine,
-// the trace writer), and the engines' refusal table judges the result once.
+// lowered spec, build adds what a Spec does not carry (the trace writer),
+// and under LiveMode the engines' refusal table judges the result once.
 func (c Config) build() (*sim.Config, error) {
 	sp, err := c.spec()
 	if err != nil {
@@ -387,20 +373,13 @@ func (c Config) build() (*sim.Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	simCfg.Shards = c.Shards
-	simCfg.ShardQuantum = c.ShardQuantum
 	if c.TraceWriter != nil {
 		simCfg.ExtraObserver = trace.NewWriter(c.TraceWriter)
 	}
-	features := simCfg.Features()
 	if c.Live.LiveMode {
-		features |= sim.ExternalFleet
-	}
-	if r := sim.MatchRefusal(features); r != nil {
-		if r.With&sim.ExternalFleet != 0 {
+		if r := sim.MatchRefusal(simCfg.Features() | sim.ExternalFleet); r != nil {
 			return nil, &ConfigError{Field: "Live.LiveMode", Value: true, Reason: r.Reason}
 		}
-		return nil, &ConfigError{Field: "Shards", Value: c.Shards, Reason: r.Reason}
 	}
 	return &simCfg, nil
 }
