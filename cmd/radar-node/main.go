@@ -5,9 +5,8 @@
 // they advance only when a driver (radar-load) tells them what virtual
 // time it is — so a fleet of these processes replays the simulator's
 // schedule exactly. With -free-running the node owns its clock instead:
-// measurement, placement, and census ticks self-schedule on jittered
-// wall-clock timers, and verification shifts to radar-load's invariant
-// checker.
+// measurement and placement ticks self-schedule on jittered wall-clock
+// timers, and verification shifts to radar-load's invariant checker.
 //
 // Every member of a fleet must be started with the same scenario and
 // overrides, and the -peers list must name every node's base URL in node

@@ -65,6 +65,9 @@ func run() error {
 	if *runs > 1 && *csvDir != "" {
 		return errors.New("-csv writes one run's series and cannot be combined with -runs > 1")
 	}
+	if *runs > 1 && *traceFile != "" {
+		return errors.New("-trace writes one run's events and cannot be combined with -runs > 1")
+	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {

@@ -53,7 +53,7 @@ func testChecker(urls ...string) *checker {
 func TestCheckerCleanFleet(t *testing.T) {
 	a, b := newStubNode(t), newStubNode(t)
 	a.set(func(c *live.CensusReply, s *live.StatsReply) {
-		c.Objects, c.TotalReplicas, c.MinReplicas, c.MaxReplicas = 4, 8, 2, 2
+		c.TotalReplicas, c.MaxReplicas = 8, 2
 		s.BootID = 1
 	})
 	b.set(func(c *live.CensusReply, s *live.StatsReply) { s.BootID = 2 })
@@ -74,7 +74,7 @@ func TestCheckerCleanFleet(t *testing.T) {
 func TestCheckerLostObject(t *testing.T) {
 	a := newStubNode(t)
 	a.set(func(c *live.CensusReply, _ *live.StatsReply) {
-		c.Objects, c.Zero = 3, 1
+		c.Zero = 1
 	})
 	c := testChecker(a.srv.URL)
 	c.scrape() // onset
@@ -100,7 +100,7 @@ func TestCheckerLostObject(t *testing.T) {
 // budget is fine.
 func TestCheckerBelowFloorHeals(t *testing.T) {
 	a := newStubNode(t)
-	a.set(func(c *live.CensusReply, _ *live.StatsReply) { c.Objects, c.BelowFloor = 3, 2 })
+	a.set(func(c *live.CensusReply, _ *live.StatsReply) { c.BelowFloor = 2 })
 	c := testChecker(a.srv.URL)
 	c.scrape()
 	a.set(func(cr *live.CensusReply, _ *live.StatsReply) { cr.BelowFloor = 0 })
@@ -118,7 +118,7 @@ func TestCheckerBelowFloorHeals(t *testing.T) {
 func TestCheckerReplicaCeiling(t *testing.T) {
 	a := newStubNode(t)
 	a.set(func(c *live.CensusReply, _ *live.StatsReply) {
-		c.Objects, c.TotalReplicas, c.MinReplicas, c.MaxReplicas = 1, 3, 3, 3
+		c.TotalReplicas, c.MaxReplicas = 3, 3
 	})
 	c := testChecker(a.srv.URL)
 	c.scrape() // onset: ceiling is 1 live node here, 3 recorded replicas

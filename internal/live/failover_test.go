@@ -73,7 +73,7 @@ func TestRedirectorFailover(t *testing.T) {
 	}
 	// Round-robin homes: object 3 started on the victim in a 4-node fleet.
 	obj := int64(victim)
-	resp, err := client.Get(h.Fleet.URL(0) + live.PathReplicas + "?obj=" + strconv.FormatInt(obj, 10) + "&hosts=1")
+	resp, err := client.Get(h.Fleet.URL(0) + live.PathReplicas + "?obj=" + strconv.FormatInt(obj, 10))
 	if err != nil {
 		t.Fatalf("replica query: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestRedirectorFailover(t *testing.T) {
 	}
 	survivors := 0
 	for _, host := range rep.Hosts {
-		if topology.NodeID(host) != victim {
+		if host != victim {
 			survivors++
 		}
 	}

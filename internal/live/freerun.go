@@ -116,10 +116,9 @@ func (d *FreeDriver) Run(ctx context.Context) error {
 // WorkloadSwitch.At after the run's start.
 func (d *FreeDriver) generate(ctx context.Context, g topology.NodeID) {
 	rng := workload.Stream(d.cfg.Sim.Seed, workload.GatewayStream(int(g)))
-	spacing := time.Duration(float64(time.Second) / d.cfg.Sim.NodeRequestRPS)
-	// The same phase offset the simulator's generators use, mapped to
-	// wall time, so the fleet's gateways do not fire in lockstep.
-	timer := time.NewTimer(spacing * time.Duration(g) / time.Duration(d.n))
+	// The simulator's gateway pacing, mapped to wall time.
+	pace := sim.GatewayPacing(&d.cfg.Sim)
+	timer := time.NewTimer(pace.Phase(g, d.n))
 	defer timer.Stop()
 	for {
 		select {
@@ -134,15 +133,8 @@ func (d *FreeDriver) generate(ctx context.Context, g topology.NodeID) {
 		d.genMu.Lock()
 		id := gen.Next(g, rng)
 		d.genMu.Unlock()
-		d.request(ctx, g, int64(id))
-		next := spacing
-		if d.cfg.Sim.PoissonArrivals {
-			next = time.Duration(rng.ExpFloat64() * float64(spacing))
-			if next <= 0 {
-				next = time.Nanosecond
-			}
-		}
-		timer.Reset(next)
+		d.request(ctx, g, id)
+		timer.Reset(pace.Gap(rng))
 	}
 }
 
@@ -152,7 +144,7 @@ func (d *FreeDriver) generate(ctx context.Context, g topology.NodeID) {
 // refused connection, a 404 from a replica-less redirector, a malformed
 // answer — is a failed request stamped with wall-clock time for the
 // checker's crash-window confinement rule.
-func (d *FreeDriver) request(ctx context.Context, g topology.NodeID, id int64) {
+func (d *FreeDriver) request(ctx context.Context, g topology.NodeID, id object.ID) {
 	if lat := time.Duration(d.latency.Load()); lat > 0 {
 		t := time.NewTimer(lat)
 		select {
@@ -162,9 +154,8 @@ func (d *FreeDriver) request(ctx context.Context, g topology.NodeID, id int64) {
 		case <-t.C:
 		}
 	}
-	loc := d.redLocs[int(id)%len(d.redLocs)]
-	now := time.Since(d.epoch)
-	u := objectURL(d.urls[loc], PathObj, object.ID(id), g, now)
+	loc := d.redLocs[sim.RedirectorIndex(id, len(d.redLocs))]
+	u := objectURL(d.urls[loc], PathObj, id, g, time.Since(d.epoch))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		d.noteFailure()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"radar/internal/store"
+	"radar/internal/topology"
 )
 
 // FuzzLiveRPC feeds arbitrary bytes through every wire message type's
@@ -17,11 +18,14 @@ func FuzzLiveRPC(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add(Encode(&CreateObjMsg{MsgID: 1, From: 0, To: 1, Method: "REPLICATE", Object: 3, UnitLoad: 0.5, SrcAff: 2, Now: 99}))
-	f.Add(Encode(&NotifyMsg{MsgID: 2, Object: 4, Host: 1, Aff: 1}))
+	f.Add(Encode(&NotifyMsg{Object: 4, Host: 1, Aff: 1}))
 	f.Add(Encode(&DropMsg{MsgID: 3, Object: 5, Host: 0}))
 	f.Add(Encode(&LoadReply{AcceptLoad: 1.25, Low: 80, High: 90, Has: true}))
+	f.Add(Encode(&ReplicasReply{Hosts: []topology.NodeID{0, 2, 5}}))
 	f.Add(Encode(&TickMsg{Now: 1000}))
-	f.Add(Encode(&CompleteMsg{Object: 6, Gateway: 2, Now: 5}))
+	f.Add(Encode(&MeasureReply{Load: 3.5, Lower: 2, Upper: 4}))
+	f.Add(Encode(&CompleteMsg{Object: 6, Gateway: 2}))
+	f.Add(Encode(&CensusReply{TotalReplicas: 8, BelowFloor: 1, MaxReplicas: 3, Zero: 1}))
 	f.Add(Encode(&MarkMsg{Host: 3, Down: true}))
 	f.Add(Encode(&PeersMsg{Peer: 2, URL: "poison://partition"}))
 	f.Add(Encode(&PlaceReply{Events: []Event{

@@ -190,14 +190,14 @@ func TestPlaceReplyCarriesItsCopies(t *testing.T) {
 }
 
 // countingFleet stands up cfg's fleet and counts, per node, the /rpc/load
-// requests and the /rpc/replicas requests that ask for the replica set
-// (not just its size). Node dead, if not -1, fails every load report.
+// and the /rpc/replicas requests. Node dead, if not -1, fails every load
+// report.
 func countingFleet(t *testing.T, cfg live.Config, dead int) (urls []string, loads, replicaSets []atomic.Int64) {
 	n := cfg.Sim.Topo.NumNodes()
 	loads, replicaSets = make([]atomic.Int64, n), make([]atomic.Int64, n)
 	_, urls = testNodes(t, cfg, func(i int, w http.ResponseWriter, r *http.Request) bool {
 		switch {
-		case r.URL.Path == live.PathReplicas && r.URL.Query().Get("hosts") != "":
+		case r.URL.Path == live.PathReplicas:
 			replicaSets[i].Add(1)
 		case r.URL.Path == live.PathLoad:
 			loads[i].Add(1)
@@ -221,13 +221,15 @@ func sum(counts []atomic.Int64) int64 {
 }
 
 // TestPlacePassLoadReports: a placement pass exchanges load reports once,
-// and fetches an object's replica set only to order candidates.
+// and fetches an object's replica set only to size it for repair and to
+// order candidates.
 //
 // Node 0 of a floor-2 fleet repairs its six single-copy objects in one
 // pass; its /rpc/load traffic is one report per peer, one per would-be
 // winner and one after each handshake, not N−1 per election, and a peer
 // that fails the exchange without having been marked down is asked once,
-// not once per election.
+// not once per election. Repair sizes each object's set twice: before its
+// repair and after it.
 //
 // At availability weight 0.5 a pass asks for the replica set only of an
 // object with two or more candidates past Fig. 3's ratio: ordering fewer
@@ -238,7 +240,7 @@ func TestPlacePassLoadReports(t *testing.T) {
 		const dead = 3
 		cfg := liveConfig(t, topology.Line(n), 30, 1, time.Minute)
 		cfg.Sim.Protocol.ReplicaFloor = 2
-		urls, loads, _ := countingFleet(t, cfg, dead)
+		urls, loads, replicaSets := countingFleet(t, cfg, dead)
 
 		rep := postPlace(t, urls[0], 30*time.Second)
 		elections := 0
@@ -260,6 +262,9 @@ func TestPlacePassLoadReports(t *testing.T) {
 		}
 		if got := loads[dead].Load(); got != 1 {
 			t.Errorf("the peer that failed the exchange was asked %d times in one pass, want 1", got)
+		}
+		if got := sum(replicaSets); got != 2*int64(elections) {
+			t.Errorf("the pass fetched %d replica sets, want 2 for each of its %d repairs", got, elections)
 		}
 	})
 
@@ -385,8 +390,8 @@ func TestOutOfRangeIDsAnswer400(t *testing.T) {
 		path string
 		msg  any // nil: a GET of path
 	}{
-		{live.PathNotify, &live.NotifyMsg{MsgID: 1, Object: 1, Host: nodes, Aff: 1}},
-		{live.PathNotify, &live.NotifyMsg{MsgID: 2, Object: objects, Host: 1, Aff: 1}},
+		{live.PathNotify, &live.NotifyMsg{Object: 1, Host: nodes, Aff: 1}},
+		{live.PathNotify, &live.NotifyMsg{Object: objects, Host: 1, Aff: 1}},
 		{live.PathRequestDrop, &live.DropMsg{MsgID: 3, Object: 1, Host: nodes}},
 		{live.PathRequestDrop, &live.DropMsg{MsgID: 4, Object: objects, Host: 1}},
 		{live.PathMark, &live.MarkMsg{Host: nodes, Down: true}},
@@ -397,7 +402,7 @@ func TestOutOfRangeIDsAnswer400(t *testing.T) {
 		{live.PathComplete, &live.CompleteMsg{Object: 0, Gateway: nodes * nodes}},
 		{live.PathComplete, &live.CompleteMsg{Object: objects, Gateway: 1}},
 		{live.PathLoad + "?obj=" + strconv.Itoa(objects) + "&now=0", nil},
-		{live.PathReplicas + "?obj=" + strconv.Itoa(objects) + "&hosts=1", nil},
+		{live.PathReplicas + "?obj=" + strconv.Itoa(objects), nil},
 	} {
 		var res *http.Response
 		var err error

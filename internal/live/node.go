@@ -193,9 +193,9 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 }
 
 // redirectorLoc returns the node owning id's redirector (the simulator's
-// hash partition: redirector i of k gets objects with id % k == i).
+// partition, sim.RedirectorIndex).
 func (nd *Node) redirectorLoc(id object.ID) topology.NodeID {
-	return nd.redLocs[int(id)%len(nd.redLocs)]
+	return nd.redLocs[sim.RedirectorIndex(id, len(nd.redLocs))]
 }
 
 // Handler returns the node's HTTP handler.
@@ -510,12 +510,6 @@ func (l *localRedirector) RequestDrop(id object.ID, host topology.NodeID) bool {
 	return l.redirector.RequestDrop(id, host)
 }
 
-func (l *localRedirector) ReplicaCount(id object.ID) int {
-	l.redMu.Lock()
-	defer l.redMu.Unlock()
-	return l.redirector.ReplicaCount(id)
-}
-
 func (l *localRedirector) ReplicaHosts(id object.ID, buf []topology.NodeID) []topology.NodeID {
 	l.redMu.Lock()
 	defer l.redMu.Unlock()
@@ -533,7 +527,7 @@ type remoteRedirector struct {
 }
 
 func (r *remoteRedirector) NotifyReplicaChange(id object.ID, host topology.NodeID, aff int) {
-	msg := NotifyMsg{MsgID: r.nd.nextMsgID(), Object: int64(id), Host: int(host), Aff: aff}
+	msg := NotifyMsg{Object: int64(id), Host: int(host), Aff: aff}
 	_ = r.nd.client.call(r.nd.peerURL(r.loc), PathNotify, &msg, nil)
 }
 
@@ -546,37 +540,13 @@ func (r *remoteRedirector) RequestDrop(id object.ID, host topology.NodeID) bool 
 	return rep.Approved
 }
 
-func (r *remoteRedirector) ReplicaCount(id object.ID) int {
-	rep, err := r.fetchReplicas(id, false)
-	if err != nil {
-		return 0
-	}
-	return rep.Count
-}
-
 func (r *remoteRedirector) ReplicaHosts(id object.ID, buf []topology.NodeID) []topology.NodeID {
-	buf = buf[:0]
-	rep, err := r.fetchReplicas(id, true)
-	if err != nil {
-		return buf
-	}
-	for _, h := range rep.Hosts {
-		buf = append(buf, topology.NodeID(h))
-	}
-	return buf
-}
-
-func (r *remoteRedirector) fetchReplicas(id object.ID, hosts bool) (ReplicasReply, error) {
-	q := url.Values{}
-	q.Set("obj", strconv.FormatInt(int64(id), 10))
-	if hosts {
-		q.Set("hosts", "1")
-	}
+	q := url.Values{"obj": {strconv.FormatInt(int64(id), 10)}}
 	var rep ReplicasReply
-	if err := r.nd.client.get(r.nd.peerURL(r.loc), PathReplicas, q, &rep); err != nil {
-		return ReplicasReply{}, err
+	if r.nd.client.get(r.nd.peerURL(r.loc), PathReplicas, q, &rep) != nil {
+		return buf[:0]
 	}
-	return rep, nil
+	return append(buf[:0], rep.Hosts...)
 }
 
 // ---- HTTP handlers --------------------------------------------------------
@@ -642,13 +612,13 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	method, _ := protocol.ParseMethod(msg.Method) // validated by Decode
+	req := protocol.CreateObjRequest{From: topology.NodeID(msg.From), To: nd.id, Method: method, Object: object.ID(msg.Object), UnitLoad: msg.UnitLoad, SrcAff: msg.SrcAff}
 	reply, ok := nd.creates.do(msg.MsgID, func() ([]byte, bool) {
 		if !nd.lockMu() {
 			return nil, false
 		}
-		id := object.ID(msg.Object)
-		hadBefore := nd.machine.Host.Has(id)
-		accepted := nd.machine.Host.CreateObj(nd.resolveNow(msg.Now), method, id, msg.UnitLoad, msg.SrcAff, topology.NodeID(msg.From))
+		hadBefore := nd.machine.Host.Has(req.Object)
+		accepted := nd.machine.Host.CreateObj(nd.resolveNow(msg.Now), req)
 		nd.mu.Unlock()
 		return Encode(CreateObjReply{MsgID: msg.MsgID, Accepted: accepted, Copied: accepted && !hadBefore}), true
 	})
@@ -750,14 +720,8 @@ func (nd *Node) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	if !nd.inRange(w, obj, 0) {
 		return
 	}
-	wantHosts := r.URL.Query().Get("hosts") != ""
 	nd.redMu.Lock()
-	rep := ReplicasReply{Count: nd.redirector.ReplicaCount(object.ID(obj))}
-	if wantHosts {
-		for _, h := range nd.redirector.ReplicaHosts(object.ID(obj), nil) {
-			rep.Hosts = append(rep.Hosts, int(h))
-		}
-	}
+	rep := ReplicasReply{Hosts: nd.redirector.ReplicaHosts(object.ID(obj), nil)}
 	nd.redMu.Unlock()
 	writeJSON(w, rep)
 }
@@ -932,9 +896,9 @@ func (nd *Node) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	nd.lock()
-	start, load, lower, upper := nd.machine.Measure(time.Duration(msg.Now))
+	load, lower, upper := nd.machine.Measure(time.Duration(msg.Now))
 	nd.mu.Unlock()
-	writeJSON(w, MeasureReply{Start: int64(start), Load: load, Lower: lower, Upper: upper})
+	writeJSON(w, MeasureReply{Load: load, Lower: lower, Upper: upper})
 }
 
 func (nd *Node) handleComplete(w http.ResponseWriter, r *http.Request) {

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -206,6 +208,41 @@ func TestDataPlaneAnswers(t *testing.T) {
 				t.Errorf("%s: status %d, body %q; want 400 bad object id", path, res.StatusCode, body)
 			}
 		}
+	}
+}
+
+// TestReplicaSetSeam pins the redirector's two replica-set endpoints: a
+// notify is its content (object, host, affinity) with no message ID, and
+// /rpc/replicas?obj=N answers the recorded hosts, whose number is the
+// replica count.
+func TestReplicaSetSeam(t *testing.T) {
+	cfg := twoNodeConfig(t)
+	var nd *Node
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { nd.Handler().ServeHTTP(w, r) }))
+	defer srv.Close()
+	// Node 0 is the fleet's redirector; object 1 is homed on node 1.
+	nd, err := NewNode(cfg, 0, []string{srv.URL, "http://node1.invalid"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start(time.Now(), false)
+	defer nd.Stop()
+
+	res, err := http.Post(srv.URL+PathNotify, "application/json", strings.NewReader(`{"object":1,"host":0,"aff":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("notify without msg_id: status %d, body %q; want 200", res.StatusCode, body)
+	}
+	var rep ReplicasReply
+	if err := Scrape(http.DefaultClient, srv.URL+PathReplicas+"?obj=1", &rep); err != nil {
+		t.Fatal(err)
+	}
+	if want := []topology.NodeID{0, 1}; !slices.Equal(rep.Hosts, want) {
+		t.Fatalf("replicas of object 1 = %v, want %v", rep.Hosts, want)
 	}
 }
 

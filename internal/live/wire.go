@@ -6,13 +6,13 @@
 // simulator's exact event schedule against the fleet, so the deterministic
 // simulation remains the executable spec for what a live fleet must do.
 //
-// The wire format is deliberately small: JSON bodies with explicit message
-// IDs on every mutating RPC, so servers can deduplicate retries and
-// duplicates exactly like the simulated control plane's message-ID-keyed
-// idempotence. Virtual timestamps travel as int64 nanoseconds; the nodes
-// are clock-less and advance only when a request tells them what time it
-// is (see DESIGN.md §4.8 for why this is what keeps live mode pinned to
-// the simulator).
+// The wire format is deliberately small: JSON bodies, with message IDs on
+// the RPCs not idempotent by content (CreateObj, drop arbitration), so
+// servers deduplicate retries and duplicates like the simulated control
+// plane's message-ID-keyed idempotence. Virtual timestamps travel as int64
+// nanoseconds; the nodes are clock-less and advance only when a request
+// tells them what time it is (see DESIGN.md §4.8 for why this is what
+// keeps live mode pinned to the simulator).
 package live
 
 import (
@@ -23,6 +23,7 @@ import (
 	"radar/internal/protocol"
 	"radar/internal/sim"
 	"radar/internal/store"
+	"radar/internal/topology"
 )
 
 // HTTP paths of the live control plane. Object-request paths take the
@@ -203,18 +204,15 @@ func (m *CreateObjReply) Validate() error {
 }
 
 // NotifyMsg is a replica-change notification to the object's redirector.
+// It sets the recorded affinity: idempotent by content, it carries no ID.
 type NotifyMsg struct {
-	MsgID  uint64 `json:"msg_id"`
-	Object int64  `json:"object"`
-	Host   int    `json:"host"`
-	Aff    int    `json:"aff"`
+	Object int64 `json:"object"`
+	Host   int   `json:"host"`
+	Aff    int   `json:"aff"`
 }
 
 // Validate implements validator.
 func (m *NotifyMsg) Validate() error {
-	if m.MsgID == 0 {
-		return &WireError{Field: "msg_id", Reason: "zero message id"}
-	}
 	if m.Object < 0 {
 		return &WireError{Field: "object", Reason: fmt.Sprintf("negative object id %d", m.Object)}
 	}
@@ -284,20 +282,16 @@ func (m *LoadReply) Validate() error {
 	return nil
 }
 
-// ReplicasReply answers a replica-set query against the redirector's
-// records.
+// ReplicasReply answers a replica-set query: the hosts the redirector
+// records for the object, sorted by host ID.
 type ReplicasReply struct {
-	Count int   `json:"count"`
-	Hosts []int `json:"hosts,omitempty"`
+	Hosts []topology.NodeID `json:"hosts,omitempty"`
 }
 
 // Validate implements validator.
 func (m *ReplicasReply) Validate() error {
-	if m.Count < 0 {
-		return &WireError{Field: "count", Reason: fmt.Sprintf("negative count %d", m.Count)}
-	}
 	for _, h := range m.Hosts {
-		if err := checkNode("hosts", h); err != nil {
+		if err := checkNode("hosts", int(h)); err != nil {
 			return err
 		}
 	}
@@ -332,10 +326,9 @@ func (m *PlaceReply) Validate() error {
 	return nil
 }
 
-// MeasureReply reports one measurement-interval close: the closed
-// interval's start, the measured load, and the estimator's bounds.
+// MeasureReply reports one measurement-interval close: the measured load
+// and the estimator's bounds.
 type MeasureReply struct {
-	Start int64   `json:"start"`
 	Load  float64 `json:"load"`
 	Lower float64 `json:"lower"`
 	Upper float64 `json:"upper"`
@@ -356,11 +349,10 @@ func (m *MeasureReply) Validate() error {
 
 // CompleteMsg reports the FCFS service completion of a previously admitted
 // request: the node records the serviced request (access counts, load
-// measurement) at the given virtual time.
+// measurement), which the next measurement close sees.
 type CompleteMsg struct {
 	Object  int64 `json:"object"`
 	Gateway int   `json:"g"`
-	Now     int64 `json:"now"`
 }
 
 // Validate implements validator.
@@ -368,10 +360,7 @@ func (m *CompleteMsg) Validate() error {
 	if m.Object < 0 {
 		return &WireError{Field: "object", Reason: fmt.Sprintf("negative object id %d", m.Object)}
 	}
-	if err := checkNode("g", m.Gateway); err != nil {
-		return err
-	}
-	return checkTime("now", m.Now)
+	return checkNode("g", m.Gateway)
 }
 
 // CensusReply is the replica census of the redirector this node owns
@@ -380,14 +369,8 @@ type CensusReply sim.ReplicaCensus
 
 // Validate implements validator.
 func (m *CensusReply) Validate() error {
-	if m.Objects < 0 || m.TotalReplicas < 0 || m.BelowFloor < 0 {
-		return &WireError{Field: "objects", Reason: "negative census"}
-	}
-	if m.MinReplicas < 0 || m.MaxReplicas < 0 || m.Zero < 0 {
-		return &WireError{Field: "min_replicas", Reason: "negative census"}
-	}
-	if m.MaxReplicas < m.MinReplicas {
-		return &WireError{Field: "max_replicas", Reason: fmt.Sprintf("max %d below min %d", m.MaxReplicas, m.MinReplicas)}
+	if m.TotalReplicas < 0 || m.BelowFloor < 0 || m.MaxReplicas < 0 || m.Zero < 0 {
+		return &WireError{Field: "total_replicas", Reason: "negative census"}
 	}
 	return nil
 }

@@ -285,7 +285,7 @@ func TestRepairAcceptCeiling(t *testing.T) {
 			c := newCluster(t, topology.Line(3), params)
 			c.seed(obj, 0)
 			c.loads[2].total = tc.load
-			got := c.hosts[2].CreateObj(50*time.Second, tc.method, obj, 0.1, 1, 0)
+			got := c.hosts[2].CreateObj(50*time.Second, CreateObjRequest{Method: tc.method, Object: obj, UnitLoad: 0.1, SrcAff: 1})
 			if got != tc.accept {
 				t.Errorf("CreateObj(%v, load %.0f, w %.1f) = %v, want %v",
 					tc.method, tc.load, tc.w, got, tc.accept)
@@ -304,7 +304,7 @@ func TestAcquisitionHalted(t *testing.T) {
 	if c.hosts[2].AcquisitionHalted(10 * time.Second) {
 		t.Fatal("fresh host reports acquisition halt")
 	}
-	if !c.hosts[2].CreateObj(10*time.Second, Replicate, obj, 0.1, 1, 0) {
+	if !c.hosts[2].CreateObj(10*time.Second, CreateObjRequest{Method: Replicate, Object: obj, UnitLoad: 0.1, SrcAff: 1}) {
 		t.Fatal("idle host refused a replicate")
 	}
 	if !c.hosts[2].AcquisitionHalted(10*time.Second + params.EstimateHaltAfter + time.Second) {

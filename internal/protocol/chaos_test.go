@@ -63,7 +63,7 @@ func TestChaosInvariants(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						method = Replicate
 					}
-					if c.hosts[to].CreateObj(now, method, id, rng.Float64()*5, 1, from) && method == Migrate {
+					if c.hosts[to].CreateObj(now, CreateObjRequest{Method: method, Object: id, UnitLoad: rng.Float64() * 5, SrcAff: 1, From: from}) && method == Migrate {
 						// The initiating host completes the migration.
 						if st := c.hosts[from].objs.get(id); st != nil {
 							c.hosts[from].reduceAffinity(now, id, st)

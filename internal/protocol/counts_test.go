@@ -109,7 +109,7 @@ func FuzzHostCounts(f *testing.F) {
 					}
 				}
 			case op < 24:
-				h.CreateObj(now, Replicate, id, 0, 1, 1)
+				h.CreateObj(now, CreateObjRequest{Method: Replicate, Object: id, SrcAff: 1, From: 1})
 			case op < 28: // dropped as a pass drops: after settle, mid-window
 				if st != nil {
 					h.settle()

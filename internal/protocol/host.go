@@ -13,25 +13,24 @@ import (
 )
 
 // RedirectorControl is the control-plane interface a host needs from the
-// redirector responsible for an object: replica-set notifications and
-// deletion arbitration. *Redirector implements it; the simulator may wrap
-// it to add network charging.
+// redirector responsible for an object: replica-set notifications, deletion
+// arbitration and the replica set itself. *Redirector implements it; the
+// simulator may wrap it to add network charging.
 type RedirectorControl interface {
 	NotifyReplicaChange(id object.ID, host topology.NodeID, aff int)
 	RequestDrop(id object.ID, host topology.NodeID) bool
-	ReplicaCount(id object.ID) int
-	// ReplicaHosts appends the hosts currently recorded for id to buf and
-	// returns it, sorted by host ID. The availability-aware candidate
-	// ordering reads it; pass a reusable buffer to keep the placement pass
-	// allocation-free.
+	// ReplicaHosts writes the hosts recorded for id over buf, sorted by
+	// host ID, and returns it: its length is the replica count repair and
+	// the §5 gate read, its hosts what the availability ordering reads.
+	// Pass a reusable buffer to keep the placement pass allocation-free.
 	ReplicaHosts(id object.ID, buf []topology.NodeID) []topology.NodeID
 }
 
 // CreateObjRequest is the wire-shaped payload of a CreateObj handshake
 // (Fig. 4): every field the callee-side handler needs, with no captured Go
 // state, so a transport can marshal it across a process boundary. The
-// callee resolves it as CreateObj(arrivalTime, Method, Object, UnitLoad,
-// SrcAff, From).
+// callee resolves it as CreateObj(arrivalTime, req). SrcAff is Fig. 4's
+// payload; the callee's bounds use UnitLoad.
 type CreateObjRequest struct {
 	From     topology.NodeID
 	To       topology.NodeID
@@ -143,9 +142,9 @@ type Host struct {
 	lastPlacement time.Duration
 	// candBuf is the reusable candidate scratch buffer for the placement
 	// pass; its contents are only valid within one orderCandidates call.
-	// replBuf and availBuf are the availability-aware ordering's
-	// scratch buffers (replica hosts and scored candidates), with the same
-	// single-call lifetime.
+	// replBuf (replica hosts, also what replicaCount sizes) and availBuf
+	// (scored candidates) are the availability-aware ordering's scratch
+	// buffers, with the same single-call lifetime.
 	candBuf  []topology.NodeID
 	replBuf  []topology.NodeID
 	availBuf []availCand
@@ -426,19 +425,18 @@ func (h *Host) DecidePlacement(now time.Duration) {
 	h.cnts.reset(h.objs.sts)
 }
 
-// createObj performs the CreateObj handshake with host to over
-// Env.SendCreateObj. It returns the outcome, the message token (re-issue a
-// CreateLost exchange with it to keep the same identity), and the
-// caller-side completion time. A handshake that was sent forgets to's
-// load report, so the next election asks it again.
-func (h *Host) createObj(now time.Duration, to topology.NodeID, method Method, id object.ID, unitLoad float64, srcAff int, token uint64) (CreateObjStatus, uint64, time.Duration) {
-	req := CreateObjRequest{From: h.ID, To: to, Method: method, Object: id, UnitLoad: unitLoad, SrcAff: srcAff}
+// createObj performs the CreateObj handshake req over Env.SendCreateObj.
+// It returns the outcome, the message token (re-issue a CreateLost exchange
+// with it to keep the same identity), and the caller-side completion time.
+// A handshake that was sent forgets req.To's load report, so the next
+// election asks it again.
+func (h *Host) createObj(now time.Duration, req CreateObjRequest, token uint64) (CreateObjStatus, uint64, time.Duration) {
 	status, tok, doneAt := h.env.SendCreateObj(now, req, token)
 	if status == CreateLost {
 		h.Stats.CreateLost++
 	}
 	if status != CreateDown {
-		h.forgetReport(to)
+		h.forgetReport(req.To)
 	}
 	return status, tok, doneAt
 }
@@ -464,7 +462,8 @@ type move struct {
 // nothing here or on the wire.
 func (h *Host) perform(now time.Duration, mv move, st *ObjectState) (CreateObjStatus, uint64) {
 	objLoad := h.loads.ObjectLoad(mv.id)
-	status, tok, doneAt := h.createObj(now, mv.to, mv.method, mv.id, objLoad/float64(st.Aff), st.Aff, mv.token)
+	req := CreateObjRequest{From: h.ID, To: mv.to, Method: mv.method, Object: mv.id, UnitLoad: objLoad / float64(st.Aff), SrcAff: st.Aff}
+	status, tok, doneAt := h.createObj(now, req, mv.token)
 	switch status {
 	case CreateAccepted:
 		kind := EventReplicate
@@ -573,8 +572,7 @@ func (h *Host) repairReplicas(now time.Duration) {
 	}
 	for _, st := range h.objs.sts { // repair only adds replicas elsewhere
 		id := st.id
-		red := h.env.RedirectorFor(id)
-		count := red.ReplicaCount(id)
+		count := h.replicaCount(id)
 		if count == 0 {
 			// This host's own replica is not registered (it crashed and has
 			// not re-registered yet); nothing sensible to repair from.
@@ -594,9 +592,15 @@ func (h *Host) repairReplicas(now time.Duration) {
 				// pass; reconciliation heals any replica it did create.
 				break
 			}
-			count = red.ReplicaCount(id)
+			count = h.replicaCount(id)
 		}
 	}
+}
+
+// replicaCount is the length of id's recorded replica set.
+func (h *Host) replicaCount(id object.ID) int {
+	h.replBuf = h.env.RedirectorFor(id).ReplicaHosts(id, h.replBuf)
+	return len(h.replBuf)
 }
 
 // tryGeo attempts the migration or the replication branch of Fig. 3 (method
@@ -607,7 +611,7 @@ func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method M
 	if st.Total == 0 {
 		return false
 	}
-	if method == Replicate && h.env.CanReplicate != nil && !h.env.CanReplicate(id, h.env.RedirectorFor(id).ReplicaCount(id)) {
+	if method == Replicate && h.env.CanReplicate != nil && !h.env.CanReplicate(id, h.replicaCount(id)) {
 		return false
 	}
 	for _, p := range h.orderCandidates(id, st, method, ratio) {
@@ -667,7 +671,7 @@ func (h *Host) AcquisitionHalted(now time.Duration) bool {
 	return h.params.EstimateHaltAfter > 0 && h.est.UpperActiveFor(now) > h.params.EstimateHaltAfter
 }
 
-// CreateObj serves a replica creation request from peer host `from`
+// CreateObj serves a replica creation request from peer host req.From
 // (Fig. 4): refuse unless this host's accept-side load is below the low
 // watermark; for migrations additionally refuse if the upper-bound load
 // after the move would exceed the high watermark (the vicious-cycle guard
@@ -676,8 +680,9 @@ func (h *Host) AcquisitionHalted(now time.Duration) bool {
 // (affinity 1) or its affinity incremented, the redirector is notified
 // after the fact, and this host's upper-bound load estimate grows by the
 // Theorem 2/4 bound 4·unitLoad.
-func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoad float64, srcAff int, from topology.NodeID) bool {
+func (h *Host) CreateObj(now time.Duration, req CreateObjRequest) bool {
 	h.settle()
+	method, id := req.Method, req.Object
 	// §2.1 footnote 2: when back-to-back acquisitions have kept the
 	// upper-bound estimate alive too long, halt further acquisitions so a
 	// clean measurement interval can complete and real load data returns.
@@ -702,7 +707,7 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 		h.Stats.RefusedLW++
 		return false
 	}
-	if method == Migrate && loadForAccept+4*unitLoad > h.params.HighWatermark {
+	if method == Migrate && loadForAccept+4*req.UnitLoad > h.params.HighWatermark {
 		h.Stats.RefusalsSent++
 		h.Stats.RefusedHW++
 		return false
@@ -717,16 +722,15 @@ func (h *Host) CreateObj(now time.Duration, method Method, id object.ID, unitLoa
 			return false
 		}
 		h.env.Store.Create(id)
-		h.env.CopyObject(now, from, h.ID, id)
+		h.env.CopyObject(now, req.From, h.ID, id)
 		st = h.objs.add(id)
 		st.Aff, st.AcquiredAt = 1, now
 	} else {
 		st.Aff++
 	}
 	h.env.RedirectorFor(id).NotifyReplicaChange(id, h.ID, st.Aff)
-	h.est.OnAccept(now, h.loads.Load(), 4*unitLoad)
+	h.est.OnAccept(now, h.loads.Load(), 4*req.UnitLoad)
 	h.Stats.Accepted++
-	_ = srcAff // affinity travels in the request for symmetry with Fig. 4; bounds use unitLoad directly
 	return true
 }
 
@@ -793,7 +797,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 			// Hot objects are only ever replicated during offload (a load
 			// migration could undo a previous geo-replication), so when
 			// the consistency layer bars replication the object stays.
-			if h.env.CanReplicate != nil && !h.env.CanReplicate(c.id, h.env.RedirectorFor(c.id).ReplicaCount(c.id)) {
+			if h.env.CanReplicate != nil && !h.env.CanReplicate(c.id, h.replicaCount(c.id)) {
 				continue
 			}
 			mv.method = Replicate

@@ -122,7 +122,7 @@ func (c *cluster) seed(id object.ID, host topology.NodeID) {
 // deliver runs req's CreateObj handler on its target at time at, as a
 // control-plane transport does.
 func (c *cluster) deliver(at time.Duration, req CreateObjRequest) bool {
-	return c.hosts[req.To].CreateObj(at, req.Method, req.Object, req.UnitLoad, req.SrcAff, req.From)
+	return c.hosts[req.To].CreateObj(at, req)
 }
 
 // send is the cluster's handshake transport, the in-memory fleet's
@@ -312,10 +312,10 @@ func TestMigrateGuardAgainstViciousCycle(t *testing.T) {
 	c.loads[2].total = params.LowWatermark - 1 // 79
 	unitLoad := (params.HighWatermark - (params.LowWatermark - 1) + 1) / 4
 
-	if c.hosts[2].CreateObj(50*time.Second, Migrate, obj, unitLoad, 1, 0) {
+	if c.hosts[2].CreateObj(50*time.Second, CreateObjRequest{Method: Migrate, Object: obj, UnitLoad: unitLoad, SrcAff: 1}) {
 		t.Fatal("migration accepted although 4*unitLoad would cross hw")
 	}
-	if !c.hosts[2].CreateObj(50*time.Second, Replicate, obj, unitLoad, 1, 0) {
+	if !c.hosts[2].CreateObj(50*time.Second, CreateObjRequest{Method: Replicate, Object: obj, UnitLoad: unitLoad, SrcAff: 1}) {
 		t.Fatal("replication refused although load below lw")
 	}
 	if !c.hosts[2].Has(obj) {
@@ -331,7 +331,7 @@ func TestMigrateGuardAgainstViciousCycle(t *testing.T) {
 func TestCreateObjIncrementsAffinity(t *testing.T) {
 	c := newCluster(t, topology.Line(3), DefaultParams())
 	c.seed(obj, 1)
-	if !c.hosts[1].CreateObj(time.Second, Replicate, obj, 1, 1, 0) {
+	if !c.hosts[1].CreateObj(time.Second, CreateObjRequest{Method: Replicate, Object: obj, UnitLoad: 1, SrcAff: 1}) {
 		t.Fatal("replication refused")
 	}
 	if got := c.hosts[1].Affinity(obj); got != 2 {

@@ -140,7 +140,8 @@ func TestElectHostMatchesScan(t *testing.T) {
 				method = Repair
 			}
 			lose = rng.Intn(4) % 3 // half the handshakes get their verdict back
-			status, _, _ := h.createObj(now, best, method, object.ID(rng.Intn(numObjects)), rng.Float64()*3, 1, 0)
+			req := CreateObjRequest{From: h.ID, To: best, Method: method, Object: object.ID(rng.Intn(numObjects)), UnitLoad: rng.Float64() * 3, SrcAff: 1}
+			status, _, _ := h.createObj(now, req, 0)
 			outcomes[status]++
 		}
 		// A two-peer fleet whose winner keeps contending can cost the board

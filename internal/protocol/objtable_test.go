@@ -416,7 +416,7 @@ func TestPlacementPassAllocFree(t *testing.T) {
 		h.DecidePlacement(now) // sizes the reused buffers and drops cold once
 		var st *ObjectState
 		dropAndReAdd := func() {
-			if !h.CreateObj(now, Replicate, cold, 0, 1, other.ID) {
+			if !h.CreateObj(now, CreateObjRequest{Method: Replicate, Object: cold, SrcAff: 1, From: other.ID}) {
 				t.Fatal("the idle host refused the object back")
 			}
 			if st != nil && h.objs.get(cold) != st {

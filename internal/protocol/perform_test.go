@@ -268,7 +268,7 @@ func TestStaleDeferralDiesWithItsReplica(t *testing.T) {
 	if res := h.reduceAffinity(150*time.Second, obj, h.objs.get(obj)); res != affDropped {
 		t.Fatalf("dropping the deferred replica: %v, want it dropped", res)
 	}
-	if !h.CreateObj(150*time.Second, Replicate, obj, 0, 1, 5) {
+	if !h.CreateObj(150*time.Second, CreateObjRequest{Method: Replicate, Object: obj, SrcAff: 1, From: 5}) {
 		t.Fatal("the idle host refused a fresh replica")
 	}
 	request()

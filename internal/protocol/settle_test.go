@@ -79,7 +79,7 @@ func settleScript(t *testing.T, seed int64, eager bool, cov *settleCoverage) []s
 			from := topology.NodeID(rng.Intn(n))
 			stale := slices.ContainsFunc(h.reqLog, func(r loggedReq) bool { return object.ID(r.id) == id })
 			had := h.Has(id)
-			ok := h.CreateObj(now, method, id, rng.Float64(), 1, from)
+			ok := h.CreateObj(now, CreateObjRequest{Method: method, Object: id, UnitLoad: rng.Float64(), SrcAff: 1, From: from})
 			trace = append(trace, fmt.Sprintf("%v create %v %d at %d: %v", now, method, id, hi, ok))
 			switch {
 			case !ok:

@@ -83,7 +83,7 @@ func (s *Simulation) callCreateObj(now time.Duration, req protocol.CreateObjRequ
 	verdict, tok, doneAt, ok := s.ctrl.plane.Call(now, req.From, req.To, token, func(at time.Duration) bool {
 		prev := s.ctrl.execAt
 		s.ctrl.execAt = at
-		res := s.mem.machines[req.To].Host.CreateObj(at, req.Method, req.Object, req.UnitLoad, req.SrcAff, req.From)
+		res := s.mem.machines[req.To].Host.CreateObj(at, req)
 		s.ctrl.execAt = prev
 		return res
 	})

@@ -94,7 +94,7 @@ func (f *scriptedFleet) Complete(now time.Duration, h, g topology.NodeID, id obj
 }
 
 func (f *scriptedFleet) Measure(now time.Duration, h topology.NodeID) (actual, lower, upper float64, ok bool) {
-	_, actual, lower, upper = f.machines[h].Measure(now)
+	actual, lower, upper = f.machines[h].Measure(now)
 	return actual, lower, upper, true
 }
 

@@ -162,7 +162,7 @@ func TestStorageCapAllowsAffinityIncrement(t *testing.T) {
 	if len(objs) == 0 {
 		t.Fatal("host 0 has no seeded objects")
 	}
-	if !h.CreateObj(time.Second, protocol.Replicate, objs[0], 0.1, 1, 1) {
+	if !h.CreateObj(time.Second, protocol.CreateObjRequest{Method: protocol.Replicate, Object: objs[0], UnitLoad: 0.1, SrcAff: 1, From: 1}) {
 		t.Fatal("affinity increment refused under storage cap")
 	}
 	if h.Affinity(objs[0]) != 2 {

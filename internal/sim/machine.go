@@ -71,18 +71,21 @@ func (m *Machine) Complete(id object.ID, g topology.NodeID) {
 	m.Host.OnRequest(id, g)
 }
 
-// Measure closes the load-measurement interval at now (§2.1): its start,
-// and the measured load between the protocol's lower and upper estimates.
-func (m *Machine) Measure(now time.Duration) (start time.Duration, actual, lower, upper float64) {
-	start = m.Server.CloseInterval(now)
-	m.Host.OnMeasurementIntervalClose(start)
+// Measure closes the load-measurement interval at now (§2.1) and returns
+// the measured load between the protocol's lower and upper estimates.
+func (m *Machine) Measure(now time.Duration) (actual, lower, upper float64) {
+	m.Host.OnMeasurementIntervalClose(m.Server.CloseInterval(now))
 	actual = m.Server.Load()
 	lower, upper = m.Host.Estimator().Bounds(actual)
-	return start, actual, lower, upper
+	return actual, lower, upper
 }
 
+// RedirectorIndex returns which of k redirectors answers for id: the URL
+// namespace is hash-partitioned, redirector i taking the ids ≡ i mod k.
+func RedirectorIndex(id object.ID, k int) int { return int(id) % k }
+
 // RedirectorLocs returns the nodes hosting cfg's redirectors, in partition
-// order: redirector i of k answers for the objects with id mod k == i.
+// order (RedirectorIndex).
 // They sit on the NumRedirectors nodes with the smallest average hop
 // distance (paper §6.1), selected by (avg, id) so the order is stable — or,
 // with RedirectorAtHome, one on every node in ID order: objects are homed
@@ -132,7 +135,7 @@ func SeedPlacement(cfg *Config, machines []*Machine, redirectors []*protocol.Red
 		if m := machines[h]; m != nil {
 			m.Host.SeedObject(id) // counts the replica on the machine's stack
 		}
-		if r := redirectors[int(id)%len(redirectors)]; r != nil {
+		if r := redirectors[RedirectorIndex(id, len(redirectors))]; r != nil {
 			r.NotifyReplicaChange(id, h, 1)
 		}
 	}
@@ -155,34 +158,30 @@ func SeedPlacement(cfg *Config, machines []*Machine, redirectors []*protocol.Red
 
 // ReplicaCensus is one redirector's count of the replicas it records for
 // its share of the namespace. The loop reads the total and the floor
-// deficit; the per-object extremes and the zero count are what the live
-// invariant checker bounds. The tags are its wire form (live.CensusReply).
+// deficit; the largest set and the zero count are what the live invariant
+// checker bounds. The tags are its wire form (live.CensusReply).
 type ReplicaCensus struct {
-	Objects       int `json:"objects"`
 	TotalReplicas int `json:"total_replicas"`
-	// BelowFloor counts objects under the configured replica floor (zero
-	// unless a floor above 1 is armed).
+	// BelowFloor counts objects under a configured replica floor above 1.
 	BelowFloor int `json:"below_floor,omitempty"`
-	// MinReplicas/MaxReplicas are the smallest and largest recorded
-	// replica count (zero when the redirector owns no object).
-	MinReplicas int `json:"min_replicas,omitempty"`
+	// MaxReplicas is the largest recorded replica count.
 	MaxReplicas int `json:"max_replicas,omitempty"`
 	// Zero counts objects with no recorded replica at all — each one is a
 	// lost object unless it is healed within the convergence budget.
 	Zero int `json:"zero,omitempty"`
 }
 
-// Census counts the replicas r, redirector red of k, records.
+// Census counts the replicas r, redirector red of k, records for the
+// objects RedirectorIndex gives it.
 func Census(cfg *Config, r *protocol.Redirector, red, k int) ReplicaCensus {
 	var c ReplicaCensus
 	floor := cfg.Protocol.ReplicaFloor
-	for i := red; i < cfg.Universe.Count; i += k {
-		n := r.ReplicaCount(object.ID(i))
-		if c.Objects == 0 || n < c.MinReplicas {
-			c.MinReplicas = n
+	for i := 0; i < cfg.Universe.Count; i++ {
+		if RedirectorIndex(object.ID(i), k) != red {
+			continue
 		}
+		n := r.ReplicaCount(object.ID(i))
 		c.MaxReplicas = max(c.MaxReplicas, n)
-		c.Objects++
 		c.TotalReplicas += n
 		if floor > 1 && n < floor {
 			c.BelowFloor++

@@ -46,7 +46,7 @@ func newMemFleet(s *Simulation) (*memFleet, error) {
 		Routes: s.routes,
 		RedirectorFor: func(id object.ID) protocol.RedirectorControl {
 			if s.ctrl != nil {
-				return &s.ctrl.redirWrap[s.redirectorIndex(id)]
+				return &s.ctrl.redirWrap[RedirectorIndex(id, len(s.redLocs))]
 			}
 			return f.redirectorFor(id)
 		},
@@ -80,7 +80,7 @@ func (f *memFleet) sendCreateObj(now time.Duration, req protocol.CreateObjReques
 		return protocol.CreateDown, token, now
 	case f.s.ctrl != nil:
 		return f.s.callCreateObj(now, req, token)
-	case f.machines[req.To].Host.CreateObj(now, req.Method, req.Object, req.UnitLoad, req.SrcAff, req.From):
+	case f.machines[req.To].Host.CreateObj(now, req):
 		return protocol.CreateAccepted, 0, now
 	}
 	return protocol.CreateRefused, 0, now
@@ -88,7 +88,7 @@ func (f *memFleet) sendCreateObj(now time.Duration, req protocol.CreateObjReques
 
 // redirectorFor maps an object to its responsible redirector.
 func (f *memFleet) redirectorFor(id object.ID) *protocol.Redirector {
-	return f.redirectors[f.s.redirectorIndex(id)]
+	return f.redirectors[RedirectorIndex(id, len(f.redirectors))]
 }
 
 // Choose implements Fleet.
@@ -116,7 +116,7 @@ func (f *memFleet) Complete(_ time.Duration, h, g topology.NodeID, id object.ID)
 // Measure implements Fleet. A crashed host's model keeps closing (empty)
 // intervals, so its load decays to zero instead of freezing.
 func (f *memFleet) Measure(now time.Duration, h topology.NodeID) (actual, lower, upper float64, ok bool) {
-	_, actual, lower, upper = f.machines[h].Measure(now)
+	actual, lower, upper = f.machines[h].Measure(now)
 	return actual, lower, upper, true
 }
 

@@ -156,12 +156,6 @@ func newLoop(cfg Config) (*Simulation, error) {
 	return s, nil
 }
 
-// redirectorIndex maps an object to its responsible redirector: the URL
-// namespace is hash-partitioned over the redirectors.
-func (s *Simulation) redirectorIndex(id object.ID) int {
-	return int(id) % len(s.redLocs)
-}
-
 // chargeHandshake charges a request/response control message pair.
 func (s *Simulation) chargeHandshake(now time.Duration, from, to topology.NodeID) {
 	s.net.ControlMessage(now, s.routes.Path(from, to), controlMsgBytes)
@@ -171,7 +165,7 @@ func (s *Simulation) chargeHandshake(now time.Duration, from, to topology.NodeID
 // chargeNotify charges a one-way notification from a host to the object's
 // redirector.
 func (s *Simulation) chargeNotify(now time.Duration, from topology.NodeID, id object.ID) {
-	loc := s.redLocs[s.redirectorIndex(id)]
+	loc := s.redLocs[RedirectorIndex(id, len(s.redLocs))]
 	s.net.ControlMessage(now, s.routes.Path(from, loc), controlMsgBytes)
 }
 
@@ -320,28 +314,54 @@ func (s *Simulation) scheduleSwitchAndHooks() error {
 	return nil
 }
 
-// scheduleGenerators starts one request stream per gateway. Every backbone
-// node is a gateway (paper §6.1). Streams are phase-offset so the fleet
-// does not fire in lockstep.
+// scheduleGenerators starts one request stream per gateway, each at its
+// Pacing.Phase. Every backbone node is a gateway (paper §6.1).
 func (s *Simulation) scheduleGenerators() error {
 	n := s.topo.NumNodes()
-	spacing := time.Duration(float64(time.Second) / s.cfg.NodeRequestRPS)
+	pace := GatewayPacing(&s.cfg)
 	for i := 0; i < n; i++ {
-		gw := &gateway{s: s, g: topology.NodeID(i), spacing: spacing}
-		if err := s.dispEng.ScheduleSorted(spacing*time.Duration(i)/time.Duration(n), gw); err != nil {
+		gw := &gateway{s: s, g: topology.NodeID(i), pace: pace}
+		if err := s.dispEng.ScheduleSorted(pace.Phase(gw.g, n), gw); err != nil {
 			return fmt.Errorf("sim: scheduling generator %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
+// Pacing is a gateway's request clock (§6.1): a request every Spacing, or
+// Poisson arrivals at that mean. The loop's generators and FreeDriver use it.
+type Pacing struct {
+	Spacing time.Duration
+	Poisson bool
+}
+
+// GatewayPacing is the pacing of cfg's gateways.
+func GatewayPacing(cfg *Config) Pacing {
+	return Pacing{time.Duration(float64(time.Second) / cfg.NodeRequestRPS), cfg.PoissonArrivals}
+}
+
+// Phase is gateway g of n's first firing, spread over one spacing so the
+// gateways do not fire in lockstep.
+func (p Pacing) Phase(g topology.NodeID, n int) time.Duration {
+	return p.Spacing * time.Duration(g) / time.Duration(n)
+}
+
+// Gap is the wait before a gateway's next request: under Poisson one draw
+// from rng, at least 1 ns so the stream advances.
+func (p Pacing) Gap(rng *rand.Rand) time.Duration {
+	if !p.Poisson {
+		return p.Spacing
+	}
+	return max(time.Nanosecond, time.Duration(rng.ExpFloat64()*float64(p.Spacing)))
+}
+
 // gateway is one node's request stream, waiting in the dispatch engine's
 // sorted run: each firing issues a request and reschedules it at or near
-// the run's tail, one spacing ahead (an exponential draw under Poisson).
+// the run's tail, one gap ahead.
 type gateway struct {
-	s       *Simulation
-	g       topology.NodeID
-	spacing time.Duration
+	s    *Simulation
+	g    topology.NodeID
+	pace Pacing
 	// schedAt is when this firing was (re)scheduled — the instant its
 	// serial sequence number was assigned. Sharded runs stamp it onto
 	// deliveries as the tie-breaking ParentAt (see shards.go).
@@ -351,10 +371,7 @@ type gateway struct {
 func (gw *gateway) Fire(now time.Duration) {
 	s, g := gw.s, gw.g
 	s.dispatch(now, gw.schedAt, g, s.gen.Next(g, s.rngs[g]))
-	next := gw.spacing
-	if s.cfg.PoissonArrivals {
-		next = max(time.Nanosecond, time.Duration(s.rngs[g].ExpFloat64()*float64(gw.spacing)))
-	}
+	next := gw.pace.Gap(s.rngs[g])
 	if now+next <= s.cfg.Duration {
 		gw.schedAt = now
 		// Rescheduling forward in time cannot fail.
@@ -370,7 +387,7 @@ func (gw *gateway) Fire(now time.Duration) {
 // mutates its distribution state (request counts, choice rotation) inside
 // Choose, so this instant is part of the schedule on every fleet.
 func (s *Simulation) dispatch(t0, schedAt time.Duration, g topology.NodeID, id object.ID) {
-	red := s.redirectorIndex(id)
+	red := RedirectorIndex(id, len(s.redLocs))
 	loc := s.redLocs[red]
 	if s.haveLinkFaults && !s.net.PathUp(s.routes.Path(g, loc)) {
 		s.col.RecordFailedRequest(t0) // redirector unreachable: request lost
