@@ -184,7 +184,7 @@ func (f *httpFleet) Admit(now time.Duration, h, g topology.NodeID, id object.ID)
 }
 
 // Complete implements sim.Fleet.
-func (f *httpFleet) Complete(_ time.Duration, h, g topology.NodeID, id object.ID) bool {
+func (f *httpFleet) Complete(h, g topology.NodeID, id object.ID) bool {
 	msg := CompleteMsg{Object: int64(id), Gateway: int(g)}
 	return Post(f.client, f.urls[h]+PathComplete, &msg, nil) == nil
 }

@@ -947,7 +947,7 @@ func (nd *Node) handleMark(w http.ResponseWriter, r *http.Request) {
 		// the placement passes' repair machinery — not just the
 		// reachability filter — restores them. A recovering node
 		// re-registers its holdings on Start (reRegister).
-		nd.redirector.PurgeHost(topology.NodeID(msg.Host))
+		nd.redirector.PurgeHost(topology.NodeID(msg.Host), nil)
 	}
 	nd.redMu.Unlock()
 	writeJSON(w, struct{}{})

@@ -47,7 +47,7 @@ type cluster struct {
 func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 	t.Helper()
 	routes := routing.New(topo)
-	red, err := NewRedirector(routes.MinAvgDistanceNode(), routes, PolicyPaper, params.DistConstant)
+	red, err := NewRedirector(routes.MinAvgDistanceNode(), routes, PolicyPaper, params.DistConstant, testObjects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,7 +636,7 @@ func TestOnRequestForUnknownObjectIgnored(t *testing.T) {
 func TestNewHostValidation(t *testing.T) {
 	topo := topology.Line(3)
 	routes := routing.New(topo)
-	red, err := NewRedirector(0, routes, PolicyPaper, 2)
+	red, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
 	if err != nil {
 		t.Fatal(err)
 	}

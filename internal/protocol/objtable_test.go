@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"radar/internal/object"
+	"radar/internal/routing"
 	"radar/internal/topology"
 	"radar/internal/workload"
 )
@@ -480,6 +482,50 @@ func TestPlacementPassAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("a steady-state placement pass (all gateways %v) allocates %v times, want 0", allGateways, allocs)
+		}
+	}
+}
+
+// TestRedirectorSmallSetsAllocFree is the redirector's side of the
+// placement pass's guard: a replica set that never holds more than
+// inlineReplicas records lives in its entry, so notifications, affinity
+// changes, choices, drops, record removals and purges that empty it
+// allocate nothing once PurgeHost's buffer is sized.
+func TestRedirectorSmallSetsAllocFree(t *testing.T) {
+	routes := routing.New(topology.UUNET())
+	r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var emptied []object.ID
+	cycle := func() {
+		for id := object.ID(0); id < 8; id++ {
+			for k := 0; k < inlineReplicas; k++ {
+				r.NotifyReplicaChange(id, topology.NodeID(1+k*7), 1)
+			}
+			r.NotifyReplicaChange(id, 1, 2)
+			if _, err := r.ChooseReplica(topology.NodeID(id), id); err != nil {
+				t.Fatal(err)
+			}
+			if !r.RequestDrop(id, 8) || !r.RemoveRecord(id, 15) {
+				t.Fatal("a recorded replica was not removed")
+			}
+		}
+		emptied = r.PurgeHost(22, emptied)
+		if emptied = r.PurgeHost(1, emptied); len(emptied) != 8 {
+			t.Fatalf("purges emptied %v, want objects 0-7", emptied)
+		}
+		if _, err := r.ChooseReplica(0, 0); !errors.Is(err, ErrUnknownObject) {
+			t.Fatalf("choice on an emptied set: %v, want ErrUnknownObject", err)
+		}
+	}
+	cycle() // sizes emptied
+	if a := testing.AllocsPerRun(50, cycle); a != 0 {
+		t.Fatalf("a cycle on sets of up to %d replicas allocates %v times", inlineReplicas, a)
+	}
+	for id := object.ID(0); id < 8; id++ {
+		if r.entries[id].big != nil {
+			t.Fatalf("object %d spilled with at most %d replicas", id, inlineReplicas)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"radar/internal/object"
@@ -68,39 +69,45 @@ func parseName[T fmt.Stringer](what, name string, vals ...T) (T, error) {
 	return none, fmt.Errorf("protocol: unknown %s %q", what, name)
 }
 
-// Replica is the redirector's view of one object replica.
-type Replica struct {
-	// Host is the node holding the replica.
-	Host topology.NodeID
-	// Aff is the replica's affinity: the compact representation of
-	// multiple affinity units of the same object on the same host.
-	Aff int
-	// Rcnt counts how many times the redirector chose this replica since
-	// the last replica-set change.
-	Rcnt int64
+// replica is the redirector's record of one object replica: the node
+// holding it, its affinity (the compact representation of multiple affinity
+// units of the same object on the same host) and rcnt, how many times the
+// redirector chose it since the last replica-set change. Node IDs and
+// affinities fit 32 bits, so a record is 16 bytes.
+type replica struct {
+	host, aff int32
+	rcnt      int64
 }
 
 // unitRcnt is the replica's unit request count rcnt/aff (Fig. 2).
-func (r Replica) unitRcnt() float64 { return float64(r.Rcnt) / float64(r.Aff) }
+func (r *replica) unitRcnt() float64 { return float64(r.rcnt) / float64(r.aff) }
 
 // nearTableMin is the smallest replica set that memoizes its choices; below
 // it one pass over the set is cheaper, and most sets are that small.
 const nearTableMin = 8
 
+// inlineReplicas is the largest replica set an entry holds in place. Under
+// floor repair sets stay near the floor: on the churn workload 88 % of
+// objects never hold more than 4 replicas, so most sets never allocate.
+const inlineReplicas = 4
+
 type redirEntry struct {
-	replicas []Replica  // sorted by Host for deterministic iteration
-	memo     *redirMemo // nil below nearTableMin replicas
-	cursor   int32      // round-robin position (baseline policy)
-	known    bool       // a replica was ever recorded (survives PurgeHost)
+	inline [inlineReplicas]replica // the set while it fits, sorted by host
+	big    *bigSet                 // the set once it outgrew inline; kept from then on
+	n      uint8                   // replicas in inline (0 once big is set)
+	known  bool                    // a replica was ever recorded (survives PurgeHost)
+	cursor int32                   // round-robin position (baseline policy)
 }
 
-// redirMemo holds a large replica set's two operands of Fig. 2, ties to the
-// lowest index: least is the replica with the smallest unit request count,
-// nil until scanned, and near[g] is 1 + the index of the replica closest to
-// gateway g, 0 until scanned.
-type redirMemo struct {
-	least *Replica
-	near  []uint16
+// bigSet is a replica set that outgrew its entry, sorted by host. A set of
+// nearTableMin or more memoizes Fig. 2's two operands, ties to the lowest
+// index: least is the replica with the smallest unit request count, nil
+// until scanned, and near[g] is 1 + the index of the replica closest to
+// gateway g, 0 until scanned. near is nil for a smaller set.
+type bigSet struct {
+	replicas []replica
+	least    *replica
+	near     []uint16
 }
 
 // Redirector implements the request distribution side of the protocol: it
@@ -121,7 +128,7 @@ type Redirector struct {
 	routes  *routing.Table
 	policy  Policy
 	cRatio  float64
-	entries []redirEntry // indexed by object.ID, grown on demand
+	entries []redirEntry // indexed by object.ID, one per object of the universe
 
 	// minReplicas is the replica count RequestDrop preserves per object
 	// (>= 1; see SetReplicaFloor).
@@ -144,8 +151,9 @@ var (
 )
 
 // NewRedirector returns a redirector at location using the given routes,
-// distribution policy and distribution constant (Params.DistConstant).
-func NewRedirector(location topology.NodeID, routes *routing.Table, policy Policy, distConstant float64) (*Redirector, error) {
+// distribution policy and distribution constant (Params.DistConstant), for
+// objects with IDs below objects.
+func NewRedirector(location topology.NodeID, routes *routing.Table, policy Policy, distConstant float64, objects int) (*Redirector, error) {
 	if routes == nil {
 		return nil, fmt.Errorf("%w: routes", ErrNilDependency)
 	}
@@ -155,11 +163,15 @@ func NewRedirector(location topology.NodeID, routes *routing.Table, policy Polic
 	if policy < PolicyPaper || policy > PolicyClosest {
 		return nil, fmt.Errorf("protocol: unknown policy %d", policy)
 	}
+	if objects < 0 {
+		return nil, fmt.Errorf("protocol: negative object count %d", objects)
+	}
 	return &Redirector{
 		Location:    location,
 		routes:      routes,
 		policy:      policy,
 		cRatio:      distConstant,
+		entries:     make([]redirEntry, objects),
 		minReplicas: 1,
 	}, nil
 }
@@ -184,30 +196,19 @@ func (r *Redirector) SetReachable(f func(host topology.NodeID) bool) {
 
 // lookup returns the entry for id, or nil if none was ever recorded.
 func (r *Redirector) lookup(id object.ID) *redirEntry {
-	if int(id) >= len(r.entries) || int(id) < 0 {
-		return nil
+	if uint(id) < uint(len(r.entries)) && r.entries[id].known {
+		return &r.entries[id]
 	}
-	e := &r.entries[id]
-	if !e.known {
-		return nil
-	}
-	return e
+	return nil
 }
 
-// entry returns the entry for id, growing the index geometrically as
-// needed (IDs arrive in ascending order during seeding; per-ID growth
-// would be quadratic).
-func (r *Redirector) entry(id object.ID) *redirEntry {
-	if int(id) >= len(r.entries) {
-		if int(id) < cap(r.entries) {
-			r.entries = r.entries[:int(id)+1]
-		} else {
-			grown := make([]redirEntry, int(id)+1, max(2*cap(r.entries), int(id)+1))
-			copy(grown, r.entries)
-			r.entries = grown
-		}
+// set returns e's replicas, sorted by host: the inline ones or, once the
+// set outgrew them, the spilled slice.
+func (e *redirEntry) set() []replica {
+	if e.big != nil {
+		return e.big.replicas
 	}
-	return &r.entries[id]
+	return e.inline[:e.n]
 }
 
 // ChooseReplica picks the host to service a request for id that entered
@@ -217,52 +218,63 @@ func (r *Redirector) entry(id object.ID) *redirEntry {
 // the id), so a failed choice allocates nothing.
 func (r *Redirector) ChooseReplica(g topology.NodeID, id object.ID) (topology.NodeID, error) {
 	e := r.lookup(id)
-	if e == nil || len(e.replicas) == 0 {
+	if e == nil {
 		return 0, ErrUnknownObject
 	}
-	if r.reachable != nil || r.policy != PolicyPaper {
-		return r.choosePass(g, e)
-	}
-	if e.memo == nil {
-		// One pass finds both the closest replica (distance ties broken by
-		// the sorted-by-host order) and the least-loaded one (strictly
-		// smaller unit request count wins, so ties also break by host).
-		dist := r.routes.DistancesFrom(g)
-		closest, least := &e.replicas[0], &e.replicas[0]
-		bestD, closestU := dist[closest.Host], closest.unitRcnt()
-		leastU := closestU
-		for i := 1; i < len(e.replicas); i++ {
-			rep := &e.replicas[i]
-			u := rep.unitRcnt()
-			if d := dist[rep.Host]; d < bestD {
-				closest, bestD, closestU = rep, d, u
-			}
-			if u < leastU {
-				least, leastU = rep, u
-			}
+	plain := r.reachable == nil && r.policy == PolicyPaper
+	reps := e.inline[:e.n] // e.set(), with the memo test folded in
+	if b := e.big; b != nil {
+		if b.near != nil && plain {
+			return e.charge(r.fig2(b.memoized(g, r.routes))), nil
 		}
-		if closestU > r.cRatio*leastU {
-			closest = least
-		}
-		return e.charge(closest), nil
+		reps = b.replicas
 	}
-	return e.charge(r.fig2(e.memoized(g, r.routes))), nil
+	if len(reps) == 0 {
+		return 0, ErrUnknownObject
+	}
+	if !plain {
+		return r.choosePass(g, e, reps)
+	}
+	// One pass finds both the closest replica (distance ties broken by the
+	// sorted-by-host order) and the least-loaded one (strictly smaller unit
+	// request count wins, so ties also break by host). Without a memo there
+	// is no least to drop, so the charge is the bare increment.
+	dist := r.routes.DistancesFrom(g)
+	closest, least := &reps[0], &reps[0]
+	bestD, closestU := dist[closest.host], closest.unitRcnt()
+	leastU := closestU
+	for i := 1; i < len(reps); i++ {
+		rep := &reps[i]
+		u := rep.unitRcnt()
+		if d := dist[rep.host]; d < bestD {
+			closest, bestD, closestU = rep, d, u
+		}
+		if u < leastU {
+			least, leastU = rep, u
+		}
+	}
+	if closestU > r.cRatio*leastU {
+		closest = least
+	}
+	closest.rcnt++
+	return topology.NodeID(closest.host), nil
 }
 
-// choosePass is ChooseReplica under a reachability filter or a baseline
-// policy. The memos range over unreachable replicas, so one pass finds the
-// closest and least-loaded admitted replica instead (same tie rules).
-func (r *Redirector) choosePass(g topology.NodeID, e *redirEntry) (topology.NodeID, error) {
+// choosePass is ChooseReplica on e's replicas reps under a reachability
+// filter or a baseline policy. The memos range over unreachable replicas, so
+// one pass finds the closest and least-loaded admitted replica instead
+// (same tie rules).
+func (r *Redirector) choosePass(g topology.NodeID, e *redirEntry, reps []replica) (topology.NodeID, error) {
 	dist := r.routes.DistancesFrom(g)
-	var closest, least *Replica
+	var closest, least *replica
 	var bestD int32
 	var leastU float64
-	for i := range e.replicas {
-		rep := &e.replicas[i]
-		if r.reachable != nil && !r.reachable(rep.Host) {
+	for i := range reps {
+		rep := &reps[i]
+		if r.reachable != nil && !r.reachable(topology.NodeID(rep.host)) {
 			continue
 		}
-		if d := dist[rep.Host]; closest == nil || d < bestD {
+		if d := dist[rep.host]; closest == nil || d < bestD {
 			closest, bestD = rep, d
 		}
 		if u := rep.unitRcnt(); least == nil || u < leastU {
@@ -275,8 +287,8 @@ func (r *Redirector) choosePass(g topology.NodeID, e *redirEntry) (topology.Node
 	case r.policy == PolicyRoundRobin:
 		// Advance to the next reachable replica; the pass found one.
 		for {
-			e.cursor = (e.cursor + 1) % int32(len(e.replicas))
-			if rep := &e.replicas[e.cursor]; r.reachable == nil || r.reachable(rep.Host) {
+			e.cursor = (e.cursor + 1) % int32(len(reps))
+			if rep := &reps[e.cursor]; r.reachable == nil || r.reachable(topology.NodeID(rep.host)) {
 				return e.charge(rep), nil
 			}
 		}
@@ -288,7 +300,7 @@ func (r *Redirector) choosePass(g topology.NodeID, e *redirEntry) (topology.Node
 
 // fig2 is the rule of Fig. 2: the closest replica, unless its unit request
 // count exceeds the distribution constant times the least-loaded one's.
-func (r *Redirector) fig2(closest, least *Replica) *Replica {
+func (r *Redirector) fig2(closest, least *replica) *replica {
 	if closest.unitRcnt() > r.cRatio*least.unitRcnt() {
 		return least
 	}
@@ -298,38 +310,38 @@ func (r *Redirector) fig2(closest, least *Replica) *Replica {
 // charge counts a request on replica rep of e and returns its host. Counts
 // only grow between resets, so only charging the least-loaded replica can
 // displace it.
-func (e *redirEntry) charge(rep *Replica) topology.NodeID {
-	rep.Rcnt++
-	if e.memo != nil && rep == e.memo.least {
-		e.memo.least = nil
+func (e *redirEntry) charge(rep *replica) topology.NodeID {
+	rep.rcnt++
+	if e.big != nil && rep == e.big.least {
+		e.big.least = nil
 	}
-	return rep.Host
+	return topology.NodeID(rep.host)
 }
 
 // memoized returns the replica closest to gateway g and the least-loaded
 // one from the memo, scanning to refill what charge or a reset dropped.
-func (e *redirEntry) memoized(g topology.NodeID, routes *routing.Table) (closest, least *Replica) {
-	m := e.memo
-	if m.near[g] == 0 {
+func (b *bigSet) memoized(g topology.NodeID, routes *routing.Table) (closest, least *replica) {
+	reps := b.replicas
+	if b.near[g] == 0 {
 		dist := routes.DistancesFrom(g)
-		best, bestD := 0, dist[e.replicas[0].Host]
-		for i := 1; i < len(e.replicas); i++ {
-			if d := dist[e.replicas[i].Host]; d < bestD {
+		best, bestD := 0, dist[reps[0].host]
+		for i := 1; i < len(reps); i++ {
+			if d := dist[reps[i].host]; d < bestD {
 				best, bestD = i, d
 			}
 		}
-		m.near[g] = uint16(best + 1)
+		b.near[g] = uint16(best + 1)
 	}
-	if m.least == nil {
-		m.least = &e.replicas[0]
-		leastU := m.least.unitRcnt()
-		for i := 1; i < len(e.replicas); i++ {
-			if u := e.replicas[i].unitRcnt(); u < leastU {
-				m.least, leastU = &e.replicas[i], u
+	if b.least == nil {
+		b.least = &reps[0]
+		leastU := b.least.unitRcnt()
+		for i := 1; i < len(reps); i++ {
+			if u := reps[i].unitRcnt(); u < leastU {
+				b.least, leastU = &reps[i], u
 			}
 		}
 	}
-	return &e.replicas[m.near[g]-1], m.least
+	return &reps[b.near[g]-1], b.least
 }
 
 // NotifyReplicaChange records that host now holds a replica of id with the
@@ -337,36 +349,52 @@ func (e *redirEntry) memoized(g topology.NodeID, routes *routing.Table) (closest
 // the object's request counts to 1. The reset is the paper's remedy for
 // new replicas being flooded until their counts catch up (§3). Copy
 // creation is notified after the fact, so the recorded set stays a subset
-// of live replicas.
+// of live replicas. id must be below the redirector's object count; aff is
+// clamped to [1, MaxInt32], the range a record holds.
 func (r *Redirector) NotifyReplicaChange(id object.ID, host topology.NodeID, aff int) {
-	if aff < 1 {
-		aff = 1
-	}
-	e := r.entry(id)
+	aff = min(max(aff, 1), math.MaxInt32)
+	e := &r.entries[id]
 	e.known = true
-	if at, ok := e.find(host); ok {
-		e.replicas[at].Aff = aff
+	reps := e.set()
+	if at, ok := find(reps, host); ok {
+		reps[at].aff = int32(aff)
 	} else {
-		e.replicas = slices.Insert(e.replicas, at, Replica{Host: host, Aff: aff})
+		e.store(slices.Insert(reps, at, replica{host: int32(host), aff: int32(aff)}))
 	}
 	e.resetCounts(r.routes.NumNodes())
 }
 
-// find returns the index of host's record, or where inserting it keeps the
-// set sorted, and whether it exists. Sets are small: a scan beats bisection.
-func (e *redirEntry) find(host topology.NodeID) (int, bool) {
-	at := 0
-	for at < len(e.replicas) && e.replicas[at].Host < host {
+// store makes reps, e.set() with one record inserted or deleted, e's set.
+// Inline, the insertion or deletion happened in place; a set that outgrows
+// inline spills to a bigSet once, for good.
+func (e *redirEntry) store(reps []replica) {
+	switch {
+	case e.big != nil:
+		e.big.replicas = reps
+	case len(reps) > inlineReplicas:
+		e.big, e.n = &bigSet{replicas: reps}, 0
+	default:
+		e.n = uint8(len(reps))
+	}
+}
+
+// find returns the index of host's record in reps, or where inserting it
+// keeps reps sorted, and whether it exists. Sets are small: a scan beats
+// bisection.
+func find(reps []replica, host topology.NodeID) (int, bool) {
+	at, h := 0, int32(host)
+	for at < len(reps) && reps[at].host < h {
 		at++
 	}
-	return at, at < len(e.replicas) && e.replicas[at].Host == host
+	return at, at < len(reps) && reps[at].host == h
 }
 
 // remove deletes host's record of e, if any, and resets the rest.
 func (r *Redirector) remove(e *redirEntry, host topology.NodeID) bool {
-	i, ok := e.find(host)
+	reps := e.set()
+	i, ok := find(reps, host)
 	if ok {
-		e.replicas = slices.Delete(e.replicas, i, i+1)
+		e.store(slices.Delete(reps, i, i+1))
 		e.resetCounts(r.routes.NumNodes())
 	}
 	return ok
@@ -376,17 +404,19 @@ func (r *Redirector) remove(e *redirEntry, host topology.NodeID) bool {
 // to 1 and the memo, which points into the old set, is emptied. Only a set
 // of nearTableMin or more keeps one.
 func (e *redirEntry) resetCounts(gateways int) {
-	for i := range e.replicas {
-		e.replicas[i].Rcnt = 1
+	reps := e.set()
+	for i := range reps {
+		reps[i].rcnt = 1
 	}
-	switch large := len(e.replicas) >= nearTableMin; {
-	case large && e.memo == nil:
-		e.memo = &redirMemo{near: make([]uint16, gateways)}
+	switch b, large := e.big, len(reps) >= nearTableMin; {
+	case b == nil: // inline: never large, no memo
+	case large && b.near == nil:
+		b.near = make([]uint16, gateways)
 	case large:
-		e.memo.least = nil
-		clear(e.memo.near)
-	case e.memo != nil: // storing nil over nil still pays a write barrier
-		e.memo = nil
+		b.least = nil
+		clear(b.near)
+	case b.near != nil: // storing nil over nil still pays a write barrier
+		b.least, b.near = nil, nil
 	}
 }
 
@@ -398,7 +428,7 @@ func (e *redirEntry) resetCounts(gateways int) {
 // the remaining counts are reset.
 func (r *Redirector) RequestDrop(id object.ID, host topology.NodeID) bool {
 	e := r.lookup(id)
-	return e != nil && len(e.replicas) > r.minReplicas && r.remove(e, host)
+	return e != nil && len(e.set()) > r.minReplicas && r.remove(e, host)
 }
 
 // RecordedAffinity returns the recorded affinity of id's replica on host
@@ -408,8 +438,9 @@ func (r *Redirector) RequestDrop(id object.ID, host topology.NodeID) bool {
 // notifications.
 func (r *Redirector) RecordedAffinity(id object.ID, host topology.NodeID) (int, bool) {
 	if e := r.lookup(id); e != nil {
-		if i, ok := e.find(host); ok {
-			return e.replicas[i].Aff, true
+		reps := e.set()
+		if i, ok := find(reps, host); ok {
+			return int(reps[i].aff), true
 		}
 	}
 	return 0, false
@@ -428,27 +459,20 @@ func (r *Redirector) RemoveRecord(id object.ID, host topology.NodeID) bool {
 // PurgeHost removes every replica recorded on the given host — the
 // control-plane reaction to a host failure. Unlike RequestDrop it may
 // leave an object with no replicas (the object is then unavailable until
-// the host recovers and re-registers). It returns the IDs of the affected
-// objects, sorted. The failure-handling extension is outside the paper's
-// scope (§1.1 positions the protocol as performance-, not
-// availability-oriented) but exercises the same control paths.
-func (r *Redirector) PurgeHost(host topology.NodeID) []object.ID {
-	var affected []object.ID
+// the host recovers and re-registers). It appends the IDs of the objects
+// it left with none to emptied[:0], ascending, and returns it; pass a
+// reusable buffer to keep a crash from allocating. The failure-handling
+// extension is outside the paper's scope (§1.1 positions the protocol as
+// performance-, not availability-oriented) but exercises the same control
+// paths.
+func (r *Redirector) PurgeHost(host topology.NodeID, emptied []object.ID) []object.ID {
+	emptied = emptied[:0]
 	for i := range r.entries {
-		if r.remove(&r.entries[i], host) {
-			affected = append(affected, object.ID(i))
+		if e := &r.entries[i]; r.remove(e, host) && len(e.set()) == 0 {
+			emptied = append(emptied, object.ID(i))
 		}
 	}
-	return affected
-}
-
-// AppendReplicas appends the recorded replica set for id to buf, sorted by
-// host ID, and returns it; buf is unchanged for unknown objects.
-func (r *Redirector) AppendReplicas(buf []Replica, id object.ID) []Replica {
-	if e := r.lookup(id); e != nil {
-		buf = append(buf, e.replicas...)
-	}
-	return buf
+	return emptied
 }
 
 // ReplicaHosts appends the hosts recorded for id to buf and returns it,
@@ -458,8 +482,8 @@ func (r *Redirector) AppendReplicas(buf []Replica, id object.ID) []Replica {
 func (r *Redirector) ReplicaHosts(id object.ID, buf []topology.NodeID) []topology.NodeID {
 	buf = buf[:0]
 	if e := r.lookup(id); e != nil {
-		for i := range e.replicas {
-			buf = append(buf, e.replicas[i].Host)
+		for _, rep := range e.set() {
+			buf = append(buf, topology.NodeID(rep.host))
 		}
 	}
 	return buf
@@ -468,7 +492,7 @@ func (r *Redirector) ReplicaHosts(id object.ID, buf []topology.NodeID) []topolog
 // ReplicaCount returns the number of recorded replicas of id.
 func (r *Redirector) ReplicaCount(id object.ID) int {
 	if e := r.lookup(id); e != nil {
-		return len(e.replicas)
+		return len(e.set())
 	}
 	return 0
 }

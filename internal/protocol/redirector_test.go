@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,10 +16,34 @@ import (
 
 const testObj = object.ID(7)
 
+// testObjects is the object count test redirectors are built for.
+const testObjects = 1024
+
+// Replica is a test's view of one redirector record.
+type Replica struct {
+	Host topology.NodeID
+	Aff  int
+	Rcnt int64
+}
+
+// unitRcnt is the replica's unit request count rcnt/aff (Fig. 2).
+func (r Replica) unitRcnt() float64 { return float64(r.Rcnt) / float64(r.Aff) }
+
+// AppendReplicas appends the recorded replica set for id to buf, sorted by
+// host ID, and returns it; buf is unchanged for unknown objects.
+func (r *Redirector) AppendReplicas(buf []Replica, id object.ID) []Replica {
+	if e := r.lookup(id); e != nil {
+		for _, rep := range e.set() {
+			buf = append(buf, Replica{Host: topology.NodeID(rep.host), Aff: int(rep.aff), Rcnt: rep.rcnt})
+		}
+	}
+	return buf
+}
+
 func newTestRedirector(t *testing.T, topo *topology.Topology, policy Policy) (*Redirector, *routing.Table) {
 	t.Helper()
 	routes := routing.New(topo)
-	r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, policy, 2)
+	r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, policy, 2, testObjects)
 	if err != nil {
 		t.Fatalf("NewRedirector: %v", err)
 	}
@@ -243,14 +268,17 @@ func TestClosestPolicyIgnoresLoad(t *testing.T) {
 
 func TestNewRedirectorValidation(t *testing.T) {
 	routes := routing.New(topology.Line(3))
-	if _, err := NewRedirector(0, nil, PolicyPaper, 2); err == nil {
+	if _, err := NewRedirector(0, nil, PolicyPaper, 2, testObjects); err == nil {
 		t.Error("nil routes accepted")
 	}
-	if _, err := NewRedirector(0, routes, PolicyPaper, 1); err == nil {
+	if _, err := NewRedirector(0, routes, PolicyPaper, 1, testObjects); err == nil {
 		t.Error("distribution constant 1 accepted")
 	}
-	if _, err := NewRedirector(0, routes, Policy(9), 2); err == nil {
+	if _, err := NewRedirector(0, routes, Policy(9), 2, testObjects); err == nil {
 		t.Error("unknown policy accepted")
+	}
+	if _, err := NewRedirector(0, routes, PolicyPaper, 2, -1); err == nil {
+		t.Error("negative object count accepted")
 	}
 }
 
@@ -301,6 +329,15 @@ func TestTotalAffinityAndObjects(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Errorf("EachObject walked %v, want [1 2]", ids)
 	}
+	// Affinities are clamped to what a record holds.
+	r.NotifyReplicaChange(object.ID(3), 1, 0)
+	r.NotifyReplicaChange(object.ID(3), 2, math.MaxInt)
+	if lo, _ := r.RecordedAffinity(3, 1); lo != 1 {
+		t.Errorf("affinity 0 recorded as %d, want 1", lo)
+	}
+	if hi, _ := r.RecordedAffinity(3, 2); hi != math.MaxInt32 {
+		t.Errorf("affinity MaxInt recorded as %d, want MaxInt32", hi)
+	}
 }
 
 // steadyState runs k random requests with per-gateway weights and returns
@@ -350,7 +387,7 @@ func TestTheorem1And2ReplicationBounds(t *testing.T) {
 	routes := routing.New(topo)
 	for trial := 0; trial < 60; trial++ {
 		rng := workload.Stream(int64(1000+trial), 0)
-		r, err := NewRedirector(0, routes, PolicyPaper, 2)
+		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +456,7 @@ func TestTheorem3And4MigrationBounds(t *testing.T) {
 	routes := routing.New(topo)
 	for trial := 0; trial < 60; trial++ {
 		rng := workload.Stream(int64(5000+trial), 0)
-		r, err := NewRedirector(0, routes, PolicyPaper, 2)
+		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +518,7 @@ func TestTheorem5FloorAfterReplication(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 80 && checked < 25; trial++ {
 		rng := workload.Stream(int64(9000+trial), 0)
-		r, err := NewRedirector(0, routes, PolicyPaper, 2)
+		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,9 +644,9 @@ func TestPurgeHost(t *testing.T) {
 	r.NotifyReplicaChange(object.ID(1), 0, 1)
 	r.NotifyReplicaChange(object.ID(1), 2, 1)
 	r.NotifyReplicaChange(object.ID(2), 2, 1) // sole replica on the victim
-	affected := r.PurgeHost(2)
-	if len(affected) != 2 || affected[0] != 1 || affected[1] != 2 {
-		t.Fatalf("affected = %v, want [1 2]", affected)
+	emptied := r.PurgeHost(2, []object.ID{9, 9, 9})
+	if len(emptied) != 1 || emptied[0] != 2 {
+		t.Fatalf("emptied = %v, want [2]: object 1 keeps a replica", emptied)
 	}
 	if got := r.ReplicaCount(object.ID(1)); got != 1 {
 		t.Fatalf("object 1 replicas = %d, want 1", got)
@@ -662,10 +699,12 @@ func scanChoose(policy Policy, c float64, dist []int32, reps []Replica, cursor *
 }
 
 // scanModel is the redirector's bookkeeping without memos: sorted replica
-// sets, round-robin cursors, counts reset to 1 on every set change.
+// sets, round-robin cursors, counts reset to 1 on every set change. spilled
+// marks the sets that once held more than inlineReplicas.
 type scanModel struct {
 	sets    [choiceObjects][]Replica
 	cursors [choiceObjects]int
+	spilled [choiceObjects]bool
 }
 
 const choiceObjects = 3
@@ -685,6 +724,7 @@ func (m *scanModel) notify(id object.ID, h topology.NodeID, aff int) {
 		m.sets[id][at].Aff = aff
 	} else {
 		m.sets[id] = slices.Insert(m.sets[id], at, Replica{Host: h, Aff: aff})
+		m.spilled[id] = m.spilled[id] || len(m.sets[id]) > inlineReplicas
 	}
 	m.reset(id)
 }
@@ -701,16 +741,24 @@ func (m *scanModel) remove(id object.ID, h topology.NodeID) bool {
 }
 
 // choiceCoverage counts the choices a program made on each path: the
-// paper policy's one-pass loop and its memos, and choosePass.
-type choiceCoverage struct{ loop, memo, pass int }
+// paper policy's one-pass loop over an inline set, its memos, and
+// choosePass; spill counts the one-pass choices on a spilled set, vacant
+// those on a spilled set emptied since.
+type choiceCoverage struct{ loop, memo, pass, spill, vacant int }
+
+func (c *choiceCoverage) add(d choiceCoverage) {
+	c.loop, c.memo, c.pass = c.loop+d.loop, c.memo+d.memo, c.pass+d.pass
+	c.spill, c.vacant = c.spill+d.spill, c.vacant+d.vacant
+}
 
 // runChoiceProgram reads a fleet and a sequence of redirector operations
 // from data and applies each to a Redirector and to a scanModel: choices
 // in bursts from one gateway (so the closest replica's count climbs past
 // the distribution constant), notifications with affinity changes, drops,
-// record removals, host purges and reachability filters. After every step
-// each returned host, verdict and replica record, counts included, must
-// agree.
+// record removals, whole sets removed, host purges and reachability
+// filters, so sets cross inlineReplicas both ways and spilled sets empty.
+// After every step each returned host, error, verdict and replica record,
+// counts included, must agree.
 func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 	next := func() int {
 		if len(data) == 0 {
@@ -726,7 +774,7 @@ func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 	topo := []func(int) *topology.Topology{topology.Star, topology.Ring, topology.Line}[next()%3](n)
 	routes := routing.New(topo)
 	policy := Policy(1 + next()%3)
-	r, err := NewRedirector(0, routes, policy, 2)
+	r, err := NewRedirector(0, routes, policy, 2, testObjects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -735,11 +783,12 @@ func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 	var m scanModel
 	var reachable func(topology.NodeID) bool
 	var cov choiceCoverage
+	var emptied []object.ID
 	for step := 0; len(data) > 0; step++ {
 		id, h, op := object.ID(next()%choiceObjects), topology.NodeID(next()%n), next()
 		what := ""
 		switch {
-		case op < 150:
+		case op < 144:
 			what = fmt.Sprintf("%d choices for %d from gateway %d", 1+op%8, id, h)
 			for k := 0; k <= op%8; k++ {
 				switch {
@@ -747,6 +796,11 @@ func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 					cov.pass++
 				case len(m.sets[id]) >= nearTableMin:
 					cov.memo++
+				case m.spilled[id] && len(m.sets[id]) == 0:
+					cov.vacant++
+					fallthrough
+				case m.spilled[id]:
+					cov.spill++
 				default:
 					cov.loop++
 				}
@@ -756,14 +810,25 @@ func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 				}
 				got, err := r.ChooseReplica(h, id)
 				if want < 0 {
-					if err == nil {
-						t.Fatalf("step %d (%s): chose %d, the scan finds no replica", step, what, got)
+					wantErr := ErrNoReachableReplica
+					if len(m.sets[id]) == 0 {
+						wantErr = ErrUnknownObject
+					}
+					if !errors.Is(err, wantErr) {
+						t.Fatalf("step %d (%s): chose %d (%v), the scan finds no replica (%v)", step, what, got, err, wantErr)
 					}
 					continue
 				}
 				m.sets[id][want].Rcnt++
 				if err != nil || got != m.sets[id][want].Host {
 					t.Fatalf("step %d (%s): chose %d (%v), the scan chooses %d", step, what, got, err, m.sets[id][want].Host)
+				}
+			}
+		case op < 150:
+			what = fmt.Sprintf("remove every record of %d", id)
+			for k := topology.NodeID(0); int(k) < n; k++ {
+				if got, want := r.RemoveRecord(id, k), m.remove(id, k); got != want {
+					t.Fatalf("step %d (%s): removed %v on %d, want %v", step, what, got, k, want)
 				}
 			}
 		case op < 200:
@@ -786,12 +851,12 @@ func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 			what = fmt.Sprintf("purge %d", h)
 			var want []object.ID
 			for id := object.ID(0); id < choiceObjects; id++ {
-				if m.remove(id, h) {
+				if m.remove(id, h) && len(m.sets[id]) == 0 {
 					want = append(want, id)
 				}
 			}
-			if got := r.PurgeHost(h); !slices.Equal(got, want) {
-				t.Fatalf("step %d (%s): affected %v, want %v", step, what, got, want)
+			if emptied = r.PurgeHost(h, emptied); !slices.Equal(emptied, want) {
+				t.Fatalf("step %d (%s): emptied %v, want %v", step, what, emptied, want)
 			}
 		case op < 240:
 			down := uint32(next()) | uint32(next())<<8 | uint32(next())<<16
@@ -821,16 +886,16 @@ func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 // TestChooseReplicaMatchesScan runs seeded programs of every policy, with
 // and without a reachability filter, over fleets with distance and
 // unit-count ties, and requires the memoized choice to equal the full
-// scan's after every step.
+// scan's after every step. Every path must run, spilled sets and emptied
+// spilled sets included.
 func TestChooseReplicaMatchesScan(t *testing.T) {
 	var cov choiceCoverage
 	for seed := int64(0); seed < 90; seed++ {
 		data := make([]byte, 600)
 		workload.Stream(seed, 0).Read(data)
-		c := runChoiceProgram(t, data)
-		cov.loop, cov.memo, cov.pass = cov.loop+c.loop, cov.memo+c.memo, cov.pass+c.pass
+		cov.add(runChoiceProgram(t, data))
 	}
-	if cov.loop == 0 || cov.memo == 0 || cov.pass == 0 {
+	if cov.loop == 0 || cov.memo == 0 || cov.pass == 0 || cov.spill == 0 || cov.vacant == 0 {
 		t.Fatalf("choices per path %+v: every path must run", cov)
 	}
 	t.Logf("choices per path: %+v", cov)
@@ -851,7 +916,7 @@ func FuzzChooseReplica(f *testing.F) {
 func benchRedirector(b *testing.B, policy Policy, nReplicas int) *Redirector {
 	b.Helper()
 	routes := routing.New(topology.UUNET())
-	r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, policy, 2)
+	r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, policy, 2, testObjects)
 	if err != nil {
 		b.Fatal(err)
 	}

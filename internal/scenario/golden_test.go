@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -111,9 +113,61 @@ func TestCorpusGolden(t *testing.T) {
 				t.Fatalf("golden generated for scenario version %d, corpus is at %d — regenerate with -update",
 					want.Version, sc.Version)
 			}
-			for _, v := range Check(got, want.Metrics, sc.Tolerances) {
+			for _, v := range checkMetrics(got, want.Metrics, sc.Tolerances) {
 				t.Errorf("acceptance gate: %s", v)
 			}
 		})
 	}
+}
+
+// field is one named metric value for tolerance comparison.
+type field struct {
+	name string
+	v    float64
+}
+
+func (m Metrics) fields() []field {
+	return []field{
+		{"TotalServed", float64(m.TotalServed)},
+		{"FailedRequests", float64(m.FailedRequests)},
+		{"TimedOutRequests", float64(m.TimedOutRequests)},
+		{"Availability", m.Availability},
+		{"HitRatio", m.HitRatio},
+		{"Outages", float64(m.Outages)},
+		{"UnavailObjSecs", m.UnavailObjSecs},
+		{"BelowFloorObjSecs", m.BelowFloorObjSecs},
+		{"DeferredMoves", float64(m.DeferredMoves)},
+		{"RepairReplications", float64(m.RepairReplications)},
+		{"RepairByteHops", float64(m.RepairByteHops)},
+		{"ReconcileByteHops", float64(m.ReconcileByteHops)},
+		{"BandwidthEq", m.BandwidthEq},
+		{"LatencyEq", m.LatencyEq},
+		{"AvgReplicas", m.AvgReplicas},
+		{"TotalMoves", float64(m.TotalMoves)},
+		{"StoreHits", float64(m.StoreHits)},
+		{"StoreMisses", float64(m.StoreMisses)},
+		{"StoreEvictions", float64(m.StoreEvictions)},
+	}
+}
+
+// checkMetrics compares got against the golden want under tol (field name →
+// relative tolerance; absolute when the golden value is zero; missing
+// field → exact match). It returns one violation string per metric
+// outside its gate, empty when the run is accepted.
+func checkMetrics(got, want Metrics, tol map[string]float64) []string {
+	var violations []string
+	gf, wf := got.fields(), want.fields()
+	for i := range gf {
+		name := gf[i].name
+		g, w := gf[i].v, wf[i].v
+		allowed := tol[name] * math.Abs(w)
+		if w == 0 {
+			allowed = tol[name]
+		}
+		if diff := math.Abs(g - w); diff > allowed {
+			violations = append(violations,
+				fmt.Sprintf("%s = %v, golden %v (|diff| %v > allowed %v)", name, g, w, diff, allowed))
+		}
+	}
+	return violations
 }

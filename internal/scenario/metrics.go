@@ -1,16 +1,11 @@
 package scenario
 
-import (
-	"fmt"
-	"math"
-
-	"radar/internal/sim"
-)
+import "radar/internal/sim"
 
 // Metrics is a scenario's acceptance surface: the availability, repair
 // and efficiency aggregates a corpus run is judged on. Every field is a
-// golden-tracked metric; Check compares two Metrics field by field under
-// a scenario's tolerances.
+// golden-tracked metric; the golden test compares two Metrics field by
+// field under a scenario's tolerances.
 type Metrics struct {
 	TotalServed        int64   `json:"totalServed"`
 	FailedRequests     int64   `json:"failedRequests"`
@@ -77,56 +72,4 @@ func MetricsFrom(res *sim.Results) Metrics {
 type Golden struct {
 	Version int     `json:"version"`
 	Metrics Metrics `json:"metrics"`
-}
-
-// field is one named metric value for tolerance comparison.
-type field struct {
-	name string
-	v    float64
-}
-
-func (m Metrics) fields() []field {
-	return []field{
-		{"TotalServed", float64(m.TotalServed)},
-		{"FailedRequests", float64(m.FailedRequests)},
-		{"TimedOutRequests", float64(m.TimedOutRequests)},
-		{"Availability", m.Availability},
-		{"HitRatio", m.HitRatio},
-		{"Outages", float64(m.Outages)},
-		{"UnavailObjSecs", m.UnavailObjSecs},
-		{"BelowFloorObjSecs", m.BelowFloorObjSecs},
-		{"DeferredMoves", float64(m.DeferredMoves)},
-		{"RepairReplications", float64(m.RepairReplications)},
-		{"RepairByteHops", float64(m.RepairByteHops)},
-		{"ReconcileByteHops", float64(m.ReconcileByteHops)},
-		{"BandwidthEq", m.BandwidthEq},
-		{"LatencyEq", m.LatencyEq},
-		{"AvgReplicas", m.AvgReplicas},
-		{"TotalMoves", float64(m.TotalMoves)},
-		{"StoreHits", float64(m.StoreHits)},
-		{"StoreMisses", float64(m.StoreMisses)},
-		{"StoreEvictions", float64(m.StoreEvictions)},
-	}
-}
-
-// Check compares got against the golden want under tol (field name →
-// relative tolerance; absolute when the golden value is zero; missing
-// field → exact match). It returns one violation string per metric
-// outside its gate, empty when the run is accepted.
-func Check(got, want Metrics, tol map[string]float64) []string {
-	var violations []string
-	gf, wf := got.fields(), want.fields()
-	for i := range gf {
-		name := gf[i].name
-		g, w := gf[i].v, wf[i].v
-		allowed := tol[name] * math.Abs(w)
-		if w == 0 {
-			allowed = tol[name]
-		}
-		if diff := math.Abs(g - w); diff > allowed {
-			violations = append(violations,
-				fmt.Sprintf("%s = %v, golden %v (|diff| %v > allowed %v)", name, g, w, diff, allowed))
-		}
-	}
-	return violations
 }

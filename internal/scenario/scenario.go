@@ -3,9 +3,9 @@
 // the repo's standing acceptance corpus. Each scenario is written in a
 // compact DSL (ParseSpec), builds into a full sim.Config (Spec.Config),
 // and carries golden acceptance metrics with per-metric tolerances
-// (Metrics, Check) pinned under testdata/golden/ — every future change
-// runs against the corpus, the way the fault and control-plane layers
-// run against their golden regression tables.
+// (Metrics, compared by the golden test) pinned under testdata/golden/ —
+// every future change runs against the corpus, the way the fault and
+// control-plane layers run against their golden regression tables.
 package scenario
 
 import (

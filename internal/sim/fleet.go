@@ -34,9 +34,9 @@ type Fleet interface {
 	// now and returns the service completion time. Refused means the
 	// queue delay exceeds the client timeout and the client gave up.
 	Admit(now time.Duration, h, g topology.NodeID, id object.ID) (time.Duration, Outcome)
-	// Complete reports that h finished serving the request at now, which
-	// is when its load measurement and access counts record it.
-	Complete(now time.Duration, h, g topology.NodeID, id object.ID) (ok bool)
+	// Complete reports that h finished serving the request, which is when
+	// its load measurement and access counts record it.
+	Complete(h, g topology.NodeID, id object.ID) (ok bool)
 	// Measure closes h's load-measurement interval at now and returns its
 	// measured load between the protocol's lower and upper estimates.
 	Measure(now time.Duration, h topology.NodeID) (actual, lower, upper float64, ok bool)

@@ -17,7 +17,8 @@ import (
 // placement passes scripted away, each redirector records one replica per
 // object of its share of the namespace,
 // and from virtual time failAt one call of one node — the victim's Choose,
-// Admit, Complete or Place — answers Lost. Like a live fleet, a redirector
+// Admit, Complete or Place — answers Lost. Complete is not told the time: it
+// fails once another call has seen failAt. Like a live fleet, a redirector
 // dies with its node, and once told a host is down the others route its
 // objects to the next one. It records what the loop asked of it.
 type scriptedFleet struct {
@@ -25,7 +26,8 @@ type scriptedFleet struct {
 	redLocs    []topology.NodeID
 	victim     topology.NodeID
 	failAt     time.Duration
-	failCall   string // "choose", "admit", "complete" or "place"
+	failCall   string        // "choose", "admit", "complete" or "place"
+	seen       time.Duration // the latest time a call was made at
 
 	machines   []*Machine
 	down       []bool
@@ -64,6 +66,7 @@ func newScriptedFleet(t *testing.T, cfg *Config, f *scriptedFleet) *scriptedFlee
 }
 
 func (f *scriptedFleet) fails(call string, now time.Duration, h topology.NodeID) bool {
+	f.seen = max(f.seen, now)
 	return f.down[h] || (call == f.failCall && h == f.victim && now >= f.failAt)
 }
 
@@ -85,8 +88,8 @@ func (f *scriptedFleet) Admit(now time.Duration, h, _ topology.NodeID, id object
 	return f.machines[h].Admit(now, id)
 }
 
-func (f *scriptedFleet) Complete(now time.Duration, h, g topology.NodeID, id object.ID) bool {
-	if f.fails("complete", now, h) {
+func (f *scriptedFleet) Complete(h, g topology.NodeID, id object.ID) bool {
+	if f.fails("complete", f.seen, h) {
 		return false
 	}
 	f.machines[h].Complete(id, g)

@@ -115,7 +115,7 @@ func RedirectorLocs(cfg *Config, routes *routing.Table) []topology.NodeID {
 
 // NewRedirector builds the redirector located on node loc.
 func NewRedirector(cfg *Config, routes *routing.Table, loc topology.NodeID) (*protocol.Redirector, error) {
-	r, err := protocol.NewRedirector(loc, routes, cfg.Policy, cfg.Protocol.DistConstant)
+	r, err := protocol.NewRedirector(loc, routes, cfg.Policy, cfg.Protocol.DistConstant, cfg.Universe.Count)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@ type memFleet struct {
 	s           *Simulation
 	machines    []*Machine
 	redirectors []*protocol.Redirector
+	emptied     []object.ID // MarkDown's buffer for PurgeHost
 }
 
 // newMemFleet builds the fleet for s: redirectors at s.redLocs, the control
@@ -108,7 +109,7 @@ func (f *memFleet) Admit(now time.Duration, h, _ topology.NodeID, id object.ID) 
 }
 
 // Complete implements Fleet.
-func (f *memFleet) Complete(_ time.Duration, h, g topology.NodeID, id object.ID) bool {
+func (f *memFleet) Complete(h, g topology.NodeID, id object.ID) bool {
 	f.machines[h].Complete(id, g)
 	return true
 }
@@ -140,10 +141,9 @@ func (f *memFleet) Census(red int) (total, below int, ok bool) {
 func (f *memFleet) MarkDown(now time.Duration, n topology.NodeID) {
 	f.machines[n].Host.OnCrash()
 	for _, red := range f.redirectors {
-		for _, id := range red.PurgeHost(n) {
-			if red.ReplicaCount(id) == 0 {
-				f.s.openOutage(now, id)
-			}
+		f.emptied = red.PurgeHost(n, f.emptied)
+		for _, id := range f.emptied {
+			f.s.openOutage(now, id)
 		}
 	}
 }
@@ -164,11 +164,12 @@ func (f *memFleet) Stats(r *Results) {
 // replica sets are subsets of what hosts actually hold with matching
 // affinities, and every object retains at least one replica.
 func (f *memFleet) checkInvariants() error {
-	var reps []protocol.Replica
+	var hosts []topology.NodeID
 	for i := 0; i < f.s.cfg.Universe.Count; i++ {
 		id := object.ID(i)
-		reps = f.redirectorFor(id).AppendReplicas(reps[:0], id)
-		if len(reps) == 0 {
+		red := f.redirectorFor(id)
+		hosts = red.ReplicaHosts(id, hosts)
+		if len(hosts) == 0 {
 			// With faults configured an object whose only replica lived
 			// on a downed host is legitimately unavailable.
 			if f.s.cfg.Faults.Enabled() {
@@ -176,9 +177,10 @@ func (f *memFleet) checkInvariants() error {
 			}
 			return fmt.Errorf("sim: object %d has no replicas recorded", id)
 		}
-		for _, rep := range reps {
-			if got := f.machines[rep.Host].Host.Affinity(id); got != rep.Aff {
-				return fmt.Errorf("sim: redirector records object %d on host %d at affinity %d, the host holds %d", id, rep.Host, rep.Aff, got)
+		for _, h := range hosts {
+			aff, _ := red.RecordedAffinity(id, h)
+			if got := f.machines[h].Host.Affinity(id); got != aff {
+				return fmt.Errorf("sim: redirector records object %d on host %d at affinity %d, the host holds %d", id, h, aff, got)
 			}
 		}
 	}

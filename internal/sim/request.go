@@ -138,7 +138,7 @@ func (r *request) Fire(now time.Duration) {
 			ln.fail(r, now)
 			return
 		}
-		if !s.fleet.Complete(now, r.h, r.g, r.id) {
+		if !s.fleet.Complete(r.h, r.g, r.id) {
 			s.markDown(now, r.h)
 			ln.fail(r, now)
 			return
