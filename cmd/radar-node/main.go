@@ -20,12 +20,15 @@
 // names a file created once the node is serving and recovered: the
 // process-level readiness signal for whatever supervises the process.
 //
-// Example (3 terminals, after picking ports):
+// Example: every scenario runs on UUNET's 53-node backbone (the scenario
+// language has no topology key), so a fleet is 53 processes, node IDs
+// 0–52, each given the same list of all 53 base URLs:
 //
-//	radar-node -scenario steady-state-baseline -id 0 -listen 127.0.0.1:8300 -peers http://127.0.0.1:8300,http://127.0.0.1:8301,http://127.0.0.1:8302
-//	radar-node -scenario steady-state-baseline -id 1 -listen 127.0.0.1:8301 -peers ...
-//	radar-node -scenario steady-state-baseline -id 2 -listen 127.0.0.1:8302 -peers ...
-//	radar-load -scenario steady-state-baseline -urls http://127.0.0.1:8300,http://127.0.0.1:8301,http://127.0.0.1:8302
+//	peers=$(seq -s, -f 'http://127.0.0.1:%g' 8300 8352)
+//	for i in $(seq 0 52); do
+//		radar-node -scenario steady-state-baseline -id $i -listen 127.0.0.1:$((8300 + i)) -peers $peers &
+//	done
+//	radar-load -scenario steady-state-baseline -urls $peers
 package main
 
 import (

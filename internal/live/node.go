@@ -168,7 +168,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 	var err error
 	for i, loc := range nd.redLocs {
 		if loc == id {
-			if nd.redirector, err = sim.NewRedirector(simCfg, routes, id); err != nil {
+			if nd.redirector, err = sim.NewRedirector(simCfg, routes, nd.redLocs, i); err != nil {
 				return nil, err
 			}
 			nd.redIdx, redirectors[i] = i, nd.redirector
@@ -645,17 +645,19 @@ func (nd *Node) inRange(w http.ResponseWriter, object int64, host int) bool {
 	return false
 }
 
-// hostsRedirector answers 400 unless this node hosts a redirector.
-func (nd *Node) hostsRedirector(w http.ResponseWriter) bool {
-	if nd.redirector == nil {
-		http.Error(w, "live: node hosts no redirector", http.StatusBadRequest)
+// hostsRedirector answers 400 unless this node hosts the redirector of
+// object obj (of any object, for obj < 0).
+func (nd *Node) hostsRedirector(w http.ResponseWriter, obj int64) bool {
+	if nd.redirector == nil || obj >= 0 && nd.redirectorLoc(object.ID(obj)) != nd.id {
+		http.Error(w, fmt.Sprintf("live: node %d hosts no redirector for object %d", nd.id, obj), http.StatusBadRequest)
+		return false
 	}
-	return nd.redirector != nil
+	return true
 }
 
 func (nd *Node) handleNotify(w http.ResponseWriter, r *http.Request) {
 	var msg NotifyMsg
-	if !readBody(w, r, &msg) || !nd.inRange(w, msg.Object, msg.Host) || !nd.hostsRedirector(w) {
+	if !readBody(w, r, &msg) || !nd.inRange(w, msg.Object, msg.Host) || !nd.hostsRedirector(w, msg.Object) {
 		return
 	}
 	// Replica-change notifications set the recorded affinity, so retries
@@ -668,7 +670,7 @@ func (nd *Node) handleNotify(w http.ResponseWriter, r *http.Request) {
 
 func (nd *Node) handleRequestDrop(w http.ResponseWriter, r *http.Request) {
 	var msg DropMsg
-	if !readBody(w, r, &msg) || !nd.inRange(w, msg.Object, msg.Host) || !nd.hostsRedirector(w) {
+	if !readBody(w, r, &msg) || !nd.inRange(w, msg.Object, msg.Host) || !nd.hostsRedirector(w, msg.Object) {
 		return
 	}
 	// Drop arbitration is not naturally idempotent (an approved drop
@@ -709,15 +711,12 @@ func (nd *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 func (nd *Node) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	if !nd.hostsRedirector(w) {
-		return
-	}
 	obj, err := strconv.ParseInt(r.URL.Query().Get("obj"), 10, 64)
 	if err != nil || obj < 0 {
 		http.Error(w, "live: bad obj query", http.StatusBadRequest)
 		return
 	}
-	if !nd.inRange(w, obj, 0) {
+	if !nd.inRange(w, obj, 0) || !nd.hostsRedirector(w, obj) {
 		return
 	}
 	nd.redMu.Lock()
@@ -805,8 +804,7 @@ func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := nd.resolveNow(int64(wireNow))
-	if nd.redirector == nil || nd.redirectorLoc(id) != nd.id {
-		http.Error(w, "live: wrong redirector for object", http.StatusBadRequest)
+	if !nd.hostsRedirector(w, int64(id)) {
 		return
 	}
 	nd.redMu.Lock()
@@ -916,7 +914,7 @@ func (nd *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 // floor deficits, and the per-object extremes the invariant checker
 // asserts bounds on.
 func (nd *Node) handleCensus(w http.ResponseWriter, r *http.Request) {
-	if !nd.hostsRedirector(w) {
+	if !nd.hostsRedirector(w, -1) {
 		return
 	}
 	nd.redMu.Lock()

@@ -246,6 +246,48 @@ func TestReplicaSetSeam(t *testing.T) {
 	}
 }
 
+// TestForeignObjectAnswers400: with two redirectors node 0 answers for the
+// even objects only, and its redirector table holds only those. A notify,
+// drop, replica-set query or object request for an odd object is refused
+// with 400 before the redirector sees it (it would index another object's
+// entry); the same requests for an even object are served.
+func TestForeignObjectAnswers400(t *testing.T) {
+	cfg := twoNodeConfig(t)
+	cfg.Sim.NumRedirectors = 2
+	nd, err := NewNode(cfg, 0, []string{"http://node0.invalid", "http://node1.invalid"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(nd.Handler())
+	defer srv.Close()
+	nd.Start(time.Now(), false)
+	defer nd.Stop()
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	for obj, want := range map[int]int{2: http.StatusOK, 3: http.StatusBadRequest} {
+		for _, req := range []struct{ path, body string }{
+			{PathNotify, `{"object":` + strconv.Itoa(obj) + `,"host":1,"aff":1}`},
+			{PathRequestDrop, `{"msg_id":` + strconv.Itoa(obj) + `,"object":` + strconv.Itoa(obj) + `,"host":1}`},
+			{PathReplicas + "?obj=" + strconv.Itoa(obj), ""},
+			{PathObj + strconv.Itoa(obj) + "?g=1&now=0", ""},
+		} {
+			var res *http.Response
+			if req.body == "" {
+				res, err = client.Get(srv.URL + req.path)
+			} else {
+				res, err = client.Post(srv.URL+req.path, "application/json", strings.NewReader(req.body))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(res.Body)
+			res.Body.Close()
+			if got := res.StatusCode; (got == http.StatusBadRequest) != (want == http.StatusBadRequest) {
+				t.Errorf("object %d, %s: status %d, body %q; want %d", obj, req.path, got, body, want)
+			}
+		}
+	}
+}
+
 // TestRawQueryValue: on a query without escapes the in-place scan returns
 // what url.Values.Get does, duplicates, bare keys and empty pairs included.
 func TestRawQueryValue(t *testing.T) {

@@ -51,7 +51,7 @@ type availCand struct {
 // ordering every counted node would give.
 func (h *Host) orderCandidates(id object.ID, st *ObjectState, method Method, ratio float64) []topology.NodeID {
 	cands, total := h.candBuf[:0], float64(st.Total)
-	for p, c := range h.cnts.of(st) {
+	for p, c := range h.nodeCounts(st) {
 		if c > 0 && float64(c)/total > ratio && topology.NodeID(p) != h.ID &&
 			(!h.params.NeighborOnly || h.env.Routes.Distance(h.ID, topology.NodeID(p)) == 1) {
 			cands = append(cands, topology.NodeID(p))

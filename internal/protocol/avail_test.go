@@ -100,7 +100,7 @@ func TestOrderCandidatesFloorSafety(t *testing.T) {
 // once applied it in its loop.
 func fullOrder(h *Host, id object.ID, st *ObjectState, method Method, ratio float64) []topology.NodeID {
 	var cands []topology.NodeID
-	cnt := h.cnts.of(st)
+	cnt := slices.Clone(h.nodeCounts(st))
 	for p, c := range cnt {
 		if c > 0 && topology.NodeID(p) != h.ID {
 			cands = append(cands, topology.NodeID(p))
@@ -136,25 +136,28 @@ func fullOrder(h *Host, id object.ID, st *ObjectState, method Method, ratio floa
 }
 
 // checkOrderCase draws one placement state for id on h from next — a
-// replica that may join id's set, access counts, a method and a ratio
-// (MIGR_RATIO, REPL_RATIO or any) — and checks that orderCandidates orders
-// it as fullOrder does.
+// replica that may join id's set, each gateway's requests (more than
+// rowTallies gateways spill the row), a method and a ratio (MIGR_RATIO,
+// REPL_RATIO or any) — and checks that orderCandidates orders it as
+// fullOrder does.
 func checkOrderCase(t *testing.T, c *cluster, h *Host, id object.ID, next func() int) {
 	t.Helper()
 	n := len(c.hosts)
 	if next()%4 == 0 {
 		c.red.NotifyReplicaChange(id, topology.NodeID(next()%n), 1)
 	}
-	st := &ObjectState{Aff: 1, Total: int32(1 + next())}
+	st := &ObjectState{Aff: 1}
 	h.cnts.take(st)
 	defer h.cnts.reset([]*ObjectState{st})
-	cnt := h.cnts.of(st)
-	for p := range cnt {
+	for g := 0; g < n || st.Total == 0; g++ {
 		if next()%3 == 0 {
-			cnt[p] = int32(next()) % (st.Total + 1)
+			for k := 1 + next()%32; k > 0; k-- {
+				h.cnts.charge(st, topology.NodeID(g%n))
+				st.Total++
+			}
 		}
 	}
-	cnt[h.ID] = st.Total
+	cnt := slices.Clone(h.nodeCounts(st))
 	method := []Method{Migrate, Replicate}[next()%2]
 	ratio := []float64{h.params.MigrRatio, h.params.ReplRatio, float64(next()) / 256}[next()%3]
 	got := slices.Clone(h.orderCandidates(id, st, method, ratio))

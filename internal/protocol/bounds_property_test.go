@@ -166,7 +166,7 @@ func TestDistributionKeepsUnitCountsBalanced(t *testing.T) {
 	const id = object.ID(42)
 
 	for trial := 0; trial < 50; trial++ {
-		r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, PolicyPaper, 2, testObjects)
+		r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, PolicyPaper, 2, testObjects, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

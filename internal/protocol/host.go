@@ -148,6 +148,7 @@ type Host struct {
 	candBuf  []topology.NodeID
 	replBuf  []topology.NodeID
 	availBuf []availCand
+	nodeBuf  []int32 // nodeCounts' result, valid until its next call
 	// board is the pass's load-report exchange, one entry per node, which
 	// electHost fills and reads. Nil until the host's first election.
 	board []boardEntry
@@ -209,8 +210,9 @@ func NewHost(id topology.NodeID, params Params, env Env, loads LoadSource) (*Hos
 		params:  params,
 		env:     env,
 		loads:   loads,
-		cnts:    counts{n: env.Routes.NumNodes()},
+		cnts:    newCounts(env.Routes.NumNodes()),
 		candBuf: make([]topology.NodeID, 0, env.Routes.NumNodes()),
+		nodeBuf: make([]int32, env.Routes.NumNodes()),
 	}, nil
 }
 
@@ -278,11 +280,13 @@ func (h *Host) OnRequest(id object.ID, g topology.NodeID) {
 // and SeedObject (a newly held object must not inherit requests served
 // under its ID before), and OnCrash (before the reset).
 //
-// A state's first charge in the window takes it a count row. The charges
-// are the cache misses they always were (index slot, state, count row),
-// but an event loop takes them one at a time; each loop here issues its
-// miss for every logged request before the next loop needs the answer
-// (DESIGN §1.4 has the measurements).
+// A state's first charge in the window takes it a tally row, and each
+// charge is one tally of the request's gateway; readers expand the tallies
+// along the preference paths (nodeCounts). The charges are the cache
+// misses they always were (index slot, state, count row), but an event
+// loop takes them one at a time; each loop here issues its miss for every
+// logged request before the next loop needs the answer (DESIGN §1.4 has
+// the measurements).
 func (h *Host) settle() {
 	if len(h.reqLog) == 0 {
 		return
@@ -301,13 +305,34 @@ func (h *Host) settle() {
 	}
 	for i, r := range h.reqLog {
 		if st := sts[i]; st != nil {
-			cnt := h.cnts.of(st)
-			for _, p := range h.env.Routes.PreferencePath(h.ID, topology.NodeID(r.g)) {
-				cnt[p]++
-			}
+			h.cnts.charge(st, topology.NodeID(r.g))
 		}
 	}
 	h.reqLog = h.reqLog[:0]
+}
+
+// nodeCounts returns st's access counts by node (§4.1), nil while the
+// window has counted no request for it: each gateway's tally is charged to
+// every node on the preference path from h to it. The row is h.nodeBuf.
+func (h *Host) nodeCounts(st *ObjectState) []int32 {
+	gws, cnts := h.cnts.gateways(st)
+	if cnts == nil {
+		return nil
+	}
+	out := h.nodeBuf
+	clear(out)
+	for i, c := range cnts {
+		g := topology.NodeID(i)
+		if gws != nil {
+			g = topology.NodeID(gws[i])
+		}
+		if c != 0 {
+			for _, p := range h.env.Routes.PreferencePath(h.ID, g) {
+				out[p] += c
+			}
+		}
+	}
+	return out
 }
 
 // OnMeasurementIntervalClose informs the host that the load measurement
@@ -766,7 +791,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 			continue // acquired mid-window (no full observation yet), or not asked for
 		}
 		best := int32(0)
-		for p, c := range h.cnts.of(st) {
+		for p, c := range h.nodeCounts(st) {
 			if topology.NodeID(p) != h.ID && c > best {
 				best = c
 			}

@@ -47,7 +47,7 @@ type cluster struct {
 func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 	t.Helper()
 	routes := routing.New(topo)
-	red, err := NewRedirector(routes.MinAvgDistanceNode(), routes, PolicyPaper, params.DistConstant, testObjects)
+	red, err := NewRedirector(routes.MinAvgDistanceNode(), routes, PolicyPaper, params.DistConstant, testObjects, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,14 +548,16 @@ func TestOffloadNoRecipient(t *testing.T) {
 }
 
 // TestCountsResetAfterPlacement: a placement pass ends the window. Every
-// hosted state hands its row back, the store keeps the blocks the window
-// used and they read zero, and the next window counts from zero; its own
-// reset then keeps only the one block it needed.
+// hosted state hands its tally row back, the store keeps the blocks the
+// window used and they read zero, and the next window counts from zero;
+// its own reset then keeps only the one block it needed. No row sees more
+// than two gateways, so every row is a tally row.
 func TestCountsResetAfterPlacement(t *testing.T) {
 	c := newCluster(t, topology.Line(4), DefaultParams())
 	h := c.hosts[0]
 	c.seed(obj, 0)
-	const others = 2 * rowBlock // each asked once: cold, but the sole replica stays
+	perBlock := 1 << h.cnts.shift / (1 + 2*rowTallies) // tally rows a block holds
+	others := 2 * perBlock                             // each asked once: cold, but the sole replica stays
 	for i := 0; i < others; i++ {
 		c.seed(obj+1+object.ID(i), 0)
 		h.OnRequest(obj+1+object.ID(i), 0)
@@ -567,7 +569,7 @@ func TestCountsResetAfterPlacement(t *testing.T) {
 		}
 		h.settle()
 		st := h.objs.get(obj)
-		if cnt := h.cnts.of(st); st.Total != 50 || !slices.Equal(cnt, []int32{50, 25, 25, 0}) {
+		if cnt := h.nodeCounts(st); st.Total != 50 || !slices.Equal(cnt, []int32{50, 25, 25, 0}) {
 			t.Fatalf("at %v: Total %d, counts %v, want 50 and [50 25 25 0]", now, st.Total, cnt)
 		}
 		h.DecidePlacement(now)
@@ -577,7 +579,7 @@ func TestCountsResetAfterPlacement(t *testing.T) {
 		checkCountsReset(t, h, fmt.Sprintf("pass at %v", now))
 	}
 	window(100 * time.Second)
-	if want := (others + rowBlock) / rowBlock; len(h.cnts.blocks) != want {
+	if want := (others + perBlock) / perBlock; len(h.cnts.blocks) != want {
 		t.Fatalf("first reset kept %d blocks, want the %d its window used", len(h.cnts.blocks), want)
 	}
 	window(200 * time.Second)
@@ -636,7 +638,7 @@ func TestOnRequestForUnknownObjectIgnored(t *testing.T) {
 func TestNewHostValidation(t *testing.T) {
 	topo := topology.Line(3)
 	routes := routing.New(topo)
-	red, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
+	red, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

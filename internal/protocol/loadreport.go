@@ -92,7 +92,7 @@ func (r LoadReport) contends(w float64, found bool, bestRel float64) (rel float6
 // either query is skipped for the rest of the pass.
 func (h *Host) electHost(now time.Duration, id object.ID, w float64) (best topology.NodeID, report LoadReport, found bool) {
 	if h.board == nil {
-		h.board = make([]boardEntry, h.cnts.n)
+		h.board = make([]boardEntry, len(h.nodeBuf))
 	}
 	bestRel := 0.0
 	for i := range h.board {

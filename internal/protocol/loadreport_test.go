@@ -14,7 +14,7 @@ import (
 // load and found. It exists only here.
 func scanElect(h *Host, report func(topology.NodeID, time.Duration, object.ID) (LoadReport, bool), now time.Duration, id object.ID, w float64) (best topology.NodeID, load float64, found bool) {
 	bestRel := 0.0
-	for i := 0; i < h.cnts.n; i++ {
+	for i := range h.nodeBuf {
 		p := topology.NodeID(i)
 		if p == h.ID {
 			continue

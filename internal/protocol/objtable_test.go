@@ -295,7 +295,7 @@ func TestTotalTracksOwnCount(t *testing.T) {
 			for _, id := range hostedIDs(h) {
 				st := h.objs.get(id)
 				own := int32(0)
-				if cnt := h.cnts.of(st); cnt != nil {
+				if cnt := h.nodeCounts(st); cnt != nil {
 					own = cnt[h.ID]
 				}
 				if st.Total != own {
@@ -405,7 +405,8 @@ func BenchmarkDecidePlacement(b *testing.B) {
 // neither does a pass that drops an object followed by a CreateObj that
 // brings it back, which reuses the dropped object's state, and a request
 // for it, which takes it a count row; nor, after one lap, do windows that
-// each count a different tenth of the objects.
+// each count a different tenth of the objects; nor, once the kept blocks
+// exist, does a second identical window of inline and spilled rows.
 func TestPlacementPassAllocFree(t *testing.T) {
 	t.Run("drop-then-re-add", func(t *testing.T) {
 		c, h, request, step := benchHost(t, 1000, false)
@@ -466,6 +467,36 @@ func TestPlacementPassAllocFree(t *testing.T) {
 			t.Fatalf("a lap of windows over different tenths allocates %v times a pass, want 0", allocs)
 		}
 	})
+	t.Run("inline-and-spilled", func(t *testing.T) {
+		_, h, _, step := benchHost(t, 1000, true)
+		now := time.Duration(0)
+		window := func() {
+			for i := 0; i < 1000; i++ {
+				gateways := 53 // every gateway: the row spills
+				if i%2 == 0 {
+					gateways = 5 // five gateways fit in place
+				}
+				for g := 0; g < gateways; g++ {
+					h.OnRequest(object.ID(i), topology.NodeID(g*53/gateways))
+				}
+			}
+			h.settle()
+			if st0, st1 := h.objs.get(0), h.objs.get(1); st0.row <= 0 || st1.row >= 0 {
+				t.Fatalf("rows %d and %d, want a tally row and a spilled one", st0.row, st1.row)
+			}
+			now += step
+			before := h.Stats
+			h.DecidePlacement(now)
+			if h.Stats.fig3Moves() != before.fig3Moves() {
+				t.Fatalf("pass at %v moved objects: %+v", now, h.Stats)
+			}
+		}
+		window() // the kept blocks now hold a window's rows
+		if allocs := testing.AllocsPerRun(5, window); allocs != 0 {
+			t.Fatalf("a second identical window of inline and spilled rows allocates %v times, want 0", allocs)
+		}
+
+	})
 	for _, allGateways := range []bool{false, true} {
 		_, h, request, step := benchHost(t, 1000, allGateways)
 		now := step
@@ -493,7 +524,7 @@ func TestPlacementPassAllocFree(t *testing.T) {
 // allocate nothing once PurgeHost's buffer is sized.
 func TestRedirectorSmallSetsAllocFree(t *testing.T) {
 	routes := routing.New(topology.UUNET())
-	r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
+	r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,15 +563,20 @@ func TestRedirectorSmallSetsAllocFree(t *testing.T) {
 
 // BenchmarkHostOnRequest measures the request accounting of a fleet whose
 // state does not fit the cache: sixteen hosts of a thousand objects each,
-// every one requested in turn within one window, so each object holds a
-// row of its host's count store (some 3.4 MB of rows; a hundred IDs of one
-// host are 27 KB and never showed the misses that dominate a real run).
-// OnRequest only logs; every reqLogCap-th call runs settle, so the charge
-// is amortised into ns/op here, and in the ledger's protocol.onrequest_ns,
-// with no settle call in the loop.
+// every one requested in turn within one window from gateway after
+// gateway, so each object holds a row of its host's count store, spilled
+// once it has seen rowTallies gateways (a hundred IDs of one host never
+// showed the misses that dominate a real run). OnRequest only logs; every
+// reqLogCap-th call runs settle, so the charge is amortised into ns/op
+// here, and in the ledger's protocol.onrequest_ns, with no settle call in
+// the loop.
 func BenchmarkHostOnRequest(b *testing.B) {
 	const hosts, objects = 16, 1000
 	c := newCluster(b, topology.UUNET(), DefaultParams())
+	var err error
+	if c.red, err = NewRedirector(0, c.routes, PolicyPaper, 2, hosts*objects, 0, 1); err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < hosts*objects; i++ {
 		c.seed(object.ID(i), topology.NodeID(i%hosts))
 	}

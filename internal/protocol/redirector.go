@@ -119,8 +119,9 @@ type bigSet struct {
 // with, so the simulator can charge forwarding latency.
 //
 // Object IDs are dense small integers, so per-object state lives in a
-// slice indexed by ID rather than a map: the per-request lookup is a
-// bounds check and an indexed load.
+// slice rather than a map: a redirector answering for the IDs ≡ part
+// (mod parts) keeps object id at entries[id/parts], and the per-request
+// lookup is a bounds check and an indexed load.
 type Redirector struct {
 	// Location is the node the redirector runs on.
 	Location topology.NodeID
@@ -128,7 +129,11 @@ type Redirector struct {
 	routes  *routing.Table
 	policy  Policy
 	cRatio  float64
-	entries []redirEntry // indexed by object.ID, one per object of the universe
+	entries []redirEntry // entries[i] is object i*parts + part, one per object of the share
+
+	// part and parts name the redirector's share of the namespace: the IDs
+	// ≡ part (mod parts).
+	part, parts uint
 
 	// minReplicas is the replica count RequestDrop preserves per object
 	// (>= 1; see SetReplicaFloor).
@@ -152,8 +157,9 @@ var (
 
 // NewRedirector returns a redirector at location using the given routes,
 // distribution policy and distribution constant (Params.DistConstant), for
-// objects with IDs below objects.
-func NewRedirector(location topology.NodeID, routes *routing.Table, policy Policy, distConstant float64, objects int) (*Redirector, error) {
+// the objects with IDs below objects that are ≡ part (mod parts): the
+// share of the hash-partitioned namespace it answers for, 0 of 1 for all.
+func NewRedirector(location topology.NodeID, routes *routing.Table, policy Policy, distConstant float64, objects, part, parts int) (*Redirector, error) {
 	if routes == nil {
 		return nil, fmt.Errorf("%w: routes", ErrNilDependency)
 	}
@@ -166,12 +172,17 @@ func NewRedirector(location topology.NodeID, routes *routing.Table, policy Polic
 	if objects < 0 {
 		return nil, fmt.Errorf("protocol: negative object count %d", objects)
 	}
+	if part < 0 || part >= parts {
+		return nil, fmt.Errorf("protocol: partition %d of %d", part, parts)
+	}
 	return &Redirector{
 		Location:    location,
 		routes:      routes,
 		policy:      policy,
 		cRatio:      distConstant,
-		entries:     make([]redirEntry, objects),
+		entries:     make([]redirEntry, max(0, objects-part+parts-1)/parts),
+		part:        uint(part),
+		parts:       uint(parts),
 		minReplicas: 1,
 	}, nil
 }
@@ -194,10 +205,25 @@ func (r *Redirector) SetReachable(f func(host topology.NodeID) bool) {
 	r.reachable = f
 }
 
+// slot returns the index of id's entry, or -1 for an ID outside r's share.
+func (r *Redirector) slot(id object.ID) int {
+	i := uint(id)
+	if r.parts > 1 {
+		if i%r.parts != r.part {
+			return -1
+		}
+		i /= r.parts
+	}
+	if i >= uint(len(r.entries)) {
+		return -1
+	}
+	return int(i)
+}
+
 // lookup returns the entry for id, or nil if none was ever recorded.
 func (r *Redirector) lookup(id object.ID) *redirEntry {
-	if uint(id) < uint(len(r.entries)) && r.entries[id].known {
-		return &r.entries[id]
+	if i := r.slot(id); i >= 0 && r.entries[i].known {
+		return &r.entries[i]
 	}
 	return nil
 }
@@ -349,11 +375,11 @@ func (b *bigSet) memoized(g topology.NodeID, routes *routing.Table) (closest, le
 // the object's request counts to 1. The reset is the paper's remedy for
 // new replicas being flooded until their counts catch up (§3). Copy
 // creation is notified after the fact, so the recorded set stays a subset
-// of live replicas. id must be below the redirector's object count; aff is
-// clamped to [1, MaxInt32], the range a record holds.
+// of live replicas. id must be in the redirector's share; aff is clamped to
+// [1, MaxInt32], the range a record holds.
 func (r *Redirector) NotifyReplicaChange(id object.ID, host topology.NodeID, aff int) {
 	aff = min(max(aff, 1), math.MaxInt32)
-	e := &r.entries[id]
+	e := &r.entries[r.slot(id)]
 	e.known = true
 	reps := e.set()
 	if at, ok := find(reps, host); ok {
@@ -469,7 +495,7 @@ func (r *Redirector) PurgeHost(host topology.NodeID, emptied []object.ID) []obje
 	emptied = emptied[:0]
 	for i := range r.entries {
 		if e := &r.entries[i]; r.remove(e, host) && len(e.set()) == 0 {
-			emptied = append(emptied, object.ID(i))
+			emptied = append(emptied, r.id(i))
 		}
 	}
 	return emptied
@@ -502,7 +528,10 @@ func (r *Redirector) ReplicaCount(id object.ID) int {
 func (r *Redirector) EachObject(fn func(id object.ID)) {
 	for i := range r.entries {
 		if r.entries[i].known {
-			fn(object.ID(i))
+			fn(r.id(i))
 		}
 	}
 }
+
+// id returns the object whose entry is entries[i].
+func (r *Redirector) id(i int) object.ID { return object.ID(uint(i)*r.parts + r.part) }

@@ -43,7 +43,7 @@ func (r *Redirector) AppendReplicas(buf []Replica, id object.ID) []Replica {
 func newTestRedirector(t *testing.T, topo *topology.Topology, policy Policy) (*Redirector, *routing.Table) {
 	t.Helper()
 	routes := routing.New(topo)
-	r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, policy, 2, testObjects)
+	r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, policy, 2, testObjects, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRedirector: %v", err)
 	}
@@ -268,17 +268,57 @@ func TestClosestPolicyIgnoresLoad(t *testing.T) {
 
 func TestNewRedirectorValidation(t *testing.T) {
 	routes := routing.New(topology.Line(3))
-	if _, err := NewRedirector(0, nil, PolicyPaper, 2, testObjects); err == nil {
+	if _, err := NewRedirector(0, nil, PolicyPaper, 2, testObjects, 0, 1); err == nil {
 		t.Error("nil routes accepted")
 	}
-	if _, err := NewRedirector(0, routes, PolicyPaper, 1, testObjects); err == nil {
+	if _, err := NewRedirector(0, routes, PolicyPaper, 1, testObjects, 0, 1); err == nil {
 		t.Error("distribution constant 1 accepted")
 	}
-	if _, err := NewRedirector(0, routes, Policy(9), 2, testObjects); err == nil {
+	if _, err := NewRedirector(0, routes, Policy(9), 2, testObjects, 0, 1); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := NewRedirector(0, routes, PolicyPaper, 2, -1); err == nil {
+	if _, err := NewRedirector(0, routes, PolicyPaper, 2, -1, 0, 1); err == nil {
 		t.Error("negative object count accepted")
+	}
+	for _, p := range [][2]int{{-1, 2}, {2, 2}, {0, 0}} {
+		if _, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects, p[0], p[1]); err == nil {
+			t.Errorf("partition %d of %d accepted", p[0], p[1])
+		}
+	}
+}
+
+// TestRedirectorPartition: a redirector answering for the IDs ≡ 2 (mod 5)
+// below 23 holds one entry per ID of its share, records and purges them
+// under their own IDs, and knows nothing of the IDs outside it.
+func TestRedirectorPartition(t *testing.T) {
+	routes := routing.New(topology.Line(3))
+	r, err := NewRedirector(0, routes, PolicyPaper, 2, 23, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := []object.ID{2, 7, 12, 17, 22}
+	if len(r.entries) != len(share) {
+		t.Fatalf("%d entries, want one per ID of the share %v", len(r.entries), share)
+	}
+	for _, id := range share {
+		r.NotifyReplicaChange(id, 1, 1)
+		if id != 12 {
+			r.NotifyReplicaChange(id, 2, 1)
+		}
+	}
+	if got := recordedIDs(r); !slices.Equal(got, share) {
+		t.Fatalf("records %v, want %v", got, share)
+	}
+	for _, id := range []object.ID{0, 3, 8, 21, 24, 27} {
+		if _, err := r.ChooseReplica(0, id); err != ErrUnknownObject || r.ReplicaCount(id) != 0 || r.RequestDrop(id, 1) {
+			t.Fatalf("object %d outside the share: choice error %v, %d replicas", id, err, r.ReplicaCount(id))
+		}
+	}
+	if got := r.PurgeHost(1, nil); !slices.Equal(got, []object.ID{12}) {
+		t.Fatalf("purging host 1 emptied %v, want [12]", got)
+	}
+	if h, err := r.ChooseReplica(0, 22); err != nil || h != 2 {
+		t.Fatalf("object 22 chose %d, %v; want host 2", h, err)
 	}
 }
 
@@ -387,7 +427,7 @@ func TestTheorem1And2ReplicationBounds(t *testing.T) {
 	routes := routing.New(topo)
 	for trial := 0; trial < 60; trial++ {
 		rng := workload.Stream(int64(1000+trial), 0)
-		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
+		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +496,7 @@ func TestTheorem3And4MigrationBounds(t *testing.T) {
 	routes := routing.New(topo)
 	for trial := 0; trial < 60; trial++ {
 		rng := workload.Stream(int64(5000+trial), 0)
-		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
+		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +558,7 @@ func TestTheorem5FloorAfterReplication(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 80 && checked < 25; trial++ {
 		rng := workload.Stream(int64(9000+trial), 0)
-		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects)
+		r, err := NewRedirector(0, routes, PolicyPaper, 2, testObjects, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -774,7 +814,7 @@ func runChoiceProgram(t *testing.T, data []byte) choiceCoverage {
 	topo := []func(int) *topology.Topology{topology.Star, topology.Ring, topology.Line}[next()%3](n)
 	routes := routing.New(topo)
 	policy := Policy(1 + next()%3)
-	r, err := NewRedirector(0, routes, policy, 2, testObjects)
+	r, err := NewRedirector(0, routes, policy, 2, testObjects, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -916,7 +956,7 @@ func FuzzChooseReplica(f *testing.F) {
 func benchRedirector(b *testing.B, policy Policy, nReplicas int) *Redirector {
 	b.Helper()
 	routes := routing.New(topology.UUNET())
-	r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, policy, 2, testObjects)
+	r, err := NewRedirector(routes.MinAvgDistanceNode(), routes, policy, 2, testObjects, 0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

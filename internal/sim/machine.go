@@ -81,7 +81,8 @@ func (m *Machine) Measure(now time.Duration) (actual, lower, upper float64) {
 }
 
 // RedirectorIndex returns which of k redirectors answers for id: the URL
-// namespace is hash-partitioned, redirector i taking the ids ≡ i mod k.
+// namespace is hash-partitioned, redirector i taking the ids ≡ i mod k,
+// the share protocol.NewRedirector sizes its table to.
 func RedirectorIndex(id object.ID, k int) int { return int(id) % k }
 
 // RedirectorLocs returns the nodes hosting cfg's redirectors, in partition
@@ -113,9 +114,10 @@ func RedirectorLocs(cfg *Config, routes *routing.Table) []topology.NodeID {
 	return locs[:min(cfg.NumRedirectors, n)]
 }
 
-// NewRedirector builds the redirector located on node loc.
-func NewRedirector(cfg *Config, routes *routing.Table, loc topology.NodeID) (*protocol.Redirector, error) {
-	r, err := protocol.NewRedirector(loc, routes, cfg.Policy, cfg.Protocol.DistConstant, cfg.Universe.Count)
+// NewRedirector builds redirector part of locs (RedirectorLocs), located on
+// node locs[part] and sized to its share of the namespace (RedirectorIndex).
+func NewRedirector(cfg *Config, routes *routing.Table, locs []topology.NodeID, part int) (*protocol.Redirector, error) {
+	r, err := protocol.NewRedirector(locs[part], routes, cfg.Policy, cfg.Protocol.DistConstant, cfg.Universe.Count, part, len(locs))
 	if err != nil {
 		return nil, err
 	}

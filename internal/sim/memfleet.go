@@ -35,8 +35,8 @@ func newMemFleet(s *Simulation) (*memFleet, error) {
 	}
 	s.mem = f
 	var err error
-	for i, loc := range s.redLocs {
-		if f.redirectors[i], err = NewRedirector(&s.cfg, s.routes, loc); err != nil {
+	for i := range s.redLocs {
+		if f.redirectors[i], err = NewRedirector(&s.cfg, s.routes, s.redLocs, i); err != nil {
 			return nil, err
 		}
 	}
