@@ -90,7 +90,6 @@ type Node struct {
 	redMu      sync.Mutex
 	redirector *protocol.Redirector
 	redLocs    []topology.NodeID
-	redIdx     int // this node's index in redLocs; meaningless without a redirector
 	downPeers  []bool
 	filtering  bool // reachability filter installed (first mark-down arms it)
 }
@@ -171,7 +170,7 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 			if nd.redirector, err = sim.NewRedirector(simCfg, routes, nd.redLocs, i); err != nil {
 				return nil, err
 			}
-			nd.redIdx, redirectors[i] = i, nd.redirector
+			redirectors[i] = nd.redirector
 		}
 	}
 	nd.machine, err = sim.NewMachine(simCfg, id, protocol.Env{
@@ -918,7 +917,7 @@ func (nd *Node) handleCensus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	nd.redMu.Lock()
-	rep := CensusReply(sim.Census(&nd.cfg.Sim, nd.redirector, nd.redIdx, len(nd.redLocs)))
+	rep := CensusReply(sim.Census(&nd.cfg.Sim, nd.redirector))
 	nd.redMu.Unlock()
 	writeJSON(w, rep)
 }

@@ -426,11 +426,11 @@ func (h *Host) DecidePlacement(now time.Duration) {
 			res := h.reduceAffinity(now, id, st)
 			dropped = res == affDropped
 			moved = moved || res != affUnchanged
-		} else if h.tryGeo(now, id, st, Migrate, h.params.MigrRatio) {
+		} else if h.tryGeo(now, id, st, Migrate, migrRatio) {
 			migrated, moved = true, true
 		}
 		if !dropped && !migrated && ua > h.params.ReplicationThreshold &&
-			h.tryGeo(now, id, st, Replicate, h.params.ReplRatio) {
+			h.tryGeo(now, id, st, Replicate, replRatio) {
 			moved = true
 		}
 	}
@@ -689,11 +689,11 @@ func (h *Host) reduceAffinity(now time.Duration, id object.ID, st *ObjectState) 
 
 // AcquisitionHalted reports whether the §2.1 footnote 2 guard is active:
 // back-to-back acquisitions have kept the upper-bound load estimate alive
-// past Params.EstimateHaltAfter, so the host refuses further acquisitions
+// past estimateHaltAfter, so the host refuses further acquisitions
 // until a clean measurement interval completes. Exposed so repair-target
 // selection can steer around hosts whose refusal is a foregone conclusion.
 func (h *Host) AcquisitionHalted(now time.Duration) bool {
-	return h.params.EstimateHaltAfter > 0 && h.est.UpperActiveFor(now) > h.params.EstimateHaltAfter
+	return h.est.UpperActiveFor(now) > estimateHaltAfter
 }
 
 // CreateObj serves a replica creation request from peer host req.From

@@ -16,6 +16,24 @@ import (
 	"time"
 )
 
+// migrRatio is Fig. 3's MIGR_RATIO: an object migrates to a candidate
+// appearing on the preference paths of more than this fraction of its
+// requests. It must be in (0.5, 1] so no two candidates can both draw an
+// object back and forth; the paper uses 0.6 (§4.2).
+const migrRatio = 0.6
+
+// replRatio is Fig. 3's REPL_RATIO: the minimum fraction of an object's
+// requests a candidate must appear in to receive a replica. It must be in
+// (0, migrRatio) for replication to ever happen; the paper uses 1/6.
+const replRatio = 1.0 / 6
+
+// estimateHaltAfter implements §2.1 footnote 2: when a host's upper-bound
+// load estimate has been continuously active for longer than this
+// (back-to-back acquisitions keep every measurement interval dirty), the
+// host halts further acquisitions until a clean interval completes and
+// fresh load measurements are available. It must be positive.
+const estimateHaltAfter = 60 * time.Second
+
 // Params are the protocol's tunable parameters (paper §4.2 and Table 1).
 type Params struct {
 	// HighWatermark hw is the load (requests/sec) above which a host
@@ -31,26 +49,11 @@ type Params struct {
 	// unit access count exceeds m. Stability requires 4u < m (Theorem 5);
 	// the paper uses m = 6u to avoid boundary effects.
 	ReplicationThreshold float64
-	// MigrRatio: an object migrates to a candidate appearing on the
-	// preference paths of more than this fraction of its requests. Must
-	// exceed 0.5 to prevent back-and-forth migration; the paper uses 0.6.
-	MigrRatio float64
-	// ReplRatio: minimum fraction of requests a candidate must appear in
-	// to receive a replica. Must be below MigrRatio for replication to
-	// ever happen; the paper uses 1/6.
-	ReplRatio float64
 	// DistConstant is the constant of the request distribution algorithm
 	// (Fig. 2): the closest replica is used unless its unit request count
 	// exceeds DistConstant times the minimum. The paper uses 2; the load
 	// bounds of Theorems 1-5 are stated for that value.
 	DistConstant float64
-	// EstimateHaltAfter implements §2.1 footnote 2: when a host's
-	// upper-bound load estimate has been continuously active for longer
-	// than this (back-to-back acquisitions keep every measurement
-	// interval dirty), the host halts further acquisitions until a clean
-	// interval completes and fresh load measurements are available.
-	// Zero disables halting.
-	EstimateHaltAfter time.Duration
 	// MaxOffloadPerRun caps how many objects one Offload pass may move.
 	// Zero means unlimited — the paper's en-masse relocation, enabled by
 	// the load bounds. Setting it to 1 recreates the move-one-then-wait
@@ -94,18 +97,16 @@ func (p Params) Weighted(w float64) Params {
 }
 
 // DefaultParams returns the paper's low-load configuration (Table 1):
-// hw/lw = 90/80 req/s, u = 0.03 req/s, m = 6u, MIGR_RATIO = 0.6,
-// REPL_RATIO = 1/6, distribution constant 2.
+// hw/lw = 90/80 req/s, u = 0.03 req/s, m = 6u, distribution constant 2.
+// Table 1's MIGR_RATIO and REPL_RATIO are the constants migrRatio and
+// replRatio.
 func DefaultParams() Params {
 	return Params{
 		HighWatermark:        90,
 		LowWatermark:         80,
 		DeletionThreshold:    0.03,
 		ReplicationThreshold: 0.18,
-		MigrRatio:            0.6,
-		ReplRatio:            1.0 / 6.0,
 		DistConstant:         2,
-		EstimateHaltAfter:    60 * time.Second,
 	}
 }
 
@@ -122,8 +123,6 @@ func HighLoadParams() Params {
 var (
 	ErrWatermarks    = errors.New("protocol: need 0 < lw < hw")
 	ErrThresholds    = errors.New("protocol: need 0 < 4u < m (Theorem 5 stability constraint)")
-	ErrMigrRatio     = errors.New("protocol: MIGR_RATIO must be in (0.5, 1]")
-	ErrReplRatio     = errors.New("protocol: need 0 < REPL_RATIO < MIGR_RATIO")
 	ErrDistConstant  = errors.New("protocol: distribution constant must be > 1")
 	ErrNilDependency = errors.New("protocol: missing dependency")
 )
@@ -137,17 +136,8 @@ func (p Params) Validate() error {
 	if p.DeletionThreshold <= 0 || p.ReplicationThreshold <= 4*p.DeletionThreshold {
 		return fmt.Errorf("%w: u=%v m=%v", ErrThresholds, p.DeletionThreshold, p.ReplicationThreshold)
 	}
-	if p.MigrRatio <= 0.5 || p.MigrRatio > 1 {
-		return fmt.Errorf("%w: got %v", ErrMigrRatio, p.MigrRatio)
-	}
-	if p.ReplRatio <= 0 || p.ReplRatio >= p.MigrRatio {
-		return fmt.Errorf("%w: repl=%v migr=%v", ErrReplRatio, p.ReplRatio, p.MigrRatio)
-	}
 	if p.DistConstant <= 1 {
 		return fmt.Errorf("%w: got %v", ErrDistConstant, p.DistConstant)
-	}
-	if p.EstimateHaltAfter < 0 {
-		return fmt.Errorf("protocol: EstimateHaltAfter %v must be non-negative", p.EstimateHaltAfter)
 	}
 	if p.MaxOffloadPerRun < 0 {
 		return fmt.Errorf("protocol: MaxOffloadPerRun %d must be non-negative", p.MaxOffloadPerRun)

@@ -533,5 +533,14 @@ func (r *Redirector) EachObject(fn func(id object.ID)) {
 	}
 }
 
+// EachReplicaCount calls fn with the recorded replica count of every object
+// in r's share of the namespace, in ascending ID order: 0 for an object no
+// replica was ever recorded for.
+func (r *Redirector) EachReplicaCount(fn func(n int)) {
+	for i := range r.entries {
+		fn(len(r.entries[i].set()))
+	}
+}
+
 // id returns the object whose entry is entries[i].
 func (r *Redirector) id(i int) object.ID { return object.ID(uint(i)*r.parts + r.part) }

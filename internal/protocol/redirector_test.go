@@ -317,6 +317,11 @@ func TestRedirectorPartition(t *testing.T) {
 	if got := r.PurgeHost(1, nil); !slices.Equal(got, []object.ID{12}) {
 		t.Fatalf("purging host 1 emptied %v, want [12]", got)
 	}
+	var counts []int
+	r.EachReplicaCount(func(n int) { counts = append(counts, n) })
+	if want := []int{1, 1, 0, 1, 1}; !slices.Equal(counts, want) {
+		t.Fatalf("replica counts %v, want %v", counts, want)
+	}
 	if h, err := r.ChooseReplica(0, 22); err != nil || h != 2 {
 		t.Fatalf("object 22 chose %d, %v; want host 2", h, err)
 	}

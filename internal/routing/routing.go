@@ -14,19 +14,10 @@
 // (Distance, Path, PreferencePath, DistancesFrom) is a bounds check and an
 // indexed load — no allocation, no pointer chasing beyond a single row
 // slice.
-//
-// Construction fans the per-source work (BFS and path materialization)
-// across GOMAXPROCS goroutines. Each source owns disjoint rows of the
-// backing arrays and a disjoint segment of the path arena, with segment
-// offsets fixed by a serial prefix-sum over per-source totals, so the
-// resulting tables are bit-identical to a serial build regardless of
-// scheduling or worker count.
 package routing
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"radar/internal/topology"
 )
@@ -62,15 +53,7 @@ type Table struct {
 
 // New computes routes for topo. Cost is O(V·(V+E)) time and O(V²·diameter)
 // memory for materialized paths — trivial at backbone scale (53 nodes).
-// The per-source work runs on up to GOMAXPROCS goroutines; the result is
-// bit-identical to a single-threaded build.
 func New(topo *topology.Topology) *Table {
-	return newTable(topo, runtime.GOMAXPROCS(0))
-}
-
-// newTable builds the table using the given worker count (tests pin it to
-// compare serial and parallel builds).
-func newTable(topo *topology.Topology, workers int) *Table {
 	n := topo.NumNodes()
 	t := &Table{
 		topo:  topo,
@@ -81,72 +64,31 @@ func newTable(topo *topology.Topology, workers int) *Table {
 	// parent[s*n+d] is the predecessor of d on the BFS tree rooted at s;
 	// parent[s*n+s] == s. Only the path materialization reads it.
 	parent := make([]topology.NodeID, n*n)
-
-	// Phase 1: one BFS per source. Source s writes only rows s of dist
-	// and parent, so sources partition cleanly across workers.
-	forEachSource(n, workers, func(lo, hi int) {
-		queue := make([]topology.NodeID, 0, n)
-		for s := lo; s < hi; s++ {
-			t.bfs(topology.NodeID(s), parent[s*n:(s+1)*n], queue)
-		}
-	})
-
-	// Phase 2: materialize every path into one shared arena. Each source
-	// row occupies a contiguous segment whose offset is fixed by a serial
-	// prefix-sum over exact per-source totals (sum(dist)+n per row), so
-	// arena layout — and therefore every path slice — is independent of
-	// how sources were scheduled in either phase.
-	offsets := make([]int, n+1)
+	queue := make([]topology.NodeID, 0, n)
+	size := n * n // every path holds its hop count plus one nodes
 	for s := 0; s < n; s++ {
-		rowTotal := n
+		t.bfs(topology.NodeID(s), parent[s*n:(s+1)*n], queue)
 		for _, d := range t.dist[s*n : (s+1)*n] {
-			rowTotal += int(d)
+			size += int(d)
 		}
-		offsets[s+1] = offsets[s] + rowTotal
 	}
-	arena := make([]topology.NodeID, offsets[n])
-	forEachSource(n, workers, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			t.materialize(topology.NodeID(s), parent[s*n:(s+1)*n], arena, offsets[s])
-		}
-	})
+
+	// Materialize every path into one exactly-sized arena, source rows in
+	// order, each row's paths in destination order.
+	arena := make([]topology.NodeID, size)
+	off := 0
+	for s := 0; s < n; s++ {
+		off = t.materialize(topology.NodeID(s), parent[s*n:(s+1)*n], arena, off)
+	}
 
 	t.freezeAggregates()
 	return t
 }
 
-// forEachSource invokes fn over a static partition of [0, n) across up to
-// workers goroutines. Static block partitioning keeps the call allocation-
-// free apart from the goroutines themselves; determinism does not depend
-// on the partition because every source's output is disjoint.
-func forEachSource(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // bfs grows a breadth-first tree from src, visiting neighbors in ascending
 // ID order so that the parent of every node is the smallest-ID predecessor
 // at minimal distance discovered first — a deterministic tie-break. parent
-// is src's row of the tree; queue is scratch space owned by the calling
-// worker.
+// is src's row of the tree; queue is scratch space.
 func (t *Table) bfs(src topology.NodeID, parent, queue []topology.NodeID) {
 	dist := t.dist[int(src)*t.n : (int(src)+1)*t.n]
 	for i := range dist {
@@ -169,9 +111,9 @@ func (t *Table) bfs(src topology.NodeID, parent, queue []topology.NodeID) {
 }
 
 // materialize writes source s's paths into arena starting at off, filling
-// row s of t.paths. Each path is reconstructed backwards from s's parent
-// row, exactly as a serial arena build would lay it out.
-func (t *Table) materialize(s topology.NodeID, row, arena []topology.NodeID, off int) {
+// row s of t.paths, and returns the offset past them. Each path is
+// reconstructed backwards from s's parent row.
+func (t *Table) materialize(s topology.NodeID, row, arena []topology.NodeID, off int) int {
 	for d := 0; d < t.n; d++ {
 		hops := int(t.dist[int(s)*t.n+d])
 		seg := arena[off : off+hops+1 : off+hops+1]
@@ -183,6 +125,7 @@ func (t *Table) materialize(s topology.NodeID, row, arena []topology.NodeID, off
 		t.paths[int(s)*t.n+d] = seg
 		off += hops + 1
 	}
+	return off
 }
 
 // freezeAggregates precomputes the whole-table summaries (average

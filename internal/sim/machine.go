@@ -173,16 +173,12 @@ type ReplicaCensus struct {
 	Zero int `json:"zero,omitempty"`
 }
 
-// Census counts the replicas r, redirector red of k, records for the
-// objects RedirectorIndex gives it.
-func Census(cfg *Config, r *protocol.Redirector, red, k int) ReplicaCensus {
+// Census counts the replicas r records for its share of the namespace,
+// every object of the share whether or not a replica was ever recorded.
+func Census(cfg *Config, r *protocol.Redirector) ReplicaCensus {
 	var c ReplicaCensus
 	floor := cfg.Protocol.ReplicaFloor
-	for i := 0; i < cfg.Universe.Count; i++ {
-		if RedirectorIndex(object.ID(i), k) != red {
-			continue
-		}
-		n := r.ReplicaCount(object.ID(i))
+	r.EachReplicaCount(func(n int) {
 		c.MaxReplicas = max(c.MaxReplicas, n)
 		c.TotalReplicas += n
 		if floor > 1 && n < floor {
@@ -191,6 +187,6 @@ func Census(cfg *Config, r *protocol.Redirector, red, k int) ReplicaCensus {
 		if n == 0 {
 			c.Zero++
 		}
-	}
+	})
 	return c
 }

@@ -131,7 +131,7 @@ func (f *memFleet) Place(now time.Duration, h topology.NodeID) bool {
 // own that outlives a crash of the host on its node (failures.go), so it
 // always answers.
 func (f *memFleet) Census(red int) (total, below int, ok bool) {
-	c := Census(&f.s.cfg, f.redirectors[red], red, len(f.redirectors))
+	c := Census(&f.s.cfg, f.redirectors[red])
 	return c.TotalReplicas, c.BelowFloor, true
 }
 

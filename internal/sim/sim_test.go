@@ -316,12 +316,27 @@ func TestMultipleRedirectors(t *testing.T) {
 		t.Fatal(res.InvariantsError)
 	}
 	// Each redirector must answer for a share of the namespace (hash
-	// partitioning).
+	// partitioning), and its census must count exactly that share.
 	for i, r := range s.Redirectors() {
 		recorded := 0
 		r.EachObject(func(object.ID) { recorded++ })
 		if recorded == 0 {
 			t.Errorf("redirector %d records no objects", i)
+		}
+		var want ReplicaCensus
+		for id := object.ID(0); int(id) < cfg.Universe.Count; id++ {
+			if RedirectorIndex(id, len(s.Redirectors())) != i {
+				continue
+			}
+			n := r.ReplicaCount(id)
+			want.TotalReplicas += n
+			want.MaxReplicas = max(want.MaxReplicas, n)
+			if n == 0 {
+				want.Zero++
+			}
+		}
+		if got := Census(&cfg, r); got != want {
+			t.Errorf("redirector %d census %+v, want %+v from a scan of the universe", i, got, want)
 		}
 	}
 }
