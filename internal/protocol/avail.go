@@ -49,8 +49,8 @@ type availCand struct {
 // Only the qualifying candidates are ordered. Both sorts compare a
 // candidate by values of its own, so the order is the subsequence of what
 // ordering every counted node would give.
-func (h *Host) orderCandidates(id object.ID, st *ObjectState, method Method, ratio float64) []topology.NodeID {
-	cands, total := h.candBuf[:0], float64(st.Total)
+func (h *Host) orderCandidates(id object.ID, st *objState, method Method, ratio float64) []topology.NodeID {
+	cands, total := h.candBuf[:0], float64(st.total)
 	for p, c := range h.nodeCounts(st) {
 		if c > 0 && float64(c)/total > ratio && topology.NodeID(p) != h.ID &&
 			(!h.params.NeighborOnly || h.env.Routes.Distance(h.ID, topology.NodeID(p)) == 1) {

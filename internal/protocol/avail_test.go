@@ -98,7 +98,7 @@ func TestOrderCandidatesFloorSafety(t *testing.T) {
 // oracle: every counted node farthest first, re-sorted by availability
 // score over all of them, and only then Fig. 3's ratio test, as tryGeo
 // once applied it in its loop.
-func fullOrder(h *Host, id object.ID, st *ObjectState, method Method, ratio float64) []topology.NodeID {
+func fullOrder(h *Host, id object.ID, st *objState, method Method, ratio float64) []topology.NodeID {
 	var cands []topology.NodeID
 	cnt := slices.Clone(h.nodeCounts(st))
 	for p, c := range cnt {
@@ -131,7 +131,7 @@ func fullOrder(h *Host, id object.ID, st *ObjectState, method Method, ratio floa
 		}
 	}
 	return slices.DeleteFunc(cands, func(p topology.NodeID) bool {
-		return float64(cnt[p])/float64(st.Total) <= ratio
+		return float64(cnt[p])/float64(st.total) <= ratio
 	})
 }
 
@@ -146,14 +146,15 @@ func checkOrderCase(t *testing.T, c *cluster, h *Host, id object.ID, next func()
 	if next()%4 == 0 {
 		c.red.NotifyReplicaChange(id, topology.NodeID(next()%n), 1)
 	}
-	st := &ObjectState{Aff: 1}
+	sts := []objState{{aff: 1}}
+	st := &sts[0]
 	h.cnts.take(st)
-	defer h.cnts.reset([]*ObjectState{st})
-	for g := 0; g < n || st.Total == 0; g++ {
+	defer h.cnts.reset(sts)
+	for g := 0; g < n || st.total == 0; g++ {
 		if next()%3 == 0 {
 			for k := 1 + next()%32; k > 0; k-- {
 				h.cnts.charge(st, topology.NodeID(g%n))
-				st.Total++
+				st.total++
 			}
 		}
 	}
@@ -164,7 +165,7 @@ func checkOrderCase(t *testing.T, c *cluster, h *Host, id object.ID, next func()
 	if want := fullOrder(h, id, st, method, ratio); !slices.Equal(got, want) {
 		t.Fatalf("host %d, %v at ratio %v, w %v, floor %d, neighbor-only %v, replicas %v, counts %v/%d:\norder %v\nwant  %v",
 			h.ID, method, ratio, h.params.AvailabilityWeight, h.params.ReplicaFloor, h.params.NeighborOnly,
-			c.red.ReplicaHosts(id, nil), cnt, st.Total, got, want)
+			c.red.ReplicaHosts(id, nil), cnt, st.total, got, want)
 	}
 }
 

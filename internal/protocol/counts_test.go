@@ -18,8 +18,8 @@ import (
 func checkCountsReset(t testing.TB, h *Host, when string) {
 	t.Helper()
 	for _, st := range h.objs.sts {
-		if st.row != 0 || st.Total != 0 {
-			t.Fatalf("%s: object %d kept row %d, Total %d", when, st.id, st.row, st.Total)
+		if st.row != 0 || st.total != 0 {
+			t.Fatalf("%s: object %d kept row %d, Total %d", when, st.id, st.row, st.total)
 		}
 	}
 	if h.cnts.used != 0 || len(h.cnts.free) != 0 {
@@ -66,18 +66,19 @@ func runCountsProgram(t *testing.T, prog []byte) (spilled int) {
 		t.Helper()
 		h.settle()
 		owner := make(map[int32]object.ID)
-		for _, st := range h.objs.sts {
-			cnt, want := h.nodeCounts(st), ref[st.id]
+		for at := range h.objs.sts {
+			st := &h.objs.sts[at]
+			cnt, want := h.nodeCounts(st), ref[object.ID(st.id)]
 			if !slices.Equal(cnt, want) {
 				t.Fatalf("step %d: object %d counts %v, want %v", step, st.id, cnt, want)
 			}
-			if (st.row != 0) != (st.Total > 0) || cnt != nil && st.Total != cnt[h.ID] {
-				t.Fatalf("step %d: object %d row %d, Total %d, counts %v", step, st.id, st.row, st.Total, cnt)
+			if (st.row != 0) != (st.total > 0) || cnt != nil && st.total != cnt[h.ID] {
+				t.Fatalf("step %d: object %d row %d, Total %d, counts %v", step, st.id, st.row, st.total, cnt)
 			}
 			if other, ok := owner[st.row]; ok && st.row != 0 {
 				t.Fatalf("step %d: objects %d and %d share row %d", step, other, st.id, st.row)
 			}
-			owner[st.row] = st.id
+			owner[st.row] = object.ID(st.id)
 			if gws, cnts := h.cnts.gateways(st); gws == nil && cnts != nil {
 				spilled++
 			}

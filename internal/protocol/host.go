@@ -149,6 +149,7 @@ type Host struct {
 	replBuf  []topology.NodeID
 	availBuf []availCand
 	nodeBuf  []int32 // nodeCounts' result, valid until its next call
+	retryBuf []move  // retryDeferred's walk, traded with objs.deferred
 	// board is the pass's load-report exchange, one entry per node, which
 	// electHost fills and reads. Nil until the host's first election.
 	board []boardEntry
@@ -224,7 +225,7 @@ func (h *Host) SeedObject(id object.ID) {
 	if !h.Has(id) {
 		h.settle()
 		st := h.objs.add(id)
-		st.Aff, st.AcquiredAt = 1, -1 // acquired before any window: immediately eligible
+		st.aff, st.acquiredAt = 1, -1 // acquired before any window: immediately eligible
 		h.env.Store.Create(id)
 	}
 }
@@ -237,7 +238,7 @@ func (h *Host) Has(id object.ID) bool {
 // Affinity returns the affinity of the host's replica of id (0 if absent).
 func (h *Host) Affinity(id object.ID) int {
 	if st := h.objs.get(id); st != nil {
-		return st.Aff
+		return int(st.aff)
 	}
 	return 0
 }
@@ -246,7 +247,7 @@ func (h *Host) Affinity(id object.ID) int {
 // ascending ID order. fn must not add or drop objects on h.
 func (h *Host) EachObject(fn func(id object.ID, aff int)) {
 	for _, st := range h.objs.sts {
-		fn(st.id, st.Aff)
+		fn(object.ID(st.id), int(st.aff))
 	}
 }
 
@@ -291,7 +292,7 @@ func (h *Host) settle() {
 	if len(h.reqLog) == 0 {
 		return
 	}
-	var sts [reqLogCap]*ObjectState
+	var sts [reqLogCap]*objState
 	for i, r := range h.reqLog {
 		sts[i] = h.objs.get(object.ID(r.id))
 	}
@@ -300,7 +301,7 @@ func (h *Host) settle() {
 			if st.row == 0 {
 				h.cnts.take(st)
 			}
-			st.Total++
+			st.total++
 		}
 	}
 	for i, r := range h.reqLog {
@@ -314,22 +315,26 @@ func (h *Host) settle() {
 // nodeCounts returns st's access counts by node (§4.1), nil while the
 // window has counted no request for it: each gateway's tally is charged to
 // every node on the preference path from h to it. The row is h.nodeBuf.
-func (h *Host) nodeCounts(st *ObjectState) []int32 {
+// Those paths are the branches of h's routing tree, so a spilled row adds
+// every node into its parent, farthest first: O(n), not O(n × path length).
+func (h *Host) nodeCounts(st *objState) []int32 {
 	gws, cnts := h.cnts.gateways(st)
 	if cnts == nil {
 		return nil
 	}
 	out := h.nodeBuf
+	if gws == nil {
+		copy(out, cnts)
+		order, parent := h.env.Routes.Tree(h.ID)
+		for _, v := range order[:len(order)-1] { // h itself comes last
+			out[parent[v]] += out[v]
+		}
+		return out
+	}
 	clear(out)
 	for i, c := range cnts {
-		g := topology.NodeID(i)
-		if gws != nil {
-			g = topology.NodeID(gws[i])
-		}
-		if c != 0 {
-			for _, p := range h.env.Routes.PreferencePath(h.ID, g) {
-				out[p] += c
-			}
+		for _, p := range h.env.Routes.PreferencePath(h.ID, topology.NodeID(gws[i])) {
+			out[p] += c
 		}
 	}
 	return out
@@ -351,9 +356,7 @@ func (h *Host) OnCrash() {
 	h.est.Reset()
 	h.offloading = false
 	clear(h.board)
-	for _, st := range h.objs.sts {
-		st.deferred = nil
-	}
+	h.objs.deferred = h.objs.deferred[:0]
 	h.cnts.reset(h.objs.sts)
 }
 
@@ -363,11 +366,11 @@ func (h *Host) OnCrash() {
 // silence and covers at most a sliver of post-recovery traffic — skips
 // them, the same measurement-hygiene rule applied to mid-window
 // acquisitions. lastPlacement deliberately stays at the last pre-crash
-// pass (strictly before now), which is what makes AcquiredAt > prev hold
+// pass (strictly before now), which is what makes acquiredAt > prev hold
 // for every survivor; decisions resume one full clean window later.
 func (h *Host) OnRecover(now time.Duration) {
-	for _, st := range h.objs.sts {
-		st.AcquiredAt = now
+	for i := range h.objs.sts {
+		h.objs.sts[i].acquiredAt = now
 	}
 }
 
@@ -408,14 +411,14 @@ func (h *Host) DecidePlacement(now time.Duration) {
 
 	// The pass walks the live list and drops objects as it goes. Only the
 	// object in hand can leave the list (moves go to other hosts), so after
-	// a drop the next object sits where it was.
-	var st *ObjectState
-	for at := 0; at < len(h.objs.sts); at = h.objs.next(at, st) {
-		st = h.objs.sts[at]
-		id := st.id
+	// a drop the next object sits where it was (next compares IDs).
+	var id object.ID
+	for at := 0; at < len(h.objs.sts); at = h.objs.next(at, id) {
+		st := &h.objs.sts[at]
+		id = object.ID(st.id)
 		// Skip a lost move still in flight toward its target, and an object
 		// acquired mid-window: no full observation yet.
-		if st.deferred != nil || st.AcquiredAt > prev {
+		if _, deferred := h.objs.deferral(id); deferred || st.acquiredAt > prev {
 			continue
 		}
 		ua := st.unitAccess(period)
@@ -485,15 +488,15 @@ type move struct {
 // observed at now. Lost: nothing here — the caller defers the move or lets
 // its next pass decide again — and the returned token re-issues it. Down:
 // nothing here or on the wire.
-func (h *Host) perform(now time.Duration, mv move, st *ObjectState) (CreateObjStatus, uint64) {
-	objLoad := h.loads.ObjectLoad(mv.id)
-	req := CreateObjRequest{From: h.ID, To: mv.to, Method: mv.method, Object: mv.id, UnitLoad: objLoad / float64(st.Aff), SrcAff: st.Aff}
+func (h *Host) perform(now time.Duration, mv move, st *objState) (CreateObjStatus, uint64) {
+	objLoad, aff := h.loads.ObjectLoad(mv.id), int(st.aff)
+	req := CreateObjRequest{From: h.ID, To: mv.to, Method: mv.method, Object: mv.id, UnitLoad: objLoad / float64(aff), SrcAff: aff}
 	status, tok, doneAt := h.createObj(now, req, mv.token)
 	switch status {
 	case CreateAccepted:
 		kind := EventReplicate
 		if mv.method == Migrate {
-			h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(objLoad, st.Aff))
+			h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(objLoad, aff))
 			h.reduceAffinity(doneAt, mv.id, st)
 			kind = EventMigrate
 		} else {
@@ -538,15 +541,15 @@ func (s *HostStats) count(mv move) {
 	}
 }
 
-// deferMove records on st a placement move whose handshake was lost under
+// deferMove records a placement move whose handshake was lost under
 // message token tok, to be re-issued with that token at the next placement
 // run, and counts and observes the deferral. A lost replication after a
 // lost migration supersedes it.
-func (h *Host) deferMove(now time.Duration, st *ObjectState, mv *move, tok uint64) {
+func (h *Host) deferMove(now time.Duration, mv move, tok uint64) {
 	mv.token = tok
-	st.deferred = mv
+	h.objs.deferMove(mv)
 	h.Stats.DeferredMoves++
-	h.record(now, EventDefer, *mv)
+	h.record(now, EventDefer, mv)
 }
 
 // retryDeferred re-issues placement moves whose CreateObj was lost in an
@@ -556,28 +559,22 @@ func (h *Host) deferMove(now time.Duration, st *ObjectState, mv *move, tok uint6
 // exactly once. Accepted moves perform their source-side effects now (they
 // could not safely run at loss time — the caller did not know whether the
 // replica existed); refusals abandon the deferral; a re-lost exchange is
-// deferred again; a down target holds it as it is. The walk visits the
-// objects in ascending ID order, and a replayed migration may drop only
-// the object in hand, as in DecidePlacement. It reports whether any
-// deferred move went through.
+// deferred again; a down target holds it as it is. The walk takes the
+// table's list whole, in ascending ID order, while the moves it keeps
+// refill the table's in the same order. It reports whether any deferred
+// move went through.
 func (h *Host) retryDeferred(now time.Duration) bool {
 	completed := false
-	var st *ObjectState
-	for at := 0; at < len(h.objs.sts); at = h.objs.next(at, st) {
-		st = h.objs.sts[at]
-		d := st.deferred
-		if d == nil {
-			continue
-		}
-		st.deferred = nil
-		switch status, tok := h.perform(now, *d, st); status {
+	h.retryBuf, h.objs.deferred = h.objs.deferred, h.retryBuf[:0]
+	for _, mv := range h.retryBuf {
+		switch status, tok := h.perform(now, mv, h.objs.get(mv.id)); status {
 		case CreateAccepted:
 			h.Stats.DeferredCompleted++
 			completed = true
 		case CreateLost:
-			h.deferMove(now, st, d, tok)
+			h.deferMove(now, mv, tok)
 		case CreateDown:
-			st.deferred = d // held for the next interval, under the same token
+			h.objs.deferMove(mv) // held for the next interval, under the same token
 		}
 	}
 	return completed
@@ -595,8 +592,9 @@ func (h *Host) repairReplicas(now time.Duration) {
 	if h.params.AvailabilityWeight > 0 {
 		method = Repair
 	}
-	for _, st := range h.objs.sts { // repair only adds replicas elsewhere
-		id := st.id
+	for at := range h.objs.sts { // repair only adds replicas elsewhere
+		st := &h.objs.sts[at]
+		id := object.ID(st.id)
 		count := h.replicaCount(id)
 		if count == 0 {
 			// This host's own replica is not registered (it crashed and has
@@ -632,8 +630,8 @@ func (h *Host) replicaCount(id object.ID) int {
 // says which): the first candidate that appears on more than ratio of the
 // object's preference paths and accepts takes the move. It reports whether
 // one did.
-func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method Method, ratio float64) bool {
-	if st.Total == 0 {
+func (h *Host) tryGeo(now time.Duration, id object.ID, st *objState, method Method, ratio float64) bool {
+	if st.total == 0 {
 		return false
 	}
 	if method == Replicate && h.env.CanReplicate != nil && !h.env.CanReplicate(id, h.replicaCount(id)) {
@@ -647,8 +645,7 @@ func (h *Host) tryGeo(now time.Duration, id object.ID, st *ObjectState, method M
 		case CreateLost:
 			// The exchange may have landed; trying the next candidate could
 			// double-place. Defer this exact move to the next interval.
-			lost := mv // a copy, so only a deferral leaves the stack
-			h.deferMove(now, st, &lost, tok)
+			h.deferMove(now, mv, tok)
 			return false
 		}
 		// Refused or down: the next candidate may take it.
@@ -669,12 +666,12 @@ const (
 // replica's affinity, or — when it would reach zero — ask the redirector
 // for permission to drop the whole replica (the redirector never allows
 // the last replica to go).
-func (h *Host) reduceAffinity(now time.Duration, id object.ID, st *ObjectState) affResult {
+func (h *Host) reduceAffinity(now time.Duration, id object.ID, st *objState) affResult {
 	red := h.env.RedirectorFor(id)
-	if st.Aff > 1 {
-		st.Aff--
+	if st.aff > 1 {
+		st.aff--
 		h.Stats.AffinityDecrs++
-		red.NotifyReplicaChange(id, h.ID, st.Aff)
+		red.NotifyReplicaChange(id, h.ID, int(st.aff))
 		return affDecremented
 	}
 	if red.RequestDrop(id, h.ID) {
@@ -749,11 +746,11 @@ func (h *Host) CreateObj(now time.Duration, req CreateObjRequest) bool {
 		h.env.Store.Create(id)
 		h.env.CopyObject(now, req.From, h.ID, id)
 		st = h.objs.add(id)
-		st.Aff, st.AcquiredAt = 1, now
+		st.aff, st.acquiredAt = 1, now
 	} else {
-		st.Aff++
+		st.aff++
 	}
-	h.env.RedirectorFor(id).NotifyReplicaChange(id, h.ID, st.Aff)
+	h.env.RedirectorFor(id).NotifyReplicaChange(id, h.ID, int(st.aff))
 	h.est.OnAccept(now, h.loads.Load(), 4*req.UnitLoad)
 	h.Stats.Accepted++
 	return true
@@ -786,8 +783,9 @@ func (h *Host) offload(now time.Duration, period float64) {
 	}
 	windowStart := now - time.Duration(period*float64(time.Second))
 	var cands []cand
-	for _, st := range h.objs.sts {
-		if st.AcquiredAt > windowStart || st.Total == 0 {
+	for at := range h.objs.sts {
+		st := &h.objs.sts[at]
+		if st.acquiredAt > windowStart || st.total == 0 {
 			continue // acquired mid-window (no full observation yet), or not asked for
 		}
 		best := int32(0)
@@ -796,7 +794,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 				best = c
 			}
 		}
-		cands = append(cands, cand{id: st.id, foreign: float64(best) / float64(st.Total)})
+		cands = append(cands, cand{id: object.ID(st.id), foreign: float64(best) / float64(st.total)})
 	}
 	slices.SortFunc(cands, func(a, b cand) int {
 		if c := cmp.Compare(b.foreign, a.foreign); c != 0 {
@@ -816,7 +814,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 		if st == nil {
 			continue
 		}
-		objLoad, aff := h.loads.ObjectLoad(c.id), st.Aff // as the recipient sees them: before the move
+		objLoad, aff := h.loads.ObjectLoad(c.id), int(st.aff) // as the recipient sees them: before the move
 		mv := move{id: c.id, to: rid, method: Migrate, kind: LoadMove}
 		if st.unitAccess(period) > h.params.ReplicationThreshold {
 			// Hot objects are only ever replicated during offload (a load

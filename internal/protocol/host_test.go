@@ -263,7 +263,7 @@ func TestLastReplicaNeverDropped(t *testing.T) {
 func TestAffinityDecrementBeforeDrop(t *testing.T) {
 	c := newCluster(t, topology.Line(4), DefaultParams())
 	c.seed(obj, 0)
-	c.hosts[0].objs.get(obj).Aff = 3
+	c.hosts[0].objs.get(obj).aff = 3
 	c.red.NotifyReplicaChange(obj, 0, 3)
 	pass := c.decide(0, 100*time.Second)
 	if pass.AffinityDecrs != 1 || pass.Drops != 0 {
@@ -569,8 +569,8 @@ func TestCountsResetAfterPlacement(t *testing.T) {
 		}
 		h.settle()
 		st := h.objs.get(obj)
-		if cnt := h.nodeCounts(st); st.Total != 50 || !slices.Equal(cnt, []int32{50, 25, 25, 0}) {
-			t.Fatalf("at %v: Total %d, counts %v, want 50 and [50 25 25 0]", now, st.Total, cnt)
+		if cnt := h.nodeCounts(st); st.total != 50 || !slices.Equal(cnt, []int32{50, 25, 25, 0}) {
+			t.Fatalf("at %v: Total %d, counts %v, want 50 and [50 25 25 0]", now, st.total, cnt)
 		}
 		h.DecidePlacement(now)
 		if !h.Has(obj) {

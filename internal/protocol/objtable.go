@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -8,24 +9,23 @@ import (
 )
 
 // objTable is a host's object table: the §4.1 control state of every
-// hosted object. sts lists the hosted objects' states in ascending ID
-// order, each carrying its ID, so the "for each object x_s" loops of
-// Fig. 3 and Fig. 5 read the states in place, with no lookup and no sort.
-// By-ID lookups (Has, settle, CreateObj, load reports) read a bitmap of the
-// hosted IDs and a rank per bitmap word: rank[w] counts the hosted IDs
-// below 64·w, so id sits at rank[id>>6] plus the hosted IDs of its own word
-// below it. Both grow to the host's highest ID: about 3.75 KB a host over
-// 20,000 objects. States are allocated objSlab at a time onto free, so a
-// host's states sit together in memory; remove zeroes a state and puts it
-// back.
+// hosted object. sts holds the hosted objects' states by value in
+// ascending ID order, so the "for each object x_s" loops of Fig. 3 and
+// Fig. 5 read them in place, with no lookup and no sort; every add and
+// remove shifts the states above it, so a *objState is valid only until
+// the next one. By-ID lookups (Has, settle, CreateObj, load reports) read
+// a bitmap of the hosted IDs and a rank per bitmap word: rank[w] counts
+// the hosted IDs below 64·w, so id sits at rank[id>>6] plus the hosted IDs
+// of its own word below it. Both grow to the host's highest ID: about
+// 3.75 KB a host over 20,000 objects. deferred holds the lost-handshake
+// moves awaiting their retry, ascending by ID, at most one per hosted
+// object; remove takes an object's with it.
 type objTable struct {
-	sts  []*ObjectState
-	bits object.Set
-	rank []int32
-	free []*ObjectState // zeroed states, the next to hand out last
+	sts      []objState
+	bits     object.Set
+	rank     []int32
+	deferred []move
 }
-
-const objSlab = 64
 
 // at returns id's position in sts, and whether the host holds id.
 func (t *objTable) at(id object.ID) (int, bool) {
@@ -36,26 +36,16 @@ func (t *objTable) at(id object.ID) (int, bool) {
 }
 
 // get returns id's state, or nil if the host does not hold id.
-func (t *objTable) get(id object.ID) *ObjectState {
+func (t *objTable) get(id object.ID) *objState {
 	if at, ok := t.at(id); ok {
-		return t.sts[at]
+		return &t.sts[at]
 	}
 	return nil
 }
 
 // add installs and returns a state for id, zeroed but for its ID; id must
-// not be negative or present. The state is the last removed object's, or a
-// new slab's first.
-func (t *objTable) add(id object.ID) *ObjectState {
-	if len(t.free) == 0 {
-		slab := make([]ObjectState, objSlab)
-		for i := range slab {
-			t.free = append(t.free, &slab[objSlab-1-i])
-		}
-	}
-	st := t.free[len(t.free)-1]
-	t.free = t.free[:len(t.free)-1]
-	st.id = id
+// not be negative or present.
+func (t *objTable) add(id object.ID) *objState {
 	t.bits.Add(id)
 	for len(t.rank) < len(t.bits) {
 		t.rank = append(t.rank, int32(len(t.sts)))
@@ -65,11 +55,12 @@ func (t *objTable) add(id object.ID) *ObjectState {
 		above[w]++
 	}
 	at, _ := t.at(id)
-	t.sts = slices.Insert(t.sts, at, st)
-	return st
+	t.sts = slices.Insert(t.sts, at, objState{id: uint32(id)})
+	return &t.sts[at]
 }
 
-// remove deletes id and frees its state, reporting whether id was present.
+// remove deletes id's state and its deferred move, reporting whether id
+// was present.
 func (t *objTable) remove(id object.ID) bool {
 	at, ok := t.at(id)
 	if !ok {
@@ -80,17 +71,37 @@ func (t *objTable) remove(id object.ID) bool {
 	for w := range above {
 		above[w]--
 	}
-	*t.sts[at] = ObjectState{}
-	t.free = append(t.free, t.sts[at])
 	t.sts = slices.Delete(t.sts, at, at+1)
+	if d, ok := t.deferral(id); ok {
+		t.deferred = slices.Delete(t.deferred, d, d+1)
+	}
 	return true
 }
 
-// next returns the position after at once the walk has handled st there:
-// at itself if st left the list, which moved the next object up.
-func (t *objTable) next(at int, st *ObjectState) int {
-	if at < len(t.sts) && t.sts[at] == st {
+// next returns the position after at once a walk has handled the object
+// id there: at itself if id left the table, which moved the next object up
+// to the removed one's address, so it compares IDs.
+func (t *objTable) next(at int, id object.ID) int {
+	if at < len(t.sts) && object.ID(t.sts[at].id) == id {
 		at++
 	}
 	return at
+}
+
+// deferral returns where id's deferred move is or would go in deferred,
+// and whether id has one.
+func (t *objTable) deferral(id object.ID) (int, bool) {
+	if len(t.deferred) == 0 {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(t.deferred, id, func(mv move, id object.ID) int { return cmp.Compare(mv.id, id) })
+}
+
+// deferMove records mv as its held object's deferred move, superseding any.
+func (t *objTable) deferMove(mv move) {
+	if d, ok := t.deferral(mv.id); ok {
+		t.deferred[d] = mv
+	} else {
+		t.deferred = slices.Insert(t.deferred, d, mv)
+	}
 }

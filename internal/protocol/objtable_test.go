@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"radar/internal/object"
 	"radar/internal/routing"
@@ -22,42 +23,105 @@ func hostedIDs(h *Host) []object.ID { return tableIDs(&h.objs) }
 func tableIDs(tab *objTable) []object.ID {
 	ids := make([]object.ID, len(tab.sts))
 	for i, st := range tab.sts {
-		ids[i] = st.id
+		ids[i] = object.ID(st.id)
 	}
 	return ids
 }
 
-// checkAgainst compares every view of t with the reference map over the
-// ID range [0, universe): the states' IDs are strictly ascending and name
-// the reference's IDs, and get(id) is the state carrying id; the bitmap
-// holds len(sts) bits and rank[w] counts the hosted IDs below 64·w; every
-// free state is zeroed, with no deferred move or count row left on it.
-func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, universe int) {
+// TestObjStateIs24Bytes pins the per-replica record the table holds by
+// value: ID, affinity, count row, Total and acquisition time.
+func TestObjStateIs24Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(objState{}); size != 24 {
+		t.Fatalf("objState is %d bytes, want 24", size)
+	}
+}
+
+// tableModel is the objTable oracle: the contents every hosted ID's state
+// must read, each written with a marker no other state carries, and each
+// ID's deferred move.
+type tableModel struct {
+	tab      objTable
+	sts      map[object.ID]objState
+	deferred map[object.ID]move
+	marker   int32
+}
+
+func newTableModel() *tableModel {
+	return &tableModel{sts: make(map[object.ID]objState), deferred: make(map[object.ID]move)}
+}
+
+// add adds id, checks that its state is zeroed but for its ID and that it
+// holds no deferred move, and then writes the next marker into every other
+// field, so a state that moves or is overwritten shows.
+func (m *tableModel) add(t testing.TB, id object.ID) {
 	t.Helper()
-	want := make([]object.ID, 0, len(ref))
-	for id := range ref {
+	st := m.tab.add(id)
+	if *st != (objState{id: uint32(id)}) {
+		t.Fatalf("add(%d) = %+v, want a state zeroed but for its ID", id, *st)
+	}
+	if _, ok := m.tab.deferral(id); ok {
+		t.Fatalf("add(%d): the new state holds a deferred move", id)
+	}
+	m.marker++
+	*st = objState{id: uint32(id), aff: m.marker, row: -m.marker, total: 2 * m.marker, acquiredAt: time.Duration(m.marker)}
+	m.sts[id] = *st
+}
+
+// remove removes id, which must report whether id was present; id's
+// deferred move goes with it.
+func (m *tableModel) remove(t testing.TB, id object.ID) {
+	t.Helper()
+	_, have := m.sts[id]
+	if m.tab.remove(id) != have {
+		t.Fatalf("remove(%d) = %v, want %v", id, !have, have)
+	}
+	delete(m.sts, id)
+	delete(m.deferred, id)
+}
+
+// deferMove defers a move of the hosted id under token, superseding the
+// one it held.
+func (m *tableModel) deferMove(id object.ID, token uint64) {
+	mv := move{id: id, to: topology.NodeID(token % 53), method: Method(1 + token%2), kind: GeoMove, token: token}
+	m.tab.deferMove(mv)
+	m.deferred[id] = mv
+}
+
+// check compares every view of the table with the model over the ID range
+// [0, universe): the states' IDs are strictly ascending and name the
+// model's IDs, get(id) is the state in sts carrying id and reads its
+// marker, and no other ID reads present; the bitmap holds len(sts) bits
+// and rank[w] counts the hosted IDs below 64·w; the deferred moves are
+// strictly ascending by ID, each the model's for a hosted ID.
+func (m *tableModel) check(t testing.TB, universe int) {
+	t.Helper()
+	tab := &m.tab
+	want := make([]object.ID, 0, len(m.sts))
+	for id := range m.sts {
 		want = append(want, id)
 	}
 	slices.Sort(want)
 	if ids := tableIDs(tab); !slices.Equal(ids, want) {
 		t.Fatalf("ids = %v, want %v", ids, want)
 	}
-	for i, st := range tab.sts {
+	for i := range tab.sts {
+		st := &tab.sts[i]
 		if i > 0 && tab.sts[i-1].id >= st.id {
 			t.Fatalf("sts[%d].id = %d after %d: not strictly ascending", i, st.id, tab.sts[i-1].id)
 		}
-		if st != tab.get(st.id) {
-			t.Fatalf("sts[%d] = %p, get(%d) = %p", i, st, st.id, tab.get(st.id))
+		if got := tab.get(object.ID(st.id)); got != st {
+			t.Fatalf("get(%d) = %p, want sts[%d] at %p", st.id, got, i, st)
 		}
 	}
 	for i := 0; i < universe; i++ {
 		id := object.ID(i)
 		got := tab.get(id)
-		if got != ref[id] {
-			t.Fatalf("get(%d) = %p, want %p", i, got, ref[id])
-		}
-		if got != nil && got.id != id {
-			t.Fatalf("get(%d).id = %d", i, got.id)
+		want, have := m.sts[id]
+		switch {
+		case have != (got != nil):
+			t.Fatalf("get(%d) = %p, want present %v", i, got, have)
+		case have && *got != want:
+			t.Fatalf("get(%d) = %+v, want %+v", i, *got, want)
 		}
 	}
 	if len(tab.rank) != len(tab.bits) {
@@ -73,121 +137,140 @@ func checkAgainst(t testing.TB, tab *objTable, ref map[object.ID]*ObjectState, u
 	if below != len(tab.sts) {
 		t.Fatalf("bitmap holds %d IDs, want %d", below, len(tab.sts))
 	}
-	for _, st := range tab.free {
-		if *st != (ObjectState{}) {
-			t.Fatalf("free state %+v is not zeroed", *st)
+	if len(tab.deferred) != len(m.deferred) {
+		t.Fatalf("%d deferred moves, want %d", len(tab.deferred), len(m.deferred))
+	}
+	for i, mv := range tab.deferred {
+		if i > 0 && tab.deferred[i-1].id >= mv.id {
+			t.Fatalf("deferred[%d] on %d after %d: not strictly ascending", i, mv.id, tab.deferred[i-1].id)
+		}
+		if mv != m.deferred[mv.id] || !tab.bits.Has(mv.id) {
+			t.Fatalf("deferred[%d] = %+v, want %+v on a hosted ID", i, mv, m.deferred[mv.id])
 		}
 	}
 }
 
-// addDirty adds id to tab, checks that the state it gets is zeroed but for
-// its ID, and then dirties every other field, a deferred move included, so
-// a state reused after remove shows whether remove cleared it.
-func addDirty(t testing.TB, tab *objTable, id object.ID) *ObjectState {
-	t.Helper()
-	st := tab.add(id)
-	if *st != (ObjectState{id: id}) {
-		t.Fatalf("add(%d) = %+v, want a state zeroed but for its ID", id, *st)
-	}
-	*st = ObjectState{id: id, deferred: &move{id: id, token: 7}, Aff: 3, row: 2, Total: 3, AcquiredAt: 9}
-	return st
-}
-
-// TestObjTableAgainstMap drives the table and a reference map with the
-// same seeded add/remove/get sequence, checking the ordered list after
-// every operation. The population swings between empty and a few hundred
-// over ten bitmap words, so every add and remove moves the rank of the
-// words above it; the drains free states that later adds must hand out
-// zeroed.
+// TestObjTableAgainstMap drives the table and the model with the same
+// seeded add/remove/defer sequence, checking every view after every
+// operation. The population swings between empty and a few hundred over
+// ten bitmap words, so every add and remove moves the rank of the words
+// above it and shifts the states above it; deferrals are set, superseded,
+// and taken by the removes, and a removed ID added back must hold none.
 func TestObjTableAgainstMap(t *testing.T) {
 	const universe = 600
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := workload.Stream(seed, 0)
-		var tab objTable
-		ref := make(map[object.ID]*ObjectState)
-		issued := make(map[*ObjectState]bool)
-		reused := 0
+		m := newTableModel()
+		superseded, dropped := 0, 0
 		for op := 0; op < 6000; op++ {
 			id := object.ID(rng.Intn(universe))
 			// Fill for 2000 operations, drain for 1000, twice over.
 			fill := op%3000 < 2000
-			switch _, have := ref[id]; {
-			case !have && (fill || rng.Intn(4) == 0):
-				st := addDirty(t, &tab, id)
-				ref[id] = st
-				if issued[st] {
-					reused++
+			_, have := m.sts[id]
+			_, deferred := m.deferred[id]
+			switch r := rng.Intn(4); {
+			case have && r == 0:
+				if deferred {
+					superseded++
 				}
-				issued[st] = true
-			case have && (!fill || rng.Intn(4) == 0):
-				if !tab.remove(id) {
-					t.Fatalf("seed %d op %d: remove(%d) = false for a present ID", seed, op, id)
+				m.deferMove(id, uint64(op))
+			case !have && (fill || r == 1):
+				m.add(t, id)
+			case have && (!fill || r == 1):
+				if deferred {
+					dropped++
 				}
-				delete(ref, id)
+				m.remove(t, id)
 			case !have:
-				if tab.remove(id) {
-					t.Fatalf("seed %d op %d: remove(%d) = true for an absent ID", seed, op, id)
-				}
+				m.remove(t, id)
 			}
-			if got := tab.get(id); got != ref[id] {
-				t.Fatalf("seed %d op %d: get(%d) = %p, want %p", seed, op, id, got, ref[id])
-			}
-			checkAgainst(t, &tab, ref, universe)
+			m.check(t, universe)
 		}
-		if reused == 0 {
-			t.Fatalf("seed %d: none of %d states was reused: the free list is not used", seed, len(issued))
+		if superseded == 0 || dropped == 0 {
+			t.Fatalf("seed %d: %d deferrals superseded, %d removed with their object; want both", seed, superseded, dropped)
 		}
 	}
 }
 
 // FuzzObjTable is TestObjTableAgainstMap over fuzzed programs: each pair
-// of bytes adds, removes or looks up one of 256 IDs (four bitmap words, so
-// ranks move across words), or walks the table, and the table is held
-// against a map and a sorted slice after every step, the IDs its states
-// carry included.
+// of bytes adds, defers a move of, removes or looks up one of 256 IDs
+// (four bitmap words, so ranks move across words), or walks the table,
+// dropping the objects an ID residue selects as it goes; the table is held
+// against the model after every step.
 func FuzzObjTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 63, 0, 64, 0, 127, 0, 128, 0, 255, 128, 64, 192, 0, 64, 128})
 	f.Add([]byte{0, 200, 0, 5, 128, 200, 0, 69, 64, 5, 192, 0, 128, 5, 0, 200})
+	f.Add([]byte{0, 3, 0, 4, 0, 5, 0, 9, 64, 4, 65, 4, 64, 5, 197, 1, 0, 4, 192, 0, 128, 3, 0, 3})
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		var tab objTable
-		ref := make(map[object.ID]*ObjectState)
-		var sorted []object.ID
+		m := newTableModel()
 		for step := 0; step+1 < len(prog); step += 2 {
-			id := object.ID(prog[step+1])
-			at, have := slices.BinarySearch(sorted, id)
-			switch prog[step] >> 6 {
-			case 0, 1: // add, or look up a present ID
-				if have {
-					if tab.get(id) != ref[id] || !tab.bits.Has(id) {
-						t.Fatalf("step %d: get(%d) = %p, want %p", step, id, tab.get(id), ref[id])
-					}
-					continue
+			op, id := prog[step], object.ID(prog[step+1])
+			_, have := m.sts[id]
+			switch op >> 6 {
+			case 0: // add, or look up a present ID
+				if !have {
+					m.add(t, id)
 				}
-				ref[id] = addDirty(t, &tab, id)
-				sorted = slices.Insert(sorted, at, id)
+			case 1: // defer a move of a present ID, or add it
+				if have {
+					m.deferMove(id, uint64(step))
+				} else {
+					m.add(t, id)
+				}
 			case 2:
-				if tab.remove(id) != have {
-					t.Fatalf("step %d: remove(%d) = %v, want %v", step, id, !have, have)
-				}
-				if have {
-					delete(ref, id)
-					sorted = slices.Delete(sorted, at, at+1)
-				}
-			case 3: // walk
+				m.remove(t, id)
+			case 3: // walk; with bit 2 set, drop each object whose ID is op's low bits mod 4
 				var walked []object.ID
-				for _, st := range tab.sts {
-					if st != ref[st.id] {
-						t.Fatalf("step %d: walk found %p for %d, want %p", step, st, st.id, ref[st.id])
+				var at int
+				for at = 0; at < len(m.tab.sts); at = m.tab.next(at, id) {
+					id = object.ID(m.tab.sts[at].id)
+					walked = append(walked, id)
+					if op&4 != 0 && int(id)%4 == int(op&3) {
+						m.remove(t, id)
 					}
-					walked = append(walked, st.id)
 				}
-				if !slices.Equal(walked, sorted) {
-					t.Fatalf("step %d: walk = %v, want %v", step, walked, sorted)
+				want := make([]object.ID, 0, len(walked))
+				for w := range m.sts {
+					want = append(want, w)
+				}
+				for _, w := range walked {
+					if op&4 != 0 && int(w)%4 == int(op&3) {
+						want = append(want, w)
+					}
+				}
+				slices.Sort(want)
+				if !slices.Equal(walked, want) {
+					t.Fatalf("step %d: walk = %v, want %v", step, walked, want)
 				}
 			}
-			checkAgainst(t, &tab, ref, 320)
+			m.check(t, 320)
 		}
 	})
+}
+
+// TestObjTableWalkSurvivesDrops: a walk that drops two adjacent objects
+// still visits the second. After a remove the next state sits at the
+// address of the removed one, so next compares IDs; a walk that compared
+// addresses would step over it.
+func TestObjTableWalkSurvivesDrops(t *testing.T) {
+	m := newTableModel()
+	for _, id := range []object.ID{2, 3, 5, 8, 13} {
+		m.add(t, id)
+	}
+	m.deferMove(5, 1)
+	var walked []object.ID
+	var id object.ID
+	for at := 0; at < len(m.tab.sts); at = m.tab.next(at, id) {
+		id = object.ID(m.tab.sts[at].id)
+		walked = append(walked, id)
+		if id == 3 || id == 5 {
+			m.remove(t, id)
+		}
+	}
+	if want := []object.ID{2, 3, 5, 8, 13}; !slices.Equal(walked, want) {
+		t.Fatalf("walk = %v, want %v", walked, want)
+	}
+	m.check(t, 16)
 }
 
 // outside are IDs no table can hold: negative, or past any bitmap here.
@@ -199,11 +282,11 @@ var outside = []object.ID{-1, -64, math.MinInt, 1 << 20, math.MaxInt}
 // IDs outside the bitmap read absent, never panic, and remove nothing,
 // in the table and through Host.Has and Host.Affinity.
 func TestObjTableWordEdges(t *testing.T) {
-	var tab objTable
-	ref := make(map[object.ID]*ObjectState)
+	m := newTableModel()
+	tab := &m.tab
 	check := func(when string) {
 		t.Helper()
-		checkAgainst(t, &tab, ref, 200)
+		m.check(t, 200)
 		for _, id := range outside {
 			if tab.get(id) != nil || tab.bits.Has(id) || tab.remove(id) {
 				t.Fatalf("%s: ID %d outside the bitmap reads present", when, id)
@@ -212,17 +295,14 @@ func TestObjTableWordEdges(t *testing.T) {
 	}
 	check("empty")
 	for _, id := range []object.ID{128, 127, 64, 63, 0} {
-		ref[id] = addDirty(t, &tab, id)
+		m.add(t, id)
 		check(fmt.Sprintf("after add(%d)", id))
 	}
 	if want := []int32{0, 2, 4}; !slices.Equal(tab.rank, want) {
 		t.Fatalf("rank = %v, want %v", tab.rank, want)
 	}
 	for _, id := range []object.ID{64, 0, 128, 127, 63} {
-		if !tab.remove(id) {
-			t.Fatalf("remove(%d) = false for a present ID", id)
-		}
-		delete(ref, id)
+		m.remove(t, id)
 		check(fmt.Sprintf("after remove(%d)", id))
 	}
 	if len(tab.sts) != 0 || len(tab.bits) != 3 {
@@ -249,7 +329,7 @@ func TestObjectsIsASnapshot(t *testing.T) {
 		c.seed(object.ID(i), 1) // a second copy, so the redirector approves the drop
 	}
 	h := c.hosts[0]
-	h.objs.get(7).Aff = 2 // only for the walk below
+	h.objs.get(7).aff = 2 // only for the walk below
 	var walked []object.ID
 	h.EachObject(func(id object.ID, aff int) {
 		if want := h.Affinity(id); aff != want {
@@ -260,7 +340,7 @@ func TestObjectsIsASnapshot(t *testing.T) {
 	if !slices.Equal(walked, hostedIDs(h)) || len(walked) != n {
 		t.Fatalf("EachObject walked %v", walked)
 	}
-	h.objs.get(7).Aff = 1
+	h.objs.get(7).aff = 1
 	h.DecidePlacement(100 * time.Second) // nobody asked: every object is cold
 	visited := make(map[object.ID]int)
 	for _, e := range c.recorded(EventDrop) {
@@ -298,11 +378,11 @@ func TestTotalTracksOwnCount(t *testing.T) {
 				if cnt := h.nodeCounts(st); cnt != nil {
 					own = cnt[h.ID]
 				}
-				if st.Total != own {
-					t.Fatalf("%s: host %d object %d: Total %d, own count %d", when, h.ID, id, st.Total, own)
+				if st.total != own {
+					t.Fatalf("%s: host %d object %d: Total %d, own count %d", when, h.ID, id, st.total, own)
 				}
-				if wantZero && (st.Total != 0 || st.row != 0) {
-					t.Fatalf("%s: host %d object %d: Total %d, row %d, want neither", when, h.ID, id, st.Total, st.row)
+				if wantZero && (st.total != 0 || st.row != 0) {
+					t.Fatalf("%s: host %d object %d: Total %d, row %d, want neither", when, h.ID, id, st.total, st.row)
 				}
 			}
 		}
@@ -320,7 +400,7 @@ func TestTotalTracksOwnCount(t *testing.T) {
 	total := 0
 	for _, h := range c.hosts {
 		for _, st := range h.objs.sts {
-			total += int(st.Total)
+			total += int(st.total)
 		}
 	}
 	if total != requested {
@@ -403,7 +483,7 @@ func BenchmarkDecidePlacement(b *testing.B) {
 // TestPlacementPassAllocFree holds BenchmarkDecidePlacement's 0 allocs/op as
 // a test: a steady-state pass over a thousand objects allocates nothing;
 // neither does a pass that drops an object followed by a CreateObj that
-// brings it back, which reuses the dropped object's state, and a request
+// brings it back into the dropped object's slot, and a request
 // for it, which takes it a count row; nor, after one lap, do windows that
 // each count a different tenth of the objects; nor, once the kept blocks
 // exist, does a second identical window of inline and spilled rows.
@@ -417,13 +497,13 @@ func TestPlacementPassAllocFree(t *testing.T) {
 		now := step
 		request()
 		h.DecidePlacement(now) // sizes the reused buffers and drops cold once
-		var st *ObjectState
+		var st *objState
 		dropAndReAdd := func() {
 			if !h.CreateObj(now, CreateObjRequest{Method: Replicate, Object: cold, SrcAff: 1, From: other.ID}) {
 				t.Fatal("the idle host refused the object back")
 			}
 			if st != nil && h.objs.get(cold) != st {
-				t.Fatal("the re-add did not reuse the dropped object's state")
+				t.Fatal("the re-add did not land in the dropped object's slot")
 			}
 			st = h.objs.get(cold)
 			h.OnMeasurementIntervalClose(now) // retires the acceptance's upper estimate
@@ -599,7 +679,8 @@ func BenchmarkHostOnRequest(b *testing.B) {
 // scale: some 700 of 20,000 objects hosted, scattered over the universe.
 // get looks up hosted IDs (settle, CreateObj, load reports), has probes the
 // whole universe (the anti-entropy sweep), and add+remove drops a hosted
-// object and takes it back, which reuses its state: 0 allocs/op.
+// object and takes it back, which shifts the states above it and
+// allocates nothing: 0 allocs/op.
 func BenchmarkObjTable(b *testing.B) {
 	const universe, hosted = 20000, 700
 	var tab objTable

@@ -51,7 +51,7 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 	c.seed(mv.id, 0)
 	h := c.hosts[0]
 	st := h.objs.get(mv.id)
-	st.Aff = aff
+	st.aff = int32(aff)
 	c.red.NotifyReplicaChange(mv.id, h.ID, aff)
 	c.loads[0].total = load
 	c.loads[0].perObj[mv.id] = objLoad
@@ -160,15 +160,7 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 }
 
 // deferrals counts h's objects that hold a deferred move.
-func deferrals(h *Host) int {
-	n := 0
-	for _, st := range h.objs.sts {
-		if st.deferred != nil {
-			n++
-		}
-	}
-	return n
-}
+func deferrals(h *Host) int { return len(h.objs.deferred) }
 
 // lostTok is the token a lost exchange in lostMigration returns.
 const lostTok = uint64(7)
@@ -315,7 +307,7 @@ func TestDeferredRetryWalksInIDOrder(t *testing.T) {
 		c.seed(id, 0)
 	}
 	for _, id := range []object.ID{ids[0], ids[2]} { // the migration only lowers their affinity
-		h.objs.get(id).Aff = 2
+		h.objs.get(id).aff = 2
 		c.red.NotifyReplicaChange(id, 0, 2)
 	}
 	lose := true
@@ -419,8 +411,8 @@ func TestDeferredMoveHeldWhileTargetDown(t *testing.T) {
 	if pass := c.decide(0, 200*time.Second); pass != (HostStats{}) {
 		t.Fatalf("pass with the target down: %+v, want nothing counted", pass)
 	}
-	if d := h.objs.get(obj).deferred; d == nil || d.token != lostTok || d.to != 5 {
-		t.Fatalf("deferral after the down pass: %+v, want the migration to 5 under token %d", d, lostTok)
+	if at, ok := h.objs.deferral(obj); !ok || h.objs.deferred[at].token != lostTok || h.objs.deferred[at].to != 5 {
+		t.Fatalf("deferrals after the down pass: %+v, want the migration to 5 under token %d", h.objs.deferred, lostTok)
 	}
 	if !slices.Equal(c.events, deferredEvents) || !slices.Equal(*tokens, []uint64{0}) {
 		t.Fatalf("down pass observed %+v and sent tokens %v; want nothing new", c.events[len(deferredEvents):], *tokens)

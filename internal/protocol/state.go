@@ -9,39 +9,34 @@ import (
 	"radar/internal/topology"
 )
 
-// ObjectState is the control state a host keeps per hosted object
-// (paper §4.1): the replica's affinity and, for every node that appeared
-// on the preference paths of requests serviced since the last placement
-// run, the number of those appearances, held in the host's count store.
-// They are exact whenever a method of the owning Host reads them:
-// (*Host).settle runs first.
-type ObjectState struct {
+// objState is the control state a host keeps per hosted object (paper
+// §4.1): the replica's affinity and, for every node that appeared on the
+// preference paths of requests serviced since the last placement run, the
+// number of those appearances, held in the host's count store. They are
+// exact whenever a method of the owning Host reads them: (*Host).settle
+// runs first.
+type objState struct {
 	// id is the object this state belongs to.
-	id object.ID
-	// deferred is the placement move whose CreateObj handshake was lost,
-	// re-issued with the same token at the next placement run (the
-	// degradation policy of the unreliable control plane); nil when none
-	// is. It lives and dies with the replica: a freed state holds none.
-	deferred *move
-	// Aff is this replica's affinity.
-	Aff int
+	id uint32
+	// aff is this replica's affinity.
+	aff int32
 	// row is 1 + the offset of this object's tally row in the host's count
 	// store, -1 - the offset of its dense row once the tallies spilled, or
 	// 0 while the window has counted no request for it: most floor-repair
 	// copies are never asked for.
 	row int32
-	// Total is the total access count since the last placement decision.
+	// total is the total access count since the last placement decision.
 	// It equals the row's count of the own host, because the servicing host
 	// heads every preference path; the placement pass reads it here,
 	// without the second load through the row.
-	Total int32
-	// AcquiredAt is when this host obtained the replica. An object
+	total int32
+	// acquiredAt is when this host obtained the replica. An object
 	// acquired partway through the current observation window is exempt
 	// from placement decisions for that window: judging it on a partial
 	// window would systematically under-estimate its unit access count
 	// and drop freshly created replicas (the same measurement-hygiene
 	// principle as §2.1's load estimates).
-	AcquiredAt time.Duration
+	acquiredAt time.Duration
 }
 
 // loggedReq is one serviced request awaiting (*Host).settle: the object
@@ -66,12 +61,12 @@ const reqLogCap = 64
 // the next object counted. Rows of both kinds are cut in order from
 // blocks of 2^shift cells, at least 4 KiB and one dense row; reset keeps
 // only the blocks the window used, so memory follows the current window,
-// not the run's peak. A state freed mid-window leaves its rows unused
+// not the run's peak. A state removed mid-window leaves its rows unused
 // until the reset zeroes them.
 type counts struct {
 	n, shift, used int // dense row width, log2 of a block's cells, cells handed out
 	blocks         [][]int32
-	free           []int32 // ObjectState.row values of spilled tally rows
+	free           []int32 // objState.row values of spilled tally rows
 }
 
 // rowTallies is how many gateways a row holds in place. On sim-zipf 74 %
@@ -108,7 +103,7 @@ func (c *counts) cut(width int) int32 {
 }
 
 // take gives st a tally row that holds no tally.
-func (c *counts) take(st *ObjectState) {
+func (c *counts) take(st *objState) {
 	if n := len(c.free); n > 0 {
 		st.row, c.free = c.free[n-1], c.free[:n-1]
 		return
@@ -117,7 +112,7 @@ func (c *counts) take(st *ObjectState) {
 }
 
 // charge counts one request for st, which holds a row, from gateway g.
-func (c *counts) charge(st *ObjectState, g topology.NodeID) {
+func (c *counts) charge(st *objState, g topology.NodeID) {
 	if st.row < 0 {
 		c.row(-1-st.row, c.n)[g]++
 		return
@@ -145,7 +140,7 @@ func (c *counts) charge(st *ObjectState, g topology.NodeID) {
 
 // gateways returns st's tallies, nil for an uncounted state: the gateways
 // and counts of an unspilled row, or the spilled row with gws nil.
-func (c *counts) gateways(st *ObjectState) (gws, cnts []int32) {
+func (c *counts) gateways(st *objState) (gws, cnts []int32) {
 	switch {
 	case st.row < 0:
 		return nil, c.row(-1-st.row, c.n)
@@ -158,9 +153,9 @@ func (c *counts) gateways(st *ObjectState) (gws, cnts []int32) {
 
 // reset ends the window: the hosted states sts hand back their rows and
 // counts, the blocks the window used read zero again, and the rest go.
-func (c *counts) reset(sts []*ObjectState) {
-	for _, st := range sts {
-		st.row, st.Total = 0, 0
+func (c *counts) reset(sts []objState) {
+	for i := range sts {
+		sts[i].row, sts[i].total = 0, 0
 	}
 	used := (c.used + 1<<c.shift - 1) >> c.shift
 	for _, b := range c.blocks[:used] {
@@ -172,8 +167,8 @@ func (c *counts) reset(sts []*ObjectState) {
 
 // unitAccess returns the unit access count cnt(s,x_s)/aff(x_s) as a rate
 // (requests/sec) over a period of periodSec > 0 seconds.
-func (st *ObjectState) unitAccess(periodSec float64) float64 {
-	return float64(st.Total) / (float64(st.Aff) * periodSec)
+func (st *objState) unitAccess(periodSec float64) float64 {
+	return float64(st.total) / (float64(st.aff) * periodSec)
 }
 
 // Method distinguishes the two CreateObj request kinds (Fig. 4).

@@ -34,9 +34,46 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestTreeIsThePaths: on every shape, each source's tree order lists every
+// node once, at non-increasing distance, the source last; and every path
+// from the source is its destination's chain of tree parents, reversed.
+func TestTreeIsThePaths(t *testing.T) {
+	for name, topo := range buildTopologies(t) {
+		tab := New(topo)
+		n := topo.NumNodes()
+		for s := 0; s < n; s++ {
+			src := topology.NodeID(s)
+			order, parent := tab.Tree(src)
+			seen := make([]bool, n)
+			for i, v := range order {
+				if seen[v] {
+					t.Fatalf("%s: source %d lists node %d twice", name, s, v)
+				}
+				seen[v] = true
+				if i > 0 && tab.Distance(src, topology.NodeID(v)) > tab.Distance(src, topology.NodeID(order[i-1])) {
+					t.Fatalf("%s: source %d lists node %d after a nearer one", name, s, v)
+				}
+			}
+			if len(order) != n || order[n-1] != int32(s) || parent[s] != int32(s) {
+				t.Fatalf("%s: source %d: order %v, own parent %d", name, s, order, parent[s])
+			}
+			for d := 0; d < n; d++ {
+				path := tab.PreferencePath(src, topology.NodeID(d))
+				v := int32(d)
+				for i := len(path) - 1; i >= 0; i-- {
+					if int32(path[i]) != v {
+						t.Fatalf("%s: path %d -> %d is %v, not the tree's", name, s, d, path)
+					}
+					v = parent[v]
+				}
+			}
+		}
+	}
+}
+
 // TestSharedTableConcurrentReads hammers one shared Table from many
 // goroutines through every read-path accessor the simulator uses —
-// Distance, DistancesFrom, Path, PreferencePath, AvgDistance,
+// Distance, DistancesFrom, Path, PreferencePath, Tree, AvgDistance,
 // MinAvgDistanceNode, Diameter and SortByDistanceDesc (own slice per
 // goroutine) — locking in the immutability contract the substrate cache
 // relies on. Run it with -race to detect any accessor that writes Table
@@ -79,6 +116,7 @@ func TestSharedTableConcurrentReads(t *testing.T) {
 					}
 				}
 				_ = tab.PreferencePath(s, topology.NodeID((int(s)+1)%n))
+				_, _ = tab.Tree(s)
 				_ = tab.AvgDistance(s)
 				_ = tab.MinAvgDistanceNode()
 				_ = tab.Diameter()

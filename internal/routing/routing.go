@@ -18,6 +18,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"radar/internal/topology"
 )
@@ -43,6 +44,9 @@ type Table struct {
 	// chosen path, all rows sliced out of one shared backing array —
 	// callers must not mutate.
 	paths [][]topology.NodeID
+	// order[s*n:(s+1)*n] lists the BFS tree rooted at s farthest first, s
+	// last; parent[s*n+d] is d's predecessor on it, parent[s*n+s] == s.
+	order, parent []int32
 
 	// Aggregates precomputed at construction so the accessors below are
 	// O(1) reads on the frozen table rather than lazy O(n²) scans.
@@ -56,29 +60,32 @@ type Table struct {
 func New(topo *topology.Topology) *Table {
 	n := topo.NumNodes()
 	t := &Table{
-		topo:  topo,
-		n:     n,
-		dist:  make([]int32, n*n),
-		paths: make([][]topology.NodeID, n*n),
+		topo:   topo,
+		n:      n,
+		dist:   make([]int32, n*n),
+		paths:  make([][]topology.NodeID, n*n),
+		order:  make([]int32, n*n),
+		parent: make([]int32, n*n),
 	}
-	// parent[s*n+d] is the predecessor of d on the BFS tree rooted at s;
-	// parent[s*n+s] == s. Only the path materialization reads it.
-	parent := make([]topology.NodeID, n*n)
-	queue := make([]topology.NodeID, 0, n)
 	size := n * n // every path holds its hop count plus one nodes
 	for s := 0; s < n; s++ {
-		t.bfs(topology.NodeID(s), parent[s*n:(s+1)*n], queue)
+		t.bfs(topology.NodeID(s))
 		for _, d := range t.dist[s*n : (s+1)*n] {
 			size += int(d)
 		}
 	}
 
 	// Materialize every path into one exactly-sized arena, source rows in
-	// order, each row's paths in destination order.
+	// order, each row's paths in destination order, each path backwards
+	// from its destination along its source's parent row.
 	arena := make([]topology.NodeID, size)
-	off := 0
-	for s := 0; s < n; s++ {
-		off = t.materialize(topology.NodeID(s), parent[s*n:(s+1)*n], arena, off)
+	for sd := range t.paths {
+		hops, row := int(t.dist[sd]), t.parent[sd-sd%n:][:n]
+		seg := arena[: hops+1 : hops+1]
+		for i, v := hops, int32(sd%n); i >= 0; i, v = i-1, row[v] {
+			seg[i] = topology.NodeID(v)
+		}
+		t.paths[sd], arena = seg, arena[hops+1:]
 	}
 
 	t.freezeAggregates()
@@ -87,45 +94,26 @@ func New(topo *topology.Topology) *Table {
 
 // bfs grows a breadth-first tree from src, visiting neighbors in ascending
 // ID order so that the parent of every node is the smallest-ID predecessor
-// at minimal distance discovered first — a deterministic tie-break. parent
-// is src's row of the tree; queue is scratch space.
-func (t *Table) bfs(src topology.NodeID, parent, queue []topology.NodeID) {
-	dist := t.dist[int(src)*t.n : (int(src)+1)*t.n]
+// at minimal distance discovered first — a deterministic tie-break. It
+// fills src's rows of dist, parent and order, the BFS queue reversed; the
+// topology is connected, so the queue reaches every node.
+func (t *Table) bfs(src topology.NodeID) {
+	row := int(src) * t.n
+	dist, parent, order := t.dist[row:row+t.n], t.parent[row:row+t.n], t.order[row:row+t.n]
 	for i := range dist {
 		dist[i] = -1
 	}
-	dist[src] = 0
-	parent[src] = src
-	queue = append(queue[:0], src)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	dist[src], parent[src], order[0] = 0, int32(src), int32(src)
+	for head, tail := 0, 1; head < tail; head++ {
+		v := topology.NodeID(order[head])
 		for _, w := range t.topo.Neighbors(v) {
 			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				parent[w] = v
-				queue = append(queue, w)
+				dist[w], parent[w], order[tail] = dist[v]+1, int32(v), int32(w)
+				tail++
 			}
 		}
 	}
-}
-
-// materialize writes source s's paths into arena starting at off, filling
-// row s of t.paths, and returns the offset past them. Each path is
-// reconstructed backwards from s's parent row.
-func (t *Table) materialize(s topology.NodeID, row, arena []topology.NodeID, off int) int {
-	for d := 0; d < t.n; d++ {
-		hops := int(t.dist[int(s)*t.n+d])
-		seg := arena[off : off+hops+1 : off+hops+1]
-		v := topology.NodeID(d)
-		for i := hops; i >= 0; i-- {
-			seg[i] = v
-			v = row[v]
-		}
-		t.paths[int(s)*t.n+d] = seg
-		off += hops + 1
-	}
-	return off
+	slices.Reverse(order)
 }
 
 // freezeAggregates precomputes the whole-table summaries (average
@@ -182,6 +170,14 @@ func (t *Table) Path(s, d topology.NodeID) []topology.NodeID {
 // first element is s and the last is g.
 func (t *Table) PreferencePath(s, g topology.NodeID) []topology.NodeID {
 	return t.paths[int(s)*t.n+int(g)]
+}
+
+// Tree returns the BFS tree rooted at s that every path from s runs down:
+// its nodes farthest first, s last, and each node's parent (s's own is s).
+// Both rows are shared; callers must not modify them.
+func (t *Table) Tree(s topology.NodeID) (order, parent []int32) {
+	row := int(s) * t.n
+	return t.order[row : row+t.n], t.parent[row : row+t.n]
 }
 
 // NumNodes returns the node count of the underlying topology.
