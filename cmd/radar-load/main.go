@@ -2,12 +2,8 @@
 // over real HTTP: the load generator paces the simulator's exact event
 // schedule, asks each object's redirector for a 302, follows it to the
 // chosen replica host, and reports completions back — collecting the same
-// metrics schema as a simulation run.
-//
-// By default it stands up an in-process loopback fleet (one HTTP listener
-// per topology node) and drives it; with -urls it drives an externally
-// started fleet of radar-node processes instead, which must have been
-// launched with the same scenario and overrides.
+// metrics schema as a simulation run. The fleet is in-process: one
+// loopback HTTP listener per topology node.
 //
 // With -free-running the fleet owns its clocks: nodes self-schedule their
 // control ticks, the generator paces requests in wall time, and instead of
@@ -24,7 +20,6 @@
 //	radar-load -list
 //	radar-load -scenario steady-state-baseline -duration 2m -rps 10
 //	radar-load -scenario steady-state-baseline -duration 2m -rps 10 -gate-zero-failed
-//	radar-load -scenario steady-state-baseline -urls http://127.0.0.1:8300,http://127.0.0.1:8301,...
 //	radar-load -scenario steady-state-baseline -free-running -duration 10s
 //	radar-load -scenario steady-state-baseline -free-running -duration 15s -chaos "crash:2@5s+3s"
 package main
@@ -35,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"radar/internal/live"
@@ -58,10 +52,9 @@ func run() error {
 		duration    = flag.Duration("duration", 0, "override the scenario's virtual duration (0 = keep); wall-clock in free-running mode")
 		rps         = flag.Float64("rps", 0, "override the per-gateway request rate (0 = keep)")
 		seed        = flag.Int64("seed", 0, "override the scenario seed (0 = keep)")
-		urls        = flag.String("urls", "", "comma-separated radar-node base URLs (empty = in-process loopback fleet)")
 		gateFailed  = flag.Bool("gate-zero-failed", false, "exit non-zero if any request failed or any node crashed")
 		freeRunning = flag.Bool("free-running", false, "free-running mode: nodes self-schedule on wall clocks; generator paces in real time")
-		chaosSched  = flag.String("chaos", "", "fault-DSL chaos schedule to deal against the fleet (needs -free-running, in-process fleet)")
+		chaosSched  = flag.String("chaos", "", "fault-DSL chaos schedule to deal against the fleet (needs -free-running)")
 		convergence = flag.Duration("convergence", 5*time.Second, "invariant checker's convergence budget: how long a bound may stay violated before it counts")
 	)
 	flag.Parse()
@@ -85,11 +78,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var fleet []string // empty: an in-process loopback fleet
-	if *urls != "" {
-		fleet = strings.Split(*urls, ",")
-	}
-	h, err := live.NewHarness(cfg, fleet)
+	h, err := live.NewHarness(cfg)
 	if err != nil {
 		return err
 	}

@@ -33,8 +33,8 @@ type Outcome struct {
 // schedule (empty for none) against h.Fleet while it drives h.Free for the
 // configured wall duration, and judges the failed requests. A schedule
 // expands from the seed's fault stream, so it kills the nodes a simulation
-// of the same configuration crashes; it needs the in-process fleet, and the
-// run lasts until all of it is dealt. convergence is the budget within
+// of the same configuration crashes, and the run lasts until all of it is
+// dealt. convergence is the budget within
 // which a violated bound must heal. The error reports a run that could not
 // be carried out, a plan cut short included; violations are in the
 // Outcome's Report.
@@ -44,9 +44,6 @@ func RunFree(ctx context.Context, h *live.Harness, schedule string, convergence 
 	var latency time.Duration
 	var target chaos.Target
 	if schedule != "" {
-		if h.Fleet == nil {
-			return nil, errors.New("check: chaos needs the in-process fleet, whose node lifecycles it owns")
-		}
 		var err error
 		if plan, latency, err = chaos.Plan(schedule, cfg.Sim.Topo, cfg.Sim.Duration, cfg.Sim.Seed); err != nil {
 			return nil, err

@@ -106,8 +106,7 @@ func (c Config) Validate() error {
 // ScenarioConfig resolves a named scenario into a fleet configuration with
 // the command-line overrides applied to its Spec (zero keeps the
 // scenario's value), so an overridden seed seeds the generators too.
-// radar-load and radar-node both resolve through it, so a driver and an
-// externally launched fleet agree on every parameter.
+// radar-load resolves its -scenario and override flags through it.
 func ScenarioConfig(name string, duration time.Duration, rps float64, seed int64, freeRunning bool) (Config, error) {
 	sc, ok := scenario.ByName(name)
 	if !ok {

@@ -11,7 +11,7 @@ const ReadyTimeout = 10 * time.Second
 // all run. Exactly one of Driver (driver-paced) and Free (free-running) is
 // non-nil, keyed by Config.FreeRunning; Driver.Run replays, and
 // check.RunFree is the one free-running run. Fleet is the in-process
-// loopback fleet the harness owns, nil when it drives an external one.
+// loopback fleet the harness owns.
 type Harness struct {
 	Fleet  *Fleet
 	URLs   []string // base URL per node ID
@@ -19,23 +19,19 @@ type Harness struct {
 	Free   *FreeDriver
 }
 
-// NewHarness attaches the mode's driver to the fleet reachable at urls, or,
-// given none, to a loopback fleet it builds for cfg and waits ready. The
-// caller owns Close.
-func NewHarness(cfg Config, urls []string) (*Harness, error) {
-	h := &Harness{URLs: urls}
-	if len(urls) == 0 {
-		f, err := NewFleet(cfg)
-		if err != nil {
-			return nil, err
-		}
-		h.Fleet, h.URLs, cfg = f, f.URLs(), f.Config()
-		if err := f.WaitReady(ReadyTimeout); err != nil {
-			h.Close()
-			return nil, err
-		}
+// NewHarness builds a loopback fleet for cfg, waits for it to be ready and
+// attaches the mode's driver. The caller owns Close.
+func NewHarness(cfg Config) (*Harness, error) {
+	f, err := NewFleet(cfg)
+	if err != nil {
+		return nil, err
 	}
-	var err error
+	h := &Harness{Fleet: f, URLs: f.URLs()}
+	cfg = f.Config()
+	if err := f.WaitReady(ReadyTimeout); err != nil {
+		h.Close()
+		return nil, err
+	}
 	if cfg.FreeRunning {
 		h.Free, err = NewFreeDriver(cfg, h.URLs)
 	} else {
@@ -48,12 +44,10 @@ func NewHarness(cfg Config, urls []string) (*Harness, error) {
 	return h, nil
 }
 
-// Close releases the driver's connections and tears an owned fleet down.
+// Close releases the driver's connections and tears the fleet down.
 func (h *Harness) Close() {
 	if h.Driver != nil {
 		h.Driver.Close()
 	}
-	if h.Fleet != nil {
-		h.Fleet.Close()
-	}
+	h.Fleet.Close()
 }

@@ -19,7 +19,7 @@ import (
 	"radar/internal/live"
 )
 
-// startHarness is live.NewHarness over a loopback fleet for tests:
+// startHarness is live.NewHarness for tests:
 // failures become t.Fatal, the fleet is torn down by t.Cleanup, and a
 // goroutine-leak check runs after teardown.
 func startHarness(t *testing.T, cfg live.Config) *live.Harness {
@@ -27,7 +27,7 @@ func startHarness(t *testing.T, cfg live.Config) *live.Harness {
 	// Registered before the Close cleanup: cleanups run LIFO, so the
 	// check observes the world after the fleet is gone.
 	checkGoroutines(t)
-	h, err := live.NewHarness(cfg, nil)
+	h, err := live.NewHarness(cfg)
 	if err != nil {
 		t.Fatalf("starting fleet: %v", err)
 	}

@@ -158,9 +158,9 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 	simCfg := &nd.cfg.Sim
 	nd.redLocs = sim.RedirectorLocs(simCfg, routes)
 	nd.downPeers = make([]bool, n)
-	// The part of the fleet this process holds: one machine, at most one
+	// The part of the fleet this node holds: one machine, at most one
 	// redirector. Seeding is local (sim.SeedPlacement), and so is the §5
-	// category table behind the replication gate: every process derives
+	// category table behind the replication gate: every node derives
 	// the same one from the shared configuration.
 	machines := make([]*sim.Machine, n)
 	redirectors := make([]*protocol.Redirector, len(nd.redLocs))

@@ -1,5 +1,5 @@
 // Package live runs the replica placement and request distribution
-// protocol over real sockets: each node process owns one protocol.Host
+// protocol over real sockets: each node owns one protocol.Host
 // (and, when it is a redirector location, one protocol.Redirector) behind
 // an HTTP/JSON control plane, a redirecting front-end answers object
 // requests with 302s to the chosen replica host, and a driver replays the
@@ -54,7 +54,7 @@ const (
 	PathMark     = "/ctl/mark"
 	PathPeers    = "/ctl/peers"
 	PathStats    = "/ctl/stats"
-	// PathHealth is pure liveness: the process is up and serving HTTP.
+	// PathHealth is pure liveness: the node's listener is up and serving HTTP.
 	PathHealth = "/healthz"
 	// PathReady is readiness: the node has started (seed placement
 	// installed, redirector registered, and — in free-running mode — its

@@ -77,7 +77,7 @@ func TestChaosInvariants(t *testing.T) {
 				c.checkSubsetInvariant(t)
 				for i := 0; i < numObjects; i++ {
 					id := object.ID(i)
-					if c.red.ReplicaCount(id) == 0 {
+					if len(c.red.ReplicaHosts(id, nil)) == 0 {
 						t.Fatalf("step %d: object %d has no replicas", step, id)
 					}
 					for _, rep := range c.red.AppendReplicas(nil, id) {

@@ -20,7 +20,7 @@ func TestRepairRestoresReplicaFloor(t *testing.T) {
 	if pass.RepairReplications != 2 {
 		t.Fatalf("RepairReplications = %d, want 2 (floor 3, one replica)", pass.RepairReplications)
 	}
-	if got := c.red.ReplicaCount(obj); got != 3 {
+	if got := len(c.red.ReplicaHosts(obj, nil)); got != 3 {
 		t.Fatalf("replica count = %d, want floor 3", got)
 	}
 	// Repairs are reported as RepairMove replications, distinct from the
@@ -68,7 +68,7 @@ func TestRepairStopsOnRefusal(t *testing.T) {
 	if pass := c.decide(0, 100*time.Second); pass.RepairReplications != 0 {
 		t.Fatalf("RepairReplications = %d, want 0 (all targets loaded)", pass.RepairReplications)
 	}
-	if got := c.red.ReplicaCount(obj); got != 1 {
+	if got := len(c.red.ReplicaHosts(obj, nil)); got != 1 {
 		t.Fatalf("replica count = %d, want 1", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestReplicaFloorBlocksDrops(t *testing.T) {
 	if pass := c.decide(0, 100*time.Second); pass.Drops != 0 {
 		t.Fatalf("Drops = %d, want 0 under floor 2", pass.Drops)
 	}
-	if got := c.red.ReplicaCount(obj); got != 2 {
+	if got := len(c.red.ReplicaHosts(obj, nil)); got != 2 {
 		t.Fatalf("replica count = %d, want 2", got)
 	}
 	c.checkSubsetInvariant(t)
@@ -220,7 +220,7 @@ func TestRequestDropRespectsFloor(t *testing.T) {
 	if r.RequestDrop(testObj, 2) {
 		t.Fatal("drop below floor 2 allowed")
 	}
-	if got := r.ReplicaCount(testObj); got != 2 {
+	if got := len(r.ReplicaHosts(testObj, nil)); got != 2 {
 		t.Fatalf("replica count = %d, want 2", got)
 	}
 }

@@ -240,8 +240,8 @@ func TestColdObjectDropsWhenSafe(t *testing.T) {
 	if c.hosts[0].Has(obj) {
 		t.Error("cold replica still present")
 	}
-	if c.red.ReplicaCount(obj) != 1 {
-		t.Errorf("redirector replica count = %d, want 1", c.red.ReplicaCount(obj))
+	if len(c.red.ReplicaHosts(obj, nil)) != 1 {
+		t.Errorf("redirector replica count = %d, want 1", len(c.red.ReplicaHosts(obj, nil)))
 	}
 	c.checkSubsetInvariant(t)
 }

@@ -46,12 +46,12 @@ func TestOffloadOrdersByForeignRatio(t *testing.T) {
 	if pass.loadMoves() != 1 {
 		t.Fatalf("offload sent %d, want 1 (recipient saturates after one heavy object)", pass.loadMoves())
 	}
-	if c.red.ReplicaCount(mostForeign) != 2 {
+	if len(c.red.ReplicaHosts(mostForeign, nil)) != 2 {
 		t.Error("most-foreign object did not move")
 	}
 	// The least-foreign object must still be exclusively at the source
 	// (the single available move went to the more foreign one).
-	if c.red.ReplicaCount(leastForeign) != 1 || !c.hosts[0].Has(leastForeign) {
+	if len(c.red.ReplicaHosts(leastForeign, nil)) != 1 || !c.hosts[0].Has(leastForeign) {
 		t.Error("least-foreign object moved before the most-foreign one")
 	}
 }

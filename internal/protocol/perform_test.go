@@ -448,7 +448,7 @@ func TestRepairAndOffloadStopAtDownTarget(t *testing.T) {
 		if pass := c.decide(0, 100*time.Second); pass.RepairReplications != 0 || len(*offered) != 1 {
 			t.Fatalf("pass %+v offered handshakes to %v; want one, to a down host, and no repair", pass, *offered)
 		}
-		if got := c.red.ReplicaCount(obj); got != 1 {
+		if got := len(c.red.ReplicaHosts(obj, nil)); got != 1 {
 			t.Fatalf("replica count %d, want 1", got)
 		}
 	})

@@ -515,14 +515,6 @@ func (r *Redirector) ReplicaHosts(id object.ID, buf []topology.NodeID) []topolog
 	return buf
 }
 
-// ReplicaCount returns the number of recorded replicas of id.
-func (r *Redirector) ReplicaCount(id object.ID) int {
-	if e := r.lookup(id); e != nil {
-		return len(e.set())
-	}
-	return 0
-}
-
 // EachObject calls fn with the ID of every object a replica was ever
 // recorded for, in ascending order.
 func (r *Redirector) EachObject(fn func(id object.ID)) {

@@ -219,7 +219,7 @@ func TestRequestDropArbitration(t *testing.T) {
 	if !r.RequestDrop(testObj, 0) {
 		t.Fatal("redirector refused a legal drop")
 	}
-	if got := r.ReplicaCount(testObj); got != 1 {
+	if got := len(r.ReplicaHosts(testObj, nil)); got != 1 {
 		t.Fatalf("replica count after drop = %d, want 1", got)
 	}
 	if r.RequestDrop(testObj, 2) {
@@ -310,8 +310,8 @@ func TestRedirectorPartition(t *testing.T) {
 		t.Fatalf("records %v, want %v", got, share)
 	}
 	for _, id := range []object.ID{0, 3, 8, 21, 24, 27} {
-		if _, err := r.ChooseReplica(0, id); err != ErrUnknownObject || r.ReplicaCount(id) != 0 || r.RequestDrop(id, 1) {
-			t.Fatalf("object %d outside the share: choice error %v, %d replicas", id, err, r.ReplicaCount(id))
+		if _, err := r.ChooseReplica(0, id); err != ErrUnknownObject || len(r.ReplicaHosts(id, nil)) != 0 || r.RequestDrop(id, 1) {
+			t.Fatalf("object %d outside the share: choice error %v, %d replicas", id, err, len(r.ReplicaHosts(id, nil)))
 		}
 	}
 	if got := r.PurgeHost(1, nil); !slices.Equal(got, []object.ID{12}) {
@@ -538,7 +538,7 @@ func TestTheorem3And4MigrationBounds(t *testing.T) {
 		if affI > 1 {
 			r.NotifyReplicaChange(testObj, i, affI-1)
 		} else if !r.RequestDrop(testObj, i) {
-			t.Fatalf("trial %d: drop refused with %d replicas", trial, r.ReplicaCount(testObj))
+			t.Fatalf("trial %d: drop refused with %d replicas", trial, len(r.ReplicaHosts(testObj, nil)))
 		}
 		post := steadyState(r, testObj, gateways, weights, 40000, rng)
 
@@ -693,10 +693,10 @@ func TestPurgeHost(t *testing.T) {
 	if len(emptied) != 1 || emptied[0] != 2 {
 		t.Fatalf("emptied = %v, want [2]: object 1 keeps a replica", emptied)
 	}
-	if got := r.ReplicaCount(object.ID(1)); got != 1 {
+	if got := len(r.ReplicaHosts(object.ID(1), nil)); got != 1 {
 		t.Fatalf("object 1 replicas = %d, want 1", got)
 	}
-	if got := r.ReplicaCount(object.ID(2)); got != 0 {
+	if got := len(r.ReplicaHosts(object.ID(2), nil)); got != 0 {
 		t.Fatalf("object 2 replicas = %d, want 0 (unavailable)", got)
 	}
 	if _, err := r.ChooseReplica(0, object.ID(2)); err == nil {

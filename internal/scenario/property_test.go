@@ -52,7 +52,7 @@ func TestCorpusInvariants(t *testing.T) {
 				below := 0
 				for _, red := range run.sim.Redirectors() {
 					red.EachObject(func(id object.ID) {
-						if red.ReplicaCount(id) < sp.Floor {
+						if len(red.ReplicaHosts(id, nil)) < sp.Floor {
 							below++
 						}
 					})

@@ -80,7 +80,7 @@ func TestHostFailureAndRecovery(t *testing.T) {
 	}
 	for _, red := range s.Redirectors() {
 		red.EachObject(func(id object.ID) {
-			if red.ReplicaCount(id) == 0 {
+			if len(red.ReplicaHosts(id, nil)) == 0 {
 				t.Fatalf("object %d unavailable after recovery", id)
 			}
 		})

@@ -159,7 +159,7 @@ func TestPropertyRepairReachesFloor(t *testing.T) {
 	below := 0
 	for _, red := range s.Redirectors() {
 		red.EachObject(func(id object.ID) {
-			if red.ReplicaCount(id) < 2 {
+			if len(red.ReplicaHosts(id, nil)) < 2 {
 				below++
 			}
 		})

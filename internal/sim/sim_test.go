@@ -328,7 +328,7 @@ func TestMultipleRedirectors(t *testing.T) {
 			if RedirectorIndex(id, len(s.Redirectors())) != i {
 				continue
 			}
-			n := r.ReplicaCount(id)
+			n := len(r.ReplicaHosts(id, nil))
 			want.TotalReplicas += n
 			want.MaxReplicas = max(want.MaxReplicas, n)
 			if n == 0 {

@@ -583,7 +583,7 @@ func runLive(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := live.NewHarness(live.Config{Sim: *simCfg}, nil)
+	h, err := live.NewHarness(live.Config{Sim: *simCfg})
 	if err != nil {
 		return nil, err
 	}
