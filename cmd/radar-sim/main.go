@@ -21,10 +21,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"radar"
-	"radar/internal/profiling"
 	"radar/internal/report"
 )
 
@@ -53,7 +54,7 @@ func run() error {
 		runs         = flag.Int("runs", 1, "number of consecutive-seed runs (run concurrently when > 1)")
 		parallelism  = flag.Int("parallelism", 0, "concurrent simulations for -runs (0 = GOMAXPROCS)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile   = flag.String("memprofile", "", "write a pprof heap profile to this file before exit")
+		memprofile   = flag.String("memprofile", "", "write a pprof allocation profile of the run to this file (go tool pprof -sample_index=alloc_space)")
 		faults       = flag.String("faults", "", `fault schedule, e.g. "crash:9@3m+5m; drop:0.2; dup:0.05; cdelay:50ms"`)
 		replicaFloor = flag.Int("replica-floor", 0, "minimum replicas kept per object (repair replication; 0/1 = paper behavior)")
 		availWeight  = flag.Float64("avail-weight", 0, "availability-aware placement weight in [0,1] (0 = paper behavior)")
@@ -69,7 +70,7 @@ func run() error {
 		return errors.New("-trace writes one run's events and cannot be combined with -runs > 1")
 	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	stopProf, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}
@@ -166,4 +167,44 @@ func writeCSVs(dir string, res *radar.Result) error {
 		}
 	}
 	return report.WriteFile(filepath.Join(dir, "hostload.csv"), func(w io.Writer) error { return report.WriteHostLoadCSV(w, res.HostLoad) })
+}
+
+// startProfiles starts a CPU profile and arms an allocation profile (an
+// empty path disables either). The returned stop function writes both; call
+// it once, after the run. The allocation profile is written after the run
+// returns, when nothing of it is live any more, so its in-use view is empty:
+// read it by allocated space.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err == nil {
+			runtime.GC() // the profile counts allocations up to the last GC
+			err = pprof.Lookup("allocs").WriteTo(f, 0)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "memprofile:", err)
+		}
+	}, nil
 }

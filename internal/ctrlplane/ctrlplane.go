@@ -167,7 +167,8 @@ type Plane struct {
 	transport Transport
 	// results caches the callee verdict of every message ID whose RPC
 	// executed and then ended Lost, so a deferred re-issue with the same
-	// token replays it: the callee runs at most once per ID. A call's own
+	// token replays it: the callee runs at most once per ID. Forget drops
+	// a verdict whose token will not be re-issued. A call's own
 	// retries never come here: they are inside one Call, which holds the
 	// verdict in a local, and a confirmed call leaves no entry.
 	results map[uint64]bool
@@ -198,6 +199,15 @@ func New(params Params, faults Faults, rng *rand.Rand, transport Transport) (*Pl
 
 // Stats returns a snapshot of the activity counters.
 func (p *Plane) Stats() Stats { return p.stats }
+
+// Forget drops the verdict cached for token, if any. A caller that will
+// never re-issue a Lost call's token calls it, so the cache holds only
+// verdicts a deferred re-issue can still replay; a later Call with the
+// token runs the callee again.
+func (p *Plane) Forget(token uint64) { delete(p.results, token) }
+
+// Cached is the number of verdicts held for a re-issue.
+func (p *Plane) Cached() int { return len(p.results) }
 
 // NextToken allocates a fresh message ID.
 func (p *Plane) NextToken() uint64 {

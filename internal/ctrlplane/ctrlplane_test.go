@@ -146,6 +146,36 @@ func TestCallTokenReplayIsIdempotent(t *testing.T) {
 	}
 }
 
+func TestForgetDropsTheVerdict(t *testing.T) {
+	// A lost call whose callee ran leaves its verdict; after Forget the
+	// cache is empty and a same-token re-issue runs the callee again.
+	failReplies := true
+	tr := func(now time.Duration, from, to topology.NodeID) (time.Duration, bool) {
+		if failReplies && from == 1 {
+			return now, false
+		}
+		return now + time.Millisecond, true
+	}
+	p := newPlane(t, Faults{}, tr)
+	execs := 0
+	exec := func(time.Duration) bool {
+		execs++
+		return true
+	}
+	_, tok, _, ok := p.Call(0, 0, 1, 0, exec)
+	if ok || execs != 1 || p.Cached() != 1 {
+		t.Fatalf("lost call: ok=%v, execs=%d, cached=%d; want lost, one run, one verdict", ok, execs, p.Cached())
+	}
+	p.Forget(tok)
+	if p.Cached() != 0 {
+		t.Fatalf("Forget left %d cached verdicts", p.Cached())
+	}
+	failReplies = false
+	if res, _, _, ok := p.Call(time.Minute, 0, 1, tok, exec); !ok || !res || execs != 2 {
+		t.Fatalf("re-issue after Forget = (%v, %v), execs=%d; want a second execution", res, ok, execs)
+	}
+}
+
 func TestCallTokenReissueAfterDroppedRequests(t *testing.T) {
 	// First call: no request ever arrives -> the callee never ran and there
 	// is no verdict to replay. The same-token re-issue is the first

@@ -177,7 +177,6 @@ func NewNode(cfg Config, id topology.NodeID, peers []string, routes *routing.Tab
 		Routes:        routes,
 		RedirectorFor: nd.redirectorFor,
 		LoadReport:    nd.loadReport,
-		CopyObject:    nd.copyObject,
 		CanReplicate:  consistency.Gate(simCfg.Universe, simCfg.Consistency, simCfg.Seed),
 		SendCreateObj: nd.sendCreateObj,
 		Observer:      nd.event,
@@ -392,7 +391,9 @@ func (nd *Node) nextMsgID() uint64 {
 // event adds to the event list of the /ctl/place pass that caused it; a
 // self-scheduled pass has no reader and keeps no list. It records the
 // host's decisions (the host makes them only inside a placement pass,
-// which holds mu) and the copies sendCreateObj sees. Callers hold mu.
+// which holds mu) and the copies sendCreateObj sees. A copy the host
+// accepts as a callee finds no list open: the placing node records it.
+// Callers hold mu.
 func (nd *Node) event(e Event) {
 	if nd.pass != nil {
 		*nd.pass = append(*nd.pass, e)
@@ -433,20 +434,6 @@ func (nd *Node) loadReport(p topology.NodeID, now time.Duration, id object.ID) (
 	var rep LoadReply
 	err := nd.client.get(nd.peerURL(p), PathLoad, q, &rep)
 	return protocol.LoadReport(rep), err == nil
-}
-
-// copyObject runs on the accepting side of a CreateObj that materialized a
-// new replica: fetch the object's bytes from the source over the data
-// plane. The fetch is best-effort — in the simulation the copy cannot fail,
-// and a live source that died mid-handshake leaves the replica to be healed
-// by the next placement pass. The transfer is accounted where the verdict
-// lands (sendCreateObj), not here. The caller holds mu, so the fetch is one
-// attempt under the RPC client's timeout, aborted by Stop: a wedged source
-// must not stall this node's serve path for longer than that.
-func (nd *Node) copyObject(_ time.Duration, from, _ topology.NodeID, id object.ID) {
-	if from != nd.id {
-		_ = nd.client.fetch(nd.peerURL(from), PathFetch+strconv.FormatInt(int64(id), 10))
-	}
 }
 
 // sendCreateObj carries a CreateObj handshake to a remote peer as a
@@ -619,7 +606,17 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 		hadBefore := nd.machine.Host.Has(req.Object)
 		accepted := nd.machine.Host.CreateObj(nd.resolveNow(msg.Now), req)
 		nd.mu.Unlock()
-		return Encode(CreateObjReply{MsgID: msg.MsgID, Accepted: accepted, Copied: accepted && !hadBefore}), true
+		copied := accepted && !hadBefore
+		if copied && req.From != nd.id {
+			// Fetch the bytes from the source over the data plane, outside
+			// mu: one best-effort attempt under the client's timeout,
+			// aborted by Stop. A source that died mid-handshake leaves the
+			// replica to the next placement pass, as in the simulation,
+			// where a copy cannot fail. The placing node records the copy
+			// from the reply (sendCreateObj).
+			_ = nd.client.fetch(nd.peerURL(req.From), PathFetch+strconv.FormatInt(msg.Object, 10))
+		}
+		return Encode(CreateObjReply{MsgID: msg.MsgID, Accepted: accepted, Copied: copied}), true
 	})
 	if !ok {
 		// The node lock stayed busy past the deadline (an overlapping

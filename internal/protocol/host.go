@@ -76,8 +76,6 @@ type Env struct {
 	// from these reports (electHost), which asks each peer once per
 	// placement pass and keeps the answers on the host's load board.
 	LoadReport func(p topology.NodeID, now time.Duration, id object.ID) (LoadReport, bool)
-	// CopyObject charges an object transfer from -> to to the network.
-	CopyObject func(now time.Duration, from, to topology.NodeID, id object.ID)
 	// CanReplicate, if non-nil, gates replication per object — the
 	// consistency hook of §5 (category-3 objects cap their replica
 	// count). Migration is never gated.
@@ -97,8 +95,8 @@ type Env struct {
 	// admission check (§2.1 storage capacity). Serve costs are charged by
 	// the simulator's request path, not here.
 	Store *store.Stack
-	// Observer receives every placement decision this host makes, one
-	// Event each, in the order the host makes them.
+	// Observer receives every placement decision this host makes, and
+	// every copy it accepts, one Event each, in the order they happen.
 	Observer Recorder
 }
 
@@ -110,8 +108,6 @@ func (e *Env) validate() error {
 		return fmt.Errorf("%w: RedirectorFor", ErrNilDependency)
 	case e.LoadReport == nil:
 		return fmt.Errorf("%w: LoadReport", ErrNilDependency)
-	case e.CopyObject == nil:
-		return fmt.Errorf("%w: CopyObject", ErrNilDependency)
 	case e.SendCreateObj == nil:
 		return fmt.Errorf("%w: SendCreateObj", ErrNilDependency)
 	case e.Store == nil:
@@ -286,8 +282,8 @@ func (h *Host) OnRequest(id object.ID, g topology.NodeID) {
 // along the preference paths (nodeCounts). The charges are the cache
 // misses they always were (index slot, state, count row), but an event
 // loop takes them one at a time; each loop here issues its miss for every
-// logged request before the next loop needs the answer (DESIGN §1.4 has
-// the measurements).
+// logged request before the next loop needs the answer
+// (BenchmarkHostOnRequest measures it).
 func (h *Host) settle() {
 	if len(h.reqLog) == 0 {
 		return
@@ -744,7 +740,7 @@ func (h *Host) CreateObj(now time.Duration, req CreateObjRequest) bool {
 			return false
 		}
 		h.env.Store.Create(id)
-		h.env.CopyObject(now, req.From, h.ID, id)
+		h.env.Observer(Event{At: int64(now), Kind: EventCopy, Object: int64(id), From: int(req.From), To: int(h.ID)})
 		st = h.objs.add(id)
 		st.aff, st.acquiredAt = 1, now
 	} else {

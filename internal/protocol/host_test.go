@@ -63,12 +63,15 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params) *cluster {
 			LoadReport: func(p topology.NodeID, now time.Duration, id object.ID) (LoadReport, bool) {
 				return c.hosts[p].LoadReport(now, id), true
 			},
-			CopyObject: func(_ time.Duration, from, to topology.NodeID, id object.ID) {
-				c.copies = append(c.copies, copyRec{from: from, to: to, id: id})
-			},
 			SendCreateObj: c.send,
 			Store:         store.Spec{}.Build(1),
-			Observer:      Recorder(func(e Event) { c.events = append(c.events, e) }),
+			Observer: Recorder(func(e Event) {
+				if e.Kind == EventCopy {
+					c.copies = append(c.copies, copyRec{from: topology.NodeID(e.From), to: topology.NodeID(e.To), id: object.ID(e.Object)})
+					return
+				}
+				c.events = append(c.events, e)
+			}),
 		}
 		h, err := NewHost(topology.NodeID(i), params, env, c.loads[i])
 		if err != nil {
@@ -647,7 +650,6 @@ func TestNewHostValidation(t *testing.T) {
 		Routes:        routes,
 		RedirectorFor: func(object.ID) RedirectorControl { return red },
 		LoadReport:    func(topology.NodeID, time.Duration, object.ID) (LoadReport, bool) { return LoadReport{}, false },
-		CopyObject:    func(time.Duration, topology.NodeID, topology.NodeID, object.ID) {},
 		SendCreateObj: func(at time.Duration, _ CreateObjRequest, tok uint64) (CreateObjStatus, uint64, time.Duration) {
 			return CreateDown, tok, at
 		},

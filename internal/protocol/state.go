@@ -260,10 +260,9 @@ const (
 	EventRefuse    = "refuse"
 	EventDefer     = "defer"
 	// EventCopy records an accepted CreateObj that materialized a new
-	// replica: the object's bytes traveled From -> To. No host decision
-	// makes it and no Observer method replays it; a live node records it
-	// where the verdict lands, and the run loop charges it like the
-	// simulator's Env.CopyObject.
+	// replica: the object's bytes traveled From -> To. The accepting host
+	// makes it, in CreateObj; no Observer method replays it, and the run
+	// loop charges it as a transfer.
 	EventCopy = "copy"
 )
 

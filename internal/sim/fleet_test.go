@@ -49,7 +49,6 @@ func newScriptedFleet(t *testing.T, cfg *Config, f *scriptedFleet) *scriptedFlee
 		LoadReport: func(topology.NodeID, time.Duration, object.ID) (protocol.LoadReport, bool) {
 			return protocol.LoadReport{}, false
 		},
-		CopyObject: func(time.Duration, topology.NodeID, topology.NodeID, object.ID) {},
 		SendCreateObj: func(now time.Duration, _ protocol.CreateObjRequest, tok uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
 			return protocol.CreateDown, tok, now
 		},

@@ -57,7 +57,6 @@ func newMemFleet(s *Simulation) (*memFleet, error) {
 			}
 			return f.machines[p].Host.LoadReport(now, id), true
 		},
-		CopyObject:    s.copyObject,
 		CanReplicate:  consistency.Gate(s.cfg.Universe, s.cfg.Consistency, s.cfg.Seed),
 		SendCreateObj: f.sendCreateObj,
 		Observer:      s.record,

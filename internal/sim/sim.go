@@ -169,14 +169,9 @@ func (s *Simulation) chargeNotify(now time.Duration, from topology.NodeID, id ob
 	s.net.ControlMessage(now, s.routes.Path(from, loc), controlMsgBytes)
 }
 
-// copyObject charges an inter-host object transfer as protocol overhead.
-func (s *Simulation) copyObject(now time.Duration, from, to topology.NodeID, _ object.ID) {
-	s.net.Transfer(now, s.routes.Path(from, to), int64(s.cfg.Universe.SizeBytes), simnet.Overhead)
-}
-
 // record is the loop's side of the seam: every placement decision and copy
 // a fleet's hosts make reaches it as an Event, in order. A copy charges its
-// transfer. A decision charges its control messages, unless the unreliable
+// transfer as protocol overhead. A decision charges its control messages, unless the unreliable
 // control plane is armed (it charged every leg, retries and duplicates
 // included, at its true send time), then a repair its byte-hops; it is
 // counted and handed to Config.ExtraObserver.
@@ -184,7 +179,7 @@ func (s *Simulation) record(e protocol.Event) {
 	now, id := time.Duration(e.At), object.ID(e.Object)
 	from, to := topology.NodeID(e.From), topology.NodeID(e.To)
 	if e.Kind == protocol.EventCopy {
-		s.copyObject(now, from, to, id)
+		s.net.Transfer(now, s.routes.Path(from, to), int64(s.cfg.Universe.SizeBytes), simnet.Overhead)
 		return
 	}
 	if s.ctrl == nil {
