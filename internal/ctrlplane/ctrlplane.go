@@ -5,7 +5,7 @@
 // terms, and makes RPCs correct under those faults with per-attempt
 // timeouts, capped exponential backoff with deterministic jitter, a
 // bounded retry budget, and message-ID-keyed idempotence (at-most-once
-// callee execution, cached-result replay for duplicates and retries).
+// callee execution; a retry replays the verdict its token carries).
 //
 // The simulation resolves handshakes inline at decision time — faithful to
 // the paper, where CreateObj is a blocking synchronous exchange — but every
@@ -165,16 +165,13 @@ type Plane struct {
 	faults    Faults
 	rng       *rand.Rand
 	transport Transport
-	// results caches the callee verdict of every message ID whose RPC
-	// executed and then ended Lost, so a deferred re-issue with the same
-	// token replays it: the callee runs at most once per ID. Forget drops
-	// a verdict whose token will not be re-issued. A call's own
-	// retries never come here: they are inside one Call, which holds the
-	// verdict in a local, and a confirmed call leaves no entry.
-	results map[uint64]bool
-	nextID  uint64
-	stats   Stats
+	nextID    uint64
+	stats     Stats
 }
+
+// No per-call state: a token is a message ID above two bits that a Lost
+// call sets when its callee ran (tokenRan) and said yes (tokenVerdict).
+const tokenRan, tokenVerdict, tokenShift = 1, 2, 2
 
 // New builds a plane. params are resolved with WithDefaults and must
 // validate; rng must be non-nil (the reserved control-message stream).
@@ -193,50 +190,32 @@ func New(params Params, faults Faults, rng *rand.Rand, transport Transport) (*Pl
 		faults:    faults,
 		rng:       rng,
 		transport: transport,
-		results:   make(map[uint64]bool),
 	}, nil
 }
 
 // Stats returns a snapshot of the activity counters.
 func (p *Plane) Stats() Stats { return p.stats }
 
-// Forget drops the verdict cached for token, if any. A caller that will
-// never re-issue a Lost call's token calls it, so the cache holds only
-// verdicts a deferred re-issue can still replay; a later Call with the
-// token runs the callee again.
-func (p *Plane) Forget(token uint64) { delete(p.results, token) }
-
-// Cached is the number of verdicts held for a re-issue.
-func (p *Plane) Cached() int { return len(p.results) }
-
-// NextToken allocates a fresh message ID.
-func (p *Plane) NextToken() uint64 {
-	p.nextID++
-	return p.nextID
-}
-
 // Call executes an at-most-once request/reply RPC from caller to callee.
 // token 0 allocates a fresh message ID; passing a previous Call's returned
 // token re-issues that RPC with the same identity, so a retry of a Lost
-// call whose request actually reached the callee replays the cached
-// verdict instead of re-executing (no double-create, no double-count).
+// call whose request actually reached the callee replays the verdict the
+// token carries instead of re-executing (no double-create, no double-count).
 //
-// exec is the callee-side handler; it runs at most once per token, at the
-// virtual arrival time of the first surviving request leg, and its verdict
-// is what the reply carries. Call returns the verdict, the token (for
-// deferred re-issue), the caller-side completion time (reply arrival, or
-// the post-backoff give-up time), and ok=false when the retry budget was
-// exhausted — the caller cannot distinguish "never executed" from
-// "executed, reply lost"; only a same-token retry or reconciliation can.
+// exec is the callee-side handler; it runs at most once per message, at
+// the virtual arrival time of the first surviving request leg, and its
+// verdict is what the reply carries. Call returns the verdict, the token
+// (for deferred re-issue; a Lost call folds exec's run and verdict in),
+// the caller-side completion time (reply arrival, or the post-backoff
+// give-up time), and ok=false when the retry budget was exhausted — the
+// caller cannot distinguish "never executed" from "executed, reply lost";
+// only a same-token retry or reconciliation can.
 func (p *Plane) Call(now time.Duration, from, to topology.NodeID, token uint64, exec func(at time.Duration) bool) (verdict bool, tok uint64, doneAt time.Duration, ok bool) {
-	// The verdict lives here for the length of the call: a re-issue takes
-	// its token's out of the cache, and a call that ends Lost puts it back.
-	var res, executed bool
 	if token == 0 {
-		token = p.NextToken()
-	} else if res, executed = p.results[token]; executed {
-		delete(p.results, token)
+		p.nextID++
+		token = p.nextID << tokenShift
 	}
+	executed, res := token&tokenRan != 0, token&tokenVerdict != 0
 	t := now
 	backoff := p.params.NewBackoff()
 	for attempt := 0; attempt <= p.params.Retries; attempt++ {
@@ -251,8 +230,6 @@ func (p *Plane) Call(now time.Duration, from, to topology.NodeID, token uint64, 
 				res, executed = exec(reqAt), true
 			}
 			if replyAt, replyOK := p.leg(reqAt, to, from); replyOK && replyAt <= deadline {
-				// Confirmed: the caller will never reuse this token, so
-				// nothing is cached.
 				return res, token, replyAt, true
 			}
 		}
@@ -260,7 +237,10 @@ func (p *Plane) Call(now time.Duration, from, to topology.NodeID, token uint64, 
 		t = deadline + backoff.Wait(p.rng)
 	}
 	if executed {
-		p.results[token] = res
+		token |= tokenRan
+		if res {
+			token |= tokenVerdict
+		}
 	}
 	p.stats.Lost++
 	return false, token, t, false

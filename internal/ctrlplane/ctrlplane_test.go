@@ -109,7 +109,7 @@ func TestCallDupExecutesOnce(t *testing.T) {
 func TestCallTokenReplayIsIdempotent(t *testing.T) {
 	// First call: requests always arrive, replies always lost -> callee
 	// executed, caller gives up. Same-token retry on a healed plane must
-	// replay the cached verdict without re-executing.
+	// replay the verdict the token carries without re-executing.
 	failReplies := true
 	tr := func(now time.Duration, from, to topology.NodeID) (time.Duration, bool) {
 		if failReplies && from == 1 { // reply direction
@@ -141,39 +141,6 @@ func TestCallTokenReplayIsIdempotent(t *testing.T) {
 	if execs != 1 {
 		t.Fatalf("callee re-executed on token replay: %d runs", execs)
 	}
-	if len(p.results) != 0 {
-		t.Fatalf("confirmed re-issue left %d cached verdicts", len(p.results))
-	}
-}
-
-func TestForgetDropsTheVerdict(t *testing.T) {
-	// A lost call whose callee ran leaves its verdict; after Forget the
-	// cache is empty and a same-token re-issue runs the callee again.
-	failReplies := true
-	tr := func(now time.Duration, from, to topology.NodeID) (time.Duration, bool) {
-		if failReplies && from == 1 {
-			return now, false
-		}
-		return now + time.Millisecond, true
-	}
-	p := newPlane(t, Faults{}, tr)
-	execs := 0
-	exec := func(time.Duration) bool {
-		execs++
-		return true
-	}
-	_, tok, _, ok := p.Call(0, 0, 1, 0, exec)
-	if ok || execs != 1 || p.Cached() != 1 {
-		t.Fatalf("lost call: ok=%v, execs=%d, cached=%d; want lost, one run, one verdict", ok, execs, p.Cached())
-	}
-	p.Forget(tok)
-	if p.Cached() != 0 {
-		t.Fatalf("Forget left %d cached verdicts", p.Cached())
-	}
-	failReplies = false
-	if res, _, _, ok := p.Call(time.Minute, 0, 1, tok, exec); !ok || !res || execs != 2 {
-		t.Fatalf("re-issue after Forget = (%v, %v), execs=%d; want a second execution", res, ok, execs)
-	}
 }
 
 func TestCallTokenReissueAfterDroppedRequests(t *testing.T) {
@@ -197,9 +164,6 @@ func TestCallTokenReissueAfterDroppedRequests(t *testing.T) {
 	if ok || execs != 0 {
 		t.Fatalf("call with severed requests: ok=%v, execs=%d; want lost and unexecuted", ok, execs)
 	}
-	if len(p.results) != 0 {
-		t.Fatalf("unexecuted call cached %d verdicts", len(p.results))
-	}
 	failRequests = false
 	res, _, _, ok := p.Call(time.Minute, 0, 1, tok, exec)
 	if !ok || !res || execs != 1 {
@@ -208,17 +172,92 @@ func TestCallTokenReissueAfterDroppedRequests(t *testing.T) {
 }
 
 func TestConfirmedCallsLeaveNoVerdict(t *testing.T) {
-	// A call made with a fresh token keeps its verdict in a local: only a
-	// call that executed and ended Lost has anything to cache.
+	// A confirmed call answers its callee's verdict and hands back a bare
+	// message token: only a call that executed and ended Lost folds a
+	// verdict into its token.
 	p := newPlane(t, Faults{Dup: 0.5, Delay: time.Millisecond}, instantTransport(time.Millisecond, nil))
 	for i := 0; i < 10000; i++ {
-		if res, _, _, ok := p.Call(time.Duration(i)*time.Second, 0, 1, 0, func(time.Duration) bool { return i%2 == 0 }); !ok || res != (i%2 == 0) {
+		res, tok, _, ok := p.Call(time.Duration(i)*time.Second, 0, 1, 0, func(time.Duration) bool { return i%2 == 0 })
+		if !ok || res != (i%2 == 0) {
 			t.Fatalf("call %d = (%v, ok=%v)", i, res, ok)
 		}
+		if tok&(tokenRan|tokenVerdict) != 0 {
+			t.Fatalf("call %d: confirmed token %#x carries a verdict", i, tok)
+		}
 	}
-	if len(p.results) != 0 {
-		t.Fatalf("%d verdicts cached after 10000 confirmed calls", len(p.results))
-	}
+}
+
+// FuzzCallReplay holds token-carried replay against the verdict cache it
+// replaced: a map from message to whether its callee ran and what it said
+// first. Each pair of bytes is one call. The first byte's top bit picks a
+// re-issue of a held Lost token (the second byte chooses which) over a
+// fresh call, and its low four bits deliver or drop the legs of the call's
+// two attempts in order. The second byte's top bit is the verdict a fresh
+// message's callee gives. A Lost call's token is held in place of the one
+// it was given; a confirmed re-issue releases it. Every call must run the
+// callee at most once per message, a confirmed call must answer the
+// first execution's verdict, and a Lost call's token must name the message
+// it was given.
+func FuzzCallReplay(f *testing.F) {
+	f.Add([]byte{0x01, 0x80, 0x80, 0x00, 0x8f, 0x00})
+	f.Add([]byte{0x00, 0x00, 0x80, 0x00, 0x85, 0x00, 0x0f, 0x80})
+	f.Add([]byte{0x03, 0x80, 0x05, 0x00, 0x81, 0x01, 0x80, 0x00, 0x8b, 0x01})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		type message struct{ says, ran, verdict bool }
+		var legs byte // the current call's delivery bits, consumed low first
+		tr := func(now time.Duration, from, to topology.NodeID) (time.Duration, bool) {
+			ok := legs&1 != 0
+			legs >>= 1
+			return now + time.Millisecond, ok
+		}
+		p, err := New(Params{Retries: 1}, Faults{}, workload.Stream(1, 0), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := map[uint64]*message{}
+		var held []uint64
+		for step := 0; step+1 < len(prog); step += 2 {
+			op, arg := prog[step], prog[step+1]
+			legs = op & 0x0f
+			given, at := uint64(0), -1
+			m := &message{says: arg&0x80 != 0}
+			if op&0x80 != 0 && len(held) > 0 {
+				at = int(arg) % len(held)
+				given = held[at]
+				m = msgs[given>>tokenShift]
+			}
+			execs := 0
+			res, tok, _, ok := p.Call(time.Duration(step)*time.Second, 0, 1, given, func(time.Duration) bool {
+				execs++
+				return m.says
+			})
+			id := tok >> tokenShift
+			switch {
+			case given == 0 && msgs[id] != nil:
+				t.Fatalf("step %d: fresh call reused message %d", step, id)
+			case given != 0 && id != given>>tokenShift:
+				t.Fatalf("step %d: token %#x came back naming message %d", step, given, id)
+			case execs > 1 || execs == 1 && m.ran:
+				t.Fatalf("step %d: callee of message %d ran %d more times, ran before: %v", step, id, execs, m.ran)
+			}
+			msgs[id] = m
+			if execs == 1 {
+				m.ran, m.verdict = true, m.says
+			}
+			switch {
+			case ok && (!m.ran || res != m.verdict):
+				t.Fatalf("step %d: confirmed call of message %d answered %v; ran %v, first verdict %v", step, id, res, m.ran, m.verdict)
+			case ok && given != 0 && tok != given:
+				t.Fatalf("step %d: confirmed re-issue returned token %#x, given %#x", step, tok, given)
+			case ok && at >= 0:
+				held = append(held[:at], held[at+1:]...)
+			case !ok && at >= 0:
+				held[at] = tok
+			case !ok:
+				held = append(held, tok)
+			}
+		}
+	})
 }
 
 func TestCallTimeoutFromDelay(t *testing.T) {

@@ -11,10 +11,10 @@ import "sync"
 // limit on executions admitted per node. What is replayed is the verdict's
 // bytes, so a retrying caller reads exactly what the one execution said —
 // accepted, copied — and acts on it once (Node.sendCreateObj records the
-// copy there). The verdict cache is retained for the node's lifetime: like
-// the simulated plane's results map, a cached verdict must survive until
-// the caller is known to have seen it, and the live plane has no
-// confirmation leg — runs are bounded, so the cache is too.
+// copy there). The verdict cache is retained for the node's lifetime: a
+// cached verdict must survive until the caller is known to have seen it,
+// and the live plane has no confirmation leg — runs are bounded, so the
+// cache is too. IDs carry the sender's boot (Node.nextMsgID).
 type callDedup struct {
 	sem chan struct{}
 

@@ -67,7 +67,7 @@ type Node struct {
 	creates *callDedup // CreateObj admission gate + verdict cache
 	drops   *callDedup // RequestDrop verdict cache
 
-	nextMsg uint64 // atomic; message IDs are id<<40 | seq
+	nextMsg uint64 // atomic; message IDs are bootID<<40 | seq
 
 	epoch    time.Time // wall-clock zero of virtual time (Start)
 	stopCh   chan struct{}
@@ -382,10 +382,10 @@ func (nd *Node) placeTick(now time.Duration) {
 	nd.mu.Unlock()
 }
 
-// nextMsgID allocates a fleet-unique message ID: node ID in the high bits,
-// a per-node counter in the low 40.
+// nextMsgID allocates a process-unique message ID: the boot ID in the high
+// bits, so a restarted node never reuses one, and a counter in the low 40.
 func (nd *Node) nextMsgID() uint64 {
-	return uint64(nd.id)<<40 | atomic.AddUint64(&nd.nextMsg, 1)
+	return uint64(nd.bootID)<<40 | atomic.AddUint64(&nd.nextMsg, 1)
 }
 
 // event adds to the event list of the /ctl/place pass that caused it; a

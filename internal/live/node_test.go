@@ -109,12 +109,56 @@ func TestSendCreateObjToDownPeer(t *testing.T) {
 	}
 
 	nd.downPeers[1] = false
-	if status, tok, _ := nd.sendCreateObj(2*time.Second, req, 0); status != protocol.CreateAccepted || tok != 1 {
-		t.Fatalf("handshake to the peer back up: (%d, %d), want (CreateAccepted, 1)", status, tok)
+	first := uint64(nd.bootID)<<40 | 1
+	if status, tok, _ := nd.sendCreateObj(2*time.Second, req, 0); status != protocol.CreateAccepted || tok != first {
+		t.Fatalf("handshake to the peer back up: (%d, %#x), want (CreateAccepted, %#x)", status, tok, first)
 	}
-	if attempts, _, _ := nd.client.Stats(); attempts != 1 || received.Load() != 1 || lastID.Load() != 1 {
-		t.Fatalf("peer back up: %d RPC attempts, %d handshakes received, the last with ID %d; want one, with ID 1",
-			attempts, received.Load(), lastID.Load())
+	if attempts, _, _ := nd.client.Stats(); attempts != 1 || received.Load() != 1 || lastID.Load() != first {
+		t.Fatalf("peer back up: %d RPC attempts, %d handshakes received, the last with ID %#x; want one, with ID %#x",
+			attempts, received.Load(), lastID.Load(), first)
+	}
+}
+
+// TestRestartedNodeSendsFreshMessageIDs: a restarted node is a fresh
+// incarnation whose message counter starts again, while its peers keep
+// the verdicts of the old one's messages. Its first handshake after the
+// restart must execute on the peer, not be answered with the verdict the
+// previous incarnation's first handshake got.
+func TestRestartedNodeSendsFreshMessageIDs(t *testing.T) {
+	f, err := NewFleet(twoNodeConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	create := func(obj object.ID) (protocol.CreateObjStatus, uint64) {
+		req := protocol.CreateObjRequest{From: 0, To: 1, Method: protocol.Replicate, Object: obj, UnitLoad: 0.01, SrcAff: 1}
+		f.mu.Lock()
+		nd := f.nodes[0]
+		f.mu.Unlock()
+		status, tok, _ := nd.sendCreateObj(time.Second, req, 0)
+		return status, tok
+	}
+	peer := f.nodes[1]
+	holds := func(obj object.ID) bool {
+		peer.mu.Lock()
+		defer peer.mu.Unlock()
+		return peer.machine.Host.Has(obj)
+	}
+	if holds(0) || holds(2) {
+		t.Fatal("node 1 holds objects 0 or 2 before any handshake")
+	}
+	if status, _ := create(0); status != protocol.CreateAccepted || peer.creates.Executed() != 1 || !holds(0) {
+		t.Fatalf("first handshake: status %d, %d executions; want accepted, one, object 0 held", status, peer.creates.Executed())
+	}
+	if err := f.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := create(2); status != protocol.CreateAccepted || peer.creates.Executed() != 2 || !holds(2) {
+		t.Fatalf("handshake after restart: status %d, %d executions, object 2 held %v; want accepted, two, held",
+			status, peer.creates.Executed(), holds(2))
 	}
 }
 

@@ -550,8 +550,8 @@ func (h *Host) deferMove(now time.Duration, mv move, tok uint64) {
 
 // retryDeferred re-issues placement moves whose CreateObj was lost in an
 // earlier interval, each with its original message token: if the lost
-// request actually reached its target, the control plane replays the
-// cached verdict instead of running CreateObj again, so a move completes
+// request actually reached its target, the control plane replays that
+// execution's verdict instead of running CreateObj again, so a move completes
 // exactly once. Accepted moves perform their source-side effects now (they
 // could not safely run at loss time — the caller did not know whether the
 // replica existed); refusals abandon the deferral; a re-lost exchange is

@@ -119,13 +119,9 @@ func (l *lossyRedirector) NotifyReplicaChange(id object.ID, host topology.NodeID
 }
 
 func (l *lossyRedirector) RequestDrop(id object.ID, host topology.NodeID) bool {
-	approved, tok, _, ok := l.s.ctrl.plane.Call(l.s.ctrlNow(), host, l.Location, 0, func(time.Duration) bool {
+	approved, _, _, ok := l.s.ctrl.plane.Call(l.s.ctrlNow(), host, l.Location, 0, func(time.Duration) bool {
 		return l.Redirector.RequestDrop(id, host)
 	})
-	if !ok {
-		// A lost arbitration is never re-issued: its verdict has no reader.
-		l.s.ctrl.plane.Forget(tok)
-	}
 	return ok && approved
 }
 

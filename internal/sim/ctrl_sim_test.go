@@ -243,28 +243,3 @@ func TestDownTargetSpendsNothingOnThePlane(t *testing.T) {
 		t.Fatalf("plane stats %+v after the down call, %+v without it", sa, sb)
 	}
 }
-
-// TestCachedVerdictsDoNotAccumulate: the plane caches a Lost call's
-// verdict only while a re-issue may still read it. A lost drop
-// arbitration is never re-issued, so a run four times as long must not
-// end holding more verdicts.
-func TestCachedVerdictsDoNotAccumulate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration runs")
-	}
-	cached := func(dur time.Duration) int {
-		s, err := New(lossyConfig(t, dur, 5, 0.2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return s.ctrl.plane.Cached()
-	}
-	short, long := cached(10*time.Minute), cached(40*time.Minute)
-	if long > short {
-		t.Errorf("cached verdicts grew from %d after 10 min to %d after 40 min", short, long)
-	}
-	t.Logf("cached verdicts: %d after 10 min, %d after 40 min", short, long)
-}
