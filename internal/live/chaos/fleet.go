@@ -8,12 +8,6 @@ import (
 	"radar/internal/topology"
 )
 
-// PoisonURL is the peer-URL sentinel that severs a control-plane edge: the
-// live RPC client fast-fails any base URL without an http scheme, so a
-// poisoned entry makes every RPC toward that peer die at the caller
-// without touching the network — the in-process model of a partition.
-const PoisonURL = "poison://partition"
-
 // FleetTarget adapts an in-process live.Fleet to the controller. Kill and
 // Restart also broadcast the reachability mark to the surviving nodes
 // (the live analog of the simulator's crash detection), and Restart gates
@@ -58,25 +52,10 @@ func (t *FleetTarget) Restart(n topology.NodeID) error {
 	return nil
 }
 
-// SetPartition implements Target: poison (or restore) each side's peer-URL
-// entry for the other. Only the control plane is cut — the serve-URL
-// manifest behind client 302s is immutable by design.
+// SetPartition implements Target (live.Fleet.SetPartition).
 func (t *FleetTarget) SetPartition(a, b topology.NodeID, cut bool) error {
-	if err := t.setPeer(a, b, cut); err != nil {
-		return err
-	}
-	return t.setPeer(b, a, cut)
-}
-
-func (t *FleetTarget) setPeer(on, peer topology.NodeID, cut bool) error {
-	if t.fleet.Killed(on) {
-		return nil // a dead node has no peer table to poison
-	}
-	url := PoisonURL
-	if !cut {
-		url = t.fleet.URL(peer)
-	}
-	return live.Post(t.client, t.fleet.URL(on)+live.PathPeers, &live.PeersMsg{Peer: int(peer), URL: url}, nil)
+	t.fleet.SetPartition(a, b, cut)
+	return nil
 }
 
 // SetLatency implements Target.

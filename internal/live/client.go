@@ -117,10 +117,10 @@ func (b *retryBudget) allowRetry(target string) bool {
 // plane's retry discipline, reusing ctrlplane.Params verbatim: a
 // per-attempt timeout, a bounded retry budget, and the plane's capped
 // exponential backoff with jitter (ctrlplane.Backoff). Transport errors
-// and 503s (a node refusing while busy) are retried; any other non-2xx
-// status is a terminal protocol answer. On top of the per-call schedule, an
-// optional per-peer retry budget (free-running mode) cuts retries against a
-// peer that keeps failing.
+// and truncated replies are retried; a non-2xx status is a terminal
+// protocol answer (no RPC endpoint turns a caller away while it works).
+// On top of the per-call schedule, an optional per-peer retry budget
+// (free-running mode) cuts retries against a peer that keeps failing.
 type rpcClient struct {
 	params ctrlplane.Params
 	http   *http.Client
@@ -208,6 +208,10 @@ func (c *rpcClient) get(base, path string, query url.Values, resp validator) err
 	}, resp)
 }
 
+// poisonURL is the peer-table entry of a partitioned peer
+// (Fleet.SetPartition).
+const poisonURL = "poison://partition"
+
 // poisoned reports a peer-table entry rewritten by a chaos partition: the
 // partition swallows the message before it is ever sent. No attempt, no
 // retry, no budget charge.
@@ -277,8 +281,8 @@ func (c *rpcClient) roundTrip(base, path string, build func(context.Context) (*h
 		data, err := io.ReadAll(res.Body)
 		res.Body.Close()
 		cancel()
-		if err != nil || res.StatusCode == http.StatusServiceUnavailable {
-			continue // truncated reply or busy node: retry
+		if err != nil {
+			continue // truncated reply: retry
 		}
 		if res.StatusCode != http.StatusOK {
 			return fmt.Errorf("live: %s %s: status %d: %s", req.Method, req.URL.Path, res.StatusCode, data)

@@ -39,15 +39,14 @@ type flagReply struct {
 
 func (*flagReply) Validate() error { return nil }
 
-// flakyServer answers 503 for the first fail attempts, then 200 with the
-// given body.
+// flakyServer closes the connection without a reply on the first fail
+// attempts, then answers 200 with the given body.
 func flakyServer(t *testing.T, fail int, body string) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) <= int64(fail) {
-			http.Error(w, "busy", http.StatusServiceUnavailable)
-			return
+			panic(http.ErrAbortHandler)
 		}
 		w.Write([]byte(body))
 	}))
@@ -141,7 +140,7 @@ func TestClientRetryBudget(t *testing.T) {
 // the partitioned message never leaves the node.
 func TestClientPoisonedPeer(t *testing.T) {
 	c := testClient(t, 0)
-	err := c.call("poison://partition", "/x", &MarkMsg{Host: 0}, nil)
+	err := c.call(poisonURL, "/x", &MarkMsg{Host: 0}, nil)
 	if !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("err = %v, want ErrPeerUnreachable", err)
 	}
@@ -165,9 +164,9 @@ func TestClientDedupReplayOnRetry(t *testing.T) {
 		if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
 			t.Errorf("bad body: %v", err)
 		}
-		reply, _ := d.do(msg.MsgID, func() ([]byte, bool) {
+		reply := d.do(msg.MsgID, func() []byte {
 			execs.Add(1)
-			return []byte(`{"done":true}`), true
+			return []byte(`{"done":true}`)
 		})
 		if drops.Add(1) == 1 {
 			// Execute, then lose the reply: the client cannot tell this

@@ -26,8 +26,8 @@ type Config struct {
 	// FreeRunning switches the fleet from driver-paced to self-scheduled
 	// operation: nodes own wall-clock timers for their measurement and
 	// placement ticks, virtual time is wall time since node
-	// start, and peer handlers answer busy (503, retried by the caller)
-	// rather than block when a concurrent placement pass holds the node.
+	// start, and passes on different nodes overlap (each lets go of its
+	// node's lock around its peer calls, so none waits on another).
 	// Verification shifts from sequence equality to invariants (package
 	// live/check); driver-paced replay of the same Config is untouched.
 	FreeRunning bool

@@ -8,13 +8,15 @@ import "sync"
 // message is answered from the cache), in-flight deduplication (a
 // duplicate arriving while the first copy still executes waits for that
 // execution's result instead of starting a second), and a concurrency
-// limit on executions admitted per node. What is replayed is the verdict's
-// bytes, so a retrying caller reads exactly what the one execution said —
-// accepted, copied — and acts on it once (Node.sendCreateObj records the
-// copy there). The verdict cache is retained for the node's lifetime: a
-// cached verdict must survive until the caller is known to have seen it,
-// and the live plane has no confirmation leg — runs are bounded, so the
-// cache is too. IDs carry the sender's boot (Node.nextMsgID).
+// limit on executions admitted per node. Every execution yields a
+// verdict: no handler turns a message away unexecuted. What is replayed is
+// the verdict's bytes, so a retrying caller reads exactly what the one
+// execution said — accepted, copied — and acts on it once
+// (Node.sendCreateObj records the copy there). The verdict cache is
+// retained for the node's lifetime: a cached verdict must survive until
+// the caller is known to have seen it, and the live plane has no
+// confirmation leg — runs are bounded, so the cache is too. IDs carry the
+// sender's boot (Node.nextMsgID).
 type callDedup struct {
 	sem chan struct{}
 
@@ -39,53 +41,44 @@ func newCallDedup(limit int) *callDedup {
 // do returns the reply for msgID, running fn at most once across all
 // retries and concurrent duplicates of the message and holding its result
 // for replay. fn runs inside the concurrency gate.
-//
-// fn reports whether it produced a verdict. A false return means fn could
-// not execute at all (a free-running handler failing to take its node lock
-// within the busy deadline): nothing is cached, the attempt does not count
-// as an execution, and the caller answers 503 so the client's retry — same
-// message ID — executes fn afresh. Concurrent duplicates waiting on a
-// busy-failed first copy loop back and try executing themselves.
-func (d *callDedup) do(msgID uint64, fn func() ([]byte, bool)) ([]byte, bool) {
-	for {
-		d.mu.Lock()
-		if r, ok := d.done[msgID]; ok {
-			d.mu.Unlock()
-			return r, true
-		}
-		if ch, ok := d.inflight[msgID]; ok {
-			// A concurrent duplicate: wait for the first copy's execution
-			// and loop back to read its cached verdict.
-			d.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		d.inflight[msgID] = ch
+func (d *callDedup) do(msgID uint64, fn func() []byte) []byte {
+	d.mu.Lock()
+	if r, ok := d.done[msgID]; ok {
 		d.mu.Unlock()
-
-		d.sem <- struct{}{}
-		d.mu.Lock()
-		d.cur++
-		if d.cur > d.peak {
-			d.peak = d.cur
-		}
-		d.mu.Unlock()
-
-		r, ok := fn()
-
-		d.mu.Lock()
-		d.cur--
-		if ok {
-			d.executed++
-			d.done[msgID] = r
-		}
-		delete(d.inflight, msgID)
-		d.mu.Unlock()
-		<-d.sem
-		close(ch)
-		return r, ok
+		return r
 	}
+	if ch, ok := d.inflight[msgID]; ok {
+		// A concurrent duplicate: wait for the first copy's execution and
+		// read its verdict.
+		d.mu.Unlock()
+		<-ch
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.done[msgID]
+	}
+	ch := make(chan struct{})
+	d.inflight[msgID] = ch
+	d.mu.Unlock()
+
+	d.sem <- struct{}{}
+	d.mu.Lock()
+	d.cur++
+	if d.cur > d.peak {
+		d.peak = d.cur
+	}
+	d.mu.Unlock()
+
+	r := fn()
+
+	d.mu.Lock()
+	d.cur--
+	d.executed++
+	d.done[msgID] = r
+	delete(d.inflight, msgID)
+	d.mu.Unlock()
+	<-d.sem
+	close(ch)
+	return r
 }
 
 // Peak returns the high-water mark of concurrent executions.

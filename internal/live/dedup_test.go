@@ -11,15 +11,12 @@ import (
 func TestCallDedupReplaysVerdict(t *testing.T) {
 	d := newCallDedup(4)
 	runs := 0
-	fn := func() ([]byte, bool) {
+	fn := func() []byte {
 		runs++
-		return []byte("verdict"), true
+		return []byte("verdict")
 	}
-	first, ok1 := d.do(42, fn)
-	second, ok2 := d.do(42, fn)
-	if !ok1 || !ok2 {
-		t.Fatalf("do returned ok = (%v, %v), want (true, true)", ok1, ok2)
-	}
+	first := d.do(42, fn)
+	second := d.do(42, fn)
 	if runs != 1 {
 		t.Fatalf("fn ran %d times, want 1", runs)
 	}
@@ -34,37 +31,6 @@ func TestCallDedupReplaysVerdict(t *testing.T) {
 	}
 }
 
-// TestCallDedupBusyNotCached: an execution that reports busy (ok=false)
-// leaves no verdict behind — the message is not counted as executed and a
-// retry runs fn again, this time to completion.
-func TestCallDedupBusyNotCached(t *testing.T) {
-	d := newCallDedup(4)
-	runs := 0
-	busyOnce := func() ([]byte, bool) {
-		runs++
-		if runs == 1 {
-			return nil, false
-		}
-		return []byte("done"), true
-	}
-	if _, ok := d.do(9, busyOnce); ok {
-		t.Fatal("first (busy) execution reported ok")
-	}
-	if got := d.Executed(); got != 0 {
-		t.Fatalf("Executed() = %d after busy attempt, want 0", got)
-	}
-	out, ok := d.do(9, busyOnce)
-	if !ok || !bytes.Equal(out, []byte("done")) {
-		t.Fatalf("retry after busy = (%q, %v), want (done, true)", out, ok)
-	}
-	if runs != 2 {
-		t.Fatalf("fn ran %d times, want 2 (busy attempt must not be cached)", runs)
-	}
-	if got := d.Executed(); got != 1 {
-		t.Fatalf("Executed() = %d, want 1", got)
-	}
-}
-
 // TestCallDedupInflightDuplicates: duplicates arriving while the first
 // copy executes wait for its verdict instead of executing again.
 func TestCallDedupInflightDuplicates(t *testing.T) {
@@ -73,13 +39,13 @@ func TestCallDedupInflightDuplicates(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	runs := 0
-	fn := func() ([]byte, bool) {
+	fn := func() []byte {
 		mu.Lock()
 		runs++
 		mu.Unlock()
 		close(started)
 		<-release
-		return []byte("once"), true
+		return []byte("once")
 	}
 
 	var wg sync.WaitGroup
@@ -87,16 +53,16 @@ func TestCallDedupInflightDuplicates(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], _ = d.do(7, fn)
+		results[0] = d.do(7, fn)
 	}()
 	<-started
 	for i := 1; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = d.do(7, func() ([]byte, bool) {
+			results[i] = d.do(7, func() []byte {
 				t.Error("duplicate executed fn")
-				return nil, true
+				return nil
 			})
 		}(i)
 	}
@@ -128,7 +94,7 @@ func TestCallDedupConcurrencyLimit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d.do(uint64(i+1), func() ([]byte, bool) {
+			d.do(uint64(i+1), func() []byte {
 				mu.Lock()
 				cur++
 				if cur > peak {
@@ -138,7 +104,7 @@ func TestCallDedupConcurrencyLimit(t *testing.T) {
 				mu.Lock()
 				cur--
 				mu.Unlock()
-				return nil, true
+				return nil
 			})
 		}(i)
 	}

@@ -163,6 +163,31 @@ func (f *Fleet) Restart(i topology.NodeID) error {
 	return nil
 }
 
+// SetPartition cuts (or heals) the control plane between nodes a and b:
+// each side's peer-table entry for the other becomes poisonURL, which the
+// RPC client refuses without an attempt (ErrPeerUnreachable), or its
+// manifest URL again. A killed node is skipped: it has no peer table, and
+// Restart boots a healed one. Client 302s read the immutable manifest, so
+// a partition cuts control, not data.
+func (f *Fleet) SetPartition(a, b topology.NodeID, cut bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, edge := range [2][2]topology.NodeID{{a, b}, {b, a}} {
+		on, peer := edge[0], edge[1]
+		if f.killed[on] {
+			continue
+		}
+		url := poisonURL
+		if !cut {
+			url = f.urls[peer]
+		}
+		nd := f.nodes[on]
+		nd.peerMu.Lock()
+		nd.peers[peer] = url
+		nd.peerMu.Unlock()
+	}
+}
+
 // Killed reports whether a node has been killed.
 func (f *Fleet) Killed(i topology.NodeID) bool {
 	f.mu.Lock()

@@ -37,18 +37,14 @@ import (
 // own state (DESIGN.md §4.9).
 //
 // Locking: mu guards the machine, the pending-completion queue and the
-// placement pass's event list; redMu guards the redirector and the
+// placement pass's state; redMu guards the redirector and the
 // peer-reachability view; peerMu guards the mutable peer URL table (chaos
 // partitions poison it). The only permitted nesting is mu -> redMu (a
-// placement pass notifying its own co-located redirector). Handlers that
-// issue outgoing RPCs while holding mu rely on the driven operating model
-// in driver-paced mode: the driver serializes control operations
-// fleet-wide, so no two nodes run placement concurrently and cross-node
-// lock cycles cannot form. In free-running mode placement passes on
-// different nodes do overlap, so the peer-called handlers (CreateObj, load
-// queries) take mu with a bounded try-lock and answer busy (503) on
-// timeout — the caller's jittered backoff retry breaks the symmetry that a
-// blocking lock would deadlock on.
+// placement pass notifying its own co-located redirector). A node never
+// holds mu while it waits on another node's mu: the two calls that reach
+// one, sendCreateObj and loadReport, let go of it around their RPC, the
+// yield protocol.Env allows. So every handler takes mu with a plain lock,
+// in either mode, and passes on different nodes never wait on each other.
 type Node struct {
 	id      topology.NodeID
 	cfg     Config
@@ -83,6 +79,7 @@ type Node struct {
 
 	mu      sync.Mutex
 	machine *sim.Machine
+	placing bool         // a placement pass is running (and may be yielding)
 	pass    *[]Event     // the running /ctl/place pass's event list; nil outside one
 	pending []completion // free-running: admitted requests awaiting their done time,
 	head    int          // in admission order from pending[head]
@@ -97,13 +94,6 @@ type Node struct {
 // bootCounter allocates process-unique boot IDs; a restarted node gets a
 // fresh incarnation number.
 var bootCounter int64
-
-// busyDeadline bounds how long a free-running peer handler waits for the
-// node lock before answering busy; busyPoll is its retry spacing.
-const (
-	busyDeadline = 250 * time.Millisecond
-	busyPoll     = 2 * time.Millisecond
-)
 
 // Concurrency limits of the two dedup gates. createDedupLimit bounds the
 // CreateObj executions a node runs at once, the buildbarn-style
@@ -268,9 +258,12 @@ func (nd *Node) lock() {
 // settle records the pending requests whose service has completed on the
 // node's clock — the self-paced analog of the driver's /ctl/complete
 // report. FCFS completion times are nondecreasing in admission order, so
-// the due ones are a prefix. Callers hold mu.
+// the due ones are a prefix. A pass's own lock settles them, and those that
+// come due while it yields wait for the lock after it: they count toward
+// the next window, not this one, whose counts the pass resets. Callers
+// hold mu.
 func (nd *Node) settle() {
-	if nd.head == len(nd.pending) {
+	if nd.placing || nd.head == len(nd.pending) {
 		return
 	}
 	now := nd.vnow()
@@ -280,30 +273,6 @@ func (nd *Node) settle() {
 	if nd.head > len(nd.pending)/2 { // mostly settled: reuse the front
 		nd.pending = nd.pending[:copy(nd.pending, nd.pending[nd.head:])]
 		nd.head = 0
-	}
-}
-
-// lockMu takes the node lock for a peer-called handler. Driver-paced mode
-// blocks (the driver's serialization guarantees no cross-node cycle);
-// free-running mode bounds the wait and reports failure, because two
-// overlapping placement passes hold their own node's lock while calling
-// into each other — the busy answer plus the caller's jittered backoff is
-// what breaks that symmetry.
-func (nd *Node) lockMu() bool {
-	if !nd.freeRun {
-		nd.lock()
-		return true
-	}
-	deadline := time.Now().Add(busyDeadline)
-	for {
-		if nd.mu.TryLock() {
-			nd.settle()
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(busyPoll)
 	}
 }
 
@@ -373,12 +342,16 @@ func (nd *Node) measureTick(now time.Duration) {
 	nd.mu.Unlock()
 }
 
-// placeTick runs one self-scheduled placement pass. The pass holds mu
-// while issuing peer RPCs — the free-running deadlock hazard that the
-// peers' bounded try-lock answers (see lockMu).
-func (nd *Node) placeTick(now time.Duration) {
+// placeTick runs one self-scheduled placement pass.
+func (nd *Node) placeTick(now time.Duration) { nd.place(now, nil) }
+
+// place runs one placement pass at now, appending its decisions to events
+// when that is not nil. The pass holds mu but for its peer calls.
+func (nd *Node) place(now time.Duration, events *[]Event) {
 	nd.lock()
+	nd.placing, nd.pass = true, events
 	nd.machine.Host.DecidePlacement(now)
+	nd.placing, nd.pass = false, nil
 	nd.mu.Unlock()
 }
 
@@ -390,10 +363,10 @@ func (nd *Node) nextMsgID() uint64 {
 
 // event adds to the event list of the /ctl/place pass that caused it; a
 // self-scheduled pass has no reader and keeps no list. It records the
-// host's decisions (the host makes them only inside a placement pass,
-// which holds mu) and the copies sendCreateObj sees. A copy the host
-// accepts as a callee finds no list open: the placing node records it.
-// Callers hold mu.
+// host's decisions (the host makes them only inside a placement pass) and
+// the copies sendCreateObj sees. A copy the host accepts as a callee finds
+// no list open (a driver-paced node is called only outside its passes):
+// the placing node records it. Callers hold mu.
 func (nd *Node) event(e Event) {
 	if nd.pass != nil {
 		*nd.pass = append(*nd.pass, e)
@@ -421,7 +394,8 @@ func (nd *Node) peerDown(p topology.NodeID) bool {
 // loadReport backs Env.LoadReport over the wire: the election rule is the
 // simulator's, the reports come from the peers' /rpc/load (id < 0 omits
 // the replica-presence and halt-guard fields). A failed query is the
-// down-host analog — the peer is skipped.
+// down-host analog — the peer is skipped. The caller, a pass, holds mu;
+// the query goes out without it.
 func (nd *Node) loadReport(p topology.NodeID, now time.Duration, id object.ID) (protocol.LoadReport, bool) {
 	if nd.peerDown(p) {
 		return protocol.LoadReport{}, false
@@ -432,7 +406,9 @@ func (nd *Node) loadReport(p topology.NodeID, now time.Duration, id object.ID) (
 		q.Set("now", strconv.FormatInt(int64(now), 10))
 	}
 	var rep LoadReply
+	nd.mu.Unlock()
 	err := nd.client.get(nd.peerURL(p), PathLoad, q, &rep)
+	nd.mu.Lock()
 	return protocol.LoadReport(rep), err == nil
 }
 
@@ -447,7 +423,7 @@ func (nd *Node) loadReport(p topology.NodeID, now time.Duration, id object.ID) (
 // decision. The returned completion time is the virtual send time — live
 // handshakes resolve inline, like the simulator's reliable path. A peer
 // marked down (the simulator's s.down check) is sent nothing and costs no
-// message ID.
+// message ID. The caller, a pass, holds mu; the RPC goes out without it.
 func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, token uint64) (protocol.CreateObjStatus, uint64, time.Duration) {
 	if nd.peerDown(req.To) {
 		return protocol.CreateDown, token, now
@@ -467,7 +443,10 @@ func (nd *Node) sendCreateObj(now time.Duration, req protocol.CreateObjRequest, 
 		Now:      int64(now),
 	}
 	var rep CreateObjReply
-	if err := nd.client.call(nd.peerURL(req.To), PathCreateObj, &msg, &rep); err != nil {
+	nd.mu.Unlock()
+	err := nd.client.call(nd.peerURL(req.To), PathCreateObj, &msg, &rep)
+	nd.mu.Lock()
+	if err != nil {
 		return protocol.CreateLost, msgID, now
 	}
 	if !rep.Accepted {
@@ -551,7 +530,6 @@ func (nd *Node) buildMux() {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ready"))
 	})
-	mux.HandleFunc(PathPeers, nd.handlePeers)
 	mux.HandleFunc(PathCreateObj, nd.handleCreateObj)
 	mux.HandleFunc(PathNotify, nd.handleNotify)
 	mux.HandleFunc(PathRequestDrop, nd.handleRequestDrop)
@@ -599,10 +577,8 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 	}
 	method, _ := protocol.ParseMethod(msg.Method) // validated by Decode
 	req := protocol.CreateObjRequest{From: topology.NodeID(msg.From), To: nd.id, Method: method, Object: object.ID(msg.Object), UnitLoad: msg.UnitLoad, SrcAff: msg.SrcAff}
-	reply, ok := nd.creates.do(msg.MsgID, func() ([]byte, bool) {
-		if !nd.lockMu() {
-			return nil, false
-		}
+	reply := nd.creates.do(msg.MsgID, func() []byte {
+		nd.lock()
 		hadBefore := nd.machine.Host.Has(req.Object)
 		accepted := nd.machine.Host.CreateObj(nd.resolveNow(msg.Now), req)
 		nd.mu.Unlock()
@@ -616,15 +592,8 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 			// from the reply (sendCreateObj).
 			_ = nd.client.fetch(nd.peerURL(req.From), PathFetch+strconv.FormatInt(msg.Object, 10))
 		}
-		return Encode(CreateObjReply{MsgID: msg.MsgID, Accepted: accepted, Copied: copied}), true
+		return Encode(CreateObjReply{MsgID: msg.MsgID, Accepted: accepted, Copied: copied})
 	})
-	if !ok {
-		// The node lock stayed busy past the deadline (an overlapping
-		// placement pass): nothing executed, nothing is cached — the
-		// caller's retry re-runs the handshake under the same message ID.
-		http.Error(w, "live: node busy", http.StatusServiceUnavailable)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(reply)
 }
@@ -672,11 +641,11 @@ func (nd *Node) handleRequestDrop(w http.ResponseWriter, r *http.Request) {
 	// Drop arbitration is not naturally idempotent (an approved drop
 	// removes the record, so a replayed request would read "no replica"),
 	// hence the verdict cache.
-	reply, _ := nd.drops.do(msg.MsgID, func() ([]byte, bool) {
+	reply := nd.drops.do(msg.MsgID, func() []byte {
 		nd.redMu.Lock()
 		ok := nd.redirector.RequestDrop(object.ID(msg.Object), topology.NodeID(msg.Host))
 		nd.redMu.Unlock()
-		return Encode(DropReply{MsgID: msg.MsgID, Approved: ok}), true
+		return Encode(DropReply{MsgID: msg.MsgID, Approved: ok})
 	})
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(reply)
@@ -697,10 +666,7 @@ func (nd *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if !nd.inRange(w, obj, 0) {
 		return
 	}
-	if !nd.lockMu() {
-		http.Error(w, "live: node busy", http.StatusServiceUnavailable)
-		return
-	}
+	nd.lock()
 	rep := LoadReply(nd.machine.Host.LoadReport(nd.resolveNow(now), object.ID(obj)))
 	nd.mu.Unlock()
 	writeJSON(w, rep)
@@ -875,12 +841,13 @@ func (nd *Node) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &msg) {
 		return
 	}
+	if nd.freeRun {
+		// Two passes on one host must not interleave at their yields.
+		http.Error(w, "live: a free-running node runs its own passes", http.StatusConflict)
+		return
+	}
 	var rep PlaceReply
-	nd.lock()
-	nd.pass = &rep.Events
-	nd.machine.Host.DecidePlacement(time.Duration(msg.Now))
-	nd.pass = nil
-	nd.mu.Unlock()
+	nd.place(time.Duration(msg.Now), &rep.Events)
 	writeJSON(w, rep)
 }
 
@@ -944,18 +911,6 @@ func (nd *Node) handleMark(w http.ResponseWriter, r *http.Request) {
 		nd.redirector.PurgeHost(topology.NodeID(msg.Host), nil)
 	}
 	nd.redMu.Unlock()
-	writeJSON(w, struct{}{})
-}
-
-// handlePeers rewrites one peer URL table entry (chaos partitions).
-func (nd *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
-	var msg PeersMsg
-	if !readBody(w, r, &msg) || !nd.inRange(w, 0, msg.Peer) {
-		return
-	}
-	nd.peerMu.Lock()
-	nd.peers[msg.Peer] = msg.URL
-	nd.peerMu.Unlock()
 	writeJSON(w, struct{}{})
 }
 

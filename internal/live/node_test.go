@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,8 +37,9 @@ func twoNodeConfig(t *testing.T) Config {
 
 // TestCompletionFIFO: a free-running node settles its own completions
 // whenever its lock is taken — in admission order, only those whose done
-// time its clock has reached, and none after Stop. The test moves the
-// node's epoch instead of sleeping.
+// time its clock has reached, none while a placement pass runs (they count
+// toward the next window) and none after Stop. The test moves the node's
+// epoch instead of sleeping.
 func TestCompletionFIFO(t *testing.T) {
 	cfg := twoNodeConfig(t)
 	cfg.FreeRunning = true
@@ -62,10 +64,15 @@ func TestCompletionFIFO(t *testing.T) {
 		t.Fatalf("pending after the due prefix = %+v, want objects 3, 4 in admission order", rest)
 	}
 
-	// The peer handlers' try-lock settles too.
+	// A pass yielding its lock to a handler holds the due one back.
 	nd.epoch = nd.epoch.Add(-time.Hour)
-	if got := served(func() { _ = nd.lockMu() }); got != 4 {
-		t.Fatalf("served %d an hour on, want 4", got)
+	nd.placing = true
+	if got := served(nd.lock); got != 3 {
+		t.Fatalf("served %d an hour on, mid-pass, want the 3 from before it", got)
+	}
+	nd.placing = false
+	if got := served(nd.lock); got != 4 {
+		t.Fatalf("served %d an hour on, after the pass, want 4", got)
 	}
 
 	nd.Stop()
@@ -73,6 +80,109 @@ func TestCompletionFIFO(t *testing.T) {
 	if got := served(nd.lock); got != 4 {
 		t.Fatalf("served %d after Stop, want the 4 from before it", got)
 	}
+}
+
+// TestParkedPassLeavesNodeAnswering: a free-running node's placement pass
+// lets go of the node lock while its handshake waits on the peer, so the
+// node's own handlers answer meanwhile, a peer's load query and a
+// client's request each within 100 ms (not a busy answer after a deadline,
+// nor a wait for the whole pass), and a driver's pass is refused. The request whose service completes
+// while the pass is parked is settled after the pass, into the next
+// window.
+func TestParkedPassLeavesNodeAnswering(t *testing.T) {
+	cfg := twoNodeConfig(t)
+	cfg.FreeRunning = true
+	cfg.Sim.Protocol.ReplicaFloor = 2 // node 0's pass repairs each object it holds toward node 1
+	parked, release := make(chan struct{}), make(chan struct{})
+	var park sync.Once
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case PathLoad:
+			writeJSON(w, LoadReply{Low: 80, High: 90})
+		case PathCreateObj:
+			var msg CreateObjMsg
+			if readBody(w, r, &msg) {
+				park.Do(func() { close(parked) })
+				<-release
+				writeJSON(w, CreateObjReply{MsgID: msg.MsgID}) // refused: the repair moves on
+			}
+		default:
+			t.Errorf("peer got %s", r.URL.Path)
+			http.NotFound(w, r)
+		}
+	}))
+	defer peer.Close()
+	var nd *Node
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { nd.Handler().ServeHTTP(w, r) }))
+	defer srv.Close()
+	nd, err := NewNode(cfg, 0, []string{srv.URL, peer.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+	nd.epoch = time.Now() // the clock Start sets, without its tickers
+	served := func() int64 {
+		nd.lock()
+		defer nd.mu.Unlock()
+		return nd.machine.Server.TotalServed()
+	}
+
+	passDone := make(chan struct{})
+	go func() {
+		defer close(passDone)
+		nd.placeTick(time.Second)
+	}()
+	unpark := sync.OnceFunc(func() { close(release); <-passDone })
+	defer unpark()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the pass sent no handshake")
+	}
+
+	client := &http.Client{Timeout: time.Second}
+	defer client.CloseIdleConnections()
+	for _, path := range []string{PathLoad, PathServe + "0?g=0&now=0"} {
+		start := time.Now()
+		res, err := client.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("%s while the pass is parked: %v", path, err)
+		}
+		_, _ = io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if took := time.Since(start); res.StatusCode != http.StatusOK || took > 100*time.Millisecond {
+			t.Fatalf("%s while the pass is parked: status %d after %v, want 200 within 100ms", path, res.StatusCode, took)
+		}
+	}
+	// Its own passes are the only ones a free-running node runs: a second
+	// one would interleave with the parked one at its yields.
+	res, err := client.Post(srv.URL+PathPlace, "application/json", strings.NewReader(`{"now":2000000000}`))
+	if err != nil {
+		t.Fatalf("%s while the pass is parked: %v", PathPlace, err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusConflict {
+		t.Fatalf("%s while the pass is parked: status %d, want 409", PathPlace, res.StatusCode)
+	}
+	nd.mu.Lock()
+	due := nd.pending[0].done
+	nd.mu.Unlock()
+	time.Sleep(due - nd.vnow() + 10*time.Millisecond)
+	if got := served(); got != 0 {
+		t.Fatalf("served %d with the pass parked past the request's done time, want 0", got)
+	}
+	unpark()
+	if got := served(); got != 1 {
+		t.Fatalf("served %d after the pass, want 1", got)
+	}
+}
+
+// sendLocked runs a fresh handshake the way a pass does, under the node
+// lock, which sendCreateObj lets go of around the RPC.
+func sendLocked(nd *Node, now time.Duration, req protocol.CreateObjRequest) (protocol.CreateObjStatus, uint64, time.Duration) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return nd.sendCreateObj(now, req, 0)
 }
 
 // TestSendCreateObjToDownPeer: a handshake to a peer marked down is
@@ -101,7 +211,7 @@ func TestSendCreateObjToDownPeer(t *testing.T) {
 	req := protocol.CreateObjRequest{From: 0, To: 1, Method: protocol.Replicate, Object: 1, UnitLoad: 1, SrcAff: 1}
 
 	nd.downPeers[1] = true
-	if status, tok, at := nd.sendCreateObj(time.Second, req, 0); status != protocol.CreateDown || tok != 0 || at != time.Second {
+	if status, tok, at := sendLocked(nd, time.Second, req); status != protocol.CreateDown || tok != 0 || at != time.Second {
 		t.Fatalf("handshake to a down peer: (%d, %d, %v), want (CreateDown, 0, 1s)", status, tok, at)
 	}
 	if attempts, _, _ := nd.client.Stats(); attempts != 0 || received.Load() != 0 {
@@ -110,7 +220,7 @@ func TestSendCreateObjToDownPeer(t *testing.T) {
 
 	nd.downPeers[1] = false
 	first := uint64(nd.bootID)<<40 | 1
-	if status, tok, _ := nd.sendCreateObj(2*time.Second, req, 0); status != protocol.CreateAccepted || tok != first {
+	if status, tok, _ := sendLocked(nd, 2*time.Second, req); status != protocol.CreateAccepted || tok != first {
 		t.Fatalf("handshake to the peer back up: (%d, %#x), want (CreateAccepted, %#x)", status, tok, first)
 	}
 	if attempts, _, _ := nd.client.Stats(); attempts != 1 || received.Load() != 1 || lastID.Load() != first {
@@ -135,7 +245,7 @@ func TestRestartedNodeSendsFreshMessageIDs(t *testing.T) {
 		f.mu.Lock()
 		nd := f.nodes[0]
 		f.mu.Unlock()
-		status, tok, _ := nd.sendCreateObj(time.Second, req, 0)
+		status, tok, _ := sendLocked(nd, time.Second, req)
 		return status, tok
 	}
 	peer := f.nodes[1]
@@ -181,7 +291,7 @@ func TestNodeTakesRPCPolicyFromSimCtrl(t *testing.T) {
 	}
 	defer nd.Stop()
 	req := protocol.CreateObjRequest{From: 0, To: 1, Method: protocol.Replicate, Object: 1, UnitLoad: 1, SrcAff: 1}
-	if status, _, _ := nd.sendCreateObj(time.Second, req, 0); status != protocol.CreateLost {
+	if status, _, _ := sendLocked(nd, time.Second, req); status != protocol.CreateLost {
 		t.Fatalf("handshake to a refusing peer: status %d, want CreateLost", status)
 	}
 	if attempts, retries, lost := nd.client.Stats(); attempts != 2 || retries != 1 || lost != 1 {

@@ -52,7 +52,6 @@ const (
 	PathComplete = "/ctl/complete"
 	PathCensus   = "/ctl/census"
 	PathMark     = "/ctl/mark"
-	PathPeers    = "/ctl/peers"
 	PathStats    = "/ctl/stats"
 	// PathHealth is pure liveness: the node's listener is up and serving HTTP.
 	PathHealth = "/healthz"
@@ -386,28 +385,6 @@ type MarkMsg struct {
 
 // Validate implements validator.
 func (m *MarkMsg) Validate() error { return checkNode("host", m.Host) }
-
-// PeersMsg rewrites one entry of the receiving node's peer URL table — the
-// chaos controller's partition primitive. A non-http URL (the poison
-// sentinel) makes every control RPC toward that peer fail without leaving
-// the node; restoring the original URL heals the partition. The serve-URL
-// manifest used for client 302s is immutable: partitions cut the control
-// plane, not the data plane.
-type PeersMsg struct {
-	Peer int    `json:"peer"`
-	URL  string `json:"url"`
-}
-
-// Validate implements validator.
-func (m *PeersMsg) Validate() error {
-	if err := checkNode("peer", m.Peer); err != nil {
-		return err
-	}
-	if m.URL == "" {
-		return &WireError{Field: "url", Reason: "empty peer URL"}
-	}
-	return nil
-}
 
 // Event is an entry of a placement pass's event list: the protocol's one
 // record of a decision, in its wire form.

@@ -62,6 +62,14 @@ const (
 
 // Env wires a host into its world. All fields except CanReplicate are
 // required.
+//
+// SendCreateObj and LoadReport are where a host waits on a peer, and a
+// transport may yield there: before either returns, CreateObj, LoadReport,
+// OnRequest and OnMeasurementIntervalClose may run on the same host (a
+// live node lets go of its lock around the RPC). The host keeps no
+// *objState across either call; it looks states up again by ID, and its
+// walks advance by ID. None of those four removes an object or a
+// deferral, so what a pass decided before the yield still holds after it.
 type Env struct {
 	// Routes answers distance and preference-path queries (the stand-in
 	// for the router databases of a real deployment).
@@ -74,7 +82,8 @@ type Env struct {
 	// when p is down or unreachable. A negative id asks for the load and
 	// watermarks only. Offload recipients and repair targets are elected
 	// from these reports (electHost), which asks each peer once per
-	// placement pass and keeps the answers on the host's load board.
+	// placement pass and keeps the answers on the host's load board. It
+	// may yield (see above).
 	LoadReport func(p topology.NodeID, now time.Duration, id object.ID) (LoadReport, bool)
 	// CanReplicate, if non-nil, gates replication per object — the
 	// consistency hook of §5 (category-3 objects cap their replica
@@ -86,7 +95,7 @@ type Env struct {
 	// arrival time, and reports the outcome, the message token (pass it
 	// back to re-issue a CreateLost exchange with the same identity), and
 	// the caller-side completion time. A target known down answers
-	// CreateDown without sending anything.
+	// CreateDown without sending anything. It may yield (see above).
 	SendCreateObj func(now time.Duration, req CreateObjRequest, token uint64) (CreateObjStatus, uint64, time.Duration)
 	// Store is this host's replica-storage stack. The host's object table
 	// says which replicas it holds; the stack counts them: every replica
@@ -122,7 +131,8 @@ func (e *Env) validate() error {
 // requests (accumulating access counts), periodically runs the replica
 // placement algorithm of Fig. 3, serves CreateObj requests from peers
 // (Fig. 4), and offloads under high load (Fig. 5). Host is not safe for
-// concurrent use; the simulation is a sequential program over virtual time.
+// concurrent use: calls into it are serialized, and only the Env yield
+// points interleave others with a placement pass.
 type Host struct {
 	// ID is the node this host runs on.
 	ID topology.NodeID
@@ -405,9 +415,8 @@ func (h *Host) DecidePlacement(now time.Duration) {
 		h.repairReplicas(now)
 	}
 
-	// The pass walks the live list and drops objects as it goes. Only the
-	// object in hand can leave the list (moves go to other hosts), so after
-	// a drop the next object sits where it was (next compares IDs).
+	// The pass walks the live list by ID: it drops the object in hand, and
+	// a handshake may yield to a CreateObj that adds one (Env).
 	var id object.ID
 	for at := 0; at < len(h.objs.sts); at = h.objs.next(at, id) {
 		st := &h.objs.sts[at]
@@ -425,11 +434,11 @@ func (h *Host) DecidePlacement(now time.Duration) {
 			res := h.reduceAffinity(now, id, st)
 			dropped = res == affDropped
 			moved = moved || res != affUnchanged
-		} else if h.tryGeo(now, id, st, Migrate, migrRatio) {
+		} else if h.tryGeo(now, id, Migrate, migrRatio) {
 			migrated, moved = true, true
 		}
 		if !dropped && !migrated && ua > h.params.ReplicationThreshold &&
-			h.tryGeo(now, id, st, Replicate, replRatio) {
+			h.tryGeo(now, id, Replicate, replRatio) {
 			moved = true
 		}
 	}
@@ -477,15 +486,15 @@ type move struct {
 }
 
 // perform is the one road to a peer: it runs mv's CreateObj handshake with
-// mv.to and commits the verdict on this host, which holds the replica st.
+// mv.to and commits the verdict on this host, which holds mv.id.
 // Accepted: the lower-bound load estimate sheds the Theorem 1/3 source
 // bound, a migration hands its affinity unit over, the move is counted and
 // observed, all at the handshake's completion time. Refused: counted and
 // observed at now. Lost: nothing here — the caller defers the move or lets
 // its next pass decide again — and the returned token re-issues it. Down:
 // nothing here or on the wire.
-func (h *Host) perform(now time.Duration, mv move, st *objState) (CreateObjStatus, uint64) {
-	objLoad, aff := h.loads.ObjectLoad(mv.id), int(st.aff)
+func (h *Host) perform(now time.Duration, mv move) (CreateObjStatus, uint64) {
+	objLoad, aff := h.loads.ObjectLoad(mv.id), int(h.objs.get(mv.id).aff)
 	req := CreateObjRequest{From: h.ID, To: mv.to, Method: mv.method, Object: mv.id, UnitLoad: objLoad / float64(aff), SrcAff: aff}
 	status, tok, doneAt := h.createObj(now, req, mv.token)
 	switch status {
@@ -493,7 +502,7 @@ func (h *Host) perform(now time.Duration, mv move, st *objState) (CreateObjStatu
 		kind := EventReplicate
 		if mv.method == Migrate {
 			h.est.OnShed(doneAt, h.loads.Load(), MigrationSourceMaxDecrease(objLoad, aff))
-			h.reduceAffinity(doneAt, mv.id, st)
+			h.reduceAffinity(doneAt, mv.id, h.objs.get(mv.id)) // the handshake may have moved it
 			kind = EventMigrate
 		} else {
 			h.est.OnShed(doneAt, h.loads.Load(), ReplicationSourceMaxDecrease(objLoad))
@@ -563,7 +572,7 @@ func (h *Host) retryDeferred(now time.Duration) bool {
 	completed := false
 	h.retryBuf, h.objs.deferred = h.objs.deferred, h.retryBuf[:0]
 	for _, mv := range h.retryBuf {
-		switch status, tok := h.perform(now, mv, h.objs.get(mv.id)); status {
+		switch status, tok := h.perform(now, mv); status {
 		case CreateAccepted:
 			h.Stats.DeferredCompleted++
 			completed = true
@@ -588,9 +597,9 @@ func (h *Host) repairReplicas(now time.Duration) {
 	if h.params.AvailabilityWeight > 0 {
 		method = Repair
 	}
-	for at := range h.objs.sts { // repair only adds replicas elsewhere
-		st := &h.objs.sts[at]
-		id := object.ID(st.id)
+	var id object.ID
+	for at := 0; at < len(h.objs.sts); at = h.objs.next(at, id) {
+		id = object.ID(h.objs.sts[at].id)
 		count := h.replicaCount(id)
 		if count == 0 {
 			// This host's own replica is not registered (it crashed and has
@@ -606,7 +615,7 @@ func (h *Host) repairReplicas(now time.Duration) {
 				break
 			}
 			mv := move{id: id, to: target, method: method, kind: RepairMove}
-			if status, _ := h.perform(now, mv, st); status != CreateAccepted {
+			if status, _ := h.perform(now, mv); status != CreateAccepted {
 				// A lost repair handshake is retried by the next repair
 				// pass; reconciliation heals any replica it did create.
 				break
@@ -626,7 +635,8 @@ func (h *Host) replicaCount(id object.ID) int {
 // says which): the first candidate that appears on more than ratio of the
 // object's preference paths and accepts takes the move. It reports whether
 // one did.
-func (h *Host) tryGeo(now time.Duration, id object.ID, st *objState, method Method, ratio float64) bool {
+func (h *Host) tryGeo(now time.Duration, id object.ID, method Method, ratio float64) bool {
+	st := h.objs.get(id)
 	if st.total == 0 {
 		return false
 	}
@@ -635,7 +645,7 @@ func (h *Host) tryGeo(now time.Duration, id object.ID, st *objState, method Meth
 	}
 	for _, p := range h.orderCandidates(id, st, method, ratio) {
 		mv := move{id: id, to: p, method: method, kind: GeoMove}
-		switch status, tok := h.perform(now, mv, st); status {
+		switch status, tok := h.perform(now, mv); status {
 		case CreateAccepted:
 			return true
 		case CreateLost:
@@ -821,7 +831,7 @@ func (h *Host) offload(now time.Duration, period float64) {
 			}
 			mv.method = Replicate
 		}
-		if status, _ := h.perform(now, mv, st); status != CreateAccepted {
+		if status, _ := h.perform(now, mv); status != CreateAccepted {
 			// Lost, refused or down: stop shedding to this recipient — load
 			// moves are re-decided from fresh estimates next run, so no
 			// deferral is needed.

@@ -13,10 +13,11 @@ import (
 // ascending ID order, so the "for each object x_s" loops of Fig. 3 and
 // Fig. 5 read them in place, with no lookup and no sort; every add and
 // remove shifts the states above it, so a *objState is valid only until
-// the next one. By-ID lookups (Has, settle, CreateObj, load reports) read
-// a bitmap of the hosted IDs and a rank per bitmap word: rank[w] counts
-// the hosted IDs below 64·w, so id sits at rank[id>>6] plus the hosted IDs
-// of its own word below it. Both grow to the host's highest ID: about
+// the next one, and a walk that may see one advances by ID (next). By-ID
+// lookups (Has, settle, CreateObj, load reports) read a bitmap of the
+// hosted IDs and a rank per bitmap word: rank[w] counts the hosted IDs
+// below 64·w, so id sits at rank[id>>6] plus the hosted IDs of its own
+// word below it. Both grow to the host's highest ID: about
 // 3.75 KB a host over 20,000 objects. deferred holds the lost-handshake
 // moves awaiting their retry, ascending by ID, at most one per hosted
 // object; remove takes an object's with it.
@@ -78,14 +79,19 @@ func (t *objTable) remove(id object.ID) bool {
 	return true
 }
 
-// next returns the position after at once a walk has handled the object
-// id there: at itself if id left the table, which moved the next object up
-// to the removed one's address, so it compares IDs.
+// next returns the position of the first state above id, which a walk
+// handled at position at: at+1 if id is still there, else (id dropped, or
+// a peer's CreateObj added a lower ID while the host waited on a
+// handshake) the count of held IDs up to id.
 func (t *objTable) next(at int, id object.ID) int {
 	if at < len(t.sts) && object.ID(t.sts[at].id) == id {
-		at++
+		return at + 1
 	}
-	return at
+	w := int(id >> 6)
+	if w >= len(t.bits) {
+		return len(t.sts)
+	}
+	return int(t.rank[w]) + bits.OnesCount64(t.bits[w]&(2<<(id&63)-1))
 }
 
 // deferral returns where id's deferred move is or would go in deferred,

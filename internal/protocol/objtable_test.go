@@ -195,12 +195,14 @@ func TestObjTableAgainstMap(t *testing.T) {
 // FuzzObjTable is TestObjTableAgainstMap over fuzzed programs: each pair
 // of bytes adds, defers a move of, removes or looks up one of 256 IDs
 // (four bitmap words, so ranks move across words), or walks the table,
-// dropping the objects an ID residue selects as it goes; the table is held
-// against the model after every step.
+// dropping the objects an ID residue selects and adding the ID below each
+// as it goes, which must visit exactly the objects held before the walk;
+// the table is held against the model after every step.
 func FuzzObjTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 63, 0, 64, 0, 127, 0, 128, 0, 255, 128, 64, 192, 0, 64, 128})
 	f.Add([]byte{0, 200, 0, 5, 128, 200, 0, 69, 64, 5, 192, 0, 128, 5, 0, 200})
 	f.Add([]byte{0, 3, 0, 4, 0, 5, 0, 9, 64, 4, 65, 4, 64, 5, 197, 1, 0, 4, 192, 0, 128, 3, 0, 3})
+	f.Add([]byte{0, 3, 0, 64, 0, 130, 0, 7, 64, 7, 205, 0, 0, 10, 200, 0, 128, 63, 200, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		m := newTableModel()
 		for step := 0; step+1 < len(prog); step += 2 {
@@ -219,26 +221,23 @@ func FuzzObjTable(f *testing.F) {
 				}
 			case 2:
 				m.remove(t, id)
-			case 3: // walk; with bit 2 set, drop each object whose ID is op's low bits mod 4
+			case 3: // walk; with bit 2 set, drop each object whose ID is op's low bits mod 4; with bit 3, add the ID below each
+				want := make([]object.ID, 0, len(m.sts))
+				for w := range m.sts {
+					want = append(want, w)
+				}
+				slices.Sort(want)
 				var walked []object.ID
-				var at int
-				for at = 0; at < len(m.tab.sts); at = m.tab.next(at, id) {
+				for at := 0; at < len(m.tab.sts); at = m.tab.next(at, id) {
 					id = object.ID(m.tab.sts[at].id)
 					walked = append(walked, id)
 					if op&4 != 0 && int(id)%4 == int(op&3) {
 						m.remove(t, id)
 					}
-				}
-				want := make([]object.ID, 0, len(walked))
-				for w := range m.sts {
-					want = append(want, w)
-				}
-				for _, w := range walked {
-					if op&4 != 0 && int(w)%4 == int(op&3) {
-						want = append(want, w)
+					if _, had := m.sts[id-1]; op&8 != 0 && id > 0 && !had {
+						m.add(t, id-1)
 					}
 				}
-				slices.Sort(want)
 				if !slices.Equal(walked, want) {
 					t.Fatalf("step %d: walk = %v, want %v", step, walked, want)
 				}
@@ -249,9 +248,11 @@ func FuzzObjTable(f *testing.F) {
 }
 
 // TestObjTableWalkSurvivesDrops: a walk that drops two adjacent objects
-// still visits the second. After a remove the next state sits at the
-// address of the removed one, so next compares IDs; a walk that compared
-// addresses would step over it.
+// still visits the second, and one that adds an object below the one in
+// hand neither visits it nor the one in hand again. After a remove the
+// next state sits at the address of the removed one, and after an add
+// below at the address after it, so a walk that advanced by address would
+// step over one or see one twice; next compares IDs.
 func TestObjTableWalkSurvivesDrops(t *testing.T) {
 	m := newTableModel()
 	for _, id := range []object.ID{2, 3, 5, 8, 13} {
@@ -263,14 +264,22 @@ func TestObjTableWalkSurvivesDrops(t *testing.T) {
 	for at := 0; at < len(m.tab.sts); at = m.tab.next(at, id) {
 		id = object.ID(m.tab.sts[at].id)
 		walked = append(walked, id)
-		if id == 3 || id == 5 {
+		switch id {
+		case 3, 5:
 			m.remove(t, id)
+		case 8:
+			m.add(t, 1)
+			m.add(t, 70) // past the bitmap's words so far
 		}
 	}
-	if want := []object.ID{2, 3, 5, 8, 13}; !slices.Equal(walked, want) {
+	want := []object.ID{2, 3, 5, 8, 13, 70}
+	if !slices.Equal(walked, want) {
 		t.Fatalf("walk = %v, want %v", walked, want)
 	}
-	m.check(t, 16)
+	m.check(t, 128)
+	if got := m.tab.next(len(m.tab.sts), 200); got != len(m.tab.sts) {
+		t.Fatalf("next past the end for 200 = %d in a table of %d", got, len(m.tab.sts))
+	}
 }
 
 // outside are IDs no table can hold: negative, or past any bitmap here.

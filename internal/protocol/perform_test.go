@@ -75,7 +75,7 @@ func checkPerform(t *testing.T, mv move, verdict CreateObjStatus, aff int) {
 	h.electHost(now, -1, 0) // every peer's report is on the board
 
 	want := h.Stats
-	status, tok := h.perform(now, mv, st)
+	status, tok := h.perform(now, mv)
 
 	if status != verdict {
 		t.Fatalf("status %d, want %d", status, verdict)
